@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -152,3 +153,50 @@ def entropy_H(x: float) -> float:
         raise DomainError(f"entropy argument x={x} outside [0, 1]")
     x = min(1.0, max(0.0, x))
     return binary_entropy(0.5 * (1.0 + math.sqrt(1.0 - x)))
+
+
+def brent_root(
+    f: Callable[[float], float], a: float, b: float, fa: float, fb: float
+) -> tuple[float, float]:
+    """Zero of f bracketed by [a, b], by Brent's method; returns (x, f(x)).
+
+    ``fa`` and ``fb`` are f(a) and f(b) and must not share a sign.  Each step
+    takes the inverse-quadratic (or secant) estimate when it falls well inside
+    the bracket and bisects otherwise, so a jump or a flat stretch of f costs
+    at most bisection's pace.  Stops when f(x) == 0 or the bracket has shrunk
+    to two adjacent floats, returning the one with the smaller |f|; a steep f
+    needs that last ulp.
+    """
+    if (fa > 0.0 and fb > 0.0) or (fa < 0.0 and fb < 0.0):
+        raise NumericError(f"[{a}, {b}] does not bracket a root: f = {fa}, {fb}")
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(200):
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol = 0.5 * math.ulp(b)
+        m = 0.5 * (c - b)
+        if fb == 0.0 or abs(m) <= tol:
+            return b, fb
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            r = fb / fa
+            if a == c:  # two distinct points: secant
+                p, q = 2.0 * m * r, 1.0 - r
+            else:  # three: inverse quadratic interpolation
+                qa, rb = fa / fc, fb / fc
+                p = r * (2.0 * m * qa * (qa - rb) - (b - a) * (rb - 1.0))
+                q = (qa - 1.0) * (rb - 1.0) * (r - 1.0)
+            p, q = abs(p), (-q if p > 0.0 else q)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > 2.0 * tol else math.copysign(2.0 * tol, m)
+        fb = f(b)
+    raise NumericError(f"root search on [{a}, {b}] did not converge")

@@ -37,10 +37,10 @@ from .core import (
     NumericError,
     Scenario,
     StrategyParams,
+    brent_root,
 )
-from .ssd import CaseLabel, PiecewiseResult, _stage_optimum
+from .ssd import _TIE_TOL, CaseLabel, PiecewiseResult, _stage_optimum
 
-_TIE_TOL = 1e-12
 _UNION_CHECK_POINTS = 25
 _UNION_CHECK_TOL = 1e-9
 
@@ -229,30 +229,32 @@ def clone_params_of_omega(omega: float, s: float) -> CloneParams:
 
 
 def clone_optimal_for_prior(scenario: Scenario) -> CloneParams:
-    """Invert p1(omega) by bisection to get the optimal cloner for a prior.
+    """Invert p1(omega) by Brent's method to get the optimal cloner for a prior.
 
     p1(omega) falls monotonically from 1/2 at omega_1 to 0 at omega_2.  Near
     omega_1 it behaves like 1/2 - c*sqrt(omega - omega_1), so priors closer to
-    1/2 than the innermost representable bracket snap to the omega_1 limit
-    (the induced error in p_cl is quadratic in 1/2 - p1 and negligible).
+    1/2 than the innermost bracket end omega_1 + 1e-9*(omega_2 - omega_1)
+    snap to the omega_1 limit (the induced error in p_cl is quadratic in
+    1/2 - p1 and negligible).  The result must reproduce the prior within 1e-9.
     """
     s, target = scenario.s, scenario.p1
     w1, w2 = omega_range(s)
     if target >= 0.5:
         return clone_params_of_omega(w1, s)
+
+    def excess(omega: float) -> float:
+        return clone_params_of_omega(omega, s).p1_of_omega - target
+
     lo = w1 + 1e-9 * (w2 - w1)
     hi = w2 - 1e-12 * (w2 - w1)
-    if clone_params_of_omega(lo, s).p1_of_omega <= target:
+    f_lo = excess(lo)
+    if f_lo <= 0.0:
         return clone_params_of_omega(w1, s)
-    if clone_params_of_omega(hi, s).p1_of_omega > target:
+    f_hi = excess(hi)
+    if f_hi > 0.0:
         raise NumericError(f"failed to bracket omega for prior p1={target} at s={s}")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if clone_params_of_omega(mid, s).p1_of_omega > target:
-            lo = mid
-        else:
-            hi = mid
-    params = clone_params_of_omega(0.5 * (lo + hi), s)
+    omega, _ = brent_root(excess, lo, hi, f_lo, f_hi)
+    params = clone_params_of_omega(omega, s)
     if abs(params.p1_of_omega - target) > 1e-9:
         raise NumericError(
             f"omega inversion stalled: p1(omega)={params.p1_of_omega}, wanted {target}"
@@ -297,18 +299,22 @@ def protocol3_optimal(scenario: Scenario) -> PiecewiseResult:
 
 
 def _union_ssd_grid_max(scenario: Scenario, points: int) -> float:
-    """Brute-force max of p1(1 - q1b q1c) + p2(1 - q2b q2c) over (t, q1b, q1c)."""
+    """Brute-force max of p1(1 - q1b q1c) + p2(1 - q2b q2c) over (t, q1b, q1c).
+
+    The grid is t in linspace(max(s, 1e-9), 1), q1b in linspace((s/t)^2, 1)
+    and q1c in linspace(t^2, 1).  The loss p1 q1b q1c + p2 q2b q2c over the
+    whole grid is one batched (points x 2) @ (2 x points) product per t.
+    """
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
-    best = 0.0
-    for t in np.linspace(max(s, 1e-9), 1.0, points):
-        r2 = (s / t) ** 2
-        q1b = np.linspace(r2, 1.0, points)[:, None]
-        q1c = np.linspace(t * t, 1.0, points)[None, :]
-        q2b = r2 / q1b if r2 > 0.0 else np.zeros_like(q1b)
-        q2c = t * t / q1c
-        val = p1 * (1.0 - q1b * q1c) + p2 * (1.0 - q2b * q2c)
-        best = max(best, float(val.max()))
-    return best
+    t = np.linspace(max(s, 1e-9), 1.0, points)[:, None]
+    frac = np.linspace(0.0, 1.0, points)
+    r2, t2 = (s / t) ** 2, t * t
+    q1b = r2 + (1.0 - r2) * frac
+    q1c = t2 + (1.0 - t2) * frac
+    q2b = np.divide(r2, q1b, out=np.zeros_like(q1b), where=q1b > 0.0)
+    q2c = t2 / q1c
+    loss = np.stack((p1 * q1b, p2 * q2b), axis=2) @ np.stack((q1c, q2c), axis=1)
+    return max(0.0, p1 + p2 - float(loss.min()))
 
 
 def at_least_one_ssd(scenario: Scenario) -> PiecewiseResult:

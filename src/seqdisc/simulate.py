@@ -207,6 +207,8 @@ def run_ssd_trials(
     """
     if n < 1:
         raise DomainError(f"n={n} must be at least 1")
+    if not 0 <= seed < 2**128:
+        raise DomainError(f"seed={seed} outside the Philox key range [0, 2^128)")
     s = scenario.s
     if t <= 0.0 or t < s or t > 1.0:
         raise DomainError(f"overlap t={t} outside [s, 1] = [{s}, 1]")

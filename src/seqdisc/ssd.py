@@ -17,8 +17,10 @@ q1b = q1c = q*, with q* a root of
 
 Case I survives at equal priors only for s < 3 - 2*sqrt(2); beyond that the
 optimal strategy breaks the symmetry and ignores one state even at p1 = 1/2.
-The prior separating the joint cases, P_C, has no closed form and is located
-by bisection with the quartic re-solved at every trial prior.
+The prior separating the joint cases, P_C, has no closed form: it is the zero
+of the gap between the two branches, found by Brent's method on log(p1) with
+the quartic re-solved (from its companion-matrix eigenvalues) at every trial
+prior.
 """
 
 from __future__ import annotations
@@ -31,17 +33,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    BOUNDARY_TOL,
     DomainError,
     NumericError,
     Scenario,
     StrategyParams,
+    brent_root,
 )
 
 #: Overlap above which case I vanishes even at equal priors.
 SYMMETRY_BREAK_OVERLAP = 3.0 - 2.0 * math.sqrt(2.0)
 
 _TIE_TOL = 1e-12
-_QSTAR_SCAN_CELLS = 1000
+_NEWTON_STEPS = 8
+_EPS = float(np.finfo(float).eps)
 
 
 class CaseLabel(str, Enum):
@@ -144,10 +149,8 @@ def joint_success(scenario: Scenario, t: float, q1b: float, q1c: float) -> float
     ) * (1.0 - charlie.q2)
 
 
-def _quartic(p1: float, p2: float, s: float, q):
-    q = np.asarray(q, dtype=float)
-    q2 = q * q
-    return p1 * q2 * q2 - p1 * q2 * q + p2 * s * q - p2 * s * s
+def _quartic(p1: float, p2: float, s: float, q: float) -> float:
+    return ((p1 * q - p1) * q * q + p2 * s) * q - p2 * s * s
 
 
 def _joint_case1_objective(p1: float, p2: float, s: float, q: float) -> float:
@@ -158,31 +161,37 @@ def solve_q_star(scenario: Scenario) -> float:
     """Root of p1*q^4 - p1*q^3 + p2*s*q - p2*s^2 = 0 on [s, 1] maximizing the
     symmetric joint objective p1*(1-q)^2 + p2*(1-s/q)^2.
 
-    The quartic is the stationarity condition of the objective.  Roots are
-    located by a sign-change scan over 1000 subintervals of [s, 1], each
-    refined by bisection to width 1e-14; among the roots found, the one with
-    the largest objective value is returned.
+    The quartic is the stationarity condition of the objective.  Its roots are
+    the eigenvalues of the 4x4 companion matrix; the real part of each is
+    polished by Newton steps on the quartic.  A polished value counts as a
+    root when its residual is within rounding of the polynomial's terms
+    (a backward-error test) and it lies in [s, 1], up to a relative 1e-12
+    that is clipped away.  Among the roots, the one with the largest objective
+    value is returned.  Since the quartic is negative at s and positive at 1,
+    a root always exists; NumericError reports a failure to find it.
     """
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
     if not 0.0 < s < 1.0:
         raise DomainError(f"q* is defined for 0 < s < 1, got s={s}")
-    grid = np.linspace(s, 1.0, _QSTAR_SCAN_CELLS + 1)
-    vals = _quartic(p1, p2, s, grid)
-
-    roots = [float(g) for g, v in zip(grid, vals) if v == 0.0]
-    change = vals[:-1] * vals[1:] < 0.0
-    idx = np.nonzero(change)[0]
-    if idx.size:
-        lo, hi = grid[idx].copy(), grid[idx + 1].copy()
-        flo = vals[idx].copy()
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fmid = _quartic(p1, p2, s, mid)
-            same = flo * fmid > 0.0
-            lo = np.where(same, mid, lo)
-            flo = np.where(same, fmid, flo)
-            hi = np.where(same, hi, mid)
-        roots.extend((0.5 * (lo + hi)).tolist())
+    companion = np.eye(4, k=-1)
+    companion[0] = (1.0, 0.0, -p2 * s / p1, p2 * s * s / p1)
+    roots = []
+    for z in np.linalg.eigvals(companion).tolist():
+        q = z.real
+        for _ in range(_NEWTON_STEPS):
+            slope = (4.0 * p1 * q - 3.0 * p1) * q * q + p2 * s
+            if slope == 0.0:
+                break
+            step = _quartic(p1, p2, s, q) / slope
+            q -= step
+            if abs(step) <= _EPS * abs(q):
+                break
+        a = abs(q)
+        terms = p1 * a**4 + p1 * a**3 + p2 * s * a + p2 * s * s
+        if abs(_quartic(p1, p2, s, q)) <= 16.0 * _EPS * terms and (
+            s * (1.0 - BOUNDARY_TOL) <= q <= 1.0 + BOUNDARY_TOL
+        ):
+            roots.append(min(1.0, max(s, q)))
     if not roots:
         raise NumericError(
             "no real root in [s, 1] for quartic coefficients "
@@ -210,34 +219,35 @@ def critical_prior_PC(s: float) -> CriticalPrior:
     """Prior at which the two branches of the joint optimum exchange.
 
     Defined implicitly by  p*(1-q*)^2 + (1-p)*(1-s/q*)^2 = (1-p)*(1-s)^2 with
-    the quartic re-solved at each trial prior.  For s >= 3 - 2*sqrt(2) case I
-    never applies on (0, 1/2]; the sentinel value 0.5 is returned with the
-    flag cleared.
+    the quartic re-solved at each trial prior.  The gap between the branches
+    is negative at p1 = s/2 (P_C lies near 8*s for small s and above s up to
+    3 - 2*sqrt(2)) and positive at 1/2 while case I survives there; its zero
+    is found by Brent's method on log(p1), which spans the decades between
+    the two ends in a few steps.  The gap jumps (staying negative) where the
+    interior maximum of the objective disappears below P_C; Brent's bisection
+    fallback crosses that jump.  For s >= 3 - 2*sqrt(2) case I never applies
+    on (0, 1/2]; the sentinel value 0.5 is returned with the flag cleared.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"critical prior is defined for 0 < s < 1, got s={s}")
 
-    def gap(p1: float) -> float:
-        v1, v2, _ = _joint_branch_values(s, p1)
+    def gap(log_p1: float) -> float:
+        v1, v2, _ = _joint_branch_values(s, math.exp(log_p1))
         return v1 - v2
 
-    g_half = gap(0.5)
+    lo, hi = math.log(0.5 * s), math.log(0.5)
+    g_half = gap(hi)
     if g_half < 0.0:
         return CriticalPrior(0.5, False)
     if g_half == 0.0:
         return CriticalPrior(0.5, True)
-    lo, hi = 1e-9, 0.5
-    if gap(lo) >= 0.0:
+    g_lo = gap(lo)
+    if g_lo >= 0.0:
         raise NumericError(f"failed to bracket the critical prior on (0, 1/2) for s={s}")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    p_c = 0.5 * (lo + hi)
-    if abs(gap(p_c)) > 1e-10:
-        raise NumericError(f"critical-prior bisection stalled at p1={p_c} for s={s}")
+    log_pc, g_pc = brent_root(gap, lo, hi, g_lo, g_half)
+    p_c = math.exp(log_pc)
+    if abs(g_pc) > 1e-10:
+        raise NumericError(f"critical-prior search stalled at p1={p_c} for s={s}")
     return CriticalPrior(p_c, True)
 
 

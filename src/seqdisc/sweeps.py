@@ -88,6 +88,11 @@ _QUANTITIES: dict[str, Callable] = {
 }
 
 
+#: Quantities that read the post-measurement overlap t from ``fixed``.
+_NEEDS_T = frozenset({"bob_max", "charlie_max", "prop_left", "d_symm"})
+_FIELD_OF_VARIABLE = {"P1": "p1", "s": "s", "t": "t"}
+
+
 def available_quantities() -> tuple[str, ...]:
     return tuple(_QUANTITIES)
 
@@ -99,6 +104,10 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float | None]]]:
         raise DomainError(f"unknown quantities {unknown}; valid: {sorted(_QUANTITIES)}")
     if not spec.quantities:
         raise DomainError("sweep requires at least one quantity")
+    needed = {"s", "p1"} | ({"t"} if _NEEDS_T.intersection(spec.quantities) else set())
+    missing = sorted(needed - {_FIELD_OF_VARIABLE[spec.variable]} - set(spec.fixed))
+    if missing:
+        raise DomainError(f"a sweep over {spec.variable} needs fixed values for {missing}")
     header = [spec.variable] + list(spec.quantities)
     rows: list[list[float | None]] = []
     for x in spec.grid():

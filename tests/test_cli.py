@@ -77,6 +77,12 @@ class TestSweep:
         assert main(["sweep", "--figure", "2", "--out", "-"]) == 0
         assert capsys.readouterr().out.startswith("P1,")
 
+    def test_p1_sweep_without_s_exits_2(self, capsys):
+        code = main(["sweep", "--variable", "P1", "--start", "0.1", "--stop", "0.5",
+                     "--quantities", "ssd", "--out", "-"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestCorrelations:
     def test_report_fields(self, capsys):
@@ -109,6 +115,10 @@ class TestSimulate:
              "--n", "10"]
         )
         assert code == 2
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["simulate", "--s", "0.04", "--p1", "0.5", "--n", "10", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestVerify:

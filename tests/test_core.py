@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import given, strategies as st
 from seqdisc import (
     ConstraintError,
     DomainError,
+    NumericError,
     PureState,
     Scenario,
     StrategyParams,
@@ -14,6 +19,7 @@ from seqdisc import (
     entropy_H,
     make_state_pair,
 )
+from seqdisc.core import brent_root
 
 
 class TestEntropy:
@@ -124,3 +130,43 @@ class TestPureState:
     def test_accepts_normalized(self):
         v = np.array([3.0, 4.0]) / 5.0
         assert PureState(v).dim == 2
+
+
+class TestBrentRoot:
+    def test_smooth_root_to_full_precision(self):
+        f = lambda x: x * x - 2.0
+        x, fx = brent_root(f, 0.0, 2.0, f(0.0), f(2.0))
+        assert x == pytest.approx(math.sqrt(2.0), rel=4e-16)
+        assert fx == f(x)
+
+    def test_crosses_a_jump_that_keeps_its_sign(self):
+        # -1 below 0.3, then a smooth rise through zero at 0.7
+        f = lambda x: -1.0 if x < 0.3 else x - 0.7
+        x, _ = brent_root(f, 0.0, 1.0, f(0.0), f(1.0))
+        assert x == pytest.approx(0.7, rel=1e-15)
+
+    def test_zero_at_an_end(self):
+        f = lambda x: x - 1.0
+        assert brent_root(f, 1.0, 3.0, f(1.0), f(3.0)) == (1.0, 0.0)
+
+    def test_rejects_unbracketed(self):
+        with pytest.raises(NumericError, match="bracket"):
+            brent_root(math.exp, 0.0, 1.0, 1.0, math.e)
+
+
+def test_import_pulls_in_no_scipy():
+    # the package depends on numpy only; scipy would also raise peak memory
+    src = Path(__import__("seqdisc").__file__).resolve().parents[1]
+    code = (
+        "import sys, seqdisc, seqdisc.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from seqdisc import (
     protocol2_optimal,
     protocol3_optimal,
 )
+from seqdisc.protocols import _union_ssd_grid_max
 
 scenarios = st.builds(
     Scenario,
@@ -229,6 +231,34 @@ class TestAtLeastOne:
             assert gap >= -1e-12
             if p1 < 0.499:
                 assert gap > 0.0
+
+
+def _union_grid_max_loop(sc, points):
+    """Per-t loop form of the union self-check grid, kept as the reference."""
+    s, p1, p2 = sc.s, sc.p1, sc.p2
+    best = 0.0
+    for t in np.linspace(max(s, 1e-9), 1.0, points):
+        r2 = (s / t) ** 2
+        q1b = np.linspace(r2, 1.0, points)[:, None]
+        q1c = np.linspace(t * t, 1.0, points)[None, :]
+        q2b = r2 / q1b if r2 > 0.0 else np.zeros_like(q1b)
+        q2c = t * t / q1c
+        val = p1 * (1.0 - q1b * q1c) + p2 * (1.0 - q2b * q2c)
+        best = max(best, float(val.max()))
+    return best
+
+
+class TestUnionSelfCheck:
+    @pytest.mark.parametrize(
+        "s,p1",
+        [(0.0, 0.5), (1.0, 0.3), (0.04, 0.5), (0.36, 0.2), (1e-10, 0.01), (0.9, 0.49), (0.5, 1e-3)],
+    )
+    def test_vectorized_grid_matches_loop(self, s, p1):
+        sc = Scenario(s, p1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fast = _union_ssd_grid_max(sc, 25)
+        assert fast == pytest.approx(_union_grid_max_loop(sc, 25), abs=1e-15)
 
 
 class TestOrdering:

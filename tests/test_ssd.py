@@ -21,7 +21,7 @@ from seqdisc import (
 
 scenarios = st.builds(
     Scenario,
-    s=st.floats(min_value=1e-3, max_value=0.999),
+    s=st.floats(min_value=1e-10, max_value=0.999),
     p1=st.floats(min_value=1e-3, max_value=0.5),
 )
 
@@ -169,6 +169,44 @@ class TestSolveQStar:
     def test_rejects_degenerate_overlap(self):
         with pytest.raises(DomainError):
             solve_q_star(Scenario(0.0, 0.5))
+
+
+def _best_numpy_root(s, p1):
+    """Best real root of the q* quartic in [s, 1] from np.roots, as a reference."""
+    p2 = 1.0 - p1
+    roots = np.roots([p1, -p1, 0.0, p2 * s, -p2 * s * s])
+    real = [min(1.0, max(s, float(r.real))) for r in roots
+            if abs(r.imag) < 1e-9 and s - 1e-10 <= r.real <= 1.0 + 1e-10]
+    return max(real, key=lambda q: p1 * (1 - q) ** 2 + p2 * (1 - s / q) ** 2)
+
+
+class TestSmallOverlap:
+    # s log-spaced down to 1e-10, where roots near s and sqrt(s) crowd together
+    S_VALUES = np.logspace(-10, -1, 10).tolist()
+
+    @pytest.mark.parametrize("s", S_VALUES)
+    @pytest.mark.parametrize("p1", [1e-3, 0.05, 0.3, 0.5])
+    def test_joint_beats_symmetric_point(self, s, p1):
+        # t = q1b = q1c = sqrt(s) is feasible and gives (1 - sqrt(s))^2
+        assert joint_optimal(Scenario(s, p1)).value >= (1 - math.sqrt(s)) ** 2 - 1e-12
+
+    def test_equal_priors_tiny_overlap(self):
+        res = joint_optimal(Scenario(1e-6, 0.5))
+        assert res.value == pytest.approx(0.998001, abs=1e-12)
+        assert res.case_label is CaseLabel.CASE_I
+        assert res.argmax["q_star"] == pytest.approx(1e-3, abs=1e-12)
+
+    @pytest.mark.parametrize("s", np.logspace(-10, math.log10(0.17), 12).tolist())
+    def test_critical_prior_found(self, s):
+        res = critical_prior_PC(s)
+        assert res.case_i_applies and 0.0 < res.value < 0.5
+        assert joint_optimal(Scenario(s, min(0.5, res.value * (1 + 1e-6)))).case_label is CaseLabel.CASE_I
+
+    @pytest.mark.parametrize("s", [1e-10, 4e-10, 1e-8, 1e-6, 1e-4, 0.01, 0.1, 0.5, 0.9, 1 - 1e-9])
+    def test_matches_numpy_roots_down_to_tiny_priors(self, s):
+        for p1 in np.logspace(-12, math.log10(0.5), 40).tolist():
+            q = solve_q_star(Scenario(s, p1))
+            assert q == pytest.approx(_best_numpy_root(s, p1), abs=1e-10), p1
 
 
 class TestJointOptimal:
