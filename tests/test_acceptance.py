@@ -4,6 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines alongside the pytest verdicts.
 """
 
+import hashlib
+import io
 import math
 import time
 
@@ -34,6 +36,7 @@ from seqdisc import (
     run_figure,
     run_ssd_trials,
     solve_q_star,
+    write_csv,
 )
 from seqdisc.protocols import _protocol2_case1, _protocol2_case2
 
@@ -282,3 +285,25 @@ def test_criterion_10_figure_presets():
     assert np.all(f6c[:, 1] >= f6c[:, 3] - 1e-12)
     for col in range(1, 4):
         assert np.all(np.diff(f6c[:, col]) >= -1e-12)
+
+
+#: SHA-256 of each preset's CSV bytes, as written by ``write_csv``.  Any
+#: change to a grid, a column or a closed form that moves a printed digit
+#: shows up here.
+FIGURE_CSV_SHA256 = {
+    "2": "ffdab0a5594ded33a6d30b85c8488e9fad612b2ef4828549547790f411b14ce9",
+    "3a": "d8c333d2abb8dac178acf1f5d1bc63bec3f869587fa7c337d9731cc8db1c07ae",
+    "3b": "31d301403fc73217d6f91c6f9b0741eb1de102a3d742531d605690c8fc85e92a",
+    "4": "8c7be95ee6c537b73f6376ba074b980c8518816aaeb29736f8fa3c5708e7900c",
+    "5": "efb1f866e3b66348a321b0fd848b997c50f890ccf9a53dc3da50ec8ee8a31dc8",
+    "6a": "6580568ca46b61c3a7836ba27b3e2d261b5fcb02bf2a0dc04d19ad8d5a5e40c6",
+    "6b": "936919d3998395f1aabea2ba72d0068f5a3e4cdf19313cce571289021259c6d3",
+    "6c": "4bf2ee9c79f06d847adb43f7a031794c3aa7a7007db146aab0e0264253349b8a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIGURE_CSV_SHA256))
+def test_figure_csv_bytes_pinned(name):
+    buf = io.StringIO()
+    write_csv(*run_figure(name), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == FIGURE_CSV_SHA256[name]
