@@ -11,7 +11,7 @@ import argparse
 import math
 import sys
 
-from .core import ConstraintError, DomainError, Scenario
+from .core import ConstraintError, DomainError, Scenario, check_overlap_t
 from .correlations import CorrelationInput, correlation_report
 from .oracle import GridSpec, certify
 from .protocols import (
@@ -100,8 +100,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_correlations(args: argparse.Namespace) -> int:
     sc = Scenario(args.s, args.p1)
-    if args.t < sc.s or args.t <= 0.0:
-        raise DomainError(f"overlap t={args.t} outside [s, 1] = [{sc.s}, 1]")
+    check_overlap_t(sc.s, args.t)
     rep = correlation_report(CorrelationInput(sc.p1, args.t, sc.s / args.t))
     print(f"# correlations: s={_fmt(sc.s)} p1={_fmt(sc.p1)} t={_fmt(args.t)} r={_fmt(sc.s / args.t)}")
     for name in ("tau_abe", "tau_a_be", "tau_b_ae", "tau_e_ab", "d_right", "d_left", "d_symm"):

@@ -116,6 +116,12 @@ class StrategyParams:
         return cls(q1, r * r / q1, r)
 
 
+def check_overlap_t(s: float, t: float) -> None:
+    """Raise DomainError unless the post-measurement overlap t lies in (0, 1] and t >= s."""
+    if t <= 0.0 or t < s or t > 1.0:
+        raise DomainError(f"overlap t={t} outside [s, 1] = [{s}, 1]")
+
+
 def make_state_pair(s: float, dim: int) -> tuple[PureState, PureState]:
     """Two real unit vectors with inner product s, symmetric about the first axis.
 
@@ -200,3 +206,25 @@ def brent_root(
         b += d if abs(d) > 2.0 * tol else math.copysign(2.0 * tol, m)
         fb = f(b)
     raise NumericError(f"root search on [{a}, {b}] did not converge")
+
+
+def golden_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """Maximum of a unimodal f on [lo, hi] by 70 golden-section steps; returns (x, f(x))."""
+    if hi <= lo:
+        return lo, f(lo)
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(70):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)

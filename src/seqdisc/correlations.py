@@ -37,6 +37,7 @@ from .core import (
     DomainError,
     NumericError,
     entropy_H,
+    golden_max,
     make_state_pair,
 )
 
@@ -192,25 +193,6 @@ def _conditional_entropy(
     return total
 
 
-def _golden_min_scalar(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def left_discord_measurement_oracle(
     inp: CorrelationInput, n_theta: int = 181, n_phi: int = 361
 ) -> float:
@@ -249,27 +231,27 @@ def left_discord_measurement_oracle(
     theta0, phi0 = tt.ravel()[k], pp.ravel()[k]
     best = float(grid[k])
 
-    def cond_at(theta: float, phi: float) -> float:
-        return float(
+    def neg_cond_at(theta: float, phi: float) -> float:
+        return -float(
             _conditional_entropy(np.array([theta]), np.array([phi]), p, states, ops)[0]
         )
 
     step_t = thetas[1] - thetas[0] if n_theta > 1 else 0.0
     step_p = phis[1] - phis[0] if n_phi > 1 else 0.0
     if step_t > 0.0:
-        theta0, v = _golden_min_scalar(
-            lambda th: cond_at(th, phi0),
+        theta0, v = golden_max(
+            lambda th: neg_cond_at(th, phi0),
             max(0.0, theta0 - step_t),
             min(math.pi, theta0 + step_t),
         )
-        best = min(best, v)
+        best = min(best, -v)
     if step_p > 0.0:
-        _, v = _golden_min_scalar(
-            lambda ph: cond_at(theta0, ph),
+        _, v = golden_max(
+            lambda ph: neg_cond_at(theta0, ph),
             phi0 - step_p,
             phi0 + step_p,
         )
-        best = min(best, v)
+        best = min(best, -v)
 
     value = s_a - s_ab + best
     return max(value, 0.0) if value > -BOUNDARY_TOL * 10 else value

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DomainError, NumericError, Scenario
+from .core import DomainError, NumericError, Scenario, check_overlap_t, golden_max
 from .protocols import (
     at_least_one_protocol3,
     at_least_one_ssd,
@@ -24,7 +24,6 @@ from .protocols import (
 )
 from .ssd import bob_optimal, charlie_optimal, joint_optimal
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _JOINT_POINTS = 301
 _REFINE_POINTS = 33
 
@@ -48,26 +47,6 @@ class GridSpec:
             raise DomainError(f"tolerance={self.tolerance} must be positive")
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, iters: int = 70):
-    if hi <= lo:
-        return lo, f(lo)
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def _max_1d(
     f_vec: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, spec: GridSpec
 ) -> tuple[float, float]:
@@ -84,7 +63,7 @@ def _max_1d(
     for _ in range(spec.refinement_passes):
         if step <= 0.0:
             break
-        x, v = _golden_max(f, max(lo, best_x - step), min(hi, best_x + step))
+        x, v = golden_max(f, max(lo, best_x - step), min(hi, best_x + step))
         if v > best_v:
             best_x, best_v = x, v
         step *= 1e-2
@@ -112,10 +91,8 @@ def grid_maximize_bob(
 ) -> tuple[float, float]:
     """Brute-force maximum of Bob's success over q1b in [(s/t)^2, 1]."""
     spec = spec or GridSpec()
-    if t <= 0.0 or t < scenario.s or t > 1.0:
-        raise DomainError(f"overlap t={t} outside [s, 1] = [{scenario.s}, 1]")
-    value, q1b = _grid_max_stage(scenario.p1, scenario.p2, scenario.s / t, spec)
-    return value, q1b
+    check_overlap_t(scenario.s, t)
+    return _grid_max_stage(scenario.p1, scenario.p2, scenario.s / t, spec)
 
 
 def grid_maximize_charlie(
@@ -123,10 +100,8 @@ def grid_maximize_charlie(
 ) -> tuple[float, float]:
     """Brute-force maximum of Charlie's success over q1c in [t^2, 1]."""
     spec = spec or GridSpec()
-    if t <= 0.0 or t < scenario.s or t > 1.0:
-        raise DomainError(f"overlap t={t} outside [s, 1] = [{scenario.s}, 1]")
-    value, q1c = _grid_max_stage(scenario.p1, scenario.p2, t, spec)
-    return value, q1c
+    check_overlap_t(scenario.s, t)
+    return _grid_max_stage(scenario.p1, scenario.p2, t, spec)
 
 
 def _joint_term(q1b, q2b, q1c, q2c, p1, p2):
@@ -225,7 +200,9 @@ def grid_maximize_protocol2(
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
     bob_val, q1b = _grid_max_stage(p1, p2, s, spec)
     exact_boundary = p2 * (1.0 - s * s)
-    if exact_boundary >= bob_val:
+    # Rounding can lift the grid's best point next to q1b = 1 an ulp above the
+    # boundary value; a tie within a relative 1e-15 (a few ulps) is the boundary.
+    if exact_boundary >= bob_val - 1e-15 * bob_val:
         bob_val, q1b = exact_boundary, 1.0
     if q1b == 1.0:
         return bob_val, 1.0, math.nan
@@ -271,9 +248,7 @@ def grid_maximize_cloning(
     manifold, parametrized by gamma1 with both constraint branches."""
     spec = spec or GridSpec()
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
-    if s == 0.0:
-        return 1.0, 1.0, 1.0
-    if s == 1.0:
+    if s in (0.0, 1.0):
         return 1.0, 1.0, 1.0
 
     def branch_best(g1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,22 +284,12 @@ class CertificationRow:
         return self.worst_gap <= self.tolerance
 
 
-def _cert_bob(sc: Scenario, spec: GridSpec) -> float:
-    gap = 0.0
-    for t in (math.sqrt(sc.s), 0.5 * (1.0 + sc.s)):
-        closed = bob_optimal(sc, t).value
-        oracle = grid_maximize_bob(sc, t, spec)[0]
-        gap = max(gap, abs(closed - oracle))
-    return gap
-
-
-def _cert_charlie(sc: Scenario, spec: GridSpec) -> float:
-    gap = 0.0
-    for t in (math.sqrt(sc.s), 0.5 * (1.0 + sc.s)):
-        closed = charlie_optimal(sc, t).value
-        oracle = grid_maximize_charlie(sc, t, spec)[0]
-        gap = max(gap, abs(closed - oracle))
-    return gap
+def _cert_stage(sc: Scenario, spec: GridSpec, closed_form: Callable, oracle: Callable) -> float:
+    """Worst gap of a single-stage optimum at two overlaps t in [s, 1]."""
+    return max(
+        abs(closed_form(sc, t).value - oracle(sc, t, spec)[0])
+        for t in (math.sqrt(sc.s), 0.5 * (1.0 + sc.s))
+    )
 
 
 def _cert_joint(sc: Scenario, spec: GridSpec) -> float:
@@ -342,20 +307,23 @@ def _cert_protocol2(sc: Scenario, spec: GridSpec) -> float:
     return abs(closed - grid_maximize_protocol2(sc, spec)[0])
 
 
-def _cert_protocol3(sc: Scenario, spec: GridSpec) -> float:
-    closed = protocol3_optimal(sc).value
+def _cloning_oracle(sc: Scenario, spec: GridSpec) -> tuple[float, float]:
+    """The cloning oracle's success p_cl and the prior p1cl conditioned on it."""
     p_cl, g1, g2 = grid_maximize_cloning(sc, spec)
     w1 = sc.p1 * g1
-    p1cl = w1 / (w1 + sc.p2 * g2)
+    return p_cl, w1 / (w1 + sc.p2 * g2)
+
+
+def _cert_protocol3(sc: Scenario, spec: GridSpec) -> float:
+    closed = protocol3_optimal(sc).value
+    p_cl, p1cl = _cloning_oracle(sc, spec)
     disc = _grid_max_stage(p1cl, 1.0 - p1cl, sc.s, spec)[0]
     return abs(closed - p_cl * disc * disc)
 
 
 def _cert_at_least_one_p3(sc: Scenario, spec: GridSpec) -> float:
     closed = at_least_one_protocol3(sc).value
-    p_cl, g1, g2 = grid_maximize_cloning(sc, spec)
-    w1 = sc.p1 * g1
-    p1cl = w1 / (w1 + sc.p2 * g2)
+    p_cl, p1cl = _cloning_oracle(sc, spec)
     p2cl = 1.0 - p1cl
     s2 = sc.s * sc.s
 
@@ -363,8 +331,7 @@ def _cert_at_least_one_p3(sc: Scenario, spec: GridSpec) -> float:
         return -(p1cl * q + p2cl * s2 / q)
 
     fail, _ = _max_1d(neg_failure, max(s2, 1e-300), 1.0, spec)
-    oracle = p_cl * (1.0 - fail * fail)
-    return abs(closed - oracle)
+    return abs(closed - p_cl * (1.0 - fail * fail))
 
 
 def _cert_at_least_one_ssd(sc: Scenario, spec: GridSpec) -> float:
@@ -373,8 +340,8 @@ def _cert_at_least_one_ssd(sc: Scenario, spec: GridSpec) -> float:
 
 
 _CERTIFIERS: dict[str, Callable[[Scenario, GridSpec], float]] = {
-    "bob": _cert_bob,
-    "charlie": _cert_charlie,
+    "bob": lambda sc, spec: _cert_stage(sc, spec, bob_optimal, grid_maximize_bob),
+    "charlie": lambda sc, spec: _cert_stage(sc, spec, charlie_optimal, grid_maximize_charlie),
     "joint": _cert_joint,
     "protocol1": _cert_protocol1,
     "protocol2": _cert_protocol2,

@@ -28,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     BOUNDARY_TOL,
     DegenerateStrategyError,
@@ -40,9 +38,6 @@ from .core import (
     brent_root,
 )
 from .ssd import _TIE_TOL, CaseLabel, PiecewiseResult, _stage_optimum
-
-_UNION_CHECK_POINTS = 25
-_UNION_CHECK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -147,8 +142,7 @@ def protocol2_optimal(scenario: Scenario) -> PiecewiseResult:
     Case I (p1 > p_c1): (1 - 2 sqrt(p1 p2) s)(1 - 2 sqrt(p1' p2') s);
     case II (p_c2 <= p1 <= p_c1): (p2 - sqrt(p1 p2) s)(1 - s^2), Charlie
     recognizes only state 2; case III (p1 < p_c2): p2 (1 - s^2), Bob ignores
-    state 1 and Charlie learns the state for free.  The closed form of p_c1
-    is re-checked at every call by evaluating both adjacent branches there.
+    state 1 and Charlie learns the state for free.
     """
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
     if s == 0.0:
@@ -156,10 +150,6 @@ def protocol2_optimal(scenario: Scenario) -> PiecewiseResult:
             1.0, CaseLabel.CASE_I, {"q1b": 0.0, "q2b": 0.0, "q1c": 0.0, "q2c": 0.0}, 0.0
         )
     p_c1, p_c2 = protocol2_critical_priors(s)
-    v1_at_c1, _, _ = _protocol2_case1(s, p_c1)
-    if abs(v1_at_c1 - _protocol2_case2(s, p_c1)) > 1e-8:
-        raise NumericError(f"protocol-2 branches disagree at p_c1={p_c1} for s={s}")
-
     if p1 > p_c1:
         value, q1b, q1c = _protocol2_case1(s, p1)
         argmax = {"q1b": q1b, "q2b": s * s / q1b, "q1c": q1c, "q2c": s * s / q1c}
@@ -298,38 +288,13 @@ def protocol3_optimal(scenario: Scenario) -> PiecewiseResult:
     return PiecewiseResult(cp.p_cl * disc * disc, label, argmax)
 
 
-def _union_ssd_grid_max(scenario: Scenario, points: int) -> float:
-    """Brute-force max of p1(1 - q1b q1c) + p2(1 - q2b q2c) over (t, q1b, q1c).
-
-    The grid is t in linspace(max(s, 1e-9), 1), q1b in linspace((s/t)^2, 1)
-    and q1c in linspace(t^2, 1).  The loss p1 q1b q1c + p2 q2b q2c over the
-    whole grid is one batched (points x 2) @ (2 x points) product per t.
-    """
-    s, p1, p2 = scenario.s, scenario.p1, scenario.p2
-    t = np.linspace(max(s, 1e-9), 1.0, points)[:, None]
-    frac = np.linspace(0.0, 1.0, points)
-    r2, t2 = (s / t) ** 2, t * t
-    q1b = r2 + (1.0 - r2) * frac
-    q1c = t2 + (1.0 - t2) * frac
-    q2b = np.divide(r2, q1b, out=np.zeros_like(q1b), where=q1b > 0.0)
-    q2c = t2 / q1c
-    loss = np.stack((p1 * q1b, p2 * q2b), axis=2) @ np.stack((q1c, q2c), axis=1)
-    return max(0.0, p1 + p2 - float(loss.min()))
-
-
 def at_least_one_ssd(scenario: Scenario) -> PiecewiseResult:
     """Optimal probability that at least one observer succeeds in SSD.
 
     The products Q_i = q_i^b q_i^c satisfy Q1 Q2 = s^2 with Q_i in [s^2, 1],
-    so the problem collapses onto protocol (1); the identity is re-asserted
-    on every call by a coarse grid search over (t, q1b, q1c).
+    so the problem collapses onto protocol (1).
     """
     base = protocol1_optimal(scenario)
-    grid_best = _union_ssd_grid_max(scenario, _UNION_CHECK_POINTS)
-    if grid_best > base.value + _UNION_CHECK_TOL:
-        raise NumericError(
-            f"union-SSD grid found {grid_best} above protocol-1 optimum {base.value}"
-        )
     argmax = {"q1_product": base.argmax["q1b"], "q2_product": base.argmax["q2b"]}
     return PiecewiseResult(base.value, base.case_label, argmax, base.boundary_prior)
 

@@ -30,6 +30,7 @@ from .core import (
     PureState,
     Scenario,
     StrategyParams,
+    check_overlap_t,
     make_state_pair,
 )
 
@@ -210,8 +211,7 @@ def run_ssd_trials(
     if not 0 <= seed < 2**128:
         raise DomainError(f"seed={seed} outside the Philox key range [0, 2^128)")
     s = scenario.s
-    if t <= 0.0 or t < s or t > 1.0:
-        raise DomainError(f"overlap t={t} outside [s, 1] = [{s}, 1]")
+    check_overlap_t(s, t)
     bob = StrategyParams.from_q1(q1b, s / t)
     charlie = StrategyParams.from_q1(q1c, t)
 

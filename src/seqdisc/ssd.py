@@ -39,6 +39,7 @@ from .core import (
     Scenario,
     StrategyParams,
     brent_root,
+    check_overlap_t,
 )
 
 #: Overlap above which case I vanishes even at equal priors.
@@ -75,17 +76,12 @@ class PiecewiseResult:
         object.__setattr__(self, "value", min(1.0, max(0.0, self.value)))
 
 
-def _check_t(scenario: Scenario, t: float) -> None:
-    if t <= 0.0 or t < scenario.s or t > 1.0:
-        raise DomainError(f"overlap t={t} outside [s, 1] = [{scenario.s}, 1]")
-
-
 def bob_success(scenario: Scenario, t: float, q1b: float) -> float:
     """Bob's average success probability for failure parameter q1b.
 
     q2b is fixed by the constraint q1b * q2b = (s/t)**2.
     """
-    _check_t(scenario, t)
+    check_overlap_t(scenario.s, t)
     params = StrategyParams.from_q1(q1b, scenario.s / t)
     return scenario.p1 * (1.0 - params.q1) + scenario.p2 * (1.0 - params.q2)
 
@@ -113,7 +109,7 @@ def bob_optimal(scenario: Scenario, t: float) -> PiecewiseResult:
     p1 >= s^2/(s^2 + t^2).  Case II: p2*(1 - s^2/t^2) at q1b = 1 (Bob ignores
     state 1).
     """
-    _check_t(scenario, t)
+    check_overlap_t(scenario.s, t)
     r = scenario.s / t
     value, q1b, label = _stage_optimum(scenario.p1, scenario.p2, r)
     params = StrategyParams.from_q1(q1b, r)
@@ -130,7 +126,7 @@ def charlie_optimal(scenario: Scenario, t: float) -> PiecewiseResult:
     Case I: 1 - 2*sqrt(p1*p2)*t at q1c = sqrt(p2/p1)*t for p1 >= t^2/(1+t^2);
     case II: p2*(1 - t^2) at q1c = 1.
     """
-    _check_t(scenario, t)
+    check_overlap_t(scenario.s, t)
     value, q1c, label = _stage_optimum(scenario.p1, scenario.p2, t)
     params = StrategyParams.from_q1(q1c, t)
     boundary = t * t / (1.0 + t * t)
@@ -141,7 +137,7 @@ def charlie_optimal(scenario: Scenario, t: float) -> PiecewiseResult:
 
 def joint_success(scenario: Scenario, t: float, q1b: float, q1c: float) -> float:
     """Probability that both Bob and Charlie identify the state."""
-    _check_t(scenario, t)
+    check_overlap_t(scenario.s, t)
     bob = StrategyParams.from_q1(q1b, scenario.s / t)
     charlie = StrategyParams.from_q1(q1c, t)
     return scenario.p1 * (1.0 - bob.q1) * (1.0 - charlie.q1) + scenario.p2 * (

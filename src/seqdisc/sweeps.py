@@ -1,5 +1,6 @@
-"""Parameter sweeps and CSV emission, including the figure presets.
+"""Parameter sweeps and CSV emission; the figure presets are sweeps given as data.
 
+Custom sweeps and presets share one evaluation loop over the quantity table.
 CSV output is byte-stable: 12 significant digits, '.' decimal separator,
 '\\n' line endings, and an empty cell wherever a quantity is undefined
 (infeasible overlap combination or 0/0 discord proportion).
@@ -8,7 +9,7 @@ CSV output is byte-stable: 12 significant digits, '.' decimal separator,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, TextIO
+from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -22,10 +23,6 @@ from .protocols import (
     protocol3_optimal,
 )
 from .ssd import bob_optimal, charlie_optimal, joint_optimal
-
-_P1_STEPS = 200
-_S_STEPS = 199
-_T_STEPS = 179
 
 
 @dataclass(frozen=True)
@@ -55,46 +52,51 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.steps)
 
 
-def _scenario_of(spec: SweepSpec, x: float) -> Scenario:
-    p1 = x if spec.variable == "P1" else spec.fixed["p1"]
-    s = x if spec.variable == "s" else spec.fixed["s"]
-    return Scenario(s, p1)
-
-
-def _prop_left(p1: float, s: float, t: float) -> float | None:
-    if t < s or t <= 0.0:
+def _correlation(sc: Scenario, t: float, name: str) -> float | None:
+    """One field of the correlation report at overlap t; empty for t < s or t = 0."""
+    if t < sc.s or t <= 0.0:
         return None
-    rep = correlation_report(CorrelationInput(p1, t, s / t))
-    return rep.prop_left
+    return getattr(correlation_report(CorrelationInput(sc.p1, t, sc.s / t)), name)
 
 
-def _d_symm(p1: float, s: float, t: float) -> float | None:
-    if t < s or t <= 0.0:
-        return None
-    return correlation_report(CorrelationInput(p1, t, s / t)).d_symm
-
-
-_QUANTITIES: dict[str, Callable] = {
-    "ssd": lambda sc, fx: joint_optimal(sc, compute_boundary=False).value,
-    "protocol1": lambda sc, fx: protocol1_optimal(sc).value,
-    "protocol2": lambda sc, fx: protocol2_optimal(sc).value,
-    "protocol3": lambda sc, fx: protocol3_optimal(sc).value,
-    "ssd_star": lambda sc, fx: at_least_one_ssd(sc).value,
-    "p3_star": lambda sc, fx: at_least_one_protocol3(sc).value,
-    "bob_max": lambda sc, fx: bob_optimal(sc, fx["t"]).value,
-    "charlie_max": lambda sc, fx: charlie_optimal(sc, fx["t"]).value,
-    "prop_left": lambda sc, fx: _prop_left(sc.p1, sc.s, fx["t"]),
-    "d_symm": lambda sc, fx: _d_symm(sc.p1, sc.s, fx["t"]),
+#: Quantity name -> (its value at a scenario and overlap t, whether it reads t).
+_QUANTITIES: dict[str, tuple[Callable[[Scenario, float | None], float | None], bool]] = {
+    "ssd": (lambda sc, t: joint_optimal(sc, compute_boundary=False).value, False),
+    "protocol1": (lambda sc, t: protocol1_optimal(sc).value, False),
+    "protocol2": (lambda sc, t: protocol2_optimal(sc).value, False),
+    "protocol3": (lambda sc, t: protocol3_optimal(sc).value, False),
+    "ssd_star": (lambda sc, t: at_least_one_ssd(sc).value, False),
+    "p3_star": (lambda sc, t: at_least_one_protocol3(sc).value, False),
+    "bob_max": (lambda sc, t: bob_optimal(sc, t).value, True),
+    "charlie_max": (lambda sc, t: charlie_optimal(sc, t).value, True),
+    "prop_left": (lambda sc, t: _correlation(sc, t, "prop_left"), True),
+    "d_symm": (lambda sc, t: _correlation(sc, t, "d_symm"), True),
 }
 
-
-#: Quantities that read the post-measurement overlap t from ``fixed``.
-_NEEDS_T = frozenset({"bob_max", "charlie_max", "prop_left", "d_symm"})
+_NEEDS_T = frozenset(name for name, (_, needs_t) in _QUANTITIES.items() if needs_t)
 _FIELD_OF_VARIABLE = {"P1": "p1", "s": "s", "t": "t"}
+
+#: One CSV column: its label, a quantity name and the fixed s, p1 and t.
+Column = tuple[str, str, dict]
 
 
 def available_quantities() -> tuple[str, ...]:
     return tuple(_QUANTITIES)
+
+
+def _evaluate(
+    variable: str, grid: np.ndarray, columns: tuple[Column, ...]
+) -> tuple[list[str], list[list[float | None]]]:
+    """Each column's quantity at every grid point; returns (header, rows)."""
+    swept = _FIELD_OF_VARIABLE[variable]
+    rows: list[list[float | None]] = []
+    for x in grid.tolist():
+        row: list[float | None] = [x]
+        for _, name, fixed in columns:
+            at = {**fixed, swept: x}
+            row.append(_QUANTITIES[name][0](Scenario(at["s"], at["p1"]), at.get("t")))
+        rows.append(row)
+    return [variable] + [label for label, _, _ in columns], rows
 
 
 def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float | None]]]:
@@ -108,130 +110,68 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float | None]]]:
     missing = sorted(needed - {_FIELD_OF_VARIABLE[spec.variable]} - set(spec.fixed))
     if missing:
         raise DomainError(f"a sweep over {spec.variable} needs fixed values for {missing}")
-    header = [spec.variable] + list(spec.quantities)
-    rows: list[list[float | None]] = []
-    for x in spec.grid():
-        fixed = dict(spec.fixed)
-        if spec.variable == "t":
-            fixed["t"] = float(x)
-        sc = _scenario_of(spec, float(x))
-        rows.append([float(x)] + [_QUANTITIES[q](sc, fixed) for q in spec.quantities])
-    return header, rows
+    columns = tuple((q, q, spec.fixed) for q in spec.quantities)
+    return _evaluate(spec.variable, spec.grid(), columns)
 
 
-def _p1_grid() -> np.ndarray:
-    # (0, 1/2] with 200 points: 0.0025, 0.005, ..., 0.5
-    return 0.5 * np.arange(1, _P1_STEPS + 1) / _P1_STEPS
+class FigurePreset(NamedTuple):
+    """A figure's sweep: the swept variable, its exact grid and its columns."""
+
+    variable: str
+    grid: np.ndarray
+    columns: tuple[Column, ...]
 
 
-def _fig2() -> tuple[list[str], list[list[float | None]]]:
-    s = 0.05
-    header = ["P1", "Pb_max_t0.06", "Pb_max_t0.1"]
-    rows = []
-    for p1 in _p1_grid():
-        sc = Scenario(s, float(p1))
-        rows.append([float(p1), bob_optimal(sc, 0.06).value, bob_optimal(sc, 0.1).value])
-    return header, rows
+# (0, 1/2] with 200 points: 0.0025, 0.005, ..., 0.5
+_P1_GRID = 0.5 * np.arange(1, 201) / 200
 
-
-def _fig3a() -> tuple[list[str], list[list[float | None]]]:
-    header = ["P1", "Pssd_max_s0.04", "Pssd_max_s0.36"]
-    rows = []
-    for p1 in _p1_grid():
-        rows.append(
-            [
-                float(p1),
-                joint_optimal(Scenario(0.04, float(p1)), compute_boundary=False).value,
-                joint_optimal(Scenario(0.36, float(p1)), compute_boundary=False).value,
-            ]
-        )
-    return header, rows
-
-
-def _fig3b() -> tuple[list[str], list[list[float | None]]]:
-    header = ["s", "Pssd_max_p0.5", "Pssd_max_p0.4", "Pssd_max_p0.2"]
-    rows = []
-    for s in np.arange(1, _S_STEPS + 1) / (_S_STEPS + 1):
-        row: list[float | None] = [float(s)]
-        for p1 in (0.5, 0.4, 0.2):
-            row.append(joint_optimal(Scenario(float(s), p1), compute_boundary=False).value)
-        rows.append(row)
-    return header, rows
-
-
-def _fig4() -> tuple[list[str], list[list[float | None]]]:
-    s = 0.04
-    header = ["P1", "Pssd_max", "P1_max", "P2_max", "P3_max"]
-    rows = []
-    for p1 in _p1_grid():
-        sc = Scenario(s, float(p1))
-        rows.append(
-            [
-                float(p1),
-                joint_optimal(sc, compute_boundary=False).value,
-                protocol1_optimal(sc).value,
-                protocol2_optimal(sc).value,
-                protocol3_optimal(sc).value,
-            ]
-        )
-    return header, rows
-
-
-def _fig5() -> tuple[list[str], list[list[float | None]]]:
-    s = 0.36
-    header = ["P1", "Pssd_star", "P3_star"]
-    rows = []
-    for p1 in _p1_grid():
-        sc = Scenario(s, float(p1))
-        rows.append([float(p1), at_least_one_ssd(sc).value, at_least_one_protocol3(sc).value])
-    return header, rows
-
-
-def _fig6a() -> tuple[list[str], list[list[float | None]]]:
-    p1 = 0.2
-    svals = (0.1, 0.5, 0.9)
-    header = ["t"] + [f"Dleft_prop_s{s}" for s in svals]
-    rows = []
-    for t in np.linspace(0.105, 0.995, _T_STEPS):
-        row: list[float | None] = [float(t)]
-        for s in svals:
-            row.append(_prop_left(p1, s, float(t)))
-        rows.append(row)
-    return header, rows
-
-
-def _fig6b() -> tuple[list[str], list[list[float | None]]]:
-    s = 0.1
-    t = s**0.25
-    header = ["P1", f"Dleft_prop_t{t:.6g}"]
-    rows = []
-    for p1 in _p1_grid():
-        rows.append([float(p1), _prop_left(float(p1), s, t)])
-    return header, rows
-
-
-def _fig6c() -> tuple[list[str], list[list[float | None]]]:
-    s = 0.36
-    ts = (s**0.5, s**0.25, s**0.125)
-    header = ["P1"] + [f"Dsymm_t{t:.6g}" for t in ts]
-    rows = []
-    for p1 in _p1_grid():
-        row: list[float | None] = [float(p1)]
-        for t in ts:
-            row.append(_d_symm(float(p1), s, t))
-        rows.append(row)
-    return header, rows
-
-
-FIGURE_PRESETS: dict[str, Callable[[], tuple[list[str], list[list[float | None]]]]] = {
-    "2": _fig2,
-    "3a": _fig3a,
-    "3b": _fig3b,
-    "4": _fig4,
-    "5": _fig5,
-    "6a": _fig6a,
-    "6b": _fig6b,
-    "6c": _fig6c,
+FIGURE_PRESETS: dict[str, FigurePreset] = {
+    "2": FigurePreset(
+        "P1",
+        _P1_GRID,
+        tuple((f"Pb_max_t{t}", "bob_max", {"s": 0.05, "t": t}) for t in (0.06, 0.1)),
+    ),
+    "3a": FigurePreset(
+        "P1", _P1_GRID, tuple((f"Pssd_max_s{s}", "ssd", {"s": s}) for s in (0.04, 0.36))
+    ),
+    "3b": FigurePreset(
+        "s",
+        np.arange(1, 200) / 200,
+        tuple((f"Pssd_max_p{p1}", "ssd", {"p1": p1}) for p1 in (0.5, 0.4, 0.2)),
+    ),
+    "4": FigurePreset(
+        "P1",
+        _P1_GRID,
+        (
+            ("Pssd_max", "ssd", {"s": 0.04}),
+            ("P1_max", "protocol1", {"s": 0.04}),
+            ("P2_max", "protocol2", {"s": 0.04}),
+            ("P3_max", "protocol3", {"s": 0.04}),
+        ),
+    ),
+    "5": FigurePreset(
+        "P1",
+        _P1_GRID,
+        (("Pssd_star", "ssd_star", {"s": 0.36}), ("P3_star", "p3_star", {"s": 0.36})),
+    ),
+    "6a": FigurePreset(
+        "t",
+        np.linspace(0.105, 0.995, 179),
+        tuple((f"Dleft_prop_s{s}", "prop_left", {"s": s, "p1": 0.2}) for s in (0.1, 0.5, 0.9)),
+    ),
+    "6b": FigurePreset(
+        "P1",
+        _P1_GRID,
+        ((f"Dleft_prop_t{0.1**0.25:.6g}", "prop_left", {"s": 0.1, "t": 0.1**0.25}),),
+    ),
+    "6c": FigurePreset(
+        "P1",
+        _P1_GRID,
+        tuple(
+            (f"Dsymm_t{t:.6g}", "d_symm", {"s": 0.36, "t": t})
+            for t in (0.36**0.5, 0.36**0.25, 0.36**0.125)
+        ),
+    ),
 }
 
 
@@ -250,4 +190,4 @@ def write_csv(header: list[str], rows: list[list[float | None]], stream: TextIO)
 def run_figure(name: str) -> tuple[list[str], list[list[float | None]]]:
     if name not in FIGURE_PRESETS:
         raise DomainError(f"unknown figure preset {name!r}; valid: {sorted(FIGURE_PRESETS)}")
-    return FIGURE_PRESETS[name]()
+    return _evaluate(*FIGURE_PRESETS[name])

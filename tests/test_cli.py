@@ -1,3 +1,5 @@
+import pytest
+
 from seqdisc.cli import main
 
 
@@ -60,6 +62,16 @@ class TestSweep:
         assert len(lines) == 6
         assert lines[-1].startswith("0.5,0.96,0.64")
 
+    def test_custom_t_sweep_leaves_cells_below_s_empty(self, capsys):
+        code = main(
+            ["sweep", "--variable", "t", "--start", "0.1", "--stop", "0.9", "--steps", "5",
+             "--s", "0.4", "--p1", "0.2", "--quantities", "prop_left,ssd", "--out", "-"]
+        )
+        assert code == 0
+        rows = [l.split(",") for l in capsys.readouterr().out.splitlines()[1:]]
+        assert [r[1] == "" for r in rows] == [True, True, False, False, False]
+        assert len({r[2] for r in rows}) == 1  # ssd does not read t
+
     def test_empty_cells_for_undefined_proportions(self, tmp_path):
         out = tmp_path / "fig6a.csv"
         assert main(["sweep", "--figure", "6a", "--out", str(out)]) == 0
@@ -97,6 +109,11 @@ class TestCorrelations:
 
     def test_infeasible_t_exits_2(self, capsys):
         assert main(["correlations", "--s", "0.36", "--p1", "0.3", "--t", "0.2"]) == 2
+
+    @pytest.mark.parametrize("t", ["0", "1.5"])
+    def test_t_outside_unit_interval_exits_2(self, t, capsys):
+        assert main(["correlations", "--s", "0", "--p1", "0.3", "--t", t]) == 2
+        assert "outside [s, 1]" in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -19,7 +19,7 @@ from seqdisc import (
     entropy_H,
     make_state_pair,
 )
-from seqdisc.core import brent_root
+from seqdisc.core import brent_root, check_overlap_t, golden_max
 
 
 class TestEntropy:
@@ -152,6 +152,32 @@ class TestBrentRoot:
     def test_rejects_unbracketed(self):
         with pytest.raises(NumericError, match="bracket"):
             brent_root(math.exp, 0.0, 1.0, 1.0, math.e)
+
+
+class TestGoldenMax:
+    def test_interior_maximum(self):
+        x, fx = golden_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0)
+        assert x == pytest.approx(0.3, abs=1e-7)
+        assert fx == pytest.approx(0.0, abs=1e-14)
+
+    def test_minimizes_by_negation(self):
+        x, fx = golden_max(lambda x: -math.cosh(x - 0.6), 0.0, 2.0)
+        assert x == pytest.approx(0.6, abs=1e-7)
+        assert -fx == pytest.approx(1.0, abs=1e-14)
+
+    def test_empty_interval_returns_its_end(self):
+        assert golden_max(lambda x: 2.0 * x, 0.4, 0.4) == (0.4, 0.8)
+
+
+class TestCheckOverlapT:
+    @pytest.mark.parametrize("s,t", [(0.0, 1.0), (0.3, 0.3), (0.3, 0.7), (1.0, 1.0)])
+    def test_accepts_feasible(self, s, t):
+        check_overlap_t(s, t)
+
+    @pytest.mark.parametrize("s,t", [(0.0, 0.0), (0.3, 0.2), (0.3, 1.0 + 1e-12), (0.1, -0.5)])
+    def test_rejects_infeasible(self, s, t):
+        with pytest.raises(DomainError, match="outside"):
+            check_overlap_t(s, t)
 
 
 def test_import_pulls_in_no_scipy():

@@ -92,6 +92,16 @@ class TestProtocol2Oracle:
         val, _, _ = grid_maximize_protocol2(sc, FAST)
         assert val == pytest.approx(protocol2_optimal(sc).value, abs=1e-5)
 
+    @pytest.mark.parametrize(
+        "s,p1",
+        [(0.6652559277808546, 0.1762154337588584), (0.6270261493131573, 0.12589908239228245)],
+    )
+    def test_rounding_tie_at_boundary_snaps_to_q1b_one(self, s, p1):
+        # the grid's best point 0.9999999999999998 evaluates an ulp above the
+        # boundary value p2(1 - s^2); Charlie's stage must not be run there
+        (row,) = certify(["protocol2"], [s], [p1])
+        assert row.passed and row.worst_gap <= 1e-12
+
 
 class TestCloningOracle:
     def test_symmetric_optimum(self):
