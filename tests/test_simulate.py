@@ -131,3 +131,68 @@ class TestRunTrials:
             run_ssd_trials(Scenario(0.04, 0.5), 0.02, 0.5, 0.5, 10, 0)
         with pytest.raises(DomainError):
             run_ssd_trials(Scenario(0.04, 0.5), 0.2, 0.2, 0.2, 0, 0)
+
+
+# counts.ravel() (preparation, Bob ok, Charlie ok; fail before ok) of
+# run_ssd_trials(Scenario(s, p1), t, q1b, q1c, 200_000, seed) for each seed in
+# _PINNED_SEEDS; every run has error_count 0.
+_PINNED_SEEDS = (0, 1, 42, 2**64 + 3)
+_PINNED_COUNTS = {
+    (0.04, 0.5, 0.2, 0.2, 0.2): (
+        (4105, 15870, 16004, 63864, 3971, 16232, 15948, 64006),
+        (4062, 16123, 16167, 63832, 4113, 15862, 15940, 63901),
+        (3972, 15980, 16085, 63757, 3960, 16300, 15995, 63951),
+        (3953, 16068, 16049, 63794, 3953, 15991, 15812, 64380),
+    ),
+    (0.1, 0.3, 0.5, 0.3, 0.6): (
+        (10804, 7065, 25293, 16684, 7776, 11061, 50518, 70799),
+        (10932, 7267, 25123, 16819, 7806, 10852, 50574, 70627),
+        (10688, 7144, 25325, 16634, 7703, 11236, 50731, 70539),
+        (10787, 7168, 25142, 16789, 7632, 10977, 50564, 70941),
+    ),
+    (0.3, 0.2, 0.3, 1.0, 0.5): (  # t = s: Bob learns nothing
+        (20016, 19701, 0, 0, 28703, 131580, 0, 0),
+        (19958, 19995, 0, 0, 29065, 130982, 0, 0),
+        (20041, 19986, 0, 0, 28767, 131206, 0, 0),
+        (20002, 19984, 0, 0, 28679, 131335, 0, 0),
+    ),
+    (0.3, 0.2, 1.0, 0.5, 1.0): (  # t = 1: Charlie gets identical states
+        (19799, 0, 19918, 0, 29052, 0, 131231, 0),
+        (19916, 0, 20037, 0, 28881, 0, 131166, 0),
+        (19901, 0, 20126, 0, 29006, 0, 130967, 0),
+        (19859, 0, 20127, 0, 28639, 0, 131375, 0),
+    ),
+    (0.0, 0.2, 1.0, 0.0, 1.0): (  # s = 0: Bob always succeeds
+        (0, 0, 39717, 0, 0, 0, 160283, 0),
+        (0, 0, 39953, 0, 0, 0, 160047, 0),
+        (0, 0, 40027, 0, 0, 0, 159973, 0),
+        (0, 0, 39986, 0, 0, 0, 160014, 0),
+    ),
+    (0.36, 0.25, 0.6, 0.7, 0.5): (
+        (17545, 17180, 7506, 7487, 55533, 21690, 52843, 20216),
+        (17485, 17409, 7503, 7652, 55733, 21499, 52406, 20313),
+        (17334, 17279, 7536, 7641, 55893, 21624, 52417, 20276),
+        (17390, 17469, 7630, 7520, 55268, 21873, 52505, 20345),
+    ),
+    (1.0, 0.5, 1.0, 1.0, 1.0): (  # s = 1: nobody succeeds
+        (99843, 0, 0, 0, 100157, 0, 0, 0),
+        (100184, 0, 0, 0, 99816, 0, 0, 0),
+        (99794, 0, 0, 0, 100206, 0, 0, 0),
+        (99864, 0, 0, 0, 100136, 0, 0, 0),
+    ),
+    (0.5, 0.3, math.sqrt(0.5), 1.0, 1.0): (  # both observers ignore state 1
+        (59846, 0, 0, 0, 34970, 35132, 35193, 34859),
+        (60141, 0, 0, 0, 35163, 34793, 34916, 34987),
+        (59791, 0, 0, 0, 35152, 35209, 34837, 35011),
+        (59886, 0, 0, 0, 34860, 35085, 35210, 34959),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED_COUNTS), ids=str)
+def test_pinned_trial_counts(case):
+    s, p1, t, q1b, q1c = case
+    for seed, expected in zip(_PINNED_SEEDS, _PINNED_COUNTS[case]):
+        summary = run_ssd_trials(Scenario(s, p1), t, q1b, q1c, 200_000, seed)
+        assert tuple(summary.counts.ravel().tolist()) == expected, seed
+        assert summary.error_count == 0
