@@ -22,7 +22,7 @@ from .protocols import (
     protocol3_optimal,
 )
 from .simulate import run_ssd_trials
-from .ssd import joint_optimal, joint_success, solve_q_star
+from .ssd import joint_optimal, joint_success
 from .sweeps import (
     FIGURE_PRESETS,
     SweepSpec,
@@ -113,10 +113,10 @@ def cmd_correlations(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     sc = Scenario(args.s, args.p1)
-    t = args.t if args.t is not None else math.sqrt(sc.s)
-    q_star = solve_q_star(sc) if 0.0 < sc.s < 1.0 else 0.0
-    q1b = args.q1b if args.q1b is not None else q_star
-    q1c = args.q1c if args.q1c is not None else q_star
+    best = joint_optimal(sc, compute_boundary=False).argmax
+    t = args.t if args.t is not None else best["t"]
+    q1b = args.q1b if args.q1b is not None else best["q1b"]
+    q1c = args.q1c if args.q1c is not None else best["q1c"]
     summary = run_ssd_trials(sc, t, q1b, q1c, args.n, args.seed)
     expected = joint_success(sc, t, q1b, q1c)
     sigma = math.sqrt(max(expected * (1.0 - expected), 0.0) / args.n)
@@ -192,9 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="seeded Monte Carlo through the measurement chain")
     p_sim.add_argument("--s", type=float, required=True)
     p_sim.add_argument("--p1", type=float, required=True)
-    p_sim.add_argument("--t", type=float, help="default sqrt(s)")
-    p_sim.add_argument("--q1b", type=float, help="default q* of the joint optimum")
-    p_sim.add_argument("--q1c", type=float, help="default q* of the joint optimum")
+    p_sim.add_argument("--t", type=float, help="default: t of the joint optimum, sqrt(s)")
+    p_sim.add_argument("--q1b", type=float, help="default: q1b of the joint optimum")
+    p_sim.add_argument("--q1c", type=float, help="default: q1c of the joint optimum")
     p_sim.add_argument("--n", type=int, default=1_000_000)
     p_sim.add_argument("--seed", type=int, default=42)
     p_sim.set_defaults(fn=cmd_simulate)

@@ -95,9 +95,10 @@ class StrategyParams:
     def __post_init__(self) -> None:
         r2 = self.r * self.r
         for name, q in (("q1", self.q1), ("q2", self.q2)):
-            if q < r2 - BOUNDARY_TOL:
+            # negated comparisons, so that NaN fails them
+            if not q >= r2 - BOUNDARY_TOL:
                 raise ConstraintError(f"{name}={q} below lower bound r^2={r2}")
-            if q > 1.0 + BOUNDARY_TOL:
+            if not q <= 1.0 + BOUNDARY_TOL:
                 raise ConstraintError(f"{name}={q} above upper bound 1")
         if abs(self.q1 * self.q2 - r2) > BOUNDARY_TOL:
             raise ConstraintError(
@@ -118,7 +119,7 @@ class StrategyParams:
 
 def check_overlap_t(s: float, t: float) -> None:
     """Raise DomainError unless the post-measurement overlap t lies in (0, 1] and t >= s."""
-    if t <= 0.0 or t < s or t > 1.0:
+    if not (0.0 < t <= 1.0 and t >= s):
         raise DomainError(f"overlap t={t} outside [s, 1] = [{s}, 1]")
 
 

@@ -43,7 +43,7 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.points_per_axis < 100:
             raise DomainError(f"points_per_axis={self.points_per_axis} below 100")
-        if self.tolerance <= 0.0:
+        if not self.tolerance > 0.0:
             raise DomainError(f"tolerance={self.tolerance} must be positive")
 
 

@@ -37,7 +37,7 @@ from .core import (
     StrategyParams,
     brent_root,
 )
-from .ssd import _TIE_TOL, CaseLabel, PiecewiseResult, _stage_optimum
+from .ssd import CaseLabel, PiecewiseResult, _stage_optimum, _stage_result
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,7 @@ def protocol1_optimal(scenario: Scenario) -> PiecewiseResult:
     Case I: 1 - 2*sqrt(p1*p2)*s at q1b = sqrt(p2/p1)*s, for p1 >= s^2/(1+s^2);
     case II: p2*(1 - s^2) at q1b = 1.
     """
-    s = scenario.s
-    value, q1b, label = _stage_optimum(scenario.p1, scenario.p2, s)
-    params = StrategyParams.from_q1(q1b, s)
-    boundary = s * s / (1.0 + s * s)
-    return PiecewiseResult(value, label, {"q1b": params.q1, "q2b": params.q2}, boundary)
+    return _stage_result(scenario, scenario.s, ("q1b", "q2b"))
 
 
 def conditional_priors_after_bob(scenario: Scenario, q1b: float) -> ConditionalPriors:
@@ -252,14 +248,6 @@ def clone_optimal_for_prior(scenario: Scenario) -> CloneParams:
     return params
 
 
-def _discrimination_factor(p1: float, s: float) -> tuple[float, float, CaseLabel]:
-    """Protocol-(1)-type optimum at prior p1: (value, q1, case)."""
-    p2 = 1.0 - p1
-    if p1 <= 0.0:
-        return p2 * (1.0 - s * s), 1.0, CaseLabel.CASE_II
-    return _stage_optimum(p1, p2, s)
-
-
 def protocol3_optimal(scenario: Scenario) -> PiecewiseResult:
     """Optimal probability that both succeed in the cloning protocol.
 
@@ -275,7 +263,7 @@ def protocol3_optimal(scenario: Scenario) -> PiecewiseResult:
         argmax = {"omega": 0.5, "gamma1": 1.0, "gamma2": 1.0, "p_cl": 1.0, "p1_cl": scenario.p1}
         return PiecewiseResult(0.0, CaseLabel.CASE_II, argmax)
     cp = clone_optimal_for_prior(scenario)
-    disc, q1, label = _discrimination_factor(cp.p1_cl, s)
+    disc, q1, label = _stage_optimum(cp.p1_cl, cp.p2_cl, s)
     argmax = {
         "omega": cp.omega,
         "gamma1": cp.gamma1,
@@ -312,10 +300,7 @@ def at_least_one_protocol3(scenario: Scenario) -> PiecewiseResult:
     if s == 1.0:
         return PiecewiseResult(0.0, CaseLabel.CASE_II, {"p_cl": 1.0, "p1_cl": scenario.p1})
     cp = clone_optimal_for_prior(scenario)
-    boundary = s * s / (1.0 + s * s)
+    disc, _, label = _stage_optimum(cp.p1_cl, cp.p2_cl, s)
     argmax = {"omega": cp.omega, "p_cl": cp.p_cl, "p1_cl": cp.p1_cl}
-    if cp.p1_cl >= boundary - _TIE_TOL:
-        value = cp.p_cl * (1.0 - 4.0 * cp.p1_cl * cp.p2_cl * s * s)
-        return PiecewiseResult(value, CaseLabel.CASE_I, argmax, boundary)
-    value = cp.p_cl * (1.0 - (cp.p1_cl + cp.p2_cl * s * s) ** 2)
-    return PiecewiseResult(value, CaseLabel.CASE_II, argmax, boundary)
+    value = cp.p_cl * (1.0 - (1.0 - disc) ** 2)
+    return PiecewiseResult(value, label, argmax, s * s / (1.0 + s * s))

@@ -11,6 +11,13 @@ the same construction on his own qutrit with parameters (q1c, q2c) and both
 post-measurement system states equal.  Such an isometry exists iff the Gram
 matrices of inputs and targets coincide, i.e. t * r = s.
 
+Both unitaries are built once per run, and together they give one outcome
+table P[i, k_b, k_c] for preparation i, Bob's outcome k_b and Charlie's k_c:
+Bob's unnormalized outcome amplitudes are pushed through the ancilla-|0>
+columns of Charlie's unitary, so no post-measurement state is normalized.
+Analytically P is the product (q_ib, 1 - q_ib on k_b = i) x (q_ic, 1 - q_ic
+on k_c = i); the tests hold the unitaries to it.
+
 Trials are sampled from a counter-based Philox stream with a fixed layout of
 four uniforms per trial (preparation, Bob outcome, Charlie outcome, one
 reserved), so trial k owns exactly one Philox counter block and any split of
@@ -27,7 +34,6 @@ from .core import (
     DomainError,
     InfeasibleIsometryError,
     NumericError,
-    PureState,
     Scenario,
     StrategyParams,
     check_overlap_t,
@@ -59,26 +65,17 @@ class JointUnitary:
             raise NumericError(f"unitarity residual {residual} exceeds {_UNITARITY_TOL}")
 
 
-def _orthonormal_extension(cols: list[np.ndarray], dim: int) -> np.ndarray:
-    """Complete the given orthonormal columns to a basis of R^dim.
+def _pair_basis(pair: list[np.ndarray]) -> np.ndarray:
+    """Orthonormal basis whose first two columns span the pair, by Householder QR.
 
-    Deterministic: standard basis vectors are appended in index order via
-    modified Gram-Schmidt, skipping near-dependent candidates.
+    The column signs make the triangular factor's diagonal nonnegative, so two
+    pairs with the same Gram matrix get the same factor and the map between
+    their bases carries one pair onto the other.  Householder keeps the basis
+    orthogonal to rounding even when the pair is (nearly) identical.
     """
-    basis = [c.copy() for c in cols]
-    for k in range(dim):
-        if len(basis) == dim:
-            break
-        v = np.zeros(dim)
-        v[k] = 1.0
-        for b in basis:
-            v = v - np.dot(b, v) * b
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-7:
-            basis.append(v / norm)
-    if len(basis) != dim:
-        raise NumericError("orthonormal completion failed")
-    return np.column_stack(basis)
+    q, r = np.linalg.qr(np.column_stack(pair), mode="complete")
+    q[:, :2] *= np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    return q
 
 
 def build_discrimination_unitary(
@@ -92,7 +89,6 @@ def build_discrimination_unitary(
     """
     a = [np.asarray(v, dtype=float) for v in inputs]
     b = [np.asarray(v, dtype=float) for v in targets]
-    dim = a[0].shape[0]
     gram_in = np.array([[np.dot(x, y) for y in a] for x in a])
     gram_out = np.array([[np.dot(x, y) for y in b] for x in b])
     if np.abs(gram_in - gram_out).max() > _GRAM_TOL:
@@ -100,25 +96,7 @@ def build_discrimination_unitary(
             "no inner-product-preserving map exists: "
             f"input Gram {gram_in.tolist()} vs target Gram {gram_out.tolist()}"
         )
-
-    def orthonormal_pair(v: list[np.ndarray]) -> list[np.ndarray]:
-        u1 = v[0] / np.linalg.norm(v[0])
-        w = v[1] - np.dot(u1, v[1]) * u1
-        norm = float(np.linalg.norm(w))
-        if norm < 1e-7:  # (near-)identical states: a single defining vector
-            return [u1]
-        return [u1, w / norm]
-
-    cols_in = orthonormal_pair(a)
-    cols_out = orthonormal_pair(b)
-    if len(cols_in) != len(cols_out):
-        raise InfeasibleIsometryError(
-            "input and target pairs have different ranks: "
-            f"Gram {gram_in.tolist()} vs {gram_out.tolist()}"
-        )
-    basis_in = _orthonormal_extension(cols_in, dim)
-    basis_out = _orthonormal_extension(cols_out, dim)
-    u = JointUnitary(basis_out @ basis_in.T)
+    u = JointUnitary(_pair_basis(b) @ _pair_basis(a).T)
     for x, y in zip(a, b):
         residual = float(np.abs(u.matrix @ x - y).max())
         if residual > _MAPPING_TOL:
@@ -169,31 +147,44 @@ def trial_uniforms(seed: int, start: int, stop: int) -> np.ndarray:
     return np.random.Generator(bitgen).uniform(size=(stop - start, _DRAWS_PER_TRIAL))
 
 
-def _stage_tables(
-    u: JointUnitary, inputs: list[np.ndarray]
-) -> tuple[np.ndarray, list[list[np.ndarray]]]:
-    """Outcome probabilities and post-measurement system states per preparation.
+def _stage_unitary(inputs: np.ndarray, outputs: np.ndarray, stage: StrategyParams) -> JointUnitary:
+    """Dilation |in_i>|0> -> |out_i>(sqrt(q_i)|0> + sqrt(1-q_i)|i>) of one stage."""
+    e0 = np.array([1.0, 0.0, 0.0])
+    targets = []
+    for i, (out, q) in enumerate(zip(outputs, (stage.q1, stage.q2)), start=1):
+        flag = np.zeros(3)
+        flag[0] = np.sqrt(q)
+        flag[i] = np.sqrt(max(1.0 - q, 0.0))
+        targets.append(np.kron(out, flag))
+    return build_discrimination_unitary(tuple(np.kron(v, e0) for v in inputs), tuple(targets))
 
-    Returns (probs[i, k], post[i][k]) for preparation i and qutrit outcome k.
-    Probabilities below the noise floor are zeroed exactly and the row is
-    renormalized, making analytically forbidden outcomes impossible.
+
+def _outcome_table(scenario: Scenario, t: float, q1b: float, q1c: float) -> np.ndarray:
+    """P[i, k_b, k_c]: probability of Bob's outcome k_b and Charlie's k_c given state i+1.
+
+    Bob's unnormalized outcome amplitudes go through the ancilla-|0> columns of
+    Charlie's unitary.  Probabilities below the noise floor are zeroed exactly
+    and each preparation's table is renormalized, making analytically
+    forbidden outcomes impossible.
     """
-    probs = np.zeros((len(inputs), 3))
-    post: list[list[np.ndarray]] = []
-    for i, vec in enumerate(inputs):
-        w = (u.matrix @ vec).reshape(2, 3)
-        pk = (w * w).sum(axis=0)
-        pk[pk < _PROB_FLOOR] = 0.0
-        pk = pk / pk.sum()
-        probs[i] = pk
-        states = []
-        for k in range(3):
-            if pk[k] > 0.0:
-                states.append(w[:, k] / np.linalg.norm(w[:, k]))
-            else:
-                states.append(np.zeros(2))
-        post.append(states)
-    return probs, post
+    s = scenario.s
+    check_overlap_t(s, t)
+    bob = StrategyParams.from_q1(q1b, s / t)
+    charlie = StrategyParams.from_q1(q1c, t)
+    psi = np.array([p.amplitudes for p in make_state_pair(s, 2)])
+    phi = np.array([p.amplitudes for p in make_state_pair(t, 2)])
+    u_b = _stage_unitary(psi, phi, bob)
+    final = np.array([1.0, 0.0])  # Charlie's system state after either outcome
+    u_c = _stage_unitary(phi, np.array([final, final]), charlie)
+
+    # Each unitary's ancilla-|0> columns, as [system out, outcome, system in].
+    b_cols = u_b.matrix.reshape(2, 3, 2, 3)[..., 0]
+    c_cols = u_c.matrix.reshape(2, 3, 2, 3)[..., 0]
+    bob_amp = np.einsum("xkj,ij->ixk", b_cols, psi)
+    amp = np.einsum("ylx,ixk->ikyl", c_cols, bob_amp)
+    probs = (amp * amp).sum(axis=2)
+    probs[probs < _PROB_FLOOR] = 0.0
+    return probs / probs.sum(axis=(1, 2), keepdims=True)
 
 
 def run_ssd_trials(
@@ -210,51 +201,11 @@ def run_ssd_trials(
         raise DomainError(f"n={n} must be at least 1")
     if not 0 <= seed < 2**128:
         raise DomainError(f"seed={seed} outside the Philox key range [0, 2^128)")
-    s = scenario.s
-    check_overlap_t(s, t)
-    bob = StrategyParams.from_q1(q1b, s / t)
-    charlie = StrategyParams.from_q1(q1c, t)
-
-    psi = make_state_pair(s, 2)
-    phi = make_state_pair(t, 2)
-    e0 = np.array([1.0, 0.0, 0.0])
-
-    def flag(q: float, i: int) -> np.ndarray:
-        v = np.zeros(3)
-        v[0] = np.sqrt(q)
-        v[i] = np.sqrt(max(1.0 - q, 0.0))
-        return v
-
-    u_b = build_discrimination_unitary(
-        tuple(np.kron(p.amplitudes, e0) for p in psi),
-        (
-            np.kron(phi[0].amplitudes, flag(bob.q1, 1)),
-            np.kron(phi[1].amplitudes, flag(bob.q2, 2)),
-        ),
+    probs = _outcome_table(scenario, t, q1b, q1c)
+    probs_b = probs.sum(axis=2)
+    probs_c = np.divide(
+        probs, probs_b[..., None], out=np.zeros_like(probs), where=probs_b[..., None] > 0.0
     )
-    probs_b, post_b = _stage_tables(u_b, [np.kron(p.amplitudes, e0) for p in psi])
-
-    # Charlie sees the system state that Bob's product-form stage leaves for
-    # every outcome; compute his tables for each (preparation, Bob outcome).
-    e_final = PureState(np.array([1.0, 0.0]))
-    u_c = build_discrimination_unitary(
-        tuple(np.kron(p.amplitudes, e0) for p in phi),
-        (
-            np.kron(e_final.amplitudes, flag(charlie.q1, 1)),
-            np.kron(e_final.amplitudes, flag(charlie.q2, 2)),
-        ),
-    )
-    probs_c = np.zeros((2, 3, 3))  # [preparation, bob outcome, charlie outcome]
-    for i in range(2):
-        for k in range(3):
-            if probs_b[i, k] == 0.0:
-                probs_c[i, k, 0] = 1.0
-                continue
-            w = (u_c.matrix @ np.kron(post_b[i][k], e0)).reshape(2, 3)
-            pk = (w * w).sum(axis=0)
-            pk[pk < _PROB_FLOOR] = 0.0
-            probs_c[i, k] = pk / pk.sum()
-
     cum_b = np.cumsum(probs_b, axis=1)
     cum_c = np.cumsum(probs_c.reshape(6, 3), axis=1)
 

@@ -91,15 +91,27 @@ def _stage_optimum(p1: float, p2: float, r: float) -> tuple[float, float, CaseLa
 
     Returns (value, q1, case).  The interior stationary point q1 = sqrt(p2/p1)*r
     is used when it is feasible and not beaten by the boundary q1 = 1; ties
-    within 1e-12 resolve to case I.
+    within 1e-12 resolve to case I.  At p1 = 0 only the boundary is optimal.
     """
     v_boundary = p2 * (1.0 - r * r)
-    q_int = math.sqrt(p2 / p1) * r
+    q_int = math.sqrt(p2 / p1) * r if p1 > 0.0 else math.inf
     if q_int <= 1.0 + _TIE_TOL:
         v_int = 1.0 - 2.0 * math.sqrt(p1 * p2) * r
         if v_int > v_boundary or abs(v_int - v_boundary) < _TIE_TOL:
             return v_int, min(q_int, 1.0), CaseLabel.CASE_I
     return v_boundary, 1.0, CaseLabel.CASE_II
+
+
+def _stage_result(
+    scenario: Scenario, r: float, names: tuple[str, str], **fixed: float
+) -> PiecewiseResult:
+    """One stage's optimum at flag overlap r: its value and case, the optimal
+    (q1, q2) under the given names after the ``fixed`` entries, and the case
+    boundary p1 = r^2/(1+r^2)."""
+    value, q1, label = _stage_optimum(scenario.p1, scenario.p2, r)
+    params = StrategyParams.from_q1(q1, r)
+    argmax = {**fixed, names[0]: params.q1, names[1]: params.q2}
+    return PiecewiseResult(value, label, argmax, r * r / (1.0 + r * r))
 
 
 def bob_optimal(scenario: Scenario, t: float) -> PiecewiseResult:
@@ -110,14 +122,7 @@ def bob_optimal(scenario: Scenario, t: float) -> PiecewiseResult:
     state 1).
     """
     check_overlap_t(scenario.s, t)
-    r = scenario.s / t
-    value, q1b, label = _stage_optimum(scenario.p1, scenario.p2, r)
-    params = StrategyParams.from_q1(q1b, r)
-    s2, t2 = scenario.s**2, t**2
-    boundary = s2 / (s2 + t2) if s2 + t2 > 0.0 else 0.0
-    return PiecewiseResult(
-        value, label, {"t": t, "q1b": params.q1, "q2b": params.q2}, boundary
-    )
+    return _stage_result(scenario, scenario.s / t, ("q1b", "q2b"), t=t)
 
 
 def charlie_optimal(scenario: Scenario, t: float) -> PiecewiseResult:
@@ -127,12 +132,7 @@ def charlie_optimal(scenario: Scenario, t: float) -> PiecewiseResult:
     case II: p2*(1 - t^2) at q1c = 1.
     """
     check_overlap_t(scenario.s, t)
-    value, q1c, label = _stage_optimum(scenario.p1, scenario.p2, t)
-    params = StrategyParams.from_q1(q1c, t)
-    boundary = t * t / (1.0 + t * t)
-    return PiecewiseResult(
-        value, label, {"t": t, "q1c": params.q1, "q2c": params.q2}, boundary
-    )
+    return _stage_result(scenario, t, ("q1c", "q2c"), t=t)
 
 
 def joint_success(scenario: Scenario, t: float, q1b: float, q1c: float) -> float:

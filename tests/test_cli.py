@@ -137,6 +137,39 @@ class TestSimulate:
         assert main(["simulate", "--s", "0.04", "--p1", "0.5", "--n", "10", "--seed", "-1"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_identical_states_default_to_no_success(self, capsys):
+        assert main(["simulate", "--s", "1", "--p1", "0.5", "--n", "1000"]) == 0
+        out = capsys.readouterr().out
+        assert "joint_success_rate   0\n" in out
+
+    def test_case_ii_defaults_to_the_joint_optimum(self, capsys):
+        assert main(["simulate", "--s", "0.5", "--p1", "0.3", "--n", "1000"]) == 0
+        assert "q1b=1 q1c=1" in capsys.readouterr().out
+
+    def test_orthogonal_states_exit_2(self, capsys):
+        # the joint optimum has t = 0, outside the simulator's t > 0
+        assert main(["simulate", "--s", "0", "--p1", "0.5", "--n", "10"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--s", "0.04", "--p1", "0.5", "--q1b", "nan", "--n", "10"],
+        ["simulate", "--s", "0.04", "--p1", "0.5", "--q1c", "nan", "--n", "10"],
+        ["simulate", "--s", "0.04", "--p1", "0.5", "--t", "nan", "--n", "10"],
+        ["sweep", "--variable", "P1", "--start", "0.1", "--stop", "0.5", "--s", "0.04",
+         "--t", "nan", "--quantities", "bob_max", "--out", "-"],
+        ["verify", "--quantity", "protocol1", "--tolerance", "nan"],
+    ],
+    ids=["q1b", "q1c", "simulate_t", "sweep_t", "tolerance"],
+)
+def test_nan_arguments_exit_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "s=nan" not in err
+
 
 class TestVerify:
     def test_filtered_quantity_passes(self, capsys):

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import subprocess
@@ -113,6 +114,11 @@ class TestStrategyParams:
         with pytest.raises(ConstraintError, match="upper bound"):
             StrategyParams.from_q1(1.2, 0.5)  # q1 above 1
 
+    @pytest.mark.parametrize("q1,q2", [(math.nan, 0.5), (0.5, math.nan)])
+    def test_rejects_nan(self, q1, q2):
+        with pytest.raises(ConstraintError, match="lower bound"):
+            StrategyParams(q1, q2, 0.5)
+
     def test_from_q1_derives_q2(self):
         p = StrategyParams.from_q1(0.5, 0.5)
         assert p.q2 == pytest.approx(0.5)
@@ -174,7 +180,9 @@ class TestCheckOverlapT:
     def test_accepts_feasible(self, s, t):
         check_overlap_t(s, t)
 
-    @pytest.mark.parametrize("s,t", [(0.0, 0.0), (0.3, 0.2), (0.3, 1.0 + 1e-12), (0.1, -0.5)])
+    @pytest.mark.parametrize(
+        "s,t", [(0.0, 0.0), (0.3, 0.2), (0.3, 1.0 + 1e-12), (0.1, -0.5), (0.3, math.nan)]
+    )
     def test_rejects_infeasible(self, s, t):
         with pytest.raises(DomainError, match="outside"):
             check_overlap_t(s, t)
@@ -196,3 +204,15 @@ def test_import_pulls_in_no_scipy():
         timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_tracer_names_resolve():
+    # perfbench's tracer wraps these functions by name; a rename would make
+    # its traced runs fail
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for qual in tracer.SPANNED + tracer.COUNTED:
+        module, name = qual.split(".")
+        assert callable(getattr(importlib.import_module(f"seqdisc.{module}"), name, None)), qual

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from seqdisc import (
     ConstraintError,
@@ -15,6 +16,7 @@ from seqdisc import (
     run_ssd_trials,
     trial_uniforms,
 )
+from seqdisc.simulate import _outcome_table
 
 
 def _flag(q, i):
@@ -131,6 +133,51 @@ class TestRunTrials:
             run_ssd_trials(Scenario(0.04, 0.5), 0.02, 0.5, 0.5, 10, 0)
         with pytest.raises(DomainError):
             run_ssd_trials(Scenario(0.04, 0.5), 0.2, 0.2, 0.2, 0, 0)
+
+
+def _assert_analytic_table(s, t, q1b, q1c):
+    """The table from the two 6x6 dilations is the product of the stage outcomes."""
+
+    def stage(q1, q2):  # [i, k]: inconclusive with probability q_i, else declare i+1
+        return np.array([[q1, 1.0 - q1, 0.0], [q2, 0.0, 1.0 - q2]])
+
+    r = s / t
+    table = _outcome_table(Scenario(s, 0.3), t, q1b, q1c)
+    bob = stage(q1b, r * r / q1b if q1b > 0.0 else 0.0)
+    charlie = stage(q1c, t * t / q1c)
+    expected = bob[:, :, None] * charlie[:, None, :]
+    assert np.abs(table - expected).max() <= 1e-12
+    # a declaration of the other state is impossible, not merely rare
+    assert np.all(table[expected == 0.0] == 0.0)
+
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+class TestOutcomeTable:
+    @settings(max_examples=200, deadline=None)
+    @given(unit, unit, unit, unit)
+    def test_dilations_match_the_analytic_product(self, s, wt, wb, wc):
+        t = s + wt * (1.0 - s)
+        assume(t > 0.0)
+        r = s / t
+        q1b = r * r + wb * (1.0 - r * r)
+        q1c = t * t + wc * (1.0 - t * t)
+        assume(q1c > 0.0 and (q1b > 0.0 or r == 0.0))  # r^2 may underflow to 0
+        _assert_analytic_table(s, t, q1b, q1c)
+
+    # Nearly identical pairs: Gram-Schmidt completion lost orthogonality here.
+    @pytest.mark.parametrize(
+        "s,t,q1b,q1c",
+        [
+            (0.5, 1.0 - 1e-11, 1.0, 1.0),
+            (0.0, 1.0 - 1e-9, 0.0, 1.0),
+            (0.0, 1.0 - 2.0**-53, 0.0, (1.0 - 2.0**-53) ** 2),
+            (0.999, 1.0 - 2.0**-53, 1.0, 1.0),
+        ],
+    )
+    def test_nearly_identical_pairs(self, s, t, q1b, q1c):
+        _assert_analytic_table(s, t, q1b, q1c)
 
 
 # counts.ravel() (preparation, Bob ok, Charlie ok; fail before ok) of
