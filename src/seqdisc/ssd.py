@@ -105,9 +105,11 @@ def _stage_optimum(p1: float, p2: float, r: float) -> tuple[float, float, CaseLa
 def _stage_result(
     scenario: Scenario, r: float, names: tuple[str, str], **fixed: float
 ) -> PiecewiseResult:
-    """One stage's optimum at flag overlap r: its value and case, the optimal
-    (q1, q2) under the given names after the ``fixed`` entries, and the case
-    boundary p1 = r^2/(1+r^2)."""
+    """One stage's optimum at flag overlap r, as a result.
+
+    The argmax holds the ``fixed`` entries, then the optimal (q1, q2) under
+    ``names``; the boundary is the case-separating prior r^2/(1+r^2).
+    """
     value, q1, label = _stage_optimum(scenario.p1, scenario.p2, r)
     params = StrategyParams.from_q1(q1, r)
     argmax = {**fixed, names[0]: params.q1, names[1]: params.q2}

@@ -166,7 +166,7 @@ class TestOutcomeTable:
         assume(q1c > 0.0 and (q1b > 0.0 or r == 0.0))  # r^2 may underflow to 0
         _assert_analytic_table(s, t, q1b, q1c)
 
-    # Nearly identical pairs: Gram-Schmidt completion lost orthogonality here.
+    # nearly identical state pairs: the completed basis must stay orthogonal
     @pytest.mark.parametrize(
         "s,t,q1b,q1c",
         [
