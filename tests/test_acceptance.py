@@ -90,6 +90,21 @@ def test_criterion_2_symmetry_breaking_threshold():
     assert v_case1 == pytest.approx(v_case2, abs=1e-6)
 
 
+# (worst_gap, worst_scenario) of every certify() row on the standard 5x6
+# grid, recorded from the elementwise per-t grid scan; a faster scan must
+# reproduce them.
+_CERTIFIED_ROWS = {
+    "bob": (2.220446049250313e-16, (0.04, 0.4)),
+    "charlie": (1.1102230246251565e-16, (0.04, 0.05)),
+    "joint": (3.1123914556729915e-10, (0.2, 0.05)),
+    "protocol1": (1.1102230246251565e-16, (0.04, 0.05)),
+    "protocol2": (2.6679912723537313e-09, (0.36, 0.2)),
+    "protocol3": (3.062373910012184e-09, (0.36, 0.2)),
+    "at_least_one_p3": (1.317185249760655e-09, (0.6, 0.2)),
+    "at_least_one_ssd": (2.220446049250313e-16, (0.1716, 0.2)),
+}
+
+
 @_report(3, "all closed forms within 1e-6 of brute-force oracles, under 60 s")
 def test_criterion_3_oracle_certification():
     start = time.perf_counter()
@@ -98,7 +113,12 @@ def test_criterion_3_oracle_certification():
     for row in rows:
         assert row.passed, f"{row.quantity}: worst gap {row.worst_gap} at {row.worst_scenario}"
         assert row.worst_gap < 1e-6
-    assert len(rows) == 8
+        gap, at = _CERTIFIED_ROWS[row.quantity]
+        assert abs(row.worst_gap - gap) <= 1e-15, (row.quantity, row.worst_gap)
+        # below 1e-12 the worst gap is a few ulps, and where it lands is rounding
+        if gap > 1e-12:
+            assert row.worst_scenario == at, (row.quantity, row.worst_scenario)
+    assert [row.quantity for row in rows] == list(_CERTIFIED_ROWS)
     assert elapsed < 60.0, f"certification took {elapsed:.1f}s"
 
 
