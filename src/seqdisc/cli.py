@@ -22,7 +22,7 @@ from .protocols import (
     protocol3_optimal,
 )
 from .simulate import run_ssd_trials
-from .ssd import joint_optimal, joint_success
+from .ssd import bob_optimal, charlie_optimal, joint_optimal, joint_success
 from .sweeps import (
     FIGURE_PRESETS,
     SweepSpec,
@@ -113,8 +113,12 @@ def cmd_correlations(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     sc = Scenario(args.s, args.p1)
-    best = joint_optimal(sc, compute_boundary=False).argmax
-    t = args.t if args.t is not None else best["t"]
+    if args.t is None:
+        best = joint_optimal(sc, compute_boundary=False).argmax
+    else:
+        # each stage's own optimum at the given t is feasible there
+        best = {**bob_optimal(sc, args.t).argmax, **charlie_optimal(sc, args.t).argmax}
+    t = best["t"]
     q1b = args.q1b if args.q1b is not None else best["q1b"]
     q1c = args.q1c if args.q1c is not None else best["q1c"]
     summary = run_ssd_trials(sc, t, q1b, q1c, args.n, args.seed)

@@ -108,10 +108,10 @@ class StrategyParams:
     @classmethod
     def from_q1(cls, q1: float, r: float) -> "StrategyParams":
         """Build from q1 alone, deriving q2 = r**2 / q1."""
-        if r == 0.0:
+        if r * r == 0.0:  # orthogonal flags, or r^2 below the smallest double
             if not -BOUNDARY_TOL <= q1 <= 1.0 + BOUNDARY_TOL:
                 raise ConstraintError(f"q1={q1} outside [0, 1]")
-            return cls(max(q1, 0.0), 0.0, 0.0)
+            return cls(max(q1, 0.0), 0.0, r)
         if q1 <= 0.0:
             raise ConstraintError(f"q1={q1} below lower bound r^2={r * r}")
         return cls(q1, r * r / q1, r)

@@ -108,17 +108,33 @@ def _joint_term(q1b, q2b, q1c, q2c, p1, p2):
     return p1 * (1.0 - q1b) * (1.0 - q1c) + p2 * (1.0 - q2b) * (1.0 - q2c)
 
 
+def _joint_factors(q1b, q2b, q1c, q2c, p1, p2):
+    """Bob and Charlie factors whose rank-2 product is ``_joint_term``."""
+    return (p1 * (1.0 - q1b), p2 * (1.0 - q2b)), (1.0 - q1c, 1.0 - q2c)
+
+
 def _union_term(q1b, q2b, q1c, q2c, p1, p2):
     return p1 * (1.0 - q1b * q1c) + p2 * (1.0 - q2b * q2c)
 
 
+def _union_factors(q1b, q2b, q1c, q2c, p1, p2):
+    """Factors of ``_union_term`` less its constant p1 + p2, which moves no argmax."""
+    return (-p1 * q1b, -p2 * q2b), (q1c, q2c)
+
+
 def _max_3d(
-    scenario: Scenario, spec: GridSpec, term: Callable
+    scenario: Scenario, spec: GridSpec, term: Callable, factors: Callable
 ) -> tuple[float, float, float, float]:
     """Maximize a two-stage objective over (t, q1b, q1c) with local refinement.
 
     q1b ranges over [(s/t)^2, 1] and q1c over [t^2, 1]; both are parametrized
     by normalized coordinates in [0, 1] so the search box is rectangular.
+
+    At fixed t the objective is a sum of two Bob-times-Charlie products, so
+    each t-slice is evaluated at every (q1b, q1c) grid point as one
+    ``(U, 2) @ (2, V)`` matrix product of the ``factors`` into a reused
+    buffer. The slice's first maximum is then re-evaluated with ``term``
+    itself, and that value competes across slices.
     """
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
     n = min(spec.points_per_axis, _JOINT_POINTS)
@@ -127,18 +143,21 @@ def _max_3d(
     def evaluate(ts: np.ndarray, us: np.ndarray, vs: np.ndarray):
         best = (-1.0, 0.0, 0.0, 0.0)
         r2 = (s / ts) ** 2
+        bob = np.empty((len(us), 2))
+        charlie = np.empty((2, len(vs)))
+        slab = np.empty((len(us), len(vs)))
         for j, t in enumerate(ts):
             lob = r2[j]
-            q1b = (lob + us * (1.0 - lob))[:, None]
-            q1c = (t * t + vs * (1.0 - t * t))[None, :]
+            q1b = lob + us * (1.0 - lob)
+            q1c = t * t + vs * (1.0 - t * t)
             q2b = np.where(q1b > 0.0, r2[j] / np.where(q1b > 0.0, q1b, 1.0), 1.0)
             q2c = t * t / q1c
-            val = term(q1b, q2b, q1c, q2c, p1, p2)
-            k = int(np.argmax(val))
-            v = float(val.flat[k])
+            (bob[:, 0], bob[:, 1]), (charlie[0], charlie[1]) = factors(q1b, q2b, q1c, q2c, p1, p2)
+            np.matmul(bob, charlie, out=slab)
+            ib, ic = divmod(int(np.argmax(slab)), len(vs))
+            v = float(term(q1b[ib], q2b[ib], q1c[ic], q2c[ic], p1, p2))
             if v > best[0]:
-                ib, ic = divmod(k, val.shape[1])
-                best = (v, float(t), float(q1b[ib, 0]), float(q1c[0, ic]))
+                best = (v, float(t), float(q1b[ib]), float(q1c[ic]))
         return best
 
     ts = np.linspace(t_lo_global, 1.0, n)
@@ -175,7 +194,7 @@ def grid_maximize_joint(
     before refinement.
     """
     spec = spec or GridSpec()
-    return _max_3d(scenario, spec, _joint_term)
+    return _max_3d(scenario, spec, _joint_term, _joint_factors)
 
 
 def grid_maximize_union_ssd(
@@ -183,7 +202,7 @@ def grid_maximize_union_ssd(
 ) -> tuple[float, float, float, float]:
     """Brute-force maximum of P(at least one succeeds) over (t, q1b, q1c)."""
     spec = spec or GridSpec()
-    return _max_3d(scenario, spec, _union_term)
+    return _max_3d(scenario, spec, _union_term, _union_factors)
 
 
 def grid_maximize_protocol2(

@@ -146,6 +146,15 @@ class TestSimulate:
         assert main(["simulate", "--s", "0.5", "--p1", "0.3", "--n", "1000"]) == 0
         assert "q1b=1 q1c=1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "s,p1,expected",
+        [("0.04", "0.5", "t=0.5 q1b=0.08 q1c=0.5"), ("0", "0.3", "t=0.5 q1b=0 q1c=0.7637")],
+    )
+    def test_given_t_defaults_to_each_stage_optimum(self, capsys, s, p1, expected):
+        # the joint optimum's q1b, q1c can be infeasible at another t
+        assert main(["simulate", "--s", s, "--p1", p1, "--t", "0.5", "--n", "1000"]) == 0
+        assert expected in capsys.readouterr().out
+
     def test_orthogonal_states_exit_2(self, capsys):
         # the joint optimum has t = 0, outside the simulator's t > 0
         assert main(["simulate", "--s", "0", "--p1", "0.5", "--n", "10"]) == 2

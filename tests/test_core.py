@@ -127,6 +127,10 @@ class TestStrategyParams:
         p = StrategyParams.from_q1(0.0, 0.0)
         assert p.q1 == 0.0 and p.q2 == 0.0
 
+    def test_underflowing_overlap_squared_is_orthogonal(self):
+        p = StrategyParams.from_q1(0.0, 1e-170)  # r^2 rounds to 0.0
+        assert p.q1 == 0.0 and p.q2 == 0.0
+
 
 class TestPureState:
     def test_rejects_unnormalized(self):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqdisc import (
     DomainError,
@@ -17,6 +18,7 @@ from seqdisc import (
     protocol2_critical_priors,
     protocol2_optimal,
 )
+from seqdisc.oracle import _JOINT_POINTS, _REFINE_POINTS, _joint_term, _union_term
 
 FAST = GridSpec(points_per_axis=501, refinement_passes=2, tolerance=1e-6)
 
@@ -125,6 +127,81 @@ class TestUnionOracle:
         sc = Scenario(0.36, 0.2)
         val, *_ = grid_maximize_union_ssd(sc, FAST)
         assert val == pytest.approx(0.712, abs=1e-6)
+
+
+def _max_3d_loop(scenario, spec, term):
+    """Elementwise reference for the oracle's (t, q1b, q1c) scan: each t-slice
+    is the full (q1b, q1c) array of ``term``, with the same grid, refinement
+    and first-maximum order as ``oracle._max_3d``."""
+    s, p1, p2 = scenario.s, scenario.p1, scenario.p2
+    n = min(spec.points_per_axis, _JOINT_POINTS)
+    t_lo_global = max(s, 1e-9)
+
+    def evaluate(ts, us, vs):
+        best = (-1.0, 0.0, 0.0, 0.0)
+        r2 = (s / ts) ** 2
+        for j, t in enumerate(ts):
+            lob = r2[j]
+            q1b = (lob + us * (1.0 - lob))[:, None]
+            q1c = (t * t + vs * (1.0 - t * t))[None, :]
+            q2b = np.where(q1b > 0.0, r2[j] / np.where(q1b > 0.0, q1b, 1.0), 1.0)
+            q2c = t * t / q1c
+            val = term(q1b, q2b, q1c, q2c, p1, p2)
+            k = int(np.argmax(val))
+            v = float(val.flat[k])
+            if v > best[0]:
+                ib, ic = divmod(k, val.shape[1])
+                best = (v, float(t), float(q1b[ib, 0]), float(q1c[0, ic]))
+        return best
+
+    best = evaluate(
+        np.linspace(t_lo_global, 1.0, n), np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, n)
+    )
+    t_step = (1.0 - t_lo_global) / (n - 1)
+    u_step = 1.0 / (n - 1)
+    for _ in range(spec.refinement_passes):
+        t0 = best[1]
+        lob = (s / t0) ** 2 if t0 > 0 else 0.0
+        u0 = (best[2] - lob) / (1.0 - lob) if lob < 1.0 else 0.0
+        v0 = (best[3] - t0 * t0) / (1.0 - t0 * t0) if t0 < 1.0 else 0.0
+        ts = np.linspace(
+            max(t_lo_global, t0 - 1.5 * t_step), min(1.0, t0 + 1.5 * t_step), _REFINE_POINTS
+        )
+        us = np.linspace(max(0.0, u0 - 1.5 * u_step), min(1.0, u0 + 1.5 * u_step), _REFINE_POINTS)
+        vs = np.linspace(max(0.0, v0 - 1.5 * u_step), min(1.0, v0 + 1.5 * u_step), _REFINE_POINTS)
+        cand = evaluate(ts, us, vs)
+        if cand[0] > best[0]:
+            best = cand
+        t_step *= 3.0 / _REFINE_POINTS
+        u_step *= 3.0 / _REFINE_POINTS
+    return best
+
+
+_SCANS = [(grid_maximize_joint, _joint_term), (grid_maximize_union_ssd, _union_term)]
+_SCAN_IDS = ["joint", "union"]
+
+scenarios = st.builds(
+    Scenario,
+    s=st.floats(min_value=1e-10, max_value=0.999),
+    p1=st.floats(min_value=1e-3, max_value=0.5),
+)
+
+
+class TestRank2SliceScan:
+    """The rank-2 slice products find the elementwise scan's maximum within 1e-15."""
+
+    @pytest.mark.parametrize("oracle,term", _SCANS, ids=_SCAN_IDS)
+    @settings(max_examples=40, deadline=None)
+    @given(sc=scenarios)
+    def test_random_scenarios_coarse_grid(self, oracle, term, sc):
+        spec = GridSpec(points_per_axis=100)
+        assert abs(oracle(sc, spec)[0] - _max_3d_loop(sc, spec, term)[0]) <= 1e-15
+
+    @pytest.mark.parametrize("oracle,term", _SCANS, ids=_SCAN_IDS)
+    @pytest.mark.parametrize("s,p1", [(0.04, 0.5), (0.36, 0.2), (0.6, 0.05)])
+    def test_fixed_scenarios_default_grid(self, oracle, term, s, p1):
+        sc, spec = Scenario(s, p1), GridSpec()
+        assert abs(oracle(sc, spec)[0] - _max_3d_loop(sc, spec, term)[0]) <= 1e-15
 
 
 class TestCertify:

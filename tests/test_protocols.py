@@ -9,12 +9,14 @@ from seqdisc import (
     DegenerateStrategyError,
     DomainError,
     GridSpec,
+    SYMMETRY_BREAK_OVERLAP,
     Scenario,
     at_least_one_protocol3,
     at_least_one_ssd,
     clone_optimal_for_prior,
     clone_params_of_omega,
     conditional_priors_after_bob,
+    critical_prior_PC,
     grid_maximize_cloning,
     joint_optimal,
     omega_range,
@@ -303,6 +305,37 @@ class TestOrdering:
             assert v1 >= v2 - 1e-9
             assert v2 >= v3 - 1e-9
             assert v3 >= vssd - 1e-9
+
+
+def _boundary_scenario(kind, x, sign, eps):
+    """A scenario eps beside one regime boundary; x is p1 for the symmetry-
+    breaking overlap and s for the priors P_C, p_c1 and p_c2."""
+    if kind == "3-2sqrt2":
+        s, p1 = SYMMETRY_BREAK_OVERLAP + sign * eps, x
+    elif kind == "P_C":
+        s, p1 = x, critical_prior_PC(x).value + sign * eps
+    else:
+        s = x
+        p1 = protocol2_critical_priors(s)[kind == "p_c2"] * (1.0 + sign * eps)
+    return Scenario(s, min(p1, 0.5))
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-8, 1e-4])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize(
+    "kind,x",
+    [("3-2sqrt2", p1) for p1 in (0.05, 0.3, 0.5)]
+    + [("P_C", s) for s in (0.01, 0.1, 0.16)]
+    + [(kind, s) for kind in ("p_c1", "p_c2") for s in (0.05, 0.5, 0.95)],
+)
+def test_orderings_beside_regime_boundaries(kind, x, sign, eps):
+    sc = _boundary_scenario(kind, x, sign, eps)
+    joint = joint_optimal(sc, compute_boundary=False).value
+    p1_value = protocol1_optimal(sc).value
+    assert joint >= (1.0 - math.sqrt(sc.s)) ** 2 - 1e-12  # symmetric point t = q = sqrt(s)
+    assert joint <= p1_value + 1e-12
+    assert protocol2_optimal(sc).value <= p1_value + 1e-12
+    assert abs(at_least_one_ssd(sc).value - p1_value) <= 1e-12
 
 
 @settings(max_examples=80, deadline=None)
