@@ -16,6 +16,7 @@ from seqdisc import (
     run_ssd_trials,
     trial_uniforms,
 )
+from seqdisc import simulate
 from seqdisc.simulate import _outcome_table
 
 
@@ -80,6 +81,13 @@ class TestTrialUniforms:
     def test_seed_changes_stream(self):
         assert not np.array_equal(trial_uniforms(1, 0, 10), trial_uniforms(2, 0, 10))
 
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 + 3])
+    def test_split_range_equals_one_uniform_draw(self, seed):
+        whole = np.random.Generator(np.random.Philox(key=seed)).uniform(size=(1000, 4))
+        ranges = [(0, 333), (333, 334), (334, 1000)]
+        parts = np.vstack([trial_uniforms(seed, a, b) for a, b in ranges])
+        assert np.array_equal(parts, whole)
+
 
 class TestRunTrials:
     def test_deterministic_summary(self):
@@ -125,6 +133,16 @@ class TestRunTrials:
     def test_single_trial(self):
         summary = run_ssd_trials(Scenario(0.04, 0.5), 0.2, 0.2, 0.2, 1, 0)
         assert int(summary.counts.sum()) == 1
+
+    @pytest.mark.parametrize("chunk", [1000, 4096, 1 << 22])
+    def test_chunk_size_does_not_change_the_summary(self, monkeypatch, chunk):
+        # 10_001 is a multiple of none of the chunk sizes
+        sc, n = Scenario(0.36, 0.25), 10_001
+        expected = run_ssd_trials(sc, 0.6, 0.7, 0.5, n, 3)
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        summary = run_ssd_trials(sc, 0.6, 0.7, 0.5, n, 3)
+        assert np.array_equal(summary.counts, expected.counts)
+        assert summary.error_count == expected.error_count
 
     def test_rejects_infeasible_parameters(self):
         with pytest.raises(ConstraintError):
@@ -243,3 +261,95 @@ def test_pinned_trial_counts(case):
         summary = run_ssd_trials(Scenario(s, p1), t, q1b, q1c, 200_000, seed)
         assert tuple(summary.counts.ravel().tolist()) == expected, seed
         assert summary.error_count == 0
+
+
+def _cumulative(probs):
+    """Bob's (2, 3) and Charlie's (6, 3) cumulative rows, as run_ssd_trials builds them."""
+    probs_b = probs.sum(axis=2)
+    probs_c = np.divide(
+        probs, probs_b[..., None], out=np.zeros_like(probs), where=probs_b[..., None] > 0.0
+    )
+    return np.cumsum(probs_b, axis=1), np.cumsum(probs_c.reshape(6, 3), axis=1)
+
+
+def _trial_outcomes(u, p1, cum_b, cum_c):
+    """Per-trial preparation (1 or 2), k_b and k_c: k is the first index with
+    u < cum (by argmax over the gathered rows), 0 when there is none."""
+    prep = np.where(u[:, 0] < p1, 1, 2)
+    k_b = np.argmax(u[:, 1, None] < cum_b[prep - 1], axis=1)
+    k_c = np.argmax(u[:, 2, None] < cum_c[(prep - 1) * 3 + k_b], axis=1)
+    return prep, k_b, k_c
+
+
+def _tally_loop(u, p1, cum_b, cum_c):
+    """Reference for the sampler's tally: (2, 3, 3) counts of (preparation, k_b, k_c)."""
+    prep, k_b, k_c = _trial_outcomes(u, p1, cum_b, cum_c)
+    return np.bincount((prep - 1) * 9 + k_b * 3 + k_c, minlength=18).reshape(2, 3, 3)
+
+
+def _summary_loop(u, p1, cum_b, cum_c):
+    """Reference counts[i, b, c] and error_count, folded per trial."""
+    prep, k_b, k_c = _trial_outcomes(u, p1, cum_b, cum_c)
+    bob_ok = k_b == prep
+    charlie_ok = k_c == prep
+    errors = int((((k_b != 0) & ~bob_ok) | ((k_c != 0) & ~charlie_ok)).sum())
+    code = (prep - 1) * 4 + bob_ok * 2 + charlie_ok
+    return np.bincount(code, minlength=8).reshape(2, 2, 2), errors
+
+
+def _edge_uniforms(p1, cum_b, cum_c):
+    """Every combination of uniforms on p1 and each cumulative entry, one ulp
+    either side of each, and 0 and the largest double below 1."""
+
+    def around(values):
+        v = np.concatenate([np.ravel(values), [0.0, np.nextafter(1.0, 0.0)]])
+        v = np.concatenate([v, np.nextafter(v, 0.0), np.nextafter(v, 1.0)])
+        return np.unique(v[(v >= 0.0) & (v < 1.0)])
+
+    axes = np.meshgrid(around(p1), around(cum_b), around(cum_c), [0.5], indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, 4)
+
+
+def _assert_tally_matches(probs, p1, u):
+    """run_ssd_trials on the table probs and the uniforms u agrees with the reference."""
+    cum_b, cum_c = _cumulative(probs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_outcome_table", lambda *args: probs)
+        mp.setattr(simulate, "trial_uniforms", lambda seed, start, stop: u[start:stop])
+        summary = run_ssd_trials(Scenario(0.5, p1), 0.8, 0.7, 0.7, len(u), 0)
+    counts, errors = _summary_loop(u, p1, cum_b, cum_c)
+    assert np.array_equal(summary.counts, counts)
+    assert summary.error_count == errors
+
+
+class TestTally:
+    @pytest.mark.parametrize("case", list(_PINNED_COUNTS), ids=str)
+    def test_uniforms_on_and_beside_each_cumulative_entry(self, case):
+        s, p1, t, q1b, q1c = case
+        probs = _outcome_table(Scenario(s, p1), t, q1b, q1c)
+        _assert_tally_matches(probs, p1, _edge_uniforms(p1, *_cumulative(probs)))
+
+    def test_uniform_above_a_last_entry_below_one_is_outcome_0(self):
+        probs = _outcome_table(Scenario(0.1, 0.3), 0.5, 0.3, 0.6)
+        cum_b, cum_c = _cumulative(probs)
+        last = cum_b[1, 2]
+        assert last < 1.0  # the cumulative sum rounds below 1
+        u = np.array([[0.9, np.nextafter(last, 1.0), 0.5, 0.5]])
+        prep, k_b, _ = _trial_outcomes(u, 0.3, cum_b, cum_c)
+        assert (prep[0], k_b[0]) == (2, 0)
+        _assert_tally_matches(probs, 0.3, u)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.one_of(st.just(0.0), unit), min_size=18, max_size=18),
+        st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_random_tables_and_uniforms(self, weights, p1, seed):
+        probs = np.array(weights).reshape(2, 3, 3)
+        totals = probs.sum(axis=(1, 2), keepdims=True)
+        assume(np.all(totals > 0.0))
+        probs = probs / totals
+        edges = _edge_uniforms(p1, *_cumulative(probs))
+        u = np.vstack([edges, np.random.default_rng(seed).random((2000, 4))])
+        _assert_tally_matches(probs, p1, u)
