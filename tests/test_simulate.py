@@ -311,8 +311,10 @@ def _edge_uniforms(p1, cum_b, cum_c):
 
 
 def _assert_tally_matches(probs, p1, u):
-    """run_ssd_trials on the table probs and the uniforms u agrees with the reference."""
+    """_tally, and run_ssd_trials on the table probs and the uniforms u, agree
+    with the reference."""
     cum_b, cum_c = _cumulative(probs)
+    assert np.array_equal(simulate._tally(u, p1, cum_b, cum_c), _tally_loop(u, p1, cum_b, cum_c))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "_outcome_table", lambda *args: probs)
         mp.setattr(simulate, "trial_uniforms", lambda seed, start, stop: u[start:stop])
