@@ -140,7 +140,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if summary.error_count != 0:
         print("FAIL: erroneous declarations occurred", file=sys.stderr)
         return EXIT_STATISTICAL
-    if sigma > 0 and abs(rate - expected) > 5.0 * sigma:
+    if sigma > 0.0:
+        deviates = abs(rate - expected) > 5.0 * sigma
+    else:  # the analytic rate is 0 or 1 up to rounding, so every trial must agree with it
+        deviates = summary.joint_success_count != round(expected * args.n)
+    if deviates:
         print("FAIL: joint success rate outside 5 sigma of the analytic value", file=sys.stderr)
         return EXIT_STATISTICAL
     return EXIT_OK

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from seqdisc import TrialSummary, cli
 from seqdisc.cli import main
 
 
@@ -154,6 +156,28 @@ class TestSimulate:
         # the joint optimum's q1b, q1c can be infeasible at another t
         assert main(["simulate", "--s", s, "--p1", p1, "--t", "0.5", "--n", "1000"]) == 0
         assert expected in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--s", "1", "--p1", "0.5"],
+            # both terms of the analytic rate vanish, up to rounding (about -5e-32)
+            ["--s", "0.04", "--p1", "1e-40", "--t", "0.2", "--q1b", "0.04", "--q1c", "0.04"],
+        ],
+    )
+    def test_certain_outcome_runs_clean(self, capsys, argv):
+        assert main(["simulate", *argv, "--n", "1000"]) == 0
+
+    def test_wrong_rate_fails_when_the_analytic_rate_is_certain(self, capsys, monkeypatch):
+        # at s = 1 the analytic joint rate is exactly 0, so sigma is 0
+        def one_joint_success(scenario, t, q1b, q1c, n, seed):
+            counts = np.zeros((2, 2, 2), dtype=np.int64)
+            counts[0, 1, 1], counts[1, 0, 0] = 1, n - 1
+            return TrialSummary(n_trials=n, seed=seed, counts=counts, error_count=0)
+
+        monkeypatch.setattr(cli, "run_ssd_trials", one_joint_success)
+        assert main(["simulate", "--s", "1", "--p1", "0.5", "--n", "1000"]) == 4
+        assert "FAIL" in capsys.readouterr().err
 
     def test_orthogonal_states_exit_2(self, capsys):
         # the joint optimum has t = 0, outside the simulator's t > 0
