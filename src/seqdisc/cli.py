@@ -114,7 +114,7 @@ def cmd_correlations(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     sc = Scenario(args.s, args.p1)
     if args.t is None:
-        best = joint_optimal(sc, compute_boundary=False).argmax
+        best = joint_optimal(sc).argmax
     else:
         # each stage's own optimum at the given t is feasible there
         best = {**bob_optimal(sc, args.t).argmax, **charlie_optimal(sc, args.t).argmax}

@@ -312,7 +312,7 @@ def _cert_stage(sc: Scenario, spec: GridSpec, closed_form: Callable, oracle: Cal
 
 
 def _cert_joint(sc: Scenario, spec: GridSpec) -> float:
-    closed = joint_optimal(sc, compute_boundary=False).value
+    closed = joint_optimal(sc).value
     return abs(closed - grid_maximize_joint(sc, spec)[0])
 
 

@@ -17,10 +17,10 @@ q1b = q1c = q*, with q* a root of
 
 Case I survives at equal priors only for s < 3 - 2*sqrt(2); beyond that the
 optimal strategy breaks the symmetry and ignores one state even at p1 = 1/2.
-The prior separating the joint cases, P_C, has no closed form: it is the zero
-of the gap between the two branches, found by Brent's method on log(p1) with
-the quartic re-solved (from its companion-matrix eigenvalues) at every trial
-prior.
+The prior separating the joint cases, P_C, is explicit in terms of the root
+q_C at the crossing: the quartic gives p1/p2 = k(q) = s(q - s)/(q^3 (1 - q)),
+and equating the two branches at that prior leaves (2 - s)q^2 - (1 + s)q + s
+= 0.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .core import (
     NumericError,
     Scenario,
     StrategyParams,
-    brent_root,
     check_overlap_t,
 )
 
@@ -216,37 +215,28 @@ def _joint_branch_values(s: float, p1: float) -> tuple[float, float, float]:
 def critical_prior_PC(s: float) -> CriticalPrior:
     """Prior at which the two branches of the joint optimum exchange.
 
-    Defined implicitly by  p*(1-q*)^2 + (1-p)*(1-s/q*)^2 = (1-p)*(1-s)^2 with
-    the quartic re-solved at each trial prior.  The gap between the branches
-    is negative at p1 = s/2 (P_C lies near 8*s for small s and above s up to
-    3 - 2*sqrt(2)) and positive at 1/2 while case I survives there; its zero
-    is found by Brent's method on log(p1), which spans the decades between
-    the two ends in a few steps.  The gap jumps (staying negative) where the
-    interior maximum of the objective disappears below P_C; Brent's bisection
-    fallback crosses that jump.  For s >= 3 - 2*sqrt(2) case I never applies
-    on (0, 1/2]; the sentinel value 0.5 is returned with the flag cleared.
+    At the crossing p*(1-q*)^2 + (1-p)*(1-s/q*)^2 = (1-p)*(1-s)^2 with q* the
+    quartic's root, which is
+
+        q_C = [(1 + s) + sqrt((1 - s)(1 - 5s))] / (2(2 - s)),
+
+    and P_C = k/(1 + k) with k = s(q_C - s)/(q_C^3 (1 - q_C)), the prior ratio
+    at which q_C solves the quartic.  P_C grows from about 8*s at small s to
+    1/2 at s = 3 - 2*sqrt(2), where q_C = sqrt(s).  Beyond that case I never
+    applies on (0, 1/2]; the sentinel value 0.5 is returned with the flag
+    cleared.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"critical prior is defined for 0 < s < 1, got s={s}")
-
-    def gap(log_p1: float) -> float:
-        v1, v2, _ = _joint_branch_values(s, math.exp(log_p1))
-        return v1 - v2
-
-    lo, hi = math.log(0.5 * s), math.log(0.5)
-    g_half = gap(hi)
-    if g_half < 0.0:
-        return CriticalPrior(0.5, False)
-    if g_half == 0.0:
-        return CriticalPrior(0.5, True)
-    g_lo = gap(lo)
-    if g_lo >= 0.0:
-        raise NumericError(f"failed to bracket the critical prior on (0, 1/2) for s={s}")
-    log_pc, g_pc = brent_root(gap, lo, hi, g_lo, g_half)
-    p_c = math.exp(log_pc)
-    if abs(g_pc) > 1e-10:
-        raise NumericError(f"critical-prior search stalled at p1={p_c} for s={s}")
-    return CriticalPrior(p_c, True)
+    if s < 0.2:  # the crossing root is real
+        q = ((1.0 + s) + math.sqrt((1.0 - s) * (1.0 - 5.0 * s))) / (2.0 * (2.0 - s))
+        k = s * (q - s) / (q**3 * (1.0 - q))
+        p_c = k / (1.0 + k)
+        # a few floats just above 3 - 2*sqrt(2) still lie below the real
+        # threshold; the crossing prior itself says which side s is on
+        if p_c <= 0.5:
+            return CriticalPrior(p_c, True)
+    return CriticalPrior(0.5, False)
 
 
 def joint_optimal(scenario: Scenario, *, compute_boundary: bool = True) -> PiecewiseResult:

@@ -61,7 +61,7 @@ def _correlation(sc: Scenario, t: float, name: str) -> float | None:
 
 #: Quantity name -> (its value at a scenario and overlap t, whether it reads t).
 _QUANTITIES: dict[str, tuple[Callable[[Scenario, float | None], float | None], bool]] = {
-    "ssd": (lambda sc, t: joint_optimal(sc, compute_boundary=False).value, False),
+    "ssd": (lambda sc, t: joint_optimal(sc).value, False),
     "protocol1": (lambda sc, t: protocol1_optimal(sc).value, False),
     "protocol2": (lambda sc, t: protocol2_optimal(sc).value, False),
     "protocol3": (lambda sc, t: protocol3_optimal(sc).value, False),

@@ -19,6 +19,8 @@ from seqdisc import (
     solve_q_star,
 )
 
+_EPS = float(np.finfo(float).eps)
+
 scenarios = st.builds(
     Scenario,
     s=st.floats(min_value=1e-10, max_value=0.999),
@@ -256,6 +258,26 @@ class TestCriticalPrior:
         pc = critical_prior_PC(0.04).value
         assert joint_optimal(Scenario(0.04, pc * (1 - 1e-6))).case_label is CaseLabel.CASE_II
         assert joint_optimal(Scenario(0.04, pc * (1 + 1e-6))).case_label is CaseLabel.CASE_I
+
+    @pytest.mark.parametrize("s", [1e-10, 1e-6, 1e-3, 0.04, 0.17])
+    def test_matches_the_50_digit_crossing(self, s):
+        # the Brent search this formula replaced was 4.2e-7 off at s = 1e-10,
+        # where the gap between the branches is flat to rounding
+        import mpmath
+
+        with mpmath.workdps(50):
+            x = mpmath.mpf(s)
+            q = ((1 + x) + mpmath.sqrt((1 - x) * (1 - 5 * x))) / (2 * (2 - x))
+            k = x * (q - x) / (q**3 * (1 - q))
+            p = k / (1 + k)
+            # p makes q a root of the quartic; at p both branches are equal
+            case1 = p * (1 - q) ** 2 + (1 - p) * (1 - x / q) ** 2
+            assert abs(case1 - (1 - p) * (1 - x) ** 2) < mpmath.mpf(10) ** -45
+            pc = critical_prior_PC(s)
+            assert pc.case_i_applies
+            assert abs(pc.value - p) <= 4 * _EPS * p
+            # q is the root solve_q_star picks there
+            assert abs(solve_q_star(Scenario(s, pc.value)) - q) <= 1e-12 * q
 
     def test_sentinel_when_case_i_vanishes(self):
         res = critical_prior_PC(0.36)
