@@ -192,12 +192,12 @@ class TestCheckOverlapT:
             check_overlap_t(s, t)
 
 
-def test_import_pulls_in_no_scipy():
-    # the package depends on numpy only; scipy would also raise peak memory
+def _modules_loaded_with_seqdisc(top):
+    """Names of package ``top``'s modules loaded by importing seqdisc and its CLI."""
     src = Path(__import__("seqdisc").__file__).resolve().parents[1]
     code = (
         "import sys, seqdisc, seqdisc.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {top!r}))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -207,7 +207,17 @@ def test_import_pulls_in_no_scipy():
         check=True,
         timeout=60,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_pulls_in_no_scipy():
+    # the package depends on numpy only; scipy would also raise peak memory
+    assert _modules_loaded_with_seqdisc("scipy") == "[]"
+
+
+def test_import_pulls_in_no_mpmath():
+    # mpmath gives reference values in the tests only
+    assert _modules_loaded_with_seqdisc("mpmath") == "[]"
 
 
 def test_tracer_names_resolve():
