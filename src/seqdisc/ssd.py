@@ -17,10 +17,10 @@ q1b = q1c = q*, with q* a root of
 
 Case I survives at equal priors only for s < 3 - 2*sqrt(2); beyond that the
 optimal strategy breaks the symmetry and ignores one state even at p1 = 1/2.
-The prior separating the joint cases, P_C, is explicit in terms of the root
-q_C at the crossing: the quartic gives p1/p2 = k(q) = s(q - s)/(q^3 (1 - q)),
-and equating the two branches at that prior leaves (2 - s)q^2 - (1 + s)q + s
-= 0.
+The prior separating the joint cases, P_C, has a closed form.  The quartic
+gives the prior ratio of each root, p1/p2 = k(q) = s(q - s)/(q^3 (1 - q));
+equating the two branches at that prior leaves the quadratic
+(2 - s)q^2 - (1 + s)q + s = 0 for the root q_C at the crossing.
 """
 
 from __future__ import annotations
