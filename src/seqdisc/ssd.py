@@ -204,14 +204,6 @@ class CriticalPrior(NamedTuple):
     case_i_applies: bool
 
 
-def _joint_branch_values(s: float, p1: float) -> tuple[float, float, float]:
-    """(case I value, case II value, q*) for the joint optimum at prior p1."""
-    q_star = solve_q_star(Scenario(s, p1))
-    v1 = _joint_case1_objective(p1, 1.0 - p1, s, q_star)
-    v2 = (1.0 - p1) * (1.0 - s) ** 2
-    return v1, v2, q_star
-
-
 def critical_prior_PC(s: float) -> CriticalPrior:
     """Prior at which the two branches of the joint optimum exchange.
 
@@ -261,7 +253,9 @@ def joint_optimal(scenario: Scenario, *, compute_boundary: bool = True) -> Piece
             {"t": 1.0, "q1b": 1.0, "q2b": 1.0, "q1c": 1.0, "q2c": 1.0},
             0.5,
         )
-    v1, v2, q_star = _joint_branch_values(s, p1)
+    q_star = solve_q_star(scenario)
+    v1 = _joint_case1_objective(p1, p2, s, q_star)
+    v2 = p2 * (1.0 - s) ** 2
     boundary = critical_prior_PC(s).value if compute_boundary else None
     t_opt = math.sqrt(s)
     if v1 > v2 or abs(v1 - v2) < _TIE_TOL:

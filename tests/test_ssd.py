@@ -261,7 +261,7 @@ class TestCriticalPrior:
 
     @pytest.mark.parametrize("s", [1e-10, 1e-6, 1e-3, 0.04, 0.17])
     def test_matches_the_50_digit_crossing(self, s):
-        # the Brent search this formula replaced was 4.2e-7 off at s = 1e-10,
+        # the Brent search this formula replaced was 3.2e-7 off at s = 1e-10,
         # where the gap between the branches is flat to rounding
         import mpmath
 
