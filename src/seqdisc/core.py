@@ -107,14 +107,21 @@ class StrategyParams:
 
     @classmethod
     def from_q1(cls, q1: float, r: float) -> "StrategyParams":
-        """Build from q1 alone, deriving q2 = r**2 / q1."""
-        if r * r == 0.0:  # orthogonal flags, or r^2 below the smallest double
+        """Build from q1 alone, deriving q2 = r**2 / q1.
+
+        A q1 within BOUNDARY_TOL below r**2 (say 0.04 for r = 0.2, whose
+        square rounds above 0.04) is lifted to r**2, so that q2 = 1 exactly.
+        """
+        r2 = r * r
+        if r2 == 0.0:  # orthogonal flags, or r^2 below the smallest double
             if not -BOUNDARY_TOL <= q1 <= 1.0 + BOUNDARY_TOL:
                 raise ConstraintError(f"q1={q1} outside [0, 1]")
             return cls(max(q1, 0.0), 0.0, r)
         if q1 <= 0.0:
-            raise ConstraintError(f"q1={q1} below lower bound r^2={r * r}")
-        return cls(q1, r * r / q1, r)
+            raise ConstraintError(f"q1={q1} below lower bound r^2={r2}")
+        if r2 - BOUNDARY_TOL <= q1 < r2:
+            q1 = r2
+        return cls(q1, r2 / q1, r)
 
 
 def check_overlap_t(s: float, t: float) -> None:

@@ -14,8 +14,10 @@
         x = (1 - (1+s^2)*w)/s,  y = (1 - (1-s^2)*w)/s,
         gamma_i = (1 + x*y + (-1)^i sqrt((1-x^2)(1-y^2))) / 2,
     with w in [1/(1+s), 1/(1+s^2)]; the endpoints correspond to priors 1/2
-    and 0, and stationarity of p1*gamma1 + p2*gamma2 ties each interior w to
-    the prior p1 = gamma2' / (gamma2' - gamma1').
+    and 0, and stationarity of p1*gamma1 + p2*gamma2 ties each w to the prior
+    p1 = gamma2' / (gamma2' - gamma1').  x and y cancel in w, so the code works
+    in u in [0, 1], w = 1/(1+s) + D*u^2 with D the width of the range, where
+    nothing cancels and p1(u) is smooth: one root search on [0, 1] matches each prior.
 
 The module also provides the optimal probabilities that at least one of the
 two observers succeeds: for SSD and protocols (1)-(2) these all collapse to
@@ -165,82 +167,79 @@ def omega_range(s: float) -> tuple[float, float]:
     return 1.0 / (1.0 + s), 1.0 / (1.0 + s * s)
 
 
-def clone_params_of_omega(omega: float, s: float) -> CloneParams:
-    """Cloning success probabilities and matched prior at working point omega.
+def _clone_params(u: float, s: float) -> CloneParams:
+    """Cloning working point at omega = omega_1 + D*u^2, u in [0, 1].
 
-    The lower endpoint omega = 1/(1+s) makes the derivative ratio singular
-    (sqrt(1-y^2) -> 0); its one-sided limit gamma1 = gamma2 = 1/(1+s) with
-    prior 1/2 is substituted exactly there.
+    D = omega_2 - omega_1 = s(1-s)/((1+s)(1+s^2)).  No field subtracts nearly
+    equal numbers: 1 - x = (2s + (1-s)u^2)/(1+s), 1 - y = ((1-s)u)^2/(1+s^2),
+    x = (1-s)(1-u^2)/(1+s) and y = (1-u^2) + 2s u^2/(1+s^2); the gammas come
+    from h = sqrt(gamma1 gamma2) = (x+y)/2, k = sqrt((1-gamma1)(1-gamma2)) =
+    s*omega, gamma2 - h = ((1-x)(1-y) + r_x r_y)/2 and 1 - gamma1 - k =
+    ((1+x)(1-y) + r_x r_y)/2.  In the prior p1 = gamma2'/(gamma2' - gamma1')
+    both derivatives are multiplied by s r_x r_y A/(1-s), where
+    A = (1+s)r_x + u sqrt(2(1+s^2) - ((1-s)u)^2): -gamma1' becomes
+    sqrt(gamma1(1-gamma1)) A^2 and gamma2' becomes sqrt(gamma2(1-gamma2))
+    4s(1-u^2), its factor (1-s^2)r_x - (1+s^2)r_y a difference of squares
+    over A.  So gamma1 <= gamma2 <= 1, and p1(0) = 1/2, p1(1) = 0 exactly.
     """
-    w1, w2 = omega_range(s)
-    if omega < w1 - BOUNDARY_TOL or omega > w2 + BOUNDARY_TOL:
-        raise DomainError(f"omega={omega} outside [{w1}, {w2}]")
-    omega = min(w2, max(w1, omega))
-    x = (1.0 - (1.0 + s * s) * omega) / s
-    y = (1.0 - (1.0 - s * s) * omega) / s
-    rx = math.sqrt(max(1.0 - x * x, 0.0))
-    ry = math.sqrt(max(1.0 - y * y, 0.0))
-    if omega - w1 < 1e-13 or ry == 0.0:
-        g = 1.0 / (1.0 + s)
-        return CloneParams(
-            omega=w1,
-            x=(1.0 - s) / (1.0 + s),
-            y=1.0,
-            gamma1=g,
-            gamma2=g,
-            p_cl=g,
-            p1_of_omega=0.5,
-            p1_cl=0.5,
-            p2_cl=0.5,
-        )
-    root = rx * ry
-    gamma1 = 0.5 * (1.0 + x * y - root)
-    gamma2 = 0.5 * (1.0 + x * y + root)
-    d1 = math.sqrt(gamma1 * (1.0 - gamma1)) / s * (-(1.0 + s * s) / rx - (1.0 - s * s) / ry)
-    d2 = math.sqrt(gamma2 * (1.0 - gamma2)) / s * (-(1.0 + s * s) / rx + (1.0 - s * s) / ry)
-    p1 = min(0.5, max(0.0, d2 / (d2 - d1)))
-    p_cl = (d2 * gamma1 - d1 * gamma2) / (d2 - d1)
-    p1_cl = min(1.0, max(0.0, p1 * gamma1 / p_cl))
+    a, c = 1.0 - s, (1.0 - u) * (1.0 + u) if u > 0.5 else 1.0 - u * u  # c = 1 - u^2 <= 1
+    v = a * u * u
+    bx, cx = 2.0 * s + v, 2.0 - v  # (1+s)(1-x) and (1+s)(1+x)
+    one_minus_x, one_minus_y = bx / (1.0 + s), (a * u) ** 2 / (1.0 + s * s)
+    x, y = a * c / (1.0 + s), c + 2.0 * s * u * u / (1.0 + s * s)
+    ax = math.sqrt(bx * cx)  # (1+s) r_x
+    uw = u * math.sqrt(2.0 * (1.0 + s * s) - (a * u) ** 2)  # (1+s^2) r_y / (1-s)
+    rxry = ax / (1.0 + s) * (a * uw / (1.0 + s * s))
+    omega = (1.0 + s * v / (1.0 + s * s)) / (1.0 + s)
+    h, k = 0.5 * (x + y), s * omega
+    co_gamma1 = k + 0.5 * ((1.0 + x) * one_minus_y + rxry)
+    co_gamma2 = co_gamma1 * (k / co_gamma1) ** 2
+    gamma2 = 1.0 - co_gamma2
+    gamma1 = gamma2 * (h / (h + 0.5 * (one_minus_x * one_minus_y + rxry))) ** 2
+    d1 = math.sqrt(gamma1 * co_gamma1) * (bx * cx + uw * (2.0 * ax + uw))  # A^2, 4s at u = 0
+    d2 = math.sqrt(gamma2 * co_gamma2) * 4.0 * s * c
+    n1, n2 = d2 * gamma1, d1 * gamma2  # p1*gamma1 and p2*gamma2, times d1 + d2
     return CloneParams(
         omega=omega,
         x=x,
         y=y,
         gamma1=gamma1,
         gamma2=gamma2,
-        p_cl=p_cl,
-        p1_of_omega=p1,
-        p1_cl=p1_cl,
-        p2_cl=1.0 - p1_cl,
+        p_cl=(n1 + n2) / (d1 + d2),
+        p1_of_omega=d2 / (d1 + d2),
+        p1_cl=n1 / (n1 + n2),
+        p2_cl=n2 / (n1 + n2),
     )
 
 
-def clone_optimal_for_prior(scenario: Scenario) -> CloneParams:
-    """Invert p1(omega) by Brent's method to get the optimal cloner for a prior.
+def clone_params_of_omega(omega: float, s: float) -> CloneParams:
+    """Cloning success probabilities and matched prior at working point omega.
 
-    p1(omega) falls monotonically from 1/2 at omega_1 to 0 at omega_2.  Near
-    omega_1 it behaves like 1/2 - c*sqrt(omega - omega_1), so priors closer to
-    1/2 than the innermost bracket end omega_1 + 1e-9*(omega_2 - omega_1)
-    snap to the omega_1 limit (the induced error in p_cl is quadratic in
-    1/2 - p1 and negligible).  The result must reproduce the prior within 1e-9.
+    Evaluated at u = sqrt((omega - omega_1)/(omega_2 - omega_1)); omega_1
+    gives gamma1 = gamma2 = 1/(1+s) and prior 1/2, omega_2 gives prior 0.
+    """
+    w1, w2 = omega_range(s)
+    if omega < w1 - BOUNDARY_TOL or omega > w2 + BOUNDARY_TOL:
+        raise DomainError(f"omega={omega} outside [{w1}, {w2}]")
+    omega = min(w2, max(w1, omega))
+    return _clone_params(math.sqrt((omega - w1) / (w2 - w1)), s)
+
+
+def clone_optimal_for_prior(scenario: Scenario) -> CloneParams:
+    """Invert p1(u) by Brent's method to get the optimal cloner for a prior.
+
+    p1(u) falls monotonically and smoothly from 1/2 at u = 0 to 0 at u = 1,
+    so the bracket is all of [0, 1] with f(0) = 1/2 - p1 and f(1) = -p1; a
+    prior of 1/2 returns u = 0.  The result must reproduce the prior within 1e-9.
     """
     s, target = scenario.s, scenario.p1
-    w1, w2 = omega_range(s)
-    if target >= 0.5:
-        return clone_params_of_omega(w1, s)
+    omega_range(s)  # raises DomainError unless 0 < s < 1
 
-    def excess(omega: float) -> float:
-        return clone_params_of_omega(omega, s).p1_of_omega - target
+    def excess(u: float) -> float:
+        return _clone_params(u, s).p1_of_omega - target
 
-    lo = w1 + 1e-9 * (w2 - w1)
-    hi = w2 - 1e-12 * (w2 - w1)
-    f_lo = excess(lo)
-    if f_lo <= 0.0:
-        return clone_params_of_omega(w1, s)
-    f_hi = excess(hi)
-    if f_hi > 0.0:
-        raise NumericError(f"failed to bracket omega for prior p1={target} at s={s}")
-    omega, _ = brent_root(excess, lo, hi, f_lo, f_hi)
-    params = clone_params_of_omega(omega, s)
+    u, _ = brent_root(excess, 0.0, 1.0, 0.5 - target, -target)
+    params = _clone_params(u, s)
     if abs(params.p1_of_omega - target) > 1e-9:
         raise NumericError(
             f"omega inversion stalled: p1(omega)={params.p1_of_omega}, wanted {target}"

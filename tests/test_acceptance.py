@@ -314,7 +314,7 @@ FIGURE_CSV_SHA256 = {
     "2": "ffdab0a5594ded33a6d30b85c8488e9fad612b2ef4828549547790f411b14ce9",
     "3a": "d8c333d2abb8dac178acf1f5d1bc63bec3f869587fa7c337d9731cc8db1c07ae",
     "3b": "31d301403fc73217d6f91c6f9b0741eb1de102a3d742531d605690c8fc85e92a",
-    "4": "8c7be95ee6c537b73f6376ba074b980c8518816aaeb29736f8fa3c5708e7900c",
+    "4": "d0719f2c49326c85b49fb210f9ebc794ff24b046ed3ba15e1bc21a3966d9786c",
     "5": "efb1f866e3b66348a321b0fd848b997c50f890ccf9a53dc3da50ec8ee8a31dc8",
     "6a": "6580568ca46b61c3a7836ba27b3e2d261b5fcb02bf2a0dc04d19ad8d5a5e40c6",
     "6b": "936919d3998395f1aabea2ba72d0068f5a3e4cdf19313cce571289021259c6d3",
@@ -327,3 +327,13 @@ def test_figure_csv_bytes_pinned(name):
     buf = io.StringIO()
     write_csv(*run_figure(name), buf)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == FIGURE_CSV_SHA256[name]
+
+
+@pytest.mark.parametrize(
+    "p1,printed",
+    # 50-digit values 0.89709694566549971356, 0.89411401725050095795 and
+    # 0.89110991740449964917 lie beside a rounding half-way point
+    [(0.2875, "0.897096945665"), (0.3175, "0.894114017251"), (0.355, "0.891109917404")],
+)
+def test_figure4_protocol3_cells_correctly_rounded(p1, printed):
+    assert format(protocol3_optimal(Scenario(0.04, p1)).value, ".12g") == printed

@@ -37,6 +37,11 @@ class TestOptimal:
         assert main(["optimal", "--s", "0.04", "--p1", "0.7"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p1", ["1e-15", "1e-17", "1e-20"])
+    def test_tiny_prior(self, capsys, p1):
+        assert main(["optimal", "--s", "0.5", "--p1", p1]) == 0
+        assert "at_least_one_p3" in capsys.readouterr().out
+
 
 class TestSweep:
     def test_figure2_header_and_shape(self, tmp_path):
@@ -161,7 +166,7 @@ class TestSimulate:
         "argv",
         [
             ["--s", "1", "--p1", "0.5"],
-            # both terms of the analytic rate vanish, up to rounding (about -5e-32)
+            # the analytic rate is 9.2e-41: q1b = q1c = 0.04 sit at r^2, so p2's term is 0
             ["--s", "0.04", "--p1", "1e-40", "--t", "0.2", "--q1b", "0.04", "--q1c", "0.04"],
         ],
     )

@@ -123,6 +123,10 @@ class TestStrategyParams:
         p = StrategyParams.from_q1(0.5, 0.5)
         assert p.q2 == pytest.approx(0.5)
 
+    def test_q1_a_rounding_error_below_r_squared_is_lifted(self):
+        p = StrategyParams.from_q1(0.04, 0.2)  # 0.2 * 0.2 rounds to 0.04000000000000001
+        assert p.q1 == 0.2 * 0.2 and p.q2 == 1.0
+
     def test_zero_overlap_allows_zero_failure(self):
         p = StrategyParams.from_q1(0.0, 0.0)
         assert p.q1 == 0.0 and p.q2 == 0.0

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seqdisc import (
     CaseLabel,
@@ -336,6 +336,27 @@ def test_orderings_beside_regime_boundaries(kind, x, sign, eps):
     assert joint <= p1_value + 1e-12
     assert protocol2_optimal(sc).value <= p1_value + 1e-12
     assert abs(at_least_one_ssd(sc).value - p1_value) <= 1e-12
+    assert at_least_one_protocol3(sc).value >= at_least_one_ssd(sc).value - 1e-12
+
+
+def _check_cloning_optimum(sc):
+    """Protocol 3 raises nothing, the cloner reproduces the prior and the
+    cloning union beats the SSD union."""
+    assert abs(clone_optimal_for_prior(sc).p1_of_omega - sc.p1) <= 1e-9
+    assert protocol3_optimal(sc).value >= 0.0
+    assert at_least_one_protocol3(sc).value >= at_least_one_ssd(sc).value - 1e-12
+
+
+@pytest.mark.parametrize("p1", [1e-3, 0.05, 0.3, 0.4999, 0.5])
+@pytest.mark.parametrize("s", [10.0**-k for k in range(10, 0, -1)])
+def test_cloning_optimum_at_small_overlap(s, p1):
+    _check_cloning_optimum(Scenario(s, p1))
+
+
+@pytest.mark.parametrize("gap", [10.0**-k for k in range(3, 13)])
+@pytest.mark.parametrize("s", [0.3, 0.6, 0.9, 0.99])
+def test_cloning_optimum_beside_equal_priors(s, gap):
+    _check_cloning_optimum(Scenario(s, 0.5 - gap))
 
 
 @settings(max_examples=80, deadline=None)
@@ -356,3 +377,17 @@ def test_clone_constraint_property(s, frac):
         s - math.sqrt(cp.gamma1 * cp.gamma2) * s * s - math.sqrt((1 - cp.gamma1) * (1 - cp.gamma2))
     )
     assert residual < 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@example(log_s=math.log10(0.25), frac=0.0)
+@example(log_s=math.log10(2.2e-12), frac=1.3e-4)
+@given(st.floats(min_value=-12.0, max_value=math.log10(1.0 - 1e-9)), st.floats(0.0, 1.0))
+def test_clone_params_stay_ordered_down_to_tiny_overlap(log_s, frac):
+    s = 10.0**log_s
+    w1, w2 = omega_range(s)
+    cp = clone_params_of_omega(w1 + frac * (w2 - w1), s)
+    assert 0.0 <= cp.gamma1 <= cp.gamma2 <= 1.0
+    assert 0.0 <= cp.p1_of_omega <= 0.5 and cp.p_cl <= 1.0
+    if frac == 0.0:
+        assert cp.gamma1 == cp.gamma2 and cp.p1_of_omega == 0.5

@@ -144,6 +144,10 @@ class TestJointSuccess:
         with pytest.raises(ConstraintError):
             joint_success(Scenario(0.04, 0.5), 0.2, 0.01, 0.2)
 
+    def test_nonnegative_with_q1_at_rounded_r_squared(self):
+        # q1 = 0.04 lies a rounding error below (0.2)^2, where q2 = r^2/q1 exceeded 1
+        assert joint_success(Scenario(0.04, 1e-40), 0.2, 0.04, 0.04) >= 0.0
+
 
 class TestSolveQStar:
     @pytest.mark.parametrize("s", [0.04, 0.09])
