@@ -8,6 +8,7 @@ Exit codes: 0 ok, 2 usage or constraint violation, 3 I/O failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -214,9 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (DomainError, ConstraintError) as exc:

@@ -169,6 +169,28 @@ def entropy_H(x: float) -> float:
     return binary_entropy(0.5 * (1.0 + math.sqrt(1.0 - x)))
 
 
+def entropy_H_values(x: np.ndarray) -> np.ndarray:
+    """``entropy_H`` in every lane of an array, by the same steps.
+
+    Raises for the first lane outside [0, 1] beyond 1e-12.
+    """
+    bad = ~((x >= -BOUNDARY_TOL) & (x <= 1.0 + BOUNDARY_TOL))
+    if bad.any():
+        entropy_H(float(x[bad][0]))
+    x = np.where(x > 0.0, np.where(x < 1.0, x, 1.0), 0.0)
+    p = 0.5 * (1.0 + np.sqrt(1.0 - x))
+    h = np.zeros_like(p)
+    mixed = (p > 0.0) & (p < 1.0)
+    p = p[mixed]
+    h[mixed] = -(p * _log2_values(p) + (1.0 - p) * _log2_values(1.0 - p))
+    return h
+
+
+def _log2_values(x: np.ndarray) -> np.ndarray:
+    """math.log2 in every lane; numpy's own log2 may round differently."""
+    return np.fromiter(map(math.log2, x.tolist()), float, x.size)
+
+
 def brent_root(
     f: Callable[[float], float], a: float, b: float, fa: float, fb: float
 ) -> tuple[float, float]:
@@ -214,6 +236,58 @@ def brent_root(
         b += d if abs(d) > 2.0 * tol else math.copysign(2.0 * tol, m)
         fb = f(b)
     raise NumericError(f"root search on [{a}, {b}] did not converge")
+
+
+def brent_root_values(
+    f: Callable[[np.ndarray], np.ndarray],
+    a: np.ndarray,
+    b: np.ndarray,
+    fa: np.ndarray,
+    fb: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``brent_root`` in every lane of arrays at once; returns (x, f(x)).
+
+    ``f`` maps an array of points to their values lane by lane.  Each lane
+    takes the scalar search's steps, with each branch an ``np.where``, so it
+    ends on the same float; a lane that has stopped keeps its point while the
+    others go on.
+    """
+    if np.any(((fa > 0.0) & (fb > 0.0)) | ((fa < 0.0) & (fb < 0.0))):
+        raise NumericError("a lane's bracket does not bracket a root")
+    c, fc = a, fa
+    d = e = b - a
+    x, fx = np.full_like(b, np.nan), np.full_like(b, np.nan)
+    active = np.ones(b.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(200):
+            same = (fb > 0.0) == (fc > 0.0)
+            c, fc = np.where(same, a, c), np.where(same, fa, fc)
+            d, e = np.where(same, b - a, d), np.where(same, b - a, e)
+            swap = np.abs(fc) < np.abs(fb)
+            a, b, c = np.where(swap, b, a), np.where(swap, c, b), np.where(swap, b, c)
+            fa, fb, fc = np.where(swap, fb, fa), np.where(swap, fc, fb), np.where(swap, fb, fc)
+            tol = 0.5 * np.spacing(np.abs(b))
+            m = 0.5 * (c - b)
+            stop = active & ((fb == 0.0) | (np.abs(m) <= tol))
+            x, fx = np.where(stop, b, x), np.where(stop, fb, fx)
+            active &= ~stop
+            if not active.any():
+                return x, fx
+            r = fb / fa
+            secant = a == c
+            qa, rb = fa / fc, fb / fc
+            p = np.where(secant, 2.0 * m * r, r * (2.0 * m * qa * (qa - rb) - (b - a) * (rb - 1.0)))
+            q = np.where(secant, 1.0 - r, (qa - 1.0) * (rb - 1.0) * (r - 1.0))
+            p, q = np.abs(p), np.where(p > 0.0, -q, q)
+            bound, other = 3.0 * m * q - np.abs(tol * q), np.abs(e * q)
+            bound = np.where(other < bound, other, bound)  # min(), as the scalar takes it
+            take = (np.abs(e) >= tol) & (np.abs(fa) > np.abs(fb)) & (2.0 * p < bound)
+            d, e = np.where(take, p / q, m), np.where(take, d, m)
+            a, fa = b, fb
+            step = np.where(np.abs(d) > 2.0 * tol, d, np.copysign(2.0 * tol, m))
+            b = b + np.where(active, step, 0.0)
+            fb = f(b)
+    raise NumericError("lockstep root search did not converge")
 
 
 def golden_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:

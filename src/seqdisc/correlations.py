@@ -37,6 +37,7 @@ from .core import (
     DomainError,
     NumericError,
     entropy_H,
+    entropy_H_values,
     golden_max,
     make_state_pair,
 )
@@ -148,6 +149,57 @@ def correlation_report(inp: CorrelationInput) -> CorrelationReport:
         prop_right=prop_right,
         d_symm=math.sqrt(d_l * d_r),
     )
+
+
+def _discord_right_values(p1: np.ndarray, t: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``discord_right`` in every lane, by the same steps."""
+    c = 4.0 * p1 * (1.0 - p1)
+    t2, r2 = t * t, r * r
+    value = (
+        entropy_H_values(c * (1.0 - r2))
+        - entropy_H_values(c * (1.0 - t2 * r2))
+        + entropy_H_values(c * (1.0 - t2) * r2)
+    )
+    low = value < -_NEG_FLOOR
+    if low.any():
+        raise NumericError(f"discord {value[low][0]} below the -1e-10 floor")
+    return np.where(value < 0.0, 0.0, value)
+
+
+def _discords_values(s: np.ndarray, p1: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right discords at overlap t in every lane; NaN where they are
+    undefined (t < s or t <= 0).
+    """
+    defined = ~((t < s) | (t <= 0.0))
+    s, p1, t = s[defined], p1[defined], t[defined]
+    r = s / t  # in [0, 1] once t is
+    bad = ~((0.0 <= t) & (t <= 1.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        CorrelationInput(float(p1[i]), float(t[i]), float(r[i]))
+    d_left, d_right = np.full((2,) + defined.shape, np.nan)
+    d_left[defined] = _discord_right_values(p1, r, t)
+    d_right[defined] = _discord_right_values(p1, t, r)
+    return d_left, d_right
+
+
+def prop_left_values(s: np.ndarray, p1: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``correlation_report``'s left discord proportion at overlap t in every
+    lane of valid scenarios; NaN where it is undefined (t < s, t <= 0, or
+    both discords 0).
+    """
+    d_left, d_right = _discords_values(s, p1, t)
+    total = d_left + d_right
+    with np.errstate(invalid="ignore"):
+        return np.where(total > 0.0, d_left / total, np.nan)
+
+
+def d_symm_values(s: np.ndarray, p1: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``correlation_report``'s symmetrized discord at overlap t in every lane
+    of valid scenarios; NaN where t < s or t <= 0.
+    """
+    d_left, d_right = _discords_values(s, p1, t)
+    return np.sqrt(d_left * d_right)
 
 
 def _vn_entropy_bits(eigvals: np.ndarray) -> np.ndarray:

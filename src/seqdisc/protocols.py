@@ -30,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     BOUNDARY_TOL,
     DegenerateStrategyError,
@@ -38,8 +40,16 @@ from .core import (
     Scenario,
     StrategyParams,
     brent_root,
+    brent_root_values,
 )
-from .ssd import CaseLabel, PiecewiseResult, _stage_optimum, _stage_result
+from .ssd import (
+    CaseLabel,
+    PiecewiseResult,
+    _probabilities,
+    _stage_optimum,
+    _stage_optimum_values,
+    _stage_result,
+)
 
 
 @dataclass(frozen=True)
@@ -86,6 +96,11 @@ def protocol1_optimal(scenario: Scenario) -> PiecewiseResult:
     return _stage_result(scenario, scenario.s, ("q1b", "q2b"))
 
 
+def protocol1_optimal_values(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """``protocol1_optimal(Scenario(s, p1)).value`` in every lane of valid scenarios."""
+    return _probabilities(_stage_optimum_values(p1, 1.0 - p1, s))
+
+
 def conditional_priors_after_bob(scenario: Scenario, q1b: float) -> ConditionalPriors:
     """Priors of the two states conditioned on Bob's success at t = 1.
 
@@ -113,7 +128,7 @@ def protocol2_critical_priors(s: float) -> tuple[float, float]:
     k = s * s
     p_c2 = k / (1.0 + k)
     disc = math.sqrt(k * k - 2.0 * k + 5.0)
-    p_c1 = k * ((3.0 + k * k) + (1.0 - k) * disc) / (2.0 * (1.0 + 3.0 * k - k * k + k**3))
+    p_c1 = k * ((3.0 + k * k) + (1.0 - k) * disc) / (2.0 * (1.0 + 3.0 * k - k * k + k * k * k))
     return p_c1, p_c2
 
 
@@ -160,6 +175,27 @@ def protocol2_optimal(scenario: Scenario) -> PiecewiseResult:
     return PiecewiseResult(value, CaseLabel.CASE_III, {"q1b": 1.0, "q2b": s * s}, p_c1)
 
 
+def protocol2_optimal_values(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """``protocol2_optimal(Scenario(s, p1)).value`` in every lane of valid
+    scenarios: the three cases by the same operations, chosen by the priors
+    of ``protocol2_critical_priors``.
+    """
+    p2 = 1.0 - p1
+    k = s * s
+    p_c2 = k / (1.0 + k)
+    disc = np.sqrt(k * k - 2.0 * k + 5.0)
+    p_c1 = k * ((3.0 + k * k) + (1.0 - k) * disc) / (2.0 * (1.0 + 3.0 * k - k * k + k * k * k))
+    root = np.sqrt(p1 * p2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # lanes of other cases
+        bob = 1.0 - 2.0 * (root * s)
+        p1c = (p1 - root * s) / bob
+        case1 = bob * (1.0 - 2.0 * np.sqrt(p1c * (1.0 - p1c)) * s)
+    case2 = (p2 - root * s) * (1.0 - s * s)
+    case3 = p2 * (1.0 - s * s)
+    value = np.where(p1 > p_c1, case1, np.where(p1 >= p_c2, case2, case3))
+    return _probabilities(np.where(s == 0.0, 1.0, value))
+
+
 def omega_range(s: float) -> tuple[float, float]:
     """Admissible range [1/(1+s), 1/(1+s^2)] of the cloning parameter."""
     if not 0.0 < s < 1.0:
@@ -172,7 +208,8 @@ def _clone_params(u: float, s: float) -> CloneParams:
 
     D = omega_2 - omega_1 = s(1-s)/((1+s)(1+s^2)).  No field subtracts nearly
     equal numbers: 1 - x = (2s + (1-s)u^2)/(1+s), 1 - y = ((1-s)u)^2/(1+s^2),
-    x = (1-s)(1-u^2)/(1+s) and y = (1-u^2) + 2s u^2/(1+s^2); the gammas come
+    x = (1-s)(1-u^2)/(1+s) and y = (1-u^2) + 2s u^2/(1+s^2), or y = 1 - (1-y)
+    for s > 1/2, where the sum could round above 1; the gammas come
     from h = sqrt(gamma1 gamma2) = (x+y)/2, k = sqrt((1-gamma1)(1-gamma2)) =
     s*omega, gamma2 - h = ((1-x)(1-y) + r_x r_y)/2 and 1 - gamma1 - k =
     ((1+x)(1-y) + r_x r_y)/2.  In the prior p1 = gamma2'/(gamma2' - gamma1')
@@ -181,23 +218,44 @@ def _clone_params(u: float, s: float) -> CloneParams:
     sqrt(gamma1(1-gamma1)) A^2 and gamma2' becomes sqrt(gamma2(1-gamma2))
     4s(1-u^2), its factor (1-s^2)r_x - (1+s^2)r_y a difference of squares
     over A.  So gamma1 <= gamma2 <= 1, and p1(0) = 1/2, p1(1) = 0 exactly.
+
+    ``_clone_params_values`` takes the same steps in every lane of arrays.
     """
-    a, c = 1.0 - s, (1.0 - u) * (1.0 + u) if u > 0.5 else 1.0 - u * u  # c = 1 - u^2 <= 1
+    return _clone_working_point(u, s, math.sqrt, _pick)
+
+
+def _clone_params_values(u: np.ndarray, s: np.ndarray) -> CloneParams:
+    """``_clone_params`` in every lane; the fields are arrays."""
+    return _clone_working_point(u, s, np.sqrt, np.where)
+
+
+def _pick(cond: bool, a: float, b: float) -> float:
+    return a if cond else b
+
+
+def _clone_working_point(u, s, sqrt, pick) -> CloneParams:
+    """The body of ``_clone_params``, for floats or for arrays with np.where as ``pick``."""
+    a = 1.0 - s
+    c = pick(u > 0.5, (1.0 - u) * (1.0 + u), 1.0 - u * u)  # 1 - u^2 <= 1
     v = a * u * u
+    au2 = (a * u) * (a * u)
     bx, cx = 2.0 * s + v, 2.0 - v  # (1+s)(1-x) and (1+s)(1+x)
-    one_minus_x, one_minus_y = bx / (1.0 + s), (a * u) ** 2 / (1.0 + s * s)
-    x, y = a * c / (1.0 + s), c + 2.0 * s * u * u / (1.0 + s * s)
-    ax = math.sqrt(bx * cx)  # (1+s) r_x
-    uw = u * math.sqrt(2.0 * (1.0 + s * s) - (a * u) ** 2)  # (1+s^2) r_y / (1-s)
+    one_minus_x, one_minus_y = bx / (1.0 + s), au2 / (1.0 + s * s)
+    x = a * c / (1.0 + s)
+    y = pick(s > 0.5, 1.0 - one_minus_y, c + 2.0 * s * u * u / (1.0 + s * s))  # x <= y <= 1
+    ax = sqrt(bx * cx)  # (1+s) r_x
+    uw = u * sqrt(2.0 * (1.0 + s * s) - au2)  # (1+s^2) r_y / (1-s)
     rxry = ax / (1.0 + s) * (a * uw / (1.0 + s * s))
     omega = (1.0 + s * v / (1.0 + s * s)) / (1.0 + s)
     h, k = 0.5 * (x + y), s * omega
     co_gamma1 = k + 0.5 * ((1.0 + x) * one_minus_y + rxry)
-    co_gamma2 = co_gamma1 * (k / co_gamma1) ** 2
+    ratio = k / co_gamma1
+    co_gamma2 = co_gamma1 * (ratio * ratio)
     gamma2 = 1.0 - co_gamma2
-    gamma1 = gamma2 * (h / (h + 0.5 * (one_minus_x * one_minus_y + rxry))) ** 2
-    d1 = math.sqrt(gamma1 * co_gamma1) * (bx * cx + uw * (2.0 * ax + uw))  # A^2, 4s at u = 0
-    d2 = math.sqrt(gamma2 * co_gamma2) * 4.0 * s * c
+    ratio = h / (h + 0.5 * (one_minus_x * one_minus_y + rxry))
+    gamma1 = gamma2 * (ratio * ratio)
+    d1 = sqrt(gamma1 * co_gamma1) * (bx * cx + uw * (2.0 * ax + uw))  # A^2, 4s at u = 0
+    d2 = sqrt(gamma2 * co_gamma2) * 4.0 * s * c
     n1, n2 = d2 * gamma1, d1 * gamma2  # p1*gamma1 and p2*gamma2, times d1 + d2
     return CloneParams(
         omega=omega,
@@ -247,6 +305,46 @@ def clone_optimal_for_prior(scenario: Scenario) -> CloneParams:
     return params
 
 
+def _clone_optimal_values(s: np.ndarray, p1: np.ndarray) -> CloneParams:
+    """``clone_optimal_for_prior`` in every lane at once, for 0 < s < 1: one
+    Brent search in u over all priors in lockstep, which ends on the scalar
+    search's u in every lane.
+    """
+
+    def excess(u: np.ndarray) -> np.ndarray:
+        return _clone_params_values(u, s).p1_of_omega - p1
+
+    u, _ = brent_root_values(excess, np.zeros_like(p1), np.ones_like(p1), 0.5 - p1, -p1)
+    params = _clone_params_values(u, s)
+    off = np.abs(params.p1_of_omega - p1) > 1e-9
+    if off.any():
+        i = int(np.argmax(off))
+        raise NumericError(
+            f"omega inversion stalled: p1(omega)={params.p1_of_omega[i]}, wanted {p1[i]}"
+        )
+    return params
+
+
+def _cloned_stage_values(s: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The optimal cloner's success probability p_cl and one copy's
+    discrimination optimum, in every lane of valid scenarios.  At s = 0 and
+    s = 1 these are (1, 1) and (1, 0), the scalar path's endpoint values.
+    """
+    p_cl, disc = np.ones_like(s), np.where(s == 0.0, 1.0, 0.0)
+    inner = (s > 0.0) & (s < 1.0)
+    if inner.any():
+        cp = _clone_optimal_values(s[inner], p1[inner])
+        p_cl[inner] = cp.p_cl
+        disc[inner] = _stage_optimum_values(cp.p1_cl, cp.p2_cl, s[inner])
+    return p_cl, disc
+
+
+def protocol3_optimal_values(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """``protocol3_optimal(Scenario(s, p1)).value`` in every lane of valid scenarios."""
+    p_cl, disc = _cloned_stage_values(s, p1)
+    return _probabilities(p_cl * disc * disc)
+
+
 def protocol3_optimal(scenario: Scenario) -> PiecewiseResult:
     """Optimal probability that both succeed in the cloning protocol.
 
@@ -286,6 +384,11 @@ def at_least_one_ssd(scenario: Scenario) -> PiecewiseResult:
     return PiecewiseResult(base.value, base.case_label, argmax, base.boundary_prior)
 
 
+def at_least_one_ssd_values(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """``at_least_one_ssd(Scenario(s, p1)).value``: protocol (1)'s, in every lane."""
+    return protocol1_optimal_values(s, p1)
+
+
 def at_least_one_protocol3(scenario: Scenario) -> PiecewiseResult:
     """Optimal probability that at least one observer succeeds after cloning.
 
@@ -301,5 +404,13 @@ def at_least_one_protocol3(scenario: Scenario) -> PiecewiseResult:
     cp = clone_optimal_for_prior(scenario)
     disc, _, label = _stage_optimum(cp.p1_cl, cp.p2_cl, s)
     argmax = {"omega": cp.omega, "p_cl": cp.p_cl, "p1_cl": cp.p1_cl}
-    value = cp.p_cl * (1.0 - (1.0 - disc) ** 2)
+    miss = 1.0 - disc
+    value = cp.p_cl * (1.0 - miss * miss)
     return PiecewiseResult(value, label, argmax, s * s / (1.0 + s * s))
+
+
+def at_least_one_protocol3_values(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """``at_least_one_protocol3(Scenario(s, p1)).value`` in every lane of valid scenarios."""
+    p_cl, disc = _cloned_stage_values(s, p1)
+    miss = 1.0 - disc
+    return _probabilities(p_cl * (1.0 - miss * miss))

@@ -101,6 +101,32 @@ def _stage_optimum(p1: float, p2: float, r: float) -> tuple[float, float, CaseLa
     return v_boundary, 1.0, CaseLabel.CASE_II
 
 
+def _stage_optimum_values(p1: np.ndarray, p2: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The value of ``_stage_optimum`` in every lane, by the same operations."""
+    v_boundary = p2 * (1.0 - r * r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q_int = np.where(p1 > 0.0, np.sqrt(p2 / p1) * r, np.inf)
+    v_int = 1.0 - 2.0 * np.sqrt(p1 * p2) * r
+    tie = (v_int > v_boundary) | (np.abs(v_int - v_boundary) < _TIE_TOL)
+    return np.where((q_int <= 1.0 + _TIE_TOL) & tie, v_int, v_boundary)
+
+
+def _probabilities(values: np.ndarray) -> np.ndarray:
+    """``PiecewiseResult``'s range check and clamp to [0, 1], in every lane."""
+    bad = ~((values >= -_TIE_TOL) & (values <= 1.0 + _TIE_TOL))
+    if bad.any():
+        raise NumericError(f"probability {values[bad][0]} outside [0, 1]")
+    return np.where(values > 0.0, np.where(values < 1.0, values, 1.0), 0.0)
+
+
+def _check_overlaps_t(s: np.ndarray, t: np.ndarray) -> None:
+    """``check_overlap_t`` in every lane; raises for the first lane that fails it."""
+    bad = ~((0.0 < t) & (t <= 1.0) & (t >= s))
+    if bad.any():
+        i = int(np.argmax(bad))
+        check_overlap_t(float(s[i]), float(t[i]))
+
+
 def _stage_result(
     scenario: Scenario, r: float, names: tuple[str, str], **fixed: float
 ) -> PiecewiseResult:
@@ -126,6 +152,12 @@ def bob_optimal(scenario: Scenario, t: float) -> PiecewiseResult:
     return _stage_result(scenario, scenario.s / t, ("q1b", "q2b"), t=t)
 
 
+def bob_optimal_values(s: np.ndarray, p1: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``bob_optimal(Scenario(s, p1), t).value`` in every lane of valid scenarios."""
+    _check_overlaps_t(s, t)
+    return _probabilities(_stage_optimum_values(p1, 1.0 - p1, s / t))
+
+
 def charlie_optimal(scenario: Scenario, t: float) -> PiecewiseResult:
     """Charlie's optimal success probability given Bob left overlap t.
 
@@ -134,6 +166,12 @@ def charlie_optimal(scenario: Scenario, t: float) -> PiecewiseResult:
     """
     check_overlap_t(scenario.s, t)
     return _stage_result(scenario, t, ("q1c", "q2c"), t=t)
+
+
+def charlie_optimal_values(s: np.ndarray, p1: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``charlie_optimal(Scenario(s, p1), t).value`` in every lane of valid scenarios."""
+    _check_overlaps_t(s, t)
+    return _probabilities(_stage_optimum_values(p1, 1.0 - p1, t))
 
 
 def joint_success(scenario: Scenario, t: float, q1b: float, q1c: float) -> float:
@@ -146,12 +184,33 @@ def joint_success(scenario: Scenario, t: float, q1b: float, q1c: float) -> float
     ) * (1.0 - charlie.q2)
 
 
-def _quartic(p1: float, p2: float, s: float, q: float) -> float:
+def _quartic(p1, p2, s, q):
     return ((p1 * q - p1) * q * q + p2 * s) * q - p2 * s * s
 
 
-def _joint_case1_objective(p1: float, p2: float, s: float, q: float) -> float:
-    return p1 * (1.0 - q) ** 2 + p2 * (1.0 - s / q) ** 2
+def _quartic_slope(p1, p2, s, q):
+    return (4.0 * p1 * q - 3.0 * p1) * q * q + p2 * s
+
+
+def _is_root(p1, p2, s, q):
+    """Whether q is a root of the quartic in [s, 1], up to a relative 1e-12.
+
+    The residual must lie within rounding of the polynomial's terms (a
+    backward-error test).  Products, not powers, keep huge roots finite.
+    """
+    a = abs(q)
+    a2 = a * a
+    terms = p1 * (a2 * a2) + p1 * (a2 * a) + p2 * s * a + p2 * s * s
+    return (
+        (abs(_quartic(p1, p2, s, q)) <= 16.0 * _EPS * terms)
+        & (s * (1.0 - BOUNDARY_TOL) <= q)
+        & (q <= 1.0 + BOUNDARY_TOL)
+    )
+
+
+def _joint_case1_objective(p1, p2, s, q):
+    a, b = 1.0 - q, 1.0 - s / q
+    return p1 * (a * a) + p2 * (b * b)
 
 
 def solve_q_star(scenario: Scenario) -> float:
@@ -176,18 +235,14 @@ def solve_q_star(scenario: Scenario) -> float:
     for z in np.linalg.eigvals(companion).tolist():
         q = z.real
         for _ in range(_NEWTON_STEPS):
-            slope = (4.0 * p1 * q - 3.0 * p1) * q * q + p2 * s
+            slope = _quartic_slope(p1, p2, s, q)
             if slope == 0.0:
                 break
             step = _quartic(p1, p2, s, q) / slope
             q -= step
             if abs(step) <= _EPS * abs(q):
                 break
-        a = abs(q)
-        terms = p1 * a**4 + p1 * a**3 + p2 * s * a + p2 * s * s
-        if abs(_quartic(p1, p2, s, q)) <= 16.0 * _EPS * terms and (
-            s * (1.0 - BOUNDARY_TOL) <= q <= 1.0 + BOUNDARY_TOL
-        ):
+        if _is_root(p1, p2, s, q):
             roots.append(min(1.0, max(s, q)))
     if not roots:
         raise NumericError(
@@ -195,6 +250,37 @@ def solve_q_star(scenario: Scenario) -> float:
             f"[{p1}, {-p1}, 0, {p2 * s}, {-p2 * s * s}]"
         )
     return max(roots, key=lambda q: _joint_case1_objective(p1, p2, s, q))
+
+
+def _q_star_values(s: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """``solve_q_star`` in every lane, for 0 < s < 1: one batched eigenvalue
+    call, then the same Newton steps, root test, clip and choice, lane by lane.
+    """
+    companion = np.zeros(s.shape + (4, 4))
+    companion[:, 0, 0] = companion[:, 1, 0] = companion[:, 2, 1] = companion[:, 3, 2] = 1.0
+    companion[:, 0, 2] = -p2 * s / p1
+    companion[:, 0, 3] = p2 * s * s / p1
+    q = np.linalg.eigvals(companion).real
+    p1, p2, s = p1[:, None], p2[:, None], s[:, None]
+    active = np.ones(q.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            slope = _quartic_slope(p1, p2, s, q)
+            active &= slope != 0.0
+            step = np.where(active, _quartic(p1, p2, s, q) / np.where(active, slope, 1.0), 0.0)
+            q = q - step
+            active &= ~(np.abs(step) <= _EPS * np.abs(q))
+            if not active.any():
+                break
+        is_root = _is_root(p1, p2, s, q)
+        q = np.where(q > s, q, s)
+        q = np.where(q < 1.0, q, 1.0)
+        objective = np.where(is_root, _joint_case1_objective(p1, p2, s, q), -np.inf)
+    missing = ~is_root.any(axis=1)
+    if missing.any():
+        i = int(np.argmax(missing))
+        raise NumericError(f"no real root in [s, 1] at s={s[i, 0]}, p1={p1[i, 0]}")
+    return np.take_along_axis(q, np.argmax(objective, axis=1)[:, None], axis=1)[:, 0]
 
 
 class CriticalPrior(NamedTuple):
@@ -255,7 +341,7 @@ def joint_optimal(scenario: Scenario, *, compute_boundary: bool = True) -> Piece
         )
     q_star = solve_q_star(scenario)
     v1 = _joint_case1_objective(p1, p2, s, q_star)
-    v2 = p2 * (1.0 - s) ** 2
+    v2 = p2 * ((1.0 - s) * (1.0 - s))
     boundary = critical_prior_PC(s).value if compute_boundary else None
     t_opt = math.sqrt(s)
     if v1 > v2 or abs(v1 - v2) < _TIE_TOL:
@@ -270,3 +356,19 @@ def joint_optimal(scenario: Scenario, *, compute_boundary: bool = True) -> Piece
         return PiecewiseResult(v1, CaseLabel.CASE_I, argmax, boundary)
     argmax = {"t": t_opt, "q_star": q_star, "q1b": 1.0, "q2b": s, "q1c": 1.0, "q2c": s}
     return PiecewiseResult(v2, CaseLabel.CASE_II, argmax, boundary)
+
+
+def joint_optimal_values(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """``joint_optimal(Scenario(s, p1)).value`` in every lane of valid scenarios.
+
+    The same operations as the scalar path, so the values agree bit for bit.
+    """
+    value = np.where(s == 0.0, 1.0, 0.0)
+    inner = (s > 0.0) & (s < 1.0)
+    if inner.any():
+        s, p1 = s[inner], p1[inner]
+        p2 = 1.0 - p1
+        v1 = _joint_case1_objective(p1, p2, s, _q_star_values(s, p1, p2))
+        v2 = p2 * ((1.0 - s) * (1.0 - s))
+        value[inner] = np.where((v1 > v2) | (np.abs(v1 - v2) < _TIE_TOL), v1, v2)
+    return _probabilities(value)

@@ -1,6 +1,7 @@
 """Parameter sweeps and CSV emission; the figure presets are sweeps given as data.
 
-Custom sweeps and presets share one evaluation loop over the quantity table.
+Custom sweeps and presets share one evaluation path: each CSV column is one
+call of its quantity's array kernel over the whole grid.
 CSV output is byte-stable: 12 significant digits, '.' decimal separator,
 '\\n' line endings, and an empty cell wherever a quantity is undefined
 (infeasible overlap combination or 0/0 discord proportion).
@@ -14,15 +15,15 @@ from typing import Callable, NamedTuple, TextIO
 import numpy as np
 
 from .core import DomainError, Scenario
-from .correlations import CorrelationInput, correlation_report
+from .correlations import d_symm_values, prop_left_values
 from .protocols import (
-    at_least_one_protocol3,
-    at_least_one_ssd,
-    protocol1_optimal,
-    protocol2_optimal,
-    protocol3_optimal,
+    at_least_one_protocol3_values,
+    at_least_one_ssd_values,
+    protocol1_optimal_values,
+    protocol2_optimal_values,
+    protocol3_optimal_values,
 )
-from .ssd import bob_optimal, charlie_optimal, joint_optimal
+from .ssd import bob_optimal_values, charlie_optimal_values, joint_optimal_values
 
 
 @dataclass(frozen=True)
@@ -52,25 +53,20 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.steps)
 
 
-def _correlation(sc: Scenario, t: float, name: str) -> float | None:
-    """One field of the correlation report at overlap t; empty for t < s or t = 0."""
-    if t < sc.s or t <= 0.0:
-        return None
-    return getattr(correlation_report(CorrelationInput(sc.p1, t, sc.s / t)), name)
-
-
-#: Quantity name -> (its value at a scenario and overlap t, whether it reads t).
-_QUANTITIES: dict[str, tuple[Callable[[Scenario, float | None], float | None], bool]] = {
-    "ssd": (lambda sc, t: joint_optimal(sc).value, False),
-    "protocol1": (lambda sc, t: protocol1_optimal(sc).value, False),
-    "protocol2": (lambda sc, t: protocol2_optimal(sc).value, False),
-    "protocol3": (lambda sc, t: protocol3_optimal(sc).value, False),
-    "ssd_star": (lambda sc, t: at_least_one_ssd(sc).value, False),
-    "p3_star": (lambda sc, t: at_least_one_protocol3(sc).value, False),
-    "bob_max": (lambda sc, t: bob_optimal(sc, t).value, True),
-    "charlie_max": (lambda sc, t: charlie_optimal(sc, t).value, True),
-    "prop_left": (lambda sc, t: _correlation(sc, t, "prop_left"), True),
-    "d_symm": (lambda sc, t: _correlation(sc, t, "d_symm"), True),
+#: Quantity name -> (its column kernel, whether it reads t).  A kernel takes
+#: arrays s and p1 of valid scenarios (and t) and returns the quantity in
+#: every lane, NaN where it is undefined.
+_QUANTITIES: dict[str, tuple[Callable[..., np.ndarray], bool]] = {
+    "ssd": (joint_optimal_values, False),
+    "protocol1": (protocol1_optimal_values, False),
+    "protocol2": (protocol2_optimal_values, False),
+    "protocol3": (protocol3_optimal_values, False),
+    "ssd_star": (at_least_one_ssd_values, False),
+    "p3_star": (at_least_one_protocol3_values, False),
+    "bob_max": (bob_optimal_values, True),
+    "charlie_max": (charlie_optimal_values, True),
+    "prop_left": (prop_left_values, True),
+    "d_symm": (d_symm_values, True),
 }
 
 _NEEDS_T = frozenset(name for name, (_, needs_t) in _QUANTITIES.items() if needs_t)
@@ -84,18 +80,29 @@ def available_quantities() -> tuple[str, ...]:
     return tuple(_QUANTITIES)
 
 
+def _column(name: str, at: dict) -> list[float | None]:
+    """One quantity over the grid's scenarios ``at``; None where it is undefined."""
+    kernel, needs_t = _QUANTITIES[name]
+    s, p1 = at["s"], at["p1"]
+    bad = ~((0.0 <= s) & (s <= 1.0) & (0.0 < p1) & (p1 <= 0.5))
+    if bad.any():
+        i = int(np.argmax(bad))
+        Scenario(float(s[i]), float(p1[i]))  # raises DomainError
+    values = kernel(s, p1, at["t"]) if needs_t else kernel(s, p1)
+    return [None if v != v else v for v in values.tolist()]
+
+
 def _evaluate(
     variable: str, grid: np.ndarray, columns: tuple[Column, ...]
 ) -> tuple[list[str], list[list[float | None]]]:
-    """Each column's quantity at every grid point; returns (header, rows)."""
-    swept = _FIELD_OF_VARIABLE[variable]
-    rows: list[list[float | None]] = []
-    for x in grid.tolist():
-        row: list[float | None] = [x]
-        for _, name, fixed in columns:
-            at = {**fixed, swept: x}
-            row.append(_QUANTITIES[name][0](Scenario(at["s"], at["p1"]), at.get("t")))
-        rows.append(row)
+    """Each column's quantity at every grid point, one kernel call per column;
+    returns (header, rows)."""
+    cells = []
+    for _, name, fixed in columns:
+        at = {k: np.full(grid.shape, float(v)) for k, v in fixed.items()}
+        at[_FIELD_OF_VARIABLE[variable]] = grid
+        cells.append(_column(name, at))
+    rows = [list(row) for row in zip(grid.tolist(), *cells)]
     return [variable] + [label for label, _, _ in columns], rows
 
 

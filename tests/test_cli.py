@@ -37,7 +37,7 @@ class TestOptimal:
         assert main(["optimal", "--s", "0.04", "--p1", "0.7"]) == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("p1", ["1e-15", "1e-17", "1e-20"])
+    @pytest.mark.parametrize("p1", ["1e-15", "1e-17", "1e-20", "1e-300"])
     def test_tiny_prior(self, capsys, p1):
         assert main(["optimal", "--s", "0.5", "--p1", p1]) == 0
         assert "at_least_one_p3" in capsys.readouterr().out
@@ -207,6 +207,23 @@ def test_nan_arguments_exit_2(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "s=nan" not in err
+
+
+def test_main_runs_repeatedly_in_one_process(capsys):
+    # main builds its parser once; each call must still parse afresh
+    assert main(["optimal", "--s", "0.04", "--p1", "0.5"]) == 0
+    assert "0.886153846154" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["optimal", "--s", "0.04"])
+    assert exc.value.code == 2
+    assert "--p1" in capsys.readouterr().err
+    assert main(["correlations", "--s", "0.36", "--p1", "0.3", "--t", "1.0"]) == 0
+    assert "undefined" in capsys.readouterr().out
+    assert main(["sweep", "--figure", "2", "--out", "-"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "P1,Pb_max_t0.06,Pb_max_t0.1" and len(lines) == 201
+    assert main(["optimal", "--s", "0.36", "--p1", "0.5"]) == 0
+    assert "CaseII" in capsys.readouterr().out
 
 
 class TestVerify:

@@ -20,7 +20,7 @@ from seqdisc import (
     entropy_H,
     make_state_pair,
 )
-from seqdisc.core import brent_root, check_overlap_t, golden_max
+from seqdisc.core import brent_root, brent_root_values, check_overlap_t, golden_max
 
 
 class TestEntropy:
@@ -166,6 +166,18 @@ class TestBrentRoot:
     def test_rejects_unbracketed(self):
         with pytest.raises(NumericError, match="bracket"):
             brent_root(math.exp, 0.0, 1.0, 1.0, math.e)
+
+    def test_lockstep_lanes_end_on_the_scalar_root(self):
+        # lanes stop after different numbers of steps; one has a zero at an end
+        k = np.array([2.0, 1e-30, 0.125, 7.999, 1.0, 8.0])
+        a, b = np.zeros_like(k), np.array([2.0, 2.0, 2.0, 2.0, 1.0, 2.0])
+        f = lambda x: x * x * x - k
+        x, fx = brent_root_values(f, a, b, f(a), f(b))
+        for i, k_i in enumerate(k.tolist()):
+            g = lambda x: x * x * x - k_i
+            assert (x[i], fx[i]) == brent_root(g, a[i], b[i], g(a[i]), g(b[i]))
+        with pytest.raises(NumericError, match="bracket"):
+            brent_root_values(np.exp, a, b, np.exp(a), np.exp(b))
 
 
 class TestGoldenMax:

@@ -25,7 +25,7 @@ from seqdisc import (
     protocol2_optimal,
     protocol3_optimal,
 )
-from seqdisc.protocols import _protocol2_case1, _protocol2_case2
+from seqdisc.protocols import _clone_params, _protocol2_case1, _protocol2_case2
 
 scenarios = st.builds(
     Scenario,
@@ -387,7 +387,11 @@ def test_clone_params_stay_ordered_down_to_tiny_overlap(log_s, frac):
     s = 10.0**log_s
     w1, w2 = omega_range(s)
     cp = clone_params_of_omega(w1 + frac * (w2 - w1), s)
+    assert -1.0 <= cp.x <= cp.y <= 1.0
     assert 0.0 <= cp.gamma1 <= cp.gamma2 <= 1.0
+    # y once rounded one ulp above 1 here, adding two rounded terms
+    edge = _clone_params(0.7623128417527466, 0.9999999967658476)
+    assert -1.0 <= edge.x <= edge.y <= 1.0
     assert 0.0 <= cp.p1_of_omega <= 0.5 and cp.p_cl <= 1.0
     if frac == 0.0:
         assert cp.gamma1 == cp.gamma2 and cp.p1_of_omega == 0.5
