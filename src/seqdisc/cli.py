@@ -2,7 +2,8 @@
 
 Subcommands: optimal, sweep, correlations, simulate, verify.
 Exit codes: 0 ok, 2 usage or constraint violation, 3 I/O failure,
-4 statistical check failure, 5 certification failure.
+4 statistical check failure, 5 certification failure, 6 numeric failure
+(a solver did not converge, e.g. at s below the documented 1e-12).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import functools
 import math
 import sys
 
-from .core import ConstraintError, DomainError, Scenario, check_overlap_t
+from .core import ConstraintError, DomainError, NumericError, Scenario, check_overlap_t
 from .correlations import CorrelationInput, correlation_report
 from .oracle import GridSpec, certify
 from .protocols import (
@@ -38,6 +39,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_STATISTICAL = 4
 EXIT_CERTIFICATION = 5
+EXIT_NUMERIC = 6
 
 
 def _fmt(x: float) -> str:
@@ -231,6 +233,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except NumericError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

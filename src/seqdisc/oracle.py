@@ -48,17 +48,23 @@ class GridSpec:
 
 
 def _max_1d(
-    f_vec: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, spec: GridSpec
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    spec: GridSpec,
+    f_values: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[float, float]:
-    """Grid scan with golden-section refinement of a scalar objective."""
+    """Grid scan with golden-section refinement of a scalar objective.
+
+    The grid is scanned by one call of ``f_values`` (default ``f``, for an
+    objective of plain arithmetic that serves arrays and floats alike); the
+    refinement and the two edge checks call ``f`` on plain floats. A separate
+    ``f_values`` must equal ``f`` bit for bit.
+    """
     xs = np.linspace(lo, hi, spec.points_per_axis)
-    vals = f_vec(xs)
+    vals = (f_values or f)(xs)
     i = int(np.argmax(vals))
     best_x, best_v = float(xs[i]), float(vals[i])
-
-    def f(x: float) -> float:
-        return float(f_vec(np.array([x]))[0])
-
     step = xs[1] - xs[0] if len(xs) > 1 else 0.0
     for _ in range(spec.refinement_passes):
         if step <= 0.0:
@@ -75,11 +81,18 @@ def _max_1d(
 
 
 def _stage_objective(p1: float, p2: float, r: float):
-    """Success probability of one discrimination stage as a function of q1."""
+    """Success probability of one discrimination stage as a function of q1
+    (a float or an array)."""
     r2 = r * r
     if r2 == 0.0:
         return lambda q: p1 * (1.0 - q) + p2  # orthogonal flags: q2 = 0
     return lambda q: p1 * (1.0 - q) + p2 * (1.0 - r2 / q)
+
+
+def _failure_objective(p1: float, p2: float, s2: float):
+    """Minus the failure probability p1*q + p2*s^2/q of one unambiguous stage
+    at overlap s, as a function of q1 (a float or an array)."""
+    return lambda q: -(p1 * q + p2 * s2 / q)
 
 
 def _grid_max_stage(p1: float, p2: float, r: float, spec: GridSpec) -> tuple[float, float]:
@@ -256,6 +269,46 @@ def _cloning_candidates(g1: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarra
     return out[0], out[1]
 
 
+def _cloning_objective_values(
+    g1: np.ndarray, s: float, p1: float, p2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """p1*gamma1 + p2*gamma2 on the better constraint branch, and that gamma2;
+    -inf (and gamma2 NaN) where neither branch is valid."""
+    g2a, g2b = _cloning_candidates(g1, s)
+    va = np.where(np.isnan(g2a), -np.inf, p1 * g1 + p2 * g2a)
+    vb = np.where(np.isnan(g2b), -np.inf, p1 * g1 + p2 * g2b)
+    pick_a = va >= vb
+    return np.where(pick_a, va, vb), np.where(pick_a, g2a, g2b)
+
+
+def _cloning_objective(g1: float, s: float, p1: float, p2: float) -> tuple[float, float]:
+    """Scalar twin of ``_cloning_objective_values`` for g1 >= 0, equal to it
+    bit for bit.
+
+    math.sqrt and math.cos round as numpy's do; hypot, arccos and arctan2 are
+    numpy's ufuncs, because the math versions round differently. Of the array
+    form's clips only the one on th2 can act here: 1 - g1 <= 1, the ratio is
+    >= 0, and above 1 neither branch is valid.
+    """
+    a = s * s * math.sqrt(g1)
+    b = math.sqrt(1.0 - g1) if g1 < 1.0 else 0.0
+    rad = float(np.hypot(a, b))
+    ratio = s / rad if rad > 0.0 else math.inf
+    if ratio > 1.0:
+        return -math.inf, math.nan
+    delta = float(np.arccos(ratio))
+    psi = float(np.arctan2(b, a))
+    best_v, best_g2 = -math.inf, math.nan
+    for th2 in (psi + delta, psi - delta):
+        if -1e-12 <= th2 <= 0.5 * math.pi + 1e-12:
+            c = math.cos(min(max(th2, 0.0), 0.5 * math.pi))
+            g2 = c * c
+            v = p1 * g1 + p2 * g2
+            if v > best_v:
+                best_v, best_g2 = v, g2
+    return best_v, best_g2
+
+
 def _cloning_residual(g1: float, g2: float, s: float) -> float:
     return abs(s - math.sqrt(g1 * g2) * s * s - math.sqrt((1.0 - g1) * (1.0 - g2)))
 
@@ -270,18 +323,14 @@ def grid_maximize_cloning(
     if s in (0.0, 1.0):
         return 1.0, 1.0, 1.0
 
-    def branch_best(g1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g2a, g2b = _cloning_candidates(g1, s)
-        va = np.where(np.isnan(g2a), -np.inf, p1 * g1 + p2 * g2a)
-        vb = np.where(np.isnan(g2b), -np.inf, p1 * g1 + p2 * g2b)
-        pick_a = va >= vb
-        return np.where(pick_a, va, vb), np.where(pick_a, g2a, g2b)
-
-    def f_vec(g1: np.ndarray) -> np.ndarray:
-        return branch_best(g1)[0]
-
-    value, g1 = _max_1d(f_vec, 0.0, 1.0, spec)
-    g2 = float(branch_best(np.array([g1]))[1][0])
+    value, g1 = _max_1d(
+        lambda g: _cloning_objective(g, s, p1, p2)[0],
+        0.0,
+        1.0,
+        spec,
+        lambda g: _cloning_objective_values(g, s, p1, p2)[0],
+    )
+    g2 = _cloning_objective(g1, s, p1, p2)[1]
     if not math.isfinite(value):
         raise NumericError(f"cloning constraint unsolvable everywhere for s={s}")
     if _cloning_residual(g1, g2, s) > 1e-10:
@@ -343,13 +392,8 @@ def _cert_protocol3(sc: Scenario, spec: GridSpec) -> float:
 def _cert_at_least_one_p3(sc: Scenario, spec: GridSpec) -> float:
     closed = at_least_one_protocol3(sc).value
     p_cl, p1cl = _cloning_oracle(sc, spec)
-    p2cl = 1.0 - p1cl
     s2 = sc.s * sc.s
-
-    def neg_failure(q: np.ndarray) -> np.ndarray:
-        return -(p1cl * q + p2cl * s2 / q)
-
-    fail, _ = _max_1d(neg_failure, max(s2, 1e-300), 1.0, spec)
+    fail, _ = _max_1d(_failure_objective(p1cl, 1.0 - p1cl, s2), max(s2, 1e-300), 1.0, spec)
     return abs(closed - p_cl * (1.0 - fail * fail))
 
 

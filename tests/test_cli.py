@@ -209,6 +209,21 @@ def test_nan_arguments_exit_2(argv, capsys):
     assert "s=nan" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimal", "--s", "1e-200", "--p1", "0.3"],  # the cloner's root search
+        ["optimal", "--s", "2.47e-229", "--p1", "1e-300"],  # q*: p2*s*s underflows
+    ],
+    ids=["cloner", "q_star"],
+)
+def test_numeric_failure_exits_6(argv, capsys):
+    # s below the documented 1e-12: the solvers may fail, but not with a traceback
+    assert main(argv) == cli.EXIT_NUMERIC == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_main_runs_repeatedly_in_one_process(capsys):
     # main builds its parser once; each call must still parse afresh
     assert main(["optimal", "--s", "0.04", "--p1", "0.5"]) == 0
