@@ -12,6 +12,7 @@ import argparse
 import functools
 import math
 import sys
+import time
 
 from .core import ConstraintError, DomainError, NumericError, Scenario, check_overlap_t
 from .correlations import CorrelationInput, correlation_report
@@ -156,7 +157,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = GridSpec(tolerance=args.tolerance)
     quantities = args.quantity.split(",") if args.quantity else None
+    start = time.perf_counter()
     rows = certify(quantities=quantities, spec=spec)
+    elapsed = time.perf_counter() - start
     print(f"{'quantity':<18} {'worst gap':<14} {'at (s, p1)':<16} status")
     failed = False
     for row in rows:
@@ -164,6 +167,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         failed = failed or not row.passed
         at = f"({row.worst_scenario[0]:g}, {row.worst_scenario[1]:g})"
         print(f"{row.quantity:<18} {row.worst_gap:<14.3e} {at:<16} {status}")
+    print(f"certification finished in {elapsed:.1f}s")
     return EXIT_CERTIFICATION if failed else EXIT_OK
 
 

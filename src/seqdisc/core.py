@@ -68,7 +68,7 @@ class PureState:
         amp = np.atleast_1d(np.asarray(self.amplitudes, dtype=float))
         object.__setattr__(self, "amplitudes", amp)
         norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > BOUNDARY_TOL:
+        if not abs(norm - 1.0) <= BOUNDARY_TOL:  # NaN fails too
             raise DomainError(f"state norm {norm!r} deviates from 1 beyond {BOUNDARY_TOL}")
 
     @property
@@ -163,7 +163,7 @@ def entropy_H(x: float) -> float:
     (Wootters' formula); it increases monotonically from H(0) = 0 to H(1) = 1.
     Arguments within 1e-12 of [0, 1] are clamped, anything farther is rejected.
     """
-    if x < -BOUNDARY_TOL or x > 1.0 + BOUNDARY_TOL:
+    if not -BOUNDARY_TOL <= x <= 1.0 + BOUNDARY_TOL:  # NaN fails too
         raise DomainError(f"entropy argument x={x} outside [0, 1]")
     x = min(1.0, max(0.0, x))
     return binary_entropy(0.5 * (1.0 + math.sqrt(1.0 - x)))

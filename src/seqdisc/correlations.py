@@ -211,51 +211,50 @@ def _vn_entropy_bits(eigvals: np.ndarray) -> np.ndarray:
 
 def _conditional_entropy(
     theta: np.ndarray,
-    phi: np.ndarray,
     p: tuple[float, float],
-    phis: tuple[np.ndarray, np.ndarray],
-    alpha_ops: tuple[np.ndarray, np.ndarray],
+    states: tuple[np.ndarray, np.ndarray],
+    ops: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Average post-measurement entropy of B for projective measurements on A.
 
-    The measurement direction is |m> = (cos(theta/2), e^{i phi} sin(theta/2));
+    The measurement direction is the real |m> = (cos(theta/2), sin(theta/2));
     both outcomes m and its orthogonal complement contribute.
     """
     c = np.cos(0.5 * theta)
     sn = np.sin(0.5 * theta)
-    ph = np.exp(-1j * phi)
-    # <m|phi_i> and <m_perp|phi_i> for the real states phi_i
-    amps = []
-    for f in phis:
-        amps.append(c * f[0] + sn * ph * f[1])
-    amps_perp = []
-    for f in phis:
-        amps_perp.append(-sn * np.conj(ph) * f[0] + c * f[1])
-    total = np.zeros_like(theta, dtype=float)
-    for amp_pair in (amps, amps_perp):
-        w1 = p[0] * np.abs(amp_pair[0]) ** 2
-        w2 = p[1] * np.abs(amp_pair[1]) ** 2
+    total = np.zeros_like(theta)
+    for u, v in ((c, sn), (-sn, c)):
+        w1 = p[0] * (u * states[0][0] + v * states[0][1]) ** 2
+        w2 = p[1] * (u * states[1][0] + v * states[1][1]) ** 2
         pm = w1 + w2
         safe = np.where(pm > 1e-300, pm, 1.0)
-        cond = (
-            w1[..., None, None] * alpha_ops[0] + w2[..., None, None] * alpha_ops[1]
-        ) / safe[..., None, None]
+        cond = (w1[..., None, None] * ops[0] + w2[..., None, None] * ops[1]) / safe[..., None, None]
         lam = np.linalg.eigvalsh(cond)
         total = total + np.where(pm > 1e-300, pm * _vn_entropy_bits(lam), 0.0)
     return total
 
 
-def left_discord_measurement_oracle(
-    inp: CorrelationInput, n_theta: int = 181, n_phi: int = 361
-) -> float:
+def left_discord_measurement_oracle(inp: CorrelationInput) -> float:
     """Left discord from its measurement definition, independent of the
     Koashi-Winter route.
 
     Builds rho_AB explicitly, evaluates S(A) and S(AB) from its spectrum, and
     minimizes the conditional entropy of B over rank-1 projective measurements
-    on A with a dense two-angle grid followed by one golden-section refinement
-    pass per coordinate.  Accuracy is grid-limited: the result may exceed the
-    closed form by up to ~1e-3 and undershoot by at most ~1e-4.
+    on A: a 181-point scan of theta in [0, pi] at phi = 0, then one
+    golden-section refinement around the best point.  One real axis suffices:
+
+    - The states are real, so their Bloch vectors lie in the x-z plane, and a
+      measurement with Bloch vector n enters only through n's x-z projection.
+    - B's unnormalized conditional states are affine in that projection, and
+      the average conditional entropy is the perspective of the concave von
+      Neumann entropy, hence concave in it.  Its minimum over the unit disk is
+      therefore on the unit circle, the real measurements.
+    - The measurement along theta + pi is the one along theta with its
+      outcomes exchanged, so [0, pi] covers the circle.
+
+    On 144 edge inputs (p1 from 1e-6 to 1/2, t and r from 0 to 1) the result
+    lies within 3.4e-14 of the closed form ``discord_left``; the tests also
+    hold it to a full scan of 181 x 361 complex directions.
     """
     phi1, phi2 = make_state_pair(inp.t, 2)
     a1, a2 = make_state_pair(inp.r, 3)
@@ -275,35 +274,16 @@ def left_discord_measurement_oracle(
     states = (f1, f2)
     ops = (op1, op2)
 
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    grid = _conditional_entropy(tt.ravel(), pp.ravel(), p, states, ops)
+    thetas = np.linspace(0.0, math.pi, 181)
+    grid = _conditional_entropy(thetas, p, states, ops)
     k = int(np.argmin(grid))
-    theta0, phi0 = tt.ravel()[k], pp.ravel()[k]
-    best = float(grid[k])
-
-    def neg_cond_at(theta: float, phi: float) -> float:
-        return -float(
-            _conditional_entropy(np.array([theta]), np.array([phi]), p, states, ops)[0]
-        )
-
-    step_t = thetas[1] - thetas[0] if n_theta > 1 else 0.0
-    step_p = phis[1] - phis[0] if n_phi > 1 else 0.0
-    if step_t > 0.0:
-        theta0, v = golden_max(
-            lambda th: neg_cond_at(th, phi0),
-            max(0.0, theta0 - step_t),
-            min(math.pi, theta0 + step_t),
-        )
-        best = min(best, -v)
-    if step_p > 0.0:
-        _, v = golden_max(
-            lambda ph: neg_cond_at(theta0, ph),
-            phi0 - step_p,
-            phi0 + step_p,
-        )
-        best = min(best, -v)
+    step = thetas[1] - thetas[0]
+    _, v = golden_max(
+        lambda th: -float(_conditional_entropy(np.array([th]), p, states, ops)[0]),
+        max(0.0, thetas[k] - step),
+        min(math.pi, thetas[k] + step),
+    )
+    best = min(float(grid[k]), -v)
 
     value = s_a - s_ab + best
     return max(value, 0.0) if value > -BOUNDARY_TOL * 10 else value

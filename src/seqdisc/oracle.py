@@ -26,6 +26,8 @@ from .ssd import bob_optimal, charlie_optimal, joint_optimal
 
 _JOINT_POINTS = 301
 _REFINE_POINTS = 33
+#: Refinement rounds after every grid scan; each narrows the search window.
+_REFINEMENT_PASSES = 2
 
 #: Standard certification grid.
 CERT_S_VALUES = (0.04, 0.1716, 0.2, 0.36, 0.6)
@@ -34,14 +36,14 @@ CERT_P1_VALUES = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid-search configuration: resolution, refinement rounds, tolerance."""
+    """Grid-search configuration: resolution and tolerance."""
 
     points_per_axis: int = 2001
-    refinement_passes: int = 2
     tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.points_per_axis < 100:
+        # negated comparisons, so that NaN fails them
+        if not self.points_per_axis >= 100:
             raise DomainError(f"points_per_axis={self.points_per_axis} below 100")
         if not self.tolerance > 0.0:
             raise DomainError(f"tolerance={self.tolerance} must be positive")
@@ -66,7 +68,7 @@ def _max_1d(
     i = int(np.argmax(vals))
     best_x, best_v = float(xs[i]), float(vals[i])
     step = xs[1] - xs[0] if len(xs) > 1 else 0.0
-    for _ in range(spec.refinement_passes):
+    for _ in range(_REFINEMENT_PASSES):
         if step <= 0.0:
             break
         x, v = golden_max(f, max(lo, best_x - step), min(hi, best_x + step))
@@ -180,7 +182,7 @@ def _max_3d(
 
     t_step = (1.0 - t_lo_global) / (n - 1)
     u_step = 1.0 / (n - 1)
-    for _ in range(spec.refinement_passes):
+    for _ in range(_REFINEMENT_PASSES):
         t0 = best[1]
         lob = (s / t0) ** 2 if t0 > 0 else 0.0
         u0 = (best[2] - lob) / (1.0 - lob) if lob < 1.0 else 0.0
@@ -360,19 +362,14 @@ def _cert_stage(sc: Scenario, spec: GridSpec, closed_form: Callable, oracle: Cal
     )
 
 
-def _cert_joint(sc: Scenario, spec: GridSpec) -> float:
-    closed = joint_optimal(sc).value
-    return abs(closed - grid_maximize_joint(sc, spec)[0])
+def _cert_gap(sc: Scenario, spec: GridSpec, closed_form: Callable, oracle: Callable) -> float:
+    """Gap between a closed form's value and its oracle's maximum."""
+    return abs(closed_form(sc).value - oracle(sc, spec)[0])
 
 
 def _cert_protocol1(sc: Scenario, spec: GridSpec) -> float:
     closed = protocol1_optimal(sc).value
     return abs(closed - _grid_max_stage(sc.p1, sc.p2, sc.s, spec)[0])
-
-
-def _cert_protocol2(sc: Scenario, spec: GridSpec) -> float:
-    closed = protocol2_optimal(sc).value
-    return abs(closed - grid_maximize_protocol2(sc, spec)[0])
 
 
 def _cloning_oracle(sc: Scenario, spec: GridSpec) -> tuple[float, float]:
@@ -397,20 +394,19 @@ def _cert_at_least_one_p3(sc: Scenario, spec: GridSpec) -> float:
     return abs(closed - p_cl * (1.0 - fail * fail))
 
 
-def _cert_at_least_one_ssd(sc: Scenario, spec: GridSpec) -> float:
-    closed = at_least_one_ssd(sc).value
-    return abs(closed - grid_maximize_union_ssd(sc, spec)[0])
-
-
+# The lambdas look each oracle up when called, so a rebound module name (such
+# as the benchmark's tracer installs) is seen.
 _CERTIFIERS: dict[str, Callable[[Scenario, GridSpec], float]] = {
     "bob": lambda sc, spec: _cert_stage(sc, spec, bob_optimal, grid_maximize_bob),
     "charlie": lambda sc, spec: _cert_stage(sc, spec, charlie_optimal, grid_maximize_charlie),
-    "joint": _cert_joint,
+    "joint": lambda sc, spec: _cert_gap(sc, spec, joint_optimal, grid_maximize_joint),
     "protocol1": _cert_protocol1,
-    "protocol2": _cert_protocol2,
+    "protocol2": lambda sc, spec: _cert_gap(sc, spec, protocol2_optimal, grid_maximize_protocol2),
     "protocol3": _cert_protocol3,
     "at_least_one_p3": _cert_at_least_one_p3,
-    "at_least_one_ssd": _cert_at_least_one_ssd,
+    "at_least_one_ssd": lambda sc, spec: _cert_gap(
+        sc, spec, at_least_one_ssd, grid_maximize_union_ssd
+    ),
 }
 
 

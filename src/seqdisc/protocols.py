@@ -277,7 +277,7 @@ def clone_params_of_omega(omega: float, s: float) -> CloneParams:
     gives gamma1 = gamma2 = 1/(1+s) and prior 1/2, omega_2 gives prior 0.
     """
     w1, w2 = omega_range(s)
-    if omega < w1 - BOUNDARY_TOL or omega > w2 + BOUNDARY_TOL:
+    if not w1 - BOUNDARY_TOL <= omega <= w2 + BOUNDARY_TOL:  # NaN fails too
         raise DomainError(f"omega={omega} outside [{w1}, {w2}]")
     omega = min(w2, max(w1, omega))
     return _clone_params(math.sqrt((omega - w1) / (w2 - w1)), s)
@@ -382,11 +382,6 @@ def at_least_one_ssd(scenario: Scenario) -> PiecewiseResult:
     base = protocol1_optimal(scenario)
     argmax = {"q1_product": base.argmax["q1b"], "q2_product": base.argmax["q2b"]}
     return PiecewiseResult(base.value, base.case_label, argmax, base.boundary_prior)
-
-
-def at_least_one_ssd_values(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
-    """``at_least_one_ssd(Scenario(s, p1)).value``: protocol (1)'s, in every lane."""
-    return protocol1_optimal_values(s, p1)
 
 
 def at_least_one_protocol3(scenario: Scenario) -> PiecewiseResult:

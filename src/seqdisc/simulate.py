@@ -63,7 +63,7 @@ class JointUnitary:
         object.__setattr__(self, "matrix", m)
         gram = m.T @ m
         residual = float(np.abs(gram - np.eye(m.shape[0])).max())
-        if residual > _UNITARITY_TOL:
+        if not residual <= _UNITARITY_TOL:  # NaN fails too
             raise NumericError(f"unitarity residual {residual} exceeds {_UNITARITY_TOL}")
 
 
@@ -93,7 +93,7 @@ def build_discrimination_unitary(
     b = [np.asarray(v, dtype=float) for v in targets]
     gram_in = np.array([[np.dot(x, y) for y in a] for x in a])
     gram_out = np.array([[np.dot(x, y) for y in b] for x in b])
-    if np.abs(gram_in - gram_out).max() > _GRAM_TOL:
+    if not np.abs(gram_in - gram_out).max() <= _GRAM_TOL:  # NaN fails too
         raise InfeasibleIsometryError(
             "no inner-product-preserving map exists: "
             f"input Gram {gram_in.tolist()} vs target Gram {gram_out.tolist()}"
@@ -101,7 +101,7 @@ def build_discrimination_unitary(
     u = JointUnitary(_pair_basis(b) @ _pair_basis(a).T)
     for x, y in zip(a, b):
         residual = float(np.abs(u.matrix @ x - y).max())
-        if residual > _MAPPING_TOL:
+        if not residual <= _MAPPING_TOL:
             raise NumericError(f"mapping residual {residual} exceeds {_MAPPING_TOL}")
     return u
 

@@ -18,7 +18,6 @@ from .core import DomainError, Scenario
 from .correlations import d_symm_values, prop_left_values
 from .protocols import (
     at_least_one_protocol3_values,
-    at_least_one_ssd_values,
     protocol1_optimal_values,
     protocol2_optimal_values,
     protocol3_optimal_values,
@@ -44,7 +43,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.variable not in ("P1", "s", "t"):
             raise DomainError(f"sweep variable {self.variable!r} not one of P1, s, t")
-        if self.steps < 2:
+        if not self.steps >= 2:  # NaN fails too
             raise DomainError(f"steps={self.steps} must be at least 2")
         if not self.start < self.stop:
             raise DomainError(f"empty sweep range [{self.start}, {self.stop}]")
@@ -61,7 +60,7 @@ _QUANTITIES: dict[str, tuple[Callable[..., np.ndarray], bool]] = {
     "protocol1": (protocol1_optimal_values, False),
     "protocol2": (protocol2_optimal_values, False),
     "protocol3": (protocol3_optimal_values, False),
-    "ssd_star": (at_least_one_ssd_values, False),
+    "ssd_star": (protocol1_optimal_values, False),  # at_least_one_ssd is protocol (1)
     "p3_star": (at_least_one_protocol3_values, False),
     "bob_max": (bob_optimal_values, True),
     "charlie_max": (charlie_optimal_values, True),

@@ -7,7 +7,11 @@ lines alongside the pytest verdicts.
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,6 +331,22 @@ def test_figure_csv_bytes_pinned(name):
     buf = io.StringIO()
     write_csv(*run_figure(name), buf)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == FIGURE_CSV_SHA256[name]
+
+
+def test_make_figures_script_writes_pinned_csvs(tmp_path):
+    repo = Path(__file__).resolve().parents[1]
+    subprocess.run(
+        [sys.executable, str(repo / "scripts" / "make_figures.py"), "--out-dir", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(repo / "src")},
+        capture_output=True,
+        check=True,
+        timeout=120,
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"fig{name}.csv" for name in FIGURE_CSV_SHA256
+    )
+    for name, digest in FIGURE_CSV_SHA256.items():
+        assert hashlib.sha256((tmp_path / f"fig{name}.csv").read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -251,3 +253,8 @@ class TestVerify:
         code = main(["verify", "--quantity", "joint", "--tolerance", "1e-12"])
         assert code == 5
         assert "FAIL" in capsys.readouterr().out
+
+    def test_prints_elapsed_time(self, capsys):
+        assert main(["verify", "--quantity", "protocol1,bob"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert re.fullmatch(r"certification finished in \d+\.\ds", last)

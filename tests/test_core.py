@@ -20,7 +20,13 @@ from seqdisc import (
     entropy_H,
     make_state_pair,
 )
-from seqdisc.core import brent_root, brent_root_values, check_overlap_t, golden_max
+from seqdisc.core import (
+    brent_root,
+    brent_root_values,
+    check_overlap_t,
+    entropy_H_values,
+    golden_max,
+)
 
 
 class TestEntropy:
@@ -40,6 +46,14 @@ class TestEntropy:
     def test_rejects_out_of_domain(self, x):
         with pytest.raises(DomainError):
             entropy_H(x)
+
+    def test_rejects_nan(self):
+        with pytest.raises(DomainError, match="outside"):
+            entropy_H(math.nan)
+
+    def test_values_reject_a_nan_lane(self):
+        with pytest.raises(DomainError, match="outside"):
+            entropy_H_values(np.array([0.3, math.nan]))
 
     def test_bounded_and_strictly_increasing(self):
         xs = np.linspace(0.0, 1.0, 1000)
@@ -144,6 +158,10 @@ class TestPureState:
     def test_accepts_normalized(self):
         v = np.array([3.0, 4.0]) / 5.0
         assert PureState(v).dim == 2
+
+    def test_rejects_nan(self):
+        with pytest.raises(DomainError, match="deviates"):
+            PureState(np.array([math.nan, 0.0]))
 
 
 class TestBrentRoot:

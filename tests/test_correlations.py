@@ -15,6 +15,8 @@ from seqdisc import (
     left_discord_measurement_oracle,
     tangles,
 )
+from seqdisc.core import golden_max, make_state_pair
+from seqdisc.correlations import _vn_entropy_bits
 
 inputs = st.builds(
     CorrelationInput,
@@ -157,3 +159,87 @@ class TestMeasurementOracle:
         oracle = left_discord_measurement_oracle(inp)
         closed = discord_left(inp)
         assert closed - 1e-4 <= oracle <= closed + 1e-3
+
+
+def _conditional_entropy_2d(theta, phi, p, states, ops):
+    """Average conditional entropy of B for the complex measurement direction
+    |m> = (cos(theta/2), e^{i phi} sin(theta/2)) on A and its complement."""
+    c = np.cos(0.5 * theta)
+    sn = np.sin(0.5 * theta)
+    ph = np.exp(-1j * phi)
+    amps = [c * f[0] + sn * ph * f[1] for f in states]
+    amps_perp = [-sn * np.conj(ph) * f[0] + c * f[1] for f in states]
+    total = np.zeros_like(theta, dtype=float)
+    for amp_pair in (amps, amps_perp):
+        w1 = p[0] * np.abs(amp_pair[0]) ** 2
+        w2 = p[1] * np.abs(amp_pair[1]) ** 2
+        pm = w1 + w2
+        safe = np.where(pm > 1e-300, pm, 1.0)
+        cond = (w1[..., None, None] * ops[0] + w2[..., None, None] * ops[1]) / safe[..., None, None]
+        lam = np.linalg.eigvalsh(cond)
+        total = total + np.where(pm > 1e-300, pm * _vn_entropy_bits(lam), 0.0)
+    return total
+
+
+def _left_discord_2d_scan(inp):
+    """Reference for the one-axis oracle: the left discord minimized over a
+    181 x 361 grid of complex measurement directions (theta, phi), then one
+    golden-section refinement per coordinate."""
+    phi1, phi2 = make_state_pair(inp.t, 2)
+    a1, a2 = make_state_pair(inp.r, 3)
+    f1, f2 = phi1.amplitudes, phi2.amplitudes
+    op1 = np.outer(a1.amplitudes, a1.amplitudes)
+    op2 = np.outer(a2.amplitudes, a2.amplitudes)
+    rho = inp.p1 * np.kron(np.outer(f1, f1), op1) + inp.p2 * np.kron(np.outer(f2, f2), op2)
+    rho_a = np.array(
+        [[np.trace(rho[3 * i : 3 * i + 3, 3 * j : 3 * j + 3]) for j in range(2)] for i in range(2)]
+    )
+    s_a = float(_vn_entropy_bits(np.linalg.eigvalsh(rho_a)))
+    s_ab = float(_vn_entropy_bits(np.linalg.eigvalsh(rho)))
+    args = ((inp.p1, inp.p2), (f1, f2), (op1, op2))
+
+    thetas = np.linspace(0.0, math.pi, 181)
+    phis = np.linspace(0.0, 2.0 * math.pi, 361)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    grid = _conditional_entropy_2d(tt.ravel(), pp.ravel(), *args)
+    k = int(np.argmin(grid))
+    theta0, phi0 = tt.ravel()[k], pp.ravel()[k]
+    best = float(grid[k])
+
+    def neg_cond_at(theta, phi):
+        return -float(_conditional_entropy_2d(np.array([theta]), np.array([phi]), *args)[0])
+
+    step_t, step_p = thetas[1] - thetas[0], phis[1] - phis[0]
+    theta0, v = golden_max(
+        lambda th: neg_cond_at(th, phi0), max(0.0, theta0 - step_t), min(math.pi, theta0 + step_t)
+    )
+    best = min(best, -v)
+    _, v = golden_max(lambda ph: neg_cond_at(theta0, ph), phi0 - step_p, phi0 + step_p)
+    best = min(best, -v)
+    value = s_a - s_ab + best
+    return max(value, 0.0) if value > -1e-11 else value
+
+
+_rng = np.random.default_rng(7)
+_SEEDED_INPUTS = [
+    (float(_rng.uniform(1e-3, 0.5)), float(_rng.uniform(0.0, 1.0)), float(_rng.uniform(0.0, 1.0)))
+    for _ in range(8)
+]
+_EDGE_OVERLAPS = (0.0, 1e-6, 0.3, 0.9, 1.0 - 1e-9, 1.0)
+_EDGE_INPUTS = [
+    (p1, t, r) for p1 in (1e-6, 0.01, 0.2, 0.5) for t in _EDGE_OVERLAPS for r in _EDGE_OVERLAPS
+]
+
+
+class TestOneAxisOracle:
+    """The real theta scan finds the measurement minimum of the full complex scan."""
+
+    @pytest.mark.parametrize("p1,t,r", _SEEDED_INPUTS)
+    def test_never_above_the_complex_scan(self, p1, t, r):
+        inp = CorrelationInput(p1, t, r)
+        assert left_discord_measurement_oracle(inp) <= _left_discord_2d_scan(inp) + 1e-12
+
+    @pytest.mark.parametrize("p1,t,r", _SEEDED_INPUTS + _EDGE_INPUTS)
+    def test_matches_closed_form(self, p1, t, r):
+        inp = CorrelationInput(p1, t, r)
+        assert abs(left_discord_measurement_oracle(inp) - discord_left(inp)) <= 1e-9

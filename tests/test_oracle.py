@@ -22,6 +22,7 @@ from seqdisc.core import golden_max
 from seqdisc.oracle import (
     _JOINT_POINTS,
     _REFINE_POINTS,
+    _REFINEMENT_PASSES,
     _cloning_objective,
     _cloning_objective_values,
     _failure_objective,
@@ -31,19 +32,22 @@ from seqdisc.oracle import (
     _union_term,
 )
 
-FAST = GridSpec(points_per_axis=501, refinement_passes=2, tolerance=1e-6)
+FAST = GridSpec(points_per_axis=501, tolerance=1e-6)
 
 
 class TestGridSpec:
     def test_defaults(self):
         spec = GridSpec()
         assert spec.points_per_axis == 2001
-        assert spec.refinement_passes == 2
         assert spec.tolerance == 1e-6
 
     def test_rejects_coarse_grid(self):
         with pytest.raises(DomainError):
             GridSpec(points_per_axis=50)
+
+    def test_rejects_nan_resolution(self):
+        with pytest.raises(DomainError, match="below 100"):
+            GridSpec(points_per_axis=math.nan)
 
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(DomainError):
@@ -191,7 +195,7 @@ def _max_1d_through_arrays(f_vec, lo, hi, spec):
         return float(f_vec(np.array([x]))[0])
 
     step = xs[1] - xs[0] if len(xs) > 1 else 0.0
-    for _ in range(spec.refinement_passes):
+    for _ in range(_REFINEMENT_PASSES):
         if step <= 0.0:
             break
         x, v = golden_max(f, max(lo, best_x - step), min(hi, best_x + step))
@@ -274,7 +278,7 @@ def _max_3d_loop(scenario, spec, term):
     )
     t_step = (1.0 - t_lo_global) / (n - 1)
     u_step = 1.0 / (n - 1)
-    for _ in range(spec.refinement_passes):
+    for _ in range(_REFINEMENT_PASSES):
         t0 = best[1]
         lob = (s / t0) ** 2 if t0 > 0 else 0.0
         u0 = (best[2] - lob) / (1.0 - lob) if lob < 1.0 else 0.0
@@ -330,6 +334,6 @@ class TestCertify:
             certify(quantities=["nonsense"])
 
     def test_tolerance_below_grid_resolution_fails(self):
-        spec = GridSpec(points_per_axis=501, refinement_passes=2, tolerance=1e-13)
+        spec = GridSpec(points_per_axis=501, tolerance=1e-13)
         rows = certify(quantities=["joint"], s_values=(0.2,), p1_values=(0.05,), spec=spec)
         assert not rows[0].passed

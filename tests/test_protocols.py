@@ -171,6 +171,11 @@ class TestCloneParams:
         with pytest.raises(DomainError):
             clone_params_of_omega(w2 + 1e-6, 0.36)
 
+    def test_rejects_nan(self):
+        # NaN must not be clamped to the omega_1 working point
+        with pytest.raises(DomainError, match="outside"):
+            clone_params_of_omega(math.nan, 0.3)
+
     def test_inversion_hits_requested_prior(self):
         cp = clone_optimal_for_prior(Scenario(0.2, 0.3))
         assert cp.p1_of_omega == pytest.approx(0.3, abs=1e-9)

@@ -8,6 +8,8 @@ from seqdisc import (
     ConstraintError,
     DomainError,
     InfeasibleIsometryError,
+    JointUnitary,
+    NumericError,
     Scenario,
     bob_success,
     build_discrimination_unitary,
@@ -68,6 +70,17 @@ class TestUnitaryConstruction:
         )
         with pytest.raises(InfeasibleIsometryError, match="Gram"):
             build_discrimination_unitary(_product_inputs(s), targets)
+
+    def test_nan_vector_rejected(self):
+        nan_pair = tuple(np.where(np.arange(6) == 0, math.nan, x) for x in _product_inputs(0.3))
+        with pytest.raises(InfeasibleIsometryError, match="Gram"):
+            build_discrimination_unitary(nan_pair, nan_pair)
+
+    def test_nan_matrix_rejected(self):
+        m = np.eye(6)
+        m[0, 0] = math.nan
+        with pytest.raises(NumericError, match="unitarity"):
+            JointUnitary(m)
 
 
 class TestTrialUniforms:

@@ -151,6 +151,11 @@ def test_custom_sweep_domain_errors(spec):
         run_sweep(spec)
 
 
+def test_sweep_spec_rejects_nan_steps():
+    with pytest.raises(DomainError, match="at least 2"):
+        SweepSpec("P1", 0.1, 0.5, math.nan, {"s": 0.04}, ("ssd",))
+
+
 @pytest.mark.parametrize(
     "extra",
     [
