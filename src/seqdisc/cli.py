@@ -16,7 +16,7 @@ import time
 
 from .core import ConstraintError, DomainError, NumericError, Scenario, check_overlap_t
 from .correlations import CorrelationInput, correlation_report
-from .oracle import GridSpec, certify
+from .oracle import certify
 from .protocols import (
     at_least_one_protocol3,
     at_least_one_ssd,
@@ -155,10 +155,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    spec = GridSpec(tolerance=args.tolerance)
     quantities = args.quantity.split(",") if args.quantity else None
     start = time.perf_counter()
-    rows = certify(quantities=quantities, spec=spec)
+    rows = certify(quantities=quantities, tolerance=args.tolerance)
     elapsed = time.perf_counter() - start
     print(f"{'quantity':<18} {'worst gap':<14} {'at (s, p1)':<16} status")
     failed = False

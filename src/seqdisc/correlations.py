@@ -263,10 +263,7 @@ def left_discord_measurement_oracle(inp: CorrelationInput) -> float:
     op2 = np.outer(a2.amplitudes, a2.amplitudes)
     rho = inp.p1 * np.kron(np.outer(f1, f1), op1) + inp.p2 * np.kron(np.outer(f2, f2), op2)
 
-    rho_a = np.zeros((2, 2))
-    for i in range(2):
-        for j in range(2):
-            rho_a[i, j] = np.trace(rho[3 * i : 3 * i + 3, 3 * j : 3 * j + 3])
+    rho_a = np.trace(rho.reshape(2, 3, 2, 3), axis1=1, axis2=3)
     s_a = float(_vn_entropy_bits(np.linalg.eigvalsh(rho_a)))
     s_ab = float(_vn_entropy_bits(np.linalg.eigvalsh(rho)))
 

@@ -4,6 +4,12 @@ Each oracle evaluates the defining objective on a dense grid of the feasible
 set (boundaries always included, since the optima frequently sit at q = 1)
 and refines around the best point.  They share nothing with the piecewise
 closed forms beyond the objective definitions themselves.
+
+The grids are fixed: 1-D scans take ``_SCAN_POINTS`` points, refined by
+golden-section search; the (t, q1b, q1c) scans take ``_JOINT_POINTS`` per
+axis, refined by ``_REFINEMENT_PASSES`` scans of ``_REFINE_POINTS`` per axis.
+``certify`` compares each closed form with its oracle and flags a gap above
+its ``tolerance``.
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ from .protocols import (
 )
 from .ssd import bob_optimal, charlie_optimal, joint_optimal
 
+#: Grid points of each 1-D scan, and per axis of each (t, q1b, q1c) scan and
+#: of each of its refinements.
+_SCAN_POINTS = 2001
 _JOINT_POINTS = 301
 _REFINE_POINTS = 33
 #: Refinement rounds after every grid scan; each narrows the search window.
@@ -34,26 +43,10 @@ CERT_S_VALUES = (0.04, 0.1716, 0.2, 0.36, 0.6)
 CERT_P1_VALUES = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Grid-search configuration: resolution and tolerance."""
-
-    points_per_axis: int = 2001
-    tolerance: float = 1e-6
-
-    def __post_init__(self) -> None:
-        # negated comparisons, so that NaN fails them
-        if not self.points_per_axis >= 100:
-            raise DomainError(f"points_per_axis={self.points_per_axis} below 100")
-        if not self.tolerance > 0.0:
-            raise DomainError(f"tolerance={self.tolerance} must be positive")
-
-
 def _max_1d(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    spec: GridSpec,
     f_values: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[float, float]:
     """Grid scan with golden-section refinement of a scalar objective.
@@ -63,11 +56,11 @@ def _max_1d(
     refinement and the two edge checks call ``f`` on plain floats. A separate
     ``f_values`` must equal ``f`` bit for bit.
     """
-    xs = np.linspace(lo, hi, spec.points_per_axis)
+    xs = np.linspace(lo, hi, _SCAN_POINTS)
     vals = (f_values or f)(xs)
     i = int(np.argmax(vals))
     best_x, best_v = float(xs[i]), float(vals[i])
-    step = xs[1] - xs[0] if len(xs) > 1 else 0.0
+    step = xs[1] - xs[0]
     for _ in range(_REFINEMENT_PASSES):
         if step <= 0.0:
             break
@@ -97,26 +90,20 @@ def _failure_objective(p1: float, p2: float, s2: float):
     return lambda q: -(p1 * q + p2 * s2 / q)
 
 
-def _grid_max_stage(p1: float, p2: float, r: float, spec: GridSpec) -> tuple[float, float]:
-    return _max_1d(_stage_objective(p1, p2, r), r * r, 1.0, spec)
+def _grid_max_stage(p1: float, p2: float, r: float) -> tuple[float, float]:
+    return _max_1d(_stage_objective(p1, p2, r), r * r, 1.0)
 
 
-def grid_maximize_bob(
-    scenario: Scenario, t: float, spec: GridSpec | None = None
-) -> tuple[float, float]:
+def grid_maximize_bob(scenario: Scenario, t: float) -> tuple[float, float]:
     """Brute-force maximum of Bob's success over q1b in [(s/t)^2, 1]."""
-    spec = spec or GridSpec()
     check_overlap_t(scenario.s, t)
-    return _grid_max_stage(scenario.p1, scenario.p2, scenario.s / t, spec)
+    return _grid_max_stage(scenario.p1, scenario.p2, scenario.s / t)
 
 
-def grid_maximize_charlie(
-    scenario: Scenario, t: float, spec: GridSpec | None = None
-) -> tuple[float, float]:
+def grid_maximize_charlie(scenario: Scenario, t: float) -> tuple[float, float]:
     """Brute-force maximum of Charlie's success over q1c in [t^2, 1]."""
-    spec = spec or GridSpec()
     check_overlap_t(scenario.s, t)
-    return _grid_max_stage(scenario.p1, scenario.p2, t, spec)
+    return _grid_max_stage(scenario.p1, scenario.p2, t)
 
 
 def _joint_term(q1b, q2b, q1c, q2c, p1, p2):
@@ -138,7 +125,7 @@ def _union_factors(q1b, q2b, q1c, q2c, p1, p2):
 
 
 def _max_3d(
-    scenario: Scenario, spec: GridSpec, term: Callable, factors: Callable
+    scenario: Scenario, term: Callable, factors: Callable
 ) -> tuple[float, float, float, float]:
     """Maximize a two-stage objective over (t, q1b, q1c) with local refinement.
 
@@ -152,7 +139,7 @@ def _max_3d(
     itself, and that value competes across slices.
     """
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
-    n = min(spec.points_per_axis, _JOINT_POINTS)
+    n = _JOINT_POINTS
     t_lo_global = max(s, 1e-9)
 
     def evaluate(ts: np.ndarray, us: np.ndarray, vs: np.ndarray):
@@ -200,29 +187,18 @@ def _max_3d(
     return best
 
 
-def grid_maximize_joint(
-    scenario: Scenario, spec: GridSpec | None = None
-) -> tuple[float, float, float, float]:
-    """Brute-force maximum of the joint success over (t, q1b, q1c).
-
-    The scan resolution is capped at 301 points per axis (2.7e7 evaluations)
-    before refinement.
-    """
-    spec = spec or GridSpec()
-    return _max_3d(scenario, spec, _joint_term, _joint_factors)
+def grid_maximize_joint(scenario: Scenario) -> tuple[float, float, float, float]:
+    """Brute-force maximum of the joint success over (t, q1b, q1c), scanned
+    at 301 points per axis (2.7e7 evaluations) before refinement."""
+    return _max_3d(scenario, _joint_term, _joint_factors)
 
 
-def grid_maximize_union_ssd(
-    scenario: Scenario, spec: GridSpec | None = None
-) -> tuple[float, float, float, float]:
+def grid_maximize_union_ssd(scenario: Scenario) -> tuple[float, float, float, float]:
     """Brute-force maximum of P(at least one succeeds) over (t, q1b, q1c)."""
-    spec = spec or GridSpec()
-    return _max_3d(scenario, spec, _union_term, _union_factors)
+    return _max_3d(scenario, _union_term, _union_factors)
 
 
-def grid_maximize_protocol2(
-    scenario: Scenario, spec: GridSpec | None = None
-) -> tuple[float, float, float]:
+def grid_maximize_protocol2(scenario: Scenario) -> tuple[float, float, float]:
     """Brute-force value of protocol (2): Bob's stage maximized first, then
     Charlie's stage at the induced conditional priors.
 
@@ -230,9 +206,8 @@ def grid_maximize_protocol2(
     and Charlie needs no measurement; the Charlie coordinate is then reported
     as NaN.
     """
-    spec = spec or GridSpec()
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
-    bob_val, q1b = _grid_max_stage(p1, p2, s, spec)
+    bob_val, q1b = _grid_max_stage(p1, p2, s)
     exact_boundary = p2 * (1.0 - s * s)
     # Rounding can lift the grid's best point next to q1b = 1 an ulp above the
     # boundary value; a tie within a relative 1e-15 (a few ulps) is the boundary.
@@ -244,7 +219,7 @@ def grid_maximize_protocol2(
     b1 = p1 * (1.0 - q1b)
     b2 = p2 * (1.0 - q2b)
     p1p, p2p = b1 / (b1 + b2), b2 / (b1 + b2)
-    charlie_val, q1c = _grid_max_stage(p1p, p2p, s, spec)
+    charlie_val, q1c = _grid_max_stage(p1p, p2p, s)
     return bob_val * charlie_val, q1b, q1c
 
 
@@ -315,12 +290,9 @@ def _cloning_residual(g1: float, g2: float, s: float) -> float:
     return abs(s - math.sqrt(g1 * g2) * s * s - math.sqrt((1.0 - g1) * (1.0 - g2)))
 
 
-def grid_maximize_cloning(
-    scenario: Scenario, spec: GridSpec | None = None
-) -> tuple[float, float, float]:
+def grid_maximize_cloning(scenario: Scenario) -> tuple[float, float, float]:
     """Brute-force maximum of p1*gamma1 + p2*gamma2 on the cloning constraint
     manifold, parametrized by gamma1 with both constraint branches."""
-    spec = spec or GridSpec()
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
     if s in (0.0, 1.0):
         return 1.0, 1.0, 1.0
@@ -329,7 +301,6 @@ def grid_maximize_cloning(
         lambda g: _cloning_objective(g, s, p1, p2)[0],
         0.0,
         1.0,
-        spec,
         lambda g: _cloning_objective_values(g, s, p1, p2)[0],
     )
     g2 = _cloning_objective(g1, s, p1, p2)[1]
@@ -354,59 +325,55 @@ class CertificationRow:
         return self.worst_gap <= self.tolerance
 
 
-def _cert_stage(sc: Scenario, spec: GridSpec, closed_form: Callable, oracle: Callable) -> float:
+def _cert_stage(sc: Scenario, closed_form: Callable, oracle: Callable) -> float:
     """Worst gap of a single-stage optimum at two overlaps t in [s, 1]."""
     return max(
-        abs(closed_form(sc, t).value - oracle(sc, t, spec)[0])
+        abs(closed_form(sc, t).value - oracle(sc, t)[0])
         for t in (math.sqrt(sc.s), 0.5 * (1.0 + sc.s))
     )
 
 
-def _cert_gap(sc: Scenario, spec: GridSpec, closed_form: Callable, oracle: Callable) -> float:
+def _cert_gap(sc: Scenario, closed_form: Callable, oracle: Callable) -> float:
     """Gap between a closed form's value and its oracle's maximum."""
-    return abs(closed_form(sc).value - oracle(sc, spec)[0])
+    return abs(closed_form(sc).value - oracle(sc)[0])
 
 
-def _cert_protocol1(sc: Scenario, spec: GridSpec) -> float:
-    closed = protocol1_optimal(sc).value
-    return abs(closed - _grid_max_stage(sc.p1, sc.p2, sc.s, spec)[0])
-
-
-def _cloning_oracle(sc: Scenario, spec: GridSpec) -> tuple[float, float]:
+def _cloning_oracle(sc: Scenario) -> tuple[float, float]:
     """The cloning oracle's success p_cl and the prior p1cl conditioned on it."""
-    p_cl, g1, g2 = grid_maximize_cloning(sc, spec)
+    p_cl, g1, g2 = grid_maximize_cloning(sc)
     w1 = sc.p1 * g1
     return p_cl, w1 / (w1 + sc.p2 * g2)
 
 
-def _cert_protocol3(sc: Scenario, spec: GridSpec) -> float:
+def _cert_protocol3(sc: Scenario) -> float:
     closed = protocol3_optimal(sc).value
-    p_cl, p1cl = _cloning_oracle(sc, spec)
-    disc = _grid_max_stage(p1cl, 1.0 - p1cl, sc.s, spec)[0]
+    p_cl, p1cl = _cloning_oracle(sc)
+    disc = _grid_max_stage(p1cl, 1.0 - p1cl, sc.s)[0]
     return abs(closed - p_cl * disc * disc)
 
 
-def _cert_at_least_one_p3(sc: Scenario, spec: GridSpec) -> float:
+def _cert_at_least_one_p3(sc: Scenario) -> float:
     closed = at_least_one_protocol3(sc).value
-    p_cl, p1cl = _cloning_oracle(sc, spec)
+    p_cl, p1cl = _cloning_oracle(sc)
     s2 = sc.s * sc.s
-    fail, _ = _max_1d(_failure_objective(p1cl, 1.0 - p1cl, s2), max(s2, 1e-300), 1.0, spec)
+    fail, _ = _max_1d(_failure_objective(p1cl, 1.0 - p1cl, s2), max(s2, 1e-300), 1.0)
     return abs(closed - p_cl * (1.0 - fail * fail))
 
 
 # The lambdas look each oracle up when called, so a rebound module name (such
-# as the benchmark's tracer installs) is seen.
-_CERTIFIERS: dict[str, Callable[[Scenario, GridSpec], float]] = {
-    "bob": lambda sc, spec: _cert_stage(sc, spec, bob_optimal, grid_maximize_bob),
-    "charlie": lambda sc, spec: _cert_stage(sc, spec, charlie_optimal, grid_maximize_charlie),
-    "joint": lambda sc, spec: _cert_gap(sc, spec, joint_optimal, grid_maximize_joint),
-    "protocol1": _cert_protocol1,
-    "protocol2": lambda sc, spec: _cert_gap(sc, spec, protocol2_optimal, grid_maximize_protocol2),
+# as the benchmark's tracer installs) is seen. Protocol 1 is Bob's stage at
+# t = 1, where his overlap s/t is s itself.
+_CERTIFIERS: dict[str, Callable[[Scenario], float]] = {
+    "bob": lambda sc: _cert_stage(sc, bob_optimal, grid_maximize_bob),
+    "charlie": lambda sc: _cert_stage(sc, charlie_optimal, grid_maximize_charlie),
+    "joint": lambda sc: _cert_gap(sc, joint_optimal, grid_maximize_joint),
+    "protocol1": lambda sc: _cert_gap(
+        sc, protocol1_optimal, lambda sc: grid_maximize_bob(sc, 1.0)
+    ),
+    "protocol2": lambda sc: _cert_gap(sc, protocol2_optimal, grid_maximize_protocol2),
     "protocol3": _cert_protocol3,
     "at_least_one_p3": _cert_at_least_one_p3,
-    "at_least_one_ssd": lambda sc, spec: _cert_gap(
-        sc, spec, at_least_one_ssd, grid_maximize_union_ssd
-    ),
+    "at_least_one_ssd": lambda sc: _cert_gap(sc, at_least_one_ssd, grid_maximize_union_ssd),
 }
 
 
@@ -414,10 +381,12 @@ def certify(
     quantities: Sequence[str] | None = None,
     s_values: Sequence[float] = CERT_S_VALUES,
     p1_values: Sequence[float] = CERT_P1_VALUES,
-    spec: GridSpec | None = None,
+    tolerance: float = 1e-6,
 ) -> list[CertificationRow]:
-    """Compare every closed form against its oracle over the standard grid."""
-    spec = spec or GridSpec()
+    """Compare every closed form against its oracle over the s x p1 grid; a
+    row passes when its worst gap is at most ``tolerance``."""
+    if not tolerance > 0.0:  # negated, so that NaN fails it
+        raise DomainError(f"tolerance={tolerance} must be positive")
     names = list(quantities) if quantities else list(_CERTIFIERS)
     unknown = [q for q in names if q not in _CERTIFIERS]
     if unknown:
@@ -428,8 +397,8 @@ def certify(
         worst, worst_at = -1.0, (math.nan, math.nan)
         for s in s_values:
             for p1 in p1_values:
-                gap = fn(Scenario(s, p1), spec)
+                gap = fn(Scenario(s, p1))
                 if gap > worst:
                     worst, worst_at = gap, (s, p1)
-        rows.append(CertificationRow(name, worst, worst_at, spec.tolerance))
+        rows.append(CertificationRow(name, worst, worst_at, tolerance))
     return rows

@@ -125,28 +125,31 @@ def protocol2_critical_priors(s: float) -> tuple[float, float]:
     """
     if not 0.0 <= s <= 1.0:
         raise DomainError(f"overlap s={s} outside [0, 1]")
+    return _protocol2_priors(s, math.sqrt)
+
+
+# The helpers below serve floats (sqrt = math.sqrt) and arrays (np.sqrt) alike.
+def _protocol2_priors(s, sqrt):
+    """(p_c1, p_c2) of ``protocol2_critical_priors``, without its check."""
     k = s * s
     p_c2 = k / (1.0 + k)
-    disc = math.sqrt(k * k - 2.0 * k + 5.0)
+    disc = sqrt(k * k - 2.0 * k + 5.0)
     p_c1 = k * ((3.0 + k * k) + (1.0 - k) * disc) / (2.0 * (1.0 + 3.0 * k - k * k + k * k * k))
     return p_c1, p_c2
 
 
-def _protocol2_case1(s: float, p1: float) -> tuple[float, float, float]:
-    """(value, q1b, q1c) with both stages at their interior optima."""
-    p2 = 1.0 - p1
-    u = math.sqrt(p1 * p2) * s
+def _protocol2_case1(s, p1, sqrt=math.sqrt):
+    """(value, p1c) with both stages at their interior optima; p1c is the
+    prior of state 1 conditioned on Bob's success."""
+    u = sqrt(p1 * (1.0 - p1)) * s
     bob = 1.0 - 2.0 * u
     p1c = (p1 - u) / bob
-    p2c = 1.0 - p1c
-    charlie = 1.0 - 2.0 * math.sqrt(p1c * p2c) * s
-    q1c = math.sqrt(p2c / p1c) * s if p1c > 0.0 else 1.0
-    return bob * charlie, math.sqrt(p2 / p1) * s, q1c
+    return bob * (1.0 - 2.0 * sqrt(p1c * (1.0 - p1c)) * s), p1c
 
 
-def _protocol2_case2(s: float, p1: float) -> float:
+def _protocol2_case2(s, p1, sqrt=math.sqrt):
     p2 = 1.0 - p1
-    return (p2 - math.sqrt(p1 * p2) * s) * (1.0 - s * s)
+    return (p2 - sqrt(p1 * p2) * s) * (1.0 - s * s)
 
 
 def protocol2_optimal(scenario: Scenario) -> PiecewiseResult:
@@ -164,7 +167,9 @@ def protocol2_optimal(scenario: Scenario) -> PiecewiseResult:
         )
     p_c1, p_c2 = protocol2_critical_priors(s)
     if p1 > p_c1:
-        value, q1b, q1c = _protocol2_case1(s, p1)
+        value, p1c = _protocol2_case1(s, p1)
+        q1b = math.sqrt(p2 / p1) * s
+        q1c = math.sqrt((1.0 - p1c) / p1c) * s if p1c > 0.0 else 1.0
         argmax = {"q1b": q1b, "q2b": s * s / q1b, "q1c": q1c, "q2c": s * s / q1c}
         return PiecewiseResult(value, CaseLabel.CASE_I, argmax, p_c1)
     if p1 >= p_c2:
@@ -180,18 +185,11 @@ def protocol2_optimal_values(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
     scenarios: the three cases by the same operations, chosen by the priors
     of ``protocol2_critical_priors``.
     """
-    p2 = 1.0 - p1
-    k = s * s
-    p_c2 = k / (1.0 + k)
-    disc = np.sqrt(k * k - 2.0 * k + 5.0)
-    p_c1 = k * ((3.0 + k * k) + (1.0 - k) * disc) / (2.0 * (1.0 + 3.0 * k - k * k + k * k * k))
-    root = np.sqrt(p1 * p2)
+    p_c1, p_c2 = _protocol2_priors(s, np.sqrt)
     with np.errstate(divide="ignore", invalid="ignore"):  # lanes of other cases
-        bob = 1.0 - 2.0 * (root * s)
-        p1c = (p1 - root * s) / bob
-        case1 = bob * (1.0 - 2.0 * np.sqrt(p1c * (1.0 - p1c)) * s)
-    case2 = (p2 - root * s) * (1.0 - s * s)
-    case3 = p2 * (1.0 - s * s)
+        case1 = _protocol2_case1(s, p1, np.sqrt)[0]
+        case2 = _protocol2_case2(s, p1, np.sqrt)
+    case3 = (1.0 - p1) * (1.0 - s * s)
     value = np.where(p1 > p_c1, case1, np.where(p1 >= p_c2, case2, case3))
     return _probabilities(np.where(s == 0.0, 1.0, value))
 

@@ -179,7 +179,7 @@ def test_criterion_6_protocol2_discontinuity():
     left = protocol2_optimal(Scenario(s, p_c2 * (1 - 1e-9))).value
     right = protocol2_optimal(Scenario(s, p_c2 * (1 + 1e-9))).value
     assert abs(left - right) > 1e-3
-    v_case1, _, _ = _protocol2_case1(s, p_c1)
+    v_case1, _ = _protocol2_case1(s, p_c1)
     v_case2 = _protocol2_case2(s, p_c1)
     assert v_case1 == pytest.approx(v_case2, abs=1e-9)
 

@@ -201,8 +201,9 @@ class TestSimulate:
         ["sweep", "--variable", "P1", "--start", "0.1", "--stop", "0.5", "--s", "0.04",
          "--t", "nan", "--quantities", "bob_max", "--out", "-"],
         ["verify", "--quantity", "protocol1", "--tolerance", "nan"],
+        ["verify", "--quantity", "protocol1", "--tolerance", "0"],
     ],
-    ids=["q1b", "q1c", "simulate_t", "sweep_t", "tolerance"],
+    ids=["q1b", "q1c", "simulate_t", "sweep_t", "tolerance", "tolerance_zero"],
 )
 def test_nan_arguments_exit_2(argv, capsys):
     assert main(argv) == 2

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from seqdisc import (
     DomainError,
-    GridSpec,
     Scenario,
     certify,
     grid_maximize_bob,
@@ -19,10 +18,12 @@ from seqdisc import (
     protocol2_optimal,
 )
 from seqdisc.core import golden_max
+from seqdisc import oracle as oracle_module
 from seqdisc.oracle import (
     _JOINT_POINTS,
     _REFINE_POINTS,
     _REFINEMENT_PASSES,
+    _SCAN_POINTS,
     _cloning_objective,
     _cloning_objective_values,
     _failure_objective,
@@ -32,72 +33,61 @@ from seqdisc.oracle import (
     _union_term,
 )
 
-FAST = GridSpec(points_per_axis=501, tolerance=1e-6)
+class TestCertifyTolerance:
+    def test_default_tolerance(self):
+        (row,) = certify(["protocol1"], [0.2], [0.3])
+        assert row.tolerance == 1e-6
 
-
-class TestGridSpec:
-    def test_defaults(self):
-        spec = GridSpec()
-        assert spec.points_per_axis == 2001
-        assert spec.tolerance == 1e-6
-
-    def test_rejects_coarse_grid(self):
-        with pytest.raises(DomainError):
-            GridSpec(points_per_axis=50)
-
-    def test_rejects_nan_resolution(self):
-        with pytest.raises(DomainError, match="below 100"):
-            GridSpec(points_per_axis=math.nan)
-
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(DomainError):
-            GridSpec(tolerance=0.0)
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-6, math.nan])
+    def test_rejects_nonpositive_tolerance(self, tolerance):
+        with pytest.raises(DomainError, match="must be positive"):
+            certify(["protocol1"], [0.2], [0.3], tolerance=tolerance)
 
 
 class TestStageOracles:
     def test_bob_equal_priors(self):
-        val, _ = grid_maximize_bob(Scenario(0.05, 0.5), 0.1, FAST)
+        val, _ = grid_maximize_bob(Scenario(0.05, 0.5), 0.1)
         assert val == pytest.approx(0.5, abs=1e-6)
 
     def test_bob_boundary_argmax(self):
-        val, q1b = grid_maximize_bob(Scenario(0.05, 0.1), 0.06, FAST)
+        val, q1b = grid_maximize_bob(Scenario(0.05, 0.1), 0.06)
         assert val == pytest.approx(0.275, abs=1e-6)
         assert q1b == 1.0
 
     def test_bob_degenerate_t(self):
-        val, _ = grid_maximize_bob(Scenario(0.05, 0.5), 0.05, FAST)
+        val, _ = grid_maximize_bob(Scenario(0.05, 0.5), 0.05)
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_charlie(self):
-        val, _ = grid_maximize_charlie(Scenario(0.04, 0.5), 0.2, FAST)
+        val, _ = grid_maximize_charlie(Scenario(0.04, 0.5), 0.2)
         assert val == pytest.approx(0.8, abs=1e-6)
 
 
 class TestJointOracle:
     def test_equal_priors(self):
-        val, t, q1b, q1c = grid_maximize_joint(Scenario(0.04, 0.5), FAST)
+        val, t, q1b, q1c = grid_maximize_joint(Scenario(0.04, 0.5))
         assert val == pytest.approx(0.64, abs=1e-5)
         assert abs(t - 0.2) <= (1.0 - 0.04) / 300  # within one coarse grid step of sqrt(s)
 
     def test_symmetry_broken_region(self):
-        val, _, q1b, q1c = grid_maximize_joint(Scenario(0.36, 0.5), FAST)
+        val, _, q1b, q1c = grid_maximize_joint(Scenario(0.36, 0.5))
         assert val == pytest.approx(0.2048, abs=1e-5)
 
     def test_deviation_helps(self):
-        val, *_ = grid_maximize_joint(Scenario(0.04, 0.45), FAST)
+        val, *_ = grid_maximize_joint(Scenario(0.04, 0.45))
         assert val >= 0.64 - 1e-9
 
 
 class TestProtocol2Oracle:
     def test_equal_priors(self):
-        val, _, _ = grid_maximize_protocol2(Scenario(0.04, 0.5), FAST)
+        val, _, _ = grid_maximize_protocol2(Scenario(0.04, 0.5))
         assert val == pytest.approx(0.9216, abs=1e-5)
 
     def test_below_pc2_degenerate(self):
         s = 0.2
         _, p_c2 = protocol2_critical_priors(s)
         sc = Scenario(s, p_c2 * 0.9)
-        val, q1b, q1c = grid_maximize_protocol2(sc, FAST)
+        val, q1b, q1c = grid_maximize_protocol2(sc)
         assert val == pytest.approx(sc.p2 * (1 - s * s), abs=1e-9)
         assert q1b == 1.0
         assert math.isnan(q1c)
@@ -106,7 +96,7 @@ class TestProtocol2Oracle:
         s = 0.2
         p_c1, p_c2 = protocol2_critical_priors(s)
         sc = Scenario(s, 0.5 * (p_c1 + p_c2))
-        val, _, _ = grid_maximize_protocol2(sc, FAST)
+        val, _, _ = grid_maximize_protocol2(sc)
         assert val == pytest.approx(protocol2_optimal(sc).value, abs=1e-5)
 
     @pytest.mark.parametrize(
@@ -122,17 +112,17 @@ class TestProtocol2Oracle:
 
 class TestCloningOracle:
     def test_symmetric_optimum(self):
-        val, g1, g2 = grid_maximize_cloning(Scenario(0.36, 0.5), FAST)
+        val, g1, g2 = grid_maximize_cloning(Scenario(0.36, 0.5))
         assert val == pytest.approx(1 / 1.36, abs=1e-6)
         assert g1 == pytest.approx(g2, abs=1e-3)
 
     def test_orthogonal_states(self):
-        val, _, _ = grid_maximize_cloning(Scenario(0.0, 0.5), FAST)
+        val, _, _ = grid_maximize_cloning(Scenario(0.0, 0.5))
         assert val == 1.0
 
     def test_constraint_respected_at_argmax(self):
         for p1 in (0.1, 0.3, 0.5):
-            _, g1, g2 = grid_maximize_cloning(Scenario(0.2, p1), FAST)
+            _, g1, g2 = grid_maximize_cloning(Scenario(0.2, p1))
             res = abs(0.2 - math.sqrt(g1 * g2) * 0.04 - math.sqrt((1 - g1) * (1 - g2)))
             assert res < 1e-10
 
@@ -166,7 +156,7 @@ class TestCloningObjectiveTwin:
     def test_scalar_equals_array_on_the_oracle_grid(self, s):
         # hypot rounds differently in math and numpy in under 1% of lanes,
         # mostly where s^2 sqrt(g1) and sqrt(1 - g1) are comparable
-        g1 = np.linspace(0.0, 1.0, GridSpec().points_per_axis)
+        g1 = np.linspace(0.0, 1.0, _SCAN_POINTS)
         values, g2s = _cloning_objective_values(g1, s, 0.3, 0.7)
         for k, x in enumerate(g1):
             v, g2 = _cloning_objective(float(x), s, 0.3, 0.7)
@@ -183,10 +173,10 @@ class TestCloningObjectiveTwin:
             assert v == -math.inf and math.isnan(g2)
 
 
-def _max_1d_through_arrays(f_vec, lo, hi, spec):
+def _max_1d_through_arrays(f_vec, lo, hi):
     """``_max_1d`` as it was before the refinement ran on floats: every
     refinement point and edge check wrapped in a 1-element array."""
-    xs = np.linspace(lo, hi, spec.points_per_axis)
+    xs = np.linspace(lo, hi, _SCAN_POINTS)
     vals = f_vec(xs)
     i = int(np.argmax(vals))
     best_x, best_v = float(xs[i]), float(vals[i])
@@ -219,15 +209,15 @@ class TestMax1dOnFloats:
     def test_stage_objective(self, s, p1):
         for r in (0.0, s, math.sqrt(s)):
             f = _stage_objective(p1, 1.0 - p1, r)
-            expected = _max_1d_through_arrays(f, r * r, 1.0, GridSpec())
-            assert _max_1d(f, r * r, 1.0, GridSpec()) == expected
+            expected = _max_1d_through_arrays(f, r * r, 1.0)
+            assert _max_1d(f, r * r, 1.0) == expected
 
     @pytest.mark.parametrize("s,p1", _MAX_1D_SCENARIOS)
     def test_failure_objective(self, s, p1):
         s2 = s * s
         f = _failure_objective(p1, 1.0 - p1, s2)
-        expected = _max_1d_through_arrays(f, max(s2, 1e-300), 1.0, GridSpec())
-        assert _max_1d(f, max(s2, 1e-300), 1.0, GridSpec()) == expected
+        expected = _max_1d_through_arrays(f, max(s2, 1e-300), 1.0)
+        assert _max_1d(f, max(s2, 1e-300), 1.0) == expected
 
     @pytest.mark.parametrize("s,p1", _MAX_1D_SCENARIOS[:3])
     def test_cloning_objective(self, s, p1):
@@ -236,24 +226,23 @@ class TestMax1dOnFloats:
         def values(g):
             return _cloning_objective_values(g, s, p1, p2)[0]
 
-        expected = _max_1d_through_arrays(values, 0.0, 1.0, FAST)
-        got = _max_1d(lambda g: _cloning_objective(g, s, p1, p2)[0], 0.0, 1.0, FAST, values)
+        expected = _max_1d_through_arrays(values, 0.0, 1.0)
+        got = _max_1d(lambda g: _cloning_objective(g, s, p1, p2)[0], 0.0, 1.0, values)
         assert got == expected
 
 
 class TestUnionOracle:
     def test_matches_protocol1_value(self):
         sc = Scenario(0.36, 0.2)
-        val, *_ = grid_maximize_union_ssd(sc, FAST)
+        val, *_ = grid_maximize_union_ssd(sc)
         assert val == pytest.approx(0.712, abs=1e-6)
 
 
-def _max_3d_loop(scenario, spec, term):
+def _max_3d_loop(scenario, term, n=_JOINT_POINTS):
     """Elementwise reference for the oracle's (t, q1b, q1c) scan: each t-slice
     is the full (q1b, q1c) array of ``term``, with the same grid, refinement
     and first-maximum order as ``oracle._max_3d``."""
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
-    n = min(spec.points_per_axis, _JOINT_POINTS)
     t_lo_global = max(s, 1e-9)
 
     def evaluate(ts, us, vs):
@@ -313,14 +302,16 @@ class TestRank2SliceScan:
     @settings(max_examples=40, deadline=None)
     @given(sc=scenarios)
     def test_random_scenarios_coarse_grid(self, oracle, term, sc):
-        spec = GridSpec(points_per_axis=100)
-        assert abs(oracle(sc, spec)[0] - _max_3d_loop(sc, spec, term)[0]) <= 1e-15
+        # a function-scoped monkeypatch fixture would trip Hypothesis' health check
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle_module, "_JOINT_POINTS", 100)
+            assert abs(oracle(sc)[0] - _max_3d_loop(sc, term, n=100)[0]) <= 1e-15
 
     @pytest.mark.parametrize("oracle,term", _SCANS, ids=_SCAN_IDS)
     @pytest.mark.parametrize("s,p1", [(0.04, 0.5), (0.36, 0.2), (0.6, 0.05)])
     def test_fixed_scenarios_default_grid(self, oracle, term, s, p1):
-        sc, spec = Scenario(s, p1), GridSpec()
-        assert abs(oracle(sc, spec)[0] - _max_3d_loop(sc, spec, term)[0]) <= 1e-15
+        sc = Scenario(s, p1)
+        assert abs(oracle(sc)[0] - _max_3d_loop(sc, term)[0]) <= 1e-15
 
 
 class TestCertify:
@@ -334,6 +325,5 @@ class TestCertify:
             certify(quantities=["nonsense"])
 
     def test_tolerance_below_grid_resolution_fails(self):
-        spec = GridSpec(points_per_axis=501, tolerance=1e-13)
-        rows = certify(quantities=["joint"], s_values=(0.2,), p1_values=(0.05,), spec=spec)
+        rows = certify(quantities=["joint"], s_values=(0.2,), p1_values=(0.05,), tolerance=1e-13)
         assert not rows[0].passed

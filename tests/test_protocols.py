@@ -8,7 +8,6 @@ from seqdisc import (
     CaseLabel,
     DegenerateStrategyError,
     DomainError,
-    GridSpec,
     SYMMETRY_BREAK_OVERLAP,
     Scenario,
     at_least_one_protocol3,
@@ -116,7 +115,7 @@ class TestProtocol2:
         # s = 1 is left out: Bob's interior success vanishes there (0/0)
         for s in np.logspace(-10, -1e-9, 600).tolist():
             p_c1, _ = protocol2_critical_priors(s)
-            v_case1, _, _ = _protocol2_case1(s, p_c1)
+            v_case1, _ = _protocol2_case1(s, p_c1)
             assert abs(v_case1 - _protocol2_case2(s, p_c1)) <= 1e-12
 
     @pytest.mark.parametrize("p1", [0.1, 0.5])
@@ -183,7 +182,7 @@ class TestCloneParams:
     def test_inversion_matches_grid_oracle(self):
         sc = Scenario(0.2, 0.3)
         cp = clone_optimal_for_prior(sc)
-        oracle_val, _, _ = grid_maximize_cloning(sc, GridSpec())
+        oracle_val, _, _ = grid_maximize_cloning(sc)
         assert cp.p_cl == pytest.approx(oracle_val, abs=1e-6)
 
 
@@ -199,7 +198,7 @@ class TestProtocol3:
     def test_skewed_prior_matches_constraint_manifold_oracle(self):
         sc = Scenario(0.04, 0.4)
         closed = protocol3_optimal(sc).value
-        p_cl, g1, g2 = grid_maximize_cloning(sc, GridSpec())
+        p_cl, g1, g2 = grid_maximize_cloning(sc)
         w1 = sc.p1 * g1
         p1cl = w1 / (w1 + sc.p2 * g2)
         boundary = sc.s**2 / (1 + sc.s**2)
