@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 import time
 
@@ -170,8 +171,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_CERTIFICATION if failed else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative number in exponent form, such as -1e-6, as a value and
+    not as an option, so that the library's range checks report it; its
+    subparsers are of this class too."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="seqdisc",
         description="Sequential unambiguous discrimination of two nonorthogonal qubit states",
     )

@@ -5,8 +5,9 @@ set (boundaries always included, since the optima frequently sit at q = 1)
 and refines around the best point.  They share nothing with the piecewise
 closed forms beyond the objective definitions themselves.
 
-The grids are fixed: 1-D scans take ``_SCAN_POINTS`` points, refined by
-golden-section search; the (t, q1b, q1c) scans take ``_JOINT_POINTS`` per
+The grids are fixed: 1-D scans take ``_SCAN_POINTS`` points, refined on floats
+by golden-section search, and every one-stage maximum (a cloned copy's too)
+is ``_grid_max_stage``'s; the (t, q1b, q1c) scans take ``_JOINT_POINTS`` per
 axis, refined by ``_REFINEMENT_PASSES`` scans of ``_REFINE_POINTS`` per axis.
 ``certify`` compares each closed form with its oracle and flags a gap above
 its ``tolerance``.
@@ -53,25 +54,20 @@ def _max_1d(
 
     The grid is scanned by one call of ``f_values`` (default ``f``, for an
     objective of plain arithmetic that serves arrays and floats alike); the
-    refinement and the two edge checks call ``f`` on plain floats. A separate
-    ``f_values`` must equal ``f`` bit for bit.
+    refinement calls ``f`` on plain floats, and a separate ``f_values`` must
+    equal ``f`` bit for bit. The grid holds lo and hi exactly, so no separate
+    check of the edges could win.
     """
     xs = np.linspace(lo, hi, _SCAN_POINTS)
     vals = (f_values or f)(xs)
     i = int(np.argmax(vals))
     best_x, best_v = float(xs[i]), float(vals[i])
-    step = xs[1] - xs[0]
+    step = float(xs[1] - xs[0])
     for _ in range(_REFINEMENT_PASSES):
-        if step <= 0.0:
-            break
         x, v = golden_max(f, max(lo, best_x - step), min(hi, best_x + step))
         if v > best_v:
             best_x, best_v = x, v
         step *= 1e-2
-    for x_edge in (lo, hi):
-        v = f(x_edge)
-        if v > best_v:
-            best_x, best_v = x_edge, v
     return best_v, best_x
 
 
@@ -84,14 +80,14 @@ def _stage_objective(p1: float, p2: float, r: float):
     return lambda q: p1 * (1.0 - q) + p2 * (1.0 - r2 / q)
 
 
-def _failure_objective(p1: float, p2: float, s2: float):
-    """Minus the failure probability p1*q + p2*s^2/q of one unambiguous stage
-    at overlap s, as a function of q1 (a float or an array)."""
-    return lambda q: -(p1 * q + p2 * s2 / q)
-
-
 def _grid_max_stage(p1: float, p2: float, r: float) -> tuple[float, float]:
+    """The one-stage oracle: (max, argmax) of ``_stage_objective`` on [r^2, 1]."""
     return _max_1d(_stage_objective(p1, p2, r), r * r, 1.0)
+
+
+def _conditioned_stage(w1: float, w2: float, s: float) -> tuple[float, float]:
+    """The stage oracle at overlap s for the priors w1 : w2 left by a first step."""
+    return _grid_max_stage(w1 / (w1 + w2), w2 / (w1 + w2), s)
 
 
 def grid_maximize_bob(scenario: Scenario, t: float) -> tuple[float, float]:
@@ -215,11 +211,7 @@ def grid_maximize_protocol2(scenario: Scenario) -> tuple[float, float, float]:
         bob_val, q1b = exact_boundary, 1.0
     if q1b == 1.0:
         return bob_val, 1.0, math.nan
-    q2b = s * s / q1b
-    b1 = p1 * (1.0 - q1b)
-    b2 = p2 * (1.0 - q2b)
-    p1p, p2p = b1 / (b1 + b2), b2 / (b1 + b2)
-    charlie_val, q1c = _grid_max_stage(p1p, p2p, s)
+    charlie_val, q1c = _conditioned_stage(p1 * (1.0 - q1b), p2 * (1.0 - s * s / q1b), s)
     return bob_val * charlie_val, q1b, q1c
 
 
@@ -338,26 +330,22 @@ def _cert_gap(sc: Scenario, closed_form: Callable, oracle: Callable) -> float:
     return abs(closed_form(sc).value - oracle(sc)[0])
 
 
-def _cloning_oracle(sc: Scenario) -> tuple[float, float]:
-    """The cloning oracle's success p_cl and the prior p1cl conditioned on it."""
+def _cloned_stage_oracle(sc: Scenario) -> tuple[float, float]:
+    """The cloning oracle's success p_cl and one copy's stage maximum at the priors
+    it conditions; the oracle twin of ``protocols._cloned_stage_values``."""
     p_cl, g1, g2 = grid_maximize_cloning(sc)
-    w1 = sc.p1 * g1
-    return p_cl, w1 / (w1 + sc.p2 * g2)
+    return p_cl, _conditioned_stage(sc.p1 * g1, sc.p2 * g2, sc.s)[0]
 
 
 def _cert_protocol3(sc: Scenario) -> float:
-    closed = protocol3_optimal(sc).value
-    p_cl, p1cl = _cloning_oracle(sc)
-    disc = _grid_max_stage(p1cl, 1.0 - p1cl, sc.s)[0]
-    return abs(closed - p_cl * disc * disc)
+    p_cl, disc = _cloned_stage_oracle(sc)
+    return abs(protocol3_optimal(sc).value - p_cl * disc * disc)
 
 
 def _cert_at_least_one_p3(sc: Scenario) -> float:
-    closed = at_least_one_protocol3(sc).value
-    p_cl, p1cl = _cloning_oracle(sc)
-    s2 = sc.s * sc.s
-    fail, _ = _max_1d(_failure_objective(p1cl, 1.0 - p1cl, s2), max(s2, 1e-300), 1.0)
-    return abs(closed - p_cl * (1.0 - fail * fail))
+    p_cl, disc = _cloned_stage_oracle(sc)
+    miss = 1.0 - disc
+    return abs(at_least_one_protocol3(sc).value - p_cl * (1.0 - miss * miss))
 
 
 # The lambdas look each oracle up when called, so a rebound module name (such

@@ -104,7 +104,7 @@ def _stage_optimum(p1: float, p2: float, r: float) -> tuple[float, float, CaseLa
 def _stage_optimum_values(p1: np.ndarray, p2: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The value of ``_stage_optimum`` in every lane, by the same operations."""
     v_boundary = p2 * (1.0 - r * r)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         q_int = np.where(p1 > 0.0, np.sqrt(p2 / p1) * r, np.inf)
     v_int = 1.0 - 2.0 * np.sqrt(p1 * p2) * r
     tie = (v_int > v_boundary) | (np.abs(v_int - v_boundary) < _TIE_TOL)
@@ -134,10 +134,11 @@ def _stage_result(
 
     The argmax holds the ``fixed`` entries, then the optimal (q1, q2) under
     ``names``; the boundary is the case-separating prior r^2/(1+r^2).
+    ``_stage_optimum`` puts q1 in [r, 1], so q2 = r^2/q1 needs no check; q1 is
+    0 only at r = 0, where q2 is 0 too.
     """
     value, q1, label = _stage_optimum(scenario.p1, scenario.p2, r)
-    params = StrategyParams.from_q1(q1, r)
-    argmax = {**fixed, names[0]: params.q1, names[1]: params.q2}
+    argmax = {**fixed, names[0]: q1, names[1]: r * r / q1 if q1 > 0.0 else 0.0}
     return PiecewiseResult(value, label, argmax, r * r / (1.0 + r * r))
 
 
@@ -224,13 +225,18 @@ def solve_q_star(scenario: Scenario) -> float:
     (a backward-error test) and it lies in [s, 1], up to a relative 1e-12
     that is clipped away.  Among the roots, the one with the largest objective
     value is returned.  Since the quartic is negative at s and positive at 1,
-    a root always exists; NumericError reports a failure to find it.
+    a root always exists; NumericError reports a failure to find it.  Where
+    p2*s/p1 overflows (p1 below about 5e-309*s) the root's offset from s is
+    about p1*s relative to it, far below an ulp, and s itself is returned.
     """
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
     if not 0.0 < s < 1.0:
         raise DomainError(f"q* is defined for 0 < s < 1, got s={s}")
+    linear = p2 * s / p1
+    if linear == math.inf:
+        return s
     companion = np.eye(4, k=-1)
-    companion[0] = (1.0, 0.0, -p2 * s / p1, p2 * s * s / p1)
+    companion[0] = (1.0, 0.0, -linear, p2 * s * s / p1)
     roots = []
     for z in np.linalg.eigvals(companion).tolist():
         q = z.real
@@ -256,9 +262,16 @@ def _q_star_values(s: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """``solve_q_star`` in every lane, for 0 < s < 1: one batched eigenvalue
     call, then the same Newton steps, root test, clip and choice, lane by lane.
     """
+    with np.errstate(over="ignore"):
+        linear = p2 * s / p1
+    if np.isinf(linear).any():  # q* = s there, as in the scalar path
+        q, rest = s.copy(), ~np.isinf(linear)
+        if rest.any():
+            q[rest] = _q_star_values(s[rest], p1[rest], p2[rest])
+        return q
     companion = np.zeros(s.shape + (4, 4))
     companion[:, 0, 0] = companion[:, 1, 0] = companion[:, 2, 1] = companion[:, 3, 2] = 1.0
-    companion[:, 0, 2] = -p2 * s / p1
+    companion[:, 0, 2] = -linear
     companion[:, 0, 3] = p2 * s * s / p1
     q = np.linalg.eigvals(companion).real
     p1, p2, s = p1[:, None], p2[:, None], s[:, None]

@@ -39,7 +39,7 @@ class TestOptimal:
         assert main(["optimal", "--s", "0.04", "--p1", "0.7"]) == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("p1", ["1e-15", "1e-17", "1e-20", "1e-300"])
+    @pytest.mark.parametrize("p1", ["1e-15", "1e-17", "1e-20", "1e-300", "5e-324"])
     def test_tiny_prior(self, capsys, p1):
         assert main(["optimal", "--s", "0.5", "--p1", p1]) == 0
         assert "at_least_one_p3" in capsys.readouterr().out
@@ -259,3 +259,38 @@ class TestVerify:
         assert main(["verify", "--quantity", "protocol1,bob"]) == 0
         last = capsys.readouterr().out.splitlines()[-1]
         assert re.fullmatch(r"certification finished in \d+\.\ds", last)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["verify", "--quantity", "protocol1", "--tolerance", "-1e-6"], "must be positive"),
+        (["optimal", "--s", "-1e-3", "--p1", "0.3"], "outside [0, 1]"),
+    ],
+    ids=["tolerance", "overlap"],
+)
+def test_negative_exponent_values_reach_the_range_checks(argv, message, capsys):
+    # argparse alone would read -1e-6 as an option and stop at "expected one argument"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        ([], "needs either --figure"),
+        (["--variable", "P1", "--stop", "0.5", "--s", "0.04", "--quantities", "ssd"],
+         "need --start and --stop"),
+        (["--variable", "P1", "--start", "0.5", "--stop", "0.1", "--s", "0.04",
+          "--quantities", "ssd"], "empty sweep range"),
+        (["--variable", "P1", "--start", "0.1", "--stop", "0.5", "--s", "0.04",
+          "--quantities", "nope"], "unknown quantities"),
+    ],
+    ids=["no_sweep", "no_start", "empty_range", "unknown_quantity"],
+)
+def test_invalid_sweep_exits_2_and_writes_no_file(extra, message, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *extra, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -84,6 +84,11 @@ class TestDiscords:
             CorrelationInput(0.3, 1.5, 0.5)
 
 
+def test_rejects_flag_overlap_above_one():
+    with pytest.raises(DomainError, match="overlap r=1.5"):
+        CorrelationInput(0.3, 0.5, 1.5)
+
+
 class TestReport:
     def test_balanced_proportions_at_symmetric_point(self):
         for p1 in (0.1, 0.3, 0.5):

@@ -8,7 +8,8 @@ lanes are fixed by seed: a lane that fails is a finding, not noise.
 
 import numpy as np
 
-from seqdisc.correlations import prop_left_values
+from seqdisc.core import make_state_pair
+from seqdisc.correlations import CorrelationInput, discord_left, discord_right, prop_left_values
 from seqdisc.protocols import (
     at_least_one_protocol3_values,
     protocol1_optimal_values,
@@ -71,3 +72,31 @@ def test_discord_difference_shrinks_as_priors_meet():
         gap = np.abs(2.0 * prop - 1.0)
         rise = np.flatnonzero(np.diff(gap) > _TOL)
         assert rise.size == 0, (s, t, p1[rise[:5]])
+
+
+def _rho_ab(inp):
+    """Bob's system-ancilla state rho_AB, built as the measurement oracle builds it."""
+    phi1, phi2 = make_state_pair(inp.t, 2)
+    a1, a2 = make_state_pair(inp.r, 3)
+    f1, f2, b1, b2 = phi1.amplitudes, phi2.amplitudes, a1.amplitudes, a2.amplitudes
+    return inp.p1 * np.kron(np.outer(f1, f1), np.outer(b1, b1)) + inp.p2 * np.kron(
+        np.outer(f2, f2), np.outer(b2, b2)
+    )
+
+
+def test_discords_without_entanglement():
+    # the abstract: the sequential scheme needs discord but no entanglement.
+    # A positive partial transpose makes a 2 x 3 state separable.
+    rng = np.random.default_rng(20173)
+    n = 2000
+    s = _log_uniform(rng, 1e-3, 0.99, n)
+    t = s ** rng.uniform(0.05, 0.95, n)
+    p1 = np.minimum(_log_uniform(rng, 1e-3, 0.5, n), 0.5)
+    inputs = [CorrelationInput(*lane) for lane in zip(p1.tolist(), t.tolist(), (s / t).tolist())]
+    rho = np.stack([_rho_ab(inp) for inp in inputs]).reshape(n, 2, 3, 2, 3)
+    transposed = rho.transpose(0, 3, 2, 1, 4).reshape(n, 6, 6)  # on A
+    lowest = np.linalg.eigvalsh(transposed)[:, 0]
+    bad = np.flatnonzero(lowest < -_TOL)
+    assert bad.size == 0, (s[bad[:5]], p1[bad[:5]], t[bad[:5]], lowest[bad[:5]])
+    for inp in inputs:
+        assert discord_left(inp) > 1e-9 and discord_right(inp) > 1e-9, inp

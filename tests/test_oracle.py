@@ -26,7 +26,6 @@ from seqdisc.oracle import (
     _SCAN_POINTS,
     _cloning_objective,
     _cloning_objective_values,
-    _failure_objective,
     _joint_term,
     _max_1d,
     _stage_objective,
@@ -211,13 +210,6 @@ class TestMax1dOnFloats:
             f = _stage_objective(p1, 1.0 - p1, r)
             expected = _max_1d_through_arrays(f, r * r, 1.0)
             assert _max_1d(f, r * r, 1.0) == expected
-
-    @pytest.mark.parametrize("s,p1", _MAX_1D_SCENARIOS)
-    def test_failure_objective(self, s, p1):
-        s2 = s * s
-        f = _failure_objective(p1, 1.0 - p1, s2)
-        expected = _max_1d_through_arrays(f, max(s2, 1e-300), 1.0)
-        assert _max_1d(f, max(s2, 1e-300), 1.0) == expected
 
     @pytest.mark.parametrize("s,p1", _MAX_1D_SCENARIOS[:3])
     def test_cloning_objective(self, s, p1):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from seqdisc import (
     CaseLabel,
+    ConditionalPriors,
     DegenerateStrategyError,
     DomainError,
     SYMMETRY_BREAK_OVERLAP,
@@ -75,6 +76,20 @@ class TestConditionalPriors:
     def test_degenerate_strategy_rejected(self):
         with pytest.raises(DegenerateStrategyError):
             conditional_priors_after_bob(Scenario(1.0, 0.5), 1.0)
+
+    def test_priors_must_sum_to_one(self):
+        with pytest.raises(DomainError, match="sum to 1"):
+            ConditionalPriors(0.7, 0.7)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: protocol2_critical_priors(1.5), lambda: omega_range(0.0)],
+    ids=["critical_priors_s_above_1", "omega_range_s_0"],
+)
+def test_overlap_outside_domain_rejected(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 class TestProtocol2:

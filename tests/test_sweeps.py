@@ -29,7 +29,7 @@ from seqdisc import (
     protocol3_optimal,
 )
 from seqdisc.cli import main
-from seqdisc.sweeps import SweepSpec, _QUANTITIES, run_sweep
+from seqdisc.sweeps import SweepSpec, _QUANTITIES, run_figure, run_sweep
 
 
 def _report_field(name):
@@ -85,7 +85,7 @@ def _assert_column_matches(name, s, p1, t):
 
 
 _S_EDGES = (0.0, 1e-12, 1e-4, 0.04, SYMMETRY_BREAK_OVERLAP, 0.36, 0.9, 1.0 - 1e-9, 1.0)
-_P1_EDGES = (1e-300, 1e-20, 1e-3, 0.1, 0.2, 0.3, 0.45, 0.5)
+_P1_EDGES = (5e-324, 1e-310, 1e-300, 1e-20, 1e-3, 0.1, 0.2, 0.3, 0.45, 0.5)
 
 
 @pytest.mark.parametrize("name", sorted(_SCALAR))
@@ -110,7 +110,7 @@ def test_protocol2_kernel_at_its_critical_priors(s):
 
 
 _S = st.one_of(st.sampled_from([0.0, 1e-12, 1.0 - 1e-9, 1.0]), st.floats(0.0, 1.0))
-_P1 = st.one_of(st.sampled_from([1e-300, 0.5]), st.floats(1e-300, 0.5))
+_P1 = st.one_of(st.sampled_from([5e-324, 1e-310, 1e-300, 0.5]), st.floats(1e-300, 0.5))
 
 
 @settings(max_examples=40, deadline=None)
@@ -171,3 +171,19 @@ def test_custom_sweep_domain_errors_exit_2(extra, capsys):
     assert main(["sweep", *extra, "--steps", "5", "--out", "-"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: SweepSpec("x", 0.1, 0.5, 5), "not one of"),
+        (lambda: SweepSpec("P1", 0.5, 0.5, 5, {"s": 0.04}, ("ssd",)), "empty sweep range"),
+        (lambda: run_sweep(SweepSpec("P1", 0.1, 0.5, 5, {"s": 0.04}, ("nope",))), "unknown quantities"),
+        (lambda: run_sweep(SweepSpec("P1", 0.1, 0.5, 5, {"s": 0.04})), "at least one quantity"),
+        (lambda: run_figure("9"), "unknown figure preset"),
+    ],
+    ids=["variable", "empty_range", "unknown_quantity", "no_quantity", "unknown_figure"],
+)
+def test_sweep_validation_errors(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
