@@ -9,6 +9,8 @@ The grids are fixed: 1-D scans take ``_SCAN_POINTS`` points, refined on floats
 by golden-section search, and every one-stage maximum (a cloned copy's too)
 is ``_grid_max_stage``'s; the (t, q1b, q1c) scans take ``_JOINT_POINTS`` per
 axis, refined by ``_REFINEMENT_PASSES`` scans of ``_REFINE_POINTS`` per axis.
+Each t-slice's maximum over (q1b, q1c) is found exactly by a search along
+Charlie's chain of grid points, ``_REFINE_POINTS`` slices at a time.
 ``certify`` compares each closed form with its oracle and flags a gap above
 its ``tolerance``.
 """
@@ -107,7 +109,9 @@ def _joint_term(q1b, q2b, q1c, q2c, p1, p2):
 
 
 def _joint_factors(q1b, q2b, q1c, q2c, p1, p2):
-    """Bob and Charlie factors whose rank-2 product is ``_joint_term``."""
+    """Bob and Charlie factors whose rank-2 product is ``_joint_term``. At
+    fixed t Charlie's points (1 - q1c, 1 - t^2/q1c) form a concave chain and
+    Bob's factors are nonnegative."""
     return (p1 * (1.0 - q1b), p2 * (1.0 - q2b)), (1.0 - q1c, 1.0 - q2c)
 
 
@@ -116,7 +120,9 @@ def _union_term(q1b, q2b, q1c, q2c, p1, p2):
 
 
 def _union_factors(q1b, q2b, q1c, q2c, p1, p2):
-    """Factors of ``_union_term`` less its constant p1 + p2, which moves no argmax."""
+    """Factors of ``_union_term`` less its constant p1 + p2, which moves no
+    argmax. At fixed t Charlie's points (q1c, t^2/q1c) form a convex chain and
+    Bob's factors are nonpositive."""
     return (-p1 * q1b, -p2 * q2b), (q1c, q2c)
 
 
@@ -128,11 +134,17 @@ def _max_3d(
     q1b ranges over [(s/t)^2, 1] and q1c over [t^2, 1]; both are parametrized
     by normalized coordinates in [0, 1] so the search box is rectangular.
 
-    At fixed t the objective is a sum of two Bob-times-Charlie products, so
-    each t-slice is evaluated at every (q1b, q1c) grid point as one
-    ``(U, 2) @ (2, V)`` matrix product of the ``factors`` into a reused
-    buffer. The slice's first maximum is then re-evaluated with ``term``
-    itself, and that value competes across slices.
+    At fixed t the objective is a1*b1 + a2*b2, Bob's ``factors`` a = (a1, a2)
+    against Charlie's b = (b1, b2). Charlie's grid points form a chain whose
+    edge angles ``arctan2(b1[j] - b1[j+1], b2[j+1] - b2[j])`` rise with j (a
+    concave chain met with nonnegative a, or a convex one with nonpositive a),
+    so along each Bob row the objective rises while an edge angle lies below
+    ``arctan2(a2, a1)`` and falls after: the row's first maximum is the number
+    of edges below that angle. The t-slices are searched ``_REFINE_POINTS``
+    at a time, in one ``searchsorted`` over the block's angles with row k
+    offset by 4k (each row's angles span less than pi). Each slice's best row
+    is re-evaluated with ``term`` itself, and the first highest value over
+    the slices wins.
     """
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
     n = _JOINT_POINTS
@@ -140,22 +152,26 @@ def _max_3d(
 
     def evaluate(ts: np.ndarray, us: np.ndarray, vs: np.ndarray):
         best = (-1.0, 0.0, 0.0, 0.0)
-        r2 = (s / ts) ** 2
-        bob = np.empty((len(us), 2))
-        charlie = np.empty((2, len(vs)))
-        slab = np.empty((len(us), len(vs)))
-        for j, t in enumerate(ts):
-            lob = r2[j]
-            q1b = lob + us * (1.0 - lob)
+        for k0 in range(0, len(ts), _REFINE_POINTS):
+            t = ts[k0 : k0 + _REFINE_POINTS, None]
+            rows = np.arange(len(t))
+            r2 = (s / t) ** 2
+            q1b = r2 + us * (1.0 - r2)
             q1c = t * t + vs * (1.0 - t * t)
-            q2b = np.where(q1b > 0.0, r2[j] / np.where(q1b > 0.0, q1b, 1.0), 1.0)
+            q2b = np.where(q1b > 0.0, r2 / np.where(q1b > 0.0, q1b, 1.0), 1.0)
             q2c = t * t / q1c
-            (bob[:, 0], bob[:, 1]), (charlie[0], charlie[1]) = factors(q1b, q2b, q1c, q2c, p1, p2)
-            np.matmul(bob, charlie, out=slab)
-            ib, ic = divmod(int(np.argmax(slab)), len(vs))
-            v = float(term(q1b[ib], q2b[ib], q1c[ic], q2c[ic], p1, p2))
-            if v > best[0]:
-                best = (v, float(t), float(q1b[ib]), float(q1c[ic]))
+            (a1, a2), (b1, b2) = factors(q1b, q2b, q1c, q2c, p1, p2)
+            offset = 4.0 * rows[:, None]
+            edges = np.arctan2(b1[:, :-1] - b1[:, 1:], b2[:, 1:] - b2[:, :-1]) + offset
+            found = np.searchsorted(edges.ravel(), (np.arctan2(a2, a1) + offset).ravel())
+            # slice k's edges start at k*(V-1) in the search and its points at k*V
+            at = found.reshape(a1.shape) + rows[:, None]
+            ib = np.argmax(a1 * b1.take(at) + a2 * b2.take(at), axis=1)
+            ic = at[rows, ib] - len(vs) * rows
+            vals = term(q1b[rows, ib], q2b[rows, ib], q1c[rows, ic], q2c[rows, ic], p1, p2)
+            k = int(np.argmax(vals))
+            if vals[k] > best[0]:
+                best = (float(vals[k]), float(t[k, 0]), float(q1b[k, ib[k]]), float(q1c[k, ic[k]]))
         return best
 
     ts = np.linspace(t_lo_global, 1.0, n)
@@ -184,8 +200,10 @@ def _max_3d(
 
 
 def grid_maximize_joint(scenario: Scenario) -> tuple[float, float, float, float]:
-    """Brute-force maximum of the joint success over (t, q1b, q1c), scanned
-    at 301 points per axis (2.7e7 evaluations) before refinement."""
+    """Brute-force maximum of the joint success over (t, q1b, q1c) on a grid
+    of 301 points per axis before refinement; each t-slice's exact grid
+    maximum comes from a search along Charlie's chain, not from all 301^2
+    points."""
     return _max_3d(scenario, _joint_term, _joint_factors)
 
 

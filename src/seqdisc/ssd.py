@@ -90,10 +90,15 @@ def _stage_optimum(p1: float, p2: float, r: float) -> tuple[float, float, CaseLa
 
     Returns (value, q1, case).  The interior stationary point q1 = sqrt(p2/p1)*r
     is used when it is feasible and not beaten by the boundary q1 = 1; ties
-    within 1e-12 resolve to case I.  At p1 = 0 only the boundary is optimal.
+    within 1e-12 resolve to case I.  At p1 = 0 only the boundary is optimal;
+    at r = 0 the interior point is q1 = 0 even where p2/p1 overflows (p1 below
+    about 1e-308), which would make sqrt(p2/p1)*r NaN.
     """
     v_boundary = p2 * (1.0 - r * r)
-    q_int = math.sqrt(p2 / p1) * r if p1 > 0.0 else math.inf
+    if p1 > 0.0:
+        q_int = math.sqrt(p2 / p1) * r if r > 0.0 else 0.0
+    else:
+        q_int = math.inf
     if q_int <= 1.0 + _TIE_TOL:
         v_int = 1.0 - 2.0 * math.sqrt(p1 * p2) * r
         if v_int > v_boundary or abs(v_int - v_boundary) < _TIE_TOL:
@@ -105,7 +110,7 @@ def _stage_optimum_values(p1: np.ndarray, p2: np.ndarray, r: np.ndarray) -> np.n
     """The value of ``_stage_optimum`` in every lane, by the same operations."""
     v_boundary = p2 * (1.0 - r * r)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        q_int = np.where(p1 > 0.0, np.sqrt(p2 / p1) * r, np.inf)
+        q_int = np.where(p1 > 0.0, np.where(r > 0.0, np.sqrt(p2 / p1) * r, 0.0), np.inf)
     v_int = 1.0 - 2.0 * np.sqrt(p1 * p2) * r
     tie = (v_int > v_boundary) | (np.abs(v_int - v_boundary) < _TIE_TOL)
     return np.where((q_int <= 1.0 + _TIE_TOL) & tie, v_int, v_boundary)

@@ -44,6 +44,15 @@ class TestOptimal:
         assert main(["optimal", "--s", "0.5", "--p1", p1]) == 0
         assert "at_least_one_p3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("p1", ["1e-300", "1e-310", "5e-324"])
+    def test_orthogonal_states_subnormal_prior_take_case_i(self, capsys, p1):
+        # p2/p1 overflows below about 1e-308; at s = 0 the stationary point
+        # must still be q1b = 0, not sqrt(inf) * 0 = NaN
+        assert main(["optimal", "--s", "0", "--p1", p1]) == 0
+        rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+        assert "CaseI " in rows["protocol1"] and " q1b=0 " in rows["protocol1"]
+        assert "CaseI " in rows["at_least_one_ssd"] and " q1_product=0 " in rows["at_least_one_ssd"]
+
 
 class TestSweep:
     def test_figure2_header_and_shape(self, tmp_path):

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqdisc import (
+    CERT_P1_VALUES,
+    CERT_S_VALUES,
+    SYMMETRY_BREAK_OVERLAP,
     DomainError,
     Scenario,
     certify,
@@ -26,9 +30,11 @@ from seqdisc.oracle import (
     _SCAN_POINTS,
     _cloning_objective,
     _cloning_objective_values,
+    _joint_factors,
     _joint_term,
     _max_1d,
     _stage_objective,
+    _union_factors,
     _union_term,
 )
 
@@ -230,11 +236,11 @@ class TestUnionOracle:
         assert val == pytest.approx(0.712, abs=1e-6)
 
 
-def _max_3d_loop(scenario, term, n=_JOINT_POINTS):
-    """Elementwise reference for the oracle's (t, q1b, q1c) scan: each t-slice
-    is the full (q1b, q1c) array of ``term``, with the same grid, refinement
-    and first-maximum order as ``oracle._max_3d``."""
-    s, p1, p2 = scenario.s, scenario.p1, scenario.p2
+def _reference_max_3d(scenario, slice_best, n=_JOINT_POINTS):
+    """The oracle's (t, q1b, q1c) grid and refinement, one t-slice at a time:
+    ``slice_best(q1b, q2b, q1c, q2c)`` gives a slice's first maximum as
+    (value, ib, ic), and the first highest value over the slices wins."""
+    s = scenario.s
     t_lo_global = max(s, 1e-9)
 
     def evaluate(ts, us, vs):
@@ -242,16 +248,13 @@ def _max_3d_loop(scenario, term, n=_JOINT_POINTS):
         r2 = (s / ts) ** 2
         for j, t in enumerate(ts):
             lob = r2[j]
-            q1b = (lob + us * (1.0 - lob))[:, None]
-            q1c = (t * t + vs * (1.0 - t * t))[None, :]
-            q2b = np.where(q1b > 0.0, r2[j] / np.where(q1b > 0.0, q1b, 1.0), 1.0)
+            q1b = lob + us * (1.0 - lob)
+            q1c = t * t + vs * (1.0 - t * t)
+            q2b = np.where(q1b > 0.0, lob / np.where(q1b > 0.0, q1b, 1.0), 1.0)
             q2c = t * t / q1c
-            val = term(q1b, q2b, q1c, q2c, p1, p2)
-            k = int(np.argmax(val))
-            v = float(val.flat[k])
+            v, ib, ic = slice_best(q1b, q2b, q1c, q2c)
             if v > best[0]:
-                ib, ic = divmod(k, val.shape[1])
-                best = (v, float(t), float(q1b[ib, 0]), float(q1c[0, ic]))
+                best = (v, float(t), float(q1b[ib]), float(q1c[ic]))
         return best
 
     best = evaluate(
@@ -275,6 +278,34 @@ def _max_3d_loop(scenario, term, n=_JOINT_POINTS):
         t_step *= 3.0 / _REFINE_POINTS
         u_step *= 3.0 / _REFINE_POINTS
     return best
+
+
+def _max_3d_loop(scenario, term, n=_JOINT_POINTS):
+    """Elementwise reference for the oracle's scan: each t-slice is the full
+    (q1b, q1c) array of ``term``."""
+    p1, p2 = scenario.p1, scenario.p2
+
+    def slice_best(q1b, q2b, q1c, q2c):
+        val = term(q1b[:, None], q2b[:, None], q1c[None, :], q2c[None, :], p1, p2)
+        k = int(np.argmax(val))
+        return float(val.flat[k]), *divmod(k, len(q1c))
+
+    return _reference_max_3d(scenario, slice_best, n)
+
+
+def _max_3d_matmul(scenario, term, factors, n=_JOINT_POINTS):
+    """Rank-2 reference for the oracle's scan: each t-slice is one
+    ``(U, 2) @ (2, V)`` product of the ``factors``, and its first maximum is
+    re-evaluated with ``term``."""
+    p1, p2 = scenario.p1, scenario.p2
+
+    def slice_best(q1b, q2b, q1c, q2c):
+        bob, charlie = factors(q1b, q2b, q1c, q2c, p1, p2)
+        slab = np.matmul(np.stack(bob, axis=1), np.stack(charlie))
+        ib, ic = divmod(int(np.argmax(slab)), len(q1c))
+        return float(term(q1b[ib], q2b[ib], q1c[ic], q2c[ic], p1, p2)), ib, ic
+
+    return _reference_max_3d(scenario, slice_best, n)
 
 
 _SCANS = [(grid_maximize_joint, _joint_term), (grid_maximize_union_ssd, _union_term)]
@@ -304,6 +335,60 @@ class TestRank2SliceScan:
     def test_fixed_scenarios_default_grid(self, oracle, term, s, p1):
         sc = Scenario(s, p1)
         assert abs(oracle(sc)[0] - _max_3d_loop(sc, term)[0]) <= 1e-15
+
+
+_CHAINS = [
+    (grid_maximize_joint, _joint_term, _joint_factors),
+    (grid_maximize_union_ssd, _union_term, _union_factors),
+]
+_CERT_GRID = [(s, p1) for s in CERT_S_VALUES for p1 in CERT_P1_VALUES]
+
+
+def _seeded_edge_scenarios():
+    # s log-uniform in [1e-10, 1 - 1e-9] and p1 log-uniform down to 1e-8, plus
+    # the ends of the domain, the symmetry break and a tiny prior
+    rng = np.random.default_rng(1308)
+    s = np.exp(rng.uniform(math.log(1e-10), math.log(1.0 - 1e-9), 36))
+    p1 = np.exp(rng.uniform(math.log(1e-8), math.log(0.5), 36))
+    fixed = [(0.0, 0.3), (1.0, 0.3), (SYMMETRY_BREAK_OVERLAP, 0.5), (0.36, 1e-300)]
+    return fixed + list(zip(s.tolist(), p1.tolist()))
+
+
+class TestChainSearch:
+    """The blocked chain search returns the rank-2 matmul scan's (value, t,
+    q1b, q1c) exactly, also where rounding at the chain's flat end (small s)
+    leaves its edge angles out of order by a few 1e-14 rad."""
+
+    @pytest.mark.parametrize("oracle,term,factors", _CHAINS, ids=_SCAN_IDS)
+    @pytest.mark.parametrize("s,p1", _CERT_GRID)
+    def test_certification_grid(self, oracle, term, factors, s, p1):
+        sc = Scenario(s, p1)
+        assert oracle(sc) == _max_3d_matmul(sc, term, factors)
+
+    @pytest.mark.parametrize("oracle,term,factors", _CHAINS, ids=_SCAN_IDS)
+    @pytest.mark.parametrize("s,p1", _seeded_edge_scenarios())
+    def test_seeded_edge_scenarios(self, oracle, term, factors, s, p1):
+        sc = Scenario(s, p1)
+        assert oracle(sc) == _max_3d_matmul(sc, term, factors)
+
+    @pytest.mark.parametrize("oracle", [c[0] for c in _CHAINS], ids=_SCAN_IDS)
+    def test_one_call_peaks_below_2_mb(self, oracle):
+        # blocks of slices bound the working set: all 301 slices at once
+        # would peak near 9 MB
+        sc = Scenario(0.36, 0.2)
+        oracle(sc)  # warm-up
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            oracle(sc)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestCertify:
