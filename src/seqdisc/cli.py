@@ -71,8 +71,15 @@ def cmd_optimal(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: The ``sweep`` flags that only a custom sweep reads.
+_CUSTOM_SWEEP_FLAGS = ("variable", "start", "stop", "steps", "s", "p1", "t", "quantities")
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.figure:
+        given = [f"--{name}" for name in _CUSTOM_SWEEP_FLAGS if getattr(args, name) is not None]
+        if given:
+            raise DomainError(f"--figure takes no {', '.join(given)}; those define a custom sweep")
         header, rows = run_figure(args.figure)
     else:
         if not (args.variable and args.quantities):
@@ -90,7 +97,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             variable=args.variable,
             start=args.start,
             stop=args.stop,
-            steps=args.steps,
+            steps=200 if args.steps is None else args.steps,
             fixed=fixed,
             quantities=tuple(args.quantities.split(",")),
         )
@@ -198,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--variable", choices=("P1", "s", "t"))
     p_sweep.add_argument("--start", type=float)
     p_sweep.add_argument("--stop", type=float)
-    p_sweep.add_argument("--steps", type=int, default=200)
+    p_sweep.add_argument("--steps", type=int, help="grid points of a custom sweep (default 200)")
     p_sweep.add_argument("--s", type=float)
     p_sweep.add_argument("--p1", type=float)
     p_sweep.add_argument("--t", type=float)

@@ -124,6 +124,20 @@ class StrategyParams:
         return cls(q1, r2 / q1, r)
 
 
+def _pick(cond: bool, a: float, b: float) -> float:
+    """``np.where`` for one float: the formulas written once for floats and
+    arrays take it (and ``math.sqrt``) on floats, ``np.where`` (and ``np.sqrt``)
+    on arrays.  Both branches are evaluated, so neither may raise."""
+    return a if cond else b
+
+
+def _check_lanes(ok: np.ndarray, check: Callable[[int], object]) -> None:
+    """Call ``check`` on the first lane index where ``ok`` is False; ``check``
+    runs the scalar validation there, so an array fails with its exception."""
+    if not ok.all():
+        check(int(np.argmin(ok)))
+
+
 def check_overlap_t(s: float, t: float) -> None:
     """Raise DomainError unless the post-measurement overlap t lies in (0, 1] and t >= s."""
     if not (0.0 < t <= 1.0 and t >= s):
@@ -174,9 +188,8 @@ def entropy_H_values(x: np.ndarray) -> np.ndarray:
 
     Raises for the first lane outside [0, 1] beyond 1e-12.
     """
-    bad = ~((x >= -BOUNDARY_TOL) & (x <= 1.0 + BOUNDARY_TOL))
-    if bad.any():
-        entropy_H(float(x[bad][0]))
+    ok = (x >= -BOUNDARY_TOL) & (x <= 1.0 + BOUNDARY_TOL)
+    _check_lanes(ok, lambda i: entropy_H(float(x[i])))
     x = np.where(x > 0.0, np.where(x < 1.0, x, 1.0), 0.0)
     p = 0.5 * (1.0 + np.sqrt(1.0 - x))
     h = np.zeros_like(p)

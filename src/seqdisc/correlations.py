@@ -20,8 +20,12 @@ The Koashi-Winter identity turns these into the two discords of rho_AB:
                                   + H(tau_A|BE - tau_ABE)
 
 and the left discord D_BA follows by exchanging t and r.  All discords are in
-bits.  A direct measurement-minimization oracle for the left discord is
-included to certify the closed form.
+bits.  ``discord_right`` and the column kernels (``prop_left_values``,
+``d_symm_values``) share that formula as one body and differ only in H:
+``entropy_H`` on floats, ``entropy_H_values`` on arrays, which keeps
+``math.log2`` lane by lane but skips the pure lanes where it would take log2(0).
+A direct measurement-minimization oracle for the left discord is included to
+certify the closed form.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .core import (
     BOUNDARY_TOL,
     DomainError,
     NumericError,
+    _check_lanes,
     entropy_H,
     entropy_H_values,
     golden_max,
@@ -107,14 +112,19 @@ def tangles(inp: CorrelationInput) -> Tangles:
     )
 
 
+def _koashi_winter(p1, t, r, entropy):
+    """H(tau_B|AE) - H(tau_E|AB) + H(tau_A|BE - tau_ABE), the right discord
+    before its floor check, with ``entropy`` as H: ``entropy_H`` on floats,
+    ``entropy_H_values`` on arrays."""
+    c = 4.0 * p1 * (1.0 - p1)
+    t2, r2 = t * t, r * r
+    tau_ae = c * (1.0 - t2) * r2  # tau_A|BE - tau_ABE, the A-E tangle
+    return entropy(c * (1.0 - r2)) - entropy(c * (1.0 - t2 * r2)) + entropy(tau_ae)
+
+
 def discord_right(inp: CorrelationInput) -> float:
     """Discord of rho_AB under measurements on the ancilla B, in bits."""
-    c = 4.0 * inp.p1 * inp.p2
-    t2, r2 = inp.t * inp.t, inp.r * inp.r
-    tau_b_ae = c * (1.0 - r2)
-    tau_e_ab = c * (1.0 - t2 * r2)
-    tau_ae = c * (1.0 - t2) * r2  # tau_A|BE - tau_ABE, the A-E tangle
-    value = entropy_H(tau_b_ae) - entropy_H(tau_e_ab) + entropy_H(tau_ae)
+    value = _koashi_winter(inp.p1, inp.t, inp.r, entropy_H)
     if value < -_NEG_FLOOR:
         raise NumericError(f"right discord {value} below the -1e-10 floor")
     return max(value, 0.0)
@@ -152,14 +162,8 @@ def correlation_report(inp: CorrelationInput) -> CorrelationReport:
 
 
 def _discord_right_values(p1: np.ndarray, t: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """``discord_right`` in every lane, by the same steps."""
-    c = 4.0 * p1 * (1.0 - p1)
-    t2, r2 = t * t, r * r
-    value = (
-        entropy_H_values(c * (1.0 - r2))
-        - entropy_H_values(c * (1.0 - t2 * r2))
-        + entropy_H_values(c * (1.0 - t2) * r2)
-    )
+    """``discord_right`` in every lane, by the same body."""
+    value = _koashi_winter(p1, t, r, entropy_H_values)
     low = value < -_NEG_FLOOR
     if low.any():
         raise NumericError(f"discord {value[low][0]} below the -1e-10 floor")
@@ -173,10 +177,8 @@ def _discords_values(s: np.ndarray, p1: np.ndarray, t: np.ndarray) -> tuple[np.n
     defined = ~((t < s) | (t <= 0.0))
     s, p1, t = s[defined], p1[defined], t[defined]
     r = s / t  # in [0, 1] once t is
-    bad = ~((0.0 <= t) & (t <= 1.0))
-    if bad.any():
-        i = int(np.argmax(bad))
-        CorrelationInput(float(p1[i]), float(t[i]), float(r[i]))
+    ok = (0.0 <= t) & (t <= 1.0)
+    _check_lanes(ok, lambda i: CorrelationInput(float(p1[i]), float(t[i]), float(r[i])))
     d_left, d_right = np.full((2,) + defined.shape, np.nan)
     d_left[defined] = _discord_right_values(p1, r, t)
     d_right[defined] = _discord_right_values(p1, t, r)

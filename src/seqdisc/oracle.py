@@ -390,9 +390,12 @@ def certify(
     tolerance: float = 1e-6,
 ) -> list[CertificationRow]:
     """Compare every closed form against its oracle over the s x p1 grid; a
-    row passes when its worst gap is at most ``tolerance``."""
-    if not tolerance > 0.0:  # negated, so that NaN fails it
-        raise DomainError(f"tolerance={tolerance} must be positive")
+    row passes when its worst gap is at most ``tolerance``.  An empty grid or
+    an infinite tolerance would pass anything, and is rejected."""
+    if not 0.0 < tolerance < math.inf:  # negated, so that NaN fails it
+        raise DomainError(f"tolerance={tolerance} must be positive and finite")
+    if len(s_values) == 0 or len(p1_values) == 0:
+        raise DomainError("certify needs at least one s value and one p1 value")
     names = list(quantities) if quantities else list(_CERTIFIERS)
     unknown = [q for q in names if q not in _CERTIFIERS]
     if unknown:

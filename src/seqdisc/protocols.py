@@ -39,6 +39,7 @@ from .core import (
     NumericError,
     Scenario,
     StrategyParams,
+    _pick,
     brent_root,
     brent_root_values,
 )
@@ -225,10 +226,6 @@ def _clone_params(u: float, s: float) -> CloneParams:
 def _clone_params_values(u: np.ndarray, s: np.ndarray) -> CloneParams:
     """``_clone_params`` in every lane; the fields are arrays."""
     return _clone_working_point(u, s, np.sqrt, np.where)
-
-
-def _pick(cond: bool, a: float, b: float) -> float:
-    return a if cond else b
 
 
 def _clone_working_point(u, s, sqrt, pick) -> CloneParams:

@@ -21,6 +21,15 @@ The prior separating the joint cases, P_C, has a closed form.  The quartic
 gives the prior ratio of each root, p1/p2 = k(q) = s(q - s)/(q^3 (1 - q));
 equating the two branches at that prior leaves the quadratic
 (2 - s)q^2 - (1 + s)q + s = 0 for the root q_C at the crossing.
+
+The point API (``bob_optimal``, ``joint_optimal``, ...) works on floats; each
+``*_values`` kernel gives the same value in every lane of arrays.  The stage
+optimum, the case-I tie rule and the joint two-case choice are each one body
+that both call, on floats with ``math.sqrt`` and ``_pick``, on arrays with
+``np.sqrt`` and ``np.where``.  Only q*'s root search keeps a twin,
+``_q_star_values``: its Newton polish stops each root on its own, where the
+kernel runs all lanes in lockstep, and one lane through the kernel costs
+several times the scalar call.
 """
 
 from __future__ import annotations
@@ -38,6 +47,8 @@ from .core import (
     NumericError,
     Scenario,
     StrategyParams,
+    _check_lanes,
+    _pick,
     check_overlap_t,
 )
 
@@ -85,35 +96,47 @@ def bob_success(scenario: Scenario, t: float, q1b: float) -> float:
     return scenario.p1 * (1.0 - params.q1) + scenario.p2 * (1.0 - params.q2)
 
 
+def _case_i_wins(v_int, v_boundary):
+    """The tie rule of every two-case choice: the interior value wins when it is
+    larger or within 1e-12 of the boundary value.  Floats or arrays."""
+    return (v_int > v_boundary) | (abs(v_int - v_boundary) < _TIE_TOL)
+
+
+def _stage(p1, p2, r, sqrt, pick):
+    """(value, q1, case I) of ``_stage_optimum`` for p1 > 0, on floats
+    (``math.sqrt``, ``_pick``) or on arrays (``np.sqrt``, ``np.where``).
+
+    Where p2/p1 overflows (p1 below about 1e-308) the stationary point is
+    r/sqrt(p1/p2), which stays finite: 0 at r = 0, and inside [r, 1] when r is
+    below about sqrt(p1).  On arrays a lane with p1 = 0 gets an infinite or
+    NaN point and so the boundary.
+    """
+    v_boundary = p2 * (1.0 - r * r)
+    ratio = p2 / p1
+    q_int = pick(ratio < math.inf, sqrt(ratio) * r, r / sqrt(p1 / p2))
+    v_int = 1.0 - 2.0 * sqrt(p1 * p2) * r
+    case_i = (q_int <= 1.0 + _TIE_TOL) & _case_i_wins(v_int, v_boundary)
+    return pick(case_i, v_int, v_boundary), pick(case_i & (q_int < 1.0), q_int, 1.0), case_i
+
+
 def _stage_optimum(p1: float, p2: float, r: float) -> tuple[float, float, CaseLabel]:
     """Maximize p1*(1-q1) + p2*(1-r^2/q1) over q1 in [r^2, 1].
 
     Returns (value, q1, case).  The interior stationary point q1 = sqrt(p2/p1)*r
     is used when it is feasible and not beaten by the boundary q1 = 1; ties
-    within 1e-12 resolve to case I.  At p1 = 0 only the boundary is optimal;
-    at r = 0 the interior point is q1 = 0 even where p2/p1 overflows (p1 below
-    about 1e-308), which would make sqrt(p2/p1)*r NaN.
+    within 1e-12 resolve to case I.  At p1 = 0 only the boundary is optimal.
     """
-    v_boundary = p2 * (1.0 - r * r)
     if p1 > 0.0:
-        q_int = math.sqrt(p2 / p1) * r if r > 0.0 else 0.0
-    else:
-        q_int = math.inf
-    if q_int <= 1.0 + _TIE_TOL:
-        v_int = 1.0 - 2.0 * math.sqrt(p1 * p2) * r
-        if v_int > v_boundary or abs(v_int - v_boundary) < _TIE_TOL:
-            return v_int, min(q_int, 1.0), CaseLabel.CASE_I
-    return v_boundary, 1.0, CaseLabel.CASE_II
+        value, q1, case_i = _stage(p1, p2, r, math.sqrt, _pick)
+    else:  # the body would divide by zero
+        value, q1, case_i = p2 * (1.0 - r * r), 1.0, False
+    return value, q1, CaseLabel.CASE_I if case_i else CaseLabel.CASE_II
 
 
 def _stage_optimum_values(p1: np.ndarray, p2: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The value of ``_stage_optimum`` in every lane, by the same operations."""
-    v_boundary = p2 * (1.0 - r * r)
+    """The value of ``_stage_optimum`` in every lane, by the same body."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        q_int = np.where(p1 > 0.0, np.where(r > 0.0, np.sqrt(p2 / p1) * r, 0.0), np.inf)
-    v_int = 1.0 - 2.0 * np.sqrt(p1 * p2) * r
-    tie = (v_int > v_boundary) | (np.abs(v_int - v_boundary) < _TIE_TOL)
-    return np.where((q_int <= 1.0 + _TIE_TOL) & tie, v_int, v_boundary)
+        return _stage(p1, p2, r, np.sqrt, np.where)[0]
 
 
 def _probabilities(values: np.ndarray) -> np.ndarray:
@@ -126,10 +149,8 @@ def _probabilities(values: np.ndarray) -> np.ndarray:
 
 def _check_overlaps_t(s: np.ndarray, t: np.ndarray) -> None:
     """``check_overlap_t`` in every lane; raises for the first lane that fails it."""
-    bad = ~((0.0 < t) & (t <= 1.0) & (t >= s))
-    if bad.any():
-        i = int(np.argmax(bad))
-        check_overlap_t(float(s[i]), float(t[i]))
+    ok = (0.0 < t) & (t <= 1.0) & (t >= s)
+    _check_lanes(ok, lambda i: check_overlap_t(float(s[i]), float(t[i])))
 
 
 def _stage_result(
@@ -217,6 +238,15 @@ def _is_root(p1, p2, s, q):
 def _joint_case1_objective(p1, p2, s, q):
     a, b = 1.0 - q, 1.0 - s / q
     return p1 * (a * a) + p2 * (b * b)
+
+
+def _joint_choice(p1, p2, s, q_star, pick):
+    """(value, case I) of the joint optimum for 0 < s < 1 given q*: case I's
+    objective at q* against case II's p2*(1-s)^2.  Floats or arrays."""
+    v1 = _joint_case1_objective(p1, p2, s, q_star)
+    v2 = p2 * ((1.0 - s) * (1.0 - s))
+    case_i = _case_i_wins(v1, v2)
+    return pick(case_i, v1, v2), case_i
 
 
 def solve_q_star(scenario: Scenario) -> float:
@@ -358,35 +388,25 @@ def joint_optimal(scenario: Scenario, *, compute_boundary: bool = True) -> Piece
             0.5,
         )
     q_star = solve_q_star(scenario)
-    v1 = _joint_case1_objective(p1, p2, s, q_star)
-    v2 = p2 * ((1.0 - s) * (1.0 - s))
+    value, case_i = _joint_choice(p1, p2, s, q_star, _pick)
     boundary = critical_prior_PC(s).value if compute_boundary else None
     t_opt = math.sqrt(s)
-    if v1 > v2 or abs(v1 - v2) < _TIE_TOL:
-        argmax = {
-            "t": t_opt,
-            "q_star": q_star,
-            "q1b": q_star,
-            "q2b": s / q_star,
-            "q1c": q_star,
-            "q2c": s / q_star,
-        }
-        return PiecewiseResult(v1, CaseLabel.CASE_I, argmax, boundary)
-    argmax = {"t": t_opt, "q_star": q_star, "q1b": 1.0, "q2b": s, "q1c": 1.0, "q2c": s}
-    return PiecewiseResult(v2, CaseLabel.CASE_II, argmax, boundary)
+    q1, q2 = (q_star, s / q_star) if case_i else (1.0, s)
+    argmax = {"t": t_opt, "q_star": q_star, "q1b": q1, "q2b": q2, "q1c": q1, "q2c": q2}
+    label = CaseLabel.CASE_I if case_i else CaseLabel.CASE_II
+    return PiecewiseResult(value, label, argmax, boundary)
 
 
 def joint_optimal_values(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
     """``joint_optimal(Scenario(s, p1)).value`` in every lane of valid scenarios.
 
-    The same operations as the scalar path, so the values agree bit for bit.
+    q* from the lockstep twin of ``solve_q_star``, then the scalar path's own
+    two-case choice, so the values agree bit for bit.
     """
     value = np.where(s == 0.0, 1.0, 0.0)
     inner = (s > 0.0) & (s < 1.0)
     if inner.any():
         s, p1 = s[inner], p1[inner]
         p2 = 1.0 - p1
-        v1 = _joint_case1_objective(p1, p2, s, _q_star_values(s, p1, p2))
-        v2 = p2 * ((1.0 - s) * (1.0 - s))
-        value[inner] = np.where((v1 > v2) | (np.abs(v1 - v2) < _TIE_TOL), v1, v2)
+        value[inner] = _joint_choice(p1, p2, s, _q_star_values(s, p1, p2), np.where)[0]
     return _probabilities(value)

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
 
-from .core import DomainError, Scenario
+from .core import DomainError, Scenario, _check_lanes
 from .correlations import d_symm_values, prop_left_values
 from .protocols import (
     at_least_one_protocol3_values,
@@ -83,10 +83,8 @@ def _column(name: str, at: dict) -> list[float | None]:
     """One quantity over the grid's scenarios ``at``; None where it is undefined."""
     kernel, needs_t = _QUANTITIES[name]
     s, p1 = at["s"], at["p1"]
-    bad = ~((0.0 <= s) & (s <= 1.0) & (0.0 < p1) & (p1 <= 0.5))
-    if bad.any():
-        i = int(np.argmax(bad))
-        Scenario(float(s[i]), float(p1[i]))  # raises DomainError
+    ok = (0.0 <= s) & (s <= 1.0) & (0.0 < p1) & (p1 <= 0.5)
+    _check_lanes(ok, lambda i: Scenario(float(s[i]), float(p1[i])))
     values = kernel(s, p1, at["t"]) if needs_t else kernel(s, p1)
     return [None if v != v else v for v in values.tolist()]
 

@@ -211,8 +211,9 @@ class TestSimulate:
          "--t", "nan", "--quantities", "bob_max", "--out", "-"],
         ["verify", "--quantity", "protocol1", "--tolerance", "nan"],
         ["verify", "--quantity", "protocol1", "--tolerance", "0"],
+        ["verify", "--quantity", "protocol1", "--tolerance", "inf"],
     ],
-    ids=["q1b", "q1c", "simulate_t", "sweep_t", "tolerance", "tolerance_zero"],
+    ids=["q1b", "q1c", "simulate_t", "sweep_t", "tolerance", "tolerance_zero", "tolerance_inf"],
 )
 def test_nan_arguments_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -295,8 +296,9 @@ def test_negative_exponent_values_reach_the_range_checks(argv, message, capsys):
           "--quantities", "ssd"], "empty sweep range"),
         (["--variable", "P1", "--start", "0.1", "--stop", "0.5", "--s", "0.04",
           "--quantities", "nope"], "unknown quantities"),
+        (["--figure", "4", "--variable", "s", "--steps", "5"], "--figure takes no --variable, --steps"),
     ],
-    ids=["no_sweep", "no_start", "empty_range", "unknown_quantity"],
+    ids=["no_sweep", "no_start", "empty_range", "unknown_quantity", "figure_and_variable"],
 )
 def test_invalid_sweep_exits_2_and_writes_no_file(extra, message, tmp_path, capsys):
     out = tmp_path / "sweep.csv"

@@ -43,10 +43,16 @@ class TestCertifyTolerance:
         (row,) = certify(["protocol1"], [0.2], [0.3])
         assert row.tolerance == 1e-6
 
-    @pytest.mark.parametrize("tolerance", [0.0, -1e-6, math.nan])
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-6, math.nan, math.inf])
     def test_rejects_nonpositive_tolerance(self, tolerance):
         with pytest.raises(DomainError, match="must be positive"):
             certify(["protocol1"], [0.2], [0.3], tolerance=tolerance)
+
+    @pytest.mark.parametrize("s_values,p1_values", [([], [0.3]), ([0.2], []), ((), ())])
+    def test_rejects_empty_grid(self, s_values, p1_values):
+        # an empty grid used to pass with worst_gap -1 at (nan, nan)
+        with pytest.raises(DomainError, match="at least one s value"):
+            certify(["protocol1"], s_values, p1_values)
 
 
 class TestStageOracles:

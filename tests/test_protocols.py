@@ -13,6 +13,7 @@ from seqdisc import (
     Scenario,
     at_least_one_protocol3,
     at_least_one_ssd,
+    bob_optimal,
     clone_optimal_for_prior,
     clone_params_of_omega,
     conditional_priors_after_bob,
@@ -53,6 +54,20 @@ class TestProtocol1:
         res = protocol1_optimal(Scenario(0.1, 0.3))
         assert res.argmax["q1b"] == pytest.approx(math.sqrt(0.7 / 0.3) * 0.1, abs=1e-12)
         assert res.argmax["q1b"] * res.argmax["q2b"] == pytest.approx(0.01, abs=1e-12)
+
+    @pytest.mark.parametrize("p1", [5e-324, 1e-310])
+    def test_stationary_point_where_prior_ratio_overflows(self, p1):
+        # p2/p1 overflows below about 1e-308, but the stationary point
+        # s/sqrt(p1/p2) lies in [s, 1]: 4.5e-9 at p1 = 5e-324, not sqrt(inf)*s
+        sc = Scenario(1e-170, p1)
+        for res, name in (
+            (protocol1_optimal(sc), "q1b"),
+            (at_least_one_ssd(sc), "q1_product"),
+            (bob_optimal(sc, 1.0), "q1b"),
+        ):
+            assert res.case_label is CaseLabel.CASE_I
+            assert res.value == 1.0
+            assert res.argmax[name] == pytest.approx(1e-170 / math.sqrt(p1), rel=1e-15)
 
 
 class TestConditionalPriors:

@@ -84,7 +84,7 @@ def _assert_column_matches(name, s, p1, t):
         assert got == want, (name, s[i], p1[i], t[i], got, want)
 
 
-_S_EDGES = (0.0, 1e-12, 1e-4, 0.04, SYMMETRY_BREAK_OVERLAP, 0.36, 0.9, 1.0 - 1e-9, 1.0)
+_S_EDGES = (0.0, 1e-170, 1e-12, 1e-4, 0.04, SYMMETRY_BREAK_OVERLAP, 0.36, 0.9, 1.0 - 1e-9, 1.0)
 _P1_EDGES = (5e-324, 1e-310, 1e-300, 1e-20, 1e-3, 0.1, 0.2, 0.3, 0.45, 0.5)
 
 
