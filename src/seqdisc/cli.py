@@ -163,7 +163,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    quantities = args.quantity.split(",") if args.quantity else None
+    quantities = None if args.quantity is None else args.quantity.split(",")
     start = time.perf_counter()
     rows = certify(quantities=quantities, tolerance=args.tolerance)
     elapsed = time.perf_counter() - start

@@ -216,20 +216,21 @@ def grid_maximize_protocol2(scenario: Scenario) -> tuple[float, float, float]:
     """Brute-force value of protocol (2): Bob's stage maximized first, then
     Charlie's stage at the induced conditional priors.
 
-    When Bob's stage peaks at the boundary q1b = 1 his success implies state 2
-    and Charlie needs no measurement; the Charlie coordinate is then reported
-    as NaN.
+    Bob's objective is concave in q1b with slope p2 s^2 - p1 at q1b = 1, so he
+    takes that boundary exactly when p2 s^2 > p1; a zero slope is a tie and
+    goes to the interior, as in the closed form. At the boundary his success
+    implies state 2 and Charlie needs no measurement; the Charlie coordinate
+    is then reported as NaN, as it is where Bob never succeeds (s = 1,
+    p1 = 1/2).
     """
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
+    if p2 * s * s > p1:
+        return p2 * (1.0 - s * s), 1.0, math.nan
     bob_val, q1b = _grid_max_stage(p1, p2, s)
-    exact_boundary = p2 * (1.0 - s * s)
-    # Rounding can lift the grid's best point next to q1b = 1 an ulp above the
-    # boundary value; a tie within a relative 1e-15 (a few ulps) is the boundary.
-    if exact_boundary >= bob_val - 1e-15 * bob_val:
-        bob_val, q1b = exact_boundary, 1.0
-    if q1b == 1.0:
-        return bob_val, 1.0, math.nan
-    charlie_val, q1c = _conditioned_stage(p1 * (1.0 - q1b), p2 * (1.0 - s * s / q1b), s)
+    if bob_val == 0.0:
+        return 0.0, q1b, math.nan
+    q2b = s * s / q1b if q1b > 0.0 else 0.0  # q1b = 0 only at s = 0, the r = 0 limit
+    charlie_val, q1c = _conditioned_stage(p1 * (1.0 - q1b), p2 * (1.0 - q2b), s)
     return bob_val * charlie_val, q1b, q1c
 
 
@@ -348,27 +349,18 @@ def _cert_gap(sc: Scenario, closed_form: Callable, oracle: Callable) -> float:
     return abs(closed_form(sc).value - oracle(sc)[0])
 
 
-def _cloned_stage_oracle(sc: Scenario) -> tuple[float, float]:
-    """The cloning oracle's success p_cl and one copy's stage maximum at the priors
-    it conditions; the oracle twin of ``protocols._cloned_stage_values``."""
+def _cert_cloning(sc: Scenario, closed_form: Callable, combine: Callable) -> float:
+    """Gap of a cloning optimum: ``combine`` takes the cloning oracle's success
+    p_cl and one copy's stage maximum at the priors it conditions."""
     p_cl, g1, g2 = grid_maximize_cloning(sc)
-    return p_cl, _conditioned_stage(sc.p1 * g1, sc.p2 * g2, sc.s)[0]
-
-
-def _cert_protocol3(sc: Scenario) -> float:
-    p_cl, disc = _cloned_stage_oracle(sc)
-    return abs(protocol3_optimal(sc).value - p_cl * disc * disc)
-
-
-def _cert_at_least_one_p3(sc: Scenario) -> float:
-    p_cl, disc = _cloned_stage_oracle(sc)
-    miss = 1.0 - disc
-    return abs(at_least_one_protocol3(sc).value - p_cl * (1.0 - miss * miss))
+    disc = _conditioned_stage(sc.p1 * g1, sc.p2 * g2, sc.s)[0]
+    return abs(closed_form(sc).value - combine(p_cl, disc))
 
 
 # The lambdas look each oracle up when called, so a rebound module name (such
 # as the benchmark's tracer installs) is seen. Protocol 1 is Bob's stage at
-# t = 1, where his overlap s/t is s itself.
+# t = 1, where his overlap s/t is s itself. The two cloning combinations are
+# written here apart from protocols', so that a slip in either shows as a gap.
 _CERTIFIERS: dict[str, Callable[[Scenario], float]] = {
     "bob": lambda sc: _cert_stage(sc, bob_optimal, grid_maximize_bob),
     "charlie": lambda sc: _cert_stage(sc, charlie_optimal, grid_maximize_charlie),
@@ -377,8 +369,10 @@ _CERTIFIERS: dict[str, Callable[[Scenario], float]] = {
         sc, protocol1_optimal, lambda sc: grid_maximize_bob(sc, 1.0)
     ),
     "protocol2": lambda sc: _cert_gap(sc, protocol2_optimal, grid_maximize_protocol2),
-    "protocol3": _cert_protocol3,
-    "at_least_one_p3": _cert_at_least_one_p3,
+    "protocol3": lambda sc: _cert_cloning(sc, protocol3_optimal, lambda p, d: p * d * d),
+    "at_least_one_p3": lambda sc: _cert_cloning(
+        sc, at_least_one_protocol3, lambda p, d: p * (1.0 - (1.0 - d) * (1.0 - d))
+    ),
     "at_least_one_ssd": lambda sc: _cert_gap(sc, at_least_one_ssd, grid_maximize_union_ssd),
 }
 
@@ -389,14 +383,17 @@ def certify(
     p1_values: Sequence[float] = CERT_P1_VALUES,
     tolerance: float = 1e-6,
 ) -> list[CertificationRow]:
-    """Compare every closed form against its oracle over the s x p1 grid; a
-    row passes when its worst gap is at most ``tolerance``.  An empty grid or
-    an infinite tolerance would pass anything, and is rejected."""
+    """Compare each closed form in ``quantities`` (None: all) against its oracle
+    over the s x p1 grid; a row passes when its worst gap is at most
+    ``tolerance``.  An empty selection or grid, or an infinite tolerance,
+    would pass anything, and is rejected."""
     if not 0.0 < tolerance < math.inf:  # negated, so that NaN fails it
         raise DomainError(f"tolerance={tolerance} must be positive and finite")
     if len(s_values) == 0 or len(p1_values) == 0:
         raise DomainError("certify needs at least one s value and one p1 value")
-    names = list(quantities) if quantities else list(_CERTIFIERS)
+    names = list(_CERTIFIERS) if quantities is None else list(quantities)
+    if not names:
+        raise DomainError("certify needs at least one quantity")
     unknown = [q for q in names if q not in _CERTIFIERS]
     if unknown:
         raise DomainError(f"unknown certification quantities {unknown}; valid: {sorted(_CERTIFIERS)}")

@@ -22,7 +22,11 @@
 The module also provides the optimal probabilities that at least one of the
 two observers succeeds: for SSD and protocols (1)-(2) these all collapse to
 protocol (1)'s optimum, while the cloning protocol does strictly better for
-every interior prior.
+every interior prior.  Both cloning optima run one body: the optimal cloner
+(success p_cl), then one copy's stage optimum disc at the priors conditioned
+on cloning success, combined as p_cl*disc^2 (both succeed) or
+p_cl*(1 - (1 - disc)^2) (at least one succeeds); the column kernels take
+the same two combinations.
 """
 
 from __future__ import annotations
@@ -334,38 +338,54 @@ def _cloned_stage_values(s: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.
     return p_cl, disc
 
 
+def _both_succeed(p_cl, disc):
+    """P(both succeed) after cloning p_cl, each copy discriminated with success disc."""
+    return p_cl * disc * disc
+
+
+def _at_least_one_succeeds(p_cl, disc):
+    """P(at least one succeeds) after cloning p_cl, each copy with success disc."""
+    miss = 1.0 - disc
+    return p_cl * (1.0 - miss * miss)
+
+
 def protocol3_optimal_values(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
     """``protocol3_optimal(Scenario(s, p1)).value`` in every lane of valid scenarios."""
-    p_cl, disc = _cloned_stage_values(s, p1)
-    return _probabilities(p_cl * disc * disc)
+    return _probabilities(_both_succeed(*_cloned_stage_values(s, p1)))
+
+
+def _cloned_optimum(scenario: Scenario, combine) -> PiecewiseResult:
+    """The cloning protocol's optimum of ``combine(p_cl, disc)``: the optimal
+    cloner for the prior, then one copy's stage optimum at the priors
+    conditioned on cloning success.  The case is the copy's.
+
+    At s = 0 and s = 1 cloning always succeeds and leaves the prior, with
+    omega = 1/(1+s); orthogonal copies are always told apart (case I, q1 = 0),
+    identical ones never (case II, q1 = 1).
+    """
+    s = scenario.s
+    if 0.0 < s < 1.0:
+        cp = clone_optimal_for_prior(scenario)
+        omega, gamma1, gamma2, p_cl, p1_cl = cp.omega, cp.gamma1, cp.gamma2, cp.p_cl, cp.p1_cl
+        disc, q1, label = _stage_optimum(cp.p1_cl, cp.p2_cl, s)
+    else:
+        omega, gamma1, gamma2, p_cl, p1_cl = 1.0 / (1.0 + s), 1.0, 1.0, 1.0, scenario.p1
+        disc, q1 = (1.0, 0.0) if s == 0.0 else (0.0, 1.0)
+        label = CaseLabel.CASE_I if s == 0.0 else CaseLabel.CASE_II
+    argmax = {"omega": omega, "gamma1": gamma1, "gamma2": gamma2, "p_cl": p_cl, "p1_cl": p1_cl}
+    return PiecewiseResult(combine(p_cl, disc), label, {**argmax, "q1b": q1, "q1c": q1})
 
 
 def protocol3_optimal(scenario: Scenario) -> PiecewiseResult:
     """Optimal probability that both succeed in the cloning protocol.
 
-    Product of the optimal cloning probability at the omega matched to the
-    prior and two identical discrimination optima evaluated at the priors
-    conditioned on cloning success.
+    p_cl * disc^2: the optimal cloning probability at the omega matched to
+    the prior, times two identical discrimination optima disc at the priors
+    (p1_cl, p2_cl) conditioned on cloning success.  The copies' case switches
+    where p1_cl crosses s^2/(1+s^2), which is not a threshold on p1 itself,
+    so no boundary prior is reported.
     """
-    s = scenario.s
-    if s == 0.0:
-        argmax = {"omega": 1.0, "gamma1": 1.0, "gamma2": 1.0, "p_cl": 1.0, "p1_cl": scenario.p1}
-        return PiecewiseResult(1.0, CaseLabel.CASE_I, argmax)
-    if s == 1.0:
-        argmax = {"omega": 0.5, "gamma1": 1.0, "gamma2": 1.0, "p_cl": 1.0, "p1_cl": scenario.p1}
-        return PiecewiseResult(0.0, CaseLabel.CASE_II, argmax)
-    cp = clone_optimal_for_prior(scenario)
-    disc, q1, label = _stage_optimum(cp.p1_cl, cp.p2_cl, s)
-    argmax = {
-        "omega": cp.omega,
-        "gamma1": cp.gamma1,
-        "gamma2": cp.gamma2,
-        "p_cl": cp.p_cl,
-        "p1_cl": cp.p1_cl,
-        "q1b": q1,
-        "q1c": q1,
-    }
-    return PiecewiseResult(cp.p_cl * disc * disc, label, argmax)
+    return _cloned_optimum(scenario, _both_succeed)
 
 
 def at_least_one_ssd(scenario: Scenario) -> PiecewiseResult:
@@ -382,25 +402,15 @@ def at_least_one_ssd(scenario: Scenario) -> PiecewiseResult:
 def at_least_one_protocol3(scenario: Scenario) -> PiecewiseResult:
     """Optimal probability that at least one observer succeeds after cloning.
 
-    With conditional priors (p1_cl, p2_cl) at the optimal cloner:
+    p_cl * (1 - (1 - disc)^2) with the cloner and copies of
+    ``protocol3_optimal``; with conditional priors (p1_cl, p2_cl):
     case I (p1_cl >= s^2/(1+s^2)): p_cl * (1 - 4 p1_cl p2_cl s^2);
-    case II: p_cl * (1 - (p1_cl + p2_cl s^2)^2).
+    case II: p_cl * (1 - (p1_cl + p2_cl s^2)^2).  As there, the switch is a
+    threshold on p1_cl, not on p1, and no boundary prior is reported.
     """
-    s = scenario.s
-    if s == 0.0:
-        return PiecewiseResult(1.0, CaseLabel.CASE_I, {"p_cl": 1.0, "p1_cl": scenario.p1})
-    if s == 1.0:
-        return PiecewiseResult(0.0, CaseLabel.CASE_II, {"p_cl": 1.0, "p1_cl": scenario.p1})
-    cp = clone_optimal_for_prior(scenario)
-    disc, _, label = _stage_optimum(cp.p1_cl, cp.p2_cl, s)
-    argmax = {"omega": cp.omega, "p_cl": cp.p_cl, "p1_cl": cp.p1_cl}
-    miss = 1.0 - disc
-    value = cp.p_cl * (1.0 - miss * miss)
-    return PiecewiseResult(value, label, argmax, s * s / (1.0 + s * s))
+    return _cloned_optimum(scenario, _at_least_one_succeeds)
 
 
 def at_least_one_protocol3_values(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
     """``at_least_one_protocol3(Scenario(s, p1)).value`` in every lane of valid scenarios."""
-    p_cl, disc = _cloned_stage_values(s, p1)
-    miss = 1.0 - disc
-    return _probabilities(p_cl * (1.0 - miss * miss))
+    return _probabilities(_at_least_one_succeeds(*_cloned_stage_values(s, p1)))

@@ -195,6 +195,17 @@ class TestSimulate:
         assert main(["simulate", "--s", "1", "--p1", "0.5", "--n", "1000"]) == 4
         assert "FAIL" in capsys.readouterr().err
 
+    def test_erroneous_declarations_fail(self, capsys, monkeypatch):
+        # a declaration that contradicts the preparation fails the run, whatever the rate
+        def one_error(scenario, t, q1b, q1c, n, seed):
+            counts = np.zeros((2, 2, 2), dtype=np.int64)
+            counts[1, 0, 0] = n
+            return TrialSummary(n_trials=n, seed=seed, counts=counts, error_count=1)
+
+        monkeypatch.setattr(cli, "run_ssd_trials", one_error)
+        assert main(["simulate", "--s", "1", "--p1", "0.5", "--n", "1000"]) == 4
+        assert "FAIL: erroneous declarations occurred" in capsys.readouterr().err
+
     def test_orthogonal_states_exit_2(self, capsys):
         # the joint optimum has t = 0, outside the simulator's t > 0
         assert main(["simulate", "--s", "0", "--p1", "0.5", "--n", "10"]) == 2
@@ -212,8 +223,12 @@ class TestSimulate:
         ["verify", "--quantity", "protocol1", "--tolerance", "nan"],
         ["verify", "--quantity", "protocol1", "--tolerance", "0"],
         ["verify", "--quantity", "protocol1", "--tolerance", "inf"],
+        ["verify", "--quantity", ""],
     ],
-    ids=["q1b", "q1c", "simulate_t", "sweep_t", "tolerance", "tolerance_zero", "tolerance_inf"],
+    ids=[
+        "q1b", "q1c", "simulate_t", "sweep_t", "tolerance", "tolerance_zero", "tolerance_inf",
+        "empty_quantity",
+    ],
 )
 def test_nan_arguments_exit_2(argv, capsys):
     assert main(argv) == 2

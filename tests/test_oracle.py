@@ -54,6 +54,11 @@ class TestCertifyTolerance:
         with pytest.raises(DomainError, match="at least one s value"):
             certify(["protocol1"], s_values, p1_values)
 
+    def test_rejects_empty_selection(self):
+        # an empty list used to certify all 8 quantities, like None
+        with pytest.raises(DomainError, match="at least one quantity"):
+            certify([], [0.2], [0.3])
+
 
 class TestStageOracles:
     def test_bob_equal_priors(self):
@@ -119,6 +124,26 @@ class TestProtocol2Oracle:
         # boundary value p2(1 - s^2); Charlie's stage must not be run there
         (row,) = certify(["protocol2"], [s], [p1])
         assert row.passed and row.worst_gap <= 1e-12
+
+    @pytest.mark.parametrize("s", [0.1, 0.5])
+    def test_no_gap_just_above_pc2(self, s):
+        # Bob's interior gain is below an ulp there; a value tie used to put
+        # the oracle in case III and the closed form in case II (gap 0.15 at s = 0.5)
+        _, p_c2 = protocol2_critical_priors(s)
+        scenarios = [Scenario(s, p_c2 + d) for d in np.logspace(-9, -4, 200)]
+        gaps = [abs(grid_maximize_protocol2(sc)[0] - protocol2_optimal(sc).value) for sc in scenarios]
+        assert max(gaps) <= 1e-6
+
+    @pytest.mark.parametrize("p1", [0.2, 0.5])
+    def test_orthogonal_states(self, p1):
+        # Bob's grid argmax is q1b = 0, where q2b = 0 (it used to divide by zero)
+        assert grid_maximize_protocol2(Scenario(0.0, p1)) == (1.0, 0.0, 0.0)
+
+    def test_identical_states_at_equal_priors(self):
+        # Bob never succeeds, so Charlie's priors are not conditioned on it
+        val, q1b, q1c = grid_maximize_protocol2(Scenario(1.0, 0.5))
+        assert (val, q1b) == (0.0, 1.0) and math.isnan(q1c)
+        assert protocol2_optimal(Scenario(1.0, 0.5)).value == 0.0
 
 
 class TestCloningOracle:

@@ -239,6 +239,36 @@ class TestProtocol3:
         assert closed == pytest.approx(p_cl * disc * disc, abs=1e-6)
 
 
+class TestCloningOptima:
+    """Both cloning optima share the cloner and the copy's stage."""
+
+    @pytest.mark.parametrize("s", [0.0, 0.04, 0.36, 1.0])
+    def test_same_argmax_and_case_and_no_boundary_prior(self, s):
+        both = protocol3_optimal(Scenario(s, 0.2))
+        union = at_least_one_protocol3(Scenario(s, 0.2))
+        assert set(both.argmax) == {"omega", "gamma1", "gamma2", "p_cl", "p1_cl", "q1b", "q1c"}
+        assert both.argmax == union.argmax and both.case_label is union.case_label
+        assert both.boundary_prior is None and union.boundary_prior is None
+
+    @pytest.mark.parametrize(
+        "s,value,label,q1", [(0.0, 1.0, CaseLabel.CASE_I, 0.0), (1.0, 0.0, CaseLabel.CASE_II, 1.0)]
+    )
+    def test_endpoints(self, s, value, label, q1):
+        for res in (protocol3_optimal(Scenario(s, 0.3)), at_least_one_protocol3(Scenario(s, 0.3))):
+            assert (res.value, res.case_label, res.argmax["q1b"]) == (value, label, q1)
+            assert res.argmax["p_cl"] == 1.0 and res.argmax["p1_cl"] == 0.3
+
+    def test_case_switches_where_p1_cl_crosses_the_stage_boundary(self):
+        s = 0.36
+        boundary = s * s / (1 + s * s)  # 0.1147, a threshold on p1_cl
+        for p1 in np.linspace(0.01, 0.5, 50):
+            res = at_least_one_protocol3(Scenario(s, float(p1)))
+            above = res.argmax["p1_cl"] >= boundary
+            assert res.case_label is (CaseLabel.CASE_I if above else CaseLabel.CASE_II)
+        # cloning lowers the prior of state 1, so p1 = 0.15 > 0.1147 is still case II
+        assert at_least_one_protocol3(Scenario(s, 0.15)).case_label is CaseLabel.CASE_II
+
+
 class TestAtLeastOne:
     def test_ssd_union_examples(self):
         assert at_least_one_ssd(Scenario(0.36, 0.5)).value == pytest.approx(0.64, abs=1e-12)

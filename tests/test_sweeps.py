@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seqdisc import (
     CorrelationInput,
@@ -118,6 +118,11 @@ _P1 = st.one_of(st.sampled_from([5e-324, 1e-310, 1e-300, 0.5]), st.floats(1e-300
     st.sampled_from(sorted(_SCALAR)),
     st.lists(st.tuples(_S, _P1, st.floats(0.0, 1.0), st.booleans()), min_size=1, max_size=6),
 )
+# p2*s/p1 overflows at the subnormal priors (q* = s there) and the other lane
+# has a root, so the q* kernel returns from its overflow branch; the edge grid
+# always holds a lane that raises before that return
+@example("ssd", [(0.1, p1, 0.5, False) for p1 in (5e-324, 1e-310, 0.3)])
+@example("ssd", [(0.04, p1, 0.5, False) for p1 in (5e-324, 1e-310, 0.3)])
 def test_kernel_matches_scalar_property(name, lanes):
     s, p1, t = [], [], []
     for s_i, p1_i, frac, at_s in lanes:
