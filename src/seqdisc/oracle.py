@@ -9,8 +9,8 @@ The grids are fixed: 1-D scans take ``_SCAN_POINTS`` points, refined on floats
 by golden-section search, and every one-stage maximum (a cloned copy's too)
 is ``_grid_max_stage``'s; the (t, q1b, q1c) scans take ``_JOINT_POINTS`` per
 axis, refined by ``_REFINEMENT_PASSES`` scans of ``_REFINE_POINTS`` per axis.
-Each t-slice's maximum over (q1b, q1c) is found exactly by a search along
-Charlie's chain of grid points, ``_REFINE_POINTS`` slices at a time.
+Each t-slice's exact maximum over (q1b, q1c) takes each Bob row at the two
+q1c grid points that bracket Charlie's stationary point.
 ``certify`` compares each closed form with its oracle and flags a gap above
 its ``tolerance``.
 """
@@ -109,9 +109,8 @@ def _joint_term(q1b, q2b, q1c, q2c, p1, p2):
 
 
 def _joint_factors(q1b, q2b, q1c, q2c, p1, p2):
-    """Bob and Charlie factors whose rank-2 product is ``_joint_term``. At
-    fixed t Charlie's points (1 - q1c, 1 - t^2/q1c) form a concave chain and
-    Bob's factors are nonnegative."""
+    """Bob and Charlie factors whose rank-2 product is ``_joint_term``. Bob's
+    factors are nonnegative, so at fixed t each of his rows is concave in q1c."""
     return (p1 * (1.0 - q1b), p2 * (1.0 - q2b)), (1.0 - q1c, 1.0 - q2c)
 
 
@@ -121,9 +120,19 @@ def _union_term(q1b, q2b, q1c, q2c, p1, p2):
 
 def _union_factors(q1b, q2b, q1c, q2c, p1, p2):
     """Factors of ``_union_term`` less its constant p1 + p2, which moves no
-    argmax. At fixed t Charlie's points (q1c, t^2/q1c) form a convex chain and
-    Bob's factors are nonpositive."""
+    argmax. Bob's factors are nonpositive, so at fixed t each of his rows is
+    concave in q1c."""
     return (-p1 * q1b, -p2 * q2b), (q1c, q2c)
+
+
+def _from_unit(lo, x):
+    """Grid coordinate x in [0, 1] mapped onto [lo, 1]: lo = r^2 for q1b, t^2 for q1c."""
+    return lo + x * (1.0 - lo)
+
+
+def _to_unit(lo, q):
+    """The inverse of ``_from_unit``."""
+    return (q - lo) / (1.0 - lo)
 
 
 def _max_3d(
@@ -135,19 +144,18 @@ def _max_3d(
     by normalized coordinates in [0, 1] so the search box is rectangular.
 
     At fixed t the objective is a1*b1 + a2*b2, Bob's ``factors`` a = (a1, a2)
-    against Charlie's b = (b1, b2). Charlie's grid points form a chain whose
-    edge angles ``arctan2(b1[j] - b1[j+1], b2[j+1] - b2[j])`` rise with j (a
-    concave chain met with nonnegative a, or a convex one with nonpositive a),
-    so along each Bob row the objective rises while an edge angle lies below
-    ``arctan2(a2, a1)`` and falls after: the row's first maximum is the number
-    of edges below that angle. The t-slices are searched ``_REFINE_POINTS``
-    at a time, in one ``searchsorted`` over the block's angles with row k
-    offset by 4k (each row's angles span less than pi). Each slice's best row
-    is re-evaluated with ``term`` itself, and the first highest value over
-    the slices wins.
+    against Charlie's b = (b1, b2). Along each Bob row it is a concave
+    function of q1c (a1*(1 - q1c) + a2*(1 - t^2/q1c) with a >= 0, or
+    a1*q1c + a2*t^2/q1c with a <= 0), whose continuous maximum is at
+    q1c* = t*sqrt(a2/a1). q1c is linear in the grid coordinate, so the row's
+    grid maximum is one of the two grid points that bracket q1c*; the later
+    one wins only when strictly higher, which keeps the row's first maximum.
+    A q1c* off the grid (or NaN, at t = 1 or a1 = 0) is clamped to an end
+    bracket. The t-slices are searched ``_REFINE_POINTS`` at a time; each
+    slice's best row is re-evaluated with ``term`` itself, and the first
+    highest value over the slices wins.
     """
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
-    n = _JOINT_POINTS
     t_lo_global = max(s, 1e-9)
 
     def evaluate(ts: np.ndarray, us: np.ndarray, vs: np.ndarray):
@@ -156,17 +164,20 @@ def _max_3d(
             t = ts[k0 : k0 + _REFINE_POINTS, None]
             rows = np.arange(len(t))
             r2 = (s / t) ** 2
-            q1b = r2 + us * (1.0 - r2)
-            q1c = t * t + vs * (1.0 - t * t)
-            q2b = np.where(q1b > 0.0, r2 / np.where(q1b > 0.0, q1b, 1.0), 1.0)
+            q1b = _from_unit(r2, us)
+            q1c = _from_unit(t * t, vs)
+            q2b = np.divide(r2, q1b, out=np.ones(q1b.shape), where=q1b > 0.0)
             q2c = t * t / q1c
             (a1, a2), (b1, b2) = factors(q1b, q2b, q1c, q2c, p1, p2)
-            offset = 4.0 * rows[:, None]
-            edges = np.arctan2(b1[:, :-1] - b1[:, 1:], b2[:, 1:] - b2[:, :-1]) + offset
-            found = np.searchsorted(edges.ravel(), (np.arctan2(a2, a1) + offset).ravel())
-            # slice k's edges start at k*(V-1) in the search and its points at k*V
-            at = found.reshape(a1.shape) + rows[:, None]
-            ib = np.argmax(a1 * b1.take(at) + a2 * b2.take(at), axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                v_star = _to_unit(t * t, t * np.sqrt(a2 / a1))
+            j = (v_star - vs[0]) * ((len(vs) - 1) / (vs[-1] - vs[0]))
+            # flat index of the lower bracket point (the cast floors j >= 0)
+            at = np.fmin(np.fmax(j, 0.0), len(vs) - 2).astype(np.intp) + len(vs) * rows[:, None]
+            lower = a1 * b1.take(at) + a2 * b2.take(at)
+            upper = a1 * b1.take(at + 1) + a2 * b2.take(at + 1)
+            at += upper > lower
+            ib = np.argmax(np.maximum(lower, upper), axis=1)
             ic = at[rows, ib] - len(vs) * rows
             vals = term(q1b[rows, ib], q2b[rows, ib], q1c[rows, ic], q2c[rows, ic], p1, p2)
             k = int(np.argmax(vals))
@@ -174,36 +185,31 @@ def _max_3d(
                 best = (float(vals[k]), float(t[k, 0]), float(q1b[k, ib[k]]), float(q1c[k, ic[k]]))
         return best
 
-    ts = np.linspace(t_lo_global, 1.0, n)
-    us = np.linspace(0.0, 1.0, n)
-    vs = np.linspace(0.0, 1.0, n)
-    best = evaluate(ts, us, vs)
+    def window(x0: float, step: float, lo: float = 0.0) -> np.ndarray:
+        """``_REFINE_POINTS`` points within 1.5 steps of x0, cut to [lo, 1]."""
+        return np.linspace(max(lo, x0 - 1.5 * step), min(1.0, x0 + 1.5 * step), _REFINE_POINTS)
 
-    t_step = (1.0 - t_lo_global) / (n - 1)
-    u_step = 1.0 / (n - 1)
+    unit = np.linspace(0.0, 1.0, _JOINT_POINTS)
+    best = evaluate(np.linspace(t_lo_global, 1.0, _JOINT_POINTS), unit, unit)
+
+    t_step, u_step = (1.0 - t_lo_global) / (_JOINT_POINTS - 1), 1.0 / (_JOINT_POINTS - 1)
     for _ in range(_REFINEMENT_PASSES):
         t0 = best[1]
         lob = (s / t0) ** 2 if t0 > 0 else 0.0
-        u0 = (best[2] - lob) / (1.0 - lob) if lob < 1.0 else 0.0
-        v0 = (best[3] - t0 * t0) / (1.0 - t0 * t0) if t0 < 1.0 else 0.0
-        ts = np.linspace(
-            max(t_lo_global, t0 - 1.5 * t_step), min(1.0, t0 + 1.5 * t_step), _REFINE_POINTS
-        )
-        us = np.linspace(max(0.0, u0 - 1.5 * u_step), min(1.0, u0 + 1.5 * u_step), _REFINE_POINTS)
-        vs = np.linspace(max(0.0, v0 - 1.5 * u_step), min(1.0, v0 + 1.5 * u_step), _REFINE_POINTS)
-        cand = evaluate(ts, us, vs)
+        u0 = _to_unit(lob, best[2]) if lob < 1.0 else 0.0
+        v0 = _to_unit(t0 * t0, best[3]) if t0 < 1.0 else 0.0
+        cand = evaluate(window(t0, t_step, t_lo_global), window(u0, u_step), window(v0, u_step))
         if cand[0] > best[0]:
             best = cand
-        t_step *= 3.0 / _REFINE_POINTS
-        u_step *= 3.0 / _REFINE_POINTS
+        t_step, u_step = t_step * (3.0 / _REFINE_POINTS), u_step * (3.0 / _REFINE_POINTS)
     return best
 
 
 def grid_maximize_joint(scenario: Scenario) -> tuple[float, float, float, float]:
     """Brute-force maximum of the joint success over (t, q1b, q1c) on a grid
     of 301 points per axis before refinement; each t-slice's exact grid
-    maximum comes from a search along Charlie's chain, not from all 301^2
-    points."""
+    maximum takes all 301 Bob rows, each at the two q1c grid points that
+    bracket Charlie's stationary point, not all 301^2 points."""
     return _max_3d(scenario, _joint_term, _joint_factors)
 
 
@@ -269,9 +275,10 @@ def _cloning_objective_values(
     return np.where(pick_a, va, vb), np.where(pick_a, g2a, g2b)
 
 
-def _cloning_objective(g1: float, s: float, p1: float, p2: float) -> tuple[float, float]:
+def _cloning_objective(g1: float, s: float, p1: float, p2: float) -> tuple[float, float, float]:
     """Scalar twin of ``_cloning_objective_values`` for g1 >= 0, equal to it
-    bit for bit.
+    bit for bit, and the branch's angle th2 (NaN with gamma2): sin^2(th2) is
+    1 - gamma2 where cos^2(th2) rounds to 1. Callers that need it take the sine.
 
     math.sqrt and math.cos round as numpy's do; hypot, arccos and arctan2 are
     numpy's ufuncs, because the math versions round differently. Of the array
@@ -283,22 +290,19 @@ def _cloning_objective(g1: float, s: float, p1: float, p2: float) -> tuple[float
     rad = float(np.hypot(a, b))
     ratio = s / rad if rad > 0.0 else math.inf
     if ratio > 1.0:
-        return -math.inf, math.nan
+        return -math.inf, math.nan, math.nan
     delta = float(np.arccos(ratio))
     psi = float(np.arctan2(b, a))
-    best_v, best_g2 = -math.inf, math.nan
+    best_v, best_g2, best_th2 = -math.inf, math.nan, math.nan
     for th2 in (psi + delta, psi - delta):
         if -1e-12 <= th2 <= 0.5 * math.pi + 1e-12:
-            c = math.cos(min(max(th2, 0.0), 0.5 * math.pi))
+            th2 = min(max(th2, 0.0), 0.5 * math.pi)
+            c = math.cos(th2)
             g2 = c * c
             v = p1 * g1 + p2 * g2
             if v > best_v:
-                best_v, best_g2 = v, g2
-    return best_v, best_g2
-
-
-def _cloning_residual(g1: float, g2: float, s: float) -> float:
-    return abs(s - math.sqrt(g1 * g2) * s * s - math.sqrt((1.0 - g1) * (1.0 - g2)))
+                best_v, best_g2, best_th2 = v, g2, th2
+    return best_v, best_g2, best_th2
 
 
 def grid_maximize_cloning(scenario: Scenario) -> tuple[float, float, float]:
@@ -314,10 +318,11 @@ def grid_maximize_cloning(scenario: Scenario) -> tuple[float, float, float]:
         1.0,
         lambda g: _cloning_objective_values(g, s, p1, p2)[0],
     )
-    g2 = _cloning_objective(g1, s, p1, p2)[1]
+    _, g2, th2 = _cloning_objective(g1, s, p1, p2)
     if not math.isfinite(value):
         raise NumericError(f"cloning constraint unsolvable everywhere for s={s}")
-    if _cloning_residual(g1, g2, s) > 1e-10:
+    residual = s - math.sqrt(g1 * g2) * s * s - math.sqrt((1.0 - g1) * math.sin(th2) ** 2)
+    if abs(residual) > 1e-10:
         raise NumericError(f"cloning oracle argmax violates the constraint at gamma1={g1}")
     return value, g1, g2
 

@@ -339,12 +339,14 @@ def _cloned_stage_values(s: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _both_succeed(p_cl, disc):
-    """P(both succeed) after cloning p_cl, each copy discriminated with success disc."""
+    """P(both succeed) after cloning p_cl, each copy discriminated with success
+    disc, taking the two copies' successes as independent (the paper's form)."""
     return p_cl * disc * disc
 
 
 def _at_least_one_succeeds(p_cl, disc):
-    """P(at least one succeeds) after cloning p_cl, each copy with success disc."""
+    """P(at least one succeeds) after cloning p_cl, each copy with success disc,
+    taking the two copies' successes as independent (the paper's form)."""
     miss = 1.0 - disc
     return p_cl * (1.0 - miss * miss)
 
@@ -384,6 +386,12 @@ def protocol3_optimal(scenario: Scenario) -> PiecewiseResult:
     (p1_cl, p2_cl) conditioned on cloning success.  The copies' case switches
     where p1_cl crosses s^2/(1+s^2), which is not a threshold on p1 itself,
     so no boundary prior is reported.
+
+    This is the paper's formula, and it treats the two copies' successes as
+    independent events. Both copies carry the same state label i, though, and
+    a copy of state i succeeds with probability 1 - q_i, so a realized cloner
+    and copy measurements give p_cl * sum_i p_i,cl (1 - q_i)^2 instead. The
+    two agree at p1 = 1/2, where q1 = q2.
     """
     return _cloned_optimum(scenario, _both_succeed)
 
@@ -407,6 +415,14 @@ def at_least_one_protocol3(scenario: Scenario) -> PiecewiseResult:
     case I (p1_cl >= s^2/(1+s^2)): p_cl * (1 - 4 p1_cl p2_cl s^2);
     case II: p_cl * (1 - (p1_cl + p2_cl s^2)^2).  As there, the switch is a
     threshold on p1_cl, not on p1, and no boundary prior is reported.
+
+    Like ``protocol3_optimal`` this is the paper's formula with the copies'
+    successes taken as independent; realized copies give
+    p_cl * sum_i p_i,cl (1 - q_i^2). The formula's value exceeds the
+    single-copy unambiguous bound, protocol (1)'s value, for most interior
+    priors, by up to 0.025 near (s, p1) = (0.48, 0.22); any scheme in which
+    every answer given is right is one unambiguous measurement of the
+    original qubit, so no realized cloning scheme can do that.
     """
     return _cloned_optimum(scenario, _at_least_one_succeeds)
 

@@ -162,6 +162,17 @@ class TestCloningOracle:
             res = abs(0.2 - math.sqrt(g1 * g2) * 0.04 - math.sqrt((1 - g1) * (1 - g2)))
             assert res < 1e-10
 
+    def test_argmax_where_gamma2_rounds_to_one(self):
+        # cos^2(th2) rounds to 1.0 at the argmax, so the residual must take
+        # 1 - gamma2 as sin^2(th2), or it would see s itself
+        rows = certify(
+            quantities=["protocol3", "at_least_one_p3"],
+            s_values=(2.54e-10,),
+            p1_values=(1e-12,),
+            tolerance=1e-12,
+        )
+        assert all(row.passed for row in rows), rows
+
 
 def _same_bits(a: float, b: float) -> bool:
     return (math.isnan(a) and math.isnan(b)) or a == b
@@ -185,7 +196,7 @@ class TestCloningObjectiveTwin:
         values, g2s = _cloning_objective_values(g1, s, p1, 1.0 - p1)
         assert values[1] == -math.inf
         for k, x in enumerate(g1):
-            v, g2 = _cloning_objective(float(x), s, p1, 1.0 - p1)
+            v, g2, _ = _cloning_objective(float(x), s, p1, 1.0 - p1)
             assert v == values[k] and _same_bits(g2, g2s[k]), (float(x), s, p1)
 
     @pytest.mark.parametrize("s", [1e-6, 0.04, 0.1716, 0.36, 0.6, 0.9, 0.98, 1.0 - 1e-9])
@@ -195,7 +206,7 @@ class TestCloningObjectiveTwin:
         g1 = np.linspace(0.0, 1.0, _SCAN_POINTS)
         values, g2s = _cloning_objective_values(g1, s, 0.3, 0.7)
         for k, x in enumerate(g1):
-            v, g2 = _cloning_objective(float(x), s, 0.3, 0.7)
+            v, g2, _ = _cloning_objective(float(x), s, 0.3, 0.7)
             assert v == values[k] and _same_bits(g2, g2s[k]), float(x)
 
     @pytest.mark.parametrize("s", [1e-12, 0.04, 0.5, 1.0 - 1e-9])
@@ -205,7 +216,7 @@ class TestCloningObjectiveTwin:
         values, g2s = _cloning_objective_values(g1, s, 0.3, 0.7)
         assert np.all(values == -np.inf) and np.all(np.isnan(g2s))
         for x in g1:
-            v, g2 = _cloning_objective(float(x), s, 0.3, 0.7)
+            v, g2, _ = _cloning_objective(float(x), s, 0.3, 0.7)
             assert v == -math.inf and math.isnan(g2)
 
 
@@ -385,10 +396,21 @@ def _seeded_edge_scenarios():
     return fixed + list(zip(s.tolist(), p1.tolist()))
 
 
+log_uniform_scenarios = st.builds(
+    Scenario,
+    s=st.floats(min_value=1e-10, max_value=0.999),
+    p1=st.floats(min_value=math.log(1e-12), max_value=math.log(0.5)).map(
+        lambda x: min(0.5, math.exp(x))
+    ),
+)
+
+
 class TestChainSearch:
-    """The blocked chain search returns the rank-2 matmul scan's (value, t,
-    q1b, q1c) exactly, also where rounding at the chain's flat end (small s)
-    leaves its edge angles out of order by a few 1e-14 rad."""
+    """Each Bob row's search at the two grid points bracketing Charlie's
+    stationary point t*sqrt(a2/a1) returns the rank-2 matmul scan's (value,
+    t, q1b, q1c) exactly, also where the stationary point is off the grid or
+    undefined (t = 1, a1 = 0) and where the row is nearly flat (small s,
+    tiny priors)."""
 
     @pytest.mark.parametrize("oracle,term,factors", _CHAINS, ids=_SCAN_IDS)
     @pytest.mark.parametrize("s,p1", _CERT_GRID)
@@ -401,6 +423,14 @@ class TestChainSearch:
     def test_seeded_edge_scenarios(self, oracle, term, factors, s, p1):
         sc = Scenario(s, p1)
         assert oracle(sc) == _max_3d_matmul(sc, term, factors)
+
+    @pytest.mark.parametrize("oracle,term,factors", _CHAINS, ids=_SCAN_IDS)
+    @settings(max_examples=40, deadline=None)
+    @given(sc=log_uniform_scenarios)
+    def test_random_scenarios_coarse_grid(self, oracle, term, factors, sc):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle_module, "_JOINT_POINTS", 100)
+            assert oracle(sc) == _max_3d_matmul(sc, term, factors, n=100)
 
     @pytest.mark.parametrize("oracle", [c[0] for c in _CHAINS], ids=_SCAN_IDS)
     def test_one_call_peaks_below_2_mb(self, oracle):
