@@ -127,6 +127,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sc = Scenario(args.s, args.p1)
     if args.t is None:
         best = joint_optimal(sc).argmax
+        if not best["t"] > 0.0:  # s = 0, where the optimal t is 0
+            raise DomainError(
+                f"the joint optimum's t={_fmt(best['t'])} at s={_fmt(sc.s)} is outside the "
+                "simulator's 0 < t <= 1: give an explicit --t"
+            )
     else:
         # each stage's own optimum at the given t is feasible there
         best = {**bob_optimal(sc, args.t).argmax, **charlie_optimal(sc, args.t).argmax}

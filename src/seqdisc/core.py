@@ -141,7 +141,9 @@ def _check_lanes(ok: np.ndarray, check: Callable[[int], object]) -> None:
 def check_overlap_t(s: float, t: float) -> None:
     """Raise DomainError unless the post-measurement overlap t lies in (0, 1] and t >= s."""
     if not (0.0 < t <= 1.0 and t >= s):
-        raise DomainError(f"overlap t={t} outside [s, 1] = [{s}, 1]")
+        raise DomainError(
+            f"overlap t={t} outside [s, 1] = [{s}, 1] or zero: need 0 < t <= 1 and t >= s"
+        )
 
 
 def make_state_pair(s: float, dim: int) -> tuple[PureState, PureState]:

@@ -133,6 +133,11 @@ class TestCorrelations:
         assert main(["correlations", "--s", "0", "--p1", "0.3", "--t", t]) == 2
         assert "outside [s, 1]" in capsys.readouterr().err
 
+    def test_zero_t_error_states_the_rule(self, capsys):
+        # t = 0 lies in [s, 1] = [0, 1]; the message names the rule it breaks
+        assert main(["correlations", "--s", "0", "--p1", "0.3", "--t", "0"]) == 2
+        assert "need 0 < t <= 1 and t >= s" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_defaults_run_clean(self, capsys):
@@ -210,6 +215,13 @@ class TestSimulate:
         # the joint optimum has t = 0, outside the simulator's t > 0
         assert main(["simulate", "--s", "0", "--p1", "0.5", "--n", "10"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_orthogonal_states_without_t_name_the_option(self, capsys):
+        assert main(["simulate", "--s", "0", "--p1", "0.3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "explicit --t" in err
+        # an explicit t makes the same scenario run
+        assert main(["simulate", "--s", "0", "--p1", "0.3", "--t", "0.5", "--n", "1000"]) == 0
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from seqdisc.protocols import (
     protocol3_optimal_values,
 )
 from seqdisc.ssd import joint_optimal_values
+from seqdisc.sweeps import _P1_GRID, _QUANTITIES
 
 _LANES = 20_000
 _TOL = 1e-12
@@ -57,6 +58,23 @@ def test_cloning_union_beats_ssd_union():
     assert interior.sum() > 4000
     weak = np.flatnonzero(interior & ~(cloning - ssd > _TOL))
     assert weak.size == 0, (s[weak[:5]], p1[weak[:5]])
+
+
+def test_every_optimum_falls_as_priors_meet():
+    # the abstract: "the deviation from equal probabilities contributes to the
+    # success in all the tasks", for each p1-only sweep quantity on the p1 grid
+    # of the figures, at s log-spaced towards 0, uniform, and towards 1
+    s_values = np.concatenate(
+        [np.geomspace(1e-10, 0.1, 20), np.linspace(0.0, 1.0, 20), 1.0 - np.geomspace(1e-9, 0.1, 20)]
+    )
+    s = np.repeat(s_values, _P1_GRID.size)
+    p1 = np.tile(_P1_GRID, s_values.size)
+    for name in ("ssd", "protocol1", "protocol2", "protocol3", "ssd_star", "p3_star"):
+        kernel, _ = _QUANTITIES[name]
+        values = kernel(s, p1).reshape(s_values.size, _P1_GRID.size)
+        assert not np.isnan(values).any(), name
+        rise = np.argwhere(np.diff(values, axis=1) > 1e-14)
+        assert rise.size == 0, (name, s_values[rise[:5, 0]], _P1_GRID[rise[:5, 1]])
 
 
 def test_discord_difference_shrinks_as_priors_meet():

@@ -337,6 +337,26 @@ def _assert_tally_matches(probs, p1, u):
     assert summary.error_count == errors
 
 
+@pytest.mark.parametrize(
+    "case",
+    [
+        (0.36, 0.25, 0.6, 0.7, 0.5),
+        (0.1, 0.3, 0.5, 0.3, 0.6),
+        (0.3, 0.2, 0.3, 1.0, 0.5),  # t = s: Bob's declarations have probability 0
+    ],
+    ids=str,
+)
+def test_real_stream_matches_the_reference(case):
+    # unpatched draws over three chunks, the last one short
+    s, p1, t, q1b, q1c = case
+    n, seed = 2 * simulate._CHUNK + 7, 2017
+    summary = run_ssd_trials(Scenario(s, p1), t, q1b, q1c, n, seed)
+    cum_b, cum_c = _cumulative(_outcome_table(Scenario(s, p1), t, q1b, q1c))
+    counts, errors = _summary_loop(trial_uniforms(seed, 0, n), p1, cum_b, cum_c)
+    assert np.array_equal(summary.counts, counts)
+    assert summary.error_count == errors
+
+
 class TestTally:
     @pytest.mark.parametrize("case", list(_PINNED_COUNTS), ids=str)
     def test_uniforms_on_and_beside_each_cumulative_entry(self, case):
