@@ -1,0 +1,106 @@
+"""Shared parts of the timing harnesses: a second checkout and interleaved rounds.
+
+``load_parent`` imports another checkout's ``src/seqdisc`` under the module
+name ``seqdisc_parent``, beside this tree's ``seqdisc``, so one process times
+both trees. ``time_rounds`` warms each op up once, then runs it once per tree
+in every round, the two trees in alternating order from round to round. A
+slow spell of the machine then touches the change and the parent alike, and
+each round's change/parent ratio cancels it where the raw times do not.
+"""
+
+import argparse
+import importlib.util
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+PARENT_MODULE = "seqdisc_parent"
+
+
+def parse_args(doc: str) -> argparse.Namespace:
+    """The harnesses' shared command line: --quick, --out and --parent DIR."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
+    parser.add_argument("--quick", action="store_true", help="2 repeats instead of 15")
+    parser.add_argument("--out", required=True, help="path of the JSON record")
+    parser.add_argument(
+        "--parent",
+        metavar="DIR",
+        help="a second checkout whose src/seqdisc is timed in the same process",
+    )
+    return parser.parse_args()
+
+
+def load_parent(checkout: str):
+    """The package ``<checkout>/src/seqdisc``, imported as ``seqdisc_parent``."""
+    init = Path(checkout) / "src" / "seqdisc" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        PARENT_MODULE, init, submodule_search_locations=[str(init.parent)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[PARENT_MODULE] = package  # its relative imports resolve here
+    spec.loader.exec_module(package)
+    return package
+
+
+def time_rounds(trees: dict, repeats: int) -> dict:
+    """Milliseconds of each call: ``{op: {tree: [ms per round]}}``.
+
+    ``trees`` maps "change" and, when a parent is timed, "parent" to that
+    tree's ``{op name: callable}``; both trees have the same op names.
+    """
+    for ops in trees.values():
+        for fn in ops.values():
+            fn()
+    names = list(trees["change"])
+    times = {name: {tree: [] for tree in trees} for name in names}
+    for r in range(repeats):
+        for name in names:
+            for tree in list(trees)[:: -1 if r % 2 else 1]:
+                start = time.perf_counter()
+                trees[tree][name]()
+                times[name][tree].append(1e3 * (time.perf_counter() - start))
+    return times
+
+
+def _stats(ms: list) -> dict:
+    return {"min_ms": round(min(ms), 3), "median_ms": round(statistics.median(ms), 3)}
+
+
+def summarize(times: dict, divisor: float = 1.0) -> dict:
+    """Each op's min and median ms for this tree (each time divided by
+    ``divisor``); with a parent, also the parent's and the per-round
+    change/parent ratios with their median."""
+    results = {}
+    for name, by_tree in times.items():
+        change = [ms / divisor for ms in by_tree["change"]]
+        record = {**_stats(change), "repeats": len(change)}
+        if "parent" in by_tree:
+            parent = [ms / divisor for ms in by_tree["parent"]]
+            ratios = [c / p for c, p in zip(change, parent)]
+            record["parent"] = _stats(parent)
+            record["change_over_parent"] = {
+                "median": round(statistics.median(ratios), 4),
+                "per_round": [round(x, 4) for x in ratios],
+            }
+        results[name] = record
+    return results
+
+
+def write_record(path: str, record: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
+
+
+def print_results(results: dict, unit: str = "") -> None:
+    for name, r in results.items():
+        line = f"{name}: min {r['min_ms']:.2f} ms, median {r['median_ms']:.2f} ms{unit}"
+        if "parent" in r:
+            p = r["parent"]
+            line += (
+                f"; parent min {p['min_ms']:.2f} ms, median {p['median_ms']:.2f} ms;"
+                f" change/parent median {r['change_over_parent']['median']:.3f}"
+            )
+        print(line)

@@ -8,66 +8,54 @@ warm-up; then the repeats are interleaved (joint, union, certify, joint, ...),
 so a slow spell of the machine touches all three alike. The record holds the
 minimum and median milliseconds of each, with the numpy version and CPU count.
 
+With ``--parent DIR`` the ops of the checkout at DIR run in the same process,
+each round beside this tree's (see ``bench_common``), and the record adds the
+parent's times and each round's change/parent ratio.
+
     python scripts/bench_oracle.py --out bench.json
     python scripts/bench_oracle.py --quick --out bench.json   # a smoke run
+    python scripts/bench_oracle.py --parent ../parent --out bench.json
 """
 
-import argparse
-import json
 import os
 import platform
-import statistics
 import sys
-import time
 
 import numpy as np
 
-from seqdisc import Scenario
-from seqdisc.oracle import certify, grid_maximize_joint, grid_maximize_union_ssd
+import bench_common
+import seqdisc
 
 #: Scenarios of each oracle operation: small, middle and large overlaps.
 SCENARIOS = ((0.04, 0.5), (0.36, 0.2), (0.6, 0.05))
 
 
-def measure(repeats: int) -> dict:
-    """Warm up each operation, then time ``repeats`` interleaved rounds."""
-    scenarios = [Scenario(s, p1) for s, p1 in SCENARIOS]
-    ops = {
-        "grid_maximize_joint": lambda: [grid_maximize_joint(sc) for sc in scenarios],
-        "grid_maximize_union_ssd": lambda: [grid_maximize_union_ssd(sc) for sc in scenarios],
-        "certify": certify,
-    }
-    for op in ops.values():
-        op()
-    times = {name: [] for name in ops}
-    for _ in range(repeats):
-        for name, op in ops.items():
-            start = time.perf_counter()
-            op()
-            times[name].append(1e3 * (time.perf_counter() - start))
+def make_ops(package) -> dict:
+    """The three timed operations on one tree's ``seqdisc`` package."""
+    scenarios = [package.Scenario(s, p1) for s, p1 in SCENARIOS]
+    oracle = package.oracle
     return {
-        name: {"min_ms": min(ms), "median_ms": statistics.median(ms), "repeats": repeats}
-        for name, ms in times.items()
+        "grid_maximize_joint": lambda: [oracle.grid_maximize_joint(sc) for sc in scenarios],
+        "grid_maximize_union_ssd": lambda: [oracle.grid_maximize_union_ssd(sc) for sc in scenarios],
+        "certify": oracle.certify,
     }
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="2 repeats instead of 15")
-    parser.add_argument("--out", required=True, help="path of the JSON record")
-    args = parser.parse_args()
+    args = bench_common.parse_args(__doc__)
+    trees = {"change": make_ops(seqdisc)}
+    if args.parent:
+        trees["parent"] = make_ops(bench_common.load_parent(args.parent))
+    times = bench_common.time_rounds(trees, 2 if args.quick else 15)
     record = {
         "scenarios_per_oracle_op": [list(sc) for sc in SCENARIOS],
         "numpy": np.__version__,
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
-        "results": measure(2 if args.quick else 15),
+        "results": bench_common.summarize(times),
     }
-    with open(args.out, "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-    for name, r in record["results"].items():
-        print(f"{name}: min {r['min_ms']:.2f} ms, median {r['median_ms']:.2f} ms")
+    bench_common.write_record(args.out, record)
+    bench_common.print_results(record["results"])
     return 0
 
 

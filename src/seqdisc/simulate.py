@@ -19,16 +19,22 @@ Analytically P is the product (q_ib, 1 - q_ib on k_b = i) x (q_ic, 1 - q_ic
 on k_c = i); the tests hold the unitaries to it.
 
 Trials are sampled from a counter-based Philox stream with a fixed layout of
-four uniforms per trial (preparation, Bob outcome, Charlie outcome, one
+four 64-bit words per trial (preparation, Bob outcome, Charlie outcome, one
 reserved), so trial k owns exactly one Philox counter block and any split of
-the trial range across workers reproduces the serial bit stream.  Each chunk
-of trials is tallied as one int8 code per trial, prep * 16 + k_b * 4 + k_c
-with k in 0..3, so a single bincount counts 32 codes; a constant 0/1 matrix
-folds them into the 18 (preparation, k_b, k_c) cells.
+the trial range across workers reproduces the serial bit stream.  The words
+are never turned into floats: numpy's uniform from a word x is
+(x >> 11) * 2**-53, and c * 2**53 is exact for every double c in [0, 2], so
+u >= c holds exactly when x >> 11 >= ceil(c * 2**53), and u < c exactly when
+it does not.  Each probability threshold is therefore one integer, built
+once per run; a threshold at or above 1 is never reached and 0 always is.
+Each chunk of trials is tallied as one int8 code per trial, prep * 16 +
+k_b * 4 + k_c with k in 0..3, so a single bincount counts 32 codes; a
+constant 0/1 matrix folds them into the 18 (preparation, k_b, k_c) cells.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,8 +55,8 @@ _GRAM_TOL = 1e-10
 #: Outcome probabilities below this are treated as exact zeros; the analytic
 #: amplitudes vanish there and anything smaller is squared rounding noise.
 _PROB_FLOOR = 1e-24
-_DRAWS_PER_TRIAL = 4  # one Philox counter block (4 x 64-bit outputs) per trial
-#: Trials per draw: a chunk's uniforms (512 KiB) and the tally's temporaries
+_WORDS_PER_TRIAL = 4  # one Philox counter block (4 x 64-bit outputs) per trial
+#: Trials per draw: a chunk's words (512 KiB) and the tally's temporaries
 #: stay in cache, which measured fastest (1 << 13 to 1 << 15 were within noise).
 _CHUNK = 1 << 14
 #: Charlie's cumulative row prep * 3 + k_b for Bob's code prep * 4 + k_b:
@@ -147,17 +153,44 @@ class TrialSummary:
         return self.joint_success_count / self.n_trials
 
 
-def trial_uniforms(seed: int, start: int, stop: int) -> np.ndarray:
-    """Uniform variates for trials [start, stop), shape (stop-start, 4).
+def _trial_words(seed: int, start: int, stop: int) -> Iterator[np.ndarray]:
+    """Philox words of trials [start, stop), as consecutive (rows, 4) uint64
+    chunks of at most ``_CHUNK`` rows.
 
     Trial k owns counter block k of the Philox-4x64 stream keyed by seed
     (numpy's Philox.advance moves one 4-output block per unit), so disjoint
-    ranges computed independently concatenate into the serial stream.
+    ranges computed independently concatenate into the serial stream.  One
+    bit generator is carried across the chunks; each draw uses up whole
+    blocks, so the next chunk starts on its first trial's block.
     """
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(start)
-    # the same doubles as .uniform(0, 1), which returns 0 + 1 * x
-    return np.random.Generator(bitgen).random(size=(stop - start, _DRAWS_PER_TRIAL))
+    for a in range(start, stop, _CHUNK):
+        yield bitgen.random_raw(size=(min(a + _CHUNK, stop) - a, _WORDS_PER_TRIAL))
+
+
+def trial_uniforms(seed: int, start: int, stop: int) -> np.ndarray:
+    """Uniform variates for trials [start, stop), shape (stop-start, 4).
+
+    The words of ``_trial_words`` decoded as numpy's Generator.random decodes
+    them, (x >> 11) * 2**-53: bit for bit the doubles of
+    ``Generator(Philox(key=seed)).random`` after ``advance(start)``, which
+    ``run_ssd_trials`` compares against without forming them.
+    """
+    words = np.concatenate(
+        [np.empty((0, _WORDS_PER_TRIAL), dtype=np.uint64), *_trial_words(seed, start, stop)]
+    )
+    return (words >> 11) * 2.0**-53
+
+
+def _word_thresholds(c) -> np.ndarray:
+    """Least m with m * 2**-53 >= c, elementwise, as uint64 (c in [0, 2]).
+
+    c * 2**53 is exact, so for a word x, x >> 11 >= m holds exactly when its
+    uniform (x >> 11) * 2**-53 is at or above c.  m = 0 for c = 0 (always);
+    m >= 2**53 for c >= 1 (never, since x >> 11 < 2**53).
+    """
+    return np.ceil(np.asarray(c, dtype=float) * 2.0**53).astype(np.uint64)
 
 
 def _stage_unitary(inputs: np.ndarray, outputs: np.ndarray, stage: StrategyParams) -> JointUnitary:
@@ -200,19 +233,24 @@ def _outcome_table(scenario: Scenario, t: float, q1b: float, q1c: float) -> np.n
     return probs / probs.sum(axis=(1, 2), keepdims=True)
 
 
-def _tally(u: np.ndarray, p1: float, cum_b: np.ndarray, cum_c: np.ndarray) -> np.ndarray:
+def _tally(words: np.ndarray, m_p1: np.ndarray, m_b: np.ndarray, m_c: np.ndarray) -> np.ndarray:
     """(2, 3, 3) trial counts by preparation, Bob's outcome k_b and Charlie's k_c.
 
-    ``u`` holds trial_uniforms rows; state 1 is prepared when u[:, 0] < p1.
-    Each trial gets the int8 code prep * 16 + k_b * 4 + k_c, where a stage's
-    k is the number of entries of its cumulative row at or below its uniform.
-    Rows are nondecreasing, so that is the first k with u < cum[row, k]; k = 3
+    ``words`` holds _trial_words rows and m_p1, m_b, m_c are the
+    _word_thresholds of p1 and of Bob's (2, 3) and Charlie's (6, 3)
+    cumulative rows.  With v = x >> 11 of a trial's word, state 1 is prepared
+    when v < m_p1.  Each trial gets the int8 code prep * 16 + k_b * 4 + k_c,
+    where a stage's k is the number of entries of its threshold row at or
+    below its v, i.e. of cumulative entries at or below its uniform.  Rows
+    are nondecreasing, so that is the first k with u < cum[row, k]; k = 3
     (u above a last entry that rounding left below 1, or a zero row) is
     outcome 0.  One bincount of the 32 codes is folded into the 18 cells.
     """
-    u_prep, u_b, u_c = np.ascontiguousarray(u[:, :3].T)
-    code = (u_prep >= p1).view(np.int8)
-    for x, cum in ((u_b, cum_b), (u_c, cum_c[_CHARLIE_ROW])):
+    v = words[:, :3].T.copy()  # a C-order copy, so the shift leaves ``words`` intact
+    v >>= 11
+    v_prep, v_b, v_c = v
+    code = (v_prep >= m_p1).view(np.int8)
+    for x, cum in ((v_b, m_b), (v_c, m_c[_CHARLIE_ROW])):
         row, code = code, code * 4
         for j in range(3):
             code += x >= cum[:, j].take(row)
@@ -227,11 +265,12 @@ def run_ssd_trials(
     Each trial prepares state i with probability p_i, pushes the joint state
     through Bob's unitary, samples his qutrit outcome, forwards the collapsed
     system state through Charlie's stage and samples his outcome.  Outcome 0
-    means failure, outcomes 1/2 declare the state.  Trials are drawn and
-    tallied in cache-sized chunks, so memory does not grow with n: each
-    chunk's 32 trial codes are counted by one bincount and folded into the 18
-    (preparation, k_b, k_c) cells, whose sum over chunks becomes ``counts``
-    and ``error_count`` once per run.
+    means failure, outcomes 1/2 declare the state.  Trials are drawn as raw
+    Philox words and tallied in cache-sized chunks, so memory does not grow
+    with n: the prior and the cumulative outcome rows become integer word
+    thresholds once per run, and each chunk's 32 trial codes are counted by
+    one bincount and folded into the 18 (preparation, k_b, k_c) cells, whose
+    sum over chunks becomes ``counts`` and ``error_count`` once per run.
     """
     if n < 1:
         raise DomainError(f"n={n} must be at least 1")
@@ -245,10 +284,10 @@ def run_ssd_trials(
     cum_b = np.cumsum(probs_b, axis=1)
     cum_c = np.cumsum(probs_c.reshape(6, 3), axis=1)
 
+    thresholds = [_word_thresholds(c) for c in (scenario.p1, cum_b, cum_c)]
     cells = np.zeros((2, 3, 3), dtype=np.int64)
-    for start in range(0, n, _CHUNK):
-        u = trial_uniforms(seed, start, min(start + _CHUNK, n))
-        cells += _tally(u, scenario.p1, cum_b, cum_c)
+    for words in _trial_words(seed, 0, n):
+        cells += _tally(words, *thresholds)
     counts = np.zeros((2, 2, 2), dtype=np.int64)
     error_count = 0
     for (i, k_b, k_c), m in np.ndenumerate(cells):

@@ -94,7 +94,7 @@ class TestTrialUniforms:
     def test_seed_changes_stream(self):
         assert not np.array_equal(trial_uniforms(1, 0, 10), trial_uniforms(2, 0, 10))
 
-    @pytest.mark.parametrize("seed", [0, 42, 2**64 + 3])
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 + 3, 2**128 - 1])
     def test_split_range_equals_one_uniform_draw(self, seed):
         whole = np.random.Generator(np.random.Philox(key=seed)).uniform(size=(1000, 4))
         ranges = [(0, 333), (333, 334), (334, 1000)]
@@ -310,28 +310,46 @@ def _summary_loop(u, p1, cum_b, cum_c):
     return np.bincount(code, minlength=8).reshape(2, 2, 2), errors
 
 
-def _edge_uniforms(p1, cum_b, cum_c):
-    """Every combination of uniforms on p1 and each cumulative entry, one ulp
-    either side of each, and 0 and the largest double below 1."""
-
-    def around(values):
-        v = np.concatenate([np.ravel(values), [0.0, np.nextafter(1.0, 0.0)]])
-        v = np.concatenate([v, np.nextafter(v, 0.0), np.nextafter(v, 1.0)])
-        return np.unique(v[(v >= 0.0) & (v < 1.0)])
-
-    axes = np.meshgrid(around(p1), around(cum_b), around(cum_c), [0.5], indexing="ij")
-    return np.stack(axes, axis=-1).reshape(-1, 4)
+_TOP_WORD = 2**64 - 1
 
 
-def _assert_tally_matches(probs, p1, u):
-    """_tally, and run_ssd_trials on the table probs and the uniforms u, agree
-    with the reference."""
+def _uniforms(words):
+    """numpy's Generator.random of Philox words (an array or one int): the
+    top 53 bits times 2**-53."""
+    return (words >> 11) * 2.0**-53
+
+
+def _edge_words(values):
+    """For each threshold m of the doubles ``values``, the words m * 2^11 - 1,
+    m * 2^11 and m * 2^11 + 2^11 - 1 (the largest uniform below the value, and
+    the least at or above it with its low bits clear and set), plus 0 and
+    2^64 - 1."""
+    words = {0, _TOP_WORD}
+    for m in simulate._word_thresholds(np.ravel(values)).tolist():
+        words.update({(m << 11) - 1, m << 11, (m << 11) + 2**11 - 1})
+    return np.array(sorted(w for w in words if 0 <= w <= _TOP_WORD), dtype=np.uint64)
+
+
+def _edge_trial_words(p1, cum_b, cum_c):
+    """Every combination of edge words around p1 and each cumulative entry."""
+    axes = np.meshgrid(
+        _edge_words(p1), _edge_words(cum_b), _edge_words(cum_c), [2**63], indexing="ij"
+    )
+    return np.stack(axes, axis=-1).reshape(-1, 4).astype(np.uint64)
+
+
+def _assert_tally_matches(probs, p1, words):
+    """_tally, and run_ssd_trials on the table probs and the Philox words,
+    agree with the float reference on the words' uniforms."""
     cum_b, cum_c = _cumulative(probs)
-    assert np.array_equal(simulate._tally(u, p1, cum_b, cum_c), _tally_loop(u, p1, cum_b, cum_c))
+    u = _uniforms(words)
+    thresholds = [simulate._word_thresholds(c) for c in (p1, cum_b, cum_c)]
+    assert np.array_equal(simulate._tally(words, *thresholds), _tally_loop(u, p1, cum_b, cum_c))
+    assert np.array_equal(_uniforms(words), u)  # the tally shifts a copy, never its input
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "_outcome_table", lambda *args: probs)
-        mp.setattr(simulate, "trial_uniforms", lambda seed, start, stop: u[start:stop])
-        summary = run_ssd_trials(Scenario(0.5, p1), 0.8, 0.7, 0.7, len(u), 0)
+        mp.setattr(simulate, "_trial_words", lambda seed, start, stop: iter([words[start:stop]]))
+        summary = run_ssd_trials(Scenario(0.5, p1), 0.8, 0.7, 0.7, len(words), 0)
     counts, errors = _summary_loop(u, p1, cum_b, cum_c)
     assert np.array_equal(summary.counts, counts)
     assert summary.error_count == errors
@@ -362,17 +380,22 @@ class TestTally:
     def test_uniforms_on_and_beside_each_cumulative_entry(self, case):
         s, p1, t, q1b, q1c = case
         probs = _outcome_table(Scenario(s, p1), t, q1b, q1c)
-        _assert_tally_matches(probs, p1, _edge_uniforms(p1, *_cumulative(probs)))
+        _assert_tally_matches(probs, p1, _edge_trial_words(p1, *_cumulative(probs)))
 
     def test_uniform_above_a_last_entry_below_one_is_outcome_0(self):
         probs = _outcome_table(Scenario(0.1, 0.3), 0.5, 0.3, 0.6)
         cum_b, cum_c = _cumulative(probs)
         last = cum_b[1, 2]
         assert last < 1.0  # the cumulative sum rounds below 1
-        u = np.array([[0.9, np.nextafter(last, 1.0), 0.5, 0.5]])
+        above = np.nextafter(last, 1.0)  # a Philox uniform: doubles in [1/2, 1) are 2**-53 apart
+        half = 2**63  # the word of uniform 1/2
+        row = [int(0.9 * 2**53) << 11, int(above * 2**53) << 11, half, half]
+        words = np.array([row], dtype=np.uint64)
+        u = _uniforms(words)
+        assert u[0, 1] == above
         prep, k_b, _ = _trial_outcomes(u, 0.3, cum_b, cum_c)
         assert (prep[0], k_b[0]) == (2, 0)
-        _assert_tally_matches(probs, 0.3, u)
+        _assert_tally_matches(probs, 0.3, words)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -385,6 +408,26 @@ class TestTally:
         totals = probs.sum(axis=(1, 2), keepdims=True)
         assume(np.all(totals > 0.0))
         probs = probs / totals
-        edges = _edge_uniforms(p1, *_cumulative(probs))
-        u = np.vstack([edges, np.random.default_rng(seed).random((2000, 4))])
-        _assert_tally_matches(probs, p1, u)
+        edges = _edge_trial_words(p1, *_cumulative(probs))
+        words = np.vstack([edges, np.random.PCG64(seed).random_raw((2000, 4))])
+        _assert_tally_matches(probs, p1, words)
+
+
+# doubles in [0, 1], subnormals included, and one to four ulps above 1
+_threshold_values = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, allow_subnormal=True),
+    st.integers(min_value=1, max_value=4).map(lambda k: 1.0 + k * 2.0**-52),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_threshold_values, st.lists(st.integers(min_value=0, max_value=_TOP_WORD), max_size=20))
+def test_word_thresholds_decide_as_the_uniforms_do(c, random_words):
+    # uniform >= c exactly when the word's top 53 bits reach the threshold,
+    # and uniform < c (the preparation's test) exactly when they do not
+    m = int(simulate._word_thresholds(c))
+    assert m == int(simulate._word_thresholds(np.array([c]))[0])
+    for x in [*_edge_words(c).tolist(), *random_words]:
+        u = _uniforms(x)
+        assert ((x >> 11) >= m) == (u >= c), (c, x)
+        assert ((x >> 11) < m) == (u < c), (c, x)
