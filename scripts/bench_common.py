@@ -6,11 +6,15 @@ both trees. ``time_rounds`` warms each op up once, then runs it once per tree
 in every round, the two trees in alternating order from round to round. A
 slow spell of the machine then touches the change and the parent alike, and
 each round's change/parent ratio cancels it where the raw times do not.
+Beside each time it counts the process's minor page faults
+(``resource.getrusage``), so memory that an op gives back to the system and
+faults in again shows in every record.
 """
 
 import argparse
 import importlib.util
 import json
+import resource
 import statistics
 import sys
 import time
@@ -44,8 +48,13 @@ def load_parent(checkout: str):
     return package
 
 
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def time_rounds(trees: dict, repeats: int) -> dict:
-    """Milliseconds of each call: ``{op: {tree: [ms per round]}}``.
+    """Milliseconds and minor page faults of each call:
+    ``{op: {tree: {"ms": [per round], "minor_faults": [per round]}}}``.
 
     ``trees`` maps "change" and, when a parent is timed, "parent" to that
     tree's ``{op name: callable}``; both trees have the same op names.
@@ -54,32 +63,39 @@ def time_rounds(trees: dict, repeats: int) -> dict:
         for fn in ops.values():
             fn()
     names = list(trees["change"])
-    times = {name: {tree: [] for tree in trees} for name in names}
+    runs = {name: {tree: {"ms": [], "minor_faults": []} for tree in trees} for name in names}
     for r in range(repeats):
         for name in names:
             for tree in list(trees)[:: -1 if r % 2 else 1]:
+                faults = _minor_faults()
                 start = time.perf_counter()
                 trees[tree][name]()
-                times[name][tree].append(1e3 * (time.perf_counter() - start))
-    return times
+                ms = 1e3 * (time.perf_counter() - start)
+                runs[name][tree]["minor_faults"].append(_minor_faults() - faults)
+                runs[name][tree]["ms"].append(ms)
+    return runs
 
 
-def _stats(ms: list) -> dict:
-    return {"min_ms": round(min(ms), 3), "median_ms": round(statistics.median(ms), 3)}
+def _stats(run: dict, divisor: float) -> dict:
+    ms = [x / divisor for x in run["ms"]]
+    return {
+        "min_ms": round(min(ms), 3),
+        "median_ms": round(statistics.median(ms), 3),
+        "minor_faults_median": statistics.median(run["minor_faults"]),
+    }
 
 
-def summarize(times: dict, divisor: float = 1.0) -> dict:
+def summarize(runs: dict, divisor: float = 1.0) -> dict:
     """Each op's min and median ms for this tree (each time divided by
-    ``divisor``); with a parent, also the parent's and the per-round
-    change/parent ratios with their median."""
+    ``divisor``) and its median minor page faults per call; with a parent,
+    also the parent's and the per-round change/parent time ratios with their
+    median."""
     results = {}
-    for name, by_tree in times.items():
-        change = [ms / divisor for ms in by_tree["change"]]
-        record = {**_stats(change), "repeats": len(change)}
+    for name, by_tree in runs.items():
+        record = {**_stats(by_tree["change"], divisor), "repeats": len(by_tree["change"]["ms"])}
         if "parent" in by_tree:
-            parent = [ms / divisor for ms in by_tree["parent"]]
-            ratios = [c / p for c, p in zip(change, parent)]
-            record["parent"] = _stats(parent)
+            record["parent"] = _stats(by_tree["parent"], divisor)
+            ratios = [c / p for c, p in zip(by_tree["change"]["ms"], by_tree["parent"]["ms"])]
             record["change_over_parent"] = {
                 "median": round(statistics.median(ratios), 4),
                 "per_round": [round(x, 4) for x in ratios],
@@ -96,11 +112,15 @@ def write_record(path: str, record: dict) -> None:
 
 def print_results(results: dict, unit: str = "") -> None:
     for name, r in results.items():
-        line = f"{name}: min {r['min_ms']:.2f} ms, median {r['median_ms']:.2f} ms{unit}"
+        line = (
+            f"{name}: min {r['min_ms']:.2f} ms, median {r['median_ms']:.2f} ms{unit},"
+            f" {r['minor_faults_median']:g} minor faults per call"
+        )
         if "parent" in r:
             p = r["parent"]
             line += (
-                f"; parent min {p['min_ms']:.2f} ms, median {p['median_ms']:.2f} ms;"
+                f"; parent min {p['min_ms']:.2f} ms, median {p['median_ms']:.2f} ms,"
+                f" {p['minor_faults_median']:g} faults;"
                 f" change/parent median {r['change_over_parent']['median']:.3f}"
             )
         print(line)

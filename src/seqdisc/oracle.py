@@ -10,7 +10,14 @@ by golden-section search, and every one-stage maximum (a cloned copy's too)
 is ``_grid_max_stage``'s; the (t, q1b, q1c) scans take ``_JOINT_POINTS`` per
 axis, refined by ``_REFINEMENT_PASSES`` scans of ``_REFINE_POINTS`` per axis.
 Each t-slice's exact maximum over (q1b, q1c) takes each Bob row at the two
-q1c grid points that bracket Charlie's stationary point.
+q1c grid points that bracket Charlie's stationary point. The first scan
+takes the slices in chunks of ``_REFINE_POINTS`` and skips a chunk that
+cannot hold the maximum: Bob's factors rise with t and Charlie's fall (or
+rise against Bob's nonpositive ones), so a row with Bob at a chunk's last t
+and Charlie at its first bounds every slice of the chunk. A chunk is skipped
+only when its bound plus ``_BOUND_SLACK`` is below the best value found, and
+the chunks evaluated are reduced in t order, so every result is the one a
+scan of all slices gives, down to the first highest slice.
 ``certify`` compares each closed form with its oracle and flags a gap above
 its ``tolerance``.
 """
@@ -40,6 +47,9 @@ _JOINT_POINTS = 301
 _REFINE_POINTS = 33
 #: Refinement rounds after every grid scan; each narrows the search window.
 _REFINEMENT_PASSES = 2
+#: A (t, q1b, q1c) chunk is skipped only when its bound plus this slack is
+#: below the best value found: values are at most 1 and round by a few ulps.
+_BOUND_SLACK = 1e-12
 
 #: Standard certification grid.
 CERT_S_VALUES = (0.04, 0.1716, 0.2, 0.36, 0.6)
@@ -125,13 +135,9 @@ def _union_factors(q1b, q2b, q1c, q2c, p1, p2):
     return (-p1 * q1b, -p2 * q2b), (q1c, q2c)
 
 
-def _from_unit(lo, x):
-    """Grid coordinate x in [0, 1] mapped onto [lo, 1]: lo = r^2 for q1b, t^2 for q1c."""
-    return lo + x * (1.0 - lo)
-
-
 def _to_unit(lo, q):
-    """The inverse of ``_from_unit``."""
+    """The grid coordinate in [0, 1] of q in [lo, 1]: lo = r^2 for q1b, t^2 for
+    q1c, and q = lo + x*(1 - lo)."""
     return (q - lo) / (1.0 - lo)
 
 
@@ -151,38 +157,94 @@ def _max_3d(
     grid maximum is one of the two grid points that bracket q1c*; the later
     one wins only when strictly higher, which keeps the row's first maximum.
     A q1c* off the grid (or NaN, at t = 1 or a1 = 0) is clamped to an end
-    bracket. The t-slices are searched ``_REFINE_POINTS`` at a time; each
-    slice's best row is re-evaluated with ``term`` itself, and the first
-    highest value over the slices wins.
+    bracket. Each slice's best row is re-evaluated with ``term`` itself.
+
+    The t-slices are taken ``_REFINE_POINTS`` at a time, and a chunk is
+    skipped when a bound shows it cannot hold the maximum. At fixed grid
+    coordinates (u, v), Bob's q1b and q2b fall as t rises (r = s/t falls) and
+    Charlie's q1c and q2c rise, so Bob's factors rise with t and Charlie's
+    fall (joint: 1 - q1c, 1 - q2c) or rise against a nonpositive a (union).
+    A row with Bob at a chunk's last t and Charlie at its first is therefore
+    at least every slice of the chunk at each (u, v); it is still concave in
+    q1c about t_C*sqrt(a2/a1), so the same bracket gives its maximum. All
+    chunks' bound rows take one kernel pass; the chunks are then evaluated
+    in order of falling bound until a bound plus ``_BOUND_SLACK`` falls
+    below the best value found. The evaluated chunks are reduced in t order,
+    each replacing the best only when strictly higher, so the first highest
+    slice wins, as in a scan of every slice.
     """
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
     t_lo_global = max(s, 1e-9)
 
     def evaluate(ts: np.ndarray, us: np.ndarray, vs: np.ndarray):
-        best = (-1.0, 0.0, 0.0, 0.0)
-        for k0 in range(0, len(ts), _REFINE_POINTS):
-            t = ts[k0 : k0 + _REFINE_POINTS, None]
-            rows = np.arange(len(t))
-            r2 = (s / t) ** 2
-            q1b = _from_unit(r2, us)
-            q1c = _from_unit(t * t, vs)
-            q2b = np.divide(r2, q1b, out=np.ones(q1b.shape), where=q1b > 0.0)
-            q2c = t * t / q1c
+        n_v = len(vs)
+        scale = (n_v - 1) / (vs[-1] - vs[0])
+        starts = np.arange(0, len(ts), _REFINE_POINTS)
+        stops = np.minimum(starts + _REFINE_POINTS, len(ts))
+        bounds = np.full(len(starts), np.inf)
+        # The chunks' bound rows (None) queue the chunks, highest bound first.
+        # Every pass runs in this one loop: the arrays of a pass replace the
+        # last pass's as they are made, so the heap is not given back and
+        # faulted in again between passes.
+        queue = [None] if len(starts) > 1 else [0]
+        found = {}
+        best_value = -1.0
+        for k in queue:
+            if k is None:
+                t_b, t_c = ts[stops - 1, None], ts[starts, None]
+            elif bounds[k] + _BOUND_SLACK < best_value:
+                break
+            else:
+                t_b = t_c = ts[starts[k] : stops[k], None]
+            rows = np.arange(len(t_b))
+            r2 = (s / t_b) ** 2
+            t2 = t_c * t_c
+            span_c = 1.0 - t2
+            q1b = us * (1.0 - r2)
+            q1b += r2
+            q1c = vs * span_c
+            q1c += t2
+            if r2.all():  # then q1b >= r2 > 0
+                q2b = r2 / q1b
+            else:
+                q2b = np.divide(r2, q1b, out=np.ones(q1b.shape), where=q1b > 0.0)
+            q2c = t2 / q1c
             (a1, a2), (b1, b2) = factors(q1b, q2b, q1c, q2c, p1, p2)
+            # the grid coordinate of q1c* = t*sqrt(a2/a1), clamped to a lower
+            # bracket point (the cast floors it) and made a flat index
             with np.errstate(divide="ignore", invalid="ignore"):
-                v_star = _to_unit(t * t, t * np.sqrt(a2 / a1))
-            j = (v_star - vs[0]) * ((len(vs) - 1) / (vs[-1] - vs[0]))
-            # flat index of the lower bracket point (the cast floors j >= 0)
-            at = np.fmin(np.fmax(j, 0.0), len(vs) - 2).astype(np.intp) + len(vs) * rows[:, None]
-            lower = a1 * b1.take(at) + a2 * b2.take(at)
-            upper = a1 * b1.take(at + 1) + a2 * b2.take(at + 1)
+                j = np.divide(a2, a1)
+                np.sqrt(j, out=j)
+                j *= t_c
+                j -= t2
+                j /= span_c
+            j -= vs[0]
+            j *= scale
+            np.fmax(j, 0.0, out=j)
+            np.fmin(j, n_v - 2, out=j)
+            at = j.astype(np.intp)
+            at += n_v * rows[:, None]
+            above = at + 1
+            lower, upper = b1.take(at), b1.take(above)
+            lower *= a1
+            upper *= a1
+            lower += a2 * b2.take(at)
+            upper += a2 * b2.take(above)
             at += upper > lower
-            ib = np.argmax(np.maximum(lower, upper), axis=1)
-            ic = at[rows, ib] - len(vs) * rows
+            ib = np.argmax(np.maximum(lower, upper, out=lower), axis=1)
+            ic = at[rows, ib] - n_v * rows
             vals = term(q1b[rows, ib], q2b[rows, ib], q1c[rows, ic], q2c[rows, ic], p1, p2)
-            k = int(np.argmax(vals))
-            if vals[k] > best[0]:
-                best = (float(vals[k]), float(t[k, 0]), float(q1b[k, ib[k]]), float(q1c[k, ic[k]]))
+            if k is None:
+                bounds = vals
+                queue += np.argsort(-vals, kind="stable").tolist()
+                continue
+            i = int(np.argmax(vals))
+            found[k] = (float(vals[i]), float(t_b[i, 0]), float(q1b[i, ib[i]]), float(q1c[i, ic[i]]))
+            best_value = max(best_value, found[k][0])
+        best = (-1.0, 0.0, 0.0, 0.0)
+        for k in sorted(found):  # in t order, so the first highest slice wins
+            if found[k][0] > best[0]:
+                best = found[k]
         return best
 
     def window(x0: float, step: float, lo: float = 0.0) -> np.ndarray:

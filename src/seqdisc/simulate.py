@@ -244,14 +244,16 @@ def _tally(words: np.ndarray, m_p1: np.ndarray, m_b: np.ndarray, m_c: np.ndarray
     below its v, i.e. of cumulative entries at or below its uniform.  Rows
     are nondecreasing, so that is the first k with u < cum[row, k]; k = 3
     (u above a last entry that rounding left below 1, or a zero row) is
-    outcome 0.  One bincount of the 32 codes is folded into the 18 cells.
+    outcome 0.  A stage's threshold row is picked by the code so far, cast to
+    intp once for its three gathers, because ``take`` converts an int8 index
+    on every call.  One bincount of the 32 codes is folded into the 18 cells.
     """
     v = words[:, :3].T.copy()  # a C-order copy, so the shift leaves ``words`` intact
     v >>= 11
     v_prep, v_b, v_c = v
     code = (v_prep >= m_p1).view(np.int8)
     for x, cum in ((v_b, m_b), (v_c, m_c[_CHARLIE_ROW])):
-        row, code = code, code * 4
+        row, code = code.astype(np.intp), code * 4
         for j in range(3):
             code += x >= cum[:, j].take(row)
     return (_FOLD @ np.bincount(code, minlength=32)).reshape(2, 3, 3)

@@ -186,9 +186,20 @@ def _format_cell(x: float | None) -> str:
 
 
 def write_csv(header: list[str], rows: list[list[float | None]], stream: TextIO) -> None:
+    """Write the header and rows as CSV lines, each number as ``%.12g`` and
+    each None as an empty cell. A row without None is formatted by one ``%``
+    of a line format cached by row length; only rows holding None go cell by
+    cell."""
     stream.write(",".join(header) + "\n")
+    formats: dict[int, str] = {}
     for row in rows:
-        stream.write(",".join(_format_cell(v) for v in row) + "\n")
+        if None in row:
+            stream.write(",".join(_format_cell(v) for v in row) + "\n")
+            continue
+        n = len(row)
+        if n not in formats:
+            formats[n] = ",".join(["%.12g"] * n) + "\n"
+        stream.write(formats[n] % tuple(row))
 
 
 def run_figure(name: str) -> tuple[list[str], list[list[float | None]]]:

@@ -12,6 +12,7 @@ from seqdisc import (
     DomainError,
     Scenario,
     certify,
+    critical_prior_PC,
     grid_maximize_bob,
     grid_maximize_charlie,
     grid_maximize_cloning,
@@ -396,6 +397,13 @@ def _seeded_edge_scenarios():
     return fixed + list(zip(s.tolist(), p1.tolist()))
 
 
+def _pc_tie_scenarios():
+    # P_C, where the joint optimum has two basins of equal height, and tiny
+    # s, where the joint oracle's maximum sits in its first t-slices
+    ties = [(s, critical_prior_PC(s).value) for s in np.geomspace(1e-3, 0.17, 8).tolist()]
+    return ties + [(1e-9, 0.5), (1e-12, 0.5)]
+
+
 log_uniform_scenarios = st.builds(
     Scenario,
     s=st.floats(min_value=1e-10, max_value=0.999),
@@ -425,6 +433,13 @@ class TestChainSearch:
         assert oracle(sc) == _max_3d_matmul(sc, term, factors)
 
     @pytest.mark.parametrize("oracle,term,factors", _CHAINS, ids=_SCAN_IDS)
+    @pytest.mark.parametrize("s,p1", _pc_tie_scenarios())
+    def test_two_basins_and_tiny_overlaps(self, oracle, term, factors, s, p1):
+        # where a wrongly skipped chunk of t-slices would hide the first maximum
+        sc = Scenario(s, p1)
+        assert oracle(sc) == _max_3d_matmul(sc, term, factors)
+
+    @pytest.mark.parametrize("oracle,term,factors", _CHAINS, ids=_SCAN_IDS)
     @settings(max_examples=40, deadline=None)
     @given(sc=log_uniform_scenarios)
     def test_random_scenarios_coarse_grid(self, oracle, term, factors, sc):
@@ -450,6 +465,70 @@ class TestChainSearch:
             if not was_tracing:
                 tracemalloc.stop()
         assert peak < 2e6
+
+
+def _recording(fn, calls):
+    """``fn``, appending each result to ``calls``."""
+
+    def wrapped(*args):
+        calls.append(fn(*args))
+        return calls[-1]
+
+    return wrapped
+
+
+def _first_scan_slice_maxima(scenario, term, factors):
+    """Each t-slice's grid maximum in the oracle's first scan, as
+    ``_max_3d_matmul`` finds it: its ``term`` is called once per slice."""
+    found = []
+    _max_3d_matmul(scenario, _recording(term, found), factors)
+    return np.array(found[:_JOINT_POINTS], dtype=float)
+
+
+_N_CHUNKS = -(-_JOINT_POINTS // _REFINE_POINTS)
+
+
+class TestChunkBounds:
+    """The first scan skips a chunk of ``_REFINE_POINTS`` t-slices when its
+    bound row (Bob at the chunk's last t, Charlie at its first) plus
+    ``_BOUND_SLACK`` is below the best value found."""
+
+    @pytest.mark.parametrize("oracle,term,factors", _CHAINS, ids=_SCAN_IDS)
+    @pytest.mark.parametrize(
+        "s,p1", _CERT_GRID + _seeded_edge_scenarios() + _pc_tie_scenarios()
+    )
+    def test_bound_rows_dominate_their_slices(self, oracle, term, factors, s, p1):
+        sc = Scenario(s, p1)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle_module, term.__name__, _recording(term, calls))
+            oracle(sc)
+        bounds = calls[0]  # the first kernel pass is the bound rows'
+        assert len(bounds) == _N_CHUNKS
+        maxima = _first_scan_slice_maxima(sc, term, factors)
+        for k, bound in enumerate(bounds):
+            chunk = maxima[k * _REFINE_POINTS : (k + 1) * _REFINE_POINTS]
+            assert bound >= chunk.max(), (k, float(bound), float(chunk.max()))
+
+    @pytest.mark.parametrize(
+        "oracle,factors,least,most",
+        # the union objective is flat in t, so none of its chunks is skipped
+        [
+            (grid_maximize_joint, _joint_factors, 1, 5),
+            (grid_maximize_union_ssd, _union_factors, _N_CHUNKS, _N_CHUNKS),
+        ],
+        ids=_SCAN_IDS,
+    )
+    def test_chunks_evaluated_on_the_certification_grid(self, oracle, factors, least, most):
+        evaluated = []
+        for s, p1 in _CERT_GRID:
+            calls = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(oracle_module, factors.__name__, _recording(factors, calls))
+                oracle(Scenario(s, p1))
+            # less the bound rows' pass and one pass per refinement
+            evaluated.append(len(calls) - 1 - _REFINEMENT_PASSES)
+        assert least <= min(evaluated) and max(evaluated) <= most, evaluated
 
 
 class TestCertify:
