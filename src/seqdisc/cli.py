@@ -18,13 +18,7 @@ import time
 from .core import ConstraintError, DomainError, NumericError, Scenario, check_overlap_t
 from .correlations import CorrelationInput, correlation_report
 from .oracle import certify
-from .protocols import (
-    at_least_one_protocol3,
-    at_least_one_ssd,
-    protocol1_optimal,
-    protocol2_optimal,
-    protocol3_optimal,
-)
+from .protocols import _cloned_optimum, at_least_one_ssd, protocol1_optimal, protocol2_optimal
 from .simulate import run_ssd_trials
 from .ssd import bob_optimal, charlie_optimal, joint_optimal, joint_success
 from .sweeps import (
@@ -65,9 +59,11 @@ def cmd_optimal(args: argparse.Namespace) -> int:
     _print_result("ssd_joint", joint_optimal(sc))
     _print_result("protocol1", protocol1_optimal(sc))
     _print_result("protocol2", protocol2_optimal(sc))
-    _print_result("protocol3", protocol3_optimal(sc))
+    # protocol3 and at_least_one_p3 from one solve of the optimal cloner
+    protocol3, at_least_one_p3 = _cloned_optimum(sc)
+    _print_result("protocol3", protocol3)
     _print_result("at_least_one_ssd", at_least_one_ssd(sc))
-    _print_result("at_least_one_p3", at_least_one_protocol3(sc))
+    _print_result("at_least_one_p3", at_least_one_p3)
     return EXIT_OK
 
 

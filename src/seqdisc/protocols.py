@@ -22,17 +22,17 @@
 The module also provides the optimal probabilities that at least one of the
 two observers succeeds: for SSD and protocols (1)-(2) these all collapse to
 protocol (1)'s optimum, while the cloning protocol does strictly better for
-every interior prior.  Both cloning optima run one body: the optimal cloner
-(success p_cl), then one copy's stage optimum disc at the priors conditioned
-on cloning success, combined as p_cl*disc^2 (both succeed) or
-p_cl*(1 - (1 - disc)^2) (at least one succeeds); the column kernels take
-the same two combinations.
+every interior prior.  Both cloning optima come from one body, which solves
+the optimal cloner (success p_cl) once, then one copy's stage optimum disc at
+the priors conditioned on cloning success, and returns both combinations,
+p_cl*disc^2 (both succeed) and p_cl*(1 - (1 - disc)^2) (at least one
+succeeds); the column kernels take the same two combinations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -224,16 +224,20 @@ def _clone_params(u: float, s: float) -> CloneParams:
 
     ``_clone_params_values`` takes the same steps in every lane of arrays.
     """
-    return _clone_working_point(u, s, math.sqrt, _pick)
+    return CloneParams(*_clone_working_point(u, s, math.sqrt, _pick))
 
 
 def _clone_params_values(u: np.ndarray, s: np.ndarray) -> CloneParams:
     """``_clone_params`` in every lane; the fields are arrays."""
-    return _clone_working_point(u, s, np.sqrt, np.where)
+    return CloneParams(*_clone_working_point(u, s, np.sqrt, np.where))
 
 
-def _clone_working_point(u, s, sqrt, pick) -> CloneParams:
-    """The body of ``_clone_params``, for floats or for arrays with np.where as ``pick``."""
+def _clone_working_point(u, s, sqrt, pick) -> tuple:
+    """The body of ``_clone_params``, for floats or for arrays with np.where as
+    ``pick``: the fields of ``CloneParams`` as a tuple in their order.  The
+    root searches' steps read ``p1_of_omega`` from it at ``_P1_OF_OMEGA``, so
+    a ``CloneParams`` is built only at the root.
+    """
     a = 1.0 - s
     c = pick(u > 0.5, (1.0 - u) * (1.0 + u), 1.0 - u * u)  # 1 - u^2 <= 1
     v = a * u * u
@@ -256,17 +260,12 @@ def _clone_working_point(u, s, sqrt, pick) -> CloneParams:
     d1 = sqrt(gamma1 * co_gamma1) * (bx * cx + uw * (2.0 * ax + uw))  # A^2, 4s at u = 0
     d2 = sqrt(gamma2 * co_gamma2) * 4.0 * s * c
     n1, n2 = d2 * gamma1, d1 * gamma2  # p1*gamma1 and p2*gamma2, times d1 + d2
-    return CloneParams(
-        omega=omega,
-        x=x,
-        y=y,
-        gamma1=gamma1,
-        gamma2=gamma2,
-        p_cl=(n1 + n2) / (d1 + d2),
-        p1_of_omega=d2 / (d1 + d2),
-        p1_cl=n1 / (n1 + n2),
-        p2_cl=n2 / (n1 + n2),
-    )
+    p_cl, p1_of_omega = (n1 + n2) / (d1 + d2), d2 / (d1 + d2)
+    return omega, x, y, gamma1, gamma2, p_cl, p1_of_omega, n1 / (n1 + n2), n2 / (n1 + n2)
+
+
+#: The index of ``p1_of_omega`` in ``_clone_working_point``'s tuple.
+_P1_OF_OMEGA = [f.name for f in fields(CloneParams)].index("p1_of_omega")
 
 
 def clone_params_of_omega(omega: float, s: float) -> CloneParams:
@@ -288,15 +287,24 @@ def clone_optimal_for_prior(scenario: Scenario) -> CloneParams:
     p1(u) falls monotonically and smoothly from 1/2 at u = 0 to 0 at u = 1,
     so the bracket is all of [0, 1] with f(0) = 1/2 - p1 and f(1) = -p1; a
     prior of 1/2 returns u = 0.  The result must reproduce the prior within 1e-9.
+    Each step reads p1(u) from ``_clone_working_point``'s fields; only the
+    root becomes a ``CloneParams``.  The cloning optima call this once per
+    scenario for both of their values (``_cloned_optimum``).
+
+    Below s of about 1e-216 the working point's denominators underflow to 0
+    near u = 0 (s is documented down to 1e-12); that is a NumericError.
     """
     s, target = scenario.s, scenario.p1
     omega_range(s)  # raises DomainError unless 0 < s < 1
 
     def excess(u: float) -> float:
-        return _clone_params(u, s).p1_of_omega - target
+        return _clone_working_point(u, s, math.sqrt, _pick)[_P1_OF_OMEGA] - target
 
-    u, _ = brent_root(excess, 0.0, 1.0, 0.5 - target, -target)
-    params = _clone_params(u, s)
+    try:
+        u, _ = brent_root(excess, 0.0, 1.0, 0.5 - target, -target)
+        params = _clone_params(u, s)
+    except ZeroDivisionError:
+        raise NumericError(f"cloning working point underflows at s={s}") from None
     if abs(params.p1_of_omega - target) > 1e-9:
         raise NumericError(
             f"omega inversion stalled: p1(omega)={params.p1_of_omega}, wanted {target}"
@@ -307,15 +315,17 @@ def clone_optimal_for_prior(scenario: Scenario) -> CloneParams:
 def _clone_optimal_values(s: np.ndarray, p1: np.ndarray) -> CloneParams:
     """``clone_optimal_for_prior`` in every lane at once, for 0 < s < 1: one
     Brent search in u over all priors in lockstep, which ends on the scalar
-    search's u in every lane.
+    search's u in every lane.  A lane whose working point underflows to 0/0
+    (s below about 1e-216) reads NaN and fails the prior check.
     """
 
     def excess(u: np.ndarray) -> np.ndarray:
-        return _clone_params_values(u, s).p1_of_omega - p1
+        return _clone_working_point(u, s, np.sqrt, np.where)[_P1_OF_OMEGA] - p1
 
     u, _ = brent_root_values(excess, np.zeros_like(p1), np.ones_like(p1), 0.5 - p1, -p1)
-    params = _clone_params_values(u, s)
-    off = np.abs(params.p1_of_omega - p1) > 1e-9
+    with np.errstate(divide="ignore", invalid="ignore"):
+        params = _clone_params_values(u, s)
+    off = ~(np.abs(params.p1_of_omega - p1) <= 1e-9)  # NaN is off too
     if off.any():
         i = int(np.argmax(off))
         raise NumericError(
@@ -356,10 +366,11 @@ def protocol3_optimal_values(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
     return _probabilities(_both_succeed(*_cloned_stage_values(s, p1)))
 
 
-def _cloned_optimum(scenario: Scenario, combine) -> PiecewiseResult:
-    """The cloning protocol's optimum of ``combine(p_cl, disc)``: the optimal
-    cloner for the prior, then one copy's stage optimum at the priors
-    conditioned on cloning success.  The case is the copy's.
+def _cloned_optimum(scenario: Scenario) -> tuple[PiecewiseResult, PiecewiseResult]:
+    """The cloning protocol's two optima, (both succeed, at least one
+    succeeds), from one solve of the optimal cloner for the prior and one
+    copy's stage optimum at the priors conditioned on cloning success.  The
+    case is the copy's, and both results carry the same argmax.
 
     At s = 0 and s = 1 cloning always succeeds and leaves the prior, with
     omega = 1/(1+s); orthogonal copies are always told apart (case I, q1 = 0),
@@ -374,8 +385,14 @@ def _cloned_optimum(scenario: Scenario, combine) -> PiecewiseResult:
         omega, gamma1, gamma2, p_cl, p1_cl = 1.0 / (1.0 + s), 1.0, 1.0, 1.0, scenario.p1
         disc, q1 = (1.0, 0.0) if s == 0.0 else (0.0, 1.0)
         label = CaseLabel.CASE_I if s == 0.0 else CaseLabel.CASE_II
-    argmax = {"omega": omega, "gamma1": gamma1, "gamma2": gamma2, "p_cl": p_cl, "p1_cl": p1_cl}
-    return PiecewiseResult(combine(p_cl, disc), label, {**argmax, "q1b": q1, "q1c": q1})
+    argmax = {
+        "omega": omega, "gamma1": gamma1, "gamma2": gamma2, "p_cl": p_cl, "p1_cl": p1_cl,
+        "q1b": q1, "q1c": q1,
+    }
+    return (
+        PiecewiseResult(_both_succeed(p_cl, disc), label, argmax),
+        PiecewiseResult(_at_least_one_succeeds(p_cl, disc), label, dict(argmax)),
+    )
 
 
 def protocol3_optimal(scenario: Scenario) -> PiecewiseResult:
@@ -393,7 +410,7 @@ def protocol3_optimal(scenario: Scenario) -> PiecewiseResult:
     and copy measurements give p_cl * sum_i p_i,cl (1 - q_i)^2 instead. The
     two agree at p1 = 1/2, where q1 = q2.
     """
-    return _cloned_optimum(scenario, _both_succeed)
+    return _cloned_optimum(scenario)[0]
 
 
 def at_least_one_ssd(scenario: Scenario) -> PiecewiseResult:
@@ -424,7 +441,7 @@ def at_least_one_protocol3(scenario: Scenario) -> PiecewiseResult:
     every answer given is right is one unambiguous measurement of the
     original qubit, so no realized cloning scheme can do that.
     """
-    return _cloned_optimum(scenario, _at_least_one_succeeds)
+    return _cloned_optimum(scenario)[1]
 
 
 def at_least_one_protocol3_values(s: np.ndarray, p1: np.ndarray) -> np.ndarray:

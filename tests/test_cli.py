@@ -3,7 +3,14 @@ import re
 import numpy as np
 import pytest
 
-from seqdisc import TrialSummary, cli
+from seqdisc import (
+    Scenario,
+    TrialSummary,
+    at_least_one_protocol3,
+    cli,
+    protocol3_optimal,
+    protocols,
+)
 from seqdisc.cli import main
 
 
@@ -52,6 +59,47 @@ class TestOptimal:
         rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
         assert "CaseI " in rows["protocol1"] and " q1b=0 " in rows["protocol1"]
         assert "CaseI " in rows["at_least_one_ssd"] and " q1_product=0 " in rows["at_least_one_ssd"]
+
+
+def _cloning_scenarios():
+    """Seeded (s, p1): s log-uniform from 1e-12 to 1 and p1 log-uniform from
+    1e-300 to 1/2, then s = 0 and s = 1."""
+    rng = np.random.default_rng(20)
+    s = 10.0 ** rng.uniform(-12.0, 0.0, 40)
+    p1 = 10.0 ** rng.uniform(-300.0, np.log10(0.5), 40)
+    pairs = [(float(a), float(b)) for a, b in zip(s, p1)]
+    return pairs + [(0.0, 0.3), (0.0, 0.5), (1.0, 1e-300), (1.0, 0.5)]
+
+
+class TestSharedCloner:
+    """``optimal`` prints both cloning rows from one solve of the cloner."""
+
+    @pytest.mark.parametrize("s, p1", _cloning_scenarios())
+    def test_rows_equal_the_standalone_optima(self, monkeypatch, capsys, s, p1):
+        printed = {}
+        monkeypatch.setattr(cli, "_print_result", lambda name, res: printed.setdefault(name, res))
+        assert main(["optimal", "--s", repr(s), "--p1", repr(p1)]) == 0
+        sc = Scenario(s, p1)
+        for name, standalone in (
+            ("protocol3", protocol3_optimal(sc)),
+            ("at_least_one_p3", at_least_one_protocol3(sc)),
+        ):
+            row = printed[name]
+            assert row.value == standalone.value and row.case_label == standalone.case_label
+            assert list(row.argmax.items()) == list(standalone.argmax.items())
+            assert row.boundary_prior is standalone.boundary_prior is None
+
+    def test_one_cloner_solve_per_query(self, monkeypatch, capsys):
+        calls = []
+        solve = protocols.clone_optimal_for_prior
+
+        def counted(sc):
+            calls.append(sc)
+            return solve(sc)
+
+        monkeypatch.setattr(protocols, "clone_optimal_for_prior", counted)
+        assert main(["optimal", "--s", "0.36", "--p1", "0.2"]) == 0
+        assert len(calls) == 1
 
 
 class TestSweep:
@@ -254,8 +302,18 @@ def test_nan_arguments_exit_2(argv, capsys):
     [
         ["optimal", "--s", "1e-200", "--p1", "0.3"],  # the cloner's root search
         ["optimal", "--s", "2.47e-229", "--p1", "1e-300"],  # q*: p2*s*s underflows
+        # the cloner's working point: its denominators underflow to 0 near u = 0
+        ["optimal", "--s", "1e-300", "--p1", "0.5"],
+        ["optimal", "--s", "1e-250", "--p1", "0.5"],
+        ["optimal", "--s", "1e-300", "--p1", "0.4999"],
+        # the same in the cloner's column kernel, where it reads 0/0 = NaN
+        ["sweep", "--variable", "s", "--start", "1e-300", "--stop", "2e-300", "--steps", "2",
+         "--p1", "0.5", "--quantities", "protocol3", "--out", "-"],
     ],
-    ids=["cloner", "q_star"],
+    ids=[
+        "cloner", "q_star", "cloner_underflow", "cloner_underflow_1e-250",
+        "cloner_underflow_0.4999", "cloner_kernel_underflow",
+    ],
 )
 def test_numeric_failure_exits_6(argv, capsys):
     # s below the documented 1e-12: the solvers may fail, but not with a traceback

@@ -26,7 +26,15 @@ from seqdisc import (
     protocol2_optimal,
     protocol3_optimal,
 )
-from seqdisc.protocols import _clone_params, _protocol2_case1, _protocol2_case2
+from seqdisc.core import _pick
+from seqdisc.protocols import (
+    _P1_OF_OMEGA,
+    _clone_params,
+    _clone_params_values,
+    _clone_working_point,
+    _protocol2_case1,
+    _protocol2_case2,
+)
 
 scenarios = st.builds(
     Scenario,
@@ -459,3 +467,28 @@ def test_clone_params_stay_ordered_down_to_tiny_overlap(log_s, frac):
     assert 0.0 <= cp.p1_of_omega <= 0.5 and cp.p_cl <= 1.0
     if frac == 0.0:
         assert cp.gamma1 == cp.gamma2 and cp.p1_of_omega == 0.5
+    _check_brent_step_field(np.array([math.sqrt(frac)]), np.array([s]))
+
+
+def _check_brent_step_field(u, s):
+    """The root searches' steps read ``p1_of_omega`` from the working point's
+    fields without building ``CloneParams``; in each lane of (u, s) that field
+    equals ``_clone_params(u, s).p1_of_omega`` bit for bit, from floats and
+    from arrays alike."""
+    lanes = _clone_working_point(u, s, np.sqrt, np.where)[_P1_OF_OMEGA]
+    assert np.array_equal(lanes, _clone_params_values(u, s).p1_of_omega)
+    for ui, si, lane in zip(u.tolist(), s.tolist(), lanes.tolist()):
+        step = _clone_working_point(ui, si, math.sqrt, _pick)[_P1_OF_OMEGA]
+        assert step == _clone_params(ui, si).p1_of_omega == lane
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_brent_step_field_matches_clone_params(seed):
+    # s log-uniform from 1e-12 to 1, then 1 - s log-uniform from 1e-9 to 1;
+    # u uniform, with both ends
+    rng = np.random.default_rng(seed)
+    small, near_one = 10.0 ** rng.uniform(-12.0, 0.0, 1000), 1.0 - 10.0 ** rng.uniform(-9.0, 0.0, 1000)
+    s = np.concatenate([small, near_one])
+    u = rng.uniform(0.0, 1.0, s.size)
+    u[:2], u[-2:] = 0.0, 1.0
+    _check_brent_step_field(u, s)
