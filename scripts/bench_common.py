@@ -76,11 +76,16 @@ def time_rounds(trees: dict, repeats: int) -> dict:
     return runs
 
 
+def _significant(x: float) -> float:
+    """x to 4 significant digits: a few-microsecond op keeps its precision."""
+    return float(f"{x:.4g}")
+
+
 def _stats(run: dict, divisor: float) -> dict:
     ms = [x / divisor for x in run["ms"]]
     return {
-        "min_ms": round(min(ms), 3),
-        "median_ms": round(statistics.median(ms), 3),
+        "min_ms": _significant(min(ms)),
+        "median_ms": _significant(statistics.median(ms)),
         "minor_faults_median": statistics.median(run["minor_faults"]),
     }
 
@@ -113,13 +118,13 @@ def write_record(path: str, record: dict) -> None:
 def print_results(results: dict, unit: str = "") -> None:
     for name, r in results.items():
         line = (
-            f"{name}: min {r['min_ms']:.2f} ms, median {r['median_ms']:.2f} ms{unit},"
+            f"{name}: min {r['min_ms']:.4g} ms, median {r['median_ms']:.4g} ms{unit},"
             f" {r['minor_faults_median']:g} minor faults per call"
         )
         if "parent" in r:
             p = r["parent"]
             line += (
-                f"; parent min {p['min_ms']:.2f} ms, median {p['median_ms']:.2f} ms,"
+                f"; parent min {p['min_ms']:.4g} ms, median {p['median_ms']:.4g} ms,"
                 f" {p['minor_faults_median']:g} faults;"
                 f" change/parent median {r['change_over_parent']['median']:.3f}"
             )

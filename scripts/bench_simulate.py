@@ -13,8 +13,7 @@ touches both alike. The record holds the minimum and median milliseconds per
 
 With ``--parent DIR`` the ops of the checkout at DIR run in the same process,
 each round beside this tree's (see ``bench_common``), and the record adds the
-parent's times and each round's change/parent ratio. A parent whose tally
-still takes uniforms has its tally timed on the same trials' uniforms.
+parent's times and each round's change/parent ratio.
 
     python scripts/bench_simulate.py --out bench.json
     python scripts/bench_simulate.py --quick --out bench.json   # a smoke run
@@ -60,15 +59,8 @@ def make_ops(package) -> dict:
     """The two timed operations on one tree's ``seqdisc`` package."""
     sim = package.simulate
     tables = [(p1, *_cumulative(package, s, p1, t, q1b, q1c)) for s, p1, t, q1b, q1c, _ in CASES]
-    if hasattr(sim, "_trial_words"):
-        chunks = list(sim._trial_words(TALLY_SEED, 0, N_TRIALS))
-        tables = [[sim._word_thresholds(c) for c in table] for table in tables]
-    else:  # a tree whose tally compares uniforms
-        chunk = sim._CHUNK
-        chunks = [
-            sim.trial_uniforms(TALLY_SEED, a, min(a + chunk, N_TRIALS))
-            for a in range(0, N_TRIALS, chunk)
-        ]
+    chunks = list(sim._trial_words(TALLY_SEED, 0, N_TRIALS))
+    tables = [[sim._word_thresholds(c) for c in table] for table in tables]
 
     def run_trials():
         for s, p1, t, q1b, q1c, seed in CASES:

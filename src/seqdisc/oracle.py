@@ -19,7 +19,9 @@ only when its bound plus ``_BOUND_SLACK`` is below the best value found, and
 the chunks evaluated are reduced in t order, so every result is the one a
 scan of all slices gives, down to the first highest slice.
 ``certify`` compares each closed form with its oracle and flags a gap above
-its ``tolerance``.
+its ``tolerance``. It runs scenario by scenario, and each certifier it needs
+runs once per scenario for all the quantities it covers: the two cloning
+rows share one solve of the optimal cloner and one cloning oracle.
 """
 
 from __future__ import annotations
@@ -31,13 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import DomainError, NumericError, Scenario, check_overlap_t, golden_max
-from .protocols import (
-    at_least_one_protocol3,
-    at_least_one_ssd,
-    protocol1_optimal,
-    protocol2_optimal,
-    protocol3_optimal,
-)
+from .protocols import _cloned_optimum, at_least_one_ssd, protocol1_optimal, protocol2_optimal
 from .ssd import bob_optimal, charlie_optimal, joint_optimal
 
 #: Grid points of each 1-D scan, and per axis of each (t, q1b, q1c) scan and
@@ -416,31 +412,38 @@ def _cert_gap(sc: Scenario, closed_form: Callable, oracle: Callable) -> float:
     return abs(closed_form(sc).value - oracle(sc)[0])
 
 
-def _cert_cloning(sc: Scenario, closed_form: Callable, combine: Callable) -> float:
-    """Gap of a cloning optimum: ``combine`` takes the cloning oracle's success
-    p_cl and one copy's stage maximum at the priors it conditions."""
+def _cert_cloning(sc: Scenario) -> dict[str, float]:
+    """Gaps of both cloning optima, from one solve of the optimal cloner and
+    one cloning oracle: each combines the oracle's success p_cl with one
+    copy's stage maximum disc at the priors it conditions."""
+    both, at_least_one = _cloned_optimum(sc)
     p_cl, g1, g2 = grid_maximize_cloning(sc)
     disc = _conditioned_stage(sc.p1 * g1, sc.p2 * g2, sc.s)[0]
-    return abs(closed_form(sc).value - combine(p_cl, disc))
+    return {
+        "protocol3": abs(both.value - p_cl * disc * disc),
+        "at_least_one_p3": abs(at_least_one.value - p_cl * (1.0 - (1.0 - disc) * (1.0 - disc))),
+    }
 
 
-# The lambdas look each oracle up when called, so a rebound module name (such
-# as the benchmark's tracer installs) is seen. Protocol 1 is Bob's stage at
-# t = 1, where his overlap s/t is s itself. The two cloning combinations are
-# written here apart from protocols', so that a slip in either shows as a gap.
-_CERTIFIERS: dict[str, Callable[[Scenario], float]] = {
-    "bob": lambda sc: _cert_stage(sc, bob_optimal, grid_maximize_bob),
-    "charlie": lambda sc: _cert_stage(sc, charlie_optimal, grid_maximize_charlie),
-    "joint": lambda sc: _cert_gap(sc, joint_optimal, grid_maximize_joint),
-    "protocol1": lambda sc: _cert_gap(
-        sc, protocol1_optimal, lambda sc: grid_maximize_bob(sc, 1.0)
-    ),
-    "protocol2": lambda sc: _cert_gap(sc, protocol2_optimal, grid_maximize_protocol2),
-    "protocol3": lambda sc: _cert_cloning(sc, protocol3_optimal, lambda p, d: p * d * d),
-    "at_least_one_p3": lambda sc: _cert_cloning(
-        sc, at_least_one_protocol3, lambda p, d: p * (1.0 - (1.0 - d) * (1.0 - d))
-    ),
-    "at_least_one_ssd": lambda sc: _cert_gap(sc, at_least_one_ssd, grid_maximize_union_ssd),
+# Each certifier maps a scenario to the gaps of every quantity it covers, and
+# is listed under each of their names. The lambdas look each oracle up when
+# called, so a rebound module name (such as the benchmark's tracer installs)
+# is seen. Protocol 1 is Bob's stage at t = 1, where his overlap s/t is s
+# itself. The two cloning combinations are written here apart from
+# protocols', so that a slip in either shows as a gap.
+_CERTIFIERS: dict[str, Callable[[Scenario], dict[str, float]]] = {
+    "bob": lambda sc: {"bob": _cert_stage(sc, bob_optimal, grid_maximize_bob)},
+    "charlie": lambda sc: {"charlie": _cert_stage(sc, charlie_optimal, grid_maximize_charlie)},
+    "joint": lambda sc: {"joint": _cert_gap(sc, joint_optimal, grid_maximize_joint)},
+    "protocol1": lambda sc: {
+        "protocol1": _cert_gap(sc, protocol1_optimal, lambda sc: grid_maximize_bob(sc, 1.0))
+    },
+    "protocol2": lambda sc: {"protocol2": _cert_gap(sc, protocol2_optimal, grid_maximize_protocol2)},
+    "protocol3": _cert_cloning,
+    "at_least_one_p3": _cert_cloning,
+    "at_least_one_ssd": lambda sc: {
+        "at_least_one_ssd": _cert_gap(sc, at_least_one_ssd, grid_maximize_union_ssd)
+    },
 }
 
 
@@ -464,14 +467,13 @@ def certify(
     unknown = [q for q in names if q not in _CERTIFIERS]
     if unknown:
         raise DomainError(f"unknown certification quantities {unknown}; valid: {sorted(_CERTIFIERS)}")
-    rows = []
-    for name in names:
-        fn = _CERTIFIERS[name]
-        worst, worst_at = -1.0, (math.nan, math.nan)
-        for s in s_values:
-            for p1 in p1_values:
-                gap = fn(Scenario(s, p1))
-                if gap > worst:
-                    worst, worst_at = gap, (s, p1)
-        rows.append(CertificationRow(name, worst, worst_at, tolerance))
-    return rows
+    certifiers = dict.fromkeys(_CERTIFIERS[name] for name in names)  # each once, in order
+    worst = dict.fromkeys(names, (-1.0, (math.nan, math.nan)))
+    for s in s_values:
+        for p1 in p1_values:
+            sc = Scenario(s, p1)
+            for fn in certifiers:
+                for name, gap in fn(sc).items():
+                    if name in worst and gap > worst[name][0]:
+                        worst[name] = (gap, (s, p1))
+    return [CertificationRow(name, *worst[name], tolerance) for name in names]

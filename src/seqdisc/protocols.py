@@ -273,8 +273,13 @@ def clone_params_of_omega(omega: float, s: float) -> CloneParams:
 
     Evaluated at u = sqrt((omega - omega_1)/(omega_2 - omega_1)); omega_1
     gives gamma1 = gamma2 = 1/(1+s) and prior 1/2, omega_2 gives prior 0.
+
+    Below s of about 1.1e-16 both ends of the range round to 1, so no u can be
+    read off omega; that is a NumericError.
     """
     w1, w2 = omega_range(s)
+    if w1 == w2:
+        raise NumericError(f"cloning range of omega rounds to the point {w1} at s={s}")
     if not w1 - BOUNDARY_TOL <= omega <= w2 + BOUNDARY_TOL:  # NaN fails too
         raise DomainError(f"omega={omega} outside [{w1}, {w2}]")
     omega = min(w2, max(w1, omega))

@@ -24,6 +24,7 @@ from seqdisc import (
 )
 from seqdisc.core import golden_max
 from seqdisc import oracle as oracle_module
+from seqdisc import protocols as protocols_module
 from seqdisc.oracle import (
     _JOINT_POINTS,
     _REFINE_POINTS,
@@ -531,6 +532,12 @@ class TestChunkBounds:
         assert least <= min(evaluated) and max(evaluated) <= most, evaluated
 
 
+#: Scenarios of the cloning rows' tests, all with 0 < s < 1, where the
+#: optimal cloner is solved.
+_CLONING_S = (0.04, 0.36, 0.6)
+_CLONING_P1 = (0.2, 0.5)
+
+
 class TestCertify:
     def test_single_quantity_passes(self):
         rows = certify(quantities=["protocol1"], s_values=(0.2,), p1_values=(0.3, 0.5))
@@ -544,3 +551,38 @@ class TestCertify:
     def test_tolerance_below_grid_resolution_fails(self):
         rows = certify(quantities=["joint"], s_values=(0.2,), p1_values=(0.05,), tolerance=1e-13)
         assert not rows[0].passed
+
+    @pytest.mark.parametrize(
+        "names",
+        [
+            ["protocol3"],
+            ["at_least_one_p3"],
+            ["protocol3", "at_least_one_p3"],
+            ["at_least_one_p3", "protocol3", "at_least_one_p3"],
+        ],
+    )
+    def test_cloning_rows_share_one_cloner_and_one_oracle_per_scenario(self, monkeypatch, names):
+        calls = {}
+        for module, fn in (
+            (protocols_module, protocols_module.clone_optimal_for_prior),
+            (oracle_module, oracle_module.grid_maximize_cloning),
+            (oracle_module, oracle_module._conditioned_stage),
+        ):
+            calls[fn.__name__] = []
+            monkeypatch.setattr(module, fn.__name__, _recording(fn, calls[fn.__name__]))
+        certify(names, _CLONING_S, _CLONING_P1)
+        n = len(_CLONING_S) * len(_CLONING_P1)
+        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, n)
+
+    def test_cloning_rows_equal_their_single_rows(self):
+        together = certify(["protocol3", "at_least_one_p3"], _CLONING_S, _CLONING_P1)
+        alone = [certify([row.quantity], _CLONING_S, _CLONING_P1)[0] for row in together]
+        assert [row.quantity for row in together] == ["protocol3", "at_least_one_p3"]
+        assert together == alone
+
+    def test_duplicated_reordered_names_give_one_row_each_in_order(self):
+        names = ["at_least_one_p3", "bob", "protocol3", "at_least_one_p3", "bob"]
+        rows = certify(names, (0.36,), (0.2, 0.5))
+        assert [row.quantity for row in rows] == names
+        for row in rows:
+            assert row == certify([row.quantity], (0.36,), (0.2, 0.5))[0]

@@ -9,6 +9,7 @@ from seqdisc import (
     ConditionalPriors,
     DegenerateStrategyError,
     DomainError,
+    NumericError,
     SYMMETRY_BREAK_OVERLAP,
     Scenario,
     at_least_one_protocol3,
@@ -212,6 +213,19 @@ class TestCloneParams:
         # NaN must not be clamped to the omega_1 working point
         with pytest.raises(DomainError, match="outside"):
             clone_params_of_omega(math.nan, 0.3)
+
+    @pytest.mark.parametrize("s", [1.1e-16, 1e-16, 1e-17])
+    def test_collapsed_range_raises(self, s):
+        # both ends of the omega range round to 1 here; this divided by zero
+        w1, w2 = omega_range(s)
+        assert w1 == w2
+        with pytest.raises(NumericError, match=f"s={s}"):
+            clone_params_of_omega(w1, s)
+
+    def test_smallest_open_range_keeps_prior_one_half(self):
+        w1, w2 = omega_range(1.2e-16)
+        assert w1 < w2
+        assert clone_params_of_omega(w1, 1.2e-16).p1_of_omega == 0.5
 
     def test_inversion_hits_requested_prior(self):
         cp = clone_optimal_for_prior(Scenario(0.2, 0.3))
