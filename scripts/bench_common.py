@@ -8,7 +8,9 @@ slow spell of the machine then touches the change and the parent alike, and
 each round's change/parent ratio cancels it where the raw times do not.
 Beside each time it counts the process's minor page faults
 (``resource.getrusage``), so memory that an op gives back to the system and
-faults in again shows in every record.
+faults in again shows in every record. The two trees share one heap, so one
+tree's allocations can spare the other its faults: compare fault counts
+from runs of each tree alone, without a parent.
 """
 
 import argparse

@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Time the joint and union oracles and a default certify(), and write a JSON record.
+"""Time the joint, union and cloning oracles and certify(), and write a JSON record.
 
-Each timed operation is one call of ``grid_maximize_joint`` or
-``grid_maximize_union_ssd`` on each of a fixed set of scenarios, or one
-default ``certify()`` over the 5x6 grid. Every operation is called once as a
-warm-up; then the repeats are interleaved (joint, union, certify, joint, ...),
-so a slow spell of the machine touches all three alike. The record holds the
-minimum and median milliseconds of each, with the numpy version and CPU count.
+Each timed operation is one call of ``grid_maximize_joint``,
+``grid_maximize_union_ssd`` or ``grid_maximize_cloning`` on each of a fixed
+set of scenarios, one default ``certify()`` over the 5x6 grid, or one
+``certify(["protocol3"])`` at a single scenario (a cloner solve, the cloning
+oracle and a stage oracle). Every operation is called once as a warm-up;
+then the repeats are interleaved (joint, union, cloning, certify, ...), so a
+slow spell of the machine touches them all alike. The record holds the
+minimum and median milliseconds of each and its minor page faults, with the
+numpy version and CPU count.
 
 With ``--parent DIR`` the ops of the checkout at DIR run in the same process,
 each round beside this tree's (see ``bench_common``), and the record adds the
@@ -28,16 +31,21 @@ import seqdisc
 
 #: Scenarios of each oracle operation: small, middle and large overlaps.
 SCENARIOS = ((0.04, 0.5), (0.36, 0.2), (0.6, 0.05))
+#: The scenario of the single-quantity certify operation.
+CLONING_SCENARIO = (0.36, 0.2)
 
 
 def make_ops(package) -> dict:
-    """The three timed operations on one tree's ``seqdisc`` package."""
+    """The timed operations on one tree's ``seqdisc`` package."""
     scenarios = [package.Scenario(s, p1) for s, p1 in SCENARIOS]
     oracle = package.oracle
+    s, p1 = CLONING_SCENARIO
     return {
         "grid_maximize_joint": lambda: [oracle.grid_maximize_joint(sc) for sc in scenarios],
         "grid_maximize_union_ssd": lambda: [oracle.grid_maximize_union_ssd(sc) for sc in scenarios],
+        "grid_maximize_cloning": lambda: [oracle.grid_maximize_cloning(sc) for sc in scenarios],
         "certify": oracle.certify,
+        "certify_protocol3": lambda: oracle.certify(["protocol3"], (s,), (p1,)),
     }
 
 
@@ -49,6 +57,7 @@ def main() -> int:
     times = bench_common.time_rounds(trees, 2 if args.quick else 15)
     record = {
         "scenarios_per_oracle_op": [list(sc) for sc in SCENARIOS],
+        "certify_protocol3_scenario": list(CLONING_SCENARIO),
         "numpy": np.__version__,
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),

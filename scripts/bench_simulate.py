@@ -5,7 +5,9 @@ One ``run_ssd_trials`` operation is a run of 10^6 trials on each of a fixed
 set of (scenario, strategy, seed) cases: Philox draws, the chunked tally and
 the fold into a summary. One ``tally`` operation runs ``simulate._tally`` on
 the same 10^6 trials' Philox words, drawn once beforehand, under each case's
-integer thresholds, so it times the tally without the draws. Both
+integer thresholds and with one row index buffer for all chunks, as
+``run_ssd_trials`` passes it (a tree whose ``_tally`` takes none makes its
+own), so it times the tally without the draws. Both
 operations are called once as a warm-up; then the repeats are interleaved
 (run_ssd_trials, tally, run_ssd_trials, ...), so a slow spell of the machine
 touches both alike. The record holds the minimum and median milliseconds per
@@ -20,6 +22,7 @@ parent's times and each round's change/parent ratio.
     python scripts/bench_simulate.py --parent ../parent --out bench.json
 """
 
+import inspect
 import os
 import platform
 import sys
@@ -66,10 +69,15 @@ def make_ops(package) -> dict:
         for s, p1, t, q1b, q1c, seed in CASES:
             package.run_ssd_trials(package.Scenario(s, p1), t, q1b, q1c, N_TRIALS, seed)
 
+    # the row index buffer that run_ssd_trials hands each chunk's tally, where
+    # the tree's _tally takes one
+    takes_row = "row" in inspect.signature(sim._tally).parameters
+    row = (np.empty(sim._CHUNK, dtype=np.intp),) if takes_row else ()
+
     def tally():
         for table in tables:
             for trials in chunks:
-                sim._tally(trials, *table)
+                sim._tally(trials, *table, *row)
 
     return {"run_ssd_trials": run_trials, "tally": tally}
 

@@ -306,7 +306,17 @@ def brent_root_values(
 
 
 def golden_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """Maximum of a unimodal f on [lo, hi] by 70 golden-section steps; returns (x, f(x))."""
+    """Maximum of a unimodal f on [lo, hi] by 70 golden-section steps; returns (x, f(x)).
+
+    Once the bracket has shrunk to a few ulps, the points (a, b, c, d) can
+    come back to their values of two steps earlier; f is a function, so
+    from then on every step repeats the one two steps before. The steps are
+    taken 50 at first, then 2 at a time, and the search stops once a pair
+    of steps leaves the points where they were. An even number of the 70
+    steps is left then, so x and f(x) are those of all 70, bit for bit.
+    The oracles' cloning searches cycle after 54-67 steps; checking before
+    step 50 would slow the cheap stage searches more than it saves them.
+    """
     if hi <= lo:
         return lo, f(lo)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -314,14 +324,20 @@ def golden_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(70):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
+    seen = None
+    for steps in (50, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2):
+        for _ in range(steps):
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - invphi * (b - a)
+                fc = f(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + invphi * (b - a)
+                fd = f(d)
+        points = (a, b, c, d)
+        if points == seen:
+            break
+        seen = points
     x = 0.5 * (a + b)
     return x, f(x)

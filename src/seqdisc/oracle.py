@@ -9,15 +9,21 @@ The grids are fixed: 1-D scans take ``_SCAN_POINTS`` points, refined on floats
 by golden-section search, and every one-stage maximum (a cloned copy's too)
 is ``_grid_max_stage``'s; the (t, q1b, q1c) scans take ``_JOINT_POINTS`` per
 axis, refined by ``_REFINEMENT_PASSES`` scans of ``_REFINE_POINTS`` per axis.
+The golden-section search stops once its points cycle, with the result of
+all its steps (see ``core.golden_max``).
 Each t-slice's exact maximum over (q1b, q1c) takes each Bob row at the two
 q1c grid points that bracket Charlie's stationary point. The first scan
-takes the slices in chunks of ``_REFINE_POINTS`` and skips a chunk that
-cannot hold the maximum: Bob's factors rise with t and Charlie's fall (or
-rise against Bob's nonpositive ones), so a row with Bob at a chunk's last t
-and Charlie at its first bounds every slice of the chunk. A chunk is skipped
-only when its bound plus ``_BOUND_SLACK`` is below the best value found, and
-the chunks evaluated are reduced in t order, so every result is the one a
-scan of all slices gives, down to the first highest slice.
+takes the slices in chunks of ``_REFINE_POINTS``, and the joint oracle skips
+a chunk that cannot hold the maximum: Bob's factors rise with t and
+Charlie's fall, so a row with Bob at a chunk's last t and Charlie at its
+first bounds every slice of the chunk. A chunk is skipped only when its
+bound plus ``_BOUND_SLACK`` is below the best value found, and the chunks
+evaluated are reduced in t order, so every result is the one a scan of all
+slices gives, down to the first highest slice. The union oracle scans every
+chunk with no bound pass: its slices all reach the same maximum, so no
+bound could skip one. Each (t, q1b, q1c) oracle call writes all its kernel
+passes into one preallocated workspace, so repeated calls fault no memory
+back in.
 ``certify`` compares each closed form with its oracle and flags a gap above
 its ``tolerance``. It runs scenario by scenario, and each certifier it needs
 runs once per scenario for all the quantities it covers: the two cloning
@@ -114,21 +120,26 @@ def _joint_term(q1b, q2b, q1c, q2c, p1, p2):
     return p1 * (1.0 - q1b) * (1.0 - q1c) + p2 * (1.0 - q2b) * (1.0 - q2c)
 
 
-def _joint_factors(q1b, q2b, q1c, q2c, p1, p2):
-    """Bob and Charlie factors whose rank-2 product is ``_joint_term``. Bob's
-    factors are nonnegative, so at fixed t each of his rows is concave in q1c."""
-    return (p1 * (1.0 - q1b), p2 * (1.0 - q2b)), (1.0 - q1c, 1.0 - q2c)
+def _joint_factors(q1b, q2b, q1c, q2c, p1, p2, out=(None,) * 4):
+    """Bob and Charlie factors whose rank-2 product is ``_joint_term``, written
+    into ``out``'s four arrays where given. Bob's factors are nonnegative, so
+    at fixed t each of his rows is concave in q1c."""
+    a1, a2, b1, b2 = (np.subtract(1.0, q, out=o) for q, o in zip((q1b, q2b, q1c, q2c), out))
+    a1 *= p1
+    a2 *= p2
+    return (a1, a2), (b1, b2)
 
 
 def _union_term(q1b, q2b, q1c, q2c, p1, p2):
     return p1 * (1.0 - q1b * q1c) + p2 * (1.0 - q2b * q2c)
 
 
-def _union_factors(q1b, q2b, q1c, q2c, p1, p2):
+def _union_factors(q1b, q2b, q1c, q2c, p1, p2, out=(None,) * 4):
     """Factors of ``_union_term`` less its constant p1 + p2, which moves no
-    argmax. Bob's factors are nonpositive, so at fixed t each of his rows is
-    concave in q1c."""
-    return (-p1 * q1b, -p2 * q2b), (q1c, q2c)
+    argmax; Bob's are written into ``out``'s first two arrays where given, and
+    Charlie's are q1c and q2c themselves. Bob's factors are nonpositive, so at
+    fixed t each of his rows is concave in q1c."""
+    return (np.multiply(q1b, -p1, out=out[0]), np.multiply(q2b, -p2, out=out[1])), (q1c, q2c)
 
 
 def _to_unit(lo, q):
@@ -137,8 +148,13 @@ def _to_unit(lo, q):
     return (q - lo) / (1.0 - lo)
 
 
+#: Float arrays of one (t, q1b, q1c) kernel pass: q1b, q2b, q1c, q2c, the four
+#: factors, the lower and upper bracket values and a product.
+_PASS_FLOATS = 11
+
+
 def _max_3d(
-    scenario: Scenario, term: Callable, factors: Callable
+    scenario: Scenario, term: Callable, factors: Callable, bound_chunks: bool
 ) -> tuple[float, float, float, float]:
     """Maximize a two-stage objective over (t, q1b, q1c) with local refinement.
 
@@ -155,34 +171,48 @@ def _max_3d(
     A q1c* off the grid (or NaN, at t = 1 or a1 = 0) is clamped to an end
     bracket. Each slice's best row is re-evaluated with ``term`` itself.
 
-    The t-slices are taken ``_REFINE_POINTS`` at a time, and a chunk is
-    skipped when a bound shows it cannot hold the maximum. At fixed grid
-    coordinates (u, v), Bob's q1b and q2b fall as t rises (r = s/t falls) and
-    Charlie's q1c and q2c rise, so Bob's factors rise with t and Charlie's
-    fall (joint: 1 - q1c, 1 - q2c) or rise against a nonpositive a (union).
-    A row with Bob at a chunk's last t and Charlie at its first is therefore
-    at least every slice of the chunk at each (u, v); it is still concave in
-    q1c about t_C*sqrt(a2/a1), so the same bracket gives its maximum. All
-    chunks' bound rows take one kernel pass; the chunks are then evaluated
-    in order of falling bound until a bound plus ``_BOUND_SLACK`` falls
-    below the best value found. The evaluated chunks are reduced in t order,
-    each replacing the best only when strictly higher, so the first highest
-    slice wins, as in a scan of every slice.
+    The t-slices are taken ``_REFINE_POINTS`` at a time. With
+    ``bound_chunks``, a chunk is skipped when a bound shows it cannot hold
+    the maximum. At fixed grid coordinates (u, v), Bob's q1b and q2b fall as
+    t rises (r = s/t falls) and Charlie's q1c and q2c rise, so Bob's factors
+    rise with t and Charlie's fall (joint: 1 - q1c, 1 - q2c) or rise against
+    a nonpositive a (union). A row with Bob at a chunk's last t and Charlie
+    at its first is therefore at least every slice of the chunk at each
+    (u, v); it is still concave in q1c about t_C*sqrt(a2/a1), so the same
+    bracket gives its maximum. All chunks' bound rows take one kernel pass;
+    the chunks are then evaluated in order of falling bound until a bound
+    plus ``_BOUND_SLACK`` falls below the best value found. The evaluated
+    chunks are reduced in t order, each replacing the best only when
+    strictly higher, so the first highest slice wins, as in a scan of every
+    slice. Skipping is exact, so a scan without bounds gives the same tuple:
+    the union takes it, since its value depends on q1b*q1c alone
+    (q2b*q2c = s^2/(q1b*q1c)) and every slice reaches the same range
+    [s^2, 1] of that product, so no bound falls below the best and the bound
+    pass would be wasted.
+
+    Every pass writes its arrays with ``out=`` into one float64 block and one
+    intp block, allocated once per call and cut into C-contiguous (rows,
+    points) views for each pass. Arrays made afresh each pass are freed and
+    given back to the system between calls, and each call would fault its
+    working set back in. The upper bracket point's gathers read the flat
+    arrays one element further on, so they take the lower point's indices.
     """
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
     t_lo_global = max(s, 1e-9)
+    n_rows = max(_REFINE_POINTS, -(-_JOINT_POINTS // _REFINE_POINTS))
+    n_cells = n_rows * max(_JOINT_POINTS, _REFINE_POINTS)
+    floats = np.empty(_PASS_FLOATS * n_cells)
+    ints = np.empty(n_cells, dtype=np.intp)
 
     def evaluate(ts: np.ndarray, us: np.ndarray, vs: np.ndarray):
+        """The scan of ``ts`` x ``us`` x ``vs``; us and vs have one length."""
         n_v = len(vs)
         scale = (n_v - 1) / (vs[-1] - vs[0])
         starts = np.arange(0, len(ts), _REFINE_POINTS)
         stops = np.minimum(starts + _REFINE_POINTS, len(ts))
         bounds = np.full(len(starts), np.inf)
         # The chunks' bound rows (None) queue the chunks, highest bound first.
-        # Every pass runs in this one loop: the arrays of a pass replace the
-        # last pass's as they are made, so the heap is not given back and
-        # faulted in again between passes.
-        queue = [None] if len(starts) > 1 else [0]
+        queue = [None] if bound_chunks and len(starts) > 1 else list(range(len(starts)))
         found = {}
         best_value = -1.0
         for k in queue:
@@ -193,23 +223,29 @@ def _max_3d(
             else:
                 t_b = t_c = ts[starts[k] : stops[k], None]
             rows = np.arange(len(t_b))
+            q1b, q2b, q1c, q2c, a1, a2, b1, b2, lower, upper, prod = floats[
+                : _PASS_FLOATS * len(t_b) * n_v
+            ].reshape(_PASS_FLOATS, len(t_b), n_v)
+            at = ints[: len(t_b) * n_v].reshape(len(t_b), n_v)
             r2 = (s / t_b) ** 2
             t2 = t_c * t_c
             span_c = 1.0 - t2
-            q1b = us * (1.0 - r2)
+            np.multiply(us, 1.0 - r2, out=q1b)
             q1b += r2
-            q1c = vs * span_c
+            np.multiply(vs, span_c, out=q1c)
             q1c += t2
             if r2.all():  # then q1b >= r2 > 0
-                q2b = r2 / q1b
+                np.divide(r2, q1b, out=q2b)
             else:
-                q2b = np.divide(r2, q1b, out=np.ones(q1b.shape), where=q1b > 0.0)
-            q2c = t2 / q1c
-            (a1, a2), (b1, b2) = factors(q1b, q2b, q1c, q2c, p1, p2)
+                q2b.fill(1.0)
+                np.divide(r2, q1b, out=q2b, where=q1b > 0.0)
+            np.divide(t2, q1c, out=q2c)
+            (a1, a2), (b1, b2) = factors(q1b, q2b, q1c, q2c, p1, p2, (a1, a2, b1, b2))
             # the grid coordinate of q1c* = t*sqrt(a2/a1), clamped to a lower
             # bracket point (the cast floors it) and made a flat index
+            j = lower
             with np.errstate(divide="ignore", invalid="ignore"):
-                j = np.divide(a2, a1)
+                np.divide(a2, a1, out=j)
                 np.sqrt(j, out=j)
                 j *= t_c
                 j -= t2
@@ -218,14 +254,16 @@ def _max_3d(
             j *= scale
             np.fmax(j, 0.0, out=j)
             np.fmin(j, n_v - 2, out=j)
-            at = j.astype(np.intp)
+            np.copyto(at, j, casting="unsafe")
             at += n_v * rows[:, None]
-            above = at + 1
-            lower, upper = b1.take(at), b1.take(above)
-            lower *= a1
-            upper *= a1
-            lower += a2 * b2.take(at)
-            upper += a2 * b2.take(above)
+            # each bracket point's row value a1*b1 + a2*b2; the upper point's
+            # gathers read the flat arrays one element on
+            for value, shift in ((lower, 0), (upper, 1)):
+                np.take(b1.reshape(-1)[shift:], at, out=value, mode="clip")
+                value *= a1
+                np.take(b2.reshape(-1)[shift:], at, out=prod, mode="clip")
+                prod *= a2
+                value += prod
             at += upper > lower
             ib = np.argmax(np.maximum(lower, upper, out=lower), axis=1)
             ic = at[rows, ib] - n_v * rows
@@ -268,12 +306,12 @@ def grid_maximize_joint(scenario: Scenario) -> tuple[float, float, float, float]
     of 301 points per axis before refinement; each t-slice's exact grid
     maximum takes all 301 Bob rows, each at the two q1c grid points that
     bracket Charlie's stationary point, not all 301^2 points."""
-    return _max_3d(scenario, _joint_term, _joint_factors)
+    return _max_3d(scenario, _joint_term, _joint_factors, bound_chunks=True)
 
 
 def grid_maximize_union_ssd(scenario: Scenario) -> tuple[float, float, float, float]:
     """Brute-force maximum of P(at least one succeeds) over (t, q1b, q1c)."""
-    return _max_3d(scenario, _union_term, _union_factors)
+    return _max_3d(scenario, _union_term, _union_factors, bound_chunks=False)
 
 
 def grid_maximize_protocol2(scenario: Scenario) -> tuple[float, float, float]:
@@ -298,53 +336,62 @@ def grid_maximize_protocol2(scenario: Scenario) -> tuple[float, float, float]:
     return bob_val * charlie_val, q1b, q1c
 
 
-def _cloning_candidates(g1: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Both branches of gamma2 solving the cloning overlap constraint.
-
-    Writes the constraint as A*cos(th2) + B*sin(th2) = s with A = s^2*sqrt(g1)
-    and B = sqrt(1-g1); samples with no real solution yield NaN and are
-    skipped by the caller.
-    """
-    a = s * s * np.sqrt(g1)
-    b = np.sqrt(np.clip(1.0 - g1, 0.0, 1.0))
-    rad = np.hypot(a, b)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(rad > 0.0, s / np.where(rad > 0.0, rad, 1.0), np.inf)
-        delta = np.arccos(np.clip(ratio, -1.0, 1.0))
-        psi = np.arctan2(b, a)
-        out = []
-        for sign in (1.0, -1.0):
-            th2 = psi + sign * delta
-            valid = (ratio <= 1.0) & (th2 >= -1e-12) & (th2 <= 0.5 * math.pi + 1e-12)
-            g2 = np.where(valid, np.cos(np.clip(th2, 0.0, 0.5 * math.pi)) ** 2, np.nan)
-            out.append(g2)
-    return out[0], out[1]
-
-
 def _cloning_objective_values(
     g1: np.ndarray, s: float, p1: float, p2: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """p1*gamma1 + p2*gamma2 on the better constraint branch, and that gamma2;
-    -inf (and gamma2 NaN) where neither branch is valid."""
-    g2a, g2b = _cloning_candidates(g1, s)
-    va = np.where(np.isnan(g2a), -np.inf, p1 * g1 + p2 * g2a)
-    vb = np.where(np.isnan(g2b), -np.inf, p1 * g1 + p2 * g2b)
+    -inf (and gamma2 NaN) where neither branch is valid. For g1 in [0, 1].
+
+    gamma2 = cos^2(th2), where th2 solves the constraint written as
+    A*cos(th2) + B*sin(th2) = s with A = s^2*sqrt(g1) and B = sqrt(1-g1):
+    th2 = psi +- delta with psi = arctan2(B, A) and
+    delta = arccos(s / hypot(A, B)). A branch is valid where th2 is in
+    [0, pi/2] within 1e-12, and th2 is clipped to [0, pi/2]. Where the
+    constraint has no real solution, s / hypot(A, B) > 1 (or s / 0), delta
+    and both th2 are NaN, and neither branch is valid.
+    """
+    p1_g1 = p1 * g1
+    a = np.sqrt(g1)
+    a *= s * s
+    b = np.subtract(1.0, g1)
+    np.sqrt(b, out=b)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        delta = np.hypot(a, b)
+        np.divide(s, delta, out=delta)
+        np.arccos(delta, out=delta)
+        psi = np.arctan2(b, a, out=a)
+        branches = []
+        for th2 in (psi + delta, psi - delta):
+            valid = th2 >= -1e-12
+            valid &= th2 <= 0.5 * math.pi + 1e-12  # False where th2 is NaN
+            invalid = ~valid
+            g2 = np.clip(th2, 0.0, 0.5 * math.pi, out=th2)
+            np.cos(g2, out=g2)
+            g2 *= g2
+            value = np.multiply(g2, p2)
+            value += p1_g1
+            np.copyto(g2, np.nan, where=invalid)
+            np.copyto(value, -np.inf, where=invalid)
+            branches.append((value, g2))
+    (va, g2a), (vb, g2b) = branches
     pick_a = va >= vb
-    return np.where(pick_a, va, vb), np.where(pick_a, g2a, g2b)
+    np.copyto(vb, va, where=pick_a)
+    np.copyto(g2b, g2a, where=pick_a)
+    return vb, g2b
 
 
 def _cloning_objective(g1: float, s: float, p1: float, p2: float) -> tuple[float, float, float]:
-    """Scalar twin of ``_cloning_objective_values`` for g1 >= 0, equal to it
-    bit for bit, and the branch's angle th2 (NaN with gamma2): sin^2(th2) is
-    1 - gamma2 where cos^2(th2) rounds to 1. Callers that need it take the sine.
+    """Scalar twin of ``_cloning_objective_values`` for g1 in [0, 1], equal to
+    it bit for bit, and the branch's angle th2 (NaN with gamma2): sin^2(th2)
+    is 1 - gamma2 where cos^2(th2) rounds to 1. Callers that need it take the
+    sine.
 
     math.sqrt and math.cos round as numpy's do; hypot, arccos and arctan2 are
-    numpy's ufuncs, because the math versions round differently. Of the array
-    form's clips only the one on th2 can act here: 1 - g1 <= 1, the ratio is
-    >= 0, and above 1 neither branch is valid.
+    numpy's ufuncs, because the math versions round differently. A ratio
+    above 1, where the array form's delta is NaN, returns at once.
     """
     a = s * s * math.sqrt(g1)
-    b = math.sqrt(1.0 - g1) if g1 < 1.0 else 0.0
+    b = math.sqrt(1.0 - g1)
     rad = float(np.hypot(a, b))
     ratio = s / rad if rad > 0.0 else math.inf
     if ratio > 1.0:

@@ -233,7 +233,13 @@ def _outcome_table(scenario: Scenario, t: float, q1b: float, q1c: float) -> np.n
     return probs / probs.sum(axis=(1, 2), keepdims=True)
 
 
-def _tally(words: np.ndarray, m_p1: np.ndarray, m_b: np.ndarray, m_c: np.ndarray) -> np.ndarray:
+def _tally(
+    words: np.ndarray,
+    m_p1: np.ndarray,
+    m_b: np.ndarray,
+    m_c: np.ndarray,
+    row: np.ndarray | None = None,
+) -> np.ndarray:
     """(2, 3, 3) trial counts by preparation, Bob's outcome k_b and Charlie's k_c.
 
     ``words`` holds _trial_words rows and m_p1, m_b, m_c are the
@@ -246,14 +252,19 @@ def _tally(words: np.ndarray, m_p1: np.ndarray, m_b: np.ndarray, m_c: np.ndarray
     (u above a last entry that rounding left below 1, or a zero row) is
     outcome 0.  A stage's threshold row is picked by the code so far, cast to
     intp once for its three gathers, because ``take`` converts an int8 index
-    on every call.  One bincount of the 32 codes is folded into the 18 cells.
+    on every call.  The intp index is written into ``row`` (an intp array of
+    at least len(words) entries; made here when None), which
+    ``run_ssd_trials`` allocates once for all its chunks.  One bincount of
+    the 32 codes is folded into the 18 cells.
     """
     v = words[:, :3].T.copy()  # a C-order copy, so the shift leaves ``words`` intact
     v >>= 11
     v_prep, v_b, v_c = v
     code = (v_prep >= m_p1).view(np.int8)
+    row = np.empty(len(code), dtype=np.intp) if row is None else row[: len(code)]
     for x, cum in ((v_b, m_b), (v_c, m_c[_CHARLIE_ROW])):
-        row, code = code.astype(np.intp), code * 4
+        np.copyto(row, code)
+        code = code * 4
         for j in range(3):
             code += x >= cum[:, j].take(row)
     return (_FOLD @ np.bincount(code, minlength=32)).reshape(2, 3, 3)
@@ -288,8 +299,9 @@ def run_ssd_trials(
 
     thresholds = [_word_thresholds(c) for c in (scenario.p1, cum_b, cum_c)]
     cells = np.zeros((2, 3, 3), dtype=np.int64)
+    row = np.empty(min(n, _CHUNK), dtype=np.intp)
     for words in _trial_words(seed, 0, n):
-        cells += _tally(words, *thresholds)
+        cells += _tally(words, *thresholds, row)
     counts = np.zeros((2, 2, 2), dtype=np.int64)
     error_count = 0
     for (i, k_b, k_c), m in np.ndenumerate(cells):

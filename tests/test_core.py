@@ -20,6 +20,7 @@ from seqdisc import (
     entropy_H,
     make_state_pair,
 )
+from seqdisc import oracle
 from seqdisc.core import (
     brent_root,
     brent_root_values,
@@ -211,6 +212,85 @@ class TestGoldenMax:
 
     def test_empty_interval_returns_its_end(self):
         assert golden_max(lambda x: 2.0 * x, 0.4, 0.4) == (0.4, 0.8)
+
+
+def _golden_max_all_steps(f, lo, hi):
+    """``golden_max`` before it stopped on a cycle: always all 70 steps."""
+    if hi <= lo:
+        return lo, f(lo)
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(70):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def _seeded_intervals():
+    # peaks inside, at and outside the interval, on widths from 1 down to a
+    # few ulps, where the steps cycle early
+    rng = np.random.default_rng(70)
+    cases = []
+    for width in np.geomspace(1.0, 1e-15, 16).tolist():
+        for _ in range(6):
+            lo = float(rng.uniform(-2.0, 2.0))
+            peak = lo + width * float(rng.uniform(-0.5, 1.5))
+            cases.append((lo, lo + width, peak))
+    return cases
+
+
+class TestGoldenMaxStopsOnCycles:
+    """Stopping once the points cycle gives the x and f(x) of all 70 steps,
+    bit for bit."""
+
+    @pytest.mark.parametrize("lo,hi,peak", _seeded_intervals())
+    def test_seeded_intervals(self, lo, hi, peak):
+        for f in (lambda x: -(x - peak) * (x - peak), lambda x: -abs(x - peak), lambda x: x):
+            assert golden_max(f, lo, hi) == _golden_max_all_steps(f, lo, hi)
+
+    @pytest.mark.parametrize("lo", [0.0, 1e-300, 0.3, 1.0, -2.5])
+    def test_collapsed_intervals(self, lo):
+        # empty, reversed, and one to four ulps wide
+        f = lambda x: -(x - 0.3) * (x - 0.3)
+        his = [lo, math.nextafter(lo, -math.inf)]
+        for _ in range(4):
+            his.append(math.nextafter(his[-1] if len(his) > 2 else lo, math.inf))
+        for hi in his:
+            assert golden_max(f, lo, hi) == _golden_max_all_steps(f, lo, hi)
+
+    @pytest.mark.parametrize("s,p1", [(1e-6, 0.4), (0.04, 0.5), (0.2, 0.3), (0.36, 0.2), (0.9, 0.05)])
+    def test_oracle_objectives_on_their_windows(self, monkeypatch, s, p1):
+        # every window the cloning and stage oracles refine on, with the
+        # objective they pass
+        windows = []
+
+        def recording(f, lo, hi):
+            windows.append((f, lo, hi))
+            return golden_max(f, lo, hi)
+
+        monkeypatch.setattr(oracle, "golden_max", recording)
+        oracle.grid_maximize_cloning(Scenario(s, p1))
+        for t in (math.sqrt(s), 0.5 * (1.0 + s), 1.0):
+            oracle.grid_maximize_bob(Scenario(s, p1), t)
+            oracle.grid_maximize_charlie(Scenario(s, p1), t)
+        assert len(windows) == 2 * 7
+        steps = []
+        for f, lo, hi in windows:
+            calls = []
+            counted = lambda x: calls.append(x) or f(x)
+            assert golden_max(counted, lo, hi) == _golden_max_all_steps(f, lo, hi)
+            steps.append(len(calls) - 3)
+        assert min(steps) < 70  # some searches stop early
 
 
 class TestCheckOverlapT:

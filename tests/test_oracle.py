@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -174,6 +175,18 @@ class TestCloningOracle:
             tolerance=1e-12,
         )
         assert all(row.passed for row in rows), rows
+
+    @pytest.mark.parametrize("s,p1", [(0.04, 0.5), (0.2, 0.3), (0.36, 0.2), (0.6, 0.05), (0.9, 0.4)])
+    def test_golden_sections_stop_once_they_cycle(self, monkeypatch, s, p1):
+        # two refinements of 70 golden-section steps would take 2 x 73 calls
+        # of the scalar objective and the argmax's one more; each stops once
+        # its points cycle
+        calls = []
+        monkeypatch.setattr(
+            oracle_module, "_cloning_objective", _recording(_cloning_objective, calls)
+        )
+        grid_maximize_cloning(Scenario(s, p1))
+        assert len(calls) < 2 * 72
 
 
 def _same_bits(a: float, b: float) -> bool:
@@ -467,6 +480,25 @@ class TestChainSearch:
                 tracemalloc.stop()
         assert peak < 2e6
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
+    @pytest.mark.parametrize("oracle", [c[0] for c in _CHAINS], ids=_SCAN_IDS)
+    def test_repeated_calls_fault_no_working_set_back_in(self, oracle):
+        # each call writes every pass into one workspace; arrays made afresh
+        # each pass were given back between calls, and each call faulted
+        # about 160-220 pages back in. In a fresh process glibc maps the
+        # first call's blocks on their own and raises its mmap threshold as
+        # it frees them, and the second call grows the heap once; so two
+        # warm-up calls.
+        import resource  # Unix only
+
+        sc = Scenario(0.36, 0.2)
+        oracle(sc)
+        oracle(sc)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(3):
+            oracle(sc)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 30
+
 
 def _recording(fn, calls):
     """``fn``, appending each result to ``calls``."""
@@ -503,7 +535,14 @@ class TestChunkBounds:
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle_module, term.__name__, _recording(term, calls))
-            oracle(sc)
+            found = oracle(sc)
+        if oracle is grid_maximize_union_ssd:
+            # flat in t, so no bound can skip a chunk and the union runs no
+            # bound pass: its first kernel pass is its first chunk's, and the
+            # result is the full scan's
+            assert len(calls[0]) == _REFINE_POINTS
+            assert found == _max_3d_matmul(sc, term, factors)
+            return
         bounds = calls[0]  # the first kernel pass is the bound rows'
         assert len(bounds) == _N_CHUNKS
         maxima = _first_scan_slice_maxima(sc, term, factors)
@@ -512,23 +551,26 @@ class TestChunkBounds:
             assert bound >= chunk.max(), (k, float(bound), float(chunk.max()))
 
     @pytest.mark.parametrize(
-        "oracle,factors,least,most",
-        # the union objective is flat in t, so none of its chunks is skipped
+        "oracle,factors,bound_passes,least,most",
+        # the union objective is flat in t, so it runs no bound pass and
+        # evaluates every chunk
         [
-            (grid_maximize_joint, _joint_factors, 1, 5),
-            (grid_maximize_union_ssd, _union_factors, _N_CHUNKS, _N_CHUNKS),
+            (grid_maximize_joint, _joint_factors, 1, 1, 5),
+            (grid_maximize_union_ssd, _union_factors, 0, _N_CHUNKS, _N_CHUNKS),
         ],
         ids=_SCAN_IDS,
     )
-    def test_chunks_evaluated_on_the_certification_grid(self, oracle, factors, least, most):
+    def test_chunks_evaluated_on_the_certification_grid(
+        self, oracle, factors, bound_passes, least, most
+    ):
         evaluated = []
         for s, p1 in _CERT_GRID:
             calls = []
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(oracle_module, factors.__name__, _recording(factors, calls))
                 oracle(Scenario(s, p1))
-            # less the bound rows' pass and one pass per refinement
-            evaluated.append(len(calls) - 1 - _REFINEMENT_PASSES)
+            # less the bound rows' pass, if any, and one pass per refinement
+            evaluated.append(len(calls) - bound_passes - _REFINEMENT_PASSES)
         assert least <= min(evaluated) and max(evaluated) <= most, evaluated
 
 
