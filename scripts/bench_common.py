@@ -8,9 +8,10 @@ slow spell of the machine then touches the change and the parent alike, and
 each round's change/parent ratio cancels it where the raw times do not.
 Beside each time it counts the process's minor page faults
 (``resource.getrusage``), so memory that an op gives back to the system and
-faults in again shows in every record. The two trees share one heap, so one
-tree's allocations can spare the other its faults: compare fault counts
-from runs of each tree alone, without a parent.
+faults in again shows in the record. The two trees share one heap, so one
+tree's allocations can spare the other its faults; ``summarize`` and
+``print_results`` therefore report fault counts only for runs without a
+parent. Compare them between runs of each tree alone.
 """
 
 import argparse
@@ -83,25 +84,26 @@ def _significant(x: float) -> float:
     return float(f"{x:.4g}")
 
 
-def _stats(run: dict, divisor: float) -> dict:
+def _stats(run: dict, divisor: float, faults: bool) -> dict:
     ms = [x / divisor for x in run["ms"]]
-    return {
-        "min_ms": _significant(min(ms)),
-        "median_ms": _significant(statistics.median(ms)),
-        "minor_faults_median": statistics.median(run["minor_faults"]),
-    }
+    stats = {"min_ms": _significant(min(ms)), "median_ms": _significant(statistics.median(ms))}
+    if faults:
+        stats["minor_faults_median"] = statistics.median(run["minor_faults"])
+    return stats
 
 
 def summarize(runs: dict, divisor: float = 1.0) -> dict:
     """Each op's min and median ms for this tree (each time divided by
-    ``divisor``) and its median minor page faults per call; with a parent,
-    also the parent's and the per-round change/parent time ratios with their
-    median."""
+    ``divisor``); with a parent, also the parent's and the per-round
+    change/parent time ratios with their median. The median minor page
+    faults per call are recorded only without a parent: with one, the two
+    trees' counts depend on each other through the shared heap."""
     results = {}
     for name, by_tree in runs.items():
-        record = {**_stats(by_tree["change"], divisor), "repeats": len(by_tree["change"]["ms"])}
-        if "parent" in by_tree:
-            record["parent"] = _stats(by_tree["parent"], divisor)
+        alone = "parent" not in by_tree
+        record = {**_stats(by_tree["change"], divisor, alone), "repeats": len(by_tree["change"]["ms"])}
+        if not alone:
+            record["parent"] = _stats(by_tree["parent"], divisor, faults=False)
             ratios = [c / p for c, p in zip(by_tree["change"]["ms"], by_tree["parent"]["ms"])]
             record["change_over_parent"] = {
                 "median": round(statistics.median(ratios), 4),
@@ -118,16 +120,16 @@ def write_record(path: str, record: dict) -> None:
 
 
 def print_results(results: dict, unit: str = "") -> None:
+    """One line per op; fault counts only where ``summarize`` recorded them,
+    in runs without a parent."""
     for name, r in results.items():
-        line = (
-            f"{name}: min {r['min_ms']:.4g} ms, median {r['median_ms']:.4g} ms{unit},"
-            f" {r['minor_faults_median']:g} minor faults per call"
-        )
+        line = f"{name}: min {r['min_ms']:.4g} ms, median {r['median_ms']:.4g} ms{unit}"
+        if "minor_faults_median" in r:
+            line += f", {r['minor_faults_median']:g} minor faults per call"
         if "parent" in r:
             p = r["parent"]
             line += (
-                f"; parent min {p['min_ms']:.4g} ms, median {p['median_ms']:.4g} ms,"
-                f" {p['minor_faults_median']:g} faults;"
+                f"; parent min {p['min_ms']:.4g} ms, median {p['median_ms']:.4g} ms;"
                 f" change/parent median {r['change_over_parent']['median']:.3f}"
             )
         print(line)

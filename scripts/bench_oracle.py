@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Time the joint, union and cloning oracles and certify(), and write a JSON record.
+"""Time the brute-force oracles and certify(), and write a JSON record.
 
 Each timed operation is one call of ``grid_maximize_joint``,
-``grid_maximize_union_ssd`` or ``grid_maximize_cloning`` on each of a fixed
-set of scenarios, one default ``certify()`` over the 5x6 grid, or one
-``certify(["protocol3"])`` at a single scenario (a cloner solve, the cloning
-oracle and a stage oracle). Every operation is called once as a warm-up;
-then the repeats are interleaved (joint, union, cloning, certify, ...), so a
-slow spell of the machine touches them all alike. The record holds the
-minimum and median milliseconds of each and its minor page faults, with the
-numpy version and CPU count.
+``grid_maximize_union_ssd``, ``grid_maximize_cloning``, the stage oracle
+``grid_maximize_bob`` at t = sqrt(s), or ``left_discord_measurement_oracle``
+at t = r = sqrt(s), on each of a fixed set of scenarios; one default
+``certify()`` over the 5x6 grid; or one ``certify(["protocol3"])`` at a
+single scenario (a cloner solve, the cloning oracle and a stage oracle).
+Every operation is called once as a warm-up; then the repeats are
+interleaved (joint, union, cloning, ...), so a slow spell of the machine
+touches them all alike. The record holds the minimum and median
+milliseconds of each (and, without a parent, its minor page faults), with
+the numpy version and CPU count.
 
 With ``--parent DIR`` the ops of the checkout at DIR run in the same process,
 each round beside this tree's (see ``bench_common``), and the record adds the
@@ -38,12 +40,16 @@ CLONING_SCENARIO = (0.36, 0.2)
 def make_ops(package) -> dict:
     """The timed operations on one tree's ``seqdisc`` package."""
     scenarios = [package.Scenario(s, p1) for s, p1 in SCENARIOS]
+    discord_inputs = [package.CorrelationInput(p1, s**0.5, s**0.5) for s, p1 in SCENARIOS]
     oracle = package.oracle
+    discord_oracle = package.correlations.left_discord_measurement_oracle
     s, p1 = CLONING_SCENARIO
     return {
         "grid_maximize_joint": lambda: [oracle.grid_maximize_joint(sc) for sc in scenarios],
         "grid_maximize_union_ssd": lambda: [oracle.grid_maximize_union_ssd(sc) for sc in scenarios],
         "grid_maximize_cloning": lambda: [oracle.grid_maximize_cloning(sc) for sc in scenarios],
+        "grid_maximize_bob": lambda: [oracle.grid_maximize_bob(sc, sc.s**0.5) for sc in scenarios],
+        "left_discord_measurement_oracle": lambda: [discord_oracle(inp) for inp in discord_inputs],
         "certify": oracle.certify,
         "certify_protocol3": lambda: oracle.certify(["protocol3"], (s,), (p1,)),
     }

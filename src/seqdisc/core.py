@@ -305,39 +305,27 @@ def brent_root_values(
     raise NumericError("lockstep root search did not converge")
 
 
-def golden_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """Maximum of a unimodal f on [lo, hi] by 70 golden-section steps; returns (x, f(x)).
+def window_scan_max(
+    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, points: int, passes: int
+) -> tuple[float, float]:
+    """Maximum of f on [lo, hi] by window scans; returns (x, f(x)).
 
-    Once the bracket has shrunk to a few ulps, the points (a, b, c, d) can
-    come back to their values of two steps earlier; f is a function, so
-    from then on every step repeats the one two steps before. The steps are
-    taken 50 at first, then 2 at a time, and the search stops once a pair
-    of steps leaves the points where they were. An even number of the 70
-    steps is left then, so x and f(x) are those of all 70, bit for bit.
-    The oracles' cloning searches cycle after 54-67 steps; checking before
-    step 50 would slow the cheap stage searches more than it saves them.
+    ``f`` maps an array of points to their values. The first scan takes
+    ``points`` evenly spaced points of [lo, hi] (``points`` >= 2); each of
+    ``passes`` more scans takes ``points`` points of the window one grid step
+    either side of the best point so far, cut to [lo, hi], and its grid step
+    is the next window's half-width. A scan's first highest point replaces
+    the best only when strictly higher. Minimize by negating f.
     """
-    if hi <= lo:
-        return lo, f(lo)
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    seen = None
-    for steps in (50, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2):
-        for _ in range(steps):
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = f(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = f(d)
-        points = (a, b, c, d)
-        if points == seen:
-            break
-        seen = points
-    x = 0.5 * (a + b)
-    return x, f(x)
+    xs = np.linspace(lo, hi, points)
+    vals = f(xs)
+    i = int(np.argmax(vals))
+    best_x, best_v = float(xs[i]), float(vals[i])
+    for _ in range(passes):
+        step = float(xs[1] - xs[0])
+        xs = np.linspace(max(lo, best_x - step), min(hi, best_x + step), points)
+        vals = f(xs)
+        i = int(np.argmax(vals))
+        if vals[i] > best_v:
+            best_x, best_v = float(xs[i]), float(vals[i])
+    return best_x, best_v

@@ -43,8 +43,8 @@ from .core import (
     _check_lanes,
     entropy_H,
     entropy_H_values,
-    golden_max,
     make_state_pair,
+    window_scan_max,
 )
 
 _NEG_FLOOR = 1e-10
@@ -242,8 +242,9 @@ def left_discord_measurement_oracle(inp: CorrelationInput) -> float:
 
     Builds rho_AB explicitly, evaluates S(A) and S(AB) from its spectrum, and
     minimizes the conditional entropy of B over rank-1 projective measurements
-    on A: a 181-point scan of theta in [0, pi] at phi = 0, then one
-    golden-section refinement around the best point.  One real axis suffices:
+    on A: a 181-point scan of theta in [0, pi] at phi = 0, then three
+    181-point rescans of the window around the best point
+    (``core.window_scan_max``).  One real axis suffices:
 
     - The states are real, so their Bloch vectors lie in the x-z plane, and a
       measurement with Bloch vector n enters only through n's x-z projection.
@@ -273,16 +274,9 @@ def left_discord_measurement_oracle(inp: CorrelationInput) -> float:
     states = (f1, f2)
     ops = (op1, op2)
 
-    thetas = np.linspace(0.0, math.pi, 181)
-    grid = _conditional_entropy(thetas, p, states, ops)
-    k = int(np.argmin(grid))
-    step = thetas[1] - thetas[0]
-    _, v = golden_max(
-        lambda th: -float(_conditional_entropy(np.array([th]), p, states, ops)[0]),
-        max(0.0, thetas[k] - step),
-        min(math.pi, thetas[k] + step),
+    _, v = window_scan_max(
+        lambda thetas: -_conditional_entropy(thetas, p, states, ops), 0.0, math.pi, 181, 3
     )
-    best = min(float(grid[k]), -v)
 
-    value = s_a - s_ab + best
+    value = s_a - s_ab - v
     return max(value, 0.0) if value > -BOUNDARY_TOL * 10 else value

@@ -5,12 +5,13 @@ set (boundaries always included, since the optima frequently sit at q = 1)
 and refines around the best point.  They share nothing with the piecewise
 closed forms beyond the objective definitions themselves.
 
-The grids are fixed: 1-D scans take ``_SCAN_POINTS`` points, refined on floats
-by golden-section search, and every one-stage maximum (a cloned copy's too)
-is ``_grid_max_stage``'s; the (t, q1b, q1c) scans take ``_JOINT_POINTS`` per
-axis, refined by ``_REFINEMENT_PASSES`` scans of ``_REFINE_POINTS`` per axis.
-The golden-section search stops once its points cycle, with the result of
-all its steps (see ``core.golden_max``).
+The grids are fixed: 1-D scans take ``_SCAN_POINTS`` points and are refined
+by ``_REFINEMENT_PASSES`` rescans of ``_SCAN_POINTS`` points over the window
+one grid step either side of the best point (``core.window_scan_max``), and
+every one-stage maximum (a cloned copy's too) is ``_grid_max_stage``'s; the
+(t, q1b, q1c) scans take ``_JOINT_POINTS`` per axis, refined by
+``_REFINEMENT_PASSES`` scans of ``_REFINE_POINTS`` per axis. Every
+refinement calls the same array objective as its first scan.
 Each t-slice's exact maximum over (q1b, q1c) takes each Bob row at the two
 q1c grid points that bracket Charlie's stationary point. The first scan
 takes the slices in chunks of ``_REFINE_POINTS``, and the joint oracle skips
@@ -38,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DomainError, NumericError, Scenario, check_overlap_t, golden_max
+from .core import DomainError, NumericError, Scenario, check_overlap_t, window_scan_max
 from .protocols import _cloned_optimum, at_least_one_ssd, protocol1_optimal, protocol2_optimal
 from .ssd import bob_optimal, charlie_optimal, joint_optimal
 
@@ -58,33 +59,6 @@ CERT_S_VALUES = (0.04, 0.1716, 0.2, 0.36, 0.6)
 CERT_P1_VALUES = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
 
 
-def _max_1d(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    f_values: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> tuple[float, float]:
-    """Grid scan with golden-section refinement of a scalar objective.
-
-    The grid is scanned by one call of ``f_values`` (default ``f``, for an
-    objective of plain arithmetic that serves arrays and floats alike); the
-    refinement calls ``f`` on plain floats, and a separate ``f_values`` must
-    equal ``f`` bit for bit. The grid holds lo and hi exactly, so no separate
-    check of the edges could win.
-    """
-    xs = np.linspace(lo, hi, _SCAN_POINTS)
-    vals = (f_values or f)(xs)
-    i = int(np.argmax(vals))
-    best_x, best_v = float(xs[i]), float(vals[i])
-    step = float(xs[1] - xs[0])
-    for _ in range(_REFINEMENT_PASSES):
-        x, v = golden_max(f, max(lo, best_x - step), min(hi, best_x + step))
-        if v > best_v:
-            best_x, best_v = x, v
-        step *= 1e-2
-    return best_v, best_x
-
-
 def _stage_objective(p1: float, p2: float, r: float):
     """Success probability of one discrimination stage as a function of q1
     (a float or an array)."""
@@ -96,7 +70,8 @@ def _stage_objective(p1: float, p2: float, r: float):
 
 def _grid_max_stage(p1: float, p2: float, r: float) -> tuple[float, float]:
     """The one-stage oracle: (max, argmax) of ``_stage_objective`` on [r^2, 1]."""
-    return _max_1d(_stage_objective(p1, p2, r), r * r, 1.0)
+    q1, value = window_scan_max(_stage_objective(p1, p2, r), r * r, 1.0, _SCAN_POINTS, _REFINEMENT_PASSES)
+    return value, q1
 
 
 def _conditioned_stage(w1: float, w2: float, s: float) -> tuple[float, float]:
@@ -338,9 +313,10 @@ def grid_maximize_protocol2(scenario: Scenario) -> tuple[float, float, float]:
 
 def _cloning_objective_values(
     g1: np.ndarray, s: float, p1: float, p2: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """p1*gamma1 + p2*gamma2 on the better constraint branch, and that gamma2;
-    -inf (and gamma2 NaN) where neither branch is valid. For g1 in [0, 1].
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p1*gamma1 + p2*gamma2 on the better constraint branch, that gamma2 and
+    the branch's angle th2; -inf (and gamma2, th2 NaN) where neither branch is
+    valid. For g1 in [0, 1].
 
     gamma2 = cos^2(th2), where th2 solves the constraint written as
     A*cos(th2) + B*sin(th2) = s with A = s^2*sqrt(g1) and B = sqrt(1-g1):
@@ -348,7 +324,9 @@ def _cloning_objective_values(
     delta = arccos(s / hypot(A, B)). A branch is valid where th2 is in
     [0, pi/2] within 1e-12, and th2 is clipped to [0, pi/2]. Where the
     constraint has no real solution, s / hypot(A, B) > 1 (or s / 0), delta
-    and both th2 are NaN, and neither branch is valid.
+    and both th2 are NaN, and neither branch is valid. Where cos^2(th2)
+    rounds to 1, sin^2(th2) is not 1 - gamma2; callers that need it take the
+    sine of th2.
     """
     p1_g1 = p1 * g1
     a = np.sqrt(g1)
@@ -365,49 +343,19 @@ def _cloning_objective_values(
             valid = th2 >= -1e-12
             valid &= th2 <= 0.5 * math.pi + 1e-12  # False where th2 is NaN
             invalid = ~valid
-            g2 = np.clip(th2, 0.0, 0.5 * math.pi, out=th2)
-            np.cos(g2, out=g2)
+            np.clip(th2, 0.0, 0.5 * math.pi, out=th2)
+            g2 = np.cos(th2)
             g2 *= g2
             value = np.multiply(g2, p2)
             value += p1_g1
-            np.copyto(g2, np.nan, where=invalid)
-            np.copyto(value, -np.inf, where=invalid)
-            branches.append((value, g2))
-    (va, g2a), (vb, g2b) = branches
+            for out, fill in ((g2, np.nan), (th2, np.nan), (value, -np.inf)):
+                np.copyto(out, fill, where=invalid)
+            branches.append((value, g2, th2))
+    (va, g2a, tha), (vb, g2b, thb) = branches
     pick_a = va >= vb
-    np.copyto(vb, va, where=pick_a)
-    np.copyto(g2b, g2a, where=pick_a)
-    return vb, g2b
-
-
-def _cloning_objective(g1: float, s: float, p1: float, p2: float) -> tuple[float, float, float]:
-    """Scalar twin of ``_cloning_objective_values`` for g1 in [0, 1], equal to
-    it bit for bit, and the branch's angle th2 (NaN with gamma2): sin^2(th2)
-    is 1 - gamma2 where cos^2(th2) rounds to 1. Callers that need it take the
-    sine.
-
-    math.sqrt and math.cos round as numpy's do; hypot, arccos and arctan2 are
-    numpy's ufuncs, because the math versions round differently. A ratio
-    above 1, where the array form's delta is NaN, returns at once.
-    """
-    a = s * s * math.sqrt(g1)
-    b = math.sqrt(1.0 - g1)
-    rad = float(np.hypot(a, b))
-    ratio = s / rad if rad > 0.0 else math.inf
-    if ratio > 1.0:
-        return -math.inf, math.nan, math.nan
-    delta = float(np.arccos(ratio))
-    psi = float(np.arctan2(b, a))
-    best_v, best_g2, best_th2 = -math.inf, math.nan, math.nan
-    for th2 in (psi + delta, psi - delta):
-        if -1e-12 <= th2 <= 0.5 * math.pi + 1e-12:
-            th2 = min(max(th2, 0.0), 0.5 * math.pi)
-            c = math.cos(th2)
-            g2 = c * c
-            v = p1 * g1 + p2 * g2
-            if v > best_v:
-                best_v, best_g2, best_th2 = v, g2, th2
-    return best_v, best_g2, best_th2
+    for out, a_in in ((vb, va), (g2b, g2a), (thb, tha)):
+        np.copyto(out, a_in, where=pick_a)
+    return vb, g2b, thb
 
 
 def grid_maximize_cloning(scenario: Scenario) -> tuple[float, float, float]:
@@ -417,15 +365,12 @@ def grid_maximize_cloning(scenario: Scenario) -> tuple[float, float, float]:
     if s in (0.0, 1.0):
         return 1.0, 1.0, 1.0
 
-    value, g1 = _max_1d(
-        lambda g: _cloning_objective(g, s, p1, p2)[0],
-        0.0,
-        1.0,
-        lambda g: _cloning_objective_values(g, s, p1, p2)[0],
+    g1, value = window_scan_max(
+        lambda g: _cloning_objective_values(g, s, p1, p2)[0], 0.0, 1.0, _SCAN_POINTS, _REFINEMENT_PASSES
     )
-    _, g2, th2 = _cloning_objective(g1, s, p1, p2)
     if not math.isfinite(value):
         raise NumericError(f"cloning constraint unsolvable everywhere for s={s}")
+    _, g2, th2 = (float(x[0]) for x in _cloning_objective_values(np.array([g1]), s, p1, p2))
     residual = s - math.sqrt(g1 * g2) * s * s - math.sqrt((1.0 - g1) * math.sin(th2) ** 2)
     if abs(residual) > 1e-10:
         raise NumericError(f"cloning oracle argmax violates the constraint at gamma1={g1}")
@@ -447,10 +392,12 @@ class CertificationRow:
 
 
 def _cert_stage(sc: Scenario, closed_form: Callable, oracle: Callable) -> float:
-    """Worst gap of a single-stage optimum at two overlaps t in [s, 1]."""
+    """Worst gap of a single-stage optimum at the overlaps t = sqrt(s) and
+    (1 + s)/2 in [s, 1], less t = 0 (at s = 0), where no stage is defined."""
     return max(
         abs(closed_form(sc, t).value - oracle(sc, t)[0])
         for t in (math.sqrt(sc.s), 0.5 * (1.0 + sc.s))
+        if t > 0.0
     )
 
 

@@ -9,6 +9,7 @@ CSV output is byte-stable: 12 significant digits, '.' decimal separator,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, TextIO
 
@@ -47,6 +48,8 @@ class SweepSpec:
             raise DomainError(f"steps={self.steps} must be at least 2")
         if not self.start < self.stop:
             raise DomainError(f"empty sweep range [{self.start}, {self.stop}]")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise DomainError(f"sweep range [{self.start}, {self.stop}] is not finite")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)

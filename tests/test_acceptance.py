@@ -95,16 +95,21 @@ def test_criterion_2_symmetry_breaking_threshold():
 
 
 # (worst_gap, worst_scenario) of every certify() row on the standard 5x6
-# grid, recorded from the elementwise per-t grid scan; a faster scan must
-# reproduce them.
+# grid, recorded from the elementwise per-t grid scan. The protocol-2 and
+# both cloning rows were re-recorded when the 1-D oracles' golden-section
+# refinement gave way to window rescans: those oracles find a flat maximum
+# only to about 1e-8 in their argument, so where a refinement lands moves
+# their gaps (protocol2 2.6680e-9 -> 2.7318e-9; protocol3 3.0624e-9 at
+# (0.36, 0.2) -> 2.6396e-9 at (0.1716, 0.05); at_least_one_p3 1.3172e-9 at
+# (0.6, 0.2) -> 9.5568e-10 at (0.6, 0.4)).
 _CERTIFIED_ROWS = {
     "bob": (2.220446049250313e-16, (0.04, 0.4)),
     "charlie": (1.1102230246251565e-16, (0.04, 0.05)),
     "joint": (3.1123914556729915e-10, (0.2, 0.05)),
     "protocol1": (1.1102230246251565e-16, (0.04, 0.05)),
-    "protocol2": (2.6679912723537313e-09, (0.36, 0.2)),
-    "protocol3": (3.062373910012184e-09, (0.36, 0.2)),
-    "at_least_one_p3": (1.317185249760655e-09, (0.6, 0.2)),
+    "protocol2": (2.7318025619393893e-09, (0.36, 0.2)),
+    "protocol3": (2.639618412736411e-09, (0.1716, 0.05)),
+    "at_least_one_p3": (9.556787583520077e-10, (0.6, 0.4)),
     "at_least_one_ssd": (2.220446049250313e-16, (0.1716, 0.2)),
 }
 

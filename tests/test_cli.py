@@ -379,11 +379,13 @@ def test_negative_exponent_values_reach_the_range_checks(argv, message, capsys):
          "need --start and --stop"),
         (["--variable", "P1", "--start", "0.5", "--stop", "0.1", "--s", "0.04",
           "--quantities", "ssd"], "empty sweep range"),
+        (["--variable", "s", "--start", "0.5", "--stop", "inf", "--steps", "3", "--p1", "0.3",
+          "--quantities", "ssd"], "not finite"),
         (["--variable", "P1", "--start", "0.1", "--stop", "0.5", "--s", "0.04",
           "--quantities", "nope"], "unknown quantities"),
         (["--figure", "4", "--variable", "s", "--steps", "5"], "--figure takes no --variable, --steps"),
     ],
-    ids=["no_sweep", "no_start", "empty_range", "unknown_quantity", "figure_and_variable"],
+    ids=["no_sweep", "no_start", "empty_range", "infinite_stop", "unknown_quantity", "figure_and_variable"],
 )
 def test_invalid_sweep_exits_2_and_writes_no_file(extra, message, tmp_path, capsys):
     out = tmp_path / "sweep.csv"

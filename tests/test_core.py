@@ -20,13 +20,12 @@ from seqdisc import (
     entropy_H,
     make_state_pair,
 )
-from seqdisc import oracle
 from seqdisc.core import (
     brent_root,
     brent_root_values,
     check_overlap_t,
     entropy_H_values,
-    golden_max,
+    window_scan_max,
 )
 
 
@@ -199,98 +198,66 @@ class TestBrentRoot:
             brent_root_values(np.exp, a, b, np.exp(a), np.exp(b))
 
 
-class TestGoldenMax:
+class TestWindowScanMax:
     def test_interior_maximum(self):
-        x, fx = golden_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0)
-        assert x == pytest.approx(0.3, abs=1e-7)
-        assert fx == pytest.approx(0.0, abs=1e-14)
+        x, fx = window_scan_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, 101, 3)
+        assert x == pytest.approx(0.3, abs=1e-9)
+        assert fx == pytest.approx(0.0, abs=1e-15)
 
     def test_minimizes_by_negation(self):
-        x, fx = golden_max(lambda x: -math.cosh(x - 0.6), 0.0, 2.0)
+        x, fx = window_scan_max(lambda x: -np.cosh(x - 0.6), 0.0, 2.0, 101, 3)
         assert x == pytest.approx(0.6, abs=1e-7)
         assert -fx == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("passes", [0, 1, 3])
+    def test_maximum_at_lo(self, passes):
+        assert window_scan_max(lambda x: -x, 0.25, 1.0, 11, passes) == (0.25, -0.25)
+
+    @pytest.mark.parametrize("passes", [0, 1, 3])
+    def test_maximum_at_hi(self, passes):
+        assert window_scan_max(lambda x: x * x, -0.5, 0.75, 11, passes) == (0.75, 0.5625)
+
+    def test_plateau_keeps_its_first_point(self):
+        # the first scan meets the plateau first at 0.4; each window's first
+        # plateau point only ties it, so the best point stays
+        f = lambda x: np.where((x >= 0.35) & (x <= 0.65), 1.0, 0.0)
+        for passes in (0, 1, 2):
+            assert window_scan_max(f, 0.0, 1.0, 11, passes) == (0.4, 1.0)
+
+    def test_later_pass_replaces_only_when_strictly_higher(self):
+        plateau = lambda x: np.where((x >= 0.45) & (x <= 0.55), 1.0, 0.0)
+        assert window_scan_max(plateau, 0.0, 1.0, 11, 1) == (0.5, 1.0)
+        peaked = lambda x: plateau(x) + (np.abs(x - 0.52) < 1e-9)
+        x, fx = window_scan_max(peaked, 0.0, 1.0, 11, 1)
+        assert x == pytest.approx(0.52) and fx == 2.0
+
     def test_empty_interval_returns_its_end(self):
-        assert golden_max(lambda x: 2.0 * x, 0.4, 0.4) == (0.4, 0.8)
+        calls = []
 
+        def f(x):
+            calls.append(len(x))
+            return 2.0 * x
 
-def _golden_max_all_steps(f, lo, hi):
-    """``golden_max`` before it stopped on a cycle: always all 70 steps."""
-    if hi <= lo:
-        return lo, f(lo)
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(70):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+        assert window_scan_max(f, 0.4, 0.4, 5, 2) == (0.4, 0.8)
+        assert calls == [5, 5, 5]  # one array call per scan
 
+    @pytest.mark.parametrize(
+        "peak,windows,argmax",
+        [
+            (0.913, [(0.0, 1.0), (0.8, 1.0), (0.9, 0.94)], 0.912),
+            (0.99, [(0.0, 1.0), (0.9, 1.0), (0.98, 1.0)], 0.99),  # cut at hi
+        ],
+    )
+    def test_windows_are_one_step_either_side(self, peak, windows, argmax):
+        scanned = []
 
-def _seeded_intervals():
-    # peaks inside, at and outside the interval, on widths from 1 down to a
-    # few ulps, where the steps cycle early
-    rng = np.random.default_rng(70)
-    cases = []
-    for width in np.geomspace(1.0, 1e-15, 16).tolist():
-        for _ in range(6):
-            lo = float(rng.uniform(-2.0, 2.0))
-            peak = lo + width * float(rng.uniform(-0.5, 1.5))
-            cases.append((lo, lo + width, peak))
-    return cases
+        def f(x):
+            scanned.append((float(x[0]), float(x[-1])))
+            return -np.abs(x - peak)
 
-
-class TestGoldenMaxStopsOnCycles:
-    """Stopping once the points cycle gives the x and f(x) of all 70 steps,
-    bit for bit."""
-
-    @pytest.mark.parametrize("lo,hi,peak", _seeded_intervals())
-    def test_seeded_intervals(self, lo, hi, peak):
-        for f in (lambda x: -(x - peak) * (x - peak), lambda x: -abs(x - peak), lambda x: x):
-            assert golden_max(f, lo, hi) == _golden_max_all_steps(f, lo, hi)
-
-    @pytest.mark.parametrize("lo", [0.0, 1e-300, 0.3, 1.0, -2.5])
-    def test_collapsed_intervals(self, lo):
-        # empty, reversed, and one to four ulps wide
-        f = lambda x: -(x - 0.3) * (x - 0.3)
-        his = [lo, math.nextafter(lo, -math.inf)]
-        for _ in range(4):
-            his.append(math.nextafter(his[-1] if len(his) > 2 else lo, math.inf))
-        for hi in his:
-            assert golden_max(f, lo, hi) == _golden_max_all_steps(f, lo, hi)
-
-    @pytest.mark.parametrize("s,p1", [(1e-6, 0.4), (0.04, 0.5), (0.2, 0.3), (0.36, 0.2), (0.9, 0.05)])
-    def test_oracle_objectives_on_their_windows(self, monkeypatch, s, p1):
-        # every window the cloning and stage oracles refine on, with the
-        # objective they pass
-        windows = []
-
-        def recording(f, lo, hi):
-            windows.append((f, lo, hi))
-            return golden_max(f, lo, hi)
-
-        monkeypatch.setattr(oracle, "golden_max", recording)
-        oracle.grid_maximize_cloning(Scenario(s, p1))
-        for t in (math.sqrt(s), 0.5 * (1.0 + s), 1.0):
-            oracle.grid_maximize_bob(Scenario(s, p1), t)
-            oracle.grid_maximize_charlie(Scenario(s, p1), t)
-        assert len(windows) == 2 * 7
-        steps = []
-        for f, lo, hi in windows:
-            calls = []
-            counted = lambda x: calls.append(x) or f(x)
-            assert golden_max(counted, lo, hi) == _golden_max_all_steps(f, lo, hi)
-            steps.append(len(calls) - 3)
-        assert min(steps) < 70  # some searches stop early
+        x, _ = window_scan_max(f, 0.0, 1.0, 11, 2)
+        assert scanned == [pytest.approx(w) for w in windows]
+        assert x == pytest.approx(argmax)
 
 
 class TestCheckOverlapT:

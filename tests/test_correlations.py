@@ -15,7 +15,7 @@ from seqdisc import (
     left_discord_measurement_oracle,
     tangles,
 )
-from seqdisc.core import golden_max, make_state_pair
+from seqdisc.core import make_state_pair
 from seqdisc.correlations import _vn_entropy_bits
 
 inputs = st.builds(
@@ -186,6 +186,27 @@ def _conditional_entropy_2d(theta, phi, p, states, ops):
     return total
 
 
+def _golden_max(f, lo, hi, steps=70):
+    """Maximum of a unimodal f on [lo, hi] by golden-section search on floats;
+    returns (x, f(x)). The 2-D reference refines with it, a method of its own
+    beside the oracle's window scans."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(steps):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
 def _left_discord_2d_scan(inp):
     """Reference for the one-axis oracle: the left discord minimized over a
     181 x 361 grid of complex measurement directions (theta, phi), then one
@@ -215,11 +236,11 @@ def _left_discord_2d_scan(inp):
         return -float(_conditional_entropy_2d(np.array([theta]), np.array([phi]), *args)[0])
 
     step_t, step_p = thetas[1] - thetas[0], phis[1] - phis[0]
-    theta0, v = golden_max(
+    theta0, v = _golden_max(
         lambda th: neg_cond_at(th, phi0), max(0.0, theta0 - step_t), min(math.pi, theta0 + step_t)
     )
     best = min(best, -v)
-    _, v = golden_max(lambda ph: neg_cond_at(theta0, ph), phi0 - step_p, phi0 + step_p)
+    _, v = _golden_max(lambda ph: neg_cond_at(theta0, ph), phi0 - step_p, phi0 + step_p)
     best = min(best, -v)
     value = s_a - s_ab + best
     return max(value, 0.0) if value > -1e-11 else value

@@ -23,7 +23,6 @@ from seqdisc import (
     protocol2_critical_priors,
     protocol2_optimal,
 )
-from seqdisc.core import golden_max
 from seqdisc import oracle as oracle_module
 from seqdisc import protocols as protocols_module
 from seqdisc.oracle import (
@@ -31,12 +30,9 @@ from seqdisc.oracle import (
     _REFINE_POINTS,
     _REFINEMENT_PASSES,
     _SCAN_POINTS,
-    _cloning_objective,
     _cloning_objective_values,
     _joint_factors,
     _joint_term,
-    _max_1d,
-    _stage_objective,
     _union_factors,
     _union_term,
 )
@@ -80,6 +76,13 @@ class TestStageOracles:
     def test_charlie(self):
         val, _ = grid_maximize_charlie(Scenario(0.04, 0.5), 0.2)
         assert val == pytest.approx(0.8, abs=1e-6)
+
+    @pytest.mark.parametrize("p1", [0.05, 0.3, 0.5])
+    def test_certify_stage_rows_at_orthogonal_states(self, p1):
+        # t = sqrt(s) = 0 defines no stage, so only t = 1/2 is certified
+        rows = certify(["bob", "charlie", "protocol1"], (0.0,), (p1,))
+        assert [row.quantity for row in rows] == ["bob", "charlie", "protocol1"]
+        assert all(row.passed and row.worst_scenario == (0.0, p1) for row in rows), rows
 
 
 class TestJointOracle:
@@ -176,114 +179,21 @@ class TestCloningOracle:
         )
         assert all(row.passed for row in rows), rows
 
-    @pytest.mark.parametrize("s,p1", [(0.04, 0.5), (0.2, 0.3), (0.36, 0.2), (0.6, 0.05), (0.9, 0.4)])
-    def test_golden_sections_stop_once_they_cycle(self, monkeypatch, s, p1):
-        # two refinements of 70 golden-section steps would take 2 x 73 calls
-        # of the scalar objective and the argmax's one more; each stops once
-        # its points cycle
-        calls = []
-        monkeypatch.setattr(
-            oracle_module, "_cloning_objective", _recording(_cloning_objective, calls)
-        )
-        grid_maximize_cloning(Scenario(s, p1))
-        assert len(calls) < 2 * 72
-
-
-def _same_bits(a: float, b: float) -> bool:
-    return (math.isnan(a) and math.isnan(b)) or a == b
-
-
-class TestCloningObjectiveTwin:
-    """The golden-section refinement calls the scalar twin; the grid scan calls
-    the array form. They must agree bit for bit, or the refinement would land
-    on other floats than the array form would give."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        g1s=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
-        log_s=st.floats(math.log(1e-12), math.log(1.0 - 1e-9)),
-        p1=st.floats(0.0, 0.5, exclude_min=True),
-    )
-    def test_scalar_equals_array_bit_for_bit(self, g1s, log_s, p1):
-        s = min(math.exp(log_s), 1.0 - 1e-9)
-        # g1 = 1 has no valid branch for any s < 1
-        g1 = np.array([0.0, 1.0, *g1s])
-        values, g2s = _cloning_objective_values(g1, s, p1, 1.0 - p1)
-        assert values[1] == -math.inf
-        for k, x in enumerate(g1):
-            v, g2, _ = _cloning_objective(float(x), s, p1, 1.0 - p1)
-            assert v == values[k] and _same_bits(g2, g2s[k]), (float(x), s, p1)
-
-    @pytest.mark.parametrize("s", [1e-6, 0.04, 0.1716, 0.36, 0.6, 0.9, 0.98, 1.0 - 1e-9])
-    def test_scalar_equals_array_on_the_oracle_grid(self, s):
-        # hypot rounds differently in math and numpy in under 1% of lanes,
-        # mostly where s^2 sqrt(g1) and sqrt(1 - g1) are comparable
-        g1 = np.linspace(0.0, 1.0, _SCAN_POINTS)
-        values, g2s = _cloning_objective_values(g1, s, 0.3, 0.7)
-        for k, x in enumerate(g1):
-            v, g2, _ = _cloning_objective(float(x), s, 0.3, 0.7)
-            assert v == values[k] and _same_bits(g2, g2s[k]), float(x)
-
     @pytest.mark.parametrize("s", [1e-12, 0.04, 0.5, 1.0 - 1e-9])
     def test_neither_branch_valid_gives_minus_inf(self, s):
         # with 1 - g1 = (s/2)^2 the constraint has no real solution: s / hypot(a, b) > 1
         g1 = np.array([1.0 - 0.25 * s * s, 1.0])
-        values, g2s = _cloning_objective_values(g1, s, 0.3, 0.7)
-        assert np.all(values == -np.inf) and np.all(np.isnan(g2s))
-        for x in g1:
-            v, g2, _ = _cloning_objective(float(x), s, 0.3, 0.7)
-            assert v == -math.inf and math.isnan(g2)
+        values, g2s, th2s = _cloning_objective_values(g1, s, 0.3, 0.7)
+        assert np.all(values == -np.inf) and np.all(np.isnan(g2s)) and np.all(np.isnan(th2s))
 
-
-def _max_1d_through_arrays(f_vec, lo, hi):
-    """``_max_1d`` as it was before the refinement ran on floats: every
-    refinement point and edge check wrapped in a 1-element array."""
-    xs = np.linspace(lo, hi, _SCAN_POINTS)
-    vals = f_vec(xs)
-    i = int(np.argmax(vals))
-    best_x, best_v = float(xs[i]), float(vals[i])
-
-    def f(x):
-        return float(f_vec(np.array([x]))[0])
-
-    step = xs[1] - xs[0] if len(xs) > 1 else 0.0
-    for _ in range(_REFINEMENT_PASSES):
-        if step <= 0.0:
-            break
-        x, v = golden_max(f, max(lo, best_x - step), min(hi, best_x + step))
-        if v > best_v:
-            best_x, best_v = x, v
-        step *= 1e-2
-    for x_edge in (lo, hi):
-        v = f(x_edge)
-        if v > best_v:
-            best_x, best_v = x_edge, v
-    return best_v, best_x
-
-
-_MAX_1D_SCENARIOS = [(1e-6, 0.4), (0.04, 0.05), (0.1716, 0.2), (0.36, 0.5), (0.6, 0.3), (0.98, 0.02)]
-
-
-class TestMax1dOnFloats:
-    """The float refinement returns exactly the (value, x) of the 1-element-array path."""
-
-    @pytest.mark.parametrize("s,p1", _MAX_1D_SCENARIOS)
-    def test_stage_objective(self, s, p1):
-        for r in (0.0, s, math.sqrt(s)):
-            f = _stage_objective(p1, 1.0 - p1, r)
-            expected = _max_1d_through_arrays(f, r * r, 1.0)
-            assert _max_1d(f, r * r, 1.0) == expected
-
-    @pytest.mark.parametrize("s,p1", _MAX_1D_SCENARIOS[:3])
-    def test_cloning_objective(self, s, p1):
-        p2 = 1.0 - p1
-
-        def values(g):
-            return _cloning_objective_values(g, s, p1, p2)[0]
-
-        expected = _max_1d_through_arrays(values, 0.0, 1.0)
-        got = _max_1d(lambda g: _cloning_objective(g, s, p1, p2)[0], 0.0, 1.0, values)
-        assert got == expected
+    @pytest.mark.parametrize("s", [1e-6, 0.04, 0.36, 0.98])
+    def test_branch_angle_gives_gamma2(self, s):
+        g1 = np.linspace(0.0, 1.0, _SCAN_POINTS)
+        values, g2s, th2s = _cloning_objective_values(g1, s, 0.3, 0.7)
+        valid = np.isfinite(values)
+        assert valid.any()
+        assert np.all((th2s[valid] >= 0.0) & (th2s[valid] <= 0.5 * math.pi))
+        np.testing.assert_array_equal(np.cos(th2s[valid]) ** 2, g2s[valid])
 
 
 class TestUnionOracle:

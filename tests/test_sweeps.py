@@ -183,11 +183,16 @@ def test_custom_sweep_domain_errors_exit_2(extra, capsys):
     [
         (lambda: SweepSpec("x", 0.1, 0.5, 5), "not one of"),
         (lambda: SweepSpec("P1", 0.5, 0.5, 5, {"s": 0.04}, ("ssd",)), "empty sweep range"),
+        (lambda: SweepSpec("s", 0.5, math.inf, 3, {"p1": 0.3}, ("ssd",)), "not finite"),
+        (lambda: SweepSpec("s", -math.inf, 0.5, 3, {"p1": 0.3}, ("ssd",)), "not finite"),
         (lambda: run_sweep(SweepSpec("P1", 0.1, 0.5, 5, {"s": 0.04}, ("nope",))), "unknown quantities"),
         (lambda: run_sweep(SweepSpec("P1", 0.1, 0.5, 5, {"s": 0.04})), "at least one quantity"),
         (lambda: run_figure("9"), "unknown figure preset"),
     ],
-    ids=["variable", "empty_range", "unknown_quantity", "no_quantity", "unknown_figure"],
+    ids=[
+        "variable", "empty_range", "infinite_stop", "infinite_start", "unknown_quantity",
+        "no_quantity", "unknown_figure",
+    ],
 )
 def test_sweep_validation_errors(call, message):
     with pytest.raises(DomainError, match=message):
