@@ -20,6 +20,7 @@ from seqdisc import (
     entropy_H,
     make_state_pair,
 )
+from seqdisc import correlations, oracle
 from seqdisc.core import (
     brent_root,
     brent_root_values,
@@ -258,6 +259,91 @@ class TestWindowScanMax:
         x, _ = window_scan_max(f, 0.0, 1.0, 11, 2)
         assert scanned == [pytest.approx(w) for w in windows]
         assert x == pytest.approx(argmax)
+
+
+def _seeded_intervals():
+    # peaks inside, at and outside the interval, on widths from 1 down to a
+    # few ulps, where the grid points collide
+    rng = np.random.default_rng(70)
+    cases = []
+    for width in np.geomspace(1.0, 1e-15, 16).tolist():
+        for _ in range(6):
+            lo = float(rng.uniform(-2.0, 2.0))
+            peak = lo + width * float(rng.uniform(-0.5, 1.5))
+            cases.append((lo, lo + width, peak))
+    return cases
+
+
+def _check_window_scan(f, lo, hi, points, passes):
+    """``window_scan_max``'s result is a point of [lo, hi] with f's value
+    there, no lower than the first scan's maximum or either end, from one
+    array call per scan; returns (x, f(x), final grid step)."""
+    calls = []
+
+    def counted(xs):
+        calls.append(len(xs))
+        return f(xs)
+
+    x, fx = window_scan_max(counted, lo, hi, points, passes)
+    assert calls == [points] * (passes + 1)
+    assert lo <= x <= hi
+    assert fx == float(f(np.array([x]))[0])
+    first = f(np.linspace(lo, hi, points))
+    assert fx >= float(np.max(first))
+    assert fx >= float(f(np.array([lo]))[0]) and fx >= float(f(np.array([hi]))[0])
+    step = (hi - lo) / (points - 1)
+    for _ in range(passes):
+        step = 2.0 * step / (points - 1)
+    return x, fx, step
+
+
+class TestWindowScanMaxIntervals:
+    @pytest.mark.parametrize("lo,hi,peak", _seeded_intervals())
+    def test_seeded_intervals(self, lo, hi, peak):
+        ulps = 4.0 * math.ulp(max(abs(lo), abs(hi)))
+        for f in (lambda x: -(x - peak) * (x - peak), lambda x: -np.abs(x - peak)):
+            x, _, step = _check_window_scan(f, lo, hi, 11, 3)
+            # a unimodal maximum lies within one final grid step of the argmax
+            assert abs(x - min(max(peak, lo), hi)) <= step + ulps
+        x, fx, _ = _check_window_scan(lambda x: 1.0 * x, lo, hi, 11, 3)
+        assert (x, fx) == (hi, hi)
+
+    @pytest.mark.parametrize("lo", [0.0, 1e-300, 0.3, 1.0, -2.5])
+    def test_collapsed_intervals(self, lo):
+        # empty, and one to four ulps wide
+        f = lambda x: -(x - 0.3) * (x - 0.3)
+        hi = lo
+        for _ in range(5):
+            _check_window_scan(f, lo, hi, 11, 3)
+            _check_window_scan(f, lo, hi, 2001, 2)
+            hi = math.nextafter(hi, math.inf)
+
+    @pytest.mark.parametrize("s,p1", [(1e-6, 0.4), (0.04, 0.5), (0.2, 0.3), (0.36, 0.2), (0.9, 0.05)])
+    def test_oracle_objectives_on_their_windows(self, monkeypatch, s, p1):
+        # every interval the cloning, stage and left-discord oracles refine
+        # on, with the objective, grid and passes they pass
+        scans = []
+
+        def recording(f, lo, hi, points, passes):
+            result = window_scan_max(f, lo, hi, points, passes)
+            scans.append((f, lo, hi, points, passes, result))
+            return result
+
+        monkeypatch.setattr(oracle, "window_scan_max", recording)
+        monkeypatch.setattr(correlations, "window_scan_max", recording)
+        sc = Scenario(s, p1)
+        oracle.grid_maximize_cloning(sc)
+        for t in (math.sqrt(s), 0.5 * (1.0 + s), 1.0):
+            oracle.grid_maximize_bob(sc, t)
+            oracle.grid_maximize_charlie(sc, t)
+        correlations.left_discord_measurement_oracle(
+            correlations.CorrelationInput(p1, 0.5 * (1.0 + s), s / (0.5 * (1.0 + s)))
+        )
+        grids = [(points, passes) for _, _, _, points, passes, _ in scans]
+        assert grids == [(2001, 2)] * 7 + [(181, 3)]
+        for f, lo, hi, points, passes, result in scans:
+            x, fx, _ = _check_window_scan(f, lo, hi, points, passes)
+            assert (x, fx) == result
 
 
 class TestCheckOverlapT:

@@ -196,6 +196,32 @@ class TestCloningOracle:
         np.testing.assert_array_equal(np.cos(th2s[valid]) ** 2, g2s[valid])
 
 
+_WINDOW_SCAN_SCENARIOS = [(1e-6, 0.4), (0.04, 0.05), (0.1716, 0.2), (0.36, 0.5), (0.6, 0.3), (0.98, 0.02)]
+
+
+class TestWindowScanArgmax:
+    """Each 1-D oracle returns its objective's value at its argmax, bit for
+    bit, and no less than the maximum of its first 2001-point scan."""
+
+    @pytest.mark.parametrize("s,p1", _WINDOW_SCAN_SCENARIOS)
+    def test_stage_objective(self, s, p1):
+        for r in (0.0, s, math.sqrt(s)):
+            f = oracle_module._stage_objective(p1, 1.0 - p1, r)
+            value, q1 = oracle_module._grid_max_stage(p1, 1.0 - p1, r)
+            assert r * r <= q1 <= 1.0
+            assert value == float(f(np.array([q1]))[0])
+            assert value >= float(np.max(f(np.linspace(r * r, 1.0, _SCAN_POINTS))))
+
+    @pytest.mark.parametrize("s,p1", _WINDOW_SCAN_SCENARIOS[:3])
+    def test_cloning_objective(self, s, p1):
+        p2 = 1.0 - p1
+        value, g1, g2 = grid_maximize_cloning(Scenario(s, p1))
+        values, g2s, _ = _cloning_objective_values(np.array([g1]), s, p1, p2)
+        assert (value, g2) == (float(values[0]), float(g2s[0]))
+        first, _, _ = _cloning_objective_values(np.linspace(0.0, 1.0, _SCAN_POINTS), s, p1, p2)
+        assert value >= float(np.max(first))
+
+
 class TestUnionOracle:
     def test_matches_protocol1_value(self):
         sc = Scenario(0.36, 0.2)
