@@ -24,12 +24,13 @@ equating the two branches at that prior leaves the quadratic
 
 The point API (``bob_optimal``, ``joint_optimal``, ...) works on floats; each
 ``*_values`` kernel gives the same value in every lane of arrays.  The stage
-optimum, the case-I tie rule and the joint two-case choice are each one body
-that both call, on floats with ``math.sqrt`` and ``_pick``, on arrays with
-``np.sqrt`` and ``np.where``.  Only q*'s root search keeps a twin,
-``_q_star_values``: its Newton polish stops each root on its own, where the
-kernel runs all lanes in lockstep, and one lane through the kernel costs
-several times the scalar call.
+optimum, the case-I tie rule, the joint two-case choice and P_C's closed form
+are each one body that both call, on floats with ``math.sqrt`` (and
+``_pick``), on arrays with ``np.sqrt`` (and ``np.where``).  Only q*'s root
+search keeps a twin, ``_q_star_values``: its Newton polish stops each root on
+its own, where the kernel runs all lanes in lockstep, and one lane through
+the kernel costs several times the scalar call.  The joint kernel solves for
+q* only on the lanes where case I can win.
 """
 
 from __future__ import annotations
@@ -56,6 +57,32 @@ from .core import (
 SYMMETRY_BREAK_OVERLAP = 3.0 - 2.0 * math.sqrt(2.0)
 
 _TIE_TOL = 1e-12
+
+# ``joint_optimal_values`` solves for q* only on the lanes where case I can
+# win: p1 >= P_C*(1 - _PC_REL_MARGIN) - _PC_ABS_MARGIN and
+# s < 3 - 2*sqrt(2) + _S_MARGIN, or case II's value v2 < _V2_FLOOR.  On every
+# other lane v2 must beat case I's v1 by more than _TIE_TOL, or the tie rule
+# would take case I.  Over about 700,000 lanes hugging the P_C and s margins
+# (s from 1e-13 to 0.999, p1 from 1e-300 up) the gap v2 - v1 was at least
+# 0.2 times p1's distance below P_C, and never below 2.0e-11, at
+# (s, p1) = (8.0e-11, 5.4e-10).
+#: Relative margin below P_C: a guard against the closed form's own rounding,
+#: orders of magnitude above it, that leaves a gap of at least 2e-7*P_C.
+_PC_REL_MARGIN = 1e-6
+#: Absolute margin below P_C: where P_C is small the relative margin alone
+#: leaves a gap under _TIE_TOL; this one leaves at least 2e-11 by itself.
+#: Below s of about 1.25e-11 the threshold is negative and every lane is kept.
+_PC_ABS_MARGIN = 1e-10
+#: Margin above 3 - 2*sqrt(2), where P_C reaches 1/2: at p1 = 1/2 the gap is
+#: only about 0.59*(s - 3 + 2*sqrt(2)), a tie within 2e-12 of the threshold;
+#: 1e-9 above it the gap is about 5.9e-10.
+_S_MARGIN = 1e-9
+#: Case II's value below which q* is solved anyway: the tie rule is absolute,
+#: so as s nears 1 and v2 falls under _TIE_TOL, case I's v1 >= 0 ties it and
+#: wins.  Above this floor case II led by at least 0.31*v2 >= 3.1e-11 on
+#: about 88,000 lanes with 1 - s from 1e-16 to 0.5 and p1 from 5e-324 to 1/2.
+_V2_FLOOR = 1e-10
+
 _NEWTON_STEPS = 8
 _EPS = float(np.finfo(float).eps)
 
@@ -338,6 +365,14 @@ class CriticalPrior(NamedTuple):
     case_i_applies: bool
 
 
+def _crossing_prior(s, sqrt):
+    """The crossing prior k/(1 + k) of ``critical_prior_PC``, on floats for
+    0 < s < 0.2 (``math.sqrt``) or on arrays (``np.sqrt``, NaN where s > 0.2)."""
+    q = ((1.0 + s) + sqrt((1.0 - s) * (1.0 - 5.0 * s))) / (2.0 * (2.0 - s))
+    k = s * (q - s) / (q**3 * (1.0 - q))
+    return k / (1.0 + k)
+
+
 def critical_prior_PC(s: float) -> CriticalPrior:
     """Prior at which the two branches of the joint optimum exchange.
 
@@ -350,14 +385,13 @@ def critical_prior_PC(s: float) -> CriticalPrior:
     at which q_C solves the quartic.  P_C grows from about 8*s at small s to
     1/2 at s = 3 - 2*sqrt(2), where q_C = sqrt(s).  Beyond that case I never
     applies on (0, 1/2]; the sentinel value 0.5 is returned with the flag
-    cleared.
+    cleared.  ``joint_optimal_values`` evaluates the same formula on arrays to
+    find the lanes where case I can win.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"critical prior is defined for 0 < s < 1, got s={s}")
     if s < 0.2:  # the crossing root is real
-        q = ((1.0 + s) + math.sqrt((1.0 - s) * (1.0 - 5.0 * s))) / (2.0 * (2.0 - s))
-        k = s * (q - s) / (q**3 * (1.0 - q))
-        p_c = k / (1.0 + k)
+        p_c = _crossing_prior(s, math.sqrt)
         # a few floats just above 3 - 2*sqrt(2) still lie below the real
         # threshold; the crossing prior itself says which side s is on
         if p_c <= 0.5:
@@ -397,16 +431,33 @@ def joint_optimal(scenario: Scenario, *, compute_boundary: bool = True) -> Piece
     return PiecewiseResult(value, label, argmax, boundary)
 
 
+def _case_i_may_win(s: np.ndarray, p1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """The lanes, for 0 < s < 1, where case I can win the joint choice against
+    case II's value v2: p1 at or above P_C and s below 3 - 2*sqrt(2), each up
+    to its margin, or v2 so small that the tie rule may take case I."""
+    with np.errstate(invalid="ignore"):  # sqrt of a negative above s = 0.2
+        p_c = _crossing_prior(s, np.sqrt)
+    above_p_c = p1 >= p_c * (1.0 - _PC_REL_MARGIN) - _PC_ABS_MARGIN
+    return (above_p_c & (s < SYMMETRY_BREAK_OVERLAP + _S_MARGIN)) | (v2 < _V2_FLOOR)
+
+
 def joint_optimal_values(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
     """``joint_optimal(Scenario(s, p1)).value`` in every lane of valid scenarios.
 
-    q* from the lockstep twin of ``solve_q_star``, then the scalar path's own
-    two-case choice, so the values agree bit for bit.
+    Every lane starts at case II's p2*(1-s)^2.  Only the lanes where case I
+    can win (``_case_i_may_win``) take q* from the lockstep twin of
+    ``solve_q_star`` and then the scalar path's own two-case choice.  On the
+    others that choice takes case II, so the values agree bit for bit.
     """
     value = np.where(s == 0.0, 1.0, 0.0)
     inner = (s > 0.0) & (s < 1.0)
     if inner.any():
         s, p1 = s[inner], p1[inner]
         p2 = 1.0 - p1
-        value[inner] = _joint_choice(p1, p2, s, _q_star_values(s, p1, p2), np.where)[0]
+        v = p2 * ((1.0 - s) * (1.0 - s))
+        may_win = _case_i_may_win(s, p1, v)
+        if may_win.any():
+            s, p1, p2 = s[may_win], p1[may_win], p2[may_win]
+            v[may_win] = _joint_choice(p1, p2, s, _q_star_values(s, p1, p2), np.where)[0]
+        value[inner] = v
     return _probabilities(value)

@@ -169,8 +169,9 @@ class TestCloningOracle:
             assert res < 1e-10
 
     def test_argmax_where_gamma2_rounds_to_one(self):
-        # cos^2(th2) rounds to 1.0 at the argmax, so the residual must take
-        # 1 - gamma2 as sin^2(th2), or it would see s itself
+        # cos^2(th2) rounds to 1.0 at the argmax, so 1 - gamma2 rounds to 0;
+        # the residual takes sin^2(th2) from the branch angle th2, or it
+        # would see s itself
         rows = certify(
             quantities=["protocol3", "at_least_one_p3"],
             s_values=(2.54e-10,),

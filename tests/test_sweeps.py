@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from seqdisc import (
+    CaseLabel,
     CorrelationInput,
     DomainError,
     SYMMETRY_BREAK_OVERLAP,
@@ -22,14 +23,23 @@ from seqdisc import (
     bob_optimal,
     charlie_optimal,
     correlation_report,
+    critical_prior_PC,
     joint_optimal,
     protocol1_optimal,
     protocol2_critical_priors,
     protocol2_optimal,
     protocol3_optimal,
 )
+from seqdisc import ssd
 from seqdisc.cli import main
-from seqdisc.sweeps import SweepSpec, _QUANTITIES, run_figure, run_sweep
+from seqdisc.sweeps import (
+    FIGURE_PRESETS,
+    SweepSpec,
+    _FIELD_OF_VARIABLE,
+    _QUANTITIES,
+    run_figure,
+    run_sweep,
+)
 
 
 def _report_field(name):
@@ -107,6 +117,96 @@ def test_protocol2_kernel_at_its_critical_priors(s):
     near = [p * (1.0 + e) for p in (p_c1, p_c2) for e in (-1e-15, 0.0, 1e-15, 1e-9)]
     p1 = np.array([p for p in near if 0.0 < p <= 0.5])
     _assert_column_matches("protocol2", np.full_like(p1, s), p1, np.full_like(p1, np.nan))
+
+
+def _skip_rule_edge_lanes():
+    """(s, p1) lanes that hug every edge of the joint kernel's q* skip rule:
+    p1 at P_C(s)*(1 +- 10^-k) and at the rule's absolute margin +- 1e-12 for
+    seeded s in [1e-12, 0.2), s a few ulps from 3 - 2*sqrt(2) and from
+    3 - 2*sqrt(2) + 1e-9 at p1 near 1/2, priors down to 5e-324, and s near 1,
+    where case II's value p2*(1-s)^2 crosses the rule's floor and falls under
+    the tie tolerance."""
+    rng = np.random.default_rng(24)
+    s_small = np.exp(rng.uniform(math.log(1e-12), math.log(0.2), 40)).tolist()
+    lanes = []
+    for s in s_small:
+        p_c = critical_prior_PC(s).value
+        lanes += [(s, p_c * (1.0 + sign * 10.0**-k)) for k in range(1, 16) for sign in (-1, 1)]
+        threshold = p_c * (1.0 - ssd._PC_REL_MARGIN) - ssd._PC_ABS_MARGIN
+        lanes += [(s, threshold - 1e-12), (s, threshold), (s, threshold + 1e-12)]
+    for edge in (SYMMETRY_BREAK_OVERLAP, SYMMETRY_BREAK_OVERLAP + ssd._S_MARGIN):
+        for ulps in range(-4, 5):
+            s = edge
+            for _ in range(abs(ulps)):
+                s = math.nextafter(s, ulps * math.inf)
+            lanes += [(s, 0.5), (s, 0.5 - 1e-12)]
+    for s in (1e-12, 1e-10, 8e-11, 1e-6, 0.04, SYMMETRY_BREAK_OVERLAP, 0.36):
+        lanes += [(s, p1) for p1 in (5e-324, 1e-310, 1e-300, 1e-20, 5.4e-10)]
+    for p1 in (0.5, 0.3, 1e-3, 5e-324):
+        lanes += [(1.0 - 10.0**-k, p1) for k in range(3, 17)]
+        floor = ssd._V2_FLOOR / (1.0 - p1)
+        lanes += [(1.0 - math.sqrt(floor * (1.0 + e)), p1) for e in (-1e-3, -1e-12, 0.0, 1e-12, 1e-3)]
+    s, p1 = np.array([lane for lane in lanes if 0.0 < lane[1] <= 0.5]).T
+    return s, p1
+
+
+def _case_i_may_win(s, p1):
+    return ssd._case_i_may_win(s, p1, (1.0 - p1) * ((1.0 - s) * (1.0 - s)))
+
+
+def test_joint_kernel_matches_scalar_at_the_skip_rule_edges():
+    s, p1 = _skip_rule_edge_lanes()
+    may_win = _case_i_may_win(s, p1)
+    assert may_win.any() and not may_win.all()
+    _assert_column_matches("ssd", s, p1, np.full_like(s, np.nan))
+
+
+def test_skipped_lanes_leave_case_ii_ahead_beyond_the_tie_rule():
+    # the skip rule rests on case II beating case I by far more than the
+    # 1e-12 tie tolerance on every lane it skips
+    s, p1 = _skip_rule_edge_lanes()
+    skip = ~_case_i_may_win(s, p1)
+    s, p1 = s[skip], p1[skip]
+    p2 = 1.0 - p1
+    v1 = ssd._joint_case1_objective(p1, p2, s, ssd._q_star_values(s, p1, p2))
+    v2 = p2 * ((1.0 - s) * (1.0 - s))
+    gap = v2 - v1
+    assert s.size > 100 and gap.min() >= 1e-11, (s[np.argmin(gap)], p1[np.argmin(gap)])
+
+
+def _preset_ssd_lanes(name):
+    """Each ``ssd`` column of the preset as its (s, p1) arrays."""
+    variable, grid, columns = FIGURE_PRESETS[name]
+    for _, quantity, fixed in columns:
+        if quantity == "ssd":
+            at = {k: np.full(grid.shape, float(v)) for k, v in fixed.items()}
+            at[_FIELD_OF_VARIABLE[variable]] = grid
+            yield at["s"], at["p1"]
+
+
+def test_presets_solve_q_star_on_their_case_i_lanes_only(monkeypatch):
+    calls = []
+    q_star_values = ssd._q_star_values
+
+    def recorded(s, p1, p2):
+        calls.append(list(zip(s.tolist(), p1.tolist())))
+        return q_star_values(s, p1, p2)
+
+    monkeypatch.setattr(ssd, "_q_star_values", recorded)
+    case_i = []  # per ssd column with a case-I lane, its case-I lanes
+    for name in FIGURE_PRESETS:
+        run_figure(name)
+        for s, p1 in _preset_ssd_lanes(name):
+            lanes = zip(s.tolist(), p1.tolist())
+            column = [
+                lane for lane in lanes if joint_optimal(Scenario(*lane)).case_label == CaseLabel.CASE_I
+            ]
+            case_i += [column] if column else []
+    assert calls == case_i
+    assert len(calls) == 5 and sum(map(len, calls)) == 275
+    calls.clear()
+    run_figure("3a")  # its s = 0.36 column lies beyond 3 - 2*sqrt(2)
+    assert len(calls) == 1 and {s for s, _ in calls[0]} == {0.04}
 
 
 _S = st.one_of(st.sampled_from([0.0, 1e-12, 1.0 - 1e-9, 1.0]), st.floats(0.0, 1.0))
