@@ -234,11 +234,7 @@ def _outcome_table(scenario: Scenario, t: float, q1b: float, q1c: float) -> np.n
 
 
 def _tally(
-    words: np.ndarray,
-    m_p1: np.ndarray,
-    m_b: np.ndarray,
-    m_c: np.ndarray,
-    row: np.ndarray | None = None,
+    words: np.ndarray, m_p1: np.ndarray, m_b: np.ndarray, m_c: np.ndarray, row: np.ndarray
 ) -> np.ndarray:
     """(2, 3, 3) trial counts by preparation, Bob's outcome k_b and Charlie's k_c.
 
@@ -253,21 +249,41 @@ def _tally(
     outcome 0.  A stage's threshold row is picked by the code so far, cast to
     intp once for its three gathers, because ``take`` converts an int8 index
     on every call.  The intp index is written into ``row`` (an intp array of
-    at least len(words) entries; made here when None), which
-    ``run_ssd_trials`` allocates once for all its chunks.  One bincount of
-    the 32 codes is folded into the 18 cells.
+    at least len(words) entries), which ``run_ssd_trials`` allocates once
+    for all its chunks.  One bincount of the 32 codes is folded into the 18
+    cells.
     """
     v = words[:, :3].T.copy()  # a C-order copy, so the shift leaves ``words`` intact
     v >>= 11
     v_prep, v_b, v_c = v
     code = (v_prep >= m_p1).view(np.int8)
-    row = np.empty(len(code), dtype=np.intp) if row is None else row[: len(code)]
+    row = row[: len(code)]
     for x, cum in ((v_b, m_b), (v_c, m_c[_CHARLIE_ROW])):
         np.copyto(row, code)
         code = code * 4
         for j in range(3):
             code += x >= cum[:, j].take(row)
     return (_FOLD @ np.bincount(code, minlength=32)).reshape(2, 3, 3)
+
+
+def _trial_thresholds(
+    scenario: Scenario, t: float, q1b: float, q1c: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``_word_thresholds`` of p1 and of Bob's (2, 3) and Charlie's (6, 3)
+    cumulative outcome rows, the m_p1, m_b and m_c that ``_tally`` reads.
+
+    Bob's row of preparation i sums the outcome table over Charlie's
+    outcomes; Charlie's row (i, k_b) is the table conditioned on Bob's k_b,
+    all zeros where Bob's outcome has probability 0.
+    """
+    probs = _outcome_table(scenario, t, q1b, q1c)
+    probs_b = probs.sum(axis=2)
+    probs_c = np.divide(
+        probs, probs_b[..., None], out=np.zeros_like(probs), where=probs_b[..., None] > 0.0
+    )
+    cum_b = np.cumsum(probs_b, axis=1)
+    cum_c = np.cumsum(probs_c.reshape(6, 3), axis=1)
+    return _word_thresholds(scenario.p1), _word_thresholds(cum_b), _word_thresholds(cum_c)
 
 
 def run_ssd_trials(
@@ -289,15 +305,7 @@ def run_ssd_trials(
         raise DomainError(f"n={n} must be at least 1")
     if not 0 <= seed < 2**128:
         raise DomainError(f"seed={seed} outside the Philox key range [0, 2^128)")
-    probs = _outcome_table(scenario, t, q1b, q1c)
-    probs_b = probs.sum(axis=2)
-    probs_c = np.divide(
-        probs, probs_b[..., None], out=np.zeros_like(probs), where=probs_b[..., None] > 0.0
-    )
-    cum_b = np.cumsum(probs_b, axis=1)
-    cum_c = np.cumsum(probs_c.reshape(6, 3), axis=1)
-
-    thresholds = [_word_thresholds(c) for c in (scenario.p1, cum_b, cum_c)]
+    thresholds = _trial_thresholds(scenario, t, q1b, q1c)
     cells = np.zeros((2, 3, 3), dtype=np.int64)
     row = np.empty(min(n, _CHUNK), dtype=np.intp)
     for words in _trial_words(seed, 0, n):

@@ -84,6 +84,12 @@ _S_MARGIN = 1e-9
 _V2_FLOOR = 1e-10
 
 _NEWTON_STEPS = 8
+#: Overlap below which q*'s root search also polishes the start
+#: sqrt(p2*s/p1).  eigvals loses the three small roots below s of about
+#: 8e-48 (about eps^3).  On 200,000 scenarios with s and p1 log-uniform down
+#: to 5e-324, every q* that the start changed had s below 5e-49, and the
+#: start polished on every lane gave the same q* as below this gate.
+_TINY_OVERLAP = 1e-30
 _EPS = float(np.finfo(float).eps)
 
 
@@ -276,6 +282,19 @@ def _joint_choice(p1, p2, s, q_star, pick):
     return pick(case_i, v1, v2), case_i
 
 
+def _polish(p1: float, p2: float, s: float, q: float) -> float:
+    """Up to ``_NEWTON_STEPS`` Newton steps on the quartic from q."""
+    for _ in range(_NEWTON_STEPS):
+        slope = _quartic_slope(p1, p2, s, q)
+        if slope == 0.0:
+            break
+        step = _quartic(p1, p2, s, q) / slope
+        q -= step
+        if abs(step) <= _EPS * abs(q):
+            break
+    return q
+
+
 def solve_q_star(scenario: Scenario) -> float:
     """Root of p1*q^4 - p1*q^3 + p2*s*q - p2*s^2 = 0 on [s, 1] maximizing the
     symmetric joint objective p1*(1-q)^2 + p2*(1-s/q)^2.
@@ -286,10 +305,15 @@ def solve_q_star(scenario: Scenario) -> float:
     root when its residual is within rounding of the polynomial's terms
     (a backward-error test) and it lies in [s, 1], up to a relative 1e-12
     that is clipped away.  Among the roots, the one with the largest objective
-    value is returned.  Since the quartic is negative at s and positive at 1,
-    a root always exists; NumericError reports a failure to find it.  Where
-    p2*s/p1 overflows (p1 below about 5e-309*s) the root's offset from s is
-    about p1*s relative to it, far below an ulp, and s itself is returned.
+    value is returned.  Below s of about 8e-48 the eigenvalues of the three
+    small roots come out as 0, and Newton from 0 reaches only the root near
+    s, not the one near sqrt(p2*s/p1); so below ``_TINY_OVERLAP`` that start
+    is polished too, and its root is taken when it beats the others by more
+    than 1e-12 or is the only one.  Since the quartic is negative at s and
+    positive at 1, a root always exists; NumericError reports a failure to
+    find it.  Where p2*s/p1 overflows (p1 below about 5e-309*s) the root's
+    offset from s is about p1*s relative to it, far below an ulp, and s
+    itself is returned.
     """
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
     if not 0.0 < s < 1.0:
@@ -301,28 +325,33 @@ def solve_q_star(scenario: Scenario) -> float:
     companion[0] = (1.0, 0.0, -linear, p2 * s * s / p1)
     roots = []
     for z in np.linalg.eigvals(companion).tolist():
-        q = z.real
-        for _ in range(_NEWTON_STEPS):
-            slope = _quartic_slope(p1, p2, s, q)
-            if slope == 0.0:
-                break
-            step = _quartic(p1, p2, s, q) / slope
-            q -= step
-            if abs(step) <= _EPS * abs(q):
-                break
+        q = _polish(p1, p2, s, z.real)
         if _is_root(p1, p2, s, q):
             roots.append(min(1.0, max(s, q)))
-    if not roots:
+
+    def objective(q):
+        return _joint_case1_objective(p1, p2, s, q)
+
+    best = max(roots, key=objective, default=None)
+    if s < _TINY_OVERLAP:
+        q = _polish(p1, p2, s, math.sqrt(linear))
+        if _is_root(p1, p2, s, q):
+            q = min(1.0, max(s, q))
+            if best is None or objective(q) > objective(best) + _TIE_TOL:
+                best = q
+    if best is None:
         raise NumericError(
             "no real root in [s, 1] for quartic coefficients "
             f"[{p1}, {-p1}, 0, {p2 * s}, {-p2 * s * s}]"
         )
-    return max(roots, key=lambda q: _joint_case1_objective(p1, p2, s, q))
+    return best
 
 
 def _q_star_values(s: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """``solve_q_star`` in every lane, for 0 < s < 1: one batched eigenvalue
-    call, then the same Newton steps, root test, clip and choice, lane by lane.
+    call, then the same Newton steps, root test, clip and choice, lane by
+    lane.  The fifth start is sqrt(p2*s/p1) below ``_TINY_OVERLAP`` and a
+    copy of the first eigenvalue elsewhere, which can never win the choice.
     """
     with np.errstate(over="ignore"):
         linear = p2 * s / p1
@@ -336,6 +365,7 @@ def _q_star_values(s: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     companion[:, 0, 2] = -linear
     companion[:, 0, 3] = p2 * s * s / p1
     q = np.linalg.eigvals(companion).real
+    q = np.column_stack([q, np.where(s < _TINY_OVERLAP, np.sqrt(linear), q[:, 0])])
     p1, p2, s = p1[:, None], p2[:, None], s[:, None]
     active = np.ones(q.shape, dtype=bool)
     with np.errstate(all="ignore"):
@@ -355,7 +385,11 @@ def _q_star_values(s: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     if missing.any():
         i = int(np.argmax(missing))
         raise NumericError(f"no real root in [s, 1] at s={s[i, 0]}, p1={p1[i, 0]}")
-    return np.take_along_axis(q, np.argmax(objective, axis=1)[:, None], axis=1)[:, 0]
+    best = np.argmax(objective[:, :4], axis=1)
+    # the fifth start's root where it beats the eigenvalues' by more than
+    # 1e-12, or where they found none (their best objective is then -inf)
+    extra = objective[:, 4] > np.take_along_axis(objective, best[:, None], axis=1)[:, 0] + _TIE_TOL
+    return np.take_along_axis(q, np.where(extra, 4, best)[:, None], axis=1)[:, 0]
 
 
 class CriticalPrior(NamedTuple):

@@ -51,6 +51,13 @@ class TestOptimal:
         assert main(["optimal", "--s", "0.5", "--p1", p1]) == 0
         assert "at_least_one_p3" in capsys.readouterr().out
 
+    def test_tiny_overlap_takes_the_root_near_sqrt_s(self, capsys):
+        # below s of about 8e-48 eigvals gives 0 for the three small roots;
+        # q* = 1 would print 0.5 where (1 - sqrt(s))^2 rounds to 1
+        assert main(["optimal", "--s", "1e-50", "--p1", "0.5"]) == 0
+        rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()}
+        assert rows["ssd_joint"][1:3] == ["1", "CaseI"]
+
     @pytest.mark.parametrize("p1", ["1e-300", "1e-310", "5e-324"])
     def test_orthogonal_states_subnormal_prior_take_case_i(self, capsys, p1):
         # p2/p1 overflows below about 1e-308; at s = 0 the stationary point

@@ -344,7 +344,10 @@ def _assert_tally_matches(probs, p1, words):
     cum_b, cum_c = _cumulative(probs)
     u = _uniforms(words)
     thresholds = [simulate._word_thresholds(c) for c in (p1, cum_b, cum_c)]
-    assert np.array_equal(simulate._tally(words, *thresholds), _tally_loop(u, p1, cum_b, cum_c))
+    row = np.empty(len(words), dtype=np.intp)
+    assert np.array_equal(
+        simulate._tally(words, *thresholds, row), _tally_loop(u, p1, cum_b, cum_c)
+    )
     assert np.array_equal(_uniforms(words), u)  # the tally shifts a copy, never its input
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "_outcome_table", lambda *args: probs)

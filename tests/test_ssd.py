@@ -187,14 +187,21 @@ def _best_numpy_root(s, p1):
 
 
 class TestSmallOverlap:
-    # s log-spaced down to 1e-10, where roots near s and sqrt(s) crowd together
-    S_VALUES = np.logspace(-10, -1, 10).tolist()
+    # s log-spaced down to 1e-10, where roots near s and sqrt(s) crowd together,
+    # and on down to 1e-300, where eigvals gives 0 for the three small roots
+    S_VALUES = np.logspace(-300, -20, 15).tolist() + np.logspace(-10, -1, 10).tolist()
 
     @pytest.mark.parametrize("s", S_VALUES)
     @pytest.mark.parametrize("p1", [1e-3, 0.05, 0.3, 0.5])
     def test_joint_beats_symmetric_point(self, s, p1):
         # t = q1b = q1c = sqrt(s) is feasible and gives (1 - sqrt(s))^2
         assert joint_optimal(Scenario(s, p1)).value >= (1 - math.sqrt(s)) ** 2 - 1e-12
+
+    @pytest.mark.parametrize("s", [1e-310, 2.2e-309])
+    def test_subnormal_overlap_and_prior(self, s):
+        # the quartic's constant term underflows to -0.0, and Newton from the
+        # eigenvalue 0 stops below s; from sqrt(p2*s/p1) it passes the root test
+        assert joint_optimal(Scenario(s, s)).value == 1.0
 
     def test_equal_priors_tiny_overlap(self):
         res = joint_optimal(Scenario(1e-6, 0.5))
