@@ -1,40 +1,18 @@
 #!/usr/bin/env python3
 """Time every layer of seqdisc, from one closed form to the figure set, and write a JSON record.
 
-Every run times all of these ops on fixed inputs:
+Every run times every op of ``make_ops`` on the inputs below.  Each op is
+called once as a warm-up; then every round runs every op, so a slow spell of
+the machine touches all of them alike.  Times are per call, to 4 significant
+digits, so a closed form of a few microseconds keeps its precision.  Minor
+page faults are counted beside them, so memory that an op gives back to the
+system and faults in again shows.
 
-- Oracles: ``grid_maximize_joint``, ``_union_ssd`` and ``_cloning``, the
-  stage oracle ``grid_maximize_bob`` at t = sqrt(s) and
-  ``left_discord_measurement_oracle`` at t = r = sqrt(s), on
-  ORACLE_SCENARIOS; a default ``certify()`` (the 5x6 grid);
-  ``certify(["protocol3"])`` at CERTIFY_SCENARIO.
-- Point queries: ``optimal`` runs ``cli.main(["optimal", ...])`` with its
-  report sent to a discarded buffer, and each of POINT_CALLS calls the
-  library, on POINT_SCENARIOS, POINT_LOOPS times over.
-- Monte Carlo: ``run_ssd_trials`` runs N_TRIALS trials of each of CASES;
-  ``tally`` runs ``simulate._tally`` on TALLY_SEED's N_TRIALS Philox words,
-  drawn beforehand, under each case's ``simulate._trial_thresholds``, with
-  one row buffer for all chunks: the sampler without its draws.
-- Sweeps, SWEEP_LOOPS times over: ``figure_<name>`` runs ``run_figure`` and
-  ``write_csv`` into a discarded buffer, as ``seqdisc sweep --figure`` does;
-  ``figure_set`` all eight presets; ``joint_optimal_values`` the ``ssd``
-  column kernel on the presets' six ``ssd`` columns.
-
-Each op records ``calls``, the number its times are divided by (1 for an
-oracle op, timed over all its scenarios), and the minimum and median ms per
-call to 4 significant digits, so a closed form of a few microseconds keeps
-its precision. Each op is called once as a warm-up; then every round runs
-every op, so a slow spell of the machine touches all of them alike. The
-process's minor page faults are counted beside each time, so memory that an
-op gives back to the system and faults in again shows.
-
-With ``--parent DIR``, ``DIR/src/seqdisc`` is imported as ``seqdisc_parent``,
-its preset CSVs and ``ssd`` columns must equal this tree's, and every round
-runs each op once per tree, the trees in alternating order from round to
-round. A slow spell then touches both alike, and each round's change/parent
-ratio, which the record adds, cancels it where raw times do not. The trees
-share one heap, so one tree's allocations can spare the other its faults:
-faults are recorded only without a parent; compare them between runs of
+With ``--parent DIR``, ``DIR/src/seqdisc`` must write the same CSVs and is
+timed beside this tree, the two in alternating order from round to round; each
+round's change/parent ratio cancels a slow spell where raw times do not.  The
+trees share one heap, so one tree's allocations can spare the other its
+faults: they are recorded only without a parent; compare them between runs of
 each tree alone (``PYTHONPATH=DIR/src``).
 
     python scripts/bench.py --out bench.json
@@ -278,14 +256,8 @@ def main() -> int:
         trees["parent"] = make_ops(parent)
     results = summarize(time_rounds(trees, 2 if args.quick else 15), trees["change"])
     record = {
-        "oracle_scenarios": [list(sc) for sc in ORACLE_SCENARIOS],
-        "certify_protocol3_scenario": list(CERTIFY_SCENARIO),
-        "point_scenarios": [list(sc) for sc in POINT_SCENARIOS],
-        "point_loops": POINT_LOOPS,
-        "n_trials_per_case": N_TRIALS,
-        "cases_s_p1_t_q1b_q1c_seed": [list(case) for case in CASES],
-        "tally_seed": TALLY_SEED,
-        "sweep_loops": SWEEP_LOOPS,
+        # every upper-case constant of this module is an input of the ops
+        **{name.lower(): value for name, value in globals().items() if name.isupper()},
         "ssd_column_lanes": sum(s.size for s, _ in _ssd_columns(seqdisc.sweeps)),
         "numpy": np.__version__,
         "python": platform.python_version(),

@@ -84,12 +84,15 @@ _S_MARGIN = 1e-9
 _V2_FLOOR = 1e-10
 
 _NEWTON_STEPS = 8
-#: Overlap below which q*'s root search also polishes the start
-#: sqrt(p2*s/p1).  eigvals loses the three small roots below s of about
-#: 8e-48 (about eps^3).  On 200,000 scenarios with s and p1 log-uniform down
-#: to 5e-324, every q* that the start changed had s below 5e-49, and the
-#: start polished on every lane gave the same q* as below this gate.
+#: Overlap below which q*'s root search also polishes the starts
+#: sqrt(p2*s/p1) and s.  eigvals gives 0 for the three small roots below s of
+#: about 8e-48 (about eps^3), and Newton from 0 reaches only the root near s,
+#: or none where p2*s*s underflows.
 _TINY_OVERLAP = 1e-30
+#: 2^600, by which p1 and p2 are scaled (exactly) in q*'s Newton steps and
+#: root test.  Neither changes under a common scale of the coefficients, but
+#: their terms then stay clear of underflow at tiny s and p1.
+_QUARTIC_SCALE = 2.0**600
 _EPS = float(np.finfo(float).eps)
 
 
@@ -252,20 +255,22 @@ def _quartic_slope(p1, p2, s, q):
     return (4.0 * p1 * q - 3.0 * p1) * q * q + p2 * s
 
 
-def _is_root(p1, p2, s, q):
+def _is_root(p1, p2, s, q, pick):
     """Whether q is a root of the quartic in [s, 1], up to a relative 1e-12.
 
-    The residual must lie within rounding of the polynomial's terms (a
-    backward-error test).  Products, not powers, keep huge roots finite.
+    The quartic over q^2, p2*r*(1-r) - p1*q*(1-q) with r = s/q, must lie
+    within rounding of its terms (a backward-error test).  Its larger term,
+    at least sqrt(p1*p2*s), is a normal float for every scenario once p1 and
+    p2 are scaled by ``_QUARTIC_SCALE``.  Were the terms to underflow, as the
+    quartic's own do at tiny s, the residual would vanish with them and any q
+    would pass.  Floats or arrays.
     """
-    a = abs(q)
-    a2 = a * a
-    terms = p1 * (a2 * a2) + p1 * (a2 * a) + p2 * s * a + p2 * s * s
-    return (
-        (abs(_quartic(p1, p2, s, q)) <= 16.0 * _EPS * terms)
-        & (s * (1.0 - BOUNDARY_TOL) <= q)
-        & (q <= 1.0 + BOUNDARY_TOL)
-    )
+    in_range = (s * (1.0 - BOUNDARY_TOL) <= q) & (q <= 1.0 + BOUNDARY_TOL)
+    q = pick(in_range, q, 1.0)
+    r = s / q
+    a, b = p1 * q, p2 * s / q
+    terms = a * (1.0 + q) + b * (1.0 + r)
+    return in_range & (abs(b * (1.0 - r) - a * (1.0 - q)) <= 16.0 * _EPS * terms)
 
 
 def _joint_case1_objective(p1, p2, s, q):
@@ -282,34 +287,19 @@ def _joint_choice(p1, p2, s, q_star, pick):
     return pick(case_i, v1, v2), case_i
 
 
-def _polish(p1: float, p2: float, s: float, q: float) -> float:
-    """Up to ``_NEWTON_STEPS`` Newton steps on the quartic from q."""
-    for _ in range(_NEWTON_STEPS):
-        slope = _quartic_slope(p1, p2, s, q)
-        if slope == 0.0:
-            break
-        step = _quartic(p1, p2, s, q) / slope
-        q -= step
-        if abs(step) <= _EPS * abs(q):
-            break
-    return q
-
-
 def solve_q_star(scenario: Scenario) -> float:
     """Root of p1*q^4 - p1*q^3 + p2*s*q - p2*s^2 = 0 on [s, 1] maximizing the
     symmetric joint objective p1*(1-q)^2 + p2*(1-s/q)^2.
 
     The quartic is the stationarity condition of the objective.  Its roots are
     the eigenvalues of the 4x4 companion matrix; the real part of each is
-    polished by Newton steps on the quartic.  A polished value counts as a
-    root when its residual is within rounding of the polynomial's terms
-    (a backward-error test) and it lies in [s, 1], up to a relative 1e-12
-    that is clipped away.  Among the roots, the one with the largest objective
-    value is returned.  Below s of about 8e-48 the eigenvalues of the three
-    small roots come out as 0, and Newton from 0 reaches only the root near
-    s, not the one near sqrt(p2*s/p1); so below ``_TINY_OVERLAP`` that start
-    is polished too, and its root is taken when it beats the others by more
-    than 1e-12 or is the only one.  Since the quartic is negative at s and
+    polished by Newton steps on the quartic, with p1 and p2 scaled by
+    ``_QUARTIC_SCALE``.  Below ``_TINY_OVERLAP``, where the eigenvalues of
+    the three small roots come out as 0, sqrt(p2*s/p1) (a product of square
+    roots, which cannot underflow) and s are polished too.  A polished value counts as a root when it passes
+    ``_is_root`` (a backward-error test) and lies in [s, 1], up to a relative
+    1e-12 that is clipped away.  Among the roots, the one with the largest
+    objective value is returned.  Since the quartic is negative at s and
     positive at 1, a root always exists; NumericError reports a failure to
     find it.  Where p2*s/p1 overflows (p1 below about 5e-309*s) the root's
     offset from s is about p1*s relative to it, far below an ulp, and s
@@ -323,35 +313,36 @@ def solve_q_star(scenario: Scenario) -> float:
         return s
     companion = np.eye(4, k=-1)
     companion[0] = (1.0, 0.0, -linear, p2 * s * s / p1)
-    roots = []
-    for z in np.linalg.eigvals(companion).tolist():
-        q = _polish(p1, p2, s, z.real)
-        if _is_root(p1, p2, s, q):
-            roots.append(min(1.0, max(s, q)))
-
-    def objective(q):
-        return _joint_case1_objective(p1, p2, s, q)
-
-    best = max(roots, key=objective, default=None)
+    starts = [z.real for z in np.linalg.eigvals(companion).tolist()]
     if s < _TINY_OVERLAP:
-        q = _polish(p1, p2, s, math.sqrt(linear))
-        if _is_root(p1, p2, s, q):
-            q = min(1.0, max(s, q))
-            if best is None or objective(q) > objective(best) + _TIE_TOL:
-                best = q
-    if best is None:
+        starts += [math.sqrt(p2) * math.sqrt(s) / math.sqrt(p1), s]
+    c1, c2 = p1 * _QUARTIC_SCALE, p2 * _QUARTIC_SCALE
+    roots = []
+    for q in starts:
+        for _ in range(_NEWTON_STEPS):
+            slope = _quartic_slope(c1, c2, s, q)
+            if slope == 0.0:
+                break
+            step = _quartic(c1, c2, s, q) / slope
+            q -= step
+            if abs(step) <= _EPS * abs(q):
+                break
+        if _is_root(c1, c2, s, q, _pick):
+            roots.append(min(1.0, max(s, q)))
+    if not roots:
         raise NumericError(
             "no real root in [s, 1] for quartic coefficients "
             f"[{p1}, {-p1}, 0, {p2 * s}, {-p2 * s * s}]"
         )
-    return best
+    return max(roots, key=lambda q: _joint_case1_objective(p1, p2, s, q))
 
 
 def _q_star_values(s: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """``solve_q_star`` in every lane, for 0 < s < 1: one batched eigenvalue
-    call, then the same Newton steps, root test, clip and choice, lane by
-    lane.  The fifth start is sqrt(p2*s/p1) below ``_TINY_OVERLAP`` and a
-    copy of the first eigenvalue elsewhere, which can never win the choice.
+    call, then the same starts, Newton steps, root test, clip and choice, lane
+    by lane.  Only if some lane lies below ``_TINY_OVERLAP`` do the two extra
+    starts get columns; elsewhere those hold copies of the first eigenvalue,
+    whose root ties it and so never wins the first-maximum choice.
     """
     with np.errstate(over="ignore"):
         linear = p2 * s / p1
@@ -365,19 +356,23 @@ def _q_star_values(s: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     companion[:, 0, 2] = -linear
     companion[:, 0, 3] = p2 * s * s / p1
     q = np.linalg.eigvals(companion).real
-    q = np.column_stack([q, np.where(s < _TINY_OVERLAP, np.sqrt(linear), q[:, 0])])
+    tiny = s < _TINY_OVERLAP
+    if tiny.any():
+        near_sqrt = np.sqrt(p2) * np.sqrt(s) / np.sqrt(p1)
+        q = np.column_stack([q, np.where(tiny, near_sqrt, q[:, 0]), np.where(tiny, s, q[:, 0])])
     p1, p2, s = p1[:, None], p2[:, None], s[:, None]
+    c1, c2 = p1 * _QUARTIC_SCALE, p2 * _QUARTIC_SCALE
     active = np.ones(q.shape, dtype=bool)
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS):
-            slope = _quartic_slope(p1, p2, s, q)
+            slope = _quartic_slope(c1, c2, s, q)
             active &= slope != 0.0
-            step = np.where(active, _quartic(p1, p2, s, q) / np.where(active, slope, 1.0), 0.0)
+            step = np.where(active, _quartic(c1, c2, s, q) / np.where(active, slope, 1.0), 0.0)
             q = q - step
             active &= ~(np.abs(step) <= _EPS * np.abs(q))
             if not active.any():
                 break
-        is_root = _is_root(p1, p2, s, q)
+        is_root = _is_root(c1, c2, s, q, np.where)
         q = np.where(q > s, q, s)
         q = np.where(q < 1.0, q, 1.0)
         objective = np.where(is_root, _joint_case1_objective(p1, p2, s, q), -np.inf)
@@ -385,11 +380,7 @@ def _q_star_values(s: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     if missing.any():
         i = int(np.argmax(missing))
         raise NumericError(f"no real root in [s, 1] at s={s[i, 0]}, p1={p1[i, 0]}")
-    best = np.argmax(objective[:, :4], axis=1)
-    # the fifth start's root where it beats the eigenvalues' by more than
-    # 1e-12, or where they found none (their best objective is then -inf)
-    extra = objective[:, 4] > np.take_along_axis(objective, best[:, None], axis=1)[:, 0] + _TIE_TOL
-    return np.take_along_axis(q, np.where(extra, 4, best)[:, None], axis=1)[:, 0]
+    return np.take_along_axis(q, np.argmax(objective, axis=1)[:, None], axis=1)[:, 0]
 
 
 class CriticalPrior(NamedTuple):

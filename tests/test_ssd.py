@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -197,11 +198,38 @@ class TestSmallOverlap:
         # t = q1b = q1c = sqrt(s) is feasible and gives (1 - sqrt(s))^2
         assert joint_optimal(Scenario(s, p1)).value >= (1 - math.sqrt(s)) ** 2 - 1e-12
 
-    @pytest.mark.parametrize("s", [1e-310, 2.2e-309])
-    def test_subnormal_overlap_and_prior(self, s):
-        # the quartic's constant term underflows to -0.0, and Newton from the
-        # eigenvalue 0 stops below s; from sqrt(p2*s/p1) it passes the root test
-        assert joint_optimal(Scenario(s, s)).value == 1.0
+    @pytest.mark.parametrize(
+        "s, p1, case, q_star",
+        [
+            # p2*s*s underflows, so Newton from the eigenvalue 0 stays at 0; the
+            # only root in [s, 1] lies within an ulp of s (about p1*s relative),
+            # a minimum of case I's objective, and case II's q1 = 1 wins
+            (1e-310, 1e-310, CaseLabel.CASE_II, 1e-310),
+            (2.2e-309, 2.2e-309, CaseLabel.CASE_II, 2.2e-309),
+            (5e-324, 5e-324, CaseLabel.CASE_II, 5e-324),
+            # the root near sqrt(p2*s/p1), where the quartic's terms are
+            # subnormal or underflow unless p1 and p2 are scaled up
+            (3.999541e-317, 2.48432500406135e-310, CaseLabel.CASE_I, 4.0131743793787996e-4),
+            (5e-324, 0.5, CaseLabel.CASE_I, 2.2227587494850775e-162),
+        ],
+    )
+    def test_subnormal_overlap(self, s, p1, case, q_star):
+        res = joint_optimal(Scenario(s, p1))
+        assert (res.value, res.case_label) == (1.0, case)
+        assert res.argmax["q_star"] == pytest.approx(q_star, rel=1e-12)
+
+    def test_q_star_is_a_root_down_to_the_smallest_floats(self):
+        # s and p1 log-uniform down to 5e-324: the quartic over q^2,
+        # p2*r*(1-r) - p1*q*(1-q) with r = s/q, vanishes at q* against its
+        # terms in 60-digit arithmetic, so no q* passes on underflowed terms
+        rng = np.random.default_rng(5)
+        with mpmath.workdps(60):
+            for ls, lp in rng.uniform([-323.3, -323.3], [0.0, math.log10(0.5)], (300, 2)).tolist():
+                s, p1 = min(10.0**ls, 0.999), 10.0**lp
+                q = solve_q_star(Scenario(s, p1))
+                mq, r, p2 = mpmath.mpf(q), mpmath.mpf(s) / q, 1 - mpmath.mpf(p1)
+                terms = p1 * mq * (1 + mq) + p2 * r * (1 + r)
+                assert abs(p2 * r * (1 - r) - p1 * mq * (1 - mq)) <= 1e-14 * terms, (s, p1, q)
 
     def test_equal_priors_tiny_overlap(self):
         res = joint_optimal(Scenario(1e-6, 0.5))
