@@ -8,8 +8,9 @@ digits, so a closed form of a few microseconds keeps its precision.  Minor
 page faults are counted beside them, so memory that an op gives back to the
 system and faults in again shows.
 
-With ``--parent DIR``, ``DIR/src/seqdisc`` must write the same CSVs and is
-timed beside this tree, the two in alternating order from round to round; each
+With ``--parent DIR``, ``DIR/src/seqdisc`` must write the same CSVs and give
+the same oracle results and ``certify()`` rows, bit for bit, and is timed
+beside this tree, the two in alternating order from round to round; each
 round's change/parent ratio cancels a slow spell where raw times do not.  The
 trees share one heap, so one tree's allocations can spare the other its
 faults: they are recorded only without a parent; compare them between runs of
@@ -18,6 +19,7 @@ each tree alone (``PYTHONPATH=DIR/src``).
     python scripts/bench.py --out bench.json
     python scripts/bench.py --quick --out bench.json   # a smoke run
     python scripts/bench.py --parent ../parent --out bench.json
+    python scripts/bench.py --quick --parent . --out bench.json   # the tree against itself, as CI runs it
 """
 
 import argparse
@@ -173,8 +175,24 @@ def make_ops(package) -> dict:
     return ops
 
 
+def _oracle_results(package) -> list:
+    """(name, result) of every ``grid_maximize_*`` oracle on each of
+    ORACLE_SCENARIOS, the stage oracles at t = sqrt(s), and of ``certify()``."""
+    oracle = package.oracle
+    results = []
+    for s, p1 in ORACLE_SCENARIOS:
+        sc = package.Scenario(s, p1)
+        for name in ("joint", "union_ssd", "cloning", "protocol2", "bob", "charlie"):
+            fn = getattr(oracle, f"grid_maximize_{name}")
+            args = (sc, s**0.5) if name in ("bob", "charlie") else (sc,)
+            results.append((f"grid_maximize_{name}{(s, p1)}", fn(*args)))
+    return results + [("certify()", oracle.certify())]
+
+
 def check_same_output(change, parent) -> None:
-    """Raise unless both trees write the same CSVs and ``ssd`` columns."""
+    """Raise unless both trees write the same CSVs and ``ssd`` columns, and
+    give the same oracle tuples and ``certify()`` rows bit for bit: a float's
+    repr is the shortest that reads back to the same bits."""
     for name in change.sweeps.FIGURE_PRESETS:
         if _csv(change.sweeps, name) != _csv(parent.sweeps, name):
             raise RuntimeError(f"figure {name}: the CSVs of the two trees differ")
@@ -182,6 +200,9 @@ def check_same_output(change, parent) -> None:
         a, b = change.ssd.joint_optimal_values(s, p1), parent.ssd.joint_optimal_values(s, p1)
         if not np.array_equal(a, b, equal_nan=True):
             raise RuntimeError("joint_optimal_values: the columns of the two trees differ")
+    for (name, a), (_, b) in zip(_oracle_results(change), _oracle_results(parent)):
+        if repr(a) != repr(b):
+            raise RuntimeError(f"{name}: the two trees differ, {a!r} against {b!r}")
 
 
 def _minor_faults() -> int:

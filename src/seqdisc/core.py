@@ -9,6 +9,7 @@ entropy bound of a single qubit is 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -305,6 +306,31 @@ def brent_root_values(
     raise NumericError("lockstep root search did not converge")
 
 
+@functools.cache
+def _scan_indices(points: int) -> np.ndarray:
+    """0, 1, ..., points - 1 as read-only floats, shared by every scan."""
+    k = np.arange(float(points))
+    k.setflags(write=False)
+    return k
+
+
+def _scan_points(lo: float, hi: float, points: int) -> np.ndarray:
+    """``np.linspace(lo, hi, points)`` bit for bit (``points`` >= 2), by its
+    own steps on the cached indices but without its per-call argument
+    handling, which costs as much as a 2001-point scan's arithmetic."""
+    div = points - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0.0:  # linspace's path for a step that underflows
+        xs = _scan_indices(points) / div
+        xs *= delta
+    else:
+        xs = _scan_indices(points) * step
+    xs += lo
+    xs[-1] = hi
+    return xs
+
+
 def window_scan_max(
     f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, points: int, passes: int
 ) -> tuple[float, float]:
@@ -314,16 +340,17 @@ def window_scan_max(
     ``points`` evenly spaced points of [lo, hi] (``points`` >= 2); each of
     ``passes`` more scans takes ``points`` points of the window one grid step
     either side of the best point so far, cut to [lo, hi], and its grid step
-    is the next window's half-width. A scan's first highest point replaces
-    the best only when strictly higher. Minimize by negating f.
+    is the next window's half-width; every scan's points are
+    ``np.linspace``'s. A scan's first highest point replaces the best only
+    when strictly higher. Minimize by negating f.
     """
-    xs = np.linspace(lo, hi, points)
+    xs = _scan_points(lo, hi, points)
     vals = f(xs)
     i = int(np.argmax(vals))
     best_x, best_v = float(xs[i]), float(vals[i])
     for _ in range(passes):
         step = float(xs[1] - xs[0])
-        xs = np.linspace(max(lo, best_x - step), min(hi, best_x + step), points)
+        xs = _scan_points(max(lo, best_x - step), min(hi, best_x + step), points)
         vals = f(xs)
         i = int(np.argmax(vals))
         if vals[i] > best_v:

@@ -322,11 +322,15 @@ def _cloning_objective_values(
     A*cos(th2) + B*sin(th2) = s with A = s^2*sqrt(g1) and B = sqrt(1-g1):
     th2 = psi +- delta with psi = arctan2(B, A) and
     delta = arccos(s / hypot(A, B)). A branch is valid where th2 is in
-    [0, pi/2] within 1e-12, and th2 is clipped to [0, pi/2]. Where the
-    constraint has no real solution, s / hypot(A, B) > 1 (or s / 0), delta
-    and both th2 are NaN, and neither branch is valid. Where cos^2(th2)
-    rounds to 1, sin^2(th2) is not 1 - gamma2; callers that need it take the
-    sine of th2.
+    [0, pi/2] within 1e-12, and th2 is clipped to [0, pi/2]. Only
+    psi - delta is evaluated. It is never above psi + delta, and cos^2 does
+    not rise on [0, pi/2], so it is never the worse branch where both are
+    valid. And it is valid wherever delta is defined: psi <= pi/2, and
+    cos(psi) = A/hypot <= s/hypot = cos(delta) since A <= s^2 <= s, so
+    psi >= delta, up to rounding far inside 1e-12. Where the constraint has
+    no real solution, s / hypot(A, B) > 1 (or s / 0), delta and both th2 are
+    NaN, and neither branch is valid. Where cos^2(th2) rounds to 1,
+    sin^2(th2) is not 1 - gamma2; callers that need it take the sine of th2.
     """
     p1_g1 = p1 * g1
     a = np.sqrt(g1)
@@ -337,30 +341,25 @@ def _cloning_objective_values(
         delta = np.hypot(a, b)
         np.divide(s, delta, out=delta)
         np.arccos(delta, out=delta)
-        psi = np.arctan2(b, a, out=a)
-        branches = []
-        for th2 in (psi + delta, psi - delta):
-            valid = th2 >= -1e-12
-            valid &= th2 <= 0.5 * math.pi + 1e-12  # False where th2 is NaN
-            invalid = ~valid
-            np.clip(th2, 0.0, 0.5 * math.pi, out=th2)
-            g2 = np.cos(th2)
-            g2 *= g2
-            value = np.multiply(g2, p2)
-            value += p1_g1
-            for out, fill in ((g2, np.nan), (th2, np.nan), (value, -np.inf)):
-                np.copyto(out, fill, where=invalid)
-            branches.append((value, g2, th2))
-    (va, g2a, tha), (vb, g2b, thb) = branches
-    pick_a = va >= vb
-    for out, a_in in ((vb, va), (g2b, g2a), (thb, tha)):
-        np.copyto(out, a_in, where=pick_a)
-    return vb, g2b, thb
+        th2 = np.arctan2(b, a, out=a)
+        th2 -= delta
+        valid = th2 >= -1e-12
+        valid &= th2 <= 0.5 * math.pi + 1e-12  # False where th2 is NaN
+    np.clip(th2, 0.0, 0.5 * math.pi, out=th2)
+    g2 = np.cos(th2)
+    g2 *= g2
+    value = np.multiply(g2, p2)
+    value += p1_g1
+    invalid = ~valid
+    for out, fill in ((g2, np.nan), (th2, np.nan), (value, -np.inf)):
+        np.copyto(out, fill, where=invalid)
+    return value, g2, th2
 
 
 def grid_maximize_cloning(scenario: Scenario) -> tuple[float, float, float]:
     """Brute-force maximum of p1*gamma1 + p2*gamma2 on the cloning constraint
-    manifold, parametrized by gamma1 with both constraint branches."""
+    manifold, parametrized by gamma1, each point on its better constraint
+    branch (``_cloning_objective_values``)."""
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
     if s in (0.0, 1.0):
         return 1.0, 1.0, 1.0

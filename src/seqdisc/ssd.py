@@ -60,28 +60,28 @@ _TIE_TOL = 1e-12
 
 # ``joint_optimal_values`` solves for q* only on the lanes where case I can
 # win: p1 >= P_C*(1 - _PC_REL_MARGIN) - _PC_ABS_MARGIN and
-# s < 3 - 2*sqrt(2) + _S_MARGIN, or case II's value v2 < _V2_FLOOR.  On every
-# other lane v2 must beat case I's v1 by more than _TIE_TOL, or the tie rule
+# s < 3 - 2*sqrt(2) + _S_MARGIN.  On every other lane v2 must beat case I's
+# v1 by more than the relative tie tolerance _TIE_TOL*v2, or the tie rule
 # would take case I.  Over about 700,000 lanes hugging the P_C and s margins
 # (s from 1e-13 to 0.999, p1 from 1e-300 up) the gap v2 - v1 was at least
 # 0.2 times p1's distance below P_C, and never below 2.0e-11, at
-# (s, p1) = (8.0e-11, 5.4e-10).
+# (s, p1) = (8.0e-11, 5.4e-10).  As s nears 1, v2 = p2*(1-s)^2 falls far
+# under 1e-12 but the rule is relative: on 200,000 seeded lanes with 1 - s
+# log-uniform from 1e-16 to 0.5 and p1 from 5e-324 to 1/2, case II led by
+# at least 0.31*v2 for 1 - s >= 1e-15, and by 2.6e-3*v2 one ulp below s = 1.
+# There, at p1 = 1/2, q* = sqrt(s) rounds to 1, where case I's point and so
+# its value are case II's: the tie takes case I, with case II's value.
 #: Relative margin below P_C: a guard against the closed form's own rounding,
 #: orders of magnitude above it, that leaves a gap of at least 2e-7*P_C.
 _PC_REL_MARGIN = 1e-6
 #: Absolute margin below P_C: where P_C is small the relative margin alone
-#: leaves a gap under _TIE_TOL; this one leaves at least 2e-11 by itself.
+#: leaves a gap under 1e-12; this one leaves at least 2e-11 by itself.
 #: Below s of about 1.25e-11 the threshold is negative and every lane is kept.
 _PC_ABS_MARGIN = 1e-10
 #: Margin above 3 - 2*sqrt(2), where P_C reaches 1/2: at p1 = 1/2 the gap is
 #: only about 0.59*(s - 3 + 2*sqrt(2)), a tie within 2e-12 of the threshold;
 #: 1e-9 above it the gap is about 5.9e-10.
 _S_MARGIN = 1e-9
-#: Case II's value below which q* is solved anyway: the tie rule is absolute,
-#: so as s nears 1 and v2 falls under _TIE_TOL, case I's v1 >= 0 ties it and
-#: wins.  Above this floor case II led by at least 0.31*v2 >= 3.1e-11 on
-#: about 88,000 lanes with 1 - s from 1e-16 to 0.5 and p1 from 5e-324 to 1/2.
-_V2_FLOOR = 1e-10
 
 _NEWTON_STEPS = 8
 #: Overlap below which q*'s root search also polishes the starts
@@ -134,8 +134,11 @@ def bob_success(scenario: Scenario, t: float, q1b: float) -> float:
 
 def _case_i_wins(v_int, v_boundary):
     """The tie rule of every two-case choice: the interior value wins when it is
-    larger or within 1e-12 of the boundary value.  Floats or arrays."""
-    return (v_int > v_boundary) | (abs(v_int - v_boundary) < _TIE_TOL)
+    larger, or when |v_int - v_boundary| <= 1e-12*max(v_int, v_boundary),
+    written here for v_int <= v_boundary.  The margin is relative, so a
+    boundary value far below 1e-12 (s near 1) still beats a smaller interior
+    value.  Floats or arrays."""
+    return (v_int > v_boundary) | (v_boundary - v_int <= _TIE_TOL * v_boundary)
 
 
 def _stage(p1, p2, r, sqrt, pick):
@@ -160,7 +163,8 @@ def _stage_optimum(p1: float, p2: float, r: float) -> tuple[float, float, CaseLa
 
     Returns (value, q1, case).  The interior stationary point q1 = sqrt(p2/p1)*r
     is used when it is feasible and not beaten by the boundary q1 = 1; ties
-    within 1e-12 resolve to case I.  At p1 = 0 only the boundary is optimal.
+    within a relative 1e-12 resolve to case I.  At p1 = 0 only the boundary
+    is optimal.
     """
     if p1 > 0.0:
         value, q1, case_i = _stage(p1, p2, r, math.sqrt, _pick)
@@ -456,14 +460,13 @@ def joint_optimal(scenario: Scenario, *, compute_boundary: bool = True) -> Piece
     return PiecewiseResult(value, label, argmax, boundary)
 
 
-def _case_i_may_win(s: np.ndarray, p1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """The lanes, for 0 < s < 1, where case I can win the joint choice against
-    case II's value v2: p1 at or above P_C and s below 3 - 2*sqrt(2), each up
-    to its margin, or v2 so small that the tie rule may take case I."""
+def _case_i_may_win(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """The lanes, for 0 < s < 1, where case I can win the joint choice: p1 at
+    or above P_C and s below 3 - 2*sqrt(2), each up to its margin."""
     with np.errstate(invalid="ignore"):  # sqrt of a negative above s = 0.2
         p_c = _crossing_prior(s, np.sqrt)
     above_p_c = p1 >= p_c * (1.0 - _PC_REL_MARGIN) - _PC_ABS_MARGIN
-    return (above_p_c & (s < SYMMETRY_BREAK_OVERLAP + _S_MARGIN)) | (v2 < _V2_FLOOR)
+    return above_p_c & (s < SYMMETRY_BREAK_OVERLAP + _S_MARGIN)
 
 
 def joint_optimal_values(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
@@ -480,7 +483,7 @@ def joint_optimal_values(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
         s, p1 = s[inner], p1[inner]
         p2 = 1.0 - p1
         v = p2 * ((1.0 - s) * (1.0 - s))
-        may_win = _case_i_may_win(s, p1, v)
+        may_win = _case_i_may_win(s, p1)
         if may_win.any():
             s, p1, p2 = s[may_win], p1[may_win], p2[may_win]
             v[may_win] = _joint_choice(p1, p2, s, _q_star_values(s, p1, p2), np.where)[0]

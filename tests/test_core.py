@@ -22,6 +22,8 @@ from seqdisc import (
 )
 from seqdisc import correlations, oracle
 from seqdisc.core import (
+    _scan_indices,
+    _scan_points,
     brent_root,
     brent_root_values,
     check_overlap_t,
@@ -344,6 +346,68 @@ class TestWindowScanMaxIntervals:
         for f, lo, hi, points, passes, result in scans:
             x, fx, _ = _check_window_scan(f, lo, hi, points, passes)
             assert (x, fx) == result
+
+
+def _linspace_windows():
+    """[lo, hi] windows on which a scan's points must be np.linspace's:
+    collapsed (lo == hi), 1e-12 wide, [r^2, 1] as r nears 0 and 1, and
+    windows a few subnormals wide, where linspace's step rounds to 0."""
+    rng = np.random.default_rng(26)
+    windows = [(lo, lo) for lo in (0.0, 5e-324, 1e-300, 0.3, 1.0, -2.5)]
+    windows += [(lo, lo + 1e-12) for lo in [0.0, 1.0 - 1e-12] + rng.uniform(-2.0, 2.0, 20).tolist()]
+    r = [10.0**-k for k in (1, 4, 8, 12, 100, 160, 162, 170)]
+    r += [1.0 - 10.0**-k for k in range(1, 17)] + [math.nextafter(1.0, 0.0)]
+    windows += [(x * x, 1.0) for x in r]
+    windows += [(0.0, 5e-324 * k) for k in (1, 7, 2000, 4001)] + [(1e-310, 1e-310 + 1e-320)]
+    return windows
+
+
+def _assert_linspace_points(xs):
+    """xs are np.linspace's points between their ends, bit for bit."""
+    want = np.linspace(xs[0], xs[-1], len(xs))
+    assert xs.dtype == want.dtype and xs.tobytes() == want.tobytes(), (xs[0], xs[-1], len(xs))
+
+
+class TestScanPoints:
+    @pytest.mark.parametrize("lo,hi", _linspace_windows())
+    @pytest.mark.parametrize("points", [2, 3, 11, 33, 181, 2001])
+    def test_linspace_points_on_edge_windows(self, lo, hi, points):
+        xs = _scan_points(lo, hi, points)
+        assert (xs[0], xs[-1]) == (lo, hi)
+        _assert_linspace_points(xs)
+
+    def test_cached_indices_are_read_only(self):
+        assert _scan_indices(2001) is _scan_indices(2001)
+        with pytest.raises(ValueError):
+            _scan_indices(2001)[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "s,p1",
+        [(s, p1) for s in (1e-10, 2.54e-10, 1e-6, 0.04, 0.5, 1.0 - 1e-9) for p1 in (1e-12, 0.3, 0.5)]
+        + [tuple(x) for x in np.random.default_rng(27).uniform([0.002, 0.01], [0.98, 0.5], (12, 2)).tolist()],
+    )
+    def test_linspace_points_on_every_oracle_window(self, monkeypatch, s, p1):
+        # every scan, first and refinement, of the cloning, stage and
+        # left-discord oracles
+        scans = []
+
+        def recording(f, lo, hi, points, passes):
+            return window_scan_max(lambda xs: scans.append(xs) or f(xs), lo, hi, points, passes)
+
+        monkeypatch.setattr(oracle, "window_scan_max", recording)
+        monkeypatch.setattr(correlations, "window_scan_max", recording)
+        sc = Scenario(s, p1)
+        oracle.grid_maximize_cloning(sc)
+        oracle.grid_maximize_protocol2(sc)
+        for t in (math.sqrt(s), 0.5 * (1.0 + s), 1.0):
+            oracle.grid_maximize_bob(sc, t)
+            oracle.grid_maximize_charlie(sc, t)
+        correlations.left_discord_measurement_oracle(
+            correlations.CorrelationInput(p1, 0.5 * (1.0 + s), s / (0.5 * (1.0 + s)))
+        )
+        assert len(scans) >= 3 * 7 + 4
+        for xs in scans:
+            _assert_linspace_points(xs)
 
 
 class TestCheckOverlapT:

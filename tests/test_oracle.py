@@ -197,6 +197,125 @@ class TestCloningOracle:
         np.testing.assert_array_equal(np.cos(th2s[valid]) ** 2, g2s[valid])
 
 
+def _two_branch_cloning_objective(g1, s, p1, p2):
+    """The reference for ``_cloning_objective_values``: both constraint
+    branches evaluated on every point, the better one picked (psi + delta on
+    a tie of values), each branch's invalid points filled first."""
+    p1_g1 = p1 * g1
+    a = np.sqrt(g1)
+    a *= s * s
+    b = np.subtract(1.0, g1)
+    np.sqrt(b, out=b)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        delta = np.hypot(a, b)
+        np.divide(s, delta, out=delta)
+        np.arccos(delta, out=delta)
+        psi = np.arctan2(b, a, out=a)
+        branches = []
+        for th2 in (psi + delta, psi - delta):
+            valid = th2 >= -1e-12
+            valid &= th2 <= 0.5 * math.pi + 1e-12  # False where th2 is NaN
+            invalid = ~valid
+            np.clip(th2, 0.0, 0.5 * math.pi, out=th2)
+            g2 = np.cos(th2)
+            g2 *= g2
+            value = np.multiply(g2, p2)
+            value += p1_g1
+            for out, fill in ((g2, np.nan), (th2, np.nan), (value, -np.inf)):
+                np.copyto(out, fill, where=invalid)
+            branches.append((value, g2, th2))
+    (va, g2a, tha), (vb, g2b, thb) = branches
+    pick_a = va >= vb
+    for out, a_in in ((vb, va), (g2b, g2a), (thb, tha)):
+        np.copyto(out, a_in, where=pick_a)
+    return vb, g2b, thb
+
+
+def _branch_angles(g1, s):
+    """psi - delta and psi + delta of ``_cloning_objective_values``."""
+    a, b = s * s * np.sqrt(g1), np.sqrt(1.0 - g1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        delta = np.arccos(s / np.hypot(a, b))
+    psi = np.arctan2(b, a)
+    return psi - delta, psi + delta
+
+
+def _in_quadrant(th):
+    return (th >= -1e-12) & (th <= 0.5 * math.pi + 1e-12)
+
+
+def _assert_one_branch_matches_two(g1, s, p1):
+    got = _cloning_objective_values(g1, s, p1, 1.0 - p1)
+    want = _two_branch_cloning_objective(g1, s, p1, 1.0 - p1)
+    for name, x, y in zip(("value", "gamma2", "th2"), got, want):
+        assert x.tobytes() == y.tobytes(), (name, s, p1, np.flatnonzero(x.view(np.int64) != y.view(np.int64))[:5])
+
+
+_ONE_BRANCH_S = (1e-10, 2.54e-10, 1e-6, 0.5, 1.0 - 1e-9)
+_ONE_BRANCH_P1 = (1e-12, 1e-6, 0.05, 0.3, 0.5)
+
+
+class TestOneBranchCloningObjective:
+    """The cloning objective evaluates one constraint branch per point and
+    equals the two-branch reference, all three arrays, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "s,p1",
+        [(s, p1) for s in _ONE_BRANCH_S for p1 in _ONE_BRANCH_P1]
+        + [tuple(x) for x in np.random.default_rng(26).uniform([0.002, 1e-3], [0.98, 0.5], (20, 2)).tolist()],
+    )
+    def test_on_every_scan_of_the_oracle(self, monkeypatch, s, p1):
+        # the first scan and both refinement windows
+        scans = []
+        objective = oracle_module._cloning_objective_values
+
+        def recording(g1, *args):
+            scans.append(g1.copy())
+            return objective(g1, *args)
+
+        monkeypatch.setattr(oracle_module, "_cloning_objective_values", recording)
+        grid_maximize_cloning(Scenario(s, p1))
+        assert len(scans) == 1 + _REFINEMENT_PASSES + 1  # and the argmax's own evaluation
+        for g1 in scans:
+            _assert_one_branch_matches_two(g1, s, p1)
+
+    @pytest.mark.parametrize("s", (1e-10, 1e-6, 0.04, 0.36, 0.6, 0.98, 1.0 - 1e-9))
+    def test_where_one_branch_or_neither_is_valid(self, s):
+        # psi - delta alone is valid on much of [0, 1], neither branch past
+        # the tangent point g1 = 1/(1 + s^2); psi + delta is never valid
+        # where psi - delta is not, so the objective never evaluates it
+        g1 = np.linspace(0.0, 1.0, 200001)
+        minus, plus = _branch_angles(g1, s)
+        assert (_in_quadrant(minus) & ~_in_quadrant(plus)).any()
+        assert (~_in_quadrant(minus) & ~_in_quadrant(plus)).any()
+        assert not (_in_quadrant(plus) & ~_in_quadrant(minus)).any()
+        for p1 in _ONE_BRANCH_P1:
+            _assert_one_branch_matches_two(g1, s, p1)
+
+    @pytest.mark.parametrize("s", _ONE_BRANCH_S + (0.04, 0.36, 0.98))
+    def test_where_the_branch_angles_meet(self, s):
+        # s / hypot(A, B) -> 1 at g1 = 1/(1 + s^2), 2000 ulps either side
+        # and at relative offsets down to 1e-15: delta -> 0, so the two
+        # angles are equal or one smallest arccos step apart (about 3e-8),
+        # where the argument that the smaller angle is never worse rests on
+        # cos^2 alone
+        tangent = 1.0 / (1.0 + s * s)
+        near = [tangent]
+        for direction in (-math.inf, math.inf):
+            x = tangent
+            for _ in range(2000):
+                x = math.nextafter(x, direction)
+                near.append(x)
+        offsets = np.geomspace(1e-15, 1e-3, 200)
+        g1 = np.clip(np.concatenate([near, tangent * (1.0 - offsets), tangent * (1.0 + offsets)]), 0.0, 1.0)
+        minus, plus = _branch_angles(g1, s)
+        both = _in_quadrant(minus) & _in_quadrant(plus)
+        if s >= 0.36:  # below, the tangent's neighbours have one valid branch
+            assert (plus - minus)[both].min() < 1e-7
+        for p1 in _ONE_BRANCH_P1:
+            _assert_one_branch_matches_two(g1, s, p1)
+
+
 _WINDOW_SCAN_SCENARIOS = [(1e-6, 0.4), (0.04, 0.05), (0.1716, 0.2), (0.36, 0.5), (0.6, 0.3), (0.98, 0.02)]
 
 

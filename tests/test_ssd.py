@@ -278,6 +278,16 @@ class TestJointOptimal:
                     assert joint_success(sc, t, q1b, q1c) <= best + 1e-9
         assert count >= 10_000
 
+    @pytest.mark.parametrize("k", range(6, 16))
+    @pytest.mark.parametrize("p1", [1e-6, 0.05, 0.3, 0.5])
+    def test_no_worse_than_case_ii_near_s_one(self, k, p1):
+        # case II's strategy is feasible everywhere, so the optimum is at
+        # least its value p2*(1-s)^2, up to the relative tie rule, even
+        # where that value is far below 1e-12
+        s = 1.0 - 10.0**-k
+        v2 = (1.0 - p1) * (1.0 - s) ** 2
+        assert joint_optimal(Scenario(s, p1)).value >= v2 * (1.0 - 1e-12)
+
 
 class TestCriticalPrior:
     def test_half_at_symmetry_breaking_overlap(self):

@@ -124,8 +124,8 @@ def _skip_rule_edge_lanes():
     p1 at P_C(s)*(1 +- 10^-k) and at the rule's absolute margin +- 1e-12 for
     seeded s in [1e-12, 0.2), s a few ulps from 3 - 2*sqrt(2) and from
     3 - 2*sqrt(2) + 1e-9 at p1 near 1/2, priors down to 5e-324, and s near 1,
-    where case II's value p2*(1-s)^2 crosses the rule's floor and falls under
-    the tie tolerance."""
+    where case II's value p2*(1-s)^2 crosses 1e-10 and falls far under 1e-12,
+    so that only a relative tie rule leaves it ahead."""
     rng = np.random.default_rng(24)
     s_small = np.exp(rng.uniform(math.log(1e-12), math.log(0.2), 40)).tolist()
     lanes = []
@@ -144,34 +144,60 @@ def _skip_rule_edge_lanes():
         lanes += [(s, p1) for p1 in (5e-324, 1e-310, 1e-300, 1e-20, 5.4e-10)]
     for p1 in (0.5, 0.3, 1e-3, 5e-324):
         lanes += [(1.0 - 10.0**-k, p1) for k in range(3, 17)]
-        floor = ssd._V2_FLOOR / (1.0 - p1)
-        lanes += [(1.0 - math.sqrt(floor * (1.0 + e)), p1) for e in (-1e-3, -1e-12, 0.0, 1e-12, 1e-3)]
+        v2 = 1e-10 / (1.0 - p1)
+        lanes += [(1.0 - math.sqrt(v2 * (1.0 + e)), p1) for e in (-1e-3, -1e-12, 0.0, 1e-12, 1e-3)]
     s, p1 = np.array([lane for lane in lanes if 0.0 < lane[1] <= 0.5]).T
     return s, p1
 
 
-def _case_i_may_win(s, p1):
-    return ssd._case_i_may_win(s, p1, (1.0 - p1) * ((1.0 - s) * (1.0 - s)))
-
-
 def test_joint_kernel_matches_scalar_at_the_skip_rule_edges():
     s, p1 = _skip_rule_edge_lanes()
-    may_win = _case_i_may_win(s, p1)
+    may_win = ssd._case_i_may_win(s, p1)
     assert may_win.any() and not may_win.all()
+    assert not may_win[s > 0.9].any()  # s near 1 is skipped: case II wins there
     _assert_column_matches("ssd", s, p1, np.full_like(s, np.nan))
+
+
+def _relative_case_ii_lead(s, p1):
+    """(v2 - v1)/v2 of the joint choice on the lanes: case II's value v2
+    against case I's v1 at q*."""
+    p2 = 1.0 - p1
+    v1 = ssd._joint_case1_objective(p1, p2, s, ssd._q_star_values(s, p1, p2))
+    v2 = p2 * ((1.0 - s) * (1.0 - s))
+    return (v2 - v1) / v2
 
 
 def test_skipped_lanes_leave_case_ii_ahead_beyond_the_tie_rule():
     # the skip rule rests on case II beating case I by far more than the
-    # 1e-12 tie tolerance on every lane it skips
+    # relative 1e-12 tie tolerance on every lane it skips (v2 <= 1, so this
+    # is also an absolute lead of 1e-11 on the small-s lanes), or on an exact
+    # tie: one ulp below s = 1 at p1 = 1/2, q* = sqrt(s) rounds to 1, where
+    # case I's point is case II's and the values are equal
     s, p1 = _skip_rule_edge_lanes()
-    skip = ~_case_i_may_win(s, p1)
+    skip = ~ssd._case_i_may_win(s, p1)
     s, p1 = s[skip], p1[skip]
-    p2 = 1.0 - p1
-    v1 = ssd._joint_case1_objective(p1, p2, s, ssd._q_star_values(s, p1, p2))
-    v2 = p2 * ((1.0 - s) * (1.0 - s))
-    gap = v2 - v1
-    assert s.size > 100 and gap.min() >= 1e-11, (s[np.argmin(gap)], p1[np.argmin(gap)])
+    lead = _relative_case_ii_lead(s, p1)
+    tie = lead == 0.0
+    assert s.size > 100 and lead[~tie].min() >= 1e-11, (s[np.argmin(lead)], p1[np.argmin(lead)])
+    assert not ssd._case_i_wins(1.0 - lead[~tie], 1.0).any()
+    s, p1 = s[tie], p1[tie]
+    assert s.tolist() == [math.nextafter(1.0, 0.0)] and p1.tolist() == [0.5]
+    assert ssd._q_star_values(s, p1, 1.0 - p1).tolist() == [1.0]
+
+
+def test_skip_rule_agrees_with_the_scalar_choice_near_s_one():
+    # seeded lanes with 1 - s log-uniform in [1e-15, 1e-6], where case II's
+    # value is below 1e-12: the kernel skips them all, and the scalar choice
+    # takes case II there too, with the same value
+    rng = np.random.default_rng(26)
+    s = 1.0 - np.exp(rng.uniform(math.log(1e-15), math.log(1e-6), 300))
+    p1 = np.concatenate([rng.uniform(0.0, 0.5, 150), np.exp(rng.uniform(math.log(1e-300), math.log(0.5), 150))])
+    p1 = np.maximum(p1, 5e-324)
+    assert not ssd._case_i_may_win(s, p1).any()
+    assert _relative_case_ii_lead(s, p1).min() >= 0.3
+    labels = {joint_optimal(Scenario(*lane)).case_label for lane in zip(s.tolist(), p1.tolist())}
+    assert labels == {CaseLabel.CASE_II}
+    _assert_column_matches("ssd", s, p1, np.full_like(s, np.nan))
 
 
 def _preset_ssd_lanes(name):
