@@ -189,7 +189,9 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call; parsing leaves it unchanged."""
     parser = _Parser(
         prog="seqdisc",
         description="Sequential unambiguous discrimination of two nonorthogonal qubit states",
@@ -237,12 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--tolerance", type=float, default=1e-6)
     p_ver.set_defaults(fn=cmd_verify)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call; parsing leaves it unchanged."""
-    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -29,10 +29,6 @@ class ConstraintError(ValueError):
     """Strategy parameters violate a feasibility constraint."""
 
 
-class DegenerateStrategyError(ConstraintError):
-    """A strategy conditions on an event of probability zero."""
-
-
 class NumericError(RuntimeError):
     """A numerical procedure failed to meet its accuracy contract."""
 

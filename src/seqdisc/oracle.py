@@ -11,7 +11,8 @@ one grid step either side of the best point (``core.window_scan_max``), and
 every one-stage maximum (a cloned copy's too) is ``_grid_max_stage``'s; the
 (t, q1b, q1c) scans take ``_JOINT_POINTS`` per axis, refined by
 ``_REFINEMENT_PASSES`` scans of ``_REFINE_POINTS`` per axis. Every
-refinement calls the same array objective as its first scan.
+refinement calls the same array objective as its first scan, and every
+scan's points come from ``core._scan_points``.
 Each t-slice's exact maximum over (q1b, q1c) takes each Bob row at the two
 q1c grid points that bracket Charlie's stationary point. The first scan
 takes the slices in chunks of ``_REFINE_POINTS``, and the joint oracle skips
@@ -39,7 +40,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DomainError, NumericError, Scenario, check_overlap_t, window_scan_max
+from .core import (
+    DomainError,
+    NumericError,
+    Scenario,
+    _scan_points,
+    check_overlap_t,
+    window_scan_max,
+)
 from .protocols import _cloned_optimum, at_least_one_ssd, protocol1_optimal, protocol2_optimal
 from .ssd import bob_optimal, charlie_optimal, joint_optimal
 
@@ -256,12 +264,8 @@ def _max_3d(
                 best = found[k]
         return best
 
-    def window(x0: float, step: float, lo: float = 0.0) -> np.ndarray:
-        """``_REFINE_POINTS`` points within 1.5 steps of x0, cut to [lo, 1]."""
-        return np.linspace(max(lo, x0 - 1.5 * step), min(1.0, x0 + 1.5 * step), _REFINE_POINTS)
-
-    unit = np.linspace(0.0, 1.0, _JOINT_POINTS)
-    best = evaluate(np.linspace(t_lo_global, 1.0, _JOINT_POINTS), unit, unit)
+    unit = _scan_points(0.0, 1.0, _JOINT_POINTS)
+    best = evaluate(_scan_points(t_lo_global, 1.0, _JOINT_POINTS), unit, unit)
 
     t_step, u_step = (1.0 - t_lo_global) / (_JOINT_POINTS - 1), 1.0 / (_JOINT_POINTS - 1)
     for _ in range(_REFINEMENT_PASSES):
@@ -269,7 +273,14 @@ def _max_3d(
         lob = (s / t0) ** 2 if t0 > 0 else 0.0
         u0 = _to_unit(lob, best[2]) if lob < 1.0 else 0.0
         v0 = _to_unit(t0 * t0, best[3]) if t0 < 1.0 else 0.0
-        cand = evaluate(window(t0, t_step, t_lo_global), window(u0, u_step), window(v0, u_step))
+        # each axis's window: points within 1.5 steps of its best, cut to [lo, 1]
+        windows = ((t0, t_step, t_lo_global), (u0, u_step, 0.0), (v0, u_step, 0.0))
+        cand = evaluate(
+            *(
+                _scan_points(max(lo, x0 - 1.5 * step), min(1.0, x0 + 1.5 * step), _REFINE_POINTS)
+                for x0, step, lo in windows
+            )
+        )
         if cand[0] > best[0]:
             best = cand
         t_step, u_step = t_step * (3.0 / _REFINE_POINTS), u_step * (3.0 / _REFINE_POINTS)

@@ -38,11 +38,9 @@ import numpy as np
 
 from .core import (
     BOUNDARY_TOL,
-    DegenerateStrategyError,
     DomainError,
     NumericError,
     Scenario,
-    StrategyParams,
     _pick,
     brent_root,
     brent_root_values,
@@ -55,21 +53,6 @@ from .ssd import (
     _stage_optimum_values,
     _stage_result,
 )
-
-
-@dataclass(frozen=True)
-class ConditionalPriors:
-    """Priors conditioned on Bob's success."""
-
-    p1_prime: float
-    p2_prime: float
-
-    def __post_init__(self) -> None:
-        for name, p in (("p1_prime", self.p1_prime), ("p2_prime", self.p2_prime)):
-            if not -BOUNDARY_TOL <= p <= 1.0 + BOUNDARY_TOL:
-                raise DomainError(f"{name}={p} outside [0, 1]")
-        if abs(self.p1_prime + self.p2_prime - 1.0) > BOUNDARY_TOL:
-            raise DomainError("conditional priors must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -104,21 +87,6 @@ def protocol1_optimal(scenario: Scenario) -> PiecewiseResult:
 def protocol1_optimal_values(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
     """``protocol1_optimal(Scenario(s, p1)).value`` in every lane of valid scenarios."""
     return _probabilities(_stage_optimum_values(p1, 1.0 - p1, s))
-
-
-def conditional_priors_after_bob(scenario: Scenario, q1b: float) -> ConditionalPriors:
-    """Priors of the two states conditioned on Bob's success at t = 1.
-
-    p_i' = p_i (1 - q_i) / [p1 (1 - q1) + p2 (1 - q2)] with q2 = s^2 / q1.
-    """
-    params = StrategyParams.from_q1(q1b, scenario.s)
-    b1 = scenario.p1 * (1.0 - params.q1)
-    b2 = scenario.p2 * (1.0 - params.q2)
-    if b1 + b2 <= 0.0:
-        raise DegenerateStrategyError(
-            "Bob never succeeds (q1 = q2 = 1); conditional priors undefined"
-        )
-    return ConditionalPriors(b1 / (b1 + b2), b2 / (b1 + b2))
 
 
 def protocol2_critical_priors(s: float) -> tuple[float, float]:
@@ -296,8 +264,13 @@ def clone_optimal_for_prior(scenario: Scenario) -> CloneParams:
     root becomes a ``CloneParams``.  The cloning optima call this once per
     scenario for both of their values (``_cloned_optimum``).
 
-    Below s of about 1e-216 the working point's denominators underflow to 0
-    near u = 0 (s is documented down to 1e-12); that is a NumericError.
+    Far below the documented s >= 1e-12 the search fails with a
+    NumericError. For p1 < 1/2 the root in u lies near 1e-58 to 1e-80 there,
+    more halvings than Brent's 200 steps take, so the search does not
+    converge: below s of about 1e-115 at p1 = 0.1, 1e-153 at p1 = 0.3 and
+    1e-211 at p1 = 0.4999, where it ends off the prior instead. At p1 = 1/2
+    the working point's denominators underflow to 0 near u = 0 below s of
+    about 1e-216.
     """
     s, target = scenario.s, scenario.p1
     omega_range(s)  # raises DomainError unless 0 < s < 1
@@ -320,8 +293,11 @@ def clone_optimal_for_prior(scenario: Scenario) -> CloneParams:
 def _clone_optimal_values(s: np.ndarray, p1: np.ndarray) -> CloneParams:
     """``clone_optimal_for_prior`` in every lane at once, for 0 < s < 1: one
     Brent search in u over all priors in lockstep, which ends on the scalar
-    search's u in every lane.  A lane whose working point underflows to 0/0
-    (s below about 1e-216) reads NaN and fails the prior check.
+    search's u in every lane.  Where the scalar search fails (see
+    ``clone_optimal_for_prior``) this raises a NumericError too: for p1 < 1/2
+    the lockstep search does not converge, and at p1 = 1/2 the lane's working
+    point underflows to 0/0 (s below about 1e-216), reads NaN and fails the
+    prior check.
     """
 
     def excess(u: np.ndarray) -> np.ndarray:

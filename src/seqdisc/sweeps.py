@@ -26,6 +26,11 @@ from .protocols import (
 from .ssd import bob_optimal_values, charlie_optimal_values, joint_optimal_values
 
 
+#: The most points of a sweep: linspace counts its points in float64, whose
+#: integers are exact only up to 2^53; longer grids would not be even.
+_MAX_STEPS = 2**53
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One swept variable against named scalar quantities.
@@ -46,13 +51,18 @@ class SweepSpec:
             raise DomainError(f"sweep variable {self.variable!r} not one of P1, s, t")
         if not self.steps >= 2:  # NaN fails too
             raise DomainError(f"steps={self.steps} must be at least 2")
+        if self.steps > _MAX_STEPS:
+            raise DomainError(f"steps={self.steps} is above the most a grid can count, 2^53")
         if not self.start < self.stop:
             raise DomainError(f"empty sweep range [{self.start}, {self.stop}]")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise DomainError(f"sweep range [{self.start}, {self.stop}] is not finite")
 
     def grid(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.steps)
+        try:
+            return np.linspace(self.start, self.stop, self.steps)
+        except MemoryError:
+            raise DomainError(f"steps={self.steps} is too many grid points to allocate") from None
 
 
 #: Quantity name -> (its column kernel, whether it reads t).  A kernel takes

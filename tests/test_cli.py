@@ -391,8 +391,21 @@ def test_negative_exponent_values_reach_the_range_checks(argv, message, capsys):
         (["--variable", "P1", "--start", "0.1", "--stop", "0.5", "--s", "0.04",
           "--quantities", "nope"], "unknown quantities"),
         (["--figure", "4", "--variable", "s", "--steps", "5"], "--figure takes no --variable, --steps"),
+        # a 7.1 PiB grid, beyond any address space: its allocation fails
+        # before it touches memory
+        (["--variable", "P1", "--start", "0.01", "--stop", "0.5", "--steps", str(10**15),
+          "--s", "0.3", "--quantities", "ssd"], "too many grid points to allocate"),
+        # beyond 2^53 points linspace's float64 count is not exact; beyond
+        # 2^63 numpy would return an empty grid
+        (["--variable", "P1", "--start", "0.01", "--stop", "0.5", "--steps", str(2**53 + 1),
+          "--s", "0.3", "--quantities", "ssd"], "above the most a grid can count"),
+        (["--variable", "P1", "--start", "0.01", "--stop", "0.5", "--steps", str(2**63),
+          "--s", "0.3", "--quantities", "ssd"], "above the most a grid can count"),
     ],
-    ids=["no_sweep", "no_start", "empty_range", "infinite_stop", "unknown_quantity", "figure_and_variable"],
+    ids=[
+        "no_sweep", "no_start", "empty_range", "infinite_stop", "unknown_quantity",
+        "figure_and_variable", "steps_beyond_memory", "steps_beyond_exact_count", "steps_beyond_int64",
+    ],
 )
 def test_invalid_sweep_exits_2_and_writes_no_file(extra, message, tmp_path, capsys):
     out = tmp_path / "sweep.csv"

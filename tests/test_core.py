@@ -368,6 +368,12 @@ def _assert_linspace_points(xs):
     assert xs.dtype == want.dtype and xs.tobytes() == want.tobytes(), (xs[0], xs[-1], len(xs))
 
 
+#: The scenarios on whose oracle scans every point must be np.linspace's.
+_ORACLE_SCENARIOS = [
+    (s, p1) for s in (1e-10, 2.54e-10, 1e-6, 0.04, 0.5, 1.0 - 1e-9) for p1 in (1e-12, 0.3, 0.5)
+] + [tuple(x) for x in np.random.default_rng(27).uniform([0.002, 0.01], [0.98, 0.5], (12, 2)).tolist()]
+
+
 class TestScanPoints:
     @pytest.mark.parametrize("lo,hi", _linspace_windows())
     @pytest.mark.parametrize("points", [2, 3, 11, 33, 181, 2001])
@@ -381,11 +387,7 @@ class TestScanPoints:
         with pytest.raises(ValueError):
             _scan_indices(2001)[0] = 1.0
 
-    @pytest.mark.parametrize(
-        "s,p1",
-        [(s, p1) for s in (1e-10, 2.54e-10, 1e-6, 0.04, 0.5, 1.0 - 1e-9) for p1 in (1e-12, 0.3, 0.5)]
-        + [tuple(x) for x in np.random.default_rng(27).uniform([0.002, 0.01], [0.98, 0.5], (12, 2)).tolist()],
-    )
+    @pytest.mark.parametrize("s,p1", _ORACLE_SCENARIOS)
     def test_linspace_points_on_every_oracle_window(self, monkeypatch, s, p1):
         # every scan, first and refinement, of the cloning, stage and
         # left-discord oracles
@@ -408,6 +410,26 @@ class TestScanPoints:
         assert len(scans) >= 3 * 7 + 4
         for xs in scans:
             _assert_linspace_points(xs)
+
+    @pytest.mark.parametrize("s,p1", _ORACLE_SCENARIOS)
+    def test_linspace_points_on_every_joint_and_union_axis(self, monkeypatch, s, p1):
+        # the (t, q1b, q1c) oracles' axes: t's and the unit axis of the first
+        # scan, then each refinement's three windows
+        axes = []
+
+        def recording(lo, hi, points):
+            xs = _scan_points(lo, hi, points)
+            axes.append(xs.copy())
+            return xs
+
+        monkeypatch.setattr(oracle, "_scan_points", recording)
+        sc = Scenario(s, p1)
+        for grid_maximize in (oracle.grid_maximize_joint, oracle.grid_maximize_union_ssd):
+            axes.clear()
+            grid_maximize(sc)
+            assert [len(xs) for xs in axes] == [301, 301] + [33] * 6
+            for xs in axes:
+                _assert_linspace_points(xs)
 
 
 class TestCheckOverlapT:
@@ -452,8 +474,9 @@ def test_import_pulls_in_no_mpmath():
 
 
 def test_tracer_names_resolve():
-    # perfbench's tracer wraps these functions by name; a rename would make
-    # its traced runs fail
+    # the benchmark relies on these names: perfbench's tracer wraps its
+    # functions by name (a rename would make its traced runs fail), and its
+    # self-tests pass joint_optimal's compute_boundary keyword
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
@@ -461,3 +484,8 @@ def test_tracer_names_resolve():
     for qual in tracer.SPANNED + tracer.COUNTED:
         module, name = qual.split(".")
         assert callable(getattr(importlib.import_module(f"seqdisc.{module}"), name, None)), qual
+    package = importlib.import_module("seqdisc")
+    for name in package.__all__:
+        assert hasattr(package, name), name
+    sc = Scenario(0.04, 0.3)
+    assert package.joint_optimal(sc, compute_boundary=False).value == package.joint_optimal(sc).value

@@ -6,8 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from seqdisc import (
     CaseLabel,
-    ConditionalPriors,
-    DegenerateStrategyError,
     DomainError,
     NumericError,
     SYMMETRY_BREAK_OVERLAP,
@@ -17,7 +15,6 @@ from seqdisc import (
     bob_optimal,
     clone_optimal_for_prior,
     clone_params_of_omega,
-    conditional_priors_after_bob,
     critical_prior_PC,
     grid_maximize_cloning,
     joint_optimal,
@@ -79,33 +76,6 @@ class TestProtocol1:
             assert res.argmax[name] == pytest.approx(1e-170 / math.sqrt(p1), rel=1e-15)
 
 
-class TestConditionalPriors:
-    def test_symmetric_at_equal_priors(self):
-        cp = conditional_priors_after_bob(Scenario(0.04, 0.5), 0.04)
-        assert cp.p1_prime == pytest.approx(0.5, abs=1e-12)
-
-    def test_ignored_state_never_arrives(self):
-        cp = conditional_priors_after_bob(Scenario(0.1, 0.3), 1.0)
-        assert cp.p1_prime == 0.0
-        assert cp.p2_prime == 1.0
-
-    def test_matches_closed_form(self):
-        s, p1 = 0.1, 0.3
-        q1b = math.sqrt(0.7 / 0.3) * s
-        cp = conditional_priors_after_bob(Scenario(s, p1), q1b)
-        u = math.sqrt(p1 * (1 - p1)) * s
-        assert cp.p1_prime == pytest.approx((p1 - u) / (1 - 2 * u), abs=1e-12)
-        assert cp.p1_prime == pytest.approx(0.2798201867892059, abs=1e-12)
-
-    def test_degenerate_strategy_rejected(self):
-        with pytest.raises(DegenerateStrategyError):
-            conditional_priors_after_bob(Scenario(1.0, 0.5), 1.0)
-
-    def test_priors_must_sum_to_one(self):
-        with pytest.raises(DomainError, match="sum to 1"):
-            ConditionalPriors(0.7, 0.7)
-
-
 @pytest.mark.parametrize(
     "call",
     [lambda: protocol2_critical_priors(1.5), lambda: omega_range(0.0)],
@@ -121,6 +91,16 @@ class TestProtocol2:
         res = protocol2_optimal(Scenario(0.04, 0.5))
         assert res.value == pytest.approx(0.9216, abs=1e-12)
         assert res.case_label is CaseLabel.CASE_I
+
+    def test_conditioned_prior_matches_its_definition(self):
+        # Charlie's prior p1(1 - q1)/(p1(1 - q1) + p2(1 - q2)) at Bob's
+        # optimal q1b = sqrt(p2/p1)*s, against the closed form's p1c
+        s, p1, p2 = 0.1, 0.3, 0.7
+        q1b = math.sqrt(p2 / p1) * s
+        b1, b2 = p1 * (1.0 - q1b), p2 * (1.0 - s * s / q1b)
+        p1c = _protocol2_case1(s, p1)[1]
+        assert p1c == pytest.approx(b1 / (b1 + b2), abs=1e-12)
+        assert p1c == pytest.approx(0.2798201867892059, abs=1e-12)
 
     def test_critical_priors_ordered(self):
         for s in np.linspace(0.01, 0.99, 99):
