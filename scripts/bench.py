@@ -93,14 +93,14 @@ def _each(fn, inputs, loops=1):
     return op
 
 
-def _ssd_columns(sweeps) -> list:
-    """The (s, p1) arrays of each ``ssd`` column of the figure presets."""
+def _ssd_columns() -> list:
+    """The (s, p1) arrays of each ``ssd`` column of this tree's figure
+    presets; a parent's ops take the same arrays."""
     columns = []
-    for variable, grid, preset_columns in sweeps.FIGURE_PRESETS.values():
+    for variable, grid, preset_columns in seqdisc.sweeps.FIGURE_PRESETS.values():
         for _, quantity, fixed in preset_columns:
             if quantity == "ssd":
-                at = {k: np.full(grid.shape, float(v)) for k, v in fixed.items()}
-                at[sweeps._FIELD_OF_VARIABLE[variable]] = grid
+                at = seqdisc.sweeps._grid_scenarios(variable, grid, fixed)
                 columns.append((at["s"], at["p1"]))
     return columns
 
@@ -171,7 +171,7 @@ def make_ops(package) -> dict:
     for name in names:
         ops[f"figure_{name}"] = (_each(figure, [name], SWEEP_LOOPS), SWEEP_LOOPS)
     ops["figure_set"] = (_each(figure, names, SWEEP_LOOPS), SWEEP_LOOPS)
-    ops["joint_optimal_values"] = (_each(kernel, _ssd_columns(sweeps), SWEEP_LOOPS), SWEEP_LOOPS)
+    ops["joint_optimal_values"] = (_each(kernel, _ssd_columns(), SWEEP_LOOPS), SWEEP_LOOPS)
     return ops
 
 
@@ -196,7 +196,7 @@ def check_same_output(change, parent) -> None:
     for name in change.sweeps.FIGURE_PRESETS:
         if _csv(change.sweeps, name) != _csv(parent.sweeps, name):
             raise RuntimeError(f"figure {name}: the CSVs of the two trees differ")
-    for s, p1 in _ssd_columns(change.sweeps):
+    for s, p1 in _ssd_columns():
         a, b = change.ssd.joint_optimal_values(s, p1), parent.ssd.joint_optimal_values(s, p1)
         if not np.array_equal(a, b, equal_nan=True):
             raise RuntimeError("joint_optimal_values: the columns of the two trees differ")
@@ -279,7 +279,7 @@ def main() -> int:
     record = {
         # every upper-case constant of this module is an input of the ops
         **{name.lower(): value for name, value in globals().items() if name.isupper()},
-        "ssd_column_lanes": sum(s.size for s, _ in _ssd_columns(seqdisc.sweeps)),
+        "ssd_column_lanes": sum(s.size for s, _ in _ssd_columns()),
         "numpy": np.__version__,
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),

@@ -13,19 +13,8 @@ every one-stage maximum (a cloned copy's too) is ``_grid_max_stage``'s; the
 ``_REFINEMENT_PASSES`` scans of ``_REFINE_POINTS`` per axis. Every
 refinement calls the same array objective as its first scan, and every
 scan's points come from ``core._scan_points``.
-Each t-slice's exact maximum over (q1b, q1c) takes each Bob row at the two
-q1c grid points that bracket Charlie's stationary point. The first scan
-takes the slices in chunks of ``_REFINE_POINTS``, and the joint oracle skips
-a chunk that cannot hold the maximum: Bob's factors rise with t and
-Charlie's fall, so a row with Bob at a chunk's last t and Charlie at its
-first bounds every slice of the chunk. A chunk is skipped only when its
-bound plus ``_BOUND_SLACK`` is below the best value found, and the chunks
-evaluated are reduced in t order, so every result is the one a scan of all
-slices gives, down to the first highest slice. The union oracle scans every
-chunk with no bound pass: its slices all reach the same maximum, so no
-bound could skip one. Each (t, q1b, q1c) oracle call writes all its kernel
-passes into one preallocated workspace, so repeated calls fault no memory
-back in.
+``_max_3d`` gives the (t, q1b, q1c) scan's reasoning: Charlie's
+stationary-point bracket, the chunk bounds, the tie rule and the workspace.
 ``certify`` compares each closed form with its oracle and flags a gap above
 its ``tolerance``. It runs scenario by scenario, and each certifier it needs
 runs once per scenario for all the quantities it covers: the two cloning
@@ -164,14 +153,13 @@ def _max_3d(
     (u, v); it is still concave in q1c about t_C*sqrt(a2/a1), so the same
     bracket gives its maximum. All chunks' bound rows take one kernel pass;
     the chunks are then evaluated in order of falling bound until a bound
-    plus ``_BOUND_SLACK`` falls below the best value found. The evaluated
-    chunks are reduced in t order, each replacing the best only when
-    strictly higher, so the first highest slice wins, as in a scan of every
-    slice. Skipping is exact, so a scan without bounds gives the same tuple:
-    the union takes it, since its value depends on q1b*q1c alone
-    (q2b*q2c = s^2/(q1b*q1c)) and every slice reaches the same range
-    [s^2, 1] of that product, so no bound falls below the best and the bound
-    pass would be wasted.
+    plus ``_BOUND_SLACK`` falls below the best value found. A chunk replaces
+    the best when its value is strictly higher, or equal and earlier in t,
+    so the first highest slice wins, as in a scan of every slice. Skipping
+    is exact, so a scan without bounds gives the same tuple: the union takes
+    it, since its value depends on q1b*q1c alone (q2b*q2c = s^2/(q1b*q1c))
+    and every slice reaches the same range [s^2, 1] of that product, so no
+    bound falls below the best and the bound pass would be wasted.
 
     Every pass writes its arrays with ``out=`` into one float64 block and one
     intp block, allocated once per call and cut into C-contiguous (rows,
@@ -187,81 +175,77 @@ def _max_3d(
     floats = np.empty(_PASS_FLOATS * n_cells)
     ints = np.empty(n_cells, dtype=np.intp)
 
-    def evaluate(ts: np.ndarray, us: np.ndarray, vs: np.ndarray):
-        """The scan of ``ts`` x ``us`` x ``vs``; us and vs have one length."""
+    def rows_max(t_b: np.ndarray, t_c: np.ndarray, us: np.ndarray, vs: np.ndarray):
+        """Each row's (value, q1b, q1c) at its grid maximum over ``us`` x ``vs``,
+        with Bob at the row's t_b and Charlie at its t_c (columns); us and vs
+        have one length."""
         n_v = len(vs)
-        scale = (n_v - 1) / (vs[-1] - vs[0])
+        rows = np.arange(len(t_b))
+        q1b, q2b, q1c, q2c, a1, a2, b1, b2, lower, upper, prod = floats[
+            : _PASS_FLOATS * len(t_b) * n_v
+        ].reshape(_PASS_FLOATS, len(t_b), n_v)
+        at = ints[: len(t_b) * n_v].reshape(len(t_b), n_v)
+        r2 = (s / t_b) ** 2
+        t2 = t_c * t_c
+        span_c = 1.0 - t2
+        np.multiply(us, 1.0 - r2, out=q1b)
+        q1b += r2
+        np.multiply(vs, span_c, out=q1c)
+        q1c += t2
+        if r2.all():  # then q1b >= r2 > 0
+            np.divide(r2, q1b, out=q2b)
+        else:
+            q2b.fill(1.0)
+            np.divide(r2, q1b, out=q2b, where=q1b > 0.0)
+        np.divide(t2, q1c, out=q2c)
+        (a1, a2), (b1, b2) = factors(q1b, q2b, q1c, q2c, p1, p2, (a1, a2, b1, b2))
+        # the grid coordinate of q1c* = t*sqrt(a2/a1), clamped to a lower
+        # bracket point (the cast floors it) and made a flat index
+        j = lower
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(a2, a1, out=j)
+            np.sqrt(j, out=j)
+            j *= t_c
+            j -= t2
+            j /= span_c
+        j -= vs[0]
+        j *= (n_v - 1) / (vs[-1] - vs[0])
+        np.fmax(j, 0.0, out=j)
+        np.fmin(j, n_v - 2, out=j)
+        np.copyto(at, j, casting="unsafe")
+        at += n_v * rows[:, None]
+        # each bracket point's row value a1*b1 + a2*b2; the upper point's
+        # gathers read the flat arrays one element on
+        for value, shift in ((lower, 0), (upper, 1)):
+            np.take(b1.reshape(-1)[shift:], at, out=value, mode="clip")
+            value *= a1
+            np.take(b2.reshape(-1)[shift:], at, out=prod, mode="clip")
+            prod *= a2
+            value += prod
+        at += upper > lower
+        ib = np.argmax(np.maximum(lower, upper, out=lower), axis=1)
+        ic = at[rows, ib] - n_v * rows
+        q1b, q1c = q1b[rows, ib], q1c[rows, ic]
+        return term(q1b, q2b[rows, ib], q1c, q2c[rows, ic], p1, p2), q1b, q1c
+
+    def evaluate(ts: np.ndarray, us: np.ndarray, vs: np.ndarray):
+        """The scan of ``ts`` x ``us`` x ``vs``, chunk by chunk."""
         starts = np.arange(0, len(ts), _REFINE_POINTS)
         stops = np.minimum(starts + _REFINE_POINTS, len(ts))
-        bounds = np.full(len(starts), np.inf)
-        # The chunks' bound rows (None) queue the chunks, highest bound first.
-        queue = [None] if bound_chunks and len(starts) > 1 else list(range(len(starts)))
-        found = {}
-        best_value = -1.0
-        for k in queue:
-            if k is None:
-                t_b, t_c = ts[stops - 1, None], ts[starts, None]
-            elif bounds[k] + _BOUND_SLACK < best_value:
+        if bound_chunks and len(starts) > 1:
+            bounds = rows_max(ts[stops - 1, None], ts[starts, None], us, vs)[0]
+            order = np.argsort(-bounds, kind="stable").tolist()
+        else:
+            bounds, order = np.full(len(starts), np.inf), range(len(starts))
+        best, best_k = (-1.0, 0.0, 0.0, 0.0), -1
+        for k in order:
+            if bounds[k] + _BOUND_SLACK < best[0]:
                 break
-            else:
-                t_b = t_c = ts[starts[k] : stops[k], None]
-            rows = np.arange(len(t_b))
-            q1b, q2b, q1c, q2c, a1, a2, b1, b2, lower, upper, prod = floats[
-                : _PASS_FLOATS * len(t_b) * n_v
-            ].reshape(_PASS_FLOATS, len(t_b), n_v)
-            at = ints[: len(t_b) * n_v].reshape(len(t_b), n_v)
-            r2 = (s / t_b) ** 2
-            t2 = t_c * t_c
-            span_c = 1.0 - t2
-            np.multiply(us, 1.0 - r2, out=q1b)
-            q1b += r2
-            np.multiply(vs, span_c, out=q1c)
-            q1c += t2
-            if r2.all():  # then q1b >= r2 > 0
-                np.divide(r2, q1b, out=q2b)
-            else:
-                q2b.fill(1.0)
-                np.divide(r2, q1b, out=q2b, where=q1b > 0.0)
-            np.divide(t2, q1c, out=q2c)
-            (a1, a2), (b1, b2) = factors(q1b, q2b, q1c, q2c, p1, p2, (a1, a2, b1, b2))
-            # the grid coordinate of q1c* = t*sqrt(a2/a1), clamped to a lower
-            # bracket point (the cast floors it) and made a flat index
-            j = lower
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(a2, a1, out=j)
-                np.sqrt(j, out=j)
-                j *= t_c
-                j -= t2
-                j /= span_c
-            j -= vs[0]
-            j *= scale
-            np.fmax(j, 0.0, out=j)
-            np.fmin(j, n_v - 2, out=j)
-            np.copyto(at, j, casting="unsafe")
-            at += n_v * rows[:, None]
-            # each bracket point's row value a1*b1 + a2*b2; the upper point's
-            # gathers read the flat arrays one element on
-            for value, shift in ((lower, 0), (upper, 1)):
-                np.take(b1.reshape(-1)[shift:], at, out=value, mode="clip")
-                value *= a1
-                np.take(b2.reshape(-1)[shift:], at, out=prod, mode="clip")
-                prod *= a2
-                value += prod
-            at += upper > lower
-            ib = np.argmax(np.maximum(lower, upper, out=lower), axis=1)
-            ic = at[rows, ib] - n_v * rows
-            vals = term(q1b[rows, ib], q2b[rows, ib], q1c[rows, ic], q2c[rows, ic], p1, p2)
-            if k is None:
-                bounds = vals
-                queue += np.argsort(-vals, kind="stable").tolist()
-                continue
+            t = ts[starts[k] : stops[k], None]
+            vals, q1b, q1c = rows_max(t, t, us, vs)
             i = int(np.argmax(vals))
-            found[k] = (float(vals[i]), float(t_b[i, 0]), float(q1b[i, ib[i]]), float(q1c[i, ic[i]]))
-            best_value = max(best_value, found[k][0])
-        best = (-1.0, 0.0, 0.0, 0.0)
-        for k in sorted(found):  # in t order, so the first highest slice wins
-            if found[k][0] > best[0]:
-                best = found[k]
+            if vals[i] > best[0] or (vals[i] == best[0] and k < best_k):
+                best, best_k = (float(vals[i]), float(t[i, 0]), float(q1b[i]), float(q1c[i])), k
         return best
 
     unit = _scan_points(0.0, 1.0, _JOINT_POINTS)

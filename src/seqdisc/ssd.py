@@ -56,6 +56,7 @@ from .core import (
 #: Overlap above which case I vanishes even at equal priors.
 SYMMETRY_BREAK_OVERLAP = 3.0 - 2.0 * math.sqrt(2.0)
 
+#: Relative tie margin of ``_case_i_wins``.
 _TIE_TOL = 1e-12
 
 # ``joint_optimal_values`` solves for q* only on the lanes where case I can
@@ -117,7 +118,7 @@ class PiecewiseResult:
     boundary_prior: float | None = None
 
     def __post_init__(self) -> None:
-        if not -_TIE_TOL <= self.value <= 1.0 + _TIE_TOL:
+        if not -BOUNDARY_TOL <= self.value <= 1.0 + BOUNDARY_TOL:
             raise NumericError(f"probability {self.value} outside [0, 1]")
         object.__setattr__(self, "value", min(1.0, max(0.0, self.value)))
 
@@ -154,7 +155,7 @@ def _stage(p1, p2, r, sqrt, pick):
     ratio = p2 / p1
     q_int = pick(ratio < math.inf, sqrt(ratio) * r, r / sqrt(p1 / p2))
     v_int = 1.0 - 2.0 * sqrt(p1 * p2) * r
-    case_i = (q_int <= 1.0 + _TIE_TOL) & _case_i_wins(v_int, v_boundary)
+    case_i = (q_int <= 1.0 + BOUNDARY_TOL) & _case_i_wins(v_int, v_boundary)
     return pick(case_i, v_int, v_boundary), pick(case_i & (q_int < 1.0), q_int, 1.0), case_i
 
 
@@ -181,7 +182,7 @@ def _stage_optimum_values(p1: np.ndarray, p2: np.ndarray, r: np.ndarray) -> np.n
 
 def _probabilities(values: np.ndarray) -> np.ndarray:
     """``PiecewiseResult``'s range check and clamp to [0, 1], in every lane."""
-    bad = ~((values >= -_TIE_TOL) & (values <= 1.0 + _TIE_TOL))
+    bad = ~((values >= -BOUNDARY_TOL) & (values <= 1.0 + BOUNDARY_TOL))
     if bad.any():
         raise NumericError(f"probability {values[bad][0]} outside [0, 1]")
     return np.where(values > 0.0, np.where(values < 1.0, values, 1.0), 0.0)

@@ -57,6 +57,9 @@ class SweepSpec:
             raise DomainError(f"empty sweep range [{self.start}, {self.stop}]")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise DomainError(f"sweep range [{self.start}, {self.stop}] is not finite")
+        swept = _FIELD_OF_VARIABLE[self.variable]
+        if swept in self.fixed:  # the grid would overwrite it
+            raise DomainError(f"a sweep over {self.variable} cannot also fix {swept}")
 
     def grid(self) -> np.ndarray:
         try:
@@ -102,16 +105,20 @@ def _column(name: str, at: dict) -> list[float | None]:
     return [None if v != v else v for v in values.tolist()]
 
 
+def _grid_scenarios(variable: str, grid: np.ndarray, fixed: dict) -> dict:
+    """A column's scenario fields at every grid point: the swept one is the
+    grid, and each fixed one is its value in every lane."""
+    at = {k: np.full(grid.shape, float(v)) for k, v in fixed.items()}
+    at[_FIELD_OF_VARIABLE[variable]] = grid
+    return at
+
+
 def _evaluate(
     variable: str, grid: np.ndarray, columns: tuple[Column, ...]
 ) -> tuple[list[str], list[list[float | None]]]:
     """Each column's quantity at every grid point, one kernel call per column;
     returns (header, rows)."""
-    cells = []
-    for _, name, fixed in columns:
-        at = {k: np.full(grid.shape, float(v)) for k, v in fixed.items()}
-        at[_FIELD_OF_VARIABLE[variable]] = grid
-        cells.append(_column(name, at))
+    cells = [_column(name, _grid_scenarios(variable, grid, fixed)) for _, name, fixed in columns]
     rows = [list(row) for row in zip(grid.tolist(), *cells)]
     return [variable] + [label for label, _, _ in columns], rows
 

@@ -401,10 +401,14 @@ def test_negative_exponent_values_reach_the_range_checks(argv, message, capsys):
           "--s", "0.3", "--quantities", "ssd"], "above the most a grid can count"),
         (["--variable", "P1", "--start", "0.01", "--stop", "0.5", "--steps", str(2**63),
           "--s", "0.3", "--quantities", "ssd"], "above the most a grid can count"),
+        # --p1 fixes the swept field, which the grid would overwrite
+        (["--variable", "P1", "--start", "0.1", "--stop", "0.5", "--steps", "3", "--s", "0.3",
+          "--p1", "0.2", "--quantities", "ssd"], "cannot also fix p1"),
     ],
     ids=[
         "no_sweep", "no_start", "empty_range", "infinite_stop", "unknown_quantity",
         "figure_and_variable", "steps_beyond_memory", "steps_beyond_exact_count", "steps_beyond_int64",
+        "swept_field_fixed",
     ],
 )
 def test_invalid_sweep_exits_2_and_writes_no_file(extra, message, tmp_path, capsys):

@@ -33,6 +33,7 @@ from seqdisc.oracle import (
     _cloning_objective_values,
     _joint_factors,
     _joint_term,
+    _max_3d,
     _union_factors,
     _union_term,
 )
@@ -628,6 +629,18 @@ class TestChunkBounds:
             # less the bound rows' pass, if any, and one pass per refinement
             evaluated.append(len(calls) - bound_passes - _REFINEMENT_PASSES)
         assert least <= min(evaluated) and max(evaluated) <= most, evaluated
+
+    @pytest.mark.parametrize("s,p1", _CERT_GRID)
+    def test_first_highest_slice_wins_when_chunks_run_out_of_t_order(self, s, p1):
+        # rounding the joint term ties slices across chunks, which the bound
+        # order evaluates out of t order; rounding is monotone, so every
+        # bound still holds, and the scan without bounds takes t order
+        def term(*args):
+            return np.round(_joint_term(*args), 2)
+
+        sc = Scenario(s, p1)
+        with_bounds = _max_3d(sc, term, _joint_factors, bound_chunks=True)
+        assert with_bounds == _max_3d(sc, term, _joint_factors, bound_chunks=False)
 
 
 #: Scenarios of the cloning rows' tests, all with 0 < s < 1, where the

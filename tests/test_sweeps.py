@@ -35,8 +35,8 @@ from seqdisc.cli import main
 from seqdisc.sweeps import (
     FIGURE_PRESETS,
     SweepSpec,
-    _FIELD_OF_VARIABLE,
     _QUANTITIES,
+    _grid_scenarios,
     run_figure,
     run_sweep,
 )
@@ -205,8 +205,7 @@ def _preset_ssd_lanes(name):
     variable, grid, columns = FIGURE_PRESETS[name]
     for _, quantity, fixed in columns:
         if quantity == "ssd":
-            at = {k: np.full(grid.shape, float(v)) for k, v in fixed.items()}
-            at[_FIELD_OF_VARIABLE[variable]] = grid
+            at = _grid_scenarios(variable, grid, fixed)
             yield at["s"], at["p1"]
 
 
@@ -314,10 +313,12 @@ def test_custom_sweep_domain_errors_exit_2(extra, capsys):
         (lambda: run_sweep(SweepSpec("P1", 0.1, 0.5, 5, {"s": 0.04}, ("nope",))), "unknown quantities"),
         (lambda: run_sweep(SweepSpec("P1", 0.1, 0.5, 5, {"s": 0.04})), "at least one quantity"),
         (lambda: run_figure("9"), "unknown figure preset"),
+        # the grid would overwrite the fixed value
+        (lambda: SweepSpec("P1", 0.1, 0.5, 3, {"s": 0.3, "p1": 0.2}, ("ssd",)), "cannot also fix p1"),
     ],
     ids=[
         "variable", "empty_range", "infinite_stop", "infinite_start", "unknown_quantity",
-        "no_quantity", "unknown_figure",
+        "no_quantity", "unknown_figure", "swept_field_fixed",
     ],
 )
 def test_sweep_validation_errors(call, message):
