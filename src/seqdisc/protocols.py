@@ -52,6 +52,7 @@ from .ssd import (
     _stage_optimum,
     _stage_optimum_values,
     _stage_result,
+    _stationary_q1,
 )
 
 
@@ -132,25 +133,35 @@ def protocol2_optimal(scenario: Scenario) -> PiecewiseResult:
     case II (p_c2 <= p1 <= p_c1): (p2 - sqrt(p1 p2) s)(1 - s^2), Charlie
     recognizes only state 2; case III (p1 < p_c2): p2 (1 - s^2), Bob ignores
     state 1 and Charlie learns the state for free.
+
+    The argmax is clamped to the feasible set: each stage's q1 is its
+    stationary point (``_stationary_q1``, finite where p2/p1 overflows) or 1,
+    at most 1 where the point rounds above it (p1 at p_c2), and q2 = s^2/q1,
+    or 0 where q1 = 0.
     """
-    s, p1, p2 = scenario.s, scenario.p1, scenario.p2
-    if s == 0.0:
-        return PiecewiseResult(
-            1.0, CaseLabel.CASE_I, {"q1b": 0.0, "q2b": 0.0, "q1c": 0.0, "q2c": 0.0}, 0.0
-        )
-    p_c1, p_c2 = protocol2_critical_priors(s)
+    s, p1 = scenario.s, scenario.p1
+    p2, k = 1.0 - p1, s * s
+    p_c1, p_c2 = _protocol2_priors(s, math.sqrt)
+    q1c = 1.0
     if p1 > p_c1:
         value, p1c = _protocol2_case1(s, p1)
-        q1b = math.sqrt(p2 / p1) * s
-        q1c = math.sqrt((1.0 - p1c) / p1c) * s if p1c > 0.0 else 1.0
-        argmax = {"q1b": q1b, "q2b": s * s / q1b, "q1c": q1c, "q2c": s * s / q1c}
-        return PiecewiseResult(value, CaseLabel.CASE_I, argmax, p_c1)
-    if p1 >= p_c2:
-        q1b = math.sqrt(p2 / p1) * s
-        argmax = {"q1b": q1b, "q2b": s * s / q1b, "q1c": 1.0, "q2c": s * s}
-        return PiecewiseResult(_protocol2_case2(s, p1), CaseLabel.CASE_II, argmax, p_c1)
-    value = p2 * (1.0 - s * s)
-    return PiecewiseResult(value, CaseLabel.CASE_III, {"q1b": 1.0, "q2b": s * s}, p_c1)
+        label = CaseLabel.CASE_I
+        if p1c > 0.0:  # p1 - u rounds to 0 only at subnormal p1, e.g. (1.5e-162, 5e-324)
+            q1c = _stationary_q1(p1c, 1.0 - p1c, s, math.sqrt, _pick)
+            q1c = q1c if q1c < 1.0 else 1.0
+    elif p1 >= p_c2:
+        value, label = _protocol2_case2(s, p1), CaseLabel.CASE_II
+    else:
+        return PiecewiseResult(p2 * (1.0 - k), CaseLabel.CASE_III, {"q1b": 1.0, "q2b": k}, p_c1)
+    q1b = _stationary_q1(p1, p2, s, math.sqrt, _pick)
+    q1b = q1b if q1b < 1.0 else 1.0
+    argmax = {
+        "q1b": q1b,
+        "q2b": k / q1b if q1b > 0.0 else 0.0,
+        "q1c": q1c,
+        "q2c": k / q1c if q1c > 0.0 else 0.0,
+    }
+    return PiecewiseResult(value, label, argmax, p_c1)
 
 
 def protocol2_optimal_values(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
@@ -163,8 +174,7 @@ def protocol2_optimal_values(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
         case1 = _protocol2_case1(s, p1, np.sqrt)[0]
         case2 = _protocol2_case2(s, p1, np.sqrt)
     case3 = (1.0 - p1) * (1.0 - s * s)
-    value = np.where(p1 > p_c1, case1, np.where(p1 >= p_c2, case2, case3))
-    return _probabilities(np.where(s == 0.0, 1.0, value))
+    return _probabilities(np.where(p1 > p_c1, case1, np.where(p1 >= p_c2, case2, case3)))
 
 
 def omega_range(s: float) -> tuple[float, float]:

@@ -24,9 +24,10 @@ equating the two branches at that prior leaves the quadratic
 
 The point API (``bob_optimal``, ``joint_optimal``, ...) works on floats; each
 ``*_values`` kernel gives the same value in every lane of arrays.  The stage
-optimum, the case-I tie rule, the joint two-case choice and P_C's closed form
-are each one body that both call, on floats with ``math.sqrt`` (and
-``_pick``), on arrays with ``np.sqrt`` (and ``np.where``).  Only q*'s root
+optimum, its stationary point (which protocol (2) shares), the case-I tie
+rule, the joint two-case choice and P_C's closed form are each one body that
+both call, on floats with ``math.sqrt`` (and ``_pick``), on arrays with
+``np.sqrt`` (and ``np.where``).  Only q*'s root
 search keeps a twin, ``_q_star_values``: its Newton polish stops each root on
 its own, where the kernel runs all lanes in lockstep, and one lane through
 the kernel costs several times the scalar call.  The joint kernel solves for
@@ -142,18 +143,27 @@ def _case_i_wins(v_int, v_boundary):
     return (v_int > v_boundary) | (v_boundary - v_int <= _TIE_TOL * v_boundary)
 
 
+def _stationary_q1(p1, p2, r, sqrt, pick):
+    """A stage's interior stationary point sqrt(p2/p1)*r for p1 > 0, on floats
+    (``math.sqrt``, ``_pick``) or on arrays (``np.sqrt``, ``np.where``).
+
+    Where p2/p1 overflows (p1 below about 1e-308) it is r/sqrt(p1/p2), which
+    stays finite: 0 at r = 0, and inside [r, 1] when r is below about
+    sqrt(p1).  It is not clamped: above 1 it is infeasible.
+    """
+    ratio = p2 / p1
+    return pick(ratio < math.inf, sqrt(ratio) * r, r / sqrt(p1 / p2))
+
+
 def _stage(p1, p2, r, sqrt, pick):
     """(value, q1, case I) of ``_stage_optimum`` for p1 > 0, on floats
     (``math.sqrt``, ``_pick``) or on arrays (``np.sqrt``, ``np.where``).
 
-    Where p2/p1 overflows (p1 below about 1e-308) the stationary point is
-    r/sqrt(p1/p2), which stays finite: 0 at r = 0, and inside [r, 1] when r is
-    below about sqrt(p1).  On arrays a lane with p1 = 0 gets an infinite or
-    NaN point and so the boundary.
+    On arrays a lane with p1 = 0 gets an infinite or NaN stationary point and
+    so the boundary.
     """
     v_boundary = p2 * (1.0 - r * r)
-    ratio = p2 / p1
-    q_int = pick(ratio < math.inf, sqrt(ratio) * r, r / sqrt(p1 / p2))
+    q_int = _stationary_q1(p1, p2, r, sqrt, pick)
     v_int = 1.0 - 2.0 * sqrt(p1 * p2) * r
     case_i = (q_int <= 1.0 + BOUNDARY_TOL) & _case_i_wins(v_int, v_boundary)
     return pick(case_i, v_int, v_boundary), pick(case_i & (q_int < 1.0), q_int, 1.0), case_i

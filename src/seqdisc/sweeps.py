@@ -134,6 +134,8 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float | None]]]:
     missing = sorted(needed - {_FIELD_OF_VARIABLE[spec.variable]} - set(spec.fixed))
     if missing:
         raise DomainError(f"a sweep over {spec.variable} needs fixed values for {missing}")
+    if "t" not in needed and (spec.variable == "t" or "t" in spec.fixed):
+        raise DomainError(f"t is swept or fixed, but none of {list(spec.quantities)} reads t")
     columns = tuple((q, q, spec.fixed) for q in spec.quantities)
     return _evaluate(spec.variable, spec.grid(), columns)
 

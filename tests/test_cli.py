@@ -65,6 +65,8 @@ class TestOptimal:
         assert main(["optimal", "--s", "0", "--p1", p1]) == 0
         rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
         assert "CaseI " in rows["protocol1"] and " q1b=0 " in rows["protocol1"]
+        assert "CaseI " in rows["protocol2"]
+        assert rows["protocol2"].endswith(" q1b=0 q2b=0 q1c=0 q2c=0")
         assert "CaseI " in rows["at_least_one_ssd"] and " q1_product=0 " in rows["at_least_one_ssd"]
 
 
@@ -404,11 +406,16 @@ def test_negative_exponent_values_reach_the_range_checks(argv, message, capsys):
         # --p1 fixes the swept field, which the grid would overwrite
         (["--variable", "P1", "--start", "0.1", "--stop", "0.5", "--steps", "3", "--s", "0.3",
           "--p1", "0.2", "--quantities", "ssd"], "cannot also fix p1"),
+        # no quantity reads t: every row would print one value
+        (["--variable", "t", "--start", "0.1", "--stop", "0.5", "--steps", "3", "--s", "0.3",
+          "--p1", "0.2", "--quantities", "ssd"], "none of ['ssd'] reads t"),
+        (["--variable", "P1", "--start", "0.1", "--stop", "0.5", "--steps", "3", "--s", "0.3",
+          "--t", "0.9", "--quantities", "ssd"], "none of ['ssd'] reads t"),
     ],
     ids=[
         "no_sweep", "no_start", "empty_range", "infinite_stop", "unknown_quantity",
         "figure_and_variable", "steps_beyond_memory", "steps_beyond_exact_count", "steps_beyond_int64",
-        "swept_field_fixed",
+        "swept_field_fixed", "t_swept_unread", "t_fixed_unread",
     ],
 )
 def test_invalid_sweep_exits_2_and_writes_no_file(extra, message, tmp_path, capsys):

@@ -32,6 +32,7 @@ from seqdisc.protocols import (
     _clone_working_point,
     _protocol2_case1,
     _protocol2_case2,
+    protocol2_optimal_values,
 )
 
 scenarios = st.builds(
@@ -64,12 +65,16 @@ class TestProtocol1:
     @pytest.mark.parametrize("p1", [5e-324, 1e-310])
     def test_stationary_point_where_prior_ratio_overflows(self, p1):
         # p2/p1 overflows below about 1e-308, but the stationary point
-        # s/sqrt(p1/p2) lies in [s, 1]: 4.5e-9 at p1 = 5e-324, not sqrt(inf)*s
+        # s/sqrt(p1/p2) lies in [s, 1]: 4.5e-9 at p1 = 5e-324, not sqrt(inf)*s.
+        # Protocol (2)'s Charlie sees the same prior, as Bob's success
+        # probability rounds to 1.
         sc = Scenario(1e-170, p1)
         for res, name in (
             (protocol1_optimal(sc), "q1b"),
             (at_least_one_ssd(sc), "q1_product"),
             (bob_optimal(sc, 1.0), "q1b"),
+            (protocol2_optimal(sc), "q1b"),
+            (protocol2_optimal(sc), "q1c"),
         ):
             assert res.case_label is CaseLabel.CASE_I
             assert res.value == 1.0
@@ -141,6 +146,61 @@ class TestProtocol2:
     def test_identical_states(self, p1):
         res = protocol2_optimal(Scenario(1.0, p1))
         assert res.value == 0.0
+
+    @pytest.mark.parametrize("p1", [0.5, 0.3, 1e-300, 5e-324])
+    def test_orthogonal_states_take_case_i(self, p1):
+        # at s = 0 both critical priors are 0, so case I's own formulas give
+        # value 1 and the stationary points 0, also where p2/p1 overflows
+        res = protocol2_optimal(Scenario(0.0, p1))
+        assert res.value == 1.0 and res.case_label is CaseLabel.CASE_I
+        assert res.argmax == {"q1b": 0.0, "q2b": 0.0, "q1c": 0.0, "q2c": 0.0}
+        assert res.boundary_prior == 0.0
+        assert protocol2_optimal_values(np.array([0.0]), np.array([p1])).tolist() == [1.0]
+
+    @pytest.mark.parametrize(
+        "s, p1",
+        [
+            (1e-170, 5e-324),  # p2/p1 overflows: sqrt(inf)*s would be inf
+            (0.45451421984580365, 0.17121337355265906),  # p1 == p_c2: q1b rounds above 1
+            (0.8669372275162597, 0.42908693255311925),  # p1 == p_c2 too
+            (1.5e-162, 5e-324),  # Charlie's conditioned prior rounds to 0
+        ],
+    )
+    def test_argmax_is_feasible(self, s, p1):
+        _assert_protocol2_argmax_feasible(s, p1)
+
+    def test_argmax_is_feasible_beside_the_critical_priors(self):
+        for s, p1 in _protocol2_edge_scenarios():
+            _assert_protocol2_argmax_feasible(s, p1)
+
+
+def _assert_protocol2_argmax_feasible(s, p1):
+    """Every q of protocol (2)'s argmax lies in [0, 1], and q2 = s*s/q1 (0
+    where q1 = 0) for each stage it names."""
+    argmax, k = protocol2_optimal(Scenario(s, p1)).argmax, s * s
+    assert all(0.0 <= q <= 1.0 for q in argmax.values()), (s, p1, argmax)
+    for q1, q2 in (("q1b", "q2b"), ("q1c", "q2c")):
+        if q1 in argmax:
+            assert argmax[q2] == (k / argmax[q1] if argmax[q1] > 0.0 else 0.0), (s, p1, argmax)
+
+
+def _protocol2_edge_scenarios(n=2700):
+    """Seeded (s, p1): s log-uniform from 1e-320 to 1 or 1 - s log-uniform
+    from 1e-16 to 1, and p1 within 1e-17 to 1e-6 (relative) of p_c1 or p_c2,
+    or log-uniform from 5e-324 to 1/2; priors outside (0, 1/2] are dropped."""
+    rng = np.random.default_rng(29)
+    s = np.where(
+        rng.random(n) < 0.5,
+        10.0 ** rng.uniform(-320.0, 0.0, n),
+        1.0 - 10.0 ** rng.uniform(-16.0, 0.0, n),
+    )
+    edges = np.array([protocol2_critical_priors(float(x)) for x in s])
+    edge = edges[np.arange(n), rng.integers(0, 2, n)]
+    near = edge * (1.0 + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-17.0, -6.0, n))
+    low = 10.0 ** rng.uniform(np.log10(5e-324), np.log10(0.5), n)
+    p1 = np.where(rng.random(n) < 0.75, near, low)
+    keep = (p1 > 0.0) & (p1 <= 0.5)
+    return list(zip(s[keep].tolist(), p1[keep].tolist()))
 
 
 class TestCloneParams:

@@ -315,10 +315,15 @@ def test_custom_sweep_domain_errors_exit_2(extra, capsys):
         (lambda: run_figure("9"), "unknown figure preset"),
         # the grid would overwrite the fixed value
         (lambda: SweepSpec("P1", 0.1, 0.5, 3, {"s": 0.3, "p1": 0.2}, ("ssd",)), "cannot also fix p1"),
+        # no quantity reads t, so each row would repeat one value
+        (lambda: run_sweep(SweepSpec("t", 0.1, 0.5, 3, {"s": 0.3, "p1": 0.2}, ("ssd",))),
+         r"none of \['ssd'\] reads t"),
+        (lambda: run_sweep(SweepSpec("P1", 0.1, 0.5, 3, {"s": 0.3, "t": 0.9}, ("ssd", "p3_star"))),
+         "reads t"),
     ],
     ids=[
         "variable", "empty_range", "infinite_stop", "infinite_start", "unknown_quantity",
-        "no_quantity", "unknown_figure", "swept_field_fixed",
+        "no_quantity", "unknown_figure", "swept_field_fixed", "t_swept_unread", "t_fixed_unread",
     ],
 )
 def test_sweep_validation_errors(call, message):
