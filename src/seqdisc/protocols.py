@@ -49,6 +49,7 @@ from .ssd import (
     CaseLabel,
     PiecewiseResult,
     _probabilities,
+    _stage_candidates,
     _stage_optimum,
     _stage_optimum_values,
     _stage_result,
@@ -112,13 +113,13 @@ def _protocol2_priors(s, sqrt):
     return p_c1, p_c2
 
 
-def _protocol2_case1(s, p1, sqrt=math.sqrt):
-    """(value, p1c) with both stages at their interior optima; p1c is the
-    prior of state 1 conditioned on Bob's success."""
-    u = sqrt(p1 * (1.0 - p1)) * s
-    bob = 1.0 - 2.0 * u
-    p1c = (p1 - u) / bob
-    return bob * (1.0 - 2.0 * sqrt(p1c * (1.0 - p1c)) * s), p1c
+def _protocol2_case1(s, p1, sqrt=math.sqrt, pick=_pick):
+    """(value, p1c) with both stages at their interior optima, each the
+    stage's interior value; p1c is the prior of state 1 conditioned on Bob's
+    success."""
+    bob = _stage_candidates(p1, 1.0 - p1, s, sqrt, pick)[0]
+    p1c = (p1 - sqrt(p1 * (1.0 - p1)) * s) / bob
+    return bob * _stage_candidates(p1c, 1.0 - p1c, s, sqrt, pick)[0], p1c
 
 
 def _protocol2_case2(s, p1, sqrt=math.sqrt):
@@ -152,7 +153,8 @@ def protocol2_optimal(scenario: Scenario) -> PiecewiseResult:
     elif p1 >= p_c2:
         value, label = _protocol2_case2(s, p1), CaseLabel.CASE_II
     else:
-        return PiecewiseResult(p2 * (1.0 - k), CaseLabel.CASE_III, {"q1b": 1.0, "q2b": k}, p_c1)
+        value = _stage_candidates(p1, p2, s, math.sqrt, _pick)[1]
+        return PiecewiseResult(value, CaseLabel.CASE_III, {"q1b": 1.0, "q2b": k}, p_c1)
     q1b = _stationary_q1(p1, p2, s, math.sqrt, _pick)
     q1b = q1b if q1b < 1.0 else 1.0
     argmax = {
@@ -171,9 +173,9 @@ def protocol2_optimal_values(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
     """
     p_c1, p_c2 = _protocol2_priors(s, np.sqrt)
     with np.errstate(divide="ignore", invalid="ignore"):  # lanes of other cases
-        case1 = _protocol2_case1(s, p1, np.sqrt)[0]
+        case1 = _protocol2_case1(s, p1, np.sqrt, np.where)[0]
         case2 = _protocol2_case2(s, p1, np.sqrt)
-    case3 = (1.0 - p1) * (1.0 - s * s)
+    case3 = _stage_candidates(p1, 1.0 - p1, s, np.sqrt, np.where)[1]
     return _probabilities(np.where(p1 > p_c1, case1, np.where(p1 >= p_c2, case2, case3)))
 
 
@@ -328,15 +330,14 @@ def _clone_optimal_values(s: np.ndarray, p1: np.ndarray) -> CloneParams:
 def _cloned_stage_values(s: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The optimal cloner's success probability p_cl and one copy's
     discrimination optimum, in every lane of valid scenarios.  At s = 0 and
-    s = 1 these are (1, 1) and (1, 0), the scalar path's endpoint values.
+    s = 1, as in ``_cloned_optimum``, cloning succeeds and leaves the prior.
     """
-    p_cl, disc = np.ones_like(s), np.where(s == 0.0, 1.0, 0.0)
+    p_cl, p1_cl, p2_cl = np.ones_like(s), p1.copy(), 1.0 - p1
     inner = (s > 0.0) & (s < 1.0)
     if inner.any():
         cp = _clone_optimal_values(s[inner], p1[inner])
-        p_cl[inner] = cp.p_cl
-        disc[inner] = _stage_optimum_values(cp.p1_cl, cp.p2_cl, s[inner])
-    return p_cl, disc
+        p_cl[inner], p1_cl[inner], p2_cl[inner] = cp.p_cl, cp.p1_cl, cp.p2_cl
+    return p_cl, _stage_optimum_values(p1_cl, p2_cl, s)
 
 
 def _both_succeed(p_cl, disc):
@@ -364,18 +365,17 @@ def _cloned_optimum(scenario: Scenario) -> tuple[PiecewiseResult, PiecewiseResul
     case is the copy's, and both results carry the same argmax.
 
     At s = 0 and s = 1 cloning always succeeds and leaves the prior, with
-    omega = 1/(1+s); orthogonal copies are always told apart (case I, q1 = 0),
-    identical ones never (case II, q1 = 1).
+    omega = 1/(1+s), so the copy's stage runs at the scenario's own priors.
     """
     s = scenario.s
     if 0.0 < s < 1.0:
         cp = clone_optimal_for_prior(scenario)
-        omega, gamma1, gamma2, p_cl, p1_cl = cp.omega, cp.gamma1, cp.gamma2, cp.p_cl, cp.p1_cl
-        disc, q1, label = _stage_optimum(cp.p1_cl, cp.p2_cl, s)
+        omega, gamma1, gamma2, p_cl = cp.omega, cp.gamma1, cp.gamma2, cp.p_cl
+        p1_cl, p2_cl = cp.p1_cl, cp.p2_cl
     else:
-        omega, gamma1, gamma2, p_cl, p1_cl = 1.0 / (1.0 + s), 1.0, 1.0, 1.0, scenario.p1
-        disc, q1 = (1.0, 0.0) if s == 0.0 else (0.0, 1.0)
-        label = CaseLabel.CASE_I if s == 0.0 else CaseLabel.CASE_II
+        omega, gamma1, gamma2, p_cl = 1.0 / (1.0 + s), 1.0, 1.0, 1.0
+        p1_cl, p2_cl = scenario.p1, scenario.p2
+    disc, q1, label = _stage_optimum(p1_cl, p2_cl, s)
     argmax = {
         "omega": omega, "gamma1": gamma1, "gamma2": gamma2, "p_cl": p_cl, "p1_cl": p1_cl,
         "q1b": q1, "q1c": q1,

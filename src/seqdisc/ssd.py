@@ -23,11 +23,12 @@ equating the two branches at that prior leaves the quadratic
 (2 - s)q^2 - (1 + s)q + s = 0 for the root q_C at the crossing.
 
 The point API (``bob_optimal``, ``joint_optimal``, ...) works on floats; each
-``*_values`` kernel gives the same value in every lane of arrays.  The stage
-optimum, its stationary point (which protocol (2) shares), the case-I tie
-rule, the joint two-case choice and P_C's closed form are each one body that
-both call, on floats with ``math.sqrt`` (and ``_pick``), on arrays with
-``np.sqrt`` (and ``np.where``).  Only q*'s root
+``*_values`` kernel gives the same value in every lane of arrays.  The
+stage's two candidate values (which also give protocol (2)'s Bob and Charlie
+factors and its case III), its stationary point (which protocol (2) shares),
+the stage optimum, the case-I tie rule, the joint two-case choice and P_C's
+closed form are each one body that both call, on floats with ``math.sqrt``
+(and ``_pick``), on arrays with ``np.sqrt`` (and ``np.where``).  Only q*'s root
 search keeps a twin, ``_q_star_values``: its Newton polish stops each root on
 its own, where the kernel runs all lanes in lockstep, and one lane through
 the kernel costs several times the scalar call.  The joint kernel solves for
@@ -155,6 +156,15 @@ def _stationary_q1(p1, p2, r, sqrt, pick):
     return pick(ratio < math.inf, sqrt(ratio) * r, r / sqrt(p1 / p2))
 
 
+def _stage_candidates(p1, p2, r, sqrt, pick):
+    """A stage's two candidate values at flag overlap r, (interior, boundary):
+    1 - 2*sqrt(p1*p2)*r at the stationary point and p2*(1 - r^2) at q1 = 1,
+    on floats (``math.sqrt``, ``_pick``) or on arrays (``np.sqrt``,
+    ``np.where``).  Defined for p1 = 0 too, where the interior value is 1.
+    """
+    return 1.0 - 2.0 * sqrt(p1 * p2) * r, p2 * (1.0 - r * r)
+
+
 def _stage(p1, p2, r, sqrt, pick):
     """(value, q1, case I) of ``_stage_optimum`` for p1 > 0, on floats
     (``math.sqrt``, ``_pick``) or on arrays (``np.sqrt``, ``np.where``).
@@ -162,9 +172,8 @@ def _stage(p1, p2, r, sqrt, pick):
     On arrays a lane with p1 = 0 gets an infinite or NaN stationary point and
     so the boundary.
     """
-    v_boundary = p2 * (1.0 - r * r)
+    v_int, v_boundary = _stage_candidates(p1, p2, r, sqrt, pick)
     q_int = _stationary_q1(p1, p2, r, sqrt, pick)
-    v_int = 1.0 - 2.0 * sqrt(p1 * p2) * r
     case_i = (q_int <= 1.0 + BOUNDARY_TOL) & _case_i_wins(v_int, v_boundary)
     return pick(case_i, v_int, v_boundary), pick(case_i & (q_int < 1.0), q_int, 1.0), case_i
 
@@ -179,8 +188,8 @@ def _stage_optimum(p1: float, p2: float, r: float) -> tuple[float, float, CaseLa
     """
     if p1 > 0.0:
         value, q1, case_i = _stage(p1, p2, r, math.sqrt, _pick)
-    else:  # the body would divide by zero
-        value, q1, case_i = p2 * (1.0 - r * r), 1.0, False
+    else:  # the stationary point would divide by zero
+        value, q1, case_i = _stage_candidates(p1, p2, r, math.sqrt, _pick)[1], 1.0, False
     return value, q1, CaseLabel.CASE_I if case_i else CaseLabel.CASE_II
 
 
@@ -472,9 +481,9 @@ def joint_optimal(scenario: Scenario, *, compute_boundary: bool = True) -> Piece
 
 
 def _case_i_may_win(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
-    """The lanes, for 0 < s < 1, where case I can win the joint choice: p1 at
+    """The lanes, for 0 < s <= 1, where case I can win the joint choice: p1 at
     or above P_C and s below 3 - 2*sqrt(2), each up to its margin."""
-    with np.errstate(invalid="ignore"):  # sqrt of a negative above s = 0.2
+    with np.errstate(invalid="ignore"):  # sqrt of a negative above s = 0.2, 0/0 at 1
         p_c = _crossing_prior(s, np.sqrt)
     above_p_c = p1 >= p_c * (1.0 - _PC_REL_MARGIN) - _PC_ABS_MARGIN
     return above_p_c & (s < SYMMETRY_BREAK_OVERLAP + _S_MARGIN)
@@ -483,20 +492,16 @@ def _case_i_may_win(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
 def joint_optimal_values(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
     """``joint_optimal(Scenario(s, p1)).value`` in every lane of valid scenarios.
 
-    Every lane starts at case II's p2*(1-s)^2.  Only the lanes where case I
+    Every lane starts at case II's p2*(1-s)^2 (0 at s = 1), or 1 at s = 0,
+    the scalar path's endpoint values.  Only the inner lanes where case I
     can win (``_case_i_may_win``) take q* from the lockstep twin of
     ``solve_q_star`` and then the scalar path's own two-case choice.  On the
     others that choice takes case II, so the values agree bit for bit.
     """
-    value = np.where(s == 0.0, 1.0, 0.0)
-    inner = (s > 0.0) & (s < 1.0)
-    if inner.any():
-        s, p1 = s[inner], p1[inner]
-        p2 = 1.0 - p1
-        v = p2 * ((1.0 - s) * (1.0 - s))
-        may_win = _case_i_may_win(s, p1)
-        if may_win.any():
-            s, p1, p2 = s[may_win], p1[may_win], p2[may_win]
-            v[may_win] = _joint_choice(p1, p2, s, _q_star_values(s, p1, p2), np.where)[0]
-        value[inner] = v
+    p2 = 1.0 - p1
+    value = np.where(s == 0.0, 1.0, p2 * ((1.0 - s) * (1.0 - s)))
+    may_win = (s > 0.0) & _case_i_may_win(s, p1)
+    if may_win.any():
+        s, p1, p2 = s[may_win], p1[may_win], p2[may_win]
+        value[may_win] = _joint_choice(p1, p2, s, _q_star_values(s, p1, p2), np.where)[0]
     return _probabilities(value)

@@ -32,7 +32,9 @@ from seqdisc.protocols import (
     _clone_working_point,
     _protocol2_case1,
     _protocol2_case2,
+    at_least_one_protocol3_values,
     protocol2_optimal_values,
+    protocol3_optimal_values,
 )
 
 scenarios = st.builds(
@@ -173,6 +175,20 @@ class TestProtocol2:
         for s, p1 in _protocol2_edge_scenarios():
             _assert_protocol2_argmax_feasible(s, p1)
 
+    def test_case_iii_is_protocol1_boundary_value(self):
+        # below p_c2 = s^2/(1+s^2) Bob ignores state 1, and both protocols
+        # take the stage's boundary value p2*(1 - s^2) from one body
+        rng = np.random.default_rng(30)
+        n = 2000
+        s = np.where(rng.random(n) < 0.5, rng.random(n), 1.0 - 10.0 ** rng.uniform(-16.0, -1.0, n))
+        frac = np.where(rng.random(n) < 0.5, rng.random(n), 10.0 ** rng.uniform(-300.0, 0.0, n))
+        p1 = s * s / (1.0 + s * s) * np.minimum(frac, 1.0 - 1e-11)
+        for sc in (Scenario(a, b) for a, b in zip(s.tolist(), p1.tolist()) if b > 0.0):
+            case3, single = protocol2_optimal(sc), protocol1_optimal(sc)
+            assert case3.case_label is CaseLabel.CASE_III, sc
+            assert single.case_label is CaseLabel.CASE_II, sc
+            assert case3.value == single.value, sc
+
 
 def _assert_protocol2_argmax_feasible(s, p1):
     """Every q of protocol (2)'s argmax lies in [0, 1], and q2 = s*s/q1 (0
@@ -312,13 +328,18 @@ class TestCloningOptima:
         assert both.argmax == union.argmax and both.case_label is union.case_label
         assert both.boundary_prior is None and union.boundary_prior is None
 
-    @pytest.mark.parametrize(
-        "s,value,label,q1", [(0.0, 1.0, CaseLabel.CASE_I, 0.0), (1.0, 0.0, CaseLabel.CASE_II, 1.0)]
-    )
-    def test_endpoints(self, s, value, label, q1):
-        for res in (protocol3_optimal(Scenario(s, 0.3)), at_least_one_protocol3(Scenario(s, 0.3))):
+    @pytest.mark.parametrize("p1", [0.5, 0.3, 1e-300, 5e-324])
+    @pytest.mark.parametrize("s,value,q1", [(0.0, 1.0, 0.0), (1.0, 0.0, 1.0)])
+    def test_endpoints(self, s, value, q1, p1):
+        # cloning always succeeds and leaves the prior, so the copy's stage
+        # is protocol (1)'s, tie rule included: case I at (1, 1/2)
+        label = protocol1_optimal(Scenario(s, p1)).case_label
+        assert label is (CaseLabel.CASE_I if s == 0.0 or p1 == 0.5 else CaseLabel.CASE_II)
+        for res in (protocol3_optimal(Scenario(s, p1)), at_least_one_protocol3(Scenario(s, p1))):
             assert (res.value, res.case_label, res.argmax["q1b"]) == (value, label, q1)
-            assert res.argmax["p_cl"] == 1.0 and res.argmax["p1_cl"] == 0.3
+            assert res.argmax["p_cl"] == 1.0 and res.argmax["p1_cl"] == p1
+        for kernel in (protocol3_optimal_values, at_least_one_protocol3_values):
+            assert kernel(np.array([s]), np.array([p1])).tolist() == [value]
 
     def test_case_switches_where_p1_cl_crosses_the_stage_boundary(self):
         s = 0.36
