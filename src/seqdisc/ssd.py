@@ -161,8 +161,18 @@ def _stage_candidates(p1, p2, r, sqrt, pick):
     1 - 2*sqrt(p1*p2)*r at the stationary point and p2*(1 - r^2) at q1 = 1,
     on floats (``math.sqrt``, ``_pick``) or on arrays (``np.sqrt``,
     ``np.where``).  Defined for p1 = 0 too, where the interior value is 1.
+
+    Neither cancels as r nears 1.  Where x = 2*sqrt(p1*p2)*r exceeds 1/2 the
+    interior value is d^2 + 2*sqrt(p1*p2)*(1 - r), with
+    d = sqrt(p2) - sqrt(p1) = (p2 - p1)/(sqrt(p2) + sqrt(p1)) (p1 + p2 = 1);
+    below, 1 - x loses nothing and gives exactly 1 at r = 0.  The boundary
+    value is p2*((1 - r)*(1 + r)), whose 1 - r is exact for r >= 1/2.
     """
-    return 1.0 - 2.0 * sqrt(p1 * p2) * r, p2 * (1.0 - r * r)
+    g = sqrt(p1 * p2)
+    x = 2.0 * g * r
+    d = (p2 - p1) / (sqrt(p2) + sqrt(p1))
+    v_int = pick(x <= 0.5, 1.0 - x, d * d + 2.0 * g * (1.0 - r))
+    return v_int, p2 * ((1.0 - r) * (1.0 + r))
 
 
 def _stage(p1, p2, r, sqrt, pick):

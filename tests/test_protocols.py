@@ -1,5 +1,7 @@
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +15,7 @@ from seqdisc import (
     at_least_one_protocol3,
     at_least_one_ssd,
     bob_optimal,
+    charlie_optimal,
     clone_optimal_for_prior,
     clone_params_of_omega,
     critical_prior_PC,
@@ -33,6 +36,7 @@ from seqdisc.protocols import (
     _protocol2_case1,
     _protocol2_case2,
     at_least_one_protocol3_values,
+    protocol1_optimal_values,
     protocol2_optimal_values,
     protocol3_optimal_values,
 )
@@ -423,6 +427,106 @@ class TestUnionGridBound:
     @given(scenarios)
     def test_random_scenarios(self, sc):
         assert _union_grid_max_loop(sc, 25) <= at_least_one_ssd(sc).value + 1e-9
+
+
+def _protocol1_reference(s, p1):
+    """Protocol (1) at 50 digits: (value, case, whether (s, p1) lies in the
+    tie band, where |v_int - v_bnd| <= 1e-11*max or |q1 - 1| <= 1e-11)."""
+    with mpmath.workdps(50):
+        s, p1 = mpmath.mpf(s), mpmath.mpf(p1)
+        p2 = 1 - p1
+        q1 = mpmath.sqrt(p2 / p1) * s
+        v_int, v_bnd = 1 - 2 * mpmath.sqrt(p1 * p2) * s, p2 * (1 - s * s)
+        tie = abs(v_int - v_bnd) <= 1e-11 * max(v_int, v_bnd) or abs(q1 - 1) <= 1e-11
+        if q1 <= 1:
+            return v_int, CaseLabel.CASE_I, tie
+        return v_bnd, CaseLabel.CASE_II, tie
+
+
+def _near_identical_scenarios(n, seed=2026):
+    """Seeded (s, p1) with 1 - s = 10^U(-15, -1) and p1 = 1/2 - 10^U(-16, -1)
+    (40%), s^2/(1+s^2)*(1 +- 10^U(-9, -3)) (30%) or U(1e-6, 1/2); priors
+    above 1/2 are dropped."""
+    rng, out = random.Random(seed), []
+    for _ in range(n):
+        s, u = 1.0 - 10.0 ** rng.uniform(-15, -1), rng.random()
+        if u < 0.4:
+            p1 = 0.5 - 10.0 ** rng.uniform(-16, -1)
+        elif u < 0.7:
+            p1 = s * s / (1 + s * s) * (1 + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-9, -3))
+        else:
+            p1 = rng.uniform(1e-6, 0.5)
+        if p1 <= 0.5:
+            out.append((s, p1))
+    return out
+
+
+class TestNearIdenticalStates:
+    """The stage's interior value 1 - 2*sqrt(p1*p2)*s and boundary value
+    p2*(1 - s^2) cancel as s nears 1; the one body that computes both must
+    not."""
+
+    def test_stationary_point_wins_where_it_is_feasible(self):
+        sc = Scenario(0.9999907486809279, 0.4999953803918516)
+        res, (ref, _, _) = protocol1_optimal(sc), _protocol1_reference(sc.s, sc.p1)
+        assert res.case_label is CaseLabel.CASE_I and res.argmax["q1b"] < 1.0
+        assert abs(res.value - ref) <= 1e-15 * ref
+
+    def test_relative_error_and_case_against_50_digits(self):
+        for s, p1 in _near_identical_scenarios(330):
+            res = protocol1_optimal(Scenario(s, p1))
+            ref, label, tie = _protocol1_reference(s, p1)
+            assert abs(res.value - ref) <= 1e-9 * ref, (s, p1)
+            assert tie or res.case_label is label, (s, p1)
+
+    def test_orthogonal_states_give_exactly_one(self):
+        rng = np.random.default_rng(30)
+        priors = [0.5, 5e-324] + (10.0 ** rng.uniform(-323.0, math.log10(0.5), 200)).tolist()
+        for p1 in priors:
+            sc = Scenario(0.0, p1)
+            assert protocol1_optimal(sc).value == 1.0, p1
+            assert bob_optimal(sc, float(rng.uniform(5e-324, 1.0))).value == 1.0, p1
+            # Charlie's overlap t is positive; at the smallest ones his value rounds to 1
+            assert charlie_optimal(sc, 5e-324).value == 1.0, p1
+        assert protocol1_optimal_values(np.zeros(len(priors)), np.array(priors)).tolist() == [
+            1.0
+        ] * len(priors)
+
+    def test_protocol2_stage_factors_against_50_digits(self):
+        # cases I and III are products of stage values; case II's factor
+        # p2 - sqrt(p1*p2)*s is no stage value and still cancels (ROADMAP item 2)
+        rng = random.Random(6)
+        case_i = []
+        for _ in range(150):  # p1 in (p_c1, 1/2], a gap of order 1 - s
+            s = 1.0 - 10.0 ** rng.uniform(-15, -1)
+            p_c1 = protocol2_critical_priors(s)[0]
+            case_i.append((s, 0.5 - (0.5 - p_c1) * rng.random()))
+        checked = 0
+        for s, p1 in _near_identical_scenarios(330, seed=6) + case_i:
+            p_c1, p_c2 = protocol2_critical_priors(s)
+            res = protocol2_optimal(Scenario(s, p1))
+            with mpmath.workdps(50):
+                ms, m1 = mpmath.mpf(s), mpmath.mpf(p1)
+                bob = 1 - 2 * mpmath.sqrt(m1 * (1 - m1)) * ms
+                if p1 > p_c1 + 1e-14:  # clear of p_c1's rounding
+                    p1c = (m1 - mpmath.sqrt(m1 * (1 - m1)) * ms) / bob
+                    ref = bob * (1 - 2 * mpmath.sqrt(p1c * (1 - p1c)) * ms)
+                elif p1 < p_c2 - 1e-14:
+                    ref = (1 - m1) * (1 - ms * ms)
+                else:
+                    continue
+                checked += 1
+                assert abs(res.value - ref) <= 1e-10 * ref, (s, p1, res.case_label)
+        assert checked > 300
+
+    def test_protocol2_never_above_protocol1(self):
+        rng = random.Random(4)
+        scenarios = _near_identical_scenarios(300, seed=5) + [
+            (rng.random(), rng.uniform(1e-9, 0.5)) for _ in range(300)
+        ]
+        for s, p1 in scenarios:
+            sc = Scenario(s, p1)
+            assert protocol2_optimal(sc).value <= protocol1_optimal(sc).value, (s, p1)
 
 
 class TestOrdering:
