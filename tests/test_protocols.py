@@ -524,6 +524,11 @@ class TestNearIdenticalStates:
         scenarios = _near_identical_scenarios(300, seed=5) + [
             (rng.random(), rng.uniform(1e-9, 0.5)) for _ in range(300)
         ]
+        # just below p_c2, where protocol (2) takes case III's boundary value
+        # and protocol (1) ties its case I within rounding of it
+        for _ in range(300):
+            s = rng.random() if rng.random() < 0.5 else 1.0 - 10.0 ** rng.uniform(-15, -1)
+            scenarios.append((s, s * s / (1 + s * s) * (1 - 10.0 ** rng.uniform(-17, -12))))
         for s, p1 in scenarios:
             sc = Scenario(s, p1)
             assert protocol2_optimal(sc).value <= protocol1_optimal(sc).value, (s, p1)
