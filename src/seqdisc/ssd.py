@@ -180,17 +180,21 @@ def _stage(p1, p2, r, sqrt, pick):
     (``math.sqrt``, ``_pick``) or on arrays (``np.sqrt``, ``np.where``).
 
     On arrays a lane with p1 = 0 gets an infinite or NaN stationary point and
-    so the boundary.  The interior value is the objective's maximum over all
-    q1 > 0, never below the boundary value but by rounding; where a tie takes
-    case I with the smaller float, the value is the boundary's, so no stage
-    reports less than q1 = 1 gives (protocol (2)'s case III below p_c2).
+    so the boundary.  The value is the interior one only where the
+    stationary point lies below 1 and its value above the boundary's: the
+    interior value is the objective's maximum over all q1 > 0, never below
+    the boundary value but by rounding, so a tie that takes case I with the
+    smaller float reports the boundary value (no stage reports less than
+    protocol (2)'s case III below p_c2), and so does a stationary point that
+    rounds to q1 = 1 or up to 1e-12 above it, where the value at q1 = 1 is
+    the boundary's (0 at r = 1).
     """
     v_int, v_boundary = _stage_candidates(p1, p2, r, sqrt, pick)
     q_int = _stationary_q1(p1, p2, r, sqrt, pick)
-    feasible = q_int <= 1.0 + BOUNDARY_TOL
-    case_i = feasible & _case_i_wins(v_int, v_boundary)
-    value = pick(feasible & (v_int > v_boundary), v_int, v_boundary)
-    return value, pick(case_i & (q_int < 1.0), q_int, 1.0), case_i
+    inside = q_int < 1.0
+    case_i = (q_int <= 1.0 + BOUNDARY_TOL) & _case_i_wins(v_int, v_boundary)
+    value = pick(inside & (v_int > v_boundary), v_int, v_boundary)
+    return value, pick(case_i & inside, q_int, 1.0), case_i
 
 
 def _stage_optimum(p1: float, p2: float, r: float) -> tuple[float, float, CaseLabel]:

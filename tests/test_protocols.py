@@ -476,7 +476,7 @@ class TestNearIdenticalStates:
         for s, p1 in _near_identical_scenarios(330):
             res = protocol1_optimal(Scenario(s, p1))
             ref, label, tie = _protocol1_reference(s, p1)
-            assert abs(res.value - ref) <= 1e-9 * ref, (s, p1)
+            assert abs(res.value - ref) <= 1e-14 * ref, (s, p1)
             assert tie or res.case_label is label, (s, p1)
 
     def test_orthogonal_states_give_exactly_one(self):
@@ -491,6 +491,17 @@ class TestNearIdenticalStates:
         assert protocol1_optimal_values(np.zeros(len(priors)), np.array(priors)).tolist() == [
             1.0
         ] * len(priors)
+
+    def test_identical_states_give_exactly_zero(self):
+        # beside p1 = 1/2 the stationary point rounds to 1 or lies within the
+        # 1e-12 feasibility margin above it; the value is the one at q1 = 1
+        rng = np.random.default_rng(31)
+        priors = [0.5] + (0.5 - 10.0 ** rng.uniform(-16.0, -12.0, 100)).tolist()
+        for p1 in priors:
+            sc = Scenario(1.0, p1)
+            for res in (protocol1_optimal(sc), bob_optimal(sc, 1.0), protocol3_optimal(sc)):
+                assert res.value == 0.0 and res.argmax["q1b"] == 1.0, (p1, res)
+        assert not protocol1_optimal_values(np.ones(len(priors)), np.array(priors)).any()
 
     def test_protocol2_stage_factors_against_50_digits(self):
         # cases I and III are products of stage values; case II's factor
