@@ -488,9 +488,7 @@ class TestNearIdenticalStates:
             assert bob_optimal(sc, float(rng.uniform(5e-324, 1.0))).value == 1.0, p1
             # Charlie's overlap t is positive; at the smallest ones his value rounds to 1
             assert charlie_optimal(sc, 5e-324).value == 1.0, p1
-        assert protocol1_optimal_values(np.zeros(len(priors)), np.array(priors)).tolist() == [
-            1.0
-        ] * len(priors)
+        assert (protocol1_optimal_values(np.zeros(len(priors)), np.array(priors)) == 1.0).all()
 
     def test_identical_states_give_exactly_zero(self):
         # beside p1 = 1/2 the stationary point rounds to 1 or lies within the
@@ -505,7 +503,7 @@ class TestNearIdenticalStates:
 
     def test_protocol2_stage_factors_against_50_digits(self):
         # cases I and III are products of stage values; case II's factor
-        # p2 - sqrt(p1*p2)*s is no stage value and still cancels (ROADMAP item 2)
+        # p2 - sqrt(p1*p2)*s is no stage value and still cancels, so it is left out
         rng = random.Random(6)
         case_i = []
         for _ in range(150):  # p1 in (p_c1, 1/2], a gap of order 1 - s
