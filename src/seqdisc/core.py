@@ -4,7 +4,9 @@ discrimination.
 Alice prepares one of two pure states with real overlap s = <psi1|psi2> and
 prior probabilities (p1, 1 - p1).  By convention p1 <= 1/2; to treat p1 > 1/2
 relabel the states.  All entropies are in bits (base-2 logarithms), so the
-entropy bound of a single qubit is 1.
+entropy bound of a single qubit is 1.  The entropy H of a tangle is one body
+on floats and arrays, computed from the smaller eigenvalue, so it keeps its
+relative accuracy down to the smallest tangles.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import numpy as np
 # Absolute tolerance used to absorb floating-point drift at feasibility
 # boundaries (probabilities, overlaps, entropy arguments).
 BOUNDARY_TOL = 1e-12
+
+_LN2 = math.log(2.0)
 
 
 class DomainError(ValueError):
@@ -169,6 +173,19 @@ def binary_entropy(p: float) -> float:
     return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
 
 
+def _entropy_of_tangle(x, sqrt, log2, log1p, pick):
+    """H(x) for x in [0, 1], on floats (``math``'s functions, ``_pick``) or on
+    arrays (``np.sqrt``, ``math``'s logarithms lane by lane, ``np.where``).
+
+    Works from the smaller eigenvalue lam = x/(2(1 + sqrt(1-x))), which is
+    never a difference, as -lam*log2(lam) - (1-lam)*log1p(-lam)/ln 2; the
+    larger one, 1 - lam, is never formed, so a small x keeps its relative
+    accuracy.  A lane with lam = 0 takes log2(1), so nothing takes log2(0).
+    """
+    lam = x / (2.0 * (1.0 + sqrt(1.0 - x)))
+    return -(lam * log2(pick(lam > 0.0, lam, 1.0))) - (1.0 - lam) * log1p(-lam) / _LN2
+
+
 def entropy_H(x: float) -> float:
     """Entropy of the spectrum {(1 + sqrt(1-x))/2, (1 - sqrt(1-x))/2} in bits.
 
@@ -178,29 +195,24 @@ def entropy_H(x: float) -> float:
     """
     if not -BOUNDARY_TOL <= x <= 1.0 + BOUNDARY_TOL:  # NaN fails too
         raise DomainError(f"entropy argument x={x} outside [0, 1]")
-    x = min(1.0, max(0.0, x))
-    return binary_entropy(0.5 * (1.0 + math.sqrt(1.0 - x)))
+    return _entropy_of_tangle(min(1.0, max(0.0, x)), math.sqrt, math.log2, math.log1p, _pick)
 
 
 def entropy_H_values(x: np.ndarray) -> np.ndarray:
-    """``entropy_H`` in every lane of an array, by the same steps.
+    """``entropy_H`` in every lane of an array, by the same body.
 
     Raises for the first lane outside [0, 1] beyond 1e-12.
     """
     ok = (x >= -BOUNDARY_TOL) & (x <= 1.0 + BOUNDARY_TOL)
     _check_lanes(ok, lambda i: entropy_H(float(x[i])))
     x = np.where(x > 0.0, np.where(x < 1.0, x, 1.0), 0.0)
-    p = 0.5 * (1.0 + np.sqrt(1.0 - x))
-    h = np.zeros_like(p)
-    mixed = (p > 0.0) & (p < 1.0)
-    p = p[mixed]
-    h[mixed] = -(p * _log2_values(p) + (1.0 - p) * _log2_values(1.0 - p))
-    return h
+    return _entropy_of_tangle(x, np.sqrt, _lanes(math.log2), _lanes(math.log1p), np.where)
 
 
-def _log2_values(x: np.ndarray) -> np.ndarray:
-    """math.log2 in every lane; numpy's own log2 may round differently."""
-    return np.fromiter(map(math.log2, x.tolist()), float, x.size)
+def _lanes(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """``f`` of ``math`` in every lane; numpy's own log2 and log1p may round
+    differently."""
+    return lambda x: np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def brent_root(

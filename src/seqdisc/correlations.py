@@ -20,10 +20,14 @@ The Koashi-Winter identity turns these into the two discords of rho_AB:
                                   + H(tau_A|BE - tau_ABE)
 
 and the left discord D_BA follows by exchanging t and r.  All discords are in
-bits.  ``discord_right`` and the column kernels (``prop_left_values``,
-``d_symm_values``) share that formula as one body and differ only in H:
-``entropy_H`` on floats, ``entropy_H_values`` on arrays, which keeps
-``math.log2`` lane by lane but skips the pure lanes where it would take log2(0).
+bits.  ``_tangles`` is the one place the tangles are formed, on floats and
+arrays; it takes 1 - t^2 as (1 - t)(1 + t) and tau_E|AB as tau_B|AE + tau_AE
+(tau_AE = tau_A|BE - tau_ABE), so no tangle is a difference.
+``discord_right`` and the column kernels (``prop_left_values``,
+``d_symm_values``) share the Koashi-Winter sum as one body and differ only in
+H: ``entropy_H`` on floats, ``entropy_H_values`` on arrays, which share one
+body that keeps its relative accuracy for small tangles.  What cancellation
+is left is the sum's own, large only where tau_B|AE and tau_AE are lopsided.
 A direct measurement-minimization oracle for the left discord is included to
 certify the closed form.
 """
@@ -86,7 +90,8 @@ class CorrelationReport:
     """All correlation quantities for one (p1, t, r).
 
     Proportions are None when both discords vanish (product state); the
-    symmetrized discord is the geometric mean sqrt(d_left * d_right).
+    symmetrized discord is the geometric mean sqrt(d_left)*sqrt(d_right),
+    whose product form would underflow at tiny priors.
     """
 
     tau_abe: float
@@ -100,26 +105,33 @@ class CorrelationReport:
     d_symm: float
 
 
+def _tangles(p1, t, r):
+    """(tau_ABE, tau_A|BE, tau_B|AE, tau_E|AB, tau_AE) on floats or arrays, the
+    one place the tangles are formed.
+
+    1 - t^2 is taken as (1 - t)(1 + t), exact in its first factor for
+    t >= 1/2, and likewise 1 - r^2.  tau_E|AB is the sum tau_B|AE + tau_AE,
+    the identity Koashi-Winter rests on (tau_AE = tau_A|BE - tau_ABE is the
+    A-E tangle), so 1 - t^2 r^2 is never formed and no tangle is a difference.
+    """
+    c = 4.0 * p1 * (1.0 - p1)
+    tau_a_be = c * ((1.0 - t) * (1.0 + t))
+    tau_b_ae = c * ((1.0 - r) * (1.0 + r))
+    tau_ae = tau_a_be * (r * r)
+    return tau_a_be * ((1.0 - r) * (1.0 + r)), tau_a_be, tau_b_ae, tau_b_ae + tau_ae, tau_ae
+
+
 def tangles(inp: CorrelationInput) -> Tangles:
     """Tangles of the tripartite purification of rho_AB."""
-    c = 4.0 * inp.p1 * inp.p2
-    t2, r2 = inp.t * inp.t, inp.r * inp.r
-    return Tangles(
-        tau_abe=c * (1.0 - t2) * (1.0 - r2),
-        tau_a_be=c * (1.0 - t2),
-        tau_b_ae=c * (1.0 - r2),
-        tau_e_ab=c * (1.0 - t2 * r2),
-    )
+    return Tangles(*_tangles(inp.p1, inp.t, inp.r)[:4])
 
 
 def _koashi_winter(p1, t, r, entropy):
-    """H(tau_B|AE) - H(tau_E|AB) + H(tau_A|BE - tau_ABE), the right discord
-    before its floor check, with ``entropy`` as H: ``entropy_H`` on floats,
+    """H(tau_B|AE) - H(tau_E|AB) + H(tau_AE), the right discord before its
+    floor check, with ``entropy`` as H: ``entropy_H`` on floats,
     ``entropy_H_values`` on arrays."""
-    c = 4.0 * p1 * (1.0 - p1)
-    t2, r2 = t * t, r * r
-    tau_ae = c * (1.0 - t2) * r2  # tau_A|BE - tau_ABE, the A-E tangle
-    return entropy(c * (1.0 - r2)) - entropy(c * (1.0 - t2 * r2)) + entropy(tau_ae)
+    _, _, tau_b_ae, tau_e_ab, tau_ae = _tangles(p1, t, r)
+    return entropy(tau_b_ae) - entropy(tau_e_ab) + entropy(tau_ae)
 
 
 def discord_right(inp: CorrelationInput) -> float:
@@ -140,7 +152,6 @@ def discord_left(inp: CorrelationInput) -> float:
 
 def correlation_report(inp: CorrelationInput) -> CorrelationReport:
     """Assemble tangles, both discords, their proportions and geometric mean."""
-    taus = tangles(inp)
     d_r = discord_right(inp)
     d_l = discord_left(inp)
     total = d_l + d_r
@@ -149,24 +160,23 @@ def correlation_report(inp: CorrelationInput) -> CorrelationReport:
     else:
         prop_left = prop_right = None
     return CorrelationReport(
-        tau_abe=taus.tau_abe,
-        tau_a_be=taus.tau_a_be,
-        tau_b_ae=taus.tau_b_ae,
-        tau_e_ab=taus.tau_e_ab,
+        *_tangles(inp.p1, inp.t, inp.r)[:4],
         d_right=d_r,
         d_left=d_l,
         prop_left=prop_left,
         prop_right=prop_right,
-        d_symm=math.sqrt(d_l * d_r),
+        d_symm=math.sqrt(d_l) * math.sqrt(d_r),
     )
 
 
 def _discord_right_values(p1: np.ndarray, t: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """``discord_right`` in every lane, by the same body."""
+    """``discord_right`` in every lane, by the same body; a lane below the
+    floor raises through ``discord_right``."""
     value = _koashi_winter(p1, t, r, entropy_H_values)
-    low = value < -_NEG_FLOOR
-    if low.any():
-        raise NumericError(f"discord {value[low][0]} below the -1e-10 floor")
+    _check_lanes(
+        ~(value < -_NEG_FLOOR),
+        lambda i: discord_right(CorrelationInput(float(p1[i]), float(t[i]), float(r[i]))),
+    )
     return np.where(value < 0.0, 0.0, value)
 
 
@@ -201,7 +211,7 @@ def d_symm_values(s: np.ndarray, p1: np.ndarray, t: np.ndarray) -> np.ndarray:
     of valid scenarios; NaN where t < s or t <= 0.
     """
     d_left, d_right = _discords_values(s, p1, t)
-    return np.sqrt(d_left * d_right)
+    return np.sqrt(d_left) * np.sqrt(d_right)
 
 
 def _vn_entropy_bits(eigvals: np.ndarray) -> np.ndarray:

@@ -123,8 +123,13 @@ def _protocol2_case1(s, p1, sqrt=math.sqrt, pick=_pick):
 
 
 def _protocol2_case2(s, p1, sqrt=math.sqrt):
-    p2 = 1.0 - p1
-    return (p2 - sqrt(p1 * p2) * s) * (1.0 - s * s)
+    """(p2 - sqrt(p1*p2)*s)*(1 - s^2), without cancellation near s = 1: the
+    first factor is sqrt(p2)*(d + sqrt(p1)*(1 - s)) with
+    d = sqrt(p2) - sqrt(p1) = (1 - 2*p1)/(sqrt(p2) + sqrt(p1)); 1 - 2*p1 is
+    exact for p1 >= 1/4, where p2 - p1 would carry p2's rounding."""
+    sp1, sp2 = sqrt(p1), sqrt(1.0 - p1)
+    d = (1.0 - 2.0 * p1) / (sp2 + sp1)
+    return sp2 * (d + sp1 * (1.0 - s)) * ((1.0 - s) * (1.0 + s))
 
 
 def protocol2_optimal(scenario: Scenario) -> PiecewiseResult:

@@ -325,9 +325,9 @@ FIGURE_CSV_SHA256 = {
     "3b": "31d301403fc73217d6f91c6f9b0741eb1de102a3d742531d605690c8fc85e92a",
     "4": "d0719f2c49326c85b49fb210f9ebc794ff24b046ed3ba15e1bc21a3966d9786c",
     "5": "efb1f866e3b66348a321b0fd848b997c50f890ccf9a53dc3da50ec8ee8a31dc8",
-    "6a": "6580568ca46b61c3a7836ba27b3e2d261b5fcb02bf2a0dc04d19ad8d5a5e40c6",
-    "6b": "936919d3998395f1aabea2ba72d0068f5a3e4cdf19313cce571289021259c6d3",
-    "6c": "4bf2ee9c79f06d847adb43f7a031794c3aa7a7007db146aab0e0264253349b8a",
+    "6a": "a8bc632a5eb8ec8f08302582ea8c3671fee4aeda885b25ec62a1597b8760916c",
+    "6b": "7da026d3ee58077ad7e9ce3cfb86384e5b105bdfad6094ee0529a66515617b94",
+    "6c": "613dcbd9bf35922124d0a5575e507eb18e70605bf78a5326a90248b41226c9ac",
 }
 
 

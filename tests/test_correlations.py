@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from seqdisc import (
     CorrelationInput,
     DomainError,
+    NumericError,
     Scenario,
     correlation_report,
     discord_left,
@@ -15,8 +17,9 @@ from seqdisc import (
     left_discord_measurement_oracle,
     tangles,
 )
+from seqdisc import correlations
 from seqdisc.core import make_state_pair
-from seqdisc.correlations import _vn_entropy_bits
+from seqdisc.correlations import _vn_entropy_bits, d_symm_values, prop_left_values
 
 inputs = st.builds(
     CorrelationInput,
@@ -82,6 +85,75 @@ class TestDiscords:
             CorrelationInput(0.6, 0.5, 0.5)
         with pytest.raises(DomainError):
             CorrelationInput(0.3, 1.5, 0.5)
+
+    def test_kernel_raises_the_scalar_floor_error(self, monkeypatch):
+        # with H(x) = x^2 the sum is -2*tau_B|AE*tau_AE, far below the floor
+        monkeypatch.setattr(correlations, "entropy_H", lambda x: x * x)
+        monkeypatch.setattr(correlations, "entropy_H_values", lambda x: x * x)
+        with pytest.raises(NumericError, match="^right discord .* below the -1e-10 floor$"):
+            prop_left_values(np.array([0.36]), np.array([0.5]), np.array([0.6]))
+
+
+def _koashi_winter_80(p1, t, r):
+    """(D, kappa): the right discord at 80 digits, and the condition number
+    (H(tau_B|AE) + H(tau_E|AB) + H(tau_AE))/D of its Koashi-Winter sum.
+
+    H takes log1p(-lam): at 60 digits mp.log(1 - lam) rounds 1 - lam to 1
+    near p1 = 1e-60 and reads 17% off there."""
+    with mpmath.workdps(80):
+        p1, t, r = mpmath.mpf(p1), mpmath.mpf(t), mpmath.mpf(r)
+        c = 4 * p1 * (1 - p1)
+
+        def h(x):
+            lam = x / (2 * (1 + mpmath.sqrt(1 - x)))
+            return (-lam * mpmath.log(lam) - (1 - lam) * mpmath.log1p(-lam)) / mpmath.log(2)
+
+        terms = (h(c * (1 - r * r)), h(c * (1 - t * t * r * r)), h(c * (1 - t * t) * r * r))
+        d = terms[0] - terms[1] + terms[2]
+        return d, sum(terms) / d
+
+
+def _discord_accuracy_inputs():
+    """200 seeded (p1, t, r): generic; p1 = 10^U(-300, -6); and 1 - t, 1 - r
+    log-uniform in [1e-15, 1e-3] within a factor of 10 of each other."""
+    rng = np.random.default_rng(31)
+    generic = [(rng.uniform(1e-3, 0.5), rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(70)]
+    small = [(10.0 ** rng.uniform(-300, -6), rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(70)]
+    near = []
+    for _ in range(60):
+        gap_t = 10.0 ** rng.uniform(-15, -3)
+        gap_r = min(max(gap_t * 10.0 ** rng.uniform(-1, 1), 1e-15), 1e-3)
+        near.append((rng.uniform(1e-3, 0.5), 1.0 - gap_t, 1.0 - gap_r))
+    return {"generic": generic, "small_p1": small, "near_one": near}
+
+
+class TestDiscordAccuracy:
+    """Both discords against an 80-digit Koashi-Winter.  Every entropy keeps
+    its relative accuracy, so what is left is the sum's cancellation: the
+    relative error stays within a few ulps times its condition number kappa,
+    which is large only where tau_B|AE and tau_AE are lopsided (ROADMAP
+    item 10's open corner)."""
+
+    @pytest.mark.parametrize("group", ["generic", "small_p1", "near_one"])
+    def test_relative_error(self, group):
+        for p1, t, r in _discord_accuracy_inputs()[group]:
+            inp = CorrelationInput(float(p1), float(t), float(r))
+            for value, args in ((discord_right(inp), (p1, t, r)), (discord_left(inp), (p1, r, t))):
+                ref, kappa = _koashi_winter_80(*args)
+                assert ref > 0 and value > 0.0, (p1, t, r)
+                rel = abs((value - ref) / ref)
+                assert rel <= 1e-15 * kappa, (p1, t, r, float(rel), float(kappa))
+                if group == "near_one":
+                    assert rel <= 1e-13, (p1, t, r, float(rel))
+
+    def test_tiny_prior_symmetrized_discord(self):
+        # d_left * d_right underflows here; sqrt(d_left) * sqrt(d_right) does not
+        rep = correlation_report(CorrelationInput(1e-200, 0.6, 0.6))
+        ref, _ = _koashi_winter_80(1e-200, 0.6, 0.6)
+        assert abs(rep.d_left - ref) <= 1e-12 * ref
+        assert rep.d_symm > 0.0 and abs(rep.d_symm - rep.d_left) <= 1e-12 * rep.d_left
+        column = d_symm_values(np.array([0.36]), np.array([1e-200]), np.array([0.6]))
+        assert column[0] == correlation_report(CorrelationInput(1e-200, 0.6, 0.36 / 0.6)).d_symm
 
 
 def test_rejects_flag_overlap_above_one():

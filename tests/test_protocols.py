@@ -503,15 +503,20 @@ class TestNearIdenticalStates:
 
     def test_protocol2_stage_factors_against_50_digits(self):
         # cases I and III are products of stage values; case II's factor
-        # p2 - sqrt(p1*p2)*s is no stage value and still cancels, so it is left out
+        # p2 - sqrt(p1*p2)*s is sqrt(p2)*(d + sqrt(p1)*(1 - s)), d = sqrt(p2) - sqrt(p1)
         rng = random.Random(6)
-        case_i = []
+        # case II, where the direct form's first factor cancels to a relative 2.0e-8
+        extra = [(0.9999999961722553, 0.49999999895134045)]
         for _ in range(150):  # p1 in (p_c1, 1/2], a gap of order 1 - s
             s = 1.0 - 10.0 ** rng.uniform(-15, -1)
             p_c1 = protocol2_critical_priors(s)[0]
-            case_i.append((s, 0.5 - (0.5 - p_c1) * rng.random()))
-        checked = 0
-        for s, p1 in _near_identical_scenarios(330, seed=6) + case_i:
+            extra.append((s, 0.5 - (0.5 - p_c1) * rng.random()))
+        for _ in range(150):  # p1 in [p_c2, p_c1]
+            s = 1.0 - 10.0 ** rng.uniform(-15, -1) if rng.random() < 0.7 else rng.random()
+            p_c1, p_c2 = protocol2_critical_priors(s)
+            extra.append((s, p_c2 + (p_c1 - p_c2) * rng.random()))
+        checked = {label: 0 for label in CaseLabel}
+        for s, p1 in _near_identical_scenarios(330, seed=6) + extra:
             p_c1, p_c2 = protocol2_critical_priors(s)
             res = protocol2_optimal(Scenario(s, p1))
             with mpmath.workdps(50):
@@ -522,11 +527,13 @@ class TestNearIdenticalStates:
                     ref = bob * (1 - 2 * mpmath.sqrt(p1c * (1 - p1c)) * ms)
                 elif p1 < p_c2 - 1e-14:
                     ref = (1 - m1) * (1 - ms * ms)
+                elif p_c2 + 1e-14 < p1 < p_c1 - 1e-14:
+                    ref = (1 - m1 - mpmath.sqrt(m1 * (1 - m1)) * ms) * (1 - ms * ms)
                 else:
                     continue
-                checked += 1
+                checked[res.case_label] += 1
                 assert abs(res.value - ref) <= 1e-10 * ref, (s, p1, res.case_label)
-        assert checked > 300
+        assert min(checked.values()) > 80 and sum(checked.values()) > 450
 
     def test_protocol2_never_above_protocol1(self):
         rng = random.Random(4)
