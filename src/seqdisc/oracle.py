@@ -290,7 +290,9 @@ def grid_maximize_protocol2(scenario: Scenario) -> tuple[float, float, float]:
 
     Bob's objective is concave in q1b with slope p2 s^2 - p1 at q1b = 1, so he
     takes that boundary exactly when p2 s^2 > p1; a zero slope is a tie and
-    goes to the interior, as in the closed form. At the boundary his success
+    goes to the interior. The closed form follows protocol (1)'s stage
+    instead, which takes the boundary where its stationary point rounds to 1,
+    within an ulp or two of the tie. At the boundary his success
     implies state 2 and Charlie needs no measurement; the Charlie coordinate
     is then reported as NaN, as it is where Bob never succeeds (s = 1,
     p1 = 1/2).
@@ -444,7 +446,8 @@ def certify(
     """Compare each closed form in ``quantities`` (None: all) against its oracle
     over the s x p1 grid; a row passes when its worst gap is at most
     ``tolerance``.  An empty selection or grid, or an infinite tolerance,
-    would pass anything, and is rejected."""
+    would pass anything, and is rejected; so is a quantity named twice, whose
+    second row would repeat the first."""
     if not 0.0 < tolerance < math.inf:  # negated, so that NaN fails it
         raise DomainError(f"tolerance={tolerance} must be positive and finite")
     if len(s_values) == 0 or len(p1_values) == 0:
@@ -455,6 +458,9 @@ def certify(
     unknown = [q for q in names if q not in _CERTIFIERS]
     if unknown:
         raise DomainError(f"unknown certification quantities {unknown}; valid: {sorted(_CERTIFIERS)}")
+    repeated = sorted({q for q in names if names.count(q) > 1})
+    if repeated:  # each would print a second, identical row
+        raise DomainError(f"certification quantities named more than once: {repeated}")
     certifiers = dict.fromkeys(_CERTIFIERS[name] for name in names)  # each once, in order
     worst = dict.fromkeys(names, (-1.0, (math.nan, math.nan)))
     for s in s_values:

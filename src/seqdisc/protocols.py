@@ -4,10 +4,11 @@
     announces the outcome; success means both parties know the state.
 (2) Bob performs his optimal discrimination; on success he prepares a fresh
     qubit in the identified state for Charlie, who then discriminates it with
-    the conditional priors induced by Bob's success.  Bob's measurement is the
-    one optimal for his own stage, so the overall optimum is a three-case
-    piecewise function of p1 with a genuine discontinuity at p_c2 (where Bob
-    starts ignoring state 1 and Charlie's task becomes trivial).
+    the conditional priors induced by Bob's success.  So the optimum is two
+    stage optima, each protocol (1)'s body: Bob's at (p1, p2), then
+    Charlie's at the priors his success leaves.  Below p_c2 Bob ignores
+    state 1 and Charlie's task becomes trivial, a genuine discontinuity;
+    above it Charlie's own stage takes case I or II, which switch at p_c1.
 (3) Bob applies the optimal probabilistic cloner; on success each party
     unambiguously discriminates an independent copy.  The cloner is handled
     through the parametrization
@@ -49,11 +50,10 @@ from .ssd import (
     CaseLabel,
     PiecewiseResult,
     _probabilities,
-    _stage_candidates,
+    _stage,
     _stage_optimum,
     _stage_optimum_values,
     _stage_result,
-    _stationary_q1,
 )
 
 
@@ -100,88 +100,65 @@ def protocol2_critical_priors(s: float) -> tuple[float, float]:
     """
     if not 0.0 <= s <= 1.0:
         raise DomainError(f"overlap s={s} outside [0, 1]")
-    return _protocol2_priors(s, math.sqrt)
-
-
-# The helpers below serve floats (sqrt = math.sqrt) and arrays (np.sqrt) alike.
-def _protocol2_priors(s, sqrt):
-    """(p_c1, p_c2) of ``protocol2_critical_priors``, without its check."""
     k = s * s
-    p_c2 = k / (1.0 + k)
-    disc = sqrt(k * k - 2.0 * k + 5.0)
+    disc = math.sqrt(k * k - 2.0 * k + 5.0)
     p_c1 = k * ((3.0 + k * k) + (1.0 - k) * disc) / (2.0 * (1.0 + 3.0 * k - k * k + k * k * k))
-    return p_c1, p_c2
+    return p_c1, k / (1.0 + k)
 
 
-def _protocol2_case1(s, p1, sqrt=math.sqrt, pick=_pick):
-    """(value, p1c) with both stages at their interior optima, each the
-    stage's interior value; p1c is the prior of state 1 conditioned on Bob's
-    success."""
-    bob = _stage_candidates(p1, 1.0 - p1, s, sqrt, pick)[0]
-    p1c = (p1 - sqrt(p1 * (1.0 - p1)) * s) / bob
-    return bob * _stage_candidates(p1c, 1.0 - p1c, s, sqrt, pick)[0], p1c
+def _bob_state1_mass(p1, p2, s, sqrt, pick):
+    """p1 - sqrt(p1*p2)*s, state 1's share p1*(1 - q1b) of Bob's success at his
+    stationary point, on floats (``math.sqrt``, ``_pick``) or on arrays
+    (``np.sqrt``, ``np.where``); Charlie's prior is this over Bob's success.
 
-
-def _protocol2_case2(s, p1, sqrt=math.sqrt):
-    """(p2 - sqrt(p1*p2)*s)*(1 - s^2), without cancellation near s = 1: the
-    first factor is sqrt(p2)*(d + sqrt(p1)*(1 - s)) with
-    d = sqrt(p2) - sqrt(p1) = (1 - 2*p1)/(sqrt(p2) + sqrt(p1)); 1 - 2*p1 is
-    exact for p1 >= 1/4, where p2 - p1 would carry p2's rounding."""
-    sp1, sp2 = sqrt(p1), sqrt(1.0 - p1)
+    For s > 1/2 it is sqrt(p1)*(sqrt(p2)*(1 - s) - d) with
+    d = sqrt(p2) - sqrt(p1) = (1 - 2*p1)/(sqrt(p2) + sqrt(p1)), which does
+    not cancel as s nears 1; 1 - s is exact there, and 1 - 2*p1 for
+    p1 >= 1/4.  Where rounding leaves it at or below 0 it is 0.
+    """
+    sp1, sp2 = sqrt(p1), sqrt(p2)
     d = (1.0 - 2.0 * p1) / (sp2 + sp1)
-    return sp2 * (d + sp1 * (1.0 - s)) * ((1.0 - s) * (1.0 + s))
+    mass = pick(s > 0.5, sp1 * (sp2 * (1.0 - s) - d), p1 - sqrt(p1 * p2) * s)
+    return pick(mass > 0.0, mass, 0.0)
 
 
 def protocol2_optimal(scenario: Scenario) -> PiecewiseResult:
     """Optimal probability that both succeed in protocol (2).
 
-    Case I (p1 > p_c1): (1 - 2 sqrt(p1 p2) s)(1 - 2 sqrt(p1' p2') s);
-    case II (p_c2 <= p1 <= p_c1): (p2 - sqrt(p1 p2) s)(1 - s^2), Charlie
-    recognizes only state 2; case III (p1 < p_c2): p2 (1 - s^2), Bob ignores
-    state 1 and Charlie learns the state for free.
-
-    The argmax is clamped to the feasible set: each stage's q1 is its
-    stationary point (``_stationary_q1``, finite where p2/p1 overflows) or 1,
-    at most 1 where the point rounds above it (p1 at p_c2), and q2 = s^2/q1,
-    or 0 where q1 = 0.
+    Two stage optima: Bob's, protocol (1)'s own, and, where his q1b is below
+    1, Charlie's on a fresh qubit at the priors Bob's success leaves,
+    p1c = (p1 - sqrt(p1 p2) s)/bob and p2c = 1 - p1c.  The value is
+    bob*charlie with Charlie's label: case I (p1 > p_c1) where his stationary
+    point wins, (1 - 2 sqrt(p1 p2) s)(1 - 2 sqrt(p1c p2c) s); case II
+    (p_c2 <= p1 <= p_c1) where he recognizes only state 2,
+    (p2 - sqrt(p1 p2) s)(1 - s^2).  Where Bob's q1b is 1 (p1 < p_c2) he
+    ignores state 1, Charlie learns the state for free, and the result is
+    case III with Bob's value p2 (1 - s^2), protocol (1)'s.  The argmax is
+    the two stages', and ``boundary_prior`` is p_c1.
     """
-    s, p1 = scenario.s, scenario.p1
-    p2, k = 1.0 - p1, s * s
-    p_c1, p_c2 = _protocol2_priors(s, math.sqrt)
-    q1c = 1.0
-    if p1 > p_c1:
-        value, p1c = _protocol2_case1(s, p1)
-        label = CaseLabel.CASE_I
-        if p1c > 0.0:  # p1 - u rounds to 0 only at subnormal p1, e.g. (1.5e-162, 5e-324)
-            q1c = _stationary_q1(p1c, 1.0 - p1c, s, math.sqrt, _pick)
-            q1c = q1c if q1c < 1.0 else 1.0
-    elif p1 >= p_c2:
-        value, label = _protocol2_case2(s, p1), CaseLabel.CASE_II
-    else:
-        value = _stage_candidates(p1, p2, s, math.sqrt, _pick)[1]
-        return PiecewiseResult(value, CaseLabel.CASE_III, {"q1b": 1.0, "q2b": k}, p_c1)
-    q1b = _stationary_q1(p1, p2, s, math.sqrt, _pick)
-    q1b = q1b if q1b < 1.0 else 1.0
-    argmax = {
-        "q1b": q1b,
-        "q2b": k / q1b if q1b > 0.0 else 0.0,
-        "q1c": q1c,
-        "q2c": k / q1c if q1c > 0.0 else 0.0,
-    }
-    return PiecewiseResult(value, label, argmax, p_c1)
+    s, p1, p2 = scenario.s, scenario.p1, scenario.p2
+    k, p_c1 = s * s, protocol2_critical_priors(s)[0]
+    bob, q1b, _ = _stage_optimum(p1, p2, s)
+    argmax = {"q1b": q1b, "q2b": k / q1b if q1b > 0.0 else 0.0}
+    if q1b == 1.0:
+        return PiecewiseResult(bob, CaseLabel.CASE_III, argmax, p_c1)
+    p1c = _bob_state1_mass(p1, p2, s, math.sqrt, _pick) / bob
+    charlie, q1c, label = _stage_optimum(p1c, 1.0 - p1c, s)
+    argmax.update(q1c=q1c, q2c=k / q1c if q1c > 0.0 else 0.0)
+    return PiecewiseResult(bob * charlie, label, argmax, p_c1)
 
 
 def protocol2_optimal_values(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
     """``protocol2_optimal(Scenario(s, p1)).value`` in every lane of valid
-    scenarios: the three cases by the same operations, chosen by the priors
-    of ``protocol2_critical_priors``.
+    scenarios, by the same two stage calls; a lane with p1c = 0 gets an
+    infinite or NaN stationary point and so Charlie's boundary, as there.
     """
-    p_c1, p_c2 = _protocol2_priors(s, np.sqrt)
-    with np.errstate(divide="ignore", invalid="ignore"):  # lanes of other cases
-        case1 = _protocol2_case1(s, p1, np.sqrt, np.where)[0]
-        case2 = _protocol2_case2(s, p1, np.sqrt)
-    case3 = _stage_candidates(p1, 1.0 - p1, s, np.sqrt, np.where)[1]
-    return _probabilities(np.where(p1 > p_c1, case1, np.where(p1 >= p_c2, case2, case3)))
+    p2 = 1.0 - p1
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bob, q1b, _ = _stage(p1, p2, s, np.sqrt, np.where)
+        p1c = _bob_state1_mass(p1, p2, s, np.sqrt, np.where) / bob
+        charlie = _stage(p1c, 1.0 - p1c, s, np.sqrt, np.where)[0]
+    return _probabilities(np.where(q1b < 1.0, bob * charlie, bob))
 
 
 def omega_range(s: float) -> tuple[float, float]:
@@ -415,9 +392,7 @@ def at_least_one_ssd(scenario: Scenario) -> PiecewiseResult:
     The products Q_i = q_i^b q_i^c satisfy Q1 Q2 = s^2 with Q_i in [s^2, 1],
     so the problem collapses onto protocol (1).
     """
-    base = protocol1_optimal(scenario)
-    argmax = {"q1_product": base.argmax["q1b"], "q2_product": base.argmax["q2b"]}
-    return PiecewiseResult(base.value, base.case_label, argmax, base.boundary_prior)
+    return _stage_result(scenario, scenario.s, ("q1_product", "q2_product"))
 
 
 def at_least_one_protocol3(scenario: Scenario) -> PiecewiseResult:

@@ -24,15 +24,17 @@ equating the two branches at that prior leaves the quadratic
 
 The point API (``bob_optimal``, ``joint_optimal``, ...) works on floats; each
 ``*_values`` kernel gives the same value in every lane of arrays.  The
-stage's two candidate values (which also give protocol (2)'s Bob and Charlie
-factors and its case III), its stationary point (which protocol (2) shares),
-the stage optimum, the case-I tie rule, the joint two-case choice and P_C's
-closed form are each one body that both call, on floats with ``math.sqrt``
-(and ``_pick``), on arrays with ``np.sqrt`` (and ``np.where``).  Only q*'s root
-search keeps a twin, ``_q_star_values``: its Newton polish stops each root on
-its own, where the kernel runs all lanes in lockstep, and one lane through
-the kernel costs several times the scalar call.  The joint kernel solves for
-q* only on the lanes where case I can win.
+stage's two candidate values and its stationary point (which only the stage
+optimum reads), the stage optimum (which also gives protocol (1), both of
+protocol (2)'s stages and each cloned copy), the case-I tie rule, the joint
+two-case choice and P_C's closed form are each one body that both call, on
+floats with ``math.sqrt`` (and ``_pick``), on arrays with ``np.sqrt`` (and
+``np.where``).  Three twins remain, because their control flow differs.  Two
+are here: q*'s root search, ``_q_star_values``, whose Newton polish stops
+each root on its own where the kernel runs all lanes in lockstep (one lane
+through the kernel costs several times the scalar call), and the joint
+kernel, which solves for q* only on the lanes where case I can win.  The
+third is the cloner's lockstep Brent search, ``core.brent_root_values``.
 """
 
 from __future__ import annotations
@@ -185,9 +187,8 @@ def _stage(p1, p2, r, sqrt, pick):
     interior value is the objective's maximum over all q1 > 0, never below
     the boundary value but by rounding, so a tie that takes case I with the
     smaller float reports the boundary value (no stage reports less than
-    protocol (2)'s case III below p_c2), and so does a stationary point that
-    rounds to q1 = 1 or up to 1e-12 above it, where the value at q1 = 1 is
-    the boundary's (0 at r = 1).
+    that), and so does a stationary point that rounds to q1 = 1 or up to
+    1e-12 above it, where the value at q1 = 1 is the boundary's (0 at r = 1).
     """
     v_int, v_boundary = _stage_candidates(p1, p2, r, sqrt, pick)
     q_int = _stationary_q1(p1, p2, r, sqrt, pick)

@@ -42,7 +42,6 @@ from seqdisc import (
     solve_q_star,
     write_csv,
 )
-from seqdisc.protocols import _protocol2_case1, _protocol2_case2
 
 
 def _report(number: int, description: str):
@@ -184,9 +183,10 @@ def test_criterion_6_protocol2_discontinuity():
     left = protocol2_optimal(Scenario(s, p_c2 * (1 - 1e-9))).value
     right = protocol2_optimal(Scenario(s, p_c2 * (1 + 1e-9))).value
     assert abs(left - right) > 1e-3
-    v_case1, _ = _protocol2_case1(s, p_c1)
-    v_case2 = _protocol2_case2(s, p_c1)
-    assert v_case1 == pytest.approx(v_case2, abs=1e-9)
+    below = protocol2_optimal(Scenario(s, p_c1 * (1 - 1e-9)))
+    above = protocol2_optimal(Scenario(s, p_c1 * (1 + 1e-9)))
+    assert (below.case_label, above.case_label) == (CaseLabel.CASE_II, CaseLabel.CASE_I)
+    assert below.value == pytest.approx(above.value, abs=1e-9)
 
 
 @_report(7, "cloning endpoint values and constraint residual across omega")

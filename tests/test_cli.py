@@ -364,6 +364,12 @@ class TestVerify:
         last = capsys.readouterr().out.splitlines()[-1]
         assert re.fullmatch(r"certification finished in \d+\.\ds", last)
 
+    def test_repeated_quantity_exits_2(self, capsys):
+        # a doubled row would pass a count of the PASS rows unseen
+        assert main(["verify", "--quantity", "joint,joint"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "more than once" in err
+
 
 @pytest.mark.parametrize(
     "argv,message",

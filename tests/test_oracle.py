@@ -59,6 +59,12 @@ class TestCertifyTolerance:
         with pytest.raises(DomainError, match="at least one quantity"):
             certify([], [0.2], [0.3])
 
+    def test_rejects_repeated_quantity(self):
+        # a repeated name used to give two identical rows, which hides a
+        # doubled row from a count of the rows
+        with pytest.raises(DomainError, match=r"more than once: \['protocol1'\]"):
+            certify(["protocol1", "bob", "protocol1"], [0.2], [0.3])
+
 
 class TestStageOracles:
     def test_bob_equal_priors(self):
@@ -669,7 +675,7 @@ class TestCertify:
             ["protocol3"],
             ["at_least_one_p3"],
             ["protocol3", "at_least_one_p3"],
-            ["at_least_one_p3", "protocol3", "at_least_one_p3"],
+            ["at_least_one_p3", "protocol3"],
         ],
     )
     def test_cloning_rows_share_one_cloner_and_one_oracle_per_scenario(self, monkeypatch, names):
@@ -691,8 +697,9 @@ class TestCertify:
         assert [row.quantity for row in together] == ["protocol3", "at_least_one_p3"]
         assert together == alone
 
-    def test_duplicated_reordered_names_give_one_row_each_in_order(self):
-        names = ["at_least_one_p3", "bob", "protocol3", "at_least_one_p3", "bob"]
+    def test_reordered_names_give_one_row_each_in_order(self):
+        # a repeated name is rejected (TestCertifyTolerance)
+        names = ["at_least_one_p3", "bob", "protocol3"]
         rows = certify(names, (0.36,), (0.2, 0.5))
         assert [row.quantity for row in rows] == names
         for row in rows:

@@ -32,9 +32,8 @@ from seqdisc.protocols import (
     _P1_OF_OMEGA,
     _clone_params,
     _clone_params_values,
+    _bob_state1_mass,
     _clone_working_point,
-    _protocol2_case1,
-    _protocol2_case2,
     at_least_one_protocol3_values,
     protocol1_optimal_values,
     protocol2_optimal_values,
@@ -105,13 +104,18 @@ class TestProtocol2:
 
     def test_conditioned_prior_matches_its_definition(self):
         # Charlie's prior p1(1 - q1)/(p1(1 - q1) + p2(1 - q2)) at Bob's
-        # optimal q1b = sqrt(p2/p1)*s, against the closed form's p1c
+        # optimal q1b = sqrt(p2/p1)*s, against the mass body over Bob's
+        # success; Charlie's stage runs at that prior
         s, p1, p2 = 0.1, 0.3, 0.7
         q1b = math.sqrt(p2 / p1) * s
         b1, b2 = p1 * (1.0 - q1b), p2 * (1.0 - s * s / q1b)
-        p1c = _protocol2_case1(s, p1)[1]
+        sc = Scenario(s, p1)
+        p1c = _bob_state1_mass(p1, p2, s, math.sqrt, _pick) / protocol1_optimal(sc).value
         assert p1c == pytest.approx(b1 / (b1 + b2), abs=1e-12)
         assert p1c == pytest.approx(0.2798201867892059, abs=1e-12)
+        res = protocol2_optimal(sc)
+        assert res.argmax["q1b"] == protocol1_optimal(sc).argmax["q1b"]
+        assert res.argmax["q1c"] == math.sqrt((1.0 - p1c) / p1c) * s
 
     def test_critical_priors_ordered(self):
         for s in np.linspace(0.01, 0.99, 99):
@@ -142,11 +146,16 @@ class TestProtocol2:
             assert np.all(np.diff(vals) <= 1e-12)
 
     def test_branches_meet_at_pc1(self):
+        # Charlie's case II below p_c1 and case I above it meet there: the
+        # values 1e-13 (relative) to either side, where the slope moves them
+        # by at most about 1e-13, differ by no more than 1e-12.
         # s = 1 is left out: Bob's interior success vanishes there (0/0)
         for s in np.logspace(-10, -1e-9, 600).tolist():
             p_c1, _ = protocol2_critical_priors(s)
-            v_case1, _ = _protocol2_case1(s, p_c1)
-            assert abs(v_case1 - _protocol2_case2(s, p_c1)) <= 1e-12
+            below = protocol2_optimal(Scenario(s, p_c1 * (1.0 - 1e-13)))
+            above = protocol2_optimal(Scenario(s, min(p_c1 * (1.0 + 1e-13), 0.5)))
+            assert below.case_label is not CaseLabel.CASE_III, s
+            assert abs(below.value - above.value) <= 1e-12, s
 
     @pytest.mark.parametrize("p1", [0.1, 0.5])
     def test_identical_states(self, p1):
@@ -192,6 +201,37 @@ class TestProtocol2:
             assert case3.case_label is CaseLabel.CASE_III, sc
             assert single.case_label is CaseLabel.CASE_II, sc
             assert case3.value == single.value, sc
+
+    def test_case_iii_exactly_where_protocol1_ignores_state_1(self):
+        # Bob's stage is protocol (1)'s, so protocol (2) takes case III on
+        # exactly the scenarios where protocol (1)'s q1b is 1, with its value
+        # and argmax bit for bit: a few ulps either side of p_c2, beside it,
+        # and anywhere, with s near 1 for half of the draws
+        rng = random.Random(32)
+        counts = {True: 0, False: 0}
+        for _ in range(3000):
+            s = 1.0 - 10.0 ** rng.uniform(-16, -1) if rng.random() < 0.5 else rng.random()
+            p_c2 = protocol2_critical_priors(s)[1]
+            kind = rng.random()
+            if kind < 0.5:
+                p1 = p_c2 + rng.randint(-4, 4) * math.ulp(p_c2)
+            elif kind < 0.8:
+                p1 = p_c2 * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16, -3))
+            else:
+                p1 = rng.uniform(1e-9, 0.5)
+            if not 0.0 < p1 <= 0.5:
+                continue
+            sc = Scenario(s, p1)
+            res, single = protocol2_optimal(sc), protocol1_optimal(sc)
+            case_iii = single.argmax["q1b"] == 1.0
+            assert (res.case_label is CaseLabel.CASE_III) == case_iii, (s, p1)
+            counts[case_iii] += 1
+            if case_iii:
+                assert res.value == single.value, (s, p1)
+                assert res.argmax == single.argmax, (s, p1)
+            else:
+                assert res.argmax["q1b"] == single.argmax["q1b"] < 1.0, (s, p1)
+        assert min(counts.values()) > 1000
 
 
 def _assert_protocol2_argmax_feasible(s, p1):
@@ -505,8 +545,9 @@ class TestNearIdenticalStates:
         # cases I and III are products of stage values; case II's factor
         # p2 - sqrt(p1*p2)*s is sqrt(p2)*(d + sqrt(p1)*(1 - s)), d = sqrt(p2) - sqrt(p1)
         rng = random.Random(6)
-        # case II, where the direct form's first factor cancels to a relative 2.0e-8
-        extra = [(0.9999999961722553, 0.49999999895134045)]
+        # case II, where the direct form's first factor cancels to a relative
+        # 2.0e-8, and case I, where Charlie's prior did so to 1.2e-10
+        extra = [(0.9999999961722553, 0.49999999895134045), (0.999999287032437, 0.4999999999998079)]
         for _ in range(150):  # p1 in (p_c1, 1/2], a gap of order 1 - s
             s = 1.0 - 10.0 ** rng.uniform(-15, -1)
             p_c1 = protocol2_critical_priors(s)[0]
@@ -532,7 +573,7 @@ class TestNearIdenticalStates:
                 else:
                     continue
                 checked[res.case_label] += 1
-                assert abs(res.value - ref) <= 1e-10 * ref, (s, p1, res.case_label)
+                assert abs(res.value - ref) <= 1e-14 * ref, (s, p1, res.case_label)
         assert min(checked.values()) > 80 and sum(checked.values()) > 450
 
     def test_protocol2_never_above_protocol1(self):
