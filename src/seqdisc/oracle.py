@@ -38,7 +38,7 @@ from .core import (
     window_scan_max,
 )
 from .protocols import _cloned_optimum, at_least_one_ssd, protocol1_optimal, protocol2_optimal
-from .ssd import bob_optimal, charlie_optimal, joint_optimal
+from .ssd import _interior, bob_optimal, charlie_optimal, joint_optimal
 
 #: Grid points of each 1-D scan, and per axis of each (t, q1b, q1c) scan and
 #: of each of its refinements.
@@ -289,16 +289,16 @@ def grid_maximize_protocol2(scenario: Scenario) -> tuple[float, float, float]:
     Charlie's stage at the induced conditional priors.
 
     Bob's objective is concave in q1b with slope p2 s^2 - p1 at q1b = 1, so he
-    takes that boundary exactly when p2 s^2 > p1; a zero slope is a tie and
-    goes to the interior. The closed form follows protocol (1)'s stage
-    instead, which takes the boundary where its stationary point rounds to 1,
-    within an ulp or two of the tie. At the boundary his success
-    implies state 2 and Charlie needs no measurement; the Charlie coordinate
-    is then reported as NaN, as it is where Bob never succeeds (s = 1,
-    p1 = 1/2).
+    takes that boundary exactly where the slope is not negative, where his
+    stationary point is not below 1. Within an ulp or two of that tie the
+    rounded slope can take the wrong side of protocol (2)'s jump, so the side
+    is the closed form's exact test, ``ssd._interior``. At the boundary his
+    success implies state 2 and Charlie needs no measurement; the Charlie
+    coordinate is then reported as NaN, as it is where Bob never succeeds
+    (s = 1, p1 = 1/2).
     """
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
-    if p2 * s * s > p1:
+    if not _interior(p1, s):
         return p2 * (1.0 - s * s), 1.0, math.nan
     bob_val, q1b = _grid_max_stage(p1, p2, s)
     if bob_val == 0.0:

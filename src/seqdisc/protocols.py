@@ -6,9 +6,10 @@
     qubit in the identified state for Charlie, who then discriminates it with
     the conditional priors induced by Bob's success.  So the optimum is two
     stage optima, each protocol (1)'s body: Bob's at (p1, p2), then
-    Charlie's at the priors his success leaves.  Below p_c2 Bob ignores
-    state 1 and Charlie's task becomes trivial, a genuine discontinuity;
-    above it Charlie's own stage takes case I or II, which switch at p_c1.
+    Charlie's at the priors his success leaves.  Up to p_c2 Bob ignores
+    state 1 and Charlie's task becomes trivial, a genuine discontinuity that
+    the stage places exactly; above it Charlie's own stage takes case I or
+    II, which switch at p_c1.
 (3) Bob applies the optimal probabilistic cloner; on success each party
     unambiguously discriminates an independent copy.  The cloner is handled
     through the parametrization
@@ -131,8 +132,8 @@ def protocol2_optimal(scenario: Scenario) -> PiecewiseResult:
     bob*charlie with Charlie's label: case I (p1 > p_c1) where his stationary
     point wins, (1 - 2 sqrt(p1 p2) s)(1 - 2 sqrt(p1c p2c) s); case II
     (p_c2 <= p1 <= p_c1) where he recognizes only state 2,
-    (p2 - sqrt(p1 p2) s)(1 - s^2).  Where Bob's q1b is 1 (p1 < p_c2) he
-    ignores state 1, Charlie learns the state for free, and the result is
+    (p2 - sqrt(p1 p2) s)(1 - s^2).  Where Bob's q1b is 1 (p1 <= p_c2, which
+    the stage decides exactly) he ignores state 1, Charlie learns the state for free, and the result is
     case III with Bob's value p2 (1 - s^2), protocol (1)'s.  The argmax is
     the two stages', and ``boundary_prior`` is p_c1.
     """

@@ -24,8 +24,9 @@ equating the two branches at that prior leaves the quadratic
 
 The point API (``bob_optimal``, ``joint_optimal``, ...) works on floats; each
 ``*_values`` kernel gives the same value in every lane of arrays.  The
-stage's two candidate values and its stationary point (which only the stage
-optimum reads), the stage optimum (which also gives protocol (1), both of
+stage's two candidate values, its stationary point and the exact test of
+whether that lies below 1 (which only the stage optimum reads; the test also
+places protocol (2)'s oracle), the stage optimum (which also gives protocol (1), both of
 protocol (2)'s stages and each cloned copy), the case-I tie rule, the joint
 two-case choice and P_C's closed form are each one body that both call, on
 floats with ``math.sqrt`` (and ``_pick``), on arrays with ``np.sqrt`` (and
@@ -42,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -62,6 +64,8 @@ SYMMETRY_BREAK_OVERLAP = 3.0 - 2.0 * math.sqrt(2.0)
 
 #: Relative tie margin of ``_case_i_wins``.
 _TIE_TOL = 1e-12
+#: The float just below 1, for a stationary point below 1 that rounds to it.
+_BELOW_ONE = 1.0 - 2.0**-53
 
 # ``joint_optimal_values`` solves for q* only on the lanes where case I can
 # win: p1 >= P_C*(1 - _PC_REL_MARGIN) - _PC_ABS_MARGIN and
@@ -158,6 +162,36 @@ def _stationary_q1(p1, p2, r, sqrt, pick):
     return pick(ratio < math.inf, sqrt(ratio) * r, r / sqrt(p1 / p2))
 
 
+def _interior(p1, r):
+    """Whether a stage's stationary point sqrt(p2/p1)*r lies below 1 for
+    p2 = 1 - p1, that is r^2*(1 - p1) < p1, or p1 above the critical prior
+    r^2/(1 + r^2); exactly, on floats or arrays.
+
+    The rounded stationary point, or p2*r^2 with p2 rounded, can fall on the
+    wrong side within an ulp or two of the tie, where protocol (2) jumps.
+    The rounded comparison of r^2 with p1*(1 + r^2) errs by at most a
+    relative 4e-16 (and 1e-323 on underflow), so it decides every argument
+    farther than 1e-15 from the tie; rationals decide the rest, lane by lane.
+    """
+    k = r * r
+    bound = p1 * (1.0 + k)
+    inside = k < bound
+    near = abs(k - bound) <= 1e-15 * bound + 1e-300  # False where p1 is NaN
+    if isinstance(near, np.ndarray):
+        p1, r = np.broadcast_to(p1, near.shape), np.broadcast_to(r, near.shape)
+        for i in np.flatnonzero(near):
+            inside.flat[i] = _exactly_interior(p1.flat[i], r.flat[i])
+    elif near:
+        inside = _exactly_interior(p1, r)
+    return inside
+
+
+def _exactly_interior(p1, r):
+    """``_interior`` for one pair of floats, in rationals."""
+    q1, k = Fraction(float(p1)), Fraction(float(r)) ** 2
+    return k * (1 - q1) < q1
+
+
 def _stage_candidates(p1, p2, r, sqrt, pick):
     """A stage's two candidate values at flag overlap r, (interior, boundary):
     1 - 2*sqrt(p1*p2)*r at the stationary point and p2*(1 - r^2) at q1 = 1,
@@ -181,21 +215,24 @@ def _stage(p1, p2, r, sqrt, pick):
     """(value, q1, case I) of ``_stage_optimum`` for p1 > 0, on floats
     (``math.sqrt``, ``_pick``) or on arrays (``np.sqrt``, ``np.where``).
 
-    On arrays a lane with p1 = 0 gets an infinite or NaN stationary point and
-    so the boundary.  The value is the interior one only where the
-    stationary point lies below 1 and its value above the boundary's: the
+    On arrays a lane with p1 = 0 gets the boundary.  The stationary point
+    is inside where ``_interior`` says so, exactly; one that rounds to 1
+    there is reported as the float below 1, so q1 < 1 exactly where the
+    stage takes its stationary point.  The value is the interior one only
+    where the point is inside and its value above the boundary's: the
     interior value is the objective's maximum over all q1 > 0, never below
     the boundary value but by rounding, so a tie that takes case I with the
     smaller float reports the boundary value (no stage reports less than
-    that), and so does a stationary point that rounds to q1 = 1 or up to
-    1e-12 above it, where the value at q1 = 1 is the boundary's (0 at r = 1).
+    that), and so does a stationary point at or up to 1e-12 above q1 = 1,
+    where the value at q1 = 1 is the boundary's (0 at r = 1).
     """
     v_int, v_boundary = _stage_candidates(p1, p2, r, sqrt, pick)
     q_int = _stationary_q1(p1, p2, r, sqrt, pick)
-    inside = q_int < 1.0
+    inside = _interior(p1, r)
     case_i = (q_int <= 1.0 + BOUNDARY_TOL) & _case_i_wins(v_int, v_boundary)
     value = pick(inside & (v_int > v_boundary), v_int, v_boundary)
-    return value, pick(case_i & inside, q_int, 1.0), case_i
+    q1 = pick(q_int < 1.0, q_int, _BELOW_ONE)
+    return value, pick(case_i & inside, q1, 1.0), case_i
 
 
 def _stage_optimum(p1: float, p2: float, r: float) -> tuple[float, float, CaseLabel]:

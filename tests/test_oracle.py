@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from seqdisc import (
     CERT_P1_VALUES,
     CERT_S_VALUES,
     SYMMETRY_BREAK_OVERLAP,
+    CaseLabel,
     DomainError,
     Scenario,
     certify,
@@ -146,6 +148,29 @@ class TestProtocol2Oracle:
         scenarios = [Scenario(s, p_c2 + d) for d in np.logspace(-9, -4, 200)]
         gaps = [abs(grid_maximize_protocol2(sc)[0] - protocol2_optimal(sc).value) for sc in scenarios]
         assert max(gaps) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "s,p1",
+        [
+            (0.9999999999999996, 0.4999999999999998),
+            (0.999999999999976, 0.49999999999998807),
+            (0.9999999999568306, 0.4999999999784153),
+            (0.9112208659912447, 0.453648484413604),
+            (0.7429634011369497, 0.35566786762105373),
+            (0.09947212883241696, 0.009797758490267563),
+            (0.018269785334533273, 0.0003336736808816116),
+            (7.961017515298589e-128, 6.337779987889093e-255),
+        ],
+    )
+    def test_side_of_the_jump_within_ulps_of_pc2(self, s, p1):
+        # within two ulps of p_c2 both take Bob's side by the exact sign of
+        # p2 s^2 - p1 (p2 = 1 - p1): a rounded stationary point put the closed
+        # form in case III on six of these, 0.16 above the oracle at s = 0.74
+        res = protocol2_optimal(Scenario(s, p1))
+        boundary = Fraction(s) ** 2 * (1 - Fraction(p1)) >= Fraction(p1)
+        assert (res.case_label is CaseLabel.CASE_III) == boundary
+        (row,) = certify(["protocol2"], [s], [p1])
+        assert row.passed and row.worst_gap <= 1e-9
 
     @pytest.mark.parametrize("p1", [0.2, 0.5])
     def test_orthogonal_states(self, p1):

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -28,6 +29,7 @@ from seqdisc import (
     protocol3_optimal,
 )
 from seqdisc.core import _pick
+from seqdisc.ssd import _stage_candidates, _stage_optimum
 from seqdisc.protocols import (
     _P1_OF_OMEGA,
     _clone_params,
@@ -146,16 +148,20 @@ class TestProtocol2:
             assert np.all(np.diff(vals) <= 1e-12)
 
     def test_branches_meet_at_pc1(self):
-        # Charlie's case II below p_c1 and case I above it meet there: the
-        # values 1e-13 (relative) to either side, where the slope moves them
-        # by at most about 1e-13, differ by no more than 1e-12.
+        # at p_c1, Charlie's two candidates at the prior Bob's success leaves
+        # give protocol (2) the same value (case I meets case II), and
+        # Charlie's case switches from II to I across it
         # s = 1 is left out: Bob's interior success vanishes there (0/0)
         for s in np.logspace(-10, -1e-9, 600).tolist():
             p_c1, _ = protocol2_critical_priors(s)
-            below = protocol2_optimal(Scenario(s, p_c1 * (1.0 - 1e-13)))
-            above = protocol2_optimal(Scenario(s, min(p_c1 * (1.0 + 1e-13), 0.5)))
-            assert below.case_label is not CaseLabel.CASE_III, s
-            assert abs(below.value - above.value) <= 1e-12, s
+            p2 = 1.0 - p_c1
+            bob = _stage_optimum(p_c1, p2, s)[0]
+            p1c = _bob_state1_mass(p_c1, p2, s, math.sqrt, _pick) / bob
+            v_int, v_boundary = _stage_candidates(p1c, 1.0 - p1c, s, math.sqrt, _pick)
+            assert abs(bob * (v_int - v_boundary)) <= 1e-12, s
+            below = protocol2_optimal(Scenario(s, p_c1 * (1.0 - 1e-9)))
+            above = protocol2_optimal(Scenario(s, min(p_c1 * (1.0 + 1e-9), 0.5)))
+            assert (below.case_label, above.case_label) == (CaseLabel.CASE_II, CaseLabel.CASE_I), s
 
     @pytest.mark.parametrize("p1", [0.1, 0.5])
     def test_identical_states(self, p1):
@@ -206,7 +212,8 @@ class TestProtocol2:
         # Bob's stage is protocol (1)'s, so protocol (2) takes case III on
         # exactly the scenarios where protocol (1)'s q1b is 1, with its value
         # and argmax bit for bit: a few ulps either side of p_c2, beside it,
-        # and anywhere, with s near 1 for half of the draws
+        # and anywhere, with s near 1 for half of the draws.  That is where
+        # p1 <= s^2/(1 + s^2) exactly, with p2 = 1 - p1 in rationals.
         rng = random.Random(32)
         counts = {True: 0, False: 0}
         for _ in range(3000):
@@ -224,6 +231,7 @@ class TestProtocol2:
             sc = Scenario(s, p1)
             res, single = protocol2_optimal(sc), protocol1_optimal(sc)
             case_iii = single.argmax["q1b"] == 1.0
+            assert case_iii == (Fraction(s) ** 2 * (1 - Fraction(p1)) >= Fraction(p1)), (s, p1)
             assert (res.case_label is CaseLabel.CASE_III) == case_iii, (s, p1)
             counts[case_iii] += 1
             if case_iii:
