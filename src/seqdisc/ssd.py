@@ -177,12 +177,12 @@ def _interior(p1, r):
     bound = p1 * (1.0 + k)
     inside = k < bound
     near = abs(k - bound) <= 1e-15 * bound + 1e-300  # False where p1 is NaN
-    if isinstance(near, np.ndarray):
+    if not isinstance(near, np.ndarray):
+        return _exactly_interior(p1, r) if near else inside
+    if near.any():
         p1, r = np.broadcast_to(p1, near.shape), np.broadcast_to(r, near.shape)
         for i in np.flatnonzero(near):
             inside.flat[i] = _exactly_interior(p1.flat[i], r.flat[i])
-    elif near:
-        inside = _exactly_interior(p1, r)
     return inside
 
 
