@@ -25,17 +25,18 @@ equating the two branches at that prior leaves the quadratic
 The point API (``bob_optimal``, ``joint_optimal``, ...) works on floats; each
 ``*_values`` kernel gives the same value in every lane of arrays.  The
 stage's two candidate values, its stationary point and the exact test of
-whether that lies below 1 (which only the stage optimum reads; the test also
-places protocol (2)'s oracle), the stage optimum (which also gives protocol (1), both of
-protocol (2)'s stages and each cloned copy), the case-I tie rule, the joint
-two-case choice and P_C's closed form are each one body that both call, on
-floats with ``math.sqrt`` (and ``_pick``), on arrays with ``np.sqrt`` (and
-``np.where``).  Three twins remain, because their control flow differs.  Two
-are here: q*'s root search, ``_q_star_values``, whose Newton polish stops
-each root on its own where the kernel runs all lanes in lockstep (one lane
-through the kernel costs several times the scalar call), and the joint
-kernel, which solves for q* only on the lanes where case I can win.  The
-third is the cloner's lockstep Brent search, ``core.brent_root_values``.
+whether that lies below 1 (of the closed forms, only the stage optimum
+reads them; protocol (2)'s oracle reads the test too), the stage optimum
+(which also gives protocol (1), both of protocol (2)'s stages and each
+cloned copy), the case-I tie rule, the joint two-case choice and P_C's
+closed form are each one body that both call, on floats with ``math.sqrt`` (and ``_pick``), on arrays with
+``np.sqrt`` (and ``np.where``).  Three twins remain, because their control
+flow differs.  Two are here: q*'s root search, ``_q_star_values``, whose
+Newton polish stops each root on its own where the kernel runs all lanes in
+lockstep (one lane through the kernel costs several times the scalar call),
+and the joint kernel, which solves for q* only on the lanes where case I can
+win.  The third is the cloner's lockstep Brent search,
+``core.brent_root_values``.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def _interior(p1, r):
     The rounded stationary point, or p2*r^2 with p2 rounded, can fall on the
     wrong side within an ulp or two of the tie, where protocol (2) jumps.
     The rounded comparison of r^2 with p1*(1 + r^2) errs by at most a
-    relative 4e-16 (and 1e-323 on underflow), so it decides every argument
+    relative 4.5e-16 (and 1e-323 on underflow), so it decides every argument
     farther than 1e-15 from the tie; rationals decide the rest, lane by lane.
     """
     k = r * r
