@@ -43,7 +43,11 @@ class InfeasibleIsometryError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """A discrimination instance: overlap ``s`` and prior ``p1`` of state 1."""
+    """A discrimination instance: overlap ``s`` and prior ``p1`` of state 1.
+
+    Both are held as Python floats, so a numpy scalar given for either takes
+    the same steps, and gives the same results, as the float it holds.
+    """
 
     s: float
     p1: float
@@ -53,6 +57,8 @@ class Scenario:
             raise DomainError(f"overlap s={self.s} outside [0, 1]")
         if not 0.0 < self.p1 <= 0.5:
             raise DomainError(f"prior p1={self.p1} outside (0, 1/2]")
+        object.__setattr__(self, "s", float(self.s))
+        object.__setattr__(self, "p1", float(self.p1))
 
     @property
     def p2(self) -> float:
@@ -134,9 +140,13 @@ def _pick(cond: bool, a: float, b: float) -> float:
 
 def _check_lanes(ok: np.ndarray, check: Callable[[int], object]) -> None:
     """Call ``check`` on the first lane index where ``ok`` is False; ``check``
-    runs the scalar validation there, so an array fails with its exception."""
+    runs the scalar validation there, so an array fails with its exception.
+    A lane that the mask flags but ``check`` passes is a NumericError: the
+    mask is stricter than the scalar validation it stands for."""
     if not ok.all():
-        check(int(np.argmin(ok)))
+        i = int(np.argmin(ok))
+        check(i)
+        raise NumericError(f"lane {i} fails its mask but passes its scalar check")
 
 
 def check_overlap_t(s: float, t: float) -> None:

@@ -56,7 +56,8 @@ _NEG_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class CorrelationInput:
-    """Prior and post-measurement overlaps (p1, t, r); s = t*r is implied."""
+    """Prior and post-measurement overlaps (p1, t, r); s = t*r is implied.
+    All three are held as Python floats, as in ``Scenario``."""
 
     p1: float
     t: float
@@ -69,6 +70,8 @@ class CorrelationInput:
             raise DomainError(f"overlap t={self.t} outside [0, 1]")
         if not 0.0 <= self.r <= 1.0:
             raise DomainError(f"overlap r={self.r} outside [0, 1]")
+        for name in ("p1", "t", "r"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def p2(self) -> float:

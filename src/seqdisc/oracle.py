@@ -3,7 +3,12 @@
 Each oracle evaluates the defining objective on a dense grid of the feasible
 set (boundaries always included, since the optima frequently sit at q = 1)
 and refines around the best point.  They share nothing with the piecewise
-closed forms beyond the objective definitions themselves.
+closed forms beyond the objective definitions themselves, with one
+exception: protocol (2)'s oracle takes Bob's side of his case boundary from
+the closed form's exact test, ``ssd._interior``.  At p_c2 his objective's
+slope at q1b = 1 changes sign, and within an ulp or two of that tie the
+rounded slope can take either side of protocol (2)'s jump, which no grid
+can resolve.
 
 The grids are fixed: 1-D scans take ``_SCAN_POINTS`` points and are refined
 by ``_REFINEMENT_PASSES`` rescans of ``_SCAN_POINTS`` points over the window
@@ -294,15 +299,14 @@ def grid_maximize_protocol2(scenario: Scenario) -> tuple[float, float, float]:
     rounded slope can take the wrong side of protocol (2)'s jump, so the side
     is the closed form's exact test, ``ssd._interior``. At the boundary his
     success implies state 2 and Charlie needs no measurement; the Charlie
-    coordinate is then reported as NaN, as it is where Bob never succeeds
-    (s = 1, p1 = 1/2).
+    coordinate is then reported as NaN.  That side takes s = 1 too, so inside
+    s < 1 and Bob's grid maximum is at least p2 (1 - s^2) > 0, q1b = 1 being
+    on the grid: his success always leaves Charlie a prior.
     """
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
     if not _interior(p1, s):
         return p2 * (1.0 - s * s), 1.0, math.nan
     bob_val, q1b = _grid_max_stage(p1, p2, s)
-    if bob_val == 0.0:
-        return 0.0, q1b, math.nan
     q2b = s * s / q1b if q1b > 0.0 else 0.0  # q1b = 0 only at s = 0, the r = 0 limit
     charlie_val, q1c = _conditioned_stage(p1 * (1.0 - q1b), p2 * (1.0 - q2b), s)
     return bob_val * charlie_val, q1b, q1c

@@ -43,6 +43,7 @@ from .core import (
     DomainError,
     NumericError,
     Scenario,
+    _check_lanes,
     _pick,
     brent_root,
     brent_root_values,
@@ -169,8 +170,12 @@ def omega_range(s: float) -> tuple[float, float]:
     return 1.0 / (1.0 + s), 1.0 / (1.0 + s * s)
 
 
-def _clone_params(u: float, s: float) -> CloneParams:
-    """Cloning working point at omega = omega_1 + D*u^2, u in [0, 1].
+def _clone_working_point(u, s, sqrt, pick) -> tuple:
+    """Cloning working point at omega = omega_1 + D*u^2, u in [0, 1], on floats
+    (``math.sqrt``, ``_pick``) or on arrays (``np.sqrt``, ``np.where``): the
+    fields of ``CloneParams`` as a tuple in their order.  The root search's
+    steps read ``p1_of_omega`` from it at ``_P1_OF_OMEGA``, so a
+    ``CloneParams`` is built only at the root.
 
     D = omega_2 - omega_1 = s(1-s)/((1+s)(1+s^2)).  No field subtracts nearly
     equal numbers: 1 - x = (2s + (1-s)u^2)/(1+s), 1 - y = ((1-s)u)^2/(1+s^2),
@@ -184,22 +189,6 @@ def _clone_params(u: float, s: float) -> CloneParams:
     sqrt(gamma1(1-gamma1)) A^2 and gamma2' becomes sqrt(gamma2(1-gamma2))
     4s(1-u^2), its factor (1-s^2)r_x - (1+s^2)r_y a difference of squares
     over A.  So gamma1 <= gamma2 <= 1, and p1(0) = 1/2, p1(1) = 0 exactly.
-
-    ``_clone_params_values`` takes the same steps in every lane of arrays.
-    """
-    return CloneParams(*_clone_working_point(u, s, math.sqrt, _pick))
-
-
-def _clone_params_values(u: np.ndarray, s: np.ndarray) -> CloneParams:
-    """``_clone_params`` in every lane; the fields are arrays."""
-    return CloneParams(*_clone_working_point(u, s, np.sqrt, np.where))
-
-
-def _clone_working_point(u, s, sqrt, pick) -> tuple:
-    """The body of ``_clone_params``, for floats or for arrays with np.where as
-    ``pick``: the fields of ``CloneParams`` as a tuple in their order.  The
-    root searches' steps read ``p1_of_omega`` from it at ``_P1_OF_OMEGA``, so
-    a ``CloneParams`` is built only at the root.
     """
     a = 1.0 - s
     c = pick(u > 0.5, (1.0 - u) * (1.0 + u), 1.0 - u * u)  # 1 - u^2 <= 1
@@ -231,6 +220,39 @@ def _clone_working_point(u, s, sqrt, pick) -> tuple:
 _P1_OF_OMEGA = [f.name for f in fields(CloneParams)].index("p1_of_omega")
 
 
+def _check_prior(found, wanted) -> None:
+    """The cloner's accuracy contract: the prior p1(omega) of the working point
+    found must reproduce the prior wanted within 1e-9, and NaN fails it.  On
+    arrays every lane must, and the first lane that does not raises as a float."""
+    ok = abs(found - wanted) <= 1e-9
+    if isinstance(ok, np.ndarray):
+        _check_lanes(ok, lambda i: _check_prior(float(found[i]), float(wanted[i])))
+    elif not ok:
+        raise NumericError(f"omega inversion stalled: p1(omega)={found}, wanted {wanted}")
+
+
+def _clone_solve(s, p1, sqrt, pick, search) -> CloneParams:
+    """The optimal cloner for prior p1 at 0 < s < 1, on floats (``math.sqrt``,
+    ``_pick``, ``brent_root``) or in every lane of arrays (``np.sqrt``,
+    ``np.where``, ``brent_root_values``, which ends on the scalar search's u).
+
+    p1(u) falls monotonically and smoothly from 1/2 at u = 0 to 0 at u = 1,
+    so the bracket is all of [0, 1] with f(0) = 1/2 - p1 and f(1) = -p1; a
+    prior of 1/2 returns u = 0.  Each step reads p1(u) from
+    ``_clone_working_point``; only the root becomes a ``CloneParams``, which
+    must pass ``_check_prior``.
+    """
+
+    def excess(u):
+        return _clone_working_point(u, s, sqrt, pick)[_P1_OF_OMEGA] - p1
+
+    zero = 0.0 * p1  # 0.0, or zeros shaped like the lanes
+    u, _ = search(excess, zero, 1.0 + zero, 0.5 - p1, -p1)
+    params = CloneParams(*_clone_working_point(u, s, sqrt, pick))
+    _check_prior(params.p1_of_omega, p1)
+    return params
+
+
 def clone_params_of_omega(omega: float, s: float) -> CloneParams:
     """Cloning success probabilities and matched prior at working point omega.
 
@@ -246,18 +268,15 @@ def clone_params_of_omega(omega: float, s: float) -> CloneParams:
     if not w1 - BOUNDARY_TOL <= omega <= w2 + BOUNDARY_TOL:  # NaN fails too
         raise DomainError(f"omega={omega} outside [{w1}, {w2}]")
     omega = min(w2, max(w1, omega))
-    return _clone_params(math.sqrt((omega - w1) / (w2 - w1)), s)
+    u = math.sqrt((omega - w1) / (w2 - w1))
+    return CloneParams(*_clone_working_point(u, s, math.sqrt, _pick))
 
 
 def clone_optimal_for_prior(scenario: Scenario) -> CloneParams:
-    """Invert p1(u) by Brent's method to get the optimal cloner for a prior.
-
-    p1(u) falls monotonically and smoothly from 1/2 at u = 0 to 0 at u = 1,
-    so the bracket is all of [0, 1] with f(0) = 1/2 - p1 and f(1) = -p1; a
-    prior of 1/2 returns u = 0.  The result must reproduce the prior within 1e-9.
-    Each step reads p1(u) from ``_clone_working_point``'s fields; only the
-    root becomes a ``CloneParams``.  The cloning optima call this once per
-    scenario for both of their values (``_cloned_optimum``).
+    """The optimal cloner for the scenario's prior, by ``_clone_solve`` on
+    floats: Brent's method inverts p1(u), and the result reproduces the prior
+    within 1e-9.  The cloning optima call this once per scenario for both of
+    their values (``_cloned_optimum``).
 
     Far below the documented s >= 1e-12 the search fails with a
     NumericError. For p1 < 1/2 the root in u lies near 1e-58 to 1e-80 there,
@@ -267,47 +286,24 @@ def clone_optimal_for_prior(scenario: Scenario) -> CloneParams:
     the working point's denominators underflow to 0 near u = 0 below s of
     about 1e-216.
     """
-    s, target = scenario.s, scenario.p1
+    s = scenario.s
     omega_range(s)  # raises DomainError unless 0 < s < 1
-
-    def excess(u: float) -> float:
-        return _clone_working_point(u, s, math.sqrt, _pick)[_P1_OF_OMEGA] - target
-
     try:
-        u, _ = brent_root(excess, 0.0, 1.0, 0.5 - target, -target)
-        params = _clone_params(u, s)
+        return _clone_solve(s, scenario.p1, math.sqrt, _pick, brent_root)
     except ZeroDivisionError:
         raise NumericError(f"cloning working point underflows at s={s}") from None
-    if abs(params.p1_of_omega - target) > 1e-9:
-        raise NumericError(
-            f"omega inversion stalled: p1(omega)={params.p1_of_omega}, wanted {target}"
-        )
-    return params
 
 
 def _clone_optimal_values(s: np.ndarray, p1: np.ndarray) -> CloneParams:
-    """``clone_optimal_for_prior`` in every lane at once, for 0 < s < 1: one
-    Brent search in u over all priors in lockstep, which ends on the scalar
-    search's u in every lane.  Where the scalar search fails (see
-    ``clone_optimal_for_prior``) this raises a NumericError too: for p1 < 1/2
-    the lockstep search does not converge, and at p1 = 1/2 the lane's working
-    point underflows to 0/0 (s below about 1e-216), reads NaN and fails the
-    prior check.
+    """``clone_optimal_for_prior`` in every lane at once, for 0 < s < 1, by
+    ``_clone_solve`` on arrays: one Brent search in u over all priors in
+    lockstep; the fields are arrays.  Where the scalar search fails this
+    raises a NumericError too: for p1 < 1/2 the lockstep search does not
+    converge, and at p1 = 1/2 the lane's working point underflows to 0/0
+    (s below about 1e-216), reads NaN and fails ``_check_prior``.
     """
-
-    def excess(u: np.ndarray) -> np.ndarray:
-        return _clone_working_point(u, s, np.sqrt, np.where)[_P1_OF_OMEGA] - p1
-
-    u, _ = brent_root_values(excess, np.zeros_like(p1), np.ones_like(p1), 0.5 - p1, -p1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        params = _clone_params_values(u, s)
-    off = ~(np.abs(params.p1_of_omega - p1) <= 1e-9)  # NaN is off too
-    if off.any():
-        i = int(np.argmax(off))
-        raise NumericError(
-            f"omega inversion stalled: p1(omega)={params.p1_of_omega[i]}, wanted {p1[i]}"
-        )
-    return params
+        return _clone_solve(s, p1, np.sqrt, np.where, brent_root_values)
 
 
 def _cloned_stage_values(s: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -35,8 +35,9 @@ flow differs.  Two are here: q*'s root search, ``_q_star_values``, whose
 Newton polish stops each root on its own where the kernel runs all lanes in
 lockstep (one lane through the kernel costs several times the scalar call),
 and the joint kernel, which solves for q* only on the lanes where case I can
-win.  The third is the cloner's lockstep Brent search,
-``core.brent_root_values``.
+win.  The third is the cloner's, and it is Brent's loop alone: the lockstep
+``core.brent_root_values`` beside ``core.brent_root``, while the rest of the
+cloner's solve is one body, ``protocols._clone_solve``.
 """
 
 from __future__ import annotations
@@ -69,18 +70,22 @@ _TIE_TOL = 1e-12
 _BELOW_ONE = 1.0 - 2.0**-53
 
 # ``joint_optimal_values`` solves for q* only on the lanes where case I can
-# win: p1 >= P_C*(1 - _PC_REL_MARGIN) - _PC_ABS_MARGIN and
-# s < 3 - 2*sqrt(2) + _S_MARGIN.  On every other lane v2 must beat case I's
-# v1 by more than the relative tie tolerance _TIE_TOL*v2, or the tie rule
-# would take case I.  Over about 700,000 lanes hugging the P_C and s margins
-# (s from 1e-13 to 0.999, p1 from 1e-300 up) the gap v2 - v1 was at least
-# 0.2 times p1's distance below P_C, and never below 2.0e-11, at
-# (s, p1) = (8.0e-11, 5.4e-10).  As s nears 1, v2 = p2*(1-s)^2 falls far
-# under 1e-12 but the rule is relative: on 200,000 seeded lanes with 1 - s
-# log-uniform from 1e-16 to 0.5 and p1 from 5e-324 to 1/2, case II led by
-# at least 0.31*v2 for 1 - s >= 1e-15, and by 2.6e-3*v2 one ulp below s = 1.
-# There, at p1 = 1/2, q* = sqrt(s) rounds to 1, where case I's point and so
-# its value are case II's: the tie takes case I, with case II's value.
+# win: p1 >= P_C*(1 - _PC_REL_MARGIN) - _PC_ABS_MARGIN.  That also keeps s
+# below 3 - 2*sqrt(2), up to a sliver: above s = 0.2 the crossing prior is
+# NaN and the comparison False, and from 3 - 2*sqrt(2) to 0.2 it lies above
+# 1/2, so only lanes within about 6e-7 above 3 - 2*sqrt(2) with p1 near 1/2
+# pass there, and the kernel solves those exactly.  On every other lane v2
+# must beat case I's v1 by more than the relative tie tolerance _TIE_TOL*v2,
+# or the tie rule would take case I.  Over about 700,000 lanes hugging the
+# P_C margins and 3 - 2*sqrt(2) (s from 1e-13 to 0.999, p1 from 1e-300 up)
+# the gap v2 - v1 was at least 0.2 times p1's distance below P_C, and never
+# below 2.0e-11, at (s, p1) = (8.0e-11, 5.4e-10).  As s nears 1,
+# v2 = p2*(1-s)^2 falls far under 1e-12 but the rule is relative: on 200,000
+# seeded lanes with 1 - s log-uniform from 1e-16 to 0.5 and p1 from 5e-324 to
+# 1/2, case II led by at least 0.31*v2 for 1 - s >= 1e-15, and by 2.6e-3*v2
+# one ulp below s = 1.  There, at p1 = 1/2, q* = sqrt(s) rounds to 1, where
+# case I's point and so its value are case II's: the tie takes case I, with
+# case II's value.
 #: Relative margin below P_C: a guard against the closed form's own rounding,
 #: orders of magnitude above it, that leaves a gap of at least 2e-7*P_C.
 _PC_REL_MARGIN = 1e-6
@@ -88,10 +93,6 @@ _PC_REL_MARGIN = 1e-6
 #: leaves a gap under 1e-12; this one leaves at least 2e-11 by itself.
 #: Below s of about 1.25e-11 the threshold is negative and every lane is kept.
 _PC_ABS_MARGIN = 1e-10
-#: Margin above 3 - 2*sqrt(2), where P_C reaches 1/2: at p1 = 1/2 the gap is
-#: only about 0.59*(s - 3 + 2*sqrt(2)), a tie within 2e-12 of the threshold;
-#: 1e-9 above it the gap is about 5.9e-10.
-_S_MARGIN = 1e-9
 
 _NEWTON_STEPS = 8
 #: Overlap below which q*'s root search also polishes the starts
@@ -540,11 +541,10 @@ def joint_optimal(scenario: Scenario, *, compute_boundary: bool = True) -> Piece
 
 def _case_i_may_win(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
     """The lanes, for 0 < s <= 1, where case I can win the joint choice: p1 at
-    or above P_C and s below 3 - 2*sqrt(2), each up to its margin."""
+    or above P_C, up to its margins (which also keep s below 3 - 2*sqrt(2))."""
     with np.errstate(invalid="ignore"):  # sqrt of a negative above s = 0.2, 0/0 at 1
         p_c = _crossing_prior(s, np.sqrt)
-    above_p_c = p1 >= p_c * (1.0 - _PC_REL_MARGIN) - _PC_ABS_MARGIN
-    return above_p_c & (s < SYMMETRY_BREAK_OVERLAP + _S_MARGIN)
+    return p1 >= p_c * (1.0 - _PC_REL_MARGIN) - _PC_ABS_MARGIN
 
 
 def joint_optimal_values(s: np.ndarray, p1: np.ndarray) -> np.ndarray:

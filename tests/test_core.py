@@ -11,17 +11,28 @@ from hypothesis import given, strategies as st
 
 from seqdisc import (
     ConstraintError,
+    CorrelationInput,
     DomainError,
     NumericError,
     PureState,
     Scenario,
     StrategyParams,
+    at_least_one_protocol3,
+    at_least_one_ssd,
     binary_entropy,
+    bob_optimal,
+    charlie_optimal,
+    correlation_report,
     entropy_H,
+    joint_optimal,
     make_state_pair,
+    protocol1_optimal,
+    protocol2_optimal,
+    protocol3_optimal,
 )
 from seqdisc import correlations, oracle
 from seqdisc.core import (
+    _check_lanes,
     _scan_indices,
     _scan_points,
     brent_root,
@@ -118,6 +129,54 @@ class TestScenario:
     def test_rejects_invalid(self, s, p1):
         with pytest.raises(DomainError):
             Scenario(s, p1)
+
+    # a tiny prior, where p2/p1 overflows; generic points; small and near-one
+    # overlaps; both ends of the overlap's range
+    @pytest.mark.parametrize(
+        "s,p1",
+        [
+            (0.5, 1e-320),
+            (0.36, 0.2),
+            (0.04, 0.5),
+            (1e-10, 0.1),
+            (0.999999287032437, 0.4999999999998079),
+            (0.0, 0.3),
+            (1.0, 0.5),
+        ],
+    )
+    def test_numpy_scalars_give_the_floats_results(self, s, p1):
+        # the same steps as on floats: no warning (an error in this suite)
+        # and the same repr, down to the type of every number
+        forms = (
+            joint_optimal,
+            protocol1_optimal,
+            protocol2_optimal,
+            protocol3_optimal,
+            at_least_one_ssd,
+            at_least_one_protocol3,
+            lambda sc: bob_optimal(sc, max(sc.s, 0.6)),
+            lambda sc: charlie_optimal(sc, max(sc.s, 0.6)),
+        )
+        for form in forms:
+            assert repr(form(Scenario(np.float64(s), np.float64(p1)))) == repr(form(Scenario(s, p1)))
+        t = max(s, 0.6)
+        scalars = correlation_report(CorrelationInput(np.float64(p1), np.float64(t), np.float64(s / t)))
+        assert repr(scalars) == repr(correlation_report(CorrelationInput(p1, t, s / t)))
+
+    def test_non_numbers_keep_their_type_error(self):
+        with pytest.raises(TypeError):
+            Scenario("0.5", 0.2)
+        with pytest.raises(TypeError):
+            CorrelationInput(0.2, "0.5", 0.5)
+
+
+class TestCheckLanes:
+    def test_mask_stricter_than_its_check_is_a_numeric_error(self):
+        # lane 1 is flagged, but its scalar check accepts it
+        checked = []
+        with pytest.raises(NumericError, match="lane 1"):
+            _check_lanes(np.array([True, False, False]), checked.append)
+        assert checked == [1]
 
 
 class TestStrategyParams:

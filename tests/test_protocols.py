@@ -32,8 +32,7 @@ from seqdisc.core import _pick
 from seqdisc.ssd import _stage_candidates, _stage_optimum
 from seqdisc.protocols import (
     _P1_OF_OMEGA,
-    _clone_params,
-    _clone_params_values,
+    CloneParams,
     _bob_state1_mass,
     _clone_working_point,
     at_least_one_protocol3_values,
@@ -711,7 +710,9 @@ def test_clone_params_stay_ordered_down_to_tiny_overlap(log_s, frac):
     assert -1.0 <= cp.x <= cp.y <= 1.0
     assert 0.0 <= cp.gamma1 <= cp.gamma2 <= 1.0
     # y once rounded one ulp above 1 here, adding two rounded terms
-    edge = _clone_params(0.7623128417527466, 0.9999999967658476)
+    edge = CloneParams(
+        *_clone_working_point(0.7623128417527466, 0.9999999967658476, math.sqrt, _pick)
+    )
     assert -1.0 <= edge.x <= edge.y <= 1.0
     assert 0.0 <= cp.p1_of_omega <= 0.5 and cp.p_cl <= 1.0
     if frac == 0.0:
@@ -722,13 +723,15 @@ def test_clone_params_stay_ordered_down_to_tiny_overlap(log_s, frac):
 def _check_brent_step_field(u, s):
     """The root searches' steps read ``p1_of_omega`` from the working point's
     fields without building ``CloneParams``; in each lane of (u, s) that field
-    equals ``_clone_params(u, s).p1_of_omega`` bit for bit, from floats and
+    equals the ``CloneParams`` built from it bit for bit, from floats and
     from arrays alike."""
     lanes = _clone_working_point(u, s, np.sqrt, np.where)[_P1_OF_OMEGA]
-    assert np.array_equal(lanes, _clone_params_values(u, s).p1_of_omega)
+    built = CloneParams(*_clone_working_point(u, s, np.sqrt, np.where))
+    assert np.array_equal(lanes, built.p1_of_omega)
     for ui, si, lane in zip(u.tolist(), s.tolist(), lanes.tolist()):
         step = _clone_working_point(ui, si, math.sqrt, _pick)[_P1_OF_OMEGA]
-        assert step == _clone_params(ui, si).p1_of_omega == lane
+        built = CloneParams(*_clone_working_point(ui, si, math.sqrt, _pick))
+        assert step == built.p1_of_omega == lane
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -123,7 +123,8 @@ def _skip_rule_edge_lanes():
     """(s, p1) lanes that hug every edge of the joint kernel's q* skip rule:
     p1 at P_C(s)*(1 +- 10^-k) and at the rule's absolute margin +- 1e-12 for
     seeded s in [1e-12, 0.2), s a few ulps from 3 - 2*sqrt(2) and from
-    3 - 2*sqrt(2) + 1e-9 at p1 near 1/2, priors down to 5e-324, and s near 1,
+    3 - 2*sqrt(2) + 1e-9 (just past P_C = 1/2, where P_C's margins alone
+    decide) at p1 near 1/2, priors down to 5e-324, and s near 1,
     where case II's value p2*(1-s)^2 crosses 1e-10 and falls far under 1e-12,
     so that only a relative tie rule leaves it ahead."""
     rng = np.random.default_rng(24)
@@ -134,7 +135,7 @@ def _skip_rule_edge_lanes():
         lanes += [(s, p_c * (1.0 + sign * 10.0**-k)) for k in range(1, 16) for sign in (-1, 1)]
         threshold = p_c * (1.0 - ssd._PC_REL_MARGIN) - ssd._PC_ABS_MARGIN
         lanes += [(s, threshold - 1e-12), (s, threshold), (s, threshold + 1e-12)]
-    for edge in (SYMMETRY_BREAK_OVERLAP, SYMMETRY_BREAK_OVERLAP + ssd._S_MARGIN):
+    for edge in (SYMMETRY_BREAK_OVERLAP, SYMMETRY_BREAK_OVERLAP + 1e-9):
         for ulps in range(-4, 5):
             s = edge
             for _ in range(abs(ulps)):
