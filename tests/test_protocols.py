@@ -34,6 +34,7 @@ from seqdisc.protocols import (
     _P1_OF_OMEGA,
     CloneParams,
     _bob_state1_mass,
+    _check_prior,
     _clone_working_point,
     at_least_one_protocol3_values,
     protocol1_optimal_values,
@@ -744,3 +745,14 @@ def test_brent_step_field_matches_clone_params(seed):
     u = rng.uniform(0.0, 1.0, s.size)
     u[:2], u[-2:] = 0.0, 1.0
     _check_brent_step_field(u, s)
+
+
+def test_prior_check_fails_nan_alike_on_floats_and_lanes():
+    # one accuracy contract for both solves: NaN fails it, and a lane fails
+    # with the float's message
+    message = r"p1\(omega\)=nan, wanted 0.3$"
+    with pytest.raises(NumericError, match=message):
+        _check_prior(math.nan, 0.3)
+    with pytest.raises(NumericError, match=message):
+        _check_prior(np.array([0.2, math.nan, 0.1]), np.array([0.2, 0.3, 0.4]))
+    _check_prior(0.3 + 0.9e-9, 0.3)
