@@ -16,6 +16,11 @@ trees share one heap, so one tree's allocations can spare the other its
 faults: they are recorded only without a parent; compare them between runs of
 each tree alone (``PYTHONPATH=DIR/src``).
 
+``--quick`` is a smoke run of 2 rounds: it shows that every op runs on both
+trees, and its record says so (``smoke_run``, ``rounds``), but its ratios are
+not evidence; two bit-identical trees have read 1.07 and 1.23 on
+``figure_set``.
+
     python scripts/bench.py --out bench.json
     python scripts/bench.py --quick --out bench.json   # a smoke run
     python scripts/bench.py --parent ../parent --out bench.json
@@ -264,7 +269,9 @@ def summarize(runs: dict, ops: dict) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="2 rounds instead of 15")
+    parser.add_argument(
+        "--quick", action="store_true", help="a smoke run: 2 rounds instead of 15, no evidence"
+    )
     parser.add_argument("--out", required=True, help="path of the JSON record")
     parser.add_argument(
         "--parent", metavar="DIR", help="a checkout whose src/seqdisc is timed beside this one"
@@ -275,8 +282,11 @@ def main() -> int:
         parent = load_parent(args.parent)
         check_same_output(seqdisc, parent)
         trees["parent"] = make_ops(parent)
-    results = summarize(time_rounds(trees, 2 if args.quick else 15), trees["change"])
+    rounds = 2 if args.quick else 15
+    results = summarize(time_rounds(trees, rounds), trees["change"])
     record = {
+        "smoke_run": args.quick,
+        "rounds": rounds,
         # every upper-case constant of this module is an input of the ops
         **{name.lower(): value for name, value in globals().items() if name.isupper()},
         "ssd_column_lanes": sum(s.size for s, _ in _ssd_columns()),
@@ -299,6 +309,8 @@ def main() -> int:
                 f"; parent min {p['min_ms']:.4g} ms, median {p['median_ms']:.4g} ms;"
                 f" change/parent median {r['change_over_parent']['median']:.3f}"
             )
+            if args.quick:
+                line += f" (smoke run, {rounds} rounds: not evidence)"
         print(line)
     return 0
 

@@ -225,105 +225,6 @@ def _lanes(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
     return lambda x: np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def brent_root(
-    f: Callable[[float], float], a: float, b: float, fa: float, fb: float
-) -> tuple[float, float]:
-    """Zero of f bracketed by [a, b], by Brent's method; returns (x, f(x)).
-
-    ``fa`` and ``fb`` are f(a) and f(b) and must not share a sign.  Each step
-    takes the inverse-quadratic (or secant) estimate when it falls well inside
-    the bracket and bisects otherwise, so a jump or a flat stretch of f costs
-    at most bisection's pace.  Stops when f(x) == 0 or the bracket has shrunk
-    to two adjacent floats, returning the one with the smaller |f|; a steep f
-    needs that last ulp.
-    """
-    if (fa > 0.0 and fb > 0.0) or (fa < 0.0 and fb < 0.0):
-        raise NumericError(f"[{a}, {b}] does not bracket a root: f = {fa}, {fb}")
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(200):
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
-        tol = 0.5 * math.ulp(b)
-        m = 0.5 * (c - b)
-        if fb == 0.0 or abs(m) <= tol:
-            return b, fb
-        if abs(e) >= tol and abs(fa) > abs(fb):
-            r = fb / fa
-            if a == c:  # two distinct points: secant
-                p, q = 2.0 * m * r, 1.0 - r
-            else:  # three: inverse quadratic interpolation
-                qa, rb = fa / fc, fb / fc
-                p = r * (2.0 * m * qa * (qa - rb) - (b - a) * (rb - 1.0))
-                q = (qa - 1.0) * (rb - 1.0) * (r - 1.0)
-            p, q = abs(p), (-q if p > 0.0 else q)
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        else:
-            d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > 2.0 * tol else math.copysign(2.0 * tol, m)
-        fb = f(b)
-    raise NumericError(f"root search on [{a}, {b}] did not converge")
-
-
-def brent_root_values(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: np.ndarray,
-    b: np.ndarray,
-    fa: np.ndarray,
-    fb: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``brent_root`` in every lane of arrays at once; returns (x, f(x)).
-
-    ``f`` maps an array of points to their values lane by lane.  Each lane
-    takes the scalar search's steps, with each branch an ``np.where``, so it
-    ends on the same float; a lane that has stopped keeps its point while the
-    others go on.
-    """
-    if np.any(((fa > 0.0) & (fb > 0.0)) | ((fa < 0.0) & (fb < 0.0))):
-        raise NumericError("a lane's bracket does not bracket a root")
-    c, fc = a, fa
-    d = e = b - a
-    x, fx = np.full_like(b, np.nan), np.full_like(b, np.nan)
-    active = np.ones(b.shape, dtype=bool)
-    with np.errstate(all="ignore"):
-        for _ in range(200):
-            same = (fb > 0.0) == (fc > 0.0)
-            c, fc = np.where(same, a, c), np.where(same, fa, fc)
-            d, e = np.where(same, b - a, d), np.where(same, b - a, e)
-            swap = np.abs(fc) < np.abs(fb)
-            a, b, c = np.where(swap, b, a), np.where(swap, c, b), np.where(swap, b, c)
-            fa, fb, fc = np.where(swap, fb, fa), np.where(swap, fc, fb), np.where(swap, fb, fc)
-            tol = 0.5 * np.spacing(np.abs(b))
-            m = 0.5 * (c - b)
-            stop = active & ((fb == 0.0) | (np.abs(m) <= tol))
-            x, fx = np.where(stop, b, x), np.where(stop, fb, fx)
-            active &= ~stop
-            if not active.any():
-                return x, fx
-            r = fb / fa
-            secant = a == c
-            qa, rb = fa / fc, fb / fc
-            p = np.where(secant, 2.0 * m * r, r * (2.0 * m * qa * (qa - rb) - (b - a) * (rb - 1.0)))
-            q = np.where(secant, 1.0 - r, (qa - 1.0) * (rb - 1.0) * (r - 1.0))
-            p, q = np.abs(p), np.where(p > 0.0, -q, q)
-            bound, other = 3.0 * m * q - np.abs(tol * q), np.abs(e * q)
-            bound = np.where(other < bound, other, bound)  # min(), as the scalar takes it
-            take = (np.abs(e) >= tol) & (np.abs(fa) > np.abs(fb)) & (2.0 * p < bound)
-            d, e = np.where(take, p / q, m), np.where(take, d, m)
-            a, fa = b, fb
-            step = np.where(np.abs(d) > 2.0 * tol, d, np.copysign(2.0 * tol, m))
-            b = b + np.where(active, step, 0.0)
-            fb = f(b)
-    raise NumericError("lockstep root search did not converge")
-
-
 @functools.cache
 def _scan_indices(points: int) -> np.ndarray:
     """0, 1, ..., points - 1 as read-only floats, shared by every scan."""

@@ -19,7 +19,8 @@
     and 0, and stationarity of p1*gamma1 + p2*gamma2 ties each w to the prior
     p1 = gamma2' / (gamma2' - gamma1').  x and y cancel in w, so the code works
     in u in [0, 1], w = 1/(1+s) + D*u^2 with D the width of the range, where
-    nothing cancels and p1(u) is smooth: one root search on [0, 1] matches each prior.
+    nothing cancels and p1(u) is smooth: safeguarded Newton steps from the
+    small-s root u ~ sqrt(s) match each prior, on floats and lanes alike.
 
 The module also provides the optimal probabilities that at least one of the
 two observers succeeds: for SSD and protocols (1)-(2) these all collapse to
@@ -45,8 +46,6 @@ from .core import (
     Scenario,
     _check_lanes,
     _pick,
-    brent_root,
-    brent_root_values,
 )
 from .ssd import (
     CaseLabel,
@@ -173,9 +172,9 @@ def omega_range(s: float) -> tuple[float, float]:
 def _clone_working_point(u, s, sqrt, pick) -> tuple:
     """Cloning working point at omega = omega_1 + D*u^2, u in [0, 1], on floats
     (``math.sqrt``, ``_pick``) or on arrays (``np.sqrt``, ``np.where``): the
-    fields of ``CloneParams`` as a tuple in their order.  The root search's
-    steps read ``p1_of_omega`` from it at ``_P1_OF_OMEGA``, so a
-    ``CloneParams`` is built only at the root.
+    fields of ``CloneParams`` as a tuple in their order, then p1'(u).  The
+    root search's steps read ``p1_of_omega`` from it at ``_P1_OF_OMEGA`` and
+    the slope at ``_SLOPE``, so a ``CloneParams`` is built only at the root.
 
     D = omega_2 - omega_1 = s(1-s)/((1+s)(1+s^2)).  No field subtracts nearly
     equal numbers: 1 - x = (2s + (1-s)u^2)/(1+s), 1 - y = ((1-s)u)^2/(1+s^2),
@@ -189,19 +188,28 @@ def _clone_working_point(u, s, sqrt, pick) -> tuple:
     sqrt(gamma1(1-gamma1)) A^2 and gamma2' becomes sqrt(gamma2(1-gamma2))
     4s(1-u^2), its factor (1-s^2)r_x - (1+s^2)r_y a difference of squares
     over A.  So gamma1 <= gamma2 <= 1, and p1(0) = 1/2, p1(1) = 0 exactly.
+
+    The slope differentiates these steps in u (primes below): with
+    p1 = d2/(d1 + d2) it is p1 q (ln(d2/d1))' over the factors of d2 other
+    than 1 - u^2, q = 1 - p1, less q sqrt(gamma2(1-gamma2)) 8su/(d1 + d2)
+    for that factor, where gamma1 = h^2/gamma2 and 1 - gamma2 =
+    k^2/(1 - gamma1) reduce (ln(d2/d1))' to k'/k, (1 - gamma1)'/(1 - gamma1),
+    h'/h and A'/A.  It divides by d1 + d2, not its square, which underflows
+    far above d1 + d2 itself.
     """
-    a = 1.0 - s
+    a, b, e = 1.0 - s, 1.0 + s, 1.0 + s * s
     c = pick(u > 0.5, (1.0 - u) * (1.0 + u), 1.0 - u * u)  # 1 - u^2 <= 1
     v = a * u * u
     au2 = (a * u) * (a * u)
     bx, cx = 2.0 * s + v, 2.0 - v  # (1+s)(1-x) and (1+s)(1+x)
-    one_minus_x, one_minus_y = bx / (1.0 + s), au2 / (1.0 + s * s)
-    x = a * c / (1.0 + s)
-    y = pick(s > 0.5, 1.0 - one_minus_y, c + 2.0 * s * u * u / (1.0 + s * s))  # x <= y <= 1
+    one_minus_x, one_minus_y = bx / b, au2 / e
+    x = a * c / b
+    y = pick(s > 0.5, 1.0 - one_minus_y, c + 2.0 * s * u * u / e)  # x <= y <= 1
     ax = sqrt(bx * cx)  # (1+s) r_x
-    uw = u * sqrt(2.0 * (1.0 + s * s) - au2)  # (1+s^2) r_y / (1-s)
-    rxry = ax / (1.0 + s) * (a * uw / (1.0 + s * s))
-    omega = (1.0 + s * v / (1.0 + s * s)) / (1.0 + s)
+    w = sqrt(2.0 * e - au2)
+    uw = u * w  # (1+s^2) r_y / (1-s)
+    rxry = ax / b * (a * uw / e)
+    omega = (1.0 + s * v / e) / b
     h, k = 0.5 * (x + y), s * omega
     co_gamma1 = k + 0.5 * ((1.0 + x) * one_minus_y + rxry)
     ratio = k / co_gamma1
@@ -210,14 +218,31 @@ def _clone_working_point(u, s, sqrt, pick) -> tuple:
     ratio = h / (h + 0.5 * (one_minus_x * one_minus_y + rxry))
     gamma1 = gamma2 * (ratio * ratio)
     d1 = sqrt(gamma1 * co_gamma1) * (bx * cx + uw * (2.0 * ax + uw))  # A^2, 4s at u = 0
-    d2 = sqrt(gamma2 * co_gamma2) * 4.0 * s * c
+    r2 = sqrt(gamma2 * co_gamma2)
+    d2 = r2 * 4.0 * s * c
     n1, n2 = d2 * gamma1, d1 * gamma2  # p1*gamma1 and p2*gamma2, times d1 + d2
     p_cl, p1_of_omega = (n1 + n2) / (d1 + d2), d2 / (d1 + d2)
-    return omega, x, y, gamma1, gamma2, p_cl, p1_of_omega, n1 / (n1 + n2), n2 / (n1 + n2)
+    dv = 2.0 * a * u
+    dax, duw = dv * (a - v) / ax, 2.0 * (e - au2) / w
+    drxry = a / (b * e) * (dax * uw + ax * duw)
+    dco_gamma1 = s * s * dv / (e * b) + 0.5 * ((1.0 + x) * a * dv / e - dv / b * one_minus_y + drxry)
+    kappa, lam1 = s * dv / (e + s * v), dco_gamma1 / co_gamma1  # k'/k, (1 - gamma1)'/(1 - gamma1)
+    dlog = kappa - lam1 - (2.0 * kappa - lam1) * co_gamma2 / gamma2
+    dlog += 0.5 * dv * (1.0 / b + a / e) / h - 2.0 * (dax + duw) / (ax + uw)
+    q = d1 / (d1 + d2)
+    slope = p1_of_omega * q * dlog - q * (r2 * 8.0 * s * u) / (d1 + d2)
+    return omega, x, y, gamma1, gamma2, p_cl, p1_of_omega, n1 / (n1 + n2), n2 / (n1 + n2), slope
 
 
-#: The index of ``p1_of_omega`` in ``_clone_working_point``'s tuple.
+#: The indices of ``p1_of_omega`` and of p1'(u) in ``_clone_working_point``'s tuple.
 _P1_OF_OMEGA = [f.name for f in fields(CloneParams)].index("p1_of_omega")
+_SLOPE = len(fields(CloneParams))
+
+#: Most reads of one cloner solve before it raises NumericError.  A
+#: figure's lanes take 6 and 20,000 seeded scenarios over the documented
+#: domain at most 7; only roots that the working point cannot resolve,
+#: far below s = 1e-12, bisect for longer.
+_CLONE_STEPS = 64
 
 
 def _check_prior(found, wanted) -> None:
@@ -231,24 +256,71 @@ def _check_prior(found, wanted) -> None:
         raise NumericError(f"omega inversion stalled: p1(omega)={found}, wanted {wanted}")
 
 
-def _clone_solve(s, p1, sqrt, pick, search) -> CloneParams:
+def _check_converged(done, s, p1) -> None:
+    """Every lane of a cloner solve that ran out of reads must have stopped,
+    for ``_check_prior``'s 1e-9 alone passes any read at a prior below 1e-9;
+    a lane that did not raises as ``clone_optimal_for_prior`` does there."""
+    if isinstance(done, np.ndarray):
+        s = np.broadcast_to(s, done.shape)
+        _check_lanes(
+            done, lambda i: clone_optimal_for_prior(Scenario(float(s[i]), float(p1[i])))
+        )
+    elif not done:
+        raise NumericError(f"cloner solve did not converge in {_CLONE_STEPS} reads: s={s}, p1={p1}")
+
+
+def _clone_solve(s, p1, sqrt, pick) -> CloneParams:
     """The optimal cloner for prior p1 at 0 < s < 1, on floats (``math.sqrt``,
-    ``_pick``, ``brent_root``) or in every lane of arrays (``np.sqrt``,
-    ``np.where``, ``brent_root_values``, which ends on the scalar search's u).
+    ``_pick``) or in every lane of arrays (``np.sqrt``, ``np.where``), by the
+    same safeguarded Newton steps on f(u) = p1(u) - p1.
 
-    p1(u) falls monotonically and smoothly from 1/2 at u = 0 to 0 at u = 1,
-    so the bracket is all of [0, 1] with f(0) = 1/2 - p1 and f(1) = -p1; a
-    prior of 1/2 returns u = 0.  Each step reads p1(u) from
-    ``_clone_working_point``; only the root becomes a ``CloneParams``, which
-    must pass ``_check_prior``.
+    p1(u) falls monotonically and smoothly from 1/2 at u = 0 to 0 at u = 1.
+    As s -> 0 it becomes 1/2 - z sqrt(z^2+2)/(2(1+z^2)) with z = u/sqrt(s),
+    whose exact inverse starts the steps: u0 = sqrt(s) (sqrt(p2) - sqrt(p1))
+    / sqrt(2 sqrt(p1 p2)), cut to 1, with the difference taken as
+    (1 - 2 p1)/(sqrt(p2) + sqrt(p1)); a prior of 1/2 starts and ends at u = 0.
+    Below p1 = s^2 the root may lie in a layer of width about s at u = 1,
+    where p1(u) ~ s^2 2t/(1 + 2t) with t = (1 - u)/s; for s < 0.1 that
+    layer's inverse, 1 - s p1/(2(s^2 - p1)), starts the steps where it lies
+    above u0.  Each step reads p1(u) and p1'(u) from ``_clone_working_point``
+    and narrows the sign bracket, first [0, 1]; a Newton step that leaves the
+    bracket, or is not finite, bisects it instead.  A lane stops once
+    |f| <= 2^-50 p1, once its bracket holds no float between its ends, once
+    it reads NaN (which fails ``_check_prior``), or after one more read once
+    a Newton step was at most 1e-8 of the nearer of u and 1 - u (near u = 1
+    the prior goes with 1 - u) or left u as it was; a step that small stays
+    put rather than leave the bracket.  A stopped lane keeps its u while the
+    others go on, so each lane takes the float's steps and ends on its u.  A
+    lane still going after ``_CLONE_STEPS`` reads raises NumericError
+    (``_check_converged``).  Only the last read becomes a ``CloneParams``,
+    which must pass ``_check_prior``.
     """
-
-    def excess(u):
-        return _clone_working_point(u, s, sqrt, pick)[_P1_OF_OMEGA] - p1
-
-    zero = 0.0 * p1  # 0.0, or zeros shaped like the lanes
-    u, _ = search(excess, zero, 1.0 + zero, 0.5 - p1, -p1)
-    params = CloneParams(*_clone_working_point(u, s, sqrt, pick))
+    p2, ss = 1.0 - p1, s * s
+    u = sqrt(s) * ((1.0 - 2.0 * p1) / (sqrt(p2) + sqrt(p1)) / sqrt(2.0 * sqrt(p1 * p2)))
+    layer = (p1 < ss) & (ss < 0.01)
+    edge = 1.0 - s * p1 / (2.0 * pick(layer, ss - p1, 1.0))
+    u = pick(layer & (edge > u), edge, u)
+    u = pick(u < 1.0, u, 1.0)
+    lo, hi = 0.0 * p1, 1.0 + 0.0 * p1  # 0.0 and 1.0, or shaped like the lanes
+    done = small = u < 0.0  # False in every lane
+    tol = 2.0**-50 * p1
+    for _ in range(_CLONE_STEPS):
+        point = _clone_working_point(u, s, sqrt, pick)
+        f, slope = point[_P1_OF_OMEGA] - p1, point[_SLOPE]
+        lo, hi = pick(f > 0.0, u, lo), pick(f < 0.0, u, hi)
+        mid = 0.5 * (lo + hi)
+        done = done | small | (abs(f) <= tol) | (mid == lo) | (mid == hi)
+        done = done | (f != f)  # NaN fails _check_prior
+        if done if isinstance(done, bool) else done.all():
+            break
+        step = -f / pick(slope < 0.0, slope, math.nan)  # p1 falls: NaN bisects
+        new = u + step
+        newton = (new > lo) & (new < hi)
+        small = (abs(step) <= 1e-8 * pick(u > 0.5, 1.0 - u, u)) | (new == u)
+        u = pick(done, u, pick(newton, new, pick(small, u, mid)))
+    else:
+        _check_converged(done, s, p1)
+    params = CloneParams(*point[:_SLOPE])
     _check_prior(params.p1_of_omega, p1)
     return params
 
@@ -269,41 +341,44 @@ def clone_params_of_omega(omega: float, s: float) -> CloneParams:
         raise DomainError(f"omega={omega} outside [{w1}, {w2}]")
     omega = min(w2, max(w1, omega))
     u = math.sqrt((omega - w1) / (w2 - w1))
-    return CloneParams(*_clone_working_point(u, s, math.sqrt, _pick))
+    return CloneParams(*_clone_working_point(u, s, math.sqrt, _pick)[:_SLOPE])
 
 
 def clone_optimal_for_prior(scenario: Scenario) -> CloneParams:
     """The optimal cloner for the scenario's prior, by ``_clone_solve`` on
-    floats: Brent's method inverts p1(u), and the result reproduces the prior
-    within 1e-9.  The cloning optima call this once per scenario for both of
-    their values (``_cloned_optimum``).
+    floats: Newton steps from the small-s root invert p1(u), and the result
+    reproduces the prior within 1e-9.  The cloning optima call this once per
+    scenario for both of their values (``_cloned_optimum``).
 
-    Far below the documented s >= 1e-12 the search fails with a
-    NumericError. For p1 < 1/2 the root in u lies near 1e-58 to 1e-80 there,
-    more halvings than Brent's 200 steps take, so the search does not
-    converge: below s of about 1e-115 at p1 = 0.1, 1e-153 at p1 = 0.3 and
-    1e-211 at p1 = 0.4999, where it ends off the prior instead. At p1 = 1/2
-    the working point's denominators underflow to 0 near u = 0 below s of
-    about 1e-216.
+    Far below the documented s >= 1e-12 the steps still find the root, u
+    about sqrt(s) (1e-100 at s = 1e-200), until the working point's terms
+    underflow.  Below s of about 1e-162 the smaller priors go first, their
+    p1(u) underflowing to 0 short of the root, and the solve runs out of
+    reads with a NumericError: at s = 1e-170 for p1 = 1e-300, at s = 1e-200
+    for priors of 1e-120 and below.  For priors from 1e-20 to 1/2 its terms,
+    about s^1.5, turn subnormal and lose the prior, a NumericError below s
+    of about 1e-210 to 1e-216; at p1 = 1/2 its denominators underflow to 0
+    below s of about 1e-216.
     """
     s = scenario.s
     omega_range(s)  # raises DomainError unless 0 < s < 1
     try:
-        return _clone_solve(s, scenario.p1, math.sqrt, _pick, brent_root)
+        return _clone_solve(s, scenario.p1, math.sqrt, _pick)
     except ZeroDivisionError:
         raise NumericError(f"cloning working point underflows at s={s}") from None
 
 
 def _clone_optimal_values(s: np.ndarray, p1: np.ndarray) -> CloneParams:
     """``clone_optimal_for_prior`` in every lane at once, for 0 < s < 1, by
-    ``_clone_solve`` on arrays: one Brent search in u over all priors in
-    lockstep; the fields are arrays.  Where the scalar search fails this
-    raises a NumericError too: for p1 < 1/2 the lockstep search does not
-    converge, and at p1 = 1/2 the lane's working point underflows to 0/0
-    (s below about 1e-216), reads NaN and fails ``_check_prior``.
+    ``_clone_solve`` on arrays: the scalar's Newton steps in u over all
+    priors in lockstep; the fields are arrays.  Where the scalar solve fails
+    this raises a NumericError too: a lane that runs out of reads fails
+    ``_check_converged`` and one whose working point ends off the prior
+    fails ``_check_prior`` as there, and one that underflows to 0/0 (s below
+    about 1e-216 at p1 = 1/2) stops at its NaN read and fails the latter.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _clone_solve(s, p1, np.sqrt, np.where, brent_root_values)
+        return _clone_solve(s, p1, np.sqrt, np.where)
 
 
 def _cloned_stage_values(s: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -30,14 +30,12 @@ reads them; protocol (2)'s oracle reads the test too), the stage optimum
 (which also gives protocol (1), both of protocol (2)'s stages and each
 cloned copy), the case-I tie rule, the joint two-case choice and P_C's
 closed form are each one body that both call, on floats with ``math.sqrt`` (and ``_pick``), on arrays with
-``np.sqrt`` (and ``np.where``).  Three twins remain, because their control
-flow differs.  Two are here: q*'s root search, ``_q_star_values``, whose
-Newton polish stops each root on its own where the kernel runs all lanes in
+``np.sqrt`` (and ``np.where``).  Two twins remain, both here, because their
+control flow differs: q*'s root search, ``_q_star_values``, whose Newton
+polish stops each root on its own where the kernel runs all lanes in
 lockstep (one lane through the kernel costs several times the scalar call),
 and the joint kernel, which solves for q* only on the lanes where case I can
-win.  The third is the cloner's, and it is Brent's loop alone: the lockstep
-``core.brent_root_values`` beside ``core.brent_root``, while the rest of the
-cloner's solve is one body, ``protocols._clone_solve``.
+win.  The cloner's Newton steps are one body, ``protocols._clone_solve``.
 """
 
 from __future__ import annotations

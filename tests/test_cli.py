@@ -309,8 +309,9 @@ def test_nan_arguments_exit_2(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["optimal", "--s", "1e-200", "--p1", "0.3"],  # the cloner's root search
-        ["optimal", "--s", "2.47e-229", "--p1", "1e-300"],  # q*: p2*s*s underflows
+        # the cloner's solve at a tiny prior: p1(u) underflows to 0 above u of
+        # about 1e-67, far from its root, and the steps run out of reads
+        ["optimal", "--s", "2.47e-229", "--p1", "1e-300"],
         # the cloner's working point: its denominators underflow to 0 near u = 0
         ["optimal", "--s", "1e-300", "--p1", "0.5"],
         ["optimal", "--s", "1e-250", "--p1", "0.5"],
@@ -320,8 +321,8 @@ def test_nan_arguments_exit_2(argv, capsys):
          "--p1", "0.5", "--quantities", "protocol3", "--out", "-"],
     ],
     ids=[
-        "cloner", "q_star", "cloner_underflow", "cloner_underflow_1e-250",
-        "cloner_underflow_0.4999", "cloner_kernel_underflow",
+        "q_star", "cloner_underflow", "cloner_underflow_1e-250", "cloner_underflow_0.4999",
+        "cloner_kernel_underflow",
     ],
 )
 def test_numeric_failure_exits_6(argv, capsys):
@@ -329,6 +330,14 @@ def test_numeric_failure_exits_6(argv, capsys):
     assert main(argv) == cli.EXIT_NUMERIC == 6
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_cloner_solves_far_below_documented_overlap(capsys):
+    # far below the documented s >= 1e-12 the cloner's root in u (3e-101 at
+    # s = 1e-200, p1 = 0.3) lies hundreds of halvings of [0, 1] away; its
+    # Newton steps start at the small-s root
+    assert main(["optimal", "--s", "1e-200", "--p1", "0.3"]) == 0
+    assert re.search(r"^protocol3 +\S+ +Case", capsys.readouterr().out, re.M)
 
 
 def test_main_runs_repeatedly_in_one_process(capsys):

@@ -35,8 +35,6 @@ from seqdisc.core import (
     _check_lanes,
     _scan_indices,
     _scan_points,
-    brent_root,
-    brent_root_values,
     check_overlap_t,
     entropy_H_values,
     window_scan_max,
@@ -224,40 +222,6 @@ class TestPureState:
     def test_rejects_nan(self):
         with pytest.raises(DomainError, match="deviates"):
             PureState(np.array([math.nan, 0.0]))
-
-
-class TestBrentRoot:
-    def test_smooth_root_to_full_precision(self):
-        f = lambda x: x * x - 2.0
-        x, fx = brent_root(f, 0.0, 2.0, f(0.0), f(2.0))
-        assert x == pytest.approx(math.sqrt(2.0), rel=4e-16)
-        assert fx == f(x)
-
-    def test_crosses_a_jump_that_keeps_its_sign(self):
-        # -1 below 0.3, then a smooth rise through zero at 0.7
-        f = lambda x: -1.0 if x < 0.3 else x - 0.7
-        x, _ = brent_root(f, 0.0, 1.0, f(0.0), f(1.0))
-        assert x == pytest.approx(0.7, rel=1e-15)
-
-    def test_zero_at_an_end(self):
-        f = lambda x: x - 1.0
-        assert brent_root(f, 1.0, 3.0, f(1.0), f(3.0)) == (1.0, 0.0)
-
-    def test_rejects_unbracketed(self):
-        with pytest.raises(NumericError, match="bracket"):
-            brent_root(math.exp, 0.0, 1.0, 1.0, math.e)
-
-    def test_lockstep_lanes_end_on_the_scalar_root(self):
-        # lanes stop after different numbers of steps; one has a zero at an end
-        k = np.array([2.0, 1e-30, 0.125, 7.999, 1.0, 8.0])
-        a, b = np.zeros_like(k), np.array([2.0, 2.0, 2.0, 2.0, 1.0, 2.0])
-        f = lambda x: x * x * x - k
-        x, fx = brent_root_values(f, a, b, f(a), f(b))
-        for i, k_i in enumerate(k.tolist()):
-            g = lambda x: x * x * x - k_i
-            assert (x[i], fx[i]) == brent_root(g, a[i], b[i], g(a[i]), g(b[i]))
-        with pytest.raises(NumericError, match="bracket"):
-            brent_root_values(np.exp, a, b, np.exp(a), np.exp(b))
 
 
 class TestWindowScanMax:

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import mpmath
@@ -28,13 +29,16 @@ from seqdisc import (
     protocol2_optimal,
     protocol3_optimal,
 )
+from seqdisc import protocols
 from seqdisc.core import _pick
 from seqdisc.ssd import _stage_candidates, _stage_optimum
 from seqdisc.protocols import (
     _P1_OF_OMEGA,
+    _SLOPE,
     CloneParams,
     _bob_state1_mass,
     _check_prior,
+    _clone_optimal_values,
     _clone_working_point,
     at_least_one_protocol3_values,
     protocol1_optimal_values,
@@ -712,31 +716,33 @@ def test_clone_params_stay_ordered_down_to_tiny_overlap(log_s, frac):
     assert 0.0 <= cp.gamma1 <= cp.gamma2 <= 1.0
     # y once rounded one ulp above 1 here, adding two rounded terms
     edge = CloneParams(
-        *_clone_working_point(0.7623128417527466, 0.9999999967658476, math.sqrt, _pick)
+        *_clone_working_point(0.7623128417527466, 0.9999999967658476, math.sqrt, _pick)[:_SLOPE]
     )
     assert -1.0 <= edge.x <= edge.y <= 1.0
     assert 0.0 <= cp.p1_of_omega <= 0.5 and cp.p_cl <= 1.0
     if frac == 0.0:
         assert cp.gamma1 == cp.gamma2 and cp.p1_of_omega == 0.5
-    _check_brent_step_field(np.array([math.sqrt(frac)]), np.array([s]))
+    _check_step_fields(np.array([math.sqrt(frac)]), np.array([s]))
 
 
-def _check_brent_step_field(u, s):
-    """The root searches' steps read ``p1_of_omega`` from the working point's
-    fields without building ``CloneParams``; in each lane of (u, s) that field
-    equals the ``CloneParams`` built from it bit for bit, from floats and
-    from arrays alike."""
-    lanes = _clone_working_point(u, s, np.sqrt, np.where)[_P1_OF_OMEGA]
-    built = CloneParams(*_clone_working_point(u, s, np.sqrt, np.where))
-    assert np.array_equal(lanes, built.p1_of_omega)
-    for ui, si, lane in zip(u.tolist(), s.tolist(), lanes.tolist()):
-        step = _clone_working_point(ui, si, math.sqrt, _pick)[_P1_OF_OMEGA]
-        built = CloneParams(*_clone_working_point(ui, si, math.sqrt, _pick))
-        assert step == built.p1_of_omega == lane
+def _check_step_fields(u, s):
+    """The Newton steps read ``p1_of_omega`` and the slope p1'(u) from the
+    working point's tuple, and the root's ``CloneParams`` is built from the
+    same tuple; in each lane of (u, s) both fields are the float path's bit
+    for bit, and the built field is the one the steps read."""
+    lanes = _clone_working_point(u, s, np.sqrt, np.where)
+    built = CloneParams(*lanes[:_SLOPE])
+    assert np.array_equal(lanes[_P1_OF_OMEGA], built.p1_of_omega)
+    for i, (ui, si) in enumerate(zip(u.tolist(), s.tolist())):
+        point = _clone_working_point(ui, si, math.sqrt, _pick)
+        assert CloneParams(*point[:_SLOPE]).p1_of_omega == point[_P1_OF_OMEGA]
+        assert (point[_P1_OF_OMEGA], point[_SLOPE]) == (
+            lanes[_P1_OF_OMEGA][i], lanes[_SLOPE][i]
+        )
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_brent_step_field_matches_clone_params(seed):
+def test_step_fields_match_on_floats_and_lanes(seed):
     # s log-uniform from 1e-12 to 1, then 1 - s log-uniform from 1e-9 to 1;
     # u uniform, with both ends
     rng = np.random.default_rng(seed)
@@ -744,7 +750,24 @@ def test_brent_step_field_matches_clone_params(seed):
     s = np.concatenate([small, near_one])
     u = rng.uniform(0.0, 1.0, s.size)
     u[:2], u[-2:] = 0.0, 1.0
-    _check_brent_step_field(u, s)
+    _check_step_fields(u, s)
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e-12, 1e-4, 0.04, 0.36, 0.9, 1.0 - 1e-9])
+@pytest.mark.parametrize("z", [0.3, 1.0, 3.0])
+def test_slope_is_the_derivative_of_the_prior(s, z):
+    # p1'(u) against a 40-digit central difference of the same steps in
+    # mpmath, at u = z*sqrt(s) (where the root lies for small s) and near 1,
+    # except at s = 1e-200, where p1 and its slope, about s^2 there, underflow
+    near_one = {1.0 - 0.1 * z / (1.0 + z)} if s > 1e-100 else set()
+    for u in {min(z * math.sqrt(s), 0.5)} | near_one:
+        with mpmath.workdps(40):
+            prior = lambda x: _clone_working_point(x, mpmath.mpf(s), mpmath.sqrt, _pick)[
+                _P1_OF_OMEGA
+            ]
+            want = mpmath.diff(prior, mpmath.mpf(u), h=mpmath.mpf(u) * 1e-12)
+        got = _clone_working_point(u, s, math.sqrt, _pick)[_SLOPE]
+        assert got < 0.0 and abs(got - want) <= 1e-12 * abs(want), (s, u, got, want)
 
 
 def test_prior_check_fails_nan_alike_on_floats_and_lanes():
@@ -756,3 +779,60 @@ def test_prior_check_fails_nan_alike_on_floats_and_lanes():
     with pytest.raises(NumericError, match=message):
         _check_prior(np.array([0.2, math.nan, 0.1]), np.array([0.2, 0.3, 0.4]))
     _check_prior(0.3 + 0.9e-9, 0.3)
+
+
+def _mp_cloner(s, p1):
+    """p_cl and p1_cl of the optimal cloner at 50 digits: the working point's
+    steps in mpmath, its prior matched by bisection in ln u over [1e-300, 1]."""
+    with mpmath.workdps(50):
+        s, p1 = mpmath.mpf(s), mpmath.mpf(p1)
+        lo, hi = mpmath.log(mpmath.mpf("1e-300")), mpmath.mpf(0)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            point = _clone_working_point(mpmath.exp(mid), s, mpmath.sqrt, _pick)
+            lo, hi = (mid, hi) if point[_P1_OF_OMEGA] > p1 else (lo, mid)
+        cp = CloneParams(*_clone_working_point(mpmath.exp(lo), s, mpmath.sqrt, _pick)[:_SLOPE])
+        return cp.p_cl, cp.p1_cl
+
+
+@pytest.mark.parametrize("s", [1e-120, 1e-200])
+@pytest.mark.parametrize("p1", [0.1, 0.3])
+def test_cloner_far_below_documented_overlap(s, p1):
+    # the root in u lies near 1e-60 and 1e-100 here, hundreds of halvings of
+    # [0, 1] away from any bracket end; floats and lanes end on the same cloner
+    cp = clone_optimal_for_prior(Scenario(s, p1))
+    lanes = _clone_optimal_values(np.array([s, s]), np.array([p1, 0.5]))
+    for f in fields(CloneParams):
+        assert getattr(lanes, f.name)[0] == getattr(cp, f.name), f.name
+    p_cl, p1_cl = _mp_cloner(s, p1)
+    assert abs(cp.p_cl - p_cl) <= 1e-15 * p_cl and abs(cp.p1_cl - p1_cl) <= 1e-15 * p1_cl
+
+
+@pytest.mark.parametrize("s", [1e-3, 1e-6, 1e-12, 1e-60])
+def test_cloner_below_prior_s_squared_takes_few_reads(s, monkeypatch):
+    # below p1 = s^2 the root lies in a layer of width about s at u = 1; the
+    # steps start at that layer's inverse rather than bisect toward u = 1
+    reads = [0]
+
+    def read(*args):
+        reads[0] += 1
+        return _clone_working_point(*args)
+
+    monkeypatch.setattr(protocols, "_clone_working_point", read)
+    p1 = np.array([0.01, 0.3, 0.5, 0.9, 0.99]) * (s * s)
+    lanes = _clone_optimal_values(np.full(p1.shape, s), p1)
+    assert reads[0] <= 6
+    for i, prior in enumerate(p1.tolist()):
+        cp = clone_optimal_for_prior(Scenario(s, prior))
+        assert (cp.p_cl, cp.p1_cl) == (lanes.p_cl[i], lanes.p1_cl[i])
+
+
+def test_cloner_out_of_reads_fails_alike_on_floats_and_lanes():
+    # p1(u) has underflowed to 0 long before its root here, so the steps
+    # bisect toward it and run out of reads; the prior check alone, 1e-9
+    # absolute, would pass that last read
+    message = r"did not converge in \d+ reads: s=2.47e-229, p1=1e-300$"
+    with pytest.raises(NumericError, match=message):
+        clone_optimal_for_prior(Scenario(2.47e-229, 1e-300))
+    with pytest.raises(NumericError, match=message):
+        _clone_optimal_values(np.array([0.5, 2.47e-229]), np.array([0.3, 1e-300]))

@@ -30,7 +30,7 @@ from seqdisc import (
     protocol2_optimal,
     protocol3_optimal,
 )
-from seqdisc import ssd
+from seqdisc import protocols, ssd
 from seqdisc.cli import main
 from seqdisc.sweeps import (
     FIGURE_PRESETS,
@@ -233,6 +233,29 @@ def test_presets_solve_q_star_on_their_case_i_lanes_only(monkeypatch):
     calls.clear()
     run_figure("3a")  # its s = 0.36 column lies beyond 3 - 2*sqrt(2)
     assert len(calls) == 1 and {s for s, _ in calls[0]} == {0.04}
+
+
+def test_figure_cloner_solves_take_at_most_six_newton_steps(monkeypatch):
+    # every read of the working point but the first follows one Newton step
+    reads, solves = [0], []
+    working_point, solve = protocols._clone_working_point, protocols._clone_optimal_values
+
+    def read(*args):
+        reads[0] += 1
+        return working_point(*args)
+
+    def counted(s, p1):
+        reads[0] = 0
+        params = solve(s, p1)
+        solves.append((s.size, reads[0] - 1))
+        return params
+
+    monkeypatch.setattr(protocols, "_clone_working_point", read)
+    monkeypatch.setattr(protocols, "_clone_optimal_values", counted)
+    for name in ("4", "5"):
+        run_figure(name)
+    assert len(solves) == 2
+    assert all(lanes == 200 and 1 <= steps <= 6 for lanes, steps in solves), solves
 
 
 _S = st.one_of(st.sampled_from([0.0, 1e-12, 1.0 - 1e-9, 1.0]), st.floats(0.0, 1.0))
