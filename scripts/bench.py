@@ -55,10 +55,10 @@ POINT_SCENARIOS = ((0.36, 0.2), (0.04, 0.5), (0.6, 0.05), (0.9, 0.4), (1e-6, 0.3
 #: Passes over POINT_SCENARIOS in one point op.
 POINT_LOOPS = 20
 #: The library functions timed one scenario per call: the six closed forms
-#: that ``optimal`` prints and the cloner.
+#: that ``optimal`` prints, and the two solvers under them, q* and the cloner.
 POINT_CALLS = (
     "joint_optimal", "protocol1_optimal", "protocol2_optimal", "protocol3_optimal",
-    "at_least_one_ssd", "at_least_one_protocol3", "clone_optimal_for_prior",
+    "at_least_one_ssd", "at_least_one_protocol3", "solve_q_star", "clone_optimal_for_prior",
 )
 #: Trials of each Monte Carlo case.
 N_TRIALS = 10**6

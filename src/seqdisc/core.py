@@ -138,6 +138,12 @@ def _pick(cond: bool, a: float, b: float) -> float:
     return a if cond else b
 
 
+def _is_integer(x: object) -> bool:
+    """Whether x is a Python or numpy integer.  A bool is not: numpy would take
+    True as 1, and a float it would truncate or refuse with a bare TypeError."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_lanes(ok: np.ndarray, check: Callable[[int], object]) -> None:
     """Call ``check`` on the first lane index where ``ok`` is False; ``check``
     runs the scalar validation there, so an array fails with its exception.

@@ -456,6 +456,8 @@ def certify(
         raise DomainError(f"tolerance={tolerance} must be positive and finite")
     if len(s_values) == 0 or len(p1_values) == 0:
         raise DomainError("certify needs at least one s value and one p1 value")
+    if isinstance(quantities, str):  # a sequence of its characters
+        raise DomainError(f"quantities={quantities!r} must be a sequence of quantity names")
     names = list(_CERTIFIERS) if quantities is None else list(quantities)
     if not names:
         raise DomainError("certify needs at least one quantity")

@@ -45,6 +45,7 @@ from .core import (
     NumericError,
     Scenario,
     StrategyParams,
+    _is_integer,
     check_overlap_t,
     make_state_pair,
 )
@@ -301,10 +302,10 @@ def run_ssd_trials(
     one bincount and folded into the 18 (preparation, k_b, k_c) cells, whose
     sum over chunks becomes ``counts`` and ``error_count`` once per run.
     """
-    if n < 1:
-        raise DomainError(f"n={n} must be at least 1")
-    if not 0 <= seed < 2**128:
-        raise DomainError(f"seed={seed} outside the Philox key range [0, 2^128)")
+    if not (_is_integer(n) and n >= 1):
+        raise DomainError(f"n={n!r} must be an integer of at least 1")
+    if not (_is_integer(seed) and 0 <= seed < 2**128):
+        raise DomainError(f"seed={seed!r} must be an integer in the Philox key range [0, 2^128)")
     thresholds = _trial_thresholds(scenario, t, q1b, q1c)
     cells = np.zeros((2, 3, 3), dtype=np.int64)
     row = np.empty(min(n, _CHUNK), dtype=np.intp)

@@ -30,12 +30,15 @@ reads them; protocol (2)'s oracle reads the test too), the stage optimum
 (which also gives protocol (1), both of protocol (2)'s stages and each
 cloned copy), the case-I tie rule, the joint two-case choice and P_C's
 closed form are each one body that both call, on floats with ``math.sqrt`` (and ``_pick``), on arrays with
-``np.sqrt`` (and ``np.where``).  Two twins remain, both here, because their
-control flow differs: q*'s root search, ``_q_star_values``, whose Newton
-polish stops each root on its own where the kernel runs all lanes in
-lockstep (one lane through the kernel costs several times the scalar call),
-and the joint kernel, which solves for q* only on the lanes where case I can
-win.  The cloner's Newton steps are one body, ``protocols._clone_solve``.
+``np.sqrt`` (and ``np.where``).  So are q*'s companion eigenvalues
+(``_eigen_starts``) and the steps from each start (``_polished_root``: the
+Newton polish, root test, clip and objective), where each start stops on
+its own.  The float and lane paths differ only in control flow:
+``solve_q_star`` loops over one scenario's starts and keeps the first
+maximum, ``_q_star_values`` polishes every lane's starts as one array and
+takes each row's argmax, and the joint kernel solves for q* only on the
+lanes where case I can win.  The cloner's Newton steps are one body,
+``protocols._clone_solve``.
 """
 
 from __future__ import annotations
@@ -368,18 +371,54 @@ def _joint_choice(p1, p2, s, q_star, pick):
     return pick(case_i, v1, v2), case_i
 
 
+def _eigen_starts(s, p1, p2):
+    """The real parts of the companion matrix's eigenvalues, the quartic's
+    four roots: shape (4,) for floats, (n, 4) for lanes, one LAPACK call per
+    lane.  For p2*s/p1 finite."""
+    companion = np.zeros(np.shape(s) + (4, 4))
+    companion[..., 0, 0] = companion[..., 1, 0] = companion[..., 2, 1] = companion[..., 3, 2] = 1.0
+    companion[..., 0, 2] = -(p2 * s / p1)
+    companion[..., 0, 3] = p2 * s * s / p1
+    return np.linalg.eigvals(companion).real
+
+
+def _polished_root(p1, p2, s, q, pick):
+    """(q, objective) from one start q of q*'s root search: Newton steps on the
+    quartic with p1 and p2 scaled by ``_QUARTIC_SCALE``, then q clipped to
+    [s, 1] and the joint objective there, or -inf where the polished q fails
+    ``_is_root``.  On a float (``_pick``) or on an (n, k) array of starts with
+    (n, 1) scenarios (``np.where``); a start stops on its own once its slope
+    is 0 or its step is at most an ulp of q, and keeps its q while the others
+    step on.
+    """
+    c1, c2 = p1 * _QUARTIC_SCALE, p2 * _QUARTIC_SCALE
+    going = True
+    for _ in range(_NEWTON_STEPS):
+        slope = _quartic_slope(c1, c2, s, q)
+        going = going & (slope != 0.0)
+        step = pick(going, _quartic(c1, c2, s, q) / pick(going, slope, 1.0), 0.0)
+        q = q - step
+        going = going & (abs(step) > _EPS * abs(q))  # a NaN step stops
+        if not (going if isinstance(going, bool) else going.any()):
+            break
+    is_root = _is_root(c1, c2, s, q, pick)
+    q = pick(q > s, q, s)
+    q = pick(q < 1.0, q, 1.0)
+    return q, pick(is_root, _joint_case1_objective(p1, p2, s, q), -math.inf)
+
+
 def solve_q_star(scenario: Scenario) -> float:
     """Root of p1*q^4 - p1*q^3 + p2*s*q - p2*s^2 = 0 on [s, 1] maximizing the
     symmetric joint objective p1*(1-q)^2 + p2*(1-s/q)^2.
 
     The quartic is the stationarity condition of the objective.  Its roots are
-    the eigenvalues of the 4x4 companion matrix; the real part of each is
-    polished by Newton steps on the quartic, with p1 and p2 scaled by
-    ``_QUARTIC_SCALE``.  Below ``_TINY_OVERLAP``, where the eigenvalues of
-    the three small roots come out as 0, sqrt(p2*s/p1) (a product of square
-    roots, which cannot underflow) and s are polished too.  A polished value counts as a root when it passes
+    the eigenvalues of the 4x4 companion matrix (``_eigen_starts``); the real
+    part of each is polished by ``_polished_root``.  Below ``_TINY_OVERLAP``,
+    where the eigenvalues of the three small roots come out as 0,
+    sqrt(p2*s/p1) (a product of square roots, which cannot underflow) and s
+    are polished too.  A polished value counts as a root when it passes
     ``_is_root`` (a backward-error test) and lies in [s, 1], up to a relative
-    1e-12 that is clipped away.  Among the roots, the one with the largest
+    1e-12 that is clipped away.  Among the roots, the first with the largest
     objective value is returned.  Since the quartic is negative at s and
     positive at 1, a root always exists; NumericError reports a failure to
     find it.  Where p2*s/p1 overflows (p1 below about 5e-309*s) the root's
@@ -389,78 +428,47 @@ def solve_q_star(scenario: Scenario) -> float:
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
     if not 0.0 < s < 1.0:
         raise DomainError(f"q* is defined for 0 < s < 1, got s={s}")
-    linear = p2 * s / p1
-    if linear == math.inf:
+    if p2 * s / p1 == math.inf:
         return s
-    companion = np.eye(4, k=-1)
-    companion[0] = (1.0, 0.0, -linear, p2 * s * s / p1)
-    starts = [z.real for z in np.linalg.eigvals(companion).tolist()]
+    starts = _eigen_starts(s, p1, p2).tolist()
     if s < _TINY_OVERLAP:
         starts += [math.sqrt(p2) * math.sqrt(s) / math.sqrt(p1), s]
-    c1, c2 = p1 * _QUARTIC_SCALE, p2 * _QUARTIC_SCALE
-    roots = []
-    for q in starts:
-        for _ in range(_NEWTON_STEPS):
-            slope = _quartic_slope(c1, c2, s, q)
-            if slope == 0.0:
-                break
-            step = _quartic(c1, c2, s, q) / slope
-            q -= step
-            if abs(step) <= _EPS * abs(q):
-                break
-        if _is_root(c1, c2, s, q, _pick):
-            roots.append(min(1.0, max(s, q)))
-    if not roots:
+    q_star, best = None, -math.inf
+    for start in starts:
+        q, objective = _polished_root(p1, p2, s, start, _pick)
+        if objective > best:
+            q_star, best = q, objective
+    if q_star is None:
         raise NumericError(
             "no real root in [s, 1] for quartic coefficients "
             f"[{p1}, {-p1}, 0, {p2 * s}, {-p2 * s * s}]"
         )
-    return max(roots, key=lambda q: _joint_case1_objective(p1, p2, s, q))
+    return q_star
 
 
 def _q_star_values(s: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """``solve_q_star`` in every lane, for 0 < s < 1: one batched eigenvalue
-    call, then the same starts, Newton steps, root test, clip and choice, lane
-    by lane.  Only if some lane lies below ``_TINY_OVERLAP`` do the two extra
+    """``solve_q_star`` in every lane, for 0 < s < 1: s where p2*s/p1
+    overflows, elsewhere each row's first maximum over an (n, k) array of
+    starts.  Only if some lane lies below ``_TINY_OVERLAP`` do the two extra
     starts get columns; elsewhere those hold copies of the first eigenvalue,
-    whose root ties it and so never wins the first-maximum choice.
-    """
+    whose root ties it and so never wins.  A lane without a root fails with
+    the scalar's error."""
     with np.errstate(over="ignore"):
-        linear = p2 * s / p1
-    if np.isinf(linear).any():  # q* = s there, as in the scalar path
-        q, rest = s.copy(), ~np.isinf(linear)
+        overflow = np.isinf(p2 * s / p1)
+    if overflow.any():  # q* = s there, as in the scalar path
+        q, rest = s.copy(), ~overflow
         if rest.any():
             q[rest] = _q_star_values(s[rest], p1[rest], p2[rest])
         return q
-    companion = np.zeros(s.shape + (4, 4))
-    companion[:, 0, 0] = companion[:, 1, 0] = companion[:, 2, 1] = companion[:, 3, 2] = 1.0
-    companion[:, 0, 2] = -linear
-    companion[:, 0, 3] = p2 * s * s / p1
-    q = np.linalg.eigvals(companion).real
+    q = _eigen_starts(s, p1, p2)
     tiny = s < _TINY_OVERLAP
     if tiny.any():
         near_sqrt = np.sqrt(p2) * np.sqrt(s) / np.sqrt(p1)
         q = np.column_stack([q, np.where(tiny, near_sqrt, q[:, 0]), np.where(tiny, s, q[:, 0])])
-    p1, p2, s = p1[:, None], p2[:, None], s[:, None]
-    c1, c2 = p1 * _QUARTIC_SCALE, p2 * _QUARTIC_SCALE
-    active = np.ones(q.shape, dtype=bool)
     with np.errstate(all="ignore"):
-        for _ in range(_NEWTON_STEPS):
-            slope = _quartic_slope(c1, c2, s, q)
-            active &= slope != 0.0
-            step = np.where(active, _quartic(c1, c2, s, q) / np.where(active, slope, 1.0), 0.0)
-            q = q - step
-            active &= ~(np.abs(step) <= _EPS * np.abs(q))
-            if not active.any():
-                break
-        is_root = _is_root(c1, c2, s, q, np.where)
-        q = np.where(q > s, q, s)
-        q = np.where(q < 1.0, q, 1.0)
-        objective = np.where(is_root, _joint_case1_objective(p1, p2, s, q), -np.inf)
-    missing = ~is_root.any(axis=1)
-    if missing.any():
-        i = int(np.argmax(missing))
-        raise NumericError(f"no real root in [s, 1] at s={s[i, 0]}, p1={p1[i, 0]}")
+        q, objective = _polished_root(p1[:, None], p2[:, None], s[:, None], q, np.where)
+    found = (objective > -math.inf).any(axis=1)
+    _check_lanes(found, lambda i: solve_q_star(Scenario(float(s[i]), float(p1[i]))))
     return np.take_along_axis(q, np.argmax(objective, axis=1)[:, None], axis=1)[:, 0]
 
 
@@ -550,8 +558,8 @@ def joint_optimal_values(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
 
     Every lane starts at case II's p2*(1-s)^2 (0 at s = 1), or 1 at s = 0,
     the scalar path's endpoint values.  Only the inner lanes where case I
-    can win (``_case_i_may_win``) take q* from the lockstep twin of
-    ``solve_q_star`` and then the scalar path's own two-case choice.  On the
+    can win (``_case_i_may_win``) take q* from ``_q_star_values`` and then
+    the scalar path's own two-case choice.  On the
     others that choice takes case II, so the values agree bit for bit.
     """
     p2 = 1.0 - p1

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
 
-from .core import DomainError, Scenario, _check_lanes
+from .core import DomainError, Scenario, _check_lanes, _is_integer
 from .correlations import d_symm_values, prop_left_values
 from .protocols import (
     at_least_one_protocol3_values,
@@ -49,14 +49,16 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.variable not in ("P1", "s", "t"):
             raise DomainError(f"sweep variable {self.variable!r} not one of P1, s, t")
-        if not self.steps >= 2:  # NaN fails too
-            raise DomainError(f"steps={self.steps} must be at least 2")
+        if not (_is_integer(self.steps) and self.steps >= 2):
+            raise DomainError(f"steps={self.steps!r} must be an integer of at least 2")
         if self.steps > _MAX_STEPS:
             raise DomainError(f"steps={self.steps} is above the most a grid can count, 2^53")
         if not self.start < self.stop:
             raise DomainError(f"empty sweep range [{self.start}, {self.stop}]")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise DomainError(f"sweep range [{self.start}, {self.stop}] is not finite")
+        if isinstance(self.quantities, str):  # a sequence of its characters
+            raise DomainError(f"quantities={self.quantities!r} must be a sequence of quantity names")
         swept = _FIELD_OF_VARIABLE[self.variable]
         if swept in self.fixed:  # the grid would overwrite it
             raise DomainError(f"a sweep over {self.variable} cannot also fix {swept}")

@@ -700,6 +700,11 @@ class TestCertify:
         with pytest.raises(DomainError):
             certify(quantities=["nonsense"])
 
+    def test_a_string_of_quantity_names_is_rejected(self):
+        # a str is a sequence of its characters, each an unknown quantity
+        with pytest.raises(DomainError, match="'joint' must be a sequence of quantity names"):
+            certify(quantities="joint")
+
     def test_tolerance_below_grid_resolution_fails(self):
         rows = certify(quantities=["joint"], s_values=(0.2,), p1_values=(0.05,), tolerance=1e-13)
         assert not rows[0].passed

@@ -165,6 +165,25 @@ class TestRunTrials:
         with pytest.raises(DomainError):
             run_ssd_trials(Scenario(0.04, 0.5), 0.2, 0.2, 0.2, 0, 0)
 
+    @pytest.mark.parametrize(
+        "n, seed, name",
+        [(10, 1.5, "seed"), (10, 1.9, "seed"), (10, True, "seed"), (10, np.float64(1.0), "seed"),
+         (100.0, 1, "n"), (10.5, 1, "n"), (np.True_, 1, "n")],
+        ids=["seed_fraction", "seed_near_two", "seed_bool", "seed_numpy_float",
+             "n_float", "n_fraction", "n_numpy_bool"],
+    )
+    def test_rejects_a_count_or_seed_that_is_not_an_integer(self, n, seed, name):
+        # numpy would truncate a float seed (or take True as 1) and run seed
+        # 1's stream, and refuse a float n with a bare TypeError
+        with pytest.raises(DomainError, match=f"{name}=.* must be an integer"):
+            run_ssd_trials(Scenario(0.04, 0.5), 0.2, 0.2, 0.2, n, seed)
+
+    def test_numpy_integers_run_as_python_integers(self):
+        sc = Scenario(0.04, 0.5)
+        expected = run_ssd_trials(sc, 0.2, 0.2, 0.2, 1000, 1)
+        summary = run_ssd_trials(sc, 0.2, 0.2, 0.2, np.int32(1000), np.uint64(1))
+        assert np.array_equal(summary.counts, expected.counts)
+
 
 def _assert_analytic_table(s, t, q1b, q1c):
     """The table from the two 6x6 dilations is the product of the stage outcomes."""

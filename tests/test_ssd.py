@@ -19,6 +19,8 @@ from seqdisc import (
     joint_success,
     solve_q_star,
 )
+from seqdisc import ssd
+from seqdisc.core import NumericError
 
 _EPS = float(np.finfo(float).eps)
 
@@ -176,6 +178,45 @@ class TestSolveQStar:
     def test_rejects_degenerate_overlap(self):
         with pytest.raises(DomainError):
             solve_q_star(Scenario(0.0, 0.5))
+
+    def test_kernel_matches_the_scalar_on_the_whole_domain(self):
+        # one kernel call over seeded lanes: s log-uniform down to 1e-300 (so
+        # below _TINY_OVERLAP), 1 - s log-uniform down to 1e-16, s within 8
+        # ulps of 3 - 2*sqrt(2), and s uniform; p1 log-uniform down to
+        # 5e-324 (p2*s/p1 overflows beside ordinary lanes), within 1e-17 to
+        # 0.1 below 1/2, and uniform; most lie where case II wins, which the
+        # joint kernel never sends to q*
+        rng = np.random.default_rng(35)
+        n = 500
+        s = np.concatenate([
+            10.0 ** rng.uniform(-300.0, 0.0, n),
+            1.0 - 10.0 ** rng.uniform(-16.0, math.log10(0.5), n),
+            SYMMETRY_BREAK_OVERLAP * (1.0 + rng.integers(-8, 9, n) * _EPS),
+            rng.uniform(0.0, 1.0, n),
+        ])
+        p1 = np.concatenate([
+            np.maximum(10.0 ** rng.uniform(-323.3, math.log10(0.5), 2 * n), 5e-324),
+            0.5 - 10.0 ** rng.uniform(-17.0, -1.0, n),
+            rng.uniform(0.0, 0.5, n),
+        ])
+        p1 = rng.permutation(p1)
+        keep = (0.0 < s) & (s < 1.0) & (0.0 < p1)
+        s, p1 = s[keep], p1[keep]
+        with np.errstate(over="ignore"):
+            overflow = np.isinf((1.0 - p1) * s / p1)
+        assert overflow.sum() > 20 and (~overflow).sum() > 1500
+        assert (s < ssd._TINY_OVERLAP).sum() > 200
+        assert (~ssd._case_i_may_win(s, p1)).sum() > 1000
+        expected = [solve_q_star(Scenario(*lane)) for lane in zip(s.tolist(), p1.tolist())]
+        assert ssd._q_star_values(s, p1, 1.0 - p1).tolist() == expected
+
+    def test_kernel_fails_a_rootless_lane_with_the_scalar_error(self, monkeypatch):
+        monkeypatch.setattr(ssd, "_is_root", lambda p1, p2, s, q, pick: q != q)
+        message = r"no real root in \[s, 1\] for quartic coefficients \[0.3, -0.3, 0, "
+        with pytest.raises(NumericError, match=message):
+            solve_q_star(Scenario(0.04, 0.3))
+        with pytest.raises(NumericError, match=message):
+            ssd._q_star_values(np.array([0.04]), np.array([0.3]), np.array([0.7]))
 
 
 def _best_numpy_root(s, p1):

@@ -311,6 +311,26 @@ def test_sweep_spec_rejects_nan_steps():
 
 
 @pytest.mark.parametrize(
+    "steps", [3.0, 3.5, True, np.float64(3.0)], ids=["float", "fraction", "bool", "numpy_float"]
+)
+def test_sweep_spec_rejects_steps_that_are_not_an_integer(steps):
+    # np.linspace refuses a float count with a bare TypeError
+    with pytest.raises(DomainError, match="must be an integer"):
+        SweepSpec("P1", 0.1, 0.5, steps, {"s": 0.04}, ("ssd",))
+
+
+def test_sweep_spec_takes_a_numpy_integer_for_steps():
+    spec = SweepSpec("P1", 0.1, 0.5, np.int64(3), {"s": 0.04}, ("ssd",))
+    assert run_sweep(spec) == run_sweep(SweepSpec("P1", 0.1, 0.5, 3, {"s": 0.04}, ("ssd",)))
+
+
+def test_sweep_spec_rejects_a_string_of_quantity_names():
+    # a str is a sequence of its characters, each an unknown quantity
+    with pytest.raises(DomainError, match="'ssd' must be a sequence of quantity names"):
+        SweepSpec("P1", 0.1, 0.5, 3, {"s": 0.04}, "ssd")
+
+
+@pytest.mark.parametrize(
     "extra",
     [
         ["--variable", "P1", "--start", "0", "--stop", "0.5", "--s", "0.04", "--quantities", "ssd"],
