@@ -12,14 +12,18 @@ With ``--parent DIR``, ``DIR/src/seqdisc`` must write the same CSVs and give
 the same oracle results and ``certify()`` rows, bit for bit, and is timed
 beside this tree, the two in alternating order from round to round; each
 round's change/parent ratio cancels a slow spell where raw times do not.  The
-trees share one heap, so one tree's allocations can spare the other its
-faults: they are recorded only without a parent; compare them between runs of
-each tree alone (``PYTHONPATH=DIR/src``).
+op that runs second in a round can read faster or slower than the first (on
+one unchanged op, 1.10-1.29 in one order and 0.76-0.96 in the other), so the
+16 rounds give each order 8, and an op's reported median ratio is the mean
+of the two orders' median ratios; both are recorded beside it.  The trees
+share one heap, so one tree's allocations can spare the other its faults:
+they are recorded only without a parent; compare them between runs of each
+tree alone (``PYTHONPATH=DIR/src``).
 
-``--quick`` is a smoke run of 2 rounds: it shows that every op runs on both
-trees, and its record says so (``smoke_run``, ``rounds``), but its ratios are
-not evidence; two bit-identical trees have read 1.07 and 1.23 on
-``figure_set``.
+``--quick`` is a smoke run of 2 rounds, one in each order: it shows that
+every op runs on both trees, and its record says so (``smoke_run``,
+``rounds``), but its ratios are not evidence; two bit-identical trees have
+read 1.07 and 1.23 on ``figure_set``.
 
     python scripts/bench.py --out bench.json
     python scripts/bench.py --quick --out bench.json   # a smoke run
@@ -248,8 +252,10 @@ def _stats(run: dict, calls: int, faults: bool) -> dict:
 
 def summarize(runs: dict, ops: dict) -> dict:
     """Each op's calls and its min and median ms per call; with a parent, also
-    the parent's and the per-round change/parent time ratios with their
-    median; without one, the median minor page faults per op."""
+    the parent's and the per-round change/parent time ratios, the median of
+    the rounds that ran this tree first (even rounds) and of those that ran
+    the parent first (odd rounds), and the mean of the two as the median;
+    without one, the median minor page faults per op."""
     results = {}
     for name, by_tree in runs.items():
         calls = ops[name][1]
@@ -259,8 +265,12 @@ def summarize(runs: dict, ops: dict) -> dict:
         if not alone:
             record["parent"] = _stats(by_tree["parent"], calls, faults=False)
             ratios = [c / p for c, p in zip(by_tree["change"]["ms"], by_tree["parent"]["ms"])]
+            change_first = statistics.median(ratios[0::2])
+            parent_first = statistics.median(ratios[1::2])
             record["change_over_parent"] = {
-                "median": round(statistics.median(ratios), 4),
+                "median": round(0.5 * (change_first + parent_first), 4),
+                "median_change_first": round(change_first, 4),
+                "median_parent_first": round(parent_first, 4),
                 "per_round": [round(x, 4) for x in ratios],
             }
         results[name] = record
@@ -270,7 +280,9 @@ def summarize(runs: dict, ops: dict) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--quick", action="store_true", help="a smoke run: 2 rounds instead of 15, no evidence"
+        "--quick",
+        action="store_true",
+        help="a smoke run: 2 rounds (one in each order) instead of 16, no evidence",
     )
     parser.add_argument("--out", required=True, help="path of the JSON record")
     parser.add_argument(
@@ -282,7 +294,7 @@ def main() -> int:
         parent = load_parent(args.parent)
         check_same_output(seqdisc, parent)
         trees["parent"] = make_ops(parent)
-    rounds = 2 if args.quick else 15
+    rounds = 2 if args.quick else 16
     results = summarize(time_rounds(trees, rounds), trees["change"])
     record = {
         "smoke_run": args.quick,

@@ -65,27 +65,6 @@ class Scenario:
         return 1.0 - self.p1
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
-    """Real-amplitude pure state (dimension 2 for the qubit, 3 for ancillas)."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amp = np.atleast_1d(np.asarray(self.amplitudes, dtype=float))
-        object.__setattr__(self, "amplitudes", amp)
-        norm = float(np.linalg.norm(amp))
-        if not abs(norm - 1.0) <= BOUNDARY_TOL:  # NaN fails too
-            raise DomainError(f"state norm {norm!r} deviates from 1 beyond {BOUNDARY_TOL}")
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
-    def overlap(self, other: "PureState") -> float:
-        return float(np.dot(self.amplitudes, other.amplitudes))
-
-
 @dataclass(frozen=True)
 class StrategyParams:
     """Failure parameters (q1, q2) of one unambiguous-discrimination stage.
@@ -163,8 +142,9 @@ def check_overlap_t(s: float, t: float) -> None:
         )
 
 
-def make_state_pair(s: float, dim: int) -> tuple[PureState, PureState]:
-    """Two real unit vectors with inner product s, symmetric about the first axis.
+def make_state_pair(s: float, dim: int) -> np.ndarray:
+    """Two real unit vectors with inner product s, symmetric about the first
+    axis, as the rows of a (2, dim) array (so ``a, b = make_state_pair(...)``).
 
     The half-angle is fixed by cos(2*theta) = s, giving the pair
     (cos(theta), +-sin(theta), 0, ...) embedded in the requested dimension.
@@ -174,12 +154,10 @@ def make_state_pair(s: float, dim: int) -> tuple[PureState, PureState]:
     if dim < 2:
         raise DomainError(f"dim={dim} must be at least 2")
     theta = 0.5 * math.acos(s)
-    v1 = np.zeros(dim)
-    v2 = np.zeros(dim)
-    v1[0] = v2[0] = math.cos(theta)
-    v1[1] = math.sin(theta)
-    v2[1] = -math.sin(theta)
-    return PureState(v1), PureState(v2)
+    pair = np.zeros((2, dim))
+    pair[:, 0] = math.cos(theta)
+    pair[:, 1] = math.sin(theta), -math.sin(theta)
+    return pair
 
 
 def binary_entropy(p: float) -> float:

@@ -272,11 +272,9 @@ def left_discord_measurement_oracle(inp: CorrelationInput) -> float:
     lies within 3.4e-14 of the closed form ``discord_left``; the tests also
     hold it to a full scan of 181 x 361 complex directions.
     """
-    phi1, phi2 = make_state_pair(inp.t, 2)
+    f1, f2 = make_state_pair(inp.t, 2)
     a1, a2 = make_state_pair(inp.r, 3)
-    f1, f2 = phi1.amplitudes, phi2.amplitudes
-    op1 = np.outer(a1.amplitudes, a1.amplitudes)
-    op2 = np.outer(a2.amplitudes, a2.amplitudes)
+    op1, op2 = np.outer(a1, a1), np.outer(a2, a2)
     rho = inp.p1 * np.kron(np.outer(f1, f1), op1) + inp.p2 * np.kron(np.outer(f2, f2), op2)
 
     rho_a = np.trace(rho.reshape(2, 3, 2, 3), axis1=1, axis2=3)

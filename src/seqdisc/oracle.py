@@ -259,7 +259,7 @@ def _max_3d(
     t_step, u_step = (1.0 - t_lo_global) / (_JOINT_POINTS - 1), 1.0 / (_JOINT_POINTS - 1)
     for _ in range(_REFINEMENT_PASSES):
         t0 = best[1]
-        lob = (s / t0) ** 2 if t0 > 0 else 0.0
+        lob = (s / t0) ** 2
         u0 = _to_unit(lob, best[2]) if lob < 1.0 else 0.0
         v0 = _to_unit(t0 * t0, best[3]) if t0 < 1.0 else 0.0
         # each axis's window: points within 1.5 steps of its best, cut to [lo, 1]
@@ -451,9 +451,13 @@ def certify(
     over the s x p1 grid; a row passes when its worst gap is at most
     ``tolerance``.  An empty selection or grid, or an infinite tolerance,
     would pass anything, and is rejected; so is a quantity named twice, whose
-    second row would repeat the first."""
+    second row would repeat the first, and a grid that is not a flat
+    sequence, such as a bare number or a string."""
     if not 0.0 < tolerance < math.inf:  # negated, so that NaN fails it
         raise DomainError(f"tolerance={tolerance} must be positive and finite")
+    for name, values in (("s_values", s_values), ("p1_values", p1_values)):
+        if np.ndim(values) != 1:  # 0 for a number or a str
+            raise DomainError(f"{name}={values!r} must be a sequence of numbers")
     if len(s_values) == 0 or len(p1_values) == 0:
         raise DomainError("certify needs at least one s value and one p1 value")
     if isinstance(quantities, str):  # a sequence of its characters

@@ -384,13 +384,15 @@ def _clone_optimal_values(s: np.ndarray, p1: np.ndarray) -> CloneParams:
 def _cloned_stage_values(s: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The optimal cloner's success probability p_cl and one copy's
     discrimination optimum, in every lane of valid scenarios.  At s = 0 and
-    s = 1, as in ``_cloned_optimum``, cloning succeeds and leaves the prior.
+    s = 1, as in ``_cloned_optimum``, cloning succeeds and leaves the prior:
+    the cloner solves every lane, those two masked to (s, p1) = (1/2, 1/2),
+    which stop at u = 0 on their first read, and then take p_cl = 1 and
+    their own prior back.
     """
-    p_cl, p1_cl, p2_cl = np.ones_like(s), p1.copy(), 1.0 - p1
     inner = (s > 0.0) & (s < 1.0)
-    if inner.any():
-        cp = _clone_optimal_values(s[inner], p1[inner])
-        p_cl[inner], p1_cl[inner], p2_cl[inner] = cp.p_cl, cp.p1_cl, cp.p2_cl
+    cp = _clone_optimal_values(np.where(inner, s, 0.5), np.where(inner, p1, 0.5))
+    p_cl = np.where(inner, cp.p_cl, 1.0)
+    p1_cl, p2_cl = np.where(inner, cp.p1_cl, p1), np.where(inner, cp.p2_cl, 1.0 - p1)
     return p_cl, _stage_optimum_values(p1_cl, p2_cl, s)
 
 

@@ -69,21 +69,6 @@ _FOLD = np.zeros((18, 32), dtype=np.int64)
 _FOLD[3 * _CHARLIE_ROW.repeat(4) + np.tile([0, 1, 2, 0], 8), np.arange(32)] = 1
 
 
-@dataclass(frozen=True, eq=False)
-class JointUnitary:
-    """Real orthogonal matrix acting on the qubit (x) qutrit product basis."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", m)
-        gram = m.T @ m
-        residual = float(np.abs(gram - np.eye(m.shape[0])).max())
-        if not residual <= _UNITARITY_TOL:  # NaN fails too
-            raise NumericError(f"unitarity residual {residual} exceeds {_UNITARITY_TOL}")
-
-
 def _pair_basis(pair: list[np.ndarray]) -> np.ndarray:
     """Orthonormal basis whose first two columns span the pair, by Householder QR.
 
@@ -99,12 +84,15 @@ def _pair_basis(pair: list[np.ndarray]) -> np.ndarray:
 
 def build_discrimination_unitary(
     inputs: tuple[np.ndarray, np.ndarray], targets: tuple[np.ndarray, np.ndarray]
-) -> JointUnitary:
-    """Orthogonal matrix mapping each input product state to its target.
+) -> np.ndarray:
+    """Real orthogonal (d, d) matrix mapping each input product state to its
+    target, for d-dimensional inputs and targets (d = 6 on qubit (x) qutrit).
 
     Requires matching Gram matrices (inner products agree within 1e-10); the
     map is completed off the two defining vectors by a deterministic
     orthonormal extension, which leaves all measurement statistics unchanged.
+    The matrix returned is orthogonal within 1e-12 and maps each input to its
+    target within 1e-10, or this raises NumericError.
     """
     a = [np.asarray(v, dtype=float) for v in inputs]
     b = [np.asarray(v, dtype=float) for v in targets]
@@ -115,9 +103,12 @@ def build_discrimination_unitary(
             "no inner-product-preserving map exists: "
             f"input Gram {gram_in.tolist()} vs target Gram {gram_out.tolist()}"
         )
-    u = JointUnitary(_pair_basis(b) @ _pair_basis(a).T)
+    u = _pair_basis(b) @ _pair_basis(a).T
+    residual = float(np.abs(u.T @ u - np.eye(u.shape[0])).max())
+    if not residual <= _UNITARITY_TOL:  # NaN fails too
+        raise NumericError(f"unitarity residual {residual} exceeds {_UNITARITY_TOL}")
     for x, y in zip(a, b):
-        residual = float(np.abs(u.matrix @ x - y).max())
+        residual = float(np.abs(u @ x - y).max())
         if not residual <= _MAPPING_TOL:
             raise NumericError(f"mapping residual {residual} exceeds {_MAPPING_TOL}")
     return u
@@ -194,7 +185,7 @@ def _word_thresholds(c) -> np.ndarray:
     return np.ceil(np.asarray(c, dtype=float) * 2.0**53).astype(np.uint64)
 
 
-def _stage_unitary(inputs: np.ndarray, outputs: np.ndarray, stage: StrategyParams) -> JointUnitary:
+def _stage_unitary(inputs: np.ndarray, outputs: np.ndarray, stage: StrategyParams) -> np.ndarray:
     """Dilation |in_i>|0> -> |out_i>(sqrt(q_i)|0> + sqrt(1-q_i)|i>) of one stage."""
     e0 = np.array([1.0, 0.0, 0.0])
     targets = []
@@ -218,15 +209,15 @@ def _outcome_table(scenario: Scenario, t: float, q1b: float, q1c: float) -> np.n
     check_overlap_t(s, t)
     bob = StrategyParams.from_q1(q1b, s / t)
     charlie = StrategyParams.from_q1(q1c, t)
-    psi = np.array([p.amplitudes for p in make_state_pair(s, 2)])
-    phi = np.array([p.amplitudes for p in make_state_pair(t, 2)])
+    psi = make_state_pair(s, 2)
+    phi = make_state_pair(t, 2)
     u_b = _stage_unitary(psi, phi, bob)
     final = np.array([1.0, 0.0])  # Charlie's system state after either outcome
     u_c = _stage_unitary(phi, np.array([final, final]), charlie)
 
     # Each unitary's ancilla-|0> columns, as [system out, outcome, system in].
-    b_cols = u_b.matrix.reshape(2, 3, 2, 3)[..., 0]
-    c_cols = u_c.matrix.reshape(2, 3, 2, 3)[..., 0]
+    b_cols = u_b.reshape(2, 3, 2, 3)[..., 0]
+    c_cols = u_c.reshape(2, 3, 2, 3)[..., 0]
     bob_amp = np.einsum("xkj,ij->ixk", b_cols, psi)
     amp = np.einsum("ylx,ixk->ikyl", c_cols, bob_amp)
     probs = (amp * amp).sum(axis=2)

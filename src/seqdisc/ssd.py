@@ -447,19 +447,17 @@ def solve_q_star(scenario: Scenario) -> float:
 
 
 def _q_star_values(s: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """``solve_q_star`` in every lane, for 0 < s < 1: s where p2*s/p1
-    overflows, elsewhere each row's first maximum over an (n, k) array of
-    starts.  Only if some lane lies below ``_TINY_OVERLAP`` do the two extra
-    starts get columns; elsewhere those hold copies of the first eigenvalue,
-    whose root ties it and so never wins.  A lane without a root fails with
-    the scalar's error."""
+    """``solve_q_star`` in every lane, for 0 < s < 1: each row's first maximum
+    over an (n, k) array of starts.  Where p2*s/p1 overflows, q* = s as in the
+    scalar path: those lanes are masked to the prior 1/2, which keeps every
+    start finite, solved with the others, and given s at the end.  Only if
+    some lane lies below ``_TINY_OVERLAP`` do the two extra starts get
+    columns; elsewhere those hold copies of the first eigenvalue, whose root
+    ties it and so never wins.  A lane without a root fails with the scalar's
+    error."""
     with np.errstate(over="ignore"):
         overflow = np.isinf(p2 * s / p1)
-    if overflow.any():  # q* = s there, as in the scalar path
-        q, rest = s.copy(), ~overflow
-        if rest.any():
-            q[rest] = _q_star_values(s[rest], p1[rest], p2[rest])
-        return q
+    p1, p2 = np.where(overflow, 0.5, p1), np.where(overflow, 0.5, p2)
     q = _eigen_starts(s, p1, p2)
     tiny = s < _TINY_OVERLAP
     if tiny.any():
@@ -469,7 +467,8 @@ def _q_star_values(s: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
         q, objective = _polished_root(p1[:, None], p2[:, None], s[:, None], q, np.where)
     found = (objective > -math.inf).any(axis=1)
     _check_lanes(found, lambda i: solve_q_star(Scenario(float(s[i]), float(p1[i]))))
-    return np.take_along_axis(q, np.argmax(objective, axis=1)[:, None], axis=1)[:, 0]
+    q = np.take_along_axis(q, np.argmax(objective, axis=1)[:, None], axis=1)[:, 0]
+    return np.where(overflow, s, q)
 
 
 class CriticalPrior(NamedTuple):

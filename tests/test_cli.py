@@ -213,6 +213,21 @@ class TestSimulate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # q1 <= 0 where r > 0, and q1 outside [0, 1] where r^2 = 0: the
+            # two raises of StrategyParams.from_q1 itself
+            (["--s", "0.36", "--p1", "0.3", "--t", "0.6", "--q1b", "0"],
+             "error: q1=0.0 below lower bound r^2=0.36"),
+            (["--s", "0", "--p1", "0.3", "--t", "0.5", "--q1b", "1.5"],
+             "error: q1=1.5 outside [0, 1]"),
+        ],
+    )
+    def test_q1_rejected_by_from_q1_exits_2(self, capsys, argv, message):
+        assert main(["simulate", *argv, "--n", "10"]) == 2
+        assert capsys.readouterr().err.strip() == message
+
     def test_negative_seed_exits_2(self, capsys):
         assert main(["simulate", "--s", "0.04", "--p1", "0.5", "--n", "10", "--seed", "-1"]) == 2
         assert capsys.readouterr().err.startswith("error:")

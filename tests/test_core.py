@@ -14,7 +14,6 @@ from seqdisc import (
     CorrelationInput,
     DomainError,
     NumericError,
-    PureState,
     Scenario,
     StrategyParams,
     at_least_one_protocol3,
@@ -83,30 +82,31 @@ class TestEntropy:
 class TestMakeStatePair:
     def test_identical_at_s_one(self):
         a, b = make_state_pair(1.0, 2)
-        assert a.overlap(b) == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(a.amplitudes, b.amplitudes, atol=1e-12)
+        assert np.dot(a, b) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_orthogonal_at_s_zero(self):
         a, b = make_state_pair(0.0, 2)
-        assert a.overlap(b) == pytest.approx(0.0, abs=1e-12)
+        assert np.dot(a, b) == pytest.approx(0.0, abs=1e-12)
 
     def test_overlap_direct_dot_product(self):
         a, b = make_state_pair(0.36, 2)
-        assert float(np.dot(a.amplitudes, b.amplitudes)) == pytest.approx(0.36, abs=1e-12)
+        assert float(np.dot(a, b)) == pytest.approx(0.36, abs=1e-12)
 
     def test_embedding_dimension(self):
-        a, b = make_state_pair(0.5, 3)
-        assert a.dim == b.dim == 3
-        assert a.overlap(b) == pytest.approx(0.5, abs=1e-12)
-        assert a.amplitudes[2] == b.amplitudes[2] == 0.0
+        pair = make_state_pair(0.5, 3)
+        assert pair.shape == (2, 3)
+        a, b = pair
+        assert np.dot(a, b) == pytest.approx(0.5, abs=1e-12)
+        assert a[2] == b[2] == 0.0
 
     def test_thousand_random_overlaps(self):
         rng = np.random.default_rng(0)
         for s in rng.random(1000):
             a, b = make_state_pair(float(s), 2)
-            assert abs(a.overlap(b) - s) <= 1e-12
+            assert abs(np.dot(a, b) - s) <= 1e-12
 
-    @pytest.mark.parametrize("s,dim", [(-0.1, 2), (1.1, 2), (0.5, 1), (0.5, 0)])
+    @pytest.mark.parametrize("s,dim", [(-0.1, 2), (1.1, 2), (math.nan, 2), (0.5, 1), (0.5, 0)])
     def test_rejects_bad_arguments(self, s, dim):
         with pytest.raises(DomainError):
             make_state_pair(s, dim)
@@ -114,8 +114,8 @@ class TestMakeStatePair:
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_overlap_property(self, s):
         a, b = make_state_pair(s, 2)
-        assert abs(a.overlap(b) - s) <= 1e-12
-        assert abs(np.linalg.norm(a.amplitudes) - 1.0) <= 1e-12
+        assert abs(np.dot(a, b) - s) <= 1e-12
+        assert abs(np.linalg.norm(a) - 1.0) <= 1e-12
 
 
 class TestScenario:
@@ -208,20 +208,6 @@ class TestStrategyParams:
     def test_underflowing_overlap_squared_is_orthogonal(self):
         p = StrategyParams.from_q1(0.0, 1e-170)  # r^2 rounds to 0.0
         assert p.q1 == 0.0 and p.q2 == 0.0
-
-
-class TestPureState:
-    def test_rejects_unnormalized(self):
-        with pytest.raises(DomainError):
-            PureState(np.array([1.0, 1.0]))
-
-    def test_accepts_normalized(self):
-        v = np.array([3.0, 4.0]) / 5.0
-        assert PureState(v).dim == 2
-
-    def test_rejects_nan(self):
-        with pytest.raises(DomainError, match="deviates"):
-            PureState(np.array([math.nan, 0.0]))
 
 
 class TestWindowScanMax:

@@ -283,11 +283,9 @@ def _left_discord_2d_scan(inp):
     """Reference for the one-axis oracle: the left discord minimized over a
     181 x 361 grid of complex measurement directions (theta, phi), then one
     golden-section refinement per coordinate."""
-    phi1, phi2 = make_state_pair(inp.t, 2)
+    f1, f2 = make_state_pair(inp.t, 2)
     a1, a2 = make_state_pair(inp.r, 3)
-    f1, f2 = phi1.amplitudes, phi2.amplitudes
-    op1 = np.outer(a1.amplitudes, a1.amplitudes)
-    op2 = np.outer(a2.amplitudes, a2.amplitudes)
+    op1, op2 = np.outer(a1, a1), np.outer(a2, a2)
     rho = inp.p1 * np.kron(np.outer(f1, f1), op1) + inp.p2 * np.kron(np.outer(f2, f2), op2)
     rho_a = np.array(
         [[np.trace(rho[3 * i : 3 * i + 3, 3 * j : 3 * j + 3]) for j in range(2)] for i in range(2)]

@@ -94,9 +94,8 @@ def test_discord_difference_shrinks_as_priors_meet():
 
 def _rho_ab(inp):
     """Bob's system-ancilla state rho_AB, built as the measurement oracle builds it."""
-    phi1, phi2 = make_state_pair(inp.t, 2)
-    a1, a2 = make_state_pair(inp.r, 3)
-    f1, f2, b1, b2 = phi1.amplitudes, phi2.amplitudes, a1.amplitudes, a2.amplitudes
+    f1, f2 = make_state_pair(inp.t, 2)
+    b1, b2 = make_state_pair(inp.r, 3)
     return inp.p1 * np.kron(np.outer(f1, f1), np.outer(b1, b1)) + inp.p2 * np.kron(
         np.outer(f2, f2), np.outer(b2, b2)
     )

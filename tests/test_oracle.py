@@ -57,6 +57,14 @@ class TestCertifyTolerance:
         with pytest.raises(DomainError, match="at least one s value"):
             certify(["protocol1"], s_values, p1_values)
 
+    @pytest.mark.parametrize("grid", [0.2, "0.2"], ids=["number", "string"])
+    @pytest.mark.parametrize("name", ["s_values", "p1_values"])
+    def test_rejects_a_grid_that_is_a_number_or_a_string(self, name, grid):
+        # a number raised a bare TypeError from len(), and a string one from
+        # comparing str with float
+        with pytest.raises(DomainError, match=f"{name}=.* must be a sequence of numbers"):
+            certify(["protocol1"], **{"s_values": [0.2], "p1_values": [0.3], name: grid})
+
     def test_rejects_empty_selection(self):
         # an empty list used to certify all 8 quantities, like None
         with pytest.raises(DomainError, match="at least one quantity"):

@@ -8,7 +8,6 @@ from seqdisc import (
     ConstraintError,
     DomainError,
     InfeasibleIsometryError,
-    JointUnitary,
     NumericError,
     Scenario,
     bob_success,
@@ -32,7 +31,7 @@ def _flag(q, i):
 def _product_inputs(s):
     e0 = np.array([1.0, 0.0, 0.0])
     psi = make_state_pair(s, 2)
-    return tuple(np.kron(p.amplitudes, e0) for p in psi)
+    return tuple(np.kron(p, e0) for p in psi)
 
 
 class TestUnitaryConstruction:
@@ -40,13 +39,13 @@ class TestUnitaryConstruction:
         s, t, q = 0.36, 0.6, 0.6
         phi = make_state_pair(t, 2)
         targets = (
-            np.kron(phi[0].amplitudes, _flag(q, 1)),
-            np.kron(phi[1].amplitudes, _flag(q, 2)),
+            np.kron(phi[0], _flag(q, 1)),
+            np.kron(phi[1], _flag(q, 2)),
         )
         u = build_discrimination_unitary(_product_inputs(s), targets)
-        assert np.abs(u.matrix.T @ u.matrix - np.eye(6)).max() < 1e-12
+        assert np.abs(u.T @ u - np.eye(6)).max() < 1e-12
         for x, y in zip(_product_inputs(s), targets):
-            assert np.abs(u.matrix @ x - y).max() < 1e-10
+            assert np.abs(u @ x - y).max() < 1e-10
 
     def test_shared_qubit_factor_targets(self):
         # t = 1: both targets carry the same system state, Gram still matches
@@ -59,14 +58,14 @@ class TestUnitaryConstruction:
             np.kron(e_sys, _flag(q2, 2)),
         )
         u = build_discrimination_unitary(_product_inputs(s), targets)
-        assert np.abs(u.matrix.T @ u.matrix - np.eye(6)).max() < 1e-12
+        assert np.abs(u.T @ u - np.eye(6)).max() < 1e-12
 
     def test_gram_mismatch_rejected(self):
         s = 0.3
         phi = make_state_pair(0.5, 2)
         targets = (  # overlap 0.5*0.5 = 0.25 != 0.3
-            np.kron(phi[0].amplitudes, _flag(0.5, 1)),
-            np.kron(phi[1].amplitudes, _flag(0.5, 2)),
+            np.kron(phi[0], _flag(0.5, 1)),
+            np.kron(phi[1], _flag(0.5, 2)),
         )
         with pytest.raises(InfeasibleIsometryError, match="Gram"):
             build_discrimination_unitary(_product_inputs(s), targets)
@@ -76,11 +75,20 @@ class TestUnitaryConstruction:
         with pytest.raises(InfeasibleIsometryError, match="Gram"):
             build_discrimination_unitary(nan_pair, nan_pair)
 
-    def test_nan_matrix_rejected(self):
-        m = np.eye(6)
-        m[0, 0] = math.nan
+    def test_nan_matrix_rejected(self, monkeypatch):
+        basis = np.eye(6)
+        basis[0, 0] = math.nan
+        monkeypatch.setattr(simulate, "_pair_basis", lambda pair: basis)
         with pytest.raises(NumericError, match="unitarity"):
-            JointUnitary(m)
+            build_discrimination_unitary(_product_inputs(0.3), _product_inputs(0.3))
+
+    def test_mapping_residual_rejected(self, monkeypatch):
+        # the identity is orthogonal but maps no input onto its target here
+        phi = make_state_pair(0.6, 2)
+        targets = (np.kron(phi[0], _flag(0.6, 1)), np.kron(phi[1], _flag(0.6, 2)))
+        monkeypatch.setattr(simulate, "_pair_basis", lambda pair: np.eye(6))
+        with pytest.raises(NumericError, match="mapping residual"):
+            build_discrimination_unitary(_product_inputs(0.36), targets)
 
 
 class TestTrialUniforms:
