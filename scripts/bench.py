@@ -44,6 +44,7 @@ import statistics
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -161,11 +162,13 @@ def make_ops(package) -> dict:
 
     thresholds = [sim._trial_thresholds(package.Scenario(*c[:2]), *c[2:5]) for c in CASES]
     chunks = list(sim._trial_words(TALLY_SEED, 0, N_TRIALS))
-    row = np.empty(sim._CHUNK, dtype=np.intp)
 
     def tally(m):
-        for words in chunks:
-            sim._tally(words, *m, row)
+        # run_ssd_trials on words drawn and thresholds built beforehand: the
+        # tally and the summary alone, through names that a parent has too
+        with mock.patch.object(sim, "_trial_words", lambda *args: iter(chunks)):
+            with mock.patch.object(sim, "_trial_thresholds", lambda *args: m):
+                package.run_ssd_trials(package.Scenario(0.5, 0.3), 0.6, 0.7, 0.5, N_TRIALS, 0)
 
     ops["run_ssd_trials"] = (_each(trials, CASES), len(CASES))
     ops["tally"] = (_each(tally, thresholds), len(CASES))

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -452,11 +453,16 @@ def certify(
     ``tolerance``.  An empty selection or grid, or an infinite tolerance,
     would pass anything, and is rejected; so is a quantity named twice, whose
     second row would repeat the first, and a grid that is not a flat
-    sequence, such as a bare number or a string."""
+    sequence of numbers, such as a bare number, a string, a list of strings
+    or a nested list."""
     if not 0.0 < tolerance < math.inf:  # negated, so that NaN fails it
         raise DomainError(f"tolerance={tolerance} must be positive and finite")
     for name, values in (("s_values", s_values), ("p1_values", p1_values)):
-        if np.ndim(values) != 1:  # 0 for a number or a str
+        try:
+            flat = np.ndim(values) == 1  # 0 for a number or a str
+        except ValueError:  # a ragged nested sequence
+            flat = False
+        if not (flat and all(isinstance(v, Real) for v in values)):
             raise DomainError(f"{name}={values!r} must be a sequence of numbers")
     if len(s_values) == 0 or len(p1_values) == 0:
         raise DomainError("certify needs at least one s value and one p1 value")

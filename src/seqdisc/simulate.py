@@ -27,14 +27,18 @@ are never turned into floats: numpy's uniform from a word x is
 u >= c holds exactly when x >> 11 >= ceil(c * 2**53), and u < c exactly when
 it does not.  Each probability threshold is therefore one integer, built
 once per run; a threshold at or above 1 is never reached and 0 always is.
-Each chunk of trials is tallied as one int8 code per trial, prep * 16 +
-k_b * 4 + k_c with k in 0..3, so a single bincount counts 32 codes; a
-constant 0/1 matrix folds them into the 18 (preparation, k_b, k_c) cells.
+Trials are tallied against a plan built once per run from those
+thresholds: the distinct thresholds strictly inside (0, 2**53) of the prior
+and of each stage, shifted left by 11 so that the raw words are compared
+without a shift.  A chunk's code per trial is its position among them,
+(prior, Bob, Charlie) in mixed radix; one bincount counts the codes, and
+the counts summed over all chunks are folded once into the 18
+(preparation, k_b, k_c) cells by a 0/1 matrix built with the plan.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,13 +64,11 @@ _WORDS_PER_TRIAL = 4  # one Philox counter block (4 x 64-bit outputs) per trial
 #: Trials per draw: a chunk's words (512 KiB) and the tally's temporaries
 #: stay in cache, which measured fastest (1 << 13 to 1 << 15 were within noise).
 _CHUNK = 1 << 14
-#: Charlie's cumulative row prep * 3 + k_b for Bob's code prep * 4 + k_b:
-#: k_b = 3 is Bob's outcome 0, so it reuses that preparation's first row.
+#: Charlie's cumulative row prep * 3 + k_b for prep * 4 + k_b: k_b = 3 is
+#: Bob's outcome 0, so it reuses that preparation's first row.
 _CHARLIE_ROW = np.array([0, 1, 2, 0, 3, 4, 5, 3])
-#: 0/1 map from a trial's code prep * 16 + k_b * 4 + k_c to its cell
-#: prep * 9 + k_b * 3 + k_c, with k = 3 sent to outcome 0.
-_FOLD = np.zeros((18, 32), dtype=np.int64)
-_FOLD[3 * _CHARLIE_ROW.repeat(4) + np.tile([0, 1, 2, 0], 8), np.arange(32)] = 1
+#: A word's top 53 bits, x >> 11, are below this.
+_WORD_TOP = 1 << 53
 
 
 def _pair_basis(pair: list[np.ndarray]) -> np.ndarray:
@@ -225,37 +227,88 @@ def _outcome_table(scenario: Scenario, t: float, q1b: float, q1c: float) -> np.n
     return probs / probs.sum(axis=(1, 2), keepdims=True)
 
 
-def _tally(
-    words: np.ndarray, m_p1: np.ndarray, m_b: np.ndarray, m_c: np.ndarray, row: np.ndarray
-) -> np.ndarray:
-    """(2, 3, 3) trial counts by preparation, Bob's outcome k_b and Charlie's k_c.
+def _informative(m: np.ndarray) -> list[int]:
+    """The sorted, distinct thresholds of m strictly inside (0, 2**53): m = 0
+    passes every word and m >= 2**53 none, so neither needs a comparison.
+    A set rather than np.unique, whose import of numpy.ma costs a run about
+    1 MB of resident memory."""
+    return sorted({x for x in np.ravel(m).tolist() if 0 < x < _WORD_TOP})
 
-    ``words`` holds _trial_words rows and m_p1, m_b, m_c are the
+
+def _outcomes_by_position(m: np.ndarray, levels: list[int]) -> np.ndarray:
+    """k[row, pos]: how many entries of each threshold row of m are at or
+    below v, for any v at position pos among ``levels`` = _informative(m).
+
+    Such a v lies in [levels[pos - 1], levels[pos]) (from 0, up to 2**53),
+    so an entry is at or below it exactly when it is 0 or at most
+    levels[pos - 1].
+    """
+    lower = np.array([0, *levels], dtype=np.uint64)
+    return np.count_nonzero(m[..., None] <= lower, axis=-2)
+
+
+def _tally(
+    chunks: Iterable[np.ndarray], m_p1: np.ndarray, m_b: np.ndarray, m_c: np.ndarray
+) -> np.ndarray:
+    """(2, 3, 3) trial counts of all ``chunks`` by preparation, Bob's outcome
+    k_b and Charlie's k_c.
+
+    ``chunks`` holds _trial_words rows and m_p1, m_b, m_c are the
     _word_thresholds of p1 and of Bob's (2, 3) and Charlie's (6, 3)
     cumulative rows.  With v = x >> 11 of a trial's word, state 1 is prepared
-    when v < m_p1.  Each trial gets the int8 code prep * 16 + k_b * 4 + k_c,
-    where a stage's k is the number of entries of its threshold row at or
-    below its v, i.e. of cumulative entries at or below its uniform.  Rows
-    are nondecreasing, so that is the first k with u < cum[row, k]; k = 3
-    (u above a last entry that rounding left below 1, or a zero row) is
-    outcome 0.  A stage's threshold row is picked by the code so far, cast to
-    intp once for its three gathers, because ``take`` converts an int8 index
-    on every call.  The intp index is written into ``row`` (an intp array of
-    at least len(words) entries), which ``run_ssd_trials`` allocates once
-    for all its chunks.  One bincount of the 32 codes is folded into the 18
-    cells.
+    when v < m_p1, and a stage's k is the number of entries of its threshold
+    row at or below its v, i.e. of cumulative entries at or below its
+    uniform.  Rows are nondecreasing, so that is the first k with
+    u < cum[row, k]; k = 3 (u above a last entry that rounding left below 1,
+    or a zero row) is outcome 0, and Charlie's row follows ``_CHARLIE_ROW``.
+
+    The plan, built once: for 0 < m < 2**53, v >= m holds exactly when
+    x >= m << 11, so each of the prior's and each stage's distinct
+    informative thresholds is one comparison on the raw word column, and a
+    trial's position among a stage's thresholds is the number it passes.
+    The thresholds stay np.uint64 scalars, the words' own type, so each
+    comparison is between two uint64: numpy's result type for uint64 with
+    int64 is float64, inexact above 2**53, and under numpy 1.24's
+    value-based casting a scalar's type depends on its value too.  The code
+    (prior, Bob, Charlie position) in mixed radix, at most 2 * 7 * 19 = 266
+    values, is built in an int16 buffer by Horner's rule; the chunks'
+    bincounts are summed, and a 0/1 matrix maps each code to its
+    (preparation, k_b, k_c) cell once at the end.  ``chunks`` is only read.
     """
-    v = words[:, :3].T.copy()  # a C-order copy, so the shift leaves ``words`` intact
-    v >>= 11
-    v_prep, v_b, v_c = v
-    code = (v_prep >= m_p1).view(np.int8)
-    row = row[: len(code)]
-    for x, cum in ((v_b, m_b), (v_c, m_c[_CHARLIE_ROW])):
-        np.copyto(row, code)
-        code = code * 4
-        for j in range(3):
-            code += x >= cum[:, j].take(row)
-    return (_FOLD @ np.bincount(code, minlength=32)).reshape(2, 3, 3)
+    stages = [(0, m_p1.reshape(1, 1)), (1, m_b), (2, m_c)]
+    levels = [_informative(m) for _, m in stages]
+    k_p, k_b, k_c = (_outcomes_by_position(m, lv) for (_, m), lv in zip(stages, levels))
+    # the cell of each code, over the (prior, Bob, Charlie) positions in C order
+    prep = k_p[0][:, None, None]
+    kb = k_b[prep, np.arange(k_b.shape[1])[:, None]]
+    kc = k_c[_CHARLIE_ROW[prep * 4 + kb], np.arange(k_c.shape[1])]
+    cell = (prep * 9 + kb % 3 * 3 + kc % 3).ravel()
+    fold = np.zeros((18, cell.size), dtype=np.int64)
+    fold[cell, np.arange(cell.size)] = 1
+    radix_after = [len(lv) + 1 for lv in levels[1:]] + [1]  # the next stage's radix
+    plan = [
+        (column, [np.uint64(m << 11) for m in lv], radix)
+        for (column, _), lv, radix in zip(stages, levels, radix_after)
+    ]
+
+    totals = np.zeros(cell.size, dtype=np.int64)
+    passed = np.empty(0, dtype=bool)
+    code = np.empty(0, dtype=np.int16)
+    for words in chunks:
+        n = len(words)
+        if n > len(code):  # the first chunk is the longest one of a run
+            passed, code = np.empty(n, dtype=bool), np.empty(n, dtype=np.int16)
+        flag, at = passed[:n], code[:n]
+        at.fill(0)
+        for column, thresholds, radix in plan:
+            x = words[:, column]
+            for w in thresholds:
+                np.greater_equal(x, w, out=flag)
+                at += flag
+            if radix > 1:
+                at *= radix
+        totals += np.bincount(at, minlength=cell.size)
+    return (fold @ totals).reshape(2, 3, 3)
 
 
 def _trial_thresholds(
@@ -289,19 +342,17 @@ def run_ssd_trials(
     means failure, outcomes 1/2 declare the state.  Trials are drawn as raw
     Philox words and tallied in cache-sized chunks, so memory does not grow
     with n: the prior and the cumulative outcome rows become integer word
-    thresholds once per run, and each chunk's 32 trial codes are counted by
-    one bincount and folded into the 18 (preparation, k_b, k_c) cells, whose
-    sum over chunks becomes ``counts`` and ``error_count`` once per run.
+    thresholds once per run, ``_tally`` compares each chunk's raw words with
+    the informative ones and counts the trials' codes by one bincount, and
+    the codes' counts summed over all chunks are folded once into the 18
+    (preparation, k_b, k_c) cells, which give ``counts`` and
+    ``error_count``.
     """
     if not (_is_integer(n) and n >= 1):
         raise DomainError(f"n={n!r} must be an integer of at least 1")
     if not (_is_integer(seed) and 0 <= seed < 2**128):
         raise DomainError(f"seed={seed!r} must be an integer in the Philox key range [0, 2^128)")
-    thresholds = _trial_thresholds(scenario, t, q1b, q1c)
-    cells = np.zeros((2, 3, 3), dtype=np.int64)
-    row = np.empty(min(n, _CHUNK), dtype=np.intp)
-    for words in _trial_words(seed, 0, n):
-        cells += _tally(words, *thresholds, row)
+    cells = _tally(_trial_words(seed, 0, n), *_trial_thresholds(scenario, t, q1b, q1c))
     counts = np.zeros((2, 2, 2), dtype=np.int64)
     error_count = 0
     for (i, k_b, k_c), m in np.ndenumerate(cells):

@@ -713,6 +713,14 @@ class TestCertify:
         with pytest.raises(DomainError, match="'joint' must be a sequence of quantity names"):
             certify(quantities="joint")
 
+    @pytest.mark.parametrize("grid", [[[0.2, 0.3], [0.4]], ["0.2"]], ids=["ragged", "strings"])
+    @pytest.mark.parametrize("name", ["s_values", "p1_values"])
+    def test_rejects_a_ragged_grid_or_one_of_strings(self, name, grid):
+        # numpy's ValueError ("inhomogeneous shape") from np.ndim, and a bare
+        # TypeError from Scenario comparing str with float
+        with pytest.raises(DomainError, match=f"{name}=.* must be a sequence of numbers"):
+            certify(["bob"], **{"s_values": [0.2], "p1_values": [0.3], name: grid})
+
     def test_tolerance_below_grid_resolution_fails(self):
         rows = certify(quantities=["joint"], s_values=(0.2,), p1_values=(0.05,), tolerance=1e-13)
         assert not rows[0].passed

@@ -371,11 +371,8 @@ def _assert_tally_matches(probs, p1, words):
     cum_b, cum_c = _cumulative(probs)
     u = _uniforms(words)
     thresholds = [simulate._word_thresholds(c) for c in (p1, cum_b, cum_c)]
-    row = np.empty(len(words), dtype=np.intp)
-    assert np.array_equal(
-        simulate._tally(words, *thresholds, row), _tally_loop(u, p1, cum_b, cum_c)
-    )
-    assert np.array_equal(_uniforms(words), u)  # the tally shifts a copy, never its input
+    assert np.array_equal(simulate._tally([words], *thresholds), _tally_loop(u, p1, cum_b, cum_c))
+    assert np.array_equal(_uniforms(words), u)  # the tally never changes its input
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "_outcome_table", lambda *args: probs)
         mp.setattr(simulate, "_trial_words", lambda seed, start, stop: iter([words[start:stop]]))
@@ -426,6 +423,52 @@ class TestTally:
         prep, k_b, _ = _trial_outcomes(u, 0.3, cum_b, cum_c)
         assert (prep[0], k_b[0]) == (2, 0)
         _assert_tally_matches(probs, 0.3, words)
+
+    def test_most_distinct_thresholds(self):
+        # every entry of Bob's two rows and Charlie's six rows distinct and
+        # inside (0, 1): 2 * 7 * 19 = 266 codes, more than an int8 holds
+        p1 = 0.3
+        cum_b = np.arange(1, 7).reshape(2, 3) / 8
+        cum_c = np.arange(1, 19).reshape(6, 3) / 20
+        thresholds = [simulate._word_thresholds(c) for c in (p1, cum_b, cum_c)]
+        assert [len(simulate._informative(m)) for m in thresholds] == [1, 6, 18]
+        words = _edge_trial_words(p1, cum_b, cum_c)
+        u = _uniforms(words)
+        assert np.array_equal(
+            simulate._tally([words], *thresholds), _tally_loop(u, p1, cum_b, cum_c)
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_trial_thresholds", lambda *args: thresholds)
+            mp.setattr(simulate, "_trial_words", lambda seed, start, stop: iter([words]))
+            summary = run_ssd_trials(Scenario(0.5, p1), 0.8, 0.7, 0.7, len(words), 0)
+        counts, errors = _summary_loop(u, p1, cum_b, cum_c)
+        assert np.array_equal(summary.counts, counts)
+        assert summary.error_count == errors
+
+    @pytest.mark.parametrize("m", [1, 2**52, 2**53 - 1])
+    def test_word_threshold_decides_as_the_shifted_word(self, m):
+        # the tally compares x >= m << 11 where the uniforms compare
+        # x >> 11 >= m: one threshold m in every row, on both sides of it
+        never = 2**53
+        side = [(m << 11) - 1, m << 11]
+        words = np.array([[a, b, c, 0] for a in side for b in side for c in side], dtype=np.uint64)
+        expected = np.zeros((2, 3, 3), dtype=np.int64)
+        for x in words.tolist():
+            expected[tuple(int(v >> 11 >= m) for v in x[:3])] += 1
+        rows = np.array([m, never, never], dtype=np.uint64)
+        tally = simulate._tally([words], np.uint64(m), np.tile(rows, (2, 1)), np.tile(rows, (6, 1)))
+        assert np.array_equal(tally, expected)
+
+    def test_thresholds_outside_the_words_get_no_comparison(self):
+        # m = 0 passes every word and m >= 2^53 none, 0 and 2^64 - 1 included
+        m = np.array([0, 1, 2**52, 2**53 - 1, 2**53, 2**53 + 1, _TOP_WORD], dtype=np.uint64)
+        assert simulate._informative(m) == [1, 2**52, 2**53 - 1]
+        words = np.array([[0, 0, 0, 0], [_TOP_WORD] * 4], dtype=np.uint64)
+        always = np.zeros((6, 3), dtype=np.uint64)
+        never = np.full((6, 3), 2**53, dtype=np.uint64)
+        # state 2 and k = 3 (outcome 0) in every row; state 1 and k = 0
+        assert simulate._tally([words], np.uint64(0), always[:2], always)[1, 0, 0] == 2
+        assert simulate._tally([words], np.uint64(2**53), never[:2], never)[0, 0, 0] == 2
 
     @settings(max_examples=100, deadline=None)
     @given(
