@@ -1,7 +1,7 @@
 """Parameter sweeps and CSV emission; the figure presets are sweeps given as data.
 
-Custom sweeps and presets share one evaluation path: each CSV column is one
-call of its quantity's array kernel over the whole grid.
+Custom sweeps and presets share one evaluation path: one call per quantity
+over all of its columns' lanes.
 CSV output is byte-stable: 12 significant digits, '.' decimal separator,
 '\\n' line endings, and an empty cell wherever a quantity is undefined
 (infeasible overlap combination or 0/0 discord proportion).
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
@@ -36,7 +37,8 @@ class SweepSpec:
     """One swept variable against named scalar quantities.
 
     ``fixed`` holds the non-swept scenario fields needed by the quantities
-    (e.g. s for a P1 sweep, or t for discord quantities).
+    (e.g. s for a P1 sweep, or t for discord quantities), each a real number
+    keyed s, p1 or t.  Each quantity is named once.
     """
 
     variable: str
@@ -53,12 +55,23 @@ class SweepSpec:
             raise DomainError(f"steps={self.steps!r} must be an integer of at least 2")
         if self.steps > _MAX_STEPS:
             raise DomainError(f"steps={self.steps} is above the most a grid can count, 2^53")
+        for name, value in (("start", self.start), ("stop", self.stop)):
+            if not isinstance(value, Real):
+                raise DomainError(f"{name}={value!r} must be a real number")
         if not self.start < self.stop:
             raise DomainError(f"empty sweep range [{self.start}, {self.stop}]")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise DomainError(f"sweep range [{self.start}, {self.stop}] is not finite")
         if isinstance(self.quantities, str):  # a sequence of its characters
             raise DomainError(f"quantities={self.quantities!r} must be a sequence of quantity names")
+        repeated = sorted({q for q in self.quantities if self.quantities.count(q) > 1})
+        if repeated:  # each would write a second, identical column
+            raise DomainError(f"sweep quantities named more than once: {repeated}")
+        for name, value in self.fixed.items():
+            if name not in ("s", "p1", "t"):
+                raise DomainError(f"fixed field {name!r} is not one of s, p1, t")
+            if not isinstance(value, Real):
+                raise DomainError(f"fixed {name}={value!r} must be a real number")
         swept = _FIELD_OF_VARIABLE[self.variable]
         if swept in self.fixed:  # the grid would overwrite it
             raise DomainError(f"a sweep over {self.variable} cannot also fix {swept}")
@@ -118,9 +131,23 @@ def _grid_scenarios(variable: str, grid: np.ndarray, fixed: dict) -> dict:
 def _evaluate(
     variable: str, grid: np.ndarray, columns: tuple[Column, ...]
 ) -> tuple[list[str], list[list[float | None]]]:
-    """Each column's quantity at every grid point, one kernel call per column;
-    returns (header, rows)."""
-    cells = [_column(name, _grid_scenarios(variable, grid, fixed)) for _, name, fixed in columns]
+    """Each column's quantity at every grid point; returns (header, rows).
+
+    Each quantity's kernel is called once, over the lanes of all of its
+    columns concatenated in column order, and its cells are split back into
+    those columns.  Every kernel is lane-independent, so a column's cells are
+    those of a call on its lanes alone.  The columns of one quantity fix the
+    same fields."""
+    groups: dict[str, list[int]] = {}
+    for i, (_, name, _) in enumerate(columns):
+        groups.setdefault(name, []).append(i)
+    n = grid.size
+    cells: list[list[float | None]] = [[] for _ in columns]
+    for name, members in groups.items():
+        ats = [_grid_scenarios(variable, grid, columns[i][2]) for i in members]
+        values = _column(name, {k: np.concatenate([at[k] for at in ats]) for k in ats[0]})
+        for j, i in enumerate(members):
+            cells[i] = values[j * n : (j + 1) * n]
     rows = [list(row) for row in zip(grid.tolist(), *cells)]
     return [variable] + [label for label, _, _ in columns], rows
 

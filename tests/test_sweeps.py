@@ -1,7 +1,7 @@
 """Column kernels against the scalar point API, cell by cell.
 
-A sweep evaluates each CSV column with one array kernel; the scalar
-functions are the reference.  Every column must agree with them bit for bit,
+A sweep evaluates each quantity with one array kernel call over the lanes
+of all of its columns; the scalar functions are the reference.  Every column must agree with them bit for bit,
 empty cells must fall in the same places, and a column fails where a scalar
 lane does.
 """
@@ -219,20 +219,55 @@ def test_presets_solve_q_star_on_their_case_i_lanes_only(monkeypatch):
         return q_star_values(s, p1, p2)
 
     monkeypatch.setattr(ssd, "_q_star_values", recorded)
-    case_i = []  # per ssd column with a case-I lane, its case-I lanes
+    case_i = []  # per preset with a case-I ssd lane, those lanes in column order
     for name in FIGURE_PRESETS:
         run_figure(name)
-        for s, p1 in _preset_ssd_lanes(name):
-            lanes = zip(s.tolist(), p1.tolist())
-            column = [
-                lane for lane in lanes if joint_optimal(Scenario(*lane)).case_label == CaseLabel.CASE_I
-            ]
-            case_i += [column] if column else []
+        lanes = [
+            lane
+            for s, p1 in _preset_ssd_lanes(name)
+            for lane in zip(s.tolist(), p1.tolist())
+            if joint_optimal(Scenario(*lane)).case_label == CaseLabel.CASE_I
+        ]
+        case_i += [lanes] if lanes else []
     assert calls == case_i
-    assert len(calls) == 5 and sum(map(len, calls)) == 275
+    assert len(calls) == 3 and sum(map(len, calls)) == 275
     calls.clear()
     run_figure("3a")  # its s = 0.36 column lies beyond 3 - 2*sqrt(2)
     assert len(calls) == 1 and {s for s, _ in calls[0]} == {0.04}
+
+
+def test_presets_call_each_quantity_kernel_once(monkeypatch):
+    calls = []
+
+    def counted(name, kernel):
+        def kernel_call(*lanes):
+            calls.append(name)
+            return kernel(*lanes)
+
+        return kernel_call
+
+    for name, (kernel, needs_t) in list(_QUANTITIES.items()):
+        monkeypatch.setitem(_QUANTITIES, name, (counted(name, kernel), needs_t))
+    total = 0
+    for preset, (_, _, columns) in FIGURE_PRESETS.items():
+        calls.clear()
+        run_figure(preset)
+        assert sorted(calls) == sorted({quantity for _, quantity, _ in columns}), preset
+        total += len(calls)
+    assert total == 12  # against one call per column, 20
+
+
+@pytest.mark.parametrize("preset", sorted(FIGURE_PRESETS))
+def test_preset_cells_equal_a_column_at_a_time_evaluation(preset):
+    variable, grid, columns = FIGURE_PRESETS[preset]
+    header, rows = run_figure(preset)
+    assert header == [variable] + [label for label, _, _ in columns]
+    for k, (_, quantity, fixed) in enumerate(columns, start=1):
+        kernel, needs_t = _QUANTITIES[quantity]
+        at = _grid_scenarios(variable, grid, fixed)
+        column = kernel(at["s"], at["p1"], at["t"]) if needs_t else kernel(at["s"], at["p1"])
+        wanted = [None if math.isnan(v) else v.hex() for v in column.tolist()]
+        assert [None if row[k] is None else row[k].hex() for row in rows] == wanted, (preset, k)
 
 
 def test_figure_cloner_solves_take_at_most_six_newton_steps(monkeypatch):
@@ -338,8 +373,10 @@ def test_sweep_spec_rejects_a_string_of_quantity_names():
          "--quantities", "bob_max"],
         ["--variable", "P1", "--start", "0.1", "--stop", "0.5", "--s", "0.5", "--t", "nan",
          "--quantities", "d_symm"],
+        # a second, identical column
+        ["--variable", "P1", "--start", "0.1", "--stop", "0.5", "--s", "0.3", "--quantities", "ssd,ssd"],
     ],
-    ids=["p1_reaches_0", "bob_t_below_s", "nan_t"],
+    ids=["p1_reaches_0", "bob_t_below_s", "nan_t", "quantity_twice"],
 )
 def test_custom_sweep_domain_errors_exit_2(extra, capsys):
     assert main(["sweep", *extra, "--steps", "5", "--out", "-"]) == 2
@@ -364,10 +401,22 @@ def test_custom_sweep_domain_errors_exit_2(extra, capsys):
          r"none of \['ssd'\] reads t"),
         (lambda: run_sweep(SweepSpec("P1", 0.1, 0.5, 3, {"s": 0.3, "t": 0.9}, ("ssd", "p3_star"))),
          "reads t"),
+        # each would write a second, identical column
+        (lambda: SweepSpec("P1", 0.1, 0.5, 3, {"s": 0.3}, ("ssd", "protocol1", "ssd")),
+         r"named more than once: \['ssd'\]"),
+        # a field no quantity reads would be ignored
+        (lambda: SweepSpec("P1", 0.1, 0.5, 3, {"s": 0.3, "x": 1.0}, ("ssd",)), "'x' is not one of"),
+        # float() would take the string, and a list would raise a bare TypeError
+        (lambda: SweepSpec("P1", 0.1, 0.5, 3, {"s": "0.3"}, ("ssd",)), "fixed s='0.3' must be a real"),
+        (lambda: SweepSpec("P1", 0.1, 0.5, 3, {"s": [0.3, 0.4]}, ("ssd",)), "fixed s=.* must be a real"),
+        (lambda: SweepSpec("P1", "0.1", 0.5, 3, {"s": 0.3}, ("ssd",)), "start='0.1' must be a real"),
+        (lambda: SweepSpec("P1", 0.1, "0.5", 3, {"s": 0.3}, ("ssd",)), "stop='0.5' must be a real"),
     ],
     ids=[
         "variable", "empty_range", "infinite_stop", "infinite_start", "unknown_quantity",
         "no_quantity", "unknown_figure", "swept_field_fixed", "t_swept_unread", "t_fixed_unread",
+        "quantity_twice", "unknown_fixed_field", "fixed_string", "fixed_list", "start_string",
+        "stop_string",
     ],
 )
 def test_sweep_validation_errors(call, message):
