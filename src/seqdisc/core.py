@@ -7,6 +7,13 @@ relabel the states.  All entropies are in bits (base-2 logarithms), so the
 entropy bound of a single qubit is 1.  The entropy H of a tangle is one body
 on floats and arrays, computed from the smaller eigenvalue, so it keeps its
 relative accuracy down to the smallest tangles.
+
+Each input and range check is one predicate of comparisons joined by ``&``,
+evaluated on a float or on lanes; ``_require`` raises the check's own
+exception for the float, or for the values of the first lane that fails.
+``Scenario``'s check (``_check_scenario``), the overlap t
+(``check_overlap_t``) and the [0, 1] range and clamp (``_clamp_unit``) are
+written here once for both.
 """
 
 from __future__ import annotations
@@ -53,10 +60,7 @@ class Scenario:
     p1: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.s <= 1.0:
-            raise DomainError(f"overlap s={self.s} outside [0, 1]")
-        if not 0.0 < self.p1 <= 0.5:
-            raise DomainError(f"prior p1={self.p1} outside (0, 1/2]")
+        _check_scenario(self.s, self.p1)
         object.__setattr__(self, "s", float(self.s))
         object.__setattr__(self, "p1", float(self.p1))
 
@@ -123,23 +127,71 @@ def _is_integer(x: object) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _check_lanes(ok: np.ndarray, check: Callable[[int], object]) -> None:
-    """Call ``check`` on the first lane index where ``ok`` is False; ``check``
-    runs the scalar validation there, so an array fails with its exception.
-    A lane that the mask flags but ``check`` passes is a NumericError: the
-    mask is stricter than the scalar validation it stands for."""
-    if not ok.all():
+def _quantity_names(quantities, known) -> tuple[str, ...]:
+    """The rule for a list of quantity names, shared by ``oracle.certify`` and
+    ``sweeps.SweepSpec``: an iterable of str but not one str (a sequence of
+    its characters), holding at least one name, each in ``known`` and named
+    once.  Returns the names as a tuple."""
+    try:
+        names = None if isinstance(quantities, str) else tuple(quantities)
+    except TypeError:  # not iterable
+        names = None
+    if names is None or not all(isinstance(q, str) for q in names):
+        raise DomainError(f"quantities={quantities!r} must be a sequence of quantity names")
+    if not names:
+        raise DomainError("at least one quantity is needed")
+    unknown = [q for q in names if q not in known]
+    if unknown:
+        raise DomainError(f"unknown quantities {unknown}; valid: {sorted(known)}")
+    repeated = sorted({q for q in names if names.count(q) > 1})
+    if repeated:  # each would give a second, identical row or column
+        raise DomainError(f"quantities named more than once: {repeated}")
+    return names
+
+
+def _require(ok, error: Callable[..., Exception], *values) -> None:
+    """Raise ``error(*values)`` where the check ``ok`` fails.
+
+    A check is written once, as comparisons joined by ``&``, so that ``ok`` is
+    a bool on floats and an array on lanes.  ``error`` gets the values, as
+    Python numbers, of the first lane where ``ok`` is False (a value may be
+    one float for all lanes), so lanes fail with the message of the float in
+    that lane.
+    """
+    if ok is not True and not np.all(ok):
         i = int(np.argmin(ok))
-        check(i)
-        raise NumericError(f"lane {i} fails its mask but passes its scalar check")
+        raise error(*(np.broadcast_to(v, np.shape(ok)).item(i) for v in values))
 
 
-def check_overlap_t(s: float, t: float) -> None:
-    """Raise DomainError unless the post-measurement overlap t lies in (0, 1] and t >= s."""
-    if not (0.0 < t <= 1.0 and t >= s):
-        raise DomainError(
-            f"overlap t={t} outside [s, 1] = [{s}, 1] or zero: need 0 < t <= 1 and t >= s"
-        )
+def _scenario_error(s, p1, s_ok) -> DomainError:
+    if not s_ok:
+        return DomainError(f"overlap s={s} outside [0, 1]")
+    return DomainError(f"prior p1={p1} outside (0, 1/2]")
+
+
+def _check_scenario(s, p1) -> None:
+    """``Scenario``'s check on floats or lanes: DomainError for s outside
+    [0, 1], or else for p1 outside (0, 1/2]."""
+    s_ok = (0.0 <= s) & (s <= 1.0)
+    _require(s_ok & (0.0 < p1) & (p1 <= 0.5), _scenario_error, s, p1, s_ok)
+
+
+def _overlap_t_error(s, t) -> DomainError:
+    need = "need 0 < t <= 1 and t >= s"
+    return DomainError(f"overlap t={t} outside [s, 1] = [{s}, 1] or zero: {need}")
+
+
+def check_overlap_t(s, t) -> None:
+    """Raise DomainError unless the post-measurement overlap t lies in (0, 1]
+    and t >= s; on lanes, for the first lane that fails."""
+    _require((0.0 < t) & (t <= 1.0) & (t >= s), _overlap_t_error, s, t)
+
+
+def _clamp_unit(x, error: Callable[..., Exception], pick=_pick):
+    """x clamped to [0, 1] once it lies within 1e-12 of it, else ``error(x)``
+    (NaN fails too); a float, or arrays with ``np.where`` as ``pick``."""
+    _require((x >= -BOUNDARY_TOL) & (x <= 1.0 + BOUNDARY_TOL), error, x)
+    return pick(x > 0.0, pick(x < 1.0, x, 1.0), 0.0)
 
 
 def make_state_pair(s: float, dim: int) -> np.ndarray:
@@ -187,9 +239,8 @@ def entropy_H(x: float) -> float:
     (Wootters' formula); it increases monotonically from H(0) = 0 to H(1) = 1.
     Arguments within 1e-12 of [0, 1] are clamped, anything farther is rejected.
     """
-    if not -BOUNDARY_TOL <= x <= 1.0 + BOUNDARY_TOL:  # NaN fails too
-        raise DomainError(f"entropy argument x={x} outside [0, 1]")
-    return _entropy_of_tangle(min(1.0, max(0.0, x)), math.sqrt, math.log2, math.log1p, _pick)
+    x = _clamp_unit(x, _entropy_error)
+    return _entropy_of_tangle(x, math.sqrt, math.log2, math.log1p, _pick)
 
 
 def entropy_H_values(x: np.ndarray) -> np.ndarray:
@@ -197,10 +248,12 @@ def entropy_H_values(x: np.ndarray) -> np.ndarray:
 
     Raises for the first lane outside [0, 1] beyond 1e-12.
     """
-    ok = (x >= -BOUNDARY_TOL) & (x <= 1.0 + BOUNDARY_TOL)
-    _check_lanes(ok, lambda i: entropy_H(float(x[i])))
-    x = np.where(x > 0.0, np.where(x < 1.0, x, 1.0), 0.0)
+    x = _clamp_unit(x, _entropy_error, np.where)
     return _entropy_of_tangle(x, np.sqrt, _lanes(math.log2), _lanes(math.log1p), np.where)
+
+
+def _entropy_error(x) -> DomainError:
+    return DomainError(f"entropy argument x={x} outside [0, 1]")
 
 
 def _lanes(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:

@@ -24,9 +24,11 @@ bits.  ``_tangles`` is the one place the tangles are formed, on floats and
 arrays; it takes 1 - t^2 as (1 - t)(1 + t) and tau_E|AB as tau_B|AE + tau_AE
 (tau_AE = tau_A|BE - tau_ABE), so no tangle is a difference.
 ``discord_right`` and the column kernels (``prop_left_values``,
-``d_symm_values``) share the Koashi-Winter sum as one body and differ only in
-H: ``entropy_H`` on floats, ``entropy_H_values`` on arrays, which share one
-body that keeps its relative accuracy for small tangles.  What cancellation
+``d_symm_values``) share the Koashi-Winter sum and its -1e-10 floor as one
+body, ``_discord_right``, and differ only in H: ``entropy_H`` on floats,
+``entropy_H_values`` on arrays, which share one body that keeps its relative
+accuracy for small tangles.  ``CorrelationInput`` and the kernels share the
+range check of t, ``_check_t``.  What cancellation
 is left is the sum's own, large only where tau_B|AE and tau_AE are lopsided.
 A direct measurement-minimization oracle for the left discord is included to
 certify the closed form.
@@ -44,7 +46,8 @@ from .core import (
     BOUNDARY_TOL,
     DomainError,
     NumericError,
-    _check_lanes,
+    _pick,
+    _require,
     entropy_H,
     entropy_H_values,
     make_state_pair,
@@ -66,8 +69,7 @@ class CorrelationInput:
     def __post_init__(self) -> None:
         if not 0.0 < self.p1 <= 0.5:
             raise DomainError(f"prior p1={self.p1} outside (0, 1/2]")
-        if not 0.0 <= self.t <= 1.0:
-            raise DomainError(f"overlap t={self.t} outside [0, 1]")
+        _check_t(self.t)
         if not 0.0 <= self.r <= 1.0:
             raise DomainError(f"overlap r={self.r} outside [0, 1]")
         for name in ("p1", "t", "r"):
@@ -79,6 +81,15 @@ class CorrelationInput:
 
     def swapped(self) -> "CorrelationInput":
         return CorrelationInput(self.p1, self.r, self.t)
+
+
+def _t_error(t) -> DomainError:
+    return DomainError(f"overlap t={t} outside [0, 1]")
+
+
+def _check_t(t) -> None:
+    """``CorrelationInput``'s range check of t, on a float or on lanes."""
+    _require((0.0 <= t) & (t <= 1.0), _t_error, t)
 
 
 class Tangles(NamedTuple):
@@ -129,20 +140,23 @@ def tangles(inp: CorrelationInput) -> Tangles:
     return Tangles(*_tangles(inp.p1, inp.t, inp.r)[:4])
 
 
-def _koashi_winter(p1, t, r, entropy):
-    """H(tau_B|AE) - H(tau_E|AB) + H(tau_AE), the right discord before its
-    floor check, with ``entropy`` as H: ``entropy_H`` on floats,
-    ``entropy_H_values`` on arrays."""
+def _discord_right(p1, t, r, entropy, pick):
+    """H(tau_B|AE) - H(tau_E|AB) + H(tau_AE), a NumericError below -1e-10 and
+    lifted to 0 above it, on floats (``entropy_H``, ``_pick``) or on arrays
+    (``entropy_H_values``, ``np.where``)."""
     _, _, tau_b_ae, tau_e_ab, tau_ae = _tangles(p1, t, r)
-    return entropy(tau_b_ae) - entropy(tau_e_ab) + entropy(tau_ae)
+    value = entropy(tau_b_ae) - entropy(tau_e_ab) + entropy(tau_ae)
+    _require(value >= -_NEG_FLOOR, _floor_error, value)
+    return pick(value < 0.0, 0.0, value)
+
+
+def _floor_error(value) -> NumericError:
+    return NumericError(f"right discord {value} below the -1e-10 floor")
 
 
 def discord_right(inp: CorrelationInput) -> float:
     """Discord of rho_AB under measurements on the ancilla B, in bits."""
-    value = _koashi_winter(inp.p1, inp.t, inp.r, entropy_H)
-    if value < -_NEG_FLOOR:
-        raise NumericError(f"right discord {value} below the -1e-10 floor")
-    return max(value, 0.0)
+    return _discord_right(inp.p1, inp.t, inp.r, entropy_H, _pick)
 
 
 def discord_left(inp: CorrelationInput) -> float:
@@ -172,29 +186,17 @@ def correlation_report(inp: CorrelationInput) -> CorrelationReport:
     )
 
 
-def _discord_right_values(p1: np.ndarray, t: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """``discord_right`` in every lane, by the same body; a lane below the
-    floor raises through ``discord_right``."""
-    value = _koashi_winter(p1, t, r, entropy_H_values)
-    _check_lanes(
-        ~(value < -_NEG_FLOOR),
-        lambda i: discord_right(CorrelationInput(float(p1[i]), float(t[i]), float(r[i]))),
-    )
-    return np.where(value < 0.0, 0.0, value)
-
-
 def _discords_values(s: np.ndarray, p1: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Left and right discords at overlap t in every lane; NaN where they are
     undefined (t < s or t <= 0).
     """
     defined = ~((t < s) | (t <= 0.0))
     s, p1, t = s[defined], p1[defined], t[defined]
+    _check_t(t)
     r = s / t  # in [0, 1] once t is
-    ok = (0.0 <= t) & (t <= 1.0)
-    _check_lanes(ok, lambda i: CorrelationInput(float(p1[i]), float(t[i]), float(r[i])))
     d_left, d_right = np.full((2,) + defined.shape, np.nan)
-    d_left[defined] = _discord_right_values(p1, r, t)
-    d_right[defined] = _discord_right_values(p1, t, r)
+    d_left[defined] = _discord_right(p1, r, t, entropy_H_values, np.where)
+    d_right[defined] = _discord_right(p1, t, r, entropy_H_values, np.where)
     return d_left, d_right
 
 

@@ -39,6 +39,7 @@ from .core import (
     DomainError,
     NumericError,
     Scenario,
+    _quantity_names,
     _scan_points,
     check_overlap_t,
     window_scan_max,
@@ -451,12 +452,13 @@ def certify(
     """Compare each closed form in ``quantities`` (None: all) against its oracle
     over the s x p1 grid; a row passes when its worst gap is at most
     ``tolerance``.  An empty selection or grid, or an infinite tolerance,
-    would pass anything, and is rejected; so is a quantity named twice, whose
-    second row would repeat the first, and a grid that is not a flat
-    sequence of numbers, such as a bare number, a string, a list of strings
-    or a nested list."""
-    if not 0.0 < tolerance < math.inf:  # negated, so that NaN fails it
-        raise DomainError(f"tolerance={tolerance} must be positive and finite")
+    would pass anything, and is rejected; so is a tolerance that is not a
+    real number, a quantity named twice, whose second row would repeat the
+    first (the quantities follow ``core._quantity_names``' rule), and a grid
+    that is not a flat sequence of numbers, such as a bare number, a string,
+    a list of strings or a nested list."""
+    if not (isinstance(tolerance, Real) and 0.0 < tolerance < math.inf):  # NaN fails too
+        raise DomainError(f"tolerance={tolerance!r} must be positive and finite")
     for name, values in (("s_values", s_values), ("p1_values", p1_values)):
         try:
             flat = np.ndim(values) == 1  # 0 for a number or a str
@@ -466,17 +468,7 @@ def certify(
             raise DomainError(f"{name}={values!r} must be a sequence of numbers")
     if len(s_values) == 0 or len(p1_values) == 0:
         raise DomainError("certify needs at least one s value and one p1 value")
-    if isinstance(quantities, str):  # a sequence of its characters
-        raise DomainError(f"quantities={quantities!r} must be a sequence of quantity names")
-    names = list(_CERTIFIERS) if quantities is None else list(quantities)
-    if not names:
-        raise DomainError("certify needs at least one quantity")
-    unknown = [q for q in names if q not in _CERTIFIERS]
-    if unknown:
-        raise DomainError(f"unknown certification quantities {unknown}; valid: {sorted(_CERTIFIERS)}")
-    repeated = sorted({q for q in names if names.count(q) > 1})
-    if repeated:  # each would print a second, identical row
-        raise DomainError(f"certification quantities named more than once: {repeated}")
+    names = _quantity_names(_CERTIFIERS if quantities is None else quantities, _CERTIFIERS)
     certifiers = dict.fromkeys(_CERTIFIERS[name] for name in names)  # each once, in order
     worst = dict.fromkeys(names, (-1.0, (math.nan, math.nan)))
     for s in s_values:

@@ -44,8 +44,8 @@ from .core import (
     DomainError,
     NumericError,
     Scenario,
-    _check_lanes,
     _pick,
+    _require,
 )
 from .ssd import (
     CaseLabel,
@@ -249,24 +249,22 @@ def _check_prior(found, wanted) -> None:
     """The cloner's accuracy contract: the prior p1(omega) of the working point
     found must reproduce the prior wanted within 1e-9, and NaN fails it.  On
     arrays every lane must, and the first lane that does not raises as a float."""
-    ok = abs(found - wanted) <= 1e-9
-    if isinstance(ok, np.ndarray):
-        _check_lanes(ok, lambda i: _check_prior(float(found[i]), float(wanted[i])))
-    elif not ok:
-        raise NumericError(f"omega inversion stalled: p1(omega)={found}, wanted {wanted}")
+    _require(abs(found - wanted) <= 1e-9, _stalled_error, found, wanted)
+
+
+def _stalled_error(found, wanted) -> NumericError:
+    return NumericError(f"omega inversion stalled: p1(omega)={found}, wanted {wanted}")
 
 
 def _check_converged(done, s, p1) -> None:
     """Every lane of a cloner solve that ran out of reads must have stopped,
     for ``_check_prior``'s 1e-9 alone passes any read at a prior below 1e-9;
-    a lane that did not raises as ``clone_optimal_for_prior`` does there."""
-    if isinstance(done, np.ndarray):
-        s = np.broadcast_to(s, done.shape)
-        _check_lanes(
-            done, lambda i: clone_optimal_for_prior(Scenario(float(s[i]), float(p1[i])))
-        )
-    elif not done:
-        raise NumericError(f"cloner solve did not converge in {_CLONE_STEPS} reads: s={s}, p1={p1}")
+    the first lane that did not raises as a float."""
+    _require(done, _unconverged_error, s, p1)
+
+
+def _unconverged_error(s, p1) -> NumericError:
+    return NumericError(f"cloner solve did not converge in {_CLONE_STEPS} reads: s={s}, p1={p1}")
 
 
 def _clone_solve(s, p1, sqrt, pick) -> CloneParams:

@@ -38,7 +38,12 @@ its own.  The float and lane paths differ only in control flow:
 maximum, ``_q_star_values`` polishes every lane's starts as one array and
 takes each row's argmax, and the joint kernel solves for q* only on the
 lanes where case I can win.  The cloner's Newton steps are one body,
-``protocols._clone_solve``.
+``protocols._clone_solve``.  Each check is one predicate for both too
+(``core._require``): q*'s no-root error, the overlap t
+(``core.check_overlap_t``) and the [0, 1] range and clamp of a value
+(``core._clamp_unit``, in ``PiecewiseResult`` and, on lanes,
+``_probabilities``), so a kernel fails its first bad lane with the float's
+message.
 """
 
 from __future__ import annotations
@@ -57,8 +62,9 @@ from .core import (
     NumericError,
     Scenario,
     StrategyParams,
-    _check_lanes,
+    _clamp_unit,
     _pick,
+    _require,
     check_overlap_t,
 )
 
@@ -129,9 +135,16 @@ class PiecewiseResult:
     boundary_prior: float | None = None
 
     def __post_init__(self) -> None:
-        if not -BOUNDARY_TOL <= self.value <= 1.0 + BOUNDARY_TOL:
-            raise NumericError(f"probability {self.value} outside [0, 1]")
-        object.__setattr__(self, "value", min(1.0, max(0.0, self.value)))
+        object.__setattr__(self, "value", _clamp_unit(self.value, _probability_error))
+
+
+def _probability_error(value) -> NumericError:
+    return NumericError(f"probability {value} outside [0, 1]")
+
+
+def _probabilities(values: np.ndarray) -> np.ndarray:
+    """``PiecewiseResult``'s range check and clamp to [0, 1], in every lane."""
+    return _clamp_unit(values, _probability_error, np.where)
 
 
 def bob_success(scenario: Scenario, t: float, q1b: float) -> float:
@@ -259,20 +272,6 @@ def _stage_optimum_values(p1: np.ndarray, p2: np.ndarray, r: np.ndarray) -> np.n
         return _stage(p1, p2, r, np.sqrt, np.where)[0]
 
 
-def _probabilities(values: np.ndarray) -> np.ndarray:
-    """``PiecewiseResult``'s range check and clamp to [0, 1], in every lane."""
-    bad = ~((values >= -BOUNDARY_TOL) & (values <= 1.0 + BOUNDARY_TOL))
-    if bad.any():
-        raise NumericError(f"probability {values[bad][0]} outside [0, 1]")
-    return np.where(values > 0.0, np.where(values < 1.0, values, 1.0), 0.0)
-
-
-def _check_overlaps_t(s: np.ndarray, t: np.ndarray) -> None:
-    """``check_overlap_t`` in every lane; raises for the first lane that fails it."""
-    ok = (0.0 < t) & (t <= 1.0) & (t >= s)
-    _check_lanes(ok, lambda i: check_overlap_t(float(s[i]), float(t[i])))
-
-
 def _stage_result(
     scenario: Scenario, r: float, names: tuple[str, str], **fixed: float
 ) -> PiecewiseResult:
@@ -301,7 +300,7 @@ def bob_optimal(scenario: Scenario, t: float) -> PiecewiseResult:
 
 def bob_optimal_values(s: np.ndarray, p1: np.ndarray, t: np.ndarray) -> np.ndarray:
     """``bob_optimal(Scenario(s, p1), t).value`` in every lane of valid scenarios."""
-    _check_overlaps_t(s, t)
+    check_overlap_t(s, t)
     return _probabilities(_stage_optimum_values(p1, 1.0 - p1, s / t))
 
 
@@ -317,7 +316,7 @@ def charlie_optimal(scenario: Scenario, t: float) -> PiecewiseResult:
 
 def charlie_optimal_values(s: np.ndarray, p1: np.ndarray, t: np.ndarray) -> np.ndarray:
     """``charlie_optimal(Scenario(s, p1), t).value`` in every lane of valid scenarios."""
-    _check_overlaps_t(s, t)
+    check_overlap_t(s, t)
     return _probabilities(_stage_optimum_values(p1, 1.0 - p1, t))
 
 
@@ -438,12 +437,13 @@ def solve_q_star(scenario: Scenario) -> float:
         q, objective = _polished_root(p1, p2, s, start, _pick)
         if objective > best:
             q_star, best = q, objective
-    if q_star is None:
-        raise NumericError(
-            "no real root in [s, 1] for quartic coefficients "
-            f"[{p1}, {-p1}, 0, {p2 * s}, {-p2 * s * s}]"
-        )
+    _require(best > -math.inf, _no_root_error, s, p1, p2)
     return q_star
+
+
+def _no_root_error(s, p1, p2) -> NumericError:
+    coefficients = f"[{p1}, {-p1}, 0, {p2 * s}, {-p2 * s * s}]"
+    return NumericError(f"no real root in [s, 1] for quartic coefficients {coefficients}")
 
 
 def _q_star_values(s: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
@@ -453,8 +453,8 @@ def _q_star_values(s: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     start finite, solved with the others, and given s at the end.  Only if
     some lane lies below ``_TINY_OVERLAP`` do the two extra starts get
     columns; elsewhere those hold copies of the first eigenvalue, whose root
-    ties it and so never wins.  A lane without a root fails with the scalar's
-    error."""
+    ties it and so never wins.  The first lane without a root fails with the
+    scalar's error for its (s, p1, p2)."""
     with np.errstate(over="ignore"):
         overflow = np.isinf(p2 * s / p1)
     p1, p2 = np.where(overflow, 0.5, p1), np.where(overflow, 0.5, p2)
@@ -465,8 +465,8 @@ def _q_star_values(s: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
         q = np.column_stack([q, np.where(tiny, near_sqrt, q[:, 0]), np.where(tiny, s, q[:, 0])])
     with np.errstate(all="ignore"):
         q, objective = _polished_root(p1[:, None], p2[:, None], s[:, None], q, np.where)
-    found = (objective > -math.inf).any(axis=1)
-    _check_lanes(found, lambda i: solve_q_star(Scenario(float(s[i]), float(p1[i]))))
+    best = objective.max(axis=1)
+    _require(best > -math.inf, _no_root_error, s, p1, p2)
     q = np.take_along_axis(q, np.argmax(objective, axis=1)[:, None], axis=1)[:, 0]
     return np.where(overflow, s, q)
 

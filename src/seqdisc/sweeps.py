@@ -1,7 +1,8 @@
 """Parameter sweeps and CSV emission; the figure presets are sweeps given as data.
 
 Custom sweeps and presets share one evaluation path: one call per quantity
-over all of its columns' lanes.
+over all of its columns' lanes, after ``Scenario``'s own check on those
+lanes (``core._check_scenario``).
 CSV output is byte-stable: 12 significant digits, '.' decimal separator,
 '\\n' line endings, and an empty cell wherever a quantity is undefined
 (infeasible overlap combination or 0/0 discord proportion).
@@ -10,13 +11,14 @@ CSV output is byte-stable: 12 significant digits, '.' decimal separator,
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from numbers import Real
 from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
 
-from .core import DomainError, Scenario, _check_lanes, _is_integer
+from .core import DomainError, _check_scenario, _is_integer, _quantity_names
 from .correlations import d_symm_values, prop_left_values
 from .protocols import (
     at_least_one_protocol3_values,
@@ -36,9 +38,13 @@ _MAX_STEPS = 2**53
 class SweepSpec:
     """One swept variable against named scalar quantities.
 
-    ``fixed`` holds the non-swept scenario fields needed by the quantities
-    (e.g. s for a P1 sweep, or t for discord quantities), each a real number
-    keyed s, p1 or t.  Each quantity is named once.
+    ``fixed`` maps the non-swept scenario fields that the quantities read
+    (e.g. s for a P1 sweep, or t for discord quantities), each keyed s, p1 or
+    t, to a real number, and holds no other field.  ``quantities`` is held as
+    a tuple of names, each named once (``core._quantity_names``).  The fields
+    are checked when the spec is built, as a ``Scenario``'s are; running it
+    checks only that the grid can be allocated and, lane by lane, that its
+    scenarios are valid.
     """
 
     variable: str
@@ -62,11 +68,9 @@ class SweepSpec:
             raise DomainError(f"empty sweep range [{self.start}, {self.stop}]")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise DomainError(f"sweep range [{self.start}, {self.stop}] is not finite")
-        if isinstance(self.quantities, str):  # a sequence of its characters
-            raise DomainError(f"quantities={self.quantities!r} must be a sequence of quantity names")
-        repeated = sorted({q for q in self.quantities if self.quantities.count(q) > 1})
-        if repeated:  # each would write a second, identical column
-            raise DomainError(f"sweep quantities named more than once: {repeated}")
+        object.__setattr__(self, "quantities", _quantity_names(self.quantities, _QUANTITIES))
+        if not isinstance(self.fixed, Mapping):
+            raise DomainError(f"fixed={self.fixed!r} must map s, p1 or t to a real number")
         for name, value in self.fixed.items():
             if name not in ("s", "p1", "t"):
                 raise DomainError(f"fixed field {name!r} is not one of s, p1, t")
@@ -75,6 +79,12 @@ class SweepSpec:
         swept = _FIELD_OF_VARIABLE[self.variable]
         if swept in self.fixed:  # the grid would overwrite it
             raise DomainError(f"a sweep over {self.variable} cannot also fix {swept}")
+        needed = {"s", "p1"} | ({"t"} if _NEEDS_T.intersection(self.quantities) else set())
+        missing = sorted(needed - {swept} - set(self.fixed))
+        if missing:
+            raise DomainError(f"a sweep over {self.variable} needs fixed values for {missing}")
+        if "t" not in needed and "t" in (swept, *self.fixed):
+            raise DomainError(f"t is swept or fixed, but none of {list(self.quantities)} reads t")
 
     def grid(self) -> np.ndarray:
         try:
@@ -114,8 +124,7 @@ def _column(name: str, at: dict) -> list[float | None]:
     """One quantity over the grid's scenarios ``at``; None where it is undefined."""
     kernel, needs_t = _QUANTITIES[name]
     s, p1 = at["s"], at["p1"]
-    ok = (0.0 <= s) & (s <= 1.0) & (0.0 < p1) & (p1 <= 0.5)
-    _check_lanes(ok, lambda i: Scenario(float(s[i]), float(p1[i])))
+    _check_scenario(s, p1)
     values = kernel(s, p1, at["t"]) if needs_t else kernel(s, p1)
     return [None if v != v else v for v in values.tolist()]
 
@@ -154,17 +163,6 @@ def _evaluate(
 
 def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float | None]]]:
     """Evaluate the spec's quantities on its grid; returns (header, rows)."""
-    unknown = [q for q in spec.quantities if q not in _QUANTITIES]
-    if unknown:
-        raise DomainError(f"unknown quantities {unknown}; valid: {sorted(_QUANTITIES)}")
-    if not spec.quantities:
-        raise DomainError("sweep requires at least one quantity")
-    needed = {"s", "p1"} | ({"t"} if _NEEDS_T.intersection(spec.quantities) else set())
-    missing = sorted(needed - {_FIELD_OF_VARIABLE[spec.variable]} - set(spec.fixed))
-    if missing:
-        raise DomainError(f"a sweep over {spec.variable} needs fixed values for {missing}")
-    if "t" not in needed and (spec.variable == "t" or "t" in spec.fixed):
-        raise DomainError(f"t is swept or fixed, but none of {list(spec.quantities)} reads t")
     columns = tuple((q, q, spec.fixed) for q in spec.quantities)
     return _evaluate(spec.variable, spec.grid(), columns)
 

@@ -29,15 +29,19 @@ from seqdisc import (
     protocol2_optimal,
     protocol3_optimal,
 )
-from seqdisc import correlations, oracle
+from seqdisc import correlations, oracle, ssd
 from seqdisc.core import (
-    _check_lanes,
+    _check_scenario,
+    _pick,
     _scan_indices,
     _scan_points,
     check_overlap_t,
     entropy_H_values,
     window_scan_max,
 )
+from seqdisc.protocols import _check_converged, _check_prior
+from seqdisc.ssd import CaseLabel, PiecewiseResult, _probabilities, bob_optimal_values
+from seqdisc.sweeps import _column
 
 
 class TestEntropy:
@@ -166,15 +170,6 @@ class TestScenario:
             Scenario("0.5", 0.2)
         with pytest.raises(TypeError):
             CorrelationInput(0.2, "0.5", 0.5)
-
-
-class TestCheckLanes:
-    def test_mask_stricter_than_its_check_is_a_numeric_error(self):
-        # lane 1 is flagged, but its scalar check accepts it
-        checked = []
-        with pytest.raises(NumericError, match="lane 1"):
-            _check_lanes(np.array([True, False, False]), checked.append)
-        assert checked == [1]
 
 
 class TestStrategyParams:
@@ -452,6 +447,109 @@ class TestCheckOverlapT:
     def test_rejects_infeasible(self, s, t):
         with pytest.raises(DomainError, match="outside"):
             check_overlap_t(s, t)
+
+
+def _raised(call):
+    """(type, message) of the exception that ``call()`` raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def _squared_entropy(x):
+    """A stand-in H(x) = x^2, under which the Koashi-Winter sum is
+    -2*tau_B|AE*tau_AE, far below the discord's -1e-10 floor."""
+    return x * x
+
+
+_A = np.array
+
+#: Each check written once, called on a float and on lanes whose first
+#: failing lane holds that float: (the float's call, the lanes' call).
+_ONE_CHECK_CASES = {
+    "overlap_t": (
+        lambda: check_overlap_t(0.3, 0.2),
+        lambda: check_overlap_t(_A([0.3, 0.3, 0.3]), _A([0.5, 0.2, 0.1])),
+    ),
+    "overlap_t_kernel": (
+        lambda: bob_optimal(Scenario(0.3, 0.2), 0.2),
+        lambda: bob_optimal_values(_A([0.3, 0.3]), _A([0.2, 0.2]), _A([0.5, 0.2])),
+    ),
+    "overlap_t_nan": (
+        lambda: check_overlap_t(0.3, math.nan),
+        lambda: check_overlap_t(0.3, _A([0.5, math.nan, 0.1])),
+    ),
+    "probability": (
+        lambda: PiecewiseResult(1.5, CaseLabel.CASE_I, {}),
+        lambda: _probabilities(_A([0.5, 1.0 + 1e-13, 1.5, -1.0])),
+    ),
+    "probability_nan": (
+        lambda: PiecewiseResult(math.nan, CaseLabel.CASE_I, {}),
+        lambda: _probabilities(_A([0.2, math.nan, 2.0])),
+    ),
+    "entropy": (
+        lambda: entropy_H(-0.1),
+        lambda: entropy_H_values(_A([0.5, -1e-13, -0.1, 2.0])),
+    ),
+    "entropy_nan": (lambda: entropy_H(math.nan), lambda: entropy_H_values(_A([math.nan, -1.0]))),
+    # p1 fails at lane 0 and s at lane 3: lane 0's p1 is reported
+    "scenario_prior_first": (
+        lambda: Scenario(0.5, 0.0),
+        lambda: _check_scenario(_A([0.5, 0.2, 0.2, 1.5]), _A([0.0, 0.3, 0.3, 0.3])),
+    ),
+    "scenario_prior_first_column": (
+        lambda: Scenario(0.5, 0.0),
+        lambda: _column("ssd", {"s": _A([0.5, 0.2, 0.2, 1.5]), "p1": _A([0.0, 0.3, 0.3, 0.3])}),
+    ),
+    # both fail in one lane: the overlap is reported, as its check comes first
+    "scenario_overlap": (
+        lambda: Scenario(1.5, 0.7),
+        lambda: _check_scenario(_A([0.2, 1.5, -1.0]), _A([0.3, 0.7, 0.3])),
+    ),
+    "correlation_t": (
+        lambda: CorrelationInput(0.2, 1.5, 0.3 / 1.5),
+        lambda: correlations.d_symm_values(
+            _A([0.3, 0.3, 0.3]), _A([0.2, 0.2, 0.2]), _A([0.5, 1.5, 2.0])
+        ),
+    ),
+    "discord_floor": (
+        lambda: correlations._discord_right(0.3, 0.6, 0.6, _squared_entropy, _pick),
+        lambda: correlations._discord_right(
+            _A([0.3, 0.3, 0.2]), _A([1.0, 0.6, 0.6]), _A([0.6, 0.6, 0.6]),
+            _squared_entropy, np.where,
+        ),
+    ),
+    "cloner_prior": (
+        lambda: _check_prior(0.25, 0.3),
+        lambda: _check_prior(_A([0.2, 0.25, 0.0]), _A([0.2, 0.3, 0.4])),
+    ),
+    "cloner_converged": (
+        lambda: _check_converged(False, 2.47e-229, 1e-300),
+        lambda: _check_converged(
+            _A([True, False, False]), _A([0.5, 2.47e-229, 0.1]), _A([0.3, 1e-300, 0.2])
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_ONE_CHECK_CASES))
+def test_a_check_fails_a_float_and_its_first_lane_alike(case):
+    # one predicate for floats and lanes: the lanes' error is the float's own,
+    # type and message, for the first lane that fails
+    on_float, on_lanes = _ONE_CHECK_CASES[case]
+    assert _raised(on_lanes) == _raised(on_float)
+
+
+def test_no_root_fails_a_float_and_its_first_lane_alike(monkeypatch):
+    # only s = 0.04 is made rootless, at lane 1 of three
+    is_root = ssd._is_root
+    monkeypatch.setattr(
+        ssd, "_is_root", lambda p1, p2, s, q, pick: is_root(p1, p2, s, q, pick) & (s != 0.04)
+    )
+    on_float = _raised(lambda: ssd.solve_q_star(Scenario(0.04, 0.3)))
+    lanes = _A([0.1, 0.04, 0.04]), _A([0.4, 0.3, 0.2])
+    assert _raised(lambda: ssd._q_star_values(*lanes, 1.0 - lanes[1])) == on_float
+    assert on_float[0] is NumericError and "no real root" in on_float[1]
 
 
 def _modules_loaded_with_seqdisc(top):

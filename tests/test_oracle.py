@@ -46,7 +46,8 @@ class TestCertifyTolerance:
         (row,) = certify(["protocol1"], [0.2], [0.3])
         assert row.tolerance == 1e-6
 
-    @pytest.mark.parametrize("tolerance", [0.0, -1e-6, math.nan, math.inf])
+    # a string or None raised a bare TypeError from comparing with 0.0
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-6, math.nan, math.inf, "1e-6", None])
     def test_rejects_nonpositive_tolerance(self, tolerance):
         with pytest.raises(DomainError, match="must be positive"):
             certify(["protocol1"], [0.2], [0.3], tolerance=tolerance)
@@ -712,6 +713,12 @@ class TestCertify:
         # a str is a sequence of its characters, each an unknown quantity
         with pytest.raises(DomainError, match="'joint' must be a sequence of quantity names"):
             certify(quantities="joint")
+
+    @pytest.mark.parametrize("quantities", [5, [["bob"]]], ids=["number", "nested_list"])
+    def test_rejects_quantities_that_are_not_names(self, quantities):
+        # a bare TypeError from list(5), and "unhashable type" from a list as a name
+        with pytest.raises(DomainError, match="must be a sequence of quantity names"):
+            certify(quantities, [0.2], [0.3])
 
     @pytest.mark.parametrize("grid", [[[0.2, 0.3], [0.4]], ["0.2"]], ids=["ragged", "strings"])
     @pytest.mark.parametrize("name", ["s_values", "p1_values"])

@@ -365,6 +365,28 @@ def test_sweep_spec_rejects_a_string_of_quantity_names():
         SweepSpec("P1", 0.1, 0.5, 3, {"s": 0.04}, "ssd")
 
 
+@pytest.mark.parametrize("quantities", [None, (["ssd"],)], ids=["none", "list_as_a_name"])
+def test_sweep_spec_rejects_quantities_that_are_not_names(quantities):
+    # None raised a bare AttributeError, and a list as a name was accepted,
+    # for run_sweep to fail on with a bare TypeError
+    with pytest.raises(DomainError, match="must be a sequence of quantity names"):
+        SweepSpec("P1", 0.1, 0.5, 3, {"s": 0.04}, quantities)
+
+
+@pytest.mark.parametrize("fixed", [None, [("s", 0.04)]], ids=["none", "list_of_pairs"])
+def test_sweep_spec_rejects_a_fixed_that_is_not_a_mapping(fixed):
+    # a bare AttributeError from fixed.items()
+    with pytest.raises(DomainError, match="fixed=.* must map s, p1 or t to a real number"):
+        SweepSpec("P1", 0.1, 0.5, 3, fixed, ("ssd",))
+
+
+def test_sweep_spec_holds_its_quantities_as_a_tuple():
+    spec = SweepSpec("P1", 0.1, 0.5, 3, {"s": 0.04}, ["ssd", "protocol1"])
+    assert spec.quantities == ("ssd", "protocol1")
+    as_tuple = SweepSpec("P1", 0.1, 0.5, 3, {"s": 0.04}, ("ssd", "protocol1"))
+    assert spec == as_tuple and run_sweep(spec) == run_sweep(as_tuple)
+
+
 @pytest.mark.parametrize(
     "extra",
     [
@@ -391,16 +413,17 @@ def test_custom_sweep_domain_errors_exit_2(extra, capsys):
         (lambda: SweepSpec("P1", 0.5, 0.5, 5, {"s": 0.04}, ("ssd",)), "empty sweep range"),
         (lambda: SweepSpec("s", 0.5, math.inf, 3, {"p1": 0.3}, ("ssd",)), "not finite"),
         (lambda: SweepSpec("s", -math.inf, 0.5, 3, {"p1": 0.3}, ("ssd",)), "not finite"),
-        (lambda: run_sweep(SweepSpec("P1", 0.1, 0.5, 5, {"s": 0.04}, ("nope",))), "unknown quantities"),
-        (lambda: run_sweep(SweepSpec("P1", 0.1, 0.5, 5, {"s": 0.04})), "at least one quantity"),
+        # a spec is checked when it is built, not when it runs
+        (lambda: SweepSpec("P1", 0.1, 0.5, 5, {"s": 0.04}, ("nope",)), "unknown quantities"),
+        (lambda: SweepSpec("P1", 0.1, 0.5, 5, {"s": 0.04}), "at least one quantity"),
+        (lambda: SweepSpec("P1", 0.1, 0.5, 5, {}, ("ssd",)), r"needs fixed values for \['s'\]"),
         (lambda: run_figure("9"), "unknown figure preset"),
         # the grid would overwrite the fixed value
         (lambda: SweepSpec("P1", 0.1, 0.5, 3, {"s": 0.3, "p1": 0.2}, ("ssd",)), "cannot also fix p1"),
         # no quantity reads t, so each row would repeat one value
-        (lambda: run_sweep(SweepSpec("t", 0.1, 0.5, 3, {"s": 0.3, "p1": 0.2}, ("ssd",))),
+        (lambda: SweepSpec("t", 0.1, 0.5, 3, {"s": 0.3, "p1": 0.2}, ("ssd",)),
          r"none of \['ssd'\] reads t"),
-        (lambda: run_sweep(SweepSpec("P1", 0.1, 0.5, 3, {"s": 0.3, "t": 0.9}, ("ssd", "p3_star"))),
-         "reads t"),
+        (lambda: SweepSpec("P1", 0.1, 0.5, 3, {"s": 0.3, "t": 0.9}, ("ssd", "p3_star")), "reads t"),
         # each would write a second, identical column
         (lambda: SweepSpec("P1", 0.1, 0.5, 3, {"s": 0.3}, ("ssd", "protocol1", "ssd")),
          r"named more than once: \['ssd'\]"),
@@ -414,7 +437,7 @@ def test_custom_sweep_domain_errors_exit_2(extra, capsys):
     ],
     ids=[
         "variable", "empty_range", "infinite_stop", "infinite_start", "unknown_quantity",
-        "no_quantity", "unknown_figure", "swept_field_fixed", "t_swept_unread", "t_fixed_unread",
+        "no_quantity", "missing_fixed", "unknown_figure", "swept_field_fixed", "t_swept_unread", "t_fixed_unread",
         "quantity_twice", "unknown_fixed_field", "fixed_string", "fixed_list", "start_string",
         "stop_string",
     ],
