@@ -57,7 +57,7 @@ CERTIFY_SCENARIO = (0.36, 0.2)
 #: (s, p1) of the point queries: generic points, equal priors, a small prior,
 #: s near 1 and the small overlaps 1e-6 and 1e-10.
 POINT_SCENARIOS = ((0.36, 0.2), (0.04, 0.5), (0.6, 0.05), (0.9, 0.4), (1e-6, 0.3), (1e-10, 0.1))
-#: Passes over POINT_SCENARIOS in one point op.
+#: Passes over POINT_SCENARIOS (ORACLE_SCENARIOS for correlation_report) in one point op.
 POINT_LOOPS = 20
 #: The library functions timed one scenario per call: the six closed forms
 #: that ``optimal`` prints, and the two solvers under them, q* and the cloner.
@@ -155,6 +155,8 @@ def make_ops(package) -> dict:
     points = [package.Scenario(s, p1) for s, p1 in POINT_SCENARIOS]
     for name in POINT_CALLS:
         ops[name] = (_each(getattr(package, name), points, POINT_LOOPS), point_calls)
+    report_calls = POINT_LOOPS * len(inputs)
+    ops["correlation_report"] = (_each(package.correlation_report, inputs, POINT_LOOPS), report_calls)
 
     def trials(case):
         s, p1, t, q1b, q1c, seed = case

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -125,6 +126,13 @@ def _is_integer(x: object) -> bool:
     """Whether x is a Python or numpy integer.  A bool is not: numpy would take
     True as 1, and a float it would truncate or refuse with a bare TypeError."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_real(x: object) -> bool:
+    """Whether x is a real number (``numbers.Real``, which numpy's floats and
+    integers are).  A bool is not, as in ``_is_integer``: True would be
+    taken as 1."""
+    return isinstance(x, Real) and not isinstance(x, bool)
 
 
 def _quantity_names(quantities, known) -> tuple[str, ...]:

@@ -19,17 +19,23 @@ The Koashi-Winter identity turns these into the two discords of rho_AB:
     D_AB (right, measured on B) = H(tau_B|AE) - H(tau_E|AB)
                                   + H(tau_A|BE - tau_ABE)
 
-and the left discord D_BA follows by exchanging t and r.  All discords are in
-bits.  ``_tangles`` is the one place the tangles are formed, on floats and
-arrays; it takes 1 - t^2 as (1 - t)(1 + t) and tau_E|AB as tau_B|AE + tau_AE
-(tau_AE = tau_A|BE - tau_ABE), so no tangle is a difference.
-``discord_right`` and the column kernels (``prop_left_values``,
-``d_symm_values``) share the Koashi-Winter sum and its -1e-10 floor as one
-body, ``_discord_right``, and differ only in H: ``entropy_H`` on floats,
-``entropy_H_values`` on arrays, which share one body that keeps its relative
-accuracy for small tangles.  ``CorrelationInput`` and the kernels share the
-range check of t, ``_check_t``.  What cancellation
-is left is the sum's own, large only where tau_B|AE and tau_AE are lopsided.
+and the left discord D_BA follows by exchanging t and r, which exchanges
+tau_A|BE and tau_B|AE and makes tau_AE the B-E tangle tau_B|AE t^2.  All
+discords are in bits.  ``_tangles`` is the one place the tangles are formed,
+on floats and arrays; it takes 1 - t^2 as (1 - t)(1 + t) and tau_E|AB as
+tau_B|AE + tau_AE (tau_AE = tau_A|BE - tau_ABE), so no tangle is a
+difference.  The Koashi-Winter sum and its -1e-10 floor are one body,
+``_koashi_winter``.  ``_discords`` is the one body of the report and the
+column kernels (``prop_left_values``, ``d_symm_values``): from one set of
+tangles it forms both discords, their proportions (NaN where both are 0)
+and the symmetrized discord sqrt(d_left)*sqrt(d_right).  Each body takes H
+(and sqrt and the select) as arguments: ``entropy_H`` on floats,
+``entropy_H_values`` on arrays, which share one body that keeps its
+relative accuracy for small tangles.  ``discord_right`` and
+``discord_left`` are ``_discord_right`` at (t, r) and at (r, t).
+``CorrelationInput`` and the kernels share the range check of t,
+``_check_t``.  What cancellation is left is the sum's own, large only where
+tau_B|AE and tau_AE are lopsided.
 A direct measurement-minimization oracle for the left discord is included to
 certify the closed form.
 """
@@ -78,9 +84,6 @@ class CorrelationInput:
     @property
     def p2(self) -> float:
         return 1.0 - self.p1
-
-    def swapped(self) -> "CorrelationInput":
-        return CorrelationInput(self.p1, self.r, self.t)
 
 
 def _t_error(t) -> DomainError:
@@ -141,10 +144,15 @@ def tangles(inp: CorrelationInput) -> Tangles:
 
 
 def _discord_right(p1, t, r, entropy, pick):
+    """The discord measured on B, ``_koashi_winter`` on the tangles at
+    (p1, t, r), on floats or arrays."""
+    return _koashi_winter(*_tangles(p1, t, r)[2:], entropy, pick)
+
+
+def _koashi_winter(tau_b_ae, tau_e_ab, tau_ae, entropy, pick):
     """H(tau_B|AE) - H(tau_E|AB) + H(tau_AE), a NumericError below -1e-10 and
     lifted to 0 above it, on floats (``entropy_H``, ``_pick``) or on arrays
     (``entropy_H_values``, ``np.where``)."""
-    _, _, tau_b_ae, tau_e_ab, tau_ae = _tangles(p1, t, r)
     value = entropy(tau_b_ae) - entropy(tau_e_ab) + entropy(tau_ae)
     _require(value >= -_NEG_FLOOR, _floor_error, value)
     return pick(value < 0.0, 0.0, value)
@@ -152,6 +160,22 @@ def _discord_right(p1, t, r, entropy, pick):
 
 def _floor_error(value) -> NumericError:
     return NumericError(f"right discord {value} below the -1e-10 floor")
+
+
+def _discords(p1, t, r, entropy, sqrt, pick):
+    """The first four tangles, then d_left, d_right, prop_left, prop_right and
+    d_symm, from one set of tangles, on floats (``entropy_H``, ``math.sqrt``,
+    ``_pick``) or on arrays (``entropy_H_values``, ``np.sqrt``,
+    ``np.where``).  The proportions are NaN where both discords are 0.
+    """
+    tangles = _tangles(p1, t, r)
+    _, tau_a_be, tau_b_ae, tau_e_ab, tau_ae = tangles
+    tau_be = tau_b_ae * (t * t)  # tau_AE with t and r exchanged
+    d_right = _koashi_winter(tau_b_ae, tau_e_ab, tau_ae, entropy, pick)
+    d_left = _koashi_winter(tau_a_be, tau_a_be + tau_be, tau_be, entropy, pick)
+    total = d_left + d_right
+    total = pick(total > 0.0, total, math.nan)  # x / NaN is NaN, and no 0/0 is formed
+    return tangles[:4], d_left, d_right, d_left / total, d_right / total, sqrt(d_left) * sqrt(d_right)
 
 
 def discord_right(inp: CorrelationInput) -> float:
@@ -164,40 +188,29 @@ def discord_left(inp: CorrelationInput) -> float:
 
     Equal to the right discord with t and r exchanged (same code path).
     """
-    return discord_right(inp.swapped())
+    return _discord_right(inp.p1, inp.r, inp.t, entropy_H, _pick)
 
 
 def correlation_report(inp: CorrelationInput) -> CorrelationReport:
     """Assemble tangles, both discords, their proportions and geometric mean."""
-    d_r = discord_right(inp)
-    d_l = discord_left(inp)
-    total = d_l + d_r
-    if total > 0.0:
-        prop_left, prop_right = d_l / total, d_r / total
-    else:
-        prop_left = prop_right = None
-    return CorrelationReport(
-        *_tangles(inp.p1, inp.t, inp.r)[:4],
-        d_right=d_r,
-        d_left=d_l,
-        prop_left=prop_left,
-        prop_right=prop_right,
-        d_symm=math.sqrt(d_l) * math.sqrt(d_r),
-    )
+    taus, d_l, d_r, *props, d_symm = _discords(inp.p1, inp.t, inp.r, entropy_H, math.sqrt, _pick)
+    prop_left, prop_right = (None if math.isnan(p) else p for p in props)
+    return CorrelationReport(*taus, d_r, d_l, prop_left, prop_right, d_symm)
 
 
-def _discords_values(s: np.ndarray, p1: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right discords at overlap t in every lane; NaN where they are
+def _discords_values(s: np.ndarray, p1: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``_discords``' d_left, d_right, prop_left, prop_right and d_symm at
+    overlap t in every lane, as the rows of one array; NaN where they are
     undefined (t < s or t <= 0).
     """
     defined = ~((t < s) | (t <= 0.0))
     s, p1, t = s[defined], p1[defined], t[defined]
     _check_t(t)
     r = s / t  # in [0, 1] once t is
-    d_left, d_right = np.full((2,) + defined.shape, np.nan)
-    d_left[defined] = _discord_right(p1, r, t, entropy_H_values, np.where)
-    d_right[defined] = _discord_right(p1, t, r, entropy_H_values, np.where)
-    return d_left, d_right
+    _, *rows = _discords(p1, t, r, entropy_H_values, np.sqrt, np.where)
+    values = np.full((len(rows),) + defined.shape, np.nan)
+    values[:, defined] = rows
+    return values
 
 
 def prop_left_values(s: np.ndarray, p1: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -205,18 +218,14 @@ def prop_left_values(s: np.ndarray, p1: np.ndarray, t: np.ndarray) -> np.ndarray
     lane of valid scenarios; NaN where it is undefined (t < s, t <= 0, or
     both discords 0).
     """
-    d_left, d_right = _discords_values(s, p1, t)
-    total = d_left + d_right
-    with np.errstate(invalid="ignore"):
-        return np.where(total > 0.0, d_left / total, np.nan)
+    return _discords_values(s, p1, t)[2]
 
 
 def d_symm_values(s: np.ndarray, p1: np.ndarray, t: np.ndarray) -> np.ndarray:
     """``correlation_report``'s symmetrized discord at overlap t in every lane
     of valid scenarios; NaN where t < s or t <= 0.
     """
-    d_left, d_right = _discords_values(s, p1, t)
-    return np.sqrt(d_left) * np.sqrt(d_right)
+    return _discords_values(s, p1, t)[4]
 
 
 def _vn_entropy_bits(eigvals: np.ndarray) -> np.ndarray:

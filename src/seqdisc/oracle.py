@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,6 +38,7 @@ from .core import (
     DomainError,
     NumericError,
     Scenario,
+    _is_real,
     _quantity_names,
     _scan_points,
     check_overlap_t,
@@ -453,18 +453,19 @@ def certify(
     over the s x p1 grid; a row passes when its worst gap is at most
     ``tolerance``.  An empty selection or grid, or an infinite tolerance,
     would pass anything, and is rejected; so is a tolerance that is not a
-    real number, a quantity named twice, whose second row would repeat the
-    first (the quantities follow ``core._quantity_names``' rule), and a grid
-    that is not a flat sequence of numbers, such as a bare number, a string,
-    a list of strings or a nested list."""
-    if not (isinstance(tolerance, Real) and 0.0 < tolerance < math.inf):  # NaN fails too
+    real number (``core._is_real``: a bool is not), a quantity named twice,
+    whose second row would repeat the first (the quantities follow
+    ``core._quantity_names``' rule), and a grid that is not a flat sequence
+    of real numbers, such as a bare number, a string, a list of strings or
+    of bools, or a nested list."""
+    if not (_is_real(tolerance) and 0.0 < tolerance < math.inf):  # NaN fails too
         raise DomainError(f"tolerance={tolerance!r} must be positive and finite")
     for name, values in (("s_values", s_values), ("p1_values", p1_values)):
         try:
             flat = np.ndim(values) == 1  # 0 for a number or a str
         except ValueError:  # a ragged nested sequence
             flat = False
-        if not (flat and all(isinstance(v, Real) for v in values)):
+        if not (flat and all(_is_real(v) for v in values)):
             raise DomainError(f"{name}={values!r} must be a sequence of numbers")
     if len(s_values) == 0 or len(p1_values) == 0:
         raise DomainError("certify needs at least one s value and one p1 value")

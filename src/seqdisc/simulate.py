@@ -64,9 +64,6 @@ _WORDS_PER_TRIAL = 4  # one Philox counter block (4 x 64-bit outputs) per trial
 #: Trials per draw: a chunk's words (512 KiB) and the tally's temporaries
 #: stay in cache, which measured fastest (1 << 13 to 1 << 15 were within noise).
 _CHUNK = 1 << 14
-#: Charlie's cumulative row prep * 3 + k_b for prep * 4 + k_b: k_b = 3 is
-#: Bob's outcome 0, so it reuses that preparation's first row.
-_CHARLIE_ROW = np.array([0, 1, 2, 0, 3, 4, 5, 3])
 #: A word's top 53 bits, x >> 11, are below this.
 _WORD_TOP = 1 << 53
 
@@ -260,7 +257,7 @@ def _tally(
     row at or below its v, i.e. of cumulative entries at or below its
     uniform.  Rows are nondecreasing, so that is the first k with
     u < cum[row, k]; k = 3 (u above a last entry that rounding left below 1,
-    or a zero row) is outcome 0, and Charlie's row follows ``_CHARLIE_ROW``.
+    or a zero row) is outcome 0, so Charlie's row is prep * 3 + k_b % 3.
 
     The plan, built once: for 0 < m < 2**53, v >= m holds exactly when
     x >= m << 11, so each of the prior's and each stage's distinct
@@ -281,7 +278,7 @@ def _tally(
     # the cell of each code, over the (prior, Bob, Charlie) positions in C order
     prep = k_p[0][:, None, None]
     kb = k_b[prep, np.arange(k_b.shape[1])[:, None]]
-    kc = k_c[_CHARLIE_ROW[prep * 4 + kb], np.arange(k_c.shape[1])]
+    kc = k_c[prep * 3 + kb % 3, np.arange(k_c.shape[1])]
     cell = (prep * 9 + kb % 3 * 3 + kc % 3).ravel()
     fold = np.zeros((18, cell.size), dtype=np.int64)
     fold[cell, np.arange(cell.size)] = 1

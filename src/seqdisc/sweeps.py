@@ -13,12 +13,11 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
 
-from .core import DomainError, _check_scenario, _is_integer, _quantity_names
+from .core import DomainError, _check_scenario, _is_integer, _is_real, _quantity_names
 from .correlations import d_symm_values, prop_left_values
 from .protocols import (
     at_least_one_protocol3_values,
@@ -40,7 +39,8 @@ class SweepSpec:
 
     ``fixed`` maps the non-swept scenario fields that the quantities read
     (e.g. s for a P1 sweep, or t for discord quantities), each keyed s, p1 or
-    t, to a real number, and holds no other field.  ``quantities`` is held as
+    t, to a real number (``core._is_real``: not a bool, as for ``start`` and
+    ``stop``), and holds no other field.  ``quantities`` is held as
     a tuple of names, each named once (``core._quantity_names``).  The fields
     are checked when the spec is built, as a ``Scenario``'s are; running it
     checks only that the grid can be allocated and, lane by lane, that its
@@ -62,7 +62,7 @@ class SweepSpec:
         if self.steps > _MAX_STEPS:
             raise DomainError(f"steps={self.steps} is above the most a grid can count, 2^53")
         for name, value in (("start", self.start), ("stop", self.stop)):
-            if not isinstance(value, Real):
+            if not _is_real(value):
                 raise DomainError(f"{name}={value!r} must be a real number")
         if not self.start < self.stop:
             raise DomainError(f"empty sweep range [{self.start}, {self.stop}]")
@@ -74,7 +74,7 @@ class SweepSpec:
         for name, value in self.fixed.items():
             if name not in ("s", "p1", "t"):
                 raise DomainError(f"fixed field {name!r} is not one of s, p1, t")
-            if not isinstance(value, Real):
+            if not _is_real(value):
                 raise DomainError(f"fixed {name}={value!r} must be a real number")
         swept = _FIELD_OF_VARIABLE[self.variable]
         if swept in self.fixed:  # the grid would overwrite it

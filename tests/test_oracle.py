@@ -46,8 +46,9 @@ class TestCertifyTolerance:
         (row,) = certify(["protocol1"], [0.2], [0.3])
         assert row.tolerance == 1e-6
 
-    # a string or None raised a bare TypeError from comparing with 0.0
-    @pytest.mark.parametrize("tolerance", [0.0, -1e-6, math.nan, math.inf, "1e-6", None])
+    # a string or None raised a bare TypeError from comparing with 0.0, and
+    # True was taken as a tolerance of 1
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-6, math.nan, math.inf, "1e-6", None, True])
     def test_rejects_nonpositive_tolerance(self, tolerance):
         with pytest.raises(DomainError, match="must be positive"):
             certify(["protocol1"], [0.2], [0.3], tolerance=tolerance)
@@ -720,11 +721,14 @@ class TestCertify:
         with pytest.raises(DomainError, match="must be a sequence of quantity names"):
             certify(quantities, [0.2], [0.3])
 
-    @pytest.mark.parametrize("grid", [[[0.2, 0.3], [0.4]], ["0.2"]], ids=["ragged", "strings"])
+    @pytest.mark.parametrize(
+        "grid", [[[0.2, 0.3], [0.4]], ["0.2"], [True]], ids=["ragged", "strings", "bools"]
+    )
     @pytest.mark.parametrize("name", ["s_values", "p1_values"])
     def test_rejects_a_ragged_grid_or_one_of_strings(self, name, grid):
-        # numpy's ValueError ("inhomogeneous shape") from np.ndim, and a bare
-        # TypeError from Scenario comparing str with float
+        # numpy's ValueError ("inhomogeneous shape") from np.ndim, a bare
+        # TypeError from Scenario comparing str with float, and True taken
+        # as s = 1 (a row at worst_scenario (True, 0.3)) or as p1 = 1
         with pytest.raises(DomainError, match=f"{name}=.* must be a sequence of numbers"):
             certify(["bob"], **{"s_values": [0.2], "p1_values": [0.3], name: grid})
 

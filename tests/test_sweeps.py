@@ -101,8 +101,12 @@ _P1_EDGES = (5e-324, 1e-310, 1e-300, 1e-20, 1e-3, 0.1, 0.2, 0.3, 0.45, 0.5)
 @pytest.mark.parametrize("name", sorted(_SCALAR))
 def test_kernel_matches_scalar_on_edge_grid(name):
     s, p1 = (a.ravel() for a in np.meshgrid(_S_EDGES, _P1_EDGES))
-    if name in _CORRELATIONS:  # below s, at s, between, at 1 and at 0
-        lanes = [(s, p1, t) for t in (0.5 * s, s, np.sqrt(s), np.ones_like(s), np.zeros_like(s))]
+    if name in _CORRELATIONS:
+        # below s, at s, between, at 1 and at 0; then the product state t = 1
+        # (both discords 0: an undefined proportion, d_symm 0) in every other
+        # lane of one call, beside lanes at sqrt(s)
+        product = np.where(np.arange(s.size) % 2 == 0, 1.0, np.sqrt(s))
+        lanes = [(s, p1, t) for t in (0.5 * s, s, np.sqrt(s), np.ones_like(s), np.zeros_like(s), product)]
     elif name in ("bob_max", "charlie_max"):
         lanes = [(s, p1, np.where(s > 0.0, t, 0.5)) for t in (s, np.sqrt(s), np.ones_like(s))]
     else:
@@ -434,12 +438,16 @@ def test_custom_sweep_domain_errors_exit_2(extra, capsys):
         (lambda: SweepSpec("P1", 0.1, 0.5, 3, {"s": [0.3, 0.4]}, ("ssd",)), "fixed s=.* must be a real"),
         (lambda: SweepSpec("P1", "0.1", 0.5, 3, {"s": 0.3}, ("ssd",)), "start='0.1' must be a real"),
         (lambda: SweepSpec("P1", 0.1, "0.5", 3, {"s": 0.3}, ("ssd",)), "stop='0.5' must be a real"),
+        # a bool would be taken as 1 or 0: s = 1, or the grid [0, 1]
+        (lambda: SweepSpec("P1", 0.1, 0.5, 3, {"s": True}, ("protocol1",)), "fixed s=True must be a real"),
+        (lambda: SweepSpec("s", False, 1.0, 3, {"p1": 0.3}, ("protocol1",)), "start=False must be a real"),
+        (lambda: SweepSpec("s", 0.0, True, 3, {"p1": 0.3}, ("protocol1",)), "stop=True must be a real"),
     ],
     ids=[
         "variable", "empty_range", "infinite_stop", "infinite_start", "unknown_quantity",
         "no_quantity", "missing_fixed", "unknown_figure", "swept_field_fixed", "t_swept_unread", "t_fixed_unread",
         "quantity_twice", "unknown_fixed_field", "fixed_string", "fixed_list", "start_string",
-        "stop_string",
+        "stop_string", "fixed_bool", "start_bool", "stop_bool",
     ],
 )
 def test_sweep_validation_errors(call, message):
