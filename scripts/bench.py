@@ -9,7 +9,8 @@ page faults are counted beside them, so memory that an op gives back to the
 system and faults in again shows.
 
 With ``--parent DIR``, ``DIR/src/seqdisc`` must write the same CSVs and give
-the same oracle results and ``certify()`` rows, bit for bit, and is timed
+the same oracle results, ``certify()`` rows, correlation reports and Monte
+Carlo counts, bit for bit, and is timed
 beside this tree, the two in alternating order from round to round; each
 round's change/parent ratio cancels a slow spell where raw times do not.  The
 op that runs second in a round can read faster or slower than the first (on
@@ -121,13 +122,41 @@ def _csv(sweeps, name: str) -> str:
     return buf.getvalue()
 
 
+def _report_inputs(package) -> list:
+    """The inputs of the correlation ops: each of ORACLE_SCENARIOS at t = sqrt(s)."""
+    return [package.CorrelationInput(p1, s**0.5, s**0.5) for s, p1 in ORACLE_SCENARIOS]
+
+
+def _run_case(package, case):
+    """The ``TrialSummary`` of one of CASES."""
+    s, p1, t, q1b, q1c, seed = case
+    return package.run_ssd_trials(package.Scenario(s, p1), t, q1b, q1c, N_TRIALS, seed)
+
+
+def _tally_inputs(package) -> tuple[list, list]:
+    """Each of CASES' trial thresholds, and the word chunks of the trials
+    seeded TALLY_SEED, all built before any tally runs."""
+    sim = package.simulate
+    thresholds = [sim._trial_thresholds(package.Scenario(*c[:2]), *c[2:5]) for c in CASES]
+    return thresholds, list(sim._trial_words(TALLY_SEED, 0, N_TRIALS))
+
+
+def _tally(package, chunks: list, thresholds):
+    """``run_ssd_trials`` on words drawn and thresholds built beforehand: the
+    tally and the summary alone, through names that a parent has too."""
+    sim = package.simulate
+    with mock.patch.object(sim, "_trial_words", lambda *args: iter(chunks)):
+        with mock.patch.object(sim, "_trial_thresholds", lambda *args: thresholds):
+            return package.run_ssd_trials(package.Scenario(0.5, 0.3), 0.6, 0.7, 0.5, N_TRIALS, 0)
+
+
 def make_ops(package) -> dict:
     """Every op on one tree's ``seqdisc`` package: {name: (callable, calls)}."""
-    oracle, sim, sweeps = package.oracle, package.simulate, package.sweeps
+    oracle, sweeps = package.oracle, package.sweeps
     cli = importlib.import_module(package.__name__ + ".cli")
     discord = package.correlations.left_discord_measurement_oracle
     scenarios = [package.Scenario(s, p1) for s, p1 in ORACLE_SCENARIOS]
-    inputs = [package.CorrelationInput(p1, s**0.5, s**0.5) for s, p1 in ORACLE_SCENARIOS]
+    inputs = _report_inputs(package)
     grid = tuple([x] for x in CERTIFY_SCENARIO)
     ops = {
         "grid_maximize_joint": (_each(oracle.grid_maximize_joint, scenarios), 1),
@@ -158,22 +187,9 @@ def make_ops(package) -> dict:
     report_calls = POINT_LOOPS * len(inputs)
     ops["correlation_report"] = (_each(package.correlation_report, inputs, POINT_LOOPS), report_calls)
 
-    def trials(case):
-        s, p1, t, q1b, q1c, seed = case
-        package.run_ssd_trials(package.Scenario(s, p1), t, q1b, q1c, N_TRIALS, seed)
-
-    thresholds = [sim._trial_thresholds(package.Scenario(*c[:2]), *c[2:5]) for c in CASES]
-    chunks = list(sim._trial_words(TALLY_SEED, 0, N_TRIALS))
-
-    def tally(m):
-        # run_ssd_trials on words drawn and thresholds built beforehand: the
-        # tally and the summary alone, through names that a parent has too
-        with mock.patch.object(sim, "_trial_words", lambda *args: iter(chunks)):
-            with mock.patch.object(sim, "_trial_thresholds", lambda *args: m):
-                package.run_ssd_trials(package.Scenario(0.5, 0.3), 0.6, 0.7, 0.5, N_TRIALS, 0)
-
-    ops["run_ssd_trials"] = (_each(trials, CASES), len(CASES))
-    ops["tally"] = (_each(tally, thresholds), len(CASES))
+    thresholds, chunks = _tally_inputs(package)
+    ops["run_ssd_trials"] = (_each(lambda case: _run_case(package, case), CASES), len(CASES))
+    ops["tally"] = (_each(lambda m: _tally(package, chunks, m), thresholds), len(CASES))
 
     def figure(name):
         _csv(sweeps, name)
@@ -203,10 +219,22 @@ def _oracle_results(package) -> list:
     return results + [("certify()", oracle.certify())]
 
 
+def _sampled_results(package) -> list:
+    """(name, result) of ``correlation_report`` on each of its op's inputs, and
+    the counts and error count of each of CASES' runs and of each tally."""
+    results = [(f"correlation_report({inp!r})", package.correlation_report(inp)) for inp in _report_inputs(package)]
+    thresholds, chunks = _tally_inputs(package)
+    for case, m in zip(CASES, thresholds):
+        for name, summary in (("run_ssd_trials", _run_case(package, case)), ("tally", _tally(package, chunks, m))):
+            results.append((f"{name}{case}", (summary.counts.tolist(), summary.error_count)))
+    return results
+
+
 def check_same_output(change, parent) -> None:
     """Raise unless both trees write the same CSVs and ``ssd`` columns, and
-    give the same oracle tuples and ``certify()`` rows bit for bit: a float's
-    repr is the shortest that reads back to the same bits."""
+    give the same oracle tuples, ``certify()`` rows, correlation reports and
+    trial counts bit for bit: a float's repr is the shortest that reads back
+    to the same bits."""
     for name in change.sweeps.FIGURE_PRESETS:
         if _csv(change.sweeps, name) != _csv(parent.sweeps, name):
             raise RuntimeError(f"figure {name}: the CSVs of the two trees differ")
@@ -214,9 +242,10 @@ def check_same_output(change, parent) -> None:
         a, b = change.ssd.joint_optimal_values(s, p1), parent.ssd.joint_optimal_values(s, p1)
         if not np.array_equal(a, b, equal_nan=True):
             raise RuntimeError("joint_optimal_values: the columns of the two trees differ")
-    for (name, a), (_, b) in zip(_oracle_results(change), _oracle_results(parent)):
-        if repr(a) != repr(b):
-            raise RuntimeError(f"{name}: the two trees differ, {a!r} against {b!r}")
+    for results in (_oracle_results, _sampled_results):
+        for (name, a), (_, b) in zip(results(change), results(parent)):
+            if repr(a) != repr(b):
+                raise RuntimeError(f"{name}: the two trees differ, {a!r} against {b!r}")
 
 
 def _minor_faults() -> int:

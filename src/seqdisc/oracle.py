@@ -24,17 +24,28 @@ stationary-point bracket, the chunk bounds, the tie rule and the workspace.
 its ``tolerance``. It runs scenario by scenario, and each certifier it needs
 runs once per scenario for all the quantities it covers: the two cloning
 rows share one solve of the optimal cloner and one cloning oracle.
+
+The union row (``at_least_one_ssd``) is certified without a scan, by exact
+bounds in ``fractions``. Every feasible (t, q1b, q1c) has Q1*Q2 = s^2 for
+the products Qi = qib*qic, so the union's optimum is one stage's at flag
+overlap s. The lower bound L is ``_union_term`` at the closed form's argmax;
+the upper bound U is that stage's semidefinite dual bound
+(``stage_certificate``). The row's gap bounds the closed form's distance
+from the optimum itself. ``grid_maximize_union_ssd``, the (t, q1b, q1c) scan,
+stays as the certificate's brute-force cross-check in the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import (
+    ConstraintError,
     DomainError,
     NumericError,
     Scenario,
@@ -58,18 +69,22 @@ _REFINEMENT_PASSES = 2
 #: below the best value found: values are at most 1 and round by a few ulps.
 _BOUND_SLACK = 1e-12
 
+#: Bits of the rational just below sqrt(p1*p2) in a stage's case-I dual point.
+_DUAL_BITS = 200
+
 #: Standard certification grid.
 CERT_S_VALUES = (0.04, 0.1716, 0.2, 0.36, 0.6)
 CERT_P1_VALUES = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
 
 
-def _stage_objective(p1: float, p2: float, r: float):
-    """Success probability of one discrimination stage as a function of q1
-    (a float or an array)."""
+def _stage_objective(p1, p2, r):
+    """Success probability of one discrimination stage as a function of q1: on
+    floats or arrays, or on ``Fraction``s, which its integer literals keep
+    exact."""
     r2 = r * r
-    if r2 == 0.0:
-        return lambda q: p1 * (1.0 - q) + p2  # orthogonal flags: q2 = 0
-    return lambda q: p1 * (1.0 - q) + p2 * (1.0 - r2 / q)
+    if r2 == 0:
+        return lambda q: p1 * (1 - q) + p2  # orthogonal flags: q2 = 0
+    return lambda q: p1 * (1 - q) + p2 * (1 - r2 / q)
 
 
 def _grid_max_stage(p1: float, p2: float, r: float) -> tuple[float, float]:
@@ -110,7 +125,9 @@ def _joint_factors(q1b, q2b, q1c, q2c, p1, p2, out=(None,) * 4):
 
 
 def _union_term(q1b, q2b, q1c, q2c, p1, p2):
-    return p1 * (1.0 - q1b * q1c) + p2 * (1.0 - q2b * q2c)
+    # integer literals, so that Fractions stay exact (floats and arrays round
+    # as with 1.0)
+    return p1 * (1 - q1b * q1c) + p2 * (1 - q2b * q2c)
 
 
 def _union_factors(q1b, q2b, q1c, q2c, p1, p2, out=(None,) * 4):
@@ -287,7 +304,9 @@ def grid_maximize_joint(scenario: Scenario) -> tuple[float, float, float, float]
 
 
 def grid_maximize_union_ssd(scenario: Scenario) -> tuple[float, float, float, float]:
-    """Brute-force maximum of P(at least one succeeds) over (t, q1b, q1c)."""
+    """Brute-force maximum of P(at least one succeeds) over (t, q1b, q1c).
+    ``certify`` bounds the union exactly instead (``_cert_union``); the
+    tests keep this scan as that certificate's cross-check."""
     return _max_3d(scenario, _union_term, _union_factors, bound_chunks=False)
 
 
@@ -379,6 +398,42 @@ def grid_maximize_cloning(scenario: Scenario) -> tuple[float, float, float]:
     return value, g1, g2
 
 
+def _stage_dual_bound(p1: Fraction, p2: Fraction, r: Fraction) -> Fraction:
+    """An upper bound, in rationals, on the stage's optimum at flag overlap r.
+
+    The stage maximizes p1*x1 + p2*x2 over success probabilities with
+    Gamma - diag(x) PSD, Gamma = [[1, r], [r, 1]] (Eldar, IEEE Trans. Inf.
+    Theory 49, 446 (2003)). By weak duality any Z = [[a, -c], [-c, b]] with
+    a >= p1, b >= p2, c >= 0 and c^2 <= a*b bounds it by a + b - 2*r*c. Case I
+    takes (p1, p2, c) with c the 2^-200 multiple just below sqrt(p1*p2); case
+    II takes (r^2*p2, p2, r*p2), which gives p2*(1 - r^2) exactly and is
+    feasible where p1 <= r^2*p2. The bound is the least of the feasible ones.
+    """
+    g = p1 * p2
+    c = Fraction(math.isqrt((g.numerator << 2 * _DUAL_BITS) // g.denominator), 1 << _DUAL_BITS)
+    upper = p1 + p2 - 2 * r * c
+    if p1 <= r * r * p2:
+        upper = min(upper, p2 * (1 - r * r))
+    return upper
+
+
+def stage_certificate(p1, p2, r, q1) -> tuple[Fraction, Fraction]:
+    """(lower, upper) bounds, as ``Fraction``s, on the optimum of one stage at
+    flag overlap r with priors p1 and p2.
+
+    Each argument is a float or a ``Fraction``, taken exactly; a ``Fraction``
+    r keeps an overlap such as Bob's s/t exact. The lower bound is the stage
+    objective at the reported q1, with q2 = r^2/q1 (0 where r = 0), and uses
+    nothing of the closed form's value; the upper bound is
+    ``_stage_dual_bound``'s. A q1 outside [r^2, 1] is no feasible point, so it
+    bounds nothing and is a ``ConstraintError``.
+    """
+    p1, p2, r, q1 = (Fraction(x) for x in (p1, p2, r, q1))
+    if not r * r <= q1 <= 1:
+        raise ConstraintError(f"q1={float(q1)!r} outside [r^2, 1] for r={float(r)!r}")
+    return _stage_objective(p1, p2, r)(q1), _stage_dual_bound(p1, p2, r)
+
+
 @dataclass(frozen=True)
 class CertificationRow:
     """Worst closed-form-vs-oracle gap for one quantity over the grid."""
@@ -421,12 +476,38 @@ def _cert_cloning(sc: Scenario) -> dict[str, float]:
     }
 
 
+def _cert_union(sc: Scenario) -> dict[str, float]:
+    """The union's value against exact bounds on its optimum: max(|v - L|,
+    |v - U|), which bounds |v - optimum| wherever L <= U.
+
+    L is ``_union_term`` in rationals at the closed form's argmax (t, q1b,
+    q1c) = (1, q1_product, 1): at t = 1 Bob's overlap is s, so q2b =
+    s^2/q1b, and Charlie's is 1, so q2c = 1. Every feasible (t, q1b, q1c) has
+    Q1*Q2 = s^2 with Q1 = q1b*q1c in [s^2, 1], so the union's optimum is the
+    stage's at r = s, and U is that stage's dual bound. An argmax outside
+    [s^2, 1], or L > U, is an infinite gap.
+    """
+    result = at_least_one_ssd(sc)
+    p1, p2, s, q1b = (Fraction(x) for x in (sc.p1, sc.p2, sc.s, result.argmax["q1_product"]))
+    if not s * s <= q1b <= 1:
+        return {"at_least_one_ssd": math.inf}
+    lower = _union_term(q1b, s * s / q1b if q1b else 0, 1, 1, p1, p2)
+    upper = _stage_dual_bound(p1, p2, s)
+    v = Fraction(result.value)
+    gap = float(max(abs(v - lower), abs(v - upper))) if lower <= upper else math.inf
+    return {"at_least_one_ssd": gap}
+
+
 # Each certifier maps a scenario to the gaps of every quantity it covers, and
 # is listed under each of their names. The lambdas look each oracle up when
 # called, so a rebound module name (such as the benchmark's tracer installs)
 # is seen. Protocol 1 is Bob's stage at t = 1, where his overlap s/t is s
 # itself. The two cloning combinations are written here apart from
-# protocols', so that a slip in either shows as a gap.
+# protocols', so that a slip in either shows as a gap. The union reduces to
+# protocol (1) by Q1*Q2 = s^2, and ``_cert_union`` bounds its optimum exactly
+# from both sides: L at the closed form's argmax, U from the stage's dual
+# point at r = s. The tests keep ``grid_maximize_union_ssd`` as its
+# brute-force cross-check.
 _CERTIFIERS: dict[str, Callable[[Scenario], dict[str, float]]] = {
     "bob": lambda sc: {"bob": _cert_stage(sc, bob_optimal, grid_maximize_bob)},
     "charlie": lambda sc: {"charlie": _cert_stage(sc, charlie_optimal, grid_maximize_charlie)},
@@ -437,9 +518,7 @@ _CERTIFIERS: dict[str, Callable[[Scenario], dict[str, float]]] = {
     "protocol2": lambda sc: {"protocol2": _cert_gap(sc, protocol2_optimal, grid_maximize_protocol2)},
     "protocol3": _cert_cloning,
     "at_least_one_p3": _cert_cloning,
-    "at_least_one_ssd": lambda sc: {
-        "at_least_one_ssd": _cert_gap(sc, at_least_one_ssd, grid_maximize_union_ssd)
-    },
+    "at_least_one_ssd": _cert_union,
 }
 
 

@@ -100,7 +100,11 @@ def test_criterion_2_symmetry_breaking_threshold():
 # only to about 1e-8 in their argument, so where a refinement lands moves
 # their gaps (protocol2 2.6680e-9 -> 2.7318e-9; protocol3 3.0624e-9 at
 # (0.36, 0.2) -> 2.6396e-9 at (0.1716, 0.05); at_least_one_p3 1.3172e-9 at
-# (0.6, 0.2) -> 9.5568e-10 at (0.6, 0.4)).
+# (0.6, 0.2) -> 9.5568e-10 at (0.6, 0.4)). The at_least_one_ssd row was
+# re-recorded when its certifier gave way from the (t, q1b, q1c) grid scan
+# (2.2204e-16 at (0.1716, 0.2)) to the exact bounds of
+# ``oracle._cert_union``, whose gap bounds the closed form's distance from
+# the optimum itself (1.4033e-16 at (0.6, 0.1)).
 _CERTIFIED_ROWS = {
     "bob": (2.220446049250313e-16, (0.04, 0.4)),
     "charlie": (1.1102230246251565e-16, (0.04, 0.05)),
@@ -109,7 +113,7 @@ _CERTIFIED_ROWS = {
     "protocol2": (2.7318025619393893e-09, (0.36, 0.2)),
     "protocol3": (2.639618412736411e-09, (0.1716, 0.05)),
     "at_least_one_p3": (9.556787583520077e-10, (0.6, 0.4)),
-    "at_least_one_ssd": (2.220446049250313e-16, (0.1716, 0.2)),
+    "at_least_one_ssd": (1.403321903126198e-16, (0.6, 0.1)),
 }
 
 

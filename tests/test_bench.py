@@ -1,4 +1,6 @@
+import dataclasses
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -25,3 +27,38 @@ def test_median_ratio_is_the_mean_of_the_two_orders():
     assert ratios["median"] == round(0.5 * (1.2 + 1.0 / 1.2), 4)
     assert len(ratios["per_round"]) == 8
 
+
+
+@pytest.fixture(scope="module")
+def parent():
+    """This tree's package loaded a second time, as ``--parent`` loads one."""
+    return bench.load_parent(str(_PATH.parents[1]))
+
+
+def _shifted_summary(summary):
+    """A trial summary with one more error declaration than ``summary``."""
+    return type(summary)(summary.n_trials, summary.seed, summary.counts, summary.error_count + 1)
+
+
+@pytest.mark.parametrize("differs", [None, "report", "trials", "tally"])
+def test_parent_check_compares_reports_and_counts(monkeypatch, parent, differs):
+    # the tally runs at seed 0, each of the CASES at its own seed
+    monkeypatch.setattr(bench, "N_TRIALS", 1000)
+    report, run = parent.correlation_report, parent.run_ssd_trials
+    if differs == "report":
+        monkeypatch.setattr(
+            parent, "correlation_report",
+            lambda inp: dataclasses.replace(report(inp), d_symm=math.nextafter(report(inp).d_symm, 1.0)),
+        )
+    elif differs is not None:
+        def run_ssd_trials(sc, t, q1b, q1c, n, seed):
+            summary = run(sc, t, q1b, q1c, n, seed)
+            return _shifted_summary(summary) if (seed == 0) == (differs == "tally") else summary
+
+        monkeypatch.setattr(parent, "run_ssd_trials", run_ssd_trials)
+    if differs is None:
+        bench.check_same_output(bench.seqdisc, parent)
+    else:
+        name = {"report": "correlation_report", "trials": "run_ssd_trials", "tally": "tally"}[differs]
+        with pytest.raises(RuntimeError, match=f"^{name}\\(.*the two trees differ"):
+            bench.check_same_output(bench.seqdisc, parent)

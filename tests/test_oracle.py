@@ -13,9 +13,12 @@ from seqdisc import (
     CERT_S_VALUES,
     SYMMETRY_BREAK_OVERLAP,
     CaseLabel,
+    ConstraintError,
     DomainError,
     Scenario,
+    at_least_one_ssd,
     certify,
+    charlie_optimal,
     critical_prior_PC,
     grid_maximize_bob,
     grid_maximize_charlie,
@@ -23,6 +26,7 @@ from seqdisc import (
     grid_maximize_joint,
     grid_maximize_protocol2,
     grid_maximize_union_ssd,
+    protocol1_optimal,
     protocol2_critical_priors,
     protocol2_optimal,
 )
@@ -39,7 +43,10 @@ from seqdisc.oracle import (
     _max_3d,
     _union_factors,
     _union_term,
+    stage_certificate,
 )
+from seqdisc.protocols import protocol1_optimal_values
+from seqdisc.sweeps import _P1_GRID
 
 class TestCertifyTolerance:
     def test_default_tolerance(self):
@@ -771,3 +778,188 @@ class TestCertify:
         assert [row.quantity for row in rows] == names
         for row in rows:
             assert row == certify([row.quantity], (0.36,), (0.2, 0.5))[0]
+
+
+def _ulps_outside(value, lower, upper):
+    """How far a float lies outside [lower, upper], in its own ulps."""
+    v = Fraction(value)
+    return float(max(lower - v, v - upper, 0) / Fraction(math.ulp(value)))
+
+
+def _union_bounds(sc):
+    """The union certificate's (lower, upper) at the closed form's argmax:
+    ``_union_term`` at (t, q1b, q1c) = (1, q1_product, 1) and the stage's dual
+    bound at r = s, as ``oracle._cert_union`` forms them."""
+    p1, p2, s = Fraction(sc.p1), Fraction(sc.p2), Fraction(sc.s)
+    q1b = Fraction(at_least_one_ssd(sc).argmax["q1_product"])
+    lower = _union_term(q1b, s * s / q1b if q1b else 0, 1, 1, p1, p2)
+    return lower, oracle_module._stage_dual_bound(p1, p2, s)
+
+
+def _union_scenarios():
+    """328 seeded scenarios: the ends s = 0 and 1, s = 1e-12 and 1 - 1e-9 at
+    equal, generic, tiny and subnormal priors and at the case boundary
+    s^2/(1+s^2) and within 1e-12 relative of it (less the one above 1/2);
+    then 60 each at p1 = 1/2, within 1e-12 relative of the boundary, at
+    p1 <= 1e-12 with s down to 1e-15, with 1 - s down to 1e-16, and
+    uniform."""
+    out = []
+    for s in (0.0, 1.0, 1e-12, 1.0 - 1e-9):
+        out += [(s, p1) for p1 in (0.5, 0.3, 1e-12, 1e-300, 5e-324)]
+        if s > 0.0:
+            out += [(s, s * s / (1.0 + s * s) * (1.0 + e)) for e in (-1e-12, 0.0, 1e-12)]
+    rng = np.random.default_rng(4141)
+    s = rng.uniform(0.0, 1.0, 120)
+    out += [(x, 0.5) for x in s[:60]]
+    out += [(x, x * x / (1.0 + x * x) * (1.0 + e)) for x, e in zip(s[60:], rng.uniform(-1e-12, 1e-12, 60))]
+    tiny = np.exp(rng.uniform(math.log(1e-15), 0.0, 60))
+    out += list(zip(tiny, np.exp(rng.uniform(math.log(1e-300), math.log(1e-12), 60))))
+    out += list(zip(1.0 - np.exp(rng.uniform(math.log(1e-16), math.log(0.1), 60)), rng.uniform(1e-6, 0.5, 60)))
+    out += list(zip(rng.uniform(0.0, 1.0, 60), rng.uniform(1e-6, 0.5, 60)))
+    return [(float(s), float(p1)) for s, p1 in out if p1 <= 0.5]
+
+
+_UNION_SCENARIOS = _union_scenarios()
+
+
+class TestStageCertificate:
+    """``stage_certificate``'s exact bounds hold protocol (1) at r = s and
+    Charlie at r = t within a pinned number of ulps: the closed forms read at
+    most 1.264 ulps outside [L, U] on the 5x6 grid (both), and 1.0002 on
+    figure 4's P1_max column."""
+
+    @pytest.mark.parametrize("s,p1", _CERT_GRID)
+    def test_protocol1_and_charlie_on_the_certification_grid(self, s, p1):
+        sc = Scenario(s, p1)
+        cells = [(protocol1_optimal(sc), s, "q1b")]
+        cells += [(charlie_optimal(sc, t), t, "q1c") for t in (math.sqrt(s), 0.5 * (1.0 + s))]
+        for result, r, name in cells:
+            lower, upper = stage_certificate(sc.p1, sc.p2, r, result.argmax[name])
+            assert lower <= upper
+            assert _ulps_outside(result.value, lower, upper) <= 1.3, (r, name)
+
+    def test_figure_4_protocol1_column(self):
+        s = np.full(_P1_GRID.shape, 0.04)
+        for p1, lane in zip(_P1_GRID.tolist(), protocol1_optimal_values(s, _P1_GRID).tolist()):
+            sc = Scenario(0.04, p1)
+            result = protocol1_optimal(sc)
+            assert result.value == lane
+            lower, upper = stage_certificate(sc.p1, sc.p2, 0.04, result.argmax["q1b"])
+            assert _ulps_outside(result.value, lower, upper) <= 1.01, p1
+
+    def test_bounds_are_rationals_and_take_a_rational_overlap(self):
+        # Bob's r = s/t kept exact: 3/7 has no float
+        lower, upper = stage_certificate(0.2, 0.8, Fraction(3, 7), 0.5)
+        r2 = Fraction(9, 49)
+        assert lower == Fraction(0.2) * Fraction(1, 2) + Fraction(0.8) * (1 - 2 * r2)
+        assert isinstance(upper, Fraction) and lower <= upper
+
+    def test_case_ii_dual_point_is_the_boundary_value(self):
+        # p1 <= r^2*p2: the optimum p2*(1 - r^2) at q1 = 1 is met from both sides
+        lower, upper = stage_certificate(0.1, 0.9, 0.5, 1.0)
+        assert lower == upper == Fraction(0.9) * (1 - Fraction(1, 4))
+
+    def test_orthogonal_flags(self):
+        # r = 0: q2 = 0 and the stage succeeds surely at q1 = 0
+        assert stage_certificate(0.3, 0.7, 0.0, 0.0) == (Fraction(0.3) + Fraction(0.7),) * 2
+
+    @pytest.mark.parametrize("q1", [0.2, 1.0 + 2**-52, 0.0])
+    def test_infeasible_argmax_is_rejected(self, q1):
+        # below r^2 = 0.25, above 1, and q1 = 0 at r > 0
+        with pytest.raises(ConstraintError, match="outside \\[r\\^2, 1\\]"):
+            stage_certificate(0.3, 0.7, 0.5, q1)
+
+    @pytest.mark.parametrize("objective", ["stage", "union"])
+    def test_objectives_on_floats_arrays_and_rationals(self, objective):
+        # integer literals: bit for bit with 1.0 on floats and arrays, exact on Fractions
+        p1, p2, r, q = 0.3, 0.7, 0.36, np.linspace(0.1296, 1.0, 101)
+        if objective == "stage":
+            f, ref = oracle_module._stage_objective(p1, p2, r), lambda q: p1 * (1.0 - q) + p2 * (1.0 - r * r / q)
+        else:
+            f = lambda q: _union_term(q, r * r / q, 0.9, 1.0 / 0.9, p1, p2)
+            ref = lambda q: p1 * (1.0 - q * 0.9) + p2 * (1.0 - (r * r / q) * (1.0 / 0.9))
+        assert np.array_equal(f(q), ref(q))
+        assert [f(x) for x in q.tolist()] == ref(q).tolist()
+        p1, p2, half = Fraction(1, 4), Fraction(3, 4), Fraction(1, 2)
+        if objective == "stage":
+            exact = oracle_module._stage_objective(p1, p2, half)(half)
+        else:
+            exact = _union_term(half, half, 1, 1, p1, p2)
+        assert exact == p1 * half + p2 * half
+
+
+class TestUnionCertificate:
+    """The union row from exact bounds: L = ``_union_term`` at the closed
+    form's argmax, U = the stage's dual bound at r = s."""
+
+    @pytest.mark.parametrize("s,p1", _CERT_GRID + _UNION_SCENARIOS)
+    def test_closed_form_within_its_bounds(self, s, p1):
+        # worst read: 1.44 ulps outside [L, U]; the row's gap at most 1.60e-16
+        sc = Scenario(s, p1)
+        lower, upper = _union_bounds(sc)
+        assert lower <= upper
+        # at t = 1 the union term is the stage objective at r = s
+        argmax = at_least_one_ssd(sc).argmax["q1_product"]
+        assert (lower, upper) == stage_certificate(sc.p1, sc.p2, s, argmax)
+        assert _ulps_outside(at_least_one_ssd(sc).value, lower, upper) <= 1.5
+        assert certify(["at_least_one_ssd"], [s], [p1])[0].worst_gap < 1e-15
+
+    def test_seeded_set_covers_the_edges(self):
+        assert len(_UNION_SCENARIOS) >= 300
+        s = {s for s, _ in _UNION_SCENARIOS}
+        assert {0.0, 1.0, 1e-12, 1.0 - 1e-9} <= s
+        assert any(p1 <= 1e-12 for _, p1 in _UNION_SCENARIOS)
+        assert sum(p1 == 0.5 for _, p1 in _UNION_SCENARIOS) >= 60
+
+    def test_figure_5_union_column(self):
+        for p1 in _P1_GRID.tolist():
+            sc = Scenario(0.36, p1)
+            assert _ulps_outside(at_least_one_ssd(sc).value, *_union_bounds(sc)) <= 1.5, p1
+
+    def test_certify_row_runs_no_grid_scan(self, monkeypatch):
+        def scan(sc):
+            raise AssertionError("the union row scanned (t, q1b, q1c)")
+
+        monkeypatch.setattr(oracle_module, "grid_maximize_union_ssd", scan)
+        monkeypatch.setattr(oracle_module, "_max_3d", scan)
+        (row,) = certify(["at_least_one_ssd"], tolerance=1e-15)
+        assert row.passed
+
+    def test_value_off_by_1e_12_fails(self, monkeypatch):
+        def shifted(sc):
+            result = at_least_one_ssd(sc)
+            return type(result)(result.value - 1e-12, result.case_label, result.argmax, result.boundary_prior)
+
+        monkeypatch.setattr(oracle_module, "at_least_one_ssd", shifted)
+        (row,) = certify(["at_least_one_ssd"], tolerance=1e-15)
+        assert not row.passed and 0.9e-12 < row.worst_gap < 1.1e-12
+
+    @pytest.mark.parametrize("q1", [0.5 * 0.04**2, 1.0 + 2**-52], ids=["below_s2", "above_1"])
+    def test_argmax_outside_its_range_fails(self, monkeypatch, q1):
+        def moved(sc):
+            result = at_least_one_ssd(sc)
+            argmax = {**result.argmax, "q1_product": q1}
+            return type(result)(result.value, result.case_label, argmax, result.boundary_prior)
+
+        monkeypatch.setattr(oracle_module, "at_least_one_ssd", moved)
+        (row,) = certify(["at_least_one_ssd"], [0.04], [0.3])
+        assert row.worst_gap == math.inf and not row.passed
+
+    def test_lower_above_upper_fails(self, monkeypatch):
+        monkeypatch.setattr(oracle_module, "_stage_dual_bound", lambda p1, p2, r: Fraction(0))
+        (row,) = certify(["at_least_one_ssd"], [0.36], [0.2])
+        assert row.worst_gap == math.inf and not row.passed
+
+
+class TestUnionScanCrossCheck:
+    """The (t, q1b, q1c) scan stays as the certificate's brute-force
+    cross-check: its maximum is at most U, up to its float rounding (read:
+    0.63 ulps of 1 above), and at least L - 1e-12 (read: 4.7e-14 below)."""
+
+    @pytest.mark.parametrize("s,p1", _CERT_GRID + _seeded_edge_scenarios()[:30])
+    def test_scan_between_the_bounds(self, s, p1):
+        sc = Scenario(s, p1)
+        lower, upper = _union_bounds(sc)
+        value = Fraction(grid_maximize_union_ssd(sc)[0])
+        assert value <= upper + 2 * Fraction(math.ulp(1.0))
+        assert value >= lower - Fraction(1e-12)
