@@ -53,7 +53,7 @@ import seqdisc
 
 #: Scenarios (s, p1) of each oracle op: small, middle and large overlaps.
 ORACLE_SCENARIOS = ((0.04, 0.5), (0.36, 0.2), (0.6, 0.05))
-#: The scenario of the single-quantity certify op.
+#: The scenario of the single-quantity certify ops.
 CERTIFY_SCENARIO = (0.36, 0.2)
 #: (s, p1) of the point queries: generic points, equal priors, a small prior,
 #: s near 1 and the small overlaps 1e-6 and 1e-10.
@@ -168,6 +168,7 @@ def make_ops(package) -> dict:
         "left_discord_measurement_oracle": (_each(discord, inputs), 1),
         "certify": (oracle.certify, 1),
         "certify_protocol3": (lambda: oracle.certify(["protocol3"], *grid), 1),
+        "certify_joint": (lambda: oracle.certify(["joint"], *grid), 1),
     }
 
     point_calls = POINT_LOOPS * len(POINT_SCENARIOS)

@@ -19,7 +19,7 @@ every one-stage maximum (a cloned copy's too) is ``_grid_max_stage``'s; the
 refinement calls the same array objective as its first scan, and every
 scan's points come from ``core._scan_points``.
 ``_max_3d`` gives the (t, q1b, q1c) scan's reasoning: Charlie's
-stationary-point bracket, the chunk bounds, the tie rule and the workspace.
+stationary-point bracket, the block bounds, the tie rule and the workspace.
 ``certify`` compares each closed form with its oracle and flags a gap above
 its ``tolerance``. It runs scenario by scenario, and each certifier it needs
 runs once per scenario for all the quantities it covers: the two cloning
@@ -65,7 +65,7 @@ _JOINT_POINTS = 301
 _REFINE_POINTS = 33
 #: Refinement rounds after every grid scan; each narrows the search window.
 _REFINEMENT_PASSES = 2
-#: A (t, q1b, q1c) chunk is skipped only when its bound plus this slack is
+#: A (t, q1b, q1c) block is skipped only when its bound plus this slack is
 #: below the best value found: values are at most 1 and round by a few ulps.
 _BOUND_SLACK = 1e-12
 
@@ -144,9 +144,18 @@ def _to_unit(lo, q):
     return (q - lo) / (1.0 - lo)
 
 
-#: Float arrays of one (t, q1b, q1c) kernel pass: q1b, q2b, q1c, q2c, the four
-#: factors, the lower and upper bracket values and a product.
-_PASS_FLOATS = 11
+def _blocks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first, middle and last index of each block of ``_REFINE_POINTS``
+    points on an axis of n points."""
+    first = np.arange(0, n, _REFINE_POINTS)
+    last = np.minimum(first + _REFINE_POINTS, n) - 1
+    return first, np.minimum(first + _REFINE_POINTS // 2, last), last
+
+
+#: Float arrays of one (t, q1b, q1c) kernel pass, per (row, point): q1b, q2b
+#: and Bob's two factors, then q1c, q2c, the row value and a product at each
+#: of the two bracket points.
+_PASS_FLOATS = 12
 
 
 def _max_3d(
@@ -155,42 +164,45 @@ def _max_3d(
     """Maximize a two-stage objective over (t, q1b, q1c) with local refinement.
 
     q1b ranges over [(s/t)^2, 1] and q1c over [t^2, 1]; both are parametrized
-    by normalized coordinates in [0, 1] so the search box is rectangular.
+    by coordinates u and v in [0, 1] so the search box is rectangular.
 
     At fixed t the objective is a1*b1 + a2*b2, Bob's ``factors`` a = (a1, a2)
-    against Charlie's b = (b1, b2). Along each Bob row it is a concave
+    against Charlie's b = (b1, b2). Along each Bob row (t, u) it is a concave
     function of q1c (a1*(1 - q1c) + a2*(1 - t^2/q1c) with a >= 0, or
     a1*q1c + a2*t^2/q1c with a <= 0), whose continuous maximum is at
-    q1c* = t*sqrt(a2/a1). q1c is linear in the grid coordinate, so the row's
-    grid maximum is one of the two grid points that bracket q1c*; the later
-    one wins only when strictly higher, which keeps the row's first maximum.
-    A q1c* off the grid (or NaN, at t = 1 or a1 = 0) is clamped to an end
-    bracket. Each slice's best row is re-evaluated with ``term`` itself.
+    q1c* = t*sqrt(a2/a1). q1c is linear in v, so the row's grid maximum is
+    one of the two grid points that bracket q1c*; the upper one wins only
+    when strictly higher, which keeps the row's first maximum. A q1c* off
+    the grid (or NaN, at t = 1 or a1 = 0) is clamped to an end bracket.
+    Charlie's q1c, q2c and factors are formed at those two points alone, by
+    a grid row's arithmetic. Each slice's first highest row is re-evaluated
+    with ``term`` itself.
 
-    The t-slices are taken ``_REFINE_POINTS`` at a time. With
-    ``bound_chunks``, a chunk is skipped when a bound shows it cannot hold
-    the maximum. At fixed grid coordinates (u, v), Bob's q1b and q2b fall as
-    t rises (r = s/t falls) and Charlie's q1c and q2c rise, so Bob's factors
-    rise with t and Charlie's fall (joint: 1 - q1c, 1 - q2c) or rise against
-    a nonpositive a (union). A row with Bob at a chunk's last t and Charlie
-    at its first is therefore at least every slice of the chunk at each
-    (u, v); it is still concave in q1c about t_C*sqrt(a2/a1), so the same
-    bracket gives its maximum. All chunks' bound rows take one kernel pass;
-    the chunks are then evaluated in order of falling bound until a bound
-    plus ``_BOUND_SLACK`` falls below the best value found. A chunk replaces
-    the best when its value is strictly higher, or equal and earlier in t,
-    so the first highest slice wins, as in a scan of every slice. Skipping
-    is exact, so a scan without bounds gives the same tuple: the union takes
-    it, since its value depends on q1b*q1c alone (q2b*q2c = s^2/(q1b*q1c))
-    and every slice reaches the same range [s^2, 1] of that product, so no
-    bound falls below the best and the bound pass would be wasted.
+    The t-slices are taken ``_REFINE_POINTS`` at a time, and so are the u
+    points. With ``bound_chunks``, a block of one t-chunk by one u-block is
+    skipped when a bound shows it cannot hold the maximum. At fixed (u, v),
+    Bob's q1b and q2b fall as t rises (r = s/t falls) and Charlie's q1c and
+    q2c rise, so Bob's factors rise with t and Charlie's fall (joint) or rise
+    against a nonpositive a (union). At fixed t, q1b rises with u and
+    q2b = r^2/q1b falls, so a1 falls in u and a2 rises. A row with a1 at the
+    block's first u and a2 at its last, both at its last t, and Charlie at
+    its first t is therefore at least every (t, u) row of the block at each
+    v; its bracket maximum, through ``term``, is the block's bound. One pass
+    takes every bound and two real rows per block, at its first and middle
+    (t, u), whose best value is a bar. The chunks are then evaluated in
+    order of falling bound, each over the u points of its blocks whose bound
+    plus ``_BOUND_SLACK`` reaches the bar or the best value found, until
+    none does. A slice's kept rows are one row set in u order, and a chunk
+    replaces the best when strictly higher, or equal and earlier in t, so
+    the first highest slice and row win. Every row within the slack of the
+    maximum is in a kept block, so a scan without bounds gives the same
+    tuple. The union takes that scan: its value depends on q1b*q1c alone
+    (q2b*q2c = s^2/(q1b*q1c)), every slice reaches the same range [s^2, 1]
+    of that product, and no bound could skip a block.
 
     Every pass writes its arrays with ``out=`` into one float64 block and one
     intp block, allocated once per call and cut into C-contiguous (rows,
-    points) views for each pass. Arrays made afresh each pass are freed and
-    given back to the system between calls, and each call would fault its
-    working set back in. The upper bracket point's gathers read the flat
-    arrays one element further on, so they take the lower point's indices.
+    points) views, so that repeated calls fault no working set back in.
     """
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
     t_lo_global = max(s, 1e-9)
@@ -199,74 +211,82 @@ def _max_3d(
     floats = np.empty(_PASS_FLOATS * n_cells)
     ints = np.empty(n_cells, dtype=np.intp)
 
-    def rows_max(t_b: np.ndarray, t_c: np.ndarray, us: np.ndarray, vs: np.ndarray):
-        """Each row's (value, q1b, q1c) at its grid maximum over ``us`` x ``vs``,
-        with Bob at the row's t_b and Charlie at its t_c (columns); us and vs
-        have one length."""
-        n_v = len(vs)
-        rows = np.arange(len(t_b))
-        q1b, q2b, q1c, q2c, a1, a2, b1, b2, lower, upper, prod = floats[
-            : _PASS_FLOATS * len(t_b) * n_v
-        ].reshape(_PASS_FLOATS, len(t_b), n_v)
-        at = ints[: len(t_b) * n_v].reshape(len(t_b), n_v)
+    def rows_max(t_b, t_c, u_a1, u_a2, vs, per_row: bool):
+        """The (value, q1b, q1c) of each row's first highest (u, v) point
+        (``per_row``), or of each (row, u)'s highest v point: Bob's a1 at
+        ``u_a1`` and a2 at ``u_a2`` (one array, but for a block's bound), both
+        at the row's t_b, and Charlie at its t_c (columns)."""
+        shape = (len(t_b), u_a1.shape[-1])
+        cells = shape[0] * shape[1]
+        q1b, q2b, a1, a2 = floats[: 4 * cells].reshape(4, *shape)
+        q1c, q2c, value, prod = floats[4 * cells : _PASS_FLOATS * cells].reshape(4, 2, *shape)
+        at = ints[:cells].reshape(shape)
         r2 = (s / t_b) ** 2
         t2 = t_c * t_c
         span_c = 1.0 - t2
-        np.multiply(us, 1.0 - r2, out=q1b)
+        np.multiply(u_a1, 1.0 - r2, out=q1b)
         q1b += r2
-        np.multiply(vs, span_c, out=q1c)
-        q1c += t2
-        if r2.all():  # then q1b >= r2 > 0
-            np.divide(r2, q1b, out=q2b)
-        else:
-            q2b.fill(1.0)
-            np.divide(r2, q1b, out=q2b, where=q1b > 0.0)
-        np.divide(t2, q1c, out=q2c)
-        (a1, a2), (b1, b2) = factors(q1b, q2b, q1c, q2c, p1, p2, (a1, a2, b1, b2))
-        # the grid coordinate of q1c* = t*sqrt(a2/a1), clamped to a lower
-        # bracket point (the cast floors it) and made a flat index
-        j = lower
+        if u_a2 is not u_a1:  # q2b holds q1b at u_a2 until it is divided
+            np.multiply(u_a2, 1.0 - r2, out=q2b)
+            q2b += r2
+        j = prod[0]
         with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(r2, q1b if u_a2 is u_a1 else q2b, out=q2b)
+            if not r2.all():  # 0/0 at s = 0, u = 0 is taken as 1; else q2b <= 1
+                np.fmin(q2b, 1.0, out=q2b)
+            # Bob's factors alone: Charlie's points depend on them
+            (a1, a2), _ = factors(q1b, q2b, 0.0, 0.0, p1, p2, (a1, a2, None, None))
+            # the grid coordinate of q1c* = t*sqrt(a2/a1), clamped to a lower
+            # bracket point (the cast floors it)
             np.divide(a2, a1, out=j)
             np.sqrt(j, out=j)
-            j *= t_c
-            j -= t2
-            j /= span_c
-        j -= vs[0]
-        j *= (n_v - 1) / (vs[-1] - vs[0])
+            scale = (len(vs) - 1) / (vs[-1] - vs[0])
+            j *= t_c / span_c * scale
+            j -= (t2 / span_c + vs[0]) * scale
         np.fmax(j, 0.0, out=j)
-        np.fmin(j, n_v - 2, out=j)
+        np.fmin(j, len(vs) - 2, out=j)
         np.copyto(at, j, casting="unsafe")
-        at += n_v * rows[:, None]
-        # each bracket point's row value a1*b1 + a2*b2; the upper point's
-        # gathers read the flat arrays one element on
-        for value, shift in ((lower, 0), (upper, 1)):
-            np.take(b1.reshape(-1)[shift:], at, out=value, mode="clip")
-            value *= a1
-            np.take(b2.reshape(-1)[shift:], at, out=prod, mode="clip")
-            prod *= a2
-            value += prod
-        at += upper > lower
-        ib = np.argmax(np.maximum(lower, upper, out=lower), axis=1)
-        ic = at[rows, ib] - n_v * rows
-        q1b, q1c = q1b[rows, ib], q1c[rows, ic]
-        return term(q1b, q2b[rows, ib], q1c, q2c[rows, ic], p1, p2), q1b, q1c
+        np.take(vs, at, out=q1c[0], mode="clip")
+        np.take(vs[1:], at, out=q1c[1], mode="clip")
+        q1c *= span_c
+        q1c += t2
+        np.divide(t2, q1c, out=q2c)
+        _, (b1, b2) = factors(0.0, 0.0, q1c, q2c, p1, p2, (None, None, value, prod))
+        # each bracket point's row value a1*b1 + a2*b2, where b1 and b2 are
+        # value and prod, or q1c and q2c
+        np.multiply(b1, a1, out=value)
+        value += np.multiply(b2, a2, out=prod)
+        upper = np.greater(value[1], value[0], out=at)  # 1 where strictly higher
+        best = np.maximum(value[0], value[1], out=value[0])
+        rows = np.arange(shape[0])
+        i = (rows, np.argmax(best, axis=1)) if per_row else (rows[:, None], np.arange(shape[1]))
+        pick = (upper[i], *i)
+        q1b, q2b, q1c, q2c = q1b[i], q2b[i], q1c[pick], q2c[pick]
+        return term(q1b, q2b, q1c, q2c, p1, p2), q1b, q1c
 
     def evaluate(ts: np.ndarray, us: np.ndarray, vs: np.ndarray):
-        """The scan of ``ts`` x ``us`` x ``vs``, chunk by chunk."""
-        starts = np.arange(0, len(ts), _REFINE_POINTS)
-        stops = np.minimum(starts + _REFINE_POINTS, len(ts))
-        if bound_chunks and len(starts) > 1:
-            bounds = rows_max(ts[stops - 1, None], ts[starts, None], us, vs)[0]
-            order = np.argsort(-bounds, kind="stable").tolist()
+        """The scan of ``ts`` x ``us`` x ``vs``, block by block."""
+        (t0, tm, t1), (u0, um, u1) = _blocks(len(ts)), _blocks(len(us))
+        bar = -1.0
+        if bound_chunks and len(t0) * len(u0) > 1:
+            # each block's bound row, then its real rows at its first and
+            # middle (t, u), whose best value is a bar for the bounds
+            t_b, t_c = ts[np.r_[t1, t0, tm], None], ts[np.r_[t0, t0, tm], None]
+            u_a1 = np.repeat(us[[u0, u0, um]], len(t0), 0)
+            u_a2 = np.repeat(us[[u1, u0, um]], len(t0), 0)
+            values = rows_max(t_b, t_c, u_a1, u_a2, vs, False)[0].reshape(3, len(t0), len(u0))
+            bounds, bar = values[0], float(values[1:].max())
         else:
-            bounds, order = np.full(len(starts), np.inf), range(len(starts))
+            bounds = np.full((len(t0), len(u0)), np.inf)
         best, best_k = (-1.0, 0.0, 0.0, 0.0), -1
-        for k in order:
-            if bounds[k] + _BOUND_SLACK < best[0]:
+        for k in np.argsort(-bounds.max(axis=1), kind="stable").tolist():
+            keep = ~(bounds[k] + _BOUND_SLACK < max(bar, best[0]))
+            if not keep.any():
                 break
-            t = ts[starts[k] : stops[k], None]
-            vals, q1b, q1c = rows_max(t, t, us, vs)
+            # the slices of chunk k over the u points of its kept blocks
+            t = ts[t0[k] : t1[k] + 1, None]
+            u = us if keep.all() else us[np.repeat(keep, u1 - u0 + 1)]
+            vals, q1b, q1c = rows_max(t, t, u, u, vs, True)
             i = int(np.argmax(vals))
             if vals[i] > best[0] or (vals[i] == best[0] and k < best_k):
                 best, best_k = (float(vals[i]), float(t[i, 0]), float(q1b[i]), float(q1c[i])), k
@@ -297,9 +317,9 @@ def _max_3d(
 
 def grid_maximize_joint(scenario: Scenario) -> tuple[float, float, float, float]:
     """Brute-force maximum of the joint success over (t, q1b, q1c) on a grid
-    of 301 points per axis before refinement; each t-slice's exact grid
-    maximum takes all 301 Bob rows, each at the two q1c grid points that
-    bracket Charlie's stationary point, not all 301^2 points."""
+    of 301 points per axis before refinement; each Bob row is evaluated at
+    the two q1c grid points that bracket Charlie's stationary point, and only
+    in the (t, q1b) blocks whose bound can reach the maximum."""
     return _max_3d(scenario, _joint_term, _joint_factors, bound_chunks=True)
 
 
@@ -556,6 +576,8 @@ def certify(
             sc = Scenario(s, p1)
             for fn in certifiers:
                 for name, gap in fn(sc).items():
-                    if name in worst and gap > worst[name][0]:
+                    # a NaN gap fails every comparison: it ranks above any number
+                    rank = (math.isnan(gap), gap)
+                    if name in worst and rank > (math.isnan(worst[name][0]), worst[name][0]):
                         worst[name] = (gap, (s, p1))
     return [CertificationRow(name, *worst[name], tolerance) for name in names]

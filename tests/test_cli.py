@@ -8,6 +8,7 @@ from seqdisc import (
     TrialSummary,
     at_least_one_protocol3,
     cli,
+    oracle,
     protocol3_optimal,
     protocols,
 )
@@ -382,6 +383,12 @@ class TestVerify:
         code = main(["verify", "--quantity", "joint", "--tolerance", "1e-12"])
         assert code == 5
         assert "FAIL" in capsys.readouterr().out
+
+    def test_nan_gap_fails_and_exits_5(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "grid_maximize_joint", lambda sc: (float("nan"), 0.5, 0.5, 0.5))
+        assert main(["verify", "--quantity", "joint"]) == 5
+        (row,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("joint ")]
+        assert row.split()[1] == "nan" and row.endswith(" FAIL")
 
     def test_prints_elapsed_time(self, capsys):
         assert main(["verify", "--quantity", "protocol1,bob"]) == 0

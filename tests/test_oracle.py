@@ -79,6 +79,23 @@ class TestCertifyTolerance:
         with pytest.raises(DomainError, match="at least one quantity"):
             certify([], [0.2], [0.3])
 
+    @pytest.mark.parametrize("nan_at", [0, 1, 2], ids=["first", "middle", "last"])
+    def test_nan_gap_fails_its_row(self, monkeypatch, nan_at):
+        # a NaN gap failed `gap > worst`, so the row passed at worst_gap -1
+        # and (nan, nan); it is now the row's worst gap, the first one kept
+        s_values = (0.04, 0.36, 0.6)
+        real = oracle_module.grid_maximize_joint
+
+        def stub(sc):
+            value, *argmax = real(sc)
+            return (math.nan if sc.s == s_values[nan_at] else value, *argmax)
+
+        monkeypatch.setattr(oracle_module, "grid_maximize_joint", stub)
+        joint, bob = certify(["joint", "bob"], s_values, (0.3,))
+        assert math.isnan(joint.worst_gap) and joint.worst_scenario == (s_values[nan_at], 0.3)
+        assert not joint.passed
+        assert bob.passed
+
     def test_rejects_repeated_quantity(self):
         # a repeated name used to give two identical rows, which hides a
         # doubled row from a count of the rows
@@ -533,6 +550,14 @@ def _pc_tie_scenarios():
     return ties + [(1e-9, 0.5), (1e-12, 0.5)]
 
 
+def _workload_scenarios():
+    # 12 seeded draws from the certify benchmark's range, then p1 = 1/2 at
+    # s = 0.1716 and 0.2, where the joint scan keeps its most blocks
+    rng = np.random.default_rng(4242)
+    draws = zip(rng.uniform(0.002, 0.98, 12).tolist(), rng.uniform(0.02, 0.5, 12).tolist())
+    return list(draws) + [(0.1716, 0.5), (0.2, 0.5)]
+
+
 log_uniform_scenarios = st.builds(
     Scenario,
     s=st.floats(min_value=1e-10, max_value=0.999),
@@ -565,6 +590,13 @@ class TestChainSearch:
     @pytest.mark.parametrize("s,p1", _pc_tie_scenarios())
     def test_two_basins_and_tiny_overlaps(self, oracle, term, factors, s, p1):
         # where a wrongly skipped chunk of t-slices would hide the first maximum
+        sc = Scenario(s, p1)
+        assert oracle(sc) == _max_3d_matmul(sc, term, factors)
+
+    @pytest.mark.parametrize("oracle,term,factors", _CHAINS, ids=_SCAN_IDS)
+    @pytest.mark.parametrize("s,p1", _workload_scenarios())
+    def test_certify_workload_draws_and_widest_blocks(self, oracle, term, factors, s, p1):
+        # the last two keep the most blocks of the first scan
         sc = Scenario(s, p1)
         assert oracle(sc) == _max_3d_matmul(sc, term, factors)
 
@@ -625,11 +657,21 @@ def _recording(fn, calls):
     return wrapped
 
 
-def _first_scan_slice_maxima(scenario, term, factors):
-    """Each t-slice's grid maximum in the oracle's first scan, as
-    ``_max_3d_matmul`` finds it: its ``term`` is called once per slice."""
+def _first_scan_row_maxima(scenario, term, factors):
+    """Each (t, u) row's grid maximum over q1c in the oracle's first scan, as
+    a (t, u) array: ``term`` at the row's first highest point of the rank-2
+    product, on ``_reference_max_3d``'s grid."""
+    p1, p2 = scenario.p1, scenario.p2
     found = []
-    _max_3d_matmul(scenario, _recording(term, found), factors)
+
+    def slice_best(q1b, q2b, q1c, q2c):
+        bob, charlie = factors(q1b, q2b, q1c, q2c, p1, p2)
+        ic = np.argmax(np.matmul(np.stack(bob, axis=1), np.stack(charlie)), axis=1)
+        found.append(term(q1b, q2b, q1c[ic], q2c[ic], p1, p2))
+        ib = int(np.argmax(found[-1]))
+        return float(found[-1][ib]), ib, int(ic[ib])
+
+    _reference_max_3d(scenario, slice_best)
     return np.array(found[:_JOINT_POINTS], dtype=float)
 
 
@@ -637,9 +679,10 @@ _N_CHUNKS = -(-_JOINT_POINTS // _REFINE_POINTS)
 
 
 class TestChunkBounds:
-    """The first scan skips a chunk of ``_REFINE_POINTS`` t-slices when its
-    bound row (Bob at the chunk's last t, Charlie at its first) plus
-    ``_BOUND_SLACK`` is below the best value found."""
+    """The first scan skips a block of ``_REFINE_POINTS`` t-slices by
+    ``_REFINE_POINTS`` u points when its bound row (Bob's a1 at the block's
+    first u and a2 at its last, both at its last t, and Charlie at its first
+    t) plus ``_BOUND_SLACK`` is below the best value found."""
 
     @pytest.mark.parametrize("oracle,term,factors", _CHAINS, ids=_SCAN_IDS)
     @pytest.mark.parametrize(
@@ -658,20 +701,23 @@ class TestChunkBounds:
             assert len(calls[0]) == _REFINE_POINTS
             assert found == _max_3d_matmul(sc, term, factors)
             return
-        bounds = calls[0]  # the first kernel pass is the bound rows'
-        assert len(bounds) == _N_CHUNKS
-        maxima = _first_scan_slice_maxima(sc, term, factors)
-        for k, bound in enumerate(bounds):
-            chunk = maxima[k * _REFINE_POINTS : (k + 1) * _REFINE_POINTS]
-            assert bound >= chunk.max(), (k, float(bound), float(chunk.max()))
+        # the first kernel pass is the blocks' bounds, (t-chunk, u-block),
+        # then its real rows; both axes have _N_CHUNKS blocks
+        bounds = calls[0][:_N_CHUNKS]
+        assert bounds.shape == (_N_CHUNKS, _N_CHUNKS)
+        maxima = _first_scan_row_maxima(sc, term, factors)
+        for k, m in np.ndindex(bounds.shape):
+            t, u = (slice(i * _REFINE_POINTS, (i + 1) * _REFINE_POINTS) for i in (k, m))
+            assert bounds[k, m] >= maxima[t, u].max(), (k, m, float(bounds[k, m]), float(maxima[t, u].max()))
 
     @pytest.mark.parametrize(
         "oracle,factors,bound_passes,least,most",
-        # the union objective is flat in t, so it runs no bound pass and
-        # evaluates every chunk
+        # (row, u) pairs of the first scan's chunk passes, of 301^2 = 90,601,
+        # where a whole t-chunk is 9,933. The union objective is flat in t,
+        # so it runs no bound pass and evaluates every block.
         [
-            (grid_maximize_joint, _joint_factors, 1, 1, 5),
-            (grid_maximize_union_ssd, _union_factors, 0, _N_CHUNKS, _N_CHUNKS),
+            (grid_maximize_joint, _joint_factors, 1, 7_062, 34_155),
+            (grid_maximize_union_ssd, _union_factors, 0, _JOINT_POINTS**2, _JOINT_POINTS**2),
         ],
         ids=_SCAN_IDS,
     )
@@ -684,8 +730,11 @@ class TestChunkBounds:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(oracle_module, factors.__name__, _recording(factors, calls))
                 oracle(Scenario(s, p1))
-            # less the bound rows' pass, if any, and one pass per refinement
-            evaluated.append(len(calls) - bound_passes - _REFINEMENT_PASSES)
+            # each pass forms Bob's factors on its (rows, u) arrays, then
+            # Charlie's at his bracket points; less the bound pass, if any,
+            # and one pass per refinement
+            bob = [np.size(a1) for (a1, _), _ in calls if np.ndim(a1) == 2]
+            evaluated.append(sum(bob[bound_passes : len(bob) - _REFINEMENT_PASSES]))
         assert least <= min(evaluated) and max(evaluated) <= most, evaluated
 
     @pytest.mark.parametrize("s,p1", _CERT_GRID)
