@@ -116,6 +116,22 @@ def _ssd_columns() -> list:
     return columns
 
 
+def _discord_entropy_lanes() -> list:
+    """The arrays that this tree's discord kernels pass to ``entropy_H_values``
+    over presets 6a-6c, recorded once; a parent's ops take the same arrays."""
+    correlations = seqdisc.correlations
+    entropy, recorded = correlations.entropy_H_values, []
+
+    def record(x):
+        recorded.append(x.copy())
+        return entropy(x)
+
+    with mock.patch.object(correlations, "entropy_H_values", record):
+        for name in ("6a", "6b", "6c"):
+            seqdisc.sweeps.run_figure(name)
+    return recorded
+
+
 def _csv(sweeps, name: str) -> str:
     buf = io.StringIO()
     sweeps.write_csv(*sweeps.run_figure(name), buf)
@@ -195,6 +211,9 @@ def make_ops(package) -> dict:
     def figure(name):
         _csv(sweeps, name)
 
+    def write(table):
+        sweeps.write_csv(*table, io.StringIO())
+
     def kernel(column):
         package.ssd.joint_optimal_values(*column)
 
@@ -203,6 +222,10 @@ def make_ops(package) -> dict:
         ops[f"figure_{name}"] = (_each(figure, [name], SWEEP_LOOPS), SWEEP_LOOPS)
     ops["figure_set"] = (_each(figure, names, SWEEP_LOOPS), SWEEP_LOOPS)
     ops["joint_optimal_values"] = (_each(kernel, _ssd_columns(), SWEEP_LOOPS), SWEEP_LOOPS)
+    entropy_lanes = _discord_entropy_lanes()
+    ops["entropy_H_values"] = (_each(package.core.entropy_H_values, entropy_lanes, SWEEP_LOOPS), SWEEP_LOOPS)
+    tables = [seqdisc.sweeps.run_figure(name) for name in names]
+    ops["write_csv"] = (_each(write, tables, SWEEP_LOOPS), SWEEP_LOOPS)
     return ops
 
 
@@ -337,6 +360,7 @@ def main() -> int:
         # every upper-case constant of this module is an input of the ops
         **{name.lower(): value for name, value in globals().items() if name.isupper()},
         "ssd_column_lanes": sum(s.size for s, _ in _ssd_columns()),
+        "discord_entropy_lanes": sum(x.size for x in _discord_entropy_lanes()),
         "numpy": np.__version__,
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),

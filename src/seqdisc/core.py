@@ -6,7 +6,8 @@ prior probabilities (p1, 1 - p1).  By convention p1 <= 1/2; to treat p1 > 1/2
 relabel the states.  All entropies are in bits (base-2 logarithms), so the
 entropy bound of a single qubit is 1.  The entropy H of a tangle is one body
 on floats and arrays, computed from the smaller eigenvalue, so it keeps its
-relative accuracy down to the smallest tangles.
+relative accuracy down to the smallest tangles; both paths take numpy's
+logarithms, so a float and its lane agree bit for bit.
 
 Each input and range check is one predicate of comparisons joined by ``&``,
 evaluated on a float or on lanes; ``_require`` raises the check's own
@@ -220,16 +221,10 @@ def make_state_pair(s: float, dim: int) -> np.ndarray:
     return pair
 
 
-def binary_entropy(p: float) -> float:
-    """Shannon entropy of a bit, -p*log2(p) - (1-p)*log2(1-p)."""
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
-
-
-def _entropy_of_tangle(x, sqrt, log2, log1p, pick):
-    """H(x) for x in [0, 1], on floats (``math``'s functions, ``_pick``) or on
-    arrays (``np.sqrt``, ``math``'s logarithms lane by lane, ``np.where``).
+def _entropy_of_tangle(x, sqrt, pick):
+    """H(x) for x in [0, 1], on floats (``math.sqrt``, ``_pick``) or on arrays
+    (``np.sqrt``, ``np.where``); both take numpy's ``log2`` and ``log1p``, so
+    a float and the lane that holds it agree bit for bit.
 
     Works from the smaller eigenvalue lam = x/(2(1 + sqrt(1-x))), which is
     never a difference, as -lam*log2(lam) - (1-lam)*log1p(-lam)/ln 2; the
@@ -237,7 +232,7 @@ def _entropy_of_tangle(x, sqrt, log2, log1p, pick):
     accuracy.  A lane with lam = 0 takes log2(1), so nothing takes log2(0).
     """
     lam = x / (2.0 * (1.0 + sqrt(1.0 - x)))
-    return -(lam * log2(pick(lam > 0.0, lam, 1.0))) - (1.0 - lam) * log1p(-lam) / _LN2
+    return -(lam * np.log2(pick(lam > 0.0, lam, 1.0))) - (1.0 - lam) * np.log1p(-lam) / _LN2
 
 
 def entropy_H(x: float) -> float:
@@ -246,28 +241,24 @@ def entropy_H(x: float) -> float:
     This is the entanglement of formation of a two-qubit state with tangle x
     (Wootters' formula); it increases monotonically from H(0) = 0 to H(1) = 1.
     Arguments within 1e-12 of [0, 1] are clamped, anything farther is rejected.
+    Returns a Python float.
     """
     x = _clamp_unit(x, _entropy_error)
-    return _entropy_of_tangle(x, math.sqrt, math.log2, math.log1p, _pick)
+    return float(_entropy_of_tangle(x, math.sqrt, _pick))
 
 
 def entropy_H_values(x: np.ndarray) -> np.ndarray:
-    """``entropy_H`` in every lane of an array, by the same body.
+    """``entropy_H`` in every lane of an array, by the same body and the same
+    logarithms, so each lane is the float's value bit for bit.
 
     Raises for the first lane outside [0, 1] beyond 1e-12.
     """
     x = _clamp_unit(x, _entropy_error, np.where)
-    return _entropy_of_tangle(x, np.sqrt, _lanes(math.log2), _lanes(math.log1p), np.where)
+    return _entropy_of_tangle(x, np.sqrt, np.where)
 
 
 def _entropy_error(x) -> DomainError:
     return DomainError(f"entropy argument x={x} outside [0, 1]")
-
-
-def _lanes(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """``f`` of ``math`` in every lane; numpy's own log2 and log1p may round
-    differently."""
-    return lambda x: np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 @functools.cache

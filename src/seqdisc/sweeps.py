@@ -5,7 +5,8 @@ over all of its columns' lanes, after ``Scenario``'s own check on those
 lanes (``core._check_scenario``).
 CSV output is byte-stable: 12 significant digits, '.' decimal separator,
 '\\n' line endings, and an empty cell wherever a quantity is undefined
-(infeasible overlap combination or 0/0 discord proportion).
+(infeasible overlap combination or 0/0 discord proportion).  Rows are
+formatted a block at a time, by one ``%`` per block.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
@@ -228,27 +230,31 @@ FIGURE_PRESETS: dict[str, FigurePreset] = {
 }
 
 
-def _format_cell(x: float | None) -> str:
-    if x is None:
-        return ""
-    return format(float(x), ".12g")
+#: The most rows one ``%`` call formats, so a long sweep streams in pieces.
+_BLOCK_ROWS = 2048
+
+
+def _line_format(key: int | tuple[bool, ...]) -> str:
+    """A CSV line's format: ``%.12g`` for each number and an empty field,
+    ``%.0s``, for each None.  ``key`` is the row's length when it holds no
+    None, else whether each of its cells is None."""
+    empty = (False,) * key if isinstance(key, int) else key
+    return ",".join(["%.0s" if e else "%.12g" for e in empty]) + "\n"
 
 
 def write_csv(header: list[str], rows: list[list[float | None]], stream: TextIO) -> None:
     """Write the header and rows as CSV lines, each number as ``%.12g`` and
-    each None as an empty cell. A row without None is formatted by one ``%``
-    of a line format cached by row length; only rows holding None go cell by
-    cell."""
+    each None as an empty cell.  Each block of up to ``_BLOCK_ROWS`` rows is
+    formatted by one ``%`` of its lines' formats joined, cached by the row's
+    length or, for a row holding None, by where its Nones lie."""
     stream.write(",".join(header) + "\n")
-    formats: dict[int, str] = {}
-    for row in rows:
-        if None in row:
-            stream.write(",".join(_format_cell(v) for v in row) + "\n")
-            continue
-        n = len(row)
-        if n not in formats:
-            formats[n] = ",".join(["%.12g"] * n) + "\n"
-        stream.write(formats[n] % tuple(row))
+    formats: dict[int | tuple[bool, ...], str] = {}
+    rows = iter(rows)
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        keys = [tuple(v is None for v in row) if None in row else len(row) for row in block]
+        for key in set(keys).difference(formats):
+            formats[key] = _line_format(key)
+        stream.write("".join([formats[k] for k in keys]) % tuple(chain.from_iterable(block)))
 
 
 def run_figure(name: str) -> tuple[list[str], list[list[float | None]]]:

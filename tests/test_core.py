@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +19,6 @@ from seqdisc import (
     StrategyParams,
     at_least_one_protocol3,
     at_least_one_ssd,
-    binary_entropy,
     bob_optimal,
     charlie_optimal,
     correlation_report,
@@ -42,6 +42,14 @@ from seqdisc.core import (
 from seqdisc.protocols import _check_converged, _check_prior
 from seqdisc.ssd import CaseLabel, PiecewiseResult, _probabilities, bob_optimal_values
 from seqdisc.sweeps import _column
+
+
+def binary_entropy(p: float) -> float:
+    """Shannon entropy of a bit, -p*log2(p) - (1-p)*log2(1-p): a cross-check
+    of ``entropy_H`` written independently of its body."""
+    if p <= 0.0 or p >= 1.0:
+        return 0.0
+    return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
 
 
 class TestEntropy:
@@ -81,6 +89,54 @@ class TestEntropy:
         for x in np.linspace(0.0, 1.0, 101):
             p_minus = 0.5 * (1.0 - math.sqrt(1.0 - x))
             assert binary_entropy(p_minus) == pytest.approx(entropy_H(x), abs=1e-12)
+
+
+def _entropy_draws() -> np.ndarray:
+    """1,507 seeded tangles: uniform in [0, 1], log-uniform from 5e-324 to 1,
+    and 1 - x log-uniform from 1e-16 to 1; then 0 (the lane that takes
+    log2(1)), the smallest subnormal and the ends."""
+    rng = np.random.default_rng(43)
+    return np.concatenate([
+        rng.uniform(0.0, 1.0, 500),
+        np.maximum(10.0 ** rng.uniform(math.log10(5e-324), 0.0, 500), 5e-324),
+        1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 500),
+        [0.0, 5e-324, 1e-310, 1e-16, 0.5, 1.0 - 1e-16, 1.0],
+    ])
+
+
+def _entropy_50(x: float):
+    """H(x) at 50 digits, from the smaller eigenvalue and log1p(-lam), as
+    log(1 - lam) would round 1 - lam to 1 for lam below about 1e-50."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        lam = x / (2 * (1 + mpmath.sqrt(1 - x)))
+        return (-lam * mpmath.log(lam) - (1 - lam) * mpmath.log1p(-lam)) / mpmath.log(2)
+
+
+class TestEntropyFloatsAndLanes:
+    """``entropy_H`` and ``entropy_H_values`` share one body with numpy's
+    logarithms, so a float and the lane that holds it agree bit for bit,
+    whichever way numpy's log2 and log1p round."""
+
+    def test_agree_bit_for_bit(self):
+        xs = _entropy_draws()
+        lanes = entropy_H_values(xs).tolist()
+        for x, lane in zip(xs.tolist(), lanes):
+            value = entropy_H(x)
+            assert type(value) is float
+            alone = entropy_H_values(np.array([x]))[0]
+            assert value.hex() == lane.hex() == float(alone).hex(), x
+
+    def test_relative_error_against_50_digits(self):
+        # where lam = x/4 or so is subnormal it keeps fewer bits than a
+        # double, so those draws are left out; the bound is the worst
+        # measured on these draws, with numpy's logarithms and with math's
+        worst = 0.0
+        for x in _entropy_draws().tolist():
+            if x >= 4.0 * sys.float_info.min:
+                ref = _entropy_50(x)
+                worst = max(worst, float(abs((entropy_H(x) - ref) / ref)))
+        assert worst <= 2.7 * 2.0**-53, worst / 2.0**-53
 
 
 class TestMakeStatePair:

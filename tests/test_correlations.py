@@ -156,6 +156,21 @@ class TestDiscordAccuracy:
         assert column[0] == correlation_report(CorrelationInput(1e-200, 0.6, 0.36 / 0.6)).d_symm
 
 
+def test_report_and_kernels_agree_bit_for_bit():
+    # the report's entropies are floats and the kernels' are lanes of one
+    # body with numpy's logarithms, so their discords agree bit for bit on
+    # the seeded accuracy draws, t = 1 (both discords 0) included
+    draws = [lane for group in _discord_accuracy_inputs().values() for lane in group]
+    p1, t, r = (np.array(a) for a in zip(*draws, (0.3, 1.0, 0.6)))
+    s = t * r
+    prop_left, d_symm = prop_left_values(s, p1, t), d_symm_values(s, p1, t)
+    for i, lane in enumerate(zip(p1.tolist(), t.tolist(), (s / t).tolist())):
+        rep = correlation_report(CorrelationInput(*lane))
+        want = math.nan if rep.prop_left is None else rep.prop_left
+        assert float(prop_left[i]).hex() == want.hex(), lane
+        assert float(d_symm[i]).hex() == rep.d_symm.hex(), lane
+
+
 def test_rejects_flag_overlap_above_one():
     with pytest.raises(DomainError, match="overlap r=1.5"):
         CorrelationInput(0.3, 0.5, 1.5)

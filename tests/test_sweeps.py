@@ -6,6 +6,7 @@ empty cells must fall in the same places, and a column fails where a scalar
 lane does.
 """
 
+import io
 import math
 
 import numpy as np
@@ -35,10 +36,12 @@ from seqdisc.cli import main
 from seqdisc.sweeps import (
     FIGURE_PRESETS,
     SweepSpec,
+    _BLOCK_ROWS,
     _QUANTITIES,
     _grid_scenarios,
     run_figure,
     run_sweep,
+    write_csv,
 )
 
 
@@ -453,3 +456,51 @@ def test_custom_sweep_domain_errors_exit_2(extra, capsys):
 def test_sweep_validation_errors(call, message):
     with pytest.raises(DomainError, match=message):
         call()
+
+
+def _reference_csv(header, rows):
+    """The CSV text written cell by cell: each number as ``%.12g`` of its
+    float, each None as an empty cell."""
+    lines = [header] + [["" if v is None else format(float(v), ".12g") for v in row] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+def _mixed_rows(n, columns, seed):
+    """n seeded rows of values that stress %.12g (subnormals, -0, inf, NaN,
+    huge and tiny numbers) with None in about a quarter of the cells."""
+    rng = np.random.default_rng(seed)
+    special = [0.0, -0.0, 5e-324, 1e-310, math.inf, -math.inf, math.nan, 1e300, 0.1, 123456789012345.0]
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(columns):
+            kind = rng.integers(4)
+            if kind == 0:
+                row.append(None)
+            elif kind == 1:
+                row.append(special[rng.integers(len(special))])
+            else:
+                row.append(float(rng.standard_normal() * 10.0 ** rng.integers(-30, 30)))
+        rows.append(row)
+    return rows
+
+
+_CSV_TABLES = {
+    "none_first_middle_last": (
+        ["t", "a", "b", "c"],
+        [[None, 0.5, 0.25, 1.0], [0.1, None, 0.2, 0.3], [0.1, 0.2, 0.3, None],
+         [0.2, 1 / 3, 2 / 3, 1e-20], [None, 0.5, None, None]],
+    ),
+    "all_none_row": (["t", "a", "b"], [[0.1, 0.2, 0.3], [None, None, None], [0.4, None, 0.6]]),
+    "header_only": (["t", "a"], []),
+    "one_column": (["t"], [[0.1], [None], [1e-300], [-0.0]]),
+    "longer_than_a_block": (["t", "a", "b"], _mixed_rows(2 * _BLOCK_ROWS + 3, 3, 7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CSV_TABLES))
+def test_write_csv_bytes_match_a_cell_by_cell_writer(name):
+    header, rows = _CSV_TABLES[name]
+    buf = io.StringIO()
+    write_csv(header, rows, buf)
+    assert buf.getvalue() == _reference_csv(header, rows)
