@@ -19,7 +19,8 @@ every one-stage maximum (a cloned copy's too) is ``_grid_max_stage``'s; the
 refinement calls the same array objective as its first scan, and every
 scan's points come from ``core._scan_points``.
 ``_max_3d`` gives the (t, q1b, q1c) scan's reasoning: Charlie's
-stationary-point bracket, the block bounds, the tie rule and the workspace.
+stationary-point bracket, the block bounds, the one pass over the kept
+blocks, the tie rule and the workspace.
 ``certify`` compares each closed form with its oracle and flags a gap above
 its ``tolerance``. It runs scenario by scenario, and each certifier it needs
 runs once per scenario for all the quantities it covers: the two cloning
@@ -63,10 +64,12 @@ from .ssd import _interior, bob_optimal, charlie_optimal, joint_optimal
 _SCAN_POINTS = 2001
 _JOINT_POINTS = 301
 _REFINE_POINTS = 33
+#: t-slices per chunk of the first (t, q1b, q1c) scan's block bounds.
+_CHUNK_SLICES = 11
 #: Refinement rounds after every grid scan; each narrows the search window.
 _REFINEMENT_PASSES = 2
 #: A (t, q1b, q1c) block is skipped only when its bound plus this slack is
-#: below the best value found: values are at most 1 and round by a few ulps.
+#: below a real row's value: values are at most 1 and round by a few ulps.
 _BOUND_SLACK = 1e-12
 
 #: Bits of the rational just below sqrt(p1*p2) in a stage's case-I dual point.
@@ -144,12 +147,12 @@ def _to_unit(lo, q):
     return (q - lo) / (1.0 - lo)
 
 
-def _blocks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first, middle and last index of each block of ``_REFINE_POINTS``
-    points on an axis of n points."""
-    first = np.arange(0, n, _REFINE_POINTS)
-    last = np.minimum(first + _REFINE_POINTS, n) - 1
-    return first, np.minimum(first + _REFINE_POINTS // 2, last), last
+def _blocks(n: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first, middle and last index of each block of ``size`` points on an
+    axis of n points."""
+    first = np.arange(0, n, size)
+    last = np.minimum(first + size, n) - 1
+    return first, np.minimum(first + size // 2, last), last
 
 
 #: Float arrays of one (t, q1b, q1c) kernel pass, per (row, point): q1b, q2b
@@ -178,9 +181,10 @@ def _max_3d(
     a grid row's arithmetic. Each slice's first highest row is re-evaluated
     with ``term`` itself.
 
-    The t-slices are taken ``_REFINE_POINTS`` at a time, and so are the u
-    points. With ``bound_chunks``, a block of one t-chunk by one u-block is
-    skipped when a bound shows it cannot hold the maximum. At fixed (u, v),
+    With ``bound_chunks``, the first scan takes the t-slices in chunks of
+    ``_CHUNK_SLICES`` and the u points in blocks of ``_REFINE_POINTS``, and
+    skips a block of one chunk by one u-block when a bound shows it cannot
+    hold the maximum. At fixed (u, v),
     Bob's q1b and q2b fall as t rises (r = s/t falls) and Charlie's q1c and
     q2c rise, so Bob's factors rise with t and Charlie's fall (joint) or rise
     against a nonpositive a (union). At fixed t, q1b rises with u and
@@ -189,16 +193,18 @@ def _max_3d(
     its first t is therefore at least every (t, u) row of the block at each
     v; its bracket maximum, through ``term``, is the block's bound. One pass
     takes every bound and two real rows per block, at its first and middle
-    (t, u), whose best value is a bar. The chunks are then evaluated in
-    order of falling bound, each over the u points of its blocks whose bound
-    plus ``_BOUND_SLACK`` reaches the bar or the best value found, until
-    none does. A slice's kept rows are one row set in u order, and a chunk
-    replaces the best when strictly higher, or equal and earlier in t, so
-    the first highest slice and row win. Every row within the slack of the
-    maximum is in a kept block, so a scan without bounds gives the same
-    tuple. The union takes that scan: its value depends on q1b*q1c alone
-    (q2b*q2c = s^2/(q1b*q1c)), every slice reaches the same range [s^2, 1]
-    of that product, and no bound could skip a block.
+    (t, u), whose best value is a bar; a block is kept when its bound plus
+    ``_BOUND_SLACK`` reaches the bar. One pass then takes every slice of each
+    chunk with a kept block over the u points of every kept block, cut by
+    rows into pieces that fit the workspace, and a piece replaces the best
+    only when strictly higher, so the first highest slice, in t order, and
+    row win. Every row within the slack of the maximum is in a kept block,
+    and the rows and points beyond the kept blocks are the full scan's too,
+    so a scan without bounds gives the same tuple. The union takes that
+    scan: its value depends on q1b*q1c alone (q2b*q2c = s^2/(q1b*q1c)),
+    every slice reaches the same range [s^2, 1] of that product, and no
+    bound could skip a block. A refinement window is one block and has no
+    bound pass.
 
     Every pass writes its arrays with ``out=`` into one float64 block and one
     intp block, allocated once per call and cut into C-contiguous (rows,
@@ -206,8 +212,7 @@ def _max_3d(
     """
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
     t_lo_global = max(s, 1e-9)
-    n_rows = max(_REFINE_POINTS, -(-_JOINT_POINTS // _REFINE_POINTS))
-    n_cells = n_rows * max(_JOINT_POINTS, _REFINE_POINTS)
+    n_cells = _REFINE_POINTS * max(_JOINT_POINTS, _REFINE_POINTS)
     floats = np.empty(_PASS_FLOATS * n_cells)
     ints = np.empty(n_cells, dtype=np.intp)
 
@@ -264,36 +269,30 @@ def _max_3d(
         q1b, q2b, q1c, q2c = q1b[i], q2b[i], q1c[pick], q2c[pick]
         return term(q1b, q2b, q1c, q2c, p1, p2), q1b, q1c
 
-    def evaluate(ts: np.ndarray, us: np.ndarray, vs: np.ndarray):
-        """The scan of ``ts`` x ``us`` x ``vs``, block by block."""
-        (t0, tm, t1), (u0, um, u1) = _blocks(len(ts)), _blocks(len(us))
-        bar = -1.0
-        if bound_chunks and len(t0) * len(u0) > 1:
+    def evaluate(ts: np.ndarray, us: np.ndarray, vs: np.ndarray, bound: bool):
+        """The scan of ``ts`` x ``us`` x ``vs``; with ``bound``, of its kept chunks and u-blocks."""
+        t, u = ts[:, None], us
+        if bound:
             # each block's bound row, then its real rows at its first and
             # middle (t, u), whose best value is a bar for the bounds
+            (t0, tm, t1), (u0, um, u1) = _blocks(len(ts), _CHUNK_SLICES), _blocks(len(us), _REFINE_POINTS)
             t_b, t_c = ts[np.r_[t1, t0, tm], None], ts[np.r_[t0, t0, tm], None]
             u_a1 = np.repeat(us[[u0, u0, um]], len(t0), 0)
             u_a2 = np.repeat(us[[u1, u0, um]], len(t0), 0)
             values = rows_max(t_b, t_c, u_a1, u_a2, vs, False)[0].reshape(3, len(t0), len(u0))
-            bounds, bar = values[0], float(values[1:].max())
-        else:
-            bounds = np.full((len(t0), len(u0)), np.inf)
-        best, best_k = (-1.0, 0.0, 0.0, 0.0), -1
-        for k in np.argsort(-bounds.max(axis=1), kind="stable").tolist():
-            keep = ~(bounds[k] + _BOUND_SLACK < max(bar, best[0]))
-            if not keep.any():
-                break
-            # the slices of chunk k over the u points of its kept blocks
-            t = ts[t0[k] : t1[k] + 1, None]
-            u = us if keep.all() else us[np.repeat(keep, u1 - u0 + 1)]
-            vals, q1b, q1c = rows_max(t, t, u, u, vs, True)
-            i = int(np.argmax(vals))
-            if vals[i] > best[0] or (vals[i] == best[0] and k < best_k):
-                best, best_k = (float(vals[i]), float(t[i, 0]), float(q1b[i]), float(q1c[i])), k
+            keep = ~(values[0] + _BOUND_SLACK < values[1:].max())
+            t = t[np.repeat(keep.any(1), t1 - t0 + 1)]
+            u = us[np.repeat(keep.any(0), u1 - u0 + 1)]
+        best, rows = (-1.0, 0.0, 0.0, 0.0), n_cells // len(u)
+        for i in range(0, len(t), rows):
+            vals, q1b, q1c = rows_max(t[i : i + rows], t[i : i + rows], u, u, vs, True)
+            k = int(np.argmax(vals))
+            if vals[k] > best[0]:
+                best = (float(vals[k]), float(t[i + k, 0]), float(q1b[k]), float(q1c[k]))
         return best
 
     unit = _scan_points(0.0, 1.0, _JOINT_POINTS)
-    best = evaluate(_scan_points(t_lo_global, 1.0, _JOINT_POINTS), unit, unit)
+    best = evaluate(_scan_points(t_lo_global, 1.0, _JOINT_POINTS), unit, unit, bound_chunks)
 
     t_step, u_step = (1.0 - t_lo_global) / (_JOINT_POINTS - 1), 1.0 / (_JOINT_POINTS - 1)
     for _ in range(_REFINEMENT_PASSES):
@@ -307,7 +306,8 @@ def _max_3d(
             *(
                 _scan_points(max(lo, x0 - 1.5 * step), min(1.0, x0 + 1.5 * step), _REFINE_POINTS)
                 for x0, step, lo in windows
-            )
+            ),
+            False,
         )
         if cand[0] > best[0]:
             best = cand
@@ -319,7 +319,7 @@ def grid_maximize_joint(scenario: Scenario) -> tuple[float, float, float, float]
     """Brute-force maximum of the joint success over (t, q1b, q1c) on a grid
     of 301 points per axis before refinement; each Bob row is evaluated at
     the two q1c grid points that bracket Charlie's stationary point, and only
-    in the (t, q1b) blocks whose bound can reach the maximum."""
+    in the t-chunks and q1b-blocks that a block's bound keeps."""
     return _max_3d(scenario, _joint_term, _joint_factors, bound_chunks=True)
 
 

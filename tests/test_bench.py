@@ -40,12 +40,21 @@ def _shifted_summary(summary):
     return type(summary)(summary.n_trials, summary.seed, summary.counts, summary.error_count + 1)
 
 
-@pytest.mark.parametrize("differs", [None, "report", "trials", "tally"])
+@pytest.mark.parametrize("differs", [None, "report", "trials", "tally", "joint_draw"])
 def test_parent_check_compares_reports_and_counts(monkeypatch, parent, differs):
     # the tally runs at seed 0, each of the CASES at its own seed
     monkeypatch.setattr(bench, "N_TRIALS", 1000)
     report, run = parent.correlation_report, parent.run_ssd_trials
-    if differs == "report":
+    joint, edge = parent.oracle.grid_maximize_joint, bench.JOINT_EDGES[-1]
+    if differs == "joint_draw":
+        # a tuple that differs at the last of the joint draws alone, which
+        # the check compares before certify()
+        def grid_maximize_joint(sc):
+            found = joint(sc)
+            return (math.nextafter(found[0], 1.0), *found[1:]) if (sc.s, sc.p1) == edge else found
+
+        monkeypatch.setattr(parent.oracle, "grid_maximize_joint", grid_maximize_joint)
+    elif differs == "report":
         monkeypatch.setattr(
             parent, "correlation_report",
             lambda inp: dataclasses.replace(report(inp), d_symm=math.nextafter(report(inp).d_symm, 1.0)),
@@ -59,6 +68,11 @@ def test_parent_check_compares_reports_and_counts(monkeypatch, parent, differs):
     if differs is None:
         bench.check_same_output(bench.seqdisc, parent)
     else:
-        name = {"report": "correlation_report", "trials": "run_ssd_trials", "tally": "tally"}[differs]
+        name = {
+            "report": "correlation_report",
+            "trials": "run_ssd_trials",
+            "tally": "tally",
+            "joint_draw": "grid_maximize_joint",
+        }[differs]
         with pytest.raises(RuntimeError, match=f"^{name}\\(.*the two trees differ"):
             bench.check_same_output(bench.seqdisc, parent)

@@ -17,6 +17,7 @@ from seqdisc import (
     DomainError,
     Scenario,
     at_least_one_ssd,
+    bob_optimal,
     certify,
     charlie_optimal,
     critical_prior_PC,
@@ -33,6 +34,8 @@ from seqdisc import (
 from seqdisc import oracle as oracle_module
 from seqdisc import protocols as protocols_module
 from seqdisc.oracle import (
+    _BOUND_SLACK,
+    _CHUNK_SLICES,
     _JOINT_POINTS,
     _REFINE_POINTS,
     _REFINEMENT_PASSES,
@@ -46,7 +49,7 @@ from seqdisc.oracle import (
     stage_certificate,
 )
 from seqdisc.protocols import protocol1_optimal_values
-from seqdisc.sweeps import _P1_GRID
+from seqdisc.sweeps import _P1_GRID, FIGURE_PRESETS, run_figure
 
 class TestCertifyTolerance:
     def test_default_tolerance(self):
@@ -610,22 +613,9 @@ class TestChainSearch:
 
     @pytest.mark.parametrize("oracle", [c[0] for c in _CHAINS], ids=_SCAN_IDS)
     def test_one_call_peaks_below_2_mb(self, oracle):
-        # blocks of slices bound the working set: all 301 slices at once
+        # pieces of slices bound the working set: all 301 slices at once
         # would peak near 9 MB
-        sc = Scenario(0.36, 0.2)
-        oracle(sc)  # warm-up
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            oracle(sc)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
-        assert peak < 2e6
+        assert _one_call_peak(oracle, Scenario(0.36, 0.2)) < 2e6
 
     @pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
     @pytest.mark.parametrize("oracle", [c[0] for c in _CHAINS], ids=_SCAN_IDS)
@@ -645,6 +635,23 @@ class TestChainSearch:
         for _ in range(3):
             oracle(sc)
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 30
+
+
+def _one_call_peak(oracle, sc):
+    """The bytes that one call of ``oracle`` on ``sc`` allocates at its peak,
+    after a warm-up call."""
+    oracle(sc)
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        oracle(sc)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 def _recording(fn, calls):
@@ -675,14 +682,33 @@ def _first_scan_row_maxima(scenario, term, factors):
     return np.array(found[:_JOINT_POINTS], dtype=float)
 
 
-_N_CHUNKS = -(-_JOINT_POINTS // _REFINE_POINTS)
+_N_CHUNKS = -(-_JOINT_POINTS // _CHUNK_SLICES)
+_N_BLOCKS = -(-_JOINT_POINTS // _REFINE_POINTS)
+
+
+def _first_scan_passes(scenario):
+    """The joint oracle's first scan on ``scenario``: its blocks' kept mask,
+    (t-chunk, u-block), and the (rows, u points) of each of its passes after
+    the bound pass."""
+    terms, factors = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle_module, "_joint_term", _recording(_joint_term, terms))
+        mp.setattr(oracle_module, "_joint_factors", _recording(_joint_factors, factors))
+        grid_maximize_joint(scenario)
+    values = terms[0].reshape(3, _N_CHUNKS, _N_BLOCKS)
+    keep = ~(values[0] + _BOUND_SLACK < values[1:].max())
+    bob = [np.shape(a1) for (a1, _), _ in factors if np.ndim(a1) == 2]
+    return keep, bob[1 : len(bob) - _REFINEMENT_PASSES]
 
 
 class TestChunkBounds:
-    """The first scan skips a block of ``_REFINE_POINTS`` t-slices by
-    ``_REFINE_POINTS`` u points when its bound row (Bob's a1 at the block's
+    """The first scan keeps a block of ``_CHUNK_SLICES`` t-slices by
+    ``_REFINE_POINTS`` u points unless its bound row (Bob's a1 at the block's
     first u and a2 at its last, both at its last t, and Charlie at its first
-    t) plus ``_BOUND_SLACK`` is below the best value found."""
+    t) plus ``_BOUND_SLACK`` is below the best of two real rows per block,
+    then evaluates every slice of each t-chunk with a kept block over the u
+    points of every kept block, in pieces of at most ``_REFINE_POINTS`` x
+    ``_JOINT_POINTS`` (row, u) pairs."""
 
     @pytest.mark.parametrize("oracle,term,factors", _CHAINS, ids=_SCAN_IDS)
     @pytest.mark.parametrize(
@@ -695,28 +721,30 @@ class TestChunkBounds:
             mp.setattr(oracle_module, term.__name__, _recording(term, calls))
             found = oracle(sc)
         if oracle is grid_maximize_union_ssd:
-            # flat in t, so no bound can skip a chunk and the union runs no
-            # bound pass: its first kernel pass is its first chunk's, and the
+            # flat in t, so no bound can skip a block and the union runs no
+            # bound pass: its first kernel pass is its first piece's, and the
             # result is the full scan's
             assert len(calls[0]) == _REFINE_POINTS
             assert found == _max_3d_matmul(sc, term, factors)
             return
         # the first kernel pass is the blocks' bounds, (t-chunk, u-block),
-        # then its real rows; both axes have _N_CHUNKS blocks
+        # then its real rows
         bounds = calls[0][:_N_CHUNKS]
-        assert bounds.shape == (_N_CHUNKS, _N_CHUNKS)
+        assert bounds.shape == (_N_CHUNKS, _N_BLOCKS) == (28, 10)
         maxima = _first_scan_row_maxima(sc, term, factors)
         for k, m in np.ndindex(bounds.shape):
-            t, u = (slice(i * _REFINE_POINTS, (i + 1) * _REFINE_POINTS) for i in (k, m))
+            t = slice(k * _CHUNK_SLICES, (k + 1) * _CHUNK_SLICES)
+            u = slice(m * _REFINE_POINTS, (m + 1) * _REFINE_POINTS)
             assert bounds[k, m] >= maxima[t, u].max(), (k, m, float(bounds[k, m]), float(maxima[t, u].max()))
 
     @pytest.mark.parametrize(
         "oracle,factors,bound_passes,least,most",
-        # (row, u) pairs of the first scan's chunk passes, of 301^2 = 90,601,
-        # where a whole t-chunk is 9,933. The union objective is flat in t,
-        # so it runs no bound pass and evaluates every block.
+        # (row, u) pairs of the first scan's passes after its bound pass, of
+        # 301^2 = 90,601, where one piece is at most 9,933. The union
+        # objective is flat in t, so it runs no bound pass and evaluates
+        # every block.
         [
-            (grid_maximize_joint, _joint_factors, 1, 7_062, 34_155),
+            (grid_maximize_joint, _joint_factors, 1, 2_035, 29_799),
             (grid_maximize_union_ssd, _union_factors, 0, _JOINT_POINTS**2, _JOINT_POINTS**2),
         ],
         ids=_SCAN_IDS,
@@ -737,11 +765,33 @@ class TestChunkBounds:
             evaluated.append(sum(bob[bound_passes : len(bob) - _REFINEMENT_PASSES]))
         assert least <= min(evaluated) and max(evaluated) <= most, evaluated
 
+    def test_kept_u_points_beyond_a_chunks_own_blocks(self):
+        # every kept chunk is evaluated over the u points of every kept
+        # block, so some of its rows run over u-blocks its own bounds skip
+        sc = Scenario(0.2, 0.05)
+        keep, passes = _first_scan_passes(sc)
+        chunks, union = keep.any(axis=1), keep.any(axis=0)
+        assert (keep[chunks] != union).any()
+        index = np.arange(_JOINT_POINTS)
+        rows, points = chunks[index // _CHUNK_SLICES].sum(), union[index // _REFINE_POINTS].sum()
+        assert passes == [(rows, points)]
+        assert grid_maximize_joint(sc) == _max_3d_matmul(sc, _joint_term, _joint_factors)
+
+    def test_widest_cell_runs_in_pieces(self):
+        # the grid's widest cell keeps 9 chunks over all 10 u-blocks: 99 x
+        # 301 pairs, three pieces of 33 rows in one workspace
+        sc = Scenario(0.1716, 0.5)
+        keep, passes = _first_scan_passes(sc)
+        assert int(keep.any(axis=1).sum()) == 9 and keep.any(axis=0).all()
+        assert passes == [(_REFINE_POINTS, _JOINT_POINTS)] * 3
+        assert grid_maximize_joint(sc) == _max_3d_matmul(sc, _joint_term, _joint_factors)
+        assert _one_call_peak(grid_maximize_joint, sc) < 2e6
+
     @pytest.mark.parametrize("s,p1", _CERT_GRID)
-    def test_first_highest_slice_wins_when_chunks_run_out_of_t_order(self, s, p1):
-        # rounding the joint term ties slices across chunks, which the bound
-        # order evaluates out of t order; rounding is monotone, so every
-        # bound still holds, and the scan without bounds takes t order
+    def test_first_highest_slice_wins_on_rounded_ties(self, s, p1):
+        # rounding the joint term ties slices across chunks and pieces;
+        # rounding is monotone, so every bound still holds, and the scan
+        # without bounds takes t order
         def term(*args):
             return np.round(_joint_term(*args), 2)
 
@@ -872,10 +922,11 @@ _UNION_SCENARIOS = _union_scenarios()
 
 
 class TestStageCertificate:
-    """``stage_certificate``'s exact bounds hold protocol (1) at r = s and
-    Charlie at r = t within a pinned number of ulps: the closed forms read at
-    most 1.264 ulps outside [L, U] on the 5x6 grid (both), and 1.0002 on
-    figure 4's P1_max column."""
+    """``stage_certificate``'s exact bounds hold protocol (1) at r = s,
+    Charlie at r = t and Bob at the exact r = s/t within a pinned number of
+    ulps: the closed forms read at most 1.264 ulps outside [L, U] on the 5x6
+    grid (protocol (1) and Charlie), 1.0002 on figure 4's P1_max column and
+    3.2477 on figure 2's Bob columns."""
 
     @pytest.mark.parametrize("s,p1", _CERT_GRID)
     def test_protocol1_and_charlie_on_the_certification_grid(self, s, p1):
@@ -895,6 +946,24 @@ class TestStageCertificate:
             assert result.value == lane
             lower, upper = stage_certificate(sc.p1, sc.p2, 0.04, result.argmax["q1b"])
             assert _ulps_outside(result.value, lower, upper) <= 1.01, p1
+
+    def test_figure_2_bob_columns(self):
+        # r is the exact quotient of the floats s and t: at s = 0.05 and
+        # t = 0.06 (r near 5/6) the cells read at most 3.2477 ulps, at
+        # p1 = 0.2025; at t = 0.1 at most 1.2907
+        _, rows = run_figure("2")
+        fixed = [c[2] for c in FIGURE_PRESETS["2"].columns]
+        assert len(rows) == 200 and len(fixed) == 2
+        for p1, *cells in rows:
+            for at, value in zip(fixed, cells):
+                s, t = at["s"], at["t"]
+                sc = Scenario(s, p1)
+                result = bob_optimal(sc, t)
+                assert result.value == value
+                r = Fraction(s) / Fraction(t)
+                lower, upper = stage_certificate(sc.p1, sc.p2, r, result.argmax["q1b"])
+                assert lower <= upper
+                assert _ulps_outside(value, lower, upper) <= 3.2477, (p1, t)
 
     def test_bounds_are_rationals_and_take_a_rational_overlap(self):
         # Bob's r = s/t kept exact: 3/7 has no float
