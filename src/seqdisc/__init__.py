@@ -7,7 +7,6 @@ certifying every closed form, and a seeded Monte Carlo simulator.
 """
 
 from .core import (
-    BOUNDARY_TOL,
     ConstraintError,
     DomainError,
     InfeasibleIsometryError,
@@ -20,12 +19,10 @@ from .core import (
 from .correlations import (
     CorrelationInput,
     CorrelationReport,
-    Tangles,
     correlation_report,
     discord_left,
     discord_right,
     left_discord_measurement_oracle,
-    tangles,
 )
 from .oracle import (
     CERT_P1_VALUES,
@@ -44,8 +41,6 @@ from .protocols import (
     at_least_one_protocol3,
     at_least_one_ssd,
     clone_optimal_for_prior,
-    clone_params_of_omega,
-    omega_range,
     protocol1_optimal,
     protocol2_critical_priors,
     protocol2_optimal,
@@ -55,7 +50,6 @@ from .simulate import (
     TrialSummary,
     build_discrimination_unitary,
     run_ssd_trials,
-    trial_uniforms,
 )
 from .ssd import (
     SYMMETRY_BREAK_OVERLAP,
@@ -71,65 +65,3 @@ from .ssd import (
     solve_q_star,
 )
 from .sweeps import FIGURE_PRESETS, SweepSpec, run_figure, run_sweep, write_csv
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BOUNDARY_TOL",
-    "CERT_P1_VALUES",
-    "CERT_S_VALUES",
-    "CaseLabel",
-    "CertificationRow",
-    "CloneParams",
-    "ConstraintError",
-    "CorrelationInput",
-    "CorrelationReport",
-    "CriticalPrior",
-    "DomainError",
-    "FIGURE_PRESETS",
-    "InfeasibleIsometryError",
-    "NumericError",
-    "PiecewiseResult",
-    "SYMMETRY_BREAK_OVERLAP",
-    "Scenario",
-    "StrategyParams",
-    "SweepSpec",
-    "Tangles",
-    "TrialSummary",
-    "at_least_one_protocol3",
-    "at_least_one_ssd",
-    "bob_optimal",
-    "bob_success",
-    "build_discrimination_unitary",
-    "certify",
-    "charlie_optimal",
-    "clone_optimal_for_prior",
-    "clone_params_of_omega",
-    "correlation_report",
-    "critical_prior_PC",
-    "discord_left",
-    "discord_right",
-    "entropy_H",
-    "grid_maximize_bob",
-    "grid_maximize_charlie",
-    "grid_maximize_cloning",
-    "grid_maximize_joint",
-    "grid_maximize_protocol2",
-    "grid_maximize_union_ssd",
-    "joint_optimal",
-    "joint_success",
-    "left_discord_measurement_oracle",
-    "make_state_pair",
-    "omega_range",
-    "protocol1_optimal",
-    "protocol2_critical_priors",
-    "protocol2_optimal",
-    "protocol3_optimal",
-    "run_figure",
-    "run_ssd_trials",
-    "run_sweep",
-    "solve_q_star",
-    "tangles",
-    "trial_uniforms",
-    "write_csv",
-]

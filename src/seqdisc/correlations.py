@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -95,13 +94,6 @@ def _check_t(t) -> None:
     _require((0.0 <= t) & (t <= 1.0), _t_error, t)
 
 
-class Tangles(NamedTuple):
-    tau_abe: float
-    tau_a_be: float
-    tau_b_ae: float
-    tau_e_ab: float
-
-
 @dataclass(frozen=True)
 class CorrelationReport:
     """All correlation quantities for one (p1, t, r).
@@ -136,11 +128,6 @@ def _tangles(p1, t, r):
     tau_b_ae = c * ((1.0 - r) * (1.0 + r))
     tau_ae = tau_a_be * (r * r)
     return tau_a_be * ((1.0 - r) * (1.0 + r)), tau_a_be, tau_b_ae, tau_b_ae + tau_ae, tau_ae
-
-
-def tangles(inp: CorrelationInput) -> Tangles:
-    """Tangles of the tripartite purification of rho_AB."""
-    return Tangles(*_tangles(inp.p1, inp.t, inp.r)[:4])
 
 
 def _discord_right(p1, t, r, entropy, pick):

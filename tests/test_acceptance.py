@@ -24,7 +24,6 @@ from seqdisc import (
     at_least_one_protocol3,
     at_least_one_ssd,
     certify,
-    clone_params_of_omega,
     correlation_report,
     critical_prior_PC,
     discord_left,
@@ -32,7 +31,6 @@ from seqdisc import (
     joint_optimal,
     joint_success,
     left_discord_measurement_oracle,
-    omega_range,
     protocol1_optimal,
     protocol2_critical_priors,
     protocol2_optimal,
@@ -42,6 +40,7 @@ from seqdisc import (
     solve_q_star,
     write_csv,
 )
+from seqdisc.protocols import clone_params_of_omega, omega_range
 
 
 def _report(number: int, description: str):

@@ -636,19 +636,59 @@ def test_import_pulls_in_no_mpmath():
     assert _modules_loaded_with_seqdisc("mpmath") == "[]"
 
 
+def _load(relative: str, name: str):
+    """The repository's script or module at ``relative``, imported as ``name``."""
+    path = Path(__file__).resolve().parents[1] / relative
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_tracer_names_resolve():
     # the benchmark relies on these names: perfbench's tracer wraps its
-    # functions by name (a rename would make its traced runs fail), and its
-    # self-tests pass joint_optimal's compute_boundary keyword
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    # functions by module path (a rename would make its traced runs fail),
+    # its self-tests read package names and pass joint_optimal's
+    # compute_boundary keyword, and scripts/bench.py reads package names
+    tracer = _load("perfbench/tracer.py", "perfbench_tracer")
     for qual in tracer.SPANNED + tracer.COUNTED:
         module, name = qual.split(".")
         assert callable(getattr(importlib.import_module(f"seqdisc.{module}"), name, None)), qual
     package = importlib.import_module("seqdisc")
-    for name in package.__all__:
+    self_test_names = ("CertificationRow", "NumericError", "Scenario", "joint_optimal", "solve_q_star")
+    bench = _load("scripts/bench.py", "seqdisc_bench_names")
+    bench_names = (*bench.POINT_CALLS, "CorrelationInput", "Scenario", "correlation_report", "run_ssd_trials")
+    for name in self_test_names + bench_names:
         assert hasattr(package, name), name
     sc = Scenario(0.04, 0.3)
     assert package.joint_optimal(sc, compute_boundary=False).value == package.joint_optimal(sc).value
+
+
+@pytest.mark.parametrize(
+    "module,name",
+    [
+        ("core", "BOUNDARY_TOL"),
+        ("protocols", "omega_range"),
+        ("protocols", "clone_params_of_omega"),
+        ("simulate", "trial_uniforms"),
+    ],
+)
+def test_module_only_names_stay_in_their_modules(module, name):
+    # no longer exported from the package; the tracer and the tests reach
+    # them through their modules
+    assert not hasattr(importlib.import_module("seqdisc"), name)
+    assert hasattr(importlib.import_module(f"seqdisc.{module}"), name)
+
+
+def test_readme_library_example():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Library example") :]
+    code = section[section.index("```python\n") + len("```python\n") : section.index("\n```\n")]
+    namespace = {}
+    exec(code, namespace)
+    joint, p3 = namespace["joint"], namespace["p3"]
+    assert joint.value == pytest.approx(0.64, abs=1e-12)
+    assert joint.case_label.value == "CaseI"
+    assert joint.argmax["t"] == pytest.approx(0.2) and joint.argmax["q_star"] == pytest.approx(0.2)
+    assert p3.value == pytest.approx(0.8862, abs=5e-5)
+    assert namespace["mc"].error_count == 0

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seqdisc import (
     CERT_P1_VALUES,
@@ -485,15 +485,22 @@ def _max_3d_loop(scenario, term, n=_JOINT_POINTS):
     return _reference_max_3d(scenario, slice_best, n)
 
 
-def _max_3d_matmul(scenario, term, factors, n=_JOINT_POINTS):
-    """Rank-2 reference for the oracle's scan: each t-slice is one
-    ``(U, 2) @ (2, V)`` product of the ``factors``, and its first maximum is
-    re-evaluated with ``term``."""
+def _max_3d_rank2(scenario, term, factors, n=_JOINT_POINTS):
+    """Rank-2 reference for the oracle's scan: each t-slice is the full
+    (q1b, q1c) array of a1*b1 + a2*b2 over the ``factors``, each product and
+    the sum rounded once, as in the oracle's rows (a matmul rounds through
+    BLAS and ranked ties on the union's flat ridge Q1*Q2 = s^2 differently),
+    and its first maximum is re-evaluated with ``term``. einsum forms each
+    outer product: the same bits as a broadcast ``multiply``, in about 0.4 of
+    its time."""
     p1, p2 = scenario.p1, scenario.p2
+    buffers = np.empty((2, max(n, _REFINE_POINTS) ** 2))
 
     def slice_best(q1b, q2b, q1c, q2c):
-        bob, charlie = factors(q1b, q2b, q1c, q2c, p1, p2)
-        slab = np.matmul(np.stack(bob, axis=1), np.stack(charlie))
+        (a1, a2), (b1, b2) = factors(q1b, q2b, q1c, q2c, p1, p2)
+        slab, prod = buffers[:, : len(q1b) * len(q1c)].reshape(2, len(q1b), len(q1c))
+        np.einsum("i,j->ij", a1, b1, out=slab)
+        slab += np.einsum("i,j->ij", a2, b2, out=prod)
         ib, ic = divmod(int(np.argmax(slab)), len(q1c))
         return float(term(q1b[ib], q2b[ib], q1c[ic], q2c[ic], p1, p2)), ib, ic
 
@@ -572,7 +579,7 @@ log_uniform_scenarios = st.builds(
 
 class TestChainSearch:
     """Each Bob row's search at the two grid points bracketing Charlie's
-    stationary point t*sqrt(a2/a1) returns the rank-2 matmul scan's (value,
+    stationary point t*sqrt(a2/a1) returns the rank-2 scan's (value,
     t, q1b, q1c) exactly, also where the stationary point is off the grid or
     undefined (t = 1, a1 = 0) and where the row is nearly flat (small s,
     tiny priors)."""
@@ -581,35 +588,39 @@ class TestChainSearch:
     @pytest.mark.parametrize("s,p1", _CERT_GRID)
     def test_certification_grid(self, oracle, term, factors, s, p1):
         sc = Scenario(s, p1)
-        assert oracle(sc) == _max_3d_matmul(sc, term, factors)
+        assert oracle(sc) == _max_3d_rank2(sc, term, factors)
 
     @pytest.mark.parametrize("oracle,term,factors", _CHAINS, ids=_SCAN_IDS)
     @pytest.mark.parametrize("s,p1", _seeded_edge_scenarios())
     def test_seeded_edge_scenarios(self, oracle, term, factors, s, p1):
         sc = Scenario(s, p1)
-        assert oracle(sc) == _max_3d_matmul(sc, term, factors)
+        assert oracle(sc) == _max_3d_rank2(sc, term, factors)
 
     @pytest.mark.parametrize("oracle,term,factors", _CHAINS, ids=_SCAN_IDS)
     @pytest.mark.parametrize("s,p1", _pc_tie_scenarios())
     def test_two_basins_and_tiny_overlaps(self, oracle, term, factors, s, p1):
         # where a wrongly skipped chunk of t-slices would hide the first maximum
         sc = Scenario(s, p1)
-        assert oracle(sc) == _max_3d_matmul(sc, term, factors)
+        assert oracle(sc) == _max_3d_rank2(sc, term, factors)
 
     @pytest.mark.parametrize("oracle,term,factors", _CHAINS, ids=_SCAN_IDS)
     @pytest.mark.parametrize("s,p1", _workload_scenarios())
     def test_certify_workload_draws_and_widest_blocks(self, oracle, term, factors, s, p1):
         # the last two keep the most blocks of the first scan
         sc = Scenario(s, p1)
-        assert oracle(sc) == _max_3d_matmul(sc, term, factors)
+        assert oracle(sc) == _max_3d_rank2(sc, term, factors)
 
     @pytest.mark.parametrize("oracle,term,factors", _CHAINS, ids=_SCAN_IDS)
     @settings(max_examples=40, deadline=None)
     @given(sc=log_uniform_scenarios)
+    # ties on the union's flat ridge Q1*Q2 = s^2, which a matmul reference
+    # ranked differently from the oracle's rows
+    @example(sc=Scenario(0.4, 0.49999999999999994))
+    @example(sc=Scenario(0.25817803361335, 0.1141424420877434))
     def test_random_scenarios_coarse_grid(self, oracle, term, factors, sc):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle_module, "_JOINT_POINTS", 100)
-            assert oracle(sc) == _max_3d_matmul(sc, term, factors, n=100)
+            assert oracle(sc) == _max_3d_rank2(sc, term, factors, n=100)
 
     @pytest.mark.parametrize("oracle", [c[0] for c in _CHAINS], ids=_SCAN_IDS)
     def test_one_call_peaks_below_2_mb(self, oracle):
@@ -725,7 +736,7 @@ class TestChunkBounds:
             # bound pass: its first kernel pass is its first piece's, and the
             # result is the full scan's
             assert len(calls[0]) == _REFINE_POINTS
-            assert found == _max_3d_matmul(sc, term, factors)
+            assert found == _max_3d_rank2(sc, term, factors)
             return
         # the first kernel pass is the blocks' bounds, (t-chunk, u-block),
         # then its real rows
@@ -775,7 +786,7 @@ class TestChunkBounds:
         index = np.arange(_JOINT_POINTS)
         rows, points = chunks[index // _CHUNK_SLICES].sum(), union[index // _REFINE_POINTS].sum()
         assert passes == [(rows, points)]
-        assert grid_maximize_joint(sc) == _max_3d_matmul(sc, _joint_term, _joint_factors)
+        assert grid_maximize_joint(sc) == _max_3d_rank2(sc, _joint_term, _joint_factors)
 
     def test_widest_cell_runs_in_pieces(self):
         # the grid's widest cell keeps 9 chunks over all 10 u-blocks: 99 x
@@ -784,7 +795,7 @@ class TestChunkBounds:
         keep, passes = _first_scan_passes(sc)
         assert int(keep.any(axis=1).sum()) == 9 and keep.any(axis=0).all()
         assert passes == [(_REFINE_POINTS, _JOINT_POINTS)] * 3
-        assert grid_maximize_joint(sc) == _max_3d_matmul(sc, _joint_term, _joint_factors)
+        assert grid_maximize_joint(sc) == _max_3d_rank2(sc, _joint_term, _joint_factors)
         assert _one_call_peak(grid_maximize_joint, sc) < 2e6
 
     @pytest.mark.parametrize("s,p1", _CERT_GRID)

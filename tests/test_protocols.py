@@ -19,11 +19,9 @@ from seqdisc import (
     bob_optimal,
     charlie_optimal,
     clone_optimal_for_prior,
-    clone_params_of_omega,
     critical_prior_PC,
     grid_maximize_cloning,
     joint_optimal,
-    omega_range,
     protocol1_optimal,
     protocol2_critical_priors,
     protocol2_optimal,
@@ -41,6 +39,8 @@ from seqdisc.protocols import (
     _clone_optimal_values,
     _clone_working_point,
     at_least_one_protocol3_values,
+    clone_params_of_omega,
+    omega_range,
     protocol1_optimal_values,
     protocol2_optimal_values,
     protocol3_optimal_values,

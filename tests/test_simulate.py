@@ -15,10 +15,9 @@ from seqdisc import (
     joint_success,
     make_state_pair,
     run_ssd_trials,
-    trial_uniforms,
 )
 from seqdisc import simulate
-from seqdisc.simulate import _outcome_table
+from seqdisc.simulate import _outcome_table, trial_uniforms
 
 
 def _flag(q, i):
