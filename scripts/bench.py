@@ -10,13 +10,16 @@ system and faults in again shows.
 
 With ``--parent DIR``, ``DIR/src/seqdisc`` must write the same CSVs and give
 the same oracle results, ``certify()`` rows, correlation reports and Monte
-Carlo counts, bit for bit, and is timed
-beside this tree, the two in alternating order from round to round; each
-round's change/parent ratio cancels a slow spell where raw times do not.  The
-op that runs second in a round can read faster or slower than the first (on
-one unchanged op, 1.10-1.29 in one order and 0.76-0.96 in the other), so the
-16 rounds give each order 8, and an op's reported median ratio is the mean
-of the two orders' median ratios; both are recorded beside it.  The trees
+Carlo counts, bit for bit. An output that the change moves on purpose is
+named with ``--moved NAME`` (repeatable; ``certify().joint`` is the joint
+row): it may differ, and its value on each tree goes into the record under
+``moved``. The parent is then timed beside this tree, the two in alternating
+order from round to round; each round's change/parent ratio cancels a slow
+spell where raw times do not.  The op that runs second in a round can read
+faster or slower than the first (on one unchanged op, 1.10-1.29 in one order
+and 0.76-0.96 in the other), so the 16 rounds give each order 8, and an op's
+reported median ratio is the mean of the two orders' median ratios; both are
+recorded beside it.  The trees
 share one heap, so one tree's allocations can spare the other its faults:
 they are recorded only without a parent; compare them between runs of each
 tree alone (``PYTHONPATH=DIR/src``).
@@ -29,6 +32,7 @@ read 1.07 and 1.23 on ``figure_set``.
     python scripts/bench.py --out bench.json
     python scripts/bench.py --quick --out bench.json   # a smoke run
     python scripts/bench.py --parent ../parent --out bench.json
+    python scripts/bench.py --parent ../parent --moved 'certify().joint' --out bench.json
     python scripts/bench.py --quick --parent . --out bench.json   # the tree against itself, as CI runs it
 """
 
@@ -248,7 +252,7 @@ def make_ops(package) -> dict:
 def _oracle_results(package) -> list:
     """(name, result) of every ``grid_maximize_*`` oracle on each of
     ORACLE_SCENARIOS, the stage oracles at t = sqrt(s), of the joint oracle on
-    its draws, and of ``certify()``."""
+    its draws, and of each ``certify()`` row, named ``certify().<quantity>``."""
     oracle = package.oracle
     results = []
     for s, p1 in ORACLE_SCENARIOS:
@@ -259,7 +263,7 @@ def _oracle_results(package) -> list:
             results.append((f"grid_maximize_{name}{(s, p1)}", fn(*args)))
     for s, p1 in _joint_draws():
         results.append((f"grid_maximize_joint{(s, p1)}", oracle.grid_maximize_joint(package.Scenario(s, p1))))
-    return results + [("certify()", oracle.certify())]
+    return results + [(f"certify().{row.quantity}", row) for row in oracle.certify()]
 
 
 def _sampled_results(package) -> list:
@@ -273,11 +277,13 @@ def _sampled_results(package) -> list:
     return results
 
 
-def check_same_output(change, parent) -> None:
+def check_same_output(change, parent, moved=()) -> dict:
     """Raise unless both trees write the same CSVs and ``ssd`` columns, and
     give the same oracle tuples, ``certify()`` rows, correlation reports and
     trial counts bit for bit: a float's repr is the shortest that reads back
-    to the same bits."""
+    to the same bits. The outputs named in ``moved`` may differ, and a name
+    that is no output is an error; return each one's repr on both trees,
+    ``{name: {"change": ..., "parent": ...}}``."""
     for name in change.sweeps.FIGURE_PRESETS:
         if _csv(change.sweeps, name) != _csv(parent.sweeps, name):
             raise RuntimeError(f"figure {name}: the CSVs of the two trees differ")
@@ -285,10 +291,17 @@ def check_same_output(change, parent) -> None:
         a, b = change.ssd.joint_optimal_values(s, p1), parent.ssd.joint_optimal_values(s, p1)
         if not np.array_equal(a, b, equal_nan=True):
             raise RuntimeError("joint_optimal_values: the columns of the two trees differ")
+    found = {}
     for results in (_oracle_results, _sampled_results):
         for (name, a), (_, b) in zip(results(change), results(parent)):
-            if repr(a) != repr(b):
+            if name in moved:
+                found[name] = {"change": repr(a), "parent": repr(b)}
+            elif repr(a) != repr(b):
                 raise RuntimeError(f"{name}: the two trees differ, {a!r} against {b!r}")
+    unknown = sorted(set(moved) - found.keys())
+    if unknown:
+        raise RuntimeError(f"--moved names no output: {unknown}")
+    return found
 
 
 def _minor_faults() -> int:
@@ -365,11 +378,20 @@ def main() -> int:
     parser.add_argument(
         "--parent", metavar="DIR", help="a checkout whose src/seqdisc is timed beside this one"
     )
+    parser.add_argument(
+        "--moved",
+        action="append",
+        default=[],
+        metavar="NAME",
+        help="an output the change moves on purpose, such as certify().joint (repeatable; needs --parent)",
+    )
     args = parser.parse_args()
-    trees = {"change": make_ops(seqdisc)}
+    if args.moved and not args.parent:
+        parser.error("--moved needs --parent")
+    trees, moved = {"change": make_ops(seqdisc)}, {}
     if args.parent:
         parent = load_parent(args.parent)
-        check_same_output(seqdisc, parent)
+        moved = check_same_output(seqdisc, parent, args.moved)
         trees["parent"] = make_ops(parent)
     rounds = 2 if args.quick else 16
     results = summarize(time_rounds(trees, rounds), trees["change"])
@@ -383,6 +405,7 @@ def main() -> int:
         "numpy": np.__version__,
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
+        "moved": moved,
         "results": results,
     }
     with open(args.out, "w") as fh:

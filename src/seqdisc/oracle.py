@@ -26,14 +26,18 @@ its ``tolerance``. It runs scenario by scenario, and each certifier it needs
 runs once per scenario for all the quantities it covers: the two cloning
 rows share one solve of the optimal cloner and one cloning oracle.
 
-The union row (``at_least_one_ssd``) is certified without a scan, by exact
-bounds in ``fractions``. Every feasible (t, q1b, q1c) has Q1*Q2 = s^2 for
-the products Qi = qib*qic, so the union's optimum is one stage's at flag
-overlap s. The lower bound L is ``_union_term`` at the closed form's argmax;
-the upper bound U is that stage's semidefinite dual bound
-(``stage_certificate``). The row's gap bounds the closed form's distance
-from the optimum itself. ``grid_maximize_union_ssd``, the (t, q1b, q1c) scan,
-stays as the certificate's brute-force cross-check in the tests.
+The union row (``at_least_one_ssd``) and the joint row are certified
+without a scan, by exact bounds in ``fractions``. Every feasible (t, q1b,
+q1c) has Q1*Q2 = s^2 for the products Qi = qib*qic. So the union's optimum
+is one stage's at flag overlap s: L is ``_union_term`` at the closed form's
+argmax, and U that stage's semidefinite dual bound (``stage_certificate``).
+And the joint's optimum is the maximum over u in [s, 1] of one function
+g(u), whose stationary points are the roots of q*'s quartic: L is g at the
+closed form's q1b, and U comes from a Sturm count of the quartic's roots and
+a bracket of floats around its middle one (``joint_certificate``). Each
+row's gap bounds the closed form's distance from the optimum itself.
+``grid_maximize_union_ssd`` and ``grid_maximize_joint``, the (t, q1b, q1c)
+scans, stay as the certificates' brute-force cross-checks in the tests.
 """
 
 from __future__ import annotations
@@ -319,7 +323,13 @@ def grid_maximize_joint(scenario: Scenario) -> tuple[float, float, float, float]
     """Brute-force maximum of the joint success over (t, q1b, q1c) on a grid
     of 301 points per axis before refinement; each Bob row is evaluated at
     the two q1c grid points that bracket Charlie's stationary point, and only
-    in the t-chunks and q1b-blocks that a block's bound keeps."""
+    in the t-chunks and q1b-blocks that a block's bound keeps.
+
+    ``certify`` bounds the joint exactly instead (``joint_certificate``); the
+    tests keep this scan as that certificate's cross-check. Its grid is
+    linear in t, q1b and q1c, while the argmax has t = sqrt(s) and q1b =
+    q1c = q* near sqrt(s), so below s of about 1e-8 it misses the maximum:
+    by 3.8e-6 at (s, p1) = (1e-9, 1/2) and 4.3e-4 at (1.46e-8, 0.065)."""
     return _max_3d(scenario, _joint_term, _joint_factors, bound_chunks=True)
 
 
@@ -437,6 +447,144 @@ def _stage_dual_bound(p1: Fraction, p2: Fraction, r: Fraction) -> Fraction:
     return upper
 
 
+def _primitive(p: list[int]) -> list[int]:
+    """p less its leading zeros, divided by the gcd of its coefficients: a
+    positive multiple, so it has p's sign at every point."""
+    while p and not p[0]:
+        p = p[1:]
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _negated_remainder(a: list[int], b: list[int]) -> list[int]:
+    """-(a mod b) times a positive number, in integers (coefficients highest
+    first): each step scales a by |lead(b)| before it cancels a's lead."""
+    sign = 1 if b[0] > 0 else -1
+    while len(a) >= len(b):
+        f = sign * a[0]
+        a = [abs(b[0]) * c - f * (b[i] if i < len(b) else 0) for i, c in enumerate(a)][1:]
+    return _primitive([-c for c in a])
+
+
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """The Sturm sequence of the integer polynomial p (coefficients highest
+    first), each member a positive multiple of the textbook one, so that it
+    counts p's distinct real roots (``_root_count``)."""
+    chain = [p, _primitive([c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])])]
+    while len(chain[-1]) > 1:
+        r = _negated_remainder(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(r)
+    return chain
+
+
+def _sign_changes(chain: list[list[int]], x) -> int:
+    """Sign changes along ``chain`` at x (an int, a float or a ``Fraction``),
+    zeros skipped: each member evaluated exactly, as d^deg p(n/d) for x =
+    n/d."""
+    n, d = x.as_integer_ratio()
+    signs = []
+    for p in chain:
+        v, dk = p[0], d
+        for c in p[1:]:
+            v, dk = v * n + c * dk, dk * d
+        if v:
+            signs.append(v > 0)
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _root_count(chain: list[list[int]], lo, hi) -> int:
+    """Distinct real roots in (lo, hi] of the polynomial that heads ``chain``
+    (Sturm's theorem)."""
+    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
+
+
+def _root_bracket(
+    chain: list[list[int]], lo: float, hi: float, k: int, near: float
+) -> tuple[float, float]:
+    """The adjacent floats a < b with the k-th distinct root in (lo, hi] of
+    the polynomial that heads ``chain`` in (a, b], for floats lo < hi between
+    which it has at least k roots.
+
+    Every side is decided by a Sturm count. The search starts at ``near``
+    (clamped to [lo, hi]) and steps away from it in doubling steps, from
+    one ulp, until the root is enclosed; bisection then closes the bracket.
+    So a start near the root takes a few counts, and any other start gives
+    the same bracket, by more of them.
+    """
+    v_lo = _sign_changes(chain, lo)
+
+    def past(x):  # the k-th root is at or below x
+        return v_lo - _sign_changes(chain, x) >= k
+
+    a, b = lo, hi
+    x = min(max(near, lo), hi)
+    step = math.ulp(x)
+    while a < x < b:
+        if past(x):
+            b, x = x, max(a, x - step)
+        else:
+            a, x = x, min(b, x + step)
+        step *= 2
+    while a < (m := 0.5 * (a + b)) < b:
+        if past(m):
+            b = m
+        else:
+            a = m
+    return a, b
+
+
+def joint_certificate(
+    p1: float, p2: float, s: float, q: float, near: float | None = None
+) -> tuple[Fraction, Fraction]:
+    """(lower, upper) bounds, as ``Fraction``s, on the joint optimum over the
+    whole (t, q1b, q1c) box, for the float priors p1 > 0 and p2, overlap s
+    and reported q1b = q1c = q.
+
+    For a, b in [0, 1], (1 - a)(1 - b) <= (1 - sqrt(ab))^2. Every feasible
+    point has Q1*Q2 = s^2 for the products Qi = qib*qic, so with u =
+    sqrt(Q1) in [s, 1] the joint success is at most g(u) =
+    p1*(1 - u)^2 + p2*(1 - s/u)^2, which t = sqrt(s), q1b = q1c = u attains:
+    the optimum is max g on [s, 1]. g'(u) = 2h(u)/u^3 with the quartic
+    h(u) = p1*u^4 - p1*u^3 + p2*s*u - p2*s^2 of q*, and h(s) < 0 < h(1) for
+    0 < s < 1, so an interior maximum of g is a root where h goes from + to
+    -, which takes three roots in [s, 1] (then all simple), and then is the
+    middle one.
+
+    The lower bound is g(q), the value at a feasible point (t = sqrt(s)
+    exactly). The upper bound is max(g(s), g(1)) where a Sturm count finds
+    fewer than three roots. With three, the adjacent floats a < b around
+    the middle root (``_root_bracket``) add g(a), g(b) and p1*(1 - a)^2 +
+    p2*(1 - s/b)^2: g is at most its end values on [s, a] and on [b, 1],
+    which hold no maximum, and on [a, b] at most that sum, as one term falls
+    in u and the other rises. The bracket's search starts at ``near`` (q by
+    default); the bounds do not depend on it, but a start far from the root
+    costs more Sturm counts. At s = 0 the optimum is p1 + p2, and at s = 1
+    it is g(1) = 0. A q outside [s, 1] is no feasible point, so it bounds
+    nothing and is a ``ConstraintError``.
+    """
+    if not s <= q <= 1.0:
+        raise ConstraintError(f"q={q!r} outside [s, 1] for s={s!r}")
+    start = q if near is None else near
+    p1, p2, s, q = (Fraction(x) for x in (p1, p2, s, q))
+    if s == 0:  # orthogonal states: q2 = 0, so g(u) = p1*(1 - u)^2 + p2
+        return p1 * (1 - q) ** 2 + p2, p1 + p2
+
+    def g(u):
+        return p1 * (1 - u) ** 2 + p2 * (1 - s / u) ** 2
+
+    upper = max(g(s), g(1))
+    if s < 1:
+        coefficients = (p1, -p1, 0, p2 * s, -p2 * s * s)
+        den = math.lcm(*(c.denominator for c in coefficients))
+        chain = _sturm_chain(_primitive([c.numerator * (den // c.denominator) for c in coefficients]))
+        if _root_count(chain, s, 1) >= 3:
+            a, b = (Fraction(x) for x in _root_bracket(chain, float(s), 1.0, 2, start))
+            upper = max(upper, g(a), g(b), p1 * (1 - a) ** 2 + p2 * (1 - s / b) ** 2)
+    return g(q), upper
+
+
 def stage_certificate(p1, p2, r, q1) -> tuple[Fraction, Fraction]:
     """(lower, upper) bounds, as ``Fraction``s, on the optimum of one stage at
     flag overlap r with priors p1 and p2.
@@ -496,26 +644,42 @@ def _cert_cloning(sc: Scenario) -> dict[str, float]:
     }
 
 
+def _bounds_gap(value: float, lower: Fraction, upper: Fraction) -> float:
+    """max(|v - L|, |v - U|) for exact bounds on an optimum, which bounds
+    |v - optimum| wherever L <= U; L > U is an infinite gap."""
+    v = Fraction(value)
+    return float(max(abs(v - lower), abs(v - upper))) if lower <= upper else math.inf
+
+
 def _cert_union(sc: Scenario) -> dict[str, float]:
-    """The union's value against exact bounds on its optimum: max(|v - L|,
-    |v - U|), which bounds |v - optimum| wherever L <= U.
+    """The union's value against exact bounds on its optimum (``_bounds_gap``).
 
     L is ``_union_term`` in rationals at the closed form's argmax (t, q1b,
     q1c) = (1, q1_product, 1): at t = 1 Bob's overlap is s, so q2b =
     s^2/q1b, and Charlie's is 1, so q2c = 1. Every feasible (t, q1b, q1c) has
     Q1*Q2 = s^2 with Q1 = q1b*q1c in [s^2, 1], so the union's optimum is the
     stage's at r = s, and U is that stage's dual bound. An argmax outside
-    [s^2, 1], or L > U, is an infinite gap.
+    [s^2, 1] is an infinite gap.
     """
     result = at_least_one_ssd(sc)
     p1, p2, s, q1b = (Fraction(x) for x in (sc.p1, sc.p2, sc.s, result.argmax["q1_product"]))
     if not s * s <= q1b <= 1:
         return {"at_least_one_ssd": math.inf}
     lower = _union_term(q1b, s * s / q1b if q1b else 0, 1, 1, p1, p2)
-    upper = _stage_dual_bound(p1, p2, s)
-    v = Fraction(result.value)
-    gap = float(max(abs(v - lower), abs(v - upper))) if lower <= upper else math.inf
-    return {"at_least_one_ssd": gap}
+    return {"at_least_one_ssd": _bounds_gap(result.value, lower, _stage_dual_bound(p1, p2, s))}
+
+
+def _cert_joint(sc: Scenario) -> dict[str, float]:
+    """The joint's value against ``joint_certificate``'s exact bounds on its
+    optimum (``_bounds_gap``), at the closed form's q1b, with the bracket of
+    q*'s root started from its q*, which case II reports too. An argmax
+    outside [s, 1] is an infinite gap."""
+    result = joint_optimal(sc, compute_boundary=False)
+    q = result.argmax["q1b"]
+    if not sc.s <= q <= 1.0:
+        return {"joint": math.inf}
+    lower, upper = joint_certificate(sc.p1, sc.p2, sc.s, q, result.argmax.get("q_star", q))
+    return {"joint": _bounds_gap(result.value, lower, upper)}
 
 
 # Each certifier maps a scenario to the gaps of every quantity it covers, and
@@ -523,15 +687,16 @@ def _cert_union(sc: Scenario) -> dict[str, float]:
 # called, so a rebound module name (such as the benchmark's tracer installs)
 # is seen. Protocol 1 is Bob's stage at t = 1, where his overlap s/t is s
 # itself. The two cloning combinations are written here apart from
-# protocols', so that a slip in either shows as a gap. The union reduces to
-# protocol (1) by Q1*Q2 = s^2, and ``_cert_union`` bounds its optimum exactly
-# from both sides: L at the closed form's argmax, U from the stage's dual
-# point at r = s. The tests keep ``grid_maximize_union_ssd`` as its
-# brute-force cross-check.
+# protocols', so that a slip in either shows as a gap. The union and the
+# joint are bounded exactly from both sides, without a scan: the union
+# reduces to protocol (1) by Q1*Q2 = s^2 (``_cert_union``), and the joint to
+# one variable by the same identity (``joint_certificate``). The tests keep
+# ``grid_maximize_union_ssd`` and ``grid_maximize_joint`` as their
+# brute-force cross-checks.
 _CERTIFIERS: dict[str, Callable[[Scenario], dict[str, float]]] = {
     "bob": lambda sc: {"bob": _cert_stage(sc, bob_optimal, grid_maximize_bob)},
     "charlie": lambda sc: {"charlie": _cert_stage(sc, charlie_optimal, grid_maximize_charlie)},
-    "joint": lambda sc: {"joint": _cert_gap(sc, joint_optimal, grid_maximize_joint)},
+    "joint": _cert_joint,
     "protocol1": lambda sc: {
         "protocol1": _cert_gap(sc, protocol1_optimal, lambda sc: grid_maximize_bob(sc, 1.0))
     },

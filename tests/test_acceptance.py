@@ -103,11 +103,14 @@ def test_criterion_2_symmetry_breaking_threshold():
 # re-recorded when its certifier gave way from the (t, q1b, q1c) grid scan
 # (2.2204e-16 at (0.1716, 0.2)) to the exact bounds of
 # ``oracle._cert_union``, whose gap bounds the closed form's distance from
-# the optimum itself (1.4033e-16 at (0.6, 0.1)).
+# the optimum itself (1.4033e-16 at (0.6, 0.1)). The joint row was
+# re-recorded likewise, from the block-bounded (t, q1b, q1c) scan (3.1124e-10
+# at (0.2, 0.05)) to the exact bounds of ``oracle.joint_certificate``
+# (1.8030e-16 at (0.2, 0.1)).
 _CERTIFIED_ROWS = {
     "bob": (2.220446049250313e-16, (0.04, 0.4)),
     "charlie": (1.1102230246251565e-16, (0.04, 0.05)),
-    "joint": (3.1123914556729915e-10, (0.2, 0.05)),
+    "joint": (1.8030021919912543e-16, (0.2, 0.1)),
     "protocol1": (1.1102230246251565e-16, (0.04, 0.05)),
     "protocol2": (2.7318025619393893e-09, (0.36, 0.2)),
     "protocol3": (2.639618412736411e-09, (0.1716, 0.05)),

@@ -76,3 +76,31 @@ def test_parent_check_compares_reports_and_counts(monkeypatch, parent, differs):
         }[differs]
         with pytest.raises(RuntimeError, match=f"^{name}\\(.*the two trees differ"):
             bench.check_same_output(bench.seqdisc, parent)
+
+
+def _joint_row_moved(certify):
+    """``certify`` with the joint row's worst gap one ulp higher."""
+
+    def moved(*args, **kwargs):
+        return [
+            dataclasses.replace(row, worst_gap=math.nextafter(row.worst_gap, 1.0)) if row.quantity == "joint" else row
+            for row in certify(*args, **kwargs)
+        ]
+
+    return moved
+
+
+def test_parent_check_takes_a_named_moved_row_alone(monkeypatch, parent):
+    monkeypatch.setattr(bench, "N_TRIALS", 1000)
+    monkeypatch.setattr(parent.oracle, "certify", _joint_row_moved(parent.oracle.certify))
+    # unnamed, or another row named, the moved row is refused
+    for moved in ((), ("certify().bob",)):
+        with pytest.raises(RuntimeError, match=r"^certify\(\)\.joint: the two trees differ"):
+            bench.check_same_output(bench.seqdisc, parent, moved)
+    found = bench.check_same_output(bench.seqdisc, parent, ("certify().joint",))
+    assert list(found) == ["certify().joint"]
+    change, parent_row = found["certify().joint"]["change"], found["certify().joint"]["parent"]
+    assert change != parent_row and "quantity='joint'" in change and "quantity='joint'" in parent_row
+    # a name that is no output would excuse nothing, and is refused
+    with pytest.raises(RuntimeError, match=r"--moved names no output: \['certify\(\)\.jiont'\]"):
+        bench.check_same_output(bench.seqdisc, parent, ("certify().joint", "certify().jiont"))

@@ -380,12 +380,13 @@ class TestVerify:
         assert "protocol1" in out and "PASS" in out and "FAIL" not in out
 
     def test_unreachable_tolerance_fails(self, capsys):
-        code = main(["verify", "--quantity", "joint", "--tolerance", "1e-12"])
+        # protocol (2)'s scanned row reads 2.7e-9
+        code = main(["verify", "--quantity", "protocol2", "--tolerance", "1e-12"])
         assert code == 5
         assert "FAIL" in capsys.readouterr().out
 
     def test_nan_gap_fails_and_exits_5(self, capsys, monkeypatch):
-        monkeypatch.setattr(oracle, "grid_maximize_joint", lambda sc: (float("nan"), 0.5, 0.5, 0.5))
+        monkeypatch.setitem(oracle._CERTIFIERS, "joint", lambda sc: {"joint": float("nan")})
         assert main(["verify", "--quantity", "joint"]) == 5
         (row,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("joint ")]
         assert row.split()[1] == "nan" and row.endswith(" FAIL")

@@ -27,6 +27,7 @@ from seqdisc import (
     grid_maximize_joint,
     grid_maximize_protocol2,
     grid_maximize_union_ssd,
+    joint_optimal,
     protocol1_optimal,
     protocol2_critical_priors,
     protocol2_optimal,
@@ -44,8 +45,12 @@ from seqdisc.oracle import (
     _joint_factors,
     _joint_term,
     _max_3d,
+    _root_bracket,
+    _root_count,
+    _sturm_chain,
     _union_factors,
     _union_term,
+    joint_certificate,
     stage_certificate,
 )
 from seqdisc.protocols import protocol1_optimal_values
@@ -87,13 +92,12 @@ class TestCertifyTolerance:
         # a NaN gap failed `gap > worst`, so the row passed at worst_gap -1
         # and (nan, nan); it is now the row's worst gap, the first one kept
         s_values = (0.04, 0.36, 0.6)
-        real = oracle_module.grid_maximize_joint
+        real = oracle_module._CERTIFIERS["joint"]
 
         def stub(sc):
-            value, *argmax = real(sc)
-            return (math.nan if sc.s == s_values[nan_at] else value, *argmax)
+            return {"joint": math.nan} if sc.s == s_values[nan_at] else real(sc)
 
-        monkeypatch.setattr(oracle_module, "grid_maximize_joint", stub)
+        monkeypatch.setitem(oracle_module._CERTIFIERS, "joint", stub)
         joint, bob = certify(["joint", "bob"], s_values, (0.3,))
         assert math.isnan(joint.worst_gap) and joint.worst_scenario == (s_values[nan_at], 0.3)
         assert not joint.passed
@@ -850,7 +854,8 @@ class TestCertify:
             certify(["bob"], **{"s_values": [0.2], "p1_values": [0.3], name: grid})
 
     def test_tolerance_below_grid_resolution_fails(self):
-        rows = certify(quantities=["joint"], s_values=(0.2,), p1_values=(0.05,), tolerance=1e-13)
+        # protocol (2)'s row is still scanned: its gap here is 2.7e-9
+        rows = certify(quantities=["protocol2"], s_values=(0.36,), p1_values=(0.2,), tolerance=1e-13)
         assert not rows[0].passed
 
     @pytest.mark.parametrize(
@@ -1092,3 +1097,168 @@ class TestUnionScanCrossCheck:
         value = Fraction(grid_maximize_union_ssd(sc)[0])
         assert value <= upper + 2 * Fraction(math.ulp(1.0))
         assert value >= lower - Fraction(1e-12)
+
+
+def _joint_bounds(sc, near=None):
+    """``joint_certificate``'s (lower, upper) at the closed form's q1b, its
+    bracket started from the closed form's q* (or from ``near``), as
+    ``oracle._cert_joint`` takes them."""
+    result = joint_optimal(sc, compute_boundary=False)
+    q = result.argmax["q1b"]
+    return joint_certificate(sc.p1, sc.p2, sc.s, q, result.argmax.get("q_star", q) if near is None else near)
+
+
+#: Where the joint scan misses the optimum, by 3.8e-6, 3.2e-4, 4.3e-4 and
+#: 2.9e-5: its linear grid cannot resolve t = sqrt(s) and q* near sqrt(s).
+_SCAN_MISSES = [(1e-9, 0.5), (1e-9, 0.3), (1.46e-8, 0.065), (1e-12, 0.5)]
+
+
+def _joint_regimes():
+    """s = 1/4 at p1 = 1/2, where h(sqrt(s)) = 0 (a triple root at 1/2); case II
+    with three roots above s = 3 - 2*sqrt(2); p1 at P_C and an ulp either
+    side; s near 1; the ends s = 0 and 1; a tiny s and a tiny prior."""
+    p_c = critical_prior_PC(0.04).value
+    at_pc = [(0.04, p) for p in (math.nextafter(p_c, 0.0), p_c, math.nextafter(p_c, 1.0))]
+    ends = [(0.0, 0.3), (1.0, 0.3), (1e-300, 0.3), (0.36, 1e-300)]
+    return [(0.25, 0.5), (0.2, 0.5), (0.18, 0.5), *at_pc, (1.0 - 1e-9, 0.3), (1.0 - 1e-9, 0.5), *ends]
+
+
+def _integer_poly(*roots):
+    """The integer coefficients, highest first, of the product of (u - r)."""
+    p = [1]
+    for r in roots:
+        p = [a - r * b for a, b in zip(p + [0], [0] + p)]
+    return p
+
+
+class TestJointCertificate:
+    """The joint row from exact bounds: L = g(q) at the closed form's q1b, U
+    from a Sturm count of q*'s quartic and a bracket of its middle root. The
+    closed form reads at most 1.904 ulps outside [L, U] on the 5x6 grid, 1.254
+    where the scan misses and 1.28 in the regimes."""
+
+    @pytest.mark.parametrize("s,p1", _SCAN_MISSES)
+    def test_passes_where_the_scan_misses(self, s, p1):
+        (row,) = certify(["joint"], [s], [p1], tolerance=1e-15)
+        assert row.passed, row
+
+    @pytest.mark.parametrize("s,p1", _CERT_GRID + _SCAN_MISSES + _joint_regimes())
+    def test_closed_form_within_its_bounds(self, s, p1):
+        sc = Scenario(s, p1)
+        lower, upper = _joint_bounds(sc)
+        assert lower <= upper
+        assert _ulps_outside(joint_optimal(sc).value, lower, upper) <= 1.95
+        assert certify(["joint"], [s], [p1])[0].worst_gap < 1e-15
+
+    @pytest.mark.parametrize(
+        "s,p1,roots", [(0.25, 0.5, 1), (0.2, 0.5, 3), (0.04, 0.5, 3), (1e-9, 0.3, 3), (0.6, 0.3, 1), (0.04, 0.05, 1)]
+    )
+    def test_root_count_of_the_quartic(self, monkeypatch, s, p1, roots):
+        counts = []
+
+        def count(chain, lo, hi):
+            counts.append(_root_count(chain, lo, hi))
+            return counts[-1]
+
+        monkeypatch.setattr(oracle_module, "_root_count", count)
+        _joint_bounds(Scenario(s, p1))
+        assert counts == [roots]
+
+    def test_sturm_count_of_distinct_roots(self):
+        # simple roots, and a triple root counted once; each count is of (lo, hi]
+        chain = _sturm_chain(_integer_poly(-1, 1, 2, 3))
+        assert [_root_count(chain, lo, hi) for lo, hi in ((0, 4), (1, 3), (1.5, 2), (-2, 0), (3, 9))] == [3, 2, 1, 1, 0]
+        chain = _sturm_chain([16, -16, 0, 4, -1])  # (2u - 1)^3 (2u + 1)
+        assert _root_count(chain, 0.25, 1.0) == 1 and _root_count(chain, -1.0, 1.0) == 2
+
+    @pytest.mark.parametrize("near", [0.0, 1.5, 2.0, 2.5, 4.0, math.nan])
+    def test_bracket_of_a_root_from_any_start(self, near):
+        # the second root, 2, is a float: the bracket (a, b] ends at it
+        chain = _sturm_chain(_integer_poly(1, 2, 3))
+        assert _root_bracket(chain, 0.0, 4.0, 2, near) == (math.nextafter(2.0, 0.0), 2.0)
+
+    @pytest.mark.parametrize("s,p1", [(0.04, 0.5), (1e-9, 0.5), (0.2, 0.5), (0.04, 0.2311581247086681)])
+    def test_bracket_from_any_start_gives_the_same_bounds(self, s, p1):
+        # a start far from q* closes the bracket by bisection, on the same floats
+        sc = Scenario(s, p1)
+        bounds = _joint_bounds(sc)
+        assert all(_joint_bounds(sc, near) == bounds for near in (s, 1.0, 0.5))
+
+    @pytest.mark.parametrize("s,p1", [(0.04, 0.5), (0.1, 0.3), (0.2, 0.5), *_SCAN_MISSES])
+    def test_upper_bound_holds_next_to_the_middle_root(self, s, p1):
+        # g at rationals an eighth of an ulp apart around q*, where the
+        # maximum of g lies between two floats, stays at or below U
+        sc = Scenario(s, p1)
+        q_star = joint_optimal(sc).argmax["q_star"]
+        S, P1, P2 = Fraction(s), Fraction(sc.p1), Fraction(sc.p2)
+        upper = _joint_bounds(sc)[1]
+        for k in range(-24, 25):
+            u = Fraction(q_star) + k * Fraction(math.ulp(q_star)) / 8
+            assert P1 * (1 - u) ** 2 + P2 * (1 - S / u) ** 2 <= upper, k
+
+    def test_ends_of_the_overlap_are_exact(self):
+        # orthogonal states: the optimum p1 + p2 at q = 0; identical states: 0 at q = 1
+        assert joint_certificate(0.3, 0.7, 0.0, 0.0) == (Fraction(0.3) + Fraction(0.7),) * 2
+        assert joint_certificate(0.3, 0.7, 1.0, 1.0) == (0, 0)
+
+    @pytest.mark.parametrize("q", [0.02, 1.0 + 2**-52, math.nan])
+    def test_infeasible_q_is_rejected(self, q):
+        with pytest.raises(ConstraintError, match="outside \\[s, 1\\]"):
+            joint_certificate(0.3, 0.7, 0.04, q)
+
+    def test_certify_row_runs_no_grid_scan(self, monkeypatch):
+        def scan(sc):
+            raise AssertionError("the joint row scanned (t, q1b, q1c)")
+
+        monkeypatch.setattr(oracle_module, "grid_maximize_joint", scan)
+        monkeypatch.setattr(oracle_module, "_max_3d", scan)
+        (row,) = certify(["joint"], tolerance=1e-15)
+        assert row.passed
+
+    def test_value_off_by_1e_12_fails(self, monkeypatch):
+        def shifted(sc, **kwargs):
+            result = joint_optimal(sc, **kwargs)
+            return type(result)(result.value - 1e-12, result.case_label, result.argmax, result.boundary_prior)
+
+        monkeypatch.setattr(oracle_module, "joint_optimal", shifted)
+        (row,) = certify(["joint"], tolerance=1e-15)
+        assert not row.passed and 0.9e-12 < row.worst_gap < 1.1e-12
+
+    @pytest.mark.parametrize("q1b", [0.02, 1.0 + 2**-52], ids=["below_s", "above_1"])
+    def test_argmax_outside_its_range_fails(self, monkeypatch, q1b):
+        def moved(sc, **kwargs):
+            result = joint_optimal(sc, **kwargs)
+            argmax = {**result.argmax, "q1b": q1b}
+            return type(result)(result.value, result.case_label, argmax, result.boundary_prior)
+
+        monkeypatch.setattr(oracle_module, "joint_optimal", moved)
+        (row,) = certify(["joint"], [0.04], [0.3])
+        assert row.worst_gap == math.inf and not row.passed
+
+    def test_lower_above_upper_fails(self, monkeypatch):
+        monkeypatch.setattr(oracle_module, "joint_certificate", lambda *args: (Fraction(1), Fraction(0)))
+        (row,) = certify(["joint"], [0.36], [0.2])
+        assert row.worst_gap == math.inf and not row.passed
+
+
+def _joint_cross_scenarios():
+    """30 seeded scenarios: s log-uniform in [1e-3, 1), above the scan's blind
+    spot, and p1 log-uniform in [1e-8, 1/2]."""
+    rng = np.random.default_rng(1946)
+    s = np.exp(rng.uniform(math.log(1e-3), 0.0, 30))
+    p1 = np.exp(rng.uniform(math.log(1e-8), math.log(0.5), 30))
+    return list(zip(s.tolist(), p1.tolist()))
+
+
+class TestJointScanCrossCheck:
+    """The (t, q1b, q1c) scan stays as the certificate's brute-force
+    cross-check: its maximum is at most U, up to its float rounding (read:
+    0.475 ulps of 1 above), and at least L - 1e-9 (read: 6.5e-10 below)."""
+
+    @pytest.mark.parametrize("s,p1", _CERT_GRID + _joint_cross_scenarios())
+    def test_scan_between_the_bounds(self, s, p1):
+        sc = Scenario(s, p1)
+        lower, upper = _joint_bounds(sc)
+        value = Fraction(grid_maximize_joint(sc)[0])
+        assert value <= upper + 2 * Fraction(math.ulp(1.0))
+        assert value >= lower - Fraction(1e-9)
