@@ -242,6 +242,11 @@ def entropy_H(x: float) -> float:
     (Wootters' formula); it increases monotonically from H(0) = 0 to H(1) = 1.
     Arguments within 1e-12 of [0, 1] are clamped, anything farther is rejected.
     Returns a Python float.
+
+    Relative accuracy is lost below x of about 9e-308, where the smaller
+    eigenvalue, about x/4, is subnormal: ``entropy_H(5e-324)`` returns 0.0,
+    while the true H is 1.33e-321. The result stays finite, nonnegative and
+    below 1e-300 there.
     """
     x = _clamp_unit(x, _entropy_error)
     return float(_entropy_of_tangle(x, math.sqrt, _pick))
@@ -249,7 +254,8 @@ def entropy_H(x: float) -> float:
 
 def entropy_H_values(x: np.ndarray) -> np.ndarray:
     """``entropy_H`` in every lane of an array, by the same body and the same
-    logarithms, so each lane is the float's value bit for bit.
+    logarithms, so each lane is the float's value bit for bit, and loses
+    relative accuracy below x of about 9e-308 as ``entropy_H`` does.
 
     Raises for the first lane outside [0, 1] beyond 1e-12.
     """

@@ -19,8 +19,7 @@ every one-stage maximum (a cloned copy's too) is ``_grid_max_stage``'s; the
 refinement calls the same array objective as its first scan, and every
 scan's points come from ``core._scan_points``.
 ``_max_3d`` gives the (t, q1b, q1c) scan's reasoning: Charlie's
-stationary-point bracket, the block bounds, the one pass over the kept
-blocks, the tie rule and the workspace.
+stationary-point bracket, the pieces of t-slices and the tie rule.
 ``certify`` compares each closed form with its oracle and flags a gap above
 its ``tolerance``. It runs scenario by scenario, and each certifier it needs
 runs once per scenario for all the quantities it covers: the two cloning
@@ -68,13 +67,8 @@ from .ssd import _interior, bob_optimal, charlie_optimal, joint_optimal
 _SCAN_POINTS = 2001
 _JOINT_POINTS = 301
 _REFINE_POINTS = 33
-#: t-slices per chunk of the first (t, q1b, q1c) scan's block bounds.
-_CHUNK_SLICES = 11
 #: Refinement rounds after every grid scan; each narrows the search window.
 _REFINEMENT_PASSES = 2
-#: A (t, q1b, q1c) block is skipped only when its bound plus this slack is
-#: below a real row's value: values are at most 1 and round by a few ulps.
-_BOUND_SLACK = 1e-12
 
 #: Bits of the rational just below sqrt(p1*p2) in a stage's case-I dual point.
 _DUAL_BITS = 200
@@ -118,17 +112,16 @@ def grid_maximize_charlie(scenario: Scenario, t: float) -> tuple[float, float]:
 
 
 def _joint_term(q1b, q2b, q1c, q2c, p1, p2):
-    return p1 * (1.0 - q1b) * (1.0 - q1c) + p2 * (1.0 - q2b) * (1.0 - q2c)
+    # integer literals, so that Fractions stay exact (floats and arrays round
+    # as with 1.0)
+    return p1 * (1 - q1b) * (1 - q1c) + p2 * (1 - q2b) * (1 - q2c)
 
 
-def _joint_factors(q1b, q2b, q1c, q2c, p1, p2, out=(None,) * 4):
-    """Bob and Charlie factors whose rank-2 product is ``_joint_term``, written
-    into ``out``'s four arrays where given. Bob's factors are nonnegative, so
-    at fixed t each of his rows is concave in q1c."""
-    a1, a2, b1, b2 = (np.subtract(1.0, q, out=o) for q, o in zip((q1b, q2b, q1c, q2c), out))
-    a1 *= p1
-    a2 *= p2
-    return (a1, a2), (b1, b2)
+def _joint_factors(q1b, q2b, q1c, q2c, p1, p2):
+    """Bob and Charlie factors whose rank-2 product is ``_joint_term``. Bob's
+    factors are nonnegative, so at fixed t each of his rows is concave in
+    q1c."""
+    return ((1.0 - q1b) * p1, (1.0 - q2b) * p2), (1.0 - q1c, 1.0 - q2c)
 
 
 def _union_term(q1b, q2b, q1c, q2c, p1, p2):
@@ -137,12 +130,11 @@ def _union_term(q1b, q2b, q1c, q2c, p1, p2):
     return p1 * (1 - q1b * q1c) + p2 * (1 - q2b * q2c)
 
 
-def _union_factors(q1b, q2b, q1c, q2c, p1, p2, out=(None,) * 4):
+def _union_factors(q1b, q2b, q1c, q2c, p1, p2):
     """Factors of ``_union_term`` less its constant p1 + p2, which moves no
-    argmax; Bob's are written into ``out``'s first two arrays where given, and
-    Charlie's are q1c and q2c themselves. Bob's factors are nonpositive, so at
-    fixed t each of his rows is concave in q1c."""
-    return (np.multiply(q1b, -p1, out=out[0]), np.multiply(q2b, -p2, out=out[1])), (q1c, q2c)
+    argmax; Charlie's are q1c and q2c themselves. Bob's factors are
+    nonpositive, so at fixed t each of his rows is concave in q1c."""
+    return (q1b * -p1, q2b * -p2), (q1c, q2c)
 
 
 def _to_unit(lo, q):
@@ -151,23 +143,7 @@ def _to_unit(lo, q):
     return (q - lo) / (1.0 - lo)
 
 
-def _blocks(n: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first, middle and last index of each block of ``size`` points on an
-    axis of n points."""
-    first = np.arange(0, n, size)
-    last = np.minimum(first + size, n) - 1
-    return first, np.minimum(first + size // 2, last), last
-
-
-#: Float arrays of one (t, q1b, q1c) kernel pass, per (row, point): q1b, q2b
-#: and Bob's two factors, then q1c, q2c, the row value and a product at each
-#: of the two bracket points.
-_PASS_FLOATS = 12
-
-
-def _max_3d(
-    scenario: Scenario, term: Callable, factors: Callable, bound_chunks: bool
-) -> tuple[float, float, float, float]:
+def _max_3d(scenario: Scenario, term: Callable, factors: Callable) -> tuple[float, float, float, float]:
     """Maximize a two-stage objective over (t, q1b, q1c) with local refinement.
 
     q1b ranges over [(s/t)^2, 1] and q1c over [t^2, 1]; both are parametrized
@@ -185,118 +161,58 @@ def _max_3d(
     a grid row's arithmetic. Each slice's first highest row is re-evaluated
     with ``term`` itself.
 
-    With ``bound_chunks``, the first scan takes the t-slices in chunks of
-    ``_CHUNK_SLICES`` and the u points in blocks of ``_REFINE_POINTS``, and
-    skips a block of one chunk by one u-block when a bound shows it cannot
-    hold the maximum. At fixed (u, v),
-    Bob's q1b and q2b fall as t rises (r = s/t falls) and Charlie's q1c and
-    q2c rise, so Bob's factors rise with t and Charlie's fall (joint) or rise
-    against a nonpositive a (union). At fixed t, q1b rises with u and
-    q2b = r^2/q1b falls, so a1 falls in u and a2 rises. A row with a1 at the
-    block's first u and a2 at its last, both at its last t, and Charlie at
-    its first t is therefore at least every (t, u) row of the block at each
-    v; its bracket maximum, through ``term``, is the block's bound. One pass
-    takes every bound and two real rows per block, at its first and middle
-    (t, u), whose best value is a bar; a block is kept when its bound plus
-    ``_BOUND_SLACK`` reaches the bar. One pass then takes every slice of each
-    chunk with a kept block over the u points of every kept block, cut by
-    rows into pieces that fit the workspace, and a piece replaces the best
-    only when strictly higher, so the first highest slice, in t order, and
-    row win. Every row within the slack of the maximum is in a kept block,
-    and the rows and points beyond the kept blocks are the full scan's too,
-    so a scan without bounds gives the same tuple. The union takes that
-    scan: its value depends on q1b*q1c alone (q2b*q2c = s^2/(q1b*q1c)),
-    every slice reaches the same range [s^2, 1] of that product, and no
-    bound could skip a block. A refinement window is one block and has no
-    bound pass.
-
-    Every pass writes its arrays with ``out=`` into one float64 block and one
-    intp block, allocated once per call and cut into C-contiguous (rows,
-    points) views, so that repeated calls fault no working set back in.
+    The t-slices run in pieces of at most ``_REFINE_POINTS`` x
+    ``_JOINT_POINTS`` (t, u) rows, which bounds the working set: 33 slices
+    of the first scan, and a refinement's 33 in one. A piece replaces the
+    best only when strictly higher, so the first highest slice, in t order,
+    and row win.
     """
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
     t_lo_global = max(s, 1e-9)
     n_cells = _REFINE_POINTS * max(_JOINT_POINTS, _REFINE_POINTS)
-    floats = np.empty(_PASS_FLOATS * n_cells)
-    ints = np.empty(n_cells, dtype=np.intp)
 
-    def rows_max(t_b, t_c, u_a1, u_a2, vs, per_row: bool):
-        """The (value, q1b, q1c) of each row's first highest (u, v) point
-        (``per_row``), or of each (row, u)'s highest v point: Bob's a1 at
-        ``u_a1`` and a2 at ``u_a2`` (one array, but for a block's bound), both
-        at the row's t_b, and Charlie at its t_c (columns)."""
-        shape = (len(t_b), u_a1.shape[-1])
-        cells = shape[0] * shape[1]
-        q1b, q2b, a1, a2 = floats[: 4 * cells].reshape(4, *shape)
-        q1c, q2c, value, prod = floats[4 * cells : _PASS_FLOATS * cells].reshape(4, 2, *shape)
-        at = ints[:cells].reshape(shape)
-        r2 = (s / t_b) ** 2
-        t2 = t_c * t_c
+    def rows_max(t, us, vs):
+        """The (value, q1b, q1c) of each t-slice's first highest (u, v) point,
+        for the slices ``t`` (a column)."""
+        r2 = (s / t) ** 2
+        t2 = t * t
         span_c = 1.0 - t2
-        np.multiply(u_a1, 1.0 - r2, out=q1b)
-        q1b += r2
-        if u_a2 is not u_a1:  # q2b holds q1b at u_a2 until it is divided
-            np.multiply(u_a2, 1.0 - r2, out=q2b)
-            q2b += r2
-        j = prod[0]
+        q1b = us * (1.0 - r2) + r2
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(r2, q1b if u_a2 is u_a1 else q2b, out=q2b)
+            q2b = r2 / q1b
             if not r2.all():  # 0/0 at s = 0, u = 0 is taken as 1; else q2b <= 1
-                np.fmin(q2b, 1.0, out=q2b)
+                q2b = np.fmin(q2b, 1.0)
             # Bob's factors alone: Charlie's points depend on them
-            (a1, a2), _ = factors(q1b, q2b, 0.0, 0.0, p1, p2, (a1, a2, None, None))
+            (a1, a2), _ = factors(q1b, q2b, 0.0, 0.0, p1, p2)
             # the grid coordinate of q1c* = t*sqrt(a2/a1), clamped to a lower
             # bracket point (the cast floors it)
-            np.divide(a2, a1, out=j)
-            np.sqrt(j, out=j)
             scale = (len(vs) - 1) / (vs[-1] - vs[0])
-            j *= t_c / span_c * scale
-            j -= (t2 / span_c + vs[0]) * scale
-        np.fmax(j, 0.0, out=j)
-        np.fmin(j, len(vs) - 2, out=j)
-        np.copyto(at, j, casting="unsafe")
-        np.take(vs, at, out=q1c[0], mode="clip")
-        np.take(vs[1:], at, out=q1c[1], mode="clip")
-        q1c *= span_c
-        q1c += t2
-        np.divide(t2, q1c, out=q2c)
-        _, (b1, b2) = factors(0.0, 0.0, q1c, q2c, p1, p2, (None, None, value, prod))
-        # each bracket point's row value a1*b1 + a2*b2, where b1 and b2 are
-        # value and prod, or q1c and q2c
-        np.multiply(b1, a1, out=value)
-        value += np.multiply(b2, a2, out=prod)
-        upper = np.greater(value[1], value[0], out=at)  # 1 where strictly higher
-        best = np.maximum(value[0], value[1], out=value[0])
-        rows = np.arange(shape[0])
-        i = (rows, np.argmax(best, axis=1)) if per_row else (rows[:, None], np.arange(shape[1]))
-        pick = (upper[i], *i)
+            j = np.sqrt(a2 / a1) * (t / span_c * scale) - (t2 / span_c + vs[0]) * scale
+        at = np.fmin(np.fmax(j, 0.0), len(vs) - 2).astype(np.intp)
+        q1c = np.stack((vs[at], vs[at + 1])) * span_c + t2
+        q2c = t2 / q1c
+        _, (b1, b2) = factors(0.0, 0.0, q1c, q2c, p1, p2)
+        # each bracket point's row value a1*b1 + a2*b2
+        value = b1 * a1 + b2 * a2
+        i = (np.arange(len(t)), np.argmax(np.maximum(value[0], value[1]), axis=1))
+        # the upper bracket point where it is strictly higher
+        pick = (value[1] > value[0])[i].astype(np.intp), *i
         q1b, q2b, q1c, q2c = q1b[i], q2b[i], q1c[pick], q2c[pick]
         return term(q1b, q2b, q1c, q2c, p1, p2), q1b, q1c
 
-    def evaluate(ts: np.ndarray, us: np.ndarray, vs: np.ndarray, bound: bool):
-        """The scan of ``ts`` x ``us`` x ``vs``; with ``bound``, of its kept chunks and u-blocks."""
-        t, u = ts[:, None], us
-        if bound:
-            # each block's bound row, then its real rows at its first and
-            # middle (t, u), whose best value is a bar for the bounds
-            (t0, tm, t1), (u0, um, u1) = _blocks(len(ts), _CHUNK_SLICES), _blocks(len(us), _REFINE_POINTS)
-            t_b, t_c = ts[np.r_[t1, t0, tm], None], ts[np.r_[t0, t0, tm], None]
-            u_a1 = np.repeat(us[[u0, u0, um]], len(t0), 0)
-            u_a2 = np.repeat(us[[u1, u0, um]], len(t0), 0)
-            values = rows_max(t_b, t_c, u_a1, u_a2, vs, False)[0].reshape(3, len(t0), len(u0))
-            keep = ~(values[0] + _BOUND_SLACK < values[1:].max())
-            t = t[np.repeat(keep.any(1), t1 - t0 + 1)]
-            u = us[np.repeat(keep.any(0), u1 - u0 + 1)]
-        best, rows = (-1.0, 0.0, 0.0, 0.0), n_cells // len(u)
+    def evaluate(ts: np.ndarray, us: np.ndarray, vs: np.ndarray):
+        """The best (value, t, q1b, q1c) of the scan of ``ts`` x ``us`` x ``vs``."""
+        t, rows = ts[:, None], n_cells // len(us)
+        best = (-1.0, 0.0, 0.0, 0.0)
         for i in range(0, len(t), rows):
-            vals, q1b, q1c = rows_max(t[i : i + rows], t[i : i + rows], u, u, vs, True)
+            vals, q1b, q1c = rows_max(t[i : i + rows], us, vs)
             k = int(np.argmax(vals))
             if vals[k] > best[0]:
                 best = (float(vals[k]), float(t[i + k, 0]), float(q1b[k]), float(q1c[k]))
         return best
 
     unit = _scan_points(0.0, 1.0, _JOINT_POINTS)
-    best = evaluate(_scan_points(t_lo_global, 1.0, _JOINT_POINTS), unit, unit, bound_chunks)
+    best = evaluate(_scan_points(t_lo_global, 1.0, _JOINT_POINTS), unit, unit)
 
     t_step, u_step = (1.0 - t_lo_global) / (_JOINT_POINTS - 1), 1.0 / (_JOINT_POINTS - 1)
     for _ in range(_REFINEMENT_PASSES):
@@ -310,8 +226,7 @@ def _max_3d(
             *(
                 _scan_points(max(lo, x0 - 1.5 * step), min(1.0, x0 + 1.5 * step), _REFINE_POINTS)
                 for x0, step, lo in windows
-            ),
-            False,
+            )
         )
         if cand[0] > best[0]:
             best = cand
@@ -322,22 +237,21 @@ def _max_3d(
 def grid_maximize_joint(scenario: Scenario) -> tuple[float, float, float, float]:
     """Brute-force maximum of the joint success over (t, q1b, q1c) on a grid
     of 301 points per axis before refinement; each Bob row is evaluated at
-    the two q1c grid points that bracket Charlie's stationary point, and only
-    in the t-chunks and q1b-blocks that a block's bound keeps.
+    the two q1c grid points that bracket Charlie's stationary point.
 
     ``certify`` bounds the joint exactly instead (``joint_certificate``); the
     tests keep this scan as that certificate's cross-check. Its grid is
     linear in t, q1b and q1c, while the argmax has t = sqrt(s) and q1b =
     q1c = q* near sqrt(s), so below s of about 1e-8 it misses the maximum:
     by 3.8e-6 at (s, p1) = (1e-9, 1/2) and 4.3e-4 at (1.46e-8, 0.065)."""
-    return _max_3d(scenario, _joint_term, _joint_factors, bound_chunks=True)
+    return _max_3d(scenario, _joint_term, _joint_factors)
 
 
 def grid_maximize_union_ssd(scenario: Scenario) -> tuple[float, float, float, float]:
     """Brute-force maximum of P(at least one succeeds) over (t, q1b, q1c).
     ``certify`` bounds the union exactly instead (``_cert_union``); the
     tests keep this scan as that certificate's cross-check."""
-    return _max_3d(scenario, _union_term, _union_factors, bound_chunks=False)
+    return _max_3d(scenario, _union_term, _union_factors)
 
 
 def grid_maximize_protocol2(scenario: Scenario) -> tuple[float, float, float]:

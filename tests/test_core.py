@@ -138,6 +138,16 @@ class TestEntropyFloatsAndLanes:
                 worst = max(worst, float(abs((entropy_H(x) - ref) / ref)))
         assert worst <= 2.7 * 2.0**-53, worst / 2.0**-53
 
+    def test_subnormal_tangles(self):
+        # below x = 4 * 2^-1022, about 9e-308, the smaller eigenvalue is
+        # subnormal and relative accuracy is lost (H(5e-324) = 1.33e-321
+        # reads 0.0); floats and lanes still agree, and H stays tiny
+        xs = np.array([5e-324, 1e-320, 1e-310, math.nextafter(4.0 * sys.float_info.min, 0.0)])
+        for x, lane in zip(xs.tolist(), entropy_H_values(xs).tolist()):
+            value = entropy_H(x)
+            assert value.hex() == lane.hex(), x
+            assert math.isfinite(value) and 0.0 <= value < 1e-300, x
+
 
 class TestMakeStatePair:
     def test_identical_at_s_one(self):
