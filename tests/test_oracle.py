@@ -638,6 +638,78 @@ class TestChainSearch:
         assert _max_3d(sc, term, _joint_factors) == _max_3d_rank2(sc, term, _joint_factors)
 
 
+def _first_scan_slice_maxima(scenario, term, factors):
+    """Each t-slice's maximum in the first scan of ``_max_3d_rank2``: ``term``
+    at the slice's first highest point of the full (q1b, q1c) rank-2 array."""
+    p1, p2 = scenario.p1, scenario.p2
+    found = []
+
+    def slice_best(q1b, q2b, q1c, q2c):
+        (a1, a2), (b1, b2) = factors(q1b, q2b, q1c, q2c, p1, p2)
+        slab = np.einsum("i,j->ij", a1, b1)
+        slab += np.einsum("i,j->ij", a2, b2)
+        ib, ic = divmod(int(np.argmax(slab)), len(q1c))
+        found.append(float(term(q1b[ib], q2b[ib], q1c[ic], q2c[ic], p1, p2)))
+        return found[-1], ib, ic
+
+    _reference_max_3d(scenario, slice_best)
+    return found[:_JOINT_POINTS]
+
+
+#: Pieces of the first scan: ``_REFINE_POINTS`` t-slices each, the last short.
+_N_PIECES = -(-_JOINT_POINTS // _REFINE_POINTS)
+
+
+def _scan_passes(oracle, factors, sc):
+    """The (rows, u points) of each pass of ``oracle`` on ``sc``, from the
+    shapes of Bob's factors; Charlie's are formed on scalars for Bob."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle_module, factors.__name__, _recording(factors, calls))
+        oracle(sc)
+    return [np.shape(a1) for (a1, _), _ in calls if np.ndim(a1) == 2]
+
+
+class TestScanPieces:
+    """The first scan evaluates every t-slice, ``_REFINE_POINTS`` slices of
+    ``_JOINT_POINTS`` Bob rows per piece, and each slice's maximum over its
+    rows' two bracket points is the full slice's; each refinement is one
+    piece of ``_REFINE_POINTS`` x ``_REFINE_POINTS`` rows."""
+
+    @pytest.mark.parametrize("oracle,term,factors", _CHAINS, ids=_SCAN_IDS)
+    @pytest.mark.parametrize(
+        "s,p1", _CERT_GRID + _seeded_edge_scenarios() + _pc_tie_scenarios()
+    )
+    def test_every_slice_maximum_is_the_full_slices(self, oracle, term, factors, s, p1):
+        # every slice, not only the winner: a wrong bracket in a slice that
+        # does not win leaves the scan's result as it is
+        sc = Scenario(s, p1)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle_module, term.__name__, _recording(term, calls))
+            oracle(sc)
+        assert len(calls) == _N_PIECES + _REFINEMENT_PASSES
+        found = np.concatenate(calls[:_N_PIECES])
+        assert found.tolist() == _first_scan_slice_maxima(sc, term, factors)
+
+    @pytest.mark.parametrize("oracle,factors", [c[::2] for c in _CHAINS], ids=_SCAN_IDS)
+    def test_chunks_evaluated_on_the_certification_grid(self, oracle, factors):
+        # all 301^2 = 90,601 (row, u) pairs of the first scan on every cell
+        for s, p1 in _CERT_GRID:
+            passes = _scan_passes(oracle, factors, Scenario(s, p1))
+            first = passes[: len(passes) - _REFINEMENT_PASSES]
+            assert sum(rows * points for rows, points in first) == _JOINT_POINTS**2, (s, p1)
+            assert passes[len(first) :] == [(_REFINE_POINTS, _REFINE_POINTS)] * _REFINEMENT_PASSES
+
+    def test_widest_cell_runs_in_pieces(self):
+        # nine pieces of 33 slices and one of the last 4, each over 301 u points
+        sc = Scenario(0.1716, 0.5)
+        passes = _scan_passes(grid_maximize_joint, _joint_factors, sc)
+        assert passes[:_N_PIECES] == [(_REFINE_POINTS, _JOINT_POINTS)] * 9 + [(4, _JOINT_POINTS)]
+        assert grid_maximize_joint(sc) == _max_3d_rank2(sc, _joint_term, _joint_factors)
+        assert _one_call_peak(grid_maximize_joint, sc) < 2e6
+
+
 def _one_call_peak(oracle, sc):
     """The bytes that one call of ``oracle`` on ``sc`` allocates at its peak,
     after a warm-up call."""
