@@ -24,6 +24,9 @@ share one heap, so one tree's allocations can spare the other its faults:
 they are recorded only without a parent; compare them between runs of each
 tree alone (``PYTHONPATH=DIR/src``).
 
+seqdisc is imported from ``src/`` of the checkout this script sits in; a
+``seqdisc`` from anywhere else (one imported before, say) exits with status 2.
+
 ``--quick`` is a smoke run of 2 rounds, one in each order: it shows that
 every op runs on both trees, and its record says so (``smoke_run``,
 ``rounds``), but its ratios are not evidence; two bit-identical trees have
@@ -53,7 +56,12 @@ from unittest import mock
 
 import numpy as np
 
-import seqdisc
+#: src/ of the checkout this script sits in: its seqdisc is the one timed,
+#: not an installed copy (lower case, so the record does not take it for an
+#: input)
+_src = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(_src))
+import seqdisc  # noqa: E402
 
 #: Scenarios (s, p1) of each oracle op: small, middle and large overlaps.
 ORACLE_SCENARIOS = ((0.04, 0.5), (0.36, 0.2), (0.6, 0.05))
@@ -388,6 +396,9 @@ def main() -> int:
     args = parser.parse_args()
     if args.moved and not args.parent:
         parser.error("--moved needs --parent")
+    if not Path(seqdisc.__file__).resolve().is_relative_to(_src.resolve()):
+        print(f"error: imported seqdisc from {seqdisc.__file__}, not from {_src}", file=sys.stderr)
+        return 2
     trees, moved = {"change": make_ops(seqdisc)}, {}
     if args.parent:
         parent = load_parent(args.parent)

@@ -23,7 +23,10 @@ stationary-point bracket, the pieces of t-slices and the tie rule.
 ``certify`` compares each closed form with its oracle and flags a gap above
 its ``tolerance``. It runs scenario by scenario, and each certifier it needs
 runs once per scenario for all the quantities it covers: the two cloning
-rows share one solve of the optimal cloner and one cloning oracle.
+rows share one solve of the optimal cloner and one cloning oracle. That
+oracle scans gamma1 and takes each point's gamma2 from the cloning
+constraint's better root in closed form, a line meeting the unit circle
+(``_cloning_objective``), by correctly rounded operations alone.
 
 The union row (``at_least_one_ssd``) and the joint row are certified
 without a scan, by exact bounds in ``fractions``. Every feasible (t, q1b,
@@ -277,66 +280,72 @@ def grid_maximize_protocol2(scenario: Scenario) -> tuple[float, float, float]:
     return bob_val * charlie_val, q1b, q1c
 
 
-def _cloning_objective_values(
-    g1: np.ndarray, s: float, p1: float, p2: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """p1*gamma1 + p2*gamma2 on the better constraint branch, that gamma2 and
-    the branch's angle th2; -inf (and gamma2, th2 NaN) where neither branch is
-    valid. For g1 in [0, 1].
+def _cloning_objective(g1, s, p1, p2, sqrt, minimum, roots=False):
+    """p1*gamma1 + p2*gamma2 at the better root of the cloning constraint, for
+    g1 in [0, 1] and 0 < s < 1, on floats (``math.sqrt``, ``min``) or on
+    arrays (``np.sqrt``, ``np.minimum``); with ``roots``, the tuple (value,
+    gamma2, sqrt(1 - gamma2)).
 
-    gamma2 = cos^2(th2), where th2 solves the constraint written as
-    A*cos(th2) + B*sin(th2) = s with A = s^2*sqrt(g1) and B = sqrt(1-g1):
-    th2 = psi +- delta with psi = arctan2(B, A) and
-    delta = arccos(s / hypot(A, B)). A branch is valid where th2 is in
-    [0, pi/2] within 1e-12, and th2 is clipped to [0, pi/2]. Only
-    psi - delta is evaluated. It is never above psi + delta, and cos^2 does
-    not rise on [0, pi/2], so it is never the worse branch where both are
-    valid. And it is valid wherever delta is defined: psi <= pi/2, and
-    cos(psi) = A/hypot <= s/hypot = cos(delta) since A <= s^2 <= s, so
-    psi >= delta, up to rounding far inside 1e-12. Where the constraint has
-    no real solution, s / hypot(A, B) > 1 (or s / 0), delta and both th2 are
-    NaN, and neither branch is valid. Where cos^2(th2) rounds to 1,
-    sin^2(th2) is not 1 - gamma2; callers that need it take the sine of th2.
+    The constraint (Duan and Guo, Phys. Rev. Lett. 80, 4999 (1998)) is
+    s = s^2*sqrt(gamma1*gamma2) + sqrt((1 - gamma1)(1 - gamma2)). At fixed
+    gamma1 = g1 it is the line A*x + B*y = s, with A = s^2*sqrt(g1) and
+    B = sqrt(1 - g1), on the unit circle of (x, y) = (sqrt(gamma2),
+    sqrt(1 - gamma2)). Its roots are (A*s +- B*sqrt(R), B*s -+ A*sqrt(R)) / h2,
+    with h2 = A^2 + B^2 = s^4*g1 + (1 - g1), a sum of nonnegatives, and
+    R = h2 - s^2 = (1 - s^2)*((1 - g1) - s^2*g1), formed as that product with
+    1 - s^2 = (1 - s)(1 + s). Only the last factor cancels, near the tangent
+    point g1 = 1/(1 + s^2), and its error of an ulp of 1 - g1 is scaled by
+    1 - s^2 with R: the sum (1 - g1) - s^2*(1 - s^2*g1) leaves it unscaled,
+    which costs digits as s -> 1, and (1 - s^2) - (1 - s^4)*g1 loses s^2's
+    digits as s -> 0.
+
+    The "+" root is the better one: A*s >= 0, so its x is at least the
+    other's |x|, after rounding too, and x^2 rises with x >= 0. It is a
+    root wherever R >= 0: x >= 0, and B*s >= A*sqrt(R) since s >= A. Past
+    the tangent point R < 0, where an array lane's value is NaN
+    (``_cloning_objective_values`` makes it -inf) and ``math.sqrt`` raises on
+    a float. x is clipped at 1 by ``minimum``, which passes NaN through, so a
+    point with no root never takes x = 1. Every step is +, -, *, / or a
+    square root, each correctly rounded, so a float and the lane that holds
+    it agree bit for bit, on every CPU and numpy.
     """
-    p1_g1 = p1 * g1
-    a = np.sqrt(g1)
-    a *= s * s
-    b = np.subtract(1.0, g1)
-    np.sqrt(b, out=b)
+    ss = s * s
+    co_g1 = 1.0 - g1
+    den = ss * ss * g1 + co_g1  # A^2 + B^2
+    root = sqrt((1.0 - s) * (1.0 + s) * (co_g1 - ss * g1))  # sqrt(R)
+    sqrt_g1, b = sqrt(g1), sqrt(co_g1)
+    x = minimum((sqrt_g1 * (s * ss) + b * root) / den, 1.0)
+    value = p1 * g1 + p2 * (x * x)
+    if not roots:
+        return value
+    return value, x * x, (b * s - sqrt_g1 * ss * root) / den
+
+
+def _cloning_objective_values(g1: np.ndarray, s: float, p1: float, p2: float) -> np.ndarray:
+    """``_cloning_objective`` in every lane of an array, -inf where the
+    constraint has no root."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        delta = np.hypot(a, b)
-        np.divide(s, delta, out=delta)
-        np.arccos(delta, out=delta)
-        th2 = np.arctan2(b, a, out=a)
-        th2 -= delta
-        valid = th2 >= -1e-12
-        valid &= th2 <= 0.5 * math.pi + 1e-12  # False where th2 is NaN
-    np.clip(th2, 0.0, 0.5 * math.pi, out=th2)
-    g2 = np.cos(th2)
-    g2 *= g2
-    value = np.multiply(g2, p2)
-    value += p1_g1
-    invalid = ~valid
-    for out, fill in ((g2, np.nan), (th2, np.nan), (value, -np.inf)):
-        np.copyto(out, fill, where=invalid)
-    return value, g2, th2
+        value = _cloning_objective(g1, s, p1, p2, np.sqrt, np.minimum)
+    return np.fmax(value, -np.inf, out=value)
 
 
 def grid_maximize_cloning(scenario: Scenario) -> tuple[float, float, float]:
     """Brute-force maximum of p1*gamma1 + p2*gamma2 on the cloning constraint
-    manifold, parametrized by gamma1, each point on its better constraint
-    branch (``_cloning_objective_values``)."""
+    manifold, parametrized by gamma1, each point at its better constraint
+    root (``_cloning_objective``). The scans take the array form; the
+    argmax's gamma2 and sqrt(1 - gamma2) come from one float call, whose
+    value is the scan's bit for bit."""
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
     if s in (0.0, 1.0):
         return 1.0, 1.0, 1.0
 
     g1, value = window_scan_max(
-        lambda g: _cloning_objective_values(g, s, p1, p2)[0], 0.0, 1.0, _SCAN_POINTS, _REFINEMENT_PASSES
+        lambda g: _cloning_objective_values(g, s, p1, p2), 0.0, 1.0, _SCAN_POINTS, _REFINEMENT_PASSES
     )
     if not math.isfinite(value):
         raise NumericError(f"cloning constraint unsolvable everywhere for s={s}")
-    _, g2, th2 = (float(x[0]) for x in _cloning_objective_values(np.array([g1]), s, p1, p2))
-    residual = s - math.sqrt(g1 * g2) * s * s - math.sqrt((1.0 - g1) * math.sin(th2) ** 2)
+    _, g2, co_root = _cloning_objective(g1, s, p1, p2, math.sqrt, min, roots=True)
+    residual = s - math.sqrt(g1 * g2) * s * s - math.sqrt(1.0 - g1) * co_root
     if abs(residual) > 1e-10:
         raise NumericError(f"cloning oracle argmax violates the constraint at gamma1={g1}")
     return value, g1, g2
@@ -548,7 +557,13 @@ def _cert_gap(sc: Scenario, closed_form: Callable, oracle: Callable) -> float:
 def _cert_cloning(sc: Scenario) -> dict[str, float]:
     """Gaps of both cloning optima, from one solve of the optimal cloner and
     one cloning oracle: each combines the oracle's success p_cl with one
-    copy's stage maximum disc at the priors it conditions."""
+    copy's stage maximum disc at the priors p1*gamma1 : p2*gamma2 it
+    conditions. The oracle's p_cl, gamma1 and gamma2 come from the
+    constraint's root by +, -, *, / and square roots alone
+    (``_cloning_objective``), each correctly rounded, so both gaps are the
+    same on every CPU and numpy. They are the 1-D scan's argmax resolution on
+    a flat top: its gamma1, up to about 2e-8 from the optimum's, moves p_cl
+    by an ulp or two but disc's priors to first order."""
     both, at_least_one = _cloned_optimum(sc)
     p_cl, g1, g2 = grid_maximize_cloning(sc)
     disc = _conditioned_stage(sc.p1 * g1, sc.p2 * g2, sc.s)[0]

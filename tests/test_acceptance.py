@@ -106,15 +106,19 @@ def test_criterion_2_symmetry_breaking_threshold():
 # the optimum itself (1.4033e-16 at (0.6, 0.1)). The joint row was
 # re-recorded likewise, from the block-bounded (t, q1b, q1c) scan (3.1124e-10
 # at (0.2, 0.05)) to the exact bounds of ``oracle.joint_certificate``
-# (1.8030e-16 at (0.2, 0.1)).
+# (1.8030e-16 at (0.2, 0.1)). Both cloning rows were re-recorded when the
+# cloning oracle's angle form gave way to the constraint's closed-form root,
+# which moves its rounding and so where its refinement lands on the flat top
+# (protocol3 2.6396e-9 at (0.1716, 0.05) -> 2.9351e-9 at (0.36, 0.1);
+# at_least_one_p3 9.5568e-10 at (0.6, 0.4) -> 5.8826e-10 at (0.36, 0.1)).
 _CERTIFIED_ROWS = {
     "bob": (2.220446049250313e-16, (0.04, 0.4)),
     "charlie": (1.1102230246251565e-16, (0.04, 0.05)),
     "joint": (1.8030021919912543e-16, (0.2, 0.1)),
     "protocol1": (1.1102230246251565e-16, (0.04, 0.05)),
     "protocol2": (2.7318025619393893e-09, (0.36, 0.2)),
-    "protocol3": (2.639618412736411e-09, (0.1716, 0.05)),
-    "at_least_one_p3": (9.556787583520077e-10, (0.6, 0.4)),
+    "protocol3": (2.935119591818136e-09, (0.36, 0.1)),
+    "at_least_one_p3": (5.882604403595337e-10, (0.36, 0.1)),
     "at_least_one_ssd": (1.403321903126198e-16, (0.6, 0.1)),
 }
 

@@ -16,6 +16,13 @@ def _runs(change_ms, parent_ms):
                    for tree, ms in (("change", change_ms), ("parent", parent_ms))}}
 
 
+def test_times_the_seqdisc_of_its_own_checkout():
+    # not an installed copy, which would be timed in its place
+    src = _PATH.parents[1] / "src"
+    assert Path(bench.seqdisc.__file__).resolve().is_relative_to(src.resolve())
+    assert bench._src == src
+
+
 def test_median_ratio_is_the_mean_of_the_two_orders():
     # even rounds run this tree first, odd rounds the parent; a tree that
     # reads 20% slower whenever it runs first is no slower in the mean

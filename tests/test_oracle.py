@@ -38,6 +38,7 @@ from seqdisc.oracle import (
     _REFINE_POINTS,
     _REFINEMENT_PASSES,
     _SCAN_POINTS,
+    _cloning_objective,
     _cloning_objective_values,
     _joint_factors,
     _joint_term,
@@ -249,8 +250,8 @@ class TestCloningOracle:
             assert res < 1e-10
 
     def test_argmax_where_gamma2_rounds_to_one(self):
-        # cos^2(th2) rounds to 1.0 at the argmax, so 1 - gamma2 rounds to 0;
-        # the residual takes sin^2(th2) from the branch angle th2, or it
+        # gamma2 = x^2 rounds to 1.0 at the argmax, so 1 - gamma2 rounds to
+        # 0; the residual takes sqrt(1 - gamma2) from the root's own y, or it
         # would see s itself
         rows = certify(
             quantities=["protocol3", "at_least_one_p3"],
@@ -262,90 +263,117 @@ class TestCloningOracle:
 
     @pytest.mark.parametrize("s", [1e-12, 0.04, 0.5, 1.0 - 1e-9])
     def test_neither_branch_valid_gives_minus_inf(self, s):
-        # with 1 - g1 = (s/2)^2 the constraint has no real solution: s / hypot(a, b) > 1
+        # with 1 - g1 = (s/2)^2 the constraint has no real root, R < 0: the
+        # lanes are -inf, and the float body's math.sqrt raises
         g1 = np.array([1.0 - 0.25 * s * s, 1.0])
-        values, g2s, th2s = _cloning_objective_values(g1, s, 0.3, 0.7)
-        assert np.all(values == -np.inf) and np.all(np.isnan(g2s)) and np.all(np.isnan(th2s))
+        assert np.all(_cloning_objective_values(g1, s, 0.3, 0.7) == -np.inf)
+        for x in g1.tolist():
+            with pytest.raises(ValueError):
+                _cloning_objective(x, s, 0.3, 0.7, math.sqrt, min)
 
-    @pytest.mark.parametrize("s", [1e-6, 0.04, 0.36, 0.98])
-    def test_branch_angle_gives_gamma2(self, s):
+    @pytest.mark.parametrize("s", [1e-10, 0.04, 0.36, 0.98, 1.0 - 1e-9])
+    def test_a_point_with_no_root_is_never_the_argmax(self, s):
+        # every lane past the tangent point is -inf, not the value p1 + p2 of
+        # x clipped to 1 (a clip that takes NaN to 1 makes g1 = 1 the
+        # argmax), and the oracle's argmax lies below the tangent
         g1 = np.linspace(0.0, 1.0, _SCAN_POINTS)
-        values, g2s, th2s = _cloning_objective_values(g1, s, 0.3, 0.7)
-        valid = np.isfinite(values)
-        assert valid.any()
-        assert np.all((th2s[valid] >= 0.0) & (th2s[valid] <= 0.5 * math.pi))
-        np.testing.assert_array_equal(np.cos(th2s[valid]) ** 2, g2s[valid])
+        values = _cloning_objective_values(g1, s, 0.3, 0.7)
+        assert np.all(values[g1 > 1.0 / (1.0 + s * s)] == -np.inf)
+        assert values[-1] == -np.inf and np.isfinite(values[0])
+        _, argmax, _ = grid_maximize_cloning(Scenario(s, 0.3))
+        assert argmax <= 1.0 / (1.0 + s * s)
 
 
-def _two_branch_cloning_objective(g1, s, p1, p2):
-    """The reference for ``_cloning_objective_values``: both constraint
-    branches evaluated on every point, the better one picked (psi + delta on
-    a tie of values), each branch's invalid points filled first."""
-    p1_g1 = p1 * g1
-    a = np.sqrt(g1)
-    a *= s * s
-    b = np.subtract(1.0, g1)
-    np.sqrt(b, out=b)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        delta = np.hypot(a, b)
-        np.divide(s, delta, out=delta)
-        np.arccos(delta, out=delta)
-        psi = np.arctan2(b, a, out=a)
-        branches = []
-        for th2 in (psi + delta, psi - delta):
-            valid = th2 >= -1e-12
-            valid &= th2 <= 0.5 * math.pi + 1e-12  # False where th2 is NaN
-            invalid = ~valid
-            np.clip(th2, 0.0, 0.5 * math.pi, out=th2)
-            g2 = np.cos(th2)
-            g2 *= g2
-            value = np.multiply(g2, p2)
-            value += p1_g1
-            for out, fill in ((g2, np.nan), (th2, np.nan), (value, -np.inf)):
-                np.copyto(out, fill, where=invalid)
-            branches.append((value, g2, th2))
-    (va, g2a, tha), (vb, g2b, thb) = branches
-    pick_a = va >= vb
-    for out, a_in in ((vb, va), (g2b, g2a), (thb, tha)):
-        np.copyto(out, a_in, where=pick_a)
-    return vb, g2b, thb
-
-
-def _branch_angles(g1, s):
-    """psi - delta and psi + delta of ``_cloning_objective_values``."""
+def _angle_objective(g1, s, p1, p2):
+    """The former cloning objective, a test-only reference: gamma2 =
+    cos^2(th2) at the angle th2 = psi - delta of the constraint written as
+    A*cos(th2) + B*sin(th2) = s, with psi = arctan2(B, A) and delta =
+    arccos(s / hypot(A, B)); -inf where th2 is NaN or outside [0, pi/2]
+    beyond 1e-12."""
     a, b = s * s * np.sqrt(g1), np.sqrt(1.0 - g1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        delta = np.arccos(s / np.hypot(a, b))
-    psi = np.arctan2(b, a)
-    return psi - delta, psi + delta
+        th2 = np.arctan2(b, a) - np.arccos(s / np.hypot(a, b))
+    valid = (th2 >= -1e-12) & (th2 <= 0.5 * math.pi + 1e-12)
+    value = p1 * g1 + p2 * np.cos(np.clip(th2, 0.0, 0.5 * math.pi)) ** 2
+    return np.where(valid, value, -np.inf)
 
 
-def _in_quadrant(th):
-    return (th >= -1e-12) & (th <= 0.5 * math.pi + 1e-12)
+def _two_root_objective(g1, s, p1, p2):
+    """The reference for ``_cloning_objective_values``: both roots x =
+    (A*s +- B*sqrt(R)) / (A^2 + B^2) by the body's own steps, each clipped at
+    1 and valid where x >= 0, and the better value picked, the "+" root's on
+    a tie; -inf where neither is valid."""
+    ss = s * s
+    co_g1 = 1.0 - g1
+    den = ss * ss * g1 + co_g1
+    with np.errstate(invalid="ignore"):
+        root = np.sqrt((1.0 - s) * (1.0 + s) * (co_g1 - ss * g1))
+    a_s, b_root = np.sqrt(g1) * (s * ss), np.sqrt(co_g1) * root
+    best = np.full_like(g1, -np.inf)
+    for x in ((a_s - b_root) / den, (a_s + b_root) / den):  # "+" last, so it wins a tie
+        x = np.minimum(x, 1.0)
+        value = p1 * g1 + p2 * (x * x)
+        best = np.where((x >= 0.0) & (value >= best), value, best)  # False where x is NaN
+    return best
 
 
-def _assert_one_branch_matches_two(g1, s, p1):
-    got = _cloning_objective_values(g1, s, p1, 1.0 - p1)
-    want = _two_branch_cloning_objective(g1, s, p1, 1.0 - p1)
-    for name, x, y in zip(("value", "gamma2", "th2"), got, want):
-        assert x.tobytes() == y.tobytes(), (name, s, p1, np.flatnonzero(x.view(np.int64) != y.view(np.int64))[:5])
+def _tangent_neighbourhood(s):
+    """g1 at the tangent point 1/(1 + s^2), 2000 ulps either side of it, and
+    at relative offsets from 1e-15 to 1e-3 either side, cut to [0, 1]."""
+    tangent = 1.0 / (1.0 + s * s)
+    near = [tangent]
+    for direction in (-math.inf, math.inf):
+        x = tangent
+        for _ in range(2000):
+            x = math.nextafter(x, direction)
+            near.append(x)
+    offsets = np.geomspace(1e-15, 1e-3, 200)
+    return np.clip(np.concatenate([near, tangent * (1.0 - offsets), tangent * (1.0 + offsets)]), 0.0, 1.0)
 
 
-_ONE_BRANCH_S = (1e-10, 2.54e-10, 1e-6, 0.5, 1.0 - 1e-9)
-_ONE_BRANCH_P1 = (1e-12, 1e-6, 0.05, 0.3, 0.5)
+def _exact_value(g1, s, p1):
+    """p1*g1 + p2*gamma2 at the "+" root in 50 digits, for the floats g1, s
+    and p1; a point past the tangent by rounding (R < 0) takes R = 0."""
+    with mpmath.workdps(50):
+        g1, s, p1 = mpmath.mpf(g1), mpmath.mpf(s), mpmath.mpf(p1)
+        a, b = s * s * mpmath.sqrt(g1), mpmath.sqrt(1 - g1)
+        h2 = a * a + b * b
+        x = (a * s + b * mpmath.sqrt(max(h2 - s * s, 0))) / h2
+        return p1 * g1 + (1 - p1) * x * x, h2 - s * s
 
 
-class TestOneBranchCloningObjective:
-    """The cloning objective evaluates one constraint branch per point and
-    equals the two-branch reference, all three arrays, bit for bit."""
+def _accuracy_points(seed, n):
+    """n seeded (s, g1, p1) in each of three s regimes, uniform in (0, 1),
+    log-uniform in [1e-10, 1] and 1 - 10^U(-9, -1): g1 below the tangent
+    point by a relative 10^U(-16, -6) ("near") or 10^U(-6, 0) ("away")."""
+    rng = np.random.default_rng(seed)
+    s = np.concatenate(
+        [rng.uniform(0.0, 1.0, n), np.exp(rng.uniform(math.log(1e-10), 0.0, n)), 1.0 - 10.0 ** rng.uniform(-9, -1, n)]
+    )
+    tangent = 1.0 / (1.0 + s * s)
+    points = {}
+    for kind, lo, hi in (("near", -16, -6), ("away", -6, 0)):
+        g1 = tangent * (1.0 - 10.0 ** rng.uniform(lo, hi, 3 * n))
+        points[kind] = list(zip(s.tolist(), g1.tolist(), rng.uniform(0.0, 0.5, 3 * n).tolist()))
+    return points
+
+
+_ROOT_S = (1e-10, 2.54e-10, 1e-6, 0.5, 1.0 - 1e-9)
+_ROOT_P1 = (1e-12, 1e-6, 0.05, 0.3, 0.5)
+
+
+class TestRootCloningObjective:
+    """The cloning objective takes each point's better constraint root in
+    closed form (``oracle._cloning_objective``)."""
 
     @pytest.mark.parametrize(
         "s,p1",
-        [(s, p1) for s in _ONE_BRANCH_S for p1 in _ONE_BRANCH_P1]
+        [(s, p1) for s in _ROOT_S for p1 in _ROOT_P1]
         + [tuple(x) for x in np.random.default_rng(26).uniform([0.002, 1e-3], [0.98, 0.5], (20, 2)).tolist()],
     )
     def test_on_every_scan_of_the_oracle(self, monkeypatch, s, p1):
-        # the first scan and both refinement windows
+        # the first scan and both refinement windows, each lane against the
+        # float body bit for bit: -inf exactly where math.sqrt raises
         scans = []
         objective = oracle_module._cloning_objective_values
 
@@ -354,46 +382,63 @@ class TestOneBranchCloningObjective:
             return objective(g1, *args)
 
         monkeypatch.setattr(oracle_module, "_cloning_objective_values", recording)
-        grid_maximize_cloning(Scenario(s, p1))
-        assert len(scans) == 1 + _REFINEMENT_PASSES + 1  # and the argmax's own evaluation
+        value, g1_max, _ = grid_maximize_cloning(Scenario(s, p1))
+        assert len(scans) == 1 + _REFINEMENT_PASSES  # the argmax's own call is on a float
         for g1 in scans:
-            _assert_one_branch_matches_two(g1, s, p1)
+            floats = []
+            for x in g1.tolist():
+                try:
+                    floats.append(_cloning_objective(x, s, p1, 1.0 - p1, math.sqrt, min))
+                except ValueError:
+                    floats.append(-math.inf)
+            assert np.array(floats).tobytes() == objective(g1, s, p1, 1.0 - p1).tobytes()
+        assert _cloning_objective(g1_max, s, p1, 1.0 - p1, math.sqrt, min) == value
 
-    @pytest.mark.parametrize("s", (1e-10, 1e-6, 0.04, 0.36, 0.6, 0.98, 1.0 - 1e-9))
-    def test_where_one_branch_or_neither_is_valid(self, s):
-        # psi - delta alone is valid on much of [0, 1], neither branch past
-        # the tangent point g1 = 1/(1 + s^2); psi + delta is never valid
-        # where psi - delta is not, so the objective never evaluates it
-        g1 = np.linspace(0.0, 1.0, 200001)
-        minus, plus = _branch_angles(g1, s)
-        assert (_in_quadrant(minus) & ~_in_quadrant(plus)).any()
-        assert (~_in_quadrant(minus) & ~_in_quadrant(plus)).any()
-        assert not (_in_quadrant(plus) & ~_in_quadrant(minus)).any()
-        for p1 in _ONE_BRANCH_P1:
-            _assert_one_branch_matches_two(g1, s, p1)
+    @pytest.mark.parametrize("s", _ROOT_S + (0.04, 0.36, 0.98))
+    def test_plus_root_is_the_better_of_both(self, s):
+        # on a fine grid and next to the tangent point, where the two roots
+        # meet; from s = 0.04 up the "-" root is a root (x >= 0) on part of
+        # the grid, below only within about s^4 of the tangent point
+        g1 = np.concatenate([np.linspace(0.0, 1.0, 200001), _tangent_neighbourhood(s)])
+        for p1 in _ROOT_P1:
+            got = _cloning_objective_values(g1, s, p1, 1.0 - p1)
+            assert got.tobytes() == _two_root_objective(g1, s, p1, 1.0 - p1).tobytes(), (s, p1)
+        with np.errstate(invalid="ignore"):
+            root = np.sqrt((1.0 - s) * (1.0 + s) * ((1.0 - g1) - s * s * g1))
+        minus = np.sqrt(g1) * s**3 - np.sqrt(1.0 - g1) * root
+        assert (minus < 0.0).any() and (minus >= 0.0).any() == (s >= 0.04)
+        assert np.isfinite(got).any() and (got == -np.inf).any()
 
-    @pytest.mark.parametrize("s", _ONE_BRANCH_S + (0.04, 0.36, 0.98))
-    def test_where_the_branch_angles_meet(self, s):
-        # s / hypot(A, B) -> 1 at g1 = 1/(1 + s^2), 2000 ulps either side
-        # and at relative offsets down to 1e-15: delta -> 0, so the two
-        # angles are equal or one smallest arccos step apart (about 3e-8),
-        # where the argument that the smaller angle is never worse rests on
-        # cos^2 alone
-        tangent = 1.0 / (1.0 + s * s)
-        near = [tangent]
-        for direction in (-math.inf, math.inf):
-            x = tangent
-            for _ in range(2000):
-                x = math.nextafter(x, direction)
-                near.append(x)
-        offsets = np.geomspace(1e-15, 1e-3, 200)
-        g1 = np.clip(np.concatenate([near, tangent * (1.0 - offsets), tangent * (1.0 + offsets)]), 0.0, 1.0)
-        minus, plus = _branch_angles(g1, s)
-        both = _in_quadrant(minus) & _in_quadrant(plus)
-        if s >= 0.36:  # below, the tangent's neighbours have one valid branch
-            assert (plus - minus)[both].min() < 1e-7
-        for p1 in _ONE_BRANCH_P1:
-            _assert_one_branch_matches_two(g1, s, p1)
+    #: 50-digit error bounds near the tangent point and away from it. These
+    #: 600 points came within 5.1e-10 and 8.8e-15 (the angle form within
+    #: 1.2e-8 and 3.5e-10); 6,000 (seed 7, n = 1000) within 1.8e-9 and
+    #: 1.8e-14 (the angle form 1.5e-8 and 6.0e-10)
+    _EXACT_BOUNDS = {"near": 1e-9, "away": 2e-14}
+
+    def test_within_a_bound_of_the_50_digit_root(self):
+        # a point is -inf only where it has no real root, R <= 0 in 50 digits
+        # (the angle form lost 9 of these points that have one)
+        for kind, points in _accuracy_points(48, 100).items():
+            for s, g1, p1 in points:
+                got = float(_cloning_objective_values(np.array([g1]), s, p1, 1.0 - p1)[0])
+                want, r = _exact_value(g1, s, p1)
+                if got == -math.inf:
+                    assert r <= 0, (s, g1)
+                else:
+                    assert abs(got - want) <= self._EXACT_BOUNDS[kind], (kind, s, g1, p1, got)
+
+    @pytest.mark.parametrize("s", (1e-10, 1e-6, 0.04, 0.1716, 0.36, 0.6, 0.98))
+    def test_angle_form_agrees_away_from_the_tangent(self, s):
+        # the former objective, within 1e-6 relative of the tangent point
+        # left out, where both lose digits to its conditioning; the two
+        # differ by at most 1.5e-14, at s = 0.98
+        g1 = np.linspace(0.0, 1.0, _SCAN_POINTS)
+        g1 = g1[np.abs(g1 * (1.0 + s * s) - 1.0) > 1e-6]
+        for p1 in _ROOT_P1:
+            root, angle = _cloning_objective_values(g1, s, p1, 1.0 - p1), _angle_objective(g1, s, p1, 1.0 - p1)
+            assert np.array_equal(np.isfinite(root), np.isfinite(angle))
+            finite = np.isfinite(root)
+            assert np.max(np.abs(root[finite] - angle[finite])) <= 3e-14, (s, p1)
 
 
 _WINDOW_SCAN_SCENARIOS = [(1e-6, 0.4), (0.04, 0.05), (0.1716, 0.2), (0.36, 0.5), (0.6, 0.3), (0.98, 0.02)]
@@ -416,9 +461,9 @@ class TestWindowScanArgmax:
     def test_cloning_objective(self, s, p1):
         p2 = 1.0 - p1
         value, g1, g2 = grid_maximize_cloning(Scenario(s, p1))
-        values, g2s, _ = _cloning_objective_values(np.array([g1]), s, p1, p2)
-        assert (value, g2) == (float(values[0]), float(g2s[0]))
-        first, _, _ = _cloning_objective_values(np.linspace(0.0, 1.0, _SCAN_POINTS), s, p1, p2)
+        values = _cloning_objective_values(np.array([g1]), s, p1, p2)
+        assert (value, g2) == (float(values[0]), _cloning_objective(g1, s, p1, p2, math.sqrt, min, roots=True)[1])
+        first = _cloning_objective_values(np.linspace(0.0, 1.0, _SCAN_POINTS), s, p1, p2)
         assert value >= float(np.max(first))
 
 

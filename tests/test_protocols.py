@@ -9,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from seqdisc import (
+    CERT_P1_VALUES,
+    CERT_S_VALUES,
     CaseLabel,
     DomainError,
     NumericError,
@@ -344,10 +346,15 @@ class TestCloneParams:
         assert cp.p1_of_omega == pytest.approx(0.3, abs=1e-9)
 
     def test_inversion_matches_grid_oracle(self):
-        sc = Scenario(0.2, 0.3)
-        cp = clone_optimal_for_prior(sc)
-        oracle_val, _, _ = grid_maximize_cloning(sc)
-        assert cp.p_cl == pytest.approx(oracle_val, abs=1e-6)
+        # the certification grid and 300 draws from the certify benchmark's
+        # range: the cloner's p_cl and the oracle's maximum agree within
+        # 8.9e-16 (3.0e-15 with the former angle form of the oracle)
+        rng = random.Random(4)
+        draws = [(rng.uniform(0.002, 0.98), rng.uniform(0.02, 0.5)) for _ in range(300)]
+        grid = [(s, p1) for s in CERT_S_VALUES for p1 in CERT_P1_VALUES]
+        for s, p1 in grid + draws:
+            sc = Scenario(s, p1)
+            assert abs(clone_optimal_for_prior(sc).p_cl - grid_maximize_cloning(sc)[0]) <= 5e-15, (s, p1)
 
 
 class TestProtocol3:
