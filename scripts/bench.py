@@ -65,13 +65,6 @@ import seqdisc  # noqa: E402
 
 #: Scenarios (s, p1) of each oracle op: small, middle and large overlaps.
 ORACLE_SCENARIOS = ((0.04, 0.5), (0.36, 0.2), (0.6, 0.05))
-#: Seed and number of the joint scan's draws from the certify benchmark's
-#: range, s uniform in [0.002, 0.98] and p1 in [0.02, 0.5], which
-#: ``JOINT_EDGES`` follow: p1 = 1/2 at s = 0.1716 and 0.2, where the scan
-#: keeps its most blocks.
-JOINT_DRAWS_SEED = 5
-JOINT_DRAWS = 24
-JOINT_EDGES = ((0.1716, 0.5), (0.2, 0.5))
 #: The scenario of the single-quantity certify ops.
 CERTIFY_SCENARIO = (0.36, 0.2)
 #: (s, p1) of the point queries: generic points, equal priors, a small prior,
@@ -110,13 +103,6 @@ def load_parent(checkout: str):
     sys.modules[spec.name] = package  # its relative imports resolve here
     spec.loader.exec_module(package)
     return package
-
-
-def _joint_draws() -> list:
-    """The (s, p1) of the joint scan's draws, then ``JOINT_EDGES``."""
-    rng = np.random.default_rng(JOINT_DRAWS_SEED)
-    draws = zip(rng.uniform(0.002, 0.98, JOINT_DRAWS).tolist(), rng.uniform(0.02, 0.5, JOINT_DRAWS).tolist())
-    return [*draws, *JOINT_EDGES]
 
 
 def _each(fn, inputs, loops=1):
@@ -200,10 +186,8 @@ def make_ops(package) -> dict:
     scenarios = [package.Scenario(s, p1) for s, p1 in ORACLE_SCENARIOS]
     inputs = _report_inputs(package)
     grid = tuple([x] for x in CERTIFY_SCENARIO)
-    draws = [package.Scenario(s, p1) for s, p1 in _joint_draws()]
     ops = {
         "grid_maximize_joint": (_each(oracle.grid_maximize_joint, scenarios), 1),
-        "grid_maximize_joint_draws": (_each(oracle.grid_maximize_joint, draws), len(draws)),
         "grid_maximize_union_ssd": (_each(oracle.grid_maximize_union_ssd, scenarios), 1),
         "grid_maximize_cloning": (_each(oracle.grid_maximize_cloning, scenarios), 1),
         "grid_maximize_bob": (
@@ -259,8 +243,8 @@ def make_ops(package) -> dict:
 
 def _oracle_results(package) -> list:
     """(name, result) of every ``grid_maximize_*`` oracle on each of
-    ORACLE_SCENARIOS, the stage oracles at t = sqrt(s), of the joint oracle on
-    its draws, and of each ``certify()`` row, named ``certify().<quantity>``."""
+    ORACLE_SCENARIOS, the stage oracles at t = sqrt(s), and of each
+    ``certify()`` row, named ``certify().<quantity>``."""
     oracle = package.oracle
     results = []
     for s, p1 in ORACLE_SCENARIOS:
@@ -269,8 +253,6 @@ def _oracle_results(package) -> list:
             fn = getattr(oracle, f"grid_maximize_{name}")
             args = (sc, s**0.5) if name in ("bob", "charlie") else (sc,)
             results.append((f"grid_maximize_{name}{(s, p1)}", fn(*args)))
-    for s, p1 in _joint_draws():
-        results.append((f"grid_maximize_joint{(s, p1)}", oracle.grid_maximize_joint(package.Scenario(s, p1))))
     return results + [(f"certify().{row.quantity}", row) for row in oracle.certify()]
 
 

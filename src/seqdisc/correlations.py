@@ -25,14 +25,13 @@ discords are in bits.  ``_tangles`` is the one place the tangles are formed,
 on floats and arrays; it takes 1 - t^2 as (1 - t)(1 + t) and tau_E|AB as
 tau_B|AE + tau_AE (tau_AE = tau_A|BE - tau_ABE), so no tangle is a
 difference.  The Koashi-Winter sum and its -1e-10 floor are one body,
-``_koashi_winter``.  ``_discords`` is the one body of the report and the
-column kernels (``prop_left_values``, ``d_symm_values``): from one set of
-tangles it forms both discords, their proportions (NaN where both are 0)
-and the symmetrized discord sqrt(d_left)*sqrt(d_right).  Each body takes H
-(and sqrt and the select) as arguments: ``entropy_H`` on floats,
-``entropy_H_values`` on arrays, which share one body that keeps its
-relative accuracy for small tangles.  ``discord_right`` and
-``discord_left`` are ``_discord_right`` at (t, r) and at (r, t).
+``_koashi_winter``.  ``_discords`` is the one body of ``discord_right``,
+``discord_left``, the report and the column kernels (``prop_left_values``,
+``d_symm_values``): from one set of tangles it forms both discords, their
+proportions (NaN where both are 0) and the symmetrized discord
+sqrt(d_left)*sqrt(d_right).  Each body takes H (and sqrt and the select)
+as arguments: ``entropy_H`` on floats, ``entropy_H_values`` on arrays,
+which share one body that keeps its relative accuracy for small tangles.
 ``CorrelationInput`` and the kernels share the range check of t,
 ``_check_t``.  What cancellation is left is the sum's own, large only where
 tau_B|AE and tau_AE are lopsided.
@@ -130,12 +129,6 @@ def _tangles(p1, t, r):
     return tau_a_be * ((1.0 - r) * (1.0 + r)), tau_a_be, tau_b_ae, tau_b_ae + tau_ae, tau_ae
 
 
-def _discord_right(p1, t, r, entropy, pick):
-    """The discord measured on B, ``_koashi_winter`` on the tangles at
-    (p1, t, r), on floats or arrays."""
-    return _koashi_winter(*_tangles(p1, t, r)[2:], entropy, pick)
-
-
 def _koashi_winter(tau_b_ae, tau_e_ab, tau_ae, entropy, pick):
     """H(tau_B|AE) - H(tau_E|AB) + H(tau_AE), a NumericError below -1e-10 and
     lifted to 0 above it, on floats (``entropy_H``, ``_pick``) or on arrays
@@ -167,15 +160,15 @@ def _discords(p1, t, r, entropy, sqrt, pick):
 
 def discord_right(inp: CorrelationInput) -> float:
     """Discord of rho_AB under measurements on the ancilla B, in bits."""
-    return _discord_right(inp.p1, inp.t, inp.r, entropy_H, _pick)
+    return _discords(inp.p1, inp.t, inp.r, entropy_H, math.sqrt, _pick)[2]
 
 
 def discord_left(inp: CorrelationInput) -> float:
     """Discord of rho_AB under measurements on the qubit A, in bits.
 
-    Equal to the right discord with t and r exchanged (same code path).
+    Equal to the right discord with t and r exchanged.
     """
-    return _discord_right(inp.p1, inp.r, inp.t, entropy_H, _pick)
+    return _discords(inp.p1, inp.t, inp.r, entropy_H, math.sqrt, _pick)[1]
 
 
 def correlation_report(inp: CorrelationInput) -> CorrelationReport:

@@ -10,16 +10,12 @@ slope at q1b = 1 changes sign, and within an ulp or two of that tie the
 rounded slope can take either side of protocol (2)'s jump, which no grid
 can resolve.
 
-The grids are fixed: 1-D scans take ``_SCAN_POINTS`` points and are refined
-by ``_REFINEMENT_PASSES`` rescans of ``_SCAN_POINTS`` points over the window
-one grid step either side of the best point (``core.window_scan_max``), and
-every one-stage maximum (a cloned copy's too) is ``_grid_max_stage``'s; the
-(t, q1b, q1c) scans take ``_JOINT_POINTS`` per axis, refined by
-``_REFINEMENT_PASSES`` scans of ``_REFINE_POINTS`` per axis. Every
-refinement calls the same array objective as its first scan, and every
-scan's points come from ``core._scan_points``.
-``_max_3d`` gives the (t, q1b, q1c) scan's reasoning: Charlie's
-stationary-point bracket, the pieces of t-slices and the tie rule.
+The grids are fixed: every scan takes ``_SCAN_POINTS`` points and is
+refined by ``_REFINEMENT_PASSES`` rescans of ``_SCAN_POINTS`` points over
+the window one grid step either side of the best point
+(``core.window_scan_max``), and every one-stage maximum (a cloned copy's
+too) is ``_grid_max_stage``'s. Every refinement calls the same array
+objective as its first scan.
 ``certify`` compares each closed form with its oracle and flags a gap above
 its ``tolerance``. It runs scenario by scenario, and each certifier it needs
 runs once per scenario for all the quantities it covers: the two cloning
@@ -38,8 +34,13 @@ g(u), whose stationary points are the roots of q*'s quartic: L is g at the
 closed form's q1b, and U comes from a Sturm count of the quartic's roots and
 a bracket of floats around its middle one (``joint_certificate``). Each
 row's gap bounds the closed form's distance from the optimum itself.
-``grid_maximize_union_ssd`` and ``grid_maximize_joint``, the (t, q1b, q1c)
-scans, stay as the certificates' brute-force cross-checks in the tests.
+By the same reductions each one's maximum over the whole (t, q1b, q1c) box
+lies on its diagonal t = sqrt(s), q1b = q1c = u, u in [s, 1]: there Q1 =
+u^2 takes every value in [s^2, 1], and the joint equals g(u). So
+``grid_maximize_union_ssd`` and ``grid_maximize_joint`` are 1-D scans of
+that diagonal (``_max_diagonal``), which the tests keep as the
+certificates' brute-force cross-checks; the tests hold a 3-D scan of the
+box as their own reference.
 """
 
 from __future__ import annotations
@@ -58,18 +59,14 @@ from .core import (
     Scenario,
     _is_real,
     _quantity_names,
-    _scan_points,
     check_overlap_t,
     window_scan_max,
 )
 from .protocols import _cloned_optimum, at_least_one_ssd, protocol1_optimal, protocol2_optimal
 from .ssd import _interior, bob_optimal, charlie_optimal, joint_optimal
 
-#: Grid points of each 1-D scan, and per axis of each (t, q1b, q1c) scan and
-#: of each of its refinements.
+#: Grid points of each scan and of each of its refinements.
 _SCAN_POINTS = 2001
-_JOINT_POINTS = 301
-_REFINE_POINTS = 33
 #: Refinement rounds after every grid scan; each narrows the search window.
 _REFINEMENT_PASSES = 2
 
@@ -120,141 +117,51 @@ def _joint_term(q1b, q2b, q1c, q2c, p1, p2):
     return p1 * (1 - q1b) * (1 - q1c) + p2 * (1 - q2b) * (1 - q2c)
 
 
-def _joint_factors(q1b, q2b, q1c, q2c, p1, p2):
-    """Bob and Charlie factors whose rank-2 product is ``_joint_term``. Bob's
-    factors are nonnegative, so at fixed t each of his rows is concave in
-    q1c."""
-    return ((1.0 - q1b) * p1, (1.0 - q2b) * p2), (1.0 - q1c, 1.0 - q2c)
-
-
 def _union_term(q1b, q2b, q1c, q2c, p1, p2):
     # integer literals, so that Fractions stay exact (floats and arrays round
     # as with 1.0)
     return p1 * (1 - q1b * q1c) + p2 * (1 - q2b * q2c)
 
 
-def _union_factors(q1b, q2b, q1c, q2c, p1, p2):
-    """Factors of ``_union_term`` less its constant p1 + p2, which moves no
-    argmax; Charlie's are q1c and q2c themselves. Bob's factors are
-    nonpositive, so at fixed t each of his rows is concave in q1c."""
-    return (q1b * -p1, q2b * -p2), (q1c, q2c)
-
-
-def _to_unit(lo, q):
-    """The grid coordinate in [0, 1] of q in [lo, 1]: lo = r^2 for q1b, t^2 for
-    q1c, and q = lo + x*(1 - lo)."""
-    return (q - lo) / (1.0 - lo)
-
-
-def _max_3d(scenario: Scenario, term: Callable, factors: Callable) -> tuple[float, float, float, float]:
-    """Maximize a two-stage objective over (t, q1b, q1c) with local refinement.
-
-    q1b ranges over [(s/t)^2, 1] and q1c over [t^2, 1]; both are parametrized
-    by coordinates u and v in [0, 1] so the search box is rectangular.
-
-    At fixed t the objective is a1*b1 + a2*b2, Bob's ``factors`` a = (a1, a2)
-    against Charlie's b = (b1, b2). Along each Bob row (t, u) it is a concave
-    function of q1c (a1*(1 - q1c) + a2*(1 - t^2/q1c) with a >= 0, or
-    a1*q1c + a2*t^2/q1c with a <= 0), whose continuous maximum is at
-    q1c* = t*sqrt(a2/a1). q1c is linear in v, so the row's grid maximum is
-    one of the two grid points that bracket q1c*; the upper one wins only
-    when strictly higher, which keeps the row's first maximum. A q1c* off
-    the grid (or NaN, at t = 1 or a1 = 0) is clamped to an end bracket.
-    Charlie's q1c, q2c and factors are formed at those two points alone, by
-    a grid row's arithmetic. Each slice's first highest row is re-evaluated
-    with ``term`` itself.
-
-    The t-slices run in pieces of at most ``_REFINE_POINTS`` x
-    ``_JOINT_POINTS`` (t, u) rows, which bounds the working set: 33 slices
-    of the first scan, and a refinement's 33 in one. A piece replaces the
-    best only when strictly higher, so the first highest slice, in t order,
-    and row win.
-    """
+def _max_diagonal(scenario: Scenario, term: Callable) -> tuple[float, float, float, float]:
+    """(max, t, q1b, q1c) of a two-stage objective on the diagonal t =
+    sqrt(s), q1b = q1c = u of the (t, q1b, q1c) box: one window scan of
+    ``term`` at (u, s/u, u, s/u) over u in [s, 1], with q2 = 0 at s = 0."""
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
-    t_lo_global = max(s, 1e-9)
-    n_cells = _REFINE_POINTS * max(_JOINT_POINTS, _REFINE_POINTS)
 
-    def rows_max(t, us, vs):
-        """The (value, q1b, q1c) of each t-slice's first highest (u, v) point,
-        for the slices ``t`` (a column)."""
-        r2 = (s / t) ** 2
-        t2 = t * t
-        span_c = 1.0 - t2
-        q1b = us * (1.0 - r2) + r2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q2b = r2 / q1b
-            if not r2.all():  # 0/0 at s = 0, u = 0 is taken as 1; else q2b <= 1
-                q2b = np.fmin(q2b, 1.0)
-            # Bob's factors alone: Charlie's points depend on them
-            (a1, a2), _ = factors(q1b, q2b, 0.0, 0.0, p1, p2)
-            # the grid coordinate of q1c* = t*sqrt(a2/a1), clamped to a lower
-            # bracket point (the cast floors it)
-            scale = (len(vs) - 1) / (vs[-1] - vs[0])
-            j = np.sqrt(a2 / a1) * (t / span_c * scale) - (t2 / span_c + vs[0]) * scale
-        at = np.fmin(np.fmax(j, 0.0), len(vs) - 2).astype(np.intp)
-        q1c = np.stack((vs[at], vs[at + 1])) * span_c + t2
-        q2c = t2 / q1c
-        _, (b1, b2) = factors(0.0, 0.0, q1c, q2c, p1, p2)
-        # each bracket point's row value a1*b1 + a2*b2
-        value = b1 * a1 + b2 * a2
-        i = (np.arange(len(t)), np.argmax(np.maximum(value[0], value[1]), axis=1))
-        # the upper bracket point where it is strictly higher
-        pick = (value[1] > value[0])[i].astype(np.intp), *i
-        q1b, q2b, q1c, q2c = q1b[i], q2b[i], q1c[pick], q2c[pick]
-        return term(q1b, q2b, q1c, q2c, p1, p2), q1b, q1c
+    def values(u):
+        q2 = s / u if s else 0.0  # u = 0 is on the grid at s = 0
+        return term(u, q2, u, q2, p1, p2)
 
-    def evaluate(ts: np.ndarray, us: np.ndarray, vs: np.ndarray):
-        """The best (value, t, q1b, q1c) of the scan of ``ts`` x ``us`` x ``vs``."""
-        t, rows = ts[:, None], n_cells // len(us)
-        best = (-1.0, 0.0, 0.0, 0.0)
-        for i in range(0, len(t), rows):
-            vals, q1b, q1c = rows_max(t[i : i + rows], us, vs)
-            k = int(np.argmax(vals))
-            if vals[k] > best[0]:
-                best = (float(vals[k]), float(t[i + k, 0]), float(q1b[k]), float(q1c[k]))
-        return best
-
-    unit = _scan_points(0.0, 1.0, _JOINT_POINTS)
-    best = evaluate(_scan_points(t_lo_global, 1.0, _JOINT_POINTS), unit, unit)
-
-    t_step, u_step = (1.0 - t_lo_global) / (_JOINT_POINTS - 1), 1.0 / (_JOINT_POINTS - 1)
-    for _ in range(_REFINEMENT_PASSES):
-        t0 = best[1]
-        lob = (s / t0) ** 2
-        u0 = _to_unit(lob, best[2]) if lob < 1.0 else 0.0
-        v0 = _to_unit(t0 * t0, best[3]) if t0 < 1.0 else 0.0
-        # each axis's window: points within 1.5 steps of its best, cut to [lo, 1]
-        windows = ((t0, t_step, t_lo_global), (u0, u_step, 0.0), (v0, u_step, 0.0))
-        cand = evaluate(
-            *(
-                _scan_points(max(lo, x0 - 1.5 * step), min(1.0, x0 + 1.5 * step), _REFINE_POINTS)
-                for x0, step, lo in windows
-            )
-        )
-        if cand[0] > best[0]:
-            best = cand
-        t_step, u_step = t_step * (3.0 / _REFINE_POINTS), u_step * (3.0 / _REFINE_POINTS)
-    return best
+    u, value = window_scan_max(values, s, 1.0, _SCAN_POINTS, _REFINEMENT_PASSES)
+    return value, math.sqrt(s), u, u
 
 
 def grid_maximize_joint(scenario: Scenario) -> tuple[float, float, float, float]:
-    """Brute-force maximum of the joint success over (t, q1b, q1c) on a grid
-    of 301 points per axis before refinement; each Bob row is evaluated at
-    the two q1c grid points that bracket Charlie's stationary point.
+    """Brute-force maximum of the joint success over the whole (t, q1b, q1c)
+    box, by a scan of the diagonal that holds it (``_max_diagonal``).
 
-    ``certify`` bounds the joint exactly instead (``joint_certificate``); the
-    tests keep this scan as that certificate's cross-check. Its grid is
-    linear in t, q1b and q1c, while the argmax has t = sqrt(s) and q1b =
-    q1c = q* near sqrt(s), so below s of about 1e-8 it misses the maximum:
-    by 3.8e-6 at (s, p1) = (1e-9, 1/2) and 4.3e-4 at (1.46e-8, 0.065)."""
-    return _max_3d(scenario, _joint_term, _joint_factors)
+    For a, b in [0, 1], (1 - a)(1 - b) <= (1 - sqrt(ab))^2, and every
+    feasible point has Q1*Q2 = s^2 for the products Qi = qib*qic. So with u
+    = sqrt(Q1) in [s, 1] the joint success is at most p1*(1 - u)^2 +
+    p2*(1 - s/u)^2, which t = sqrt(s), q1b = q1c = u attains: the box's
+    maximum is on that diagonal (``joint_certificate`` bounds it exactly).
+    The argmax u is near sqrt(s) at small s, and the scan's grid is linear
+    in u, with a last step of about 5e-10: it is within 1e-14 of the
+    maximum down to s = 1e-12, and 5e-10 below it at (s, p1) = (1e-30,
+    1/2), where sqrt(s) lies within the first step."""
+    return _max_diagonal(scenario, _joint_term)
 
 
 def grid_maximize_union_ssd(scenario: Scenario) -> tuple[float, float, float, float]:
-    """Brute-force maximum of P(at least one succeeds) over (t, q1b, q1c).
-    ``certify`` bounds the union exactly instead (``_cert_union``); the
-    tests keep this scan as that certificate's cross-check."""
-    return _max_3d(scenario, _union_term, _union_factors)
+    """Brute-force maximum of P(at least one succeeds) over the whole (t, q1b,
+    q1c) box, by a scan of the diagonal that holds it (``_max_diagonal``).
+
+    Every feasible point has Q1*Q2 = s^2 for the products Qi = qib*qic, so
+    the union p1*(1 - Q1) + p2*(1 - s^2/Q1) depends on Q1 alone, over [s^2,
+    1]. The diagonal t = sqrt(s), q1b = q1c = u takes every such Q1 = u^2
+    (``_cert_union`` bounds its maximum exactly)."""
+    return _max_diagonal(scenario, _union_term)
 
 
 def grid_maximize_protocol2(scenario: Scenario) -> tuple[float, float, float]:
@@ -583,19 +490,18 @@ def _bounds_gap(value: float, lower: Fraction, upper: Fraction) -> float:
 def _cert_union(sc: Scenario) -> dict[str, float]:
     """The union's value against exact bounds on its optimum (``_bounds_gap``).
 
-    L is ``_union_term`` in rationals at the closed form's argmax (t, q1b,
-    q1c) = (1, q1_product, 1): at t = 1 Bob's overlap is s, so q2b =
-    s^2/q1b, and Charlie's is 1, so q2c = 1. Every feasible (t, q1b, q1c) has
-    Q1*Q2 = s^2 with Q1 = q1b*q1c in [s^2, 1], so the union's optimum is the
-    stage's at r = s, and U is that stage's dual bound. An argmax outside
-    [s^2, 1] is an infinite gap.
+    Every feasible (t, q1b, q1c) has Q1*Q2 = s^2 with Q1 = q1b*q1c in
+    [s^2, 1], so the union's optimum is the stage's at r = s, and the
+    closed form's argmax (t, q1b, q1c) = (1, q1_product, 1) is that stage's
+    point q1 = q1_product: the bounds are ``stage_certificate``'s there. An
+    argmax outside [s^2, 1] is an infinite gap.
     """
     result = at_least_one_ssd(sc)
-    p1, p2, s, q1b = (Fraction(x) for x in (sc.p1, sc.p2, sc.s, result.argmax["q1_product"]))
-    if not s * s <= q1b <= 1:
+    try:
+        bounds = stage_certificate(sc.p1, sc.p2, sc.s, result.argmax["q1_product"])
+    except ConstraintError:  # an argmax outside [s^2, 1], decided in rationals
         return {"at_least_one_ssd": math.inf}
-    lower = _union_term(q1b, s * s / q1b if q1b else 0, 1, 1, p1, p2)
-    return {"at_least_one_ssd": _bounds_gap(result.value, lower, _stage_dual_bound(p1, p2, s))}
+    return {"at_least_one_ssd": _bounds_gap(result.value, *bounds)}
 
 
 def _cert_joint(sc: Scenario) -> dict[str, float]:
@@ -619,9 +525,10 @@ def _cert_joint(sc: Scenario) -> dict[str, float]:
 # protocols', so that a slip in either shows as a gap. The union and the
 # joint are bounded exactly from both sides, without a scan: the union
 # reduces to protocol (1) by Q1*Q2 = s^2 (``_cert_union``), and the joint to
-# one variable by the same identity (``joint_certificate``). The tests keep
-# ``grid_maximize_union_ssd`` and ``grid_maximize_joint`` as their
-# brute-force cross-checks.
+# one variable by the same identity (``joint_certificate``). The same
+# reductions put each one's box optimum on the diagonal that
+# ``grid_maximize_union_ssd`` and ``grid_maximize_joint`` scan, and the
+# tests keep those scans as the certificates' brute-force cross-checks.
 _CERTIFIERS: dict[str, Callable[[Scenario], dict[str, float]]] = {
     "bob": lambda sc: {"bob": _cert_stage(sc, bob_optimal, grid_maximize_bob)},
     "charlie": lambda sc: {"charlie": _cert_stage(sc, charlie_optimal, grid_maximize_charlie)},

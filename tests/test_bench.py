@@ -47,18 +47,18 @@ def _shifted_summary(summary):
     return type(summary)(summary.n_trials, summary.seed, summary.counts, summary.error_count + 1)
 
 
-@pytest.mark.parametrize("differs", [None, "report", "trials", "tally", "joint_draw"])
+@pytest.mark.parametrize("differs", [None, "report", "trials", "tally", "joint_tuple"])
 def test_parent_check_compares_reports_and_counts(monkeypatch, parent, differs):
     # the tally runs at seed 0, each of the CASES at its own seed
     monkeypatch.setattr(bench, "N_TRIALS", 1000)
     report, run = parent.correlation_report, parent.run_ssd_trials
-    joint, edge = parent.oracle.grid_maximize_joint, bench.JOINT_EDGES[-1]
-    if differs == "joint_draw":
-        # a tuple that differs at the last of the joint draws alone, which
+    joint, last = parent.oracle.grid_maximize_joint, bench.ORACLE_SCENARIOS[-1]
+    if differs == "joint_tuple":
+        # a tuple that differs at the last of ORACLE_SCENARIOS alone, which
         # the check compares before certify()
         def grid_maximize_joint(sc):
             found = joint(sc)
-            return (math.nextafter(found[0], 1.0), *found[1:]) if (sc.s, sc.p1) == edge else found
+            return (math.nextafter(found[0], 1.0), *found[1:]) if (sc.s, sc.p1) == last else found
 
         monkeypatch.setattr(parent.oracle, "grid_maximize_joint", grid_maximize_joint)
     elif differs == "report":
@@ -79,7 +79,7 @@ def test_parent_check_compares_reports_and_counts(monkeypatch, parent, differs):
             "report": "correlation_report",
             "trials": "run_ssd_trials",
             "tally": "tally",
-            "joint_draw": "grid_maximize_joint",
+            "joint_tuple": "grid_maximize_joint",
         }[differs]
         with pytest.raises(RuntimeError, match=f"^{name}\\(.*the two trees differ"):
             bench.check_same_output(bench.seqdisc, parent)

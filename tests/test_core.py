@@ -483,21 +483,20 @@ class TestScanPoints:
 
     @pytest.mark.parametrize("s,p1", _ORACLE_SCENARIOS)
     def test_linspace_points_on_every_joint_and_union_axis(self, monkeypatch, s, p1):
-        # the (t, q1b, q1c) oracles' axes: t's and the unit axis of the first
-        # scan, then each refinement's three windows
+        # the diagonal oracles' u axes: the first scan of [s, 1], then each
+        # refinement's window
         axes = []
 
-        def recording(lo, hi, points):
-            xs = _scan_points(lo, hi, points)
-            axes.append(xs.copy())
-            return xs
+        def recording(f, lo, hi, points, passes):
+            return window_scan_max(lambda xs: axes.append(xs.copy()) or f(xs), lo, hi, points, passes)
 
-        monkeypatch.setattr(oracle, "_scan_points", recording)
+        monkeypatch.setattr(oracle, "window_scan_max", recording)
         sc = Scenario(s, p1)
         for grid_maximize in (oracle.grid_maximize_joint, oracle.grid_maximize_union_ssd):
             axes.clear()
             grid_maximize(sc)
-            assert [len(xs) for xs in axes] == [301, 301] + [33] * 6
+            assert [len(xs) for xs in axes] == [oracle._SCAN_POINTS] * (1 + oracle._REFINEMENT_PASSES)
+            assert (axes[0][0], axes[0][-1]) == (s, 1.0)
             for xs in axes:
                 _assert_linspace_points(xs)
 
@@ -579,10 +578,10 @@ _ONE_CHECK_CASES = {
         ),
     ),
     "discord_floor": (
-        lambda: correlations._discord_right(0.3, 0.6, 0.6, _squared_entropy, _pick),
-        lambda: correlations._discord_right(
+        lambda: correlations._discords(0.3, 0.6, 0.6, _squared_entropy, math.sqrt, _pick),
+        lambda: correlations._discords(
             _A([0.3, 0.3, 0.2]), _A([1.0, 0.6, 0.6]), _A([0.6, 0.6, 0.6]),
-            _squared_entropy, np.where,
+            _squared_entropy, np.sqrt, np.where,
         ),
     ),
     "cloner_prior": (

@@ -160,6 +160,18 @@ class TestDiscordAccuracy:
         assert column[0] == correlation_report(CorrelationInput(1e-200, 0.6, 0.36 / 0.6)).d_symm
 
 
+def test_discords_are_the_reports_bit_for_bit():
+    # discord_right and discord_left read the report's own body, on the
+    # seeded accuracy draws and at t and r of 0, an ulp below 1, and 1
+    edges = (0.0, 0.6, math.nextafter(1.0, 0.0), 1.0)
+    draws = [lane for group in _discord_accuracy_inputs().values() for lane in group]
+    draws += [(p1, t, r) for p1 in (1e-200, 0.3, 0.5) for t in edges for r in edges]
+    for lane in draws:
+        inp = CorrelationInput(*(float(x) for x in lane))
+        rep = correlation_report(inp)
+        assert (discord_right(inp).hex(), discord_left(inp).hex()) == (rep.d_right.hex(), rep.d_left.hex()), lane
+
+
 def test_report_and_kernels_agree_bit_for_bit():
     # the report's entropies are floats and the kernels' are lanes of one
     # body with numpy's logarithms, so their discords agree bit for bit on

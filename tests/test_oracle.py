@@ -34,19 +34,15 @@ from seqdisc import (
 from seqdisc import oracle as oracle_module
 from seqdisc import protocols as protocols_module
 from seqdisc.oracle import (
-    _JOINT_POINTS,
-    _REFINE_POINTS,
     _REFINEMENT_PASSES,
     _SCAN_POINTS,
     _cloning_objective,
     _cloning_objective_values,
-    _joint_factors,
     _joint_term,
-    _max_3d,
+    _max_diagonal,
     _root_bracket,
     _root_count,
     _sturm_chain,
-    _union_factors,
     _union_term,
     joint_certificate,
     stage_certificate,
@@ -474,8 +470,27 @@ class TestUnionOracle:
         assert val == pytest.approx(0.712, abs=1e-6)
 
 
+#: Points per axis of the 3-D reference's first scan, and per axis of each
+#: of its refinements.
+_JOINT_POINTS = 301
+_REFINE_POINTS = 33
+
+
+def _joint_factors(q1b, q2b, q1c, q2c, p1, p2):
+    """Bob and Charlie factors whose rank-2 product is ``_joint_term``."""
+    return ((1.0 - q1b) * p1, (1.0 - q2b) * p2), (1.0 - q1c, 1.0 - q2c)
+
+
+def _union_factors(q1b, q2b, q1c, q2c, p1, p2):
+    """Factors of ``_union_term`` less its constant p1 + p2, which moves no
+    argmax; Charlie's are q1c and q2c themselves."""
+    return (q1b * -p1, q2b * -p2), (q1c, q2c)
+
+
 def _reference_max_3d(scenario, slice_best, n=_JOINT_POINTS):
-    """The oracle's (t, q1b, q1c) grid and refinement, one t-slice at a time:
+    """A brute-force scan of the whole (t, q1b, q1c) box, with q1b in
+    [(s/t)^2, 1] and q1c in [t^2, 1] on unit grids, and two refinements of
+    ``_REFINE_POINTS`` per axis around the best point, one t-slice at a time:
     ``slice_best(q1b, q2b, q1c, q2c)`` gives a slice's first maximum as
     (value, ib, ic), and the first highest value over the slices wins."""
     s = scenario.s
@@ -519,8 +534,8 @@ def _reference_max_3d(scenario, slice_best, n=_JOINT_POINTS):
 
 
 def _max_3d_loop(scenario, term, n=_JOINT_POINTS):
-    """Elementwise reference for the oracle's scan: each t-slice is the full
-    (q1b, q1c) array of ``term``."""
+    """Elementwise 3-D reference: each t-slice is the full (q1b, q1c) array
+    of ``term``."""
     p1, p2 = scenario.p1, scenario.p2
 
     def slice_best(q1b, q2b, q1c, q2c):
@@ -532,13 +547,12 @@ def _max_3d_loop(scenario, term, n=_JOINT_POINTS):
 
 
 def _max_3d_rank2(scenario, term, factors, n=_JOINT_POINTS):
-    """Rank-2 reference for the oracle's scan: each t-slice is the full
-    (q1b, q1c) array of a1*b1 + a2*b2 over the ``factors``, each product and
-    the sum rounded once, as in the oracle's rows (a matmul rounds through
-    BLAS and ranked ties on the union's flat ridge Q1*Q2 = s^2 differently),
-    and its first maximum is re-evaluated with ``term``. einsum forms each
-    outer product: the same bits as a broadcast ``multiply``, in about 0.4 of
-    its time."""
+    """Rank-2 3-D reference: each t-slice is the full (q1b, q1c) array of
+    a1*b1 + a2*b2 over the ``factors``, each product and the sum rounded once
+    (a matmul rounds through BLAS and ranks ties on the union's flat ridge
+    Q1*Q2 = s^2 differently), and its first maximum is re-evaluated with
+    ``term``. einsum forms each outer product: the same bits as a broadcast
+    ``multiply``, in about 0.4 of its time."""
     p1, p2 = scenario.p1, scenario.p2
     buffers = np.empty((2, max(n, _REFINE_POINTS) ** 2))
 
@@ -553,7 +567,8 @@ def _max_3d_rank2(scenario, term, factors, n=_JOINT_POINTS):
     return _reference_max_3d(scenario, slice_best, n)
 
 
-_SCANS = [(grid_maximize_joint, _joint_term), (grid_maximize_union_ssd, _union_term)]
+#: The 3-D references' (term, factors) for the joint and the union.
+_REFERENCES = [(_joint_term, _joint_factors), (_union_term, _union_factors)]
 _SCAN_IDS = ["joint", "union"]
 
 scenarios = st.builds(
@@ -566,26 +581,26 @@ scenarios = st.builds(
 class TestRank2SliceScan:
     """The rank-2 slice products find the elementwise scan's maximum within 1e-15."""
 
-    @pytest.mark.parametrize("oracle,term", _SCANS, ids=_SCAN_IDS)
+    @pytest.mark.parametrize("term,factors", _REFERENCES, ids=_SCAN_IDS)
     @settings(max_examples=40, deadline=None)
     @given(sc=scenarios)
-    def test_random_scenarios_coarse_grid(self, oracle, term, sc):
-        # a function-scoped monkeypatch fixture would trip Hypothesis' health check
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle_module, "_JOINT_POINTS", 100)
-            assert abs(oracle(sc)[0] - _max_3d_loop(sc, term, n=100)[0]) <= 1e-15
+    def test_random_scenarios_coarse_grid(self, term, factors, sc):
+        assert abs(_max_3d_rank2(sc, term, factors, n=100)[0] - _max_3d_loop(sc, term, n=100)[0]) <= 1e-15
 
-    @pytest.mark.parametrize("oracle,term", _SCANS, ids=_SCAN_IDS)
+    @pytest.mark.parametrize("term,factors", _REFERENCES, ids=_SCAN_IDS)
     @pytest.mark.parametrize("s,p1", [(0.04, 0.5), (0.36, 0.2), (0.6, 0.05)])
-    def test_fixed_scenarios_default_grid(self, oracle, term, s, p1):
+    def test_fixed_scenarios_coarse_grid(self, term, factors, s, p1):
         sc = Scenario(s, p1)
-        assert abs(oracle(sc)[0] - _max_3d_loop(sc, term)[0]) <= 1e-15
+        assert abs(_max_3d_rank2(sc, term, factors, n=100)[0] - _max_3d_loop(sc, term, n=100)[0]) <= 1e-15
+
+    @pytest.mark.parametrize("term,factors", _REFERENCES, ids=_SCAN_IDS)
+    @pytest.mark.parametrize("s,p1", [(0.04, 0.5), (0.36, 0.2), (0.6, 0.05)])
+    def test_fixed_scenarios_default_grid(self, term, factors, s, p1):
+        # the grid on which the cross-checks run the rank-2 reference
+        sc = Scenario(s, p1)
+        assert abs(_max_3d_rank2(sc, term, factors)[0] - _max_3d_loop(sc, term)[0]) <= 1e-15
 
 
-_CHAINS = [
-    (grid_maximize_joint, _joint_term, _joint_factors),
-    (grid_maximize_union_ssd, _union_term, _union_factors),
-]
 _CERT_GRID = [(s, p1) for s in CERT_S_VALUES for p1 in CERT_P1_VALUES]
 
 
@@ -601,7 +616,7 @@ def _seeded_edge_scenarios():
 
 def _pc_tie_scenarios():
     # P_C, where the joint optimum has two basins of equal height, and tiny
-    # s, where the joint oracle's maximum sits in its first t-slices
+    # s, where the joint's maximum sits near u = sqrt(s)
     ties = [(s, critical_prior_PC(s).value) for s in np.geomspace(1e-3, 0.17, 8).tolist()]
     return ties + [(1e-9, 0.5), (1e-12, 0.5)]
 
@@ -622,137 +637,85 @@ log_uniform_scenarios = st.builds(
     ),
 )
 
+#: The diagonal scans with the term and factors of their 3-D references.
+_DIAGONALS = [
+    (grid_maximize_joint, _joint_term, _joint_factors),
+    (grid_maximize_union_ssd, _union_term, _union_factors),
+]
 
-class TestChainSearch:
-    """Each Bob row's search at the two grid points bracketing Charlie's
-    stationary point t*sqrt(a2/a1) returns the rank-2 scan's (value,
-    t, q1b, q1c) exactly, also where the stationary point is off the grid or
-    undefined (t = 1, a1 = 0) and where the row is nearly flat (small s,
-    tiny priors)."""
 
-    @pytest.mark.parametrize("oracle,term,factors", _CHAINS, ids=_SCAN_IDS)
+def _assert_diagonal_holds_the_box_maximum(oracle, term, reference, sc):
+    """``oracle``'s tuple is on the diagonal t = sqrt(s), q1b = q1c = u, its
+    value is ``term`` there, and no point of the 3-D ``reference`` scan of
+    the whole box is higher, up to 2 ulps of 1."""
+    value, t, q1b, q1c = oracle(sc)
+    q2 = sc.s / q1b if sc.s else 0.0
+    assert (t, q1c) == (math.sqrt(sc.s), q1b)
+    assert value == float(term(q1b, q2, q1b, q2, sc.p1, sc.p2))
+    assert value >= reference[0] - 2 * math.ulp(1.0), (value, reference)
+
+
+class TestDiagonalHoldsTheBoxMaximum:
+    """Each diagonal scan is at least the 3-D reference's maximum of the
+    whole (t, q1b, q1c) box, less 2 ulps of 1: the box optimum lies on the
+    diagonal. Read: at most 1.7e-16 below it, on the union's flat ridge
+    Q1*Q2 = s^2, and up to 2.1e-13 above it, where the 3-D grid misses
+    t = sqrt(s)."""
+
+    @pytest.mark.parametrize("oracle,term,factors", _DIAGONALS, ids=_SCAN_IDS)
     @pytest.mark.parametrize("s,p1", _CERT_GRID)
     def test_certification_grid(self, oracle, term, factors, s, p1):
         sc = Scenario(s, p1)
-        assert oracle(sc) == _max_3d_rank2(sc, term, factors)
+        _assert_diagonal_holds_the_box_maximum(oracle, term, _max_3d_rank2(sc, term, factors), sc)
 
-    @pytest.mark.parametrize("oracle,term,factors", _CHAINS, ids=_SCAN_IDS)
+    @pytest.mark.parametrize("oracle,term,factors", _DIAGONALS, ids=_SCAN_IDS)
     @pytest.mark.parametrize("s,p1", _seeded_edge_scenarios())
     def test_seeded_edge_scenarios(self, oracle, term, factors, s, p1):
         sc = Scenario(s, p1)
-        assert oracle(sc) == _max_3d_rank2(sc, term, factors)
+        _assert_diagonal_holds_the_box_maximum(oracle, term, _max_3d_rank2(sc, term, factors), sc)
 
-    @pytest.mark.parametrize("oracle,term,factors", _CHAINS, ids=_SCAN_IDS)
+    @pytest.mark.parametrize("oracle,term,factors", _DIAGONALS, ids=_SCAN_IDS)
     @pytest.mark.parametrize("s,p1", _pc_tie_scenarios())
     def test_two_basins_and_tiny_overlaps(self, oracle, term, factors, s, p1):
-        # where two slices tie for the maximum, or it sits in the first slices
         sc = Scenario(s, p1)
-        assert oracle(sc) == _max_3d_rank2(sc, term, factors)
+        _assert_diagonal_holds_the_box_maximum(oracle, term, _max_3d_rank2(sc, term, factors), sc)
 
-    @pytest.mark.parametrize("oracle,term,factors", _CHAINS, ids=_SCAN_IDS)
+    @pytest.mark.parametrize("oracle,term,factors", _DIAGONALS, ids=_SCAN_IDS)
     @pytest.mark.parametrize("s,p1", _workload_scenarios())
     def test_certify_workload_draws(self, oracle, term, factors, s, p1):
         sc = Scenario(s, p1)
-        assert oracle(sc) == _max_3d_rank2(sc, term, factors)
+        _assert_diagonal_holds_the_box_maximum(oracle, term, _max_3d_rank2(sc, term, factors), sc)
 
-    @pytest.mark.parametrize("oracle,term,factors", _CHAINS, ids=_SCAN_IDS)
+    @pytest.mark.parametrize("oracle,term,factors", _DIAGONALS, ids=_SCAN_IDS)
     @settings(max_examples=40, deadline=None)
     @given(sc=log_uniform_scenarios)
-    # ties on the union's flat ridge Q1*Q2 = s^2, which a matmul reference
-    # ranked differently from the oracle's rows
+    # ties on the union's flat ridge Q1*Q2 = s^2
     @example(sc=Scenario(0.4, 0.49999999999999994))
     @example(sc=Scenario(0.25817803361335, 0.1141424420877434))
     def test_random_scenarios_coarse_grid(self, oracle, term, factors, sc):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle_module, "_JOINT_POINTS", 100)
-            assert oracle(sc) == _max_3d_rank2(sc, term, factors, n=100)
+        _assert_diagonal_holds_the_box_maximum(oracle, term, _max_3d_rank2(sc, term, factors, n=100), sc)
 
-    @pytest.mark.parametrize("oracle", [c[0] for c in _CHAINS], ids=_SCAN_IDS)
-    def test_one_call_peaks_below_2_mb(self, oracle):
-        # pieces of slices bound the working set
-        assert _one_call_peak(oracle, Scenario(0.36, 0.2)) < 2e6
+    @pytest.mark.parametrize("oracle", [d[0] for d in _DIAGONALS], ids=_SCAN_IDS)
+    def test_one_call_peaks_below_250_kb(self, oracle):
+        # a few arrays of the scan's points (read: 113 kB joint, 97 kB union)
+        assert _one_call_peak(oracle, Scenario(0.36, 0.2)) < 2.5e5
 
     @pytest.mark.parametrize("s,p1", _CERT_GRID)
-    def test_first_highest_slice_wins_on_rounded_ties(self, s, p1):
-        # rounding the joint term ties slices across pieces, and the
-        # reference takes t order
+    def test_first_highest_point_wins_on_rounded_ties(self, s, p1):
+        # rounding the joint term ties the points of a plateau: the first
+        # scan's first highest point stays unless a refinement is higher
         def term(*args):
             return np.round(_joint_term(*args), 2)
 
         sc = Scenario(s, p1)
-        assert _max_3d(sc, term, _joint_factors) == _max_3d_rank2(sc, term, _joint_factors)
-
-
-def _first_scan_slice_maxima(scenario, term, factors):
-    """Each t-slice's maximum in the first scan of ``_max_3d_rank2``: ``term``
-    at the slice's first highest point of the full (q1b, q1c) rank-2 array."""
-    p1, p2 = scenario.p1, scenario.p2
-    found = []
-
-    def slice_best(q1b, q2b, q1c, q2c):
-        (a1, a2), (b1, b2) = factors(q1b, q2b, q1c, q2c, p1, p2)
-        slab = np.einsum("i,j->ij", a1, b1)
-        slab += np.einsum("i,j->ij", a2, b2)
-        ib, ic = divmod(int(np.argmax(slab)), len(q1c))
-        found.append(float(term(q1b[ib], q2b[ib], q1c[ic], q2c[ic], p1, p2)))
-        return found[-1], ib, ic
-
-    _reference_max_3d(scenario, slice_best)
-    return found[:_JOINT_POINTS]
-
-
-#: Pieces of the first scan: ``_REFINE_POINTS`` t-slices each, the last short.
-_N_PIECES = -(-_JOINT_POINTS // _REFINE_POINTS)
-
-
-def _scan_passes(oracle, factors, sc):
-    """The (rows, u points) of each pass of ``oracle`` on ``sc``, from the
-    shapes of Bob's factors; Charlie's are formed on scalars for Bob."""
-    calls = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle_module, factors.__name__, _recording(factors, calls))
-        oracle(sc)
-    return [np.shape(a1) for (a1, _), _ in calls if np.ndim(a1) == 2]
-
-
-class TestScanPieces:
-    """The first scan evaluates every t-slice, ``_REFINE_POINTS`` slices of
-    ``_JOINT_POINTS`` Bob rows per piece, and each slice's maximum over its
-    rows' two bracket points is the full slice's; each refinement is one
-    piece of ``_REFINE_POINTS`` x ``_REFINE_POINTS`` rows."""
-
-    @pytest.mark.parametrize("oracle,term,factors", _CHAINS, ids=_SCAN_IDS)
-    @pytest.mark.parametrize(
-        "s,p1", _CERT_GRID + _seeded_edge_scenarios() + _pc_tie_scenarios()
-    )
-    def test_every_slice_maximum_is_the_full_slices(self, oracle, term, factors, s, p1):
-        # every slice, not only the winner: a wrong bracket in a slice that
-        # does not win leaves the scan's result as it is
-        sc = Scenario(s, p1)
-        calls = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle_module, term.__name__, _recording(term, calls))
-            oracle(sc)
-        assert len(calls) == _N_PIECES + _REFINEMENT_PASSES
-        found = np.concatenate(calls[:_N_PIECES])
-        assert found.tolist() == _first_scan_slice_maxima(sc, term, factors)
-
-    @pytest.mark.parametrize("oracle,factors", [c[::2] for c in _CHAINS], ids=_SCAN_IDS)
-    def test_chunks_evaluated_on_the_certification_grid(self, oracle, factors):
-        # all 301^2 = 90,601 (row, u) pairs of the first scan on every cell
-        for s, p1 in _CERT_GRID:
-            passes = _scan_passes(oracle, factors, Scenario(s, p1))
-            first = passes[: len(passes) - _REFINEMENT_PASSES]
-            assert sum(rows * points for rows, points in first) == _JOINT_POINTS**2, (s, p1)
-            assert passes[len(first) :] == [(_REFINE_POINTS, _REFINE_POINTS)] * _REFINEMENT_PASSES
-
-    def test_widest_cell_runs_in_pieces(self):
-        # nine pieces of 33 slices and one of the last 4, each over 301 u points
-        sc = Scenario(0.1716, 0.5)
-        passes = _scan_passes(grid_maximize_joint, _joint_factors, sc)
-        assert passes[:_N_PIECES] == [(_REFINE_POINTS, _JOINT_POINTS)] * 9 + [(4, _JOINT_POINTS)]
-        assert grid_maximize_joint(sc) == _max_3d_rank2(sc, _joint_term, _joint_factors)
-        assert _one_call_peak(grid_maximize_joint, sc) < 2e6
+        us = np.linspace(s, 1.0, _SCAN_POINTS)
+        q2 = s / us if s else np.zeros_like(us)
+        first = term(us, q2, us, q2, sc.p1, sc.p2)
+        i = int(np.argmax(first))
+        value, _, u, _ = _max_diagonal(sc, term)
+        assert value >= first[i]
+        if value == first[i]:
+            assert u == us[i]
 
 
 def _one_call_peak(oracle, sc):
@@ -1027,7 +990,6 @@ class TestUnionCertificate:
             raise AssertionError("the union row scanned (t, q1b, q1c)")
 
         monkeypatch.setattr(oracle_module, "grid_maximize_union_ssd", scan)
-        monkeypatch.setattr(oracle_module, "_max_3d", scan)
         (row,) = certify(["at_least_one_ssd"], tolerance=1e-15)
         assert row.passed
 
@@ -1057,16 +1019,29 @@ class TestUnionCertificate:
         assert row.worst_gap == math.inf and not row.passed
 
 
-class TestUnionScanCrossCheck:
-    """The (t, q1b, q1c) scan stays as the certificate's brute-force
-    cross-check: its maximum is at most U, up to its float rounding (read:
-    0.63 ulps of 1 above), and at least L - 1e-12 (read: 4.7e-14 below)."""
+#: The union's brute-force maxima over its whole (t, q1b, q1c) box: the
+#: diagonal scan, and the 3-D reference.
+_UNION_SCANS = {
+    "diagonal": grid_maximize_union_ssd,
+    "3d_reference": lambda sc: _max_3d_rank2(sc, _union_term, _union_factors),
+}
 
-    @pytest.mark.parametrize("s,p1", _CERT_GRID + _seeded_edge_scenarios()[:30])
-    def test_scan_between_the_bounds(self, s, p1):
+
+class TestUnionScanCrossCheck:
+    """Both scans stay as the certificate's brute-force cross-checks: each
+    maximum is at most U, up to its float rounding, and at least L - 1e-12.
+    Read: the diagonal 0.64 ulps of 1 above and 9.7e-17 below, the 3-D
+    reference 0.63 ulps above and 4.7e-14 below."""
+
+    @pytest.mark.parametrize(
+        "scan,s,p1",
+        [("diagonal", s, p1) for s, p1 in _CERT_GRID + _seeded_edge_scenarios()]
+        + [("3d_reference", s, p1) for s, p1 in _CERT_GRID + _seeded_edge_scenarios()[:30]],
+    )
+    def test_scan_between_the_bounds(self, scan, s, p1):
         sc = Scenario(s, p1)
         lower, upper = _union_bounds(sc)
-        value = Fraction(grid_maximize_union_ssd(sc)[0])
+        value = Fraction(_UNION_SCANS[scan](sc)[0])
         assert value <= upper + 2 * Fraction(math.ulp(1.0))
         assert value >= lower - Fraction(1e-12)
 
@@ -1183,7 +1158,6 @@ class TestJointCertificate:
             raise AssertionError("the joint row scanned (t, q1b, q1c)")
 
         monkeypatch.setattr(oracle_module, "grid_maximize_joint", scan)
-        monkeypatch.setattr(oracle_module, "_max_3d", scan)
         (row,) = certify(["joint"], tolerance=1e-15)
         assert row.passed
 
@@ -1222,23 +1196,53 @@ def _joint_cross_scenarios():
     return list(zip(s.tolist(), p1.tolist()))
 
 
-class TestJointScanCrossCheck:
-    """The (t, q1b, q1c) scan stays as the certificate's brute-force
-    cross-check: its maximum is at most U, up to its float rounding (read:
-    0.475 ulps of 1 above), and at least L - 1e-9 (read: 6.5e-10 below)."""
+def _joint_reference(sc):
+    """The joint's 3-D reference scan of its whole (t, q1b, q1c) box."""
+    return _max_3d_rank2(sc, _joint_term, _joint_factors)
 
-    @pytest.mark.parametrize("s,p1", _CERT_GRID + _joint_cross_scenarios())
-    def test_scan_between_the_bounds(self, s, p1):
+
+#: The joint's brute-force maxima, each with how far below L it may read:
+#: the diagonal scan, and the 3-D reference, whose grid is coarser.
+_JOINT_SCANS = {"diagonal": (grid_maximize_joint, 1e-14), "3d_reference": (_joint_reference, 1e-9)}
+
+
+class TestJointScanCrossCheck:
+    """Both scans stay as the certificate's brute-force cross-checks: each
+    maximum is at most U, up to its float rounding, and at least L less its
+    bound. Read: the diagonal 1.10 ulps of 1 above and 1.6e-15 below, also
+    where the 3-D reference misses; the 3-D reference 0.475 ulps above and
+    6.5e-10 below."""
+
+    @pytest.mark.parametrize(
+        "scan,s,p1",
+        [
+            ("diagonal", s, p1)
+            for s, p1 in _CERT_GRID + _joint_cross_scenarios() + _seeded_edge_scenarios() + _SCAN_MISSES
+        ]
+        + [("3d_reference", s, p1) for s, p1 in _CERT_GRID + _joint_cross_scenarios()],
+    )
+    def test_scan_between_the_bounds(self, scan, s, p1):
         sc = Scenario(s, p1)
         lower, upper = _joint_bounds(sc)
-        value = Fraction(grid_maximize_joint(sc)[0])
+        oracle, below = _JOINT_SCANS[scan]
+        value = Fraction(oracle(sc)[0])
         assert value <= upper + 2 * Fraction(math.ulp(1.0))
-        assert value >= lower - Fraction(1e-9)
+        assert value >= lower - Fraction(below)
 
     @pytest.mark.parametrize("s,p1", _SCAN_MISSES)
     def test_scan_misses_the_maximum_below_s_of_1e_8(self, s, p1):
-        # the blind spot ``grid_maximize_joint`` documents (read: 3.82e-6,
+        # the 3-D reference's grid is linear in t, q1b and q1c, while the
+        # argmax has t = sqrt(s) and q1b = q1c near sqrt(s) (read: 3.82e-6,
         # 3.21e-4, 4.28e-4 and 2.85e-5 below L)
         sc = Scenario(s, p1)
         lower, _ = _joint_bounds(sc)
-        assert Fraction(grid_maximize_joint(sc)[0]) < lower - Fraction(1e-6)
+        assert Fraction(_joint_reference(sc)[0]) < lower - Fraction(1e-6)
+
+    @pytest.mark.parametrize("s,p1", [(1e-30, 0.5), (1e-300, 0.3)])
+    def test_diagonal_misses_by_its_last_step_where_sqrt_s_is_below_it(self, s, p1):
+        # the floor ``grid_maximize_joint`` documents: below s of about
+        # 1e-20 the argmax u near sqrt(s) lies within the last step of the
+        # diagonal's grid, about 5e-10 (read: 5.0e-10 and 3.0e-10 below L)
+        sc = Scenario(s, p1)
+        lower, _ = _joint_bounds(sc)
+        assert lower - Fraction(1e-9) < Fraction(grid_maximize_joint(sc)[0]) < lower - Fraction(1e-10)
