@@ -82,13 +82,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise DomainError("sweep needs either --figure or --variable plus --quantities")
         if args.start is None or args.stop is None:
             raise DomainError("custom sweeps need --start and --stop")
-        fixed = {}
-        if args.s is not None:
-            fixed["s"] = args.s
-        if args.p1 is not None:
-            fixed["p1"] = args.p1
-        if args.t is not None:
-            fixed["t"] = args.t
+        fixed = {name: getattr(args, name) for name in ("s", "p1", "t") if getattr(args, name) is not None}
         spec = SweepSpec(
             variable=args.variable,
             start=args.start,

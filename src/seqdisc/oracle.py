@@ -22,7 +22,11 @@ runs once per scenario for all the quantities it covers: the two cloning
 rows share one solve of the optimal cloner and one cloning oracle. That
 oracle scans gamma1 and takes each point's gamma2 from the cloning
 constraint's better root in closed form, a line meeting the unit circle
-(``_cloning_objective``), by correctly rounded operations alone.
+(``_cloning_objective``), by correctly rounded operations alone. A
+certifier returns one (quantity, gap) pair per comparison, such as each of
+a stage's two overlaps, and ``certify``'s fold alone reduces the pairs to
+each row's worst gap: a NaN gap ranks above every number, so it fails its
+row, and of equal gaps the first is kept.
 
 The union row (``at_least_one_ssd``) and the joint row are certified
 without a scan, by exact bounds in ``fractions``. Every feasible (t, q1b,
@@ -32,8 +36,11 @@ argmax, and U that stage's semidefinite dual bound (``stage_certificate``).
 And the joint's optimum is the maximum over u in [s, 1] of one function
 g(u), whose stationary points are the roots of q*'s quartic: L is g at the
 closed form's q1b, and U comes from a Sturm count of the quartic's roots and
-a bracket of floats around its middle one (``joint_certificate``). Each
-row's gap bounds the closed form's distance from the optimum itself.
+a bracket of floats around its middle one (``joint_certificate``). Both
+rows take one gap rule (``_exact_gap``): max(|v - L|, |v - U|), which bounds
+the closed form's distance from the optimum itself, and an infinite gap
+where L > U or where the certificate rejects the closed form's argmax as no
+feasible point.
 By the same reductions each one's maximum over the whole (t, q1b, q1c) box
 lies on its diagonal t = sqrt(s), q1b = q1c = u, u in [s, 1]: there Q1 =
 u^2 takes every value in [s^2, 1], and the joint equals g(u). So
@@ -249,8 +256,6 @@ def grid_maximize_cloning(scenario: Scenario) -> tuple[float, float, float]:
     g1, value = window_scan_max(
         lambda g: _cloning_objective_values(g, s, p1, p2), 0.0, 1.0, _SCAN_POINTS, _REFINEMENT_PASSES
     )
-    if not math.isfinite(value):
-        raise NumericError(f"cloning constraint unsolvable everywhere for s={s}")
     _, g2, co_root = _cloning_objective(g1, s, p1, p2, math.sqrt, min, roots=True)
     residual = s - math.sqrt(g1 * g2) * s * s - math.sqrt(1.0 - g1) * co_root
     if abs(residual) > 1e-10:
@@ -424,10 +429,11 @@ def stage_certificate(p1, p2, r, q1) -> tuple[Fraction, Fraction]:
     objective at the reported q1, with q2 = r^2/q1 (0 where r = 0), and uses
     nothing of the closed form's value; the upper bound is
     ``_stage_dual_bound``'s. A q1 outside [r^2, 1] is no feasible point, so it
-    bounds nothing and is a ``ConstraintError``.
+    bounds nothing and is a ``ConstraintError``, as is a NaN or an infinite
+    one, which no ``Fraction`` holds.
     """
-    p1, p2, r, q1 = (Fraction(x) for x in (p1, p2, r, q1))
-    if not r * r <= q1 <= 1:
+    p1, p2, r = (Fraction(x) for x in (p1, p2, r))
+    if not (math.isfinite(q1) and r * r <= (q1 := Fraction(q1)) <= 1):
         raise ConstraintError(f"q1={float(q1)!r} outside [r^2, 1] for r={float(r)!r}")
     return _stage_objective(p1, p2, r)(q1), _stage_dual_bound(p1, p2, r)
 
@@ -446,22 +452,18 @@ class CertificationRow:
         return self.worst_gap <= self.tolerance
 
 
-def _cert_stage(sc: Scenario, closed_form: Callable, oracle: Callable) -> float:
-    """Worst gap of a single-stage optimum at the overlaps t = sqrt(s) and
-    (1 + s)/2 in [s, 1], less t = 0 (at s = 0), where no stage is defined."""
-    return max(
-        abs(closed_form(sc, t).value - oracle(sc, t)[0])
+def _cert_stage(sc: Scenario, name: str, closed_form: Callable, oracle: Callable) -> list[tuple[str, float]]:
+    """The gaps of a single-stage optimum at the overlaps t = sqrt(s) and
+    (1 + s)/2 in [s, 1], one pair each, less t = 0 (at s = 0), where no
+    stage is defined."""
+    return [
+        (name, abs(closed_form(sc, t).value - oracle(sc, t)[0]))
         for t in (math.sqrt(sc.s), 0.5 * (1.0 + sc.s))
         if t > 0.0
-    )
+    ]
 
 
-def _cert_gap(sc: Scenario, closed_form: Callable, oracle: Callable) -> float:
-    """Gap between a closed form's value and its oracle's maximum."""
-    return abs(closed_form(sc).value - oracle(sc)[0])
-
-
-def _cert_cloning(sc: Scenario) -> dict[str, float]:
+def _cert_cloning(sc: Scenario) -> list[tuple[str, float]]:
     """Gaps of both cloning optima, from one solve of the optimal cloner and
     one cloning oracle: each combines the oracle's success p_cl with one
     copy's stage maximum disc at the priors p1*gamma1 : p2*gamma2 it
@@ -474,69 +476,68 @@ def _cert_cloning(sc: Scenario) -> dict[str, float]:
     both, at_least_one = _cloned_optimum(sc)
     p_cl, g1, g2 = grid_maximize_cloning(sc)
     disc = _conditioned_stage(sc.p1 * g1, sc.p2 * g2, sc.s)[0]
-    return {
-        "protocol3": abs(both.value - p_cl * disc * disc),
-        "at_least_one_p3": abs(at_least_one.value - p_cl * (1.0 - (1.0 - disc) * (1.0 - disc))),
-    }
+    return [
+        ("protocol3", abs(both.value - p_cl * disc * disc)),
+        ("at_least_one_p3", abs(at_least_one.value - p_cl * (1.0 - (1.0 - disc) * (1.0 - disc)))),
+    ]
 
 
-def _bounds_gap(value: float, lower: Fraction, upper: Fraction) -> float:
-    """max(|v - L|, |v - U|) for exact bounds on an optimum, which bounds
-    |v - optimum| wherever L <= U; L > U is an infinite gap."""
+def _exact_gap(value: float, certificate: Callable, *args) -> float:
+    """max(|v - L|, |v - U|) for the exact bounds (L, U) =
+    ``certificate(*args)`` on an optimum, which bounds |v - optimum| wherever
+    L <= U. L > U, or an argmax that the certificate rejects as no feasible
+    point (``ConstraintError``), is an infinite gap."""
+    try:
+        lower, upper = certificate(*args)
+    except ConstraintError:
+        return math.inf
     v = Fraction(value)
     return float(max(abs(v - lower), abs(v - upper))) if lower <= upper else math.inf
 
 
-def _cert_union(sc: Scenario) -> dict[str, float]:
-    """The union's value against exact bounds on its optimum (``_bounds_gap``).
+def _cert_union(sc: Scenario) -> list[tuple[str, float]]:
+    """The union's value against exact bounds on its optimum (``_exact_gap``).
 
     Every feasible (t, q1b, q1c) has Q1*Q2 = s^2 with Q1 = q1b*q1c in
     [s^2, 1], so the union's optimum is the stage's at r = s, and the
     closed form's argmax (t, q1b, q1c) = (1, q1_product, 1) is that stage's
-    point q1 = q1_product: the bounds are ``stage_certificate``'s there. An
-    argmax outside [s^2, 1] is an infinite gap.
+    point q1 = q1_product: the bounds are ``stage_certificate``'s there.
     """
     result = at_least_one_ssd(sc)
-    try:
-        bounds = stage_certificate(sc.p1, sc.p2, sc.s, result.argmax["q1_product"])
-    except ConstraintError:  # an argmax outside [s^2, 1], decided in rationals
-        return {"at_least_one_ssd": math.inf}
-    return {"at_least_one_ssd": _bounds_gap(result.value, *bounds)}
+    q1 = result.argmax["q1_product"]
+    return [("at_least_one_ssd", _exact_gap(result.value, stage_certificate, sc.p1, sc.p2, sc.s, q1))]
 
 
-def _cert_joint(sc: Scenario) -> dict[str, float]:
+def _cert_joint(sc: Scenario) -> list[tuple[str, float]]:
     """The joint's value against ``joint_certificate``'s exact bounds on its
-    optimum (``_bounds_gap``), at the closed form's q1b, with the bracket of
-    q*'s root started from its q*, which case II reports too. An argmax
-    outside [s, 1] is an infinite gap."""
+    optimum (``_exact_gap``), at the closed form's q1b, with the bracket of
+    q*'s root started from its q*, which case II reports too."""
     result = joint_optimal(sc, compute_boundary=False)
     q = result.argmax["q1b"]
-    if not sc.s <= q <= 1.0:
-        return {"joint": math.inf}
-    lower, upper = joint_certificate(sc.p1, sc.p2, sc.s, q, result.argmax.get("q_star", q))
-    return {"joint": _bounds_gap(result.value, lower, upper)}
+    near = result.argmax.get("q_star", q)
+    return [("joint", _exact_gap(result.value, joint_certificate, sc.p1, sc.p2, sc.s, q, near))]
 
 
-# Each certifier maps a scenario to the gaps of every quantity it covers, and
-# is listed under each of their names. The lambdas look each oracle up when
-# called, so a rebound module name (such as the benchmark's tracer installs)
-# is seen. Protocol 1 is Bob's stage at t = 1, where his overlap s/t is s
-# itself. The two cloning combinations are written here apart from
-# protocols', so that a slip in either shows as a gap. The union and the
-# joint are bounded exactly from both sides, without a scan: the union
-# reduces to protocol (1) by Q1*Q2 = s^2 (``_cert_union``), and the joint to
-# one variable by the same identity (``joint_certificate``). The same
-# reductions put each one's box optimum on the diagonal that
-# ``grid_maximize_union_ssd`` and ``grid_maximize_joint`` scan, and the
-# tests keep those scans as the certificates' brute-force cross-checks.
-_CERTIFIERS: dict[str, Callable[[Scenario], dict[str, float]]] = {
-    "bob": lambda sc: {"bob": _cert_stage(sc, bob_optimal, grid_maximize_bob)},
-    "charlie": lambda sc: {"charlie": _cert_stage(sc, charlie_optimal, grid_maximize_charlie)},
+# Each certifier maps a scenario to a list of (quantity, gap) pairs, one per
+# comparison of a closed form with its reference, and is listed under each
+# quantity it covers; ``certify``'s fold is the one place that reduces them
+# to a row's worst gap. The lambdas look each oracle up when called, so a
+# rebound module name (such as the benchmark's tracer installs) is seen.
+# Protocol 1 is Bob's stage at t = 1, where his overlap s/t is s itself. The
+# two cloning combinations are written here apart from protocols', so that a
+# slip in either shows as a gap. The union and the joint are bounded exactly
+# from both sides, without a scan, and share one gap rule (``_exact_gap``):
+# the union reduces to protocol (1) by Q1*Q2 = s^2 (``_cert_union``), and the
+# joint to one variable by the same identity (``joint_certificate``). The
+# same reductions put each one's box optimum on the diagonal that
+# ``grid_maximize_union_ssd`` and ``grid_maximize_joint`` scan, and the tests
+# keep those scans as the certificates' brute-force cross-checks.
+_CERTIFIERS: dict[str, Callable[[Scenario], list[tuple[str, float]]]] = {
+    "bob": lambda sc: _cert_stage(sc, "bob", bob_optimal, grid_maximize_bob),
+    "charlie": lambda sc: _cert_stage(sc, "charlie", charlie_optimal, grid_maximize_charlie),
     "joint": _cert_joint,
-    "protocol1": lambda sc: {
-        "protocol1": _cert_gap(sc, protocol1_optimal, lambda sc: grid_maximize_bob(sc, 1.0))
-    },
-    "protocol2": lambda sc: {"protocol2": _cert_gap(sc, protocol2_optimal, grid_maximize_protocol2)},
+    "protocol1": lambda sc: [("protocol1", abs(protocol1_optimal(sc).value - grid_maximize_bob(sc, 1.0)[0]))],
+    "protocol2": lambda sc: [("protocol2", abs(protocol2_optimal(sc).value - grid_maximize_protocol2(sc)[0]))],
     "protocol3": _cert_cloning,
     "at_least_one_p3": _cert_cloning,
     "at_least_one_ssd": _cert_union,
@@ -576,7 +577,7 @@ def certify(
         for p1 in p1_values:
             sc = Scenario(s, p1)
             for fn in certifiers:
-                for name, gap in fn(sc).items():
+                for name, gap in fn(sc):
                     # a NaN gap fails every comparison: it ranks above any number
                     rank = (math.isnan(gap), gap)
                     if name in worst and rank > (math.isnan(worst[name][0]), worst[name][0]):

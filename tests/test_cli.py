@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -386,10 +387,25 @@ class TestVerify:
         assert "FAIL" in capsys.readouterr().out
 
     def test_nan_gap_fails_and_exits_5(self, capsys, monkeypatch):
-        monkeypatch.setitem(oracle._CERTIFIERS, "joint", lambda sc: {"joint": float("nan")})
+        monkeypatch.setitem(oracle._CERTIFIERS, "joint", lambda sc: [("joint", float("nan"))])
         assert main(["verify", "--quantity", "joint"]) == 5
         (row,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("joint ")]
         assert row.split()[1] == "nan" and row.endswith(" FAIL")
+
+    def test_nan_union_argmax_fails_and_exits_5(self, capsys, monkeypatch):
+        # Fraction(nan) raised a bare ValueError, and verify ended in a traceback
+        real = oracle.at_least_one_ssd
+
+        def nan_argmax(sc):
+            result = real(sc)
+            argmax = {**result.argmax, "q1_product": math.nan}
+            return type(result)(result.value, result.case_label, argmax, result.boundary_prior)
+
+        monkeypatch.setattr(oracle, "at_least_one_ssd", nan_argmax)
+        assert main(["verify", "--quantity", "at_least_one_ssd"]) == 5
+        out, err = capsys.readouterr()
+        (row,) = [line for line in out.splitlines() if line.startswith("at_least_one_ssd ")]
+        assert row.split()[1] == "inf" and row.endswith(" FAIL") and err == ""
 
     def test_prints_elapsed_time(self, capsys):
         assert main(["verify", "--quantity", "protocol1,bob"]) == 0

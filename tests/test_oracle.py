@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -89,13 +90,29 @@ class TestCertifyTolerance:
         real = oracle_module._CERTIFIERS["joint"]
 
         def stub(sc):
-            return {"joint": math.nan} if sc.s == s_values[nan_at] else real(sc)
+            return [("joint", math.nan)] if sc.s == s_values[nan_at] else real(sc)
 
         monkeypatch.setitem(oracle_module._CERTIFIERS, "joint", stub)
         joint, bob = certify(["joint", "bob"], s_values, (0.3,))
         assert math.isnan(joint.worst_gap) and joint.worst_scenario == (s_values[nan_at], 0.3)
         assert not joint.passed
         assert bob.passed
+
+    @pytest.mark.parametrize("name", ["bob", "charlie"])
+    def test_nan_oracle_at_the_second_overlap_fails_its_row(self, monkeypatch, name):
+        # max() kept the first overlap's gap over a NaN second one, so the
+        # row passed on that gap alone; each overlap's gap now reaches the fold
+        real = getattr(oracle_module, f"grid_maximize_{name}")
+
+        def stub(sc, t):
+            return (math.nan, math.nan) if t == 0.5 * (1.0 + sc.s) else real(sc, t)
+
+        monkeypatch.setattr(oracle_module, f"grid_maximize_{name}", stub)
+        rows = {row.quantity: row for row in certify(["bob", "charlie"], (0.04, 0.36), (0.3,))}
+        assert math.isnan(rows[name].worst_gap) and rows[name].worst_scenario == (0.04, 0.3)
+        assert not rows[name].passed
+        (other,) = set(rows) - {name}
+        assert rows[other].passed and not math.isnan(rows[other].worst_gap)
 
     def test_rejects_repeated_quantity(self):
         # a repeated name used to give two identical rows, which hides a
@@ -278,6 +295,17 @@ class TestCloningOracle:
         assert values[-1] == -np.inf and np.isfinite(values[0])
         _, argmax, _ = grid_maximize_cloning(Scenario(s, 0.3))
         assert argmax <= 1.0 / (1.0 + s * s)
+
+    @pytest.mark.parametrize("s", [1e-300, 1e-12, 0.36, 1.0 - 2**-53])
+    @pytest.mark.parametrize("p1", [1e-300, 0.3, 0.5])
+    def test_first_scan_starts_at_a_root(self, s, p1):
+        # gamma1 = 0, the first scan's first point, always has a constraint
+        # root, of value about p2*(1 - s^2): so the scan's maximum is finite
+        sc = Scenario(s, p1)
+        (start,) = _cloning_objective_values(np.array([0.0]), s, sc.p1, sc.p2).tolist()
+        assert math.isfinite(start)
+        value = grid_maximize_cloning(sc)[0]
+        assert math.isfinite(value) and value >= start
 
 
 def _angle_objective(g1, s, p1, p2):
@@ -546,13 +574,16 @@ def _max_3d_loop(scenario, term, n=_JOINT_POINTS):
     return _reference_max_3d(scenario, slice_best, n)
 
 
+@functools.cache
 def _max_3d_rank2(scenario, term, factors, n=_JOINT_POINTS):
     """Rank-2 3-D reference: each t-slice is the full (q1b, q1c) array of
     a1*b1 + a2*b2 over the ``factors``, each product and the sum rounded once
     (a matmul rounds through BLAS and ranks ties on the union's flat ridge
     Q1*Q2 = s^2 differently), and its first maximum is re-evaluated with
     ``term``. einsum forms each outer product: the same bits as a broadcast
-    ``multiply``, in about 0.4 of its time."""
+    ``multiply``, in about 0.4 of its time. Memoized: the diagonal tests and
+    the certificates' cross-checks share scenarios, and each is scanned
+    once."""
     p1, p2 = scenario.p1, scenario.p2
     buffers = np.empty((2, max(n, _REFINE_POINTS) ** 2))
 
@@ -832,9 +863,9 @@ def _ulps_outside(value, lower, upper):
 
 
 def _union_bounds(sc):
-    """The union certificate's (lower, upper) at the closed form's argmax:
-    ``_union_term`` at (t, q1b, q1c) = (1, q1_product, 1) and the stage's dual
-    bound at r = s, as ``oracle._cert_union`` forms them."""
+    """The union certificate's (lower, upper) at the closed form's argmax,
+    derived apart from ``oracle.stage_certificate``: ``_union_term`` at (t,
+    q1b, q1c) = (1, q1_product, 1), and the stage's dual bound at r = s."""
     p1, p2, s = Fraction(sc.p1), Fraction(sc.p2), Fraction(sc.s)
     q1b = Fraction(at_least_one_ssd(sc).argmax["q1_product"])
     lower = _union_term(q1b, s * s / q1b if q1b else 0, 1, 1, p1, p2)
@@ -927,9 +958,10 @@ class TestStageCertificate:
         # r = 0: q2 = 0 and the stage succeeds surely at q1 = 0
         assert stage_certificate(0.3, 0.7, 0.0, 0.0) == (Fraction(0.3) + Fraction(0.7),) * 2
 
-    @pytest.mark.parametrize("q1", [0.2, 1.0 + 2**-52, 0.0])
+    @pytest.mark.parametrize("q1", [0.2, 1.0 + 2**-52, 0.0, math.nan, math.inf])
     def test_infeasible_argmax_is_rejected(self, q1):
-        # below r^2 = 0.25, above 1, and q1 = 0 at r > 0
+        # below r^2 = 0.25, above 1, q1 = 0 at r > 0, and NaN and inf, on
+        # which Fraction raises a bare ValueError and OverflowError
         with pytest.raises(ConstraintError, match="outside \\[r\\^2, 1\\]"):
             stage_certificate(0.3, 0.7, 0.5, q1)
 
@@ -1002,7 +1034,9 @@ class TestUnionCertificate:
         (row,) = certify(["at_least_one_ssd"], tolerance=1e-15)
         assert not row.passed and 0.9e-12 < row.worst_gap < 1.1e-12
 
-    @pytest.mark.parametrize("q1", [0.5 * 0.04**2, 1.0 + 2**-52], ids=["below_s2", "above_1"])
+    @pytest.mark.parametrize(
+        "q1", [0.5 * 0.04**2, 1.0 + 2**-52, math.nan, math.inf], ids=["below_s2", "above_1", "nan", "inf"]
+    )
     def test_argmax_outside_its_range_fails(self, monkeypatch, q1):
         def moved(sc):
             result = at_least_one_ssd(sc)
@@ -1170,7 +1204,9 @@ class TestJointCertificate:
         (row,) = certify(["joint"], tolerance=1e-15)
         assert not row.passed and 0.9e-12 < row.worst_gap < 1.1e-12
 
-    @pytest.mark.parametrize("q1b", [0.02, 1.0 + 2**-52], ids=["below_s", "above_1"])
+    @pytest.mark.parametrize(
+        "q1b", [0.02, 1.0 + 2**-52, math.nan, math.inf], ids=["below_s", "above_1", "nan", "inf"]
+    )
     def test_argmax_outside_its_range_fails(self, monkeypatch, q1b):
         def moved(sc, **kwargs):
             result = joint_optimal(sc, **kwargs)
