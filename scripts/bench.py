@@ -9,8 +9,9 @@ page faults are counted beside them, so memory that an op gives back to the
 system and faults in again shows.
 
 With ``--parent DIR``, ``DIR/src/seqdisc`` must write the same CSVs and give
-the same oracle results, ``certify()`` rows, correlation reports and Monte
-Carlo counts, bit for bit. An output that the change moves on purpose is
+the same oracle results, ``certify()`` rows, rows of each quantity certified
+alone on the certify draws, correlation reports and Monte Carlo counts, bit
+for bit. An output that the change moves on purpose is
 named with ``--moved NAME`` (repeatable; ``certify().joint`` is the joint
 row): it may differ, and its value on each tree goes into the record under
 ``moved``. The parent is then timed beside this tree, the two in alternating
@@ -35,7 +36,7 @@ read 1.07 and 1.23 on ``figure_set``.
     python scripts/bench.py --out bench.json
     python scripts/bench.py --quick --out bench.json   # a smoke run
     python scripts/bench.py --parent ../parent --out bench.json
-    python scripts/bench.py --parent ../parent --moved 'certify().joint' --out bench.json
+    python scripts/bench.py --parent ../parent --moved 'certify().joint' --moved 'certify_draws().joint' --out bench.json
     python scripts/bench.py --quick --parent . --out bench.json   # the tree against itself, as CI runs it
 """
 
@@ -67,6 +68,10 @@ import seqdisc  # noqa: E402
 ORACLE_SCENARIOS = ((0.04, 0.5), (0.36, 0.2), (0.6, 0.05))
 #: The scenario of the single-quantity certify ops.
 CERTIFY_SCENARIO = (0.36, 0.2)
+#: Seed and count of the certify_draws op's (s, p1) draws, uniform in the
+#: certify workload's ranges: s in [0.002, 0.98], p1 in [0.02, 0.5].
+CERTIFY_DRAWS_SEED = 8
+CERTIFY_DRAWS = 24
 #: (s, p1) of the point queries: generic points, equal priors, a small prior,
 #: s near 1 and the small overlaps 1e-6 and 1e-10.
 POINT_SCENARIOS = ((0.36, 0.2), (0.04, 0.5), (0.6, 0.05), (0.9, 0.4), (1e-6, 0.3), (1e-10, 0.1))
@@ -144,6 +149,20 @@ def _discord_entropy_lanes() -> list:
     return recorded
 
 
+def _certify_draws() -> list:
+    """The CERTIFY_DRAWS seeded (s, p1) of the certify_draws op."""
+    rng = np.random.default_rng(CERTIFY_DRAWS_SEED)
+    return [tuple(x) for x in rng.uniform([0.002, 0.02], [0.98, 0.5], (CERTIFY_DRAWS, 2)).tolist()]
+
+
+def _certify_each(oracle) -> dict:
+    """{quantity: its ``certify`` rows}, each of the package's quantities
+    certified alone on each of the certify draws, as the certify workload's
+    ops run them."""
+    draws = _certify_draws()
+    return {q: [oracle.certify([q], [s], [p1])[0] for s, p1 in draws] for q in oracle._CERTIFIERS}
+
+
 def _csv(sweeps, name: str) -> str:
     buf = io.StringIO()
     sweeps.write_csv(*sweeps.run_figure(name), buf)
@@ -197,6 +216,7 @@ def make_ops(package) -> dict:
         "certify": (oracle.certify, 1),
         "certify_protocol3": (lambda: oracle.certify(["protocol3"], *grid), 1),
         "certify_joint": (lambda: oracle.certify(["joint"], *grid), 1),
+        "certify_draws": (lambda: _certify_each(oracle), CERTIFY_DRAWS * len(oracle._CERTIFIERS)),
     }
 
     point_calls = POINT_LOOPS * len(POINT_SCENARIOS)
@@ -243,8 +263,9 @@ def make_ops(package) -> dict:
 
 def _oracle_results(package) -> list:
     """(name, result) of every ``grid_maximize_*`` oracle on each of
-    ORACLE_SCENARIOS, the stage oracles at t = sqrt(s), and of each
-    ``certify()`` row, named ``certify().<quantity>``."""
+    ORACLE_SCENARIOS, the stage oracles at t = sqrt(s), of each
+    ``certify()`` row, named ``certify().<quantity>``, and of each
+    quantity's rows on the certify draws, ``certify_draws().<quantity>``."""
     oracle = package.oracle
     results = []
     for s, p1 in ORACLE_SCENARIOS:
@@ -253,7 +274,8 @@ def _oracle_results(package) -> list:
             fn = getattr(oracle, f"grid_maximize_{name}")
             args = (sc, s**0.5) if name in ("bob", "charlie") else (sc,)
             results.append((f"grid_maximize_{name}{(s, p1)}", fn(*args)))
-    return results + [(f"certify().{row.quantity}", row) for row in oracle.certify()]
+    results += [(f"certify().{row.quantity}", row) for row in oracle.certify()]
+    return results + [(f"certify_draws().{q}", rows) for q, rows in _certify_each(oracle).items()]
 
 
 def _sampled_results(package) -> list:

@@ -275,21 +275,22 @@ def _scan_indices(points: int) -> np.ndarray:
     return k
 
 
-def _scan_points(lo: float, hi: float, points: int) -> np.ndarray:
-    """``np.linspace(lo, hi, points)`` bit for bit (``points`` >= 2), by its
-    own steps on the cached indices but without its per-call argument
-    handling, which costs as much as a 2001-point scan's arithmetic."""
+def _scan_points(lo: float, hi: float, points: int, out: np.ndarray) -> np.ndarray:
+    """``np.linspace(lo, hi, points)`` bit for bit (``points`` >= 2), written
+    into ``out`` (``points`` float lanes) and returned, by linspace's own steps
+    on the cached indices but without its per-call argument handling, which
+    costs as much as a 2001-point scan's arithmetic."""
     div = points - 1
     delta = hi - lo
     step = delta / div
     if step == 0.0:  # linspace's path for a step that underflows
-        xs = _scan_indices(points) / div
-        xs *= delta
+        np.divide(_scan_indices(points), div, out=out)
+        out *= delta
     else:
-        xs = _scan_indices(points) * step
-    xs += lo
-    xs[-1] = hi
-    return xs
+        np.multiply(_scan_indices(points), step, out=out)
+    out += lo
+    out[-1] = hi
+    return out
 
 
 def window_scan_max(
@@ -304,16 +305,21 @@ def window_scan_max(
     is the next window's half-width; every scan's points are
     ``np.linspace``'s. A scan's first highest point replaces the best only
     when strictly higher. Minimize by negating f.
+
+    The points are one array, made once per call and refilled in place for
+    each scan, so ``f`` must not keep it. ``f`` may return a fresh array or a
+    buffer of its own that it overwrites on its next call (a lane body, such
+    as ``oracle._stage_lanes``): the values are read before that call.
     """
-    xs = _scan_points(lo, hi, points)
+    xs = _scan_points(lo, hi, points, np.empty(points))
     vals = f(xs)
-    i = int(np.argmax(vals))
+    i = int(vals.argmax())
     best_x, best_v = float(xs[i]), float(vals[i])
     for _ in range(passes):
         step = float(xs[1] - xs[0])
-        xs = _scan_points(max(lo, best_x - step), min(hi, best_x + step), points)
+        _scan_points(max(lo, best_x - step), min(hi, best_x + step), points, xs)
         vals = f(xs)
-        i = int(np.argmax(vals))
+        i = int(vals.argmax())
         if vals[i] > best_v:
             best_x, best_v = float(xs[i]), float(vals[i])
     return best_x, best_v

@@ -15,7 +15,10 @@ refined by ``_REFINEMENT_PASSES`` rescans of ``_SCAN_POINTS`` points over
 the window one grid step either side of the best point
 (``core.window_scan_max``), and every one-stage maximum (a cloned copy's
 too) is ``_grid_max_stage``'s. Every refinement calls the same array
-objective as its first scan.
+objective as its first scan. The stage and cloning scans evaluate it by a
+lane body (``_stage_lanes``, ``_cloning_lanes``): the expression's
+operations in its order, written into buffers made once per scan, so each
+lane is the expression's float, and a pass allocates no array.
 ``certify`` compares each closed form with its oracle and flags a gap above
 its ``tolerance``. It runs scenario by scenario, and each certifier it needs
 runs once per scenario for all the quantities it covers: the two cloning
@@ -95,9 +98,46 @@ def _stage_objective(p1, p2, r):
     return lambda q: p1 * (1 - q) + p2 * (1 - r2 / q)
 
 
+def _lane_buffers(count: int) -> Callable[[np.ndarray], list[np.ndarray]]:
+    """A lane body's buffers: ``take(xs)`` gives ``count`` float arrays of xs'
+    length, made on the first call and made again only when the length
+    changes, so every pass of a scan writes into the same ones."""
+    held: list[np.ndarray] = []
+
+    def take(xs: np.ndarray) -> list[np.ndarray]:
+        if not held or len(held[0]) != len(xs):
+            held[:] = [np.empty(len(xs)) for _ in range(count)]
+        return held
+
+    return take
+
+
+def _stage_lanes(p1: float, p2: float, r: float) -> Callable[[np.ndarray], np.ndarray]:
+    """``_stage_objective`` as a lane body: its operations in its order, each
+    written into buffers made once per scan (``_lane_buffers``), so every
+    lane is the expression's float. Returns its value buffer, which the next
+    call overwrites."""
+    r2 = r * r
+    take = _lane_buffers(2)
+
+    def values(q: np.ndarray) -> np.ndarray:
+        value, rest = take(q)
+        np.subtract(1.0, q, out=value)
+        np.multiply(p1, value, out=value)  # p1 * (1 - q)
+        if r2 == 0:  # orthogonal flags: q2 = 0
+            return np.add(value, p2, out=value)
+        np.divide(r2, q, out=rest)
+        np.subtract(1.0, rest, out=rest)
+        np.multiply(p2, rest, out=rest)  # p2 * (1 - r2 / q)
+        return np.add(value, rest, out=value)
+
+    return values
+
+
 def _grid_max_stage(p1: float, p2: float, r: float) -> tuple[float, float]:
-    """The one-stage oracle: (max, argmax) of ``_stage_objective`` on [r^2, 1]."""
-    q1, value = window_scan_max(_stage_objective(p1, p2, r), r * r, 1.0, _SCAN_POINTS, _REFINEMENT_PASSES)
+    """The one-stage oracle: (max, argmax) of ``_stage_objective`` on [r^2, 1],
+    scanned by its lane body (``_stage_lanes``)."""
+    q1, value = window_scan_max(_stage_lanes(p1, p2, r), r * r, 1.0, _SCAN_POINTS, _REFINEMENT_PASSES)
     return value, q1
 
 
@@ -217,11 +257,17 @@ def _cloning_objective(g1, s, p1, p2, sqrt, minimum, roots=False):
     other's |x|, after rounding too, and x^2 rises with x >= 0. It is a
     root wherever R >= 0: x >= 0, and B*s >= A*sqrt(R) since s >= A. Past
     the tangent point R < 0, where an array lane's value is NaN
-    (``_cloning_objective_values`` makes it -inf) and ``math.sqrt`` raises on
-    a float. x is clipped at 1 by ``minimum``, which passes NaN through, so a
-    point with no root never takes x = 1. Every step is +, -, *, / or a
-    square root, each correctly rounded, so a float and the lane that holds
-    it agree bit for bit, on every CPU and numpy.
+    (``_cloning_lanes`` makes it -inf) and ``math.sqrt`` raises on a float.
+    x is clipped at 1 by ``minimum``, which passes NaN through, so a point
+    with no root never takes x = 1. Every step is +, -, *, / or a square
+    root, each correctly rounded, so a float and the lane that holds it
+    agree bit for bit, on every CPU and numpy.
+
+    The scans take the value from the lane body ``_cloning_lanes``, which
+    makes these same operations in the same order into its own buffers;
+    ``tests/test_oracle.py::TestLaneBodies`` holds the two together bit for
+    bit (``test_cloning_lanes_are_the_expression``), so an edit here must be
+    made there too.
     """
     ss = s * s
     co_g1 = 1.0 - g1
@@ -235,12 +281,38 @@ def _cloning_objective(g1, s, p1, p2, sqrt, minimum, roots=False):
     return value, x * x, (b * s - sqrt_g1 * ss * root) / den
 
 
-def _cloning_objective_values(g1: np.ndarray, s: float, p1: float, p2: float) -> np.ndarray:
-    """``_cloning_objective`` in every lane of an array, -inf where the
-    constraint has no root."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        value = _cloning_objective(g1, s, p1, p2, np.sqrt, np.minimum)
-    return np.fmax(value, -np.inf, out=value)
+def _cloning_lanes(s: float, p1: float, p2: float) -> Callable[[np.ndarray], np.ndarray]:
+    """``_cloning_objective``'s value as a lane body, -inf where the constraint
+    has no root: the expression's operations in its order, each written into
+    buffers made once per scan (``_lane_buffers``), so every lane is the
+    float body's value bit for bit. Returns its value buffer, which the next
+    call overwrites."""
+    ss = s * s
+    ss_ss, s_ss, one_minus_ss = ss * ss, s * ss, (1.0 - s) * (1.0 + s)
+    take = _lane_buffers(3)
+
+    def values(g1: np.ndarray) -> np.ndarray:
+        co_g1, den, x = take(g1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            np.subtract(1.0, g1, out=co_g1)
+            np.multiply(ss_ss, g1, out=den)
+            np.add(den, co_g1, out=den)  # A^2 + B^2
+            np.multiply(ss, g1, out=x)
+            np.subtract(co_g1, x, out=x)
+            np.multiply(one_minus_ss, x, out=x)
+            np.sqrt(x, out=x)  # sqrt(R)
+            np.multiply(np.sqrt(co_g1, out=co_g1), x, out=co_g1)  # b * sqrt(R)
+            np.multiply(np.sqrt(g1, out=x), s_ss, out=x)
+            np.add(x, co_g1, out=x)
+            np.divide(x, den, out=x)
+        np.minimum(x, 1.0, out=x)
+        np.multiply(x, x, out=x)
+        np.multiply(p2, x, out=x)
+        np.multiply(p1, g1, out=den)
+        np.add(den, x, out=den)
+        return np.fmax(den, -np.inf, out=den)
+
+    return values
 
 
 def grid_maximize_cloning(scenario: Scenario) -> tuple[float, float, float]:
@@ -253,9 +325,7 @@ def grid_maximize_cloning(scenario: Scenario) -> tuple[float, float, float]:
     if s in (0.0, 1.0):
         return 1.0, 1.0, 1.0
 
-    g1, value = window_scan_max(
-        lambda g: _cloning_objective_values(g, s, p1, p2), 0.0, 1.0, _SCAN_POINTS, _REFINEMENT_PASSES
-    )
+    g1, value = window_scan_max(_cloning_lanes(s, p1, p2), 0.0, 1.0, _SCAN_POINTS, _REFINEMENT_PASSES)
     _, g2, co_root = _cloning_objective(g1, s, p1, p2, math.sqrt, min, roots=True)
     residual = s - math.sqrt(g1 * g2) * s * s - math.sqrt(1.0 - g1) * co_root
     if abs(residual) > 1e-10:

@@ -316,16 +316,34 @@ def _trial_thresholds(
 
     Bob's row of preparation i sums the outcome table over Charlie's
     outcomes; Charlie's row (i, k_b) is the table conditioned on Bob's k_b,
-    all zeros where Bob's outcome has probability 0.
+    all zeros where Bob's outcome has probability 0. Each row's entries from
+    its last outcome of positive probability on are exactly 1
+    (``_closed_cumsum``), so its thresholds there are 2^53, which no word
+    reaches.
     """
     probs = _outcome_table(scenario, t, q1b, q1c)
     probs_b = probs.sum(axis=2)
     probs_c = np.divide(
         probs, probs_b[..., None], out=np.zeros_like(probs), where=probs_b[..., None] > 0.0
     )
-    cum_b = np.cumsum(probs_b, axis=1)
-    cum_c = np.cumsum(probs_c.reshape(6, 3), axis=1)
+    cum_b = _closed_cumsum(probs_b)
+    cum_c = _closed_cumsum(probs_c.reshape(6, 3))
     return _word_thresholds(scenario.p1), _word_thresholds(cum_b), _word_thresholds(cum_c)
+
+
+def _closed_cumsum(probs: np.ndarray) -> np.ndarray:
+    """The cumulative sums of each row of ``probs``, every entry from the
+    row's last outcome of positive probability on set to exactly 1.0; a zero
+    row stays zero.
+
+    A row's sum can round to 1 - 2^-53 or 1 - 2^-52, whose threshold 2^53 - 1
+    or 2^53 - 2 costs ``_tally`` a comparison to send the words of
+    probability 2^-53 above it to outcome 0. Closed, those words take the
+    row's last possible outcome, and never one of probability 0 after it.
+    """
+    k = np.arange(probs.shape[1])
+    last = np.where(probs > 0.0, k, -1).max(axis=1, keepdims=True)
+    return np.where((k >= last) & (last >= 0), 1.0, np.cumsum(probs, axis=1))
 
 
 def run_ssd_trials(

@@ -47,13 +47,24 @@ def _shifted_summary(summary):
     return type(summary)(summary.n_trials, summary.seed, summary.counts, summary.error_count + 1)
 
 
-@pytest.mark.parametrize("differs", [None, "report", "trials", "tally", "joint_tuple"])
+@pytest.mark.parametrize("differs", [None, "report", "trials", "tally", "joint_tuple", "certify_draw"])
 def test_parent_check_compares_reports_and_counts(monkeypatch, parent, differs):
     # the tally runs at seed 0, each of the CASES at its own seed
     monkeypatch.setattr(bench, "N_TRIALS", 1000)
     report, run = parent.correlation_report, parent.run_ssd_trials
     joint, last = parent.oracle.grid_maximize_joint, bench.ORACLE_SCENARIOS[-1]
-    if differs == "joint_tuple":
+    if differs == "certify_draw":
+        # the bob row of the last certify draw alone moved
+        certify, (s, p1) = parent.oracle.certify, bench._certify_draws()[-1]
+
+        def certify_one_draw_moved(*args):
+            rows = certify(*args)
+            if args == (["bob"], [s], [p1]):
+                return [dataclasses.replace(rows[0], worst_gap=math.nextafter(rows[0].worst_gap, 1.0))]
+            return rows
+
+        monkeypatch.setattr(parent.oracle, "certify", certify_one_draw_moved)
+    elif differs == "joint_tuple":
         # a tuple that differs at the last of ORACLE_SCENARIOS alone, which
         # the check compares before certify()
         def grid_maximize_joint(sc):
@@ -80,6 +91,7 @@ def test_parent_check_compares_reports_and_counts(monkeypatch, parent, differs):
             "trials": "run_ssd_trials",
             "tally": "tally",
             "joint_tuple": "grid_maximize_joint",
+            "certify_draw": "certify_draws",
         }[differs]
         with pytest.raises(RuntimeError, match=f"^{name}\\(.*the two trees differ"):
             bench.check_same_output(bench.seqdisc, parent)
@@ -98,16 +110,19 @@ def _joint_row_moved(certify):
 
 
 def test_parent_check_takes_a_named_moved_row_alone(monkeypatch, parent):
+    # every joint row moved: the default grid's and the certify draws'
     monkeypatch.setattr(bench, "N_TRIALS", 1000)
     monkeypatch.setattr(parent.oracle, "certify", _joint_row_moved(parent.oracle.certify))
     # unnamed, or another row named, the moved row is refused
     for moved in ((), ("certify().bob",)):
         with pytest.raises(RuntimeError, match=r"^certify\(\)\.joint: the two trees differ"):
             bench.check_same_output(bench.seqdisc, parent, moved)
-    found = bench.check_same_output(bench.seqdisc, parent, ("certify().joint",))
-    assert list(found) == ["certify().joint"]
+    with pytest.raises(RuntimeError, match=r"^certify_draws\(\)\.joint: the two trees differ"):
+        bench.check_same_output(bench.seqdisc, parent, ("certify().joint",))
+    found = bench.check_same_output(bench.seqdisc, parent, ("certify().joint", "certify_draws().joint"))
+    assert list(found) == ["certify().joint", "certify_draws().joint"]
     change, parent_row = found["certify().joint"]["change"], found["certify().joint"]["parent"]
     assert change != parent_row and "quantity='joint'" in change and "quantity='joint'" in parent_row
     # a name that is no output would excuse nothing, and is refused
     with pytest.raises(RuntimeError, match=r"--moved names no output: \['certify\(\)\.jiont'\]"):
-        bench.check_same_output(bench.seqdisc, parent, ("certify().joint", "certify().jiont"))
+        bench.check_same_output(bench.seqdisc, parent, ("certify().joint", "certify_draws().joint", "certify().jiont"))

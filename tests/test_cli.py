@@ -1,8 +1,11 @@
+import contextlib
+import io
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqdisc import (
     Scenario,
@@ -14,6 +17,7 @@ from seqdisc import (
     protocols,
 )
 from seqdisc.cli import main
+from seqdisc.sweeps import FIGURE_PRESETS, available_quantities
 
 
 def _read(path):
@@ -477,3 +481,67 @@ def test_invalid_sweep_exits_2_and_writes_no_file(extra, message, tmp_path, caps
     assert main(["sweep", *extra, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+#: Values of the float options: the edges of every range, nan, +-inf, the
+#: smallest subnormal, 1e308 and a tiny normal; points inside the ranges
+#: weigh three times, and the strings that argparse refuses (empty,
+#: non-numeric) once, so that most argvs reach the library.
+_FLOAT_POOL = [
+    "nan", "-nan", "inf", "-inf", "5e-324", "1e308", "-1e308", "2.47e-229", "0", "-0", "1", "2",
+    "-0.1", "-1e-6", "1e-12", "1e-50", "1.0000000000000002", "0.9999999999999999", "0.5000000000000001",
+    *["0.04", "0.1", "0.2", "0.3", "0.36", "0.5", "0.6", "0.7071067811865476", "0.9"] * 3,
+    "", "abc", "0x1p-3",
+]
+#: Trial counts, never above 1,000, so an example runs in milliseconds.
+_N_POOL = ["1", "2", "999", "1000", "1000", "1000", "0", "-5", "", "x", "1e3"]
+_SEED_POOL = ["0", "1", "42", "-1", str(2**128 - 1), str(2**128), "", "x", "1.5"]
+_STEPS_POOL = ["1", "2", "3", "17", "17", "200", "0", "-1", "", "x", "2.5"]
+_QUANTITY_POOL = ["", ",", "nope", "ssd,ssd", ",".join(available_quantities()), *available_quantities()]
+#: Each subcommand's options, the required ones first, and their pools.
+_ARGV_OPTIONS = {
+    "optimal": {"--s": _FLOAT_POOL, "--p1": _FLOAT_POOL},
+    "correlations": {"--s": _FLOAT_POOL, "--p1": _FLOAT_POOL, "--t": _FLOAT_POOL},
+    "simulate": {
+        "--s": _FLOAT_POOL, "--p1": _FLOAT_POOL, "--t": _FLOAT_POOL, "--q1b": _FLOAT_POOL,
+        "--q1c": _FLOAT_POOL, "--seed": _SEED_POOL,
+    },
+    "sweep": {
+        "--figure": [*FIGURE_PRESETS, "9z", ""], "--variable": ["P1", "s", "t", "p1", ""],
+        "--start": _FLOAT_POOL, "--stop": _FLOAT_POOL, "--steps": _STEPS_POOL, "--s": _FLOAT_POOL,
+        "--p1": _FLOAT_POOL, "--t": _FLOAT_POOL, "--quantities": _QUANTITY_POOL,
+    },
+}
+_REQUIRED = {"optimal": 2, "correlations": 3, "simulate": 2, "sweep": 0}
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of one subcommand with a value from each option's pool: its
+    required options present 9 times in 10, the others half the time;
+    simulate always with --n of at most 1,000, sweep always with --out -."""
+    command = draw(st.sampled_from(sorted(_ARGV_OPTIONS)))
+    argv = [command]
+    for k, (option, pool) in enumerate(_ARGV_OPTIONS[command].items()):
+        if draw(st.integers(0, 9)) < (9 if k < _REQUIRED[command] else 5):
+            argv += [option, draw(st.sampled_from(pool))]
+    if command == "simulate":
+        argv += ["--n", draw(st.sampled_from(_N_POOL))]
+    if command == "sweep":
+        argv += ["--out", "-"]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+def test_every_argv_exits_with_a_documented_code(argv):
+    # argparse's own errors exit 2 by SystemExit; anything else uncaught,
+    # a RuntimeWarning included (pyproject makes it an error), fails
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4, 5, 6), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

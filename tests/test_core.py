@@ -448,8 +448,11 @@ class TestScanPoints:
     @pytest.mark.parametrize("lo,hi", _linspace_windows())
     @pytest.mark.parametrize("points", [2, 3, 11, 33, 181, 2001])
     def test_linspace_points_on_edge_windows(self, lo, hi, points):
-        xs = _scan_points(lo, hi, points)
-        assert (xs[0], xs[-1]) == (lo, hi)
+        # written into the array given, every lane of it: none keeps the NaN
+        # it held before
+        out = np.full(points, np.nan)
+        xs = _scan_points(lo, hi, points, out)
+        assert xs is out and (xs[0], xs[-1]) == (lo, hi)
         _assert_linspace_points(xs)
 
     def test_cached_indices_are_read_only(self):
@@ -460,11 +463,12 @@ class TestScanPoints:
     @pytest.mark.parametrize("s,p1", _ORACLE_SCENARIOS)
     def test_linspace_points_on_every_oracle_window(self, monkeypatch, s, p1):
         # every scan, first and refinement, of the cloning, stage and
-        # left-discord oracles
+        # left-discord oracles; each scan's points are copied, as the scan
+        # refills one array in place
         scans = []
 
         def recording(f, lo, hi, points, passes):
-            return window_scan_max(lambda xs: scans.append(xs) or f(xs), lo, hi, points, passes)
+            return window_scan_max(lambda xs: scans.append(xs.copy()) or f(xs), lo, hi, points, passes)
 
         monkeypatch.setattr(oracle, "window_scan_max", recording)
         monkeypatch.setattr(correlations, "window_scan_max", recording)

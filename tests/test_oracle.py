@@ -38,7 +38,6 @@ from seqdisc.oracle import (
     _REFINEMENT_PASSES,
     _SCAN_POINTS,
     _cloning_objective,
-    _cloning_objective_values,
     _joint_term,
     _max_diagonal,
     _root_bracket,
@@ -50,6 +49,14 @@ from seqdisc.oracle import (
 )
 from seqdisc.protocols import protocol1_optimal_values
 from seqdisc.sweeps import _P1_GRID, FIGURE_PRESETS, run_figure
+
+
+def _cloning_objective_values(g1, s, p1, p2):
+    """The cloning objective in every lane of g1, -inf where the constraint
+    has no root: the oracle's lane body (``oracle._cloning_lanes``), a fresh
+    one per call, so the buffer returned is the caller's to keep."""
+    return oracle_module._cloning_lanes(s, p1, p2)(g1)
+
 
 class TestCertifyTolerance:
     def test_default_tolerance(self):
@@ -399,13 +406,13 @@ class TestRootCloningObjective:
         # the first scan and both refinement windows, each lane against the
         # float body bit for bit: -inf exactly where math.sqrt raises
         scans = []
-        objective = oracle_module._cloning_objective_values
+        lanes = oracle_module._cloning_lanes
 
-        def recording(g1, *args):
-            scans.append(g1.copy())
-            return objective(g1, *args)
+        def recording(*args):
+            body = lanes(*args)
+            return lambda g1: scans.append(g1.copy()) or body(g1)
 
-        monkeypatch.setattr(oracle_module, "_cloning_objective_values", recording)
+        monkeypatch.setattr(oracle_module, "_cloning_lanes", recording)
         value, g1_max, _ = grid_maximize_cloning(Scenario(s, p1))
         assert len(scans) == 1 + _REFINEMENT_PASSES  # the argmax's own call is on a float
         for g1 in scans:
@@ -415,7 +422,7 @@ class TestRootCloningObjective:
                     floats.append(_cloning_objective(x, s, p1, 1.0 - p1, math.sqrt, min))
                 except ValueError:
                     floats.append(-math.inf)
-            assert np.array(floats).tobytes() == objective(g1, s, p1, 1.0 - p1).tobytes()
+            assert np.array(floats).tobytes() == lanes(s, p1, 1.0 - p1)(g1).tobytes()
         assert _cloning_objective(g1_max, s, p1, 1.0 - p1, math.sqrt, min) == value
 
     @pytest.mark.parametrize("s", _ROOT_S + (0.04, 0.36, 0.98))
@@ -489,6 +496,94 @@ class TestWindowScanArgmax:
         assert (value, g2) == (float(values[0]), _cloning_objective(g1, s, p1, p2, math.sqrt, min, roots=True)[1])
         first = _cloning_objective_values(np.linspace(0.0, 1.0, _SCAN_POINTS), s, p1, p2)
         assert value >= float(np.max(first))
+
+
+def _stage_expression(q, p1, p2, r):
+    """``_stage_objective``'s expression body on an array, allocating each
+    operation's result: the reference for the stage's lane body."""
+    return oracle_module._stage_objective(p1, p2, r)(q)
+
+
+def _cloning_expression(g1, s, p1, p2):
+    """``_cloning_objective``'s expression body on an array (``np.sqrt``,
+    ``np.minimum``), NaN made -inf: the reference for the cloning lane body."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        value = _cloning_objective(g1, s, p1, p2, np.sqrt, np.minimum)
+    return np.where(np.isnan(value), -np.inf, value)
+
+
+def _lane_scenarios():
+    """(s, p1): 12 seeded draws of the certify range, s in [0.002, 0.98] and
+    p1 in [0.02, 0.5], and s at 1e-12 and 1 - 1e-9 at seeded priors."""
+    rng = np.random.default_rng(33)
+    draws = rng.uniform([0.002, 0.02], [0.98, 0.5], (12, 2)).tolist()
+    return [tuple(x) for x in draws] + [(s, float(p1)) for s in (1e-12, 1.0 - 1e-9) for p1 in rng.uniform(0.02, 0.5, 3)]
+
+
+def _seeded_lanes(lo, hi, seed, n=2001):
+    """n seeded lanes uniform in [lo, hi], with both ends and a scan's
+    2001 grid points."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([[lo, hi], rng.uniform(lo, hi, n), np.linspace(lo, hi, _SCAN_POINTS)])
+
+
+class TestLaneBodies:
+    """Each scan's lane body (``oracle._stage_lanes``, ``oracle._cloning_lanes``)
+    writes its expression body's operations into buffers made once per scan,
+    so every lane is the expression's float bit for bit."""
+
+    @pytest.mark.parametrize("s,p1", _lane_scenarios())
+    def test_stage_lanes_are_the_expression(self, s, p1):
+        # at Bob's and Charlie's overlaps, protocol (1)'s s, and r = 0 and 1
+        for k, r in enumerate((0.0, s, math.sqrt(s), s / (0.5 * (1.0 + s)), 0.5 * (1.0 + s), 1.0)):
+            q = _seeded_lanes(r * r, 1.0, k)
+            got = oracle_module._stage_lanes(p1, 1.0 - p1, r)(q)
+            assert got.tobytes() == _stage_expression(q, p1, 1.0 - p1, r).tobytes(), (s, p1, r)
+
+    @pytest.mark.parametrize("s,p1", _lane_scenarios())
+    def test_cloning_lanes_are_the_expression(self, s, p1):
+        # lanes past the tangent point 1/(1 + s^2) have no root and read -inf
+        g1 = _seeded_lanes(0.0, 1.0, 1)
+        tangent = 1.0 / (1.0 + s * s)
+        past = tangent + (1.0 - tangent) * np.random.default_rng(2).uniform(1e-3, 1.0, 500)
+        g1 = np.concatenate([g1, past[past > tangent]])
+        got = _cloning_objective_values(g1, s, p1, 1.0 - p1)
+        assert got.tobytes() == _cloning_expression(g1, s, p1, 1.0 - p1).tobytes(), (s, p1)
+        assert np.all(got[g1 > tangent] == -np.inf) and np.isfinite(got).any()
+        assert (g1 > tangent).sum() >= (500 if s > 1e-6 else 0)
+
+    @pytest.mark.parametrize("s,p1", _lane_scenarios()[::3])
+    def test_a_single_lane_is_the_float(self, s, p1):
+        # one lane against the expression on the float itself, the argmax's
+        # path: math.sqrt raises where a lane reads -inf
+        stage = oracle_module._stage_lanes(p1, 1.0 - p1, s)
+        cloning = oracle_module._cloning_lanes(s, p1, 1.0 - p1)
+        for q in _seeded_lanes(s * s, 1.0, 3, 20).tolist():
+            assert stage(np.array([q])).tolist() == [oracle_module._stage_objective(p1, 1.0 - p1, s)(q)]
+        for g1 in _seeded_lanes(0.0, 1.0, 4, 20).tolist():
+            try:
+                want = _cloning_objective(g1, s, p1, 1.0 - p1, math.sqrt, min)
+            except ValueError:
+                want = -math.inf
+            assert cloning(np.array([g1])).tolist() == [want]
+
+    @pytest.mark.parametrize("s,p1", [(0.36, 0.2), (1e-12, 0.3), (1.0 - 1e-9, 0.5)])
+    def test_calls_of_other_sizes_leave_no_stale_lane(self, s, p1):
+        # one scan's body: calls of one size reuse its value buffer, and a
+        # call of another size gives exactly its own lanes, each the
+        # expression's
+        r = math.sqrt(s)
+        bodies = (
+            (oracle_module._stage_lanes(p1, 1.0 - p1, r), r * r, lambda x: _stage_expression(x, p1, 1.0 - p1, r)),
+            (oracle_module._cloning_lanes(s, p1, 1.0 - p1), 0.0, lambda x: _cloning_expression(x, s, p1, 1.0 - p1)),
+        )
+        for body, lo, expression in bodies:
+            first = body(np.linspace(lo, 1.0, _SCAN_POINTS))
+            assert body(np.linspace(lo, 0.5 * (lo + 1.0), _SCAN_POINTS)) is first
+            for k, n in enumerate((7, _SCAN_POINTS, 1, 3000, 2)):
+                x = _seeded_lanes(lo, 1.0, 10 + k, n)[2 : 2 + n]
+                got = body(x)
+                assert got.shape == (n,) and got.tobytes() == expression(x).tobytes(), n
 
 
 class TestUnionOracle:

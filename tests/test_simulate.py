@@ -12,6 +12,7 @@ from seqdisc import (
     Scenario,
     bob_success,
     build_discrimination_unitary,
+    joint_optimal,
     joint_success,
     make_state_pair,
     run_ssd_trials,
@@ -302,13 +303,25 @@ def test_pinned_trial_counts(case):
         assert summary.error_count == 0
 
 
-def _cumulative(probs):
-    """Bob's (2, 3) and Charlie's (6, 3) cumulative rows, as run_ssd_trials builds them."""
+def _cumulative(probs, closed=False):
+    """Bob's (2, 3) and Charlie's (6, 3) cumulative rows of the table probs;
+    with ``closed``, as run_ssd_trials builds them: every entry from a row's
+    last outcome of positive probability on is 1.0, and a zero row stays
+    zero. Unclosed, a row can end at a rounded 1 - 2^-53, whose edge words
+    then reach the words above it."""
     probs_b = probs.sum(axis=2)
     probs_c = np.divide(
         probs, probs_b[..., None], out=np.zeros_like(probs), where=probs_b[..., None] > 0.0
-    )
-    return np.cumsum(probs_b, axis=1), np.cumsum(probs_c.reshape(6, 3), axis=1)
+    ).reshape(6, 3)
+    rows = []
+    for p in (probs_b, probs_c):
+        cum = np.cumsum(p, axis=1)
+        for row, prob in zip(cum, p):
+            positive = np.flatnonzero(prob > 0.0)
+            if closed and positive.size:
+                row[positive[-1] :] = 1.0
+        rows.append(cum)
+    return tuple(rows)
 
 
 def _trial_outcomes(u, p1, cum_b, cum_c):
@@ -366,8 +379,9 @@ def _edge_trial_words(p1, cum_b, cum_c):
 
 def _assert_tally_matches(probs, p1, words):
     """_tally, and run_ssd_trials on the table probs and the Philox words,
-    agree with the float reference on the words' uniforms."""
-    cum_b, cum_c = _cumulative(probs)
+    agree with the float reference on the words' uniforms and the closed
+    cumulative rows."""
+    cum_b, cum_c = _cumulative(probs, closed=True)
     u = _uniforms(words)
     thresholds = [simulate._word_thresholds(c) for c in (p1, cum_b, cum_c)]
     assert np.array_equal(simulate._tally([words], *thresholds), _tally_loop(u, p1, cum_b, cum_c))
@@ -408,7 +422,9 @@ class TestTally:
         probs = _outcome_table(Scenario(s, p1), t, q1b, q1c)
         _assert_tally_matches(probs, p1, _edge_trial_words(p1, *_cumulative(probs)))
 
-    def test_uniform_above_a_last_entry_below_one_is_outcome_0(self):
+    def test_uniform_above_a_rounded_row_sum_takes_the_last_outcome(self):
+        # a row whose sum rounds below 1 is closed at 1: the uniform just
+        # above its rounded last entry declares that outcome, not outcome 0
         probs = _outcome_table(Scenario(0.1, 0.3), 0.5, 0.3, 0.6)
         cum_b, cum_c = _cumulative(probs)
         last = cum_b[1, 2]
@@ -420,8 +436,35 @@ class TestTally:
         u = _uniforms(words)
         assert u[0, 1] == above
         prep, k_b, _ = _trial_outcomes(u, 0.3, cum_b, cum_c)
-        assert (prep[0], k_b[0]) == (2, 0)
+        assert (prep[0], k_b[0]) == (2, 0)  # on the row as summed
+        prep, k_b, _ = _trial_outcomes(u, 0.3, *_cumulative(probs, closed=True))
+        assert (prep[0], k_b[0]) == (2, 2)
         _assert_tally_matches(probs, 0.3, words)
+
+    def test_rows_are_closed_from_their_last_possible_outcome(self):
+        # on 200 seeded joint optima over the montecarlo workload's ranges,
+        # and at t = s, where Bob's declarations have probability 0: every
+        # threshold from a row's last outcome of positive probability on is
+        # 2^53, which no word reaches, and a zero row's are all 0. Summed
+        # rows left open gave 2^53 - 1 or 2^53 - 2 in 147 of 400 such tables
+        rng = np.random.default_rng(2026)
+        cases = []
+        for s, p1 in rng.uniform([0.01, 0.02], [0.99, 0.5], (200, 2)).tolist():
+            best = joint_optimal(Scenario(s, p1)).argmax
+            cases.append((s, p1, best["t"], best["q1b"], best["q1c"]))
+        cases += [(0.3, 0.2, 0.3, 1.0, 0.5), (0.5, 0.3, 0.5, 1.0, 0.4)]
+        for s, p1, t, q1b, q1c in cases:
+            probs = _outcome_table(Scenario(s, p1), t, q1b, q1c)
+            _, m_b, m_c = simulate._trial_thresholds(Scenario(s, p1), t, q1b, q1c)
+            probs_b = probs.sum(axis=2)
+            probs_c = (probs / np.where(probs_b > 0.0, probs_b, 1.0)[..., None]).reshape(6, 3)
+            for m, rows in ((m_b, probs_b), (m_c, probs_c)):
+                for thresholds, prob in zip(m.tolist(), rows):
+                    positive = np.flatnonzero(prob > 0.0)
+                    if not positive.size:
+                        assert thresholds == [0, 0, 0]
+                        continue
+                    assert thresholds[positive[-1] :] == [2**53] * (3 - positive[-1]), (s, p1, t)
 
     def test_most_distinct_thresholds(self):
         # every entry of Bob's two rows and Charlie's six rows distinct and
