@@ -15,6 +15,12 @@ exception for the float, or for the values of the first lane that fails.
 ``Scenario``'s check (``_check_scenario``), the overlap t
 (``check_overlap_t``) and the [0, 1] range and clamp (``_clamp_unit``) are
 written here once for both.
+
+The oracles' two search engines live here too: the window scan of a 1-D
+objective (``window_scan_max``), and the Sturm chain of an integer
+polynomial, which counts its real roots in an interval and brackets one
+between adjacent floats (``_sturm_chain``, ``_root_count``,
+``_root_bracket``) for the exact certificates.
 """
 
 from __future__ import annotations
@@ -323,3 +329,91 @@ def window_scan_max(
         if vals[i] > best_v:
             best_x, best_v = float(xs[i]), float(vals[i])
     return best_x, best_v
+
+
+def _primitive(p: list[int]) -> list[int]:
+    """p less its leading zeros, divided by the gcd of its coefficients: a
+    positive multiple, so it has p's sign at every point."""
+    while p and not p[0]:
+        p = p[1:]
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _negated_remainder(a: list[int], b: list[int]) -> list[int]:
+    """-(a mod b) times a positive number, in integers (coefficients highest
+    first): each step scales a by |lead(b)| before it cancels a's lead."""
+    sign = 1 if b[0] > 0 else -1
+    while len(a) >= len(b):
+        f = sign * a[0]
+        a = [abs(b[0]) * c - f * (b[i] if i < len(b) else 0) for i, c in enumerate(a)][1:]
+    return _primitive([-c for c in a])
+
+
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """The Sturm sequence of the integer polynomial p (coefficients highest
+    first), each member a positive multiple of the textbook one, so that it
+    counts p's distinct real roots (``_root_count``)."""
+    chain = [p, _primitive([c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])])]
+    while len(chain[-1]) > 1:
+        r = _negated_remainder(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(r)
+    return chain
+
+
+def _sign_changes(chain: list[list[int]], x) -> int:
+    """Sign changes along ``chain`` at x (an int, a float or a ``Fraction``),
+    zeros skipped: each member evaluated exactly, as d^deg p(n/d) for x =
+    n/d."""
+    n, d = x.as_integer_ratio()
+    signs = []
+    for p in chain:
+        v, dk = p[0], d
+        for c in p[1:]:
+            v, dk = v * n + c * dk, dk * d
+        if v:
+            signs.append(v > 0)
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _root_count(chain: list[list[int]], lo, hi) -> int:
+    """Distinct real roots in (lo, hi] of the polynomial that heads ``chain``
+    (Sturm's theorem)."""
+    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
+
+
+def _root_bracket(
+    chain: list[list[int]], lo: float, hi: float, k: int, near: float
+) -> tuple[float, float]:
+    """The adjacent floats a < b with the k-th distinct root in (lo, hi] of
+    the polynomial that heads ``chain`` in (a, b], for floats lo < hi between
+    which it has at least k roots.
+
+    Every side is decided by a Sturm count. The search starts at ``near``
+    (clamped to [lo, hi]) and steps away from it in doubling steps, from
+    one ulp, until the root is enclosed; bisection then closes the bracket.
+    So a start near the root takes a few counts, and any other start gives
+    the same bracket, by more of them.
+    """
+    v_lo = _sign_changes(chain, lo)
+
+    def past(x):  # the k-th root is at or below x
+        return v_lo - _sign_changes(chain, x) >= k
+
+    a, b = lo, hi
+    x = min(max(near, lo), hi)
+    step = math.ulp(x)
+    while a < x < b:
+        if past(x):
+            b, x = x, max(a, x - step)
+        else:
+            a, x = x, min(b, x + step)
+        step *= 2
+    while a < (m := 0.5 * (a + b)) < b:
+        if past(m):
+            b = m
+        else:
+            a = m
+    return a, b

@@ -1,4 +1,4 @@
-"""Brute-force grid maximizers certifying every closed-form optimum.
+"""Brute-force grid maximizers and exact bounds certifying every closed-form optimum.
 
 Each oracle evaluates the defining objective on a dense grid of the feasible
 set (boundaries always included, since the optima frequently sit at q = 1)
@@ -19,11 +19,11 @@ objective as its first scan. The stage and cloning scans evaluate it by a
 lane body (``_stage_lanes``, ``_cloning_lanes``): the expression's
 operations in its order, written into buffers made once per scan, so each
 lane is the expression's float, and a pass allocates no array.
-``certify`` compares each closed form with its oracle and flags a gap above
-its ``tolerance``. It runs scenario by scenario, and each certifier it needs
-runs once per scenario for all the quantities it covers: the two cloning
-rows share one solve of the optimal cloner and one cloning oracle. That
-oracle scans gamma1 and takes each point's gamma2 from the cloning
+``certify`` compares each closed form with its reference and flags a gap
+above its ``tolerance``. It runs scenario by scenario, and each certifier it
+needs runs once per scenario for all the quantities it covers: the two
+cloning rows share one solve of the optimal cloner and one cloning oracle.
+That oracle scans gamma1 and takes each point's gamma2 from the cloning
 constraint's better root in closed form, a line meeting the unit circle
 (``_cloning_objective``), by correctly rounded operations alone. A
 certifier returns one (quantity, gap) pair per comparison, such as each of
@@ -31,26 +31,28 @@ a stage's two overlaps, and ``certify``'s fold alone reduces the pairs to
 each row's worst gap: a NaN gap ranks above every number, so it fails its
 row, and of equal gaps the first is kept.
 
-The union row (``at_least_one_ssd``) and the joint row are certified
-without a scan, by exact bounds in ``fractions``. Every feasible (t, q1b,
-q1c) has Q1*Q2 = s^2 for the products Qi = qib*qic. So the union's optimum
-is one stage's at flag overlap s: L is ``_union_term`` at the closed form's
-argmax, and U that stage's semidefinite dual bound (``stage_certificate``).
-And the joint's optimum is the maximum over u in [s, 1] of one function
-g(u), whose stationary points are the roots of q*'s quartic: L is g at the
-closed form's q1b, and U comes from a Sturm count of the quartic's roots and
-a bracket of floats around its middle one (``joint_certificate``). Both
-rows take one gap rule (``_exact_gap``): max(|v - L|, |v - U|), which bounds
-the closed form's distance from the optimum itself, and an infinite gap
-where L > U or where the certificate rejects the closed form's argmax as no
-feasible point.
-By the same reductions each one's maximum over the whole (t, q1b, q1c) box
-lies on its diagonal t = sqrt(s), q1b = q1c = u, u in [s, 1]: there Q1 =
-u^2 takes every value in [s^2, 1], and the joint equals g(u). So
-``grid_maximize_union_ssd`` and ``grid_maximize_joint`` are 1-D scans of
-that diagonal (``_max_diagonal``), which the tests keep as the
-certificates' brute-force cross-checks; the tests hold a 3-D scan of the
-box as their own reference.
+Five rows are certified without a scan, by exact bounds in integers: Bob,
+Charlie, protocol (1), the union (``at_least_one_ssd``) and the joint. The
+first three are single stages, at the flag overlaps s/t (exact), t and s,
+and so is the union: every feasible (t, q1b, q1c) has Q1*Q2 = s^2 for the
+products Qi = qib*qic, so its optimum is the stage's at s. A stage's L is
+its success at the closed form's argmax, and U its semidefinite dual bound
+(``_stage_bounds``). The joint's optimum is the maximum over u in [s, 1] of
+one function g(u), whose stationary points are the roots of q*'s quartic:
+L is g at the closed form's q1b, and U comes from a Sturm count of the
+quartic's roots and a bracket of floats around its middle one
+(``joint_certificate``). All five take one gap rule (``_exact_gap``):
+max(|v - L|, |v - U|), which bounds the closed form's distance from the
+optimum itself, and fails the row where v is not finite, where L > U, or
+where the closed form's argmax is no feasible point.
+By the same reductions the union's and the joint's maxima over the whole
+(t, q1b, q1c) box lie on its diagonal t = sqrt(s), q1b = q1c = u, u in [s,
+1]: there Q1 = u^2 takes every value in [s^2, 1], and the joint equals
+g(u). So ``grid_maximize_union_ssd`` and ``grid_maximize_joint`` are 1-D
+scans of that diagonal (``_max_diagonal``). The tests keep them, and
+``grid_maximize_bob`` and ``grid_maximize_charlie``, as the certificates'
+brute-force cross-checks; they hold a 3-D scan of the box as their own
+reference.
 """
 
 from __future__ import annotations
@@ -68,7 +70,11 @@ from .core import (
     NumericError,
     Scenario,
     _is_real,
+    _primitive,
     _quantity_names,
+    _root_bracket,
+    _root_count,
+    _sturm_chain,
     check_overlap_t,
     window_scan_max,
 )
@@ -88,16 +94,6 @@ CERT_S_VALUES = (0.04, 0.1716, 0.2, 0.36, 0.6)
 CERT_P1_VALUES = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
 
 
-def _stage_objective(p1, p2, r):
-    """Success probability of one discrimination stage as a function of q1: on
-    floats or arrays, or on ``Fraction``s, which its integer literals keep
-    exact."""
-    r2 = r * r
-    if r2 == 0:
-        return lambda q: p1 * (1 - q) + p2  # orthogonal flags: q2 = 0
-    return lambda q: p1 * (1 - q) + p2 * (1 - r2 / q)
-
-
 def _lane_buffers(count: int) -> Callable[[np.ndarray], list[np.ndarray]]:
     """A lane body's buffers: ``take(xs)`` gives ``count`` float arrays of xs'
     length, made on the first call and made again only when the length
@@ -113,10 +109,11 @@ def _lane_buffers(count: int) -> Callable[[np.ndarray], list[np.ndarray]]:
 
 
 def _stage_lanes(p1: float, p2: float, r: float) -> Callable[[np.ndarray], np.ndarray]:
-    """``_stage_objective`` as a lane body: its operations in its order, each
-    written into buffers made once per scan (``_lane_buffers``), so every
-    lane is the expression's float. Returns its value buffer, which the next
-    call overwrites."""
+    """One stage's success as a function of q1, p1*(1 - q) + p2*(1 - r^2/q)
+    (q2 = 0 where r = 0), as a lane body: the expression's operations in its
+    order, each written into buffers made once per scan (``_lane_buffers``),
+    so every lane is the expression's float. Returns its value buffer, which
+    the next call overwrites."""
     r2 = r * r
     take = _lane_buffers(2)
 
@@ -135,8 +132,8 @@ def _stage_lanes(p1: float, p2: float, r: float) -> Callable[[np.ndarray], np.nd
 
 
 def _grid_max_stage(p1: float, p2: float, r: float) -> tuple[float, float]:
-    """The one-stage oracle: (max, argmax) of ``_stage_objective`` on [r^2, 1],
-    scanned by its lane body (``_stage_lanes``)."""
+    """The one-stage oracle: (max, argmax) of the stage's success on [r^2,
+    1], scanned by its lane body (``_stage_lanes``)."""
     q1, value = window_scan_max(_stage_lanes(p1, p2, r), r * r, 1.0, _SCAN_POINTS, _REFINEMENT_PASSES)
     return value, q1
 
@@ -207,7 +204,7 @@ def grid_maximize_union_ssd(scenario: Scenario) -> tuple[float, float, float, fl
     Every feasible point has Q1*Q2 = s^2 for the products Qi = qib*qic, so
     the union p1*(1 - Q1) + p2*(1 - s^2/Q1) depends on Q1 alone, over [s^2,
     1]. The diagonal t = sqrt(s), q1b = q1c = u takes every such Q1 = u^2
-    (``_cert_union`` bounds its maximum exactly)."""
+    (``_stage_bounds`` at r = s bounds its maximum exactly)."""
     return _max_diagonal(scenario, _union_term)
 
 
@@ -333,111 +330,45 @@ def grid_maximize_cloning(scenario: Scenario) -> tuple[float, float, float]:
     return value, g1, g2
 
 
-def _stage_dual_bound(p1: Fraction, p2: Fraction, r: Fraction) -> Fraction:
-    """An upper bound, in rationals, on the stage's optimum at flag overlap r.
+def _exceeds(x, y) -> bool:
+    """x > y for (numerator, denominator) pairs with positive denominators,
+    by cross-multiplication."""
+    return x[0] * y[1] > y[0] * x[1]
 
-    The stage maximizes p1*x1 + p2*x2 over success probabilities with
-    Gamma - diag(x) PSD, Gamma = [[1, r], [r, 1]] (Eldar, IEEE Trans. Inf.
-    Theory 49, 446 (2003)). By weak duality any Z = [[a, -c], [-c, b]] with
-    a >= p1, b >= p2, c >= 0 and c^2 <= a*b bounds it by a + b - 2*r*c. Case I
-    takes (p1, p2, c) with c the 2^-200 multiple just below sqrt(p1*p2); case
-    II takes (r^2*p2, p2, r*p2), which gives p2*(1 - r^2) exactly and is
-    feasible where p1 <= r^2*p2. The bound is the least of the feasible ones.
+
+def _stage_bounds(p1, p2, x, y, q1):
+    """Exact (lower, upper) bounds on the optimum of one stage at flag overlap
+    r = x/y, each an integer (numerator, denominator) pair with a positive
+    denominator, for floats, ints or ``Fraction``s taken exactly.
+
+    The lower bound is the stage's success at the reported q1, p1*(1 - q1) +
+    p2*(1 - r^2/q1) (q2 = 0 where r = 0). The upper bound is a semidefinite
+    dual bound. The stage maximizes p1*x1 + p2*x2 over success probabilities
+    with Gamma - diag(x) PSD, Gamma = [[1, r], [r, 1]] (Eldar, IEEE Trans.
+    Inf. Theory 49, 446 (2003)). By weak duality any Z = [[a, -c], [-c, b]]
+    with a >= p1, b >= p2, c >= 0 and c^2 <= a*b bounds it by a + b - 2*r*c.
+    Case I takes (p1, p2, c) with c the 2^-200 multiple just below
+    sqrt(p1*p2); case II takes (r^2*p2, p2, r*p2), which gives p2*(1 - r^2)
+    exactly and is feasible where p1 <= r^2*p2. The bound is the least of
+    the feasible ones.
     """
-    g = p1 * p2
-    c = Fraction(math.isqrt((g.numerator << 2 * _DUAL_BITS) // g.denominator), 1 << _DUAL_BITS)
-    upper = p1 + p2 - 2 * r * c
-    if p1 <= r * r * p2:
-        upper = min(upper, p2 * (1 - r * r))
-    return upper
-
-
-def _primitive(p: list[int]) -> list[int]:
-    """p less its leading zeros, divided by the gcd of its coefficients: a
-    positive multiple, so it has p's sign at every point."""
-    while p and not p[0]:
-        p = p[1:]
-    g = math.gcd(*p)
-    return [c // g for c in p] if g > 1 else p
-
-
-def _negated_remainder(a: list[int], b: list[int]) -> list[int]:
-    """-(a mod b) times a positive number, in integers (coefficients highest
-    first): each step scales a by |lead(b)| before it cancels a's lead."""
-    sign = 1 if b[0] > 0 else -1
-    while len(a) >= len(b):
-        f = sign * a[0]
-        a = [abs(b[0]) * c - f * (b[i] if i < len(b) else 0) for i, c in enumerate(a)][1:]
-    return _primitive([-c for c in a])
-
-
-def _sturm_chain(p: list[int]) -> list[list[int]]:
-    """The Sturm sequence of the integer polynomial p (coefficients highest
-    first), each member a positive multiple of the textbook one, so that it
-    counts p's distinct real roots (``_root_count``)."""
-    chain = [p, _primitive([c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])])]
-    while len(chain[-1]) > 1:
-        r = _negated_remainder(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(r)
-    return chain
-
-
-def _sign_changes(chain: list[list[int]], x) -> int:
-    """Sign changes along ``chain`` at x (an int, a float or a ``Fraction``),
-    zeros skipped: each member evaluated exactly, as d^deg p(n/d) for x =
-    n/d."""
-    n, d = x.as_integer_ratio()
-    signs = []
-    for p in chain:
-        v, dk = p[0], d
-        for c in p[1:]:
-            v, dk = v * n + c * dk, dk * d
-        if v:
-            signs.append(v > 0)
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def _root_count(chain: list[list[int]], lo, hi) -> int:
-    """Distinct real roots in (lo, hi] of the polynomial that heads ``chain``
-    (Sturm's theorem)."""
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
-
-
-def _root_bracket(
-    chain: list[list[int]], lo: float, hi: float, k: int, near: float
-) -> tuple[float, float]:
-    """The adjacent floats a < b with the k-th distinct root in (lo, hi] of
-    the polynomial that heads ``chain`` in (a, b], for floats lo < hi between
-    which it has at least k roots.
-
-    Every side is decided by a Sturm count. The search starts at ``near``
-    (clamped to [lo, hi]) and steps away from it in doubling steps, from
-    one ulp, until the root is enclosed; bisection then closes the bracket.
-    So a start near the root takes a few counts, and any other start gives
-    the same bracket, by more of them.
-    """
-    v_lo = _sign_changes(chain, lo)
-
-    def past(x):  # the k-th root is at or below x
-        return v_lo - _sign_changes(chain, x) >= k
-
-    a, b = lo, hi
-    x = min(max(near, lo), hi)
-    step = math.ulp(x)
-    while a < x < b:
-        if past(x):
-            b, x = x, max(a, x - step)
-        else:
-            a, x = x, min(b, x + step)
-        step *= 2
-    while a < (m := 0.5 * (a + b)) < b:
-        if past(m):
-            b = m
-        else:
-            a = m
-    return a, b
+    (a, aa), (b, bb), (xn, xd), (yn, yd) = (v.as_integer_ratio() for v in (p1, p2, x, y))
+    rn, rd = xn * yd, xd * yn
+    r2n, r2d = rn * rn, rd * rd
+    qn, qd = q1.as_integer_ratio() if math.isfinite(q1) else (-1, 1)  # NaN and inf: infeasible
+    if not (r2n * qd <= qn * r2d and qn <= qd):
+        raise ConstraintError(f"q1={float(q1)!r} outside [r^2, 1] for r={rn / rd!r}")
+    if rn:
+        lower = (a * (qd - qn) * bb * r2d * qn + b * (r2d * qn - r2n * qd) * aa * qd, aa * qd * bb * r2d * qn)
+    else:  # orthogonal flags: q2 = 0
+        lower = (a * (qd - qn) * bb + b * aa * qd, aa * bb * qd)
+    c = math.isqrt((a * b << 2 * _DUAL_BITS) // (aa * bb))  # times 2^-200
+    upper = (((a * bb + b * aa) * rd << _DUAL_BITS) - 2 * rn * c * aa * bb, aa * bb * rd << _DUAL_BITS)
+    if a * bb * r2d <= r2n * b * aa:  # p1 <= r^2*p2
+        boundary = (b * (r2d - r2n), bb * r2d)
+        if _exceeds(upper, boundary):
+            upper = boundary
+    return lower, upper
 
 
 def joint_certificate(
@@ -469,43 +400,48 @@ def joint_certificate(
     it is g(1) = 0. A q outside [s, 1] is no feasible point, so it bounds
     nothing and is a ``ConstraintError``.
     """
+    (ln, ld), (un, ud) = _joint_bounds(p1, p2, s, q, q if near is None else near)
+    return Fraction(ln, ld), Fraction(un, ud)
+
+
+def _joint_bounds(p1: float, p2: float, s: float, q: float, near: float):
+    """``joint_certificate``'s (lower, upper), each an exact integer
+    (numerator, denominator) pair with a positive denominator, its bracket
+    started at ``near``."""
     if not s <= q <= 1.0:
         raise ConstraintError(f"q={q!r} outside [s, 1] for s={s!r}")
-    start = q if near is None else near
-    p1, p2, s, q = (Fraction(x) for x in (p1, p2, s, q))
-    if s == 0:  # orthogonal states: q2 = 0, so g(u) = p1*(1 - u)^2 + p2
-        return p1 * (1 - q) ** 2 + p2, p1 + p2
+    (a, aa), (b, bb), (sn, sd) = (v.as_integer_ratio() for v in (p1, p2, s))
 
-    def g(u):
-        return p1 * (1 - u) ** 2 + p2 * (1 - s / u) ** 2
+    def g(x, y):  # p1*(1 - x)^2 + p2*(1 - s/y)^2
+        (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+        first, second = aa * xd * xd, bb * (sd * yn) ** 2
+        return a * (xd - xn) ** 2 * second + b * (sd * yn - sn * yd) ** 2 * first, first * second
 
-    upper = max(g(s), g(1))
-    if s < 1:
-        coefficients = (p1, -p1, 0, p2 * s, -p2 * s * s)
-        den = math.lcm(*(c.denominator for c in coefficients))
-        chain = _sturm_chain(_primitive([c.numerator * (den // c.denominator) for c in coefficients]))
+    if not sn:  # orthogonal states: q2 = 0, so g(u) = p1*(1 - u)^2 + p2 at any y
+        return g(q, 1.0), g(0.0, 1.0)
+    candidates = [g(s, s), g(1.0, 1.0)]
+    if sn < sd:  # q*'s quartic times p1*p2*s^2's denominators, in integers
+        h = [a * bb * sd * sd, -a * bb * sd * sd, 0, b * sn * aa * sd, -b * sn * sn * aa]
+        chain = _sturm_chain(_primitive(h))
         if _root_count(chain, s, 1) >= 3:
-            a, b = (Fraction(x) for x in _root_bracket(chain, float(s), 1.0, 2, start))
-            upper = max(upper, g(a), g(b), p1 * (1 - a) ** 2 + p2 * (1 - s / b) ** 2)
-    return g(q), upper
+            lo, hi = _root_bracket(chain, s, 1.0, 2, near)
+            candidates += [g(lo, lo), g(hi, hi), g(lo, hi)]
+    upper = candidates[0]
+    for x in candidates[1:]:
+        if _exceeds(x, upper):
+            upper = x
+    return g(q, q), upper
 
 
 def stage_certificate(p1, p2, r, q1) -> tuple[Fraction, Fraction]:
     """(lower, upper) bounds, as ``Fraction``s, on the optimum of one stage at
-    flag overlap r with priors p1 and p2.
-
-    Each argument is a float or a ``Fraction``, taken exactly; a ``Fraction``
-    r keeps an overlap such as Bob's s/t exact. The lower bound is the stage
-    objective at the reported q1, with q2 = r^2/q1 (0 where r = 0), and uses
-    nothing of the closed form's value; the upper bound is
-    ``_stage_dual_bound``'s. A q1 outside [r^2, 1] is no feasible point, so it
-    bounds nothing and is a ``ConstraintError``, as is a NaN or an infinite
-    one, which no ``Fraction`` holds.
-    """
-    p1, p2, r = (Fraction(x) for x in (p1, p2, r))
-    if not (math.isfinite(q1) and r * r <= (q1 := Fraction(q1)) <= 1):
-        raise ConstraintError(f"q1={float(q1)!r} outside [r^2, 1] for r={float(r)!r}")
-    return _stage_objective(p1, p2, r)(q1), _stage_dual_bound(p1, p2, r)
+    flag overlap r with priors p1 and p2 (``_stage_bounds``). Each argument
+    is a float or a ``Fraction``, taken exactly; a ``Fraction`` r keeps an
+    overlap such as Bob's s/t exact. A q1 outside [r^2, 1], NaN or infinite
+    too, is no feasible point, so it bounds nothing and is a
+    ``ConstraintError``."""
+    (ln, ld), (un, ud) = _stage_bounds(p1, p2, r, 1, q1)
+    return Fraction(ln, ld), Fraction(un, ud)
 
 
 @dataclass(frozen=True)
@@ -522,15 +458,29 @@ class CertificationRow:
         return self.worst_gap <= self.tolerance
 
 
-def _cert_stage(sc: Scenario, name: str, closed_form: Callable, oracle: Callable) -> list[tuple[str, float]]:
+def _cert_stage(
+    sc: Scenario, name: str, closed_form: Callable, q1_name: str, overlap: Callable
+) -> list[tuple[str, float]]:
     """The gaps of a single-stage optimum at the overlaps t = sqrt(s) and
     (1 + s)/2 in [s, 1], one pair each, less t = 0 (at s = 0), where no
-    stage is defined."""
-    return [
-        (name, abs(closed_form(sc, t).value - oracle(sc, t)[0]))
-        for t in (math.sqrt(sc.s), 0.5 * (1.0 + sc.s))
-        if t > 0.0
-    ]
+    stage is defined: its value against the stage's exact bounds
+    (``_exact_gap``) at its argmax ``q1_name`` and the flag overlap x/y for
+    (x, y) = ``overlap(s, t)``."""
+    pairs = []
+    for t in (math.sqrt(sc.s), 0.5 * (1.0 + sc.s)):
+        if t > 0.0:
+            result = closed_form(sc, t)
+            bounds = (sc.p1, sc.p2, *overlap(sc.s, t), result.argmax[q1_name])
+            pairs.append((name, _exact_gap(result.value, _stage_bounds, *bounds)))
+    return pairs
+
+
+def _cert_at_s(sc: Scenario, name: str, closed_form: Callable, q1_name: str) -> list[tuple[str, float]]:
+    """The gap of an optimum that is the stage's at flag overlap s: its value
+    against that stage's exact bounds (``_exact_gap``) at its argmax
+    ``q1_name``."""
+    result = closed_form(sc)
+    return [(name, _exact_gap(result.value, _stage_bounds, sc.p1, sc.p2, sc.s, 1.0, result.argmax[q1_name]))]
 
 
 def _cert_cloning(sc: Scenario) -> list[tuple[str, float]]:
@@ -552,30 +502,26 @@ def _cert_cloning(sc: Scenario) -> list[tuple[str, float]]:
     ]
 
 
-def _exact_gap(value: float, certificate: Callable, *args) -> float:
-    """max(|v - L|, |v - U|) for the exact bounds (L, U) =
-    ``certificate(*args)`` on an optimum, which bounds |v - optimum| wherever
-    L <= U. L > U, or an argmax that the certificate rejects as no feasible
-    point (``ConstraintError``), is an infinite gap."""
+def _exact_gap(value: float, bounds: Callable, *args) -> float:
+    """max(|v - L|, |v - U|) for the exact bounds (L, U) = ``bounds(*args)``
+    on an optimum, integer (numerator, denominator) pairs with positive
+    denominators, which bounds |v - optimum| wherever L <= U: compared by
+    cross-multiplication and rounded once, by int true division, which is
+    correctly rounded as ``float(Fraction)`` is. L > U, or an argmax that the
+    bounds reject as no feasible point (``ConstraintError``), is an infinite
+    gap; a NaN or infinite value is a NaN or infinite gap."""
+    if not math.isfinite(value):
+        return abs(value)
     try:
-        lower, upper = certificate(*args)
+        lower, upper = bounds(*args)
     except ConstraintError:
         return math.inf
-    v = Fraction(value)
-    return float(max(abs(v - lower), abs(v - upper))) if lower <= upper else math.inf
-
-
-def _cert_union(sc: Scenario) -> list[tuple[str, float]]:
-    """The union's value against exact bounds on its optimum (``_exact_gap``).
-
-    Every feasible (t, q1b, q1c) has Q1*Q2 = s^2 with Q1 = q1b*q1c in
-    [s^2, 1], so the union's optimum is the stage's at r = s, and the
-    closed form's argmax (t, q1b, q1c) = (1, q1_product, 1) is that stage's
-    point q1 = q1_product: the bounds are ``stage_certificate``'s there.
-    """
-    result = at_least_one_ssd(sc)
-    q1 = result.argmax["q1_product"]
-    return [("at_least_one_ssd", _exact_gap(result.value, stage_certificate, sc.p1, sc.p2, sc.s, q1))]
+    if _exceeds(lower, upper):
+        return math.inf
+    vn, vd = value.as_integer_ratio()
+    below, above = ((abs(vn * d - n * vd), vd * d) for n, d in (lower, upper))
+    gap = above if _exceeds(above, below) else below
+    return gap[0] / gap[1]
 
 
 def _cert_joint(sc: Scenario) -> list[tuple[str, float]]:
@@ -585,32 +531,30 @@ def _cert_joint(sc: Scenario) -> list[tuple[str, float]]:
     result = joint_optimal(sc, compute_boundary=False)
     q = result.argmax["q1b"]
     near = result.argmax.get("q_star", q)
-    return [("joint", _exact_gap(result.value, joint_certificate, sc.p1, sc.p2, sc.s, q, near))]
+    return [("joint", _exact_gap(result.value, _joint_bounds, sc.p1, sc.p2, sc.s, q, near))]
 
 
 # Each certifier maps a scenario to a list of (quantity, gap) pairs, one per
 # comparison of a closed form with its reference, and is listed under each
 # quantity it covers; ``certify``'s fold is the one place that reduces them
-# to a row's worst gap. The lambdas look each oracle up when called, so a
-# rebound module name (such as the benchmark's tracer installs) is seen.
-# Protocol 1 is Bob's stage at t = 1, where his overlap s/t is s itself. The
-# two cloning combinations are written here apart from protocols', so that a
-# slip in either shows as a gap. The union and the joint are bounded exactly
-# from both sides, without a scan, and share one gap rule (``_exact_gap``):
-# the union reduces to protocol (1) by Q1*Q2 = s^2 (``_cert_union``), and the
-# joint to one variable by the same identity (``joint_certificate``). The
-# same reductions put each one's box optimum on the diagonal that
-# ``grid_maximize_union_ssd`` and ``grid_maximize_joint`` scan, and the tests
-# keep those scans as the certificates' brute-force cross-checks.
+# to a row's worst gap. The lambdas look each closed form and oracle up when
+# called, so a rebound module name (such as the benchmark's tracer installs)
+# is seen. The two cloning combinations are written here apart from
+# protocols', so that a slip in either shows as a gap. The five exact rows
+# share one gap rule (``_exact_gap``): Bob, Charlie and protocol (1), which
+# is Bob's stage at t = 1, take the stage's bounds at the flag overlaps s/t
+# (exact), t and s; the union, whose closed-form argmax (1, q1_product, 1)
+# is that stage's point q1 = q1_product at s, takes them at s too; and the
+# joint takes ``joint_certificate``'s.
 _CERTIFIERS: dict[str, Callable[[Scenario], list[tuple[str, float]]]] = {
-    "bob": lambda sc: _cert_stage(sc, "bob", bob_optimal, grid_maximize_bob),
-    "charlie": lambda sc: _cert_stage(sc, "charlie", charlie_optimal, grid_maximize_charlie),
+    "bob": lambda sc: _cert_stage(sc, "bob", bob_optimal, "q1b", lambda s, t: (s, t)),
+    "charlie": lambda sc: _cert_stage(sc, "charlie", charlie_optimal, "q1c", lambda s, t: (t, 1.0)),
     "joint": _cert_joint,
-    "protocol1": lambda sc: [("protocol1", abs(protocol1_optimal(sc).value - grid_maximize_bob(sc, 1.0)[0]))],
+    "protocol1": lambda sc: _cert_at_s(sc, "protocol1", protocol1_optimal, "q1b"),
     "protocol2": lambda sc: [("protocol2", abs(protocol2_optimal(sc).value - grid_maximize_protocol2(sc)[0]))],
     "protocol3": _cert_cloning,
     "at_least_one_p3": _cert_cloning,
-    "at_least_one_ssd": _cert_union,
+    "at_least_one_ssd": lambda sc: _cert_at_s(sc, "at_least_one_ssd", at_least_one_ssd, "q1_product"),
 }
 
 

@@ -101,9 +101,9 @@ def test_criterion_2_symmetry_breaking_threshold():
 # (0.36, 0.2) -> 2.6396e-9 at (0.1716, 0.05); at_least_one_p3 1.3172e-9 at
 # (0.6, 0.2) -> 9.5568e-10 at (0.6, 0.4)). The at_least_one_ssd row was
 # re-recorded when its certifier gave way from the (t, q1b, q1c) grid scan
-# (2.2204e-16 at (0.1716, 0.2)) to the exact bounds of
-# ``oracle._cert_union``, whose gap bounds the closed form's distance from
-# the optimum itself (1.4033e-16 at (0.6, 0.1)). The joint row was
+# (2.2204e-16 at (0.1716, 0.2)) to the exact bounds of the stage at r = s
+# (``oracle._stage_bounds``), whose gap bounds the closed form's distance
+# from the optimum itself (1.4033e-16 at (0.6, 0.1)). The joint row was
 # re-recorded likewise, from the block-bounded (t, q1b, q1c) scan (3.1124e-10
 # at (0.2, 0.05)) to the exact bounds of ``oracle.joint_certificate``
 # (1.8030e-16 at (0.2, 0.1)). Both cloning rows were re-recorded when the
@@ -111,11 +111,17 @@ def test_criterion_2_symmetry_breaking_threshold():
 # which moves its rounding and so where its refinement lands on the flat top
 # (protocol3 2.6396e-9 at (0.1716, 0.05) -> 2.9351e-9 at (0.36, 0.1);
 # at_least_one_p3 9.5568e-10 at (0.6, 0.4) -> 5.8826e-10 at (0.36, 0.1)).
+# The bob, charlie and protocol1 rows were re-recorded when their 1-D stage
+# scans gave way to the same exact stage bounds, in integers, at r = s/t
+# (the exact quotient), t and s (bob 2.2204e-16 at (0.04, 0.4) -> 1.6431e-16
+# at (0.36, 0.1); charlie 1.1102e-16 at (0.04, 0.05) -> 1.4033e-16 at
+# (0.2, 0.1); protocol1 1.1102e-16 at (0.04, 0.05) -> 1.4033e-16 at
+# (0.6, 0.1)).
 _CERTIFIED_ROWS = {
-    "bob": (2.220446049250313e-16, (0.04, 0.4)),
-    "charlie": (1.1102230246251565e-16, (0.04, 0.05)),
+    "bob": (1.6431300764452317e-16, (0.36, 0.1)),
+    "charlie": (1.403321903126198e-16, (0.2, 0.1)),
     "joint": (1.8030021919912543e-16, (0.2, 0.1)),
-    "protocol1": (1.1102230246251565e-16, (0.04, 0.05)),
+    "protocol1": (1.403321903126198e-16, (0.6, 0.1)),
     "protocol2": (2.7318025619393893e-09, (0.36, 0.2)),
     "protocol3": (2.935119591818136e-09, (0.36, 0.1)),
     "at_least_one_p3": (5.882604403595337e-10, (0.36, 0.1)),

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -410,6 +411,29 @@ class TestVerify:
         out, err = capsys.readouterr()
         (row,) = [line for line in out.splitlines() if line.startswith("at_least_one_ssd ")]
         assert row.split()[1] == "inf" and row.endswith(" FAIL") and err == ""
+
+    @pytest.mark.parametrize(
+        "name,closed_form",
+        [
+            ("bob", "bob_optimal"),
+            ("charlie", "charlie_optimal"),
+            ("protocol1", "protocol1_optimal"),
+            ("at_least_one_ssd", "at_least_one_ssd"),
+            ("joint", "joint_optimal"),
+        ],
+    )
+    def test_nan_value_of_an_exact_row_fails_and_exits_5(self, capsys, monkeypatch, name, closed_form):
+        # Fraction(nan) raised a bare ValueError, and verify ended in a traceback
+        real = getattr(oracle, closed_form)
+
+        def nan_value(*args, **kwargs):
+            return types.SimpleNamespace(value=math.nan, argmax=real(*args, **kwargs).argmax)
+
+        monkeypatch.setattr(oracle, closed_form, nan_value)
+        assert main(["verify", "--quantity", name]) == 5
+        out, err = capsys.readouterr()
+        (row,) = [line for line in out.splitlines() if line.startswith(f"{name} ")]
+        assert row.split()[1] == "nan" and row.endswith(" FAIL") and err == ""
 
     def test_prints_elapsed_time(self, capsys):
         assert main(["verify", "--quantity", "protocol1,bob"]) == 0

@@ -1,12 +1,13 @@
 import functools
 import math
 import tracemalloc
+import types
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from seqdisc import (
     CERT_P1_VALUES,
@@ -106,15 +107,16 @@ class TestCertifyTolerance:
         assert bob.passed
 
     @pytest.mark.parametrize("name", ["bob", "charlie"])
-    def test_nan_oracle_at_the_second_overlap_fails_its_row(self, monkeypatch, name):
+    def test_nan_closed_form_at_the_second_overlap_fails_its_row(self, monkeypatch, name):
         # max() kept the first overlap's gap over a NaN second one, so the
         # row passed on that gap alone; each overlap's gap now reaches the fold
-        real = getattr(oracle_module, f"grid_maximize_{name}")
+        closed_form = f"{name}_optimal"
+        real = getattr(oracle_module, closed_form)
 
         def stub(sc, t):
-            return (math.nan, math.nan) if t == 0.5 * (1.0 + sc.s) else real(sc, t)
+            return _with_value(real, math.nan)(sc, t) if t == 0.5 * (1.0 + sc.s) else real(sc, t)
 
-        monkeypatch.setattr(oracle_module, f"grid_maximize_{name}", stub)
+        monkeypatch.setattr(oracle_module, closed_form, stub)
         rows = {row.quantity: row for row in certify(["bob", "charlie"], (0.04, 0.36), (0.3,))}
         assert math.isnan(rows[name].worst_gap) and rows[name].worst_scenario == (0.04, 0.3)
         assert not rows[name].passed
@@ -126,6 +128,17 @@ class TestCertifyTolerance:
         # doubled row from a count of the rows
         with pytest.raises(DomainError, match=r"more than once: \['protocol1'\]"):
             certify(["protocol1", "bob", "protocol1"], [0.2], [0.3])
+
+
+def _with_value(closed_form, value):
+    """``closed_form`` with its result's value replaced by ``value``, its
+    argmax kept: a plain namespace, since a ``PiecewiseResult`` refuses a
+    value outside [0, 1], NaN too."""
+
+    def stub(*args, **kwargs):
+        return types.SimpleNamespace(value=value, argmax=closed_form(*args, **kwargs).argmax)
+
+    return stub
 
 
 class TestStageOracles:
@@ -482,7 +495,7 @@ class TestWindowScanArgmax:
     @pytest.mark.parametrize("s,p1", _WINDOW_SCAN_SCENARIOS)
     def test_stage_objective(self, s, p1):
         for r in (0.0, s, math.sqrt(s)):
-            f = oracle_module._stage_objective(p1, 1.0 - p1, r)
+            f = _stage_objective(p1, 1.0 - p1, r)
             value, q1 = oracle_module._grid_max_stage(p1, 1.0 - p1, r)
             assert r * r <= q1 <= 1.0
             assert value == float(f(np.array([q1]))[0])
@@ -498,10 +511,20 @@ class TestWindowScanArgmax:
         assert value >= float(np.max(first))
 
 
+def _stage_objective(p1, p2, r):
+    """Success probability of one discrimination stage as a function of q1: on
+    floats or arrays, or on ``Fraction``s, which its integer literals keep
+    exact. The reference for the stage's lane body and its exact bounds."""
+    r2 = r * r
+    if r2 == 0:
+        return lambda q: p1 * (1 - q) + p2  # orthogonal flags: q2 = 0
+    return lambda q: p1 * (1 - q) + p2 * (1 - r2 / q)
+
+
 def _stage_expression(q, p1, p2, r):
     """``_stage_objective``'s expression body on an array, allocating each
     operation's result: the reference for the stage's lane body."""
-    return oracle_module._stage_objective(p1, p2, r)(q)
+    return _stage_objective(p1, p2, r)(q)
 
 
 def _cloning_expression(g1, s, p1, p2):
@@ -559,7 +582,7 @@ class TestLaneBodies:
         stage = oracle_module._stage_lanes(p1, 1.0 - p1, s)
         cloning = oracle_module._cloning_lanes(s, p1, 1.0 - p1)
         for q in _seeded_lanes(s * s, 1.0, 3, 20).tolist():
-            assert stage(np.array([q])).tolist() == [oracle_module._stage_objective(p1, 1.0 - p1, s)(q)]
+            assert stage(np.array([q])).tolist() == [_stage_objective(p1, 1.0 - p1, s)(q)]
         for g1 in _seeded_lanes(0.0, 1.0, 4, 20).tolist():
             try:
                 want = _cloning_objective(g1, s, p1, 1.0 - p1, math.sqrt, min)
@@ -957,6 +980,55 @@ def _ulps_outside(value, lower, upper):
     return float(max(lower - v, v - upper, 0) / Fraction(math.ulp(value)))
 
 
+def _reference_dual_bound(p1, p2, r):
+    """The stage's semidefinite dual bound in ``Fraction``s, the reference for
+    ``oracle._stage_bounds``' upper bound: the least of the case-I dual point
+    (p1, p2, c), c the 2^-200 multiple just below sqrt(p1*p2), and, where p1
+    <= r^2*p2, the case-II point's p2*(1 - r^2)."""
+    g = p1 * p2
+    bits = oracle_module._DUAL_BITS
+    c = Fraction(math.isqrt((g.numerator << 2 * bits) // g.denominator), 1 << bits)
+    upper = p1 + p2 - 2 * r * c
+    if p1 <= r * r * p2:
+        upper = min(upper, p2 * (1 - r * r))
+    return upper
+
+
+def _reference_stage_certificate(p1, p2, r, q1):
+    """``stage_certificate``'s (lower, upper) in ``Fraction``s, each argument
+    taken exactly: the stage's success at q1, and its dual bound."""
+    p1, p2, r = (Fraction(x) for x in (p1, p2, r))
+    if not (math.isfinite(q1) and r * r <= (q1 := Fraction(q1)) <= 1):
+        raise ConstraintError(f"q1={float(q1)!r} outside [r^2, 1] for r={float(r)!r}")
+    return _stage_objective(p1, p2, r)(q1), _reference_dual_bound(p1, p2, r)
+
+
+def _reference_joint_certificate(p1, p2, s, q, near=None):
+    """``joint_certificate``'s (lower, upper) in ``Fraction``s: g(q), and the
+    largest of g(s), g(1) and, where q*'s quartic has three roots in [s, 1],
+    g at the floats a < b around the middle one and p1*(1 - a)^2 + p2*(1 -
+    s/b)^2."""
+    if not s <= q <= 1.0:
+        raise ConstraintError(f"q={q!r} outside [s, 1] for s={s!r}")
+    start = q if near is None else near
+    p1, p2, s, q = (Fraction(x) for x in (p1, p2, s, q))
+    if s == 0:  # orthogonal states: q2 = 0, so g(u) = p1*(1 - u)^2 + p2
+        return p1 * (1 - q) ** 2 + p2, p1 + p2
+
+    def g(u):
+        return p1 * (1 - u) ** 2 + p2 * (1 - s / u) ** 2
+
+    upper = max(g(s), g(1))
+    if s < 1:
+        coefficients = (p1, -p1, 0, p2 * s, -p2 * s * s)
+        den = math.lcm(*(c.denominator for c in coefficients))
+        chain = _sturm_chain(oracle_module._primitive([c.numerator * (den // c.denominator) for c in coefficients]))
+        if _root_count(chain, s, 1) >= 3:
+            a, b = (Fraction(x) for x in _root_bracket(chain, float(s), 1.0, 2, start))
+            upper = max(upper, g(a), g(b), p1 * (1 - a) ** 2 + p2 * (1 - s / b) ** 2)
+    return g(q), upper
+
+
 def _union_bounds(sc):
     """The union certificate's (lower, upper) at the closed form's argmax,
     derived apart from ``oracle.stage_certificate``: ``_union_term`` at (t,
@@ -964,7 +1036,7 @@ def _union_bounds(sc):
     p1, p2, s = Fraction(sc.p1), Fraction(sc.p2), Fraction(sc.s)
     q1b = Fraction(at_least_one_ssd(sc).argmax["q1_product"])
     lower = _union_term(q1b, s * s / q1b if q1b else 0, 1, 1, p1, p2)
-    return lower, oracle_module._stage_dual_bound(p1, p2, s)
+    return lower, _reference_dual_bound(p1, p2, s)
 
 
 def _union_scenarios():
@@ -1065,7 +1137,7 @@ class TestStageCertificate:
         # integer literals: bit for bit with 1.0 on floats and arrays, exact on Fractions
         p1, p2, r, q = 0.3, 0.7, 0.36, np.linspace(0.1296, 1.0, 101)
         if objective == "stage":
-            f, ref = oracle_module._stage_objective(p1, p2, r), lambda q: p1 * (1.0 - q) + p2 * (1.0 - r * r / q)
+            f, ref = _stage_objective(p1, p2, r), lambda q: p1 * (1.0 - q) + p2 * (1.0 - r * r / q)
         elif objective == "union":
             f = lambda q: _union_term(q, r * r / q, 0.9, 1.0 / 0.9, p1, p2)
             ref = lambda q: p1 * (1.0 - q * 0.9) + p2 * (1.0 - (r * r / q) * (1.0 / 0.9))
@@ -1076,7 +1148,7 @@ class TestStageCertificate:
         assert [f(x) for x in q.tolist()] == ref(q).tolist()
         p1, p2, half = Fraction(1, 4), Fraction(3, 4), Fraction(1, 2)
         if objective == "stage":
-            exact = oracle_module._stage_objective(p1, p2, half)(half)
+            exact = _stage_objective(p1, p2, half)(half)
         elif objective == "union":
             exact = _union_term(half, half, 1, 1, p1, p2)
         else:
@@ -1143,7 +1215,7 @@ class TestUnionCertificate:
         assert row.worst_gap == math.inf and not row.passed
 
     def test_lower_above_upper_fails(self, monkeypatch):
-        monkeypatch.setattr(oracle_module, "_stage_dual_bound", lambda p1, p2, r: Fraction(0))
+        monkeypatch.setattr(oracle_module, "_stage_bounds", lambda *args: ((1, 1), (0, 1)))
         (row,) = certify(["at_least_one_ssd"], [0.36], [0.2])
         assert row.worst_gap == math.inf and not row.passed
 
@@ -1313,7 +1385,7 @@ class TestJointCertificate:
         assert row.worst_gap == math.inf and not row.passed
 
     def test_lower_above_upper_fails(self, monkeypatch):
-        monkeypatch.setattr(oracle_module, "joint_certificate", lambda *args: (Fraction(1), Fraction(0)))
+        monkeypatch.setattr(oracle_module, "_joint_bounds", lambda *args: ((1, 1), (0, 1)))
         (row,) = certify(["joint"], [0.36], [0.2])
         assert row.worst_gap == math.inf and not row.passed
 
@@ -1377,3 +1449,200 @@ class TestJointScanCrossCheck:
         sc = Scenario(s, p1)
         lower, _ = _joint_bounds(sc)
         assert lower - Fraction(1e-9) < Fraction(grid_maximize_joint(sc)[0]) < lower - Fraction(1e-10)
+
+
+def _certify_range_draws(seed, n):
+    """n seeded (s, p1) uniform in the certify benchmark's range, s in
+    [0.002, 0.98] and p1 in [0.02, 0.5]."""
+    rng = np.random.default_rng(seed)
+    return [tuple(x) for x in rng.uniform([0.002, 0.02], [0.98, 0.5], (n, 2)).tolist()]
+
+
+#: The 24 seeded (s, p1) of ``scripts/bench.py``'s certify_draws op.
+_BENCH_CERTIFY_DRAWS = _certify_range_draws(8, 24)
+
+#: The rows certified by exact bounds, each with the closed form it reads.
+_EXACT_ROWS = {
+    "bob": "bob_optimal",
+    "charlie": "charlie_optimal",
+    "protocol1": "protocol1_optimal",
+    "at_least_one_ssd": "at_least_one_ssd",
+    "joint": "joint_optimal",
+}
+
+
+def _integer_bounds_calls(monkeypatch, kernel, quantities, s, p1):
+    """(arguments, bounds) of each call that ``certify(quantities)`` makes of
+    the integer kernel ``oracle.<kernel>`` at (s, p1)."""
+    calls, real = [], getattr(oracle_module, kernel)
+
+    def record(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(oracle_module, kernel, record)
+    certify(quantities, [s], [p1])
+    return calls
+
+
+def _as_fractions(bounds):
+    return tuple(Fraction(n, d) for n, d in bounds)
+
+
+#: Edges of the stage rows: s = 0 (r = 0 for Bob, protocol (1) and the union
+#: at t = 1/2), s = 1 and within ulps of it (Bob's S/T near 1 at t = sqrt(s)
+#: and (1 + s)/2), p1 = 1/2, and p1 down to the least subnormal.
+_EXACT_EDGES = [
+    (0.0, 0.3),
+    (0.0, 0.5),
+    (1.0, 0.3),
+    *((1.0 - k * 2.0**-53, p1) for k in (1, 2, 3, 8) for p1 in (0.3, 0.5)),
+    *((s, p1) for s in (0.04, 0.36, 0.98) for p1 in (0.5, 1e-300, 5e-324)),
+    (1e-12, 0.5),
+]
+
+
+class TestIntegerCertificates:
+    """The integer bounds that ``certify`` takes (``oracle._stage_bounds``,
+    ``oracle._joint_bounds``) equal, as rationals, the ``Fraction``
+    references they replaced, at every call ``certify`` makes."""
+
+    @pytest.mark.parametrize("s,p1", _certify_range_draws(52, 40) + _EXACT_EDGES)
+    def test_stage_bounds_are_the_fraction_reference(self, monkeypatch, s, p1):
+        quantities = ["bob", "charlie", "protocol1", "at_least_one_ssd"]
+        calls = _integer_bounds_calls(monkeypatch, "_stage_bounds", quantities, s, p1)
+        assert len(calls) == (6 if s > 0.0 else 4)  # Bob and Charlie skip t = 0
+        for (p1_, p2, x, y, q1), bounds in calls:
+            r = Fraction(x) / Fraction(y)
+            assert _as_fractions(bounds) == _reference_stage_certificate(p1_, p2, r, q1), (r, q1)
+
+    @pytest.mark.parametrize("s,p1", _certify_range_draws(53, 40) + _EXACT_EDGES + _joint_regimes())
+    def test_joint_bounds_are_the_fraction_reference(self, monkeypatch, s, p1):
+        ((args, bounds),) = _integer_bounds_calls(monkeypatch, "_joint_bounds", ["joint"], s, p1)
+        assert _as_fractions(bounds) == _reference_joint_certificate(*args)
+
+    @pytest.mark.parametrize("p1", [0.5, 0.3, 1e-300, 5e-324])
+    @pytest.mark.parametrize(
+        "x,y,q1",
+        [(0, 1, 0.0), (0, 1, 1.0), (3, 4, 0.5625), (3, 4, 1.0), (1, 1, 1.0)]
+        + [(s, t, 1.0) for s in (0.36, 1.0 - 2.0**-53) for t in (math.sqrt(s), 0.5 * (1.0 + s))],
+    )
+    def test_stage_bounds_at_q1_of_r2_and_of_1(self, x, y, q1, p1):
+        # the ends of [r^2, 1] for r = x/y exactly: 3/4 squared is a float;
+        # and Bob's exact s/t near 1 at q1 = 1
+        bounds = oracle_module._stage_bounds(p1, 1.0 - p1, x, y, q1)
+        assert _as_fractions(bounds) == _reference_stage_certificate(p1, 1.0 - p1, Fraction(x) / Fraction(y), q1)
+
+    @pytest.mark.parametrize("p1,p2", [(0.1875, 0.75), (0.25, 1.0), (2.0**-1002, 2.0**-1000)])
+    def test_stage_bounds_on_the_case_boundary(self, p1, p2):
+        # p1 = r^2*p2 exactly at r = 1/2: case II's p2*(1 - r^2), met at q1 =
+        # 1, is the bound; case I's equals it only where sqrt(p1*p2) is a
+        # multiple of 2^-200, which 2^-1001 is not
+        bounds = _as_fractions(oracle_module._stage_bounds(p1, p2, 1, 2, 1.0))
+        assert bounds == _reference_stage_certificate(p1, p2, Fraction(1, 2), 1.0)
+        assert bounds == (Fraction(p2) * Fraction(3, 4),) * 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p1=st.floats(min_value=5e-324, max_value=0.5),
+        s=st.floats(min_value=0.0, max_value=1.0),
+        t=st.floats(min_value=0.0, max_value=1.0),
+        u=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_stage_bounds_at_any_feasible_point(self, p1, s, t, u):
+        # Bob's flag overlap s/t for s <= t, at any float q1 in [(s/t)^2, 1]
+        s, t = min(s, t), max(s, t)
+        assume(t > 0.0)
+        r = Fraction(s) / Fraction(t)
+        q1 = min(1.0, max(u, math.nextafter(float(r * r), 2.0)))
+        assume(r * r <= Fraction(q1))
+        bounds = oracle_module._stage_bounds(p1, 1.0 - p1, s, t, q1)
+        assert _as_fractions(bounds) == _reference_stage_certificate(p1, 1.0 - p1, r, q1)
+
+    @pytest.mark.parametrize("s,q", [(0.0, 0.0), (0.0, 1.0), (0.04, 0.04), (0.04, 1.0), (1.0 - 2.0**-53, 1.0)])
+    @pytest.mark.parametrize("p1", [0.5, 1e-300, 5e-324])
+    def test_joint_bounds_at_the_ends_of_s_1(self, s, q, p1):
+        bounds = oracle_module._joint_bounds(p1, 1.0 - p1, s, q, q)
+        assert _as_fractions(bounds) == _reference_joint_certificate(p1, 1.0 - p1, s, q)
+
+    @pytest.mark.parametrize("q1", [0.2, 1.0 + 2**-52, 0.0, math.nan, math.inf, -math.inf])
+    def test_infeasible_q1_is_an_infinite_gap(self, q1):
+        # below r^2 = 1/4, above 1, q1 = 0 at r > 0, NaN and infinite
+        assert oracle_module._exact_gap(0.5, oracle_module._stage_bounds, 0.3, 0.7, 1, 2, q1) == math.inf
+
+    @pytest.mark.parametrize("name", ["bob", "charlie", "protocol1"])
+    @pytest.mark.parametrize("q1", [0.5 * 0.04**2, 1.0 + 2**-52, math.nan], ids=["below_r2", "above_1", "nan"])
+    def test_stage_argmax_outside_its_range_fails(self, monkeypatch, name, q1):
+        real, key = getattr(oracle_module, _EXACT_ROWS[name]), "q1c" if name == "charlie" else "q1b"
+
+        def moved(*args):
+            result = real(*args)
+            argmax = {**result.argmax, key: q1}
+            return type(result)(result.value, result.case_label, argmax, result.boundary_prior)
+
+        monkeypatch.setattr(oracle_module, _EXACT_ROWS[name], moved)
+        (row,) = certify([name], [0.04], [0.3])
+        assert row.worst_gap == math.inf and not row.passed
+
+    @pytest.mark.parametrize("name", ["bob", "charlie", "protocol1"])
+    def test_stage_lower_above_upper_fails(self, monkeypatch, name):
+        monkeypatch.setattr(oracle_module, "_stage_bounds", lambda *args: ((1, 1), (0, 1)))
+        (row,) = certify([name], [0.36], [0.2])
+        assert row.worst_gap == math.inf and not row.passed
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus_inf"])
+    @pytest.mark.parametrize("name", list(_EXACT_ROWS))
+    def test_non_finite_value_fails_its_row(self, monkeypatch, name, value):
+        # Fraction(nan) raised ValueError and Fraction(inf) OverflowError, so
+        # certify ended in a traceback instead of a failed row
+        closed_form = _EXACT_ROWS[name]
+        monkeypatch.setattr(oracle_module, closed_form, _with_value(getattr(oracle_module, closed_form), value))
+        (row,) = certify([name], [0.04, 0.36], [0.3])
+        assert not row.passed and row.worst_scenario == (0.04, 0.3)
+        assert math.isnan(row.worst_gap) if math.isnan(value) else row.worst_gap == math.inf
+
+    @pytest.mark.parametrize("s,p1", _CERT_GRID + _EXACT_EDGES)
+    def test_gaps_are_the_fraction_gaps(self, s, p1):
+        # each comparison's gap is one rounding of the exact max(|v - L|,
+        # |v - U|), as float() of the references' Fractions gives it
+        sc = Scenario(s, p1)
+        ts = [t for t in (math.sqrt(s), 0.5 * (1.0 + s)) if t > 0.0]
+        joint = joint_optimal(sc, compute_boundary=False)
+        q = joint.argmax["q1b"]
+
+        def stage(result, r, key):
+            return result.value, _reference_stage_certificate(sc.p1, sc.p2, r, result.argmax[key])
+
+        comparisons = {
+            "bob": [stage(bob_optimal(sc, t), Fraction(s) / Fraction(t), "q1b") for t in ts],
+            "charlie": [stage(charlie_optimal(sc, t), Fraction(t), "q1c") for t in ts],
+            "protocol1": [stage(protocol1_optimal(sc), Fraction(s), "q1b")],
+            "at_least_one_ssd": [stage(at_least_one_ssd(sc), Fraction(s), "q1_product")],
+            "joint": [(joint.value, _reference_joint_certificate(sc.p1, sc.p2, s, q, joint.argmax.get("q_star", q)))],
+        }
+        for name, pairs in comparisons.items():
+            want = [(name, float(max(abs(Fraction(v) - lo), abs(Fraction(v) - hi)))) for v, (lo, hi) in pairs]
+            assert oracle_module._CERTIFIERS[name](sc) == want, name
+
+
+#: The overlaps t(s) of the scans' cross-check: sqrt(s) and (1 + s)/2, as
+#: ``certify`` takes them, and, for Bob only, 1, protocol (1)'s stage.
+_STAGE_T = (math.sqrt, lambda s: 0.5 * (1.0 + s), lambda s: 1.0)
+
+
+class TestStageScanCrossCheck:
+    """``grid_maximize_bob`` and ``grid_maximize_charlie`` stay as the stage
+    certificate's brute-force cross-checks: each maximum lies within 2 ulps
+    of 1 of [L, U] at the closed form's argmax, Bob's at the exact r = s/t.
+    Read: 0.72 ulps of 1 (Bob) and 0.45 (Charlie). In the value's own ulps
+    they read up to 15.5 and 7.5, where the scan's 1 - r^2/q cancels."""
+
+    @pytest.mark.parametrize("s,p1", _CERT_GRID + _BENCH_CERTIFY_DRAWS)
+    def test_scan_between_the_bounds(self, s, p1):
+        sc = Scenario(s, p1)
+        cells = [(grid_maximize_bob, bob_optimal, "q1b", at(s), Fraction(s) / Fraction(at(s))) for at in _STAGE_T]
+        cells += [(grid_maximize_charlie, charlie_optimal, "q1c", at(s), Fraction(at(s))) for at in _STAGE_T[:2]]
+        for scan, closed_form, key, t, r in cells:
+            lower, upper = stage_certificate(sc.p1, sc.p2, r, closed_form(sc, t).argmax[key])
+            value = Fraction(scan(sc, t)[0])
+            assert lower - 2 * Fraction(math.ulp(1.0)) <= value <= upper + 2 * Fraction(math.ulp(1.0)), (scan, t)
