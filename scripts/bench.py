@@ -9,14 +9,16 @@ page faults are counted beside them, so memory that an op gives back to the
 system and faults in again shows.
 
 With ``--parent DIR``, ``DIR/src/seqdisc`` must write the same CSVs and give
-the same oracle results, ``certify()`` rows, rows of each quantity certified
-alone on the certify draws, correlation reports and Monte Carlo counts, bit
-for bit. An output that the change moves on purpose is
-named with ``--moved NAME`` (repeatable; ``certify().joint`` is the joint
-row): it may differ, and its value on each tree goes into the record under
-``moved``. The parent is then timed beside this tree, the two in alternating
-order from round to round; each round's change/parent ratio cancels a slow
-spell where raw times do not.  The op that runs second in a round can read
+the same results of every point call on every point scenario, oracle
+results, ``certify()`` rows, rows of each quantity certified alone on the
+certify draws, correlation reports and Monte Carlo counts, bit for bit. An
+output that the change moves on purpose is named with ``--moved NAME``
+(repeatable; ``certify().joint`` is the joint row,
+``joint_optimal(0.36, 0.2)`` one point call's result): it may differ, and
+its value on each tree goes into the record under ``moved``. The parent is
+then timed beside this tree, the two in alternating order from round to
+round; each round's change/parent ratio cancels a slow spell where raw
+times do not.  The op that runs second in a round can read
 faster or slower than the first (on one unchanged op, 1.10-1.29 in one order
 and 0.76-0.96 in the other), so the 16 rounds give each order 8, and an op's
 reported median ratio is the mean of the two orders' median ratios; both are
@@ -278,6 +280,14 @@ def _oracle_results(package) -> list:
     return results + [(f"certify_draws().{q}", rows) for q, rows in _certify_each(oracle).items()]
 
 
+def _point_results(package) -> list:
+    """(name, result) of each of POINT_CALLS on each of POINT_SCENARIOS, named
+    like ``joint_optimal(0.36, 0.2)``: the values ``optimal`` prints and the
+    two solvers under them."""
+    points = [(s, p1, package.Scenario(s, p1)) for s, p1 in POINT_SCENARIOS]
+    return [(f"{name}{(s, p1)}", getattr(package, name)(sc)) for name in POINT_CALLS for s, p1, sc in points]
+
+
 def _sampled_results(package) -> list:
     """(name, result) of ``correlation_report`` on each of its op's inputs, and
     the counts and error count of each of CASES' runs and of each tally."""
@@ -291,9 +301,9 @@ def _sampled_results(package) -> list:
 
 def check_same_output(change, parent, moved=()) -> dict:
     """Raise unless both trees write the same CSVs and ``ssd`` columns, and
-    give the same oracle tuples, ``certify()`` rows, correlation reports and
-    trial counts bit for bit: a float's repr is the shortest that reads back
-    to the same bits. The outputs named in ``moved`` may differ, and a name
+    give the same point results, oracle tuples, ``certify()`` rows,
+    correlation reports and trial counts bit for bit: a float's repr is the
+    shortest that reads back to the same bits. The outputs named in ``moved`` may differ, and a name
     that is no output is an error; return each one's repr on both trees,
     ``{name: {"change": ..., "parent": ...}}``."""
     for name in change.sweeps.FIGURE_PRESETS:
@@ -304,7 +314,7 @@ def check_same_output(change, parent, moved=()) -> dict:
         if not np.array_equal(a, b, equal_nan=True):
             raise RuntimeError("joint_optimal_values: the columns of the two trees differ")
     found = {}
-    for results in (_oracle_results, _sampled_results):
+    for results in (_point_results, _oracle_results, _sampled_results):
         for (name, a), (_, b) in zip(results(change), results(parent)):
             if name in moved:
                 found[name] = {"change": repr(a), "parent": repr(b)}

@@ -12,7 +12,8 @@ logarithms, so a float and its lane agree bit for bit.
 Each input and range check is one predicate of comparisons joined by ``&``,
 evaluated on a float or on lanes; ``_require`` raises the check's own
 exception for the float, or for the values of the first lane that fails.
-``Scenario``'s check (``_check_scenario``), the overlap t
+The overlap and prior checks (``_is_overlap``, ``_is_prior``, with their
+errors), ``Scenario``'s check (``_check_scenario``), the overlap t
 (``check_overlap_t``) and the [0, 1] range and clamp (``_clamp_unit``) are
 written here once for both.
 
@@ -178,17 +179,35 @@ def _require(ok, error: Callable[..., Exception], *values) -> None:
         raise error(*(np.broadcast_to(v, np.shape(ok)).item(i) for v in values))
 
 
-def _scenario_error(s, p1, s_ok) -> DomainError:
-    if not s_ok:
-        return DomainError(f"overlap s={s} outside [0, 1]")
+def _is_overlap(x):
+    """The overlap check, x in [0, 1], on a float or on lanes; NaN fails it.
+    Its error is ``_overlap_error``."""
+    return (0.0 <= x) & (x <= 1.0)
+
+
+def _overlap_error(name, x) -> DomainError:
+    return DomainError(f"overlap {name}={x} outside [0, 1]")
+
+
+def _is_prior(p1):
+    """The prior check, p1 in (0, 1/2], on a float or on lanes; NaN fails it.
+    Its error is ``_prior_error``."""
+    return (0.0 < p1) & (p1 <= 0.5)
+
+
+def _prior_error(p1) -> DomainError:
     return DomainError(f"prior p1={p1} outside (0, 1/2]")
+
+
+def _scenario_error(s, p1, s_ok) -> DomainError:
+    return _prior_error(p1) if s_ok else _overlap_error("s", s)
 
 
 def _check_scenario(s, p1) -> None:
     """``Scenario``'s check on floats or lanes: DomainError for s outside
     [0, 1], or else for p1 outside (0, 1/2]."""
-    s_ok = (0.0 <= s) & (s <= 1.0)
-    _require(s_ok & (0.0 < p1) & (p1 <= 0.5), _scenario_error, s, p1, s_ok)
+    s_ok = _is_overlap(s)
+    _require(s_ok & _is_prior(p1), _scenario_error, s, p1, s_ok)
 
 
 def _overlap_t_error(s, t) -> DomainError:
@@ -216,8 +235,7 @@ def make_state_pair(s: float, dim: int) -> np.ndarray:
     The half-angle is fixed by cos(2*theta) = s, giving the pair
     (cos(theta), +-sin(theta), 0, ...) embedded in the requested dimension.
     """
-    if not 0.0 <= s <= 1.0:
-        raise DomainError(f"overlap s={s} outside [0, 1]")
+    _require(_is_overlap(s), _overlap_error, "s", s)
     if dim < 2:
         raise DomainError(f"dim={dim} must be at least 2")
     theta = 0.5 * math.acos(s)

@@ -32,9 +32,9 @@ proportions (NaN where both are 0) and the symmetrized discord
 sqrt(d_left)*sqrt(d_right).  Each body takes H (and sqrt and the select)
 as arguments: ``entropy_H`` on floats, ``entropy_H_values`` on arrays,
 which share one body that keeps its relative accuracy for small tangles.
-``CorrelationInput`` and the kernels share the range check of t,
-``_check_t``.  What cancellation is left is the sum's own, large only where
-tau_B|AE and tau_AE are lopsided.
+``CorrelationInput`` and the kernels share the overlap check of t,
+``core._is_overlap``.  What cancellation is left is the sum's own, large only
+where tau_B|AE and tau_AE are lopsided.
 A direct measurement-minimization oracle for the left discord is included to
 certify the closed form.
 """
@@ -48,9 +48,12 @@ import numpy as np
 
 from .core import (
     BOUNDARY_TOL,
-    DomainError,
     NumericError,
+    _is_overlap,
+    _is_prior,
+    _overlap_error,
     _pick,
+    _prior_error,
     _require,
     entropy_H,
     entropy_H_values,
@@ -71,26 +74,15 @@ class CorrelationInput:
     r: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p1 <= 0.5:
-            raise DomainError(f"prior p1={self.p1} outside (0, 1/2]")
-        _check_t(self.t)
-        if not 0.0 <= self.r <= 1.0:
-            raise DomainError(f"overlap r={self.r} outside [0, 1]")
+        _require(_is_prior(self.p1), _prior_error, self.p1)
+        _require(_is_overlap(self.t), _overlap_error, "t", self.t)
+        _require(_is_overlap(self.r), _overlap_error, "r", self.r)
         for name in ("p1", "t", "r"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def p2(self) -> float:
         return 1.0 - self.p1
-
-
-def _t_error(t) -> DomainError:
-    return DomainError(f"overlap t={t} outside [0, 1]")
-
-
-def _check_t(t) -> None:
-    """``CorrelationInput``'s range check of t, on a float or on lanes."""
-    _require((0.0 <= t) & (t <= 1.0), _t_error, t)
 
 
 @dataclass(frozen=True)
@@ -185,7 +177,7 @@ def _discords_values(s: np.ndarray, p1: np.ndarray, t: np.ndarray) -> np.ndarray
     """
     defined = ~((t < s) | (t <= 0.0))
     s, p1, t = s[defined], p1[defined], t[defined]
-    _check_t(t)
+    _require(_is_overlap(t), _overlap_error, "t", t)
     r = s / t  # in [0, 1] once t is
     _, *rows = _discords(p1, t, r, entropy_H_values, np.sqrt, np.where)
     values = np.full((len(rows),) + defined.shape, np.nan)

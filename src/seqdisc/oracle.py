@@ -18,14 +18,17 @@ too) is ``_grid_max_stage``'s. Every refinement calls the same array
 objective as its first scan. The stage and cloning scans evaluate it by a
 lane body (``_stage_lanes``, ``_cloning_lanes``): the expression's
 operations in its order, written into buffers made once per scan, so each
-lane is the expression's float, and a pass allocates no array.
+lane is the expression's float, and a pass allocates no array. Each lane
+body is its objective's one evaluation in ``src/``; the expression bodies
+they are held to are the tests' references.
 ``certify`` compares each closed form with its reference and flags a gap
 above its ``tolerance``. It runs scenario by scenario, and each certifier it
 needs runs once per scenario for all the quantities it covers: the two
 cloning rows share one solve of the optimal cloner and one cloning oracle.
 That oracle scans gamma1 and takes each point's gamma2 from the cloning
-constraint's better root in closed form, a line meeting the unit circle
-(``_cloning_objective``), by correctly rounded operations alone. A
+constraint's better root in closed form, a line meeting the unit circle, by
+correctly rounded operations alone; the argmax's root is recomputed on its
+float by the same operations (``_cloning_root``) for the residual check. A
 certifier returns one (quantity, gap) pair per comparison, such as each of
 a stage's two overlaps, and ``certify``'s fold alone reduces the pairs to
 each row's worst gap: a NaN gap ranks above every number, so it fails its
@@ -35,13 +38,13 @@ Five rows are certified without a scan, by exact bounds in integers: Bob,
 Charlie, protocol (1), the union (``at_least_one_ssd``) and the joint. The
 first three are single stages, at the flag overlaps s/t (exact), t and s,
 and so is the union: every feasible (t, q1b, q1c) has Q1*Q2 = s^2 for the
-products Qi = qib*qic, so its optimum is the stage's at s. A stage's L is
-its success at the closed form's argmax, and U its semidefinite dual bound
-(``_stage_bounds``). The joint's optimum is the maximum over u in [s, 1] of
-one function g(u), whose stationary points are the roots of q*'s quartic:
-L is g at the closed form's q1b, and U comes from a Sturm count of the
-quartic's roots and a bracket of floats around its middle one
-(``joint_certificate``). All five take one gap rule (``_exact_gap``):
+products Qi = qib*qic, so its optimum is the stage's at s. One certifier,
+``_stage_gap``, takes all four: a stage's L is its success at the closed
+form's argmax, and U its semidefinite dual bound (``_stage_bounds``). The
+joint's optimum is the maximum over u in [s, 1] of one function g(u), whose
+stationary points are the roots of q*'s quartic: L is g at the closed
+form's q1b, and U comes from a Sturm count of the quartic's roots and a
+bracket of floats around its middle one (``joint_certificate``). All five take one gap rule (``_exact_gap``):
 max(|v - L|, |v - U|), which bounds the closed form's distance from the
 optimum itself, and fails the row where v is not finite, where L > U, or
 where the closed form's argmax is no feasible point.
@@ -231,11 +234,13 @@ def grid_maximize_protocol2(scenario: Scenario) -> tuple[float, float, float]:
     return bob_val * charlie_val, q1b, q1c
 
 
-def _cloning_objective(g1, s, p1, p2, sqrt, minimum, roots=False):
-    """p1*gamma1 + p2*gamma2 at the better root of the cloning constraint, for
-    g1 in [0, 1] and 0 < s < 1, on floats (``math.sqrt``, ``min``) or on
-    arrays (``np.sqrt``, ``np.minimum``); with ``roots``, the tuple (value,
-    gamma2, sqrt(1 - gamma2)).
+def _cloning_lanes(s: float, p1: float, p2: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The cloning objective p1*gamma1 + p2*gamma2 at the better root of the
+    cloning constraint, for gamma1 = g1 in [0, 1] and 0 < s < 1, as a lane
+    body, -inf where the constraint has no root: the expression's operations
+    in its order, each written into buffers made once per scan
+    (``_lane_buffers``). Returns its value buffer, which the next call
+    overwrites.
 
     The constraint (Duan and Guo, Phys. Rev. Lett. 80, 4999 (1998)) is
     s = s^2*sqrt(gamma1*gamma2) + sqrt((1 - gamma1)(1 - gamma2)). At fixed
@@ -253,37 +258,15 @@ def _cloning_objective(g1, s, p1, p2, sqrt, minimum, roots=False):
     The "+" root is the better one: A*s >= 0, so its x is at least the
     other's |x|, after rounding too, and x^2 rises with x >= 0. It is a
     root wherever R >= 0: x >= 0, and B*s >= A*sqrt(R) since s >= A. Past
-    the tangent point R < 0, where an array lane's value is NaN
-    (``_cloning_lanes`` makes it -inf) and ``math.sqrt`` raises on a float.
-    x is clipped at 1 by ``minimum``, which passes NaN through, so a point
-    with no root never takes x = 1. Every step is +, -, *, / or a square
-    root, each correctly rounded, so a float and the lane that holds it
-    agree bit for bit, on every CPU and numpy.
-
-    The scans take the value from the lane body ``_cloning_lanes``, which
-    makes these same operations in the same order into its own buffers;
-    ``tests/test_oracle.py::TestLaneBodies`` holds the two together bit for
-    bit (``test_cloning_lanes_are_the_expression``), so an edit here must be
-    made there too.
+    the tangent point R < 0, and the lane's NaN is made -inf. x is clipped
+    at 1 by ``np.minimum``, which passes NaN through, so a point with no
+    root never takes x = 1. Every step is +, -, *, / or a square root, each
+    correctly rounded, so each lane holds what the same steps give on its
+    float, bit for bit, on every CPU and numpy, and the argmax's root
+    (``_cloning_root``) is its lane's.
+    ``tests/test_oracle.py`` holds the lanes to the expression body bit for
+    bit (``TestLaneBodies``).
     """
-    ss = s * s
-    co_g1 = 1.0 - g1
-    den = ss * ss * g1 + co_g1  # A^2 + B^2
-    root = sqrt((1.0 - s) * (1.0 + s) * (co_g1 - ss * g1))  # sqrt(R)
-    sqrt_g1, b = sqrt(g1), sqrt(co_g1)
-    x = minimum((sqrt_g1 * (s * ss) + b * root) / den, 1.0)
-    value = p1 * g1 + p2 * (x * x)
-    if not roots:
-        return value
-    return value, x * x, (b * s - sqrt_g1 * ss * root) / den
-
-
-def _cloning_lanes(s: float, p1: float, p2: float) -> Callable[[np.ndarray], np.ndarray]:
-    """``_cloning_objective``'s value as a lane body, -inf where the constraint
-    has no root: the expression's operations in its order, each written into
-    buffers made once per scan (``_lane_buffers``), so every lane is the
-    float body's value bit for bit. Returns its value buffer, which the next
-    call overwrites."""
     ss = s * s
     ss_ss, s_ss, one_minus_ss = ss * ss, s * ss, (1.0 - s) * (1.0 + s)
     take = _lane_buffers(3)
@@ -312,18 +295,32 @@ def _cloning_lanes(s: float, p1: float, p2: float) -> Callable[[np.ndarray], np.
     return values
 
 
+def _cloning_root(g1: float, s: float) -> tuple[float, float]:
+    """(gamma2, sqrt(1 - gamma2)) at the better root of the cloning
+    constraint for the float gamma1 = g1, the root's (x^2, y): the lane
+    body's operations in its order (``_cloning_lanes``), so gamma2 is the
+    lane's x^2 bit for bit. ``math.sqrt`` raises where the lane reads -inf."""
+    ss = s * s
+    co_g1 = 1.0 - g1
+    den = ss * ss * g1 + co_g1  # A^2 + B^2
+    root = math.sqrt((1.0 - s) * (1.0 + s) * (co_g1 - ss * g1))  # sqrt(R)
+    sqrt_g1, b = math.sqrt(g1), math.sqrt(co_g1)
+    x = min((sqrt_g1 * (s * ss) + b * root) / den, 1.0)
+    return x * x, (b * s - sqrt_g1 * ss * root) / den
+
+
 def grid_maximize_cloning(scenario: Scenario) -> tuple[float, float, float]:
     """Brute-force maximum of p1*gamma1 + p2*gamma2 on the cloning constraint
     manifold, parametrized by gamma1, each point at its better constraint
-    root (``_cloning_objective``). The scans take the array form; the
-    argmax's gamma2 and sqrt(1 - gamma2) come from one float call, whose
-    value is the scan's bit for bit."""
+    root: scanned by the lane body (``_cloning_lanes``), the argmax's gamma2
+    and sqrt(1 - gamma2) from the same root on its float
+    (``_cloning_root``)."""
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
     if s in (0.0, 1.0):
         return 1.0, 1.0, 1.0
 
     g1, value = window_scan_max(_cloning_lanes(s, p1, p2), 0.0, 1.0, _SCAN_POINTS, _REFINEMENT_PASSES)
-    _, g2, co_root = _cloning_objective(g1, s, p1, p2, math.sqrt, min, roots=True)
+    g2, co_root = _cloning_root(g1, s)
     residual = s - math.sqrt(g1 * g2) * s * s - math.sqrt(1.0 - g1) * co_root
     if abs(residual) > 1e-10:
         raise NumericError(f"cloning oracle argmax violates the constraint at gamma1={g1}")
@@ -458,29 +455,18 @@ class CertificationRow:
         return self.worst_gap <= self.tolerance
 
 
-def _cert_stage(
-    sc: Scenario, name: str, closed_form: Callable, q1_name: str, overlap: Callable
-) -> list[tuple[str, float]]:
-    """The gaps of a single-stage optimum at the overlaps t = sqrt(s) and
-    (1 + s)/2 in [s, 1], one pair each, less t = 0 (at s = 0), where no
-    stage is defined: its value against the stage's exact bounds
-    (``_exact_gap``) at its argmax ``q1_name`` and the flag overlap x/y for
-    (x, y) = ``overlap(s, t)``."""
-    pairs = []
-    for t in (math.sqrt(sc.s), 0.5 * (1.0 + sc.s)):
-        if t > 0.0:
-            result = closed_form(sc, t)
-            bounds = (sc.p1, sc.p2, *overlap(sc.s, t), result.argmax[q1_name])
-            pairs.append((name, _exact_gap(result.value, _stage_bounds, *bounds)))
-    return pairs
+def _flag_ts(s: float) -> list[float]:
+    """The overlaps t = sqrt(s) and (1 + s)/2 in [s, 1] at which Bob's and
+    Charlie's rows are certified, less t = 0 (at s = 0), where no stage is
+    defined."""
+    return [t for t in (math.sqrt(s), 0.5 * (1.0 + s)) if t > 0.0]
 
 
-def _cert_at_s(sc: Scenario, name: str, closed_form: Callable, q1_name: str) -> list[tuple[str, float]]:
-    """The gap of an optimum that is the stage's at flag overlap s: its value
-    against that stage's exact bounds (``_exact_gap``) at its argmax
-    ``q1_name``."""
-    result = closed_form(sc)
-    return [(name, _exact_gap(result.value, _stage_bounds, sc.p1, sc.p2, sc.s, 1.0, result.argmax[q1_name]))]
+def _stage_gap(sc: Scenario, name: str, result, q1_name: str, x, y=1.0) -> tuple[str, float]:
+    """The (quantity, gap) pair of an optimum ``result`` that is one stage's at
+    flag overlap x/y: its value against that stage's exact bounds
+    (``_exact_gap``) at its argmax ``q1_name``."""
+    return name, _exact_gap(result.value, _stage_bounds, sc.p1, sc.p2, x, y, result.argmax[q1_name])
 
 
 def _cert_cloning(sc: Scenario) -> list[tuple[str, float]]:
@@ -489,7 +475,7 @@ def _cert_cloning(sc: Scenario) -> list[tuple[str, float]]:
     copy's stage maximum disc at the priors p1*gamma1 : p2*gamma2 it
     conditions. The oracle's p_cl, gamma1 and gamma2 come from the
     constraint's root by +, -, *, / and square roots alone
-    (``_cloning_objective``), each correctly rounded, so both gaps are the
+    (``_cloning_lanes``), each correctly rounded, so both gaps are the
     same on every CPU and numpy. They are the 1-D scan's argmax resolution on
     a flat top: its gamma1, up to about 2e-8 from the optimum's, moves p_cl
     by an ulp or two but disc's priors to first order."""
@@ -541,20 +527,24 @@ def _cert_joint(sc: Scenario) -> list[tuple[str, float]]:
 # called, so a rebound module name (such as the benchmark's tracer installs)
 # is seen. The two cloning combinations are written here apart from
 # protocols', so that a slip in either shows as a gap. The five exact rows
-# share one gap rule (``_exact_gap``): Bob, Charlie and protocol (1), which
-# is Bob's stage at t = 1, take the stage's bounds at the flag overlaps s/t
-# (exact), t and s; the union, whose closed-form argmax (1, q1_product, 1)
-# is that stage's point q1 = q1_product at s, takes them at s too; and the
-# joint takes ``joint_certificate``'s.
+# share one gap rule (``_exact_gap``). Four are one stage's (``_stage_gap``):
+# Bob's and Charlie's at each of ``_flag_ts``, at the flag overlaps s/t
+# (exact) and t; protocol (1)'s, Bob's stage at t = 1, at s; and the union's,
+# whose closed-form argmax (1, q1_product, 1) is that stage's point q1 =
+# q1_product, at s too. The joint takes ``joint_certificate``'s bounds.
 _CERTIFIERS: dict[str, Callable[[Scenario], list[tuple[str, float]]]] = {
-    "bob": lambda sc: _cert_stage(sc, "bob", bob_optimal, "q1b", lambda s, t: (s, t)),
-    "charlie": lambda sc: _cert_stage(sc, "charlie", charlie_optimal, "q1c", lambda s, t: (t, 1.0)),
+    "bob": lambda sc: [_stage_gap(sc, "bob", bob_optimal(sc, t), "q1b", sc.s, t) for t in _flag_ts(sc.s)],
+    "charlie": lambda sc: [
+        _stage_gap(sc, "charlie", charlie_optimal(sc, t), "q1c", t) for t in _flag_ts(sc.s)
+    ],
     "joint": _cert_joint,
-    "protocol1": lambda sc: _cert_at_s(sc, "protocol1", protocol1_optimal, "q1b"),
+    "protocol1": lambda sc: [_stage_gap(sc, "protocol1", protocol1_optimal(sc), "q1b", sc.s)],
     "protocol2": lambda sc: [("protocol2", abs(protocol2_optimal(sc).value - grid_maximize_protocol2(sc)[0]))],
     "protocol3": _cert_cloning,
     "at_least_one_p3": _cert_cloning,
-    "at_least_one_ssd": lambda sc: _cert_at_s(sc, "at_least_one_ssd", at_least_one_ssd, "q1_product"),
+    "at_least_one_ssd": lambda sc: [
+        _stage_gap(sc, "at_least_one_ssd", at_least_one_ssd(sc), "q1_product", sc.s)
+    ],
 }
 
 

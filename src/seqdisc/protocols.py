@@ -44,6 +44,8 @@ from .core import (
     DomainError,
     NumericError,
     Scenario,
+    _is_overlap,
+    _overlap_error,
     _pick,
     _require,
 )
@@ -99,8 +101,7 @@ def protocol2_critical_priors(s: float) -> tuple[float, float]:
     Charlie's conditional prior hits his own case boundary,
     p1'(p_c1) = s^2/(1+s^2), which reduces to a quadratic in p1.
     """
-    if not 0.0 <= s <= 1.0:
-        raise DomainError(f"overlap s={s} outside [0, 1]")
+    _require(_is_overlap(s), _overlap_error, "s", s)
     k = s * s
     disc = math.sqrt(k * k - 2.0 * k + 5.0)
     p_c1 = k * ((3.0 + k * k) + (1.0 - k) * disc) / (2.0 * (1.0 + 3.0 * k - k * k + k * k * k))

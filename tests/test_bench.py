@@ -47,13 +47,24 @@ def _shifted_summary(summary):
     return type(summary)(summary.n_trials, summary.seed, summary.counts, summary.error_count + 1)
 
 
-@pytest.mark.parametrize("differs", [None, "report", "trials", "tally", "joint_tuple", "certify_draw"])
+@pytest.mark.parametrize("differs", [None, "point", "report", "trials", "tally", "joint_tuple", "certify_draw"])
 def test_parent_check_compares_reports_and_counts(monkeypatch, parent, differs):
     # the tally runs at seed 0, each of the CASES at its own seed
     monkeypatch.setattr(bench, "N_TRIALS", 1000)
     report, run = parent.correlation_report, parent.run_ssd_trials
     joint, last = parent.oracle.grid_maximize_joint, bench.ORACLE_SCENARIOS[-1]
-    if differs == "certify_draw":
+    if differs == "point":
+        # the protocol2 value at the last point scenario alone moved, which
+        # the check compares before every oracle tuple
+        protocol2, point = parent.protocol2_optimal, bench.POINT_SCENARIOS[-1]
+
+        def protocol2_optimal(sc):
+            found = protocol2(sc)
+            moved = dataclasses.replace(found, value=math.nextafter(found.value, 1.0))
+            return moved if (sc.s, sc.p1) == point else found
+
+        monkeypatch.setattr(parent, "protocol2_optimal", protocol2_optimal)
+    elif differs == "certify_draw":
         # the bob row of the last certify draw alone moved
         certify, (s, p1) = parent.oracle.certify, bench._certify_draws()[-1]
 
@@ -87,6 +98,7 @@ def test_parent_check_compares_reports_and_counts(monkeypatch, parent, differs):
         bench.check_same_output(bench.seqdisc, parent)
     else:
         name = {
+            "point": "protocol2_optimal",
             "report": "correlation_report",
             "trials": "run_ssd_trials",
             "tally": "tally",

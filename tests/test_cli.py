@@ -435,6 +435,14 @@ class TestVerify:
         (row,) = [line for line in out.splitlines() if line.startswith(f"{name} ")]
         assert row.split()[1] == "nan" and row.endswith(" FAIL") and err == ""
 
+    def test_cloning_argmax_off_the_constraint_exits_6(self, capsys, monkeypatch):
+        # the cloning oracle's residual check raises NumericError, which
+        # verify reports as a numeric failure, not as a failed row
+        monkeypatch.setattr(oracle, "_cloning_root", lambda g1, s: (1.0, 0.0))
+        assert main(["verify", "--quantity", "protocol3"]) == cli.EXIT_NUMERIC == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "violates the constraint" in err and "Traceback" not in err
+
     def test_prints_elapsed_time(self, capsys):
         assert main(["verify", "--quantity", "protocol1,bob"]) == 0
         last = capsys.readouterr().out.splitlines()[-1]

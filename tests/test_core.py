@@ -26,13 +26,19 @@ from seqdisc import (
     joint_optimal,
     make_state_pair,
     protocol1_optimal,
+    protocol2_critical_priors,
     protocol2_optimal,
     protocol3_optimal,
 )
 from seqdisc import correlations, oracle, ssd
 from seqdisc.core import (
     _check_scenario,
+    _is_overlap,
+    _is_prior,
+    _overlap_error,
     _pick,
+    _prior_error,
+    _require,
     _scan_indices,
     _scan_points,
     check_overlap_t,
@@ -574,6 +580,32 @@ _ONE_CHECK_CASES = {
     "scenario_overlap": (
         lambda: Scenario(1.5, 0.7),
         lambda: _check_scenario(_A([0.2, 1.5, -1.0]), _A([0.3, 0.7, 0.3])),
+    ),
+    # the overlap and prior checks, each one predicate wherever it guards:
+    # the lanes fail first at lane 1
+    "overlap": (
+        lambda: make_state_pair(1.5, 2),
+        lambda: _require(_is_overlap(_A([0.2, 1.5, -1.0])), _overlap_error, "s", _A([0.2, 1.5, -1.0])),
+    ),
+    "overlap_below": (
+        lambda: protocol2_critical_priors(-0.5),
+        lambda: _require(_is_overlap(_A([0.0, -0.5, 1.0])), _overlap_error, "s", _A([0.0, -0.5, 1.0])),
+    ),
+    "overlap_nan": (
+        lambda: CorrelationInput(0.3, 0.5, math.nan),
+        lambda: _require(_is_overlap(_A([1.0, math.nan, 2.0])), _overlap_error, "r", _A([1.0, math.nan, 2.0])),
+    ),
+    "prior": (
+        lambda: CorrelationInput(0.7, 0.5, 0.5),
+        lambda: _require(_is_prior(_A([0.5, 0.7, 0.0])), _prior_error, _A([0.5, 0.7, 0.0])),
+    ),
+    "prior_zero": (
+        lambda: CorrelationInput(0.0, 0.5, 0.5),
+        lambda: _require(_is_prior(_A([0.3, 0.0, math.nan])), _prior_error, _A([0.3, 0.0, math.nan])),
+    ),
+    "prior_nan": (
+        lambda: CorrelationInput(math.nan, 0.5, 0.5),
+        lambda: _require(_is_prior(_A([1e-300, math.nan, 0.7])), _prior_error, _A([1e-300, math.nan, 0.7])),
     ),
     "correlation_t": (
         lambda: CorrelationInput(0.2, 1.5, 0.3 / 1.5),

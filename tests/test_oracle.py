@@ -16,6 +16,7 @@ from seqdisc import (
     CaseLabel,
     ConstraintError,
     DomainError,
+    NumericError,
     Scenario,
     at_least_one_ssd,
     bob_optimal,
@@ -38,7 +39,6 @@ from seqdisc import protocols as protocols_module
 from seqdisc.oracle import (
     _REFINEMENT_PASSES,
     _SCAN_POINTS,
-    _cloning_objective,
     _joint_term,
     _max_diagonal,
     _root_bracket,
@@ -297,12 +297,15 @@ class TestCloningOracle:
     @pytest.mark.parametrize("s", [1e-12, 0.04, 0.5, 1.0 - 1e-9])
     def test_neither_branch_valid_gives_minus_inf(self, s):
         # with 1 - g1 = (s/2)^2 the constraint has no real root, R < 0: the
-        # lanes are -inf, and the float body's math.sqrt raises
+        # lanes are -inf, and on a float the expression body's and the
+        # argmax root's math.sqrt raise
         g1 = np.array([1.0 - 0.25 * s * s, 1.0])
         assert np.all(_cloning_objective_values(g1, s, 0.3, 0.7) == -np.inf)
         for x in g1.tolist():
             with pytest.raises(ValueError):
                 _cloning_objective(x, s, 0.3, 0.7, math.sqrt, min)
+            with pytest.raises(ValueError):
+                oracle_module._cloning_root(x, s)
 
     @pytest.mark.parametrize("s", [1e-10, 0.04, 0.36, 0.98, 1.0 - 1e-9])
     def test_a_point_with_no_root_is_never_the_argmax(self, s):
@@ -326,6 +329,13 @@ class TestCloningOracle:
         assert math.isfinite(start)
         value = grid_maximize_cloning(sc)[0]
         assert math.isfinite(value) and value >= start
+
+    def test_argmax_off_the_constraint_raises(self, monkeypatch):
+        # gamma2 = 1 with sqrt(1 - gamma2) = 0 misses the constraint by
+        # s*(1 - s*sqrt(gamma1)) >= s*(1 - s), here at least 0.2304
+        monkeypatch.setattr(oracle_module, "_cloning_root", lambda g1, s: (1.0, 0.0))
+        with pytest.raises(NumericError, match="violates the constraint at gamma1="):
+            grid_maximize_cloning(Scenario(0.36, 0.2))
 
 
 def _angle_objective(g1, s, p1, p2):
@@ -408,7 +418,8 @@ _ROOT_P1 = (1e-12, 1e-6, 0.05, 0.3, 0.5)
 
 class TestRootCloningObjective:
     """The cloning objective takes each point's better constraint root in
-    closed form (``oracle._cloning_objective``)."""
+    closed form (``oracle._cloning_lanes``; ``_cloning_objective`` on a
+    float)."""
 
     @pytest.mark.parametrize(
         "s,p1",
@@ -527,6 +538,27 @@ def _stage_expression(q, p1, p2, r):
     return _stage_objective(p1, p2, r)(q)
 
 
+def _cloning_objective(g1, s, p1, p2, sqrt, minimum, roots=False):
+    """p1*gamma1 + p2*gamma2 at the better root of the cloning constraint
+    (``oracle._cloning_lanes`` derives it), for g1 in [0, 1] and 0 < s < 1,
+    on floats (``math.sqrt``, ``min``) or on arrays (``np.sqrt``,
+    ``np.minimum``); with ``roots``, the tuple (value, gamma2,
+    sqrt(1 - gamma2)). Past the tangent point R < 0: an array lane's value is
+    NaN and ``math.sqrt`` raises on a float. The expression body, the
+    reference for the cloning lane body and for the argmax's root
+    (``oracle._cloning_root``)."""
+    ss = s * s
+    co_g1 = 1.0 - g1
+    den = ss * ss * g1 + co_g1  # A^2 + B^2
+    root = sqrt((1.0 - s) * (1.0 + s) * (co_g1 - ss * g1))  # sqrt(R)
+    sqrt_g1, b = sqrt(g1), sqrt(co_g1)
+    x = minimum((sqrt_g1 * (s * ss) + b * root) / den, 1.0)
+    value = p1 * g1 + p2 * (x * x)
+    if not roots:
+        return value
+    return value, x * x, (b * s - sqrt_g1 * ss * root) / den
+
+
 def _cloning_expression(g1, s, p1, p2):
     """``_cloning_objective``'s expression body on an array (``np.sqrt``,
     ``np.minimum``), NaN made -inf: the reference for the cloning lane body."""
@@ -589,6 +621,19 @@ class TestLaneBodies:
             except ValueError:
                 want = -math.inf
             assert cloning(np.array([g1])).tolist() == [want]
+
+    @pytest.mark.parametrize("s,p1", _lane_scenarios()[::3])
+    def test_cloning_root_is_the_expression(self, s, p1):
+        # the argmax's (gamma2, sqrt(1 - gamma2)) on its float, against the
+        # expression body's roots bit for bit, and raising where it raises
+        for g1 in _seeded_lanes(0.0, 1.0, 5, 200).tolist():
+            try:
+                want = _cloning_objective(g1, s, p1, 1.0 - p1, math.sqrt, min, roots=True)[1:]
+            except ValueError:
+                with pytest.raises(ValueError):
+                    oracle_module._cloning_root(g1, s)
+            else:
+                assert oracle_module._cloning_root(g1, s) == want, g1
 
     @pytest.mark.parametrize("s,p1", [(0.36, 0.2), (1e-12, 0.3), (1.0 - 1e-9, 0.5)])
     def test_calls_of_other_sizes_leave_no_stale_lane(self, s, p1):
