@@ -18,7 +18,8 @@ errors), ``Scenario``'s check (``_check_scenario``), the overlap t
 written here once for both.
 
 The oracles' two search engines live here too: the window scan of a 1-D
-objective (``window_scan_max``), and the Sturm chain of an integer
+objective (``window_scan_max``), whose first scan of [0, 1] is one shared
+read-only array (``_unit_points``), and the Sturm chain of an integer
 polynomial, which counts its real roots in an interval and brackets one
 between adjacent floats (``_sturm_chain``, ``_root_count``,
 ``_root_bracket``) for the exact certificates.
@@ -140,7 +141,7 @@ def _is_real(x: object) -> bool:
     """Whether x is a real number (``numbers.Real``, which numpy's floats and
     integers are).  A bool is not, as in ``_is_integer``: True would be
     taken as 1."""
-    return isinstance(x, Real) and not isinstance(x, bool)
+    return type(x) is float or (isinstance(x, Real) and not isinstance(x, bool))
 
 
 def _quantity_names(quantities, known) -> tuple[str, ...]:
@@ -159,8 +160,8 @@ def _quantity_names(quantities, known) -> tuple[str, ...]:
     unknown = [q for q in names if q not in known]
     if unknown:
         raise DomainError(f"unknown quantities {unknown}; valid: {sorted(known)}")
-    repeated = sorted({q for q in names if names.count(q) > 1})
-    if repeated:  # each would give a second, identical row or column
+    if len(set(names)) < len(names):  # each would give a second, identical row or column
+        repeated = sorted({q for q in names if names.count(q) > 1})
         raise DomainError(f"quantities named more than once: {repeated}")
     return names
 
@@ -317,6 +318,17 @@ def _scan_points(lo: float, hi: float, points: int, out: np.ndarray) -> np.ndarr
     return out
 
 
+@functools.cache
+def _unit_points(points: int) -> np.ndarray:
+    """``np.linspace(0, 1, points)`` bit for bit, read-only and made once per
+    ``points``: the first scan of every [0, 1] window scan, shared by all of
+    them, so a lane body can recognise it by identity and keep lanes of its
+    own made from it (``oracle._cloning_lanes``)."""
+    xs = _scan_points(0.0, 1.0, points, np.empty(points))
+    xs.setflags(write=False)
+    return xs
+
+
 def window_scan_max(
     f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, points: int, passes: int
 ) -> tuple[float, float]:
@@ -330,22 +342,25 @@ def window_scan_max(
     ``np.linspace``'s. A scan's first highest point replaces the best only
     when strictly higher. Minimize by negating f.
 
-    The points are one array, made once per call and refilled in place for
-    each scan, so ``f`` must not keep it. ``f`` may return a fresh array or a
-    buffer of its own that it overwrites on its next call (a lane body, such
-    as ``oracle._stage_lanes``): the values are read before that call.
+    ``f`` must not write to its points, nor keep them. The first scan of
+    [0, 1] is the shared read-only ``_unit_points(points)``; every other scan
+    is one array, made once per call and refilled in place. ``f`` may return
+    a fresh array or a buffer of its own that it overwrites on its next call
+    (a lane body, such as ``oracle._stage_lanes``): the values are read
+    before that call.
     """
-    xs = _scan_points(lo, hi, points, np.empty(points))
-    vals = f(xs)
+    xs = np.empty(points)
+    grid = _unit_points(points) if lo == 0.0 and hi == 1.0 else _scan_points(lo, hi, points, xs)
+    vals = f(grid)
     i = int(vals.argmax())
-    best_x, best_v = float(xs[i]), float(vals[i])
+    best_x, best_v = float(grid[i]), float(vals[i])
     for _ in range(passes):
-        step = float(xs[1] - xs[0])
-        _scan_points(max(lo, best_x - step), min(hi, best_x + step), points, xs)
-        vals = f(xs)
+        step = float(grid[1] - grid[0])
+        grid = _scan_points(max(lo, best_x - step), min(hi, best_x + step), points, xs)
+        vals = f(grid)
         i = int(vals.argmax())
         if vals[i] > best_v:
-            best_x, best_v = float(xs[i]), float(vals[i])
+            best_x, best_v = float(grid[i]), float(vals[i])
     return best_x, best_v
 
 

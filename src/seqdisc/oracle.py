@@ -18,7 +18,12 @@ too) is ``_grid_max_stage``'s. Every refinement calls the same array
 objective as its first scan. The stage and cloning scans evaluate it by a
 lane body (``_stage_lanes``, ``_cloning_lanes``): the expression's
 operations in its order, written into buffers made once per scan, so each
-lane is the expression's float, and a pass allocates no array. Each lane
+lane is the expression's float, and a pass allocates no array. Their
+scalar operands are float64 0-d arrays, converted once per scan. The first
+scan of [0, 1] is one read-only grid, shared by every scan
+(``core._unit_points``); the cloning lane body recognises it by identity
+and takes its lanes that no scenario enters, 1 - gamma1, sqrt(gamma1) and
+sqrt(1 - gamma1), from a read-only cache made once (``_unit_lanes``). Each lane
 body is its objective's one evaluation in ``src/``; the expression bodies
 they are held to are the tests' references.
 ``certify`` compares each closed form with its reference and flags a gap
@@ -60,6 +65,7 @@ reference.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,6 +84,7 @@ from .core import (
     _root_bracket,
     _root_count,
     _sturm_chain,
+    _unit_points,
     check_overlap_t,
     window_scan_max,
 )
@@ -111,23 +118,31 @@ def _lane_buffers(count: int) -> Callable[[np.ndarray], list[np.ndarray]]:
     return take
 
 
+def _operands(*values: float) -> list[np.ndarray]:
+    """A lane body's scalar operands as float64 0-d arrays, converted once
+    per scan rather than by each ufunc call; a ufunc gives the float's IEEE
+    result on them."""
+    return [np.array(v, float) for v in values]
+
+
 def _stage_lanes(p1: float, p2: float, r: float) -> Callable[[np.ndarray], np.ndarray]:
     """One stage's success as a function of q1, p1*(1 - q) + p2*(1 - r^2/q)
     (q2 = 0 where r = 0), as a lane body: the expression's operations in its
     order, each written into buffers made once per scan (``_lane_buffers``),
     so every lane is the expression's float. Returns its value buffer, which
     the next call overwrites."""
-    r2 = r * r
+    orthogonal = r * r == 0  # q2 = 0
+    one, p1, p2, r2 = _operands(1.0, p1, p2, r * r)
     take = _lane_buffers(2)
 
     def values(q: np.ndarray) -> np.ndarray:
         value, rest = take(q)
-        np.subtract(1.0, q, out=value)
+        np.subtract(one, q, out=value)
         np.multiply(p1, value, out=value)  # p1 * (1 - q)
-        if r2 == 0:  # orthogonal flags: q2 = 0
+        if orthogonal:
             return np.add(value, p2, out=value)
         np.divide(r2, q, out=rest)
-        np.subtract(1.0, rest, out=rest)
+        np.subtract(one, rest, out=rest)
         np.multiply(p2, rest, out=rest)  # p2 * (1 - r2 / q)
         return np.add(value, rest, out=value)
 
@@ -234,12 +249,35 @@ def grid_maximize_protocol2(scenario: Scenario) -> tuple[float, float, float]:
     return bob_val * charlie_val, q1b, q1c
 
 
+def _free_lanes(g1: np.ndarray, out: list[np.ndarray]) -> list[np.ndarray]:
+    """The cloning lane body's lanes that no scenario enters, 1 - gamma1,
+    sqrt(gamma1) and sqrt(1 - gamma1), written into the three arrays
+    ``out`` and returned."""
+    co_g1, sqrt_g1, b = out
+    np.subtract(1.0, g1, out=co_g1)
+    np.sqrt(g1, out=sqrt_g1)
+    np.sqrt(co_g1, out=b)
+    return out
+
+
+@functools.cache
+def _unit_lanes() -> tuple[np.ndarray, ...]:
+    """``_free_lanes`` of the shared first scan ``core._unit_points``,
+    read-only and made once."""
+    lanes = _free_lanes(_unit_points(_SCAN_POINTS), [np.empty(_SCAN_POINTS) for _ in range(3)])
+    for lane in lanes:
+        lane.setflags(write=False)
+    return tuple(lanes)
+
+
 def _cloning_lanes(s: float, p1: float, p2: float) -> Callable[[np.ndarray], np.ndarray]:
     """The cloning objective p1*gamma1 + p2*gamma2 at the better root of the
     cloning constraint, for gamma1 = g1 in [0, 1] and 0 < s < 1, as a lane
     body, -inf where the constraint has no root: the expression's operations
     in its order, each written into buffers made once per scan
-    (``_lane_buffers``). Returns its value buffer, which the next call
+    (``_lane_buffers``), or, on the shared first scan ``core._unit_points``
+    (the very array, not an equal one), taken from its read-only cache
+    (``_unit_lanes``). Returns its value buffer, which the next call
     overwrites.
 
     The constraint (Duan and Guo, Phys. Rev. Lett. 80, 4999 (1998)) is
@@ -268,29 +306,31 @@ def _cloning_lanes(s: float, p1: float, p2: float) -> Callable[[np.ndarray], np.
     bit (``TestLaneBodies``).
     """
     ss = s * s
-    ss_ss, s_ss, one_minus_ss = ss * ss, s * ss, (1.0 - s) * (1.0 + s)
-    take = _lane_buffers(3)
+    operands = (ss, ss * ss, s * ss, (1.0 - s) * (1.0 + s), p1, p2, 1.0, -math.inf)
+    ss, ss_ss, s_ss, one_minus_ss, p1, p2, one, minus_inf = _operands(*operands)
+    unit = _unit_points(_SCAN_POINTS)
+    take = _lane_buffers(5)
 
     def values(g1: np.ndarray) -> np.ndarray:
-        co_g1, den, x = take(g1)
+        den, x, *free = take(g1)
         with np.errstate(invalid="ignore", divide="ignore"):
-            np.subtract(1.0, g1, out=co_g1)
+            co_g1, sqrt_g1, b = _unit_lanes() if g1 is unit else _free_lanes(g1, free)
             np.multiply(ss_ss, g1, out=den)
             np.add(den, co_g1, out=den)  # A^2 + B^2
             np.multiply(ss, g1, out=x)
             np.subtract(co_g1, x, out=x)
             np.multiply(one_minus_ss, x, out=x)
             np.sqrt(x, out=x)  # sqrt(R)
-            np.multiply(np.sqrt(co_g1, out=co_g1), x, out=co_g1)  # b * sqrt(R)
-            np.multiply(np.sqrt(g1, out=x), s_ss, out=x)
-            np.add(x, co_g1, out=x)
+            np.multiply(b, x, out=x)  # b * sqrt(R)
+            spare = np.multiply(sqrt_g1, s_ss, out=free[0])  # where 1 - gamma1 was, read by now
+            np.add(spare, x, out=x)
             np.divide(x, den, out=x)
-        np.minimum(x, 1.0, out=x)
+        np.minimum(x, one, out=x)
         np.multiply(x, x, out=x)
         np.multiply(p2, x, out=x)
         np.multiply(p1, g1, out=den)
         np.add(den, x, out=den)
-        return np.fmax(den, -np.inf, out=den)
+        return np.fmax(den, minus_inf, out=den)
 
     return values
 
@@ -566,24 +606,25 @@ def certify(
     if not (_is_real(tolerance) and 0.0 < tolerance < math.inf):  # NaN fails too
         raise DomainError(f"tolerance={tolerance!r} must be positive and finite")
     for name, values in (("s_values", s_values), ("p1_values", p1_values)):
-        try:
-            flat = np.ndim(values) == 1  # 0 for a number or a str
+        try:  # a list or tuple is flat where each item is a number
+            flat = type(values) in (list, tuple) or np.ndim(values) == 1  # 0 for a number or a str
         except ValueError:  # a ragged nested sequence
             flat = False
-        if not (flat and all(_is_real(v) for v in values)):
+        if not (flat and all(map(_is_real, values))):
             raise DomainError(f"{name}={values!r} must be a sequence of numbers")
     if len(s_values) == 0 or len(p1_values) == 0:
         raise DomainError("certify needs at least one s value and one p1 value")
     names = _quantity_names(_CERTIFIERS if quantities is None else quantities, _CERTIFIERS)
     certifiers = dict.fromkeys(_CERTIFIERS[name] for name in names)  # each once, in order
-    worst = dict.fromkeys(names, (-1.0, (math.nan, math.nan)))
+    # each row's worst (rank, scenario) so far; a NaN gap fails every
+    # comparison, so it ranks above any number
+    worst = dict.fromkeys(names, ((False, -1.0), (math.nan, math.nan)))
     for s in s_values:
         for p1 in p1_values:
             sc = Scenario(s, p1)
             for fn in certifiers:
                 for name, gap in fn(sc):
-                    # a NaN gap fails every comparison: it ranks above any number
                     rank = (math.isnan(gap), gap)
-                    if name in worst and rank > (math.isnan(worst[name][0]), worst[name][0]):
-                        worst[name] = (gap, (s, p1))
-    return [CertificationRow(name, *worst[name], tolerance) for name in names]
+                    if name in worst and rank > worst[name][0]:
+                        worst[name] = (rank, (s, p1))
+    return [CertificationRow(name, gap, at, tolerance) for name, ((_, gap), at) in worst.items()]

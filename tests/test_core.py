@@ -41,6 +41,7 @@ from seqdisc.core import (
     _require,
     _scan_indices,
     _scan_points,
+    _unit_points,
     check_overlap_t,
     entropy_H_values,
     window_scan_max,
@@ -310,6 +311,18 @@ class TestWindowScanMax:
         x, fx = window_scan_max(peaked, 0.0, 1.0, 11, 1)
         assert x == pytest.approx(0.52) and fx == 2.0
 
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (0, 1), (-0.0, 1.0), (0.0, 0.5), (1e-300, 1.0), (-1.0, 1.0)])
+    def test_only_a_unit_scan_starts_on_the_shared_grid(self, lo, hi):
+        # the first scan of [0, 1], by value, is the shared read-only grid
+        # itself; every other scan, and every refinement, is a writable
+        # array of the call's own
+        grids = []
+        window_scan_max(lambda xs: grids.append(xs) or -np.abs(xs - 0.3), lo, hi, 11, 2)
+        unit = (lo, hi) == (0.0, 1.0)
+        assert (grids[0] is _unit_points(11)) == unit
+        assert [xs.flags.writeable for xs in grids] == [not unit, True, True]
+        assert all(xs is not _unit_points(11) for xs in grids[1:])
+
     def test_empty_interval_returns_its_end(self):
         calls = []
 
@@ -465,6 +478,15 @@ class TestScanPoints:
         assert _scan_indices(2001) is _scan_indices(2001)
         with pytest.raises(ValueError):
             _scan_indices(2001)[0] = 1.0
+
+    @pytest.mark.parametrize("points", [2, 11, 2001])
+    def test_unit_points_are_linspace_and_read_only(self, points):
+        # made once per size, linspace's points bit for bit
+        xs = _unit_points(points)
+        assert xs is _unit_points(points) and not xs.flags.writeable
+        with pytest.raises(ValueError):
+            xs[0] = 1.0
+        assert xs.tobytes() == np.linspace(0.0, 1.0, points).tobytes()
 
     @pytest.mark.parametrize("s,p1", _ORACLE_SCENARIOS)
     def test_linspace_points_on_every_oracle_window(self, monkeypatch, s, p1):

@@ -654,6 +654,40 @@ class TestLaneBodies:
                 assert got.shape == (n,) and got.tobytes() == expression(x).tobytes(), n
 
 
+class TestSharedFirstPass:
+    """The first scan of every [0, 1] window scan is one shared read-only
+    grid (``core._unit_points``), on which the cloning lane body takes its
+    scenario-free lanes from a read-only cache (``oracle._unit_lanes``)."""
+
+    def test_cache_is_read_only_and_the_body_s_own_operations(self):
+        g1 = oracle_module._unit_points(_SCAN_POINTS)
+        lanes = oracle_module._unit_lanes()
+        assert lanes is oracle_module._unit_lanes()
+        assert g1.tobytes() == np.linspace(0.0, 1.0, _SCAN_POINTS).tobytes()
+        want = (1.0 - g1, np.sqrt(g1), np.sqrt(1.0 - g1))
+        for lane, expected in zip((g1, *lanes), (g1, *want)):
+            assert not lane.flags.writeable and lane.tobytes() == expected.tobytes()
+            with pytest.raises(ValueError):
+                lane[0] = 0.5
+
+    def test_certify_leaves_the_cache_as_it_was(self):
+        arrays = (oracle_module._unit_points(_SCAN_POINTS), *oracle_module._unit_lanes())
+        before = [a.tobytes() for a in arrays]
+        rows = certify(None, (0.0, 0.04, 0.36, 1.0), (0.2, 0.5))
+        assert len(rows) == 8 and all(row.passed for row in rows)
+        assert [a.tobytes() for a in arrays] == before
+
+    @pytest.mark.parametrize("s,p1", _lane_scenarios())
+    def test_cloning_lanes_on_the_shared_grid_are_the_expression(self, s, p1):
+        # the shared grid takes the cache, an equal copy of it the body's own
+        # lanes: both are the expression bit for bit, in either call order
+        g1 = oracle_module._unit_points(_SCAN_POINTS)
+        want = _cloning_expression(g1, s, p1, 1.0 - p1).tobytes()
+        for order in ((g1, g1.copy()), (g1.copy(), g1)):
+            body = oracle_module._cloning_lanes(s, p1, 1.0 - p1)
+            assert [body(x).tobytes() for x in order] == [want, want], (s, p1)
+
+
 class TestUnionOracle:
     def test_matches_protocol1_value(self):
         sc = Scenario(0.36, 0.2)
@@ -976,6 +1010,33 @@ class TestCertify:
         # as s = 1 (a row at worst_scenario (True, 0.3)) or as p1 = 1
         with pytest.raises(DomainError, match=f"{name}=.* must be a sequence of numbers"):
             certify(["bob"], **{"s_values": [0.2], "p1_values": [0.3], name: grid})
+
+    @pytest.mark.parametrize(
+        "grid",
+        [[0.2], (0.2,), range(1), np.array([0.2]), [np.float64(0.2)], [Fraction(1, 5)]],
+        ids=["list", "tuple", "range", "ndarray", "numpy_float", "fraction"],
+    )
+    @pytest.mark.parametrize("name", ["s_values", "p1_values"])
+    def test_accepts_a_flat_sequence_of_numbers(self, name, grid):
+        # each value reaches Scenario as given; range(1)'s p1 = 0 then fails
+        # Scenario's prior check, not the grid's
+        grids = {"s_values": [0.2], "p1_values": [0.3], name: grid}
+        if name == "p1_values" and isinstance(grid, range):
+            with pytest.raises(DomainError, match="prior p1=0 outside"):
+                certify(["protocol1"], **grids)
+            return
+        (row,) = certify(["protocol1"], **grids)
+        assert row.passed and row.worst_scenario == (grids["s_values"][0], grids["p1_values"][0])
+
+    @pytest.mark.parametrize(
+        "grid",
+        [np.array([[0.2]]), np.array(0.2), (x for x in [0.2]), {0.2: 1}, {0.2}, b"\x00", None, ((0.2,),), [np.True_]],
+        ids=["ndarray_2d", "ndarray_0d", "generator", "dict", "set", "bytes", "none", "nested_tuple", "numpy_bool"],
+    )
+    @pytest.mark.parametrize("name", ["s_values", "p1_values"])
+    def test_rejects_what_is_no_flat_sequence_of_numbers(self, name, grid):
+        with pytest.raises(DomainError, match=f"{name}=.* must be a sequence of numbers"):
+            certify(["protocol1"], **{"s_values": [0.2], "p1_values": [0.3], name: grid})
 
     def test_tolerance_below_grid_resolution_fails(self):
         # protocol (2)'s row is still scanned: its gap here is 2.7e-9
