@@ -237,8 +237,8 @@ def make_state_pair(s: float, dim: int) -> np.ndarray:
     (cos(theta), +-sin(theta), 0, ...) embedded in the requested dimension.
     """
     _require(_is_overlap(s), _overlap_error, "s", s)
-    if dim < 2:
-        raise DomainError(f"dim={dim} must be at least 2")
+    if not (_is_integer(dim) and dim >= 2):
+        raise DomainError(f"dim={dim!r} must be an integer of at least 2")
     theta = 0.5 * math.acos(s)
     pair = np.zeros((2, dim))
     pair[:, 0] = math.cos(theta)

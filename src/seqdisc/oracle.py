@@ -39,7 +39,9 @@ a stage's two overlaps, and ``certify``'s fold alone reduces the pairs to
 each row's worst gap: a NaN gap ranks above every number, so it fails its
 row, and of equal gaps the first is kept.
 
-Five rows are certified without a scan, by exact bounds in integers: Bob,
+Five rows are certified without a scan, by exact bounds, each an integer
+(numerator, denominator) pair, the one exact form in ``src/``
+(``ssd._interior``'s side test cross-multiplies such pairs too): Bob,
 Charlie, protocol (1), the union (``at_least_one_ssd``) and the joint. The
 first three are single stages, at the flag overlaps s/t (exact), t and s,
 and so is the union: every feasible (t, q1b, q1c) has Q1*Q2 = s^2 for the
@@ -49,10 +51,11 @@ form's argmax, and U its semidefinite dual bound (``_stage_bounds``). The
 joint's optimum is the maximum over u in [s, 1] of one function g(u), whose
 stationary points are the roots of q*'s quartic: L is g at the closed
 form's q1b, and U comes from a Sturm count of the quartic's roots and a
-bracket of floats around its middle one (``joint_certificate``). All five take one gap rule (``_exact_gap``):
-max(|v - L|, |v - U|), which bounds the closed form's distance from the
-optimum itself, and fails the row where v is not finite, where L > U, or
-where the closed form's argmax is no feasible point.
+bracket of floats around its middle one (``_joint_bounds``). All five take
+one gap rule (``_exact_gap``): max(|v - L|, |v - U|), which bounds the
+closed form's distance from the optimum itself, and fails the row where v
+is not finite, where L > U, or where the closed form's argmax is no
+feasible point.
 By the same reductions the union's and the joint's maxima over the whole
 (t, q1b, q1c) box lie on its diagonal t = sqrt(s), q1b = q1c = u, u in [s,
 1]: there Q1 = u^2 takes every value in [s^2, 1], and the joint equals
@@ -68,7 +71,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -207,7 +209,7 @@ def grid_maximize_joint(scenario: Scenario) -> tuple[float, float, float, float]
     feasible point has Q1*Q2 = s^2 for the products Qi = qib*qic. So with u
     = sqrt(Q1) in [s, 1] the joint success is at most p1*(1 - u)^2 +
     p2*(1 - s/u)^2, which t = sqrt(s), q1b = q1c = u attains: the box's
-    maximum is on that diagonal (``joint_certificate`` bounds it exactly).
+    maximum is on that diagonal (``_joint_bounds`` bounds it exactly).
     The argmax u is near sqrt(s) at small s, and the scan's grid is linear
     in u, with a last step of about 5e-10: it is within 1e-14 of the
     maximum down to s = 1e-12, and 5e-10 below it at (s, p1) = (1e-30,
@@ -376,7 +378,9 @@ def _exceeds(x, y) -> bool:
 def _stage_bounds(p1, p2, x, y, q1):
     """Exact (lower, upper) bounds on the optimum of one stage at flag overlap
     r = x/y, each an integer (numerator, denominator) pair with a positive
-    denominator, for floats, ints or ``Fraction``s taken exactly.
+    denominator, for floats or ints taken exactly; x/y keeps an overlap
+    such as Bob's s/t exact. A q1 outside [r^2, 1], NaN or infinite too, is
+    no feasible point, so it bounds nothing and is a ``ConstraintError``.
 
     The lower bound is the stage's success at the reported q1, p1*(1 - q1) +
     p2*(1 - r^2/q1) (q2 = 0 where r = 0). The upper bound is a semidefinite
@@ -408,12 +412,11 @@ def _stage_bounds(p1, p2, x, y, q1):
     return lower, upper
 
 
-def joint_certificate(
-    p1: float, p2: float, s: float, q: float, near: float | None = None
-) -> tuple[Fraction, Fraction]:
-    """(lower, upper) bounds, as ``Fraction``s, on the joint optimum over the
-    whole (t, q1b, q1c) box, for the float priors p1 > 0 and p2, overlap s
-    and reported q1b = q1c = q.
+def _joint_bounds(p1: float, p2: float, s: float, q: float, near: float):
+    """Exact (lower, upper) bounds on the joint optimum over the whole (t,
+    q1b, q1c) box, for the float priors p1 > 0 and p2, overlap s and
+    reported q1b = q1c = q, each an integer (numerator, denominator) pair
+    with a positive denominator.
 
     For a, b in [0, 1], (1 - a)(1 - b) <= (1 - sqrt(ab))^2. Every feasible
     point has Q1*Q2 = s^2 for the products Qi = qib*qic, so with u =
@@ -431,20 +434,12 @@ def joint_certificate(
     the middle root (``_root_bracket``) add g(a), g(b) and p1*(1 - a)^2 +
     p2*(1 - s/b)^2: g is at most its end values on [s, a] and on [b, 1],
     which hold no maximum, and on [a, b] at most that sum, as one term falls
-    in u and the other rises. The bracket's search starts at ``near`` (q by
-    default); the bounds do not depend on it, but a start far from the root
-    costs more Sturm counts. At s = 0 the optimum is p1 + p2, and at s = 1
-    it is g(1) = 0. A q outside [s, 1] is no feasible point, so it bounds
-    nothing and is a ``ConstraintError``.
+    in u and the other rises. The bracket's search starts at ``near``; the
+    bounds do not depend on it, but a start far from the root costs more
+    Sturm counts. At s = 0 the optimum is p1 + p2, and at s = 1 it is g(1) =
+    0. A q outside [s, 1] is no feasible point, so it bounds nothing and is
+    a ``ConstraintError``.
     """
-    (ln, ld), (un, ud) = _joint_bounds(p1, p2, s, q, q if near is None else near)
-    return Fraction(ln, ld), Fraction(un, ud)
-
-
-def _joint_bounds(p1: float, p2: float, s: float, q: float, near: float):
-    """``joint_certificate``'s (lower, upper), each an exact integer
-    (numerator, denominator) pair with a positive denominator, its bracket
-    started at ``near``."""
     if not s <= q <= 1.0:
         raise ConstraintError(f"q={q!r} outside [s, 1] for s={s!r}")
     (a, aa), (b, bb), (sn, sd) = (v.as_integer_ratio() for v in (p1, p2, s))
@@ -468,17 +463,6 @@ def _joint_bounds(p1: float, p2: float, s: float, q: float, near: float):
         if _exceeds(x, upper):
             upper = x
     return g(q, q), upper
-
-
-def stage_certificate(p1, p2, r, q1) -> tuple[Fraction, Fraction]:
-    """(lower, upper) bounds, as ``Fraction``s, on the optimum of one stage at
-    flag overlap r with priors p1 and p2 (``_stage_bounds``). Each argument
-    is a float or a ``Fraction``, taken exactly; a ``Fraction`` r keeps an
-    overlap such as Bob's s/t exact. A q1 outside [r^2, 1], NaN or infinite
-    too, is no feasible point, so it bounds nothing and is a
-    ``ConstraintError``."""
-    (ln, ld), (un, ud) = _stage_bounds(p1, p2, r, 1, q1)
-    return Fraction(ln, ld), Fraction(un, ud)
 
 
 @dataclass(frozen=True)
@@ -551,7 +535,7 @@ def _exact_gap(value: float, bounds: Callable, *args) -> float:
 
 
 def _cert_joint(sc: Scenario) -> list[tuple[str, float]]:
-    """The joint's value against ``joint_certificate``'s exact bounds on its
+    """The joint's value against ``_joint_bounds``' exact bounds on its
     optimum (``_exact_gap``), at the closed form's q1b, with the bracket of
     q*'s root started from its q*, which case II reports too."""
     result = joint_optimal(sc, compute_boundary=False)
@@ -571,7 +555,7 @@ def _cert_joint(sc: Scenario) -> list[tuple[str, float]]:
 # Bob's and Charlie's at each of ``_flag_ts``, at the flag overlaps s/t
 # (exact) and t; protocol (1)'s, Bob's stage at t = 1, at s; and the union's,
 # whose closed-form argmax (1, q1_product, 1) is that stage's point q1 =
-# q1_product, at s too. The joint takes ``joint_certificate``'s bounds.
+# q1_product, at s too. The joint takes ``_joint_bounds``' bounds.
 _CERTIFIERS: dict[str, Callable[[Scenario], list[tuple[str, float]]]] = {
     "bob": lambda sc: [_stage_gap(sc, "bob", bob_optimal(sc, t), "q1b", sc.s, t) for t in _flag_ts(sc.s)],
     "charlie": lambda sc: [

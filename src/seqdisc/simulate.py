@@ -367,6 +367,7 @@ def run_ssd_trials(
         raise DomainError(f"n={n!r} must be an integer of at least 1")
     if not (_is_integer(seed) and 0 <= seed < 2**128):
         raise DomainError(f"seed={seed!r} must be an integer in the Philox key range [0, 2^128)")
+    n, seed = int(n), int(seed)  # a numpy integer's summary holds Python ints
     cells = _tally(_trial_words(seed, 0, n), *_trial_thresholds(scenario, t, q1b, q1c))
     counts = np.zeros((2, 2, 2), dtype=np.int64)
     error_count = 0

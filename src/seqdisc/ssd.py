@@ -51,7 +51,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -187,7 +186,8 @@ def _interior(p1, r):
     wrong side within an ulp or two of the tie, where protocol (2) jumps.
     The rounded comparison of r^2 with p1*(1 + r^2) errs by at most a
     relative 4.5e-16 (and 1e-323 on underflow), so it decides every argument
-    farther than 1e-15 from the tie; rationals decide the rest, lane by lane.
+    farther than 1e-15 from the tie; integers decide the rest, lane by lane
+    (``_exactly_interior``).
     """
     k = r * r
     bound = p1 * (1.0 + k)
@@ -203,9 +203,11 @@ def _interior(p1, r):
 
 
 def _exactly_interior(p1, r):
-    """``_interior`` for one pair of floats, in rationals."""
-    q1, k = Fraction(float(p1)), Fraction(float(r)) ** 2
-    return k * (1 - q1) < q1
+    """``_interior`` for one pair of floats, exactly: with p1 = a/b and r =
+    c/d their exact ratios (b, d > 0), r^2*(1 - p1) < p1 is c^2*(b - a) <
+    a*d^2, compared in integers."""
+    (a, b), (c, d) = float(p1).as_integer_ratio(), float(r).as_integer_ratio()
+    return c * c * (b - a) < a * d * d
 
 
 def _stage_candidates(p1, p2, r, sqrt, pick):
@@ -295,6 +297,7 @@ def bob_optimal(scenario: Scenario, t: float) -> PiecewiseResult:
     state 1).
     """
     check_overlap_t(scenario.s, t)
+    t = float(t)  # as Scenario holds its fields: a numpy t gives a float's result
     return _stage_result(scenario, scenario.s / t, ("q1b", "q2b"), t=t)
 
 
@@ -311,6 +314,7 @@ def charlie_optimal(scenario: Scenario, t: float) -> PiecewiseResult:
     case II: p2*(1 - t^2) at q1c = 1.
     """
     check_overlap_t(scenario.s, t)
+    t = float(t)  # as in ``bob_optimal``
     return _stage_result(scenario, t, ("q1c", "q2c"), t=t)
 
 

@@ -188,6 +188,15 @@ class TestMakeStatePair:
         with pytest.raises(DomainError):
             make_state_pair(s, dim)
 
+    @pytest.mark.parametrize("dim", [2.5, True, 3.0, "3"], ids=["fraction", "bool", "float", "str"])
+    def test_rejects_a_dim_that_is_not_an_integer(self, dim):
+        # 2.5 raised numpy's bare TypeError, and True was refused as "below 2"
+        with pytest.raises(DomainError, match="dim=.* must be an integer of at least 2"):
+            make_state_pair(0.5, dim)
+
+    def test_numpy_integer_dim(self):
+        assert np.array_equal(make_state_pair(0.5, np.int64(3)), make_state_pair(0.5, 3))
+
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_overlap_property(self, s):
         a, b = make_state_pair(s, 2)
@@ -701,6 +710,13 @@ def test_import_pulls_in_no_scipy():
 def test_import_pulls_in_no_mpmath():
     # mpmath gives reference values in the tests only
     assert _modules_loaded_with_seqdisc("mpmath") == "[]"
+
+
+@pytest.mark.parametrize("top", ["fractions", "decimal"])
+def test_import_pulls_in_no_fractions_or_decimal(top):
+    # the exact bounds and side test work in integer pairs; Fraction gives
+    # their references in the tests only, and importing it loads decimal
+    assert _modules_loaded_with_seqdisc(top) == "[]"
 
 
 def _load(relative: str, name: str):

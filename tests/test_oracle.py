@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 import tracemalloc
@@ -45,8 +46,6 @@ from seqdisc.oracle import (
     _root_count,
     _sturm_chain,
     _union_term,
-    joint_certificate,
-    stage_certificate,
 )
 from seqdisc.protocols import protocol1_optimal_values
 from seqdisc.sweeps import _P1_GRID, FIGURE_PRESETS, run_figure
@@ -1030,8 +1029,31 @@ class TestCertify:
 
     @pytest.mark.parametrize(
         "grid",
-        [np.array([[0.2]]), np.array(0.2), (x for x in [0.2]), {0.2: 1}, {0.2}, b"\x00", None, ((0.2,),), [np.True_]],
-        ids=["ndarray_2d", "ndarray_0d", "generator", "dict", "set", "bytes", "none", "nested_tuple", "numpy_bool"],
+        [
+            np.array([[0.2]]),
+            np.array(0.2),
+            (x for x in [0.2]),
+            {0.2: 1},
+            {0.2},
+            b"\x00",
+            None,
+            ((0.2,),),
+            [np.True_],
+            # neither a list nor a tuple, and ragged: np.ndim raises ValueError
+            collections.deque([[0.2], [0.3, 0.4]]),
+        ],
+        ids=[
+            "ndarray_2d",
+            "ndarray_0d",
+            "generator",
+            "dict",
+            "set",
+            "bytes",
+            "none",
+            "nested_tuple",
+            "numpy_bool",
+            "ragged_deque",
+        ],
     )
     @pytest.mark.parametrize("name", ["s_values", "p1_values"])
     def test_rejects_what_is_no_flat_sequence_of_numbers(self, name, grid):
@@ -1080,6 +1102,12 @@ class TestCertify:
             assert row == certify([row.quantity], (0.36,), (0.2, 0.5))[0]
 
 
+def _as_fractions(bounds):
+    """Integer (numerator, denominator) pairs, such as ``oracle._stage_bounds``
+    and ``oracle._joint_bounds`` give, as ``Fraction``s."""
+    return tuple(Fraction(n, d) for n, d in bounds)
+
+
 def _ulps_outside(value, lower, upper):
     """How far a float lies outside [lower, upper], in its own ulps."""
     v = Fraction(value)
@@ -1101,7 +1129,7 @@ def _reference_dual_bound(p1, p2, r):
 
 
 def _reference_stage_certificate(p1, p2, r, q1):
-    """``stage_certificate``'s (lower, upper) in ``Fraction``s, each argument
+    """``oracle._stage_bounds``' (lower, upper) in ``Fraction``s, each argument
     taken exactly: the stage's success at q1, and its dual bound."""
     p1, p2, r = (Fraction(x) for x in (p1, p2, r))
     if not (math.isfinite(q1) and r * r <= (q1 := Fraction(q1)) <= 1):
@@ -1110,7 +1138,7 @@ def _reference_stage_certificate(p1, p2, r, q1):
 
 
 def _reference_joint_certificate(p1, p2, s, q, near=None):
-    """``joint_certificate``'s (lower, upper) in ``Fraction``s: g(q), and the
+    """``oracle._joint_bounds``' (lower, upper) in ``Fraction``s: g(q), and the
     largest of g(s), g(1) and, where q*'s quartic has three roots in [s, 1],
     g at the floats a < b around the middle one and p1*(1 - a)^2 + p2*(1 -
     s/b)^2."""
@@ -1137,7 +1165,7 @@ def _reference_joint_certificate(p1, p2, s, q, near=None):
 
 def _union_bounds(sc):
     """The union certificate's (lower, upper) at the closed form's argmax,
-    derived apart from ``oracle.stage_certificate``: ``_union_term`` at (t,
+    derived apart from ``oracle._stage_bounds``: ``_union_term`` at (t,
     q1b, q1c) = (1, q1_product, 1), and the stage's dual bound at r = s."""
     p1, p2, s = Fraction(sc.p1), Fraction(sc.p2), Fraction(sc.s)
     q1b = Fraction(at_least_one_ssd(sc).argmax["q1_product"])
@@ -1172,7 +1200,7 @@ _UNION_SCENARIOS = _union_scenarios()
 
 
 class TestStageCertificate:
-    """``stage_certificate``'s exact bounds hold protocol (1) at r = s,
+    """``oracle._stage_bounds``' exact bounds hold protocol (1) at r = s,
     Charlie at r = t and Bob at the exact r = s/t within a pinned number of
     ulps: the closed forms read at most 1.264 ulps outside [L, U] on the 5x6
     grid (protocol (1) and Charlie), 1.0002 on figure 4's P1_max column and
@@ -1184,7 +1212,7 @@ class TestStageCertificate:
         cells = [(protocol1_optimal(sc), s, "q1b")]
         cells += [(charlie_optimal(sc, t), t, "q1c") for t in (math.sqrt(s), 0.5 * (1.0 + s))]
         for result, r, name in cells:
-            lower, upper = stage_certificate(sc.p1, sc.p2, r, result.argmax[name])
+            lower, upper = _as_fractions(oracle_module._stage_bounds(sc.p1, sc.p2, r, 1, result.argmax[name]))
             assert lower <= upper
             assert _ulps_outside(result.value, lower, upper) <= 1.3, (r, name)
 
@@ -1194,7 +1222,7 @@ class TestStageCertificate:
             sc = Scenario(0.04, p1)
             result = protocol1_optimal(sc)
             assert result.value == lane
-            lower, upper = stage_certificate(sc.p1, sc.p2, 0.04, result.argmax["q1b"])
+            lower, upper = _as_fractions(oracle_module._stage_bounds(sc.p1, sc.p2, 0.04, 1, result.argmax["q1b"]))
             assert _ulps_outside(result.value, lower, upper) <= 1.01, p1
 
     def test_figure_2_bob_columns(self):
@@ -1210,33 +1238,35 @@ class TestStageCertificate:
                 sc = Scenario(s, p1)
                 result = bob_optimal(sc, t)
                 assert result.value == value
-                r = Fraction(s) / Fraction(t)
-                lower, upper = stage_certificate(sc.p1, sc.p2, r, result.argmax["q1b"])
+                lower, upper = _as_fractions(oracle_module._stage_bounds(sc.p1, sc.p2, s, t, result.argmax["q1b"]))
                 assert lower <= upper
                 assert _ulps_outside(value, lower, upper) <= 3.2477, (p1, t)
 
     def test_bounds_are_rationals_and_take_a_rational_overlap(self):
-        # Bob's r = s/t kept exact: 3/7 has no float
-        lower, upper = stage_certificate(0.2, 0.8, Fraction(3, 7), 0.5)
+        # Bob's r = s/t kept exact as x/y: 3/7 has no float
+        bounds = oracle_module._stage_bounds(0.2, 0.8, 3, 7, 0.5)
+        assert all(type(n) is int and type(d) is int and d > 0 for n, d in bounds)
+        lower, upper = _as_fractions(bounds)
         r2 = Fraction(9, 49)
         assert lower == Fraction(0.2) * Fraction(1, 2) + Fraction(0.8) * (1 - 2 * r2)
-        assert isinstance(upper, Fraction) and lower <= upper
+        assert lower <= upper
 
     def test_case_ii_dual_point_is_the_boundary_value(self):
         # p1 <= r^2*p2: the optimum p2*(1 - r^2) at q1 = 1 is met from both sides
-        lower, upper = stage_certificate(0.1, 0.9, 0.5, 1.0)
+        lower, upper = _as_fractions(oracle_module._stage_bounds(0.1, 0.9, 0.5, 1, 1.0))
         assert lower == upper == Fraction(0.9) * (1 - Fraction(1, 4))
 
     def test_orthogonal_flags(self):
         # r = 0: q2 = 0 and the stage succeeds surely at q1 = 0
-        assert stage_certificate(0.3, 0.7, 0.0, 0.0) == (Fraction(0.3) + Fraction(0.7),) * 2
+        bounds = _as_fractions(oracle_module._stage_bounds(0.3, 0.7, 0.0, 1, 0.0))
+        assert bounds == (Fraction(0.3) + Fraction(0.7),) * 2
 
     @pytest.mark.parametrize("q1", [0.2, 1.0 + 2**-52, 0.0, math.nan, math.inf])
     def test_infeasible_argmax_is_rejected(self, q1):
         # below r^2 = 0.25, above 1, q1 = 0 at r > 0, and NaN and inf, on
         # which Fraction raises a bare ValueError and OverflowError
         with pytest.raises(ConstraintError, match="outside \\[r\\^2, 1\\]"):
-            stage_certificate(0.3, 0.7, 0.5, q1)
+            oracle_module._stage_bounds(0.3, 0.7, 0.5, 1, q1)
 
     @pytest.mark.parametrize("objective", ["stage", "union", "joint"])
     def test_objectives_on_floats_arrays_and_rationals(self, objective):
@@ -1274,7 +1304,7 @@ class TestUnionCertificate:
         assert lower <= upper
         # at t = 1 the union term is the stage objective at r = s
         argmax = at_least_one_ssd(sc).argmax["q1_product"]
-        assert (lower, upper) == stage_certificate(sc.p1, sc.p2, s, argmax)
+        assert (lower, upper) == _as_fractions(oracle_module._stage_bounds(sc.p1, sc.p2, s, 1, argmax))
         assert _ulps_outside(at_least_one_ssd(sc).value, lower, upper) <= 1.5
         assert certify(["at_least_one_ssd"], [s], [p1])[0].worst_gap < 1e-15
 
@@ -1354,12 +1384,13 @@ class TestUnionScanCrossCheck:
 
 
 def _joint_bounds(sc, near=None):
-    """``joint_certificate``'s (lower, upper) at the closed form's q1b, its
-    bracket started from the closed form's q* (or from ``near``), as
-    ``oracle._cert_joint`` takes them."""
+    """``oracle._joint_bounds``' (lower, upper) as ``Fraction``s at the closed
+    form's q1b, its bracket started from the closed form's q* (or from
+    ``near``), as ``oracle._cert_joint`` takes them."""
     result = joint_optimal(sc, compute_boundary=False)
     q = result.argmax["q1b"]
-    return joint_certificate(sc.p1, sc.p2, sc.s, q, result.argmax.get("q_star", q) if near is None else near)
+    near = result.argmax.get("q_star", q) if near is None else near
+    return _as_fractions(oracle_module._joint_bounds(sc.p1, sc.p2, sc.s, q, near))
 
 
 #: Where the joint scan misses the optimum, by 3.8e-6, 3.2e-4, 4.3e-4 and
@@ -1452,13 +1483,13 @@ class TestJointCertificate:
 
     def test_ends_of_the_overlap_are_exact(self):
         # orthogonal states: the optimum p1 + p2 at q = 0; identical states: 0 at q = 1
-        assert joint_certificate(0.3, 0.7, 0.0, 0.0) == (Fraction(0.3) + Fraction(0.7),) * 2
-        assert joint_certificate(0.3, 0.7, 1.0, 1.0) == (0, 0)
+        assert _as_fractions(oracle_module._joint_bounds(0.3, 0.7, 0.0, 0.0, 0.0)) == (Fraction(0.3) + Fraction(0.7),) * 2
+        assert _as_fractions(oracle_module._joint_bounds(0.3, 0.7, 1.0, 1.0, 1.0)) == (0, 0)
 
     @pytest.mark.parametrize("q", [0.02, 1.0 + 2**-52, math.nan])
     def test_infeasible_q_is_rejected(self, q):
         with pytest.raises(ConstraintError, match="outside \\[s, 1\\]"):
-            joint_certificate(0.3, 0.7, 0.04, q)
+            oracle_module._joint_bounds(0.3, 0.7, 0.04, q, q)
 
     def test_certify_row_runs_no_grid_scan(self, monkeypatch):
         def scan(sc):
@@ -1589,10 +1620,6 @@ def _integer_bounds_calls(monkeypatch, kernel, quantities, s, p1):
     monkeypatch.setattr(oracle_module, kernel, record)
     certify(quantities, [s], [p1])
     return calls
-
-
-def _as_fractions(bounds):
-    return tuple(Fraction(n, d) for n, d in bounds)
 
 
 #: Edges of the stage rows: s = 0 (r = 0 for Bob, protocol (1) and the union
@@ -1746,9 +1773,10 @@ class TestStageScanCrossCheck:
     @pytest.mark.parametrize("s,p1", _CERT_GRID + _BENCH_CERTIFY_DRAWS)
     def test_scan_between_the_bounds(self, s, p1):
         sc = Scenario(s, p1)
-        cells = [(grid_maximize_bob, bob_optimal, "q1b", at(s), Fraction(s) / Fraction(at(s))) for at in _STAGE_T]
-        cells += [(grid_maximize_charlie, charlie_optimal, "q1c", at(s), Fraction(at(s))) for at in _STAGE_T[:2]]
-        for scan, closed_form, key, t, r in cells:
-            lower, upper = stage_certificate(sc.p1, sc.p2, r, closed_form(sc, t).argmax[key])
+        cells = [(grid_maximize_bob, bob_optimal, "q1b", at(s), (s, at(s))) for at in _STAGE_T]
+        cells += [(grid_maximize_charlie, charlie_optimal, "q1c", at(s), (at(s), 1)) for at in _STAGE_T[:2]]
+        for scan, closed_form, key, t, (x, y) in cells:
+            q1 = closed_form(sc, t).argmax[key]
+            lower, upper = _as_fractions(oracle_module._stage_bounds(sc.p1, sc.p2, x, y, q1))
             value = Fraction(scan(sc, t)[0])
             assert lower - 2 * Fraction(math.ulp(1.0)) <= value <= upper + 2 * Fraction(math.ulp(1.0)), (scan, t)

@@ -192,6 +192,13 @@ class TestRunTrials:
         summary = run_ssd_trials(sc, 0.2, 0.2, 0.2, np.int32(1000), np.uint64(1))
         assert np.array_equal(summary.counts, expected.counts)
 
+    def test_numpy_integers_leave_python_integers_in_the_summary(self):
+        # the summary held n_trials=np.int64(5) and seed=np.int64(3)
+        sc = Scenario(0.3, 0.2)
+        summary = run_ssd_trials(sc, 0.6, 0.7, 0.5, np.int64(5), np.int64(3))
+        assert repr(summary) == repr(run_ssd_trials(sc, 0.6, 0.7, 0.5, 5, 3))
+        assert type(summary.n_trials) is int and type(summary.seed) is int
+
 
 def _assert_analytic_table(s, t, q1b, q1c):
     """The table from the two 6x6 dilations is the product of the stage outcomes."""

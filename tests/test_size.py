@@ -1,0 +1,60 @@
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[1] / "scripts" / "size.py"
+_SPEC = importlib.util.spec_from_file_location("seqdisc_size_script", _PATH)
+size = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(size)
+
+#: A docstring, a comment, a blank line and a multi-line call. Code lines:
+#: import, def, and the call's four lines. Parser tokens: the docstrings'
+#: STRING + NEWLINE (2 each), import (3), def (7), INDENT (1), the call (3 +
+#: 2 + 4 + 2), DEDENT and ENDMARKER (2).
+_FIXTURE = '''"""A module docstring,
+on two lines."""
+
+import math  # a comment
+
+# a comment line
+
+
+def f(x):
+    """A function docstring."""
+    return max(
+        x,
+        math.pi,
+    )
+'''
+
+
+def test_counts_of_a_small_module():
+    assert size.measure(_FIXTURE) == (6, 28)
+
+
+def test_a_string_that_is_no_docstring_is_code():
+    # an assignment's string spans two code lines; a docstring on the line
+    # of its def leaves that line code (tokens: x = STRING, and def f ( ) :
+    # STRING, then NEWLINE and ENDMARKER)
+    assert size.measure('x = """a\nb"""\n') == (2, 5)
+    assert size.measure('def f(): """doc"""\n') == (1, 8)
+
+
+def test_table_has_each_module_and_the_total(tmp_path):
+    modules = [tmp_path / name for name in ("a.py", "b.py")]
+    for module in modules:
+        module.write_text(_FIXTURE)
+    rows = [line.split() for line in size.table(modules)]
+    assert rows == [
+        ["module", "code", "lines", "parser", "tokens"],
+        ["a.py", "6", "28"],
+        ["b.py", "6", "28"],
+        ["total", "12", "56"],
+    ]
+
+
+def test_prints_the_package(capsys):
+    # every module of src/seqdisc, in name order, then the total
+    package = _PATH.parents[1] / "src" / "seqdisc"
+    assert size.main() == 0
+    names = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert names == [f.name for f in sorted(package.glob("*.py"))] + ["total"]

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -128,6 +129,74 @@ class TestCharlieOptimal:
         case1 = 1.0 - 2.0 * math.sqrt(p_star * (1 - p_star)) * t
         case2 = (1 - p_star) * (1 - t * t)
         assert case1 == pytest.approx(case2, abs=1e-9)
+
+
+@pytest.mark.parametrize("stage", [bob_optimal, charlie_optimal])
+def test_numpy_overlap_gives_the_float_result(stage):
+    # the value, the argmax and the boundary prior were np.float64 for a numpy t
+    sc = Scenario(0.3, 0.2)
+    result = stage(sc, np.float64(0.6))
+    assert repr(result) == repr(stage(sc, 0.6))
+    assert all(type(x) is float for x in (result.value, result.boundary_prior, *result.argmax.values()))
+
+
+def _fraction_interior(p1, r):
+    """The reference for ``ssd._interior``: r^2*(1 - p1) < p1 in ``Fraction``s."""
+    p1, r = Fraction(p1), Fraction(r)
+    return r * r * (1 - p1) < p1
+
+
+def _near_tie_pairs():
+    """Seeded (p1, r) within 4 ulps of the critical prior p1 = r^2/(1 + r^2)
+    as rounded, p1 in [0, 1/2]: r log-uniform from 1e-165, where r^2
+    underflows and the tie reaches the least subnormal 5e-324, to 1, and r =
+    0, 1 - 2^-53 and 1."""
+    rng = np.random.default_rng(5505)
+    rs = np.exp(rng.uniform(math.log(1e-165), 0.0, 300)).tolist() + [0.0, 1.0 - 2.0**-53, 1.0]
+    pairs = []
+    for r in rs:
+        below = above = r * r / (1.0 + r * r)
+        around = [below]
+        for _ in range(4):
+            below, above = math.nextafter(below, -1.0), math.nextafter(above, 1.0)
+            around += [below, above]
+        pairs += [(p1, r) for p1 in around if 0.0 <= p1 <= 0.5]
+    return pairs
+
+
+_NEAR_TIE = _near_tie_pairs()
+
+
+class TestExactSide:
+    """``ssd._interior``, the side of a stage's critical prior, equals its
+    ``Fraction`` reference next to the tie, where its rounded comparison
+    defers to the integer one (``_exactly_interior``)."""
+
+    def test_reference_set_reaches_the_edges(self):
+        assert {0.0, 1.0 - 2.0**-53, 1.0} <= {r for _, r in _NEAR_TIE}
+        assert 5e-324 in {p1 for p1, _ in _NEAR_TIE}
+        # the set is sharp: the rounded comparison alone takes the wrong side
+        # on 161 of its 2681 pairs
+        wrong = sum((r * r < p1 * (1.0 + r * r)) != _fraction_interior(p1, r) for p1, r in _NEAR_TIE)
+        assert wrong > 100
+
+    def test_integer_side_test_is_the_fraction_reference(self):
+        for p1, r in _NEAR_TIE:
+            want = _fraction_interior(p1, r)
+            assert ssd._exactly_interior(p1, r) is want, (p1, r)
+            assert ssd._exactly_interior(np.float64(p1), np.float64(r)) is want, (p1, r)
+
+    def test_side_on_floats_and_lanes(self):
+        want = [_fraction_interior(p1, r) for p1, r in _NEAR_TIE]
+        assert [bool(ssd._interior(p1, r)) for p1, r in _NEAR_TIE] == want
+        p1, r = (np.array(x) for x in zip(*_NEAR_TIE))
+        assert ssd._interior(p1, r).tolist() == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(p1=st.floats(min_value=0.0, max_value=0.5), r=st.floats(min_value=0.0, max_value=1.0))
+    def test_side_anywhere(self, p1, r):
+        assert ssd._exactly_interior(p1, r) is _fraction_interior(p1, r)
+        assert bool(ssd._interior(p1, r)) is _fraction_interior(p1, r)
 
 
 class TestJointSuccess:
