@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
-"""Print two size numbers for each module of src/seqdisc, and their totals.
+"""Print two size numbers for each module of src/seqdisc, and their totals,
+with each module's headroom below the parser's token step.
 
 - code lines: the lines that hold a token of code, so docstrings, comments
   and blank lines are left out; a line inside a multi-line call or string
   counts;
 - parser tokens: ``tokenize``'s tokens less ENCODING, COMMENT and NL, the
-  count that the parser reads (a docstring is one token, however long).
+  count that the parser reads (a docstring is one token, however long);
+- headroom: 4,096 less the module's parser tokens, negative when over. At
+  4,096 tokens CPython's parser doubles its token array, which raises the
+  peak memory of importing the module by about 0.4-0.5 MB. The total has no
+  headroom: the step is per module.
 
 Docstrings are the string statements that open a module, a class or a
 function (``ast``). The package is the one in the checkout this script sits
@@ -25,6 +30,8 @@ _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "seqdisc"
 _NOT_PARSED = {tokenize.ENCODING, tokenize.COMMENT, tokenize.NL}
 #: Tokens that make no line a code line: the above, and layout.
 _NOT_CODE = _NOT_PARSED | {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+#: Parser tokens at which the parser's token array doubles.
+_TOKEN_STEP = 4096
 
 
 def _docstrings(tree: ast.AST) -> set[tuple[int, int]]:
@@ -52,11 +59,13 @@ def measure(source: str) -> tuple[int, int]:
 
 def table(modules: list[Path]) -> list[str]:
     """The printed table: a header, one row per module, then the total."""
-    rows = [(f.name, *measure(f.read_text(encoding="utf-8"))) for f in modules]
-    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
+    sizes = [(f.name, *measure(f.read_text(encoding="utf-8"))) for f in modules]
+    rows = [(name, lines, tokens, _TOKEN_STEP - tokens) for name, lines, tokens in sizes]
+    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows), ""))
     width = max(len(r[0]) for r in rows)
-    header = f"{'module':<{width}}  {'code lines':>10}  {'parser tokens':>13}"
-    return [header] + [f"{name:<{width}}  {lines:>10}  {tokens:>13}" for name, lines, tokens in rows]
+    header = f"{'module':<{width}}  {'code lines':>10}  {'parser tokens':>13}  {'headroom':>8}"
+    lines = [f"{n:<{width}}  {code:>10}  {tokens:>13}  {room:>8}".rstrip() for n, code, tokens, room in rows]
+    return [header] + lines
 
 
 def main() -> int:

@@ -169,7 +169,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         failed = failed or not row.passed
         at = f"({row.worst_scenario[0]:g}, {row.worst_scenario[1]:g})"
         print(f"{row.quantity:<18} {row.worst_gap:<14.3e} {at:<16} {status}")
-    print(f"certification finished in {elapsed:.1f}s")
+    print(f"certification finished in {1e3 * elapsed:.1f} ms")
     return EXIT_CERTIFICATION if failed else EXIT_OK
 
 

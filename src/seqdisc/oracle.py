@@ -1,4 +1,5 @@
-"""Brute-force grid maximizers and exact bounds certifying every closed-form optimum.
+"""Brute-force grid maximizers, and ``certify``, which holds every closed-form
+optimum to them or to the exact bounds of ``bounds``.
 
 Each oracle evaluates the defining objective on a dense grid of the feasible
 set (boundaries always included, since the optima frequently sit at q = 1)
@@ -39,27 +40,14 @@ a stage's two overlaps, and ``certify``'s fold alone reduces the pairs to
 each row's worst gap: a NaN gap ranks above every number, so it fails its
 row, and of equal gaps the first is kept.
 
-Five rows are certified without a scan, by exact bounds, each an integer
-(numerator, denominator) pair, the one exact form in ``src/``
-(``ssd._interior``'s side test cross-multiplies such pairs too): Bob,
-Charlie, protocol (1), the union (``at_least_one_ssd``) and the joint. The
-first three are single stages, at the flag overlaps s/t (exact), t and s,
-and so is the union: every feasible (t, q1b, q1c) has Q1*Q2 = s^2 for the
-products Qi = qib*qic, so its optimum is the stage's at s. One certifier,
-``_stage_gap``, takes all four: a stage's L is its success at the closed
-form's argmax, and U its semidefinite dual bound (``_stage_bounds``). The
-joint's optimum is the maximum over u in [s, 1] of one function g(u), whose
-stationary points are the roots of q*'s quartic: L is g at the closed
-form's q1b, and U comes from a Sturm count of the quartic's roots and a
-bracket of floats around its middle one (``_joint_bounds``). All five take
-one gap rule (``_exact_gap``): max(|v - L|, |v - U|), which bounds the
-closed form's distance from the optimum itself, and fails the row where v
-is not finite, where L > U, or where the closed form's argmax is no
-feasible point.
-By the same reductions the union's and the joint's maxima over the whole
+Five rows are certified without a scan, by the exact bounds of ``bounds``,
+whose module docstring gives each bound's argument and the gap rule: Bob,
+Charlie, protocol (1) and the union (``at_least_one_ssd``), one stage's
+each, through one certifier (``_stage_gap``), and the joint
+(``_cert_joint``).
+By ``bounds``' reductions the union's and the joint's maxima over the whole
 (t, q1b, q1c) box lie on its diagonal t = sqrt(s), q1b = q1c = u, u in [s,
-1]: there Q1 = u^2 takes every value in [s^2, 1], and the joint equals
-g(u). So ``grid_maximize_union_ssd`` and ``grid_maximize_joint`` are 1-D
+1]. So ``grid_maximize_union_ssd`` and ``grid_maximize_joint`` are 1-D
 scans of that diagonal (``_max_diagonal``). The tests keep them, and
 ``grid_maximize_bob`` and ``grid_maximize_charlie``, as the certificates'
 brute-force cross-checks; they hold a 3-D scan of the box as their own
@@ -75,17 +63,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .bounds import _exact_gap, _joint_bounds, _stage_bounds
 from .core import (
-    ConstraintError,
     DomainError,
     NumericError,
     Scenario,
     _is_real,
-    _primitive,
     _quantity_names,
-    _root_bracket,
-    _root_count,
-    _sturm_chain,
     _unit_points,
     check_overlap_t,
     window_scan_max,
@@ -97,9 +81,6 @@ from .ssd import _interior, bob_optimal, charlie_optimal, joint_optimal
 _SCAN_POINTS = 2001
 #: Refinement rounds after every grid scan; each narrows the search window.
 _REFINEMENT_PASSES = 2
-
-#: Bits of the rational just below sqrt(p1*p2) in a stage's case-I dual point.
-_DUAL_BITS = 200
 
 #: Standard certification grid.
 CERT_S_VALUES = (0.04, 0.1716, 0.2, 0.36, 0.6)
@@ -203,13 +184,10 @@ def _max_diagonal(scenario: Scenario, term: Callable) -> tuple[float, float, flo
 
 def grid_maximize_joint(scenario: Scenario) -> tuple[float, float, float, float]:
     """Brute-force maximum of the joint success over the whole (t, q1b, q1c)
-    box, by a scan of the diagonal that holds it (``_max_diagonal``).
+    box, by a scan of the diagonal that holds it (``_max_diagonal``; the
+    reduction is in ``bounds``' docstring, and ``bounds._joint_bounds``
+    bounds the maximum exactly).
 
-    For a, b in [0, 1], (1 - a)(1 - b) <= (1 - sqrt(ab))^2, and every
-    feasible point has Q1*Q2 = s^2 for the products Qi = qib*qic. So with u
-    = sqrt(Q1) in [s, 1] the joint success is at most p1*(1 - u)^2 +
-    p2*(1 - s/u)^2, which t = sqrt(s), q1b = q1c = u attains: the box's
-    maximum is on that diagonal (``_joint_bounds`` bounds it exactly).
     The argmax u is near sqrt(s) at small s, and the scan's grid is linear
     in u, with a last step of about 5e-10: it is within 1e-14 of the
     maximum down to s = 1e-12, and 5e-10 below it at (s, p1) = (1e-30,
@@ -219,12 +197,9 @@ def grid_maximize_joint(scenario: Scenario) -> tuple[float, float, float, float]
 
 def grid_maximize_union_ssd(scenario: Scenario) -> tuple[float, float, float, float]:
     """Brute-force maximum of P(at least one succeeds) over the whole (t, q1b,
-    q1c) box, by a scan of the diagonal that holds it (``_max_diagonal``).
-
-    Every feasible point has Q1*Q2 = s^2 for the products Qi = qib*qic, so
-    the union p1*(1 - Q1) + p2*(1 - s^2/Q1) depends on Q1 alone, over [s^2,
-    1]. The diagonal t = sqrt(s), q1b = q1c = u takes every such Q1 = u^2
-    (``_stage_bounds`` at r = s bounds its maximum exactly)."""
+    q1c) box, by a scan of the diagonal that holds it (``_max_diagonal``; the
+    reduction is in ``bounds``' docstring, and ``bounds._stage_bounds`` at r =
+    s bounds the maximum exactly)."""
     return _max_diagonal(scenario, _union_term)
 
 
@@ -369,105 +344,10 @@ def grid_maximize_cloning(scenario: Scenario) -> tuple[float, float, float]:
     return value, g1, g2
 
 
-def _exceeds(x, y) -> bool:
-    """x > y for (numerator, denominator) pairs with positive denominators,
-    by cross-multiplication."""
-    return x[0] * y[1] > y[0] * x[1]
-
-
-def _stage_bounds(p1, p2, x, y, q1):
-    """Exact (lower, upper) bounds on the optimum of one stage at flag overlap
-    r = x/y, each an integer (numerator, denominator) pair with a positive
-    denominator, for floats or ints taken exactly; x/y keeps an overlap
-    such as Bob's s/t exact. A q1 outside [r^2, 1], NaN or infinite too, is
-    no feasible point, so it bounds nothing and is a ``ConstraintError``.
-
-    The lower bound is the stage's success at the reported q1, p1*(1 - q1) +
-    p2*(1 - r^2/q1) (q2 = 0 where r = 0). The upper bound is a semidefinite
-    dual bound. The stage maximizes p1*x1 + p2*x2 over success probabilities
-    with Gamma - diag(x) PSD, Gamma = [[1, r], [r, 1]] (Eldar, IEEE Trans.
-    Inf. Theory 49, 446 (2003)). By weak duality any Z = [[a, -c], [-c, b]]
-    with a >= p1, b >= p2, c >= 0 and c^2 <= a*b bounds it by a + b - 2*r*c.
-    Case I takes (p1, p2, c) with c the 2^-200 multiple just below
-    sqrt(p1*p2); case II takes (r^2*p2, p2, r*p2), which gives p2*(1 - r^2)
-    exactly and is feasible where p1 <= r^2*p2. The bound is the least of
-    the feasible ones.
-    """
-    (a, aa), (b, bb), (xn, xd), (yn, yd) = (v.as_integer_ratio() for v in (p1, p2, x, y))
-    rn, rd = xn * yd, xd * yn
-    r2n, r2d = rn * rn, rd * rd
-    qn, qd = q1.as_integer_ratio() if math.isfinite(q1) else (-1, 1)  # NaN and inf: infeasible
-    if not (r2n * qd <= qn * r2d and qn <= qd):
-        raise ConstraintError(f"q1={float(q1)!r} outside [r^2, 1] for r={rn / rd!r}")
-    if rn:
-        lower = (a * (qd - qn) * bb * r2d * qn + b * (r2d * qn - r2n * qd) * aa * qd, aa * qd * bb * r2d * qn)
-    else:  # orthogonal flags: q2 = 0
-        lower = (a * (qd - qn) * bb + b * aa * qd, aa * bb * qd)
-    c = math.isqrt((a * b << 2 * _DUAL_BITS) // (aa * bb))  # times 2^-200
-    upper = (((a * bb + b * aa) * rd << _DUAL_BITS) - 2 * rn * c * aa * bb, aa * bb * rd << _DUAL_BITS)
-    if a * bb * r2d <= r2n * b * aa:  # p1 <= r^2*p2
-        boundary = (b * (r2d - r2n), bb * r2d)
-        if _exceeds(upper, boundary):
-            upper = boundary
-    return lower, upper
-
-
-def _joint_bounds(p1: float, p2: float, s: float, q: float, near: float):
-    """Exact (lower, upper) bounds on the joint optimum over the whole (t,
-    q1b, q1c) box, for the float priors p1 > 0 and p2, overlap s and
-    reported q1b = q1c = q, each an integer (numerator, denominator) pair
-    with a positive denominator.
-
-    For a, b in [0, 1], (1 - a)(1 - b) <= (1 - sqrt(ab))^2. Every feasible
-    point has Q1*Q2 = s^2 for the products Qi = qib*qic, so with u =
-    sqrt(Q1) in [s, 1] the joint success is at most g(u) =
-    p1*(1 - u)^2 + p2*(1 - s/u)^2, which t = sqrt(s), q1b = q1c = u attains:
-    the optimum is max g on [s, 1]. g'(u) = 2h(u)/u^3 with the quartic
-    h(u) = p1*u^4 - p1*u^3 + p2*s*u - p2*s^2 of q*, and h(s) < 0 < h(1) for
-    0 < s < 1, so an interior maximum of g is a root where h goes from + to
-    -, which takes three roots in [s, 1] (then all simple), and then is the
-    middle one.
-
-    The lower bound is g(q), the value at a feasible point (t = sqrt(s)
-    exactly). The upper bound is max(g(s), g(1)) where a Sturm count finds
-    fewer than three roots. With three, the adjacent floats a < b around
-    the middle root (``_root_bracket``) add g(a), g(b) and p1*(1 - a)^2 +
-    p2*(1 - s/b)^2: g is at most its end values on [s, a] and on [b, 1],
-    which hold no maximum, and on [a, b] at most that sum, as one term falls
-    in u and the other rises. The bracket's search starts at ``near``; the
-    bounds do not depend on it, but a start far from the root costs more
-    Sturm counts. At s = 0 the optimum is p1 + p2, and at s = 1 it is g(1) =
-    0. A q outside [s, 1] is no feasible point, so it bounds nothing and is
-    a ``ConstraintError``.
-    """
-    if not s <= q <= 1.0:
-        raise ConstraintError(f"q={q!r} outside [s, 1] for s={s!r}")
-    (a, aa), (b, bb), (sn, sd) = (v.as_integer_ratio() for v in (p1, p2, s))
-
-    def g(x, y):  # p1*(1 - x)^2 + p2*(1 - s/y)^2
-        (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
-        first, second = aa * xd * xd, bb * (sd * yn) ** 2
-        return a * (xd - xn) ** 2 * second + b * (sd * yn - sn * yd) ** 2 * first, first * second
-
-    if not sn:  # orthogonal states: q2 = 0, so g(u) = p1*(1 - u)^2 + p2 at any y
-        return g(q, 1.0), g(0.0, 1.0)
-    candidates = [g(s, s), g(1.0, 1.0)]
-    if sn < sd:  # q*'s quartic times p1*p2*s^2's denominators, in integers
-        h = [a * bb * sd * sd, -a * bb * sd * sd, 0, b * sn * aa * sd, -b * sn * sn * aa]
-        chain = _sturm_chain(_primitive(h))
-        if _root_count(chain, s, 1) >= 3:
-            lo, hi = _root_bracket(chain, s, 1.0, 2, near)
-            candidates += [g(lo, lo), g(hi, hi), g(lo, hi)]
-    upper = candidates[0]
-    for x in candidates[1:]:
-        if _exceeds(x, upper):
-            upper = x
-    return g(q, q), upper
-
-
 @dataclass(frozen=True)
 class CertificationRow:
-    """Worst closed-form-vs-oracle gap for one quantity over the grid."""
+    """Worst closed-form-vs-oracle gap for one quantity over the grid, at
+    ``worst_scenario``, that scenario's (s, p1) as ``Scenario`` holds them."""
 
     quantity: str
     worst_gap: float
@@ -510,28 +390,6 @@ def _cert_cloning(sc: Scenario) -> list[tuple[str, float]]:
         ("protocol3", abs(both.value - p_cl * disc * disc)),
         ("at_least_one_p3", abs(at_least_one.value - p_cl * (1.0 - (1.0 - disc) * (1.0 - disc)))),
     ]
-
-
-def _exact_gap(value: float, bounds: Callable, *args) -> float:
-    """max(|v - L|, |v - U|) for the exact bounds (L, U) = ``bounds(*args)``
-    on an optimum, integer (numerator, denominator) pairs with positive
-    denominators, which bounds |v - optimum| wherever L <= U: compared by
-    cross-multiplication and rounded once, by int true division, which is
-    correctly rounded as ``float(Fraction)`` is. L > U, or an argmax that the
-    bounds reject as no feasible point (``ConstraintError``), is an infinite
-    gap; a NaN or infinite value is a NaN or infinite gap."""
-    if not math.isfinite(value):
-        return abs(value)
-    try:
-        lower, upper = bounds(*args)
-    except ConstraintError:
-        return math.inf
-    if _exceeds(lower, upper):
-        return math.inf
-    vn, vd = value.as_integer_ratio()
-    below, above = ((abs(vn * d - n * vd), vd * d) for n, d in (lower, upper))
-    gap = above if _exceeds(above, below) else below
-    return gap[0] / gap[1]
 
 
 def _cert_joint(sc: Scenario) -> list[tuple[str, float]]:
@@ -589,6 +447,7 @@ def certify(
     of bools, or a nested list."""
     if not (_is_real(tolerance) and 0.0 < tolerance < math.inf):  # NaN fails too
         raise DomainError(f"tolerance={tolerance!r} must be positive and finite")
+    tolerance = float(tolerance)  # a row holds Python floats, as a Scenario does
     for name, values in (("s_values", s_values), ("p1_values", p1_values)):
         try:  # a list or tuple is flat where each item is a number
             flat = type(values) in (list, tuple) or np.ndim(values) == 1  # 0 for a number or a str
@@ -610,5 +469,5 @@ def certify(
                 for name, gap in fn(sc):
                     rank = (math.isnan(gap), gap)
                     if name in worst and rank > worst[name][0]:
-                        worst[name] = (rank, (s, p1))
+                        worst[name] = (rank, (sc.s, sc.p1))
     return [CertificationRow(name, gap, at, tolerance) for name, ((_, gap), at) in worst.items()]

@@ -102,6 +102,7 @@ def protocol2_critical_priors(s: float) -> tuple[float, float]:
     p1'(p_c1) = s^2/(1+s^2), which reduces to a quadratic in p1.
     """
     _require(_is_overlap(s), _overlap_error, "s", s)
+    s = float(s)  # as Scenario holds its fields: a numpy s gives a float's result
     k = s * s
     disc = math.sqrt(k * k - 2.0 * k + 5.0)
     p_c1 = k * ((3.0 + k * k) + (1.0 - k) * disc) / (2.0 * (1.0 + 3.0 * k - k * k + k * k * k))

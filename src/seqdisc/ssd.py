@@ -507,6 +507,7 @@ def critical_prior_PC(s: float) -> CriticalPrior:
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"critical prior is defined for 0 < s < 1, got s={s}")
+    s = float(s)  # as in ``bob_optimal``
     if s < 0.2:  # the crossing root is real
         p_c = _crossing_prior(s, math.sqrt)
         # a few floats just above 3 - 2*sqrt(2) still lie below the real

@@ -44,7 +44,9 @@ class SweepSpec:
     t, to a real number (``core._is_real``: not a bool, as for ``start`` and
     ``stop``), and holds no other field.  ``quantities`` is held as
     a tuple of names, each named once (``core._quantity_names``).  The fields
-    are checked when the spec is built, as a ``Scenario``'s are; running it
+    are checked when the spec is built, as a ``Scenario``'s are, and held as
+    Python numbers (``start``, ``stop`` and ``fixed``'s values as floats,
+    ``steps`` as an int, ``fixed`` as a dict); running it
     checks only that the grid can be allocated and, lane by lane, that its
     scenarios are valid.
     """
@@ -70,6 +72,8 @@ class SweepSpec:
             raise DomainError(f"empty sweep range [{self.start}, {self.stop}]")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise DomainError(f"sweep range [{self.start}, {self.stop}] is not finite")
+        for name, convert in (("start", float), ("stop", float), ("steps", int)):
+            object.__setattr__(self, name, convert(getattr(self, name)))
         object.__setattr__(self, "quantities", _quantity_names(self.quantities, _QUANTITIES))
         if not isinstance(self.fixed, Mapping):
             raise DomainError(f"fixed={self.fixed!r} must map s, p1 or t to a real number")
@@ -78,6 +82,7 @@ class SweepSpec:
                 raise DomainError(f"fixed field {name!r} is not one of s, p1, t")
             if not _is_real(value):
                 raise DomainError(f"fixed {name}={value!r} must be a real number")
+        object.__setattr__(self, "fixed", {name: float(value) for name, value in self.fixed.items()})
         swept = _FIELD_OF_VARIABLE[self.variable]
         if swept in self.fixed:  # the grid would overwrite it
             raise DomainError(f"a sweep over {self.variable} cannot also fix {swept}")

@@ -102,10 +102,10 @@ def test_criterion_2_symmetry_breaking_threshold():
 # (0.6, 0.2) -> 9.5568e-10 at (0.6, 0.4)). The at_least_one_ssd row was
 # re-recorded when its certifier gave way from the (t, q1b, q1c) grid scan
 # (2.2204e-16 at (0.1716, 0.2)) to the exact bounds of the stage at r = s
-# (``oracle._stage_bounds``), whose gap bounds the closed form's distance
+# (``bounds._stage_bounds``), whose gap bounds the closed form's distance
 # from the optimum itself (1.4033e-16 at (0.6, 0.1)). The joint row was
 # re-recorded likewise, from the block-bounded (t, q1b, q1c) scan (3.1124e-10
-# at (0.2, 0.05)) to the exact bounds of ``oracle._joint_bounds``
+# at (0.2, 0.05)) to the exact bounds of ``bounds._joint_bounds``
 # (1.8030e-16 at (0.2, 0.1)). Both cloning rows were re-recorded when the
 # cloning oracle's angle form gave way to the constraint's closed-form root,
 # which moves its rounding and so where its refinement lands on the flat top

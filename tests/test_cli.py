@@ -446,7 +446,7 @@ class TestVerify:
     def test_prints_elapsed_time(self, capsys):
         assert main(["verify", "--quantity", "protocol1,bob"]) == 0
         last = capsys.readouterr().out.splitlines()[-1]
-        assert re.fullmatch(r"certification finished in \d+\.\ds", last)
+        assert re.fullmatch(r"certification finished in \d+\.\d ms", last)
 
     def test_repeated_quantity_exits_2(self, capsys):
         # a doubled row would pass a count of the PASS rows unseen

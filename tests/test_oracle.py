@@ -35,18 +35,11 @@ from seqdisc import (
     protocol2_critical_priors,
     protocol2_optimal,
 )
+from seqdisc import bounds as bounds_module
 from seqdisc import oracle as oracle_module
 from seqdisc import protocols as protocols_module
-from seqdisc.oracle import (
-    _REFINEMENT_PASSES,
-    _SCAN_POINTS,
-    _joint_term,
-    _max_diagonal,
-    _root_bracket,
-    _root_count,
-    _sturm_chain,
-    _union_term,
-)
+from seqdisc.bounds import _root_bracket, _root_count, _sturm_chain
+from seqdisc.oracle import _REFINEMENT_PASSES, _SCAN_POINTS, _joint_term, _max_diagonal, _union_term
 from seqdisc.protocols import protocol1_optimal_values
 from seqdisc.sweeps import _P1_GRID, FIGURE_PRESETS, run_figure
 
@@ -1018,14 +1011,17 @@ class TestCertify:
     @pytest.mark.parametrize("name", ["s_values", "p1_values"])
     def test_accepts_a_flat_sequence_of_numbers(self, name, grid):
         # each value reaches Scenario as given; range(1)'s p1 = 0 then fails
-        # Scenario's prior check, not the grid's
+        # Scenario's prior check, not the grid's. The row holds the
+        # Scenario's Python floats, whatever number type the grid holds
         grids = {"s_values": [0.2], "p1_values": [0.3], name: grid}
         if name == "p1_values" and isinstance(grid, range):
             with pytest.raises(DomainError, match="prior p1=0 outside"):
                 certify(["protocol1"], **grids)
             return
         (row,) = certify(["protocol1"], **grids)
-        assert row.passed and row.worst_scenario == (grids["s_values"][0], grids["p1_values"][0])
+        scenario = Scenario(grids["s_values"][0], grids["p1_values"][0])
+        assert row.passed and row.worst_scenario == (scenario.s, scenario.p1)
+        assert all(type(x) is float for x in row.worst_scenario)
 
     @pytest.mark.parametrize(
         "grid",
@@ -1103,8 +1099,8 @@ class TestCertify:
 
 
 def _as_fractions(bounds):
-    """Integer (numerator, denominator) pairs, such as ``oracle._stage_bounds``
-    and ``oracle._joint_bounds`` give, as ``Fraction``s."""
+    """Integer (numerator, denominator) pairs, such as ``bounds._stage_bounds``
+    and ``bounds._joint_bounds`` give, as ``Fraction``s."""
     return tuple(Fraction(n, d) for n, d in bounds)
 
 
@@ -1116,11 +1112,11 @@ def _ulps_outside(value, lower, upper):
 
 def _reference_dual_bound(p1, p2, r):
     """The stage's semidefinite dual bound in ``Fraction``s, the reference for
-    ``oracle._stage_bounds``' upper bound: the least of the case-I dual point
+    ``bounds._stage_bounds``' upper bound: the least of the case-I dual point
     (p1, p2, c), c the 2^-200 multiple just below sqrt(p1*p2), and, where p1
     <= r^2*p2, the case-II point's p2*(1 - r^2)."""
     g = p1 * p2
-    bits = oracle_module._DUAL_BITS
+    bits = bounds_module._DUAL_BITS
     c = Fraction(math.isqrt((g.numerator << 2 * bits) // g.denominator), 1 << bits)
     upper = p1 + p2 - 2 * r * c
     if p1 <= r * r * p2:
@@ -1129,7 +1125,7 @@ def _reference_dual_bound(p1, p2, r):
 
 
 def _reference_stage_certificate(p1, p2, r, q1):
-    """``oracle._stage_bounds``' (lower, upper) in ``Fraction``s, each argument
+    """``bounds._stage_bounds``' (lower, upper) in ``Fraction``s, each argument
     taken exactly: the stage's success at q1, and its dual bound."""
     p1, p2, r = (Fraction(x) for x in (p1, p2, r))
     if not (math.isfinite(q1) and r * r <= (q1 := Fraction(q1)) <= 1):
@@ -1138,7 +1134,7 @@ def _reference_stage_certificate(p1, p2, r, q1):
 
 
 def _reference_joint_certificate(p1, p2, s, q, near=None):
-    """``oracle._joint_bounds``' (lower, upper) in ``Fraction``s: g(q), and the
+    """``bounds._joint_bounds``' (lower, upper) in ``Fraction``s: g(q), and the
     largest of g(s), g(1) and, where q*'s quartic has three roots in [s, 1],
     g at the floats a < b around the middle one and p1*(1 - a)^2 + p2*(1 -
     s/b)^2."""
@@ -1156,7 +1152,7 @@ def _reference_joint_certificate(p1, p2, s, q, near=None):
     if s < 1:
         coefficients = (p1, -p1, 0, p2 * s, -p2 * s * s)
         den = math.lcm(*(c.denominator for c in coefficients))
-        chain = _sturm_chain(oracle_module._primitive([c.numerator * (den // c.denominator) for c in coefficients]))
+        chain = _sturm_chain(bounds_module._primitive([c.numerator * (den // c.denominator) for c in coefficients]))
         if _root_count(chain, s, 1) >= 3:
             a, b = (Fraction(x) for x in _root_bracket(chain, float(s), 1.0, 2, start))
             upper = max(upper, g(a), g(b), p1 * (1 - a) ** 2 + p2 * (1 - s / b) ** 2)
@@ -1165,7 +1161,7 @@ def _reference_joint_certificate(p1, p2, s, q, near=None):
 
 def _union_bounds(sc):
     """The union certificate's (lower, upper) at the closed form's argmax,
-    derived apart from ``oracle._stage_bounds``: ``_union_term`` at (t,
+    derived apart from ``bounds._stage_bounds``: ``_union_term`` at (t,
     q1b, q1c) = (1, q1_product, 1), and the stage's dual bound at r = s."""
     p1, p2, s = Fraction(sc.p1), Fraction(sc.p2), Fraction(sc.s)
     q1b = Fraction(at_least_one_ssd(sc).argmax["q1_product"])
@@ -1200,7 +1196,7 @@ _UNION_SCENARIOS = _union_scenarios()
 
 
 class TestStageCertificate:
-    """``oracle._stage_bounds``' exact bounds hold protocol (1) at r = s,
+    """``bounds._stage_bounds``' exact bounds hold protocol (1) at r = s,
     Charlie at r = t and Bob at the exact r = s/t within a pinned number of
     ulps: the closed forms read at most 1.264 ulps outside [L, U] on the 5x6
     grid (protocol (1) and Charlie), 1.0002 on figure 4's P1_max column and
@@ -1212,7 +1208,7 @@ class TestStageCertificate:
         cells = [(protocol1_optimal(sc), s, "q1b")]
         cells += [(charlie_optimal(sc, t), t, "q1c") for t in (math.sqrt(s), 0.5 * (1.0 + s))]
         for result, r, name in cells:
-            lower, upper = _as_fractions(oracle_module._stage_bounds(sc.p1, sc.p2, r, 1, result.argmax[name]))
+            lower, upper = _as_fractions(bounds_module._stage_bounds(sc.p1, sc.p2, r, 1, result.argmax[name]))
             assert lower <= upper
             assert _ulps_outside(result.value, lower, upper) <= 1.3, (r, name)
 
@@ -1222,7 +1218,7 @@ class TestStageCertificate:
             sc = Scenario(0.04, p1)
             result = protocol1_optimal(sc)
             assert result.value == lane
-            lower, upper = _as_fractions(oracle_module._stage_bounds(sc.p1, sc.p2, 0.04, 1, result.argmax["q1b"]))
+            lower, upper = _as_fractions(bounds_module._stage_bounds(sc.p1, sc.p2, 0.04, 1, result.argmax["q1b"]))
             assert _ulps_outside(result.value, lower, upper) <= 1.01, p1
 
     def test_figure_2_bob_columns(self):
@@ -1238,13 +1234,13 @@ class TestStageCertificate:
                 sc = Scenario(s, p1)
                 result = bob_optimal(sc, t)
                 assert result.value == value
-                lower, upper = _as_fractions(oracle_module._stage_bounds(sc.p1, sc.p2, s, t, result.argmax["q1b"]))
+                lower, upper = _as_fractions(bounds_module._stage_bounds(sc.p1, sc.p2, s, t, result.argmax["q1b"]))
                 assert lower <= upper
                 assert _ulps_outside(value, lower, upper) <= 3.2477, (p1, t)
 
     def test_bounds_are_rationals_and_take_a_rational_overlap(self):
         # Bob's r = s/t kept exact as x/y: 3/7 has no float
-        bounds = oracle_module._stage_bounds(0.2, 0.8, 3, 7, 0.5)
+        bounds = bounds_module._stage_bounds(0.2, 0.8, 3, 7, 0.5)
         assert all(type(n) is int and type(d) is int and d > 0 for n, d in bounds)
         lower, upper = _as_fractions(bounds)
         r2 = Fraction(9, 49)
@@ -1253,12 +1249,12 @@ class TestStageCertificate:
 
     def test_case_ii_dual_point_is_the_boundary_value(self):
         # p1 <= r^2*p2: the optimum p2*(1 - r^2) at q1 = 1 is met from both sides
-        lower, upper = _as_fractions(oracle_module._stage_bounds(0.1, 0.9, 0.5, 1, 1.0))
+        lower, upper = _as_fractions(bounds_module._stage_bounds(0.1, 0.9, 0.5, 1, 1.0))
         assert lower == upper == Fraction(0.9) * (1 - Fraction(1, 4))
 
     def test_orthogonal_flags(self):
         # r = 0: q2 = 0 and the stage succeeds surely at q1 = 0
-        bounds = _as_fractions(oracle_module._stage_bounds(0.3, 0.7, 0.0, 1, 0.0))
+        bounds = _as_fractions(bounds_module._stage_bounds(0.3, 0.7, 0.0, 1, 0.0))
         assert bounds == (Fraction(0.3) + Fraction(0.7),) * 2
 
     @pytest.mark.parametrize("q1", [0.2, 1.0 + 2**-52, 0.0, math.nan, math.inf])
@@ -1266,7 +1262,7 @@ class TestStageCertificate:
         # below r^2 = 0.25, above 1, q1 = 0 at r > 0, and NaN and inf, on
         # which Fraction raises a bare ValueError and OverflowError
         with pytest.raises(ConstraintError, match="outside \\[r\\^2, 1\\]"):
-            oracle_module._stage_bounds(0.3, 0.7, 0.5, 1, q1)
+            bounds_module._stage_bounds(0.3, 0.7, 0.5, 1, q1)
 
     @pytest.mark.parametrize("objective", ["stage", "union", "joint"])
     def test_objectives_on_floats_arrays_and_rationals(self, objective):
@@ -1304,7 +1300,7 @@ class TestUnionCertificate:
         assert lower <= upper
         # at t = 1 the union term is the stage objective at r = s
         argmax = at_least_one_ssd(sc).argmax["q1_product"]
-        assert (lower, upper) == _as_fractions(oracle_module._stage_bounds(sc.p1, sc.p2, s, 1, argmax))
+        assert (lower, upper) == _as_fractions(bounds_module._stage_bounds(sc.p1, sc.p2, s, 1, argmax))
         assert _ulps_outside(at_least_one_ssd(sc).value, lower, upper) <= 1.5
         assert certify(["at_least_one_ssd"], [s], [p1])[0].worst_gap < 1e-15
 
@@ -1384,13 +1380,13 @@ class TestUnionScanCrossCheck:
 
 
 def _joint_bounds(sc, near=None):
-    """``oracle._joint_bounds``' (lower, upper) as ``Fraction``s at the closed
+    """``bounds._joint_bounds``' (lower, upper) as ``Fraction``s at the closed
     form's q1b, its bracket started from the closed form's q* (or from
     ``near``), as ``oracle._cert_joint`` takes them."""
     result = joint_optimal(sc, compute_boundary=False)
     q = result.argmax["q1b"]
     near = result.argmax.get("q_star", q) if near is None else near
-    return _as_fractions(oracle_module._joint_bounds(sc.p1, sc.p2, sc.s, q, near))
+    return _as_fractions(bounds_module._joint_bounds(sc.p1, sc.p2, sc.s, q, near))
 
 
 #: Where the joint scan misses the optimum, by 3.8e-6, 3.2e-4, 4.3e-4 and
@@ -1445,7 +1441,7 @@ class TestJointCertificate:
             counts.append(_root_count(chain, lo, hi))
             return counts[-1]
 
-        monkeypatch.setattr(oracle_module, "_root_count", count)
+        monkeypatch.setattr(bounds_module, "_root_count", count)
         _joint_bounds(Scenario(s, p1))
         assert counts == [roots]
 
@@ -1483,13 +1479,13 @@ class TestJointCertificate:
 
     def test_ends_of_the_overlap_are_exact(self):
         # orthogonal states: the optimum p1 + p2 at q = 0; identical states: 0 at q = 1
-        assert _as_fractions(oracle_module._joint_bounds(0.3, 0.7, 0.0, 0.0, 0.0)) == (Fraction(0.3) + Fraction(0.7),) * 2
-        assert _as_fractions(oracle_module._joint_bounds(0.3, 0.7, 1.0, 1.0, 1.0)) == (0, 0)
+        assert _as_fractions(bounds_module._joint_bounds(0.3, 0.7, 0.0, 0.0, 0.0)) == (Fraction(0.3) + Fraction(0.7),) * 2
+        assert _as_fractions(bounds_module._joint_bounds(0.3, 0.7, 1.0, 1.0, 1.0)) == (0, 0)
 
     @pytest.mark.parametrize("q", [0.02, 1.0 + 2**-52, math.nan])
     def test_infeasible_q_is_rejected(self, q):
         with pytest.raises(ConstraintError, match="outside \\[s, 1\\]"):
-            oracle_module._joint_bounds(0.3, 0.7, 0.04, q, q)
+            bounds_module._joint_bounds(0.3, 0.7, 0.04, q, q)
 
     def test_certify_row_runs_no_grid_scan(self, monkeypatch):
         def scan(sc):
@@ -1636,8 +1632,8 @@ _EXACT_EDGES = [
 
 
 class TestIntegerCertificates:
-    """The integer bounds that ``certify`` takes (``oracle._stage_bounds``,
-    ``oracle._joint_bounds``) equal, as rationals, the ``Fraction``
+    """The integer bounds that ``certify`` takes (``bounds._stage_bounds``,
+    ``bounds._joint_bounds``) equal, as rationals, the ``Fraction``
     references they replaced, at every call ``certify`` makes."""
 
     @pytest.mark.parametrize("s,p1", _certify_range_draws(52, 40) + _EXACT_EDGES)
@@ -1663,7 +1659,7 @@ class TestIntegerCertificates:
     def test_stage_bounds_at_q1_of_r2_and_of_1(self, x, y, q1, p1):
         # the ends of [r^2, 1] for r = x/y exactly: 3/4 squared is a float;
         # and Bob's exact s/t near 1 at q1 = 1
-        bounds = oracle_module._stage_bounds(p1, 1.0 - p1, x, y, q1)
+        bounds = bounds_module._stage_bounds(p1, 1.0 - p1, x, y, q1)
         assert _as_fractions(bounds) == _reference_stage_certificate(p1, 1.0 - p1, Fraction(x) / Fraction(y), q1)
 
     @pytest.mark.parametrize("p1,p2", [(0.1875, 0.75), (0.25, 1.0), (2.0**-1002, 2.0**-1000)])
@@ -1671,7 +1667,7 @@ class TestIntegerCertificates:
         # p1 = r^2*p2 exactly at r = 1/2: case II's p2*(1 - r^2), met at q1 =
         # 1, is the bound; case I's equals it only where sqrt(p1*p2) is a
         # multiple of 2^-200, which 2^-1001 is not
-        bounds = _as_fractions(oracle_module._stage_bounds(p1, p2, 1, 2, 1.0))
+        bounds = _as_fractions(bounds_module._stage_bounds(p1, p2, 1, 2, 1.0))
         assert bounds == _reference_stage_certificate(p1, p2, Fraction(1, 2), 1.0)
         assert bounds == (Fraction(p2) * Fraction(3, 4),) * 2
 
@@ -1689,19 +1685,19 @@ class TestIntegerCertificates:
         r = Fraction(s) / Fraction(t)
         q1 = min(1.0, max(u, math.nextafter(float(r * r), 2.0)))
         assume(r * r <= Fraction(q1))
-        bounds = oracle_module._stage_bounds(p1, 1.0 - p1, s, t, q1)
+        bounds = bounds_module._stage_bounds(p1, 1.0 - p1, s, t, q1)
         assert _as_fractions(bounds) == _reference_stage_certificate(p1, 1.0 - p1, r, q1)
 
     @pytest.mark.parametrize("s,q", [(0.0, 0.0), (0.0, 1.0), (0.04, 0.04), (0.04, 1.0), (1.0 - 2.0**-53, 1.0)])
     @pytest.mark.parametrize("p1", [0.5, 1e-300, 5e-324])
     def test_joint_bounds_at_the_ends_of_s_1(self, s, q, p1):
-        bounds = oracle_module._joint_bounds(p1, 1.0 - p1, s, q, q)
+        bounds = bounds_module._joint_bounds(p1, 1.0 - p1, s, q, q)
         assert _as_fractions(bounds) == _reference_joint_certificate(p1, 1.0 - p1, s, q)
 
     @pytest.mark.parametrize("q1", [0.2, 1.0 + 2**-52, 0.0, math.nan, math.inf, -math.inf])
     def test_infeasible_q1_is_an_infinite_gap(self, q1):
         # below r^2 = 1/4, above 1, q1 = 0 at r > 0, NaN and infinite
-        assert oracle_module._exact_gap(0.5, oracle_module._stage_bounds, 0.3, 0.7, 1, 2, q1) == math.inf
+        assert bounds_module._exact_gap(0.5, bounds_module._stage_bounds, 0.3, 0.7, 1, 2, q1) == math.inf
 
     @pytest.mark.parametrize("name", ["bob", "charlie", "protocol1"])
     @pytest.mark.parametrize("q1", [0.5 * 0.04**2, 1.0 + 2**-52, math.nan], ids=["below_r2", "above_1", "nan"])
@@ -1777,6 +1773,6 @@ class TestStageScanCrossCheck:
         cells += [(grid_maximize_charlie, charlie_optimal, "q1c", at(s), (at(s), 1)) for at in _STAGE_T[:2]]
         for scan, closed_form, key, t, (x, y) in cells:
             q1 = closed_form(sc, t).argmax[key]
-            lower, upper = _as_fractions(oracle_module._stage_bounds(sc.p1, sc.p2, x, y, q1))
+            lower, upper = _as_fractions(bounds_module._stage_bounds(sc.p1, sc.p2, x, y, q1))
             value = Fraction(scan(sc, t)[0])
             assert lower - 2 * Fraction(math.ulp(1.0)) <= value <= upper + 2 * Fraction(math.ulp(1.0)), (scan, t)

@@ -45,11 +45,19 @@ def test_table_has_each_module_and_the_total(tmp_path):
         module.write_text(_FIXTURE)
     rows = [line.split() for line in size.table(modules)]
     assert rows == [
-        ["module", "code", "lines", "parser", "tokens"],
-        ["a.py", "6", "28"],
-        ["b.py", "6", "28"],
+        ["module", "code", "lines", "parser", "tokens", "headroom"],
+        ["a.py", "6", "28", "4068"],
+        ["b.py", "6", "28", "4068"],
         ["total", "12", "56"],
     ]
+
+
+def test_headroom_is_negative_over_the_step(tmp_path):
+    # 1,116 lines of "x = 1" (4 tokens each: x, =, 1, NEWLINE) and the
+    # ENDMARKER: 4,465 parser tokens, 369 over the step
+    module = tmp_path / "big.py"
+    module.write_text("x = 1\n" * 1116)
+    assert size.table([module])[1].split() == ["big.py", "1116", "4465", "-369"]
 
 
 def test_prints_the_package(capsys):
