@@ -12,6 +12,9 @@ with each module's headroom below the parser's token step.
   peak memory of importing the module by about 0.4-0.5 MB. The total has no
   headroom: the step is per module.
 
+The script exits 1, naming the modules, when any module's headroom is
+negative, and 0 otherwise.
+
 Docstrings are the string statements that open a module, a class or a
 function (``ast``). The package is the one in the checkout this script sits
 in.
@@ -57,11 +60,16 @@ def measure(source: str) -> tuple[int, int]:
     return len(lines), sum(tok.type not in _NOT_PARSED for tok in tokens)
 
 
-def table(modules: list[Path]) -> list[str]:
-    """The printed table: a header, one row per module, then the total."""
-    sizes = [(f.name, *measure(f.read_text(encoding="utf-8"))) for f in modules]
-    rows = [(name, lines, tokens, _TOKEN_STEP - tokens) for name, lines, tokens in sizes]
-    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows), ""))
+def sizes(modules: list[Path]) -> list[tuple[str, int, int, int]]:
+    """(name, code lines, parser tokens, headroom) of each module."""
+    measured = [(f.name, *measure(f.read_text(encoding="utf-8"))) for f in modules]
+    return [(name, lines, tokens, _TOKEN_STEP - tokens) for name, lines, tokens in measured]
+
+
+def table(rows: list[tuple[str, int, int, int]]) -> list[str]:
+    """The printed table of ``sizes``' rows: a header, one row per module,
+    then the total."""
+    rows = rows + [("total", sum(r[1] for r in rows), sum(r[2] for r in rows), "")]
     width = max(len(r[0]) for r in rows)
     header = f"{'module':<{width}}  {'code lines':>10}  {'parser tokens':>13}  {'headroom':>8}"
     lines = [f"{n:<{width}}  {code:>10}  {tokens:>13}  {room:>8}".rstrip() for n, code, tokens, room in rows]
@@ -69,7 +77,12 @@ def table(modules: list[Path]) -> list[str]:
 
 
 def main() -> int:
-    print("\n".join(table(sorted(_PACKAGE.glob("*.py")))))
+    rows = sizes(sorted(_PACKAGE.glob("*.py")))
+    print("\n".join(table(rows)))
+    over = [name for name, _, _, room in rows if room < 0]
+    if over:
+        print(f"error: over the {_TOKEN_STEP}-token step: {', '.join(over)}", file=sys.stderr)
+        return 1
     return 0
 
 

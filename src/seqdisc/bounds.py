@@ -7,7 +7,8 @@ compared by cross-multiplication (``_exceeds``): the one exact form in
 ``src/``. ``ssd._interior``'s side test cross-multiplies such pairs too, but
 in ``ssd``, since no closed form's path imports this module. The five rows
 are Bob, Charlie, protocol (1), the union (``at_least_one_ssd``) and the
-joint.
+joint; the two cloning rows take a cloned copy's stage maximum from the
+stage bound too.
 
 One stage (``_stage_bounds``). Bob, Charlie and protocol (1) are single
 stages, at the flag overlaps s/t (exact, as the pair x/y), t and s, and so
@@ -22,7 +23,12 @@ By weak duality any Z = [[a, -c], [-c, b]] with a >= p1, b >= p2, c >= 0 and
 c^2 <= a*b bounds it by a + b - 2*r*c. Case I takes (p1, p2, c) with c the
 2^-200 multiple just below sqrt(p1*p2) (``_DUAL_BITS``); case II takes
 (r^2*p2, p2, r*p2), which gives p2*(1 - r^2) exactly and is feasible where
-p1 <= r^2*p2. The bound is the least of the feasible ones.
+p1 <= r^2*p2. The bound is the least of the feasible ones
+(``_stage_upper``). It has a second user: a cloned copy's stage is one
+stage too, at r = s and the priors p1*gamma1 : p2*gamma2 that the cloning
+oracle leaves, and there the bound is the optimum itself, so
+``oracle._cert_cloning`` takes that stage's maximum from it instead of a
+scan (``_stage_upper``'s docstring says why).
 
 The joint (``_joint_bounds``). For a, b in [0, 1], (1 - a)(1 - b) <= (1 -
 sqrt(ab))^2, so with u = sqrt(Q1) in [s, 1] the joint success is at most
@@ -73,9 +79,10 @@ def _stage_bounds(p1, p2, x, y, q1):
     denominator) pair with a positive denominator, for floats or ints taken
     exactly; x/y keeps an overlap such as Bob's s/t exact. A q1 outside
     [r^2, 1], NaN or infinite too, is no feasible point, so it bounds nothing
-    and is a ``ConstraintError``.
+    and is a ``ConstraintError``. The upper bound is ``_stage_upper``'s.
     """
-    (a, aa), (b, bb), (xn, xd), (yn, yd) = (v.as_integer_ratio() for v in (p1, p2, x, y))
+    (a, aa), (b, bb) = p1.as_integer_ratio(), p2.as_integer_ratio()
+    (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
     rn, rd = xn * yd, xd * yn
     r2n, r2d = rn * rn, rd * rd
     qn, qd = q1.as_integer_ratio() if math.isfinite(q1) else (-1, 1)  # NaN and inf: infeasible
@@ -85,13 +92,39 @@ def _stage_bounds(p1, p2, x, y, q1):
         lower = (a * (qd - qn) * bb * r2d * qn + b * (r2d * qn - r2n * qd) * aa * qd, aa * qd * bb * r2d * qn)
     else:  # orthogonal flags: q2 = 0
         lower = (a * (qd - qn) * bb + b * aa * qd, aa * bb * qd)
+    return lower, _stage_upper(p1, p2, x, y)
+
+
+def _stage_upper(p1, p2, x, y):
+    """The semidefinite dual bound on the optimum of one stage at flag overlap
+    r = x/y (the module docstring's argument), an integer (numerator,
+    denominator) pair with a positive denominator, for floats or ints taken
+    exactly: ``_stage_bounds``' upper bound.
+
+    Except where the optimum sits at q1 = r^2, the bound is the optimum. An
+    interior optimum is p1 + p2 - 2*r*sqrt(p1*p2), which case I meets to
+    2*r*2^-200, and the optimum p2*(1 - r^2) at q1 = 1 (where p1 <= r^2*p2)
+    is case II's, exactly. The other boundary, q1 = r^2, holds the optimum
+    where p2 <= r^2*p1, and there the bound lies above it by (sqrt(p2) -
+    r*sqrt(p1))^2. So ``oracle._cert_cloning`` takes a cloned copy's stage
+    optimum from it, rounded once: the copy's priors p1*gamma1 : p2*gamma2
+    have p1' <= p2' (p1 <= 1/2 and gamma1 <= gamma2), so that boundary
+    never holds the optimum below r = 1, and at r = 1 case II gives the
+    optimum 0. (At p1 = 1/2 the cloning scan's gamma1 can exceed its gamma2
+    by the scan's resolution, about 2e-9; the boundary then needs r within
+    about 4e-9 of 1, and the excess there is second order in it.)
+    """
+    (a, aa), (b, bb) = p1.as_integer_ratio(), p2.as_integer_ratio()
+    (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+    rn, rd = xn * yd, xd * yn
+    r2n, r2d = rn * rn, rd * rd
     c = math.isqrt((a * b << 2 * _DUAL_BITS) // (aa * bb))  # times 2^-200
     upper = (((a * bb + b * aa) * rd << _DUAL_BITS) - 2 * rn * c * aa * bb, aa * bb * rd << _DUAL_BITS)
     if a * bb * r2d <= r2n * b * aa:  # p1 <= r^2*p2
         boundary = (b * (r2d - r2n), bb * r2d)
         if _exceeds(upper, boundary):
             upper = boundary
-    return lower, upper
+    return upper
 
 
 def _primitive(p: list[int]) -> list[int]:

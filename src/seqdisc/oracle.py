@@ -14,9 +14,9 @@ can resolve.
 The grids are fixed: every scan takes ``_SCAN_POINTS`` points and is
 refined by ``_REFINEMENT_PASSES`` rescans of ``_SCAN_POINTS`` points over
 the window one grid step either side of the best point
-(``core.window_scan_max``), and every one-stage maximum (a cloned copy's
-too) is ``_grid_max_stage``'s. Every refinement calls the same array
-objective as its first scan. The stage and cloning scans evaluate it by a
+(``core.window_scan_max``), and every scanned one-stage maximum is
+``_grid_max_stage``'s. Every refinement calls the same array objective as
+its first scan. The stage and cloning scans evaluate it by a
 lane body (``_stage_lanes``, ``_cloning_lanes``): the expression's
 operations in its order, written into buffers made once per scan, so each
 lane is the expression's float, and a pass allocates no array. Their
@@ -30,8 +30,9 @@ they are held to are the tests' references.
 ``certify`` compares each closed form with its reference and flags a gap
 above its ``tolerance``. It runs scenario by scenario, and each certifier it
 needs runs once per scenario for all the quantities it covers: the two
-cloning rows share one solve of the optimal cloner and one cloning oracle.
-That oracle scans gamma1 and takes each point's gamma2 from the cloning
+cloning rows share one solve of the optimal cloner, one cloning oracle and
+one exact stage bound for the cloned copy (``_cert_cloning``). That oracle
+scans gamma1 and takes each point's gamma2 from the cloning
 constraint's better root in closed form, a line meeting the unit circle, by
 correctly rounded operations alone; the argmax's root is recomputed on its
 float by the same operations (``_cloning_root``) for the residual check. A
@@ -44,7 +45,10 @@ Five rows are certified without a scan, by the exact bounds of ``bounds``,
 whose module docstring gives each bound's argument and the gap rule: Bob,
 Charlie, protocol (1) and the union (``at_least_one_ssd``), one stage's
 each, through one certifier (``_stage_gap``), and the joint
-(``_cert_joint``).
+(``_cert_joint``). The two cloning rows scan the cloning constraint, but
+take a cloned copy's stage maximum from no scan: it is the stage's exact
+upper bound at r = s (``bounds._stage_upper``), which is that optimum at
+the copy's priors.
 By ``bounds``' reductions the union's and the joint's maxima over the whole
 (t, q1b, q1c) box lie on its diagonal t = sqrt(s), q1b = q1c = u, u in [s,
 1]. So ``grid_maximize_union_ssd`` and ``grid_maximize_joint`` are 1-D
@@ -63,7 +67,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import _exact_gap, _joint_bounds, _stage_bounds
+from .bounds import _exact_gap, _joint_bounds, _stage_bounds, _stage_upper
 from .core import (
     DomainError,
     NumericError,
@@ -379,13 +383,17 @@ def _cert_cloning(sc: Scenario) -> list[tuple[str, float]]:
     copy's stage maximum disc at the priors p1*gamma1 : p2*gamma2 it
     conditions. The oracle's p_cl, gamma1 and gamma2 come from the
     constraint's root by +, -, *, / and square roots alone
-    (``_cloning_lanes``), each correctly rounded, so both gaps are the
+    (``_cloning_lanes``), each correctly rounded. disc is the stage's exact
+    upper bound at r = s (``bounds._stage_upper``, which is the optimum at
+    these priors), rounded once by int true division, so both gaps are the
     same on every CPU and numpy. They are the 1-D scan's argmax resolution on
     a flat top: its gamma1, up to about 2e-8 from the optimum's, moves p_cl
     by an ulp or two but disc's priors to first order."""
     both, at_least_one = _cloned_optimum(sc)
     p_cl, g1, g2 = grid_maximize_cloning(sc)
-    disc = _conditioned_stage(sc.p1 * g1, sc.p2 * g2, sc.s)[0]
+    w1, w2 = sc.p1 * g1, sc.p2 * g2
+    n, d = _stage_upper(w1 / (w1 + w2), w2 / (w1 + w2), sc.s, 1)
+    disc = n / d
     return [
         ("protocol3", abs(both.value - p_cl * disc * disc)),
         ("at_least_one_p3", abs(at_least_one.value - p_cl * (1.0 - (1.0 - disc) * (1.0 - disc)))),

@@ -35,6 +35,15 @@ from .ssd import bob_optimal_values, charlie_optimal_values, joint_optimal_value
 _MAX_STEPS = 2**53
 
 
+def _as_float(value, name: str) -> float:
+    """A real number as a float; one beyond float range is a ``DomainError``,
+    not ``float``'s bare OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{name} is a number outside the float range") from None
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One swept variable against named scalar quantities.
@@ -46,7 +55,8 @@ class SweepSpec:
     a tuple of names, each named once (``core._quantity_names``).  The fields
     are checked when the spec is built, as a ``Scenario``'s are, and held as
     Python numbers (``start``, ``stop`` and ``fixed``'s values as floats,
-    ``steps`` as an int, ``fixed`` as a dict); running it
+    ``steps`` as an int, ``fixed`` as a dict), so a number beyond float
+    range, such as an int of 400 digits, is a ``DomainError``. Running it
     checks only that the grid can be allocated and, lane by lane, that its
     scenarios are valid.
     """
@@ -65,15 +75,16 @@ class SweepSpec:
             raise DomainError(f"steps={self.steps!r} must be an integer of at least 2")
         if self.steps > _MAX_STEPS:
             raise DomainError(f"steps={self.steps} is above the most a grid can count, 2^53")
-        for name, value in (("start", self.start), ("stop", self.stop)):
+        for name in ("start", "stop"):
+            value = getattr(self, name)
             if not _is_real(value):
                 raise DomainError(f"{name}={value!r} must be a real number")
+            object.__setattr__(self, name, _as_float(value, name))
         if not self.start < self.stop:
             raise DomainError(f"empty sweep range [{self.start}, {self.stop}]")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise DomainError(f"sweep range [{self.start}, {self.stop}] is not finite")
-        for name, convert in (("start", float), ("stop", float), ("steps", int)):
-            object.__setattr__(self, name, convert(getattr(self, name)))
+        object.__setattr__(self, "steps", int(self.steps))
         object.__setattr__(self, "quantities", _quantity_names(self.quantities, _QUANTITIES))
         if not isinstance(self.fixed, Mapping):
             raise DomainError(f"fixed={self.fixed!r} must map s, p1 or t to a real number")
@@ -82,7 +93,8 @@ class SweepSpec:
                 raise DomainError(f"fixed field {name!r} is not one of s, p1, t")
             if not _is_real(value):
                 raise DomainError(f"fixed {name}={value!r} must be a real number")
-        object.__setattr__(self, "fixed", {name: float(value) for name, value in self.fixed.items()})
+        fixed = {name: _as_float(value, f"fixed {name}") for name, value in self.fixed.items()}
+        object.__setattr__(self, "fixed", fixed)
         swept = _FIELD_OF_VARIABLE[self.variable]
         if swept in self.fixed:  # the grid would overwrite it
             raise DomainError(f"a sweep over {self.variable} cannot also fix {swept}")

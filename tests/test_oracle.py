@@ -1075,7 +1075,7 @@ class TestCertify:
         for module, fn in (
             (protocols_module, protocols_module.clone_optimal_for_prior),
             (oracle_module, oracle_module.grid_maximize_cloning),
-            (oracle_module, oracle_module._conditioned_stage),
+            (oracle_module, oracle_module._stage_upper),  # each cloned copy's stage
         ):
             calls[fn.__name__] = []
             monkeypatch.setattr(module, fn.__name__, _recording(fn, calls[fn.__name__]))
@@ -1776,3 +1776,65 @@ class TestStageScanCrossCheck:
             lower, upper = _as_fractions(bounds_module._stage_bounds(sc.p1, sc.p2, x, y, q1))
             value = Fraction(scan(sc, t)[0])
             assert lower - 2 * Fraction(math.ulp(1.0)) <= value <= upper + 2 * Fraction(math.ulp(1.0)), (scan, t)
+
+
+def _copy_priors(sc):
+    """A cloned copy's stage priors, p1*gamma1 : p2*gamma2 at the cloning
+    oracle's argmax, normalized as ``oracle._cert_cloning`` forms them."""
+    _, g1, g2 = grid_maximize_cloning(sc)
+    w1, w2 = sc.p1 * g1, sc.p2 * g2
+    return w1, w2, w1 / (w1 + w2), w2 / (w1 + w2)
+
+
+class TestCopyStageCrossCheck:
+    """A cloned copy's stage maximum in ``certify`` is the exact stage bound
+    at r = s (``bounds._stage_upper``), and the copy's stage scan
+    (``oracle._conditioned_stage``) stays as its brute-force cross-check:
+    within 1 ulp of the value, read 1.0 on the 5x6 grid and the benchmark's
+    certify draws. (On 160 draws seeded 1 in the same range it read up to
+    6 ulps, at s = 0.979, where the scan's 1 - r^2/q cancels.)"""
+
+    @pytest.mark.parametrize("s,p1", _CERT_GRID + _BENCH_CERTIFY_DRAWS)
+    def test_scan_within_an_ulp_of_the_bound(self, s, p1):
+        sc = Scenario(s, p1)
+        w1, w2, a, b = _copy_priors(sc)
+        n, d = bounds_module._stage_upper(a, b, sc.s, 1)
+        disc = n / d
+        scan = oracle_module._conditioned_stage(w1, w2, sc.s)[0]
+        assert abs(scan - disc) <= math.ulp(disc), (scan, disc)
+
+    @pytest.mark.parametrize("s,p1", _CERT_GRID + _BENCH_CERTIFY_DRAWS)
+    def test_bound_is_the_fraction_reference(self, s, p1):
+        # the copy's priors are never on the mirror boundary p2 <= s^2*p1
+        # (``_stage_upper``'s docstring), where the bound is no optimum
+        _, _, a, b = _copy_priors(Scenario(s, p1))
+        assert b > s * s * a
+        (upper,) = _as_fractions([bounds_module._stage_upper(a, b, s, 1)])
+        assert upper == _reference_dual_bound(Fraction(a), Fraction(b), Fraction(s))
+
+    @pytest.mark.parametrize("p1,p2", [(0.3, 0.7), (0.5, 0.5), (0.05, 0.95), (1e-300, 1.0), (5e-324, 1.0)])
+    @pytest.mark.parametrize(
+        "x,y",
+        [(0, 1), (0.0, 1.0), (1, 1), (1.0, 1.0), (3, 4), (0.36, 0.6), (0.36, 1.0), (0.6, 0.8)],
+        ids=["r0_int", "r0_float", "r1_int", "r1_float", "int_pair", "float_pair", "float_s", "float_t"],
+    )
+    def test_equals_the_upper_half_of_stage_bounds(self, p1, p2, x, y):
+        # at q1 = 1, feasible at every r in [0, 1]; the pair is compared as
+        # integers, not only as rationals
+        assert bounds_module._stage_upper(p1, p2, x, y) == bounds_module._stage_bounds(p1, p2, x, y, 1.0)[1]
+
+    @pytest.mark.parametrize("name", ["protocol3", "at_least_one_p3"])
+    def test_rows_take_the_bound(self, monkeypatch, name):
+        # a copy's disc one ulp above the bound's moves both rows' gaps: the
+        # rows read the bound, not the scan
+        sc = Scenario(0.36, 0.2)
+        (row,) = certify([name], [sc.s], [sc.p1])
+        real = bounds_module._stage_upper
+
+        def above(*args):
+            n, d = real(*args)
+            return (Fraction(n, d) + Fraction(math.ulp(n / d))).as_integer_ratio()
+
+        monkeypatch.setattr(oracle_module, "_stage_upper", above)
+        (moved,) = certify([name], [sc.s], [sc.p1])
+        assert moved.worst_gap != row.worst_gap

@@ -43,7 +43,7 @@ def test_table_has_each_module_and_the_total(tmp_path):
     modules = [tmp_path / name for name in ("a.py", "b.py")]
     for module in modules:
         module.write_text(_FIXTURE)
-    rows = [line.split() for line in size.table(modules)]
+    rows = [line.split() for line in size.table(size.sizes(modules))]
     assert rows == [
         ["module", "code", "lines", "parser", "tokens", "headroom"],
         ["a.py", "6", "28", "4068"],
@@ -57,7 +57,29 @@ def test_headroom_is_negative_over_the_step(tmp_path):
     # ENDMARKER: 4,465 parser tokens, 369 over the step
     module = tmp_path / "big.py"
     module.write_text("x = 1\n" * 1116)
-    assert size.table([module])[1].split() == ["big.py", "1116", "4465", "-369"]
+    assert size.table(size.sizes([module]))[1].split() == ["big.py", "1116", "4465", "-369"]
+
+
+def test_exits_1_when_a_module_passes_the_step(tmp_path, monkeypatch, capsys):
+    # one module 369 tokens over the step (as above) beside one under it:
+    # the table is printed in full, and the error names the module over it
+    (tmp_path / "big.py").write_text("x = 1\n" * 1116)
+    (tmp_path / "small.py").write_text(_FIXTURE)
+    monkeypatch.setattr(size, "_PACKAGE", tmp_path)
+    assert size.main() == 1
+    out, err = capsys.readouterr()
+    assert [line.split()[0] for line in out.splitlines()[1:]] == ["big.py", "small.py", "total"]
+    assert err == "error: over the 4096-token step: big.py\n"
+
+
+def test_exits_0_at_the_step(tmp_path, monkeypatch):
+    # 1,022 lines of "x = 1" (4,088 tokens), "y = f(1)" (7: y, =, f, (, 1,
+    # ), NEWLINE) and the ENDMARKER: 4,096 parser tokens, no headroom left
+    # but none below it
+    (tmp_path / "at.py").write_text("x = 1\n" * 1022 + "y = f(1)\n")
+    monkeypatch.setattr(size, "_PACKAGE", tmp_path)
+    assert size.sizes([tmp_path / "at.py"]) == [("at.py", 1023, 4096, 0)]
+    assert size.main() == 0
 
 
 def test_prints_the_package(capsys):

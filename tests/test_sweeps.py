@@ -445,12 +445,20 @@ def test_custom_sweep_domain_errors_exit_2(extra, capsys):
         (lambda: SweepSpec("P1", 0.1, 0.5, 3, {"s": True}, ("protocol1",)), "fixed s=True must be a real"),
         (lambda: SweepSpec("s", False, 1.0, 3, {"p1": 0.3}, ("protocol1",)), "start=False must be a real"),
         (lambda: SweepSpec("s", 0.0, True, 3, {"p1": 0.3}, ("protocol1",)), "stop=True must be a real"),
+        # float() of an int beyond float range raised a bare OverflowError;
+        # 10**5000's repr would pass int's 4,300-digit limit
+        (lambda: SweepSpec("P1", 10**400, 0.5, 3, {"s": 0.3}, ("ssd",)), "start is a number outside the float"),
+        (lambda: SweepSpec("P1", 0.1, 10**400, 3, {"s": 0.3}, ("ssd",)), "stop is a number outside the float"),
+        (lambda: SweepSpec("P1", -(10**400), 0.5, 3, {"s": 0.3}, ("ssd",)), "start is a number outside"),
+        (lambda: SweepSpec("P1", 0.1, 0.5, 3, {"s": 10**400}, ("ssd",)), "fixed s is a number outside"),
+        (lambda: SweepSpec("P1", 0.1, 0.5, 3, {"s": 10**5000}, ("ssd",)), "fixed s is a number outside"),
     ],
     ids=[
         "variable", "empty_range", "infinite_stop", "infinite_start", "unknown_quantity",
         "no_quantity", "missing_fixed", "unknown_figure", "swept_field_fixed", "t_swept_unread", "t_fixed_unread",
         "quantity_twice", "unknown_fixed_field", "fixed_string", "fixed_list", "start_string",
-        "stop_string", "fixed_bool", "start_bool", "stop_bool",
+        "stop_string", "fixed_bool", "start_bool", "stop_bool", "start_beyond_float", "stop_beyond_float",
+        "negative_start_beyond_float", "fixed_beyond_float", "fixed_past_repr_limit",
     ],
 )
 def test_sweep_validation_errors(call, message):
