@@ -11,10 +11,13 @@ system and faults in again shows.
 With ``--parent DIR``, ``DIR/src/seqdisc`` must write the same CSVs and give
 the same results of every point call on every point scenario, oracle
 results, ``certify()`` rows, rows of each quantity certified alone on the
-certify draws, correlation reports and Monte Carlo counts, bit for bit. An
+certify draws, correlation reports and Monte Carlo counts, and print the
+same CLI transcripts (exit code, stdout and stderr of ``cli.main`` on each
+of CLI_ARGVS), bit for bit. An
 output that the change moves on purpose is named with ``--moved NAME``
 (repeatable; ``certify().joint`` is the joint row,
-``joint_optimal(0.36, 0.2)`` one point call's result): it may differ, and
+``joint_optimal(0.36, 0.2)`` one point call's result,
+``cli(optimal --s 0.36 --p1 0.2)`` one transcript): it may differ, and
 its value on each tree goes into the record under ``moved``. The parent is
 then timed beside this tree, the two in alternating order from round to
 round; each round's change/parent ratio cancels a slow spell where raw
@@ -50,6 +53,7 @@ import io
 import json
 import os
 import platform
+import re
 import resource
 import statistics
 import sys
@@ -84,6 +88,25 @@ POINT_LOOPS = 20
 POINT_CALLS = (
     "joint_optimal", "protocol1_optimal", "protocol2_optimal", "protocol3_optimal",
     "at_least_one_ssd", "at_least_one_protocol3", "solve_q_star", "clone_optimal_for_prior",
+)
+#: The optimal op's argvs, one per point scenario.
+OPTIMAL_ARGVS = tuple(("optimal", "--s", repr(s), "--p1", repr(p1)) for s, p1 in POINT_SCENARIOS)
+#: The argvs of the CLI transcripts: the optimal op's, one of every other
+#: subcommand but sweep (whose CSVs are compared as figures), and usage
+#: errors of the top-level parser and of a subcommand's.
+CLI_ARGVS = (
+    *OPTIMAL_ARGVS,
+    ("correlations", "--s", "0.36", "--p1", "0.3", "--t", "0.6"),
+    ("simulate", "--s", "0.04", "--p1", "0.5", "--n", "1000", "--seed", "42"),
+    ("verify", "--quantity", "protocol1"),
+    (),
+    ("-h",),
+    ("bogus",),
+    ("optimal", "-h"),
+    ("--", "optimal", "--s", "0.3", "--p1", "0.2"),
+    ("optimal", "--s", "0.3", "--p1", "0.2", "extra"),
+    ("optimal", "--s", "abc", "--p1", "0.2"),
+    ("optimal", "--s", "-1e-6", "--p1", "0.2"),
 )
 #: Trials of each Monte Carlo case.
 N_TRIALS = 10**6
@@ -222,7 +245,7 @@ def make_ops(package) -> dict:
     }
 
     point_calls = POINT_LOOPS * len(POINT_SCENARIOS)
-    argvs = [["optimal", "--s", repr(s), "--p1", repr(p1)] for s, p1 in POINT_SCENARIOS]
+    argvs = [list(argv) for argv in OPTIMAL_ARGVS]
 
     def optimal():
         with contextlib.redirect_stdout(io.StringIO()):
@@ -288,6 +311,24 @@ def _point_results(package) -> list:
     return [(f"{name}{(s, p1)}", getattr(package, name)(sc)) for name in POINT_CALLS for s, p1, sc in points]
 
 
+def _cli_results(package) -> list:
+    """(name, transcript) of ``cli.main`` on each of CLI_ARGVS, named like
+    ``cli(optimal --s 0.36 --p1 0.2)``: its exit code (argparse's SystemExit
+    included), stdout and stderr, with the time ``verify`` prints masked."""
+    cli = importlib.import_module(package.__name__ + ".cli")
+    results = []
+    for argv in CLI_ARGVS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        printed = re.sub(r"(?m)^(certification finished in )\d+\.\d( ms)$", r"\1-\2", out.getvalue())
+        results.append((f"cli({' '.join(argv)})", (code, printed, err.getvalue())))
+    return results
+
+
 def _sampled_results(package) -> list:
     """(name, result) of ``correlation_report`` on each of its op's inputs, and
     the counts and error count of each of CASES' runs and of each tally."""
@@ -301,8 +342,8 @@ def _sampled_results(package) -> list:
 
 def check_same_output(change, parent, moved=()) -> dict:
     """Raise unless both trees write the same CSVs and ``ssd`` columns, and
-    give the same point results, oracle tuples, ``certify()`` rows,
-    correlation reports and trial counts bit for bit: a float's repr is the
+    give the same point results, CLI transcripts, oracle tuples,
+    ``certify()`` rows, correlation reports and trial counts bit for bit: a float's repr is the
     shortest that reads back to the same bits. The outputs named in ``moved`` may differ, and a name
     that is no output is an error; return each one's repr on both trees,
     ``{name: {"change": ..., "parent": ...}}``."""
@@ -314,7 +355,7 @@ def check_same_output(change, parent, moved=()) -> dict:
         if not np.array_equal(a, b, equal_nan=True):
             raise RuntimeError("joint_optimal_values: the columns of the two trees differ")
     found = {}
-    for results in (_point_results, _oracle_results, _sampled_results):
+    for results in (_point_results, _cli_results, _oracle_results, _sampled_results):
         for (name, a), (_, b) in zip(results(change), results(parent)):
             if name in moved:
                 found[name] = {"change": repr(a), "parent": repr(b)}

@@ -4,6 +4,12 @@ Subcommands: optimal, sweep, correlations, simulate, verify.
 Exit codes: 0 ok, 2 usage or constraint violation, 3 I/O failure,
 4 statistical check failure, 5 certification failure, 6 numeric failure
 (a solver did not converge, e.g. at s below the documented 1e-12).
+
+Each call is parsed once: an argv that starts with a subcommand's name goes
+straight to that subcommand's parser, and every other argv (none, ``-h``, a
+misspelt command, a leading ``--``) to the top-level parser. Both are built
+once per process, and the output and exit code are those of a parse by the
+top-level parser alone.
 """
 
 from __future__ import annotations
@@ -176,7 +182,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 class _Parser(argparse.ArgumentParser):
     """Reads a negative number in exponent form, such as -1e-6, as a value and
     not as an option, so that the library's range checks report it; its
-    subparsers are of this class too."""
+    subparsers are of this class too. The top-level parser's ``commands``
+    maps each subcommand's name to its parser."""
+
+    commands: dict[str, argparse.ArgumentParser]
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -191,6 +200,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Sequential unambiguous discrimination of two nonorthogonal qubit states",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p_opt = sub.add_parser("optimal", help="all optimal success probabilities for one scenario")
     p_opt.add_argument("--s", type=float, required=True, help="state overlap in [0, 1]")
@@ -236,7 +246,23 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one call of ``seqdisc`` (``argv`` defaults to ``sys.argv[1:]``) and
+    return its exit code; argparse raises SystemExit itself, 0 after help
+    and 2 on a usage error.
+
+    An argv led by a subcommand's name is parsed by that subcommand's parser
+    alone, which is what the top-level parser hands it; a token left over is
+    reported by the top-level parser, as its own parse would report it.
+    """
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.fn(args)
     except (DomainError, ConstraintError) as exc:

@@ -47,7 +47,9 @@ def _shifted_summary(summary):
     return type(summary)(summary.n_trials, summary.seed, summary.counts, summary.error_count + 1)
 
 
-@pytest.mark.parametrize("differs", [None, "point", "report", "trials", "tally", "joint_tuple", "certify_draw"])
+@pytest.mark.parametrize(
+    "differs", [None, "point", "transcript", "report", "trials", "tally", "joint_tuple", "certify_draw"]
+)
 def test_parent_check_compares_reports_and_counts(monkeypatch, parent, differs):
     # the tally runs at seed 0, each of the CASES at its own seed
     monkeypatch.setattr(bench, "N_TRIALS", 1000)
@@ -64,6 +66,18 @@ def test_parent_check_compares_reports_and_counts(monkeypatch, parent, differs):
             return moved if (sc.s, sc.p1) == point else found
 
         monkeypatch.setattr(parent, "protocol2_optimal", protocol2_optimal)
+    elif differs == "transcript":
+        # the protocol2 value that optimal prints at the last point scenario
+        # moved by 1e-9 relative: a printed digit, which no result compared
+        # before the transcripts shows
+        protocol2, point = parent.cli.protocol2_optimal, bench.POINT_SCENARIOS[-1]
+
+        def protocol2_printed(sc):
+            found = protocol2(sc)
+            moved = dataclasses.replace(found, value=found.value * (1.0 + 1e-9))
+            return moved if (sc.s, sc.p1) == point else found
+
+        monkeypatch.setattr(parent.cli, "protocol2_optimal", protocol2_printed)
     elif differs == "certify_draw":
         # the bob row of the last certify draw alone moved
         certify, (s, p1) = parent.oracle.certify, bench._certify_draws()[-1]
@@ -96,6 +110,12 @@ def test_parent_check_compares_reports_and_counts(monkeypatch, parent, differs):
         monkeypatch.setattr(parent, "run_ssd_trials", run_ssd_trials)
     if differs is None:
         bench.check_same_output(bench.seqdisc, parent)
+    elif differs == "transcript":
+        # named by its argv, which --moved takes
+        name = "cli(optimal --s 1e-10 --p1 0.1)"
+        with pytest.raises(RuntimeError, match=r"^cli\(optimal --s 1e-10 --p1 0\.1\): the two trees differ"):
+            bench.check_same_output(bench.seqdisc, parent)
+        assert list(bench.check_same_output(bench.seqdisc, parent, (name,))) == [name]
     else:
         name = {
             "point": "protocol2_optimal",

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import re
+import sys
 import types
 
 import numpy as np
@@ -18,6 +19,7 @@ from seqdisc import (
     protocols,
 )
 from seqdisc.cli import main
+from seqdisc.core import ConstraintError, DomainError, NumericError
 from seqdisc.sweeps import FIGURE_PRESETS, available_quantities
 
 
@@ -545,13 +547,20 @@ _ARGV_OPTIONS = {
     },
 }
 _REQUIRED = {"optimal": 2, "correlations": 3, "simulate": 2, "sweep": 0}
+#: How an argv reaches the top-level parser: mostly led by its subcommand,
+#: else without it, led by an unknown command or by "--", or with a trailing
+#: token that no option takes.
+_FORMS = ("plain",) * 6 + ("missing", "unknown", "dashdash", "trailing")
+_UNKNOWN_POOL = ["bogus", "optimall", "Optimal", "opt", "", "-x", "--s", "-1e-6"]
+_TRAILING_POOL = ["extra", "--bogus", "-x", "-1e-6", "0.3", "--", "sweep"]
 
 
 @st.composite
 def _argvs(draw):
     """An argv of one subcommand with a value from each option's pool: its
     required options present 9 times in 10, the others half the time;
-    simulate always with --n of at most 1,000, sweep always with --out -."""
+    simulate always with --n of at most 1,000, sweep always with --out -.
+    Four times in ten the argv takes one of the top-level ``_FORMS``."""
     command = draw(st.sampled_from(sorted(_ARGV_OPTIONS)))
     argv = [command]
     for k, (option, pool) in enumerate(_ARGV_OPTIONS[command].items()):
@@ -561,7 +570,27 @@ def _argvs(draw):
         argv += ["--n", draw(st.sampled_from(_N_POOL))]
     if command == "sweep":
         argv += ["--out", "-"]
+    form = draw(st.sampled_from(_FORMS))
+    if form == "missing":
+        return argv[1:]
+    if form == "unknown":
+        return [draw(st.sampled_from(_UNKNOWN_POOL)), *argv[1:]]
+    if form == "dashdash":
+        return ["--", *argv]
+    if form == "trailing":
+        return [*argv, draw(st.sampled_from(_TRAILING_POOL))]
     return argv
+
+
+def _transcript(run, argv):
+    """(exit code, stdout, stderr) of ``run(argv)``, argparse's SystemExit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=300, deadline=None)
@@ -569,11 +598,59 @@ def _argvs(draw):
 def test_every_argv_exits_with_a_documented_code(argv):
     # argparse's own errors exit 2 by SystemExit; anything else uncaught,
     # a RuntimeWarning included (pyproject makes it an error), fails
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    assert code in (0, 2, 3, 4, 5, 6), (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    code, _, err = _transcript(main, argv)
+    assert code in (0, 2, 3, 4, 5, 6), (argv, code, err)
+    assert "Traceback" not in err
+
+
+def _reference_main(argv=None):
+    """The reference for ``main``: the top-level parser reads every argv,
+    then ``main``'s dispatch and exit codes."""
+    args = cli._parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except (DomainError, ConstraintError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.EXIT_USAGE
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return cli.EXIT_IO
+    except NumericError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.EXIT_NUMERIC
+
+
+#: Argvs of the top-level parser (none, help, an unknown command, "--" first)
+#: and of a subcommand's (help, a trailing token, a value argparse refuses,
+#: a negative value in exponent form).
+_USAGE_ARGVS = [
+    [],
+    ["-h"],
+    ["bogus"],
+    ["optimal", "-h"],
+    ["--", "optimal", "--s", "0.3", "--p1", "0.2"],
+    ["optimal", "--s", "0.3", "--p1", "0.2", "extra"],
+    ["optimal", "--s", "abc", "--p1", "0.2"],
+    ["optimal", "--s", "-1e-6", "--p1", "0.2"],
+]
+
+
+@pytest.mark.parametrize("argv", _USAGE_ARGVS, ids=" ".join)
+def test_usage_transcripts_equal_the_top_level_parse(argv):
+    # argparse reads any iterable of strings, and so does main
+    assert _transcript(main, argv) == _transcript(main, iter(argv)) == _transcript(_reference_main, argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+def test_every_argv_prints_what_the_top_level_parse_prints(argv):
+    assert _transcript(main, argv) == _transcript(_reference_main, argv)
+
+
+@pytest.mark.parametrize(
+    "argv", [["optimal", "--s", "0.3", "--p1", "0.2"], *_USAGE_ARGVS], ids=" ".join
+)
+def test_main_without_argv_reads_sys_argv(monkeypatch, argv):
+    monkeypatch.setattr(sys, "argv", ["seqdisc", *argv])
+    found = _transcript(main, None)
+    assert found == _transcript(_reference_main, None) == _transcript(main, argv)
