@@ -205,21 +205,27 @@ def _run_case(package, case):
     return package.run_ssd_trials(package.Scenario(s, p1), t, q1b, q1c, N_TRIALS, seed)
 
 
-def _tally_inputs(package) -> tuple[list, list]:
-    """Each of CASES' trial thresholds, and the word chunks of the trials
-    seeded TALLY_SEED, all built before any tally runs."""
+def _tally_inputs(package) -> tuple[list, np.ndarray]:
+    """Each of CASES' trial thresholds, and the (N_TRIALS, 4) words of the
+    trials seeded TALLY_SEED, all built before any tally runs."""
     sim = package.simulate
     thresholds = [sim._trial_thresholds(package.Scenario(*c[:2]), *c[2:5]) for c in CASES]
-    return thresholds, list(sim._trial_words(TALLY_SEED, 0, N_TRIALS))
+    return thresholds, np.concatenate(list(sim._trial_words(TALLY_SEED, 0, N_TRIALS)))
 
 
-def _tally(package, chunks: list, thresholds):
-    """``run_ssd_trials`` on words drawn and thresholds built beforehand: the
-    tally and the summary alone, through names that a parent has too."""
+def _tally(package, words: np.ndarray, thresholds):
+    """``run_ssd_trials`` at TALLY_SEED on words drawn and thresholds built
+    beforehand: the tally and the summary alone, through names that a parent
+    has too.  Each ``_trial_words(seed, start, stop)`` call gets the rows
+    [start, stop) of ``words``, cut at the tree's own ``_CHUNK``, as views."""
     sim = package.simulate
-    with mock.patch.object(sim, "_trial_words", lambda *args: iter(chunks)):
+
+    def trial_words(seed, start, stop):
+        return (words[a : min(a + sim._CHUNK, stop)] for a in range(start, stop, sim._CHUNK))
+
+    with mock.patch.object(sim, "_trial_words", trial_words):
         with mock.patch.object(sim, "_trial_thresholds", lambda *args: thresholds):
-            return package.run_ssd_trials(package.Scenario(0.5, 0.3), 0.6, 0.7, 0.5, N_TRIALS, 0)
+            return package.run_ssd_trials(package.Scenario(0.5, 0.3), 0.6, 0.7, 0.5, N_TRIALS, TALLY_SEED)
 
 
 def make_ops(package) -> dict:
@@ -261,9 +267,9 @@ def make_ops(package) -> dict:
     report_calls = POINT_LOOPS * len(inputs)
     ops["correlation_report"] = (_each(package.correlation_report, inputs, POINT_LOOPS), report_calls)
 
-    thresholds, chunks = _tally_inputs(package)
+    thresholds, words = _tally_inputs(package)
     ops["run_ssd_trials"] = (_each(lambda case: _run_case(package, case), CASES), len(CASES))
-    ops["tally"] = (_each(lambda m: _tally(package, chunks, m), thresholds), len(CASES))
+    ops["tally"] = (_each(lambda m: _tally(package, words, m), thresholds), len(CASES))
 
     def figure(name):
         _csv(sweeps, name)
@@ -333,9 +339,9 @@ def _sampled_results(package) -> list:
     """(name, result) of ``correlation_report`` on each of its op's inputs, and
     the counts and error count of each of CASES' runs and of each tally."""
     results = [(f"correlation_report({inp!r})", package.correlation_report(inp)) for inp in _report_inputs(package)]
-    thresholds, chunks = _tally_inputs(package)
+    thresholds, words = _tally_inputs(package)
     for case, m in zip(CASES, thresholds):
-        for name, summary in (("run_ssd_trials", _run_case(package, case)), ("tally", _tally(package, chunks, m))):
+        for name, summary in (("run_ssd_trials", _run_case(package, case)), ("tally", _tally(package, words, m))):
             results.append((f"{name}{case}", (summary.counts.tolist(), summary.error_count)))
     return results
 

@@ -21,23 +21,30 @@ on k_c = i); the tests hold the unitaries to it.
 Trials are sampled from a counter-based Philox stream with a fixed layout of
 four 64-bit words per trial (preparation, Bob outcome, Charlie outcome, one
 reserved), so trial k owns exactly one Philox counter block and any split of
-the trial range across workers reproduces the serial bit stream.  The words
-are never turned into floats: numpy's uniform from a word x is
-(x >> 11) * 2**-53, and c * 2**53 is exact for every double c in [0, 2], so
-u >= c holds exactly when x >> 11 >= ceil(c * 2**53), and u < c exactly when
-it does not.  Each probability threshold is therefore one integer, built
-once per run; a threshold at or above 1 is never reached and 0 always is.
-Trials are tallied against a plan built once per run from those
+the trial range across workers reproduces the serial bit stream.  A run
+splits its trials into one contiguous span per CPU that the process may
+use, each starting on a chunk boundary and drawn by its own Philox advanced
+to its first trial.  The caller tallies the first span and a thread each
+of the others (numpy's Philox draws and ufuncs release the GIL), and the
+spans' cells are summed, so the counts are the same for any number of
+spans.  The words are never turned into floats: numpy's uniform from a
+word x is (x >> 11) * 2**-53, and c * 2**53 is exact for every double c in
+[0, 2], so u >= c holds exactly when x >> 11 >= ceil(c * 2**53), and u < c
+exactly when it does not.  Each probability threshold is therefore one
+integer, built once per run; a threshold at or above 1 is never reached and
+0 always is.  Each span's trials are tallied against a plan built from those
 thresholds: the distinct thresholds strictly inside (0, 2**53) of the prior
 and of each stage, shifted left by 11 so that the raw words are compared
 without a shift.  A chunk's code per trial is its position among them,
 (prior, Bob, Charlie) in mixed radix; one bincount counts the codes, and
-the counts summed over all chunks are folded once into the 18
+the counts summed over a span's chunks are folded once into the 18
 (preparation, k_b, k_c) cells by a 0/1 matrix built with the plan.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -61,9 +68,11 @@ _GRAM_TOL = 1e-10
 #: amplitudes vanish there and anything smaller is squared rounding noise.
 _PROB_FLOOR = 1e-24
 _WORDS_PER_TRIAL = 4  # one Philox counter block (4 x 64-bit outputs) per trial
-#: Trials per draw: a chunk's words (512 KiB) and the tally's temporaries
-#: stay in cache, which measured fastest (1 << 13 to 1 << 15 were within noise).
-_CHUNK = 1 << 14
+#: Trials per draw, and the unit of a run's spans: a chunk's words (256 KiB,
+#: 512 KiB over two spans) and the tally's temporaries stay in cache, which
+#: measured fastest (1 << 13 to 1 << 15 were within noise on one span; two
+#: spans of 1 << 14 raised peak memory by about 1 MB).
+_CHUNK = 1 << 13
 #: A word's top 53 bits, x >> 11, are below this.
 _WORD_TOP = 1 << 53
 
@@ -346,6 +355,52 @@ def _closed_cumsum(probs: np.ndarray) -> np.ndarray:
     return np.where((k >= last) & (last >= 0), 1.0, np.cumsum(probs, axis=1))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or all of the machine's where the
+    platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _span_cells(seed: int, n: int, thresholds: tuple) -> np.ndarray:
+    """``_tally``'s (2, 3, 3) cells of trials [0, n), summed over its spans.
+
+    One span per usable CPU but no more than n's whole chunks, so a run
+    below two chunks is one span and starts no thread.  The spans are
+    contiguous and start on chunk boundaries, each with its own Philox;
+    the caller tallies the first and a thread each of the others.  Every
+    thread is joined before this returns or raises, and the first span's
+    exception, in trial order, is re-raised.
+    """
+    spans = max(1, min(_usable_cpus(), n // _CHUNK))
+    chunks = -(-n // _CHUNK)
+    bounds = [min(n, j * chunks // spans * _CHUNK) for j in range(spans + 1)]
+    cells: list = [None] * spans
+
+    def run(j: int) -> None:
+        try:
+            cells[j] = _tally(_trial_words(seed, bounds[j], bounds[j + 1]), *thresholds)
+        except BaseException as exc:  # re-raised by the caller, after the joins
+            cells[j] = exc
+
+    workers: list[threading.Thread] = []
+    try:
+        for j in range(1, spans):
+            worker = threading.Thread(target=run, args=(j,))
+            worker.start()
+            workers.append(worker)
+        run(0)
+    finally:
+        for worker in workers:
+            worker.join()
+    for c in cells:
+        if isinstance(c, BaseException):
+            raise c
+    return sum(cells[1:], cells[0])
+
+
 def run_ssd_trials(
     scenario: Scenario, t: float, q1b: float, q1c: float, n: int, seed: int
 ) -> TrialSummary:
@@ -357,10 +412,13 @@ def run_ssd_trials(
     means failure, outcomes 1/2 declare the state.  Trials are drawn as raw
     Philox words and tallied in cache-sized chunks, so memory does not grow
     with n: the prior and the cumulative outcome rows become integer word
-    thresholds once per run, ``_tally`` compares each chunk's raw words with
-    the informative ones and counts the trials' codes by one bincount, and
-    the codes' counts summed over all chunks are folded once into the 18
-    (preparation, k_b, k_c) cells, which give ``counts`` and
+    thresholds once per run, and the trials are split into one span of
+    whole chunks per usable CPU (``_span_cells``), each drawn by its own
+    Philox advanced to the span's first trial.  In each span ``_tally``
+    compares each chunk's raw words with the informative thresholds, counts
+    the trials' codes by one bincount and folds the codes' counts into the
+    18 (preparation, k_b, k_c) cells; the spans' cells are summed, so the
+    summary is the same for any number of spans, and give ``counts`` and
     ``error_count``.
     """
     if not (_is_integer(n) and n >= 1):
@@ -368,7 +426,7 @@ def run_ssd_trials(
     if not (_is_integer(seed) and 0 <= seed < 2**128):
         raise DomainError(f"seed={seed!r} must be an integer in the Philox key range [0, 2^128)")
     n, seed = int(n), int(seed)  # a numpy integer's summary holds Python ints
-    cells = _tally(_trial_words(seed, 0, n), *_trial_thresholds(scenario, t, q1b, q1c))
+    cells = _span_cells(seed, n, _trial_thresholds(scenario, t, q1b, q1c))
     counts = np.zeros((2, 2, 2), dtype=np.int64)
     error_count = 0
     for (i, k_b, k_c), m in np.ndenumerate(cells):

@@ -36,6 +36,22 @@ def test_median_ratio_is_the_mean_of_the_two_orders():
 
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_tally_op_counts_the_trials_of_its_seed(monkeypatch, cpus):
+    # each span of the run gets its own rows of the words drawn beforehand,
+    # not all of them: the op's counts are those of the trials it stands for
+    simulate = bench.seqdisc.simulate
+    monkeypatch.setattr(bench, "N_TRIALS", 3 * simulate._CHUNK + 7)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+    thresholds, words = bench._tally_inputs(bench.seqdisc)
+    for case, m in zip(bench.CASES, thresholds):
+        s, p1, t, q1b, q1c, _ = case
+        expected = bench.seqdisc.run_ssd_trials(bench.seqdisc.Scenario(s, p1), t, q1b, q1c, bench.N_TRIALS, bench.TALLY_SEED)
+        summary = bench._tally(bench.seqdisc, words, m)
+        assert summary.counts.tolist() == expected.counts.tolist()
+        assert summary.error_count == expected.error_count
+
+
 @pytest.fixture(scope="module")
 def parent():
     """This tree's package loaded a second time, as ``--parent`` loads one."""
@@ -51,7 +67,7 @@ def _shifted_summary(summary):
     "differs", [None, "point", "transcript", "report", "trials", "tally", "joint_tuple", "certify_draw"]
 )
 def test_parent_check_compares_reports_and_counts(monkeypatch, parent, differs):
-    # the tally runs at seed 0, each of the CASES at its own seed
+    # the tally runs at TALLY_SEED, each of the CASES at its own seed
     monkeypatch.setattr(bench, "N_TRIALS", 1000)
     report, run = parent.correlation_report, parent.run_ssd_trials
     joint, last = parent.oracle.grid_maximize_joint, bench.ORACLE_SCENARIOS[-1]
@@ -105,7 +121,7 @@ def test_parent_check_compares_reports_and_counts(monkeypatch, parent, differs):
     elif differs is not None:
         def run_ssd_trials(sc, t, q1b, q1c, n, seed):
             summary = run(sc, t, q1b, q1c, n, seed)
-            return _shifted_summary(summary) if (seed == 0) == (differs == "tally") else summary
+            return _shifted_summary(summary) if (seed == bench.TALLY_SEED) == (differs == "tally") else summary
 
         monkeypatch.setattr(parent, "run_ssd_trials", run_ssd_trials)
     if differs is None:

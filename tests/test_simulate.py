@@ -1,4 +1,8 @@
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -198,6 +202,135 @@ class TestRunTrials:
         summary = run_ssd_trials(sc, 0.6, 0.7, 0.5, np.int64(5), np.int64(3))
         assert repr(summary) == repr(run_ssd_trials(sc, 0.6, 0.7, 0.5, 5, 3))
         assert type(summary.n_trials) is int and type(summary.seed) is int
+
+
+#: (scenario, t, q1b, q1c) of the span tests: every one of the summary's
+#: eight cells is reached.
+_SPAN_CASE = (Scenario(0.36, 0.25), 0.6, 0.7, 0.5)
+#: Trial counts of the span tests, from the chunk size: one trial, one short
+#: chunk, three chunks and a short fourth, and many chunks.
+_SPAN_TRIALS = {
+    "1": lambda chunk: 1,
+    "chunk-1": lambda chunk: chunk - 1,
+    "3chunk+7": lambda chunk: 3 * chunk + 7,
+    "200001": lambda chunk: 200_001,
+}
+
+
+def _run_on(monkeypatch, cpus, n):
+    """run_ssd_trials of _SPAN_CASE on n trials at seed 5, as if the process
+    could use ``cpus`` CPUs."""
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+    return run_ssd_trials(*_SPAN_CASE, n, 5)
+
+
+def _recorded_spans(monkeypatch):
+    """The (start, stop, thread) of every ``_trial_words`` call from here on."""
+    spans, words = [], simulate._trial_words
+
+    def trial_words(seed, start, stop):
+        spans.append((start, stop, threading.current_thread()))
+        return words(seed, start, stop)
+
+    monkeypatch.setattr(simulate, "_trial_words", trial_words)
+    return spans
+
+
+def _span_starts(monkeypatch, cpus, n):
+    """The sorted first trials of the spans of ``_run_on(monkeypatch, cpus,
+    n)``, which leaves the CPU count at ``cpus``."""
+    spans = _recorded_spans(monkeypatch)
+    _run_on(monkeypatch, cpus, n)
+    return sorted(a for a, _, _ in spans)
+
+
+def _failing_spans(monkeypatch, fails, wait):
+    """Make ``_tally`` raise ``RuntimeError(start)`` in each span whose start
+    is in ``fails``, after sleeping ``wait[start]`` seconds (default 0)."""
+    words, tally = simulate._trial_words, simulate._tally
+    monkeypatch.setattr(simulate, "_trial_words", lambda seed, a, b: (a, words(seed, a, b)))
+
+    def failing_tally(chunks, *thresholds):
+        start, chunks = chunks
+        time.sleep(wait.get(start, 0.0))
+        if start in fails:
+            raise RuntimeError(start)
+        return tally(chunks, *thresholds)
+
+    monkeypatch.setattr(simulate, "_tally", failing_tally)
+
+
+class TestTrialSpans:
+    @pytest.mark.parametrize("chunk", [None, 1000], ids=["own_chunk", "chunk1000"])
+    @pytest.mark.parametrize("trials", list(_SPAN_TRIALS))
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    def test_span_count_does_not_change_the_summary(self, monkeypatch, chunk, trials, cpus):
+        if chunk is not None:
+            monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        chunk = simulate._CHUNK
+        n = _SPAN_TRIALS[trials](chunk)
+        expected = _run_on(monkeypatch, 1, n)
+        spans = _recorded_spans(monkeypatch)
+        summary = _run_on(monkeypatch, cpus, n)
+        assert np.array_equal(summary.counts, expected.counts)
+        assert summary.error_count == expected.error_count == 0
+        # one span per CPU, but none without a whole chunk; contiguous and
+        # each starting on a chunk boundary
+        bounds = sorted((a, b) for a, b, _ in spans)
+        assert len(bounds) == max(1, min(cpus, n // chunk))
+        assert [a for a, _ in bounds] + [n] == [0] + [b for _, b in bounds]
+        assert all(a % chunk == 0 for a, _ in bounds)
+
+    def test_more_spans_than_cores_under_frequent_switches(self, monkeypatch):
+        # each span writes its own cell, so no switch can lose a count
+        expected = _run_on(monkeypatch, 1, 200_001)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            summary = _run_on(monkeypatch, 16, 200_001)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(summary.counts, expected.counts)
+
+    def test_a_run_below_two_chunks_starts_no_thread(self, monkeypatch):
+        spans = _recorded_spans(monkeypatch)
+        _run_on(monkeypatch, 5, 2 * simulate._CHUNK - 1)
+        assert [thread for _, _, thread in spans] == [threading.main_thread()]
+        spans.clear()
+        _run_on(monkeypatch, 5, 2 * simulate._CHUNK)
+        assert sorted(thread is threading.main_thread() for _, _, thread in spans) == [False, True]
+
+    @pytest.mark.parametrize(
+        "cpus, failing, slow",
+        [
+            (2, "second", "second"),  # the second span alone fails, last
+            (3, "second", "second"),
+            (5, "second", "second"),
+            (3, "later", "second"),  # every later span fails, the second last
+            (5, "later", "second"),
+            (5, "first", "later"),  # the caller's own span fails while the others run
+        ],
+    )
+    def test_a_span_error_reaches_the_caller_after_every_thread_ends(self, monkeypatch, cpus, failing, slow):
+        n = 5 * simulate._CHUNK
+        starts = _span_starts(monkeypatch, cpus, n)
+        pick = {"first": starts[:1], "second": starts[1:2], "later": starts[1:]}
+        _failing_spans(monkeypatch, set(pick[failing]), {a: 0.05 for a in pick[slow]})
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as error:
+            run_ssd_trials(*_SPAN_CASE, n, 5)
+        assert error.value.args == (pick[failing][0],)
+        assert threading.active_count() == before
+
+    def test_usable_cpus(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert simulate._usable_cpus() == len(os.sched_getaffinity(0))
+        # without the affinity call, every CPU of the machine; 1 where unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert simulate._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert simulate._usable_cpus() == 1
 
 
 def _assert_analytic_table(s, t, q1b, q1c):
