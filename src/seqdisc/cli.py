@@ -44,23 +44,18 @@ EXIT_CERTIFICATION = 5
 EXIT_NUMERIC = 6
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
-
-
 def _print_result(name: str, res) -> None:
-    parts = [f"{name:<22} {_fmt(res.value):<18} {res.case_label.value}"]
+    line = f"{name:<22} {res.value:<18.12g} {res.case_label.value}"
     if res.boundary_prior is not None:
-        parts.append(f"boundary_p1={_fmt(res.boundary_prior)}")
-    args = " ".join(f"{k}={_fmt(v)}" for k, v in res.argmax.items())
-    if args:
-        parts.append(args)
-    print("  ".join(parts))
+        line += f"  boundary_p1={res.boundary_prior:.12g}"
+    if res.argmax:
+        line += "  " + " ".join(f"{k}={v:.12g}" for k, v in res.argmax.items())
+    print(line)
 
 
 def cmd_optimal(args: argparse.Namespace) -> int:
     sc = Scenario(args.s, args.p1)
-    print(f"# scenario: s={_fmt(sc.s)} p1={_fmt(sc.p1)}")
+    print(f"# scenario: s={sc.s:.12g} p1={sc.p1:.12g}")
     print(f"{'quantity':<22} {'value':<18} case")
     _print_result("ssd_joint", joint_optimal(sc))
     _print_result("protocol1", protocol1_optimal(sc))
@@ -110,12 +105,12 @@ def cmd_correlations(args: argparse.Namespace) -> int:
     sc = Scenario(args.s, args.p1)
     check_overlap_t(sc.s, args.t)
     rep = correlation_report(CorrelationInput(sc.p1, args.t, sc.s / args.t))
-    print(f"# correlations: s={_fmt(sc.s)} p1={_fmt(sc.p1)} t={_fmt(args.t)} r={_fmt(sc.s / args.t)}")
+    print(f"# correlations: s={sc.s:.12g} p1={sc.p1:.12g} t={args.t:.12g} r={sc.s / args.t:.12g}")
     for name in ("tau_abe", "tau_a_be", "tau_b_ae", "tau_e_ab", "d_right", "d_left", "d_symm"):
-        print(f"{name:<12} {_fmt(getattr(rep, name))}")
+        print(f"{name:<12} {getattr(rep, name):.12g}")
     for name in ("prop_left", "prop_right"):
         val = getattr(rep, name)
-        print(f"{name:<12} {'undefined' if val is None else _fmt(val)}")
+        print(f"{name:<12} undefined" if val is None else f"{name:<12} {val:.12g}")
     return EXIT_OK
 
 
@@ -125,7 +120,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         best = joint_optimal(sc).argmax
         if not best["t"] > 0.0:  # s = 0, where the optimal t is 0
             raise DomainError(
-                f"the joint optimum's t={_fmt(best['t'])} at s={_fmt(sc.s)} is outside the "
+                f"the joint optimum's t={best['t']:.12g} at s={sc.s:.12g} is outside the "
                 "simulator's 0 < t <= 1: give an explicit --t"
             )
     else:
@@ -138,7 +133,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     expected = joint_success(sc, t, q1b, q1c)
     sigma = math.sqrt(max(expected * (1.0 - expected), 0.0) / args.n)
     rate = summary.joint_success_rate
-    print(f"# simulate: s={_fmt(sc.s)} p1={_fmt(sc.p1)} t={_fmt(t)} q1b={_fmt(q1b)} q1c={_fmt(q1c)}")
+    print(f"# simulate: s={sc.s:.12g} p1={sc.p1:.12g} t={t:.12g} q1b={q1b:.12g} q1c={q1c:.12g}")
     print(f"n_trials             {summary.n_trials}")
     print(f"seed                 {summary.seed}")
     for i in (1, 2):
@@ -147,9 +142,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 label = f"state{i}_bob_{'ok' if b else 'fail'}_charlie_{'ok' if c else 'fail'}"
                 print(f"{label:<38} {int(summary.counts[i - 1, b, c])}")
     print(f"error_count          {summary.error_count}")
-    print(f"joint_success_rate   {_fmt(rate)}")
-    print(f"expected_joint       {_fmt(expected)}")
-    print(f"deviation_sigmas     {_fmt(abs(rate - expected) / sigma if sigma > 0 else 0.0)}")
+    print(f"joint_success_rate   {rate:.12g}")
+    print(f"expected_joint       {expected:.12g}")
+    print(f"deviation_sigmas     {(abs(rate - expected) / sigma if sigma > 0 else 0.0):.12g}")
     if summary.error_count != 0:
         print("FAIL: erroneous declarations occurred", file=sys.stderr)
         return EXIT_STATISTICAL

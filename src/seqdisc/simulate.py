@@ -37,8 +37,8 @@ thresholds: the distinct thresholds strictly inside (0, 2**53) of the prior
 and of each stage, shifted left by 11 so that the raw words are compared
 without a shift.  A chunk's code per trial is its position among them,
 (prior, Bob, Charlie) in mixed radix; one bincount counts the codes, and
-the counts summed over a span's chunks are folded once into the 18
-(preparation, k_b, k_c) cells by a 0/1 matrix built with the plan.
+the counts summed over a span's chunks are added once into the 18
+(preparation, k_b, k_c) cells, each code's count into its own cell.
 """
 
 from __future__ import annotations
@@ -277,9 +277,9 @@ def _tally(
     int64 is float64, inexact above 2**53, and under numpy 1.24's
     value-based casting a scalar's type depends on its value too.  The code
     (prior, Bob, Charlie position) in mixed radix, at most 2 * 7 * 19 = 266
-    values, is built in an int16 buffer by Horner's rule; the chunks'
-    bincounts are summed, and a 0/1 matrix maps each code to its
-    (preparation, k_b, k_c) cell once at the end.  ``chunks`` is only read.
+    values, is built by Horner's rule in a new int16 array for each chunk;
+    the chunks' bincounts are summed, and at the end each code's count is
+    added into its (preparation, k_b, k_c) cell.  ``chunks`` is only read.
     """
     stages = [(0, m_p1.reshape(1, 1)), (1, m_b), (2, m_c)]
     levels = [_informative(m) for _, m in stages]
@@ -289,8 +289,6 @@ def _tally(
     kb = k_b[prep, np.arange(k_b.shape[1])[:, None]]
     kc = k_c[prep * 3 + kb % 3, np.arange(k_c.shape[1])]
     cell = (prep * 9 + kb % 3 * 3 + kc % 3).ravel()
-    fold = np.zeros((18, cell.size), dtype=np.int64)
-    fold[cell, np.arange(cell.size)] = 1
     radix_after = [len(lv) + 1 for lv in levels[1:]] + [1]  # the next stage's radix
     plan = [
         (column, [np.uint64(m << 11) for m in lv], radix)
@@ -298,23 +296,18 @@ def _tally(
     ]
 
     totals = np.zeros(cell.size, dtype=np.int64)
-    passed = np.empty(0, dtype=bool)
-    code = np.empty(0, dtype=np.int16)
     for words in chunks:
-        n = len(words)
-        if n > len(code):  # the first chunk is the longest one of a run
-            passed, code = np.empty(n, dtype=bool), np.empty(n, dtype=np.int16)
-        flag, at = passed[:n], code[:n]
-        at.fill(0)
+        at = np.zeros(len(words), dtype=np.int16)
         for column, thresholds, radix in plan:
             x = words[:, column]
             for w in thresholds:
-                np.greater_equal(x, w, out=flag)
-                at += flag
+                at += x >= w
             if radix > 1:
                 at *= radix
         totals += np.bincount(at, minlength=cell.size)
-    return (fold @ totals).reshape(2, 3, 3)
+    cells = np.zeros(18, dtype=np.int64)
+    np.add.at(cells, cell, totals)
+    return cells.reshape(2, 3, 3)
 
 
 def _trial_thresholds(
@@ -416,8 +409,8 @@ def run_ssd_trials(
     whole chunks per usable CPU (``_span_cells``), each drawn by its own
     Philox advanced to the span's first trial.  In each span ``_tally``
     compares each chunk's raw words with the informative thresholds, counts
-    the trials' codes by one bincount and folds the codes' counts into the
-    18 (preparation, k_b, k_c) cells; the spans' cells are summed, so the
+    the trials' codes by one bincount and adds each code's count into its
+    (preparation, k_b, k_c) cell; the spans' cells are summed, so the
     summary is the same for any number of spans, and give ``counts`` and
     ``error_count``.
     """

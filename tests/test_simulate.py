@@ -627,6 +627,20 @@ class TestTally:
         assert np.array_equal(summary.counts, counts)
         assert summary.error_count == errors
 
+    def test_chunks_of_uneven_length(self):
+        # a short chunk, then a longer one, then one of no rows: the tally
+        # of all three is the tally of their words joined
+        p1 = 0.25
+        cum_b, cum_c = _cumulative(_outcome_table(Scenario(0.36, p1), 0.6, 0.7, 0.5), closed=True)
+        thresholds = [simulate._word_thresholds(c) for c in (p1, cum_b, cum_c)]
+        edges = _edge_trial_words(p1, cum_b, cum_c)
+        words = np.vstack([edges, np.random.PCG64(11).random_raw((3000, 4))])
+        chunks = [words[:100], words[100:], words[:0]]
+        assert [len(c) for c in chunks] == [100, len(edges) + 2900, 0]
+        assert np.array_equal(
+            simulate._tally(chunks, *thresholds), _tally_loop(_uniforms(words), p1, cum_b, cum_c)
+        )
+
     @pytest.mark.parametrize("m", [1, 2**52, 2**53 - 1])
     def test_word_threshold_decides_as_the_shifted_word(self, m):
         # the tally compares x >= m << 11 where the uniforms compare
