@@ -8,6 +8,10 @@ digits, so a closed form of a few microseconds keeps its precision.  Minor
 page faults are counted beside them, so memory that an op gives back to the
 system and faults in again shows.
 
+An op that needs a name the parent lacks, such as ``cloning_bounds``
+(``bounds._cloning_bounds``, the cloning rows' exact enclosure), is timed
+on the tree that has it alone.
+
 With ``--parent DIR``, ``DIR/src/seqdisc`` must write the same CSVs and give
 the same results of every point call on every point scenario, oracle
 results, ``certify()`` rows, rows of each quantity certified alone on the
@@ -42,6 +46,8 @@ read 1.07 and 1.23 on ``figure_set``.
     python scripts/bench.py --quick --out bench.json   # a smoke run
     python scripts/bench.py --parent ../parent --out bench.json
     python scripts/bench.py --parent ../parent --moved 'certify().joint' --moved 'certify_draws().joint' --out bench.json
+    python scripts/bench.py --parent ../parent --moved 'certify().protocol3' --moved 'certify().at_least_one_p3' \
+        --moved 'certify_draws().protocol3' --moved 'certify_draws().at_least_one_p3' --out bench.json
     python scripts/bench.py --quick --parent . --out bench.json   # the tree against itself, as CI runs it
 """
 
@@ -249,6 +255,12 @@ def make_ops(package) -> dict:
         "certify_joint": (lambda: oracle.certify(["joint"], *grid), 1),
         "certify_draws": (lambda: _certify_each(oracle), CERTIFY_DRAWS * len(oracle._CERTIFIERS)),
     }
+    if hasattr(package.bounds, "_cloning_bounds"):  # beside grid_maximize_cloning, at the closed forms' cloner
+        enclosure_args = []
+        for sc in scenarios:
+            both, _, u = package.protocols._cloned_optimum(sc)
+            enclosure_args.append((sc.p1, sc.s, u, both.argmax["q1b"]))
+        ops["cloning_bounds"] = (_each(lambda args: package.bounds._cloning_bounds(*args), enclosure_args), 1)
 
     point_calls = POINT_LOOPS * len(POINT_SCENARIOS)
     argvs = [list(argv) for argv in OPTIMAL_ARGVS]
@@ -381,15 +393,16 @@ def time_rounds(trees: dict, repeats: int) -> dict:
     """Milliseconds and minor page faults of each op's calls:
     ``{op: {tree: {"ms": [per round], "minor_faults": [per round]}}}``.
 
-    ``trees`` maps "change" and, with a parent, "parent" to that tree's ops.
+    ``trees`` maps "change" and, with a parent, "parent" to that tree's ops;
+    an op runs on each tree that has it.
     """
     for ops in trees.values():
         for fn, _ in ops.values():
             fn()
-    runs = {op: {tree: {"ms": [], "minor_faults": []} for tree in trees} for op in trees["change"]}
+    runs = {op: {tree: {"ms": [], "minor_faults": []} for tree in trees if op in trees[tree]} for op in trees["change"]}
     for r in range(repeats):
         for name, by_tree in runs.items():
-            for tree in list(trees)[:: -1 if r % 2 else 1]:
+            for tree in list(by_tree)[:: -1 if r % 2 else 1]:
                 fn = trees[tree][name][0]
                 faults = _minor_faults()
                 start = time.perf_counter()

@@ -61,7 +61,7 @@ def cmd_optimal(args: argparse.Namespace) -> int:
     _print_result("protocol1", protocol1_optimal(sc))
     _print_result("protocol2", protocol2_optimal(sc))
     # protocol3 and at_least_one_p3 from one solve of the optimal cloner
-    protocol3, at_least_one_p3 = _cloned_optimum(sc)
+    protocol3, at_least_one_p3, _ = _cloned_optimum(sc)
     _print_result("protocol3", protocol3)
     _print_result("at_least_one_ssd", at_least_one_ssd(sc))
     _print_result("at_least_one_p3", at_least_one_p3)

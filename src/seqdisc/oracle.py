@@ -27,35 +27,34 @@ and takes its lanes that no scenario enters, 1 - gamma1, sqrt(gamma1) and
 sqrt(1 - gamma1), from a read-only cache made once (``_unit_lanes``). Each lane
 body is its objective's one evaluation in ``src/``; the expression bodies
 they are held to are the tests' references.
+The cloning oracle scans gamma1 and takes each point's gamma2 from the
+cloning constraint's better root in closed form, a line meeting the unit
+circle, by correctly rounded operations alone; the argmax's root is
+recomputed on its float by the same operations (``_cloning_root``) for the
+residual check.
+
 ``certify`` compares each closed form with its reference and flags a gap
 above its ``tolerance``. It runs scenario by scenario, and each certifier it
 needs runs once per scenario for all the quantities it covers: the two
-cloning rows share one solve of the optimal cloner, one cloning oracle and
-one exact stage bound for the cloned copy (``_cert_cloning``). That oracle
-scans gamma1 and takes each point's gamma2 from the cloning
-constraint's better root in closed form, a line meeting the unit circle, by
-correctly rounded operations alone; the argmax's root is recomputed on its
-float by the same operations (``_cloning_root``) for the residual check. A
-certifier returns one (quantity, gap) pair per comparison, such as each of
-a stage's two overlaps, and ``certify``'s fold alone reduces the pairs to
-each row's worst gap: a NaN gap ranks above every number, so it fails its
-row, and of equal gaps the first is kept.
+cloning rows share one solve of the optimal cloner and one exact enclosure
+(``_cert_cloning``). A certifier returns one (quantity, gap) pair per
+comparison, such as each of a stage's two overlaps, and ``certify``'s fold
+alone reduces the pairs to each row's worst gap: a NaN gap ranks above
+every number, so it fails its row, and of equal gaps the first is kept.
 
-Five rows are certified without a scan, by the exact bounds of ``bounds``,
-whose module docstring gives each bound's argument and the gap rule: Bob,
-Charlie, protocol (1) and the union (``at_least_one_ssd``), one stage's
-each, through one certifier (``_stage_gap``), and the joint
-(``_cert_joint``). The two cloning rows scan the cloning constraint, but
-take a cloned copy's stage maximum from no scan: it is the stage's exact
-upper bound at r = s (``bounds._stage_upper``), which is that optimum at
-the copy's priors.
+Seven rows are certified without a scan, by the exact bounds of
+``bounds``, whose module docstring gives each bound's argument and the gap
+rule: Bob, Charlie, protocol (1) and the union (``at_least_one_ssd``), one
+stage's each, through one certifier (``_stage_gap``), the joint
+(``_cert_joint``), and the two cloning rows (``_cert_cloning``). Only
+protocol (2)'s row scans.
 By ``bounds``' reductions the union's and the joint's maxima over the whole
 (t, q1b, q1c) box lie on its diagonal t = sqrt(s), q1b = q1c = u, u in [s,
 1]. So ``grid_maximize_union_ssd`` and ``grid_maximize_joint`` are 1-D
-scans of that diagonal (``_max_diagonal``). The tests keep them, and
-``grid_maximize_bob`` and ``grid_maximize_charlie``, as the certificates'
-brute-force cross-checks; they hold a 3-D scan of the box as their own
-reference.
+scans of that diagonal (``_max_diagonal``). The tests keep them,
+``grid_maximize_bob``, ``grid_maximize_charlie`` and
+``grid_maximize_cloning`` as the certificates' brute-force cross-checks;
+they hold a 3-D scan of the box as the diagonal scans' own reference.
 """
 
 from __future__ import annotations
@@ -67,8 +66,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import _exact_gap, _joint_bounds, _stage_bounds, _stage_upper
+from .bounds import _cloning_bounds, _exact_gap, _joint_bounds, _stage_bounds
 from .core import (
+    ConstraintError,
     DomainError,
     NumericError,
     Scenario,
@@ -379,24 +379,20 @@ def _stage_gap(sc: Scenario, name: str, result, q1_name: str, x, y=1.0) -> tuple
 
 def _cert_cloning(sc: Scenario) -> list[tuple[str, float]]:
     """Gaps of both cloning optima, from one solve of the optimal cloner and
-    one cloning oracle: each combines the oracle's success p_cl with one
-    copy's stage maximum disc at the priors p1*gamma1 : p2*gamma2 it
-    conditions. The oracle's p_cl, gamma1 and gamma2 come from the
-    constraint's root by +, -, *, / and square roots alone
-    (``_cloning_lanes``), each correctly rounded. disc is the stage's exact
-    upper bound at r = s (``bounds._stage_upper``, which is the optimum at
-    these priors), rounded once by int true division, so both gaps are the
-    same on every CPU and numpy. They are the 1-D scan's argmax resolution on
-    a flat top: its gamma1, up to about 2e-8 from the optimum's, moves p_cl
-    by an ulp or two but disc's priors to first order."""
-    both, at_least_one = _cloned_optimum(sc)
-    p_cl, g1, g2 = grid_maximize_cloning(sc)
-    w1, w2 = sc.p1 * g1, sc.p2 * g2
-    n, d = _stage_upper(w1 / (w1 + w2), w2 / (w1 + w2), sc.s, 1)
-    disc = n / d
+    one exact enclosure: each value against ``_cloning_bounds``' bounds on
+    its optimum (``_exact_gap``), the bracket of the cloner's u started at
+    the solve's own u, the copy's stage held at the closed form's q1. With
+    these two, seven of ``certify``'s rows are exact. A q1 that the
+    enclosure rejects as no feasible point gives both rows L > U, an
+    infinite gap."""
+    both, at_least_one, u = _cloned_optimum(sc)
+    try:
+        bounds = _cloning_bounds(sc.p1, sc.s, u, both.argmax["q1b"])
+    except ConstraintError:
+        bounds = (((1, 1), (0, 1)),) * 2
     return [
-        ("protocol3", abs(both.value - p_cl * disc * disc)),
-        ("at_least_one_p3", abs(at_least_one.value - p_cl * (1.0 - (1.0 - disc) * (1.0 - disc)))),
+        ("protocol3", _exact_gap(both.value, lambda: bounds[0])),
+        ("at_least_one_p3", _exact_gap(at_least_one.value, lambda: bounds[1])),
     ]
 
 
@@ -415,13 +411,14 @@ def _cert_joint(sc: Scenario) -> list[tuple[str, float]]:
 # quantity it covers; ``certify``'s fold is the one place that reduces them
 # to a row's worst gap. The lambdas look each closed form and oracle up when
 # called, so a rebound module name (such as the benchmark's tracer installs)
-# is seen. The two cloning combinations are written here apart from
-# protocols', so that a slip in either shows as a gap. The five exact rows
+# is seen. The two cloning combinations are written in ``bounds`` apart from
+# protocols', so that a slip in either shows as a gap. The seven exact rows
 # share one gap rule (``_exact_gap``). Four are one stage's (``_stage_gap``):
 # Bob's and Charlie's at each of ``_flag_ts``, at the flag overlaps s/t
 # (exact) and t; protocol (1)'s, Bob's stage at t = 1, at s; and the union's,
 # whose closed-form argmax (1, q1_product, 1) is that stage's point q1 =
-# q1_product, at s too. The joint takes ``_joint_bounds``' bounds.
+# q1_product, at s too. The joint takes ``_joint_bounds``' bounds, and the
+# two cloning rows ``_cloning_bounds``'.
 _CERTIFIERS: dict[str, Callable[[Scenario], list[tuple[str, float]]]] = {
     "bob": lambda sc: [_stage_gap(sc, "bob", bob_optimal(sc, t), "q1b", sc.s, t) for t in _flag_ts(sc.s)],
     "charlie": lambda sc: [

@@ -269,10 +269,11 @@ def _unconverged_error(s, p1) -> NumericError:
     return NumericError(f"cloner solve did not converge in {_CLONE_STEPS} reads: s={s}, p1={p1}")
 
 
-def _clone_solve(s, p1, sqrt, pick) -> CloneParams:
-    """The optimal cloner for prior p1 at 0 < s < 1, on floats (``math.sqrt``,
-    ``_pick``) or in every lane of arrays (``np.sqrt``, ``np.where``), by the
-    same safeguarded Newton steps on f(u) = p1(u) - p1.
+def _clone_solve(s, p1, sqrt, pick) -> tuple[CloneParams, object]:
+    """The optimal cloner for prior p1 at 0 < s < 1, and the u of its working
+    point, on floats (``math.sqrt``, ``_pick``) or in every lane of arrays
+    (``np.sqrt``, ``np.where``), by the same safeguarded Newton steps on f(u)
+    = p1(u) - p1.
 
     p1(u) falls monotonically and smoothly from 1/2 at u = 0 to 0 at u = 1.
     As s -> 0 it becomes 1/2 - z sqrt(z^2+2)/(2(1+z^2)) with z = u/sqrt(s),
@@ -322,7 +323,7 @@ def _clone_solve(s, p1, sqrt, pick) -> CloneParams:
         _check_converged(done, s, p1)
     params = CloneParams(*point[:_SLOPE])
     _check_prior(params.p1_of_omega, p1)
-    return params
+    return params, u
 
 
 def clone_params_of_omega(omega: float, s: float) -> CloneParams:
@@ -347,8 +348,9 @@ def clone_params_of_omega(omega: float, s: float) -> CloneParams:
 def clone_optimal_for_prior(scenario: Scenario) -> CloneParams:
     """The optimal cloner for the scenario's prior, by ``_clone_solve`` on
     floats: Newton steps from the small-s root invert p1(u), and the result
-    reproduces the prior within 1e-9.  The cloning optima call this once per
-    scenario for both of their values (``_cloned_optimum``).
+    reproduces the prior within 1e-9.  The cloning optima take this solve
+    once per scenario for both of their values (``_cloned_optimum``, by
+    ``_clone_for_prior``).
 
     Far below the documented s >= 1e-12 the steps still find the root, u
     about sqrt(s) (1e-100 at s = 1e-200), until the working point's terms
@@ -360,6 +362,13 @@ def clone_optimal_for_prior(scenario: Scenario) -> CloneParams:
     of about 1e-210 to 1e-216; at p1 = 1/2 its denominators underflow to 0
     below s of about 1e-216.
     """
+    return _clone_for_prior(scenario)[0]
+
+
+def _clone_for_prior(scenario: Scenario) -> tuple[CloneParams, float]:
+    """``clone_optimal_for_prior``'s cloner and the u in [0, 1] of its working
+    point, at which ``bounds._cloning_bounds`` starts its bracket of the
+    optimal u; ``CloneParams`` holds no u."""
     s = scenario.s
     omega_range(s)  # raises DomainError unless 0 < s < 1
     try:
@@ -378,7 +387,7 @@ def _clone_optimal_values(s: np.ndarray, p1: np.ndarray) -> CloneParams:
     about 1e-216 at p1 = 1/2) stops at its NaN read and fails the latter.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _clone_solve(s, p1, np.sqrt, np.where)
+        return _clone_solve(s, p1, np.sqrt, np.where)[0]
 
 
 def _cloned_stage_values(s: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -414,22 +423,24 @@ def protocol3_optimal_values(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
     return _probabilities(_both_succeed(*_cloned_stage_values(s, p1)))
 
 
-def _cloned_optimum(scenario: Scenario) -> tuple[PiecewiseResult, PiecewiseResult]:
+def _cloned_optimum(scenario: Scenario) -> tuple[PiecewiseResult, PiecewiseResult, float]:
     """The cloning protocol's two optima, (both succeed, at least one
     succeeds), from one solve of the optimal cloner for the prior and one
-    copy's stage optimum at the priors conditioned on cloning success.  The
-    case is the copy's, and both results carry the same argmax.
+    copy's stage optimum at the priors conditioned on cloning success, and
+    the u of the cloner's working point.  The case is the copy's, and both
+    results carry the same argmax.
 
     At s = 0 and s = 1 cloning always succeeds and leaves the prior, with
-    omega = 1/(1+s), so the copy's stage runs at the scenario's own priors.
+    omega = 1/(1+s), which is u = 0, so the copy's stage runs at the
+    scenario's own priors.
     """
     s = scenario.s
     if 0.0 < s < 1.0:
-        cp = clone_optimal_for_prior(scenario)
+        cp, u = _clone_for_prior(scenario)
         omega, gamma1, gamma2, p_cl = cp.omega, cp.gamma1, cp.gamma2, cp.p_cl
         p1_cl, p2_cl = cp.p1_cl, cp.p2_cl
     else:
-        omega, gamma1, gamma2, p_cl = 1.0 / (1.0 + s), 1.0, 1.0, 1.0
+        omega, gamma1, gamma2, p_cl, u = 1.0 / (1.0 + s), 1.0, 1.0, 1.0, 0.0
         p1_cl, p2_cl = scenario.p1, scenario.p2
     disc, q1, label = _stage_optimum(p1_cl, p2_cl, s)
     argmax = {
@@ -439,6 +450,7 @@ def _cloned_optimum(scenario: Scenario) -> tuple[PiecewiseResult, PiecewiseResul
     return (
         PiecewiseResult(_both_succeed(p_cl, disc), label, argmax),
         PiecewiseResult(_at_least_one_succeeds(p_cl, disc), label, dict(argmax)),
+        u,
     )
 
 

@@ -120,15 +120,19 @@ def test_criterion_2_symmetry_breaking_threshold():
 # maximum gave way from its scan to the exact stage bound at r = s
 # (``bounds._stage_upper``), an ulp away (2.935119591818136e-09 ->
 # 2.9351194807958336e-09, still at (0.36, 0.1)); at_least_one_p3 kept its
-# value.
+# value. Both cloning rows were re-recorded when the cloning scan gave way
+# to the exact enclosure of ``bounds._cloning_bounds``, whose gaps bound the
+# closed forms' distances from the optimum itself (protocol3 2.9351e-9 at
+# (0.36, 0.1) -> 3.3854e-16 at (0.36, 0.2); at_least_one_p3 5.8826e-10 at
+# (0.36, 0.1) -> 2.4985e-16 at (0.04, 0.2)).
 _CERTIFIED_ROWS = {
     "bob": (1.6431300764452317e-16, (0.36, 0.1)),
     "charlie": (1.403321903126198e-16, (0.2, 0.1)),
     "joint": (1.8030021919912543e-16, (0.2, 0.1)),
     "protocol1": (1.403321903126198e-16, (0.6, 0.1)),
     "protocol2": (2.7318025619393893e-09, (0.36, 0.2)),
-    "protocol3": (2.9351194807958336e-09, (0.36, 0.1)),
-    "at_least_one_p3": (5.882604403595337e-10, (0.36, 0.1)),
+    "protocol3": (3.38536171500423e-16, (0.36, 0.2)),
+    "at_least_one_p3": (2.498462590200966e-16, (0.04, 0.2)),
     "at_least_one_ssd": (1.403321903126198e-16, (0.6, 0.1)),
 }
 

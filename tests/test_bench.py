@@ -36,6 +36,20 @@ def test_median_ratio_is_the_mean_of_the_two_orders():
 
 
 
+def test_an_op_the_parent_lacks_runs_on_this_tree_alone():
+    # such as cloning_bounds against a parent without bounds._cloning_bounds
+    calls = []
+    trees = {
+        "change": {"both": (lambda: calls.append("change"), 1), "new": (lambda: calls.append("new"), 1)},
+        "parent": {"both": (lambda: calls.append("parent"), 1)},
+    }
+    runs = bench.time_rounds(trees, 2)
+    assert {op: list(by_tree) for op, by_tree in runs.items()} == {"both": ["change", "parent"], "new": ["change"]}
+    assert calls.count("new") == 3 and calls.count("parent") == 3  # a warm-up and two rounds
+    results = bench.summarize(runs, trees["change"])
+    assert "parent" in results["both"] and "parent" not in results["new"]
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_tally_op_counts_the_trials_of_its_seed(monkeypatch, cpus):
     # each span of the run gets its own rows of the words drawn beforehand,

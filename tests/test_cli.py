@@ -109,13 +109,13 @@ class TestSharedCloner:
 
     def test_one_cloner_solve_per_query(self, monkeypatch, capsys):
         calls = []
-        solve = protocols.clone_optimal_for_prior
+        solve = protocols._clone_for_prior
 
         def counted(sc):
             calls.append(sc)
             return solve(sc)
 
-        monkeypatch.setattr(protocols, "clone_optimal_for_prior", counted)
+        monkeypatch.setattr(protocols, "_clone_for_prior", counted)
         assert main(["optimal", "--s", "0.36", "--p1", "0.2"]) == 0
         assert len(calls) == 1
 
@@ -437,13 +437,13 @@ class TestVerify:
         (row,) = [line for line in out.splitlines() if line.startswith(f"{name} ")]
         assert row.split()[1] == "nan" and row.endswith(" FAIL") and err == ""
 
-    def test_cloning_argmax_off_the_constraint_exits_6(self, capsys, monkeypatch):
-        # the cloning oracle's residual check raises NumericError, which
+    def test_cloner_out_of_reads_exits_6(self, capsys, monkeypatch):
+        # the cloner solve's convergence check raises NumericError, which
         # verify reports as a numeric failure, not as a failed row
-        monkeypatch.setattr(oracle, "_cloning_root", lambda g1, s: (1.0, 0.0))
+        monkeypatch.setattr(protocols, "_CLONE_STEPS", 1)
         assert main(["verify", "--quantity", "protocol3"]) == cli.EXIT_NUMERIC == 6
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "violates the constraint" in err and "Traceback" not in err
+        assert err.startswith("error:") and "did not converge" in err and "Traceback" not in err
 
     def test_prints_elapsed_time(self, capsys):
         assert main(["verify", "--quantity", "protocol1,bob"]) == 0

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -40,7 +41,8 @@ from seqdisc import oracle as oracle_module
 from seqdisc import protocols as protocols_module
 from seqdisc.bounds import _root_bracket, _root_count, _sturm_chain
 from seqdisc.oracle import _REFINEMENT_PASSES, _SCAN_POINTS, _joint_term, _max_diagonal, _union_term
-from seqdisc.protocols import protocol1_optimal_values
+from seqdisc.core import _pick
+from seqdisc.protocols import _cloned_optimum, protocol1_optimal_values
 from seqdisc.sweeps import _P1_GRID, FIGURE_PRESETS, run_figure
 
 
@@ -1070,18 +1072,19 @@ class TestCertify:
             ["at_least_one_p3", "protocol3"],
         ],
     )
-    def test_cloning_rows_share_one_cloner_and_one_oracle_per_scenario(self, monkeypatch, names):
+    def test_cloning_rows_share_one_cloner_and_one_enclosure_per_scenario(self, monkeypatch, names):
         calls = {}
         for module, fn in (
-            (protocols_module, protocols_module.clone_optimal_for_prior),
-            (oracle_module, oracle_module.grid_maximize_cloning),
-            (oracle_module, oracle_module._stage_upper),  # each cloned copy's stage
+            (protocols_module, protocols_module._clone_for_prior),
+            (oracle_module, oracle_module._cloning_bounds),
+            (oracle_module, oracle_module.grid_maximize_cloning),  # the tests' cross-check alone
         ):
             calls[fn.__name__] = []
             monkeypatch.setattr(module, fn.__name__, _recording(fn, calls[fn.__name__]))
         certify(names, _CLONING_S, _CLONING_P1)
         n = len(_CLONING_S) * len(_CLONING_P1)
-        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, n)
+        counts = {name: len(c) for name, c in calls.items()}
+        assert counts == {"_clone_for_prior": n, "_cloning_bounds": n, "grid_maximize_cloning": 0}
 
     def test_cloning_rows_equal_their_single_rows(self):
         together = certify(["protocol3", "at_least_one_p3"], _CLONING_S, _CLONING_P1)
@@ -1787,12 +1790,14 @@ def _copy_priors(sc):
 
 
 class TestCopyStageCrossCheck:
-    """A cloned copy's stage maximum in ``certify`` is the exact stage bound
-    at r = s (``bounds._stage_upper``), and the copy's stage scan
-    (``oracle._conditioned_stage``) stays as its brute-force cross-check:
-    within 1 ulp of the value, read 1.0 on the 5x6 grid and the benchmark's
-    certify draws. (On 160 draws seeded 1 in the same range it read up to
-    6 ulps, at s = 0.979, where the scan's 1 - r^2/q cancels.)"""
+    """At a cloned copy's priors the stage's exact dual bound at r = s
+    (``bounds._stage_upper``) is the copy's optimum, which
+    ``bounds._cloning_bounds`` takes at the ends of the copy's prior, and
+    the copy's stage scan (``oracle._conditioned_stage``) at the cloning
+    scan's priors stays as its brute-force cross-check: within 1 ulp of the
+    value, read 1.0 on the 5x6 grid and the benchmark's certify draws. (On
+    160 draws seeded 1 in the same range it read up to 6 ulps, at s =
+    0.979, where the scan's 1 - r^2/q cancels.)"""
 
     @pytest.mark.parametrize("s,p1", _CERT_GRID + _BENCH_CERTIFY_DRAWS)
     def test_scan_within_an_ulp_of_the_bound(self, s, p1):
@@ -1823,18 +1828,114 @@ class TestCopyStageCrossCheck:
         # integers, not only as rationals
         assert bounds_module._stage_upper(p1, p2, x, y) == bounds_module._stage_bounds(p1, p2, x, y, 1.0)[1]
 
+
+def _mp_prior(s, t):
+    """The prior p1(u) that the cloner's working point at u = sqrt(t)
+    optimizes, at 60 digits: ``protocols._clone_working_point``'s steps in
+    mpmath."""
+    with mpmath.workdps(60):
+        point = protocols_module._clone_working_point(mpmath.sqrt(mpmath.mpf(t)), mpmath.mpf(s), mpmath.sqrt, _pick)
+        return point[protocols_module._P1_OF_OMEGA]
+
+
+#: The cloning enclosure's regimes: p1 = 1/2, where u* = 0; p1 = 0.01*s^2,
+#: where u* lies in a layer of width about s at u = 1; an interior prior; at
+#: s = 1e-12, 1e-3, 0.36 and 0.98.
+_CLONING_EDGES = [(s, p1) for s in (1e-12, 1e-3, 0.36, 0.98) for p1 in (0.5, 0.01 * s * s, 0.3)]
+
+
+def _cloning_enclosure(sc):
+    """``bounds._cloner_bounds`` at the scenario, its bracket started at the
+    cloner solve's own u, as ``oracle._cert_cloning`` starts it."""
+    return bounds_module._cloner_bounds(sc.p1, sc.s, _cloned_optimum(sc)[2])
+
+
+class TestCloningEnclosure:
+    """``bounds._cloning_bounds`` holds both cloning rows exactly: its bracket
+    of the optimal cloner's u* by exact side tests, the bounds on p_cl and
+    p1_cl that follow from it, and the closed forms within 1e-15 of each
+    row's [L, U]. ``grid_maximize_cloning`` stays as its brute-force
+    cross-check."""
+
+    @pytest.mark.parametrize("s,p1", _certify_range_draws(61, 24) + _CLONING_EDGES)
+    def test_bracket_ends_lie_either_side_of_the_prior(self, s, p1):
+        # the bracket is of t = u^2: p1(u) falls, so the 60-digit prior lies
+        # above p1 at its lower end and not above it at its upper end
+        sc = Scenario(s, p1)
+        (a, b), _, _ = _cloning_enclosure(sc)
+        if p1 == 0.5:
+            assert a == b == 0.0 and _mp_prior(s, a) == 0.5
+        else:
+            assert b == math.nextafter(a, 1.0)
+            assert _mp_prior(s, a) > p1 >= _mp_prior(s, b), (a, b)
+
+    @pytest.mark.parametrize("s,p1", _CERT_GRID)
+    def test_closed_forms_on_the_grid(self, s, p1):
+        gaps = dict(oracle_module._cert_cloning(Scenario(s, p1)))
+        assert list(gaps) == ["protocol3", "at_least_one_p3"]
+        assert max(gaps.values()) <= 1e-15, gaps
+
+    def test_closed_forms_on_seeded_draws(self):
+        # read: 4.9e-16 (protocol3) and 3.1e-16 (at_least_one_p3) at worst
+        worst = [0.0, 0.0]
+        for s, p1 in _certify_range_draws(62, 300):
+            gaps = [gap for _, gap in oracle_module._cert_cloning(Scenario(s, p1))]
+            worst = [max(w, g) for w, g in zip(worst, gaps)]
+        assert max(worst) <= 1e-15, worst
+
+    @pytest.mark.parametrize("s,p1", _CERT_GRID)
+    def test_scan_between_the_bounds_on_p_cl(self, s, p1):
+        # the scan's maximum of rounded values can lie above U by a few ulps
+        # (read: 6.4e-16), and below L by its flat top's resolution, about
+        # (2e-8)^2 (read: never below L)
+        sc = Scenario(s, p1)
+        lower, upper = _as_fractions(_cloning_enclosure(sc)[1])
+        value = Fraction(grid_maximize_cloning(sc)[0])
+        assert lower - Fraction(1e-15) <= value <= upper + Fraction(1e-15)
+
+    @pytest.mark.parametrize("s", [0.0, 1.0])
+    @pytest.mark.parametrize("p1", [0.1, 0.3, 0.5])
+    def test_identical_or_orthogonal_states(self, s, p1):
+        # cloning always succeeds and leaves the prior: the copy's stage at the
+        # scenario's own prior, each closed form within an ulp of 1 of [L, U]
+        rows = bounds_module._cloning_bounds(p1, s, 0.0, 1.0 if s else 0.0)
+        for (lower, upper), (_, gap) in zip(rows, oracle_module._cert_cloning(Scenario(s, p1))):
+            assert not bounds_module._exceeds(lower, upper) and gap <= 2**-52
+
     @pytest.mark.parametrize("name", ["protocol3", "at_least_one_p3"])
-    def test_rows_take_the_bound(self, monkeypatch, name):
-        # a copy's disc one ulp above the bound's moves both rows' gaps: the
-        # rows read the bound, not the scan
-        sc = Scenario(0.36, 0.2)
-        (row,) = certify([name], [sc.s], [sc.p1])
-        real = bounds_module._stage_upper
+    def test_rows_take_the_enclosure(self, monkeypatch, name):
+        # each row's U raised by 1e-12 moves its gap to about that: the rows
+        # read the enclosure, each its own pair
+        real = bounds_module._cloning_bounds
 
-        def above(*args):
-            n, d = real(*args)
-            return (Fraction(n, d) + Fraction(math.ulp(n / d))).as_integer_ratio()
+        def raised(*args):
+            return [(lower, (upper[0] + upper[1] // 10**12, upper[1])) for lower, upper in real(*args)]
 
-        monkeypatch.setattr(oracle_module, "_stage_upper", above)
-        (moved,) = certify([name], [sc.s], [sc.p1])
-        assert moved.worst_gap != row.worst_gap
+        monkeypatch.setattr(oracle_module, "_cloning_bounds", raised)
+        (row,) = certify([name], [0.36], [0.2])
+        assert 0.99e-12 < row.worst_gap < 1.01e-12
+
+    @pytest.mark.parametrize("q1", [0.36**2 / 2, 1.0 + 2**-52, math.nan], ids=["below_s2", "above_1", "nan"])
+    def test_copy_argmax_outside_its_range_fails(self, monkeypatch, q1):
+        real = oracle_module._cloned_optimum
+
+        def moved(sc):
+            both, at_least_one, u = real(sc)
+            return dataclasses.replace(both, argmax={**both.argmax, "q1b": q1}), at_least_one, u
+
+        monkeypatch.setattr(oracle_module, "_cloned_optimum", moved)
+        rows = certify(["protocol3", "at_least_one_p3"], [0.36], [0.2])
+        assert [row.worst_gap for row in rows] == [math.inf, math.inf]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_value_fails_its_row(self, monkeypatch, value):
+        real = oracle_module._cloned_optimum
+
+        def moved(sc):
+            both, at_least_one, u = real(sc)
+            return both, types.SimpleNamespace(value=value, argmax=at_least_one.argmax), u  # as _with_value
+
+        monkeypatch.setattr(oracle_module, "_cloned_optimum", moved)
+        both, at_least_one = certify(["protocol3", "at_least_one_p3"], [0.36], [0.2])
+        assert both.passed and not at_least_one.passed
+        assert math.isnan(at_least_one.worst_gap) if math.isnan(value) else at_least_one.worst_gap == math.inf

@@ -29,7 +29,7 @@ from seqdisc import (
     protocol2_optimal,
     protocol3_optimal,
 )
-from seqdisc import protocols
+from seqdisc import bounds, protocols
 from seqdisc.core import _pick
 from seqdisc.ssd import _stage_candidates, _stage_optimum
 from seqdisc.protocols import (
@@ -800,6 +800,35 @@ def _mp_cloner(s, p1):
             lo, hi = (mid, hi) if point[_P1_OF_OMEGA] > p1 else (lo, mid)
         cp = CloneParams(*_clone_working_point(mpmath.exp(lo), s, mpmath.sqrt, _pick)[:_SLOPE])
         return cp.p_cl, cp.p1_cl
+
+
+#: Where ``bounds._cloner_bounds`` is held to ``_mp_cloner``: seeded draws in
+#: the certify benchmark's range (s in [0.002, 0.98], p1 in [0.02, 0.5]), p1 =
+#: 1/2, where u* = 0, p1 = 0.01*s^2, where u* lies in a layer at u = 1, and
+#: s = 1e-12.
+_ENCLOSURE_SCENARIOS = [
+    *(tuple(x) for x in np.random.default_rng(63).uniform([0.002, 0.02], [0.98, 0.5], (8, 2)).tolist()),
+    *((s, p1) for s in (1e-12, 1e-3, 0.36) for p1 in (0.5, 0.01 * s * s)),
+    (1e-12, 0.3),
+]
+
+
+@pytest.mark.parametrize("s,p1", _ENCLOSURE_SCENARIOS)
+def test_cloner_enclosure_holds_the_50_digit_cloner(s, p1):
+    # the exact bounds on p_cl and p1_cl, its bracket started at the solve's
+    # own u, hold the reference within its 50 digits, and lie within 1e-15
+    # of each other (read: 7.3e-18 and 2.8e-16 relative on 330 draws in the
+    # certify range; 2.2e-13 relative on p1_cl's 1.0e-14 at p1 = 0.01*s^2,
+    # s = 1e-3, where p1_cl falls steeply in u)
+    sc = Scenario(s, p1)
+    _, *enclosure = bounds._cloner_bounds(sc.p1, s, protocols._cloned_optimum(sc)[2])
+    for (lower, upper), want in zip(enclosure, _mp_cloner(s, p1)):
+        lower, upper = Fraction(*lower), Fraction(*upper)
+        with mpmath.workdps(50):
+            slack = want * mpmath.mpf(10) ** -45
+            assert mpmath.mpf(lower.numerator) / lower.denominator - slack <= want
+            assert want <= mpmath.mpf(upper.numerator) / upper.denominator + slack
+        assert lower <= upper <= lower + Fraction(1e-15)
 
 
 @pytest.mark.parametrize("s", [1e-120, 1e-200])
