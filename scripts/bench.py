@@ -9,8 +9,9 @@ page faults are counted beside them, so memory that an op gives back to the
 system and faults in again shows.
 
 An op that needs a name the parent lacks, such as ``cloning_bounds``
-(``bounds._cloning_bounds``, the cloning rows' exact enclosure), is timed
-on the tree that has it alone.
+(``bounds._cloning_bounds``, the cloning rows' exact enclosure) or
+``protocol2_bounds`` (``bounds._protocol2_bounds``, protocol (2)'s), is
+timed on the tree that has it alone.
 
 With ``--parent DIR``, ``DIR/src/seqdisc`` must write the same CSVs and give
 the same results of every point call on every point scenario, oracle
@@ -48,6 +49,7 @@ read 1.07 and 1.23 on ``figure_set``.
     python scripts/bench.py --parent ../parent --moved 'certify().joint' --moved 'certify_draws().joint' --out bench.json
     python scripts/bench.py --parent ../parent --moved 'certify().protocol3' --moved 'certify().at_least_one_p3' \
         --moved 'certify_draws().protocol3' --moved 'certify_draws().at_least_one_p3' --out bench.json
+    python scripts/bench.py --parent ../parent --moved 'certify().protocol2' --out bench.json
     python scripts/bench.py --quick --parent . --out bench.json   # the tree against itself, as CI runs it
 """
 
@@ -246,6 +248,7 @@ def make_ops(package) -> dict:
         "grid_maximize_joint": (_each(oracle.grid_maximize_joint, scenarios), 1),
         "grid_maximize_union_ssd": (_each(oracle.grid_maximize_union_ssd, scenarios), 1),
         "grid_maximize_cloning": (_each(oracle.grid_maximize_cloning, scenarios), 1),
+        "grid_maximize_protocol2": (_each(oracle.grid_maximize_protocol2, scenarios), 1),
         "grid_maximize_bob": (
             _each(lambda sc: oracle.grid_maximize_bob(sc, sc.s**0.5), scenarios), 1
         ),
@@ -261,6 +264,12 @@ def make_ops(package) -> dict:
             both, _, u = package.protocols._cloned_optimum(sc)
             enclosure_args.append((sc.p1, sc.s, u, both.argmax["q1b"]))
         ops["cloning_bounds"] = (_each(lambda args: package.bounds._cloning_bounds(*args), enclosure_args), 1)
+    if hasattr(package.bounds, "_protocol2_bounds"):  # beside grid_maximize_protocol2, at the closed forms' argmax
+        protocol2_args = []
+        for sc in scenarios:
+            argmax = package.protocol2_optimal(sc).argmax
+            protocol2_args.append((sc.p1, sc.p2, sc.s, argmax["q1b"], argmax.get("q1c", float("nan"))))
+        ops["protocol2_bounds"] = (_each(lambda args: package.bounds._protocol2_bounds(*args), protocol2_args), 1)
 
     point_calls = POINT_LOOPS * len(POINT_SCENARIOS)
     argvs = [list(argv) for argv in OPTIMAL_ARGVS]

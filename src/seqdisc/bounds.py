@@ -1,13 +1,14 @@
-"""Exact bounds on the optima that ``oracle.certify`` holds seven closed forms
-to, and the gap rule that compares a closed form with them.
+"""Exact bounds on the optima that ``oracle.certify`` holds all eight closed
+forms to, and the gap rule that compares a closed form with them.
 
 Every bound is an integer (numerator, denominator) pair with a positive
 denominator, formed from floats taken exactly (``as_integer_ratio``) and
 compared by cross-multiplication (``_exceeds``): the one exact form in
 ``src/``. ``ssd._interior``'s side test cross-multiplies such pairs too, but
-in ``ssd``, since no closed form's path imports this module. The seven rows
-are Bob, Charlie, protocol (1), the union (``at_least_one_ssd``), the joint
-and the two cloning rows.
+in ``ssd``, since no closed form's path imports this module; protocol (2)'s
+bounds repeat that one comparison, since this module imports ``core``
+alone. The eight rows are Bob, Charlie, protocol (1), the union
+(``at_least_one_ssd``), the joint, protocol (2) and the two cloning rows.
 
 One stage (``_stage_bounds``). Bob, Charlie and protocol (1) are single
 stages, at the flag overlaps s/t (exact, as the pair x/y), t and s, and so
@@ -57,14 +58,36 @@ p1*gamma1/p_cl falls along u and with sqrt(Q), so it lies in [p1_cl(tb),
 p1_cl(ta)]. Every bound is rounded outward to a multiple of 2^-128
 (``_DYADIC_BITS``), which keeps the integers short.
 
+A stage at an interval of priors (``_stage_over_priors``). A stage's
+optimum is a maximum of functions linear in its prior, so it is convex in
+it, and on an interval of priors it is at most the larger of
+``_stage_dual`` at the ends. Its success at a fixed q1 is linear in the
+prior, so the smaller of it at the ends bounds the optimum from below. The
+ends, and both bounds, are rounded outward to multiples of 2^-128.
+
 The cloning rows (``_cloning_bounds``). A copy's stage optimum disc at r =
-s is a maximum of functions linear in its prior, so it is convex in it, and
-on the prior's bounds it is at most the larger of ``_stage_dual`` at their
-ends. Its success at the closed form's q1 is linear in the prior, so the
-smaller of it at the ends bounds disc from below. Both rows, p_cl*disc^2
-and p_cl*(1 - (1 - disc)^2), rise in p_cl >= 0 and in disc in [0, 1], so
-the products of the bounds bound them. At s = 0 and s = 1 cloning always
-succeeds, p_cl = 1, and the copy's stage runs at (p1, 1 - p1).
+s is bounded at the interval of the copy's prior, its success at the closed
+form's q1. Both rows, p_cl*disc^2 and p_cl*(1 - (1 - disc)^2), rise in p_cl
+>= 0 and in disc in [0, 1], so the products of the bounds bound them. At s
+= 0 and s = 1 cloning always succeeds, p_cl = 1, and the copy's stage runs
+at (p1, 1 - p1).
+
+Protocol (2) (``_protocol2_bounds``). Bob maximizes his stage at r = s,
+then Charlie his at r = s and the prior that Bob's success leaves. Where
+s^2*(1 - p1) >= p1, decided in integers as ``ssd._interior`` decides it,
+Bob takes q1b = 1, his success implies state 2, and the optimum is p2*(1 -
+s^2) exactly. Elsewhere Bob's argmax q* = s*sqrt(p2/p1) is the root of
+p1*q^2 - p2*s^2, and the adjacent floats a < b in [s, 1] with p1*a^2 <=
+p2*s^2 < p1*b^2 bracket it exactly (``_float_bracket``, started at the
+closed form's q1b). Within ulps of the tie the float p2 can put q* at or
+past 1 where the exact test, which reads 1 - p1, puts it inside; then b =
+1, Bob's argmax, and the rest holds as it stands. Charlie's prior pi(q) =
+p1*(1 - q)/(p1*(1 - q) + p2*(1 - s^2/q)) (q2 = 0 where s = 0, so pi(0) =
+p1/(p1 + p2)) falls in q, so pi(q*) lies in [pi(b), pi(a)], and Charlie's
+stage is bounded at that interval, his success at the closed form's q1c.
+Bob's optimum lies between his success at the closed form's q1b and
+``_stage_dual``, and both factors are nonnegative, so the products of the
+bounds bound the optimum.
 
 The joint (``_joint_bounds``). For a, b in [0, 1], (1 - a)(1 - b) <= (1 -
 sqrt(ab))^2, so with u = sqrt(Q1) in [s, 1] the joint success is at most
@@ -283,13 +306,16 @@ def _float_bracket(past, lo: float, hi: float, near: float) -> tuple[float, floa
 
     The search starts at ``near`` (clamped to [lo, hi]) and steps away from
     it in doubling steps, from one ulp, until the change is enclosed;
-    bisection then closes the bracket. So a start near the change takes a
-    few calls of ``past``, and any other start gives the same bracket, by
-    more of them.
+    bisection then closes the bracket. A start on lo or hi is not tested,
+    since its side is known, but steps away as any other does. So a start
+    near the change takes a few calls of ``past``, and any other start gives
+    the same bracket, by more of them.
     """
     a, b = lo, hi
     x = min(max(near, lo), hi)
     step = math.ulp(x)
+    if x in (lo, hi):  # a start on an end, whose side is known: its first step
+        x, step = min(hi, x + step) if x == lo else max(lo, x - step), 2 * step
     while a < x < b:
         if past(x):
             b, x = x, max(a, x - step)
@@ -395,6 +421,21 @@ def _cloner_bounds(p1: float, s: float, near: float):
     return (ta, tb), p_cl, p1_cl
 
 
+def _stage_over_priors(prior, r, r2, q):
+    """Exact (lower, upper) bounds on one stage at flag overlap r (r2 = r^2)
+    whose prior p1 (and p2 = 1 - p1) lies in the interval ``prior`` = (lo,
+    hi) (the module docstring's argument): its success at the feasible point
+    q at least the smaller ``_stage_success`` at the ends, its optimum at
+    most the larger ``_stage_dual`` there. The ends and both bounds are
+    rounded outward to multiples of 2^-128 (``_DYADIC_BITS``); every piece is
+    an integer (numerator, denominator) pair with a positive denominator."""
+    ends = [_outward(prior[0], False), _outward(prior[1], True)]
+    priors = [((k, d), (d - k, d)) for k, d in ends]
+    lower = _outward(_least([_stage_success(x, y, r2, q) for x, y in priors]), False)
+    upper = _outward(_most([_stage_dual(x, y, r, r2) for x, y in priors]), True)
+    return lower, upper
+
+
 def _cloning_bounds(p1: float, s: float, near: float, q1: float):
     """Exact (lower, upper) bounds on both cloning optima, p_cl*disc^2 (both
     succeed) and p_cl*(1 - (1 - disc)^2) (at least one succeeds), at the
@@ -412,10 +453,8 @@ def _cloning_bounds(p1: float, s: float, near: float, q1: float):
     if 0 < r[0] < r[1]:
         p_cl, p1_cl = _cloner_bounds(p1, s, near)[1:]
     else:  # s = 0 or 1: cloning always succeeds and leaves the prior
-        p_cl, p1_cl = ((1, 1), (1, 1)), [p1.as_integer_ratio()]
-    priors = [((k, d), (d - k, d)) for k, d in p1_cl]
-    lower = _outward(_least([_stage_success(x, y, r2, q) for x, y in priors]), False)
-    upper = _outward(_most([_stage_dual(x, y, r, r2) for x, y in priors]), True)
+        p_cl, p1_cl = ((1, 1), (1, 1)), (p1.as_integer_ratio(),) * 2
+    lower, upper = _stage_over_priors(p1_cl, r, r2, q)
 
     def both(p, x):  # p*x^2
         return p[0] * x[0] * x[0], p[1] * x[1] * x[1]
@@ -427,6 +466,43 @@ def _cloning_bounds(p1: float, s: float, near: float, q1: float):
         (both(p_cl[0], lower), both(p_cl[1], upper)),
         (at_least_one(p_cl[0], lower), at_least_one(p_cl[1], upper)),
     )
+
+
+def _protocol2_bounds(p1: float, p2: float, s: float, q1b: float, q1c: float):
+    """Exact (lower, upper) bounds on protocol (2)'s optimum, Bob's stage
+    optimum times Charlie's at the prior that Bob's success leaves, for the
+    float priors p1 and p2 and overlap s, at the closed form's q1b and q1c
+    (the module docstring's argument): integer (numerator, denominator)
+    pairs with positive denominators.
+
+    Where s^2*(1 - p1) >= p1, exactly, which is where ``ssd._interior(p1,
+    s)`` is false, Bob takes q1b = 1 and the optimum is p2*(1 - s^2),
+    exactly, whatever q1b and q1c are. Elsewhere the bracket of Bob's argmax
+    q* starts at q1b (``_float_bracket``); the bounds do not depend on it,
+    but a start far from q* costs more side tests. A q1b or q1c outside
+    [s^2, 1] is no feasible point there, so it bounds nothing and is a
+    ``ConstraintError`` (``_point``).
+    """
+    r, r2 = _overlap(s, 1)
+    p1, p2 = p1.as_integer_ratio(), p2.as_integer_ratio()
+    (a, aa), (b, bb), (r2n, r2d) = p1, p2, r2
+    if r2n * (aa - a) >= a * r2d:  # s^2*(1 - p1) >= p1: not ssd._interior(p1, s)
+        boundary = (b * (r2d - r2n), bb * r2d)
+        return boundary, boundary
+    qb, qc = _point(q1b, r, r2), _point(q1c, r, r2)
+
+    def past(q):  # p1*q^2 > p2*s^2: q* < q
+        qn, qd = q.as_integer_ratio()
+        return a * qn * qn * bb * r2d > b * r2n * aa * qd * qd
+
+    def prior(q):  # Charlie's, p1*(1 - q) over Bob's success at q
+        first, total = _stage_success(p1, (0, 1), r2, q), _stage_success(p1, p2, r2, q)
+        return first[0] * total[1], first[1] * total[0]
+
+    lo, hi = _float_bracket(past, s, 1.0, q1b)
+    charlie = _stage_over_priors((prior(hi.as_integer_ratio()), prior(lo.as_integer_ratio())), r, r2, qc)
+    bob = _stage_success(p1, p2, r2, qb), _stage_dual(p1, p2, r, r2)
+    return tuple((x[0] * y[0], x[1] * y[1]) for x, y in zip(bob, charlie))
 
 
 def _exact_gap(value: float, bounds, *args) -> float:

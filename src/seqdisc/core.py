@@ -18,14 +18,12 @@ errors), ``Scenario``'s check (``_check_scenario``), the overlap t
 written here once for both.
 
 The oracles' search engine lives here too: the window scan of a 1-D
-objective (``window_scan_max``), whose first scan of [0, 1] is one shared
-read-only array (``_unit_points``). The exact certificates, with their
-Sturm chain, are ``bounds``'.
+objective (``window_scan_max``). The exact certificates, with their Sturm
+chain, are ``bounds``'.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from numbers import Real
@@ -293,43 +291,6 @@ def _entropy_error(x) -> DomainError:
     return DomainError(f"entropy argument x={x} outside [0, 1]")
 
 
-@functools.cache
-def _scan_indices(points: int) -> np.ndarray:
-    """0, 1, ..., points - 1 as read-only floats, shared by every scan."""
-    k = np.arange(float(points))
-    k.setflags(write=False)
-    return k
-
-
-def _scan_points(lo: float, hi: float, points: int, out: np.ndarray) -> np.ndarray:
-    """``np.linspace(lo, hi, points)`` bit for bit (``points`` >= 2), written
-    into ``out`` (``points`` float lanes) and returned, by linspace's own steps
-    on the cached indices but without its per-call argument handling, which
-    costs as much as a 2001-point scan's arithmetic."""
-    div = points - 1
-    delta = hi - lo
-    step = delta / div
-    if step == 0.0:  # linspace's path for a step that underflows
-        np.divide(_scan_indices(points), div, out=out)
-        out *= delta
-    else:
-        np.multiply(_scan_indices(points), step, out=out)
-    out += lo
-    out[-1] = hi
-    return out
-
-
-@functools.cache
-def _unit_points(points: int) -> np.ndarray:
-    """``np.linspace(0, 1, points)`` bit for bit, read-only and made once per
-    ``points``: the first scan of every [0, 1] window scan, shared by all of
-    them, so a lane body can recognise it by identity and keep lanes of its
-    own made from it (``oracle._cloning_lanes``)."""
-    xs = _scan_points(0.0, 1.0, points, np.empty(points))
-    xs.setflags(write=False)
-    return xs
-
-
 def window_scan_max(
     f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, points: int, passes: int
 ) -> tuple[float, float]:
@@ -342,22 +303,14 @@ def window_scan_max(
     is the next window's half-width; every scan's points are
     ``np.linspace``'s. A scan's first highest point replaces the best only
     when strictly higher. Minimize by negating f.
-
-    ``f`` must not write to its points, nor keep them. The first scan of
-    [0, 1] is the shared read-only ``_unit_points(points)``; every other scan
-    is one array, made once per call and refilled in place. ``f`` may return
-    a fresh array or a buffer of its own that it overwrites on its next call
-    (a lane body, such as ``oracle._stage_lanes``): the values are read
-    before that call.
     """
-    xs = np.empty(points)
-    grid = _unit_points(points) if lo == 0.0 and hi == 1.0 else _scan_points(lo, hi, points, xs)
+    grid = np.linspace(lo, hi, points)
     vals = f(grid)
     i = int(vals.argmax())
     best_x, best_v = float(grid[i]), float(vals[i])
     for _ in range(passes):
         step = float(grid[1] - grid[0])
-        grid = _scan_points(max(lo, best_x - step), min(hi, best_x + step), points, xs)
+        grid = np.linspace(max(lo, best_x - step), min(hi, best_x + step), points)
         vals = f(grid)
         i = int(vals.argmax())
         if vals[i] > best_v:

@@ -1,5 +1,5 @@
 """Brute-force grid maximizers, and ``certify``, which holds every closed-form
-optimum to them or to the exact bounds of ``bounds``.
+optimum to the exact bounds of ``bounds``.
 
 Each oracle evaluates the defining objective on a dense grid of the feasible
 set (boundaries always included, since the optima frequently sit at q = 1)
@@ -16,17 +16,8 @@ refined by ``_REFINEMENT_PASSES`` rescans of ``_SCAN_POINTS`` points over
 the window one grid step either side of the best point
 (``core.window_scan_max``), and every scanned one-stage maximum is
 ``_grid_max_stage``'s. Every refinement calls the same array objective as
-its first scan. The stage and cloning scans evaluate it by a
-lane body (``_stage_lanes``, ``_cloning_lanes``): the expression's
-operations in its order, written into buffers made once per scan, so each
-lane is the expression's float, and a pass allocates no array. Their
-scalar operands are float64 0-d arrays, converted once per scan. The first
-scan of [0, 1] is one read-only grid, shared by every scan
-(``core._unit_points``); the cloning lane body recognises it by identity
-and takes its lanes that no scenario enters, 1 - gamma1, sqrt(gamma1) and
-sqrt(1 - gamma1), from a read-only cache made once (``_unit_lanes``). Each lane
-body is its objective's one evaluation in ``src/``; the expression bodies
-they are held to are the tests' references.
+its first scan, and each objective is one expression on arrays
+(``_stage_lanes``, ``_cloning_lanes``).
 The cloning oracle scans gamma1 and takes each point's gamma2 from the
 cloning constraint's better root in closed form, a line meeting the unit
 circle, by correctly rounded operations alone; the argmax's root is
@@ -42,31 +33,29 @@ comparison, such as each of a stage's two overlaps, and ``certify``'s fold
 alone reduces the pairs to each row's worst gap: a NaN gap ranks above
 every number, so it fails its row, and of equal gaps the first is kept.
 
-Seven rows are certified without a scan, by the exact bounds of
+All eight rows are certified without a scan, by the exact bounds of
 ``bounds``, whose module docstring gives each bound's argument and the gap
 rule: Bob, Charlie, protocol (1) and the union (``at_least_one_ssd``), one
 stage's each, through one certifier (``_stage_gap``), the joint
-(``_cert_joint``), and the two cloning rows (``_cert_cloning``). Only
-protocol (2)'s row scans.
+(``_cert_joint``), protocol (2) (``_cert_protocol2``) and the two cloning
+rows (``_cert_cloning``).
 By ``bounds``' reductions the union's and the joint's maxima over the whole
 (t, q1b, q1c) box lie on its diagonal t = sqrt(s), q1b = q1c = u, u in [s,
 1]. So ``grid_maximize_union_ssd`` and ``grid_maximize_joint`` are 1-D
-scans of that diagonal (``_max_diagonal``). The tests keep them,
-``grid_maximize_bob``, ``grid_maximize_charlie`` and
-``grid_maximize_cloning`` as the certificates' brute-force cross-checks;
-they hold a 3-D scan of the box as the diagonal scans' own reference.
+scans of that diagonal (``_max_diagonal``). The tests keep every
+``grid_maximize_*`` as the certificates' brute-force cross-checks; they
+hold a 3-D scan of the box as the diagonal scans' own reference.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import _cloning_bounds, _exact_gap, _joint_bounds, _stage_bounds
+from .bounds import _cloning_bounds, _exact_gap, _joint_bounds, _protocol2_bounds, _stage_bounds
 from .core import (
     ConstraintError,
     DomainError,
@@ -74,7 +63,6 @@ from .core import (
     Scenario,
     _is_real,
     _quantity_names,
-    _unit_points,
     check_overlap_t,
     window_scan_max,
 )
@@ -91,54 +79,18 @@ CERT_S_VALUES = (0.04, 0.1716, 0.2, 0.36, 0.6)
 CERT_P1_VALUES = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
 
 
-def _lane_buffers(count: int) -> Callable[[np.ndarray], list[np.ndarray]]:
-    """A lane body's buffers: ``take(xs)`` gives ``count`` float arrays of xs'
-    length, made on the first call and made again only when the length
-    changes, so every pass of a scan writes into the same ones."""
-    held: list[np.ndarray] = []
-
-    def take(xs: np.ndarray) -> list[np.ndarray]:
-        if not held or len(held[0]) != len(xs):
-            held[:] = [np.empty(len(xs)) for _ in range(count)]
-        return held
-
-    return take
-
-
-def _operands(*values: float) -> list[np.ndarray]:
-    """A lane body's scalar operands as float64 0-d arrays, converted once
-    per scan rather than by each ufunc call; a ufunc gives the float's IEEE
-    result on them."""
-    return [np.array(v, float) for v in values]
-
-
 def _stage_lanes(p1: float, p2: float, r: float) -> Callable[[np.ndarray], np.ndarray]:
     """One stage's success as a function of q1, p1*(1 - q) + p2*(1 - r^2/q)
-    (q2 = 0 where r = 0), as a lane body: the expression's operations in its
-    order, each written into buffers made once per scan (``_lane_buffers``),
-    so every lane is the expression's float. Returns its value buffer, which
-    the next call overwrites."""
-    orthogonal = r * r == 0  # q2 = 0
-    one, p1, p2, r2 = _operands(1.0, p1, p2, r * r)
-    take = _lane_buffers(2)
-
-    def values(q: np.ndarray) -> np.ndarray:
-        value, rest = take(q)
-        np.subtract(one, q, out=value)
-        np.multiply(p1, value, out=value)  # p1 * (1 - q)
-        if orthogonal:
-            return np.add(value, p2, out=value)
-        np.divide(r2, q, out=rest)
-        np.subtract(one, rest, out=rest)
-        np.multiply(p2, rest, out=rest)  # p2 * (1 - r2 / q)
-        return np.add(value, rest, out=value)
-
-    return values
+    (q2 = 0 where r = 0), on an array of q1."""
+    r2 = r * r
+    if r2 == 0.0:  # orthogonal flags: q2 = 0
+        return lambda q: p1 * (1.0 - q) + p2
+    return lambda q: p1 * (1.0 - q) + p2 * (1.0 - r2 / q)
 
 
 def _grid_max_stage(p1: float, p2: float, r: float) -> tuple[float, float]:
     """The one-stage oracle: (max, argmax) of the stage's success on [r^2,
-    1], scanned by its lane body (``_stage_lanes``)."""
+    1], scanned on its array expression (``_stage_lanes``)."""
     q1, value = window_scan_max(_stage_lanes(p1, p2, r), r * r, 1.0, _SCAN_POINTS, _REFINEMENT_PASSES)
     return value, q1
 
@@ -230,36 +182,10 @@ def grid_maximize_protocol2(scenario: Scenario) -> tuple[float, float, float]:
     return bob_val * charlie_val, q1b, q1c
 
 
-def _free_lanes(g1: np.ndarray, out: list[np.ndarray]) -> list[np.ndarray]:
-    """The cloning lane body's lanes that no scenario enters, 1 - gamma1,
-    sqrt(gamma1) and sqrt(1 - gamma1), written into the three arrays
-    ``out`` and returned."""
-    co_g1, sqrt_g1, b = out
-    np.subtract(1.0, g1, out=co_g1)
-    np.sqrt(g1, out=sqrt_g1)
-    np.sqrt(co_g1, out=b)
-    return out
-
-
-@functools.cache
-def _unit_lanes() -> tuple[np.ndarray, ...]:
-    """``_free_lanes`` of the shared first scan ``core._unit_points``,
-    read-only and made once."""
-    lanes = _free_lanes(_unit_points(_SCAN_POINTS), [np.empty(_SCAN_POINTS) for _ in range(3)])
-    for lane in lanes:
-        lane.setflags(write=False)
-    return tuple(lanes)
-
-
 def _cloning_lanes(s: float, p1: float, p2: float) -> Callable[[np.ndarray], np.ndarray]:
     """The cloning objective p1*gamma1 + p2*gamma2 at the better root of the
-    cloning constraint, for gamma1 = g1 in [0, 1] and 0 < s < 1, as a lane
-    body, -inf where the constraint has no root: the expression's operations
-    in its order, each written into buffers made once per scan
-    (``_lane_buffers``), or, on the shared first scan ``core._unit_points``
-    (the very array, not an equal one), taken from its read-only cache
-    (``_unit_lanes``). Returns its value buffer, which the next call
-    overwrites.
+    cloning constraint, for gamma1 = g1 in [0, 1] and 0 < s < 1, on an array
+    of g1, -inf where the constraint has no root.
 
     The constraint (Duan and Guo, Phys. Rev. Lett. 80, 4999 (1998)) is
     s = s^2*sqrt(gamma1*gamma2) + sqrt((1 - gamma1)(1 - gamma2)). At fixed
@@ -283,42 +209,24 @@ def _cloning_lanes(s: float, p1: float, p2: float) -> Callable[[np.ndarray], np.
     correctly rounded, so each lane holds what the same steps give on its
     float, bit for bit, on every CPU and numpy, and the argmax's root
     (``_cloning_root``) is its lane's.
-    ``tests/test_oracle.py`` holds the lanes to the expression body bit for
-    bit (``TestLaneBodies``).
     """
     ss = s * s
-    operands = (ss, ss * ss, s * ss, (1.0 - s) * (1.0 + s), p1, p2, 1.0, -math.inf)
-    ss, ss_ss, s_ss, one_minus_ss, p1, p2, one, minus_inf = _operands(*operands)
-    unit = _unit_points(_SCAN_POINTS)
-    take = _lane_buffers(5)
+    ss_ss, s_ss, one_minus_ss = ss * ss, s * ss, (1.0 - s) * (1.0 + s)
 
     def values(g1: np.ndarray) -> np.ndarray:
-        den, x, *free = take(g1)
         with np.errstate(invalid="ignore", divide="ignore"):
-            co_g1, sqrt_g1, b = _unit_lanes() if g1 is unit else _free_lanes(g1, free)
-            np.multiply(ss_ss, g1, out=den)
-            np.add(den, co_g1, out=den)  # A^2 + B^2
-            np.multiply(ss, g1, out=x)
-            np.subtract(co_g1, x, out=x)
-            np.multiply(one_minus_ss, x, out=x)
-            np.sqrt(x, out=x)  # sqrt(R)
-            np.multiply(b, x, out=x)  # b * sqrt(R)
-            spare = np.multiply(sqrt_g1, s_ss, out=free[0])  # where 1 - gamma1 was, read by now
-            np.add(spare, x, out=x)
-            np.divide(x, den, out=x)
-        np.minimum(x, one, out=x)
-        np.multiply(x, x, out=x)
-        np.multiply(p2, x, out=x)
-        np.multiply(p1, g1, out=den)
-        np.add(den, x, out=den)
-        return np.fmax(den, minus_inf, out=den)
+            co_g1 = 1.0 - g1
+            den = ss_ss * g1 + co_g1  # A^2 + B^2
+            root = np.sqrt(one_minus_ss * (co_g1 - ss * g1))  # sqrt(R)
+            x = np.minimum((np.sqrt(g1) * s_ss + np.sqrt(co_g1) * root) / den, 1.0)
+        return np.fmax(p1 * g1 + p2 * (x * x), -np.inf)
 
     return values
 
 
 def _cloning_root(g1: float, s: float) -> tuple[float, float]:
     """(gamma2, sqrt(1 - gamma2)) at the better root of the cloning
-    constraint for the float gamma1 = g1, the root's (x^2, y): the lane
+    constraint for the float gamma1 = g1, the root's (x^2, y): the array
     body's operations in its order (``_cloning_lanes``), so gamma2 is the
     lane's x^2 bit for bit. ``math.sqrt`` raises where the lane reads -inf."""
     ss = s * s
@@ -333,8 +241,8 @@ def _cloning_root(g1: float, s: float) -> tuple[float, float]:
 def grid_maximize_cloning(scenario: Scenario) -> tuple[float, float, float]:
     """Brute-force maximum of p1*gamma1 + p2*gamma2 on the cloning constraint
     manifold, parametrized by gamma1, each point at its better constraint
-    root: scanned by the lane body (``_cloning_lanes``), the argmax's gamma2
-    and sqrt(1 - gamma2) from the same root on its float
+    root: scanned on its array expression (``_cloning_lanes``), the argmax's
+    gamma2 and sqrt(1 - gamma2) from the same root on its float
     (``_cloning_root``)."""
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
     if s in (0.0, 1.0):
@@ -381,9 +289,8 @@ def _cert_cloning(sc: Scenario) -> list[tuple[str, float]]:
     """Gaps of both cloning optima, from one solve of the optimal cloner and
     one exact enclosure: each value against ``_cloning_bounds``' bounds on
     its optimum (``_exact_gap``), the bracket of the cloner's u started at
-    the solve's own u, the copy's stage held at the closed form's q1. With
-    these two, seven of ``certify``'s rows are exact. A q1 that the
-    enclosure rejects as no feasible point gives both rows L > U, an
+    the solve's own u, the copy's stage held at the closed form's q1. A q1
+    that the enclosure rejects as no feasible point gives both rows L > U, an
     infinite gap."""
     both, at_least_one, u = _cloned_optimum(sc)
     try:
@@ -406,19 +313,29 @@ def _cert_joint(sc: Scenario) -> list[tuple[str, float]]:
     return [("joint", _exact_gap(result.value, _joint_bounds, sc.p1, sc.p2, sc.s, q, near))]
 
 
+def _cert_protocol2(sc: Scenario) -> list[tuple[str, float]]:
+    """Protocol (2)'s value against ``_protocol2_bounds``' exact bounds on
+    its optimum (``_exact_gap``), at the closed form's q1b and q1c, with the
+    bracket of Bob's q* started from its q1b. Case III reports no q1c, and
+    there the bounds read none."""
+    result = protocol2_optimal(sc)
+    q1b, q1c = result.argmax["q1b"], result.argmax.get("q1c", math.nan)
+    return [("protocol2", _exact_gap(result.value, _protocol2_bounds, sc.p1, sc.p2, sc.s, q1b, q1c))]
+
+
 # Each certifier maps a scenario to a list of (quantity, gap) pairs, one per
 # comparison of a closed form with its reference, and is listed under each
 # quantity it covers; ``certify``'s fold is the one place that reduces them
 # to a row's worst gap. The lambdas look each closed form and oracle up when
 # called, so a rebound module name (such as the benchmark's tracer installs)
 # is seen. The two cloning combinations are written in ``bounds`` apart from
-# protocols', so that a slip in either shows as a gap. The seven exact rows
-# share one gap rule (``_exact_gap``). Four are one stage's (``_stage_gap``):
+# protocols', so that a slip in either shows as a gap. The eight rows share
+# one gap rule (``_exact_gap``). Four are one stage's (``_stage_gap``):
 # Bob's and Charlie's at each of ``_flag_ts``, at the flag overlaps s/t
 # (exact) and t; protocol (1)'s, Bob's stage at t = 1, at s; and the union's,
 # whose closed-form argmax (1, q1_product, 1) is that stage's point q1 =
-# q1_product, at s too. The joint takes ``_joint_bounds``' bounds, and the
-# two cloning rows ``_cloning_bounds``'.
+# q1_product, at s too. The joint takes ``_joint_bounds``' bounds, protocol
+# (2) ``_protocol2_bounds``', and the two cloning rows ``_cloning_bounds``'.
 _CERTIFIERS: dict[str, Callable[[Scenario], list[tuple[str, float]]]] = {
     "bob": lambda sc: [_stage_gap(sc, "bob", bob_optimal(sc, t), "q1b", sc.s, t) for t in _flag_ts(sc.s)],
     "charlie": lambda sc: [
@@ -426,7 +343,7 @@ _CERTIFIERS: dict[str, Callable[[Scenario], list[tuple[str, float]]]] = {
     ],
     "joint": _cert_joint,
     "protocol1": lambda sc: [_stage_gap(sc, "protocol1", protocol1_optimal(sc), "q1b", sc.s)],
-    "protocol2": lambda sc: [("protocol2", abs(protocol2_optimal(sc).value - grid_maximize_protocol2(sc)[0]))],
+    "protocol2": _cert_protocol2,
     "protocol3": _cert_cloning,
     "at_least_one_p3": _cert_cloning,
     "at_least_one_ssd": lambda sc: [

@@ -388,8 +388,8 @@ class TestVerify:
         assert "protocol1" in out and "PASS" in out and "FAIL" not in out
 
     def test_unreachable_tolerance_fails(self, capsys):
-        # protocol (2)'s scanned row reads 2.7e-9
-        code = main(["verify", "--quantity", "protocol2", "--tolerance", "1e-12"])
+        # protocol (2)'s exact row reads 1.7e-16
+        code = main(["verify", "--quantity", "protocol2", "--tolerance", "1e-17"])
         assert code == 5
         assert "FAIL" in capsys.readouterr().out
 

@@ -39,9 +39,6 @@ from seqdisc.core import (
     _pick,
     _prior_error,
     _require,
-    _scan_indices,
-    _scan_points,
-    _unit_points,
     check_overlap_t,
     entropy_H_values,
     window_scan_max,
@@ -320,18 +317,6 @@ class TestWindowScanMax:
         x, fx = window_scan_max(peaked, 0.0, 1.0, 11, 1)
         assert x == pytest.approx(0.52) and fx == 2.0
 
-    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (0, 1), (-0.0, 1.0), (0.0, 0.5), (1e-300, 1.0), (-1.0, 1.0)])
-    def test_only_a_unit_scan_starts_on_the_shared_grid(self, lo, hi):
-        # the first scan of [0, 1], by value, is the shared read-only grid
-        # itself; every other scan, and every refinement, is a writable
-        # array of the call's own
-        grids = []
-        window_scan_max(lambda xs: grids.append(xs) or -np.abs(xs - 0.3), lo, hi, 11, 2)
-        unit = (lo, hi) == (0.0, 1.0)
-        assert (grids[0] is _unit_points(11)) == unit
-        assert [xs.flags.writeable for xs in grids] == [not unit, True, True]
-        assert all(xs is not _unit_points(11) for xs in grids[1:])
-
     def test_empty_interval_returns_its_end(self):
         calls = []
 
@@ -476,32 +461,22 @@ class TestScanPoints:
     @pytest.mark.parametrize("lo,hi", _linspace_windows())
     @pytest.mark.parametrize("points", [2, 3, 11, 33, 181, 2001])
     def test_linspace_points_on_edge_windows(self, lo, hi, points):
-        # written into the array given, every lane of it: none keeps the NaN
-        # it held before
-        out = np.full(points, np.nan)
-        xs = _scan_points(lo, hi, points, out)
-        assert xs is out and (xs[0], xs[-1]) == (lo, hi)
-        _assert_linspace_points(xs)
-
-    def test_cached_indices_are_read_only(self):
-        assert _scan_indices(2001) is _scan_indices(2001)
-        with pytest.raises(ValueError):
-            _scan_indices(2001)[0] = 1.0
-
-    @pytest.mark.parametrize("points", [2, 11, 2001])
-    def test_unit_points_are_linspace_and_read_only(self, points):
-        # made once per size, linspace's points bit for bit
-        xs = _unit_points(points)
-        assert xs is _unit_points(points) and not xs.flags.writeable
-        with pytest.raises(ValueError):
-            xs[0] = 1.0
-        assert xs.tobytes() == np.linspace(0.0, 1.0, points).tobytes()
+        # every scan of a window scan, first and refinement, takes
+        # linspace's points, and its result is a point of the window with
+        # f's value there
+        mid = 0.5 * lo + 0.5 * hi
+        f = lambda xs: -np.abs(xs - mid)
+        scans = []
+        x, fx = window_scan_max(lambda xs: scans.append(xs.copy()) or f(xs), lo, hi, points, 2)
+        assert len(scans) == 3 and (scans[0][0], scans[0][-1]) == (lo, hi)
+        for xs in scans:
+            _assert_linspace_points(xs)
+        assert lo <= x <= hi and fx == float(f(np.array([x]))[0])
 
     @pytest.mark.parametrize("s,p1", _ORACLE_SCENARIOS)
     def test_linspace_points_on_every_oracle_window(self, monkeypatch, s, p1):
         # every scan, first and refinement, of the cloning, stage and
-        # left-discord oracles; each scan's points are copied, as the scan
-        # refills one array in place
+        # left-discord oracles
         scans = []
 
         def recording(f, lo, hi, points, passes):

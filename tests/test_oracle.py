@@ -43,13 +43,13 @@ from seqdisc.bounds import _root_bracket, _root_count, _sturm_chain
 from seqdisc.oracle import _REFINEMENT_PASSES, _SCAN_POINTS, _joint_term, _max_diagonal, _union_term
 from seqdisc.core import _pick
 from seqdisc.protocols import _cloned_optimum, protocol1_optimal_values
+from seqdisc.ssd import _interior
 from seqdisc.sweeps import _P1_GRID, FIGURE_PRESETS, run_figure
 
 
 def _cloning_objective_values(g1, s, p1, p2):
     """The cloning objective in every lane of g1, -inf where the constraint
-    has no root: the oracle's lane body (``oracle._cloning_lanes``), a fresh
-    one per call, so the buffer returned is the caller's to keep."""
+    has no root: the oracle's array body (``oracle._cloning_lanes``)."""
     return oracle_module._cloning_lanes(s, p1, p2)(g1)
 
 
@@ -406,6 +406,21 @@ def _accuracy_points(seed, n):
     return points
 
 
+def _lane_scenarios():
+    """(s, p1): 12 seeded draws of the certify range, s in [0.002, 0.98] and
+    p1 in [0.02, 0.5], and s at 1e-12 and 1 - 1e-9 at seeded priors."""
+    rng = np.random.default_rng(33)
+    draws = rng.uniform([0.002, 0.02], [0.98, 0.5], (12, 2)).tolist()
+    return [tuple(x) for x in draws] + [(s, float(p1)) for s in (1e-12, 1.0 - 1e-9) for p1 in rng.uniform(0.02, 0.5, 3)]
+
+
+def _seeded_lanes(lo, hi, seed, n=2001):
+    """n seeded lanes uniform in [lo, hi], with both ends and a scan's
+    2001 grid points."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([[lo, hi], rng.uniform(lo, hi, n), np.linspace(lo, hi, _SCAN_POINTS)])
+
+
 _ROOT_S = (1e-10, 2.54e-10, 1e-6, 0.5, 1.0 - 1e-9)
 _ROOT_P1 = (1e-12, 1e-6, 0.05, 0.3, 0.5)
 
@@ -442,6 +457,19 @@ class TestRootCloningObjective:
                     floats.append(-math.inf)
             assert np.array(floats).tobytes() == lanes(s, p1, 1.0 - p1)(g1).tobytes()
         assert _cloning_objective(g1_max, s, p1, 1.0 - p1, math.sqrt, min) == value
+
+    @pytest.mark.parametrize("s,p1", _lane_scenarios()[::3])
+    def test_cloning_root_is_the_expression(self, s, p1):
+        # the argmax's (gamma2, sqrt(1 - gamma2)) on its float, against the
+        # expression body's roots bit for bit, and raising where it raises
+        for g1 in _seeded_lanes(0.0, 1.0, 5, 200).tolist():
+            try:
+                want = _cloning_objective(g1, s, p1, 1.0 - p1, math.sqrt, min, roots=True)[1:]
+            except ValueError:
+                with pytest.raises(ValueError):
+                    oracle_module._cloning_root(g1, s)
+            else:
+                assert oracle_module._cloning_root(g1, s) == want, g1
 
     @pytest.mark.parametrize("s", _ROOT_S + (0.04, 0.36, 0.98))
     def test_plus_root_is_the_better_of_both(self, s):
@@ -519,17 +547,11 @@ class TestWindowScanArgmax:
 def _stage_objective(p1, p2, r):
     """Success probability of one discrimination stage as a function of q1: on
     floats or arrays, or on ``Fraction``s, which its integer literals keep
-    exact. The reference for the stage's lane body and its exact bounds."""
+    exact. The reference for the stage's scan and its exact bounds."""
     r2 = r * r
     if r2 == 0:
         return lambda q: p1 * (1 - q) + p2  # orthogonal flags: q2 = 0
     return lambda q: p1 * (1 - q) + p2 * (1 - r2 / q)
-
-
-def _stage_expression(q, p1, p2, r):
-    """``_stage_objective``'s expression body on an array, allocating each
-    operation's result: the reference for the stage's lane body."""
-    return _stage_objective(p1, p2, r)(q)
 
 
 def _cloning_objective(g1, s, p1, p2, sqrt, minimum, roots=False):
@@ -538,9 +560,8 @@ def _cloning_objective(g1, s, p1, p2, sqrt, minimum, roots=False):
     on floats (``math.sqrt``, ``min``) or on arrays (``np.sqrt``,
     ``np.minimum``); with ``roots``, the tuple (value, gamma2,
     sqrt(1 - gamma2)). Past the tangent point R < 0: an array lane's value is
-    NaN and ``math.sqrt`` raises on a float. The expression body, the
-    reference for the cloning lane body and for the argmax's root
-    (``oracle._cloning_root``)."""
+    NaN and ``math.sqrt`` raises on a float. The reference for the cloning
+    scan's lanes and for the argmax's root (``oracle._cloning_root``)."""
     ss = s * s
     co_g1 = 1.0 - g1
     den = ss * ss * g1 + co_g1  # A^2 + B^2
@@ -551,135 +572,6 @@ def _cloning_objective(g1, s, p1, p2, sqrt, minimum, roots=False):
     if not roots:
         return value
     return value, x * x, (b * s - sqrt_g1 * ss * root) / den
-
-
-def _cloning_expression(g1, s, p1, p2):
-    """``_cloning_objective``'s expression body on an array (``np.sqrt``,
-    ``np.minimum``), NaN made -inf: the reference for the cloning lane body."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        value = _cloning_objective(g1, s, p1, p2, np.sqrt, np.minimum)
-    return np.where(np.isnan(value), -np.inf, value)
-
-
-def _lane_scenarios():
-    """(s, p1): 12 seeded draws of the certify range, s in [0.002, 0.98] and
-    p1 in [0.02, 0.5], and s at 1e-12 and 1 - 1e-9 at seeded priors."""
-    rng = np.random.default_rng(33)
-    draws = rng.uniform([0.002, 0.02], [0.98, 0.5], (12, 2)).tolist()
-    return [tuple(x) for x in draws] + [(s, float(p1)) for s in (1e-12, 1.0 - 1e-9) for p1 in rng.uniform(0.02, 0.5, 3)]
-
-
-def _seeded_lanes(lo, hi, seed, n=2001):
-    """n seeded lanes uniform in [lo, hi], with both ends and a scan's
-    2001 grid points."""
-    rng = np.random.default_rng(seed)
-    return np.concatenate([[lo, hi], rng.uniform(lo, hi, n), np.linspace(lo, hi, _SCAN_POINTS)])
-
-
-class TestLaneBodies:
-    """Each scan's lane body (``oracle._stage_lanes``, ``oracle._cloning_lanes``)
-    writes its expression body's operations into buffers made once per scan,
-    so every lane is the expression's float bit for bit."""
-
-    @pytest.mark.parametrize("s,p1", _lane_scenarios())
-    def test_stage_lanes_are_the_expression(self, s, p1):
-        # at Bob's and Charlie's overlaps, protocol (1)'s s, and r = 0 and 1
-        for k, r in enumerate((0.0, s, math.sqrt(s), s / (0.5 * (1.0 + s)), 0.5 * (1.0 + s), 1.0)):
-            q = _seeded_lanes(r * r, 1.0, k)
-            got = oracle_module._stage_lanes(p1, 1.0 - p1, r)(q)
-            assert got.tobytes() == _stage_expression(q, p1, 1.0 - p1, r).tobytes(), (s, p1, r)
-
-    @pytest.mark.parametrize("s,p1", _lane_scenarios())
-    def test_cloning_lanes_are_the_expression(self, s, p1):
-        # lanes past the tangent point 1/(1 + s^2) have no root and read -inf
-        g1 = _seeded_lanes(0.0, 1.0, 1)
-        tangent = 1.0 / (1.0 + s * s)
-        past = tangent + (1.0 - tangent) * np.random.default_rng(2).uniform(1e-3, 1.0, 500)
-        g1 = np.concatenate([g1, past[past > tangent]])
-        got = _cloning_objective_values(g1, s, p1, 1.0 - p1)
-        assert got.tobytes() == _cloning_expression(g1, s, p1, 1.0 - p1).tobytes(), (s, p1)
-        assert np.all(got[g1 > tangent] == -np.inf) and np.isfinite(got).any()
-        assert (g1 > tangent).sum() >= (500 if s > 1e-6 else 0)
-
-    @pytest.mark.parametrize("s,p1", _lane_scenarios()[::3])
-    def test_a_single_lane_is_the_float(self, s, p1):
-        # one lane against the expression on the float itself, the argmax's
-        # path: math.sqrt raises where a lane reads -inf
-        stage = oracle_module._stage_lanes(p1, 1.0 - p1, s)
-        cloning = oracle_module._cloning_lanes(s, p1, 1.0 - p1)
-        for q in _seeded_lanes(s * s, 1.0, 3, 20).tolist():
-            assert stage(np.array([q])).tolist() == [_stage_objective(p1, 1.0 - p1, s)(q)]
-        for g1 in _seeded_lanes(0.0, 1.0, 4, 20).tolist():
-            try:
-                want = _cloning_objective(g1, s, p1, 1.0 - p1, math.sqrt, min)
-            except ValueError:
-                want = -math.inf
-            assert cloning(np.array([g1])).tolist() == [want]
-
-    @pytest.mark.parametrize("s,p1", _lane_scenarios()[::3])
-    def test_cloning_root_is_the_expression(self, s, p1):
-        # the argmax's (gamma2, sqrt(1 - gamma2)) on its float, against the
-        # expression body's roots bit for bit, and raising where it raises
-        for g1 in _seeded_lanes(0.0, 1.0, 5, 200).tolist():
-            try:
-                want = _cloning_objective(g1, s, p1, 1.0 - p1, math.sqrt, min, roots=True)[1:]
-            except ValueError:
-                with pytest.raises(ValueError):
-                    oracle_module._cloning_root(g1, s)
-            else:
-                assert oracle_module._cloning_root(g1, s) == want, g1
-
-    @pytest.mark.parametrize("s,p1", [(0.36, 0.2), (1e-12, 0.3), (1.0 - 1e-9, 0.5)])
-    def test_calls_of_other_sizes_leave_no_stale_lane(self, s, p1):
-        # one scan's body: calls of one size reuse its value buffer, and a
-        # call of another size gives exactly its own lanes, each the
-        # expression's
-        r = math.sqrt(s)
-        bodies = (
-            (oracle_module._stage_lanes(p1, 1.0 - p1, r), r * r, lambda x: _stage_expression(x, p1, 1.0 - p1, r)),
-            (oracle_module._cloning_lanes(s, p1, 1.0 - p1), 0.0, lambda x: _cloning_expression(x, s, p1, 1.0 - p1)),
-        )
-        for body, lo, expression in bodies:
-            first = body(np.linspace(lo, 1.0, _SCAN_POINTS))
-            assert body(np.linspace(lo, 0.5 * (lo + 1.0), _SCAN_POINTS)) is first
-            for k, n in enumerate((7, _SCAN_POINTS, 1, 3000, 2)):
-                x = _seeded_lanes(lo, 1.0, 10 + k, n)[2 : 2 + n]
-                got = body(x)
-                assert got.shape == (n,) and got.tobytes() == expression(x).tobytes(), n
-
-
-class TestSharedFirstPass:
-    """The first scan of every [0, 1] window scan is one shared read-only
-    grid (``core._unit_points``), on which the cloning lane body takes its
-    scenario-free lanes from a read-only cache (``oracle._unit_lanes``)."""
-
-    def test_cache_is_read_only_and_the_body_s_own_operations(self):
-        g1 = oracle_module._unit_points(_SCAN_POINTS)
-        lanes = oracle_module._unit_lanes()
-        assert lanes is oracle_module._unit_lanes()
-        assert g1.tobytes() == np.linspace(0.0, 1.0, _SCAN_POINTS).tobytes()
-        want = (1.0 - g1, np.sqrt(g1), np.sqrt(1.0 - g1))
-        for lane, expected in zip((g1, *lanes), (g1, *want)):
-            assert not lane.flags.writeable and lane.tobytes() == expected.tobytes()
-            with pytest.raises(ValueError):
-                lane[0] = 0.5
-
-    def test_certify_leaves_the_cache_as_it_was(self):
-        arrays = (oracle_module._unit_points(_SCAN_POINTS), *oracle_module._unit_lanes())
-        before = [a.tobytes() for a in arrays]
-        rows = certify(None, (0.0, 0.04, 0.36, 1.0), (0.2, 0.5))
-        assert len(rows) == 8 and all(row.passed for row in rows)
-        assert [a.tobytes() for a in arrays] == before
-
-    @pytest.mark.parametrize("s,p1", _lane_scenarios())
-    def test_cloning_lanes_on_the_shared_grid_are_the_expression(self, s, p1):
-        # the shared grid takes the cache, an equal copy of it the body's own
-        # lanes: both are the expression bit for bit, in either call order
-        g1 = oracle_module._unit_points(_SCAN_POINTS)
-        want = _cloning_expression(g1, s, p1, 1.0 - p1).tobytes()
-        for order in ((g1, g1.copy()), (g1.copy(), g1)):
-            body = oracle_module._cloning_lanes(s, p1, 1.0 - p1)
-            assert [body(x).tobytes() for x in order] == [want, want], (s, p1)
 
 
 class TestUnionOracle:
@@ -1058,9 +950,9 @@ class TestCertify:
         with pytest.raises(DomainError, match=f"{name}=.* must be a sequence of numbers"):
             certify(["protocol1"], **{"s_values": [0.2], "p1_values": [0.3], name: grid})
 
-    def test_tolerance_below_grid_resolution_fails(self):
-        # protocol (2)'s row is still scanned: its gap here is 2.7e-9
-        rows = certify(quantities=["protocol2"], s_values=(0.36,), p1_values=(0.2,), tolerance=1e-13)
+    def test_tolerance_below_the_exact_gap_fails(self):
+        # protocol (2)'s exact gap here is 1.7e-16
+        rows = certify(quantities=["protocol2"], s_values=(0.36,), p1_values=(0.2,), tolerance=1e-17)
         assert not rows[0].passed
 
     @pytest.mark.parametrize(
@@ -1070,21 +962,32 @@ class TestCertify:
             ["at_least_one_p3"],
             ["protocol3", "at_least_one_p3"],
             ["at_least_one_p3", "protocol3"],
+            None,
         ],
     )
     def test_cloning_rows_share_one_cloner_and_one_enclosure_per_scenario(self, monkeypatch, names):
+        # every scan is the tests' cross-check alone: a full certify() runs
+        # no grid_maximize_* and no window scan
+        scans = [name for name in dir(oracle_module) if name.startswith("grid_maximize_")] + ["window_scan_max"]
+        assert len(scans) == 7
         calls = {}
-        for module, fn in (
-            (protocols_module, protocols_module._clone_for_prior),
-            (oracle_module, oracle_module._cloning_bounds),
-            (oracle_module, oracle_module.grid_maximize_cloning),  # the tests' cross-check alone
+        for module, name in (
+            (protocols_module, "_clone_for_prior"),
+            (oracle_module, "_cloning_bounds"),
+            *((oracle_module, name) for name in scans),
         ):
-            calls[fn.__name__] = []
-            monkeypatch.setattr(module, fn.__name__, _recording(fn, calls[fn.__name__]))
+            calls[name] = []
+            monkeypatch.setattr(module, name, _recording(getattr(module, name), calls[name]))
         certify(names, _CLONING_S, _CLONING_P1)
         n = len(_CLONING_S) * len(_CLONING_P1)
         counts = {name: len(c) for name, c in calls.items()}
-        assert counts == {"_clone_for_prior": n, "_cloning_bounds": n, "grid_maximize_cloning": 0}
+        assert counts == {"_clone_for_prior": n, "_cloning_bounds": n, **dict.fromkeys(scans, 0)}
+
+    def test_every_row_is_exact_at_the_ends_of_s(self):
+        # identical and orthogonal states beside two inner overlaps: all
+        # eight rows pass, each within 1e-15 of its exact bounds
+        rows = certify(None, (0.0, 0.04, 0.36, 1.0), (0.2, 0.5))
+        assert len(rows) == 8 and all(row.passed and row.worst_gap <= 1e-15 for row in rows), rows
 
     def test_cloning_rows_equal_their_single_rows(self):
         together = certify(["protocol3", "at_least_one_p3"], _CLONING_S, _CLONING_P1)
@@ -1939,3 +1842,171 @@ class TestCloningEnclosure:
         both, at_least_one = certify(["protocol3", "at_least_one_p3"], [0.36], [0.2])
         assert both.passed and not at_least_one.passed
         assert math.isnan(at_least_one.worst_gap) if math.isnan(value) else at_least_one.worst_gap == math.inf
+
+
+class TestFloatBracket:
+    """``bounds._float_bracket`` from a start on either end of its interval:
+    that end's side is known, so the search steps away from it as from any
+    other start, and the bracket is the same."""
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (0.36, 1.0), (0.5, 1.0), (-2.0, 3.0)])
+    def test_a_start_on_an_end_takes_at_most_two_side_tests(self, lo, hi):
+        # the change one ulp inside the end the search starts on: one or two
+        # calls of past (the first step is the end's ulp, which is twice the
+        # spacing on its inner side at a power of two), where a bisection of
+        # the whole interval takes about 50
+        for start, change in ((lo, math.nextafter(lo, hi)), (hi, hi)):
+            calls = []
+
+            def past(x):
+                calls.append(x)
+                return x >= change
+
+            bracket = bounds_module._float_bracket(past, lo, hi, start)
+            assert bracket == (math.nextafter(change, lo), change) and len(calls) <= 2, (start, calls)
+            assert bounds_module._float_bracket(past, lo, hi, 0.5 * (lo + hi)) == bracket
+
+
+def _protocol2_enclosure(sc):
+    """Protocol (2)'s closed form at the scenario and ``bounds._protocol2_bounds``
+    at its q1b and q1c, as ``oracle._cert_protocol2`` takes them: (value,
+    (L, U) as ``Fraction``s)."""
+    result = protocol2_optimal(sc)
+    args = (sc.p1, sc.p2, sc.s, result.argmax["q1b"], result.argmax.get("q1c", math.nan))
+    return result.value, _as_fractions(bounds_module._protocol2_bounds(*args))
+
+
+def _assert_protocol2_within(s, p1, tolerance=Fraction(1e-15)):
+    value, (lower, upper) = _protocol2_enclosure(Scenario(s, p1))
+    assert lower <= upper and lower - tolerance <= Fraction(value) <= upper + tolerance, (s, p1)
+
+
+def _pc2_neighbours(s, ulps=4):
+    """The priors within ``ulps`` ulps either side of p_c2 at s, where
+    ``ssd._interior`` flips and protocol (2) jumps."""
+    p1 = protocol2_critical_priors(s)[1]
+    for _ in range(ulps):
+        p1 = math.nextafter(p1, 0.0)
+    priors = []
+    for _ in range(2 * ulps + 1):
+        priors.append(p1)
+        p1 = math.nextafter(p1, 1.0)
+    return priors
+
+
+class TestProtocol2Certificate:
+    """``bounds._protocol2_bounds`` holds protocol (2)'s row exactly: the
+    closed form within 1e-15 of [L, U] on the grid, on seeded draws and at
+    the edges. ``grid_maximize_protocol2`` stays as its brute-force
+    cross-check."""
+
+    @pytest.mark.parametrize("s,p1", _CERT_GRID)
+    def test_closed_form_on_the_grid(self, s, p1):
+        # read: 1.72e-16 at worst, at (0.36, 0.2)
+        ((name, gap),) = oracle_module._cert_protocol2(Scenario(s, p1))
+        assert name == "protocol2" and gap <= 1e-15
+        _assert_protocol2_within(s, p1)
+
+    def test_closed_form_on_seeded_draws(self):
+        # read: 2.3e-16 at worst
+        gaps = [oracle_module._cert_protocol2(Scenario(s, p1))[0][1] for s, p1 in _certify_range_draws(63, 300)]
+        assert max(gaps) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            0.0,
+            1e-300,
+            1e-12,
+            0.04,
+            0.36,
+            0.6,
+            0.98,
+            *(
+                pytest.param(
+                    1.0 - k * 2.0**-53,
+                    marks=pytest.mark.xfail(
+                        raises=ConstraintError,
+                        strict=True,
+                        reason="Charlie's prior rounds above 1/2, and his q1c below s^2 (q2c above 1)",
+                    ),
+                )
+                for k in (1, 2)
+            ),
+            *(1.0 - k * 2.0**-53 for k in (3, 8)),
+            1.0,
+        ],
+    )
+    def test_equal_priors(self, s):
+        # q* = s, the bracket's lower end. At the two floats below 1 the
+        # closed form reports an infeasible q1c, which the bounds reject
+        _assert_protocol2_within(s, 0.5)
+
+    @pytest.mark.parametrize("s", [0.0, 1.0])
+    @pytest.mark.parametrize("p1", [5e-324, 1e-300, 0.1, 0.3, 0.5])
+    def test_identical_or_orthogonal_states(self, s, p1):
+        # s = 1 is never inside: L = U = p2*(1 - s^2) = 0. At s = 0, q* = 0
+        # and Charlie's prior is p1/(p1 + p2), q2 = 0 for both
+        _assert_protocol2_within(s, p1)
+        if s == 1.0:
+            assert _protocol2_enclosure(Scenario(s, p1))[1] == (0, 0)
+
+    @pytest.mark.parametrize("s", [0.04, 0.2, 0.36, 0.5, 0.6, 0.7429634011369497, 0.9, 0.98])
+    def test_either_side_of_pc2(self, s):
+        # both sides of the jump at each s, the closed form's side decided by
+        # the same exact test as the bounds'
+        priors = _pc2_neighbours(s)
+        sides = {_interior(p1, s) for p1 in priors}
+        assert sides == {False, True}
+        for p1 in priors:
+            _assert_protocol2_within(s, p1)
+
+    def test_inside_where_the_float_p2_puts_q_star_at_1(self):
+        # p1 = 0.2 lies above 1/5, so s = 1/2 is inside by 1 - p1, but p1 <=
+        # p2*s^2 for the float p2 = 0.8: the bracket ends at b = 1
+        s, p1 = 0.5, 0.2
+        (a, aa), (b, bb) = p1.as_integer_ratio(), (1.0 - p1).as_integer_ratio()
+        assert _interior(p1, s) and not 4 * a * bb > b * aa
+        _assert_protocol2_within(s, p1)
+
+    @pytest.mark.parametrize("s,p1", _CERT_GRID + _BENCH_CERTIFY_DRAWS)
+    def test_scan_within_its_resolution_of_the_bounds(self, s, p1):
+        # below L by at most the scan's resolution (read: 2.7e-9, at (0.36,
+        # 0.2)), and above U by less: Charlie's stage runs at the prior that
+        # Bob's grid argmax leaves, not q*'s, and his optimum there can lie
+        # above the optimum's (read: 2.2e-10, at (0.1716, 0.3))
+        sc = Scenario(s, p1)
+        _, (lower, upper) = _protocol2_enclosure(sc)
+        value = Fraction(grid_maximize_protocol2(sc)[0])
+        assert lower - Fraction(5e-9) <= value <= upper + Fraction(5e-10)
+
+    def test_row_takes_the_bounds(self, monkeypatch):
+        # U raised by 1e-12 moves the row's gap to about that
+        real = bounds_module._protocol2_bounds
+
+        def raised(*args):
+            lower, upper = real(*args)
+            return lower, (upper[0] + upper[1] // 10**12, upper[1])
+
+        monkeypatch.setattr(oracle_module, "_protocol2_bounds", raised)
+        (row,) = certify(["protocol2"], [0.36], [0.2])
+        assert 0.99e-12 < row.worst_gap < 1.01e-12
+
+    @pytest.mark.parametrize("key", ["q1b", "q1c"])
+    @pytest.mark.parametrize("q", [0.36**2 / 2, 1.0 + 2**-52, math.nan], ids=["below_s2", "above_1", "nan"])
+    def test_argmax_outside_its_range_fails(self, monkeypatch, key, q):
+        real = oracle_module.protocol2_optimal
+
+        def moved(sc):
+            result = real(sc)
+            return dataclasses.replace(result, argmax={**result.argmax, key: q})
+
+        monkeypatch.setattr(oracle_module, "protocol2_optimal", moved)
+        (row,) = certify(["protocol2"], [0.36], [0.2])
+        assert row.worst_gap == math.inf
+
+    def test_boundary_value_is_exact(self):
+        # below p_c2 the bounds are p2*(1 - s^2) itself, whatever q1b and q1c
+        s, p1 = 0.36, 0.05
+        bounds = bounds_module._protocol2_bounds(p1, 1.0 - p1, s, 0.5, math.nan)
+        assert _as_fractions(bounds) == (Fraction(1.0 - p1) * (1 - Fraction(s) ** 2),) * 2
