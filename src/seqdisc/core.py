@@ -25,9 +25,8 @@ chain, are ``bounds``'.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Real
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,29 +53,50 @@ class InfeasibleIsometryError(ValueError):
     """No inner-product-preserving map exists between the given state pairs."""
 
 
-@dataclass(frozen=True)
-class Scenario:
+class _Checked:
+    """Mixin of a value type that is a ``NamedTuple`` subclass whose
+    ``__new__`` checks and normalizes its fields: ``_make``, and so
+    ``_replace``, which namedtuple builds through ``_make``, call that
+    constructor, so no way of building a value skips its check. Unpickling
+    and ``copy`` call ``__new__`` too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _ScenarioFields(NamedTuple):
+    s: float
+    p1: float
+
+
+class Scenario(_Checked, _ScenarioFields):
     """A discrimination instance: overlap ``s`` and prior ``p1`` of state 1.
 
     Both are held as Python floats, so a numpy scalar given for either takes
     the same steps, and gives the same results, as the float it holds.
     """
 
-    s: float
-    p1: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_scenario(self.s, self.p1)
-        object.__setattr__(self, "s", float(self.s))
-        object.__setattr__(self, "p1", float(self.p1))
+    def __new__(cls, s: float, p1: float) -> Scenario:
+        _check_scenario(s, p1)
+        return tuple.__new__(cls, (float(s), float(p1)))
 
     @property
     def p2(self) -> float:
         return 1.0 - self.p1
 
 
-@dataclass(frozen=True)
-class StrategyParams:
+class _StrategyFields(NamedTuple):
+    q1: float
+    q2: float
+    r: float
+
+
+class StrategyParams(_Checked, _StrategyFields):
     """Failure parameters (q1, q2) of one unambiguous-discrimination stage.
 
     qi is the probability of the inconclusive outcome given preparation i.
@@ -85,24 +105,19 @@ class StrategyParams:
     as Python floats, as in ``Scenario``.
     """
 
-    q1: float
-    q2: float
-    r: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        r2 = self.r * self.r
-        for name, q in (("q1", self.q1), ("q2", self.q2)):
+    def __new__(cls, q1: float, q2: float, r: float) -> StrategyParams:
+        r2 = r * r
+        for name, q in (("q1", q1), ("q2", q2)):
             # negated comparisons, so that NaN fails them
             if not q >= r2 - BOUNDARY_TOL:
                 raise ConstraintError(f"{name}={q} below lower bound r^2={r2}")
             if not q <= 1.0 + BOUNDARY_TOL:
                 raise ConstraintError(f"{name}={q} above upper bound 1")
-        if abs(self.q1 * self.q2 - r2) > BOUNDARY_TOL:
-            raise ConstraintError(
-                f"q1*q2={self.q1 * self.q2} violates the product constraint r^2={r2}"
-            )
-        for name in ("q1", "q2", "r"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        if abs(q1 * q2 - r2) > BOUNDARY_TOL:
+            raise ConstraintError(f"q1*q2={q1 * q2} violates the product constraint r^2={r2}")
+        return tuple.__new__(cls, (float(q1), float(q2), float(r)))
 
     @classmethod
     def from_q1(cls, q1: float, r: float) -> "StrategyParams":

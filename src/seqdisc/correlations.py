@@ -42,13 +42,14 @@ certify the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
     BOUNDARY_TOL,
     NumericError,
+    _Checked,
     _is_overlap,
     _is_prior,
     _overlap_error,
@@ -64,29 +65,30 @@ from .core import (
 _NEG_FLOOR = 1e-10
 
 
-@dataclass(frozen=True)
-class CorrelationInput:
-    """Prior and post-measurement overlaps (p1, t, r); s = t*r is implied.
-    All three are held as Python floats, as in ``Scenario``."""
-
+class _CorrelationFields(NamedTuple):
     p1: float
     t: float
     r: float
 
-    def __post_init__(self) -> None:
-        _require(_is_prior(self.p1), _prior_error, self.p1)
-        _require(_is_overlap(self.t), _overlap_error, "t", self.t)
-        _require(_is_overlap(self.r), _overlap_error, "r", self.r)
-        for name in ("p1", "t", "r"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+
+class CorrelationInput(_Checked, _CorrelationFields):
+    """Prior and post-measurement overlaps (p1, t, r); s = t*r is implied.
+    All three are held as Python floats, as in ``Scenario``."""
+
+    __slots__ = ()
+
+    def __new__(cls, p1: float, t: float, r: float) -> CorrelationInput:
+        _require(_is_prior(p1), _prior_error, p1)
+        _require(_is_overlap(t), _overlap_error, "t", t)
+        _require(_is_overlap(r), _overlap_error, "r", r)
+        return tuple.__new__(cls, (float(p1), float(t), float(r)))
 
     @property
     def p2(self) -> float:
         return 1.0 - self.p1
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
+class CorrelationReport(NamedTuple):
     """All correlation quantities for one (p1, t, r).
 
     Proportions are None when both discords vanish (product state); the

@@ -50,8 +50,7 @@ hold a 3-D scan of the box as the diagonal scans' own reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -256,8 +255,7 @@ def grid_maximize_cloning(scenario: Scenario) -> tuple[float, float, float]:
     return value, g1, g2
 
 
-@dataclass(frozen=True)
-class CertificationRow:
+class CertificationRow(NamedTuple):
     """Worst closed-form-vs-oracle gap for one quantity over the grid, at
     ``worst_scenario``, that scenario's (s, p1) as ``Scenario`` holds them."""
 

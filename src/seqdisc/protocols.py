@@ -35,7 +35,7 @@ succeeds); the column kernels take the same two combinations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +60,7 @@ from .ssd import (
 )
 
 
-@dataclass(frozen=True)
-class CloneParams:
+class CloneParams(NamedTuple):
     """Probabilistic-cloning working point on the constraint manifold.
 
     gamma1, gamma2 are the per-state cloning success probabilities, p_cl the
@@ -138,6 +137,12 @@ def protocol2_optimal(scenario: Scenario) -> PiecewiseResult:
     the stage decides exactly) he ignores state 1, Charlie learns the state for free, and the result is
     case III with Bob's value p2 (1 - s^2), protocol (1)'s.  The argmax is
     the two stages', and ``boundary_prior`` is p_c1.
+
+    Charlie's prior is clamped to at most 1/2, which is exact: p1 <= p2 and
+    q1b >= s >= q2b give p1 (1 - q1b) <= p2 (1 - q2b), Bob's state-1 mass at
+    most his state-2 mass.  Rounding can put the quotient above 1/2 at the
+    last floats below s = 1 with p1 = 1/2, where Charlie's stationary point
+    would fall below s^2.  A NaN passes through the clamp.
     """
     s, p1, p2 = scenario.s, scenario.p1, scenario.p2
     k, p_c1 = s * s, protocol2_critical_priors(s)[0]
@@ -145,7 +150,7 @@ def protocol2_optimal(scenario: Scenario) -> PiecewiseResult:
     argmax = {"q1b": q1b, "q2b": k / q1b if q1b > 0.0 else 0.0}
     if q1b == 1.0:
         return PiecewiseResult(bob, CaseLabel.CASE_III, argmax, p_c1)
-    p1c = _bob_state1_mass(p1, p2, s, math.sqrt, _pick) / bob
+    p1c = min(_bob_state1_mass(p1, p2, s, math.sqrt, _pick) / bob, 0.5)
     charlie, q1c, label = _stage_optimum(p1c, 1.0 - p1c, s)
     argmax.update(q1c=q1c, q2c=k / q1c if q1c > 0.0 else 0.0)
     return PiecewiseResult(bob * charlie, label, argmax, p_c1)
@@ -153,13 +158,14 @@ def protocol2_optimal(scenario: Scenario) -> PiecewiseResult:
 
 def protocol2_optimal_values(s: np.ndarray, p1: np.ndarray) -> np.ndarray:
     """``protocol2_optimal(Scenario(s, p1)).value`` in every lane of valid
-    scenarios, by the same two stage calls; a lane with p1c = 0 gets an
-    infinite or NaN stationary point and so Charlie's boundary, as there.
+    scenarios, by the same two stage calls and the same clamp of Charlie's
+    prior; a lane with p1c = 0 gets an infinite or NaN stationary point and
+    so Charlie's boundary, as there.
     """
     p2 = 1.0 - p1
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         bob, q1b, _ = _stage(p1, p2, s, np.sqrt, np.where)
-        p1c = _bob_state1_mass(p1, p2, s, np.sqrt, np.where) / bob
+        p1c = np.minimum(_bob_state1_mass(p1, p2, s, np.sqrt, np.where) / bob, 0.5)
         charlie = _stage(p1c, 1.0 - p1c, s, np.sqrt, np.where)[0]
     return _probabilities(np.where(q1b < 1.0, bob * charlie, bob))
 
@@ -237,8 +243,8 @@ def _clone_working_point(u, s, sqrt, pick) -> tuple:
 
 
 #: The indices of ``p1_of_omega`` and of p1'(u) in ``_clone_working_point``'s tuple.
-_P1_OF_OMEGA = [f.name for f in fields(CloneParams)].index("p1_of_omega")
-_SLOPE = len(fields(CloneParams))
+_P1_OF_OMEGA = CloneParams._fields.index("p1_of_omega")
+_SLOPE = len(CloneParams._fields)
 
 #: Most reads of one cloner solve before it raises NumericError.  A
 #: figure's lanes take 6 and 20,000 seeded scenarios over the documented

@@ -46,7 +46,7 @@ from __future__ import annotations
 import os
 import threading
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,19 +122,27 @@ def build_discrimination_unitary(
     return u
 
 
-@dataclass(frozen=True, eq=False)
-class TrialSummary:
+class TrialSummary(NamedTuple):
     """Monte Carlo tallies with seed provenance.
 
     ``counts[i, b, c]`` counts trials with preparation i+1, Bob success flag b
     and Charlie success flag c.  ``error_count`` counts declarations that
     contradicted the preparation; the protocol guarantees it is exactly 0.
+    A summary equals only itself, and its repr leaves out ``counts``.
     """
 
     n_trials: int
     seed: int
-    counts: np.ndarray = field(repr=False)
+    counts: np.ndarray
     error_count: int
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+    def __repr__(self) -> str:
+        n, seed, errors = self.n_trials, self.seed, self.error_count
+        return f"TrialSummary(n_trials={n!r}, seed={seed!r}, error_count={errors!r})"
 
     @property
     def bob_success_count(self) -> int:

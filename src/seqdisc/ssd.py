@@ -49,7 +49,6 @@ message.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -61,6 +60,7 @@ from .core import (
     NumericError,
     Scenario,
     StrategyParams,
+    _Checked,
     _clamp_unit,
     _pick,
     _require,
@@ -119,8 +119,14 @@ class CaseLabel(str, Enum):
     CASE_III = "CaseIII"
 
 
-@dataclass(frozen=True)
-class PiecewiseResult:
+class _PiecewiseFields(NamedTuple):
+    value: float
+    case_label: CaseLabel
+    argmax: dict
+    boundary_prior: float | None
+
+
+class PiecewiseResult(_Checked, _PiecewiseFields):
     """Optimal value of a piecewise maximization plus its provenance.
 
     ``argmax`` maps parameter names (q1b, q2b, t, ...) to the optimizing
@@ -128,13 +134,11 @@ class PiecewiseResult:
     cases for the instance, when one is defined.
     """
 
-    value: float
-    case_label: CaseLabel
-    argmax: dict
-    boundary_prior: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", _clamp_unit(self.value, _probability_error))
+    def __new__(cls, value, case_label, argmax, boundary_prior=None) -> PiecewiseResult:
+        value = _clamp_unit(value, _probability_error)
+        return tuple.__new__(cls, (value, case_label, argmax, boundary_prior))
 
 
 def _probability_error(value) -> NumericError:

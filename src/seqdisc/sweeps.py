@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from itertools import chain, islice
+from types import MappingProxyType
 from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
 
-from .core import DomainError, _check_scenario, _is_integer, _is_real, _quantity_names
+from .core import DomainError, _check_scenario, _Checked, _is_integer, _is_real, _quantity_names
 from .correlations import d_symm_values, prop_left_values
 from .protocols import (
     at_least_one_protocol3_values,
@@ -33,6 +33,8 @@ from .ssd import bob_optimal_values, charlie_optimal_values, joint_optimal_value
 #: The most points of a sweep: linspace counts its points in float64, whose
 #: integers are exact only up to 2^53; longer grids would not be even.
 _MAX_STEPS = 2**53
+#: ``SweepSpec``'s default ``fixed``: no fixed field, and read only.
+_NO_FIXED = MappingProxyType({})
 
 
 def _as_float(value, name: str) -> float:
@@ -44,8 +46,16 @@ def _as_float(value, name: str) -> float:
         raise DomainError(f"{name} is a number outside the float range") from None
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class _SweepFields(NamedTuple):
+    variable: str
+    start: float
+    stop: float
+    steps: int
+    fixed: dict
+    quantities: tuple[str, ...]
+
+
+class SweepSpec(_Checked, _SweepFields):
     """One swept variable against named scalar quantities.
 
     ``fixed`` maps the non-swept scenario fields that the quantities read
@@ -61,49 +71,47 @@ class SweepSpec:
     scenarios are valid.
     """
 
-    variable: str
-    start: float
-    stop: float
-    steps: int
-    fixed: dict = field(default_factory=dict)
-    quantities: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.variable not in ("P1", "s", "t"):
-            raise DomainError(f"sweep variable {self.variable!r} not one of P1, s, t")
-        if not (_is_integer(self.steps) and self.steps >= 2):
-            raise DomainError(f"steps={self.steps!r} must be an integer of at least 2")
-        if self.steps > _MAX_STEPS:
-            raise DomainError(f"steps={self.steps} is above the most a grid can count, 2^53")
-        for name in ("start", "stop"):
-            value = getattr(self, name)
+    def __new__(
+        cls, variable: str, start: float, stop: float, steps: int, fixed: Mapping = _NO_FIXED, quantities=()
+    ) -> SweepSpec:
+        if variable not in ("P1", "s", "t"):
+            raise DomainError(f"sweep variable {variable!r} not one of P1, s, t")
+        if not (_is_integer(steps) and steps >= 2):
+            raise DomainError(f"steps={steps!r} must be an integer of at least 2")
+        if steps > _MAX_STEPS:
+            raise DomainError(f"steps={steps} is above the most a grid can count, 2^53")
+        bounds = []
+        for name, value in (("start", start), ("stop", stop)):
             if not _is_real(value):
                 raise DomainError(f"{name}={value!r} must be a real number")
-            object.__setattr__(self, name, _as_float(value, name))
-        if not self.start < self.stop:
-            raise DomainError(f"empty sweep range [{self.start}, {self.stop}]")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise DomainError(f"sweep range [{self.start}, {self.stop}] is not finite")
-        object.__setattr__(self, "steps", int(self.steps))
-        object.__setattr__(self, "quantities", _quantity_names(self.quantities, _QUANTITIES))
-        if not isinstance(self.fixed, Mapping):
-            raise DomainError(f"fixed={self.fixed!r} must map s, p1 or t to a real number")
-        for name, value in self.fixed.items():
+            bounds.append(_as_float(value, name))
+        start, stop = bounds
+        if not start < stop:
+            raise DomainError(f"empty sweep range [{start}, {stop}]")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise DomainError(f"sweep range [{start}, {stop}] is not finite")
+        steps = int(steps)
+        quantities = _quantity_names(quantities, _QUANTITIES)
+        if not isinstance(fixed, Mapping):
+            raise DomainError(f"fixed={fixed!r} must map s, p1 or t to a real number")
+        for name, value in fixed.items():
             if name not in ("s", "p1", "t"):
                 raise DomainError(f"fixed field {name!r} is not one of s, p1, t")
             if not _is_real(value):
                 raise DomainError(f"fixed {name}={value!r} must be a real number")
-        fixed = {name: _as_float(value, f"fixed {name}") for name, value in self.fixed.items()}
-        object.__setattr__(self, "fixed", fixed)
-        swept = _FIELD_OF_VARIABLE[self.variable]
-        if swept in self.fixed:  # the grid would overwrite it
-            raise DomainError(f"a sweep over {self.variable} cannot also fix {swept}")
-        needed = {"s", "p1"} | ({"t"} if _NEEDS_T.intersection(self.quantities) else set())
-        missing = sorted(needed - {swept} - set(self.fixed))
+        fixed = {name: _as_float(value, f"fixed {name}") for name, value in fixed.items()}
+        swept = _FIELD_OF_VARIABLE[variable]
+        if swept in fixed:  # the grid would overwrite it
+            raise DomainError(f"a sweep over {variable} cannot also fix {swept}")
+        needed = {"s", "p1"} | ({"t"} if _NEEDS_T.intersection(quantities) else set())
+        missing = sorted(needed - {swept} - set(fixed))
         if missing:
-            raise DomainError(f"a sweep over {self.variable} needs fixed values for {missing}")
-        if "t" not in needed and "t" in (swept, *self.fixed):
-            raise DomainError(f"t is swept or fixed, but none of {list(self.quantities)} reads t")
+            raise DomainError(f"a sweep over {variable} needs fixed values for {missing}")
+        if "t" not in needed and "t" in (swept, *fixed):
+            raise DomainError(f"t is swept or fixed, but none of {list(quantities)} reads t")
+        return tuple.__new__(cls, (variable, start, stop, steps, fixed, quantities))
 
     def grid(self) -> np.ndarray:
         try:

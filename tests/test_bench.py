@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 import math
 from pathlib import Path
@@ -92,7 +91,7 @@ def test_parent_check_compares_reports_and_counts(monkeypatch, parent, differs):
 
         def protocol2_optimal(sc):
             found = protocol2(sc)
-            moved = dataclasses.replace(found, value=math.nextafter(found.value, 1.0))
+            moved = found._replace(value=math.nextafter(found.value, 1.0))
             return moved if (sc.s, sc.p1) == point else found
 
         monkeypatch.setattr(parent, "protocol2_optimal", protocol2_optimal)
@@ -104,7 +103,7 @@ def test_parent_check_compares_reports_and_counts(monkeypatch, parent, differs):
 
         def protocol2_printed(sc):
             found = protocol2(sc)
-            moved = dataclasses.replace(found, value=found.value * (1.0 + 1e-9))
+            moved = found._replace(value=found.value * (1.0 + 1e-9))
             return moved if (sc.s, sc.p1) == point else found
 
         monkeypatch.setattr(parent.cli, "protocol2_optimal", protocol2_printed)
@@ -115,7 +114,7 @@ def test_parent_check_compares_reports_and_counts(monkeypatch, parent, differs):
         def certify_one_draw_moved(*args):
             rows = certify(*args)
             if args == (["bob"], [s], [p1]):
-                return [dataclasses.replace(rows[0], worst_gap=math.nextafter(rows[0].worst_gap, 1.0))]
+                return [rows[0]._replace(worst_gap=math.nextafter(rows[0].worst_gap, 1.0))]
             return rows
 
         monkeypatch.setattr(parent.oracle, "certify", certify_one_draw_moved)
@@ -130,7 +129,7 @@ def test_parent_check_compares_reports_and_counts(monkeypatch, parent, differs):
     elif differs == "report":
         monkeypatch.setattr(
             parent, "correlation_report",
-            lambda inp: dataclasses.replace(report(inp), d_symm=math.nextafter(report(inp).d_symm, 1.0)),
+            lambda inp: report(inp)._replace(d_symm=math.nextafter(report(inp).d_symm, 1.0)),
         )
     elif differs is not None:
         def run_ssd_trials(sc, t, q1b, q1c, n, seed):
@@ -164,7 +163,7 @@ def _joint_row_moved(certify):
 
     def moved(*args, **kwargs):
         return [
-            dataclasses.replace(row, worst_gap=math.nextafter(row.worst_gap, 1.0)) if row.quantity == "joint" else row
+            row._replace(worst_gap=math.nextafter(row.worst_gap, 1.0)) if row.quantity == "joint" else row
             for row in certify(*args, **kwargs)
         ]
 

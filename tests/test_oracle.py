@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import functools
 import math
 import tracemalloc
@@ -1824,7 +1823,7 @@ class TestCloningEnclosure:
 
         def moved(sc):
             both, at_least_one, u = real(sc)
-            return dataclasses.replace(both, argmax={**both.argmax, "q1b": q1}), at_least_one, u
+            return both._replace(argmax={**both.argmax, "q1b": q1}), at_least_one, u
 
         monkeypatch.setattr(oracle_module, "_cloned_optimum", moved)
         rows = certify(["protocol3", "at_least_one_p3"], [0.36], [0.2])
@@ -1922,24 +1921,13 @@ class TestProtocol2Certificate:
             0.36,
             0.6,
             0.98,
-            *(
-                pytest.param(
-                    1.0 - k * 2.0**-53,
-                    marks=pytest.mark.xfail(
-                        raises=ConstraintError,
-                        strict=True,
-                        reason="Charlie's prior rounds above 1/2, and his q1c below s^2 (q2c above 1)",
-                    ),
-                )
-                for k in (1, 2)
-            ),
-            *(1.0 - k * 2.0**-53 for k in (3, 8)),
+            *(1.0 - k * 2.0**-53 for k in (1, 2, 3, 8)),
             1.0,
         ],
     )
     def test_equal_priors(self, s):
-        # q* = s, the bracket's lower end. At the two floats below 1 the
-        # closed form reports an infeasible q1c, which the bounds reject
+        # q* = s, the bracket's lower end. At the two floats below 1 Charlie's
+        # prior rounds above 1/2 unless clamped, and his q1c then below s^2
         _assert_protocol2_within(s, 0.5)
 
     @pytest.mark.parametrize("s", [0.0, 1.0])
@@ -1999,7 +1987,7 @@ class TestProtocol2Certificate:
 
         def moved(sc):
             result = real(sc)
-            return dataclasses.replace(result, argmax={**result.argmax, key: q})
+            return result._replace(argmax={**result.argmax, key: q})
 
         monkeypatch.setattr(oracle_module, "protocol2_optimal", moved)
         (row,) = certify(["protocol2"], [0.36], [0.2])

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import fields
 from fractions import Fraction
 
 import mpmath
@@ -838,8 +837,8 @@ def test_cloner_far_below_documented_overlap(s, p1):
     # [0, 1] away from any bracket end; floats and lanes end on the same cloner
     cp = clone_optimal_for_prior(Scenario(s, p1))
     lanes = _clone_optimal_values(np.array([s, s]), np.array([p1, 0.5]))
-    for f in fields(CloneParams):
-        assert getattr(lanes, f.name)[0] == getattr(cp, f.name), f.name
+    for name in CloneParams._fields:
+        assert getattr(lanes, name)[0] == getattr(cp, name), name
     p_cl, p1_cl = _mp_cloner(s, p1)
     assert abs(cp.p_cl - p_cl) <= 1e-15 * p_cl and abs(cp.p1_cl - p1_cl) <= 1e-15 * p1_cl
 
