@@ -50,7 +50,8 @@ hold a 3-D scan of the box as the diagonal scans' own reference.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -255,9 +256,14 @@ def grid_maximize_cloning(scenario: Scenario) -> tuple[float, float, float]:
     return value, g1, g2
 
 
-class CertificationRow(NamedTuple):
+@dataclass(frozen=True)
+class CertificationRow:
     """Worst closed-form-vs-oracle gap for one quantity over the grid, at
-    ``worst_scenario``, that scenario's (s, p1) as ``Scenario`` holds them."""
+    ``worst_scenario``, that scenario's (s, p1) as ``Scenario`` holds them.
+
+    The one value type that is still a frozen dataclass, not a named tuple:
+    the benchmark's self-test builds a bad row with ``dataclasses.replace``.
+    """
 
     quantity: str
     worst_gap: float

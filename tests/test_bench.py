@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 from pathlib import Path
@@ -114,7 +115,7 @@ def test_parent_check_compares_reports_and_counts(monkeypatch, parent, differs):
         def certify_one_draw_moved(*args):
             rows = certify(*args)
             if args == (["bob"], [s], [p1]):
-                return [rows[0]._replace(worst_gap=math.nextafter(rows[0].worst_gap, 1.0))]
+                return [dataclasses.replace(rows[0], worst_gap=math.nextafter(rows[0].worst_gap, 1.0))]
             return rows
 
         monkeypatch.setattr(parent.oracle, "certify", certify_one_draw_moved)
@@ -163,7 +164,7 @@ def _joint_row_moved(certify):
 
     def moved(*args, **kwargs):
         return [
-            row._replace(worst_gap=math.nextafter(row.worst_gap, 1.0)) if row.quantity == "joint" else row
+            dataclasses.replace(row, worst_gap=math.nextafter(row.worst_gap, 1.0)) if row.quantity == "joint" else row
             for row in certify(*args, **kwargs)
         ]
 

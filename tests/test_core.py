@@ -659,12 +659,11 @@ def test_no_root_fails_a_float_and_its_first_lane_alike(monkeypatch):
     assert on_float[0] is NumericError and "no real root" in on_float[1]
 
 
-def _modules_loaded_with_seqdisc(top, imports="seqdisc, seqdisc.cli"):
-    """Names of package ``top``'s modules loaded by importing seqdisc and its
-    CLI, or else the modules named in ``imports``, in a fresh interpreter."""
+def _modules_loaded_with_seqdisc(top):
+    """Names of package ``top``'s modules loaded by importing seqdisc and its CLI."""
     src = Path(__import__("seqdisc").__file__).resolve().parents[1]
     code = (
-        f"import sys, {imports}; "
+        "import sys, seqdisc, seqdisc.cli; "
         f"print(sorted(m for m in sys.modules if m.split('.')[0] == {top!r}))"
     )
     out = subprocess.run(
@@ -693,13 +692,6 @@ def test_import_pulls_in_no_fractions_or_decimal(top):
     # the exact bounds and side test work in integer pairs; Fraction gives
     # their references in the tests only, and importing it loads decimal
     assert _modules_loaded_with_seqdisc(top) == "[]"
-
-
-def test_import_builds_no_dataclass():
-    # the value types are named tuples, whose classes are far cheaper to
-    # create than dataclasses'; dataclasses may load only where numpy does
-    baseline = _modules_loaded_with_seqdisc("dataclasses", imports="numpy")
-    assert _modules_loaded_with_seqdisc("dataclasses") == baseline
 
 
 def _load(relative: str, name: str):

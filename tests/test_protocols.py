@@ -173,6 +173,15 @@ class TestProtocol2:
         res = protocol2_optimal(Scenario(1.0, p1))
         assert res.value == 0.0
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_equal_priors_at_the_last_floats_below_one(self, k):
+        # at p1 = 1/2 the optimum is (1 - s)^2, here exactly k^2 2^-106;
+        # Charlie's prior clamped to 1/2 gives it on floats and lanes alike,
+        # where unclamped both read an ulp above
+        s, exact = 1.0 - k * 2.0**-53, (k * 2.0**-53) ** 2
+        assert protocol2_optimal(Scenario(s, 0.5)).value == exact
+        assert protocol2_optimal_values(np.array([s]), np.array([0.5])).tolist() == [exact]
+
     @pytest.mark.parametrize("p1", [0.5, 0.3, 1e-300, 5e-324])
     def test_orthogonal_states_take_case_i(self, p1):
         # at s = 0 both critical priors are 0, so case I's own formulas give

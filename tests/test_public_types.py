@@ -10,6 +10,7 @@ hold a numpy scalar anywhere, in a field, a tuple, a list or a dict (an
 a unitary) and are compared by their reprs.
 """
 
+import dataclasses
 import enum
 import io
 
@@ -114,11 +115,13 @@ _RESULTS = {"CertificationRow", "CloneParams", "CorrelationReport", "CriticalPri
 
 
 def _numpy_scalars(x, at="result"):
-    """Where in ``x`` a numpy scalar is: fields of named tuples, items of
-    tuples and lists, and keys and values of dicts."""
+    """Where in ``x`` a numpy scalar is: fields of dataclasses and named
+    tuples, items of tuples and lists, and keys and values of dicts."""
     if isinstance(x, np.generic):
         return [f"{at}: {type(x).__name__}"]
-    if isinstance(x, tuple) and hasattr(x, "_fields"):
+    if dataclasses.is_dataclass(x):
+        parts = [(f".{f.name}", getattr(x, f.name)) for f in dataclasses.fields(x)]
+    elif isinstance(x, tuple) and hasattr(x, "_fields"):
         parts = [(f".{name}", getattr(x, name)) for name in x._fields]
     elif isinstance(x, (tuple, list)):
         parts = [(f"[{i}]", item) for i, item in enumerate(x)]
