@@ -424,6 +424,7 @@ def test_custom_sweep_domain_errors_exit_2(extra, capsys):
         (lambda: SweepSpec("P1", 0.1, 0.5, 5, {"s": 0.04}, ("nope",)), "unknown quantities"),
         (lambda: SweepSpec("P1", 0.1, 0.5, 5, {"s": 0.04}), "at least one quantity"),
         (lambda: SweepSpec("P1", 0.1, 0.5, 5, {}, ("ssd",)), r"needs fixed values for \['s'\]"),
+        (lambda: SweepSpec("P1", 0.1, 0.5, 5, quantities=("ssd",)), r"needs fixed values for \['s'\]"),
         (lambda: run_figure("9"), "unknown figure preset"),
         # the grid would overwrite the fixed value
         (lambda: SweepSpec("P1", 0.1, 0.5, 3, {"s": 0.3, "p1": 0.2}, ("ssd",)), "cannot also fix p1"),
@@ -455,7 +456,8 @@ def test_custom_sweep_domain_errors_exit_2(extra, capsys):
     ],
     ids=[
         "variable", "empty_range", "infinite_stop", "infinite_start", "unknown_quantity",
-        "no_quantity", "missing_fixed", "unknown_figure", "swept_field_fixed", "t_swept_unread", "t_fixed_unread",
+        "no_quantity", "missing_fixed", "omitted_fixed", "unknown_figure", "swept_field_fixed", "t_swept_unread",
+        "t_fixed_unread",
         "quantity_twice", "unknown_fixed_field", "fixed_string", "fixed_list", "start_string",
         "stop_string", "fixed_bool", "start_bool", "stop_bool", "start_beyond_float", "stop_beyond_float",
         "negative_start_beyond_float", "fixed_beyond_float", "fixed_past_repr_limit",

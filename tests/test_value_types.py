@@ -10,7 +10,6 @@ copy and unpickling. Every type copies and pickles to an equal value, and
 
 import copy
 import dataclasses
-import inspect
 import pickle
 import re
 import sys
@@ -134,12 +133,3 @@ def test_trial_summary_repr_leaves_out_counts():
     summary = sd.TrialSummary(100, 1, np.zeros((2, 2, 2), dtype=np.int64), 0)
     assert repr(summary) == "TrialSummary(n_trials=100, seed=1, error_count=0)"
 
-
-def test_sweep_spec_defaults():
-    parameters = inspect.signature(sd.SweepSpec).parameters
-    assert dict(parameters["fixed"].default) == {} and parameters["quantities"].default == ()
-    # an omitted fixed holds no field (an explicit None, no mapping, is in _CHECKED)
-    with pytest.raises(sd.DomainError, match=r"needs fixed values for \['s'\]"):
-        sd.SweepSpec("P1", 0.1, 0.5, 3, quantities=["ssd"])
-    with pytest.raises(sd.DomainError, match="at least one quantity"):
-        sd.SweepSpec("P1", 0.1, 0.5, 3, {"s": 0.3})
